@@ -27,7 +27,7 @@ func main() {
 		}
 		path = append(path, &lit.SignalNode{
 			Name:       fmt.Sprintf("sw%d", i+1),
-			Admit:      lit.Proc1Admitter{P: ac},
+			Admit:      ac,
 			Gamma:      10e-3,
 			Processing: 1e-3,
 		})

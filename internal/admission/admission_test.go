@@ -234,11 +234,11 @@ func TestProcedure3SingleSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := SessionSpec{ID: 1, Rate: 1e3, LMax: 1000, LMin: 1000}
-	if _, err := p.Admit(spec, 1000.0/1e6); err != nil {
+	if _, err := p.Admit(spec, 0, Options{D: 1000.0 / 1e6}); err != nil {
 		t.Fatalf("exactly feasible d rejected: %v", err)
 	}
 	p2, _ := NewProcedure3(1e6)
-	if _, err := p2.Admit(spec, 0.5*1000.0/1e6); !errors.Is(err, ErrRejected) {
+	if _, err := p2.Admit(spec, 0, Options{D: 0.5 * 1000.0 / 1e6}); !errors.Is(err, ErrRejected) {
 		t.Fatalf("infeasible d accepted: %v", err)
 	}
 }
@@ -251,25 +251,25 @@ func TestProcedure3SubsetBinding(t *testing.T) {
 	// 2.4e6 < 4e6 -> reject.
 	p, _ := NewProcedure3(1e6)
 	spec := SessionSpec{ID: 1, Rate: 1e3, LMax: 1000, LMin: 1000}
-	if _, err := p.Admit(spec, 1.2e-3); err != nil {
+	if _, err := p.Admit(spec, 0, Options{D: 1.2e-3}); err != nil {
 		t.Fatalf("first session: %v", err)
 	}
 	spec.ID = 2
-	if _, err := p.Admit(spec, 1.2e-3); !errors.Is(err, ErrRejected) {
+	if _, err := p.Admit(spec, 0, Options{D: 1.2e-3}); !errors.Is(err, ErrRejected) {
 		t.Fatalf("pair subset not caught: %v", err)
 	}
 	// With a large enough d the pair fits: need C*sum(rd) >= 4e6 ->
 	// sum(rd) >= 4 -> second d >= (4 - 1.2)/1e3 = 2.8e-3... but then
 	// the first session's subset with the new one: recompute — admit
 	// with 3e-3 and expect success.
-	if _, err := p.Admit(spec, 3e-3); err != nil {
+	if _, err := p.Admit(spec, 0, Options{D: 3e-3}); err != nil {
 		t.Fatalf("feasible pair rejected: %v", err)
 	}
 }
 
 func TestProcedure3RateCap(t *testing.T) {
 	p, _ := NewProcedure3(1e6)
-	if _, err := p.Admit(SessionSpec{ID: 1, Rate: 2e6, LMax: 10, LMin: 10}, 1); !errors.Is(err, ErrRejected) {
+	if _, err := p.Admit(SessionSpec{ID: 1, Rate: 2e6, LMax: 10, LMin: 10}, 0, Options{D: 1}); !errors.Is(err, ErrRejected) {
 		t.Fatalf("rate above capacity accepted: %v", err)
 	}
 }
@@ -280,18 +280,18 @@ func TestProcedure3SessionCap(t *testing.T) {
 	spec := SessionSpec{Rate: 1, LMax: 10, LMin: 10}
 	for i := 1; i <= 3; i++ {
 		spec.ID = i
-		if _, err := p.Admit(spec, 1); err != nil {
+		if _, err := p.Admit(spec, 0, Options{D: 1}); err != nil {
 			t.Fatalf("session %d: %v", i, err)
 		}
 	}
 	spec.ID = 4
-	if _, err := p.Admit(spec, 1); err == nil {
+	if _, err := p.Admit(spec, 0, Options{D: 1}); err == nil {
 		t.Fatal("cap not enforced")
 	}
 	if !p.Remove(2) {
 		t.Fatal("Remove")
 	}
-	if _, err := p.Admit(spec, 1); err != nil {
+	if _, err := p.Admit(spec, 0, Options{D: 1}); err != nil {
 		t.Fatalf("after Remove: %v", err)
 	}
 }
@@ -318,7 +318,7 @@ func TestProcedure3EquivalenceWithProcedure2(t *testing.T) {
 			spec := SessionSpec{ID: i, Rate: 1e3 + float64(r.Intn(100000)), LMax: lMax, LMin: lMax}
 			// Procedure 2 class 1 gives d = sigma_1 exactly (R_0 = 0).
 			_, err2 := p2.Admit(spec, 1, Options{})
-			_, err3 := p3.Admit(spec, d)
+			_, err3 := p3.Admit(spec, 0, Options{D: d})
 			if (err2 == nil) != (err3 == nil) {
 				agree = false
 			}

@@ -47,21 +47,6 @@ func batchTotals(batch []SessionSpec, c float64) (rate, sigma float64, ok bool) 
 	return rate, sigma, true
 }
 
-// admitBatch commits a pre-checked batch into class j of a members
-// table and builds the assignments.
-func admitBatch(members [][]admitted, batch []SessionSpec, j int, opts Options,
-	assign func(SessionSpec) Assignment, ma *metrics.Arena, mb metrics.Handle) []Assignment {
-	out := make([]Assignment, len(batch))
-	for i, spec := range batch {
-		members[j-1] = append(members[j-1], admitted{spec: spec, eps: opts.Eps})
-		out[i] = assign(spec)
-		if ma != nil {
-			ma.Inc(mb + metrics.ProcAccepted)
-		}
-	}
-	return out
-}
-
 // AdmitClass admits the whole batch into class j by one aggregate
 // rule evaluation (and the optional curve gate). On success every
 // session is committed and the assignments are returned in batch
@@ -69,7 +54,7 @@ func admitBatch(members [][]admitted, batch []SessionSpec, j int, opts Options,
 // calls would have produced. On failure (ok = false) the controller
 // and gate are untouched; fall back to per-session Admit for partial
 // acceptance or for the precise rejection reason.
-func (p *Procedure1) AdmitClass(gate *CurveGate, batch []SessionSpec, j int, opts Options) ([]Assignment, bool) {
+func (p *ClassController) AdmitClass(gate *CurveGate, batch []SessionSpec, j int, opts Options) ([]Assignment, bool) {
 	if len(batch) == 0 || j < 1 || j > len(p.Classes) || opts.Eps < 0 {
 		return nil, false
 	}
@@ -77,47 +62,21 @@ func (p *Procedure1) AdmitClass(gate *CurveGate, batch []SessionSpec, j int, opt
 	if !ok {
 		return nil, false
 	}
-	P := len(p.Classes)
-	for m := j; m <= P; m++ {
-		if p.cumRate(m)+rate > p.Classes[m-1].R+rateTol(p.Classes[m-1].R) {
-			return nil, false
-		}
-		// Rule 1.2 exempts class P under procedure 1.
-		if m < P && p.cumSigma(m)+sigma > p.Classes[m-1].Sigma+1e-12 {
-			return nil, false
-		}
+	if rule, _ := p.fits(j, rate, sigma); rule != 0 {
+		return nil, false
 	}
 	if gate != nil && !gate.tryCommit(rate, batchBurst(batch)) {
 		return nil, false
 	}
-	return admitBatch(p.members, batch, j, opts,
-		func(s SessionSpec) Assignment { return p.assignment(s, j, opts) }, p.ma, p.mb), true
-}
-
-// AdmitClass is the procedure-2 batch fast path; rule 2.2's sigma
-// test includes class P (the only difference from procedure 1).
-func (p *Procedure2) AdmitClass(gate *CurveGate, batch []SessionSpec, j int, opts Options) ([]Assignment, bool) {
-	if len(batch) == 0 || j < 1 || j > len(p.Classes) || opts.Eps < 0 {
-		return nil, false
-	}
-	rate, sigma, ok := batchTotals(batch, p.C)
-	if !ok {
-		return nil, false
-	}
-	P := len(p.Classes)
-	for m := j; m <= P; m++ {
-		if p.cumRate(m)+rate > p.Classes[m-1].R+rateTol(p.Classes[m-1].R) {
-			return nil, false
-		}
-		if p.cumSigma(m)+sigma > p.Classes[m-1].Sigma+1e-12 {
-			return nil, false
+	out := make([]Assignment, len(batch))
+	for i, spec := range batch {
+		p.members[j-1] = append(p.members[j-1], admitted{spec: spec, eps: opts.Eps})
+		out[i] = p.assignment(spec, j, opts)
+		if p.ma != nil {
+			p.ma.Inc(p.mb + metrics.ProcAccepted)
 		}
 	}
-	if gate != nil && !gate.tryCommit(rate, batchBurst(batch)) {
-		return nil, false
-	}
-	return admitBatch(p.members, batch, j, opts,
-		func(s SessionSpec) Assignment { return p.assignment(s, j, opts) }, p.ma, p.mb), true
+	return out, true
 }
 
 // batchBurst is the token-bucket burst the batch contributes to the

@@ -76,25 +76,111 @@ func (a Assignment) Alpha(spec SessionSpec) float64 {
 // ErrRejected is wrapped by every admission failure.
 var ErrRejected = errors.New("admission rejected")
 
-// Procedure1 is admission control procedure 1. Classes are numbered
-// 1..P; class P must have R_P equal to the link capacity. Sessions in
-// lower-numbered classes receive lower d values (rule 1.3):
+// Controller guards one Leave-in-Time server. It hides which of the
+// paper's three procedures runs behind it: establishment code (the
+// route walk of Establish, the signaling layer, a daemon's SETUP
+// handler) admits, removes and reads the committed rate through this
+// interface and never dispatches on the procedure.
+type Controller interface {
+	// Admit runs the node's admission test for the session and records
+	// it on success; on failure the controller is unchanged. class is
+	// the 1-based delay class of procedures 1 and 2; procedure 3 has no
+	// classes and reads the session's fixed d from opts.D instead.
+	Admit(spec SessionSpec, class int, opts Options) (Assignment, error)
+	// Remove tears down a previously admitted session, freeing its
+	// bandwidth and sigma budget. It reports whether the session was
+	// found.
+	Remove(id int) bool
+	// TotalRate is the reserved rate committed at the server, summed
+	// over the live set — exactly zero once every session is removed
+	// (the no-reservation-leak check of the churn harness).
+	TotalRate() float64
+	// SetMetrics attaches the controller's accept/reject counters to
+	// its own procedure's block of the arena (HAdmissionAC1..3). The
+	// controllers of one procedure, one per server, share that block.
+	SetMetrics(a *metrics.Arena)
+}
+
+// New returns the controller of procedure proc (1, 2 or 3; 0 means 1)
+// for a link of the given capacity. Procedure 3 takes no classes; for
+// the class-based procedures see NewClassController.
+func New(proc int, capacity float64, classes []Class) (Controller, error) {
+	// Errors return an untyped nil: a nil pointer wrapped in a Controller
+	// would compare unequal to nil.
+	if proc == 3 {
+		p, err := NewProcedure3(capacity)
+		if err != nil {
+			return nil, err
+		}
+		return p, nil
+	}
+	c, err := NewClassController(proc, capacity, classes)
+	if err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// NewClassController returns the controller of procedure proc (1 or 2;
+// 0 means 1) as its concrete type, for callers that also use the
+// AdmitClass fast path. A nil class list selects procedure 1 with a
+// single class covering the full link: the VirtualClock special case
+// d = L/r, still enforcing the cumulative rate test (ineq. 18).
+func NewClassController(proc int, capacity float64, classes []Class) (*ClassController, error) {
+	switch proc {
+	case 0:
+		proc = 1
+	case 1, 2:
+	default:
+		return nil, fmt.Errorf("admission: unsupported procedure %d", proc)
+	}
+	if classes == nil {
+		proc, classes = 1, []Class{{R: capacity, Sigma: 1}}
+	}
+	return newClassController(proc, capacity, classes)
+}
+
+// ClassController implements admission control procedures 1 and 2.
+// Classes are numbered 1..P, and class P must have R_P equal to the
+// link capacity so the whole link can be committed. For every class m
+// from the session's own class j up to P, both procedures test the
+// cumulative rate of classes 1..m against R_m (rule x.1) and the
+// cumulative LMax/C against sigma_m (rule x.2), and both grant a d
+// affine in the packet length. They differ in two places:
 //
-//	d_{i,s} = L_i * R_j / (r_s * C) + sigma_{j-1} + eps.
-type Procedure1 struct {
+//	procedure 1: rule 1.2 exempts class P, and
+//	             d_{i,s} = L_i * R_j / (r_s * C) + sigma_{j-1} + eps;
+//	procedure 2: rule 2.2 includes class P, and
+//	             d_{i,s} = L_i * R_{j-1} / (r_s * C) + sigma_j + eps,
+//
+// with R_0 = sigma_0 = 0. Sessions in lower-numbered classes receive
+// lower d values. In class 1 of procedure 2, d does not depend on L/r
+// at all, which lets low-rate sessions obtain low delay (the paper's
+// Figures 14-17 use this).
+type ClassController struct {
 	C       float64
 	Classes []Class
 
+	proc    int          // 1 or 2
 	members [][]admitted // per class
 	ma      *metrics.Arena
 	mb      metrics.Handle
 }
 
-// SetMetrics attaches the controller's accept/reject counters as arena
-// slots at the given procedure block base (HAdmissionAC1..3). Several
-// controllers (one per server) typically share one procedure-wide
-// block.
-func (p *Procedure1) SetMetrics(a *metrics.Arena, base metrics.Handle) { p.ma, p.mb = a, base }
+// Procedure1 and Procedure2 name the class-based controller after the
+// procedure it was constructed for.
+type (
+	Procedure1 = ClassController
+	Procedure2 = ClassController
+)
+
+// SetMetrics implements Controller.
+func (p *ClassController) SetMetrics(a *metrics.Arena) {
+	p.ma, p.mb = a, metrics.HAdmissionAC1
+	if p.proc == 2 {
+		p.mb = metrics.HAdmissionAC2
+	}
+}
 
 type admitted struct {
 	spec SessionSpec
@@ -104,33 +190,35 @@ type admitted struct {
 // NewProcedure1 validates the class hierarchy (R and Sigma nondecreasing,
 // R_P = C) and returns an empty procedure-1 controller.
 func NewProcedure1(c float64, classes []Class) (*Procedure1, error) {
-	if err := validateClasses(c, classes, true); err != nil {
-		return nil, err
-	}
-	return &Procedure1{C: c, Classes: classes, members: make([][]admitted, len(classes))}, nil
+	return newClassController(1, c, classes)
 }
 
-func validateClasses(c float64, classes []Class, requireRPEqualsC bool) error {
+// NewProcedure2 returns an empty procedure-2 controller.
+func NewProcedure2(c float64, classes []Class) (*Procedure2, error) {
+	return newClassController(2, c, classes)
+}
+
+func newClassController(proc int, c float64, classes []Class) (*ClassController, error) {
 	if c <= 0 {
-		return errors.New("admission: capacity must be positive")
+		return nil, errors.New("admission: capacity must be positive")
 	}
 	if len(classes) == 0 {
-		return errors.New("admission: at least one class required")
+		return nil, errors.New("admission: at least one class required")
 	}
 	for k := 1; k < len(classes); k++ {
 		if classes[k].R < classes[k-1].R || classes[k].Sigma < classes[k-1].Sigma {
-			return fmt.Errorf("admission: class %d must have R and Sigma >= class %d", k+1, k)
+			return nil, fmt.Errorf("admission: class %d must have R and Sigma >= class %d", k+1, k)
 		}
 	}
 	for k, cl := range classes {
 		if cl.R <= 0 || cl.Sigma < 0 {
-			return fmt.Errorf("admission: class %d: R must be positive and Sigma nonnegative", k+1)
+			return nil, fmt.Errorf("admission: class %d: R must be positive and Sigma nonnegative", k+1)
 		}
 	}
-	if requireRPEqualsC && classes[len(classes)-1].R != c {
-		return errors.New("admission: R_P must equal the link capacity C")
+	if classes[len(classes)-1].R != c {
+		return nil, errors.New("admission: R_P must equal the link capacity C")
 	}
-	return nil
+	return &ClassController{C: c, Classes: classes, proc: proc, members: make([][]admitted, len(classes))}, nil
 }
 
 // Options tune an admission request.
@@ -141,12 +229,32 @@ type Options struct {
 	// packet length). When false, rule 1.3a/2.3a is used and d is fixed
 	// at the value for LMax.
 	PerPacket bool
+	// D is the fixed service parameter d_s (seconds) the session asks of
+	// procedure 3, which takes nothing else from the options;
+	// procedures 1 and 2 ignore it.
+	D float64
+}
+
+// Check reports what the controller refuses about a request whatever
+// else is established there: a malformed declaration, a class outside
+// 1..P, a negative eps. Admit runs it before the rule tests.
+func (p *ClassController) Check(spec SessionSpec, class int, opts Options) error {
+	if err := spec.validate(); err != nil {
+		return err
+	}
+	if class < 1 || class > len(p.Classes) {
+		return fmt.Errorf("admission: class %d out of range 1..%d", class, len(p.Classes))
+	}
+	if opts.Eps < 0 {
+		return errors.New("admission: eps must be nonnegative")
+	}
+	return nil
 }
 
 // Admit attempts to admit the session into class j (1-based). On
 // success the session is recorded and its Assignment returned; on
 // failure the controller state is unchanged.
-func (p *Procedure1) Admit(spec SessionSpec, j int, opts Options) (Assignment, error) {
+func (p *ClassController) Admit(spec SessionSpec, j int, opts Options) (Assignment, error) {
 	if err := p.check(spec, j, opts); err != nil {
 		if p.ma != nil {
 			p.ma.Inc(p.mb + metrics.ProcRejected)
@@ -160,42 +268,54 @@ func (p *Procedure1) Admit(spec SessionSpec, j int, opts Options) (Assignment, e
 	return p.assignment(spec, j, opts), nil
 }
 
-func (p *Procedure1) check(spec SessionSpec, j int, opts Options) error {
-	if err := spec.validate(); err != nil {
+func (p *ClassController) check(spec SessionSpec, j int, opts Options) error {
+	if err := p.Check(spec, j, opts); err != nil {
 		return err
 	}
-	if j < 1 || j > len(p.Classes) {
-		return fmt.Errorf("admission: class %d out of range 1..%d", j, len(p.Classes))
-	}
-	if opts.Eps < 0 {
-		return errors.New("admission: eps must be nonnegative")
-	}
-	P := len(p.Classes)
-	for m := j; m <= P; m++ {
-		// Rule 1.1: cumulative rate through class m fits in R_m.
-		if p.cumRate(m)+spec.Rate > p.Classes[m-1].R+rateTol(p.Classes[m-1].R) {
-			return fmt.Errorf("%w: rule 1.1 fails at class %d", ErrRejected, m)
-		}
-		// Rule 1.2: cumulative LMax/C through class m fits in sigma_m;
-		// class P is exempt under procedure 1.
-		if m < P && p.cumSigma(m)+spec.LMax/p.C > p.Classes[m-1].Sigma+1e-12 {
-			return fmt.Errorf("%w: rule 1.2 fails at class %d", ErrRejected, m)
-		}
+	if rule, m := p.fits(j, spec.Rate, spec.LMax/p.C); rule != 0 {
+		return fmt.Errorf("%w: rule %d.%d fails at class %d", ErrRejected, p.proc, rule, m)
 	}
 	return nil
 }
 
-func (p *Procedure1) assignment(spec SessionSpec, j int, opts Options) Assignment {
-	rj := p.Classes[j-1].R
-	var sigmaPrev float64 // sigma_0 = 0
-	if j > 1 {
-		sigmaPrev = p.Classes[j-2].Sigma
+// fits runs the additive rule tests for a candidate (one session or a
+// batch) of the given total rate and total LMax/C joining class j. It
+// returns the failing rule (1 or 2) and class, or 0, 0 when it fits.
+func (p *ClassController) fits(j int, rate, sigma float64) (rule, class int) {
+	P := len(p.Classes)
+	for m := j; m <= P; m++ {
+		// Rule x.1: cumulative rate through class m fits in R_m.
+		if p.cumRate(m)+rate > p.Classes[m-1].R+rateTol(p.Classes[m-1].R) {
+			return 1, m
+		}
+		// Rule x.2: cumulative LMax/C through class m fits in sigma_m;
+		// procedure 1 exempts class P.
+		if (m < P || p.proc == 2) && p.cumSigma(m)+sigma > p.Classes[m-1].Sigma+1e-12 {
+			return 2, m
+		}
 	}
-	return affineAssignment(spec, rj, sigmaPrev, p.C, j, opts)
+	return 0, 0
+}
+
+// assignment applies rule 1.3 (R_j, sigma_{j-1}) or rule 2.3
+// (R_{j-1}, sigma_j).
+func (p *ClassController) assignment(spec SessionSpec, j int, opts Options) Assignment {
+	rIdx, sigmaIdx := j, j-1
+	if p.proc == 2 {
+		rIdx, sigmaIdx = j-1, j
+	}
+	var r, sigma float64 // R_0 = sigma_0 = 0
+	if rIdx > 0 {
+		r = p.Classes[rIdx-1].R
+	}
+	if sigmaIdx > 0 {
+		sigma = p.Classes[sigmaIdx-1].Sigma
+	}
+	return affineAssignment(spec, r, sigma, p.C, j, opts)
 }
 
 // cumRate returns the total reserved rate of sessions in classes 1..m.
-func (p *Procedure1) cumRate(m int) float64 {
+func (p *ClassController) cumRate(m int) float64 {
 	var sum float64
 	for l := 0; l < m; l++ {
 		for _, a := range p.members[l] {
@@ -206,7 +326,7 @@ func (p *Procedure1) cumRate(m int) float64 {
 }
 
 // cumSigma returns sum of LMax_s/C over sessions in classes 1..m.
-func (p *Procedure1) cumSigma(m int) float64 {
+func (p *ClassController) cumSigma(m int) float64 {
 	var sum float64
 	for l := 0; l < m; l++ {
 		for _, a := range p.members[l] {
@@ -216,116 +336,21 @@ func (p *Procedure1) cumSigma(m int) float64 {
 	return sum
 }
 
-// Remove tears down a previously admitted session, freeing its
-// bandwidth and sigma budget. It reports whether the session was found.
-func (p *Procedure1) Remove(id int) bool { return removeFrom(p.members, id) }
-
-// TotalRate returns the reserved rate committed across all classes.
-func (p *Procedure1) TotalRate() float64 { return p.cumRate(len(p.Classes)) }
-
-// Procedure2 is admission control procedure 2: the same class scheme
-// as procedure 1, with rule 2.2 extending the sigma test to class P
-// and rule 2.3 using the *previous* class's R and the *own* class's
-// sigma:
-//
-//	d_{i,s} = L_i * R_{j-1} / (r_s * C) + sigma_j + eps,  R_0 = 0.
-//
-// In class 1, d does not depend on L/r at all, which lets low-rate
-// sessions obtain low delay (the paper's Figures 14-17 use this).
-type Procedure2 struct {
-	C       float64
-	Classes []Class
-
-	members [][]admitted
-	ma      *metrics.Arena
-	mb      metrics.Handle
-}
-
-// SetMetrics attaches the controller's accept/reject counters as arena
-// slots at the given procedure block base.
-func (p *Procedure2) SetMetrics(a *metrics.Arena, base metrics.Handle) { p.ma, p.mb = a, base }
-
-// NewProcedure2 returns an empty procedure-2 controller. R_P = C is
-// required as in procedure 1 so the whole link can be committed.
-func NewProcedure2(c float64, classes []Class) (*Procedure2, error) {
-	if err := validateClasses(c, classes, true); err != nil {
-		return nil, err
-	}
-	return &Procedure2{C: c, Classes: classes, members: make([][]admitted, len(classes))}, nil
-}
-
-// Admit attempts to admit the session into class j (1-based).
-func (p *Procedure2) Admit(spec SessionSpec, j int, opts Options) (Assignment, error) {
-	if err := p.check(spec, j, opts); err != nil {
-		if p.ma != nil {
-			p.ma.Inc(p.mb + metrics.ProcRejected)
-		}
-		return Assignment{}, err
-	}
-	if p.ma != nil {
-		p.ma.Inc(p.mb + metrics.ProcAccepted)
-	}
-	p.members[j-1] = append(p.members[j-1], admitted{spec: spec, eps: opts.Eps})
-	return p.assignment(spec, j, opts), nil
-}
-
-func (p *Procedure2) check(spec SessionSpec, j int, opts Options) error {
-	if err := spec.validate(); err != nil {
-		return err
-	}
-	if j < 1 || j > len(p.Classes) {
-		return fmt.Errorf("admission: class %d out of range 1..%d", j, len(p.Classes))
-	}
-	if opts.Eps < 0 {
-		return errors.New("admission: eps must be nonnegative")
-	}
-	P := len(p.Classes)
-	for m := j; m <= P; m++ {
-		if p.cumRate(m)+spec.Rate > p.Classes[m-1].R+rateTol(p.Classes[m-1].R) {
-			return fmt.Errorf("%w: rule 1.1 fails at class %d", ErrRejected, m)
-		}
-		// Rule 2.2: sigma test includes class P.
-		if p.cumSigma(m)+spec.LMax/p.C > p.Classes[m-1].Sigma+1e-12 {
-			return fmt.Errorf("%w: rule 2.2 fails at class %d", ErrRejected, m)
+// Remove implements Controller.
+func (p *ClassController) Remove(id int) bool {
+	for ci := range p.members {
+		for i, a := range p.members[ci] {
+			if a.spec.ID == id {
+				p.members[ci] = append(p.members[ci][:i], p.members[ci][i+1:]...)
+				return true
+			}
 		}
 	}
-	return nil
+	return false
 }
 
-func (p *Procedure2) assignment(spec SessionSpec, j int, opts Options) Assignment {
-	var rPrev float64 // R_0 = 0
-	if j > 1 {
-		rPrev = p.Classes[j-2].R
-	}
-	sigmaJ := p.Classes[j-1].Sigma
-	return affineAssignment(spec, rPrev, sigmaJ, p.C, j, opts)
-}
-
-func (p *Procedure2) cumRate(m int) float64 {
-	var sum float64
-	for l := 0; l < m; l++ {
-		for _, a := range p.members[l] {
-			sum += a.spec.Rate
-		}
-	}
-	return sum
-}
-
-func (p *Procedure2) cumSigma(m int) float64 {
-	var sum float64
-	for l := 0; l < m; l++ {
-		for _, a := range p.members[l] {
-			sum += a.spec.LMax / p.C
-		}
-	}
-	return sum
-}
-
-// Remove tears down a previously admitted session.
-func (p *Procedure2) Remove(id int) bool { return removeFrom(p.members, id) }
-
-// TotalRate returns the reserved rate committed across all classes.
-func (p *Procedure2) TotalRate() float64 { return p.cumRate(len(p.Classes)) }
+// TotalRate implements Controller.
+func (p *ClassController) TotalRate() float64 { return p.cumRate(len(p.Classes)) }
 
 // affineAssignment builds the affine-in-L service parameter
 // d(L) = L*rCoeff/(r*C) + sigma + eps shared by rules 1.3/1.3a and
@@ -370,12 +395,10 @@ type Procedure3 struct {
 	specs []SessionSpec
 	ds    []float64
 	ma    *metrics.Arena
-	mb    metrics.Handle
 }
 
-// SetMetrics attaches the controller's accept/reject counters as arena
-// slots at the given procedure block base.
-func (p *Procedure3) SetMetrics(a *metrics.Arena, base metrics.Handle) { p.ma, p.mb = a, base }
+// SetMetrics implements Controller.
+func (p *Procedure3) SetMetrics(a *metrics.Arena) { p.ma = a }
 
 // NewProcedure3 returns an empty procedure-3 controller.
 func NewProcedure3(c float64) (*Procedure3, error) {
@@ -385,16 +408,16 @@ func NewProcedure3(c float64) (*Procedure3, error) {
 	return &Procedure3{C: c}, nil
 }
 
-// Admit attempts to admit the session with fixed service parameter d
-// (seconds). The subset test runs over the existing sessions plus the
-// candidate.
-func (p *Procedure3) Admit(spec SessionSpec, d float64) (Assignment, error) {
-	a, err := p.admit(spec, d)
+// Admit attempts to admit the session with the fixed service parameter
+// opts.D (seconds); the class and the rest of the options are ignored.
+// The subset test runs over the existing sessions plus the candidate.
+func (p *Procedure3) Admit(spec SessionSpec, _ int, opts Options) (Assignment, error) {
+	a, err := p.admit(spec, opts.D)
 	if p.ma != nil {
 		if err != nil {
-			p.ma.Inc(p.mb + metrics.ProcRejected)
+			p.ma.Inc(metrics.HAdmissionAC3 + metrics.ProcRejected)
 		} else {
-			p.ma.Inc(p.mb + metrics.ProcAccepted)
+			p.ma.Inc(metrics.HAdmissionAC3 + metrics.ProcAccepted)
 		}
 	}
 	return a, err
@@ -437,10 +460,7 @@ func (p *Procedure3) admit(spec SessionSpec, d float64) (Assignment, error) {
 	}, nil
 }
 
-// TotalRate returns the sum of the reserved rates of the currently
-// admitted sessions. It is recomputed over the live set, so after every
-// session is removed it is exactly zero — the no-reservation-leak
-// check of the churn harness.
+// TotalRate implements Controller.
 func (p *Procedure3) TotalRate() float64 {
 	var sum float64
 	for _, s := range p.specs {
@@ -449,7 +469,7 @@ func (p *Procedure3) TotalRate() float64 {
 	return sum
 }
 
-// Remove tears down a previously admitted session.
+// Remove implements Controller.
 func (p *Procedure3) Remove(id int) bool {
 	for i, s := range p.specs {
 		if s.ID == id {
@@ -507,15 +527,3 @@ func trailingZeros(x uint64) int {
 // sessions of 32 kbit/s on a T1) are not rejected by floating-point
 // crumbs.
 func rateTol(r float64) float64 { return r * 1e-9 }
-
-func removeFrom(members [][]admitted, id int) bool {
-	for ci := range members {
-		for i, a := range members[ci] {
-			if a.spec.ID == id {
-				members[ci] = append(members[ci][:i], members[ci][i+1:]...)
-				return true
-			}
-		}
-	}
-	return false
-}

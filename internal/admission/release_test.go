@@ -1,49 +1,13 @@
 package admission
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"testing"
 
 	"leaveintime/internal/rng"
 )
-
-// admitRemover is the slice of the three procedures' APIs the
-// interleaving property needs: admit a session, remove one, and report
-// the committed rate.
-type admitRemover interface {
-	admit(id int, rate float64) error
-	remove(id int) bool
-	total() float64
-}
-
-type ar1 struct{ p *Procedure1 }
-
-func (a ar1) admit(id int, rate float64) error {
-	_, err := a.p.Admit(SessionSpec{ID: id, Rate: rate, LMax: 400, LMin: 400}, 1, Options{})
-	return err
-}
-func (a ar1) remove(id int) bool { return a.p.Remove(id) }
-func (a ar1) total() float64     { return a.p.TotalRate() }
-
-type ar2 struct{ p *Procedure2 }
-
-func (a ar2) admit(id int, rate float64) error {
-	_, err := a.p.Admit(SessionSpec{ID: id, Rate: rate, LMax: 400, LMin: 400}, 1, Options{})
-	return err
-}
-func (a ar2) remove(id int) bool { return a.p.Remove(id) }
-func (a ar2) total() float64     { return a.p.TotalRate() }
-
-type ar3 struct{ p *Procedure3 }
-
-func (a ar3) admit(id int, rate float64) error {
-	spec := SessionSpec{ID: id, Rate: rate, LMax: 400, LMin: 400}
-	_, err := a.p.Admit(spec, 10*spec.LMax/rate)
-	return err
-}
-func (a ar3) remove(id int) bool { return a.p.Remove(id) }
-func (a ar3) total() float64     { return a.p.TotalRate() }
 
 // TestInterleavedAdmitReleaseNeverLeaks is the churn harness's
 // no-reservation-leak property at the unit level: under randomized
@@ -55,33 +19,13 @@ func (a ar3) total() float64     { return a.p.TotalRate() }
 func TestInterleavedAdmitReleaseNeverLeaks(t *testing.T) {
 	const c = 1e6
 	classes := []Class{{R: 0.4 * c, Sigma: 20 * 400 / c}, {R: c, Sigma: 60 * 400 / c}}
-	controllers := map[string]func(t *testing.T) admitRemover{
-		"procedure1": func(t *testing.T) admitRemover {
-			p, err := NewProcedure1(c, classes)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return ar1{p}
-		},
-		"procedure2": func(t *testing.T) admitRemover {
-			p, err := NewProcedure2(c, classes)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return ar2{p}
-		},
-		"procedure3": func(t *testing.T) admitRemover {
-			p, err := NewProcedure3(c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return ar3{p}
-		},
-	}
-	for name, mk := range controllers {
-		t.Run(name, func(t *testing.T) {
+	for proc := 1; proc <= 3; proc++ {
+		t.Run(fmt.Sprintf("procedure%d", proc), func(t *testing.T) {
 			for seed := uint64(1); seed <= 15; seed++ {
-				ctl := mk(t)
+				ctl, err := New(proc, c, classes)
+				if err != nil {
+					t.Fatal(err)
+				}
 				r := rng.New(seed)
 				live := map[int]float64{}
 				id := 0
@@ -101,20 +45,22 @@ func TestInterleavedAdmitReleaseNeverLeaks(t *testing.T) {
 					case admitting || len(live) == 0:
 						id++
 						rate := (0.01 + 0.08*r.Float64()) * c
-						if err := ctl.admit(id, rate); err == nil {
+						// d is read by procedure 3 only.
+						spec := SessionSpec{ID: id, Rate: rate, LMax: 400, LMin: 400}
+						if _, err := ctl.Admit(spec, 1, Options{D: 10 * spec.LMax / rate}); err == nil {
 							live[id] = rate
 						}
 					case r.Intn(8) == 0:
-						if ctl.remove(id + 1000) {
+						if ctl.Remove(id + 1000) {
 							t.Fatalf("seed %d op %d: removed a session that was never admitted", seed, op)
 						}
 					default:
 						victim := pickLive()
-						if !ctl.remove(victim) {
+						if !ctl.Remove(victim) {
 							t.Fatalf("seed %d op %d: live session %d not found", seed, op, victim)
 						}
 						delete(live, victim)
-						if ctl.remove(victim) {
+						if ctl.Remove(victim) {
 							t.Fatalf("seed %d op %d: double remove of %d over-freed", seed, op, victim)
 						}
 					}
@@ -122,16 +68,16 @@ func TestInterleavedAdmitReleaseNeverLeaks(t *testing.T) {
 					for _, rate := range live {
 						want += rate
 					}
-					if got := ctl.total(); math.Abs(got-want) > 1e-6 {
+					if got := ctl.TotalRate(); math.Abs(got-want) > 1e-6 {
 						t.Fatalf("seed %d op %d: committed rate %g, live set %g", seed, op, got, want)
 					}
 				}
 				for len(live) > 0 {
 					victim := pickLive()
-					ctl.remove(victim)
+					ctl.Remove(victim)
 					delete(live, victim)
 				}
-				if got := ctl.total(); got != 0 {
+				if got := ctl.TotalRate(); got != 0 {
 					t.Fatalf("seed %d: %g b/s leaked after removing every session", seed, got)
 				}
 			}

@@ -22,7 +22,13 @@
 //
 // Source kinds: onoff, poisson, deterministic, greedy; any of them may
 // be wrapped with "shape_rate"/"shape_b0" to pass through a token
-// bucket shaper.
+// bucket shaper. A session may declare its packet-length envelope with
+// "lmax"/"lmin"; lmax defaults to the source's length and lmin to the
+// smaller of lmax and that length, which must lie within the two.
+//
+// A document is built on a system.System: Parse refuses whatever the
+// System's own validation refuses, so the only thing Prepare can still
+// refuse is a session the admission rules reject.
 package config
 
 import (
@@ -30,12 +36,12 @@ import (
 	"fmt"
 
 	"leaveintime/internal/admission"
-	"leaveintime/internal/core"
 	"leaveintime/internal/event"
 	"leaveintime/internal/faults"
 	"leaveintime/internal/metrics"
 	"leaveintime/internal/network"
 	"leaveintime/internal/rng"
+	"leaveintime/internal/system"
 	"leaveintime/internal/traffic"
 )
 
@@ -119,51 +125,87 @@ func Parse(data []byte) (*Scenario, error) {
 	return &s, nil
 }
 
-func (s *Scenario) validate() error {
-	if s.LMax <= 0 {
-		return fmt.Errorf("config: lmax must be positive")
+// systemConfig is the document's share of the System it lowers onto.
+func (s *Scenario) systemConfig() system.Config {
+	cfg := system.Config{LMax: s.LMax, Proc: s.Proc}
+	for _, c := range s.Classes {
+		cfg.Classes = append(cfg.Classes, admission.Class{R: c.R, Sigma: c.Sigma})
 	}
+	return cfg
+}
+
+// request is the session's connection request, less its route and
+// source. A declared lmax defaults to the source's packet length, and
+// lmin to the smaller of the two: the source sends one length, so that
+// is the length eq. 12's alpha term must be taken at.
+func (sc *Session) request() system.ConnectRequest {
+	lMax := sc.LMax
+	if lMax == 0 {
+		lMax = sc.Source.Length
+	}
+	lMin := sc.LMin
+	if lMin == 0 {
+		lMin = min(lMax, sc.Source.Length)
+	}
+	return system.ConnectRequest{
+		Rate: sc.Rate, JitterControl: sc.JitterControl, Class: sc.Class,
+		LMax: lMax, LMin: lMin, Eps: sc.Eps, FixedD: sc.FixedD, B0: sc.B0,
+	}
+}
+
+// validate refuses every document Prepare would refuse for a reason
+// that can be read off the document alone; what is left to Prepare is
+// the outcome of the admission rules. Servers and sessions are checked
+// by the System's own validation, the code Prepare runs.
+func (s *Scenario) validate() error {
 	if s.Duration <= 0 {
 		return fmt.Errorf("config: duration must be positive")
 	}
 	if len(s.Servers) == 0 {
 		return fmt.Errorf("config: at least one server required")
 	}
-	names := map[string]bool{}
+	cfg := s.systemConfig()
+	servers := map[string]Server{}
 	for i, sv := range s.Servers {
 		if sv.Name == "" {
 			return fmt.Errorf("config: server %d has no name", i)
 		}
-		if names[sv.Name] {
+		if _, dup := servers[sv.Name]; dup {
 			return fmt.Errorf("config: duplicate server %q", sv.Name)
 		}
-		names[sv.Name] = true
-		if sv.Capacity <= 0 {
-			return fmt.Errorf("config: server %q capacity must be positive", sv.Name)
+		servers[sv.Name] = sv
+		if err := cfg.Check(sv.Name, sv.Capacity, sv.Gamma); err != nil {
+			return fmt.Errorf("config: %w", err)
 		}
 	}
-	for i, sess := range s.Sessions {
-		if sess.Rate <= 0 {
-			return fmt.Errorf("config: session %d rate must be positive", i)
-		}
+	known := func(name string) bool { _, ok := servers[name]; return ok }
+	dry := rng.New(0) // buildSource below only checks parameters
+	for i := range s.Sessions {
+		sess := &s.Sessions[i]
 		if len(sess.Route) == 0 {
 			return fmt.Errorf("config: session %d has an empty route", i)
 		}
 		for _, hop := range sess.Route {
-			if !names[hop] {
+			if !known(hop) {
 				return fmt.Errorf("config: session %d routes through unknown server %q", i, hop)
 			}
-		}
-		switch sess.Source.Kind {
-		case "onoff", "poisson", "deterministic", "greedy":
-		default:
-			return fmt.Errorf("config: session %d has unknown source kind %q", i, sess.Source.Kind)
 		}
 		if sess.Source.Length <= 0 {
 			return fmt.Errorf("config: session %d source needs a positive length", i)
 		}
-		if sess.Source.Length > s.LMax || sess.LMax > s.LMax {
-			return fmt.Errorf("config: session %d packets exceed network lmax", i)
+		if _, err := buildSource(sess.Source, dry); err != nil {
+			return fmt.Errorf("config: session %d: %w", i, err)
+		}
+		req := sess.request()
+		if sess.Source.Length > req.LMax || sess.Source.Length < req.LMin {
+			return fmt.Errorf("config: session %d sends %g-bit packets outside its declared lmin..lmax %g..%g",
+				i, sess.Source.Length, req.LMin, req.LMax)
+		}
+		// The class table is the same at every server, so the first hop
+		// stands for the route.
+		first := servers[sess.Route[0]]
+		if err := cfg.Check(first.Name, first.Capacity, first.Gamma, req); err != nil {
+			return fmt.Errorf("config: session %d: %w", i, err)
 		}
 	}
 	if !s.Faults.Empty() {
@@ -171,12 +213,12 @@ func (s *Scenario) validate() error {
 			return err
 		}
 		for i, l := range s.Faults.Links {
-			if !names[l.Port] {
+			if !known(l.Port) {
 				return fmt.Errorf("config: fault %d names unknown port %q", i, l.Port)
 			}
 		}
 		for i, n := range s.Faults.Nodes {
-			if !names[n.Node] {
+			if !known(n.Node) {
 				return fmt.Errorf("config: node fault %d names unknown node %q", i, n.Node)
 			}
 		}
@@ -237,17 +279,10 @@ func (s *Scenario) RunWithMetrics(reg *metrics.Registry) (*Result, error) {
 	return run.Finish(), nil
 }
 
-type serverState struct {
-	port *network.Port
-	ac1  *admission.Procedure1
-	ac2  *admission.Procedure2
-	spec Server
-}
-
 type tracked struct {
-	cfg   Session
-	sess  *network.Session
-	route admission.Route
+	cfg    Session
+	sess   *network.Session
+	bounds *system.Bounds
 }
 
 // Run is a prepared, steppable execution of a scenario: the network is
@@ -258,9 +293,8 @@ type tracked struct {
 // slices produces results byte-identical to Scenario.Run.
 type Run struct {
 	sc      *Scenario
-	sim     *event.Simulator
-	net     *network.Network
-	servers map[string]*serverState
+	sys     *system.System
+	servers map[string]*system.Server
 	all     []tracked
 	purged  []bool
 	started bool
@@ -269,122 +303,56 @@ type Run struct {
 // Prepare builds the scenario without running it. When reg is non-nil
 // the run counts telemetry into it exactly as RunWithMetrics does.
 func (s *Scenario) Prepare(reg *metrics.Registry) (*Run, error) {
-	sim := event.New()
-	net := network.New(sim, s.LMax)
+	sys, err := system.New(s.systemConfig())
+	if err != nil {
+		return nil, fmt.Errorf("config: %w", err)
+	}
 	if reg != nil {
-		net.EnableMetrics(reg)
+		sys.AttachMetrics(reg)
 	}
 	r := rng.New(s.Seed)
 
-	servers := map[string]*serverState{}
-	classes := make([]admission.Class, len(s.Classes))
-	for i, c := range s.Classes {
-		classes[i] = admission.Class{R: c.R, Sigma: c.Sigma}
-	}
+	servers := map[string]*system.Server{}
 	for _, sv := range s.Servers {
-		disc := core.New(core.Config{Capacity: sv.Capacity, LMax: s.LMax, Approximate: sv.Approximate})
-		st := &serverState{
-			port: net.NewPort(sv.Name, sv.Capacity, sv.Gamma, disc),
-			spec: sv,
-		}
-		cls := classes
-		proc := s.Proc
-		if len(cls) == 0 {
-			cls = []admission.Class{{R: sv.Capacity, Sigma: 1}}
-			proc = 1
-		}
-		var err error
-		switch proc {
-		case 0, 1:
-			st.ac1, err = admission.NewProcedure1(sv.Capacity, cls)
-		case 2:
-			st.ac2, err = admission.NewProcedure2(sv.Capacity, cls)
-		default:
-			err = fmt.Errorf("config: unsupported proc %d", proc)
-		}
+		srv, err := sys.AddServerQueue(sv.Name, sv.Capacity, sv.Gamma, sv.Approximate)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("config: %w", err)
 		}
-		if reg != nil {
-			if st.ac1 != nil {
-				st.ac1.SetMetrics(reg.Arena(), metrics.HAdmissionAC1)
-			}
-			if st.ac2 != nil {
-				st.ac2.SetMetrics(reg.Arena(), metrics.HAdmissionAC2)
-			}
-		}
-		servers[sv.Name] = st
+		servers[sv.Name] = srv
 	}
 
 	var all []tracked
-	for i, sc := range s.Sessions {
-		lMax := sc.LMax
-		if lMax == 0 {
-			lMax = sc.Source.Length
-		}
-		lMin := sc.LMin
-		if lMin == 0 {
-			lMin = lMax
-		}
-		class := sc.Class
-		if class == 0 {
-			class = 1
-		}
-		spec := admission.SessionSpec{ID: i + 1, Rate: sc.Rate, LMax: lMax, LMin: lMin}
-		opts := admission.Options{Eps: sc.Eps, PerPacket: !sc.FixedD}
-		var ports []*network.Port
-		var cfgs []network.SessionPort
-		var hops []admission.Hop
-		var lastAssign admission.Assignment
+	for _, sc := range s.Sessions {
+		req := sc.request()
 		for _, hopName := range sc.Route {
-			st := servers[hopName]
-			var a admission.Assignment
-			var err error
-			if st.ac1 != nil {
-				a, err = st.ac1.Admit(spec, class, opts)
-			} else {
-				a, err = st.ac2.Admit(spec, class, opts)
-			}
-			if err != nil {
-				return nil, fmt.Errorf("config: session %q rejected at %q: %w", sc.Name, hopName, err)
-			}
-			ports = append(ports, st.port)
-			cfgs = append(cfgs, network.SessionPort{D: a.D, DMax: a.DMax})
-			hops = append(hops, admission.Hop{C: st.spec.Capacity, Gamma: st.spec.Gamma, DMax: a.DMax})
-			lastAssign = a
+			req.Route = append(req.Route, servers[hopName])
 		}
-		src, err := buildSource(sc.Source, r)
-		if err != nil {
+		if req.Source, err = buildSource(sc.Source, r); err != nil {
 			return nil, fmt.Errorf("config: session %q: %w", sc.Name, err)
 		}
-		sess := net.AddSession(i+1, sc.Rate, sc.JitterControl, ports, cfgs, src)
-		all = append(all, tracked{
-			cfg:  sc,
-			sess: sess,
-			route: admission.Route{
-				Hops:  hops,
-				LMax:  s.LMax,
-				Alpha: lastAssign.Alpha(spec),
-			},
-		})
+		sess, b, err := sys.Connect(req)
+		if err != nil {
+			return nil, fmt.Errorf("config: session %q rejected: %w", sc.Name, err)
+		}
+		all = append(all, tracked{cfg: sc, sess: sess, bounds: b})
 	}
 
-	run := &Run{sc: s, sim: sim, net: net, servers: servers, all: all, purged: make([]bool, len(all))}
+	run := &Run{sc: s, sys: sys, servers: servers, all: all, purged: make([]bool, len(all))}
 	if !s.Faults.Empty() {
-		faults.Inject(sim, (*runActions)(run), s.Faults)
+		faults.Inject(sys.Sim, (*runActions)(run), s.Faults)
 	}
 	return run, nil
 }
 
 // Sim exposes the run's event engine, e.g. to arm a watchdog before
 // the first slice.
-func (r *Run) Sim() *event.Simulator { return r.sim }
+func (r *Run) Sim() *event.Simulator { return r.sys.Sim }
 
 // Duration returns the scenario's configured run length.
 func (r *Run) Duration() float64 { return r.sc.Duration }
 
 // Now returns the current simulated time.
-func (r *Run) Now() float64 { return r.sim.Now() }
+func (r *Run) Now() float64 { return r.sys.Sim.Now() }
 
 // Start begins every session's traffic. Call once, before RunSlice.
 func (r *Run) Start() {
@@ -404,8 +372,8 @@ func (r *Run) RunSlice(until float64) (done bool) {
 	if until > r.sc.Duration {
 		until = r.sc.Duration
 	}
-	r.sim.Run(until)
-	return r.sim.Now() >= r.sc.Duration
+	r.sys.Sim.Run(until)
+	return r.sys.Sim.Now() >= r.sc.Duration
 }
 
 // PurgeSession drops session id (1-based, matching the scenario's
@@ -421,23 +389,9 @@ func (r *Run) PurgeSession(id int) bool {
 		return false
 	}
 	r.purged[id-1] = true
-	r.net.DropSession(r.all[id-1].sess)
-	r.releaseAdmission(id)
+	r.sys.Net.DropSession(r.all[id-1].sess)
+	r.sys.Teardown(r.all[id-1].sess)
 	return true
-}
-
-// releaseAdmission frees session id's reservation at every hop it was
-// admitted through.
-func (r *Run) releaseAdmission(id int) {
-	tr := r.all[id-1]
-	for _, hopName := range tr.cfg.Route {
-		st := r.servers[hopName]
-		if st.ac1 != nil {
-			st.ac1.Remove(id)
-		} else {
-			st.ac2.Remove(id)
-		}
-	}
 }
 
 // runActions adapts Run to the fault injector. Resetups are rejected
@@ -446,8 +400,8 @@ type runActions Run
 
 func (a *runActions) run() *Run { return (*Run)(a) }
 
-func (a *runActions) LinkDown(port string) { a.run().servers[port].port.FailLink() }
-func (a *runActions) LinkUp(port string)   { a.run().servers[port].port.RestoreLink() }
+func (a *runActions) LinkDown(port string) { a.run().servers[port].Port.FailLink() }
+func (a *runActions) LinkUp(port string)   { a.run().servers[port].Port.RestoreLink() }
 
 // NodeDown fails the node's outgoing link — in the declarative schema
 // every server is exactly one port, so a node outage and a link outage
@@ -479,17 +433,8 @@ func (r *Run) Finish() *Result {
 			BoundHolds: true,
 		}
 		if tr.cfg.B0 > 0 {
-			dRef := tr.cfg.B0 / tr.cfg.Rate
-			lMin := tr.cfg.LMin
-			if lMin == 0 {
-				lMin = tr.cfg.Source.Length
-			}
-			sr.DelayBound = tr.route.DelayBound(dRef)
-			if tr.cfg.JitterControl {
-				sr.JitterBound = tr.route.JitterBoundControl(dRef, lMin)
-			} else {
-				sr.JitterBound = tr.route.JitterBoundNoControl(dRef, lMin)
-			}
+			sr.DelayBound = tr.bounds.DelayBound
+			sr.JitterBound = tr.bounds.JitterBound
 			sr.BoundHolds = sr.MaxDelay < sr.DelayBound
 		}
 		res.Sessions = append(res.Sessions, sr)

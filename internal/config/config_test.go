@@ -1,6 +1,7 @@
 package config
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -77,6 +78,10 @@ func TestParseWithClasses(t *testing.T) {
 }
 
 func TestParseRejectsBadDocuments(t *testing.T) {
+	session := func(fields string) string {
+		return `{"lmax":424,"duration":1,"servers":[{"name":"a","capacity":1000}],"sessions":[{"rate":10,"route":["a"],` + fields + `}]}`
+	}
+	greedy := `"source":{"kind":"greedy","rate":10,"length":100}`
 	cases := map[string]string{
 		"bad json":       `{`,
 		"no lmax":        `{"servers":[{"name":"a","capacity":1}],"sessions":[],"duration":1}`,
@@ -89,11 +94,70 @@ func TestParseRejectsBadDocuments(t *testing.T) {
 		"zero rate":      `{"lmax":400,"duration":1,"servers":[{"name":"a","capacity":1000}],"sessions":[{"rate":0,"route":["a"],"source":{"kind":"greedy","rate":10,"length":100}}]}`,
 		"empty route":    `{"lmax":400,"duration":1,"servers":[{"name":"a","capacity":1000}],"sessions":[{"rate":10,"route":[],"source":{"kind":"greedy","rate":10,"length":100}}]}`,
 		"unnamed server": `{"lmax":10,"duration":1,"servers":[{"capacity":1}],"sessions":[]}`,
+		// What the System refuses when the document is built, Parse
+		// refuses when it is read: each of these once parsed, and failed
+		// (or panicked, or reported bounds for packets it did not send)
+		// only when run.
+		"negative gamma":     `{"lmax":10,"duration":1,"servers":[{"name":"a","capacity":1,"gamma":-0.5}],"sessions":[]}`,
+		"unknown proc":       `{"lmax":10,"duration":1,"proc":7,"classes":[{"r":1,"sigma":1}],"servers":[{"name":"a","capacity":1}],"sessions":[]}`,
+		"R_P below capacity": `{"lmax":10,"duration":1,"classes":[{"r":1,"sigma":1}],"servers":[{"name":"a","capacity":2}],"sessions":[]}`,
+		"negative sigma":     `{"lmax":10,"duration":1,"classes":[{"r":1,"sigma":-1}],"servers":[{"name":"a","capacity":1}],"sessions":[]}`,
+		"lmin above lmax":    session(`"lmin":300,"lmax":200,"source":{"kind":"greedy","rate":10,"length":250}`),
+		"pkt above lmax":     session(`"lmax":200,"source":{"kind":"greedy","rate":10,"length":424}`),
+		"pkt below lmin":     session(`"lmin":200,` + greedy),
+		"class out of range": session(`"class":2,` + greedy),
+		"negative eps":       session(`"eps":-1,` + greedy),
+		"onoff without t":    session(`"source":{"kind":"onoff","mean_on":1,"length":100}`),
+		"poisson zero mean":  session(`"source":{"kind":"poisson","length":100}`),
+		"greedy zero rate":   session(`"source":{"kind":"greedy","length":100}`),
+		// A zero-length greedy source has a zero gap and never advances
+		// the clock: the run would not return.
+		"zero length":        session(`"source":{"kind":"greedy","rate":10,"length":0}`),
+		"missing length":     session(`"source":{"kind":"greedy","rate":10}`),
+		"negative length":    session(`"lmin":-5,"source":{"kind":"greedy","rate":10,"length":-5}`),
+		"proc 7, no classes": `{"lmax":10,"duration":1,"proc":7,"servers":[{"name":"a","capacity":1}],"sessions":[]}`,
 	}
 	for name, doc := range cases {
 		if _, err := Parse([]byte(doc)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
+	}
+	if _, err := Parse([]byte(session(greedy))); err != nil {
+		t.Errorf("the well-formed session the cases vary is refused: %v", err)
+	}
+}
+
+// TestAlphaAtTheLengthSent pins eq. 12's alpha term for a session that
+// declares a larger lmax than its source sends: alpha = max{d - L/r} is
+// taken over the lengths lmin..lmax, and lmin defaults to the length
+// actually sent, for admission and for the reported bound alike. Under
+// procedure 1 class 1 of {R = C/2} d(L) = L/2r, so alpha = -lmin/2r;
+// taking it at lmax = 848 instead of 424 reported 14.8 ms for 21.4 ms.
+func TestAlphaAtTheLengthSent(t *testing.T) {
+	doc := `{
+	  "lmax": 848, "proc": 1,
+	  "classes": [{"r": 768000, "sigma": 0.01}, {"r": 1536000, "sigma": 0.02}],
+	  "servers": [{"name": "n", "capacity": 1536000, "gamma": 0.001}],
+	  "sessions": [{"name": "s", "rate": 32000, "route": ["n"], "class": 1, "lmax": 848, "b0": 848,
+	    "source": {"kind": "deterministic", "interval": 0.0265, "length": 424}}],
+	  "duration": 1, "seed": 1
+	}`
+	s, err := Parse([]byte(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const r, c = 32000.0, 1536000.0
+	want := 848/r + (848/c + 0.001) - 424/(2*r) // b0/r + beta + alpha
+	got := res.Sessions[0].DelayBound
+	if math.Abs(got-want) > 1e-12 || math.Abs(got-0.0214) > 1e-4 {
+		t.Errorf("delay bound %.6f s, want %.6f s (21.4 ms)", got, want)
+	}
+	if !res.Sessions[0].BoundHolds {
+		t.Errorf("bound broken: max delay %v", res.Sessions[0].MaxDelay)
 	}
 }
 

@@ -47,7 +47,7 @@ func TestProcedure3EndToEnd(t *testing.T) {
 	var all []tracked
 	for i, sp := range specs {
 		spec := admission.SessionSpec{ID: i + 1, Rate: sp.rate, LMax: CellBits, LMin: CellBits}
-		a, err := ac.Admit(spec, sp.d)
+		a, err := ac.Admit(spec, 0, admission.Options{D: sp.d})
 		if err != nil {
 			t.Fatalf("session %d rejected: %v", i+1, err)
 		}
@@ -65,7 +65,7 @@ func TestProcedure3EndToEnd(t *testing.T) {
 	}
 	// A fourth session demanding an infeasible d must be refused.
 	bad := admission.SessionSpec{ID: 9, Rate: 30e3, LMax: CellBits, LMin: CellBits}
-	if _, err := ac.Admit(bad, 0.1e-3); err == nil {
+	if _, err := ac.Admit(bad, 0, admission.Options{D: 0.1e-3}); err == nil {
 		t.Fatal("infeasible d accepted")
 	}
 

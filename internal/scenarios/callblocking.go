@@ -6,10 +6,8 @@ import (
 
 	"leaveintime/internal/admission"
 	"leaveintime/internal/analytic"
-	"leaveintime/internal/core"
-	"leaveintime/internal/event"
-	"leaveintime/internal/network"
 	"leaveintime/internal/rng"
+	"leaveintime/internal/system"
 	"leaveintime/internal/traffic"
 )
 
@@ -45,13 +43,16 @@ func RunCallBlocking(duration float64, seed uint64, offered, hold float64) *Call
 	if offered <= 0 || hold <= 0 {
 		panic("scenarios: RunCallBlocking needs positive offered load and holding time")
 	}
-	sim := event.New()
-	net := network.New(sim, CellBits)
-	port := net.NewPort("trunk", T1Rate, PropDelay, core.New(core.Config{Capacity: T1Rate, LMax: CellBits}))
-	ac, err := admission.NewProcedure1(T1Rate, []admission.Class{{R: T1Rate, Sigma: 1}})
+	sys, err := system.New(system.Config{LMax: CellBits})
 	if err != nil {
 		panic(err)
 	}
+	trunk, err := sys.AddServer("trunk", T1Rate, PropDelay)
+	if err != nil {
+		panic(err)
+	}
+	sim := sys.Sim
+	route := []*system.Server{trunk}
 	r := rng.New(seed)
 	res := &CallBlockingResult{
 		Duration: duration,
@@ -59,14 +60,15 @@ func RunCallBlocking(duration float64, seed uint64, offered, hold float64) *Call
 		Circuits: int(T1Rate / VoiceRate),
 		ErlangB:  analytic.ErlangB(int(T1Rate/VoiceRate), offered),
 	}
-	route := admission.Route{
+	// Needed before the first call exists (it sizes the drain grace):
+	// eq. 12 for one hop with d = L/r, where alpha = 0.
+	bound := admission.Route{
 		Hops: []admission.Hop{{C: T1Rate, Gamma: PropDelay, DMax: CellBits / VoiceRate}},
 		LMax: CellBits,
 	}
-	res.DelayBound = route.DelayBound(CellBits / VoiceRate)
+	res.DelayBound = bound.DelayBound(CellBits / VoiceRate)
 
 	lambda := offered / hold
-	nextID := 0
 	// The drain grace between a call's last emission and its state
 	// teardown: comfortably beyond the delay bound.
 	grace := 2 * res.DelayBound
@@ -80,25 +82,21 @@ func RunCallBlocking(duration float64, seed uint64, offered, hold float64) *Call
 			return
 		}
 		res.Arrivals++
-		nextID++
-		id := nextID
-		spec := admission.SessionSpec{ID: id, Rate: VoiceRate, LMax: CellBits, LMin: CellBits}
-		a, err := ac.Admit(spec, 1, admission.Options{PerPacket: true})
+		s, _, err := sys.Connect(system.ConnectRequest{Rate: VoiceRate, Route: route})
 		if err != nil {
 			res.Blocked++
 			return
 		}
-		cfg := []network.SessionPort{{D: a.D, DMax: a.DMax}}
-		s := net.AddSession(id, VoiceRate, false, []*network.Port{port}, cfg,
-			&traffic.OnOff{T: OnSpacing, Length: CellBits, MeanOn: OnMean, MeanOff: 0.650, Rng: r.Split()})
+		// Only a carried call draws a source stream, so the source is
+		// attached after admission.
+		s.Source = &traffic.OnOff{T: OnSpacing, Length: CellBits, MeanOn: OnMean, MeanOff: 0.650, Rng: r.Split()}
 		end := now + r.Exp(hold)
 		s.Start(now, end)
 		sim.Schedule(end+grace, func() {
 			if d := s.Delays.Max(); d > res.MaxDelay {
 				res.MaxDelay = d
 			}
-			ac.Remove(id)
-			net.RemoveSession(s)
+			sys.Disconnect(s)
 			res.Removed++
 		})
 	}

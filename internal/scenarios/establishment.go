@@ -38,13 +38,13 @@ func RunEstablishment(seed uint64, processing float64) *EstablishmentResult {
 	// One admission controller per node, shared by every signaler.
 	nodes := make([]*signaling.Node, NumNodes)
 	for i := range nodes {
-		ac, err := admission.NewProcedure1(T1Rate, []admission.Class{{R: T1Rate, Sigma: 1}})
+		ac, err := admission.New(1, T1Rate, nil)
 		if err != nil {
 			panic(err)
 		}
 		nodes[i] = &signaling.Node{
 			Name:       fmt.Sprintf("node%d", i+1),
-			Admit:      signaling.Proc1Admitter{P: ac},
+			Admit:      ac,
 			Gamma:      PropDelay,
 			Processing: processing,
 		}

@@ -102,15 +102,15 @@ func runFig14Point(res *Fig14Result, pi int, aOff, duration float64, seed uint64
 			JitterCtrl: fc.ctrl, Class: fc.class,
 			Src: NewOnOff(aOff, r.Split()),
 		}
-		s, assigns := t.Establish(def)
+		s, b := t.Establish(def)
 		if i < 4 {
 			measured[i] = s
 			// Bounds are sweep-independent; the first point fills them.
 			if pi == 0 {
 				cs := res.Sessions[i]
-				rt := t.Route(def, assigns)
+				rt := b.Route
 				dRef := CellBits / VoiceRate
-				cs.DPerNode = assigns[0].DMax
+				cs.DPerNode = b.Assignments[0].DMax
 				cs.DelayBound = rt.DelayBound(dRef)
 				if fc.ctrl {
 					cs.JitterBound = rt.JitterBoundControl(dRef, CellBits)

@@ -75,10 +75,10 @@ func runFig7Point(aOff, duration float64, seed uint64, reg *metrics.Registry) Fi
 				Rate:     VoiceRate,
 				Src:      NewOnOff(aOff, r.Split()),
 			}
-			s, assigns := t.Establish(def)
+			s, b := t.Establish(def)
 			if measured == nil && mr.Entrance == 1 && mr.Exit == 5 {
 				measured = s
-				rt := t.Route(def, assigns)
+				rt := b.Route
 				// The ON-OFF source never exceeds its reserved rate, so
 				// it conforms to a token bucket (r, one packet):
 				// D_ref_max = L/r = T.

@@ -87,11 +87,11 @@ func RunFig8Observed(duration float64, seed uint64, reg *metrics.Registry) *Fig8
 	r := rng.New(seed)
 
 	defNo := SessionDef{Entrance: 1, Exit: 5, Rate: VoiceRate, Src: NewOnOff(Fig8OnOffAOff, r.Split())}
-	noCtrl, assignsNo := t.Establish(defNo)
+	noCtrl, bNo := t.Establish(defNo)
 	defYes := defNo
 	defYes.JitterCtrl = true
 	defYes.Src = NewOnOff(Fig8OnOffAOff, r.Split())
-	ctrl, assignsYes := t.Establish(defYes)
+	ctrl, bYes := t.Establish(defYes)
 
 	for _, cr := range CrossRoutes {
 		t.Establish(SessionDef{
@@ -122,8 +122,8 @@ func RunFig8Observed(duration float64, seed uint64, reg *metrics.Registry) *Fig8
 	t.Sim.Run(duration)
 
 	dRef := CellBits / VoiceRate // D_ref_max = L/r = 13.25 ms
-	rtNo := t.Route(defNo, assignsNo)
-	rtYes := t.Route(defYes, assignsYes)
+	rtNo := bNo.Route
+	rtYes := bYes.Route
 
 	return &Fig8Result{
 		Duration:          duration,

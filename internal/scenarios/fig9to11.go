@@ -89,7 +89,7 @@ func runDist(mean, rate float64, cross crossKind, duration float64, seed uint64)
 		hist: stats.NewHistogram(distHistBin, distHistNBins),
 	}
 	def := SessionDef{Entrance: 1, Exit: 5, Rate: rate, Src: tap}
-	sess, assigns := t.Establish(def)
+	sess, b := t.Establish(def)
 	sess.MeasureHistogram(distHistBin, distHistNBins)
 
 	sess.Start(0, duration)
@@ -121,7 +121,7 @@ func runDist(mean, rate float64, cross crossKind, duration float64, seed uint64)
 	}
 	t.Sim.Run(duration)
 
-	rt := t.Route(def, assigns)
+	rt := b.Route
 	shift := rt.Beta() + rt.Alpha
 	md1 := analytic.MD1{Lambda: 1 / mean, Service: CellBits / rate}
 

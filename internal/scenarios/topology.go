@@ -10,11 +10,11 @@ import (
 	"fmt"
 
 	"leaveintime/internal/admission"
-	"leaveintime/internal/core"
 	"leaveintime/internal/event"
 	"leaveintime/internal/metrics"
 	"leaveintime/internal/network"
 	"leaveintime/internal/rng"
+	"leaveintime/internal/system"
 	"leaveintime/internal/traffic"
 )
 
@@ -47,27 +47,23 @@ const (
 var AOffValues = []float64{0.0065, 0.0185, 0.0391, 0.0880, 0.1509, 0.2880, 0.650}
 
 // Tandem is the instantiated Figure 6 network: five Leave-in-Time
-// servers in tandem. Ports[n] is the outgoing link of server node n+1.
+// servers in tandem on one System. Ports[n] is the outgoing link of
+// server node n+1.
 type Tandem struct {
 	Sim   *event.Simulator
 	Net   *network.Network
 	Ports []*network.Port
-	// AC2 holds the per-node admission-control-procedure-2 state when
-	// the tandem was built with classes; nil for the one-class AC1
-	// experiments.
-	AC2 []*admission.Procedure2
-	// AC1 likewise for procedure 1 with classes.
-	AC1 []*admission.Procedure1
 
-	nextID int
+	sys *system.System
 }
 
 // TandemOptions tune the construction of the tandem.
 type TandemOptions struct {
 	// Approximate selects the calendar-queue transmission queue.
 	Approximate bool
-	// Classes, when non-nil, creates an admission controller per node
-	// with these classes; Proc selects which procedure (1 or 2).
+	// Classes, when non-nil, guards every node with these classes under
+	// procedure Proc (1 or 2); otherwise every node runs procedure 1
+	// with one class, the VirtualClock special case d = L/r.
 	Classes []admission.Class
 	Proc    int
 }
@@ -75,45 +71,19 @@ type TandemOptions struct {
 // NewTandem builds the Figure 6 network with a Leave-in-Time server on
 // every link.
 func NewTandem(opt TandemOptions) *Tandem {
-	sim := event.New()
-	net := network.New(sim, CellBits)
-	t := &Tandem{Sim: sim, Net: net}
+	sys, err := system.New(system.Config{
+		LMax: CellBits, Classes: opt.Classes, Proc: opt.Proc, Approximate: opt.Approximate,
+	})
+	if err != nil {
+		panic(err)
+	}
+	t := &Tandem{Sim: sys.Sim, Net: sys.Net, sys: sys}
 	for n := 1; n <= NumNodes; n++ {
-		disc := core.New(core.Config{
-			Capacity:    T1Rate,
-			LMax:        CellBits,
-			Approximate: opt.Approximate,
-		})
-		t.Ports = append(t.Ports, net.NewPort(fmt.Sprintf("node%d", n), T1Rate, PropDelay, disc))
-	}
-	classes := opt.Classes
-	proc := opt.Proc
-	if classes == nil {
-		// Default: admission control procedure 1 with one class — the
-		// VirtualClock special case d = L/r — still enforcing the
-		// cumulative rate test (ineq. 18) per node.
-		classes = []admission.Class{{R: T1Rate, Sigma: 1}}
-		proc = 1
-	}
-	switch proc {
-	case 1:
-		for range t.Ports {
-			ac, err := admission.NewProcedure1(T1Rate, classes)
-			if err != nil {
-				panic(err)
-			}
-			t.AC1 = append(t.AC1, ac)
+		srv, err := sys.AddServer(fmt.Sprintf("node%d", n), T1Rate, PropDelay)
+		if err != nil {
+			panic(err)
 		}
-	case 2:
-		for range t.Ports {
-			ac, err := admission.NewProcedure2(T1Rate, classes)
-			if err != nil {
-				panic(err)
-			}
-			t.AC2 = append(t.AC2, ac)
-		}
-	default:
-		panic("scenarios: Proc must be 1 or 2")
+		t.Ports = append(t.Ports, srv.Port)
 	}
 	return t
 }
@@ -123,15 +93,7 @@ func NewTandem(opt TandemOptions) *Tandem {
 // admission controllers. Instrumented runs are bit-identical to bare
 // ones (counters never perturb event ordering); concurrent sweep
 // points must each use their own registry.
-func (t *Tandem) Instrument(reg *metrics.Registry) {
-	t.Net.EnableMetrics(reg)
-	for _, ac := range t.AC1 {
-		ac.SetMetrics(reg.Arena(), metrics.HAdmissionAC1)
-	}
-	for _, ac := range t.AC2 {
-		ac.SetMetrics(reg.Arena(), metrics.HAdmissionAC2)
-	}
-}
+func (t *Tandem) Instrument(reg *metrics.Registry) { t.sys.AttachMetrics(reg) }
 
 // SessionDef describes one session to establish on the tandem.
 type SessionDef struct {
@@ -149,69 +111,25 @@ type SessionDef struct {
 }
 
 // Establish admits and wires the session, returning the network session
-// and the per-node service-parameter assignments used (one per hop).
-// Without admission classes the session gets the VirtualClock special
-// case d = L/r (AC1, one class, eps = 0).
-func (t *Tandem) Establish(def SessionDef) (*network.Session, []admission.Assignment) {
+// and its service commitments: the per-node assignments and the
+// admission.Route the figures read their bounds off.
+func (t *Tandem) Establish(def SessionDef) (*network.Session, *system.Bounds) {
 	if def.Entrance < 1 || def.Exit > NumNodes || def.Entrance > def.Exit {
 		panic(fmt.Sprintf("scenarios: bad route %d-%d", def.Entrance, def.Exit))
 	}
-	if def.LMax == 0 {
-		def.LMax = CellBits
+	s, b, err := t.sys.Connect(system.ConnectRequest{
+		Rate:          def.Rate,
+		Route:         t.sys.Servers()[def.Entrance-1 : def.Exit],
+		Source:        def.Src,
+		JitterControl: def.JitterCtrl,
+		Class:         def.Class,
+		LMax:          def.LMax,
+		LMin:          def.LMin,
+	})
+	if err != nil {
+		panic(fmt.Sprintf("scenarios: %v", err))
 	}
-	if def.LMin == 0 {
-		def.LMin = CellBits
-	}
-	t.nextID++
-	id := t.nextID
-	spec := admission.SessionSpec{ID: id, Rate: def.Rate, LMax: def.LMax, LMin: def.LMin}
-	class := def.Class
-	if class == 0 {
-		class = 1
-	}
-
-	route := t.Ports[def.Entrance-1 : def.Exit]
-	cfgs := make([]network.SessionPort, len(route))
-	assigns := make([]admission.Assignment, len(route))
-	for i := range route {
-		node := def.Entrance - 1 + i
-		var a admission.Assignment
-		var err error
-		if t.AC1 != nil {
-			a, err = t.AC1[node].Admit(spec, class, admission.Options{PerPacket: true})
-		} else {
-			a, err = t.AC2[node].Admit(spec, class, admission.Options{PerPacket: true})
-		}
-		if err != nil {
-			panic(fmt.Sprintf("scenarios: session %d rejected at node %d: %v", id, node+1, err))
-		}
-		assigns[i] = a
-		cfgs[i] = network.SessionPort{D: a.D, DMax: a.DMax}
-	}
-	s := t.Net.AddSession(id, def.Rate, def.JitterCtrl, route, cfgs, def.Src)
-	return s, assigns
-}
-
-// Route builds the admission.Route (bounds input) for a session
-// established over Entrance..Exit with the given per-hop assignments.
-func (t *Tandem) Route(def SessionDef, assigns []admission.Assignment) admission.Route {
-	hops := make([]admission.Hop, len(assigns))
-	for i, a := range assigns {
-		hops[i] = admission.Hop{C: T1Rate, Gamma: PropDelay, DMax: a.DMax}
-	}
-	spec := admission.SessionSpec{Rate: def.Rate, LMax: defOr(def.LMax), LMin: defOr(def.LMin)}
-	return admission.Route{
-		Hops:  hops,
-		LMax:  CellBits,
-		Alpha: assigns[len(assigns)-1].Alpha(spec),
-	}
-}
-
-func defOr(v float64) float64 {
-	if v == 0 {
-		return CellBits
-	}
-	return v
+	return s, b
 }
 
 // NewOnOff builds a paper ON-OFF source with the given mean OFF time

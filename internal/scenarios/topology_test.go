@@ -128,12 +128,12 @@ func TestEstablishValidatesRoute(t *testing.T) {
 	tandem.Establish(SessionDef{Entrance: 3, Exit: 2, Rate: VoiceRate})
 }
 
-// TestRouteBounds: the Route helper mirrors the session's assignments.
+// TestRouteBounds: the returned Route mirrors the session's assignments.
 func TestRouteBounds(t *testing.T) {
 	tandem := NewTandem(TandemOptions{})
 	def := SessionDef{Entrance: 1, Exit: 5, Rate: VoiceRate, Src: &noopSource{}}
-	_, assigns := tandem.Establish(def)
-	rt := tandem.Route(def, assigns)
+	_, b := tandem.Establish(def)
+	rt := b.Route
 	if len(rt.Hops) != 5 {
 		t.Fatalf("hops = %d", len(rt.Hops))
 	}

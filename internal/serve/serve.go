@@ -160,8 +160,7 @@ type system struct {
 	name     string
 	capacity float64
 	lmax     float64
-	proc1    *admission.Procedure1
-	proc2    *admission.Procedure2
+	ctrl     *admission.ClassController
 	gate     *admission.CurveGate
 	sessions map[int]sessionEntry
 }
@@ -388,33 +387,28 @@ func (d *Daemon) handleCreateSystem(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "system needs a name, positive capacity and positive lmax")
 		return
 	}
-	classes := make([]admission.Class, len(req.Classes))
-	for i, c := range req.Classes {
-		classes[i] = admission.Class{R: c.R, Sigma: c.Sigma}
+	var classes []admission.Class // nil, admission's default, when none are named
+	for _, c := range req.Classes {
+		classes = append(classes, admission.Class{R: c.R, Sigma: c.Sigma})
 	}
-	if len(classes) == 0 {
+	if classes == nil && req.Proc == 2 {
+		// An explicit procedure 2 stays procedure 2, over the one
+		// full-link class; only proc 0 or 1 takes admission's default.
 		classes = []admission.Class{{R: req.Capacity, Sigma: 1}}
+	}
+	ctrl, err := admission.NewClassController(req.Proc, req.Capacity, classes)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err.Error())
+		return
 	}
 	sys := &system{
 		name:     req.Name,
 		capacity: req.Capacity,
 		lmax:     req.LMax,
 		sessions: make(map[int]sessionEntry),
+		ctrl:     ctrl,
 		gate: admission.NewCurveGate(
 			calculus.FCFSServer{C: req.Capacity, LMax: req.LMax}, req.BudgetS),
-	}
-	var err error
-	switch req.Proc {
-	case 0, 1:
-		sys.proc1, err = admission.NewProcedure1(req.Capacity, classes)
-	case 2:
-		sys.proc2, err = admission.NewProcedure2(req.Capacity, classes)
-	default:
-		err = fmt.Errorf("unsupported proc %d", req.Proc)
-	}
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
 	}
 	d.mu.Lock()
 	if _, dup := d.systems[req.Name]; dup {
@@ -479,14 +473,7 @@ func (d *Daemon) handleSetup(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusConflict, "session already established")
 		return
 	}
-	batch := []admission.SessionSpec{spec}
-	var assigns []admission.Assignment
-	var ok bool
-	if sys.proc1 != nil {
-		assigns, ok = sys.proc1.AdmitClass(sys.gate, batch, class, opts)
-	} else {
-		assigns, ok = sys.proc2.AdmitClass(sys.gate, batch, class, opts)
-	}
+	assigns, ok := sys.ctrl.AdmitClass(sys.gate, []admission.SessionSpec{spec}, class, opts)
 	if !ok {
 		sys.mu.Unlock()
 		d.ar.AtomicInc(metrics.HServeSetupRejects)
@@ -517,11 +504,7 @@ func (d *Daemon) handleRelease(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	delete(sys.sessions, req.ID)
-	if sys.proc1 != nil {
-		sys.proc1.Remove(req.ID)
-	} else {
-		sys.proc2.Remove(req.ID)
-	}
+	sys.ctrl.Remove(req.ID)
 	sys.gate.Release(entry.rate, entry.burst)
 	sys.mu.Unlock()
 	d.ar.AtomicInc(metrics.HServeReleases)
@@ -555,12 +538,7 @@ func (d *Daemon) handleAdopt(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusConflict, "session already established")
 		return
 	}
-	var a admission.Assignment
-	if sys.proc1 != nil {
-		a, err = sys.proc1.Admit(spec, class, opts)
-	} else {
-		a, err = sys.proc2.Admit(spec, class, opts)
-	}
+	a, err := sys.ctrl.Admit(spec, class, opts)
 	if err != nil {
 		sys.mu.Unlock()
 		d.ar.AtomicInc(metrics.HServeSetupRejects)

@@ -112,6 +112,48 @@ func TestSystemWireLifecycle(t *testing.T) {
 	}
 }
 
+// TestCreateSystemProcedure pins what POST /v1/systems does with proc
+// when no classes are named: an unknown procedure is refused, 0 and 1
+// get procedure 1 over the full link (d = L/r), and an explicit 2 stays
+// procedure 2 over that one class (d = sigma_1 = 1 s).
+func TestCreateSystemProcedure(t *testing.T) {
+	h := startTestDaemon(t, Options{Workers: 1})
+	for _, tc := range []struct {
+		proc, want int
+		dMax       float64
+	}{
+		{proc: 7, want: http.StatusBadRequest},
+		{proc: -1, want: http.StatusBadRequest},
+		{proc: 0, want: http.StatusCreated, dMax: 424.0 / 32000},
+		{proc: 1, want: http.StatusCreated, dMax: 424.0 / 32000},
+		{proc: 2, want: http.StatusCreated, dMax: 1},
+	} {
+		name := fmt.Sprintf("p%d", tc.proc)
+		body := fmt.Sprintf(`{"name":%q,"capacity":1536000,"lmax":424,"proc":%d}`, name, tc.proc)
+		resp, err := h.post("/v1/systems", []byte(body), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Fatalf("proc %d: create answered %d, want %d", tc.proc, resp.StatusCode, tc.want)
+		}
+		if tc.want != http.StatusCreated {
+			continue
+		}
+		resp, err = h.post("/v1/systems/"+name+"/setup", []byte(`{"id":1,"rate":32000,"lmax":424}`), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sr SetupResponse
+		err = json.NewDecoder(resp.Body).Decode(&sr)
+		resp.Body.Close()
+		if err != nil || !sr.Accepted || sr.DMax != tc.dMax {
+			t.Fatalf("proc %d: setup %+v (err %v), want d_max %g", tc.proc, sr, err, tc.dMax)
+		}
+	}
+}
+
 // TestWatchdogWallClockConcurrentSystems runs two scenario jobs
 // concurrently under a tight wall-clock watchdog: the heavy run must
 // trip and degrade to a failed job with a wall-clock reason, while the
@@ -199,17 +241,24 @@ func TestPoolDrainAfterWirePurge(t *testing.T) {
 }
 
 // TestSubmitBadScenario asserts the declarative validation runs before
-// anything is queued.
+// anything is queued — including what only building the document used
+// to find (a negative gamma parsed, was answered 202, and panicked in
+// the worker).
 func TestSubmitBadScenario(t *testing.T) {
 	h := startTestDaemon(t, Options{Workers: 1})
-	_, code, err := h.submit([]byte(`{"duration":1,"seed":1,"servers":[],"sessions":[]}`), nil)
-	if err != nil {
-		t.Fatal(err)
+	for name, doc := range map[string]string{
+		"no servers":     `{"duration":1,"seed":1,"servers":[],"sessions":[]}`,
+		"negative gamma": `{"lmax":424,"duration":1,"seed":1,"servers":[{"name":"a","capacity":1536000,"gamma":-0.5}],"sessions":[]}`,
+	} {
+		_, code, err := h.submit([]byte(doc), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if code != http.StatusBadRequest {
+			t.Errorf("%s: answered %d, want 400", name, code)
+		}
 	}
-	if code != http.StatusBadRequest {
-		t.Fatalf("empty scenario accepted: %d", code)
-	}
-	if c := h.d.Registry().ServeCounters(); c.Malformed == 0 || c.ScenarioQueued != 0 {
+	if c := h.d.Registry().ServeCounters(); c.Malformed != 2 || c.ScenarioQueued != 0 {
 		t.Fatalf("counters: %+v", c)
 	}
 }

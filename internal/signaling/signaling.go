@@ -30,64 +30,11 @@ import (
 	"leaveintime/internal/rng"
 )
 
-// Admitter is the per-node admission interface the signaling layer
-// drives. admission.Procedure1, Procedure2 and Procedure3 satisfy it
-// via thin adapters (see Proc1Admitter / Proc2Admitter /
-// Proc3Admitter); custom policies can implement it directly.
-type Admitter interface {
-	// Admit runs the node's admission test for the session, reserving
-	// on success.
-	Admit(spec admission.SessionSpec, class int, opts admission.Options) (admission.Assignment, error)
-	// Release frees a previously admitted session's reservation.
-	Release(id int) bool
-}
-
-// Proc1Admitter adapts admission.Procedure1.
-type Proc1Admitter struct{ P *admission.Procedure1 }
-
-// Admit implements Admitter.
-func (a Proc1Admitter) Admit(spec admission.SessionSpec, class int, opts admission.Options) (admission.Assignment, error) {
-	return a.P.Admit(spec, class, opts)
-}
-
-// Release implements Admitter.
-func (a Proc1Admitter) Release(id int) bool { return a.P.Remove(id) }
-
-// Proc2Admitter adapts admission.Procedure2.
-type Proc2Admitter struct{ P *admission.Procedure2 }
-
-// Admit implements Admitter.
-func (a Proc2Admitter) Admit(spec admission.SessionSpec, class int, opts admission.Options) (admission.Assignment, error) {
-	return a.P.Admit(spec, class, opts)
-}
-
-// Release implements Admitter.
-func (a Proc2Admitter) Release(id int) bool { return a.P.Remove(id) }
-
-// Proc3Admitter adapts admission.Procedure3. Procedure 3 admits with a
-// per-session fixed service parameter rather than a class, so the
-// class and options of the request are ignored and every session gets
-// the adapter's D.
-type Proc3Admitter struct {
-	P *admission.Procedure3
-	// D is the fixed service parameter d (seconds) requested for every
-	// session admitted through this adapter.
-	D float64
-}
-
-// Admit implements Admitter.
-func (a Proc3Admitter) Admit(spec admission.SessionSpec, class int, opts admission.Options) (admission.Assignment, error) {
-	return a.P.Admit(spec, a.D)
-}
-
-// Release implements Admitter.
-func (a Proc3Admitter) Release(id int) bool { return a.P.Remove(id) }
-
 // Node is one switching node on a signaling path.
 type Node struct {
 	Name string
 	// Admit guards the node's outgoing link.
-	Admit Admitter
+	Admit admission.Controller
 	// Gamma is the propagation delay of the outgoing link, seconds
 	// (SETUP to the next node and ACCEPT/REJECT back both pay it).
 	Gamma float64
@@ -360,7 +307,7 @@ func (s *Signaler) backWalk(kind string, id, from int, done func(lostAt int)) {
 // the reservations it saw; this sweeps any the walk added afterwards.
 func (s *Signaler) abortSetup(id int) {
 	for _, i := range s.established[id] {
-		s.Path[i].Admit.Release(id)
+		s.Path[i].Admit.Remove(id)
 	}
 	delete(s.established, id)
 }
@@ -369,7 +316,7 @@ func (s *Signaler) abortSetup(id int) {
 func (s *Signaler) releaseUpTo(id, upTo int) {
 	for _, i := range s.established[id] {
 		if i < upTo {
-			s.Path[i].Admit.Release(id)
+			s.Path[i].Admit.Remove(id)
 		}
 	}
 	delete(s.established, id)
@@ -439,7 +386,7 @@ func (s *Signaler) Teardown(id int, done func()) error {
 		i := remaining[k]
 		node := s.Path[i]
 		s.Sim.Schedule(t+node.Processing, func() {
-			node.Admit.Release(id)
+			node.Admit.Remove(id)
 			if k+1 >= len(remaining) {
 				hop(k+1, s.Sim.Now()+node.Gamma)
 				return

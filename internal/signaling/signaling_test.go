@@ -19,7 +19,7 @@ func newPath(t *testing.T, sim *event.Simulator, n int, capacity float64) []*Nod
 		}
 		path = append(path, &Node{
 			Name:       string(rune('A' + i)),
-			Admit:      Proc1Admitter{ac},
+			Admit:      ac,
 			Gamma:      1e-3,
 			Processing: 0.5e-3,
 		})
@@ -517,21 +517,32 @@ func TestAdopt(t *testing.T) {
 	}
 }
 
+// TestProc2Admitter: a node's Admit field takes any admission.Controller
+// directly; procedure 3's fixed d travels in the request's options.
 func TestProc2Admitter(t *testing.T) {
-	sim := event.New()
-	ac, err := admission.NewProcedure2(1e6, []admission.Class{{R: 1e6, Sigma: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := []*Node{{Name: "A", Admit: Proc2Admitter{ac}, Gamma: 1e-3}}
-	sig := New(sim, path)
-	var res Result
-	sig.Establish(Request{Spec: spec(1, 1e5), Class: 1}, func(r Result) { res = r })
-	sim.RunAll()
-	if !res.Accepted {
-		t.Fatalf("rejected: %v", res.Err)
-	}
-	if res.Assignments[0].DMax != 1.0 { // sigma_1
-		t.Errorf("d = %v", res.Assignments[0].DMax)
+	for _, tc := range []struct {
+		proc int
+		opts admission.Options
+		want float64
+	}{
+		{proc: 2, want: 1.0}, // sigma_1
+		{proc: 3, opts: admission.Options{D: 0.25}, want: 0.25},
+	} {
+		sim := event.New()
+		ac, err := admission.New(tc.proc, 1e6, []admission.Class{{R: 1e6, Sigma: 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := []*Node{{Name: "A", Admit: ac, Gamma: 1e-3}}
+		sig := New(sim, path)
+		var res Result
+		sig.Establish(Request{Spec: spec(1, 1e5), Class: 1, Opts: tc.opts}, func(r Result) { res = r })
+		sim.RunAll()
+		if !res.Accepted {
+			t.Fatalf("procedure %d rejected: %v", tc.proc, res.Err)
+		}
+		if res.Assignments[0].DMax != tc.want {
+			t.Errorf("procedure %d: d = %v, want %v", tc.proc, res.Assignments[0].DMax, tc.want)
+		}
 	}
 }

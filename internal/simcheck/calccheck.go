@@ -358,23 +358,8 @@ func checkFastpath(sc *Scenario, rep *SeedReport) {
 		for k, c := range sc.Classes {
 			classes[k] = admission.Class{R: c.RFrac * ld.Capacity, Sigma: c.Sigma}
 		}
-		type controller interface {
-			Admit(admission.SessionSpec, int, admission.Options) (admission.Assignment, error)
-			AdmitClass(*admission.CurveGate, []admission.SessionSpec, int, admission.Options) ([]admission.Assignment, bool)
-		}
-		var fast, seq controller
-		var err1, err2 error
-		if sc.Proc == 1 {
-			var f, s *admission.Procedure1
-			f, err1 = admission.NewProcedure1(ld.Capacity, classes)
-			s, err2 = admission.NewProcedure1(ld.Capacity, classes)
-			fast, seq = f, s
-		} else {
-			var f, s *admission.Procedure2
-			f, err1 = admission.NewProcedure2(ld.Capacity, classes)
-			s, err2 = admission.NewProcedure2(ld.Capacity, classes)
-			fast, seq = f, s
-		}
+		fast, err1 := admission.NewClassController(sc.Proc, ld.Capacity, classes)
+		seq, err2 := admission.NewClassController(sc.Proc, ld.Capacity, classes)
 		if err1 != nil || err2 != nil {
 			continue // invalid class table is the generator's bug, reported elsewhere
 		}

@@ -156,7 +156,7 @@ func (r *churnRun) resetup(cs *churnSess) {
 	req := signaling.Request{
 		Spec:  admission.SessionSpec{ID: id, Rate: cs.def.Rate, LMax: cs.def.LMax, LMin: cs.def.LMin},
 		Class: cs.def.Class,
-		Opts:  admission.Options{PerPacket: true},
+		Opts:  admission.Options{PerPacket: true, D: cs.def.D},
 	}
 	cs.sig.Establish(req, func(sres signaling.Result) {
 		m := r.net.Metrics()
@@ -200,7 +200,7 @@ func (r *churnRun) newSignaler(cs *churnSess) *signaling.Signaler {
 	for i, l := range cs.links {
 		path[i] = &signaling.Node{
 			Name:  linkKey(l),
-			Admit: r.adm.signalAdmitter(l, cs.def),
+			Admit: r.adm[linkKey(l)],
 			Gamma: l.Gamma,
 		}
 	}
@@ -225,21 +225,6 @@ func (r *churnRun) newSignaler(cs *churnSess) *signaling.Signaler {
 		panic(err)
 	}
 	return sig
-}
-
-// signalAdmitter wraps the link's admission controller as a
-// signaling.Admitter for the churn harness's SETUP/RELEASE exchanges.
-func (a admitterSet) signalAdmitter(l *topoLink, def SessionDef) signaling.Admitter {
-	switch ctrl := a.byKey[linkKey(l)].(type) {
-	case *admission.Procedure1:
-		return signaling.Proc1Admitter{P: ctrl}
-	case *admission.Procedure2:
-		return signaling.Proc2Admitter{P: ctrl}
-	case *admission.Procedure3:
-		return signaling.Proc3Admitter{P: ctrl, D: def.D}
-	default:
-		panic(fmt.Sprintf("simcheck: no controller for link %s", linkKey(l)))
-	}
 }
 
 // runChurn is runScenario under the scenario's fault plan: same
@@ -438,7 +423,7 @@ func checkChurnDrain(res *runResult, rep *SeedReport) {
 func checkCapacity(res *runResult, sc *Scenario, rep *SeedReport) {
 	for _, ld := range sc.Topology.Links {
 		key := ld.From + "->" + ld.To
-		ctrl, ok := res.Adm.byKey[key]
+		ctrl, ok := res.Adm[key]
 		if !ok {
 			continue
 		}

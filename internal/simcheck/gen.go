@@ -3,7 +3,6 @@ package simcheck
 import (
 	"fmt"
 
-	"leaveintime/internal/admission"
 	"leaveintime/internal/faults"
 	"leaveintime/internal/rng"
 )
@@ -164,7 +163,7 @@ func genSessions(sc *Scenario, r *rng.Rand) {
 		}
 		def.Rate = (0.04 + 0.2*r.Float64()) * minCap
 		genSource(sc, &def, r)
-		if admitRoute(sc, adm, links, def) {
+		if _, err := adm.establish(sc, links, def); err == nil {
 			id++
 			def.ID = id
 			def.LimitBuffers = id%2 == 0
@@ -189,7 +188,7 @@ func genSessions(sc *Scenario, r *rng.Rand) {
 		def.D = 2 * def.LMax / def.Rate
 	}
 	links, _ := g.RouteLinks(def.From, def.To)
-	if admitRoute(sc, adm, links, def) {
+	if _, err := adm.establish(sc, links, def); err == nil {
 		sc.Sessions = append(sc.Sessions, def)
 	}
 }
@@ -276,21 +275,4 @@ func genDuration(sc *Scenario, r *rng.Rand) {
 		d = 3
 	}
 	sc.Duration = d
-}
-
-// admitRoute admits def at every link of its route, removing the
-// partial admissions again if any hop rejects. The scenario keeps only
-// fully admitted sessions, so replaying the admissions at build time
-// must succeed.
-func admitRoute(sc *Scenario, adm admitterSet, links []*topoLink, def SessionDef) bool {
-	spec := admission.SessionSpec{ID: def.ID, Rate: def.Rate, LMax: def.LMax, LMin: def.LMin}
-	for i, l := range links {
-		if _, err := adm.admit(l, spec, def); err != nil {
-			for _, back := range links[:i] {
-				adm.remove(back, def.ID)
-			}
-			return false
-		}
-	}
-	return true
 }

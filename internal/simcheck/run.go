@@ -29,20 +29,8 @@ func scenarioGraph(sc *Scenario) *topo.Graph {
 	return g
 }
 
-// admitterSet holds one admission controller per link, dispatching on
-// the scenario's procedure.
-type admitterSet struct {
-	proc  int
-	byKey map[string]admitter
-}
-
-type admitter interface {
-	Remove(id int) bool
-	// TotalRate is the controller's currently reserved rate, bits/s —
-	// exactly zero once every admitted session has been removed, which
-	// the churn battery demands after its final teardown pass.
-	TotalRate() float64
-}
+// admitterSet holds one admission controller per link.
+type admitterSet map[string]admission.Controller
 
 func linkKey(l *topo.Link) string { return l.From + "->" + l.To }
 
@@ -50,57 +38,38 @@ func linkKey(l *topo.Link) string { return l.From + "->" + l.To }
 // with each link's capacity, so one ClassDef list serves heterogeneous
 // links.
 func newAdmitters(sc *Scenario) admitterSet {
-	set := admitterSet{proc: sc.Proc, byKey: make(map[string]admitter)}
+	set := make(admitterSet)
 	for _, ld := range sc.Topology.Links {
-		key := ld.From + "->" + ld.To
-		switch sc.Proc {
-		case 3:
-			p, err := admission.NewProcedure3(ld.Capacity)
-			if err != nil {
-				panic(err)
-			}
-			set.byKey[key] = p
-		default:
-			classes := make([]admission.Class, len(sc.Classes))
-			for k, c := range sc.Classes {
-				classes[k] = admission.Class{R: c.RFrac * ld.Capacity, Sigma: c.Sigma}
-			}
-			if sc.Proc == 1 {
-				p, err := admission.NewProcedure1(ld.Capacity, classes)
-				if err != nil {
-					panic(err)
-				}
-				set.byKey[key] = p
-			} else {
-				p, err := admission.NewProcedure2(ld.Capacity, classes)
-				if err != nil {
-					panic(err)
-				}
-				set.byKey[key] = p
-			}
+		classes := make([]admission.Class, len(sc.Classes))
+		for k, c := range sc.Classes {
+			classes[k] = admission.Class{R: c.RFrac * ld.Capacity, Sigma: c.Sigma}
 		}
+		ctrl, err := admission.New(sc.Proc, ld.Capacity, classes)
+		if err != nil {
+			panic(err)
+		}
+		set[ld.From+"->"+ld.To] = ctrl
 	}
 	return set
 }
 
-// admit runs the session through the link's controller and returns the
-// node's service-parameter assignment.
-func (a admitterSet) admit(l *topo.Link, spec admission.SessionSpec, def SessionDef) (admission.Assignment, error) {
-	opts := admission.Options{PerPacket: true}
-	switch ctrl := a.byKey[linkKey(l)].(type) {
-	case *admission.Procedure1:
-		return ctrl.Admit(spec, def.Class, opts)
-	case *admission.Procedure2:
-		return ctrl.Admit(spec, def.Class, opts)
-	case *admission.Procedure3:
-		return ctrl.Admit(spec, def.D)
-	default:
-		return admission.Assignment{}, fmt.Errorf("simcheck: no controller for link %s", linkKey(l))
+// establish admits def at every link of its route (all or nothing) and
+// returns the grants with the analytic bounds they determine. The
+// generator keeps only sessions it established, so the replay at build
+// time must succeed.
+func (a admitterSet) establish(sc *Scenario, links []*topo.Link, def SessionDef) (*admission.Bounds, error) {
+	path := make([]admission.Link, len(links))
+	for i, l := range links {
+		key := linkKey(l)
+		path[i] = admission.Link{Name: key, Ctrl: a[key], C: l.Capacity, Gamma: l.Gamma}
 	}
-}
-
-func (a admitterSet) remove(l *topo.Link, id int) {
-	a.byKey[linkKey(l)].Remove(id)
+	return admission.Establish(path, sc.LMax, admission.Request{
+		Spec:          admission.SessionSpec{ID: def.ID, Rate: def.Rate, LMax: def.LMax, LMin: def.LMin},
+		Class:         def.Class,
+		Opts:          admission.Options{PerPacket: true, D: def.D},
+		JitterControl: def.JitterCtrl,
+		B0:            def.Burst,
+	})
 }
 
 // buildSource constructs the session's traffic source. Every kind
@@ -339,35 +308,32 @@ func runScenario(sc *Scenario, spec discSpec, opts runOpts) (*runResult, error) 
 type admitted struct {
 	links  []*topo.Link
 	cfgs   []network.SessionPort
-	hops   []admission.Hop
 	minCap float64
-	route  admission.Route
+	bounds *admission.Bounds
 }
 
 // replayAdmission routes the session and replays admission at every hop
 // (re-verifying what the generator admitted), producing the per-node
-// session-port configurations and the analytic route description. It
-// is the discipline- and runtime-independent half of establish, shared
-// with the sharded runner.
+// session-port configurations and the analytic bounds. It is the
+// discipline- and runtime-independent half of establish, shared with
+// the sharded runner.
 func replayAdmission(sc *Scenario, g *topo.Graph, adm admitterSet, def SessionDef) (*admitted, error) {
 	links, err := g.RouteLinks(def.From, def.To)
 	if err != nil {
 		return nil, err
 	}
-	aspec := admission.SessionSpec{ID: def.ID, Rate: def.Rate, LMax: def.LMax, LMin: def.LMin}
+	b, err := adm.establish(sc, links, def)
+	if err != nil {
+		return nil, err
+	}
 	out := &admitted{
 		links:  links,
 		cfgs:   make([]network.SessionPort, len(links)),
-		hops:   make([]admission.Hop, len(links)),
 		minCap: links[0].Capacity,
+		bounds: b,
 	}
-	var last admission.Assignment
 	for i, l := range links {
-		a, err := adm.admit(l, aspec, def)
-		if err != nil {
-			return nil, err
-		}
-		last = a
+		a := b.Assignments[i]
 		d := a.D
 		if sc.Special {
 			// The exactness corner: procedure 1 with one class and
@@ -385,12 +351,10 @@ func replayAdmission(sc *Scenario, g *topo.Graph, adm admitterSet, def SessionDe
 			LocalDelay: def.LMax/def.Rate + float64(len(sc.Sessions)+2)*sc.LMax/l.Capacity,
 			XMin:       def.LMin / def.Rate,
 		}
-		out.hops[i] = admission.Hop{C: l.Capacity, Gamma: l.Gamma, DMax: a.DMax}
 		if l.Capacity < out.minCap {
 			out.minCap = l.Capacity
 		}
 	}
-	out.route = admission.Route{Hops: out.hops, LMax: sc.LMax, Alpha: last.Alpha(aspec)}
 	return out, nil
 }
 
@@ -410,40 +374,28 @@ func establish(sc *Scenario, g *topo.Graph, net *network.Network, adm admitterSe
 		return nil, nil, nil, err
 	}
 
-	route := ad.route
-	dRef := def.Burst / def.Rate
 	sr := &sessResult{
 		Def:        def,
 		Hops:       len(links),
 		MinLinkCap: ad.minCap,
-		DelayBound: route.DelayBound(dRef),
-	}
-	if def.JitterCtrl {
-		sr.JitterBnd = route.JitterBoundControl(dRef, def.LMin)
-	} else {
-		sr.JitterBnd = route.JitterBoundNoControl(dRef, def.LMin)
+		DelayBound: ad.bounds.DelayBound,
+		JitterBnd:  ad.bounds.JitterBound,
 	}
 
 	sess := net.AddSession(def.ID, def.Rate, def.JitterCtrl, ports, cfgs, buildSource(def))
 	var probes []*network.BufferProbe
 	if opts.probes {
-		for n := 1; n <= len(ports); n++ {
-			var bound float64
-			if def.JitterCtrl {
-				bound = route.BufferBoundControl(def.Rate, dRef, def.LMin, n)
-			} else {
-				bound = route.BufferBoundNoControl(def.Rate, dRef, def.LMin, n)
-			}
+		for n, bound := range ad.bounds.BufferBoundBits {
 			limited := opts.limits && def.LimitBuffers
 			var pr *network.BufferProbe
 			if limited {
-				pr = ports[n-1].LimitBuffer(def.ID, bound)
+				pr = ports[n].LimitBuffer(def.ID, bound)
 			} else {
-				pr = ports[n-1].TrackBuffer(def.ID)
+				pr = ports[n].TrackBuffer(def.ID)
 			}
 			probes = append(probes, pr)
 			sr.Probes = append(sr.Probes, probeResult{
-				Port: ports[n-1].Name, Bound: bound, Limited: limited,
+				Port: ports[n].Name, Bound: bound, Limited: limited,
 			})
 		}
 	}

@@ -1,0 +1,334 @@
+// Package system is the one builder of admission-controlled
+// Leave-in-Time networks: a simulator, a network of servers, one
+// admission controller per server, and connection establishment over
+// them. The root package re-exports it as lit.System; it lives here so
+// that the internal packages which assemble networks (the figure
+// scenarios, the declarative runner) build on the same code instead of
+// each carrying their own copy — they cannot import the root, which
+// imports them.
+package system
+
+import (
+	"fmt"
+
+	"leaveintime/internal/admission"
+	"leaveintime/internal/core"
+	"leaveintime/internal/event"
+	"leaveintime/internal/metrics"
+	"leaveintime/internal/network"
+	"leaveintime/internal/traffic"
+)
+
+// Config parametrizes a System.
+type Config struct {
+	// LMax is the network-wide maximum packet length in bits
+	// (required).
+	LMax float64
+	// Classes and Proc select the admission control procedure
+	// installed at every server: procedure Proc (1 or 2) with these
+	// delay classes. Leaving Classes nil installs procedure 1 with a
+	// single class covering the full link (the VirtualClock special
+	// case d = L/r).
+	Classes []admission.Class
+	Proc    int
+	// Approximate selects the O(1) calendar-queue transmission queue
+	// in every Leave-in-Time server.
+	Approximate bool
+}
+
+// Check is the dry run of building a system of this configuration: it
+// reports what New refuses about the configuration, AddServer about a
+// link of the given capacity and propagation delay, and Connect about
+// each request routed over that link whatever else is established —
+// everything but an empty route and the outcome of the admission rules.
+func (c Config) Check(name string, capacity, gamma float64, reqs ...ConnectRequest) error {
+	if err := c.validate(); err != nil {
+		return err
+	}
+	ctrl, err := c.controller(name, capacity, gamma)
+	if err != nil {
+		return err
+	}
+	for _, req := range reqs {
+		r, err := c.resolve(req)
+		if err != nil {
+			return err
+		}
+		if err := ctrl.Check(r.Spec, r.Class, r.Opts); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// validate reports a nonpositive LMax or an unknown procedure.
+// (Malformed classes are reported per server, because the procedures
+// tie them to the link capacity: R_P = C.)
+func (c Config) validate() error {
+	if c.LMax <= 0 {
+		return fmt.Errorf("lit: SystemConfig.LMax must be positive, got %g", c.LMax)
+	}
+	if c.Proc < 0 || c.Proc > 2 {
+		return fmt.Errorf("lit: unsupported admission procedure %d", c.Proc)
+	}
+	return nil
+}
+
+// controller validates a server's link parameters and builds its
+// admission controller.
+func (c Config) controller(name string, capacity, gamma float64) (*admission.ClassController, error) {
+	if capacity <= 0 {
+		return nil, fmt.Errorf("lit: server %s: capacity must be positive, got %g", name, capacity)
+	}
+	if gamma < 0 {
+		return nil, fmt.Errorf("lit: server %s: propagation delay must be nonnegative, got %g", name, gamma)
+	}
+	ctrl, err := admission.NewClassController(c.Proc, capacity, c.Classes)
+	if err != nil {
+		return nil, fmt.Errorf("lit: server %s: %w", name, err)
+	}
+	return ctrl, nil
+}
+
+// resolve applies the request's defaults and checks it against the
+// network: the part of Connect's validation that precedes the
+// per-server admission tests.
+func (c Config) resolve(req ConnectRequest) (admission.Request, error) {
+	if req.Rate <= 0 {
+		return admission.Request{}, fmt.Errorf("lit: rate must be positive")
+	}
+	lMax := req.LMax
+	if lMax == 0 {
+		lMax = c.LMax
+	}
+	lMin := req.LMin
+	if lMin == 0 {
+		lMin = lMax
+	}
+	if lMax > c.LMax {
+		return admission.Request{}, fmt.Errorf("lit: session LMax %g exceeds network LMax %g", lMax, c.LMax)
+	}
+	class := req.Class
+	if class == 0 {
+		class = 1
+	}
+	return admission.Request{
+		Spec:          admission.SessionSpec{Rate: req.Rate, LMax: lMax, LMin: lMin},
+		Class:         class,
+		Opts:          admission.Options{Eps: req.Eps, PerPacket: !req.FixedD},
+		JitterControl: req.JitterControl,
+		B0:            req.B0,
+	}, nil
+}
+
+// System bundles a simulator, a network of Leave-in-Time servers, and
+// per-server admission control into one object, so that assembling the
+// paper's scenarios (or your own) takes a few lines. Lower-level
+// control is always available through Sim and Net.
+type System struct {
+	Sim *event.Simulator
+	Net *network.Network
+	cfg Config
+
+	servers []*Server
+	byPort  map[*network.Port]*Server
+	// path is Connect's scratch: the route as admission.Establish takes
+	// it, rebuilt per call so a Connect allocates nothing for it.
+	path    []admission.Link
+	nextID  int
+	metrics *metrics.Registry
+}
+
+// Server is one Leave-in-Time server (a node's outgoing link) together
+// with its admission controller.
+type Server struct {
+	Port *network.Port
+	// Capacity and Gamma echo the construction parameters.
+	Capacity, Gamma float64
+
+	ctrl admission.Controller
+}
+
+// New returns an empty system. The configuration is validated here
+// rather than at first use: an invalid config (nonpositive LMax,
+// unknown procedure) is reported as an error so callers can surface it
+// instead of crashing mid-setup.
+func New(cfg Config) (*System, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	sim := event.New()
+	return &System{
+		Sim:    sim,
+		Net:    network.New(sim, cfg.LMax),
+		cfg:    cfg,
+		byPort: make(map[*network.Port]*Server),
+	}, nil
+}
+
+// AttachMetrics makes the system count into reg: the event engine, the
+// packet pool, every server port and scheduler, and the admission
+// controllers (see internal/metrics), including servers added later.
+// Counting costs one nil-check branch per instrumented site and does
+// not perturb event ordering, so an instrumented run is bit-identical
+// to a bare one. Call before Run.
+func (s *System) AttachMetrics(reg *metrics.Registry) {
+	s.metrics = reg
+	s.Net.EnableMetrics(reg)
+	for _, srv := range s.servers {
+		srv.ctrl.SetMetrics(reg.Arena())
+	}
+}
+
+// EnableMetrics attaches a fresh run-telemetry registry (see
+// AttachMetrics) and returns it; enabling is idempotent. Read the
+// counters after the run with Metrics().Snapshot(now).
+func (s *System) EnableMetrics() *metrics.Registry {
+	if s.metrics == nil {
+		s.AttachMetrics(metrics.NewRegistry())
+	}
+	return s.metrics
+}
+
+// Metrics returns the attached registry, or nil when telemetry is
+// disabled.
+func (s *System) Metrics() *metrics.Registry { return s.metrics }
+
+// AddServer creates a Leave-in-Time server with an outgoing link of the
+// given capacity (bits/s) and propagation delay (seconds), guarded by
+// the system's admission procedure. It returns an error — leaving the
+// system unchanged — when the link parameters or the system's class
+// hierarchy are invalid for that capacity (the procedures require
+// R_P = C and positive sigma terms).
+func (s *System) AddServer(name string, capacity, gamma float64) (*Server, error) {
+	return s.AddServerQueue(name, capacity, gamma, s.cfg.Approximate)
+}
+
+// AddServerQueue is AddServer with this server's transmission queue
+// chosen explicitly (approximate: the calendar queue) instead of taken
+// from Config.Approximate.
+func (s *System) AddServerQueue(name string, capacity, gamma float64, approximate bool) (*Server, error) {
+	// Build the admission controller before touching the network so a
+	// rejected configuration leaves no port behind.
+	ctrl, err := s.cfg.controller(name, capacity, gamma)
+	if err != nil {
+		return nil, err
+	}
+	disc := core.New(core.Config{Capacity: capacity, LMax: s.cfg.LMax, Approximate: approximate})
+	srv := &Server{
+		Port:     s.Net.NewPort(name, capacity, gamma, disc),
+		Capacity: capacity,
+		Gamma:    gamma,
+		ctrl:     ctrl,
+	}
+	if s.metrics != nil {
+		ctrl.SetMetrics(s.metrics.Arena())
+	}
+	s.servers = append(s.servers, srv)
+	s.byPort[srv.Port] = srv
+	return srv, nil
+}
+
+// Servers returns the servers in creation order.
+func (s *System) Servers() []*Server { return s.servers }
+
+// ConnectRequest describes a connection to establish.
+type ConnectRequest struct {
+	// Rate is the reserved rate r_s in bits/s (required).
+	Rate float64
+	// Route is the ordered list of servers the session traverses
+	// (required, non-empty).
+	Route []*Server
+	// Source generates the session's packets; nil sessions are driven
+	// manually with Session.InjectAt.
+	Source traffic.Source
+	// JitterControl assigns the session a delay regulator at every
+	// node.
+	JitterControl bool
+	// Class is the delay class (1-based) when the system has classes;
+	// 0 means class 1.
+	Class int
+	// LMax and LMin bound the session's packet lengths in bits; a zero
+	// LMax defaults to the network LMax, a zero LMin to LMax.
+	LMax, LMin float64
+	// Eps is the nonnegative constant added to d (rules 1.3/2.3).
+	Eps float64
+	// FixedD selects rule 1.3a/2.3a (one d for all packets) instead of
+	// the per-packet-length rule.
+	FixedD bool
+	// B0 optionally declares that the source conforms to a token
+	// bucket (Rate, B0 bits); when set, Bounds.DelayBound and related
+	// fields are computed with D_ref_max = B0/Rate (eq. 14).
+	B0 float64
+}
+
+// Bounds carries the service commitments computed for an established
+// connection.
+type Bounds = admission.Bounds
+
+// Connect establishes a connection: it runs the admission tests at
+// every server on the route and, if all pass, wires the session and
+// returns its service commitments. On rejection no state is left
+// behind at any server.
+func (s *System) Connect(req ConnectRequest) (*network.Session, *Bounds, error) {
+	if len(req.Route) == 0 {
+		return nil, nil, fmt.Errorf("lit: empty route")
+	}
+	areq, err := s.cfg.resolve(req)
+	if err != nil {
+		return nil, nil, err
+	}
+	s.nextID++
+	areq.Spec.ID = s.nextID
+
+	s.path = s.path[:0]
+	for _, srv := range req.Route {
+		s.path = append(s.path, admission.Link{Name: srv.Port.Name, Ctrl: srv.ctrl, C: srv.Capacity, Gamma: srv.Gamma})
+	}
+	b, err := admission.Establish(s.path, s.cfg.LMax, areq)
+	if err != nil {
+		return nil, nil, fmt.Errorf("lit: %w", err)
+	}
+
+	ports := make([]*network.Port, len(req.Route))
+	cfgs := make([]network.SessionPort, len(req.Route))
+	for i, srv := range req.Route {
+		ports[i] = srv.Port
+		cfgs[i] = network.SessionPort{D: b.Assignments[i].D, DMax: b.Assignments[i].DMax}
+	}
+	sess := s.Net.AddSession(areq.Spec.ID, req.Rate, req.JitterControl, ports, cfgs, req.Source)
+	return sess, b, nil
+}
+
+// Teardown releases a session's reservations at every server of its
+// route. The session must not be started (or must have finished
+// emitting); in-flight packets still drain.
+func (s *System) Teardown(sess *network.Session) {
+	for _, p := range sess.Route {
+		if srv := s.byPort[p]; srv != nil {
+			srv.ctrl.Remove(sess.ID)
+		}
+	}
+}
+
+// Disconnect fully removes an established session: it releases the
+// admission reservations along its route (like Teardown) and frees the
+// routing and scheduling state there. The session must be drained —
+// its source stopped and no packets of it left in the network; call it
+// a grace period (at least the delay bound) after the source's stop
+// time.
+func (s *System) Disconnect(sess *network.Session) {
+	s.Teardown(sess)
+	s.Net.RemoveSession(sess)
+}
+
+// Run starts every session with a source at time 0, lets sources emit
+// until the given duration, and processes events up to that time.
+func (s *System) Run(duration float64) {
+	for _, sess := range s.Net.Sessions() {
+		if !sess.Started() {
+			sess.Start(0, duration)
+		}
+	}
+	s.Sim.Run(duration)
+}

@@ -186,11 +186,16 @@ type (
 	Assignment = admission.Assignment
 	// AdmitOptions tunes an admission request (eps, per-packet rule).
 	AdmitOptions = admission.Options
+	// Controller is what guards one server, whichever procedure runs
+	// behind it: Admit, Remove, TotalRate.
+	Controller = admission.Controller
 	// Procedure1 implements admission control procedure 1.
 	Procedure1 = admission.Procedure1
-	// Procedure2 implements admission control procedure 2.
+	// Procedure2 implements admission control procedure 2 (on the same
+	// class-based controller as procedure 1).
 	Procedure2 = admission.Procedure2
-	// Procedure3 implements admission control procedure 3 (ineq. 19).
+	// Procedure3 implements admission control procedure 3 (ineq. 19);
+	// a session's fixed d travels in AdmitOptions.D.
 	Procedure3 = admission.Procedure3
 	// Hop is one node of a Route from the session's point of view.
 	Hop = admission.Hop

@@ -4,7 +4,8 @@ import "leaveintime/internal/signaling"
 
 // Connection signaling: SETUP/ACCEPT/REJECT/RELEASE exchanges played
 // out in simulated time over a path of admission-guarded nodes, as the
-// paper's connection-oriented substrate requires. Use it when
+// paper's connection-oriented substrate requires; a node's Admit field
+// takes any Controller (NewProcedure1/2/3) directly. Use it when
 // establishment latency and the race behavior of concurrent setups
 // matter; System.Connect is the zero-latency equivalent.
 type (
@@ -16,12 +17,6 @@ type (
 	SignalRequest = signaling.Request
 	// SignalResult is the outcome delivered to the source.
 	SignalResult = signaling.Result
-	// Admitter is the per-node admission interface the signaler drives.
-	Admitter = signaling.Admitter
-	// Proc1Admitter adapts Procedure1 to Admitter.
-	Proc1Admitter = signaling.Proc1Admitter
-	// Proc2Admitter adapts Procedure2 to Admitter.
-	Proc2Admitter = signaling.Proc2Admitter
 )
 
 // NewSignaler returns a signaler over the given path driven by sim.

@@ -1,364 +1,32 @@
 package lit
 
-import (
-	"fmt"
+import "leaveintime/internal/system"
 
-	"leaveintime/internal/metrics"
-	"leaveintime/internal/network"
+// The high-level builder. It is implemented in internal/system so that
+// the figure scenarios and the declarative runner are built on the same
+// establishment path as library users; the root only names it.
+type (
+	// SystemConfig parametrizes a System.
+	SystemConfig = system.Config
+	// System bundles a simulator, a network of Leave-in-Time servers,
+	// and per-server admission control into one object, so that
+	// assembling the paper's scenarios (or your own) takes a few lines.
+	// Lower-level control is always available through Sim and Net.
+	System = system.System
+	// Server is one Leave-in-Time server (a node's outgoing link)
+	// together with its admission controller.
+	Server = system.Server
+	// ConnectRequest describes a connection to establish.
+	ConnectRequest = system.ConnectRequest
+	// Bounds carries the service commitments computed for an
+	// established connection: the paper's eqs. 12-17, evaluated from
+	// the session's declaration alone (the isolation property — no
+	// other session enters these numbers).
+	Bounds = system.Bounds
 )
-
-// SystemConfig parametrizes a System.
-type SystemConfig struct {
-	// LMax is the network-wide maximum packet length in bits
-	// (required).
-	LMax float64
-	// Classes and Proc select the admission control procedure
-	// installed at every server: procedure Proc (1 or 2) with these
-	// delay classes. Leaving Classes nil installs procedure 1 with a
-	// single class covering the full link (the VirtualClock special
-	// case d = L/r).
-	Classes []Class
-	Proc    int
-	// Approximate selects the O(1) calendar-queue transmission queue
-	// in every Leave-in-Time server.
-	Approximate bool
-}
-
-// System bundles a simulator, a network of Leave-in-Time servers, and
-// per-server admission control into one object, so that assembling the
-// paper's scenarios (or your own) takes a few lines. Lower-level
-// control is always available through Sim and Net.
-type System struct {
-	Sim *Simulator
-	Net *Network
-	cfg SystemConfig
-
-	servers []*Server
-	nextID  int
-	metrics *metrics.Registry
-}
-
-// EnableMetrics attaches a run-telemetry registry to the system: the
-// event engine, the packet pool, every server port and scheduler, and
-// the admission controllers all count into it (see internal/metrics).
-// Enabling is idempotent and costs one nil-check branch per
-// instrumented site; it does not perturb event ordering, so an
-// instrumented run is bit-identical to a bare one. Call before Run;
-// read the counters afterwards with Metrics().Snapshot(now).
-func (s *System) EnableMetrics() *MetricsRegistry {
-	if s.metrics != nil {
-		return s.metrics
-	}
-	reg := metrics.NewRegistry()
-	s.metrics = reg
-	s.Net.EnableMetrics(reg)
-	for _, srv := range s.servers {
-		srv.attachMetrics(reg)
-	}
-	return reg
-}
-
-// Metrics returns the registry attached with EnableMetrics, or nil when
-// telemetry is disabled.
-func (s *System) Metrics() *MetricsRegistry { return s.metrics }
-
-func (srv *Server) attachMetrics(reg *metrics.Registry) {
-	if srv.ac1 != nil {
-		srv.ac1.SetMetrics(reg.Arena(), metrics.HAdmissionAC1)
-	}
-	if srv.ac2 != nil {
-		srv.ac2.SetMetrics(reg.Arena(), metrics.HAdmissionAC2)
-	}
-}
-
-// Server is one Leave-in-Time server (a node's outgoing link) together
-// with its admission controller.
-type Server struct {
-	Port *Port
-	// Capacity and Gamma echo the construction parameters.
-	Capacity, Gamma float64
-
-	ac1 *Procedure1
-	ac2 *Procedure2
-}
 
 // NewSystem returns an empty system. The configuration is validated
 // here rather than at first use: an invalid config (nonpositive LMax,
-// malformed classes, unknown procedure) is reported as an error so
-// callers can surface it instead of crashing mid-setup.
-func NewSystem(cfg SystemConfig) (*System, error) {
-	if cfg.LMax <= 0 {
-		return nil, fmt.Errorf("lit: SystemConfig.LMax must be positive, got %g", cfg.LMax)
-	}
-	switch cfg.Proc {
-	case 0, 1, 2:
-	default:
-		return nil, fmt.Errorf("lit: unsupported admission procedure %d", cfg.Proc)
-	}
-	sim := NewSimulator()
-	return &System{
-		Sim: sim,
-		Net: NewNetwork(sim, cfg.LMax),
-		cfg: cfg,
-	}, nil
-}
-
-// AddServer creates a Leave-in-Time server with an outgoing link of the
-// given capacity (bits/s) and propagation delay (seconds), guarded by
-// the system's admission procedure. It returns an error — leaving the
-// system unchanged — when the link parameters or the system's class
-// hierarchy are invalid for that capacity (the procedures require
-// R_P = C and positive sigma terms).
-func (s *System) AddServer(name string, capacity, gamma float64) (*Server, error) {
-	if capacity <= 0 {
-		return nil, fmt.Errorf("lit: server %s: capacity must be positive, got %g", name, capacity)
-	}
-	if gamma < 0 {
-		return nil, fmt.Errorf("lit: server %s: propagation delay must be nonnegative, got %g", name, gamma)
-	}
-	classes := s.cfg.Classes
-	proc := s.cfg.Proc
-	if classes == nil {
-		classes = []Class{{R: capacity, Sigma: 1}}
-		proc = 1
-	}
-	// Build the admission controller before touching the network so a
-	// rejected configuration leaves no port behind.
-	var (
-		ac1 *Procedure1
-		ac2 *Procedure2
-		err error
-	)
-	switch proc {
-	case 0, 1:
-		ac1, err = NewProcedure1(capacity, classes)
-	case 2:
-		ac2, err = NewProcedure2(capacity, classes)
-	default:
-		err = fmt.Errorf("unsupported admission procedure %d", proc)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("lit: server %s: %w", name, err)
-	}
-	disc := NewLeaveInTime(LeaveInTimeConfig{
-		Capacity:    capacity,
-		LMax:        s.cfg.LMax,
-		Approximate: s.cfg.Approximate,
-	})
-	srv := &Server{
-		Port:     s.Net.NewPort(name, capacity, gamma, disc),
-		Capacity: capacity,
-		Gamma:    gamma,
-		ac1:      ac1,
-		ac2:      ac2,
-	}
-	if s.metrics != nil {
-		srv.attachMetrics(s.metrics)
-	}
-	s.servers = append(s.servers, srv)
-	return srv, nil
-}
-
-// Servers returns the servers in creation order.
-func (s *System) Servers() []*Server { return s.servers }
-
-// ConnectRequest describes a connection to establish.
-type ConnectRequest struct {
-	// Rate is the reserved rate r_s in bits/s (required).
-	Rate float64
-	// Route is the ordered list of servers the session traverses
-	// (required, non-empty).
-	Route []*Server
-	// Source generates the session's packets; nil sessions are driven
-	// manually with Session.InjectAt.
-	Source Source
-	// JitterControl assigns the session a delay regulator at every
-	// node.
-	JitterControl bool
-	// Class is the delay class (1-based) when the system has classes;
-	// 0 means class 1.
-	Class int
-	// LMax and LMin bound the session's packet lengths in bits; zero
-	// defaults to the network LMax.
-	LMax, LMin float64
-	// Eps is the nonnegative constant added to d (rules 1.3/2.3).
-	Eps float64
-	// FixedD selects rule 1.3a/2.3a (one d for all packets) instead of
-	// the per-packet-length rule.
-	FixedD bool
-	// B0 optionally declares that the source conforms to a token
-	// bucket (Rate, B0 bits); when set, Bounds.DelayBound and related
-	// fields are computed with D_ref_max = B0/Rate (eq. 14).
-	B0 float64
-}
-
-// Bounds carries the service commitments computed for an established
-// connection: the paper's eqs. 12-17, evaluated from the session's
-// declaration alone (the isolation property — no other session enters
-// these numbers).
-type Bounds struct {
-	// Route is the bound calculator itself, for custom queries.
-	Route Route
-	// Beta is the eq. 13 constant.
-	Beta float64
-	// Alpha is the final-node alpha term.
-	Alpha float64
-	// DRefMax is the reference-server delay bound used (B0/Rate when a
-	// token bucket was declared; otherwise NaN and the delay bounds
-	// below are conditional on the session's own behavior).
-	DRefMax float64
-	// DelayBound is eq. 12's end-to-end delay bound (valid when
-	// DRefMax is finite).
-	DelayBound float64
-	// JitterBound is ineq. 17 (jitter control) or its no-control
-	// counterpart, matching the session's mode.
-	JitterBound float64
-	// BufferBoundBits[n] bounds the session's buffer use at route node
-	// n (0-based), in bits.
-	BufferBoundBits []float64
-	// Assignments are the per-node d_{i,s} grants.
-	Assignments []Assignment
-}
-
-// Connect establishes a connection: it runs the admission tests at
-// every server on the route and, if all pass, wires the session and
-// returns its service commitments. On rejection no state is left
-// behind at any server.
-func (s *System) Connect(req ConnectRequest) (*Session, *Bounds, error) {
-	if len(req.Route) == 0 {
-		return nil, nil, fmt.Errorf("lit: empty route")
-	}
-	if req.Rate <= 0 {
-		return nil, nil, fmt.Errorf("lit: rate must be positive")
-	}
-	lMax := req.LMax
-	if lMax == 0 {
-		lMax = s.cfg.LMax
-	}
-	lMin := req.LMin
-	if lMin == 0 {
-		lMin = lMax
-	}
-	if lMax > s.cfg.LMax {
-		return nil, nil, fmt.Errorf("lit: session LMax %g exceeds network LMax %g", lMax, s.cfg.LMax)
-	}
-	class := req.Class
-	if class == 0 {
-		class = 1
-	}
-	s.nextID++
-	id := s.nextID
-	spec := SessionSpec{ID: id, Rate: req.Rate, LMax: lMax, LMin: lMin}
-	opts := AdmitOptions{Eps: req.Eps, PerPacket: !req.FixedD}
-
-	assigns := make([]Assignment, 0, len(req.Route))
-	admittedAt := make([]*Server, 0, len(req.Route))
-	rollback := func() {
-		for _, srv := range admittedAt {
-			srv.remove(id)
-		}
-	}
-	for _, srv := range req.Route {
-		a, err := srv.admit(spec, class, opts)
-		if err != nil {
-			rollback()
-			return nil, nil, fmt.Errorf("lit: admission failed at %s: %w", srv.Port.Name, err)
-		}
-		assigns = append(assigns, a)
-		admittedAt = append(admittedAt, srv)
-	}
-
-	ports := make([]*Port, len(req.Route))
-	cfgs := make([]network.SessionPort, len(req.Route))
-	for i, srv := range req.Route {
-		ports[i] = srv.Port
-		cfgs[i] = network.SessionPort{D: assigns[i].D, DMax: assigns[i].DMax}
-	}
-	sess := s.Net.AddSession(id, req.Rate, req.JitterControl, ports, cfgs, req.Source)
-
-	b := s.bounds(req, spec, assigns)
-	return sess, b, nil
-}
-
-func (s *System) bounds(req ConnectRequest, spec SessionSpec, assigns []Assignment) *Bounds {
-	hops := make([]Hop, len(req.Route))
-	for i, srv := range req.Route {
-		hops[i] = Hop{C: srv.Capacity, Gamma: srv.Gamma, DMax: assigns[i].DMax}
-	}
-	route := Route{
-		Hops:  hops,
-		LMax:  s.cfg.LMax,
-		Alpha: assigns[len(assigns)-1].Alpha(spec),
-	}
-	b := &Bounds{
-		Route:       route,
-		Beta:        route.Beta(),
-		Alpha:       route.Alpha,
-		Assignments: assigns,
-	}
-	if req.B0 > 0 {
-		b.DRefMax = req.B0 / req.Rate
-		b.DelayBound = route.DelayBound(b.DRefMax)
-		if req.JitterControl {
-			b.JitterBound = route.JitterBoundControl(b.DRefMax, spec.LMin)
-		} else {
-			b.JitterBound = route.JitterBoundNoControl(b.DRefMax, spec.LMin)
-		}
-		for n := 1; n <= len(hops); n++ {
-			var q float64
-			if req.JitterControl {
-				q = route.BufferBoundControl(req.Rate, b.DRefMax, spec.LMin, n)
-			} else {
-				q = route.BufferBoundNoControl(req.Rate, b.DRefMax, spec.LMin, n)
-			}
-			b.BufferBoundBits = append(b.BufferBoundBits, q)
-		}
-	}
-	return b
-}
-
-func (srv *Server) admit(spec SessionSpec, class int, opts AdmitOptions) (Assignment, error) {
-	if srv.ac1 != nil {
-		return srv.ac1.Admit(spec, class, opts)
-	}
-	return srv.ac2.Admit(spec, class, opts)
-}
-
-func (srv *Server) remove(id int) {
-	if srv.ac1 != nil {
-		srv.ac1.Remove(id)
-		return
-	}
-	srv.ac2.Remove(id)
-}
-
-// Teardown releases a session's reservations at every server of its
-// route. The session must not be started (or must have finished
-// emitting); in-flight packets still drain.
-func (s *System) Teardown(sess *Session) {
-	for _, srv := range s.servers {
-		srv.remove(sess.ID)
-	}
-}
-
-// Disconnect fully removes an established session: it releases the
-// admission reservations at every server (like Teardown) and frees the
-// routing and scheduling state along the route. The session must be
-// drained — its source stopped and no packets of it left in the
-// network; call it a grace period (at least the delay bound) after the
-// source's stop time.
-func (s *System) Disconnect(sess *Session) {
-	s.Teardown(sess)
-	s.Net.RemoveSession(sess)
-}
-
-// Run starts every session with a source at time 0, lets sources emit
-// until the given duration, and processes events up to that time.
-func (s *System) Run(duration float64) {
-	for _, sess := range s.Net.Sessions() {
-		if !sess.Started() {
-			sess.Start(0, duration)
-		}
-	}
-	s.Sim.Run(duration)
-}
+// unknown procedure) is reported as an error so callers can surface it
+// instead of crashing mid-setup.
+func NewSystem(cfg SystemConfig) (*System, error) { return system.New(cfg) }
