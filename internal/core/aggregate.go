@@ -3,9 +3,9 @@ package core
 import (
 	"fmt"
 
-	"leaveintime/internal/metrics"
 	"leaveintime/internal/network"
 	"leaveintime/internal/packet"
+	"leaveintime/internal/pq"
 	"leaveintime/internal/sesstab"
 )
 
@@ -43,16 +43,11 @@ type Aggregate struct {
 	// rate (for R_c maintenance) and jitter mode.
 	members sesstab.Table[aggMember]
 	classes []aggClass
-	// regulator holds not-yet-eligible packets of jitter-controlled
-	// members, keyed by eligibility time; ready holds eligible packets
-	// keyed by deadline (exact heap — the calendar approximation is a
-	// per-port choice orthogonal to aggregation).
-	regulator *binHeap
-	ready     *binHeap
-	stamp     uint64
-
-	ma *metrics.Arena
-	mb metrics.Handle
+	// queues is the regulator and the transmission queue (always the
+	// exact heap — the calendar approximation is a per-port choice
+	// orthogonal to aggregation), with Dequeue, NextEligible, Len and
+	// SetMetrics as for the per-session server.
+	queues
 }
 
 // AggConfig parametrizes one aggregated Leave-in-Time server.
@@ -91,16 +86,11 @@ func NewAggregate(cfg AggConfig) *Aggregate {
 		panic("core: AggConfig requires Classes and ClassOf")
 	}
 	return &Aggregate{
-		cfg:       cfg,
-		classes:   make([]aggClass, cfg.Classes),
-		regulator: newBinHeap(),
-		ready:     newBinHeap(),
+		cfg:     cfg,
+		classes: make([]aggClass, cfg.Classes),
+		queues:  newQueues(cfg.Capacity, cfg.LMax, &pq.Heap{}),
 	}
 }
-
-// SetMetrics attaches the scheduler's telemetry counters (regulator
-// holds and deadline misses, as for the per-session server).
-func (a *Aggregate) SetMetrics(ar *metrics.Arena, base metrics.Handle) { a.ma, a.mb = ar, base }
 
 // AddSession implements network.Discipline: the session joins its
 // class, growing R_c by its rate and (at most) raising d_c to its
@@ -153,69 +143,21 @@ func (a *Aggregate) Enqueue(p *packet.Packet, now float64) {
 	p.DelayMax = c.dMax
 	c.kPrev = base + p.Length/c.rate
 
-	a.stamp++
-	en := entry{p: p, stamp: a.stamp}
-	if e > now {
-		if a.ma != nil {
-			a.ma.Inc(a.mb + metrics.SchedRegulated)
-			a.ma.AddFloat(a.mb+metrics.SchedEligibilityWait, e-now)
-		}
-		en.key = e
-		a.regulator.push(en)
-	} else {
-		en.key = p.Deadline
-		a.ready.push(en)
-	}
-}
-
-// Dequeue implements network.Discipline.
-func (a *Aggregate) Dequeue(now float64) (*packet.Packet, bool) {
-	a.release(now)
-	en, ok := a.ready.popMin()
-	if !ok {
-		return nil, false
-	}
-	return en.p, true
-}
-
-// NextEligible implements network.Discipline.
-func (a *Aggregate) NextEligible(now float64) (float64, bool) {
-	a.release(now)
-	if a.ready.len() > 0 {
-		return now, true
-	}
-	return a.regulator.peekMin()
-}
-
-func (a *Aggregate) release(now float64) {
-	for {
-		k, ok := a.regulator.peekMin()
-		if !ok || k > now {
-			return
-		}
-		en, _ := a.regulator.popMin()
-		en.key = en.p.Deadline
-		a.ready.push(en)
-	}
+	a.place(p, e, now)
 }
 
 // OnTransmit implements network.Discipline: eq. 9 with the class
 // guarantee. Every member packet is charged d_c, so the d_max - d_i
 // term vanishes within a class.
 func (a *Aggregate) OnTransmit(p *packet.Packet, finish float64) {
-	if a.ma != nil && finish > p.Deadline+a.cfg.LMax/a.cfg.Capacity+deadlineSlack {
-		a.ma.Inc(a.mb + metrics.SchedDeadlineMisses)
-	}
+	hold := a.slack(p, finish)
 	m := a.members.Get(p.Session)
 	if m == nil || !m.jitter {
 		p.Hold = 0
 		return
 	}
-	p.Hold = p.Deadline + a.cfg.LMax/a.cfg.Capacity - finish
+	p.Hold = hold
 }
-
-// Len implements network.Discipline.
-func (a *Aggregate) Len() int { return a.ready.len() + a.regulator.len() }
 
 // HasSession implements network.SessionChecker.
 func (a *Aggregate) HasSession(id int) bool { return a.members.Get(id) != nil }
@@ -242,11 +184,9 @@ func (a *Aggregate) RemoveSession(id int) {
 }
 
 // PurgeSession implements network.SessionPurger: the member's queued
-// packets — regulated and eligible — are evicted in priority order and
-// its class membership released. Surviving entries keep their keys and
-// stamps, so the service order of every other session is untouched.
+// packets — regulated and eligible — are evicted and its class
+// membership released.
 func (a *Aggregate) PurgeSession(id int, drop func(*packet.Packet)) {
-	purgePQ(a.regulator, id, drop)
-	purgePQ(a.ready, id, drop)
+	a.purge(id, drop)
 	a.RemoveSession(id)
 }

@@ -6,6 +6,7 @@ import (
 
 	"leaveintime/internal/network"
 	"leaveintime/internal/packet"
+	"leaveintime/internal/pq"
 )
 
 // FuzzCalendarQueueOrdering drives the exact heap and the calendar
@@ -24,40 +25,40 @@ func FuzzCalendarQueueOrdering(f *testing.F) {
 		base := 0.0
 		for i := 0; i+1 < len(data); i += 2 {
 			op, val := data[i], data[i+1]
-			if op%3 != 0 || cq.len() == 0 {
+			if op%3 != 0 || cq.Len() == 0 {
 				// Push: keys drift upward with bounded jitter like
 				// deadlines do.
 				base += float64(op%7) * 0.05
 				k := base + float64(val)/64
-				cq.push(entry{key: k, stamp: stamp})
+				cq.Push(pq.Entry{Key: k, Stamp: stamp})
 				live[stamp] = k
 				stamp++
 				continue
 			}
-			e, ok := cq.popMin()
+			e, ok := cq.PopMin()
 			if !ok {
 				t.Fatal("popMin failed with nonzero len")
 			}
-			if _, known := live[e.stamp]; !known {
+			if _, known := live[e.Stamp]; !known {
 				t.Fatal("popped unknown entry")
 			}
-			delete(live, e.stamp)
+			delete(live, e.Stamp)
 			for _, k := range live {
-				if k < e.key-width-1e-9 {
-					t.Fatalf("emulation error exceeded: popped %v with %v still queued", e.key, k)
+				if k < e.Key-width-1e-9 {
+					t.Fatalf("emulation error exceeded: popped %v with %v still queued", e.Key, k)
 				}
 			}
 		}
-		if cq.len() != len(live) {
-			t.Fatalf("len = %d, want %d", cq.len(), len(live))
+		if cq.Len() != len(live) {
+			t.Fatalf("len = %d, want %d", cq.Len(), len(live))
 		}
 		// Drain fully; everything must come out.
 		for range live {
-			if _, ok := cq.popMin(); !ok {
+			if _, ok := cq.PopMin(); !ok {
 				t.Fatal("drain failed")
 			}
 		}
-		if _, ok := cq.popMin(); ok {
+		if _, ok := cq.PopMin(); ok {
 			t.Fatal("empty queue popped")
 		}
 	})

@@ -23,9 +23,9 @@ package core
 import (
 	"fmt"
 
-	"leaveintime/internal/metrics"
 	"leaveintime/internal/network"
 	"leaveintime/internal/packet"
+	"leaveintime/internal/pq"
 	"leaveintime/internal/sesstab"
 )
 
@@ -39,44 +39,21 @@ type Config struct {
 	LMax float64
 	// Approximate selects the O(1) calendar-queue approximation of the
 	// sorted transmission queue instead of an exact heap. The emulation
-	// error is bounded by ApproxBinWidth.
+	// error is bounded by the calendar bin width, LMax/Capacity: one
+	// maximum-length transmission time, the error the paper's Section 4
+	// argument allows.
 	Approximate bool
-	// ApproxBinWidth is the calendar bin width in seconds of deadline;
-	// zero defaults to LMax/Capacity (one maximum-length transmission
-	// time).
-	ApproxBinWidth float64
-	// ApproxBuckets presizes the calendar's bucket table; zero picks a
-	// default.
-	ApproxBuckets int
 }
 
 // LiT is a Leave-in-Time server: the scheduler attached to one port.
-// It implements network.Discipline.
+// It implements network.Discipline; the queueing half (Dequeue,
+// NextEligible, Len, SetMetrics) is the embedded queues.
 type LiT struct {
-	cfg Config
 	// sessions is a dense ID-indexed table; the per-packet lookup in
 	// Enqueue is a bounds check and an indexed load, not a map probe.
 	sessions sesstab.Table[sessionState]
-	// regulator holds not-yet-eligible packets of jitter-controlled
-	// sessions, keyed by eligibility time.
-	regulator *binHeap
-	// ready holds eligible packets keyed by transmission deadline.
-	ready pqueue
-	stamp uint64
-
-	// ma/mb, when attached, receive scheduler counters (regulator holds,
-	// deadline misses) at the port's Sched* slots; wired by
-	// Network.EnableMetrics.
-	ma *metrics.Arena
-	mb metrics.Handle
+	queues
 }
-
-// SetMetrics attaches the scheduler's telemetry counters — regulator
-// holds with their accumulated eligibility wait, and deadline misses
-// (transmissions finishing after F + L_MAX/C, the service guarantee
-// behind eq. 9's nonnegative holding time, Theorem 1) — as arena slots
-// at the port's counter block.
-func (l *LiT) SetMetrics(a *metrics.Arena, base metrics.Handle) { l.ma, l.mb = a, base }
 
 type sessionState struct {
 	cfg     network.SessionPort
@@ -96,24 +73,16 @@ func New(cfg Config) *LiT {
 	}
 	var ready pqueue
 	if cfg.Approximate {
-		w := cfg.ApproxBinWidth
-		if w <= 0 {
-			w = cfg.LMax / cfg.Capacity
-		}
-		nb := cfg.ApproxBuckets
-		if nb <= 0 {
-			nb = 256
-		}
-		ready = newCalendarQueue(w, nb)
+		ready = newCalendarQueue(cfg.LMax/cfg.Capacity, calendarBuckets)
 	} else {
-		ready = newBinHeap()
+		ready = &pq.Heap{}
 	}
-	return &LiT{
-		cfg:       cfg,
-		regulator: newBinHeap(),
-		ready:     ready,
-	}
+	return &LiT{queues: newQueues(cfg.Capacity, cfg.LMax, ready)}
 }
+
+// calendarBuckets is the initial ring size of a port's calendar queue;
+// the ring resizes itself with occupancy from there.
+const calendarBuckets = 256
 
 // AddSession implements network.Discipline.
 func (l *LiT) AddSession(cfg network.SessionPort) {
@@ -157,40 +126,7 @@ func (l *LiT) Enqueue(p *packet.Packet, now float64) {
 	p.DelayMax = s.dMax()
 	s.kPrev = base + p.Length/s.cfg.Rate
 
-	l.stamp++
-	en := entry{p: p, stamp: l.stamp}
-	if e > now {
-		if l.ma != nil {
-			l.ma.Inc(l.mb + metrics.SchedRegulated)
-			l.ma.AddFloat(l.mb+metrics.SchedEligibilityWait, e-now)
-		}
-		en.key = e
-		l.regulator.push(en)
-	} else {
-		en.key = p.Deadline
-		l.ready.push(en)
-	}
-}
-
-// Dequeue implements network.Discipline: it releases regulated packets
-// whose eligibility times have passed and pops the eligible packet with
-// the smallest transmission deadline.
-func (l *LiT) Dequeue(now float64) (*packet.Packet, bool) {
-	l.release(now)
-	en, ok := l.ready.popMin()
-	if !ok {
-		return nil, false
-	}
-	return en.p, true
-}
-
-// NextEligible implements network.Discipline.
-func (l *LiT) NextEligible(now float64) (float64, bool) {
-	l.release(now)
-	if l.ready.len() > 0 {
-		return now, true
-	}
-	return l.regulator.peekMin()
+	l.place(p, e, now)
 }
 
 // OnTransmit implements network.Discipline: for jitter-controlled
@@ -203,24 +139,14 @@ func (l *LiT) NextEligible(now float64) (float64, bool) {
 // nonnegative when the server is not saturated; the port clamps and
 // counts violations.
 func (l *LiT) OnTransmit(p *packet.Packet, finish float64) {
-	if l.ma != nil && finish > p.Deadline+l.cfg.LMax/l.cfg.Capacity+deadlineSlack {
-		l.ma.Inc(l.mb + metrics.SchedDeadlineMisses)
-	}
+	a := l.slack(p, finish)
 	s := l.sessions.Get(p.Session)
 	if s == nil || !s.cfg.JitterControl {
 		p.Hold = 0
 		return
 	}
-	p.Hold = p.Deadline + l.cfg.LMax/l.cfg.Capacity - finish + p.DelayMax - p.Delay
+	p.Hold = a + p.DelayMax - p.Delay
 }
-
-// deadlineSlack absorbs floating-point crumbs in the deadline-miss
-// comparison so a transmission finishing exactly at the guarantee is
-// not miscounted.
-const deadlineSlack = 1e-9
-
-// Len implements network.Discipline.
-func (l *LiT) Len() int { return l.ready.len() + l.regulator.len() }
 
 // RemoveSession implements network.SessionRemover: it frees the
 // session's scheduling state at teardown. Any still-in-flight packet
@@ -233,50 +159,10 @@ func (l *LiT) HasSession(id int) bool { return l.sessions.Get(id) != nil }
 
 // PurgeSession implements network.SessionPurger: a mid-run teardown
 // that evicts the session's queued packets — regulated and eligible —
-// handing each to drop, then frees the session state. Both queues are
-// drained in priority order and surviving entries re-pushed with their
-// original stamps, so the service order of every other session is
-// untouched (pop order is a pure function of (key, stamp)).
+// handing each to drop, then frees the session state.
 func (l *LiT) PurgeSession(id int, drop func(*packet.Packet)) {
-	purgePQ(l.regulator, id, drop)
-	purgePQ(l.ready, id, drop)
+	l.purge(id, drop)
 	l.sessions.Delete(id)
-}
-
-// purgePQ drains q, dropping the purged session's packets (in priority
-// order) and re-pushing the rest. Entries keep their keys and stamps;
-// for the calendar queue the drain/re-push round trip also preserves
-// FIFO order within a day.
-func purgePQ(q pqueue, id int, drop func(*packet.Packet)) {
-	var keep []entry
-	for {
-		e, ok := q.popMin()
-		if !ok {
-			break
-		}
-		if e.p.Session == id {
-			drop(e.p)
-		} else {
-			keep = append(keep, e)
-		}
-	}
-	for _, e := range keep {
-		q.push(e)
-	}
-}
-
-// release migrates regulated packets whose eligibility time has been
-// reached into the transmission queue.
-func (l *LiT) release(now float64) {
-	for {
-		k, ok := l.regulator.peekMin()
-		if !ok || k > now {
-			return
-		}
-		en, _ := l.regulator.popMin()
-		en.key = en.p.Deadline
-		l.ready.push(en)
-	}
 }
 
 func (s *sessionState) delay(length float64) float64 {

@@ -4,106 +4,16 @@ import (
 	"math"
 	"math/bits"
 
-	"leaveintime/internal/packet"
+	"leaveintime/internal/pq"
 )
 
-// entry is a queued packet with its priority key and an arrival stamp
-// for deterministic tie-breaking.
-type entry struct {
-	p     *packet.Packet
-	key   float64
-	stamp uint64
-}
-
-// pqueue is the priority-queue contract shared by the exact heap and
-// the approximate calendar queue. Keys are transmission deadlines (or
-// eligibility times in the regulator).
+// pqueue is the contract of the sorted transmission queue. It exists
+// because the queue has two real implementations a port chooses between
+// (Config.Approximate): the exact pq.Heap and the approximate
+// calendarQueue. Keys are transmission deadlines.
 type pqueue interface {
-	push(e entry)
-	// popMin removes and returns the minimum-key entry; ok is false
-	// when empty.
-	popMin() (entry, bool)
-	// peekMin returns the minimum key without removing it.
-	peekMin() (float64, bool)
-	len() int
-}
-
-// binHeap is an exact 4-ary min-heap keyed by (key, stamp). It is
-// hand-rolled rather than built on container/heap: the interface-based
-// heap boxes every entry into an `any` on push and pop, which costs one
-// heap allocation per packet on the scheduling hot path.
-type binHeap struct{ h []entry }
-
-func newBinHeap() *binHeap { return &binHeap{} }
-
-func (b *binHeap) len() int { return len(b.h) }
-
-func entryLess(a, b entry) bool {
-	if a.key != b.key {
-		return a.key < b.key
-	}
-	return a.stamp < b.stamp
-}
-
-func (b *binHeap) push(e entry) {
-	b.h = append(b.h, e)
-	h := b.h
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) >> 2
-		if !entryLess(e, h[p]) {
-			break
-		}
-		h[i] = h[p]
-		i = p
-	}
-	h[i] = e
-}
-
-func (b *binHeap) popMin() (entry, bool) {
-	h := b.h
-	n := len(h)
-	if n == 0 {
-		return entry{}, false
-	}
-	min := h[0]
-	e := h[n-1]
-	h[n-1] = entry{} // release the packet reference
-	h = h[:n-1]
-	b.h = h
-	if n := len(h); n > 0 {
-		i := 0
-		for {
-			c := i<<2 + 1
-			if c >= n {
-				break
-			}
-			m := c
-			end := c + 4
-			if end > n {
-				end = n
-			}
-			for j := c + 1; j < end; j++ {
-				if entryLess(h[j], h[m]) {
-					m = j
-				}
-			}
-			if !entryLess(h[m], e) {
-				break
-			}
-			h[i] = h[m]
-			i = m
-		}
-		h[i] = e
-	}
-	return min, true
-}
-
-func (b *binHeap) peekMin() (float64, bool) {
-	if len(b.h) == 0 {
-		return 0, false
-	}
-	return b.h[0].key, true
+	pq.Queue
+	Len() int
 }
 
 // calendarQueue is the approximate sorted priority queue the paper
@@ -148,15 +58,11 @@ func (b *binHeap) peekMin() (float64, bool) {
 // contiguous in list order in exactly one source bin, so walking source
 // bins in slot order and re-appending keeps FIFO-within-day intact.
 //
-// Width is fixed at construction by default (LiT passes LMax/C: one
-// maximum-size transmission time of emulation error, the bound the
-// paper's argument needs). A width of 0 requests auto mode: the queue
-// starts at 1s and re-estimates the width from the average inter-pop
-// key gap at each resize, the classic Brown rule for workloads with no
-// natural width.
+// Width is fixed at construction (LiT passes LMax/C: one maximum-size
+// transmission time of emulation error, the bound the paper's argument
+// needs).
 type calendarQueue struct {
-	width     float64
-	autoWidth bool
+	width float64
 
 	head  []int32  // per-bin first node, -1 when empty
 	tail  []int32  // per-bin last node, -1 when empty
@@ -167,18 +73,12 @@ type calendarQueue struct {
 	mask    int64 // len(head)-1; len is a power of two
 	count   int
 	lastDay int64 // <= the day of every queued entry
-
-	// Inter-pop gap sampling for auto-width re-estimation.
-	lastPop  float64
-	havePop  bool
-	gapSum   float64
-	gapCount int
 }
 
 // calNode is one queued entry in the arena: the entry, its day
 // (computed once at push time), and the intrusive FIFO link.
 type calNode struct {
-	entry
+	pq.Entry
 	day  int64
 	next int32
 }
@@ -186,22 +86,11 @@ type calNode struct {
 // minCalendarBins is the smallest ring size and the shrink floor.
 const minCalendarBins = 16
 
-// autoWidthMinSamples is how many inter-pop gaps auto mode needs before
-// it trusts the average enough to re-estimate the bin width.
-const autoWidthMinSamples = 8
-
 // newCalendarQueue builds a calendar queue with the given bin width
 // (seconds of deadline). A natural width for a port of capacity C is
-// LMax/C: one maximum-size transmission time of emulation error. A
-// width of 0 selects auto mode (width re-estimated from observed
-// inter-pop gaps at each resize). hintBuckets sizes the initial ring
-// (0 for the default).
+// LMax/C: one maximum-size transmission time of emulation error.
+// hintBuckets sizes the initial ring (0 for the default).
 func newCalendarQueue(width float64, hintBuckets int) *calendarQueue {
-	auto := false
-	if width == 0 {
-		auto = true
-		width = 1
-	}
 	if !(width > 0) || math.IsInf(width, 0) {
 		panic("core: calendar queue needs positive finite width")
 	}
@@ -212,7 +101,7 @@ func newCalendarQueue(width float64, hintBuckets int) *calendarQueue {
 	for nb < hintBuckets {
 		nb *= 2
 	}
-	c := &calendarQueue{width: width, autoWidth: auto, free: -1}
+	c := &calendarQueue{width: width, free: -1}
 	c.setBins(nb)
 	return c
 }
@@ -261,7 +150,7 @@ func (c *calendarQueue) allocNode() int32 {
 
 func (c *calendarQueue) freeNode(idx int32) {
 	n := &c.nodes[idx]
-	n.p = nil // release the packet reference; push overwrites the rest
+	n.P = nil // release the packet reference; push overwrites the rest
 	n.next = c.free
 	c.free = idx
 }
@@ -280,14 +169,14 @@ func (c *calendarQueue) appendNode(idx int32) {
 	c.tail[s] = idx
 }
 
-func (c *calendarQueue) push(e entry) {
-	day := c.dayOf(e.key)
+func (c *calendarQueue) Push(e pq.Entry) {
+	day := c.dayOf(e.Key)
 	if c.count == 0 || day < c.lastDay {
 		c.lastDay = day
 	}
 	idx := c.allocNode()
 	n := &c.nodes[idx]
-	n.entry = e
+	n.Entry = e
 	n.day = day
 	c.appendNode(idx)
 	c.count++
@@ -296,13 +185,13 @@ func (c *calendarQueue) push(e entry) {
 	}
 }
 
-func (c *calendarQueue) popMin() (entry, bool) {
+func (c *calendarQueue) PopMin() (pq.Entry, bool) {
 	idx, prev, day, ok := c.search()
 	if !ok {
-		return entry{}, false
+		return pq.Entry{}, false
 	}
 	n := &c.nodes[idx]
-	e := n.entry
+	e := n.Entry
 	// Unlink from the bin's FIFO list.
 	s := c.slot(day)
 	if prev >= 0 {
@@ -319,27 +208,10 @@ func (c *calendarQueue) popMin() (entry, bool) {
 	c.freeNode(idx)
 	c.lastDay = day
 	c.count--
-	if c.autoWidth {
-		if c.havePop {
-			if gap := e.key - c.lastPop; gap > 0 {
-				c.gapSum += gap
-				c.gapCount++
-			}
-		}
-		c.lastPop, c.havePop = e.key, true
-	}
 	if nb := len(c.head); nb > minCalendarBins && c.count < nb/8 {
 		c.rebuild(nb / 2)
 	}
 	return e, true
-}
-
-func (c *calendarQueue) peekMin() (float64, bool) {
-	idx, _, _, ok := c.search()
-	if !ok {
-		return 0, false
-	}
-	return c.nodes[idx].key, true
 }
 
 // search locates the next entry to serve: the first-pushed entry of the
@@ -407,27 +279,16 @@ func (c *calendarQueue) search() (idx, prev int32, day int64, ok bool) {
 	panic("core: calendar queue lost an entry")
 }
 
-// rebuild redistributes all entries into a ring of nb bins (and, in
-// auto mode, re-estimates the bin width from sampled inter-pop gaps).
-// Entries of one day are contiguous in list order in exactly one source
-// bin, so walking source bins in slot order and re-appending preserves
-// the FIFO-within-day service order — pop results are identical across
-// resizes at fixed width.
+// rebuild redistributes all entries into a ring of nb bins. Entries of
+// one day are contiguous in list order in exactly one source bin, so
+// walking source bins in slot order and re-appending preserves the
+// FIFO-within-day service order — pop results are identical across
+// resizes.
 func (c *calendarQueue) rebuild(nb int) {
 	if nb < minCalendarBins {
 		nb = minCalendarBins
 	}
-	reday := false
-	if c.autoWidth && c.gapCount >= autoWidthMinSamples {
-		// Brown's rule: width ~ 3x the average inter-event gap keeps
-		// most days at O(1) occupancy.
-		if w := 3 * c.gapSum / float64(c.gapCount); w > 0 && !math.IsInf(w, 0) && w != c.width {
-			c.width = w
-			reday = true
-		}
-		c.gapSum, c.gapCount = 0, 0
-	}
-	if nb == len(c.head) && !reday {
+	if nb == len(c.head) {
 		return
 	}
 	oldHead := c.head
@@ -437,9 +298,6 @@ func (c *calendarQueue) rebuild(nb int) {
 		for idx := oldHead[s]; idx >= 0; {
 			n := &c.nodes[idx]
 			next := n.next
-			if reday {
-				n.day = c.dayOf(n.key)
-			}
 			if n.day < minDay {
 				minDay = n.day
 			}
@@ -452,4 +310,4 @@ func (c *calendarQueue) rebuild(nb int) {
 	}
 }
 
-func (c *calendarQueue) len() int { return c.count }
+func (c *calendarQueue) Len() int { return c.count }

@@ -7,25 +7,26 @@ import (
 	"testing/quick"
 
 	"leaveintime/internal/packet"
+	"leaveintime/internal/pq"
 	"leaveintime/internal/rng"
 )
 
 func TestBinHeapOrdering(t *testing.T) {
-	h := newBinHeap()
+	h := &pq.Heap{}
 	keys := []float64{5, 1, 3, 3, 2}
 	for i, k := range keys {
-		h.push(entry{key: k, stamp: uint64(i)})
+		h.Push(pq.Entry{Key: k, Stamp: uint64(i)})
 	}
-	if h.len() != 5 {
-		t.Fatalf("len = %d", h.len())
+	if h.Len() != 5 {
+		t.Fatalf("len = %d", h.Len())
 	}
 	var got []float64
 	for {
-		e, ok := h.popMin()
+		e, ok := h.PopMin()
 		if !ok {
 			break
 		}
-		got = append(got, e.key)
+		got = append(got, e.Key)
 	}
 	if !sort.Float64sAreSorted(got) {
 		t.Fatalf("pop order %v", got)
@@ -33,14 +34,14 @@ func TestBinHeapOrdering(t *testing.T) {
 }
 
 func TestBinHeapTieStability(t *testing.T) {
-	h := newBinHeap()
+	h := &pq.Heap{}
 	for i := 0; i < 10; i++ {
-		h.push(entry{key: 1, stamp: uint64(i)})
+		h.Push(pq.Entry{Key: 1, Stamp: uint64(i)})
 	}
 	for i := 0; i < 10; i++ {
-		e, _ := h.popMin()
-		if e.stamp != uint64(i) {
-			t.Fatalf("tie order broken: stamp %d at position %d", e.stamp, i)
+		e, _ := h.PopMin()
+		if e.Stamp != uint64(i) {
+			t.Fatalf("tie order broken: stamp %d at position %d", e.Stamp, i)
 		}
 	}
 }
@@ -50,15 +51,15 @@ func TestCalendarQueueExactWithinBins(t *testing.T) {
 	c := newCalendarQueue(1, 16)
 	keys := []float64{7, 2, 9, 4, 0.5}
 	for i, k := range keys {
-		c.push(entry{key: k, stamp: uint64(i)})
+		c.Push(pq.Entry{Key: k, Stamp: uint64(i)})
 	}
 	var got []float64
 	for {
-		e, ok := c.popMin()
+		e, ok := c.PopMin()
 		if !ok {
 			break
 		}
-		got = append(got, e.key)
+		got = append(got, e.Key)
 	}
 	if !sort.Float64sAreSorted(got) {
 		t.Fatalf("pop order %v", got)
@@ -70,18 +71,18 @@ func TestCalendarQueueOverflow(t *testing.T) {
 	// Keys far beyond one rotation land in the overflow heap and must
 	// still come out in order.
 	for i, k := range []float64{0, 100, 3, 50, 1} {
-		c.push(entry{key: k, stamp: uint64(i)})
+		c.Push(pq.Entry{Key: k, Stamp: uint64(i)})
 	}
-	if c.len() != 5 {
-		t.Fatalf("len = %d", c.len())
+	if c.Len() != 5 {
+		t.Fatalf("len = %d", c.Len())
 	}
 	var got []float64
 	for {
-		e, ok := c.popMin()
+		e, ok := c.PopMin()
 		if !ok {
 			break
 		}
-		got = append(got, e.key)
+		got = append(got, e.Key)
 	}
 	if !sort.Float64sAreSorted(got) {
 		t.Fatalf("pop order with overflow: %v", got)
@@ -101,32 +102,32 @@ func TestCalendarQueueBoundedError(t *testing.T) {
 		stamp := uint64(0)
 		clockKey := 0.0 // keys drift upward like deadlines do
 		for i := 0; i < 500; i++ {
-			if r.Float64() < 0.6 || c.len() == 0 {
+			if r.Float64() < 0.6 || c.Len() == 0 {
 				clockKey += r.Float64() * 0.3
 				k := clockKey + r.Float64()*3
-				c.push(entry{key: k, stamp: stamp})
+				c.Push(pq.Entry{Key: k, Stamp: stamp})
 				live[stamp] = k
 				stamp++
 			} else {
-				e, ok := c.popMin()
+				e, ok := c.PopMin()
 				if !ok {
 					return false
 				}
 				// No live key may be smaller than the popped key by
 				// more than one bin width.
 				for _, k := range live {
-					if k < e.key-width-1e-9 && k != live[e.stamp] {
+					if k < e.Key-width-1e-9 && k != live[e.Stamp] {
 						_ = k
 					}
 				}
 				min := 1e18
 				for s, k := range live {
-					if s != e.stamp && k < min {
+					if s != e.Stamp && k < min {
 						min = k
 					}
 				}
-				delete(live, e.stamp)
-				if min < e.key-width-1e-9 {
+				delete(live, e.Stamp)
+				if min < e.Key-width-1e-9 {
 					return false
 				}
 			}
@@ -141,27 +142,23 @@ func TestCalendarQueueBoundedError(t *testing.T) {
 // TestCalendarQueueDrainRefill exercises emptying and re-anchoring.
 func TestCalendarQueueDrainRefill(t *testing.T) {
 	c := newCalendarQueue(1, 8)
-	c.push(entry{key: 3})
-	if e, ok := c.popMin(); !ok || e.key != 3 {
+	c.Push(pq.Entry{Key: 3})
+	if e, ok := c.PopMin(); !ok || e.Key != 3 {
 		t.Fatal("first pop")
 	}
-	if _, ok := c.popMin(); ok {
+	if _, ok := c.PopMin(); ok {
 		t.Fatal("empty pop succeeded")
 	}
 	// Re-anchor far ahead.
-	c.push(entry{key: 1000})
-	c.push(entry{key: 999})
-	if k, ok := c.peekMin(); !ok || k != 999 {
-		t.Fatalf("peek after re-anchor = %v, %v", k, ok)
-	}
-	e, _ := c.popMin()
-	if e.key != 999 {
-		t.Fatalf("pop after re-anchor = %v", e.key)
+	c.Push(pq.Entry{Key: 1000})
+	c.Push(pq.Entry{Key: 999})
+	if e, ok := c.PopMin(); !ok || e.Key != 999 {
+		t.Fatalf("pop after re-anchor = %v, %v", e.Key, ok)
 	}
 }
 
 func TestCalendarQueuePanicsOnBadArgs(t *testing.T) {
-	for _, w := range []float64{-1, math.Inf(1), math.NaN()} {
+	for _, w := range []float64{0, -1, math.Inf(1), math.NaN()} {
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -182,12 +179,12 @@ func TestCalendarQueueRejectsBadKeys(t *testing.T) {
 					t.Errorf("push(key=%v) did not panic", key)
 				}
 			}()
-			c.push(entry{key: key})
+			c.Push(pq.Entry{Key: key})
 		}()
 	}
 	// A large but in-range key is fine.
-	c.push(entry{key: 1e12})
-	if e, ok := c.popMin(); !ok || e.key != 1e12 {
+	c.Push(pq.Entry{Key: 1e12})
+	if e, ok := c.PopMin(); !ok || e.Key != 1e12 {
 		t.Fatal("in-range large key lost")
 	}
 }
@@ -205,17 +202,17 @@ func TestCalendarQueueResizeOrder(t *testing.T) {
 	var want []pushed
 	for i := 0; i < 10*initial; i++ { // well past the doubling threshold
 		k := r.Float64() * 50
-		c.push(entry{key: k, stamp: uint64(i)})
+		c.Push(pq.Entry{Key: k, Stamp: uint64(i)})
 		want = append(want, pushed{day: int64(k), stamp: uint64(i)})
 	}
 	if len(c.head) <= initial {
-		t.Fatalf("ring did not grow: %d bins for %d entries", len(c.head), c.len())
+		t.Fatalf("ring did not grow: %d bins for %d entries", len(c.head), c.Len())
 	}
 	sort.SliceStable(want, func(i, j int) bool { return want[i].day < want[j].day })
 	for i, w := range want {
-		e, ok := c.popMin()
-		if !ok || e.stamp != w.stamp {
-			t.Fatalf("pop %d: got stamp %d ok=%v, want %d", i, e.stamp, ok, w.stamp)
+		e, ok := c.PopMin()
+		if !ok || e.Stamp != w.stamp {
+			t.Fatalf("pop %d: got stamp %d ok=%v, want %d", i, e.Stamp, ok, w.stamp)
 		}
 	}
 	if len(c.head) != minCalendarBins {
@@ -227,12 +224,12 @@ func TestCalendarQueueResizeOrder(t *testing.T) {
 func TestCalendarNodeRelease(t *testing.T) {
 	c := newCalendarQueue(1, 8)
 	pk := &packet.Packet{Seq: 1}
-	c.push(entry{key: 2, p: pk})
-	if e, ok := c.popMin(); !ok || e.p != pk {
+	c.Push(pq.Entry{Key: 2, P: pk})
+	if e, ok := c.PopMin(); !ok || e.P != pk {
 		t.Fatal("pop")
 	}
 	for i := range c.nodes {
-		if c.nodes[i].p == pk {
+		if c.nodes[i].P == pk {
 			t.Fatal("freed node still references its packet")
 		}
 	}
@@ -244,12 +241,12 @@ func TestCalendarNodeRelease(t *testing.T) {
 func TestCalendarMultiYearFIFO(t *testing.T) {
 	c := newCalendarQueue(1, 16)
 	// Days 3 and 19 share slot 3 in a 16-bin ring.
-	c.push(entry{key: 19.2, stamp: 0})
-	c.push(entry{key: 3.1, stamp: 1})
-	c.push(entry{key: 3.6, stamp: 2})
+	c.Push(pq.Entry{Key: 19.2, Stamp: 0})
+	c.Push(pq.Entry{Key: 3.1, Stamp: 1})
+	c.Push(pq.Entry{Key: 3.6, Stamp: 2})
 	for i, want := range []uint64{1, 2, 0} {
-		if e, ok := c.popMin(); !ok || e.stamp != want {
-			t.Fatalf("pop %d: stamp %d, want %d", i, e.stamp, want)
+		if e, ok := c.PopMin(); !ok || e.Stamp != want {
+			t.Fatalf("pop %d: stamp %d, want %d", i, e.Stamp, want)
 		}
 	}
 }
@@ -261,7 +258,7 @@ func TestCalendarQueueResizeHysteresis(t *testing.T) {
 	c := newCalendarQueue(1, 16)
 	nb0 := len(c.head)
 	var stamp uint64
-	push := func(k float64) { stamp++; c.push(entry{key: k, stamp: stamp}) }
+	push := func(k float64) { stamp++; c.Push(pq.Entry{Key: k, Stamp: stamp}) }
 	// Grow exactly once.
 	for i := 0; i <= 2*nb0; i++ {
 		push(float64(i))
@@ -274,7 +271,7 @@ func TestCalendarQueueResizeHysteresis(t *testing.T) {
 	// ring must not resize again in either direction.
 	for i := 0; i < 200; i++ {
 		for j := 0; j < 3; j++ {
-			if _, ok := c.popMin(); !ok {
+			if _, ok := c.PopMin(); !ok {
 				t.Fatal("unexpected empty")
 			}
 		}
@@ -286,67 +283,20 @@ func TestCalendarQueueResizeHysteresis(t *testing.T) {
 		}
 	}
 	// Drain just to the shrink threshold and oscillate there too.
-	for c.len() > grown/8 {
-		if _, ok := c.popMin(); !ok {
+	for c.Len() > grown/8 {
+		if _, ok := c.PopMin(); !ok {
 			t.Fatal("unexpected empty")
 		}
 	}
 	mid := len(c.head) // may have shrunk while draining; re-anchor
 	for i := 0; i < 200; i++ {
 		push(5000 + float64(i))
-		if _, ok := c.popMin(); !ok {
+		if _, ok := c.PopMin(); !ok {
 			t.Fatal("unexpected empty")
 		}
 		if len(c.head) != mid {
 			t.Fatalf("resize thrash near shrink threshold: %d bins", len(c.head))
 		}
-	}
-}
-
-// TestCalendarQueueAutoWidth: width 0 requests auto mode — the bin
-// width is re-estimated from observed inter-pop gaps at resize, and
-// ordering stays correct across the re-estimation.
-func TestCalendarQueueAutoWidth(t *testing.T) {
-	c := newCalendarQueue(0, 16)
-	w0 := c.width
-	const gap = 0.001 // three orders below the initial 1s width
-	var stamp uint64
-	// Feed enough steadily-spaced keys through push/pop cycles to
-	// trigger at least one resize (and with it a re-estimation).
-	key := 0.0
-	for i := 0; i < 400; i++ {
-		key += gap
-		stamp++
-		c.push(entry{key: key, stamp: stamp})
-		if i%2 == 1 {
-			prev := -1.0
-			e, ok := c.popMin()
-			if !ok {
-				t.Fatal("unexpected empty")
-			}
-			if e.key < prev {
-				t.Fatalf("order violated: %g after %g", e.key, prev)
-			}
-			prev = e.key
-		}
-	}
-	if c.width == w0 {
-		t.Fatalf("auto width never re-estimated (still %g)", c.width)
-	}
-	if c.width > 100*gap {
-		t.Fatalf("re-estimated width %g far from gap scale %g", c.width, gap)
-	}
-	// Drain in order.
-	prev := -1.0
-	for {
-		e, ok := c.popMin()
-		if !ok {
-			break
-		}
-		if e.key < prev {
-			t.Fatalf("order violated after re-estimation: %g after %g", e.key, prev)
-		}
-		prev = e.key
 	}
 }
 
@@ -361,34 +311,34 @@ func TestCalendarSameOrderAsHeap(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
 		c := newCalendarQueue(width, 16)
-		h := newBinHeap()
+		h := &pq.Heap{}
 		var stamp uint64
 		base := 0
 		for i := 0; i < 800; i++ {
-			if r.Float64() < 0.6 || c.len() == 0 {
+			if r.Float64() < 0.6 || c.Len() == 0 {
 				base += int(r.Float64() * 3)
 				k := float64(base+int(r.Float64()*40)) * width
 				stamp++
-				c.push(entry{key: k, stamp: stamp})
-				h.push(entry{key: k, stamp: stamp})
+				c.Push(pq.Entry{Key: k, Stamp: stamp})
+				h.Push(pq.Entry{Key: k, Stamp: stamp})
 			} else {
-				ce, cok := c.popMin()
-				he, hok := h.popMin()
-				if cok != hok || ce.key != he.key || ce.stamp != he.stamp {
+				ce, cok := c.PopMin()
+				he, hok := h.PopMin()
+				if cok != hok || ce.Key != he.Key || ce.Stamp != he.Stamp {
 					return false
 				}
 			}
 		}
 		for {
-			ce, cok := c.popMin()
-			he, hok := h.popMin()
+			ce, cok := c.PopMin()
+			he, hok := h.PopMin()
 			if cok != hok {
 				return false
 			}
 			if !cok {
 				return true
 			}
-			if ce.key != he.key || ce.stamp != he.stamp {
+			if ce.Key != he.Key || ce.Stamp != he.Stamp {
 				return false
 			}
 		}

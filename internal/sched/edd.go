@@ -6,7 +6,7 @@ import (
 	"leaveintime/internal/metrics"
 	"leaveintime/internal/network"
 	"leaveintime/internal/packet"
-	"leaveintime/internal/sesstab"
+	"leaveintime/internal/pq"
 )
 
 // DelayEDD is the Delay-EDD (earliest-due-date) discipline of Ferrari &
@@ -19,24 +19,13 @@ import (
 //
 // Deadlines are therefore decoupled from the reserved rate (unlike
 // Leave-in-Time's eq. 11), which is why Delay-EDD needs a separate
-// schedulability test at establishment time.
+// schedulability test at establishment time. A deadline miss
+// (missCounter) is a transmission finishing after the packet's due
+// date — the local delay budget the schedulability test promised.
 type DelayEDD struct {
-	// sessions is a dense ID-indexed table; the per-packet lookup in
-	// Enqueue is a bounds check and an indexed load, not a map probe.
-	sessions sesstab.Table[eddState]
-	ready    pktHeap
-	stamp    uint64
-
-	// ma/mb, when attached, receive scheduler counters at the port's
-	// Sched* arena slots; wired by Network.EnableMetrics.
-	ma *metrics.Arena
-	mb metrics.Handle
+	keyed[eddState]
+	missCounter
 }
-
-// SetMetrics attaches the scheduler's telemetry counters. A deadline
-// miss is a transmission finishing after the packet's due date — the
-// local delay budget the schedulability test promised.
-func (d *DelayEDD) SetMetrics(a *metrics.Arena, base metrics.Handle) { d.ma, d.mb = a, base }
 
 type eddState struct {
 	cfg     network.SessionPort
@@ -62,41 +51,23 @@ func (d *DelayEDD) Enqueue(p *packet.Packet, now float64) {
 	if s == nil {
 		panic(fmt.Sprintf("sched: Delay-EDD packet for unregistered session %d", p.Session))
 	}
-	exp := d.expectedArrival(s, now)
-	p.Eligible = now
-	p.Deadline = exp + s.cfg.LocalDelay
-	p.Delay = s.cfg.LocalDelay
-	d.stamp++
-	d.ready.push(p, p.Deadline, d.stamp)
-}
-
-func (d *DelayEDD) expectedArrival(s *eddState, t float64) float64 {
-	exp := t
+	exp := now
 	if s.started && s.expArr+s.cfg.XMin > exp {
 		exp = s.expArr + s.cfg.XMin
 	}
 	s.expArr = exp
 	s.started = true
-	return exp
+	p.Eligible = now
+	p.Deadline = exp + s.cfg.LocalDelay
+	p.Delay = s.cfg.LocalDelay
+	d.push(p, p.Deadline)
 }
-
-// Dequeue implements network.Discipline.
-func (d *DelayEDD) Dequeue(now float64) (*packet.Packet, bool) { return d.ready.popMin() }
-
-// NextEligible implements network.Discipline; Delay-EDD is
-// work-conserving.
-func (d *DelayEDD) NextEligible(now float64) (float64, bool) { return 0, false }
 
 // OnTransmit implements network.Discipline.
 func (d *DelayEDD) OnTransmit(p *packet.Packet, finish float64) {
-	if d.ma != nil && finish > p.Deadline+1e-9 {
-		d.ma.Inc(d.mb + metrics.SchedDeadlineMisses)
-	}
+	d.countMiss(p, finish)
 	p.Hold = 0
 }
-
-// Len implements network.Discipline.
-func (d *DelayEDD) Len() int { return d.ready.len() }
 
 // JitterEDD is Verma, Zhang & Ferrari's Jitter-EDD (TriCom 1991):
 // Delay-EDD extended with delay regulators. When a packet finishes at a
@@ -105,76 +76,71 @@ func (d *DelayEDD) Len() int { return d.ready.len() }
 // that long before computing its deadline. This reconstructs the fully
 // regulated arrival pattern at every hop and bounds delay jitter — the
 // mechanism Leave-in-Time's regulators (eq. 9) build on.
+//
+// The embedded Delay-EDD server is the deadline stage: it supplies the
+// session table, the ready queue and the miss counter (and with them
+// AddSession, RemoveSession, HasSession and SetMetrics); the regulator
+// in front of it is the second stage.
 type JitterEDD struct {
-	inner     DelayEDD
-	regulator pktHeap
-	stamp     uint64
+	delayEDD
+	regulator pq.Heap
 }
 
-// SetMetrics attaches the scheduler's telemetry counters: regulator
-// holds with their accumulated eligibility wait, and the inner
-// Delay-EDD deadline misses.
-func (j *JitterEDD) SetMetrics(a *metrics.Arena, base metrics.Handle) {
-	j.inner.SetMetrics(a, base)
-}
+// delayEDD lets JitterEDD embed the Delay-EDD server without exporting
+// it as a field.
+type delayEDD = DelayEDD
 
 // NewJitterEDD returns an empty Jitter-EDD server.
 func NewJitterEDD() *JitterEDD { return &JitterEDD{} }
-
-// AddSession implements network.Discipline.
-func (j *JitterEDD) AddSession(cfg network.SessionPort) { j.inner.AddSession(cfg) }
 
 // Enqueue implements network.Discipline. p.Hold carries the upstream
 // slack; the packet is held until now + Hold.
 func (j *JitterEDD) Enqueue(p *packet.Packet, now float64) {
 	e := now + p.Hold
 	if e > now {
-		if j.inner.ma != nil {
-			j.inner.ma.Inc(j.inner.mb + metrics.SchedRegulated)
-			j.inner.ma.AddFloat(j.inner.mb+metrics.SchedEligibilityWait, p.Hold)
+		if j.ma != nil {
+			j.ma.Inc(j.mb + metrics.SchedRegulated)
+			j.ma.AddFloat(j.mb+metrics.SchedEligibilityWait, p.Hold)
 		}
 		p.Eligible = e
 		j.stamp++
-		j.regulator.push(p, e, j.stamp)
+		j.regulator.Push(pq.Entry{P: p, Key: e, Stamp: j.stamp})
 		return
 	}
-	j.inner.Enqueue(p, now)
+	j.delayEDD.Enqueue(p, now)
 }
 
 // Dequeue implements network.Discipline.
 func (j *JitterEDD) Dequeue(now float64) (*packet.Packet, bool) {
 	j.release(now)
-	return j.inner.Dequeue(now)
+	return j.delayEDD.Dequeue(now)
 }
 
 // NextEligible implements network.Discipline.
 func (j *JitterEDD) NextEligible(now float64) (float64, bool) {
 	j.release(now)
-	if j.inner.ready.len() > 0 {
+	if j.ready.Len() > 0 {
 		return now, true
 	}
-	return j.regulator.peekKey()
+	return j.regulator.PeekMin()
 }
 
 func (j *JitterEDD) release(now float64) {
 	for {
-		k, ok := j.regulator.peekKey()
-		if !ok || k > now {
+		e, ok := j.regulator.PopDue(now)
+		if !ok {
 			return
 		}
-		p, _ := j.regulator.popMin()
 		// The deadline computation sees the eligibility time, as in the
 		// regulated Delay-EDD definition.
-		j.inner.Enqueue(p, k)
+		j.delayEDD.Enqueue(e.P, e.Key)
 	}
 }
 
 // OnTransmit implements network.Discipline: the slack deadline - finish
 // becomes the downstream holding time.
 func (j *JitterEDD) OnTransmit(p *packet.Packet, finish float64) {
-	if j.inner.ma != nil && finish > p.Deadline+1e-9 {
-		j.inner.ma.Inc(j.inner.mb + metrics.SchedDeadlineMisses)
-	}
+	j.countMiss(p, finish)
 	p.Hold = p.Deadline - finish
 	if p.Hold < 0 {
 		p.Hold = 0
@@ -182,4 +148,11 @@ func (j *JitterEDD) OnTransmit(p *packet.Packet, finish float64) {
 }
 
 // Len implements network.Discipline.
-func (j *JitterEDD) Len() int { return j.inner.Len() + j.regulator.len() }
+func (j *JitterEDD) Len() int { return j.ready.Len() + j.regulator.Len() }
+
+// PurgeSession implements network.SessionPurger: both the regulator
+// and the ready queue are swept.
+func (j *JitterEDD) PurgeSession(id int, drop func(*packet.Packet)) {
+	j.regulator.Purge(id, drop)
+	j.delayEDD.PurgeSession(id, drop)
+}

@@ -8,13 +8,14 @@ package sched
 import (
 	"leaveintime/internal/network"
 	"leaveintime/internal/packet"
+	"leaveintime/internal/pq"
 )
 
 // FCFS is a first-come-first-served server: the conventional,
 // guarantee-free baseline the paper's introduction motivates against.
 type FCFS struct {
-	q    []*packet.Packet
-	head int
+	noHold
+	q pq.FIFO
 }
 
 // NewFCFS returns an empty FCFS queue.
@@ -28,29 +29,17 @@ func (f *FCFS) AddSession(network.SessionPort) {}
 func (f *FCFS) Enqueue(p *packet.Packet, now float64) {
 	p.Eligible = now
 	p.Deadline = now
-	f.q = append(f.q, p)
+	f.q.Push(p)
 }
 
 // Dequeue implements network.Discipline.
-func (f *FCFS) Dequeue(now float64) (*packet.Packet, bool) {
-	if f.head >= len(f.q) {
-		return nil, false
-	}
-	p := f.q[f.head]
-	f.q[f.head] = nil
-	f.head++
-	if f.head == len(f.q) {
-		f.q = f.q[:0]
-		f.head = 0
-	}
-	return p, true
-}
+func (f *FCFS) Dequeue(now float64) (*packet.Packet, bool) { return f.q.Pop() }
 
 // NextEligible implements network.Discipline; FCFS never holds packets.
 func (f *FCFS) NextEligible(now float64) (float64, bool) { return 0, false }
 
-// OnTransmit implements network.Discipline.
-func (f *FCFS) OnTransmit(p *packet.Packet, finish float64) { p.Hold = 0 }
-
 // Len implements network.Discipline.
-func (f *FCFS) Len() int { return len(f.q) - f.head }
+func (f *FCFS) Len() int { return f.q.Len() }
+
+// PurgeSession implements network.SessionPurger.
+func (f *FCFS) PurgeSession(id int, drop func(*packet.Packet)) { f.q.Purge(id, drop) }

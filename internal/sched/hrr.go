@@ -6,6 +6,7 @@ import (
 
 	"leaveintime/internal/network"
 	"leaveintime/internal/packet"
+	"leaveintime/internal/pq"
 )
 
 // HRR is Hierarchical Round Robin (Kalmanek, Kanakia & Keshav, GlobeCom
@@ -24,6 +25,7 @@ import (
 // level; finer rate granularity needs a slower level — the
 // bandwidth/delay coupling the paper criticizes framing schemes for.
 type HRR struct {
+	noHold
 	// LMax is the slot size in bits (one maximum-length packet).
 	LMax float64
 
@@ -42,7 +44,7 @@ type hrrState struct {
 	slots   int
 	credit  int
 	nextRef float64 // next frame boundary for this session's level
-	q       fifoQ
+	q       pq.FIFO
 }
 
 // NewHRR returns an HRR server with slot size lMax (bits) and the given
@@ -95,7 +97,7 @@ func (h *HRR) Enqueue(p *packet.Packet, now float64) {
 		panic(fmt.Sprintf("sched: HRR packet for unregistered session %d", p.Session))
 	}
 	p.Eligible = now
-	s.q.push(p)
+	s.q.Push(p)
 }
 
 // refresh replenishes credits at frame boundaries that have passed.
@@ -118,8 +120,8 @@ func (h *HRR) Dequeue(now float64) (*packet.Packet, bool) {
 	for i := 0; i < n; i++ {
 		id := h.order[(h.cursor+i)%n]
 		s := h.sessions[id]
-		if s.credit > 0 && s.q.len() > 0 {
-			p, _ := s.q.pop()
+		if s.credit > 0 && s.q.Len() > 0 {
+			p, _ := s.q.Pop()
 			s.credit--
 			h.cursor = (h.cursor + i + 1) % n
 			p.Deadline = s.nextRef // must leave within the frame
@@ -137,7 +139,7 @@ func (h *HRR) NextEligible(now float64) (float64, bool) {
 	best := math.Inf(1)
 	for _, id := range h.order {
 		s := h.sessions[id]
-		if s.q.len() == 0 {
+		if s.q.Len() == 0 {
 			continue
 		}
 		if s.credit > 0 {
@@ -153,14 +155,49 @@ func (h *HRR) NextEligible(now float64) (float64, bool) {
 	return best, true
 }
 
-// OnTransmit implements network.Discipline.
-func (h *HRR) OnTransmit(p *packet.Packet, finish float64) { p.Hold = 0 }
-
 // Len implements network.Discipline.
 func (h *HRR) Len() int {
 	n := 0
 	for _, s := range h.sessions {
-		n += s.q.len()
+		n += s.q.Len()
 	}
 	return n
+}
+
+// HasSession implements network.SessionChecker.
+func (h *HRR) HasSession(id int) bool { return h.sessions[id] != nil }
+
+// RemoveSession implements network.SessionRemover.
+func (h *HRR) RemoveSession(id int) {
+	if s := h.sessions[id]; s != nil && s.q.Len() > 0 {
+		panic("sched: HRR.RemoveSession with queued packets")
+	}
+	h.PurgeSession(id, nil)
+}
+
+// PurgeSession implements network.SessionPurger: the session's FIFO is
+// drained in order and its round-robin slot removed without disturbing
+// the cursor position of the survivors.
+func (h *HRR) PurgeSession(id int, drop func(*packet.Packet)) {
+	s := h.sessions[id]
+	if s == nil {
+		return
+	}
+	s.q.Purge(id, drop)
+	delete(h.sessions, id)
+	for i, oid := range h.order {
+		if oid != id {
+			continue
+		}
+		h.order = append(h.order[:i], h.order[i+1:]...)
+		if i < h.cursor {
+			h.cursor--
+		}
+		break
+	}
+	if len(h.order) == 0 {
+		h.cursor = 0
+	} else {
+		h.cursor %= len(h.order)
+	}
 }

@@ -3,10 +3,8 @@ package sched
 import (
 	"fmt"
 
-	"leaveintime/internal/metrics"
 	"leaveintime/internal/network"
 	"leaveintime/internal/packet"
-	"leaveintime/internal/sesstab"
 )
 
 // LSTF is Least Slack Time First (Mittal et al., "Universal Packet
@@ -35,25 +33,14 @@ import (
 // sessions with a zero-budget D.
 //
 // LSTF is work-conserving and keeps no regulators; like the other
-// baselines it reuses the hand-rolled packet heap and the dense
-// session table, so the hot path does not allocate.
+// baselines it is the shared skeleton plus a key, so the hot path does
+// not allocate. A deadline miss (missCounter) is a transmission
+// finishing after the packet's due time, i.e. the packet left this node
+// with negative slack.
 type LSTF struct {
-	// sessions is a dense ID-indexed table; the per-packet lookup in
-	// Enqueue is a bounds check and an indexed load, not a map probe.
-	sessions sesstab.Table[lstfState]
-	ready    pktHeap
-	stamp    uint64
-
-	// ma/mb, when attached, receive scheduler counters at the port's
-	// Sched* arena slots; wired by Network.EnableMetrics.
-	ma *metrics.Arena
-	mb metrics.Handle
+	keyed[lstfState]
+	missCounter
 }
-
-// SetMetrics attaches the scheduler's telemetry counters. A deadline
-// miss is a transmission finishing after the packet's due time, i.e.
-// the packet left this node with negative slack.
-func (l *LSTF) SetMetrics(a *metrics.Arena, base metrics.Handle) { l.ma, l.mb = a, base }
 
 type lstfState struct {
 	cfg network.SessionPort
@@ -97,40 +84,18 @@ func (l *LSTF) Enqueue(p *packet.Packet, now float64) {
 	p.Eligible = now
 	p.Deadline = due
 	p.Delay = d
-	l.stamp++
-	l.ready.push(p, due, l.stamp)
+	l.push(p, due)
 }
-
-// Dequeue implements network.Discipline.
-func (l *LSTF) Dequeue(now float64) (*packet.Packet, bool) { return l.ready.popMin() }
-
-// NextEligible implements network.Discipline; LSTF is work-conserving
-// and never holds packets.
-func (l *LSTF) NextEligible(now float64) (float64, bool) { return 0, false }
 
 // OnTransmit implements network.Discipline: the unused slack
 // due - finish is carried downstream in the packet header. A late
 // packet carries zero (slack debt is not propagated; the port's
 // HoldClamped accounting is reserved for eq.-9 saturation).
 func (l *LSTF) OnTransmit(p *packet.Packet, finish float64) {
-	if l.ma != nil && finish > p.Deadline+1e-9 {
-		l.ma.Inc(l.mb + metrics.SchedDeadlineMisses)
-	}
+	l.countMiss(p, finish)
 	h := p.Deadline - finish
 	if h < 0 {
 		h = 0
 	}
 	p.Hold = h
-}
-
-// Len implements network.Discipline.
-func (l *LSTF) Len() int { return l.ready.len() }
-
-// RemoveSession implements network.SessionRemover.
-func (l *LSTF) RemoveSession(id int) { l.sessions.Delete(id) }
-
-// PurgeSession implements network.SessionPurger.
-func (l *LSTF) PurgeSession(id int, drop func(*packet.Packet)) {
-	l.ready.purge(id, drop)
-	l.sessions.Delete(id)
 }

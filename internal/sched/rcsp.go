@@ -5,6 +5,7 @@ import (
 
 	"leaveintime/internal/network"
 	"leaveintime/internal/packet"
+	"leaveintime/internal/pq"
 )
 
 // RCSP is Zhang & Ferrari's Rate-Controlled Static-Priority queueing
@@ -25,9 +26,9 @@ import (
 type RCSP struct {
 	levels   int
 	sessions map[int]*rcspState
-	queues   []fifoQ
+	queues   []pq.FIFO
 	// held packets ordered by eligibility.
-	regulator pktHeap
+	regulator pq.Heap
 	stamp     uint64
 }
 
@@ -38,30 +39,6 @@ type rcspState struct {
 	started  bool
 }
 
-// fifoQ is a FIFO of packets.
-type fifoQ struct {
-	items []*packet.Packet
-	head  int
-}
-
-func (f *fifoQ) push(p *packet.Packet) { f.items = append(f.items, p) }
-
-func (f *fifoQ) pop() (*packet.Packet, bool) {
-	if f.head >= len(f.items) {
-		return nil, false
-	}
-	p := f.items[f.head]
-	f.items[f.head] = nil
-	f.head++
-	if f.head == len(f.items) {
-		f.items = f.items[:0]
-		f.head = 0
-	}
-	return p, true
-}
-
-func (f *fifoQ) len() int { return len(f.items) - f.head }
-
 // NewRCSP returns an RCSP server with the given number of priority
 // levels (level 1 is served first).
 func NewRCSP(levels int) *RCSP {
@@ -71,11 +48,9 @@ func NewRCSP(levels int) *RCSP {
 	return &RCSP{
 		levels:   levels,
 		sessions: make(map[int]*rcspState),
-		queues:   make(fifoQSlice, levels),
+		queues:   make([]pq.FIFO, levels),
 	}
 }
-
-type fifoQSlice = []fifoQ
 
 // AddSessionLevel registers a session at the given priority level
 // (1-based). The session's XMin field of SessionPort configures its
@@ -112,19 +87,19 @@ func (r *RCSP) Enqueue(p *packet.Packet, now float64) {
 	s.started = true
 	p.Eligible = e
 	p.Deadline = e + s.cfg.LocalDelay
-	r.stamp++
 	if e > now {
-		r.regulator.push(p, e, r.stamp)
+		r.stamp++
+		r.regulator.Push(pq.Entry{P: p, Key: e, Stamp: r.stamp})
 		return
 	}
-	r.queues[s.level-1].push(p)
+	r.queues[s.level-1].Push(p)
 }
 
 // Dequeue implements network.Discipline.
 func (r *RCSP) Dequeue(now float64) (*packet.Packet, bool) {
 	r.release(now)
 	for i := range r.queues {
-		if p, ok := r.queues[i].pop(); ok {
+		if p, ok := r.queues[i].Pop(); ok {
 			return p, true
 		}
 	}
@@ -135,21 +110,20 @@ func (r *RCSP) Dequeue(now float64) (*packet.Packet, bool) {
 func (r *RCSP) NextEligible(now float64) (float64, bool) {
 	r.release(now)
 	for i := range r.queues {
-		if r.queues[i].len() > 0 {
+		if r.queues[i].Len() > 0 {
 			return now, true
 		}
 	}
-	return r.regulator.peekKey()
+	return r.regulator.PeekMin()
 }
 
 func (r *RCSP) release(now float64) {
 	for {
-		k, ok := r.regulator.peekKey()
-		if !ok || k > now {
+		e, ok := r.regulator.PopDue(now)
+		if !ok {
 			return
 		}
-		p, _ := r.regulator.popMin()
-		r.queues[r.sessions[p.Session].level-1].push(p)
+		r.queues[r.sessions[e.P.Session].level-1].Push(e.P)
 	}
 }
 
@@ -170,9 +144,25 @@ func (r *RCSP) OnTransmit(p *packet.Packet, finish float64) {
 
 // Len implements network.Discipline.
 func (r *RCSP) Len() int {
-	n := r.regulator.len()
+	n := r.regulator.Len()
 	for i := range r.queues {
-		n += r.queues[i].len()
+		n += r.queues[i].Len()
 	}
 	return n
+}
+
+// HasSession implements network.SessionChecker.
+func (r *RCSP) HasSession(id int) bool { return r.sessions[id] != nil }
+
+// RemoveSession implements network.SessionRemover.
+func (r *RCSP) RemoveSession(id int) { delete(r.sessions, id) }
+
+// PurgeSession implements network.SessionPurger: the rate-controller
+// regulator and every static-priority FIFO are swept.
+func (r *RCSP) PurgeSession(id int, drop func(*packet.Packet)) {
+	r.regulator.Purge(id, drop)
+	for i := range r.queues {
+		r.queues[i].Purge(id, drop)
+	}
+	delete(r.sessions, id)
 }

@@ -20,24 +20,15 @@ import (
 // fluid-tracking bookkeeping entirely; it sits between VirtualClock
 // (self-contained per session) and WFQ (global fluid state) in the
 // design space the paper's Section 4 maps out.
-type SCFQ struct {
-	sessions map[int]*scfqState
-	ready    pktHeap
-	stamp    uint64
-	v        float64 // tag of the packet most recently taken for service
-}
+type SCFQ struct{ keyed[scfqState] }
 
 type scfqState struct {
 	weight float64
 	fPrev  float64
-	active bool // has an unfinished tag chain
-	queued int
 }
 
 // NewSCFQ returns an empty SCFQ server.
-func NewSCFQ() *SCFQ {
-	return &SCFQ{sessions: make(map[int]*scfqState)}
-}
+func NewSCFQ() *SCFQ { return &SCFQ{} }
 
 // AddSession implements network.Discipline; the weight is the reserved
 // rate.
@@ -45,66 +36,29 @@ func (s *SCFQ) AddSession(cfg network.SessionPort) {
 	if cfg.Rate <= 0 {
 		panic(fmt.Sprintf("sched: SCFQ session %d needs positive rate", cfg.Session))
 	}
-	s.sessions[cfg.Session] = &scfqState{weight: cfg.Rate}
+	s.sessions.Put(cfg.Session, scfqState{weight: cfg.Rate})
 }
 
-// Enqueue implements network.Discipline.
+// Enqueue implements network.Discipline. V is the skeleton's served
+// key: the tag of the packet most recently taken for service. It is
+// kept across idle periods rather than reset to 0 at the start of each
+// busy period as Golestani does, which is equivalent: tags are assigned
+// at or above V and served in increasing order, so V never decreases,
+// and when the server drains V has reached every session's last tag —
+// a new busy period re-anchors every session at V without any
+// per-session bookkeeping.
 func (s *SCFQ) Enqueue(p *packet.Packet, now float64) {
-	st, ok := s.sessions[p.Session]
-	if !ok {
+	st := s.sessions.Get(p.Session)
+	if st == nil {
 		panic(fmt.Sprintf("sched: SCFQ packet for unregistered session %d", p.Session))
 	}
-	start := s.v
-	if st.active && st.fPrev > start {
+	start := s.served
+	if st.fPrev > start {
 		start = st.fPrev
 	}
 	f := start + p.Length/st.weight
 	st.fPrev = f
-	st.active = true
-	st.queued++
 	p.Eligible = now
 	p.Deadline = f
-	s.stamp++
-	s.ready.push(p, f, s.stamp)
-}
-
-// Dequeue implements network.Discipline: popping a packet advances the
-// self-clocked virtual time to its tag.
-func (s *SCFQ) Dequeue(now float64) (*packet.Packet, bool) {
-	p, ok := s.ready.popMin()
-	if !ok {
-		// The system drained: reset the virtual clock so a long idle
-		// period does not inflate future tags.
-		return nil, false
-	}
-	s.v = p.Deadline
-	st := s.sessions[p.Session]
-	st.queued--
-	if st.queued == 0 && s.ready.len() == 0 {
-		// Busy period over: restart the clock (Golestani resets V to 0
-		// at the start of each busy period; equivalently keep V and
-		// tags monotone, which is what we do — mark chains inactive so
-		// new arrivals re-anchor at V).
-		for _, other := range s.sessions {
-			other.active = false
-		}
-	}
-	return p, true
-}
-
-// NextEligible implements network.Discipline; SCFQ is work-conserving.
-func (s *SCFQ) NextEligible(now float64) (float64, bool) { return 0, false }
-
-// OnTransmit implements network.Discipline.
-func (s *SCFQ) OnTransmit(p *packet.Packet, finish float64) { p.Hold = 0 }
-
-// Len implements network.Discipline.
-func (s *SCFQ) Len() int { return s.ready.len() }
-
-// RemoveSession implements network.SessionRemover.
-func (s *SCFQ) RemoveSession(id int) {
-	if st := s.sessions[id]; st != nil && st.queued > 0 {
-		panic("sched: SCFQ.RemoveSession with queued packets")
-	}
-	delete(s.sessions, id)
+	s.push(p, f)
 }

@@ -5,7 +5,6 @@ import (
 
 	"leaveintime/internal/network"
 	"leaveintime/internal/packet"
-	"leaveintime/internal/sesstab"
 )
 
 // SRPT is Shortest Remaining Processing Time at packet granularity:
@@ -20,11 +19,7 @@ import (
 // SRPT is work-conserving and stateless per packet; the per-session
 // table exists only so registration, removal and mid-run purges behave
 // like every other baseline.
-type SRPT struct {
-	sessions sesstab.Table[struct{}]
-	ready    pktHeap
-	stamp    uint64
-}
+type SRPT struct{ keyed[struct{}] }
 
 // NewSRPT returns an empty SRPT server.
 func NewSRPT() *SRPT { return &SRPT{} }
@@ -43,28 +38,5 @@ func (s *SRPT) Enqueue(p *packet.Packet, now float64) {
 	p.Eligible = now
 	p.Deadline = 0
 	p.Delay = 0
-	s.stamp++
-	s.ready.push(p, p.Length, s.stamp)
-}
-
-// Dequeue implements network.Discipline.
-func (s *SRPT) Dequeue(now float64) (*packet.Packet, bool) { return s.ready.popMin() }
-
-// NextEligible implements network.Discipline; SRPT is work-conserving
-// and never holds packets.
-func (s *SRPT) NextEligible(now float64) (float64, bool) { return 0, false }
-
-// OnTransmit implements network.Discipline.
-func (s *SRPT) OnTransmit(p *packet.Packet, finish float64) { p.Hold = 0 }
-
-// Len implements network.Discipline.
-func (s *SRPT) Len() int { return s.ready.len() }
-
-// RemoveSession implements network.SessionRemover.
-func (s *SRPT) RemoveSession(id int) { s.sessions.Delete(id) }
-
-// PurgeSession implements network.SessionPurger.
-func (s *SRPT) PurgeSession(id int, drop func(*packet.Packet)) {
-	s.ready.purge(id, drop)
-	s.sessions.Delete(id)
+	s.push(p, p.Length)
 }

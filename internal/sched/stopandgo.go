@@ -5,6 +5,7 @@ import (
 
 	"leaveintime/internal/network"
 	"leaveintime/internal/packet"
+	"leaveintime/internal/pq"
 )
 
 // StopAndGo is Golestani's Stop-and-Go queueing (SIGCOMM 1990), a
@@ -20,11 +21,12 @@ import (
 // absorbed into the per-link frame delay, which the delay bound's alpha
 // in [1,2) accounts for).
 type StopAndGo struct {
+	noHold
 	// T is the frame length in seconds.
 	T float64
 
-	ready   pktHeap // keyed by eligibility (frame start), FCFS within
-	pending pktHeap // packets waiting for their frame boundary
+	ready   pq.Heap // keyed by eligibility (frame start), FCFS within
+	pending pq.Heap // packets waiting for their frame boundary
 	stamp   uint64
 }
 
@@ -47,42 +49,48 @@ func (g *StopAndGo) Enqueue(p *packet.Packet, now float64) {
 	p.Eligible = e
 	p.Deadline = e + g.T // must leave within its departure frame
 	g.stamp++
+	en := pq.Entry{P: p, Key: e, Stamp: g.stamp}
 	if e > now {
-		g.pending.push(p, e, g.stamp)
+		g.pending.Push(en)
 		return
 	}
-	g.ready.push(p, e, g.stamp)
+	g.ready.Push(en)
 }
 
 // Dequeue implements network.Discipline.
 func (g *StopAndGo) Dequeue(now float64) (*packet.Packet, bool) {
 	g.release(now)
-	return g.ready.popMin()
+	e, ok := g.ready.PopMin()
+	return e.P, ok
 }
 
 // NextEligible implements network.Discipline.
 func (g *StopAndGo) NextEligible(now float64) (float64, bool) {
 	g.release(now)
-	if g.ready.len() > 0 {
+	if g.ready.Len() > 0 {
 		return now, true
 	}
-	return g.pending.peekKey()
+	return g.pending.PeekMin()
 }
 
 func (g *StopAndGo) release(now float64) {
 	for {
-		k, ok := g.pending.peekKey()
-		if !ok || k > now {
+		e, ok := g.pending.PopDue(now)
+		if !ok {
 			return
 		}
-		p, _ := g.pending.popMin()
 		g.stamp++
-		g.ready.push(p, k, g.stamp)
+		e.Stamp = g.stamp
+		g.ready.Push(e)
 	}
 }
 
-// OnTransmit implements network.Discipline.
-func (g *StopAndGo) OnTransmit(p *packet.Packet, finish float64) { p.Hold = 0 }
-
 // Len implements network.Discipline.
-func (g *StopAndGo) Len() int { return g.ready.len() + g.pending.len() }
+func (g *StopAndGo) Len() int { return g.ready.Len() + g.pending.Len() }
+
+// PurgeSession implements network.SessionPurger (Stop-and-Go keeps no
+// per-session state; only queued packets are evicted).
+func (g *StopAndGo) PurgeSession(id int, drop func(*packet.Packet)) {
+	g.ready.Purge(id, drop)
+	g.pending.Purge(id, drop)
+}

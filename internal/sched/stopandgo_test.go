@@ -10,7 +10,7 @@ func TestStopAndGoFrameBoundary(t *testing.T) {
 	g := NewStopAndGo(1.0)
 
 	g.Enqueue(pkt(1, 1, 10), 0.5)
-	if p, _ := g.ready.peekMin(); p != nil {
+	if g.ready.Len() != 0 {
 		t.Fatal("mid-frame arrival immediately eligible")
 	}
 	if _, ok := g.Dequeue(0.9); ok {

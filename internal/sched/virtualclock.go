@@ -5,7 +5,6 @@ import (
 
 	"leaveintime/internal/network"
 	"leaveintime/internal/packet"
-	"leaveintime/internal/sesstab"
 )
 
 // VirtualClock is L. Zhang's VirtualClock discipline (ToCS 1991): each
@@ -18,13 +17,7 @@ import (
 // Leave-in-Time base algorithm (work-conserving, no regulators,
 // d = L/r); tests cross-check the two implementations packet for
 // packet.
-type VirtualClock struct {
-	// sessions is a dense ID-indexed table; the per-packet lookup in
-	// Enqueue is a bounds check and an indexed load, not a map probe.
-	sessions sesstab.Table[vcState]
-	ready    pktHeap
-	stamp    uint64
-}
+type VirtualClock struct{ keyed[vcState] }
 
 type vcState struct {
 	rate    float64
@@ -62,24 +55,5 @@ func (v *VirtualClock) Enqueue(p *packet.Packet, now float64) {
 	p.Eligible = now
 	p.Deadline = f
 	p.Delay = p.Length / s.rate
-	v.stamp++
-	v.ready.push(p, f, v.stamp)
+	v.push(p, f)
 }
-
-// Dequeue implements network.Discipline.
-func (v *VirtualClock) Dequeue(now float64) (*packet.Packet, bool) {
-	return v.ready.popMin()
-}
-
-// NextEligible implements network.Discipline; VirtualClock is
-// work-conserving and never holds packets.
-func (v *VirtualClock) NextEligible(now float64) (float64, bool) { return 0, false }
-
-// OnTransmit implements network.Discipline.
-func (v *VirtualClock) OnTransmit(p *packet.Packet, finish float64) { p.Hold = 0 }
-
-// Len implements network.Discipline.
-func (v *VirtualClock) Len() int { return v.ready.len() }
-
-// RemoveSession implements network.SessionRemover.
-func (v *VirtualClock) RemoveSession(id int) { v.sessions.Delete(id) }

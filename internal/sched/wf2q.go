@@ -1,10 +1,8 @@
 package sched
 
 import (
-	"fmt"
-
-	"leaveintime/internal/network"
 	"leaveintime/internal/packet"
+	"leaveintime/internal/pq"
 )
 
 // WF2Q is Worst-case Fair Weighted Fair Queueing (Bennett & Zhang,
@@ -17,176 +15,83 @@ import (
 // fairness, at the cost of a non-work-conserving-looking eligibility
 // check (the discipline is still work-conserving: some queued packet is
 // always eligible whenever the GPS system is backlogged).
+//
+// In queue terms that is a delay regulator in virtual time in front of
+// WFQ's sorted queue: the embedded WFQ supplies the GPS machinery, the
+// session bookkeeping (AddSession, RemoveSession, HasSession) and the
+// ready queue keyed by finish tag; pending holds the packets whose GPS
+// service has not started, keyed by start tag.
 type WF2Q struct {
-	wfq *WFQ // reuses the exact GPS virtual-time machinery
-
-	// queued packets with their (start, finish) tags.
-	pending wf2qHeap
-	stamp   uint64
-	// skipped is the Dequeue scratch buffer for head-of-line entries
-	// whose GPS service has not started; reused across calls so the
-	// eligibility scan does not allocate per packet.
-	skipped []wf2qEntry
+	wfq
+	pending pq.Heap
 }
 
-type wf2qEntry struct {
-	p     *packet.Packet
-	start float64
-	fin   float64
-	stamp uint64
-}
+// wfq lets WF2Q embed the WFQ server without exporting it as a field.
+type wfq = WFQ
 
 // NewWF2Q returns a WF2Q server for a link of the given capacity.
 func NewWF2Q(capacity float64) *WF2Q {
-	return &WF2Q{wfq: NewWFQ(capacity)}
+	return &WF2Q{wfq: *NewWFQ(capacity)}
 }
-
-// AddSession implements network.Discipline.
-func (w *WF2Q) AddSession(cfg network.SessionPort) { w.wfq.AddSession(cfg) }
 
 // Enqueue implements network.Discipline.
 func (w *WF2Q) Enqueue(p *packet.Packet, now float64) {
-	s := w.wfq.sessions[p.Session]
-	if s == nil {
-		panic(fmt.Sprintf("sched: WF2Q packet for unregistered session %d", p.Session))
-	}
-	w.wfq.advance(now)
-	start := w.wfq.v
-	if s.inB && s.fPrev > start {
-		start = s.fPrev
-	}
-	fin := start + p.Length/s.weight
-	s.fPrev = fin
-	if !s.inB {
-		s.inB = true
-		w.wfq.weightSum += s.weight
-	}
-	w.wfq.backlog.push(tagEntry{tag: fin, s: s})
-	p.Eligible = now
-	p.Deadline = fin
+	start, _ := w.tag(p, now)
 	w.stamp++
-	w.pending.push(wf2qEntry{p: p, start: start, fin: fin, stamp: w.stamp})
+	w.pending.Push(pq.Entry{P: p, Key: start, Stamp: w.stamp})
 }
 
 // Dequeue implements network.Discipline: among packets whose GPS
 // service has begun (start tag <= V), pick the smallest finish tag.
 func (w *WF2Q) Dequeue(now float64) (*packet.Packet, bool) {
-	w.wfq.advance(now)
-	// The heap orders by finish tag; scan from the top for the first
-	// eligible entry. The number of skips is bounded by the number of
-	// sessions (at most one ineligible head-of-line packet each).
-	w.skipped = w.skipped[:0]
-	for {
-		e, ok := w.pending.popMin()
+	w.advance(now)
+	w.release()
+	if w.ready.Len() == 0 {
+		// GPS backlogged but nothing eligible cannot happen when the
+		// link has been busy; after idle gaps V may trail arrivals, so
+		// nudge V to the smallest start tag.
+		start, ok := w.pending.PeekMin()
 		if !ok {
-			break
+			return nil, false
 		}
-		if e.start <= w.wfq.v+1e-12 {
-			for _, sk := range w.skipped {
-				w.pending.push(sk)
-			}
-			clearSkipped(w.skipped)
-			return e.p, true
-		}
-		w.skipped = append(w.skipped, e)
+		w.v = start
+		w.release()
 	}
-	for _, sk := range w.skipped {
-		w.pending.push(sk)
-	}
-	clearSkipped(w.skipped)
-	// GPS backlogged but nothing eligible cannot happen when the link
-	// has been busy; after idle gaps V may trail arrivals, so nudge V
-	// to the smallest start tag and retry once.
-	if w.pending.len() > 0 {
-		minStart := w.pending.h[0].start
-		for _, e := range w.pending.h {
-			if e.start < minStart {
-				minStart = e.start
-			}
+	e, ok := w.ready.PopMin()
+	return e.P, ok
+}
+
+// release moves the packets whose GPS service has started into the
+// ready queue under their finish tags.
+func (w *WF2Q) release() {
+	for {
+		e, ok := w.pending.PopDue(w.v + 1e-12)
+		if !ok {
+			return
 		}
-		if minStart > w.wfq.v {
-			w.wfq.v = minStart
-			return w.Dequeue(now)
-		}
+		e.Key = e.P.Deadline
+		w.ready.Push(e)
 	}
-	return nil, false
 }
 
 // NextEligible implements network.Discipline; WF2Q always has an
 // eligible packet while backlogged (see Dequeue), so it never asks for
 // a wake-up.
 func (w *WF2Q) NextEligible(now float64) (float64, bool) {
-	if w.pending.len() > 0 {
+	if w.Len() > 0 {
 		return now, true
 	}
 	return 0, false
 }
 
-// OnTransmit implements network.Discipline.
-func (w *WF2Q) OnTransmit(p *packet.Packet, finish float64) { p.Hold = 0 }
-
 // Len implements network.Discipline.
-func (w *WF2Q) Len() int { return w.pending.len() }
+func (w *WF2Q) Len() int { return w.ready.Len() + w.pending.Len() }
 
-func clearSkipped(s []wf2qEntry) {
-	for i := range s {
-		s[i] = wf2qEntry{} // release the packet references
-	}
-}
-
-// wf2qHeap is a hand-rolled min-heap over (fin, stamp) — a total
-// order, so the pop sequence matches the previous container/heap
-// implementation without its per-push/pop `any` boxing allocation.
-type wf2qHeap struct{ h []wf2qEntry }
-
-func (q *wf2qHeap) len() int { return len(q.h) }
-
-func wf2qLess(a, b wf2qEntry) bool {
-	if a.fin != b.fin {
-		return a.fin < b.fin
-	}
-	return a.stamp < b.stamp
-}
-
-func (q *wf2qHeap) push(e wf2qEntry) {
-	q.h = append(q.h, e)
-	h := q.h
-	j := len(h) - 1
-	for j > 0 {
-		i := (j - 1) / 2
-		if !wf2qLess(h[j], h[i]) {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		j = i
-	}
-}
-
-func (q *wf2qHeap) popMin() (wf2qEntry, bool) {
-	h := q.h
-	n := len(h) - 1
-	if n < 0 {
-		return wf2qEntry{}, false
-	}
-	min := h[0]
-	h[0] = h[n]
-	h[n] = wf2qEntry{} // release the packet reference
-	q.h = h[:n]
-	i := 0
-	for {
-		j1 := 2*i + 1
-		if j1 >= n {
-			break
-		}
-		j := j1
-		if j2 := j1 + 1; j2 < n && wf2qLess(h[j2], h[j1]) {
-			j = j2
-		}
-		if !wf2qLess(h[j], h[i]) {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		i = j
-	}
-	return min, true
+// PurgeSession implements network.SessionPurger. A session's started
+// packets precede its unstarted ones, so sweeping ready first hands its
+// packets to drop in their arrival order.
+func (w *WF2Q) PurgeSession(id int, drop func(*packet.Packet)) {
+	w.ready.Purge(id, drop)
+	w.pending.Purge(id, drop)
+	w.leaveGPS(id)
 }

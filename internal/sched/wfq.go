@@ -5,6 +5,7 @@ import (
 
 	"leaveintime/internal/network"
 	"leaveintime/internal/packet"
+	"leaveintime/internal/pq"
 )
 
 // WFQ is Weighted Fair Queueing (Demers, Keshav & Shenker, SIGCOMM
@@ -25,11 +26,15 @@ import (
 // implementation tracks the exact GPS fluid system: a session stays
 // GPS-backlogged until V reaches its last finishing tag.
 type WFQ struct {
+	noHold
 	// C is the link capacity in bits/s, needed to advance virtual time.
 	C float64
 
+	// sessions is a map of pointers, not a sesstab.Table: backlog
+	// entries hold *wfqState, which must stay put as sessions come and
+	// go.
 	sessions map[int]*wfqState
-	ready    pktHeap
+	ready    pq.Heap
 	stamp    uint64
 
 	v          float64 // current virtual time V
@@ -64,26 +69,34 @@ func (w *WFQ) AddSession(cfg network.SessionPort) {
 
 // Enqueue implements network.Discipline.
 func (w *WFQ) Enqueue(p *packet.Packet, now float64) {
+	_, fin := w.tag(p, now)
+	w.stamp++
+	w.ready.Push(pq.Entry{P: p, Key: fin, Stamp: w.stamp})
+}
+
+// tag advances the fluid system to now, enters the packet into it and
+// returns its GPS virtual start and finish tags; the finish tag is also
+// the packet's Deadline (virtual units; ordering is what matters).
+func (w *WFQ) tag(p *packet.Packet, now float64) (start, fin float64) {
 	s, ok := w.sessions[p.Session]
 	if !ok {
 		panic(fmt.Sprintf("sched: WFQ packet for unregistered session %d", p.Session))
 	}
 	w.advance(now)
-	start := w.v
+	start = w.v
 	if s.inB && s.fPrev > start {
 		start = s.fPrev
 	}
-	f := start + p.Length/s.weight
-	s.fPrev = f
+	fin = start + p.Length/s.weight
+	s.fPrev = fin
 	if !s.inB {
 		s.inB = true
 		w.weightSum += s.weight
 	}
-	w.backlog.push(tagEntry{tag: f, s: s})
+	w.backlog.push(tagEntry{tag: fin, s: s})
 	p.Eligible = now
-	p.Deadline = f // virtual units; ordering is what matters
-	w.stamp++
-	w.ready.push(p, f, w.stamp)
+	p.Deadline = fin
+	return start, fin
 }
 
 // advance moves the GPS fluid system from lastUpdate to real time t,
@@ -117,11 +130,7 @@ func (w *WFQ) advance(t float64) {
 		// The session leaves the GPS backlog only if this tag is still
 		// its latest packet's tag.
 		if e.s.inB && e.s.fPrev == e.tag {
-			e.s.inB = false
-			w.weightSum -= e.s.weight
-			if w.weightSum < 1e-9 {
-				w.weightSum = 0
-			}
+			w.unbacklog(e.s)
 		}
 	}
 }
@@ -144,17 +153,18 @@ func (w *WFQ) peekBacklog() (tagEntry, bool) {
 // Dequeue implements network.Discipline.
 func (w *WFQ) Dequeue(now float64) (*packet.Packet, bool) {
 	w.advance(now)
-	return w.ready.popMin()
+	e, ok := w.ready.PopMin()
+	return e.P, ok
 }
 
 // NextEligible implements network.Discipline; WFQ is work-conserving.
 func (w *WFQ) NextEligible(now float64) (float64, bool) { return 0, false }
 
-// OnTransmit implements network.Discipline.
-func (w *WFQ) OnTransmit(p *packet.Packet, finish float64) { p.Hold = 0 }
-
 // Len implements network.Discipline.
-func (w *WFQ) Len() int { return w.ready.len() }
+func (w *WFQ) Len() int { return w.ready.Len() }
+
+// HasSession implements network.SessionChecker.
+func (w *WFQ) HasSession(id int) bool { return w.sessions[id] != nil }
 
 // RemoveSession implements network.SessionRemover. The session must be
 // drained (not GPS-backlogged).
@@ -165,6 +175,34 @@ func (w *WFQ) RemoveSession(id int) {
 	delete(w.sessions, id)
 }
 
+// PurgeSession implements network.SessionPurger. Beyond the packet
+// queue, the session must also leave the GPS fluid system: its weight
+// comes out of the backlogged weight sum so virtual time advances at
+// the correct rate for the survivors. Its backlog tags become stale
+// and are discarded lazily by peekBacklog (inB is false, and a
+// re-admitted session gets a fresh state struct, so old tags can never
+// match it).
+func (w *WFQ) PurgeSession(id int, drop func(*packet.Packet)) {
+	w.ready.Purge(id, drop)
+	w.leaveGPS(id)
+}
+
+func (w *WFQ) leaveGPS(id int) {
+	if s := w.sessions[id]; s != nil && s.inB {
+		w.unbacklog(s)
+	}
+	delete(w.sessions, id)
+}
+
+// unbacklog takes a session out of the GPS backlog.
+func (w *WFQ) unbacklog(s *wfqState) {
+	s.inB = false
+	w.weightSum -= s.weight
+	if w.weightSum < 1e-9 {
+		w.weightSum = 0
+	}
+}
+
 // tagEntry pairs a GPS finish tag with its session for the backlog
 // heap.
 type tagEntry struct {
@@ -173,14 +211,15 @@ type tagEntry struct {
 }
 
 // tagHeap is a hand-rolled min-heap ordered by tag (no boxing through
-// container/heap's `any`, which allocated once per push and pop). Tags
-// can tie across sessions, so the sift algorithm replicates
-// container/heap's binary up/down move for move: the entry surfacing
-// among equal tags — and with it the floating-point order of weightSum
-// updates — is bit-identical to the boxed implementation's.
+// container/heap's `any`, which allocated once per push and pop). It is
+// the one heap of the package that is not a pq.Heap, for two reasons:
+// it orders sessions, not packets, and by tag alone — tags tie across
+// sessions, so this is not a total order and the pop sequence does
+// depend on the sift. The sift therefore replicates container/heap's
+// binary up/down move for move: the entry surfacing among equal tags —
+// and with it the floating-point order of weightSum updates, which
+// every later tag inherits — stays bit-identical to the goldens.
 type tagHeap struct{ h []tagEntry }
-
-func (t *tagHeap) len() int { return len(t.h) }
 
 func (t *tagHeap) peek() (tagEntry, bool) {
 	if len(t.h) == 0 {

@@ -17,12 +17,10 @@ import (
 	"fmt"
 
 	"leaveintime/internal/admission"
-	"leaveintime/internal/event"
 	"leaveintime/internal/faults"
 	"leaveintime/internal/metrics"
 	"leaveintime/internal/network"
 	"leaveintime/internal/signaling"
-	"leaveintime/internal/topo"
 )
 
 // churnSess is one scenario session's lifecycle state across the run:
@@ -47,10 +45,7 @@ type churnSess struct {
 // churnRun is the chaos harness for one discipline's run; it implements
 // faults.Actions.
 type churnRun struct {
-	sc         *Scenario
-	sim        *event.Simulator
-	net        *network.Network
-	adm        admitterSet
+	*run
 	byID       map[int]*churnSess
 	order      []*churnSess
 	portByName map[string]*network.Port
@@ -233,59 +228,24 @@ func (r *churnRun) newSignaler(cs *churnSess) *signaling.Signaler {
 // layer. Per-session counters aggregate across a churned session's
 // incarnations.
 func runChurn(sc *Scenario, spec discSpec, opts runOpts) (*runResult, error) {
-	if err := sc.Validate(); err != nil {
+	base, err := newRun(sc, spec, opts)
+	if err != nil {
 		return nil, err
 	}
-	sim := event.New()
-	if opts.wd != (event.Watchdog{}) {
-		sim.SetWatchdog(opts.wd)
-	}
-	net := network.New(sim, sc.LMax)
-	net.SetPoolDebug(true)
-	reg := metrics.NewRegistry()
-	net.EnableMetrics(reg)
-	counts := newTraceCounts()
-	net.Tracer = counts
-
-	res := &runResult{Name: spec.name, Reg: reg, Counts: counts}
-
-	g := scenarioGraph(sc)
-	err := g.Build(net, func(l *topo.Link) network.Discipline {
-		return &checkedDisc{
-			inner:         spec.mk(sc, l),
-			disc:          spec.name,
-			port:          linkKey(l),
-			wc:            spec.workConserving(sc),
-			deadlineCheck: spec.deadlineCheck,
-			tol:           spec.deadlineTol(sc, l.Capacity),
-			out:           &res.Violations,
-		}
-	})
-	if err != nil {
-		// Fresh graph per run: a double Build is a harness bug.
-		panic(err)
-	}
-	adm := newAdmitters(sc)
-	res.Adm = adm
-
 	r := &churnRun{
-		sc: sc, sim: sim, net: net, adm: adm,
+		run:        base,
 		byID:       make(map[int]*churnSess),
 		portByName: make(map[string]*network.Port),
 	}
-	for _, l := range g.Links() {
+	for _, l := range r.g.Links() {
 		r.portByName[l.Port.Name] = l.Port
 	}
 	for _, def := range sc.Sessions {
-		sr, sess, probes, err := establish(sc, g, net, adm, def, spec, opts)
-		if err != nil {
-			res.Violations = append(res.Violations, Violation{
-				Check: "admission-replay", Discipline: spec.name,
-				Session: def.ID, Detail: err.Error(),
-			})
+		sr, sess, probes, ok := r.establish(def)
+		if !ok {
 			continue
 		}
-		links, err := g.RouteLinks(def.From, def.To)
+		links, err := r.g.RouteLinks(def.From, def.To)
 		if err != nil {
 			return nil, err
 		}
@@ -299,18 +259,12 @@ func runChurn(sc *Scenario, spec discSpec, opts runOpts) (*runResult, error) {
 		r.order = append(r.order, cs)
 	}
 
-	faults.Inject(sim, r, sc.Faults)
+	faults.Inject(r.sim, r, sc.Faults)
 	for _, cs := range r.order {
 		cs.live.Start(0, sc.Duration)
 	}
-	sim.RunAll()
-	if reason := sim.Tripped(); reason != "" {
-		res.Tripped = reason
-		reg.Arena().Inc(metrics.HFaultWatchdogTrips)
-		res.Violations = append(res.Violations, Violation{
-			Check: "watchdog", Discipline: spec.name, Detail: reason,
-		})
-	} else {
+	r.sim.RunAll()
+	if !r.finishTrip() {
 		// Final teardown pass: every reservation still held — the
 		// survivors', the re-established churners', and any remnant
 		// stranded by a lost signaling message — goes back through the
@@ -322,7 +276,7 @@ func runChurn(sc *Scenario, spec discSpec, opts runOpts) (*runResult, error) {
 				_ = cs.sig.Teardown(cs.def.ID, nil)
 			}
 		}
-		sim.RunAll()
+		r.sim.RunAll()
 	}
 
 	for _, cs := range r.order {
@@ -330,22 +284,13 @@ func runChurn(sc *Scenario, spec discSpec, opts runOpts) (*runResult, error) {
 			cs.emitted += cs.live.Emitted
 			cs.delivered += cs.live.Delivered
 		}
-		sr := cs.sr
-		sr.Emitted = cs.emitted
-		sr.Delivered = cs.delivered
-		if cs.live != nil && cs.live.Delays.Count() > 0 {
-			sr.MaxDelay = cs.live.Delays.Max()
-			sr.Jitter = cs.live.Delays.Jitter()
-		}
-		for i, pr := range cs.probes {
-			sr.Probes[i].MaxBits = pr.MaxBits
-			sr.Probes[i].Dropped = pr.DroppedPackets
-			sr.Dropped += pr.DroppedPackets
-		}
-		res.Sessions = append(res.Sessions, *sr)
+		cs.sr.Emitted = cs.emitted
+		cs.sr.Delivered = cs.delivered
+		cs.sr.collect(cs.live, cs.probes)
+		r.res.Sessions = append(r.res.Sessions, *cs.sr)
 	}
-	res.Pool = net.PoolStats()
-	return res, nil
+	r.res.Pool = r.net.PoolStats()
+	return r.res, nil
 }
 
 // faultedPorts returns the ports whose outgoing link the plan takes

@@ -213,11 +213,23 @@ func (t *traceCounts) Trace(e traceEvent) {
 	}
 }
 
-// runScenario builds the scenario's network under one discipline and
-// runs it to full drain. Violations detected online (by the checking
-// decorator) are collected in the result; bound and cross-run checks
-// happen in the battery.
-func runScenario(sc *Scenario, spec discSpec, opts runOpts) (*runResult, error) {
+// run is what the clean and the churn runner share: the simulator with
+// its watchdog armed, the instrumented network built from the
+// scenario's graph under one discipline (each port's scheduler wrapped
+// in the checking decorator), the admission controllers, and the result
+// both fill in.
+type run struct {
+	sc   *Scenario
+	spec discSpec
+	opts runOpts
+	sim  *event.Simulator
+	net  *network.Network
+	g    *topo.Graph
+	adm  admitterSet
+	res  *runResult
+}
+
+func newRun(sc *Scenario, spec discSpec, opts runOpts) (*run, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
@@ -232,8 +244,8 @@ func runScenario(sc *Scenario, spec discSpec, opts runOpts) (*runResult, error) 
 	counts := newTraceCounts()
 	net.Tracer = counts
 
-	res := &runResult{Name: spec.name, Reg: reg, Counts: counts}
-
+	adm := newAdmitters(sc)
+	res := &runResult{Name: spec.name, Reg: reg, Counts: counts, Adm: adm}
 	g := scenarioGraph(sc)
 	err := g.Build(net, func(l *topo.Link) network.Discipline {
 		return &checkedDisc{
@@ -250,9 +262,33 @@ func runScenario(sc *Scenario, spec discSpec, opts runOpts) (*runResult, error) 
 		// Fresh graph per run: a double Build is a harness bug.
 		panic(err)
 	}
+	return &run{sc: sc, spec: spec, opts: opts, sim: sim, net: net, g: g, adm: adm, res: res}, nil
+}
 
-	adm := newAdmitters(sc)
-	res.Adm = adm
+// finishTrip reports whether the watchdog cut the run short, recording
+// the trip as a violation and in the fault telemetry.
+func (r *run) finishTrip() bool {
+	reason := r.sim.Tripped()
+	if reason == "" {
+		return false
+	}
+	r.res.Tripped = reason
+	r.res.Reg.Arena().Inc(metrics.HFaultWatchdogTrips)
+	r.res.Violations = append(r.res.Violations, Violation{
+		Check: "watchdog", Discipline: r.spec.name, Detail: reason,
+	})
+	return true
+}
+
+// runScenario builds the scenario's network under one discipline and
+// runs it to full drain. Violations detected online (by the checking
+// decorator) are collected in the result; bound and cross-run checks
+// happen in the battery.
+func runScenario(sc *Scenario, spec discSpec, opts runOpts) (*runResult, error) {
+	r, err := newRun(sc, spec, opts)
+	if err != nil {
+		return nil, err
+	}
 	type built struct {
 		sess   *network.Session
 		sr     *sessResult
@@ -260,15 +296,9 @@ func runScenario(sc *Scenario, spec discSpec, opts runOpts) (*runResult, error) 
 	}
 	var builds []built
 	for _, def := range sc.Sessions {
-		sr, sess, probes, err := establish(sc, g, net, adm, def, spec, opts)
-		if err != nil {
-			res.Violations = append(res.Violations, Violation{
-				Check: "admission-replay", Discipline: spec.name,
-				Session: def.ID, Detail: err.Error(),
-			})
-			continue
+		if sr, sess, probes, ok := r.establish(def); ok {
+			builds = append(builds, built{sess: sess, sr: sr, probes: probes})
 		}
-		builds = append(builds, built{sess: sess, sr: sr, probes: probes})
 	}
 
 	for _, b := range builds {
@@ -276,31 +306,31 @@ func runScenario(sc *Scenario, spec discSpec, opts runOpts) (*runResult, error) 
 	}
 	// Emission stops at Duration; everything still queued, regulated or
 	// framed then drains, so RunAll terminates with an empty network.
-	sim.RunAll()
-	if reason := sim.Tripped(); reason != "" {
-		res.Tripped = reason
-		reg.Arena().Inc(metrics.HFaultWatchdogTrips)
-		res.Violations = append(res.Violations, Violation{
-			Check: "watchdog", Discipline: spec.name, Detail: reason,
-		})
-	}
+	r.sim.RunAll()
+	r.finishTrip()
 
 	for _, b := range builds {
 		b.sr.Emitted = b.sess.Emitted
 		b.sr.Delivered = b.sess.Delivered
-		if b.sess.Delays.Count() > 0 {
-			b.sr.MaxDelay = b.sess.Delays.Max()
-			b.sr.Jitter = b.sess.Delays.Jitter()
-		}
-		for i, pr := range b.probes {
-			b.sr.Probes[i].MaxBits = pr.MaxBits
-			b.sr.Probes[i].Dropped = pr.DroppedPackets
-			b.sr.Dropped += pr.DroppedPackets
-		}
-		res.Sessions = append(res.Sessions, *b.sr)
+		b.sr.collect(b.sess, b.probes)
+		r.res.Sessions = append(r.res.Sessions, *b.sr)
 	}
-	res.Pool = net.PoolStats()
-	return res, nil
+	r.res.Pool = r.net.PoolStats()
+	return r.res, nil
+}
+
+// collect reads the delay statistics of the session's (last)
+// incarnation and the per-hop buffer observations into the result.
+func (sr *sessResult) collect(sess *network.Session, probes []*network.BufferProbe) {
+	if sess != nil && sess.Delays.Count() > 0 {
+		sr.MaxDelay = sess.Delays.Max()
+		sr.Jitter = sess.Delays.Jitter()
+	}
+	for i, pr := range probes {
+		sr.Probes[i].MaxBits = pr.MaxBits
+		sr.Probes[i].Dropped = pr.DroppedPackets
+		sr.Dropped += pr.DroppedPackets
+	}
 }
 
 // admitted is a session's route after the admission replay: the links
@@ -360,30 +390,32 @@ func replayAdmission(sc *Scenario, g *topo.Graph, adm admitterSet, def SessionDe
 
 // establish admits the session at every hop (replaying what the
 // generator verified), derives its analytic bounds from the resulting
-// assignments, and wires it into the network.
-func establish(sc *Scenario, g *topo.Graph, net *network.Network, adm admitterSet,
-	def SessionDef, spec discSpec, opts runOpts) (*sessResult, *network.Session, []*network.BufferProbe, error) {
-
-	ad, err := replayAdmission(sc, g, adm, def)
-	if err != nil {
-		return nil, nil, nil, err
+// assignments, and wires it into the network. A failed replay is
+// recorded as a violation and reported as ok == false.
+func (r *run) establish(def SessionDef) (sr *sessResult, sess *network.Session, probes []*network.BufferProbe, ok bool) {
+	sc, opts := r.sc, r.opts
+	ad, err := replayAdmission(sc, r.g, r.adm, def)
+	var ports []*network.Port
+	if err == nil {
+		ports, err = r.g.Route(def.From, def.To)
 	}
-	links, cfgs := ad.links, ad.cfgs
-	ports, err := g.Route(def.From, def.To)
 	if err != nil {
-		return nil, nil, nil, err
+		r.res.Violations = append(r.res.Violations, Violation{
+			Check: "admission-replay", Discipline: r.spec.name,
+			Session: def.ID, Detail: err.Error(),
+		})
+		return nil, nil, nil, false
 	}
 
-	sr := &sessResult{
+	sr = &sessResult{
 		Def:        def,
-		Hops:       len(links),
+		Hops:       len(ad.links),
 		MinLinkCap: ad.minCap,
 		DelayBound: ad.bounds.DelayBound,
 		JitterBnd:  ad.bounds.JitterBound,
 	}
 
-	sess := net.AddSession(def.ID, def.Rate, def.JitterCtrl, ports, cfgs, buildSource(def))
-	var probes []*network.BufferProbe
+	sess = r.net.AddSession(def.ID, def.Rate, def.JitterCtrl, ports, ad.cfgs, buildSource(def))
 	if opts.probes {
 		for n, bound := range ad.bounds.BufferBoundBits {
 			limited := opts.limits && def.LimitBuffers
@@ -404,5 +436,5 @@ func establish(sc *Scenario, g *topo.Graph, net *network.Network, adm admitterSe
 			sr.Delays = append(sr.Delays, seqDelay{Seq: p.Seq, Delay: delay})
 		}
 	}
-	return sr, sess, probes, nil
+	return sr, sess, probes, true
 }
