@@ -12,14 +12,19 @@
 //	litcheck -churn -seeds 200          # chaos mode: fault/churn plans
 //	litcheck -classes -seeds 200        # + aggregate-class battery
 //	litcheck -calculus -seeds 200       # + network-calculus battery
-//	litcheck -replay repro.json         # re-check a written repro
+//	litcheck -replay repro.json         # re-check a repro or any litrun document
 //	litcheck -shards 4 -seeds 25        # shard-invariance battery
 //
 // Seeds run on a GOMAXPROCS worker pool; reports print in seed order
 // and each seed's report is deterministic (same seed, byte-identical
 // output). On violation the failing scenario is shrunk to a minimal
-// form and written as a replayable JSON repro under -repro-dir. The
-// exit status is 1 if any seed failed, 0 otherwise.
+// form and written as a replayable JSON repro under -repro-dir: the
+// scenario document, as litrun and litserve accept it, with the
+// harness's own keys in a "check" object beside it. -replay takes such
+// a repro, any scenario document (bound checks then apply to the
+// sessions that declare b0, the rest of the battery to all), or a repro
+// in the dialect litcheck wrote before it shared the document. The exit
+// status is 1 if any seed failed, 0 otherwise.
 //
 // -churn attaches a deterministic fault plan to every seed — link and
 // node outages, source stalls, and mid-run session release and
@@ -250,7 +255,7 @@ func main() {
 						// An injected tightening is part of what must
 						// replay; the shrink path embeds it the same way.
 						if opt.BoundScale > 0 {
-							sc.BoundScale = opt.BoundScale
+							sc.Check.BoundScale = opt.BoundScale
 						}
 					} else {
 						var srep *simcheck.SeedReport

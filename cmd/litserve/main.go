@@ -5,10 +5,6 @@
 //
 //	litserve [-mode serve] [-addr :8080] [-workers N] [-queue N]
 //	         [-checkpoint-dir DIR] [-slice 0.25]
-//	litserve -mode bench [-bench-duration 5s] [-arrival 200] [-hold 0.25]
-//	         [-call-rate 32000] [-call-lmax 424] [-clients 16]
-//	         [-out BENCH_serve.json] [-gate baseline.json] [-latband 1.0]
-//	         [-rateband 0.25]
 //	litserve -mode chaos [-seeds 100] [-seed 1] [-dir DIR]
 //
 // serve hosts the daemon until SIGTERM/SIGINT, then drains gracefully:
@@ -16,30 +12,21 @@
 // checkpointed to -checkpoint-dir; a restarted daemon restores and
 // re-runs them (runs are deterministic, so results are unchanged).
 //
-// bench starts an ephemeral in-process daemon, offers an open-loop
-// Poisson SETUP/RELEASE call process against it, and records accepted
-// calls per second plus admission-latency percentiles in a
-// litbench-style JSON file. With -gate, it fails (exit 1) if the
-// accepted-call rate drops more than -rateband below the baseline or
-// the p99 admission latency grows more than -latband above it. Both
-// are machine-dependent, so CI regenerates a same-machine baseline
-// before gating rather than trusting the committed file's absolute
-// numbers.
-//
 // chaos runs the deterministic live chaos battery (kills, stalls,
 // malformed and duplicate requests, clock skew, overload, drain with
 // restart, watchdog repros, goroutine-leak check) once per seed and
 // exits nonzero on the first failing seed's report.
+//
+// The daemon's speed is measured by the repository benchmark
+// (go run ./bench -workload serve-t1), not here.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 	"time"
 
@@ -52,40 +39,16 @@ import (
 type flagConflict struct{ a, b, why string }
 
 // flagMatrix is the audited set of incoherent combinations: every
-// flag owned by one mode conflicts with selecting another. Flags
-// absent from the table compose across modes (-dir serves chaos and
-// bench alike, -workers/-queue/-slice shape the daemon in every mode).
+// flag owned by one mode conflicts with selecting the other.
 var flagMatrix = []flagConflict{
-	{"mode=serve", "bench-duration", "load generation belongs to -mode bench"},
-	{"mode=serve", "arrival", "load generation belongs to -mode bench"},
-	{"mode=serve", "hold", "load generation belongs to -mode bench"},
-	{"mode=serve", "call-rate", "load generation belongs to -mode bench"},
-	{"mode=serve", "call-lmax", "load generation belongs to -mode bench"},
-	{"mode=serve", "clients", "load generation belongs to -mode bench"},
-	{"mode=serve", "out", "only -mode bench writes a measurement file"},
-	{"mode=serve", "gate", "only -mode bench gates against a baseline"},
-	{"mode=serve", "latband", "only -mode bench gates against a baseline"},
-	{"mode=serve", "rateband", "only -mode bench gates against a baseline"},
 	{"mode=serve", "seeds", "seed sweeps belong to -mode chaos"},
 	{"mode=serve", "seed", "seed sweeps belong to -mode chaos"},
-	{"mode=bench", "addr", "the bench daemon binds an ephemeral port"},
-	{"mode=bench", "checkpoint-dir", "the bench daemon is ephemeral and never drains to disk"},
-	{"mode=bench", "seeds", "seed sweeps belong to -mode chaos"},
+	{"mode=serve", "dir", "the working directory belongs to -mode chaos"},
 	{"mode=chaos", "addr", "the battery manages its own daemons on ephemeral ports"},
 	{"mode=chaos", "checkpoint-dir", "the battery manages its own checkpoint directories under -dir"},
 	{"mode=chaos", "workers", "the battery fixes its daemon shapes for determinism"},
 	{"mode=chaos", "queue", "the battery fixes its daemon shapes for determinism"},
 	{"mode=chaos", "slice", "the battery fixes its daemon shapes for determinism"},
-	{"mode=chaos", "bench-duration", "load generation belongs to -mode bench"},
-	{"mode=chaos", "arrival", "load generation belongs to -mode bench"},
-	{"mode=chaos", "hold", "load generation belongs to -mode bench"},
-	{"mode=chaos", "call-rate", "load generation belongs to -mode bench"},
-	{"mode=chaos", "call-lmax", "load generation belongs to -mode bench"},
-	{"mode=chaos", "clients", "load generation belongs to -mode bench"},
-	{"mode=chaos", "out", "only -mode bench writes a measurement file"},
-	{"mode=chaos", "gate", "only -mode bench gates against a baseline"},
-	{"mode=chaos", "latband", "only -mode bench gates against a baseline"},
-	{"mode=chaos", "rateband", "only -mode bench gates against a baseline"},
 }
 
 // flagConflicts returns one message per incoherent combination.
@@ -103,39 +66,14 @@ func flagConflicts(mode string, enabled map[string]bool) []string {
 	return msgs
 }
 
-// BenchResult is one bench case's measurement: the load generator's
-// report under a litbench-style name.
-type BenchResult struct {
-	Name string `json:"name"`
-	serve.LoadReport
-}
-
-// BenchFile is the BENCH_serve.json layout (litbench envelope).
-type BenchFile struct {
-	Go      string        `json:"go"`
-	GOOS    string        `json:"goos"`
-	GOARCH  string        `json:"goarch"`
-	Results []BenchResult `json:"results"`
-}
-
 func main() {
 	var (
-		mode          = flag.String("mode", "serve", "serve | bench | chaos")
+		mode          = flag.String("mode", "serve", "serve | chaos")
 		addr          = flag.String("addr", "127.0.0.1:8080", "listen address (serve mode)")
 		workers       = flag.Int("workers", 0, "scenario workers (0 = default)")
 		queue         = flag.Int("queue", 0, "scenario queue depth (0 = default)")
 		checkpointDir = flag.String("checkpoint-dir", "", "drain checkpoint / repro directory (serve mode; \"\" disables)")
 		slice         = flag.Float64("slice", 0, "simulated seconds per worker control poll (0 = default)")
-		benchDur      = flag.Duration("bench-duration", 5*time.Second, "load duration (bench mode)")
-		arrival       = flag.Float64("arrival", 200, "Poisson call arrivals per second (bench mode)")
-		hold          = flag.Float64("hold", 0.25, "mean exponential call holding time in seconds (bench mode)")
-		callRate      = flag.Float64("call-rate", 32000, "per-call reserved rate in bit/s (bench mode)")
-		callLMax      = flag.Float64("call-lmax", 424, "per-call maximum packet length in bits (bench mode)")
-		clients       = flag.Int("clients", 16, "concurrent load-generator clients (bench mode)")
-		out           = flag.String("out", "BENCH_serve.json", "bench output file (- for stdout only)")
-		gate          = flag.String("gate", "", "baseline JSON; fail if throughput or latency regress past its budgets")
-		latband       = flag.Float64("latband", 1.0, "allowed fractional p99 admission-latency growth vs the gate baseline")
-		rateband      = flag.Float64("rateband", 0.25, "allowed fractional accepted-calls/s loss vs the gate baseline")
 		seeds         = flag.Int("seeds", 100, "chaos battery seed count (chaos mode)")
 		seed0         = flag.Uint64("seed", 1, "first chaos seed (chaos mode)")
 		dir           = flag.String("dir", "", "chaos working directory (default: a temp dir)")
@@ -144,7 +82,7 @@ func main() {
 
 	enabled := make(map[string]bool)
 	flag.Visit(func(f *flag.Flag) { enabled[f.Name] = true })
-	if *mode != "serve" && *mode != "bench" && *mode != "chaos" {
+	if *mode != "serve" && *mode != "chaos" {
 		fmt.Fprintf(os.Stderr, "litserve: unknown -mode %q\n", *mode)
 		os.Exit(2)
 	}
@@ -166,14 +104,6 @@ func main() {
 	switch *mode {
 	case "serve":
 		runServe(opts)
-	case "bench":
-		opts.Addr = "127.0.0.1:0"
-		opts.CheckpointDir = ""
-		runBench(opts, benchOptions{
-			Duration: *benchDur, Arrival: *arrival, Hold: *hold,
-			CallRate: *callRate, CallLMax: *callLMax, Clients: *clients,
-			Out: *out, Gate: *gate, LatBand: *latband, RateBand: *rateband,
-		})
 	case "chaos":
 		runChaos(*seeds, *seed0, *dir)
 	}
@@ -198,120 +128,6 @@ func runServe(opts serve.Options) {
 		os.Exit(1)
 	}
 	fmt.Println("litserve: drained")
-}
-
-type benchOptions struct {
-	Duration           time.Duration
-	Arrival, Hold      float64
-	CallRate, CallLMax float64
-	Clients            int
-	Out, Gate          string
-	LatBand, RateBand  float64
-}
-
-// runBench measures admission throughput and latency against an
-// ephemeral in-process daemon and writes/gates BENCH_serve.json.
-func runBench(opts serve.Options, b benchOptions) {
-	d := serve.New(opts)
-	if err := d.Start(); err != nil {
-		fmt.Fprintf(os.Stderr, "litserve: %v\n", err)
-		os.Exit(1)
-	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		d.Drain(ctx) //nolint:errcheck
-	}()
-	rep, err := serve.RunLoad(serve.LoadOptions{
-		BaseURL:     "http://" + d.Addr(),
-		System:      "bench",
-		Capacity:    1536000,
-		LMax:        b.CallLMax,
-		ArrivalRate: b.Arrival,
-		HoldMean:    b.Hold,
-		CallRate:    b.CallRate,
-		CallLMax:    b.CallLMax,
-		Duration:    b.Duration,
-		Seed:        1,
-		Clients:     b.Clients,
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "litserve: load: %v\n", err)
-		os.Exit(1)
-	}
-	file := BenchFile{
-		Go: runtime.Version(), GOOS: runtime.GOOS, GOARCH: runtime.GOARCH,
-		Results: []BenchResult{{Name: "poisson-admission", LoadReport: *rep}},
-	}
-	fmt.Printf("%-20s %8d offered %8d accepted %8d rejected %8d errors\n",
-		"poisson-admission", rep.Offered, rep.Accepted, rep.Rejected, rep.Errors)
-	fmt.Printf("%-20s %8.1f accepted/s  p50 %.2fms  p90 %.2fms  p99 %.2fms\n",
-		"", rep.AcceptedPS, rep.P50ms, rep.P90ms, rep.P99ms)
-	if rep.Errors > 0 {
-		fmt.Fprintf(os.Stderr, "litserve: %d transport errors during load\n", rep.Errors)
-		os.Exit(1)
-	}
-
-	if b.Gate != "" {
-		if err := checkServeGate(b.Gate, file.Results, b.RateBand, b.LatBand); err != nil {
-			fmt.Fprintf(os.Stderr, "litserve: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("gate ok against %s\n", b.Gate)
-	}
-	if b.Out == "-" {
-		return
-	}
-	data, err := json.MarshalIndent(file, "", "  ")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "litserve: %v\n", err)
-		os.Exit(1)
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(b.Out, data, 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "litserve: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("wrote %s (%d cases)\n", b.Out, len(file.Results))
-}
-
-// checkServeGate compares measured throughput and p99 admission
-// latency against a baseline file's budgets. Cases absent from the
-// baseline pass (they gate once their baseline is committed).
-func checkServeGate(path string, results []BenchResult, rateband, latband float64) error {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("gate baseline: %w", err)
-	}
-	var base BenchFile
-	if err := json.Unmarshal(raw, &base); err != nil {
-		return fmt.Errorf("gate baseline %s: %w", path, err)
-	}
-	baseline := make(map[string]BenchResult, len(base.Results))
-	for _, r := range base.Results {
-		baseline[r.Name] = r
-	}
-	var failed int
-	for _, r := range results {
-		b, ok := baseline[r.Name]
-		if !ok {
-			continue
-		}
-		if floor := b.AcceptedPS * (1 - rateband); b.AcceptedPS > 0 && r.AcceptedPS < floor {
-			fmt.Fprintf(os.Stderr, "litserve: %s accepts %.1f calls/s, floor %.1f (baseline %.1f - %.0f%%)\n",
-				r.Name, r.AcceptedPS, floor, b.AcceptedPS, rateband*100)
-			failed++
-		}
-		if ceil := b.P99ms * (1 + latband); b.P99ms > 0 && r.P99ms > ceil {
-			fmt.Fprintf(os.Stderr, "litserve: %s p99 admission %.2fms, ceiling %.2fms (baseline %.2fms + %.0f%%)\n",
-				r.Name, r.P99ms, ceil, b.P99ms, latband*100)
-			failed++
-		}
-	}
-	if failed > 0 {
-		return fmt.Errorf("%d budget violation(s) against the gate baseline", failed)
-	}
-	return nil
 }
 
 // runChaos sweeps the live battery over seeds.

@@ -4,8 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -35,22 +33,14 @@ func TestFlagMatrix(t *testing.T) {
 	}{
 		{"serve defaults", "serve", on(), nil},
 		{"serve full", "serve", on("addr", "workers", "queue", "checkpoint-dir", "slice"), nil},
-		{"bench full", "bench", on("bench-duration", "arrival", "hold", "call-rate",
-			"call-lmax", "clients", "out", "gate", "latband", "rateband", "workers", "queue", "slice"), nil},
 		{"chaos full", "chaos", on("seeds", "seed", "dir"), nil},
-		{"bench with dir", "bench", on("dir", "out"), nil},
 
-		{"serve with loadgen", "serve", on("arrival", "hold"), []string{"arrival", "hold"}},
-		{"serve with gate", "serve", on("gate", "latband"), []string{"gate", "latband"}},
 		{"serve with seeds", "serve", on("seeds"), []string{"seeds"}},
-		{"bench with addr", "bench", on("addr"), []string{"addr"}},
-		{"bench with checkpoint", "bench", on("checkpoint-dir"), []string{"checkpoint-dir"}},
-		{"bench with seeds", "bench", on("seeds"), []string{"seeds"}},
+		{"serve with chaos dir", "serve", on("seed", "dir"), []string{"seed", "dir"}},
 		{"chaos with addr", "chaos", on("addr", "seeds"), []string{"addr"}},
+		{"chaos with checkpoint", "chaos", on("checkpoint-dir"), []string{"checkpoint-dir"}},
 		{"chaos with daemon shape", "chaos", on("workers", "queue", "slice"),
 			[]string{"workers", "queue", "slice"}},
-		{"chaos with bench flags", "chaos", on("out", "gate", "arrival"),
-			[]string{"out", "gate", "arrival"}},
 	}
 	for _, c := range cases {
 		msgs := flagConflicts(c.mode, c.enabled)
@@ -157,95 +147,5 @@ func TestStatsSchema(t *testing.T) {
 	}
 	if st.Serve.Requests == 0 {
 		t.Fatal("the stats request itself was not counted")
-	}
-}
-
-// TestBenchSmokeAndFileSchema runs a short load against an in-process
-// daemon and checks the BENCH_serve.json layout round-trips with no
-// unknown fields.
-func TestBenchSmokeAndFileSchema(t *testing.T) {
-	d := serve.New(serve.Options{Workers: 1})
-	if err := d.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		d.Drain(ctx) //nolint:errcheck
-	}()
-	rep, err := serve.RunLoad(serve.LoadOptions{
-		BaseURL:     "http://" + d.Addr(),
-		System:      "bench",
-		Capacity:    1536000,
-		LMax:        424,
-		ArrivalRate: 400,
-		HoldMean:    0.05,
-		CallRate:    32000,
-		CallLMax:    424,
-		Duration:    500 * time.Millisecond,
-		Seed:        1,
-		Clients:     8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Offered == 0 || rep.Accepted == 0 {
-		t.Fatalf("load report: %+v", rep)
-	}
-	if rep.Errors != 0 {
-		t.Fatalf("%d transport errors: %+v", rep.Errors, rep)
-	}
-	if rep.P50ms <= 0 || rep.P99ms < rep.P50ms {
-		t.Fatalf("latency percentiles incoherent: %+v", rep)
-	}
-	file := BenchFile{Go: "gotest", GOOS: "linux", GOARCH: "amd64",
-		Results: []BenchResult{{Name: "poisson-admission", LoadReport: *rep}}}
-	data, err := json.Marshal(file)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec := json.NewDecoder(strings.NewReader(string(data)))
-	dec.DisallowUnknownFields()
-	var back BenchFile
-	if err := dec.Decode(&back); err != nil {
-		t.Fatalf("BENCH_serve.json schema does not round-trip: %v", err)
-	}
-	if back.Results[0].AcceptedPS != rep.AcceptedPS {
-		t.Fatal("accepted-calls/s lost in round-trip")
-	}
-}
-
-// TestServeGate exercises the bench gate's budgets on synthetic data.
-func TestServeGate(t *testing.T) {
-	base := BenchFile{Results: []BenchResult{{Name: "poisson-admission",
-		LoadReport: serve.LoadReport{AcceptedPS: 100, P99ms: 10}}}}
-	path := filepath.Join(t.TempDir(), "base.json")
-	data, _ := json.Marshal(base)
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	mk := func(aps, p99 float64) []BenchResult {
-		return []BenchResult{{Name: "poisson-admission",
-			LoadReport: serve.LoadReport{AcceptedPS: aps, P99ms: p99}}}
-	}
-	cases := []struct {
-		name     string
-		results  []BenchResult
-		wantFail bool
-	}{
-		{"within budgets", mk(95, 11), false},
-		{"at the floor", mk(75, 10), false},
-		{"throughput collapse", mk(50, 10), true},
-		{"latency blowup", mk(100, 25), true},
-		{"unknown case passes", []BenchResult{{Name: "other"}}, false},
-	}
-	for _, c := range cases {
-		err := checkServeGate(path, c.results, 0.25, 1.0)
-		if (err != nil) != c.wantFail {
-			t.Errorf("%s: err = %v, wantFail = %v", c.name, err, c.wantFail)
-		}
-	}
-	if err := checkServeGate(filepath.Join(t.TempDir(), "missing.json"), mk(1, 1), 0.25, 1.0); err == nil {
-		t.Error("missing baseline file did not fail")
 	}
 }

@@ -41,10 +41,14 @@ func (s SessionSpec) validate() error {
 
 // Class is one delay class of procedures 1 and 2: R is the maximum
 // bandwidth assignable to sessions in this class and the classes below
-// it, and Sigma is the class base delay (seconds).
+// it, and Sigma is the class base delay (seconds). RFrac states R as a
+// fraction of the link capacity instead, so one class list serves links
+// of different capacities (R_P = C is RFrac 1); a controller resolves
+// it against its own link when it is built.
 type Class struct {
 	R     float64
 	Sigma float64
+	RFrac float64
 }
 
 // Assignment is the outcome of admitting a session at one server: the
@@ -95,6 +99,11 @@ type Controller interface {
 	// over the live set — exactly zero once every session is removed
 	// (the no-reservation-leak check of the churn harness).
 	TotalRate() float64
+	// Check reports what the controller refuses about a request whatever
+	// else is established there (a malformed declaration, a class out of
+	// range, a missing d): the static part of Admit, which runs it before
+	// the rule tests.
+	Check(spec SessionSpec, class int, opts Options) error
 	// SetMetrics attaches the controller's accept/reject counters to
 	// its own procedure's block of the arena (HAdmissionAC1..3). The
 	// controllers of one procedure, one per server, share that block.
@@ -205,6 +214,20 @@ func newClassController(proc int, c float64, classes []Class) (*ClassController,
 	if len(classes) == 0 {
 		return nil, errors.New("admission: at least one class required")
 	}
+	resolved := false
+	for k, cl := range classes {
+		if cl.RFrac == 0 {
+			continue
+		}
+		if cl.R != 0 {
+			return nil, fmt.Errorf("admission: class %d states both R and RFrac", k+1)
+		}
+		if !resolved {
+			// On a copy: the caller's list serves links of other capacities.
+			classes, resolved = append([]Class(nil), classes...), true
+		}
+		classes[k] = Class{R: cl.RFrac * c, Sigma: cl.Sigma}
+	}
 	for k := 1; k < len(classes); k++ {
 		if classes[k].R < classes[k-1].R || classes[k].Sigma < classes[k-1].Sigma {
 			return nil, fmt.Errorf("admission: class %d must have R and Sigma >= class %d", k+1, k)
@@ -235,9 +258,8 @@ type Options struct {
 	D float64
 }
 
-// Check reports what the controller refuses about a request whatever
-// else is established there: a malformed declaration, a class outside
-// 1..P, a negative eps. Admit runs it before the rule tests.
+// Check implements Controller: a malformed declaration, a class outside
+// 1..P, a negative eps.
 func (p *ClassController) Check(spec SessionSpec, class int, opts Options) error {
 	if err := spec.validate(); err != nil {
 		return err
@@ -423,12 +445,20 @@ func (p *Procedure3) Admit(spec SessionSpec, _ int, opts Options) (Assignment, e
 	return a, err
 }
 
-func (p *Procedure3) admit(spec SessionSpec, d float64) (Assignment, error) {
+// Check implements Controller: a malformed declaration or a missing d.
+func (p *Procedure3) Check(spec SessionSpec, _ int, opts Options) error {
 	if err := spec.validate(); err != nil {
-		return Assignment{}, err
+		return err
 	}
-	if d <= 0 {
-		return Assignment{}, errors.New("admission: d must be positive")
+	if opts.D <= 0 {
+		return errors.New("admission: d must be positive")
+	}
+	return nil
+}
+
+func (p *Procedure3) admit(spec SessionSpec, d float64) (Assignment, error) {
+	if err := p.Check(spec, 0, Options{D: d}); err != nil {
+		return Assignment{}, err
 	}
 	maxN := p.MaxSessions
 	if maxN == 0 {

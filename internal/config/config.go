@@ -1,32 +1,64 @@
-// Package config loads declarative network scenarios from JSON and
-// runs them: servers, delay classes, sessions with traffic sources and
-// token-bucket declarations, a duration and a seed. It is what
-// cmd/litrun executes, letting downstream users describe experiments
-// without writing Go.
+// Package config is the scenario document: servers, delay classes,
+// sessions with traffic sources and token-bucket declarations, a
+// duration, a seed and an optional fault plan, as JSON. It is the one
+// scenario type in the module: cmd/litrun and cmd/litserve run it, and
+// cmd/litcheck generates it from a seed, shrinks it and writes it out
+// as a repro, so a failure found by one tool is a file for the others.
 //
 // Schema (all rates bits/s, times seconds, lengths bits):
 //
 //	{
 //	  "lmax": 424,
-//	  "proc": 2,                               // optional, with classes
-//	  "classes": [{"r": 640000, "sigma": 0.00277}, ...],
-//	  "servers": [{"name": "n1", "capacity": 1536000, "gamma": 0.001}],
+//	  "proc": 2,                               // 1, 2 or 3; optional
+//	  "classes": [{"r": 640000, "sigma": 0.00277}, {"r_frac": 1, "sigma": 0.005}],
+//	  "servers": [{"name": "n1", "capacity": 1536000, "gamma": 0.001},
+//	              {"from": "a", "to": "b", "capacity": 768000, "gamma": 0.001}],
 //	  "sessions": [{
-//	    "name": "voice", "rate": 32000, "route": ["n1"],
-//	    "class": 1, "jitter_control": true, "b0": 424,
+//	    "id": 1, "name": "voice", "rate": 32000, "route": ["n1", "a->b"],
+//	    "class": 1, "jitter_control": true, "b0": 424, "limit_buffers": true,
 //	    "source": {"kind": "onoff", "t": 0.01325, "length": 424,
-//	               "mean_on": 0.352, "mean_off": 0.65}
+//	               "mean_on": 0.352, "mean_off": 0.65, "seed": 7}
 //	  }],
-//	  "duration": 60, "seed": 1
+//	  "duration": 60, "seed": 1,
+//	  "faults": {"nodes": [{"node": "a", "down": 10, "up": 11}]}
 //	}
 //
-// Source kinds: onoff, poisson, deterministic, greedy; any of them may
-// be wrapped with "shape_rate"/"shape_b0" to pass through a token
-// bucket shaper. A session may declare its packet-length envelope with
-// "lmax"/"lmin"; lmax defaults to the source's length and lmin to the
-// smaller of lmax and that length, which must lie within the two.
+// A server is the output port of the directed link from -> to, named
+// "from->to" unless it says otherwise; one that gives neither is a node
+// of its own, as every server was before links could be written down.
+// Consecutive link servers of a route must join. A node fault addresses
+// from and fails every server leaving the node.
 //
-// A document is built on a system.System: Parse refuses whatever the
+// A class caps its bandwidth at r, or at r_frac of each server's
+// capacity, so that one class list keeps R_P = C on links of different
+// capacities. Procedure 3 takes no classes: each session brings its
+// fixed service parameter d instead of class, eps and fixed_d.
+//
+// A session is named in fault plans and purges by its id, by default
+// its 1-based position. It may declare its packet-length envelope with
+// "lmax"/"lmin"; lmax defaults to the source's length and lmin to the
+// smaller of lmax and that length, which must lie within the two. b0
+// declares the token bucket (rate, b0) the source keeps to, which eq. 14
+// needs and the reported bounds with it; a bucket below lmax passes no
+// packet and is refused. limit_buffers caps the session's buffer at
+// every hop at the Section 3.3 bound.
+//
+// Source kinds: onoff, poisson, deterministic, greedy, and varlen
+// (Poisson arrivals, lengths uniform over the session's lmin..lmax);
+// any of them may be wrapped with "shape_rate" and "shape_b0", both or
+// neither, to pass through a token bucket shaper at least one packet
+// deep. A source with a non-zero seed has a random stream of its own;
+// the others split the scenario's in session order.
+//
+// A repro written by cmd/litcheck is a document with one more object,
+// "check", holding the four keys only the harness reads (kind, special,
+// bound_scale, calculus); Parse ignores it as it ignores any unknown
+// key. litcheck -replay accepts any document Parse accepts, and also a
+// plan that releases a session and sets it up again, which is valid
+// (Validate) but which only the harness's signaling path can run
+// (Runnable).
+//
+// A document is built on a system.System: Validate refuses whatever the
 // System's own validation refuses, so the only thing Prepare can still
 // refuse is a session the admission rules reject.
 package config
@@ -42,6 +74,7 @@ import (
 	"leaveintime/internal/network"
 	"leaveintime/internal/rng"
 	"leaveintime/internal/system"
+	"leaveintime/internal/topo"
 	"leaveintime/internal/traffic"
 )
 
@@ -57,31 +90,57 @@ type Scenario struct {
 
 	// Faults, when present, is a deterministic chaos plan injected into
 	// the run: link/node outage windows, source stalls, and mid-run
-	// session releases. Churn cycles with a resetup are rejected — the
-	// declarative runner has no signaling path to re-establish through.
-	// Session references are 1-based indexes into Sessions; port and
-	// node references are server names.
+	// session releases. Session references are session ids, port
+	// references server names, node references a server's from (its own
+	// name when it declares no link). A churn cycle with a resetup is a
+	// valid document that the declarative runner refuses (Runnable): it
+	// has no signaling path to re-establish through.
 	Faults *faults.Plan `json:"faults,omitempty"`
 }
 
-// Class is one delay class.
+// Class is one delay class; its bandwidth cap is r, or r_frac of each
+// server's capacity.
 type Class struct {
-	R     float64 `json:"r"`
+	R     float64 `json:"r,omitempty"`
+	RFrac float64 `json:"r_frac,omitempty"`
 	Sigma float64 `json:"sigma"`
 }
 
-// Server describes one Leave-in-Time server.
+// Server describes one Leave-in-Time server: the output port of the
+// directed link from -> to when those are given, a node of its own
+// otherwise. Name defaults to "from->to".
 type Server struct {
-	Name     string  `json:"name"`
+	Name     string  `json:"name,omitempty"`
+	From     string  `json:"from,omitempty"`
+	To       string  `json:"to,omitempty"`
 	Capacity float64 `json:"capacity"`
 	Gamma    float64 `json:"gamma"`
 	// Approximate selects the calendar-queue transmission queue.
 	Approximate bool `json:"approximate,omitempty"`
 }
 
+// key is the server's name with its default applied.
+func (sv *Server) key() string {
+	if sv.Name == "" && sv.From != "" {
+		return sv.From + "->" + sv.To
+	}
+	return sv.Name
+}
+
+// Node is the node a node fault addresses to take this server down.
+func (sv *Server) Node() string {
+	if sv.From != "" {
+		return sv.From
+	}
+	return sv.key()
+}
+
 // Session describes one connection.
 type Session struct {
-	Name          string   `json:"name"`
+	// ID is what fault plans, purges and the conformance harness name
+	// the session by; it defaults to the session's 1-based position.
+	ID            int      `json:"id,omitempty"`
+	Name          string   `json:"name,omitempty"`
 	Rate          float64  `json:"rate"`
 	Route         []string `json:"route"`
 	Class         int      `json:"class,omitempty"`
@@ -90,18 +149,26 @@ type Session struct {
 	LMin          float64  `json:"lmin,omitempty"`
 	Eps           float64  `json:"eps,omitempty"`
 	FixedD        bool     `json:"fixed_d,omitempty"`
-	B0            float64  `json:"b0,omitempty"`
-	Source        Source   `json:"source"`
+	// D is the fixed d procedure 3 admits the session with.
+	D  float64 `json:"d,omitempty"`
+	B0 float64 `json:"b0,omitempty"`
+	// LimitBuffers caps the session's buffer at every hop at the
+	// Section 3.3 bound b0 determines: the loss-free provisioning.
+	LimitBuffers bool   `json:"limit_buffers,omitempty"`
+	Source       Source `json:"source"`
 }
 
 // Source describes a traffic generator.
 type Source struct {
 	Kind string `json:"kind"`
+	// Seed, when non-zero, gives the source a random stream of its own;
+	// zero takes the next split of the scenario's stream.
+	Seed uint64 `json:"seed,omitempty"`
 	// onoff
 	T       float64 `json:"t,omitempty"`
 	MeanOn  float64 `json:"mean_on,omitempty"`
 	MeanOff float64 `json:"mean_off,omitempty"`
-	// poisson / deterministic
+	// poisson, varlen / deterministic
 	Mean     float64 `json:"mean,omitempty"`
 	Interval float64 `json:"interval,omitempty"`
 	// greedy
@@ -113,13 +180,17 @@ type Source struct {
 	ShapeB0   float64 `json:"shape_b0,omitempty"`
 }
 
-// Parse decodes and validates a scenario document.
+// Parse decodes a scenario document and checks that it is valid and
+// that the declarative runner can run it.
 func Parse(data []byte) (*Scenario, error) {
 	var s Scenario
 	if err := json.Unmarshal(data, &s); err != nil {
 		return nil, fmt.Errorf("config: %w", err)
 	}
-	if err := s.validate(); err != nil {
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	if err := s.Runnable(); err != nil {
 		return nil, err
 	}
 	return &s, nil
@@ -129,16 +200,46 @@ func Parse(data []byte) (*Scenario, error) {
 func (s *Scenario) systemConfig() system.Config {
 	cfg := system.Config{LMax: s.LMax, Proc: s.Proc}
 	for _, c := range s.Classes {
-		cfg.Classes = append(cfg.Classes, admission.Class{R: c.R, Sigma: c.Sigma})
+		cfg.Classes = append(cfg.Classes, admission.Class{R: c.R, RFrac: c.RFrac, Sigma: c.Sigma})
 	}
 	return cfg
 }
 
-// request is the session's connection request, less its route and
-// source. A declared lmax defaults to the source's packet length, and
-// lmin to the smaller of the two: the source sends one length, so that
-// is the length eq. 12's alpha term must be taken at.
-func (sc *Session) request() system.ConnectRequest {
+// Controllers returns a fresh admission controller per server, keyed by
+// server name: what a System built from the document installs.
+func (s *Scenario) Controllers() (map[string]admission.Controller, error) {
+	cfg := s.systemConfig()
+	set := make(map[string]admission.Controller, len(s.Servers))
+	for i := range s.Servers {
+		sv := &s.Servers[i]
+		ctrl, err := admission.New(cfg.Proc, sv.Capacity, cfg.Classes)
+		if err != nil {
+			return nil, fmt.Errorf("config: server %s: %w", sv.key(), err)
+		}
+		set[sv.key()] = ctrl
+	}
+	return set, nil
+}
+
+// Graph returns the servers as a topology, link i being server i. Every
+// server must name its link (from, to).
+func (s *Scenario) Graph() (*topo.Graph, error) {
+	g := topo.New()
+	for i := range s.Servers {
+		sv := &s.Servers[i]
+		if _, err := g.AddLink(sv.From, sv.To, sv.Capacity, sv.Gamma); err != nil {
+			return nil, fmt.Errorf("config: server %s: %w", sv.key(), err)
+		}
+	}
+	return g, nil
+}
+
+// Request is the session's connection request, less its route and
+// source, with the document's defaults applied: class 1, lmax the
+// source's packet length, and lmin the smaller of the two: the source
+// sends one length, so that is the length eq. 12's alpha term must be
+// taken at.
+func (sc *Session) Request() system.ConnectRequest {
 	lMax := sc.LMax
 	if lMax == 0 {
 		lMax = sc.Source.Length
@@ -147,59 +248,95 @@ func (sc *Session) request() system.ConnectRequest {
 	if lMin == 0 {
 		lMin = min(lMax, sc.Source.Length)
 	}
+	class := sc.Class
+	if class == 0 {
+		class = 1
+	}
 	return system.ConnectRequest{
-		Rate: sc.Rate, JitterControl: sc.JitterControl, Class: sc.Class,
-		LMax: lMax, LMin: lMin, Eps: sc.Eps, FixedD: sc.FixedD, B0: sc.B0,
+		Rate: sc.Rate, JitterControl: sc.JitterControl, Class: class,
+		LMax: lMax, LMin: lMin, Eps: sc.Eps, FixedD: sc.FixedD, D: sc.D, B0: sc.B0,
 	}
 }
 
-// validate refuses every document Prepare would refuse for a reason
-// that can be read off the document alone; what is left to Prepare is
-// the outcome of the admission rules. Servers and sessions are checked
-// by the System's own validation, the code Prepare runs.
-func (s *Scenario) validate() error {
+// Validate refuses every document no run could be built from, for a
+// reason that can be read off the document alone; what is left to
+// Prepare is the outcome of the admission rules. Servers and sessions
+// are checked by the System's own validation, the code Prepare runs.
+// It writes the two positional defaults, server names and session ids,
+// into the document, so that what was checked is what is read.
+func (s *Scenario) Validate() error {
 	if s.Duration <= 0 {
 		return fmt.Errorf("config: duration must be positive")
 	}
 	if len(s.Servers) == 0 {
 		return fmt.Errorf("config: at least one server required")
 	}
+	if s.Proc == 3 && len(s.Classes) > 0 {
+		return fmt.Errorf("config: procedure 3 takes no classes")
+	}
 	cfg := s.systemConfig()
-	servers := map[string]Server{}
-	for i, sv := range s.Servers {
-		if sv.Name == "" {
+	servers := map[string]*Server{}
+	nodes := map[string]bool{}
+	for i := range s.Servers {
+		sv := &s.Servers[i]
+		if (sv.From == "") != (sv.To == "") || (sv.From != "" && sv.From == sv.To) {
+			return fmt.Errorf("config: server %d needs both from and to, distinct, or neither", i)
+		}
+		if sv.Name = sv.key(); sv.Name == "" {
 			return fmt.Errorf("config: server %d has no name", i)
 		}
-		if _, dup := servers[sv.Name]; dup {
+		if servers[sv.Name] != nil {
 			return fmt.Errorf("config: duplicate server %q", sv.Name)
 		}
 		servers[sv.Name] = sv
+		nodes[sv.Node()] = true
 		if err := cfg.Check(sv.Name, sv.Capacity, sv.Gamma); err != nil {
 			return fmt.Errorf("config: %w", err)
 		}
 	}
-	known := func(name string) bool { _, ok := servers[name]; return ok }
-	dry := rng.New(0) // buildSource below only checks parameters
+	ids := map[int]bool{}
+	dry := rng.New(0) // BuildSource below only checks parameters
 	for i := range s.Sessions {
 		sess := &s.Sessions[i]
+		if sess.ID = sess.id(i); sess.ID < 0 || ids[sess.ID] {
+			return fmt.Errorf("config: session %d has a negative or duplicate id %d", i, sess.ID)
+		}
+		ids[sess.ID] = true
 		if len(sess.Route) == 0 {
 			return fmt.Errorf("config: session %d has an empty route", i)
 		}
+		var prev *Server
 		for _, hop := range sess.Route {
-			if !known(hop) {
+			sv := servers[hop]
+			if sv == nil {
 				return fmt.Errorf("config: session %d routes through unknown server %q", i, hop)
 			}
+			if prev != nil && prev.To != "" && sv.From != "" && prev.To != sv.From {
+				return fmt.Errorf("config: session %d routes from %q to %q, which do not join", i, prev.Name, hop)
+			}
+			prev = sv
 		}
 		if sess.Source.Length <= 0 {
 			return fmt.Errorf("config: session %d source needs a positive length", i)
 		}
-		if _, err := buildSource(sess.Source, dry); err != nil {
+		if _, err := sess.BuildSource(dry); err != nil {
 			return fmt.Errorf("config: session %d: %w", i, err)
 		}
-		req := sess.request()
+		req := sess.Request()
 		if sess.Source.Length > req.LMax || sess.Source.Length < req.LMin {
 			return fmt.Errorf("config: session %d sends %g-bit packets outside its declared lmin..lmax %g..%g",
 				i, sess.Source.Length, req.LMin, req.LMax)
+		}
+		// A bucket shallower than one packet passes nothing: b0/r (eq. 14)
+		// would not bound D_ref.
+		if sess.B0 < 0 || (sess.B0 > 0 && sess.B0 < req.LMax) {
+			return fmt.Errorf("config: session %d declares b0 %g below its lmax %g", i, sess.B0, req.LMax)
+		}
+		if sess.LimitBuffers && sess.B0 == 0 {
+			return fmt.Errorf("config: session %d limits its buffers to a bound that needs b0", i)
+		}
+		if sess.D != 0 && s.Proc != 3 {
+			return fmt.Errorf("config: session %d asks for a fixed d, which needs proc 3", i)
 		}
 		// The class table is the same at every server, so the first hop
 		// stands for the route.
@@ -208,32 +345,44 @@ func (s *Scenario) validate() error {
 			return fmt.Errorf("config: session %d: %w", i, err)
 		}
 	}
-	if !s.Faults.Empty() {
-		if err := s.Faults.Validate(); err != nil {
-			return err
+	if s.Faults.Empty() {
+		return nil
+	}
+	if err := s.Faults.Validate(); err != nil {
+		return err
+	}
+	for i, l := range s.Faults.Links {
+		if servers[l.Port] == nil {
+			return fmt.Errorf("config: fault %d names unknown port %q", i, l.Port)
 		}
-		for i, l := range s.Faults.Links {
-			if !known(l.Port) {
-				return fmt.Errorf("config: fault %d names unknown port %q", i, l.Port)
-			}
+	}
+	for i, n := range s.Faults.Nodes {
+		if !nodes[n.Node] {
+			return fmt.Errorf("config: node fault %d names unknown node %q", i, n.Node)
 		}
-		for i, n := range s.Faults.Nodes {
-			if !known(n.Node) {
-				return fmt.Errorf("config: node fault %d names unknown node %q", i, n.Node)
-			}
+	}
+	for i, st := range s.Faults.Stalls {
+		if !ids[st.Session] {
+			return fmt.Errorf("config: stall %d names unknown session %d", i, st.Session)
 		}
-		for i, st := range s.Faults.Stalls {
-			if st.Session < 1 || st.Session > len(s.Sessions) {
-				return fmt.Errorf("config: stall %d names unknown session %d", i, st.Session)
-			}
+	}
+	for i, c := range s.Faults.Churn {
+		if !ids[c.Session] {
+			return fmt.Errorf("config: churn cycle %d names unknown session %d", i, c.Session)
 		}
-		for i, c := range s.Faults.Churn {
-			if c.Session < 1 || c.Session > len(s.Sessions) {
-				return fmt.Errorf("config: churn cycle %d names unknown session %d", i, c.Session)
-			}
-			if c.Resetup != 0 {
-				return fmt.Errorf("config: churn cycle %d schedules a resetup; the declarative runner supports release-only churn", i)
-			}
+	}
+	return nil
+}
+
+// Runnable is the one rule the declarative runner adds to Validate: it
+// releases sessions mid-run but cannot set one up again.
+func (s *Scenario) Runnable() error {
+	if s.Faults == nil {
+		return nil
+	}
+	for i, c := range s.Faults.Churn {
+		if c.Resetup != 0 {
+			return fmt.Errorf("config: churn cycle %d schedules a resetup; the declarative runner supports release-only churn", i)
 		}
 	}
 	return nil
@@ -280,9 +429,10 @@ func (s *Scenario) RunWithMetrics(reg *metrics.Registry) (*Result, error) {
 }
 
 type tracked struct {
-	cfg    Session
+	cfg    *Session
 	sess   *network.Session
 	bounds *system.Bounds
+	purged bool
 }
 
 // Run is a prepared, steppable execution of a scenario: the network is
@@ -296,13 +446,16 @@ type Run struct {
 	sys     *system.System
 	servers map[string]*system.Server
 	all     []tracked
-	purged  []bool
+	byID    map[int]*tracked
 	started bool
 }
 
 // Prepare builds the scenario without running it. When reg is non-nil
 // the run counts telemetry into it exactly as RunWithMetrics does.
 func (s *Scenario) Prepare(reg *metrics.Registry) (*Run, error) {
+	if err := s.Runnable(); err != nil {
+		return nil, err
+	}
 	sys, err := system.New(s.systemConfig())
 	if err != nil {
 		return nil, fmt.Errorf("config: %w", err)
@@ -313,35 +466,50 @@ func (s *Scenario) Prepare(reg *metrics.Registry) (*Run, error) {
 	r := rng.New(s.Seed)
 
 	servers := map[string]*system.Server{}
-	for _, sv := range s.Servers {
-		srv, err := sys.AddServerQueue(sv.Name, sv.Capacity, sv.Gamma, sv.Approximate)
+	for i := range s.Servers {
+		sv := &s.Servers[i]
+		srv, err := sys.AddServerQueue(sv.key(), sv.Capacity, sv.Gamma, sv.Approximate)
 		if err != nil {
 			return nil, fmt.Errorf("config: %w", err)
 		}
-		servers[sv.Name] = srv
+		servers[sv.key()] = srv
 	}
 
-	var all []tracked
-	for _, sc := range s.Sessions {
-		req := sc.request()
+	run := &Run{sc: s, sys: sys, servers: servers,
+		all: make([]tracked, len(s.Sessions)), byID: make(map[int]*tracked, len(s.Sessions))}
+	for i := range s.Sessions {
+		sc := &s.Sessions[i]
+		req := sc.Request()
 		for _, hopName := range sc.Route {
 			req.Route = append(req.Route, servers[hopName])
 		}
-		if req.Source, err = buildSource(sc.Source, r); err != nil {
+		if req.Source, err = sc.BuildSource(r); err != nil {
 			return nil, fmt.Errorf("config: session %q: %w", sc.Name, err)
 		}
 		sess, b, err := sys.Connect(req)
 		if err != nil {
 			return nil, fmt.Errorf("config: session %q rejected: %w", sc.Name, err)
 		}
-		all = append(all, tracked{cfg: sc, sess: sess, bounds: b})
+		if sc.LimitBuffers {
+			for n, bound := range b.BufferBoundBits {
+				sess.Route[n].LimitBuffer(sess.ID, bound)
+			}
+		}
+		run.all[i] = tracked{cfg: sc, sess: sess, bounds: b}
+		run.byID[sc.id(i)] = &run.all[i]
 	}
-
-	run := &Run{sc: s, sys: sys, servers: servers, all: all, purged: make([]bool, len(all))}
 	if !s.Faults.Empty() {
 		faults.Inject(sys.Sim, (*runActions)(run), s.Faults)
 	}
 	return run, nil
+}
+
+// id is the session's id with its default, the 1-based position.
+func (sc *Session) id(i int) int {
+	if sc.ID != 0 {
+		return sc.ID
+	}
+	return i + 1
 }
 
 // Sim exposes the run's event engine, e.g. to arm a watchdog before
@@ -376,54 +544,56 @@ func (r *Run) RunSlice(until float64) (done bool) {
 	return r.sys.Sim.Now() >= r.sc.Duration
 }
 
-// PurgeSession drops session id (1-based, matching the scenario's
-// session order) mid-run: its source stops, queued packets are purged
-// at every hop, and its reservation is released. Delivered-so-far
-// statistics are retained for Finish. It reports whether the session
-// was still registered.
+// PurgeSession drops the session of that id (by default its 1-based
+// position in the scenario) mid-run: its source stops, queued packets
+// are purged at every hop, and its reservation is released.
+// Delivered-so-far statistics are retained for Finish. It reports
+// whether the session was still registered.
 func (r *Run) PurgeSession(id int) bool {
-	if id < 1 || id > len(r.all) {
+	tr := r.byID[id]
+	if tr == nil || tr.purged {
 		return false
 	}
-	if r.purged[id-1] {
-		return false
-	}
-	r.purged[id-1] = true
-	r.sys.Net.DropSession(r.all[id-1].sess)
-	r.sys.Teardown(r.all[id-1].sess)
+	tr.purged = true
+	r.sys.Net.DropSession(tr.sess)
+	r.sys.Teardown(tr.sess)
 	return true
 }
 
-// runActions adapts Run to the fault injector. Resetups are rejected
-// at validation, so ResetupSession is unreachable.
+// runActions adapts Run to the fault injector. Resetups are refused by
+// Runnable, so ResetupSession is unreachable.
 type runActions Run
 
-func (a *runActions) run() *Run { return (*Run)(a) }
+func (a *runActions) LinkDown(port string) { a.servers[port].Port.FailLink() }
+func (a *runActions) LinkUp(port string)   { a.servers[port].Port.RestoreLink() }
 
-func (a *runActions) LinkDown(port string) { a.run().servers[port].Port.FailLink() }
-func (a *runActions) LinkUp(port string)   { a.run().servers[port].Port.RestoreLink() }
+// NodeDown fails every server whose link leaves the node; a server that
+// declares no link is its own node.
+func (a *runActions) NodeDown(node string) { a.eachAt(node, a.LinkDown) }
+func (a *runActions) NodeUp(node string)   { a.eachAt(node, a.LinkUp) }
 
-// NodeDown fails the node's outgoing link — in the declarative schema
-// every server is exactly one port, so a node outage and a link outage
-// coincide.
-func (a *runActions) NodeDown(node string) { a.LinkDown(node) }
-func (a *runActions) NodeUp(node string)   { a.LinkUp(node) }
-
-func (a *runActions) StallSession(id int, on bool) {
-	a.run().all[id-1].sess.SetStalled(on)
+func (a *runActions) eachAt(node string, do func(port string)) {
+	for i := range a.sc.Servers {
+		if sv := &a.sc.Servers[i]; sv.Node() == node {
+			do(sv.key())
+		}
+	}
 }
 
-func (a *runActions) ReleaseSession(id int) { a.run().PurgeSession(id) }
+func (a *runActions) StallSession(id int, on bool) { a.byID[id].sess.SetStalled(on) }
+
+func (a *runActions) ReleaseSession(id int) { (*Run)(a).PurgeSession(id) }
 
 func (a *runActions) ResetupSession(id int) {
-	panic("config: resetup rejected at validation")
+	panic("config: resetup refused by Runnable")
 }
 
-// Finish computes the per-session results at the current instant.
+// Finish computes the per-session results at the current instant. An
+// unnamed session is reported as s<id>.
 func (r *Run) Finish() *Result {
 	s := r.sc
 	res := &Result{Duration: s.Duration}
-	for _, tr := range r.all {
+	for i, tr := range r.all {
 		sr := SessionResult{
 			Name:       tr.cfg.Name,
 			Delivered:  tr.sess.Delivered,
@@ -431,6 +601,9 @@ func (r *Run) Finish() *Result {
 			MeanDelay:  tr.sess.Delays.Mean(),
 			Jitter:     tr.sess.Delays.Jitter(),
 			BoundHolds: true,
+		}
+		if sr.Name == "" {
+			sr.Name = fmt.Sprintf("s%d", tr.cfg.id(i))
 		}
 		if tr.cfg.B0 > 0 {
 			sr.DelayBound = tr.bounds.DelayBound
@@ -442,7 +615,20 @@ func (r *Run) Finish() *Result {
 	return res
 }
 
-func buildSource(sc Source, r *rng.Rand) (traffic.Source, error) {
+// stream is the source's k-th random stream: its own when it is seeded,
+// otherwise the next split of the scenario's.
+func (sc Source) stream(scenario *rng.Rand, k uint64) *rng.Rand {
+	if sc.Seed != 0 {
+		return rng.New(sc.Seed + k*0x9e3779b97f4a7c15)
+	}
+	return scenario.Split()
+}
+
+// BuildSource constructs the session's traffic source, drawing unseeded
+// randomness from the scenario's stream r.
+func (sess *Session) BuildSource(r *rng.Rand) (traffic.Source, error) {
+	sc := sess.Source
+	longest := sc.Length
 	var src traffic.Source
 	switch sc.Kind {
 	case "onoff":
@@ -450,12 +636,20 @@ func buildSource(sc Source, r *rng.Rand) (traffic.Source, error) {
 			return nil, fmt.Errorf("onoff source needs positive t and mean_on")
 		}
 		src = &traffic.OnOff{T: sc.T, Length: sc.Length, MeanOn: sc.MeanOn,
-			MeanOff: sc.MeanOff, Rng: r.Split()}
-	case "poisson":
+			MeanOff: sc.MeanOff, Rng: sc.stream(r, 0)}
+	case "poisson", "varlen":
 		if sc.Mean <= 0 {
-			return nil, fmt.Errorf("poisson source needs positive mean")
+			return nil, fmt.Errorf("%s source needs positive mean", sc.Kind)
 		}
-		src = &traffic.Poisson{Mean: sc.Mean, Length: sc.Length, Rng: r.Split()}
+		src = &traffic.Poisson{Mean: sc.Mean, Length: sc.Length, Rng: sc.stream(r, 0)}
+		if sc.Kind == "varlen" {
+			// Poisson arrivals, lengths uniform over the session's
+			// lmin..lmax.
+			req, lengths := sess.Request(), sc.stream(r, 1)
+			lo, span := req.LMin, req.LMax-req.LMin
+			longest = req.LMax
+			src = &traffic.VariableLength{Src: src, Fn: func(int64) float64 { return lo + span*lengths.Float64() }}
+		}
 	case "deterministic":
 		if sc.Interval <= 0 {
 			return nil, fmt.Errorf("deterministic source needs positive interval")
@@ -469,7 +663,12 @@ func buildSource(sc Source, r *rng.Rand) (traffic.Source, error) {
 	default:
 		return nil, fmt.Errorf("unknown source kind %q", sc.Kind)
 	}
-	if sc.ShapeRate > 0 && sc.ShapeB0 > 0 {
+	if sc.ShapeRate != 0 || sc.ShapeB0 != 0 {
+		// A bucket shallower than the longest packet never passes it.
+		if sc.ShapeRate <= 0 || sc.ShapeB0 < longest {
+			return nil, fmt.Errorf("shaper needs a positive shape_rate and a shape_b0 of at least the %g-bit packet, got %g and %g",
+				longest, sc.ShapeRate, sc.ShapeB0)
+		}
 		src = traffic.NewShaped(src, sc.ShapeRate, sc.ShapeB0)
 	}
 	return src, nil

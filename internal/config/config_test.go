@@ -106,6 +106,7 @@ func TestParseRejectsBadDocuments(t *testing.T) {
 		"pkt above lmax":     session(`"lmax":200,"source":{"kind":"greedy","rate":10,"length":424}`),
 		"pkt below lmin":     session(`"lmin":200,` + greedy),
 		"class out of range": session(`"class":2,` + greedy),
+		"negative class":     session(`"class":-1,` + greedy),
 		"negative eps":       session(`"eps":-1,` + greedy),
 		"onoff without t":    session(`"source":{"kind":"onoff","mean_on":1,"length":100}`),
 		"poisson zero mean":  session(`"source":{"kind":"poisson","length":100}`),
@@ -116,14 +117,45 @@ func TestParseRejectsBadDocuments(t *testing.T) {
 		"missing length":     session(`"source":{"kind":"greedy","rate":10}`),
 		"negative length":    session(`"lmin":-5,"source":{"kind":"greedy","rate":10,"length":-5}`),
 		"proc 7, no classes": `{"lmax":10,"duration":1,"proc":7,"servers":[{"name":"a","capacity":1}],"sessions":[]}`,
+		// A shaper given by half runs no shaper: the stream would go out
+		// unshaped and be judged against a bucket it never passed.
+		"shape_rate alone":   session(`"source":{"kind":"poisson","mean":1,"length":100,"shape_rate":10}`),
+		"shape_b0 alone":     session(`"source":{"kind":"poisson","mean":1,"length":100,"shape_b0":100}`),
+		"negative shape_b0":  session(`"source":{"kind":"poisson","mean":1,"length":100,"shape_rate":10,"shape_b0":-100}`),
+		"negative shape":     session(`"source":{"kind":"poisson","mean":1,"length":100,"shape_rate":-10,"shape_b0":100}`),
+		"shape_b0 below pkt": session(`"source":{"kind":"poisson","mean":1,"length":100,"shape_rate":10,"shape_b0":99}`),
+		// b0/r bounds D_ref only for a bucket a packet fits in.
+		"b0 below one packet": session(`"b0":10,` + greedy),
+		"b0 below lmax":       session(`"b0":150,"lmax":200,` + greedy),
+		"negative b0":         session(`"b0":-5,` + greedy),
+		// The keys the conformance harness's documents brought.
+		"from without to":     `{"lmax":10,"duration":1,"servers":[{"from":"a","capacity":1}],"sessions":[]}`,
+		"from equals to":      `{"lmax":10,"duration":1,"servers":[{"from":"a","to":"a","capacity":1}],"sessions":[]}`,
+		"dup default name":    `{"lmax":10,"duration":1,"servers":[{"from":"a","to":"b","capacity":1},{"from":"a","to":"b","capacity":1}],"sessions":[]}`,
+		"route does not join": `{"lmax":400,"duration":1,"servers":[{"from":"a","to":"b","capacity":1000},{"from":"c","to":"d","capacity":1000}],"sessions":[{"rate":10,"route":["a->b","c->d"],` + greedy + `}]}`,
+		"r and r_frac":        `{"lmax":10,"duration":1,"classes":[{"r":1,"r_frac":1,"sigma":1}],"servers":[{"name":"a","capacity":1}],"sessions":[]}`,
+		"r_frac below 1 at P": `{"lmax":10,"duration":1,"classes":[{"r_frac":0.5,"sigma":1}],"servers":[{"name":"a","capacity":1}],"sessions":[]}`,
+		"proc 3 with classes": `{"lmax":10,"duration":1,"proc":3,"classes":[{"r_frac":1,"sigma":1}],"servers":[{"name":"a","capacity":1}],"sessions":[]}`,
+		"proc 3 without d":    `{"lmax":424,"duration":1,"proc":3,"servers":[{"name":"a","capacity":1000}],"sessions":[{"rate":10,"route":["a"],` + greedy + `}]}`,
+		"d without proc 3":    session(`"d":0.5,` + greedy),
+		"duplicate id":        `{"lmax":424,"duration":1,"servers":[{"name":"a","capacity":1000}],"sessions":[{"id":2,"rate":10,"route":["a"],` + greedy + `},{"rate":10,"route":["a"],` + greedy + `}]}`,
+		"negative id":         session(`"id":-1,` + greedy),
+		"limit without b0":    session(`"limit_buffers":true,` + greedy),
+		"varlen zero mean":    session(`"source":{"kind":"varlen","length":100}`),
 	}
 	for name, doc := range cases {
 		if _, err := Parse([]byte(doc)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
-	if _, err := Parse([]byte(session(greedy))); err != nil {
-		t.Errorf("the well-formed session the cases vary is refused: %v", err)
+	for name, fields := range map[string]string{
+		"plain":         greedy,
+		"b0 one packet": `"b0":100,` + greedy,
+		"shaped":        `"source":{"kind":"poisson","mean":1,"length":100,"shape_rate":10,"shape_b0":100}`,
+	} {
+		if _, err := Parse([]byte(session(fields))); err != nil {
+			t.Errorf("the well-formed session (%s) the cases vary is refused: %v", name, err)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"leaveintime/internal/config"
 	"leaveintime/internal/core"
 	"leaveintime/internal/event"
 	"leaveintime/internal/network"
@@ -39,18 +40,18 @@ import (
 // aggregate delay spread in place of the per-session one).
 //
 // Class mapping: procedures 1 and 2 reuse the scenario's declared
-// delay classes (SessionDef.Class); procedure 3 sessions — per-session
+// delay classes (sessions[].class); procedure 3 sessions — per-session
 // d, no class structure — are bucketed by their declared d into up to
 // three classes of like-latency sessions (rank order, deterministic).
 
 // classMap returns the session → class assignment and the class count.
-func classMap(sc *Scenario) (map[int]int, int) {
+func classMap(sc *Case) (map[int]int, int) {
 	m := make(map[int]int, len(sc.Sessions))
 	if sc.Proc != 3 {
 		for _, def := range sc.Sessions {
-			m[def.ID] = def.Class - 1
+			m[def.ID] = max(def.Class, 1) - 1
 		}
-		return m, len(sc.Classes)
+		return m, max(len(sc.Classes), 1) // no classes: the one full-link class
 	}
 	ds := make([]float64, 0, len(sc.Sessions))
 	seen := make(map[float64]bool)
@@ -83,13 +84,13 @@ func classMap(sc *Scenario) (map[int]int, int) {
 // inherits the same online checks (litKind 1: deadline inversion at
 // heap tolerance, work conservation when no session uses jitter
 // control).
-func aggSpec(sc *Scenario) discSpec {
+func aggSpec(sc *Case) discSpec {
 	cls, nc := classMap(sc)
 	return discSpec{
 		name: "lit-agg", litKind: 1, deadlineCheck: true,
-		mk: func(sc *Scenario, l *topoLink) network.Discipline {
+		mk: func(sc *Case, sv *config.Server) network.Discipline {
 			return core.NewAggregate(core.AggConfig{
-				Capacity: l.Capacity, LMax: sc.LMax,
+				Capacity: sv.Capacity, LMax: sc.LMax,
 				Classes: nc, ClassOf: func(id int) int { return cls[id] },
 			})
 		},
@@ -109,12 +110,10 @@ type aggHop struct {
 // aggBounds replays admission for every session and composes the
 // degraded per-session delay/jitter bounds over the class aggregates.
 // The result maps session ID → (delay bound, jitter bound).
-func aggBounds(sc *Scenario, cls map[int]int) (map[int][2]float64, error) {
-	g := scenarioGraph(sc)
-	adm := newAdmitters(sc)
-
-	type memberHop struct {
-		dMax float64
+func aggBounds(sc *Case, cls map[int]int) (map[int][2]float64, error) {
+	adm, err := sc.Controllers()
+	if err != nil {
+		return nil, err
 	}
 	// Per link key and class: the aggregate rate, burst and d_c.
 	type linkClass struct {
@@ -122,15 +121,16 @@ func aggBounds(sc *Scenario, cls map[int]int) (map[int][2]float64, error) {
 	}
 	aggs := make(map[string]map[int]*linkClass)
 	routes := make(map[int]*admitted, len(sc.Sessions))
-	for _, def := range sc.Sessions {
-		ad, err := replayAdmission(sc, g, adm, def)
+	for i := range sc.Sessions {
+		def := &sc.Sessions[i]
+		ad, err := replayAdmission(sc, adm, def)
 		if err != nil {
 			return nil, fmt.Errorf("session %d: %w", def.ID, err)
 		}
 		routes[def.ID] = ad
 		c := cls[def.ID]
-		for i, l := range ad.links {
-			key := linkKey(l)
+		for i, l := range ad.hops {
+			key := l.Name
 			byClass := aggs[key]
 			if byClass == nil {
 				byClass = make(map[int]*linkClass)
@@ -142,7 +142,7 @@ func aggBounds(sc *Scenario, cls map[int]int) (map[int][2]float64, error) {
 				byClass[c] = lc
 			}
 			lc.rate += def.Rate
-			lc.bur += def.Burst
+			lc.bur += def.B0
 			if d := ad.cfgs[i].DMax; d > lc.dMax {
 				lc.dMax = d
 			}
@@ -154,8 +154,8 @@ func aggBounds(sc *Scenario, cls map[int]int) (map[int][2]float64, error) {
 		ad := routes[def.ID]
 		c := cls[def.ID]
 		var hops []aggHop
-		for _, l := range ad.links {
-			lc := aggs[linkKey(l)][c]
+		for _, l := range ad.hops {
+			lc := aggs[l.Name][c]
 			hops = append(hops, aggHop{
 				rate: lc.rate, bur: lc.bur, dc: lc.dMax,
 				cap: l.Capacity, gam: l.Gamma,
@@ -178,7 +178,7 @@ func aggBounds(sc *Scenario, cls map[int]int) (map[int][2]float64, error) {
 // checks, and keep every session inside the degraded bounds. The
 // degradation factor (degraded bound / eq.-12 bound, maximized over
 // sessions) is recorded on the report.
-func checkAggregate(sc *Scenario, exact *runResult, scale float64, wd event.Watchdog, rep *SeedReport) {
+func checkAggregate(sc *Case, exact *runResult, scale float64, wd event.Watchdog, rep *SeedReport) {
 	spec := aggSpec(sc)
 	res, err := runScenario(sc, spec, runOpts{wd: wd})
 	if err != nil {
@@ -195,6 +195,9 @@ func checkAggregate(sc *Scenario, exact *runResult, scale float64, wd event.Watc
 		checkEmitted(exact, res, rep)
 	}
 
+	if !sc.allDeclareB0() {
+		return // a class's burst is the sum of its members' b0
+	}
 	cls, _ := classMap(sc)
 	bounds, err := aggBounds(sc, cls)
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 
 	"leaveintime/internal/admission"
 	"leaveintime/internal/calculus"
+	"leaveintime/internal/config"
 	"leaveintime/internal/event"
 )
 
@@ -22,9 +23,11 @@ import (
 // from hop 2 on, so the battery exercises the full curve arithmetic,
 // not just its token-bucket degenerate case.
 //
-// Soundness notes. Every source conforms to its (Rate, Burst) token
-// bucket by construction with Burst >= LMax (Validate), so the
-// instantaneous arrival of a whole packet is inside the fluid curve.
+// Soundness notes. Every generated source conforms to its (rate, b0)
+// token bucket by construction with b0 >= lmax (Validate), so the
+// instantaneous arrival of a whole packet is inside the fluid curve; a
+// document in which some session declares no b0 has no arrival curve to
+// sum at that session's links, and is skipped.
 // DelayBoundCurve and FlowBacklogBound already carry the +LMax/C and
 // +LMax packetization terms. The battery runs only on scenarios
 // without jitter control: regulators deliberately hold packets past
@@ -68,20 +71,17 @@ type calcAnalysis struct {
 // linkTopoOrder orders the topology's links so that every link a
 // session traverses appears after all of the session's upstream
 // links. Reports ok=false when the routes induce a cycle.
-func linkTopoOrder(sc *Scenario, routes []*admitted) ([]string, bool) {
-	indeg := make(map[string]int, len(sc.Topology.Links))
-	keys := make([]string, 0, len(sc.Topology.Links))
-	for _, ld := range sc.Topology.Links {
-		k := ld.From + "->" + ld.To
-		if _, dup := indeg[k]; !dup {
-			indeg[k] = 0
-			keys = append(keys, k)
-		}
+func linkTopoOrder(sc *Case, routes []*admitted) ([]string, bool) {
+	indeg := make(map[string]int, len(sc.Servers))
+	keys := make([]string, 0, len(sc.Servers))
+	for i := range sc.Servers {
+		indeg[sc.Servers[i].Name] = 0
+		keys = append(keys, sc.Servers[i].Name)
 	}
 	succ := make(map[string][]string)
 	for _, ad := range routes {
-		for i := 0; i+1 < len(ad.links); i++ {
-			a, b := linkKey(ad.links[i]), linkKey(ad.links[i+1])
+		for i := 0; i+1 < len(ad.hops); i++ {
+			a, b := ad.hops[i].Name, ad.hops[i+1].Name
 			succ[a] = append(succ[a], b)
 			indeg[b]++
 		}
@@ -110,24 +110,25 @@ func linkTopoOrder(sc *Scenario, routes []*admitted) ([]string, bool) {
 // calcBounds replays admission, orders the links, and propagates every
 // session's arrival curve along its route, composing per-session delay
 // bounds and (in FIFO mode) per-hop flow backlog bounds.
-func calcBounds(sc *Scenario, mode calcMode) (*calcAnalysis, error) {
-	g := scenarioGraph(sc)
-	adm := newAdmitters(sc)
+func calcBounds(sc *Case, mode calcMode) (*calcAnalysis, error) {
+	if !sc.allDeclareB0() {
+		return &calcAnalysis{skipped: true, reason: "a session declares no b0"}, nil
+	}
+	adm, err := sc.Controllers()
+	if err != nil {
+		return nil, err
+	}
 	routes := make([]*admitted, len(sc.Sessions))
-	for i, def := range sc.Sessions {
-		ad, err := replayAdmission(sc, g, adm, def)
+	for i := range sc.Sessions {
+		ad, err := replayAdmission(sc, adm, &sc.Sessions[i])
 		if err != nil {
-			return nil, fmt.Errorf("session %d: %w", def.ID, err)
+			return nil, fmt.Errorf("session %d: %w", sc.Sessions[i].ID, err)
 		}
 		routes[i] = ad
 	}
 	order, ok := linkTopoOrder(sc, routes)
 	if !ok {
 		return &calcAnalysis{skipped: true, reason: "routes order the links cyclically"}, nil
-	}
-	byKey := make(map[string]LinkDef, len(sc.Topology.Links))
-	for _, ld := range sc.Topology.Links {
-		byKey[ld.From+"->"+ld.To] = ld
 	}
 
 	an := &calcAnalysis{
@@ -137,21 +138,21 @@ func calcBounds(sc *Scenario, mode calcMode) (*calcAnalysis, error) {
 	cur := make([]calculus.Curve, len(sc.Sessions))
 	hop := make([]int, len(sc.Sessions))
 	for i, def := range sc.Sessions {
-		cur[i] = calculus.TokenBucket(def.Rate, def.Burst)
-		an.backlog[def.ID] = make([]float64, len(routes[i].links))
+		cur[i] = calculus.TokenBucket(def.Rate, def.B0)
+		an.backlog[def.ID] = make([]float64, len(routes[i].hops))
 	}
 	var ws calculus.Ws
 	for _, key := range order {
 		var idx []int
 		for i := range sc.Sessions {
-			if hop[i] < len(routes[i].links) && linkKey(routes[i].links[hop[i]]) == key {
+			if hop[i] < len(routes[i].hops) && routes[i].hops[hop[i]].Name == key {
 				idx = append(idx, i)
 			}
 		}
 		if len(idx) == 0 {
 			continue
 		}
-		ld := byKey[key]
+		ld := sc.server(key)
 		srv := calculus.FCFSServer{C: ld.Capacity, LMax: sc.LMax}
 		var agg calculus.Curve
 		for _, i := range idx {
@@ -188,7 +189,7 @@ func calcBounds(sc *Scenario, mode calcMode) (*calcAnalysis, error) {
 			}
 		}
 		for _, i := range idx {
-			def := sc.Sessions[i]
+			def := &sc.Sessions[i]
 			an.delay[def.ID] += d + ld.Gamma
 			// Output envelope: the input delayed by the hop bound,
 			// capped by the wire — downstream, the flow cannot arrive
@@ -217,7 +218,7 @@ func calcFCFSSpec() discSpec {
 // CalcTight records how closely the simulation approached the delay
 // bounds (observed/bound, maximized over sessions) — the per-seed
 // tightness telemetry.
-func checkCalculus(sc *Scenario, scale float64, wd event.Watchdog, rep *SeedReport) {
+func checkCalculus(sc *Case, scale float64, wd event.Watchdog, rep *SeedReport) {
 	checkFastpath(sc, rep)
 	if sc.hasJitter() {
 		return
@@ -328,41 +329,31 @@ func ulpOf(x float64) float64 {
 // identical to the sequential Admit calls the generator performed.
 // Procedures 1 and 2 only — procedure 3 has no class structure to
 // batch.
-func checkFastpath(sc *Scenario, rep *SeedReport) {
-	if sc.Proc != 1 && sc.Proc != 2 {
+func checkFastpath(sc *Case, rep *SeedReport) {
+	if sc.Proc == 3 {
 		return
 	}
-	g := scenarioGraph(sc)
 	opts := admission.Options{PerPacket: true}
 	perLink := make(map[string][]fpFlow)
-	for _, def := range sc.Sessions {
-		links, err := g.RouteLinks(def.From, def.To)
-		if err != nil {
-			continue // reported by the run batteries
-		}
-		f := fpFlow{
-			spec:  admission.SessionSpec{ID: def.ID, Rate: def.Rate, LMax: def.LMax, LMin: def.LMin},
-			class: def.Class,
-		}
-		for _, l := range links {
-			perLink[linkKey(l)] = append(perLink[linkKey(l)], f)
+	for i := range sc.Sessions {
+		req := admissionRequest(&sc.Sessions[i])
+		for _, key := range sc.Sessions[i].Route {
+			perLink[key] = append(perLink[key], fpFlow{spec: req.Spec, class: req.Class})
 		}
 	}
-	for _, ld := range sc.Topology.Links {
-		key := ld.From + "->" + ld.To
+	fastSet, err1 := sc.Controllers()
+	seqSet, err2 := sc.Controllers()
+	if err1 != nil || err2 != nil {
+		return // invalid class table is the generator's bug, reported elsewhere
+	}
+	for i := range sc.Servers {
+		key, capacity := sc.Servers[i].Name, sc.Servers[i].Capacity
 		flows := perLink[key]
 		if len(flows) == 0 {
 			continue
 		}
-		classes := make([]admission.Class, len(sc.Classes))
-		for k, c := range sc.Classes {
-			classes[k] = admission.Class{R: c.RFrac * ld.Capacity, Sigma: c.Sigma}
-		}
-		fast, err1 := admission.NewClassController(sc.Proc, ld.Capacity, classes)
-		seq, err2 := admission.NewClassController(sc.Proc, ld.Capacity, classes)
-		if err1 != nil || err2 != nil {
-			continue // invalid class table is the generator's bug, reported elsewhere
-		}
+		fast, seq := fastSet[key].(*admission.ClassController), seqSet[key]
+		classes := fast.Classes
 		seqAss := make(map[int]admission.Assignment, len(flows))
 		seqOK := true
 		for _, f := range flows {
@@ -385,14 +376,14 @@ func checkFastpath(sc *Scenario, rep *SeedReport) {
 			}
 			got, ok := fast.AdmitClass(nil, batch, j, opts)
 			if !ok {
-				if seqOK && !nearRuleBoundary(flows, classes, ld.Capacity) {
+				if seqOK && !nearRuleBoundary(flows, classes, capacity) {
 					rep.add(Violation{Check: "fastpath-divergence", Discipline: "admission", Port: key,
 						Detail: fmt.Sprintf("batch of %d class-%d sessions declined, sequential admits all", len(batch), j)})
 				}
 				return
 			}
 			if !seqOK {
-				if !nearRuleBoundary(flows, classes, ld.Capacity) {
+				if !nearRuleBoundary(flows, classes, capacity) {
 					rep.add(Violation{Check: "fastpath-divergence", Discipline: "admission", Port: key,
 						Detail: fmt.Sprintf("batch of %d class-%d sessions accepted, sequential rejects a member", len(batch), j)})
 				}
@@ -418,7 +409,7 @@ func checkFastpath(sc *Scenario, rep *SeedReport) {
 // so the deadline-ordered aggregate must respect it too. Skipped under
 // jitter control (the aggregate is then not work-conserving) and on
 // scenarios the analysis cannot soundly bound.
-func checkAggCalc(sc *Scenario, res *runResult, scale float64, rep *SeedReport) {
+func checkAggCalc(sc *Case, res *runResult, scale float64, rep *SeedReport) {
 	if sc.hasJitter() {
 		return
 	}
@@ -503,22 +494,7 @@ func CalculusTightness(margin float64) *TightnessResult {
 		lpkt = 424.0
 	)
 	for _, n := range []int{4, 8, 16} {
-		sc := Scenario{
-			Seed: uint64(n), LMax: lpkt, Duration: 0.05,
-			Topology: Topology{Kind: "tandem", Links: []LinkDef{
-				{From: "A", To: "B", Capacity: cap, Gamma: 0},
-			}},
-			Proc:    1,
-			Classes: []ClassDef{{RFrac: 1, Sigma: 1}},
-		}
-		rate := 0.8 * cap / float64(n)
-		for i := 0; i < n; i++ {
-			sc.Sessions = append(sc.Sessions, SessionDef{
-				ID: i + 1, From: "A", To: "B", Rate: rate, Class: 1,
-				LMin: lpkt, LMax: lpkt, Burst: lpkt,
-				Source: SourceDef{Kind: "cbr", Seed: uint64(i + 1)},
-			})
-		}
+		sc := tightnessCase(n, cap, lpkt)
 		if err := sc.Validate(); err != nil {
 			out.Err = err.Error()
 			return out
@@ -560,4 +536,27 @@ func CalculusTightness(margin float64) *TightnessResult {
 		out.Families = append(out.Families, fam)
 	}
 	return out
+}
+
+// tightnessCase is the designed single-link worst case: n synchronized
+// CBR sessions at 80% load of one link.
+func tightnessCase(n int, capacity, lpkt float64) Case {
+	sc := Case{
+		Scenario: &config.Scenario{
+			Seed: uint64(n), LMax: lpkt, Duration: 0.05,
+			Servers: []config.Server{{Name: "A->B", From: "A", To: "B", Capacity: capacity}},
+			Proc:    1,
+			Classes: []config.Class{{RFrac: 1, Sigma: 1}},
+		},
+		Check: Check{Kind: "tandem"},
+	}
+	for i := 0; i < n; i++ {
+		def := config.Session{
+			ID: i + 1, Route: []string{"A->B"}, Rate: 0.8 * capacity / float64(n), Class: 1,
+			LMin: lpkt, LMax: lpkt, B0: lpkt,
+		}
+		def.Source = conformingSource("cbr", 0, &def, 0, 0, 0)
+		sc.Sessions = append(sc.Sessions, def)
+	}
+	return sc
 }

@@ -4,6 +4,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"leaveintime/internal/config"
 )
 
 // TestCalculusSeedsClean: the curve-propagated bounds hold over a block
@@ -42,28 +44,7 @@ func TestCalculusReportDeterministic(t *testing.T) {
 
 // calcScenario is the designed single-link worst case the battery's own
 // tests reuse: n synchronized CBR sessions at 80% load of one T1 link.
-func calcScenario(n int) Scenario {
-	const (
-		capBps = 1.536e6
-		lpkt   = 424.0
-	)
-	sc := Scenario{
-		Seed: uint64(n), LMax: lpkt, Duration: 0.05,
-		Topology: Topology{Kind: "tandem", Links: []LinkDef{
-			{From: "A", To: "B", Capacity: capBps, Gamma: 0},
-		}},
-		Proc:    1,
-		Classes: []ClassDef{{RFrac: 1, Sigma: 1}},
-	}
-	for i := 0; i < n; i++ {
-		sc.Sessions = append(sc.Sessions, SessionDef{
-			ID: i + 1, From: "A", To: "B", Rate: 0.8 * capBps / float64(n), Class: 1,
-			LMin: lpkt, LMax: lpkt, Burst: lpkt,
-			Source: SourceDef{Kind: "cbr", Seed: uint64(i + 1)},
-		})
-	}
-	return sc
-}
+func calcScenario(n int) Case { return tightnessCase(n, 1.536e6, 424) }
 
 // TestCalculusTightness: the designed family approaches the curve bound
 // within the default margin (ratio N/(N+1), monotone in N), never
@@ -119,9 +100,9 @@ func TestCalculusBoundScaleShrinksAndReplays(t *testing.T) {
 	if srep.OK() {
 		t.Fatal("shrunken scenario no longer fails")
 	}
-	if !shrunk.Calculus || shrunk.BoundScale != 0.5 {
+	if !shrunk.Check.Calculus || shrunk.Check.BoundScale != 0.5 {
 		t.Fatalf("shrink lost the battery selection: calculus=%v scale=%g",
-			shrunk.Calculus, shrunk.BoundScale)
+			shrunk.Check.Calculus, shrunk.Check.BoundScale)
 	}
 	if len(shrunk.Sessions) >= len(sc.Sessions) {
 		t.Errorf("shrink kept %d of %d sessions", len(shrunk.Sessions), len(sc.Sessions))
@@ -148,23 +129,20 @@ func TestCalculusBoundScaleShrinksAndReplays(t *testing.T) {
 // no sound propagation order; the analysis must skip, not bound.
 func TestCalcBoundsSkipsCycle(t *testing.T) {
 	const capBps = 1.536e6
-	sc := Scenario{
+	sc := Case{Scenario: &config.Scenario{
 		Seed: 1, LMax: 424, Duration: 0.05,
-		Topology: Topology{Kind: "cross", Links: []LinkDef{
+		Servers: []config.Server{
 			{From: "A", To: "B", Capacity: capBps},
 			{From: "B", To: "C", Capacity: capBps},
 			{From: "C", To: "A", Capacity: capBps},
-		}},
-		Proc:    1,
-		Classes: []ClassDef{{RFrac: 1, Sigma: 1}},
-		Sessions: []SessionDef{
-			{ID: 1, From: "A", To: "C", Rate: 32e3, Class: 1, LMin: 424, LMax: 424,
-				Burst: 424, Source: SourceDef{Kind: "cbr", Seed: 1}},
-			{ID: 2, From: "B", To: "A", Rate: 32e3, Class: 1, LMin: 424, LMax: 424,
-				Burst: 424, Source: SourceDef{Kind: "cbr", Seed: 2}},
-			{ID: 3, From: "C", To: "B", Rate: 32e3, Class: 1, LMin: 424, LMax: 424,
-				Burst: 424, Source: SourceDef{Kind: "cbr", Seed: 3}},
 		},
+		Proc:    1,
+		Classes: []config.Class{{RFrac: 1, Sigma: 1}},
+	}, Check: Check{Kind: "cross"}}
+	for i, route := range [][]string{{"A->B", "B->C"}, {"B->C", "C->A"}, {"C->A", "A->B"}} {
+		def := config.Session{ID: i + 1, Route: route, Rate: 32e3, Class: 1, LMin: 424, LMax: 424, B0: 424}
+		def.Source = conformingSource("cbr", 0, &def, 0, 0, 0)
+		sc.Sessions = append(sc.Sessions, def)
 	}
 	if err := sc.Validate(); err != nil {
 		t.Fatal(err)

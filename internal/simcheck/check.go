@@ -10,7 +10,7 @@ import (
 
 // Options tune a conformance check.
 type Options struct {
-	// BoundScale, when positive, overrides the scenario's BoundScale —
+	// BoundScale, when positive, overrides the case's Check.BoundScale —
 	// the injection hook: values below 1 tighten the checked bounds
 	// past what the theorems promise, forcing violations whose shrink
 	// and replay paths the harness's own tests exercise.
@@ -57,7 +57,7 @@ func (o Options) watchdog() event.Watchdog {
 // multiples of what a healthy run needs), so a scheduling bug that
 // livelocks the event loop becomes a reported, replayable "watchdog"
 // violation with partial telemetry instead of a hung process.
-func churnWatchdog(sc *Scenario, opt Options) event.Watchdog {
+func churnWatchdog(sc *Case, opt Options) event.Watchdog {
 	wd := event.Watchdog{
 		MaxEvents: opt.MaxEvents,
 		MaxSim:    100 * sc.Duration,
@@ -84,27 +84,43 @@ func CheckSeed(seed uint64, opt Options) *SeedReport {
 	return CheckScenario(Generate(seed), opt)
 }
 
-// CheckScenario runs the scenario through every discipline and checks
-// the invariant battery — the clean one, or the graceful-degradation
-// one when the scenario carries a fault plan. The report is a pure
-// function of the scenario and options: same input, byte-identical
-// Format output. A panic anywhere in the battery is recovered into a
-// "panic" violation, so a crashing seed still yields a report (and a
-// replayable repro) instead of taking the harness down.
-func CheckScenario(sc Scenario, opt Options) (rep *SeedReport) {
+// fold writes the options that select what is checked into the case's
+// check object, where a written repro keeps them: it then reproduces
+// the failure, injected tightening included, with no extra flags.
+func (opt Options) fold(sc *Case) {
 	if opt.BoundScale > 0 {
-		sc.BoundScale = opt.BoundScale
+		sc.Check.BoundScale = opt.BoundScale
 	}
 	if opt.Calculus {
-		// Folded into the scenario like BoundScale, so a written repro
-		// replays the calculus battery with no extra flags.
-		sc.Calculus = true
+		sc.Check.Calculus = true
 	}
-	rep = &SeedReport{
-		Seed: sc.Seed, Topology: sc.Topology.Kind, Links: len(sc.Topology.Links),
-		Sessions: len(sc.Sessions), Proc: sc.Proc, Special: sc.Special,
+}
+
+// newReport starts the case's report. A document from elsewhere than
+// the generator has no topology kind; procedure 0 means 1.
+func newReport(sc *Case) *SeedReport {
+	kind := sc.Check.Kind
+	if kind == "" {
+		kind = "document"
+	}
+	return &SeedReport{
+		Seed: sc.Seed, Topology: kind, Links: len(sc.Servers),
+		Sessions: len(sc.Sessions), Proc: max(sc.Proc, 1), Special: sc.Check.Special,
 		Duration: sc.Duration, Churn: !sc.Faults.Empty(),
 	}
+}
+
+// CheckScenario runs the scenario through every discipline and checks
+// the invariant battery — the clean one, or the graceful-degradation
+// one when the scenario carries a fault plan. Bound checks apply to the
+// sessions that declare b0, the rest of the battery to all. The report
+// is a pure function of the case and options: same input,
+// byte-identical Format output. A panic anywhere in the battery is
+// recovered into a "panic" violation, so a crashing seed still yields a
+// report (and a replayable repro) instead of taking the harness down.
+func CheckScenario(sc Case, opt Options) (rep *SeedReport) {
+	opt.fold(&sc)
+	rep = newReport(&sc)
 	defer func() {
 		if r := recover(); r != nil {
 			rep.add(Violation{Check: "panic", Detail: fmt.Sprint(r)})
@@ -118,7 +134,7 @@ func CheckScenario(sc Scenario, opt Options) (rep *SeedReport) {
 		return rep
 	}
 	if !sc.Faults.Empty() {
-		checkChurnScenario(sc, opt, rep)
+		checkChurnScenario(&sc, opt, rep)
 		return rep
 	}
 	scale := sc.boundScale()
@@ -159,7 +175,7 @@ func CheckScenario(sc Scenario, opt Options) (rep *SeedReport) {
 	// control — LiT and VirtualClock must produce bit-identical
 	// per-packet delays. Both sides run bare (no buffer limits) so the
 	// comparison is over the full packet stream.
-	if sc.Special {
+	if sc.Check.Special {
 		litBare, err1 := runScenario(&sc, litSpec(false), runOpts{collectDelays: true, wd: wd})
 		vcRun, err2 := runScenario(&sc, vcSpec(), runOpts{collectDelays: true, wd: wd})
 		if err1 != nil || err2 != nil {
@@ -178,7 +194,7 @@ func CheckScenario(sc Scenario, opt Options) (rep *SeedReport) {
 
 	// Network-calculus battery: curve-propagated FIFO bounds against an
 	// FCFS run, plus the admission fast-path differential check.
-	if sc.Calculus {
+	if sc.Check.Calculus {
 		checkCalculus(&sc, scale, wd, rep)
 	}
 
@@ -208,11 +224,11 @@ func CheckScenario(sc Scenario, opt Options) (rep *SeedReport) {
 // aware conservation and telemetry, and exact capacity return; every
 // other discipline must still conserve packets, drain its pool and
 // return its capacity under the identical chaos.
-func checkChurnScenario(sc Scenario, opt Options, rep *SeedReport) {
+func checkChurnScenario(sc *Case, opt Options, rep *SeedReport) {
 	scale := sc.boundScale()
-	wd := churnWatchdog(&sc, opt)
+	wd := churnWatchdog(sc, opt)
 
-	exact, err := runChurn(&sc, litSpec(false), runOpts{limits: true, probes: true, wd: wd})
+	exact, err := runChurn(sc, litSpec(false), runOpts{limits: true, probes: true, wd: wd})
 	if err != nil {
 		rep.add(Violation{Check: "build", Discipline: "lit", Detail: err.Error()})
 		return
@@ -221,16 +237,16 @@ func checkChurnScenario(sc Scenario, opt Options, rep *SeedReport) {
 	rep.summarize(exact)
 	if exact.Tripped == "" {
 		survivors := *exact
-		survivors.Sessions = cleanSurvivors(exact, &sc)
+		survivors.Sessions = cleanSurvivors(exact, sc)
 		checkBounds(&survivors, scale, rep)
 		checkChurnDrain(exact, rep)
 		checkChurnTelemetry(exact, rep)
-		checkCapacity(exact, &sc, rep)
+		checkCapacity(exact, sc, rep)
 	}
 
-	specs := append([]discSpec{litSpec(true)}, baselineSpecs(&sc)...)
+	specs := append([]discSpec{litSpec(true)}, baselineSpecs(sc)...)
 	for _, spec := range specs {
-		res, err := runChurn(&sc, spec, runOpts{wd: wd})
+		res, err := runChurn(sc, spec, runOpts{wd: wd})
 		if err != nil {
 			rep.add(Violation{Check: "build", Discipline: spec.name, Detail: err.Error()})
 			continue
@@ -241,7 +257,7 @@ func checkChurnScenario(sc Scenario, opt Options, rep *SeedReport) {
 			continue
 		}
 		checkChurnDrain(res, rep)
-		checkCapacity(res, &sc, rep)
+		checkCapacity(res, sc, rep)
 		if exact.Tripped == "" {
 			checkEmitted(exact, res, rep)
 		}
@@ -251,11 +267,12 @@ func checkChurnScenario(sc Scenario, opt Options, rep *SeedReport) {
 // checkBounds verifies the paper's service commitments on the
 // reference run: end-to-end delay (eq. 12), delay jitter (ineq. 17 and
 // its no-control form), buffer occupancy against the buffer bounds, and
-// loss-freedom for sessions whose buffers were capped at the bound.
+// loss-freedom for sessions whose buffers were capped at the bound. A
+// session that declares no b0 has no D_ref_max and so none of these.
 func checkBounds(res *runResult, scale float64, rep *SeedReport) {
 	for _, sr := range res.Sessions {
 		id := sr.Def.ID
-		if sr.Delivered > 0 {
+		if sr.Delivered > 0 && sr.Def.B0 > 0 {
 			if bound := sr.DelayBound * scale; sr.MaxDelay >= bound {
 				rep.add(Violation{Check: "delay-bound", Discipline: res.Name, Session: id,
 					Detail: fmt.Sprintf("max delay %.9f >= bound %.9f (%d hops)",
@@ -353,7 +370,7 @@ func checkEngineSanity(res *runResult, rep *SeedReport) {
 // approximation may reorder transmissions only within a bin, so each
 // session's maximum end-to-end delay can exceed the exact heap's by at
 // most a few bin widths per hop.
-func checkApprox(exact, approx *runResult, sc *Scenario, rep *SeedReport) {
+func checkApprox(exact, approx *runResult, sc *Case, rep *SeedReport) {
 	byID := make(map[int]sessResult, len(exact.Sessions))
 	for _, sr := range exact.Sessions {
 		byID[sr.Def.ID] = sr

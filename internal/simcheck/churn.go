@@ -16,7 +16,7 @@ package simcheck
 import (
 	"fmt"
 
-	"leaveintime/internal/admission"
+	"leaveintime/internal/config"
 	"leaveintime/internal/faults"
 	"leaveintime/internal/metrics"
 	"leaveintime/internal/network"
@@ -27,8 +27,8 @@ import (
 // the current network incarnation (nil while released), counters
 // aggregated over finished incarnations, and the session's signaler.
 type churnSess struct {
-	def    SessionDef
-	links  []*topoLink
+	def    *config.Session
+	hops   []*config.Server
 	ports  []*network.Port
 	sig    *signaling.Signaler
 	live   *network.Session
@@ -46,13 +46,12 @@ type churnSess struct {
 // faults.Actions.
 type churnRun struct {
 	*run
-	byID       map[int]*churnSess
-	order      []*churnSess
-	portByName map[string]*network.Port
+	byID  map[int]*churnSess
+	order []*churnSess
 }
 
 func (r *churnRun) port(name string) *network.Port {
-	p, ok := r.portByName[name]
+	p, ok := r.ports[name]
 	if !ok {
 		panic(fmt.Sprintf("simcheck: fault plan names unknown port %q", name))
 	}
@@ -90,9 +89,9 @@ func (r *churnRun) NodeUp(node string) {
 
 func (r *churnRun) nodePorts(node string) []*network.Port {
 	var ports []*network.Port
-	for _, ld := range r.sc.Topology.Links {
-		if ld.From == node {
-			ports = append(ports, r.port(ld.From+"->"+ld.To))
+	for i := range r.sc.Servers {
+		if sv := &r.sc.Servers[i]; sv.Node() == node {
+			ports = append(ports, r.port(sv.Name))
 		}
 	}
 	if len(ports) == 0 {
@@ -148,11 +147,8 @@ func (r *churnRun) resetup(cs *churnSess) {
 		})
 		return
 	}
-	req := signaling.Request{
-		Spec:  admission.SessionSpec{ID: id, Rate: cs.def.Rate, LMax: cs.def.LMax, LMin: cs.def.LMin},
-		Class: cs.def.Class,
-		Opts:  admission.Options{PerPacket: true, D: cs.def.D},
-	}
+	areq := admissionRequest(cs.def)
+	req := signaling.Request{Spec: areq.Spec, Class: areq.Class, Opts: areq.Opts}
 	cs.sig.Establish(req, func(sres signaling.Result) {
 		m := r.net.Metrics()
 		if !sres.Accepted {
@@ -169,20 +165,8 @@ func (r *churnRun) resetup(cs *churnSess) {
 			m.Arena().Inc(metrics.HFaultResetups)
 		}
 		now := r.sim.Now()
-		cfgs := make([]network.SessionPort, len(cs.links))
-		for i, l := range cs.links {
-			a := sres.Assignments[i]
-			d := a.D
-			if r.sc.Special {
-				d = nil
-			}
-			cfgs[i] = network.SessionPort{
-				D: d, DMax: a.DMax,
-				LocalDelay: cs.def.LMax/cs.def.Rate + float64(len(r.sc.Sessions)+2)*r.sc.LMax/l.Capacity,
-				XMin:       cs.def.LMin / cs.def.Rate,
-			}
-		}
-		cs.live = r.net.AddSession(id, cs.def.Rate, cs.def.JitterCtrl, cs.ports, cfgs, buildSource(cs.def))
+		cfgs := sessionPorts(r.sc, cs.def, cs.hops, sres.Assignments)
+		cs.live = r.net.AddSession(id, cs.def.Rate, cs.def.JitterControl, cs.ports, cfgs, r.source(cs.def))
 		cs.live.Start(now, r.sc.Duration)
 	})
 }
@@ -191,13 +175,9 @@ func (r *churnRun) resetup(cs *churnSess) {
 // node per hop, the hop's admission controller behind it, and the
 // hop's real link state deciding message loss.
 func (r *churnRun) newSignaler(cs *churnSess) *signaling.Signaler {
-	path := make([]*signaling.Node, len(cs.links))
-	for i, l := range cs.links {
-		path[i] = &signaling.Node{
-			Name:  linkKey(l),
-			Admit: r.adm[linkKey(l)],
-			Gamma: l.Gamma,
-		}
+	path := make([]*signaling.Node, len(cs.hops))
+	for i, sv := range cs.hops {
+		path[i] = &signaling.Node{Name: sv.Name, Admit: r.adm[sv.Name], Gamma: sv.Gamma}
 	}
 	sig := signaling.New(r.sim, path)
 	ports := cs.ports
@@ -227,33 +207,19 @@ func (r *churnRun) newSignaler(cs *churnSess) *signaling.Signaler {
 // teardown pass that returns every reservation through the signaling
 // layer. Per-session counters aggregate across a churned session's
 // incarnations.
-func runChurn(sc *Scenario, spec discSpec, opts runOpts) (*runResult, error) {
+func runChurn(sc *Case, spec discSpec, opts runOpts) (*runResult, error) {
 	base, err := newRun(sc, spec, opts)
 	if err != nil {
 		return nil, err
 	}
-	r := &churnRun{
-		run:        base,
-		byID:       make(map[int]*churnSess),
-		portByName: make(map[string]*network.Port),
-	}
-	for _, l := range r.g.Links() {
-		r.portByName[l.Port.Name] = l.Port
-	}
-	for _, def := range sc.Sessions {
+	r := &churnRun{run: base, byID: make(map[int]*churnSess)}
+	for i := range sc.Sessions {
+		def := &sc.Sessions[i]
 		sr, sess, probes, ok := r.establish(def)
 		if !ok {
 			continue
 		}
-		links, err := r.g.RouteLinks(def.From, def.To)
-		if err != nil {
-			return nil, err
-		}
-		cs := &churnSess{def: def, links: links, live: sess, sr: sr, probes: probes}
-		cs.ports = make([]*network.Port, len(links))
-		for i, l := range links {
-			cs.ports[i] = l.Port
-		}
+		cs := &churnSess{def: def, hops: sc.hops(def), ports: r.route(def), live: sess, sr: sr, probes: probes}
 		cs.sig = r.newSignaler(cs)
 		r.byID[def.ID] = cs
 		r.order = append(r.order, cs)
@@ -295,7 +261,7 @@ func runChurn(sc *Scenario, spec discSpec, opts runOpts) (*runResult, error) {
 
 // faultedPorts returns the ports whose outgoing link the plan takes
 // down at any point (directly or through a node outage).
-func faultedPorts(sc *Scenario) map[string]bool {
+func faultedPorts(sc *Case) map[string]bool {
 	out := make(map[string]bool)
 	if sc.Faults == nil {
 		return out
@@ -304,9 +270,9 @@ func faultedPorts(sc *Scenario) map[string]bool {
 		out[l.Port] = true
 	}
 	for _, n := range sc.Faults.Nodes {
-		for _, ld := range sc.Topology.Links {
-			if ld.From == n.Node {
-				out[ld.From+"->"+ld.To] = true
+		for i := range sc.Servers {
+			if sv := &sc.Servers[i]; sv.Node() == n.Node {
+				out[sv.Name] = true
 			}
 		}
 	}
@@ -320,7 +286,7 @@ func faultedPorts(sc *Scenario) map[string]bool {
 // its bounds must keep holding (isolation under silence). Churn and
 // faults elsewhere in the network must not be observable here: that is
 // the graceful-degradation guarantee under test.
-func cleanSurvivors(res *runResult, sc *Scenario) []sessResult {
+func cleanSurvivors(res *runResult, sc *Case) []sessResult {
 	bad := faultedPorts(sc)
 	var out []sessResult
 	for _, sr := range res.Sessions {
@@ -365,9 +331,9 @@ func checkChurnDrain(res *runResult, rep *SeedReport) {
 // link's admission controller is back to exactly zero reserved rate:
 // released capacity is really released, with no residue from churn,
 // lost signaling messages, or the retry paths.
-func checkCapacity(res *runResult, sc *Scenario, rep *SeedReport) {
-	for _, ld := range sc.Topology.Links {
-		key := ld.From + "->" + ld.To
+func checkCapacity(res *runResult, sc *Case, rep *SeedReport) {
+	for i := range sc.Servers {
+		key := sc.Servers[i].Name
 		ctrl, ok := res.Adm[key]
 		if !ok {
 			continue

@@ -52,7 +52,7 @@ func TestGenerateChurnDeterministic(t *testing.T) {
 func TestGenerateChurnSharesBase(t *testing.T) {
 	for seed := uint64(1); seed <= 10; seed++ {
 		churned := GenerateChurn(seed)
-		churned.Faults = nil
+		churned.Faults = nil // the generated document is this test's own
 		if base := Generate(seed); !reflect.DeepEqual(churned, base) {
 			t.Fatalf("seed %d: chaos scenario diverges from its fault-free twin", seed)
 		}
@@ -106,7 +106,7 @@ func TestChurnReproRoundTrip(t *testing.T) {
 	if err := WriteRepro(path, sc); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadScenario(path)
+	loaded, err := LoadCase(path)
 	if err != nil {
 		t.Fatal(err)
 	}

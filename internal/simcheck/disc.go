@@ -3,6 +3,7 @@ package simcheck
 import (
 	"fmt"
 
+	"leaveintime/internal/config"
 	"leaveintime/internal/core"
 	"leaveintime/internal/metrics"
 	"leaveintime/internal/network"
@@ -209,10 +210,10 @@ type discSpec struct {
 	// regardless of the scenario; LiT additionally is work-conserving
 	// when no session uses jitter control.
 	wcAlways bool
-	mk       func(sc *Scenario, l *topoLink) network.Discipline
+	mk       func(sc *Case, sv *config.Server) network.Discipline
 }
 
-func (s discSpec) workConserving(sc *Scenario) bool {
+func (s discSpec) workConserving(sc *Case) bool {
 	if s.wcAlways {
 		return true
 	}
@@ -222,11 +223,25 @@ func (s discSpec) workConserving(sc *Scenario) bool {
 // deadlineTol is the allowed deadline-ordering slack: floating-point
 // crumbs for the exact heap, one calendar bin (the §4 approximation
 // bound) for the calendar queue.
-func (s discSpec) deadlineTol(sc *Scenario, capacity float64) float64 {
+func (s discSpec) deadlineTol(sc *Case, capacity float64) float64 {
 	if s.litKind == 2 {
 		return sc.LMax/capacity + 1e-9
 	}
 	return 1e-9
+}
+
+// checked builds the discipline for one server's port under the
+// checking decorator, reporting into out.
+func (s discSpec) checked(sc *Case, sv *config.Server, out *[]Violation) *checkedDisc {
+	return &checkedDisc{
+		inner:         s.mk(sc, sv),
+		disc:          s.name,
+		port:          sv.Name,
+		wc:            s.workConserving(sc),
+		deadlineCheck: s.deadlineCheck,
+		tol:           s.deadlineTol(sc, sv.Capacity),
+		out:           out,
+	}
 }
 
 // litSpec returns the Leave-in-Time spec, exact or approximate.
@@ -239,9 +254,9 @@ func litSpec(approximate bool) discSpec {
 	}
 	return discSpec{
 		name: name, litKind: kind, deadlineCheck: true,
-		mk: func(sc *Scenario, l *topoLink) network.Discipline {
+		mk: func(sc *Case, sv *config.Server) network.Discipline {
 			return core.New(core.Config{
-				Capacity: l.Capacity, LMax: sc.LMax, Approximate: approximate,
+				Capacity: sv.Capacity, LMax: sc.LMax, Approximate: approximate,
 			})
 		},
 	}
@@ -251,7 +266,7 @@ func litSpec(approximate bool) discSpec {
 // LiT ≡ VirtualClock differential check).
 func vcSpec() discSpec {
 	return discSpec{name: "virtualclock", wcAlways: true,
-		mk: func(sc *Scenario, l *topoLink) network.Discipline {
+		mk: func(sc *Case, sv *config.Server) network.Discipline {
 			return sched.NewVirtualClock()
 		}}
 }
@@ -261,7 +276,7 @@ func vcSpec() discSpec {
 // bounds are exactly what FCFS promises.
 func fcfsSpec() discSpec {
 	return discSpec{name: "fcfs", wcAlways: true,
-		mk: func(sc *Scenario, l *topoLink) network.Discipline {
+		mk: func(sc *Case, sv *config.Server) network.Discipline {
 			return sched.NewFCFS()
 		}}
 }
@@ -270,43 +285,43 @@ func fcfsSpec() discSpec {
 // configured for the scenario. The framing disciplines' frame time is
 // one maximum-length packet at the slowest session's reserved rate, so
 // every session earns at least one slot per frame.
-func baselineSpecs(sc *Scenario) []discSpec {
+func baselineSpecs(sc *Case) []discSpec {
 	frame := sc.LMax / sc.minRate()
 	return []discSpec{
 		vcSpec(),
-		{name: "wfq", wcAlways: true, mk: func(sc *Scenario, l *topoLink) network.Discipline {
-			return sched.NewWFQ(l.Capacity)
+		{name: "wfq", wcAlways: true, mk: func(sc *Case, sv *config.Server) network.Discipline {
+			return sched.NewWFQ(sv.Capacity)
 		}},
-		{name: "wf2q", wcAlways: true, mk: func(sc *Scenario, l *topoLink) network.Discipline {
-			return sched.NewWF2Q(l.Capacity)
+		{name: "wf2q", wcAlways: true, mk: func(sc *Case, sv *config.Server) network.Discipline {
+			return sched.NewWF2Q(sv.Capacity)
 		}},
-		{name: "scfq", wcAlways: true, mk: func(sc *Scenario, l *topoLink) network.Discipline {
+		{name: "scfq", wcAlways: true, mk: func(sc *Case, sv *config.Server) network.Discipline {
 			return sched.NewSCFQ()
 		}},
 		fcfsSpec(),
-		{name: "delayedd", wcAlways: true, mk: func(sc *Scenario, l *topoLink) network.Discipline {
+		{name: "delayedd", wcAlways: true, mk: func(sc *Case, sv *config.Server) network.Discipline {
 			return sched.NewDelayEDD()
 		}},
-		{name: "jitteredd", mk: func(sc *Scenario, l *topoLink) network.Discipline {
+		{name: "jitteredd", mk: func(sc *Case, sv *config.Server) network.Discipline {
 			return sched.NewJitterEDD()
 		}},
-		{name: "stopandgo", mk: func(sc *Scenario, l *topoLink) network.Discipline {
+		{name: "stopandgo", mk: func(sc *Case, sv *config.Server) network.Discipline {
 			return sched.NewStopAndGo(frame)
 		}},
-		{name: "hrr", mk: func(sc *Scenario, l *topoLink) network.Discipline {
+		{name: "hrr", mk: func(sc *Case, sv *config.Server) network.Discipline {
 			return sched.NewHRR(sc.LMax, frame)
 		}},
-		{name: "rcsp", mk: func(sc *Scenario, l *topoLink) network.Discipline {
+		{name: "rcsp", mk: func(sc *Case, sv *config.Server) network.Discipline {
 			return sched.NewRCSP(2)
 		}},
 		// LSTF pops the minimum due time among held packets (all of which
 		// are eligible — it keeps no regulators), so it earns the same
 		// deadline-inversion check as exact LiT.
 		{name: "lstf", wcAlways: true, deadlineCheck: true,
-			mk: func(sc *Scenario, l *topoLink) network.Discipline {
+			mk: func(sc *Case, sv *config.Server) network.Discipline {
 				return sched.NewLSTF()
 			}},
-		{name: "srpt", wcAlways: true, mk: func(sc *Scenario, l *topoLink) network.Discipline {
+		{name: "srpt", wcAlways: true, mk: func(sc *Case, sv *config.Server) network.Discipline {
 			return sched.NewSRPT()
 		}},
 	}

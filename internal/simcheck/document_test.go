@@ -1,0 +1,176 @@
+package simcheck
+
+import (
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"leaveintime/internal/config"
+)
+
+// TestGeneratedDocumentsRunDeclaratively: what the generator emits is a
+// document the declarative runner accepts and runs. The System behind
+// config.Prepare must admit every session the generator's own
+// controllers admitted — procedure 3 and per-link r_frac classes
+// included — and every session must keep its eq. 12 bound there too.
+func TestGeneratedDocumentsRunDeclaratively(t *testing.T) {
+	seeds := uint64(200)
+	if testing.Short() {
+		seeds = 40
+	}
+	procs := map[int]bool{}
+	for seed := uint64(1); seed <= seeds; seed++ {
+		data, err := json.Marshal(Generate(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		doc, err := config.Parse(data)
+		if err != nil {
+			t.Fatalf("seed %d: generated document refused: %v", seed, err)
+		}
+		procs[doc.Proc] = true
+		res, err := doc.Run()
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		for _, s := range res.Sessions {
+			if !s.BoundHolds || s.DelayBound == 0 {
+				t.Errorf("seed %d session %s: max delay %g against bound %g", seed, s.Name, s.MaxDelay, s.DelayBound)
+			}
+		}
+	}
+	if !procs[1] || !procs[2] || !procs[3] {
+		t.Errorf("procedures run: %v, want 1, 2 and 3", procs)
+	}
+}
+
+// TestChurnDocumentsValidButNotRunnable: a release-and-resetup plan is a
+// valid document that the declarative runner refuses by its one rule.
+func TestChurnDocumentsValidButNotRunnable(t *testing.T) {
+	resetups := 0
+	for seed := uint64(1); seed <= 200; seed++ {
+		sc := GenerateChurn(seed)
+		if err := sc.Validate(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		wantRefused := false
+		for _, c := range sc.Faults.Churn {
+			wantRefused = wantRefused || c.Resetup != 0
+		}
+		data, err := json.Marshal(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = config.Parse(data)
+		switch {
+		case wantRefused && (err == nil || err.Error() != sc.Runnable().Error()):
+			t.Errorf("seed %d: Parse = %v, want the resetup rule's refusal", seed, err)
+		case !wantRefused && err != nil:
+			t.Errorf("seed %d: release-only plan refused: %v", seed, err)
+		}
+		if wantRefused {
+			resetups++
+		}
+	}
+	if resetups == 0 {
+		t.Error("no plan in 200 seeds schedules a resetup")
+	}
+}
+
+// TestOldDialectReproReplays: repros the parent commit's litcheck wrote
+// under -bound-scale 0.02 (one shrunk from a clean seed, two chaos
+// plans left whole; procedures 1 and 3, all four source models) are
+// upgraded in memory and replay to the report the parent's binary
+// printed for them, byte for byte.
+func TestOldDialectReproReplays(t *testing.T) {
+	files, err := filepath.Glob("testdata/old_*.json")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no old-dialect repros: %v", err)
+	}
+	for _, path := range files {
+		want, err := os.ReadFile(strings.TrimSuffix(path, ".json") + ".txt")
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := Replay(path, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rep.Format(); got != string(want) {
+			t.Errorf("%s:\n--- parent ---\n%s--- upgraded ---\n%s", path, want, got)
+		}
+		// What was upgraded is a document like any other.
+		sc, err := LoadCase(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sc.Validate(); err != nil {
+			t.Errorf("%s: upgraded document invalid: %v", path, err)
+		}
+	}
+}
+
+// TestReproIsADocument: a written repro is accepted by config.Parse as
+// it stands (the check object is an unknown key there), and it carries
+// the four harness keys for Replay.
+func TestReproIsADocument(t *testing.T) {
+	sc, _ := Shrink(Generate(1), Options{BoundScale: 0.02})
+	path := filepath.Join(t.TempDir(), "repro.json")
+	if err := WriteRepro(path, sc); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := config.Parse(data); err != nil {
+		t.Fatalf("config.Parse refuses a repro: %v", err)
+	}
+	var keys struct {
+		Check map[string]any `json:"check"`
+	}
+	if err := json.Unmarshal(data, &keys); err != nil {
+		t.Fatal(err)
+	}
+	if keys.Check["kind"] != sc.Check.Kind || keys.Check["bound_scale"] != 0.02 {
+		t.Errorf("check object = %v", keys.Check)
+	}
+	if strings.Contains(string(data), "topology") {
+		t.Error("the repro is written in the retired dialect")
+	}
+}
+
+// TestReplayAnyDocument: the battery runs on a document nobody
+// generated. examples/scenario.json has three sessions with b0, whose
+// bounds are checked, and two without, which only the rest of the
+// battery covers; no discipline violates anything on it. (CI replays
+// the whole file through the CLI; here its first ten seconds.)
+func TestReplayAnyDocument(t *testing.T) {
+	sc, err := LoadCase("../../examples/scenario.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.Duration = 10
+	rep := CheckScenario(sc, Options{})
+	if !rep.OK() {
+		t.Fatalf("violations on examples/scenario.json:\n%s", rep.Format())
+	}
+	if rep.Topology != "document" || rep.Proc != 1 || rep.Sessions != 5 || len(rep.Disciplines) < 14 {
+		t.Errorf("report header: %s", rep.Format())
+	}
+	// The sessions without b0 must not have been bound-checked against a
+	// zero bound, nor have silenced the others: tightening shows exactly
+	// the declared ones.
+	sc.Duration = 5
+	hit := map[int]bool{}
+	for _, v := range CheckScenario(sc, Options{BoundScale: 0.01}).Violations {
+		if v.Check == "delay-bound" {
+			hit[v.Session] = true
+		}
+	}
+	if !hit[1] || !hit[2] || !hit[3] || hit[4] || hit[5] {
+		t.Errorf("bound checks under tightening hit sessions %v, want 1, 2, 3 only", hit)
+	}
+}

@@ -1,108 +1,17 @@
 package simcheck
 
 import (
-	"fmt"
+	"math"
 
 	"leaveintime/internal/admission"
+	"leaveintime/internal/config"
 	"leaveintime/internal/event"
 	"leaveintime/internal/metrics"
 	"leaveintime/internal/network"
 	"leaveintime/internal/packet"
 	"leaveintime/internal/rng"
-	"leaveintime/internal/topo"
 	"leaveintime/internal/traffic"
 )
-
-type topoLink = topo.Link
-
-// scenarioGraph builds the routing graph (no ports yet) from the
-// scenario's links.
-func scenarioGraph(sc *Scenario) *topo.Graph {
-	g := topo.New()
-	for _, l := range sc.Topology.Links {
-		if _, err := g.AddLink(l.From, l.To, l.Capacity, l.Gamma); err != nil {
-			// Generated scenarios are valid by construction; a bad link
-			// here is a harness bug, not a checkable outcome.
-			panic(err)
-		}
-	}
-	return g
-}
-
-// admitterSet holds one admission controller per link.
-type admitterSet map[string]admission.Controller
-
-func linkKey(l *topo.Link) string { return l.From + "->" + l.To }
-
-// newAdmitters builds the per-link controllers. Class R values scale
-// with each link's capacity, so one ClassDef list serves heterogeneous
-// links.
-func newAdmitters(sc *Scenario) admitterSet {
-	set := make(admitterSet)
-	for _, ld := range sc.Topology.Links {
-		classes := make([]admission.Class, len(sc.Classes))
-		for k, c := range sc.Classes {
-			classes[k] = admission.Class{R: c.RFrac * ld.Capacity, Sigma: c.Sigma}
-		}
-		ctrl, err := admission.New(sc.Proc, ld.Capacity, classes)
-		if err != nil {
-			panic(err)
-		}
-		set[ld.From+"->"+ld.To] = ctrl
-	}
-	return set
-}
-
-// establish admits def at every link of its route (all or nothing) and
-// returns the grants with the analytic bounds they determine. The
-// generator keeps only sessions it established, so the replay at build
-// time must succeed.
-func (a admitterSet) establish(sc *Scenario, links []*topo.Link, def SessionDef) (*admission.Bounds, error) {
-	path := make([]admission.Link, len(links))
-	for i, l := range links {
-		key := linkKey(l)
-		path[i] = admission.Link{Name: key, Ctrl: a[key], C: l.Capacity, Gamma: l.Gamma}
-	}
-	return admission.Establish(path, sc.LMax, admission.Request{
-		Spec:          admission.SessionSpec{ID: def.ID, Rate: def.Rate, LMax: def.LMax, LMin: def.LMin},
-		Class:         def.Class,
-		Opts:          admission.Options{PerPacket: true, D: def.D},
-		JitterControl: def.JitterCtrl,
-		B0:            def.Burst,
-	})
-}
-
-// buildSource constructs the session's traffic source. Every kind
-// conforms to the token bucket (Rate, Burst) by construction — CBR and
-// ON-OFF emit at spacing LMax/Rate (the paper's voice model), Poisson
-// and variable-length streams pass through an explicit shaper — so
-// D_ref_max = Burst/Rate holds for the bound checks.
-func buildSource(def SessionDef) traffic.Source {
-	r := rng.New(def.Source.Seed)
-	switch def.Source.Kind {
-	case "cbr":
-		return &traffic.Deterministic{Interval: def.LMax / def.Rate, Length: def.LMax}
-	case "onoff":
-		return &traffic.OnOff{
-			T: def.LMax / def.Rate, Length: def.LMax,
-			MeanOn: def.Source.MeanOn, MeanOff: def.Source.MeanOff, Rng: r,
-		}
-	case "poisson":
-		return traffic.NewShaped(
-			&traffic.Poisson{Mean: def.Source.MeanGap, Length: def.LMax, Rng: r},
-			def.Rate, def.Burst)
-	case "varlen":
-		span := def.LMax - def.LMin
-		lr := rng.New(def.Source.Seed + 0x9e3779b97f4a7c15)
-		inner := &traffic.VariableLength{
-			Src: &traffic.Poisson{Mean: def.Source.MeanGap, Length: def.LMax, Rng: r},
-			Fn:  func(int64) float64 { return def.LMin + span*lr.Float64() },
-		}
-		return traffic.NewShaped(inner, def.Rate, def.Burst)
-	default:
-		panic(fmt.Sprintf("simcheck: unknown source kind %q", def.Source.Kind))
-	}
-}
 
 // seqDelay is one delivered packet's end-to-end delay, for the
 // differential LiT ≡ VirtualClock comparison.
@@ -123,14 +32,14 @@ type probeResult struct {
 // sessResult is everything the battery checks about one session in one
 // run.
 type sessResult struct {
-	Def        SessionDef
+	Def        *config.Session
 	Hops       int
 	Emitted    int64
 	Delivered  int64
 	Dropped    int64 // buffer-limit drops along the route
 	MaxDelay   float64
 	Jitter     float64
-	DelayBound float64 // eq. 12 with D_ref_max = Burst/Rate
+	DelayBound float64 // eq. 12 with D_ref_max = b0/rate; 0 when no b0 is declared
 	JitterBnd  float64 // ineq. 17 or its no-control form
 	MinLinkCap float64
 	Probes     []probeResult
@@ -147,7 +56,7 @@ type runResult struct {
 	Violations []Violation
 	// Adm holds the run's admission controllers, kept so the churn
 	// battery can demand TotalRate() == 0 after the final teardown.
-	Adm admitterSet
+	Adm map[string]admission.Controller
 	// Tripped is the watchdog's trip reason; non-empty means the run was
 	// cut short and only partial telemetry is meaningful.
 	Tripped string
@@ -214,23 +123,29 @@ func (t *traceCounts) Trace(e traceEvent) {
 }
 
 // run is what the clean and the churn runner share: the simulator with
-// its watchdog armed, the instrumented network built from the
-// scenario's graph under one discipline (each port's scheduler wrapped
-// in the checking decorator), the admission controllers, and the result
+// its watchdog armed, the instrumented network of one raw port per
+// server under one discipline (each port's scheduler wrapped in the
+// checking decorator), the admission controllers, the scenario's random
+// stream for sources that bring no seed of their own, and the result
 // both fill in.
 type run struct {
-	sc   *Scenario
-	spec discSpec
-	opts runOpts
-	sim  *event.Simulator
-	net  *network.Network
-	g    *topo.Graph
-	adm  admitterSet
-	res  *runResult
+	sc     *Case
+	spec   discSpec
+	opts   runOpts
+	sim    *event.Simulator
+	net    *network.Network
+	ports  map[string]*network.Port
+	adm    map[string]admission.Controller
+	stream *rng.Rand
+	res    *runResult
 }
 
-func newRun(sc *Scenario, spec discSpec, opts runOpts) (*run, error) {
+func newRun(sc *Case, spec discSpec, opts runOpts) (*run, error) {
 	if err := sc.Validate(); err != nil {
+		return nil, err
+	}
+	adm, err := sc.Controllers()
+	if err != nil {
 		return nil, err
 	}
 	sim := event.New()
@@ -244,25 +159,14 @@ func newRun(sc *Scenario, spec discSpec, opts runOpts) (*run, error) {
 	counts := newTraceCounts()
 	net.Tracer = counts
 
-	adm := newAdmitters(sc)
 	res := &runResult{Name: spec.name, Reg: reg, Counts: counts, Adm: adm}
-	g := scenarioGraph(sc)
-	err := g.Build(net, func(l *topo.Link) network.Discipline {
-		return &checkedDisc{
-			inner:         spec.mk(sc, l),
-			disc:          spec.name,
-			port:          linkKey(l),
-			wc:            spec.workConserving(sc),
-			deadlineCheck: spec.deadlineCheck,
-			tol:           spec.deadlineTol(sc, l.Capacity),
-			out:           &res.Violations,
-		}
-	})
-	if err != nil {
-		// Fresh graph per run: a double Build is a harness bug.
-		panic(err)
+	ports := make(map[string]*network.Port, len(sc.Servers))
+	for i := range sc.Servers {
+		sv := &sc.Servers[i]
+		ports[sv.Name] = net.NewPort(sv.Name, sv.Capacity, sv.Gamma, spec.checked(sc, sv, &res.Violations))
 	}
-	return &run{sc: sc, spec: spec, opts: opts, sim: sim, net: net, g: g, adm: adm, res: res}, nil
+	return &run{sc: sc, spec: spec, opts: opts, sim: sim, net: net, ports: ports, adm: adm,
+		stream: rng.New(sc.Seed), res: res}, nil
 }
 
 // finishTrip reports whether the watchdog cut the run short, recording
@@ -284,7 +188,7 @@ func (r *run) finishTrip() bool {
 // runs it to full drain. Violations detected online (by the checking
 // decorator) are collected in the result; bound and cross-run checks
 // happen in the battery.
-func runScenario(sc *Scenario, spec discSpec, opts runOpts) (*runResult, error) {
+func runScenario(sc *Case, spec discSpec, opts runOpts) (*runResult, error) {
 	r, err := newRun(sc, spec, opts)
 	if err != nil {
 		return nil, err
@@ -295,8 +199,8 @@ func runScenario(sc *Scenario, spec discSpec, opts runOpts) (*runResult, error) 
 		probes []*network.BufferProbe
 	}
 	var builds []built
-	for _, def := range sc.Sessions {
-		if sr, sess, probes, ok := r.establish(def); ok {
+	for i := range sc.Sessions {
+		if sr, sess, probes, ok := r.establish(&sc.Sessions[i]); ok {
 			builds = append(builds, built{sess: sess, sr: sr, probes: probes})
 		}
 	}
@@ -333,72 +237,77 @@ func (sr *sessResult) collect(sess *network.Session, probes []*network.BufferPro
 	}
 }
 
-// admitted is a session's route after the admission replay: the links
+// admitted is a session's route after the admission replay: the servers
 // it traverses and everything the assignments determined.
 type admitted struct {
-	links  []*topo.Link
+	hops   []*config.Server
 	cfgs   []network.SessionPort
 	minCap float64
 	bounds *admission.Bounds
 }
 
-// replayAdmission routes the session and replays admission at every hop
+// replayAdmission replays admission at every hop of the session's route
 // (re-verifying what the generator admitted), producing the per-node
 // session-port configurations and the analytic bounds. It is the
 // discipline- and runtime-independent half of establish, shared with
 // the sharded runner.
-func replayAdmission(sc *Scenario, g *topo.Graph, adm admitterSet, def SessionDef) (*admitted, error) {
-	links, err := g.RouteLinks(def.From, def.To)
+func replayAdmission(sc *Case, adm map[string]admission.Controller, def *config.Session) (*admitted, error) {
+	hops := sc.hops(def)
+	b, err := establish(sc, adm, def, hops)
 	if err != nil {
 		return nil, err
 	}
-	b, err := adm.establish(sc, links, def)
-	if err != nil {
-		return nil, err
+	out := &admitted{hops: hops, minCap: math.Inf(1), bounds: b}
+	for _, sv := range hops {
+		out.minCap = min(out.minCap, sv.Capacity)
 	}
-	out := &admitted{
-		links:  links,
-		cfgs:   make([]network.SessionPort, len(links)),
-		minCap: links[0].Capacity,
-		bounds: b,
-	}
-	for i, l := range links {
-		a := b.Assignments[i]
-		d := a.D
-		if sc.Special {
+	out.cfgs = sessionPorts(sc, def, out.hops, b.Assignments)
+	return out, nil
+}
+
+// sessionPorts turns the per-hop grants into the session-port
+// configurations the network takes.
+func sessionPorts(sc *Case, def *config.Session, hops []*config.Server, grants []admission.Assignment) []network.SessionPort {
+	req := def.Request()
+	cfgs := make([]network.SessionPort, len(hops))
+	for i, sv := range hops {
+		d := grants[i].D
+		if sc.Check.Special {
 			// The exactness corner: procedure 1 with one class and
 			// eps = 0 assigns d = L/r, which SessionPort spells as a
 			// nil D — the bit-exact VirtualClock special case (the
 			// closure would round L*C/(r*C) differently from L/r).
 			d = nil
 		}
-		out.cfgs[i] = network.SessionPort{
+		cfgs[i] = network.SessionPort{
 			D:    d,
-			DMax: a.DMax,
+			DMax: grants[i].DMax,
 			// Per-node budget for the EDD baselines: generous enough
 			// that their (not re-run) schedulability test would not be
 			// the binding constraint.
-			LocalDelay: def.LMax/def.Rate + float64(len(sc.Sessions)+2)*sc.LMax/l.Capacity,
-			XMin:       def.LMin / def.Rate,
-		}
-		if l.Capacity < out.minCap {
-			out.minCap = l.Capacity
+			LocalDelay: req.LMax/req.Rate + float64(len(sc.Sessions)+2)*sc.LMax/sv.Capacity,
+			XMin:       req.LMin / req.Rate,
 		}
 	}
-	return out, nil
+	return cfgs
+}
+
+// source builds the session's traffic source; a source without a seed
+// of its own draws the run's next stream, in establishment order.
+func (r *run) source(def *config.Session) traffic.Source {
+	src, err := def.BuildSource(r.stream)
+	if err != nil {
+		panic(err) // Validate built it once already
+	}
+	return src
 }
 
 // establish admits the session at every hop (replaying what the
 // generator verified), derives its analytic bounds from the resulting
 // assignments, and wires it into the network. A failed replay is
 // recorded as a violation and reported as ok == false.
-func (r *run) establish(def SessionDef) (sr *sessResult, sess *network.Session, probes []*network.BufferProbe, ok bool) {
-	sc, opts := r.sc, r.opts
-	ad, err := replayAdmission(sc, r.g, r.adm, def)
-	var ports []*network.Port
-	if err == nil {
-		ports, err = r.g.Route(def.From, def.To)
-	}
+func (r *run) establish(def *config.Session) (sr *sessResult, sess *network.Session, probes []*network.BufferProbe, ok bool) {
+	ad, err := replayAdmission(r.sc, r.adm, def)
 	if err != nil {
 		r.res.Violations = append(r.res.Violations, Violation{
 			Check: "admission-replay", Discipline: r.spec.name,
@@ -409,16 +318,17 @@ func (r *run) establish(def SessionDef) (sr *sessResult, sess *network.Session, 
 
 	sr = &sessResult{
 		Def:        def,
-		Hops:       len(ad.links),
+		Hops:       len(ad.hops),
 		MinLinkCap: ad.minCap,
 		DelayBound: ad.bounds.DelayBound,
 		JitterBnd:  ad.bounds.JitterBound,
 	}
 
-	sess = r.net.AddSession(def.ID, def.Rate, def.JitterCtrl, ports, ad.cfgs, buildSource(def))
-	if opts.probes {
+	ports := r.route(def)
+	sess = r.net.AddSession(def.ID, def.Rate, def.JitterControl, ports, ad.cfgs, r.source(def))
+	if r.opts.probes {
 		for n, bound := range ad.bounds.BufferBoundBits {
-			limited := opts.limits && def.LimitBuffers
+			limited := r.opts.limits && def.LimitBuffers
 			var pr *network.BufferProbe
 			if limited {
 				pr = ports[n].LimitBuffer(def.ID, bound)
@@ -431,10 +341,19 @@ func (r *run) establish(def SessionDef) (sr *sessResult, sess *network.Session, 
 			})
 		}
 	}
-	if opts.collectDelays {
+	if r.opts.collectDelays {
 		sess.OnDeliver = func(p *packet.Packet, delay float64) {
 			sr.Delays = append(sr.Delays, seqDelay{Seq: p.Seq, Delay: delay})
 		}
 	}
 	return sr, sess, probes, true
+}
+
+// route returns the ports of the session's route.
+func (r *run) route(def *config.Session) []*network.Port {
+	ports := make([]*network.Port, len(def.Route))
+	for i, name := range def.Route {
+		ports[i] = r.ports[name]
+	}
+	return ports
 }

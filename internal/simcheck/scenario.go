@@ -1,50 +1,33 @@
 // Package simcheck is the randomized scenario conformance harness: it
-// generates random-but-valid scenarios from a seed (topology, admitted
-// session set, traffic mix), runs the same arrival sequence through
-// every discipline in the repository, and checks an invariant battery
-// against the paper's analytic machinery — per-session delay/jitter/
-// buffer bounds, packet-pool balance, deadline ordering, work
+// generates random-but-valid scenario documents from a seed (topology,
+// admitted session set, traffic mix), runs the same arrival sequence
+// through every discipline in the repository, and checks an invariant
+// battery against the paper's analytic machinery — per-session delay/
+// jitter/buffer bounds, packet-pool balance, deadline ordering, work
 // conservation, the LiT ≡ VirtualClock special case, the calendar-queue
 // approximation bound, and metrics/trace/probe agreement. On violation
 // it shrinks the scenario to a minimal failing form and writes a
 // replayable JSON repro. See cmd/litcheck for the CLI driver.
+//
+// What it generates, shrinks, replays and checks is a config.Scenario,
+// the document litrun and litserve run. The harness builds its own
+// network from it — raw ports under the checking decorator, one
+// admission controller per server, joined at admission.Establish — so
+// that every discipline is run against a reference that does not pass
+// through the System builder under test.
 package simcheck
 
 import (
-	"fmt"
-
-	"leaveintime/internal/faults"
+	"leaveintime/internal/admission"
+	"leaveintime/internal/config"
 )
 
-// Scenario is a fully declarative, JSON-serializable description of one
-// conformance run. Everything a run needs — topology, admission
-// configuration, session set, per-source seeds — is in the struct, so a
-// scenario replays bit-identically from its JSON form. Sessions listed
-// here were admitted when the scenario was generated; because removing
-// an admitted session never invalidates the remaining ones (the
-// procedures' tests are monotone in the session set), any subset is
-// again a valid scenario — the property the shrinker relies on.
-type Scenario struct {
-	// Seed is the generator seed the scenario came from (informational
-	// after generation; replays use the explicit fields below).
-	Seed uint64 `json:"seed"`
-	// LMax is the network-wide maximum packet length L_MAX, bits.
-	LMax float64 `json:"l_max_bits"`
-	// Duration is how long sources emit, simulated seconds. Runs drain
-	// fully after emission stops.
-	Duration float64 `json:"duration_s"`
-
-	Topology Topology `json:"topology"`
-
-	// Proc selects the admission control procedure (1, 2 or 3) guarding
-	// every port.
-	Proc int `json:"proc"`
-	// Classes configures procedures 1 and 2 (ignored for procedure 3).
-	// Class k's bandwidth cap at a port is RFrac_k times the port's
-	// capacity; the last class must have RFrac = 1 so R_P = C.
-	Classes []ClassDef `json:"classes,omitempty"`
-
-	Sessions []SessionDef `json:"sessions"`
+// Check is the harness's own share of a repro file: the "check" object
+// beside the document, which config.Parse ignores.
+type Check struct {
+	// Kind records the generator's topology shape (tandem, cross or
+	// tree) for the report line.
+	Kind string `json:"kind,omitempty"`
 
 	// Special marks the paper's exactness corner: procedure 1, one
 	// class, eps = 0, no jitter control — where LiT must be
@@ -59,188 +42,107 @@ type Scenario struct {
 	// -bound-scale flag.
 	BoundScale float64 `json:"bound_scale,omitempty"`
 
-	// Calculus switches on the network-calculus battery for this
-	// scenario (see calccheck.go). Set from Options.Calculus at check
-	// time and embedded into written repros so they replay the battery
-	// without extra flags.
+	// Calculus switches on the network-calculus battery (see
+	// calccheck.go). Set from Options.Calculus at check time and written
+	// into repros so they replay the battery without extra flags.
 	Calculus bool `json:"calculus,omitempty"`
-
-	// Faults, when non-nil, is the deterministic chaos plan injected
-	// into every run (see internal/faults): link and node outage
-	// windows, source stalls, and session churn through the real
-	// signaling exchange. Its presence switches the battery to the
-	// churn/fault mode — graceful-degradation invariants instead of the
-	// clean-network bound checks (see CheckScenario). Part of the
-	// scenario so repros of chaotic runs replay byte-identically.
-	Faults *faults.Plan `json:"faults,omitempty"`
 }
 
-// Topology is the network graph: directed links between named nodes.
-type Topology struct {
-	// Kind records the generator's shape (tandem, cross or tree);
-	// informational — the links alone define the graph.
-	Kind  string    `json:"kind"`
-	Links []LinkDef `json:"links"`
+// Case is what the harness checks and what a repro file holds: a
+// scenario document and the check object beside it. Sessions of a
+// generated document were admitted when it was generated; because
+// removing an admitted session never invalidates the remaining ones
+// (the procedures' tests are monotone in the session set), any subset
+// is again a valid scenario — the property the shrinker relies on. A
+// fault plan in the document switches the battery to the churn/fault
+// mode: graceful-degradation invariants instead of the clean-network
+// bound checks (see CheckScenario).
+type Case struct {
+	*config.Scenario
+	Check Check `json:"check"`
 }
 
-// LinkDef is one directed link.
-type LinkDef struct {
-	From     string  `json:"from"`
-	To       string  `json:"to"`
-	Capacity float64 `json:"capacity_bps"`
-	Gamma    float64 `json:"gamma_s"`
-}
-
-// ClassDef is one delay class of admission procedures 1 and 2.
-type ClassDef struct {
-	RFrac float64 `json:"r_frac"`
-	Sigma float64 `json:"sigma_s"`
-}
-
-// SessionDef is one admitted session: its route endpoints, reservation,
-// and traffic source.
-type SessionDef struct {
-	ID   int    `json:"id"`
-	From string `json:"from"`
-	To   string `json:"to"`
-	// Rate is the reserved rate r_s, bits/s.
-	Rate float64 `json:"rate_bps"`
-	// JitterCtrl selects delay-jitter control (LiT regulators) for the
-	// session.
-	JitterCtrl bool `json:"jitter_ctrl,omitempty"`
-	// Class is the delay class for procedures 1 and 2 (1-based).
-	Class int `json:"class,omitempty"`
-	// D is the fixed service parameter for procedure 3, seconds.
-	D float64 `json:"d_s,omitempty"`
-	// LMin and LMax are the session's packet-length envelope, bits.
-	LMin float64 `json:"l_min_bits"`
-	LMax float64 `json:"l_max_bits"`
-	// Burst is the token-bucket depth b0 (bits) the source conforms to
-	// by construction, so D_ref_max = Burst/Rate (eq. 14).
-	Burst float64 `json:"burst_bits"`
-	// LimitBuffers provisions a finite buffer at the paper's buffer
-	// bound at every hop — the loss-free guarantee under test.
-	// Sessions without it get an occupancy probe checked against the
-	// same bound.
-	LimitBuffers bool `json:"limit_buffers,omitempty"`
-
-	Source SourceDef `json:"source"`
-}
-
-// SourceDef selects and seeds the traffic source.
-type SourceDef struct {
-	// Kind is one of cbr, onoff, poisson, varlen.
-	Kind string `json:"kind"`
-	Seed uint64 `json:"seed"`
-	// MeanOn and MeanOff parameterize the onoff source, seconds.
-	MeanOn  float64 `json:"mean_on_s,omitempty"`
-	MeanOff float64 `json:"mean_off_s,omitempty"`
-	// MeanGap is the pre-shaper mean interarrival for poisson and
-	// varlen, seconds.
-	MeanGap float64 `json:"mean_gap_s,omitempty"`
+// edited returns the case over a copy of the document with edit applied;
+// the slices the edit does not replace stay shared.
+func (c Case) edited(edit func(*config.Scenario)) Case {
+	doc := *c.Scenario
+	edit(&doc)
+	c.Scenario = &doc
+	return c
 }
 
 // boundScale returns the effective bound scaling factor.
-func (sc *Scenario) boundScale() float64 {
-	if sc.BoundScale > 0 {
-		return sc.BoundScale
+func (c *Case) boundScale() float64 {
+	if c.Check.BoundScale > 0 {
+		return c.Check.BoundScale
 	}
 	return 1
 }
 
 // hasJitter reports whether any session uses jitter control. LiT is
 // work-conserving exactly when no regulator is in play.
-func (sc *Scenario) hasJitter() bool {
-	for _, s := range sc.Sessions {
-		if s.JitterCtrl {
+func (c *Case) hasJitter() bool {
+	for i := range c.Sessions {
+		if c.Sessions[i].JitterControl {
 			return true
 		}
 	}
 	return false
 }
 
+// allDeclareB0 reports whether every session declares its token bucket:
+// the batteries that sum arrival curves per link (calculus, aggregate
+// classes) bound nothing once one member's burst is unknown.
+func (c *Case) allDeclareB0() bool {
+	for i := range c.Sessions {
+		if c.Sessions[i].B0 == 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // minRate returns the smallest session rate (0 when empty), used to
 // size the framing disciplines' frame time.
-func (sc *Scenario) minRate() float64 {
+func (c *Case) minRate() float64 {
 	min := 0.0
-	for _, s := range sc.Sessions {
-		if min == 0 || s.Rate < min {
-			min = s.Rate
+	for i := range c.Sessions {
+		if r := c.Sessions[i].Rate; min == 0 || r < min {
+			min = r
 		}
 	}
 	return min
 }
 
-// Validate checks the scenario's structural invariants before a run.
-func (sc *Scenario) Validate() error {
-	if sc.LMax <= 0 {
-		return fmt.Errorf("simcheck: LMax must be positive")
-	}
-	if sc.Duration <= 0 {
-		return fmt.Errorf("simcheck: duration must be positive")
-	}
-	if len(sc.Topology.Links) == 0 {
-		return fmt.Errorf("simcheck: topology has no links")
-	}
-	if sc.Proc < 1 || sc.Proc > 3 {
-		return fmt.Errorf("simcheck: proc %d out of range 1..3", sc.Proc)
-	}
-	if sc.Proc != 3 && len(sc.Classes) == 0 {
-		return fmt.Errorf("simcheck: procedures 1 and 2 need classes")
-	}
-	for _, l := range sc.Topology.Links {
-		if l.Capacity <= 0 || l.From == "" || l.To == "" || l.From == l.To {
-			return fmt.Errorf("simcheck: bad link %s->%s", l.From, l.To)
+// server returns the named server; Validate has checked every name a
+// route or a fault plan uses.
+func (c *Case) server(name string) *config.Server {
+	for i := range c.Servers {
+		if c.Servers[i].Name == name {
+			return &c.Servers[i]
 		}
 	}
-	seen := make(map[int]bool)
-	for _, s := range sc.Sessions {
-		if seen[s.ID] {
-			return fmt.Errorf("simcheck: duplicate session id %d", s.ID)
-		}
-		seen[s.ID] = true
-		if s.Rate <= 0 || s.LMin <= 0 || s.LMin > s.LMax || s.LMax > sc.LMax {
-			return fmt.Errorf("simcheck: session %d: bad rate or length envelope", s.ID)
-		}
-		if s.Burst < s.LMax {
-			return fmt.Errorf("simcheck: session %d: burst below LMax", s.ID)
-		}
-		switch s.Source.Kind {
-		case "cbr", "onoff", "poisson", "varlen":
-		default:
-			return fmt.Errorf("simcheck: session %d: unknown source kind %q", s.ID, s.Source.Kind)
-		}
+	panic("simcheck: unknown server " + name)
+}
+
+// hops returns the servers of the session's route.
+func (c *Case) hops(def *config.Session) []*config.Server {
+	hops := make([]*config.Server, len(def.Route))
+	for i, name := range def.Route {
+		hops[i] = c.server(name)
 	}
-	if sc.Faults != nil {
-		if err := sc.Faults.Validate(); err != nil {
-			return err
-		}
-		ports := make(map[string]bool, len(sc.Topology.Links))
-		nodes := make(map[string]bool)
-		for _, l := range sc.Topology.Links {
-			ports[l.From+"->"+l.To] = true
-			nodes[l.From] = true
-		}
-		for _, l := range sc.Faults.Links {
-			if !ports[l.Port] {
-				return fmt.Errorf("simcheck: fault plan names unknown port %q", l.Port)
-			}
-		}
-		for _, n := range sc.Faults.Nodes {
-			if !nodes[n.Node] {
-				return fmt.Errorf("simcheck: fault plan names unknown node %q", n.Node)
-			}
-		}
-		for _, st := range sc.Faults.Stalls {
-			if !seen[st.Session] {
-				return fmt.Errorf("simcheck: fault plan stalls unknown session %d", st.Session)
-			}
-		}
-		for _, c := range sc.Faults.Churn {
-			if !seen[c.Session] {
-				return fmt.Errorf("simcheck: fault plan churns unknown session %d", c.Session)
-			}
-		}
+	return hops
+}
+
+// admissionRequest is the session's declaration as admission.Establish
+// and the signaling exchange take it.
+func admissionRequest(def *config.Session) admission.Request {
+	req := def.Request()
+	return admission.Request{
+		Spec:          admission.SessionSpec{ID: def.ID, Rate: req.Rate, LMax: req.LMax, LMin: req.LMin},
+		Class:         req.Class,
+		Opts:          admission.Options{Eps: req.Eps, PerPacket: !req.FixedD, D: req.D},
+		JitterControl: req.JitterControl,
+		B0:            req.B0,
 	}
-	return nil
 }

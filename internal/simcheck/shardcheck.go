@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"leaveintime/internal/network"
+	"leaveintime/internal/rng"
 	"leaveintime/internal/shard"
 	"leaveintime/internal/topo"
 	"leaveintime/internal/trace"
@@ -27,7 +28,7 @@ type shardRun struct {
 // the sharded counterpart of runScenario, trimmed to what the
 // invariance battery compares (no buffer probes or limits — those are
 // serial-battery concerns).
-func runShardedScenario(sc *Scenario, shards int, opt Options) (*shardRun, error) {
+func runShardedScenario(sc *Case, shards int, opt Options) (*shardRun, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
@@ -35,17 +36,22 @@ func runShardedScenario(sc *Scenario, shards int, opt Options) (*shardRun, error
 		return nil, fmt.Errorf("simcheck: fault plans are not supported under sharding")
 	}
 	spec := litSpec(false)
-	g := scenarioGraph(sc)
+	g, err := sc.Graph()
+	if err != nil {
+		return nil, err
+	}
 
 	// One violation sink per link, merged in global link order after
 	// the run: shard workers may detect violations concurrently, so
 	// they must not share a slice, and per-link sinks make the merged
-	// order partition-independent.
+	// order partition-independent. Link i of the graph is server i.
 	links := g.Links()
 	outs := make([][]Violation, len(links))
 	linkIdx := make(map[*topo.Link]int, len(links))
+	byName := make(map[string]*topo.Link, len(links))
 	for i, l := range links {
 		linkIdx[l] = i
+		byName[sc.Servers[i].Name] = l
 	}
 
 	recs := make([]*trace.Recorder, shards)
@@ -54,15 +60,8 @@ func runShardedScenario(sc *Scenario, shards int, opt Options) (*shardRun, error
 		LMax:   sc.LMax,
 		Graph:  g,
 		Disc: func(l *topo.Link) network.Discipline {
-			return &checkedDisc{
-				inner:         spec.mk(sc, l),
-				disc:          spec.name,
-				port:          linkKey(l),
-				wc:            spec.workConserving(sc),
-				deadlineCheck: spec.deadlineCheck,
-				tol:           spec.deadlineTol(sc, l.Capacity),
-				out:           &outs[linkIdx[l]],
-			}
+			i := linkIdx[l]
+			return spec.checked(sc, &sc.Servers[i], &outs[i])
 		},
 		Metrics:   true,
 		PoolDebug: true,
@@ -73,15 +72,20 @@ func runShardedScenario(sc *Scenario, shards int, opt Options) (*shardRun, error
 		return nil, err
 	}
 
-	adm := newAdmitters(sc)
+	adm, err := sc.Controllers()
+	if err != nil {
+		return nil, err
+	}
+	stream := rng.New(sc.Seed)
 	res := &shardRun{}
 	type built struct {
 		view *shard.SessionView
 		sr   sessResult
 	}
 	var builds []built
-	for _, def := range sc.Sessions {
-		ad, err := replayAdmission(sc, g, adm, def)
+	for i := range sc.Sessions {
+		def := &sc.Sessions[i]
+		ad, err := replayAdmission(sc, adm, def)
 		if err != nil {
 			res.violations = append(res.violations, Violation{
 				Check: "admission-replay", Discipline: spec.name,
@@ -89,14 +93,22 @@ func runShardedScenario(sc *Scenario, shards int, opt Options) (*shardRun, error
 			})
 			continue
 		}
-		v, err := rt.AddSession(shard.SessionPlan{
-			ID: def.ID, Rate: def.Rate, JitterControl: def.JitterCtrl,
-			Links: ad.links, Cfgs: ad.cfgs, Source: buildSource(def),
-		})
+		src, err := def.BuildSource(stream)
 		if err != nil {
 			return nil, err
 		}
-		builds = append(builds, built{view: v, sr: sessResult{Def: def, Hops: len(ad.links), MinLinkCap: ad.minCap}})
+		plan := shard.SessionPlan{
+			ID: def.ID, Rate: def.Rate, JitterControl: def.JitterControl,
+			Cfgs: ad.cfgs, Source: src,
+		}
+		for _, name := range def.Route {
+			plan.Links = append(plan.Links, byName[name])
+		}
+		v, err := rt.AddSession(plan)
+		if err != nil {
+			return nil, err
+		}
+		builds = append(builds, built{view: v, sr: sessResult{Def: def, Hops: len(ad.hops), MinLinkCap: ad.minCap}})
 	}
 	for _, b := range builds {
 		b.view.Start(0, sc.Duration)
@@ -160,11 +172,7 @@ func sortViolations(vs []Violation) {
 // stays a serial-path concern.
 func CheckShardInvariance(seed uint64, shards int, opt Options) *SeedReport {
 	sc := Generate(seed)
-	rep := &SeedReport{
-		Seed: sc.Seed, Topology: sc.Topology.Kind, Links: len(sc.Topology.Links),
-		Sessions: len(sc.Sessions), Proc: sc.Proc, Special: sc.Special,
-		Duration: sc.Duration,
-	}
+	rep := newReport(&sc)
 	defer func() {
 		if r := recover(); r != nil {
 			rep.add(Violation{Check: "panic", Detail: fmt.Sprint(r)})

@@ -1,6 +1,10 @@
 package simcheck
 
-import "fmt"
+import (
+	"slices"
+
+	"leaveintime/internal/config"
+)
 
 // shrinkBudget caps how many candidate scenarios one shrink may re-run.
 const shrinkBudget = 150
@@ -14,19 +18,13 @@ const shrinkBudget = 150
 //     nothing, and removal never invalidates the remaining admissions);
 //  2. halving the duration;
 //  3. trimming each session's route by its final hop;
-//  4. pruning links no remaining route uses.
+//  4. pruning servers no remaining route names.
 //
-// It returns the smallest failing scenario found and its report.
-func Shrink(sc Scenario, opt Options) (Scenario, *SeedReport) {
-	if opt.BoundScale > 0 {
-		// Fold the injected tightening into the scenario itself so the
-		// written repro reproduces the failure with no extra flags.
-		sc.BoundScale = opt.BoundScale
-	}
-	if opt.Calculus {
-		// Same embedding for the calculus battery selection.
-		sc.Calculus = true
-	}
+// It returns the smallest failing case found, the options' injected
+// tightening and battery selection folded into its check object, and
+// its report.
+func Shrink(sc Case, opt Options) (Case, *SeedReport) {
+	opt.fold(&sc)
 	orig := CheckScenario(sc, opt)
 	if orig.OK() {
 		return sc, orig
@@ -36,7 +34,7 @@ func Shrink(sc Scenario, opt Options) (Scenario, *SeedReport) {
 		want[v.Check] = true
 	}
 	budget := shrinkBudget
-	fails := func(s Scenario) (*SeedReport, bool) {
+	fails := func(s Case) (*SeedReport, bool) {
 		budget--
 		rep := CheckScenario(s, opt)
 		for _, v := range rep.Violations {
@@ -52,17 +50,16 @@ func Shrink(sc Scenario, opt Options) (Scenario, *SeedReport) {
 		changed = false
 		// 1. Drop sessions.
 		for i := len(cur.Sessions) - 1; i >= 0 && len(cur.Sessions) > 1 && budget > 0; i-- {
-			trial := cur
-			trial.Sessions = append([]SessionDef{}, cur.Sessions[:i]...)
-			trial.Sessions = append(trial.Sessions, cur.Sessions[i+1:]...)
+			trial := cur.edited(func(doc *config.Scenario) {
+				doc.Sessions = slices.Delete(slices.Clone(doc.Sessions), i, i+1)
+			})
 			if rep, bad := fails(trial); bad {
 				cur, best, changed = trial, rep, true
 			}
 		}
 		// 2. Halve the duration.
 		for budget > 0 && cur.Duration > 0.05 {
-			trial := cur
-			trial.Duration = cur.Duration / 2
+			trial := cur.edited(func(doc *config.Scenario) { doc.Duration /= 2 })
 			rep, bad := fails(trial)
 			if !bad {
 				break
@@ -79,9 +76,8 @@ func Shrink(sc Scenario, opt Options) (Scenario, *SeedReport) {
 				cur, best, changed = trial, rep, true
 			}
 		}
-		// 4. Prune unused links. Links on no route cannot change any
-		// remaining route (Dijkstra's chosen predecessors all lie on
-		// routes), so this only simplifies the topology.
+		// 4. Prune unused servers: routes are written out, so a server
+		// on none of them cannot change any.
 		if budget > 0 {
 			if trial, ok := pruneLinks(cur); ok {
 				if rep, bad := fails(trial); bad {
@@ -93,42 +89,31 @@ func Shrink(sc Scenario, opt Options) (Scenario, *SeedReport) {
 	return cur, best
 }
 
-// trimRoute shortens session i's route by one hop: its destination
-// becomes the entry node of the route's final link.
-func trimRoute(sc Scenario, i int) (Scenario, bool) {
-	g := scenarioGraph(&sc)
-	links, err := g.RouteLinks(sc.Sessions[i].From, sc.Sessions[i].To)
-	if err != nil || len(links) < 2 {
+// trimRoute shortens session i's route by its final hop.
+func trimRoute(sc Case, i int) (Case, bool) {
+	route := sc.Sessions[i].Route
+	if len(route) < 2 {
 		return sc, false
 	}
-	trial := sc
-	trial.Sessions = append([]SessionDef{}, sc.Sessions...)
-	trial.Sessions[i].To = links[len(links)-1].From
-	return trial, true
+	return sc.edited(func(doc *config.Scenario) {
+		doc.Sessions = slices.Clone(doc.Sessions)
+		doc.Sessions[i].Route = route[:len(route)-1]
+	}), true
 }
 
-// pruneLinks removes links that no session's route traverses.
-func pruneLinks(sc Scenario) (Scenario, bool) {
-	g := scenarioGraph(&sc)
+// pruneLinks removes the servers that no session's route names.
+func pruneLinks(sc Case) (Case, bool) {
 	used := make(map[string]bool)
-	for _, s := range sc.Sessions {
-		links, err := g.RouteLinks(s.From, s.To)
-		if err != nil {
-			return sc, false
-		}
-		for _, l := range links {
-			used[fmt.Sprintf("%s->%s", l.From, l.To)] = true
+	for i := range sc.Sessions {
+		for _, name := range sc.Sessions[i].Route {
+			used[name] = true
 		}
 	}
-	if len(used) == len(sc.Topology.Links) {
+	if len(used) == len(sc.Servers) || len(used) == 0 {
 		return sc, false
 	}
-	trial := sc
-	trial.Topology.Links = nil
-	for _, l := range sc.Topology.Links {
-		if used[l.From+"->"+l.To] {
-			trial.Topology.Links = append(trial.Topology.Links, l)
-		}
-	}
-	return trial, len(trial.Topology.Links) > 0
+	return sc.edited(func(doc *config.Scenario) {
+		doc.Servers = slices.DeleteFunc(slices.Clone(doc.Servers),
+			func(sv config.Server) bool { return !used[sv.Name] })
+	}), true
 }

@@ -4,6 +4,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"leaveintime/internal/config"
 )
 
 // TestGenerateDeterministic: a scenario is a pure function of its seed.
@@ -34,9 +36,9 @@ func TestGenerateCoverage(t *testing.T) {
 	special, jitter := false, false
 	for seed := uint64(1); seed <= 60; seed++ {
 		sc := Generate(seed)
-		shapes[sc.Topology.Kind] = true
+		shapes[sc.Check.Kind] = true
 		procs[sc.Proc] = true
-		special = special || sc.Special
+		special = special || sc.Check.Special
 		jitter = jitter || sc.hasJitter()
 		for _, s := range sc.Sessions {
 			kinds[s.Source.Kind] = true
@@ -49,7 +51,7 @@ func TestGenerateCoverage(t *testing.T) {
 		t.Errorf("procedures seen: %v, want 1, 2 and 3", procs)
 	}
 	if len(kinds) != 4 {
-		t.Errorf("source kinds seen: %v, want cbr, onoff, poisson and varlen", kinds)
+		t.Errorf("source kinds seen: %v, want deterministic, onoff, poisson and varlen", kinds)
 	}
 	if !special {
 		t.Error("no special (LiT = VirtualClock) scenario in 60 seeds")
@@ -107,10 +109,10 @@ func TestInjectedViolationShrinksAndReplays(t *testing.T) {
 		t.Fatal("shrunken scenario no longer fails")
 	}
 	if len(shrunk.Sessions) > len(full.Sessions) || shrunk.Duration > full.Duration ||
-		len(shrunk.Topology.Links) > len(full.Topology.Links) {
+		len(shrunk.Servers) > len(full.Servers) {
 		t.Errorf("shrink grew the scenario: %d sessions %.3fs %d links -> %d sessions %.3fs %d links",
-			len(full.Sessions), full.Duration, len(full.Topology.Links),
-			len(shrunk.Sessions), shrunk.Duration, len(shrunk.Topology.Links))
+			len(full.Sessions), full.Duration, len(full.Servers),
+			len(shrunk.Sessions), shrunk.Duration, len(shrunk.Servers))
 	}
 	if len(shrunk.Sessions) != 1 {
 		t.Errorf("expected the injected failure to shrink to one session, got %d", len(shrunk.Sessions))
@@ -153,8 +155,7 @@ func TestShrinkKeepsValidScenarios(t *testing.T) {
 	if len(sc.Sessions) < 2 {
 		t.Skip("seed 11 no longer generates a multi-session scenario")
 	}
-	sub := sc
-	sub.Sessions = sc.Sessions[:1]
+	sub := sc.edited(func(doc *config.Scenario) { doc.Sessions = doc.Sessions[:1] })
 	rep := CheckScenario(sub, Options{})
 	for _, v := range rep.Violations {
 		if v.Check == "admission-replay" {

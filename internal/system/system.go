@@ -28,7 +28,8 @@ type Config struct {
 	// installed at every server: procedure Proc (1 or 2) with these
 	// delay classes. Leaving Classes nil installs procedure 1 with a
 	// single class covering the full link (the VirtualClock special
-	// case d = L/r).
+	// case d = L/r). Procedure 3 takes no classes: every request brings
+	// its own fixed d (ConnectRequest.D).
 	Classes []admission.Class
 	Proc    int
 	// Approximate selects the O(1) calendar-queue transmission queue
@@ -68,7 +69,7 @@ func (c Config) validate() error {
 	if c.LMax <= 0 {
 		return fmt.Errorf("lit: SystemConfig.LMax must be positive, got %g", c.LMax)
 	}
-	if c.Proc < 0 || c.Proc > 2 {
+	if c.Proc < 0 || c.Proc > 3 {
 		return fmt.Errorf("lit: unsupported admission procedure %d", c.Proc)
 	}
 	return nil
@@ -76,14 +77,14 @@ func (c Config) validate() error {
 
 // controller validates a server's link parameters and builds its
 // admission controller.
-func (c Config) controller(name string, capacity, gamma float64) (*admission.ClassController, error) {
+func (c Config) controller(name string, capacity, gamma float64) (admission.Controller, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("lit: server %s: capacity must be positive, got %g", name, capacity)
 	}
 	if gamma < 0 {
 		return nil, fmt.Errorf("lit: server %s: propagation delay must be nonnegative, got %g", name, gamma)
 	}
-	ctrl, err := admission.NewClassController(c.Proc, capacity, c.Classes)
+	ctrl, err := admission.New(c.Proc, capacity, c.Classes)
 	if err != nil {
 		return nil, fmt.Errorf("lit: server %s: %w", name, err)
 	}
@@ -115,7 +116,7 @@ func (c Config) resolve(req ConnectRequest) (admission.Request, error) {
 	return admission.Request{
 		Spec:          admission.SessionSpec{Rate: req.Rate, LMax: lMax, LMin: lMin},
 		Class:         class,
-		Opts:          admission.Options{Eps: req.Eps, PerPacket: !req.FixedD},
+		Opts:          admission.Options{Eps: req.Eps, PerPacket: !req.FixedD, D: req.D},
 		JitterControl: req.JitterControl,
 		B0:            req.B0,
 	}, nil
@@ -256,6 +257,10 @@ type ConnectRequest struct {
 	// FixedD selects rule 1.3a/2.3a (one d for all packets) instead of
 	// the per-packet-length rule.
 	FixedD bool
+	// D is the fixed service parameter d_s (seconds) the session asks of
+	// procedure 3, which takes it in place of Class, Eps and FixedD;
+	// procedures 1 and 2 ignore it.
+	D float64
 	// B0 optionally declares that the source conforms to a token
 	// bucket (Rate, B0 bits); when set, Bounds.DelayBound and related
 	// fields are computed with D_ref_max = B0/Rate (eq. 14).
