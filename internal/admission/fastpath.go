@@ -5,17 +5,15 @@ import (
 	"leaveintime/internal/metrics"
 )
 
-// This file implements the aggregate admission fast path: a whole
-// batch of sessions destined for one delay class is accepted or
-// declined by curve arithmetic in O(classes + batch), instead of
-// running the per-session rule scans once per member. The rule tests
-// of procedures 1 and 2 are additive in the session parameters, so
-// testing the batch aggregate against each class budget is equivalent
-// to admitting the members one at a time (any order): a batch accept
-// is exactly as sound as the sequential path. On a batch decline
-// nothing is committed and the caller falls back to per-session
-// Admit, which preserves the fine-grained partial-acceptance behavior
-// (and the exact rejection rule in the error).
+// This file is batch admission: a whole batch of sessions destined for
+// one delay class is accepted or declined as one. It is the same
+// arithmetic as Admit — book the candidates into the controller's exact
+// running sums, read the rules off the totals, unbook on a refusal — so
+// it costs O(batch * classes), and because the totals are the exact sums
+// of whatever is booked, a batch is accepted exactly when admitting its
+// members one at a time, in any order, accepts them all. On a decline
+// nothing is committed; per-session Admit gives partial acceptance and
+// the *RejectError that says which rule and class ran out.
 //
 // A CurveGate can be layered on top: it tracks the aggregate
 // token-bucket arrival curve of everything committed at the port and
@@ -24,53 +22,39 @@ import (
 // the rule-based procedures do not see. All gate operations are
 // allocation-free after warm-up.
 
-// batchTotals validates every spec in the batch and returns the
-// additive quantities the class rules test: total reserved rate and
-// total LMax/C sigma contribution.
-//
-// Float caveat: the batch sum is accumulated here in one pass and
-// added to the cumulative totals as a single term, while sequential
-// Admit folds each member into the cumulative walk one at a time. The
-// two summation orders can differ by a few ulps, so a batch whose
-// aggregate lands within an ulp of a rule's tolerance boundary
-// (rateTol / 1e-12) may be decided differently by the two paths —
-// both decisions are sound; the differential check in simcheck
-// recognizes and skips that boundary band.
-func batchTotals(batch []SessionSpec, c float64) (rate, sigma float64, ok bool) {
-	for _, spec := range batch {
-		if spec.validate() != nil {
-			return 0, 0, false
-		}
-		rate += spec.Rate
-		sigma += spec.LMax / c
-	}
-	return rate, sigma, true
-}
-
-// AdmitClass admits the whole batch into class j by one aggregate
-// rule evaluation (and the optional curve gate). On success every
-// session is committed and the assignments are returned in batch
-// order — identical, member for member, to what sequential Admit
-// calls would have produced. On failure (ok = false) the controller
-// and gate are untouched; fall back to per-session Admit for partial
-// acceptance or for the precise rejection reason.
+// AdmitClass admits the whole batch into class j by one rule evaluation
+// (and the optional curve gate). On success every session is committed
+// and the assignments are returned in batch order — identical, member
+// for member, to what sequential Admit calls would have produced. On
+// failure (ok = false) the controller and gate are untouched: a rule or
+// the gate refused, a declaration is malformed, or an id is already live
+// or appears twice in the batch.
 func (p *ClassController) AdmitClass(gate *CurveGate, batch []SessionSpec, j int, opts Options) ([]Assignment, bool) {
 	if len(batch) == 0 || j < 1 || j > len(p.Classes) || opts.Eps < 0 {
 		return nil, false
 	}
-	rate, sigma, ok := batchTotals(batch, p.C)
+	booked := 0
+	for _, spec := range batch {
+		if spec.validate() != nil || !p.book(spec, j) {
+			break
+		}
+		booked++
+	}
+	ok := booked == len(batch)
+	if ok {
+		_, ok = p.rules(j)
+	}
+	if ok && gate != nil {
+		ok = gate.tryCommit(gateLoad(batch))
+	}
 	if !ok {
-		return nil, false
-	}
-	if rule, _ := p.fits(j, rate, sigma); rule != 0 {
-		return nil, false
-	}
-	if gate != nil && !gate.tryCommit(rate, batchBurst(batch)) {
+		for _, spec := range batch[:booked] {
+			p.Remove(spec.ID)
+		}
 		return nil, false
 	}
 	out := make([]Assignment, len(batch))
 	for i, spec := range batch {
-		p.members[j-1] = append(p.members[j-1], admitted{spec: spec, eps: opts.Eps})
 		out[i] = p.assignment(spec, j, opts)
 		if p.ma != nil {
 			p.ma.Inc(p.mb + metrics.ProcAccepted)
@@ -79,16 +63,18 @@ func (p *ClassController) AdmitClass(gate *CurveGate, batch []SessionSpec, j int
 	return out, true
 }
 
-// batchBurst is the token-bucket burst the batch contributes to the
-// gate's aggregate curve. Leave-in-Time sessions declare no burst
-// beyond their packet-length envelope, so one maximum packet per
-// session is the declared instantaneous arrival.
-func batchBurst(batch []SessionSpec) float64 {
-	var b float64
+// gateLoad is the token bucket the batch adds to the gate's aggregate
+// curve: its reserved rates and its burst. Leave-in-Time sessions
+// declare no burst beyond their packet-length envelope, so one maximum
+// packet per session is the declared instantaneous arrival. The gate's
+// curve arithmetic is floating point throughout, so these are plain
+// sums.
+func gateLoad(batch []SessionSpec) (rate, burst float64) {
 	for _, spec := range batch {
-		b += spec.LMax
+		rate += spec.Rate
+		burst += spec.LMax
 	}
-	return b
+	return rate, burst
 }
 
 // CurveGate is the analytic half of the fast path: it accumulates the

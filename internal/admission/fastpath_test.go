@@ -31,13 +31,10 @@ func randBatch(r *rand.Rand, c float64) []SessionSpec {
 	return batch
 }
 
-// TestAdmitClassMatchesSequential: whenever the batch fast path
-// accepts, the sequential per-session path on a fresh controller must
-// also accept every member, with identical assignments; whenever the
-// sequential path rejects any member, the fast path must have
-// declined. (The converse — fast path declining a batch the
-// sequential path would squeeze in — can only happen within float
-// tolerance of a rule boundary, and the generator keeps clear of it.)
+// TestAdmitClassMatchesSequential: the batch path accepts exactly when
+// the sequential per-session path on a fresh controller accepts every
+// member, and then with identical assignments. Random batches; the
+// budget's last bit is TestBatchIsSequentialAtTheLastBit's.
 func TestAdmitClassMatchesSequential(t *testing.T) {
 	const c = 1.536e6
 	check := func(seed int64, useProc2 bool) bool {

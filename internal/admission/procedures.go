@@ -29,11 +29,13 @@ type SessionSpec struct {
 	LMin float64 // minimum packet length, bits
 }
 
+// validate also keeps NaN and infinities out: a controller's running
+// sums are exact only over finite terms.
 func (s SessionSpec) validate() error {
-	if s.Rate <= 0 {
+	if !(s.Rate > 0) || math.IsInf(s.Rate, 1) {
 		return fmt.Errorf("admission: session %d: rate must be positive", s.ID)
 	}
-	if s.LMax <= 0 || s.LMin <= 0 || s.LMin > s.LMax {
+	if !(s.LMin > 0 && s.LMin <= s.LMax) || math.IsInf(s.LMax, 1) {
 		return fmt.Errorf("admission: session %d: need 0 < LMin <= LMax", s.ID)
 	}
 	return nil
@@ -79,6 +81,24 @@ func (a Assignment) Alpha(spec SessionSpec) float64 {
 
 // ErrRejected is wrapped by every admission failure.
 var ErrRejected = errors.New("admission rejected")
+
+// RejectError is a refusal by procedure 1 or 2 with the numbers behind
+// it: the rule that failed (1 is the cumulative rate test x.1, 2 the
+// cumulative L_MAX/C test x.2), the class m it failed at, and the two
+// sides of the failed inequality. Need is what classes 1..m would hold
+// with the candidate booked (bits/s, or seconds of L_MAX/C), correctly
+// rounded from the exact sum; Have is the class's budget R_m or sigma_m.
+// It wraps ErrRejected.
+type RejectError struct {
+	Proc, Rule, Class int
+	Need, Have        float64
+}
+
+func (e *RejectError) Error() string {
+	return fmt.Sprintf("%v: rule %d.%d fails at class %d", ErrRejected, e.Proc, e.Rule, e.Class)
+}
+
+func (e *RejectError) Unwrap() error { return ErrRejected }
 
 // Controller guards one Leave-in-Time server. It hides which of the
 // paper's three procedures runs behind it: establishment code (the
@@ -166,15 +186,27 @@ func NewClassController(proc int, capacity float64, classes []Class) (*ClassCont
 // lower d values. In class 1 of procedure 2, d does not depend on L/r
 // at all, which lets low-rate sessions obtain low delay (the paper's
 // Figures 14-17 use this).
+//
+// The two cumulative tests are the controller's only arithmetic, and it
+// holds their left sides instead of re-deriving them: sums[m-1] is the
+// exact total over every live session in classes 1..m, so admitting,
+// removing and batch-admitting cost O(P) whatever the number of standing
+// sessions, and a total does not depend on the order sessions came and
+// went in.
 type ClassController struct {
 	C       float64
 	Classes []Class
 
-	proc    int          // 1 or 2
-	members [][]admitted // per class
-	ma      *metrics.Arena
-	mb      metrics.Handle
+	proc int // 1 or 2
+	sums []classSums
+	live index // what each live session booked, by id
+	ma   *metrics.Arena
+	mb   metrics.Handle
 }
+
+// classSums are the left sides of rules x.1 and x.2 at one class m:
+// reserved rate and L_MAX/C summed over classes 1..m.
+type classSums struct{ rate, sigma exactSum }
 
 // Procedure1 and Procedure2 name the class-based controller after the
 // procedure it was constructed for.
@@ -189,11 +221,6 @@ func (p *ClassController) SetMetrics(a *metrics.Arena) {
 	if p.proc == 2 {
 		p.mb = metrics.HAdmissionAC2
 	}
-}
-
-type admitted struct {
-	spec SessionSpec
-	eps  float64
 }
 
 // NewProcedure1 validates the class hierarchy (R and Sigma nondecreasing,
@@ -241,7 +268,7 @@ func newClassController(proc int, c float64, classes []Class) (*ClassController,
 	if classes[len(classes)-1].R != c {
 		return nil, errors.New("admission: R_P must equal the link capacity C")
 	}
-	return &ClassController{C: c, Classes: classes, proc: proc, members: make([][]admitted, len(classes))}, nil
+	return &ClassController{C: c, Classes: classes, proc: proc, sums: make([]classSums, len(classes))}, nil
 }
 
 // Options tune an admission request.
@@ -275,9 +302,11 @@ func (p *ClassController) Check(spec SessionSpec, class int, opts Options) error
 
 // Admit attempts to admit the session into class j (1-based). On
 // success the session is recorded and its Assignment returned; on
-// failure the controller state is unchanged.
+// failure the controller state is unchanged. A rule refusal is a
+// *RejectError; admitting an id that is still live is a caller's bug and
+// gets a plain error, not a capacity verdict.
 func (p *ClassController) Admit(spec SessionSpec, j int, opts Options) (Assignment, error) {
-	if err := p.check(spec, j, opts); err != nil {
+	if err := p.admit(spec, j, opts); err != nil {
 		if p.ma != nil {
 			p.ma.Inc(p.mb + metrics.ProcRejected)
 		}
@@ -286,37 +315,66 @@ func (p *ClassController) Admit(spec SessionSpec, j int, opts Options) (Assignme
 	if p.ma != nil {
 		p.ma.Inc(p.mb + metrics.ProcAccepted)
 	}
-	p.members[j-1] = append(p.members[j-1], admitted{spec: spec, eps: opts.Eps})
 	return p.assignment(spec, j, opts), nil
 }
 
-func (p *ClassController) check(spec SessionSpec, j int, opts Options) error {
+func (p *ClassController) admit(spec SessionSpec, j int, opts Options) error {
 	if err := p.Check(spec, j, opts); err != nil {
 		return err
 	}
-	if rule, m := p.fits(j, spec.Rate, spec.LMax/p.C); rule != 0 {
-		return fmt.Errorf("%w: rule %d.%d fails at class %d", ErrRejected, p.proc, rule, m)
+	if !p.book(spec, j) {
+		return errDuplicate(spec.ID)
+	}
+	if rej, ok := p.rules(j); !ok {
+		p.Remove(spec.ID)
+		e := rej // only a refusal pays for the heap copy
+		return &e
 	}
 	return nil
 }
 
-// fits runs the additive rule tests for a candidate (one session or a
-// batch) of the given total rate and total LMax/C joining class j. It
-// returns the failing rule (1 or 2) and class, or 0, 0 when it fits.
-func (p *ClassController) fits(j int, rate, sigma float64) (rule, class int) {
+// book enters the session into class j: the index, and the sums of
+// classes j..P. It reports false, changing nothing, if the id is live.
+// Admit and AdmitClass book their candidate first and read the rules off
+// the totals the controller then holds; Remove is the unbooking.
+func (p *ClassController) book(spec SessionSpec, j int) bool {
+	if p.live.find(spec.ID) >= 0 {
+		return false
+	}
+	b := booking{id: spec.ID, class: j, rate: spec.Rate, sigma: spec.LMax / p.C}
+	p.live.insert(b)
+	p.add(j, b.rate, b.sigma)
+	return true
+}
+
+func (p *ClassController) add(j int, rate, sigma float64) {
+	for m := j - 1; m < len(p.sums); m++ {
+		p.sums[m].rate.add(rate)
+		p.sums[m].sigma.add(sigma)
+	}
+}
+
+// rules runs the additive tests for whatever was last booked into class
+// j, one session or a batch: for each class m from j up, the cumulative
+// rate through m against R_m (rule x.1), then the cumulative L_MAX/C
+// against sigma_m (rule x.2; procedure 1 exempts class P). The sums are
+// exact and read back with one monotone rounding, so a set of sessions
+// passes as a batch if and only if it passes one session at a time, in
+// any order. It returns the first test that fails.
+func (p *ClassController) rules(j int) (RejectError, bool) {
 	P := len(p.Classes)
 	for m := j; m <= P; m++ {
-		// Rule x.1: cumulative rate through class m fits in R_m.
-		if p.cumRate(m)+rate > p.Classes[m-1].R+rateTol(p.Classes[m-1].R) {
-			return 1, m
+		cl, sum := p.Classes[m-1], &p.sums[m-1]
+		if need := sum.rate.value(); need > cl.R+rateTol(cl.R) {
+			return RejectError{Proc: p.proc, Rule: 1, Class: m, Need: need, Have: cl.R}, false
 		}
-		// Rule x.2: cumulative LMax/C through class m fits in sigma_m;
-		// procedure 1 exempts class P.
-		if (m < P || p.proc == 2) && p.cumSigma(m)+sigma > p.Classes[m-1].Sigma+1e-12 {
-			return 2, m
+		if m < P || p.proc == 2 {
+			if need := sum.sigma.value(); need > cl.Sigma+1e-12 {
+				return RejectError{Proc: p.proc, Rule: 2, Class: m, Need: need, Have: cl.Sigma}, false
+			}
 		}
 	}
-	return 0, 0
+	return RejectError{}, true
 }
 
 // assignment applies rule 1.3 (R_j, sigma_{j-1}) or rule 2.3
@@ -336,43 +394,20 @@ func (p *ClassController) assignment(spec SessionSpec, j int, opts Options) Assi
 	return affineAssignment(spec, r, sigma, p.C, j, opts)
 }
 
-// cumRate returns the total reserved rate of sessions in classes 1..m.
-func (p *ClassController) cumRate(m int) float64 {
-	var sum float64
-	for l := 0; l < m; l++ {
-		for _, a := range p.members[l] {
-			sum += a.spec.Rate
-		}
-	}
-	return sum
-}
-
-// cumSigma returns sum of LMax_s/C over sessions in classes 1..m.
-func (p *ClassController) cumSigma(m int) float64 {
-	var sum float64
-	for l := 0; l < m; l++ {
-		for _, a := range p.members[l] {
-			sum += a.spec.LMax / p.C
-		}
-	}
-	return sum
-}
-
 // Remove implements Controller.
 func (p *ClassController) Remove(id int) bool {
-	for ci := range p.members {
-		for i, a := range p.members[ci] {
-			if a.spec.ID == id {
-				p.members[ci] = append(p.members[ci][:i], p.members[ci][i+1:]...)
-				return true
-			}
-		}
+	i := p.live.find(id)
+	if i < 0 {
+		return false
 	}
-	return false
+	b := p.live.slots[i]
+	p.live.remove(i)
+	p.add(b.class, -b.rate, -b.sigma)
+	return true
 }
 
 // TotalRate implements Controller.
-func (p *ClassController) TotalRate() float64 { return p.cumRate(len(p.Classes)) }
+func (p *ClassController) TotalRate() float64 { return p.sums[len(p.sums)-1].rate.value() }
 
 // affineAssignment builds the affine-in-L service parameter
 // d(L) = L*rCoeff/(r*C) + sigma + eps shared by rules 1.3/1.3a and
@@ -459,6 +494,11 @@ func (p *Procedure3) Check(spec SessionSpec, _ int, opts Options) error {
 func (p *Procedure3) admit(spec SessionSpec, d float64) (Assignment, error) {
 	if err := p.Check(spec, 0, Options{D: d}); err != nil {
 		return Assignment{}, err
+	}
+	for _, s := range p.specs {
+		if s.ID == spec.ID {
+			return Assignment{}, errDuplicate(spec.ID)
+		}
 	}
 	maxN := p.MaxSessions
 	if maxN == 0 {
@@ -550,6 +590,12 @@ func trailingZeros(x uint64) int {
 		n++
 	}
 	return n
+}
+
+// errDuplicate refuses a second admission of a live id. It does not wrap
+// ErrRejected: no rule was consulted.
+func errDuplicate(id int) error {
+	return fmt.Errorf("admission: session %d is already admitted", id)
 }
 
 // rateTol returns an absolute tolerance for rate comparisons so that

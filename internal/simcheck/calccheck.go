@@ -2,7 +2,6 @@ package simcheck
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"leaveintime/internal/admission"
@@ -278,55 +277,11 @@ type fpFlow struct {
 	class int
 }
 
-// nearRuleBoundary reports whether some cumulative admission rule test
-// over this link's flows lands within float summation-order slack of
-// its budget. The batch fast path sums each class in one pass and adds
-// the total as a single term, while sequential Admit folds members
-// into the cumulative walk one at a time; within a few ulps of the
-// rateTol/1e-12 tolerance boundary the two orders can legitimately
-// decide differently, with both decisions correct (see
-// admission.batchTotals). A fast-path/sequential accept-decline
-// divergence inside this band is a rounding artifact, not a violation.
-// The generator's budgets never land in the band in practice; this
-// keeps the check honest if one ever does.
-func nearRuleBoundary(flows []fpFlow, classes []admission.Class, c float64) bool {
-	for m := 1; m <= len(classes); m++ {
-		var rate, sigma float64
-		n := 0
-		for _, f := range flows {
-			if f.class <= m {
-				rate += f.spec.Rate
-				sigma += f.spec.LMax / c
-				n++
-			}
-		}
-		// Two orderings of an n-term float sum differ by at most ~n
-		// ulps of the running magnitude; pad generously — the band
-		// only suppresses a report, never creates one.
-		slack := 4 * float64(n+2)
-		rBudget := classes[m-1].R + classes[m-1].R*1e-9 // mirrors admission.rateTol
-		if math.Abs(rate-rBudget) <= slack*ulpOf(math.Max(rate, rBudget)) {
-			return true
-		}
-		sBudget := classes[m-1].Sigma + 1e-12
-		if math.Abs(sigma-sBudget) <= slack*ulpOf(math.Max(sigma, sBudget)) {
-			return true
-		}
-	}
-	return false
-}
-
-// ulpOf returns the distance from |x| to the next float64 up.
-func ulpOf(x float64) float64 {
-	x = math.Abs(x)
-	return math.Nextafter(x, math.Inf(1)) - x
-}
-
 // checkFastpath is the differential admission check: at every link,
-// batching the link's sessions by class through AdmitClass must accept
-// (the rules are additive, so the aggregate test is order-independent
-// up to float rounding — see nearRuleBoundary) and produce assignments
-// identical to the sequential Admit calls the generator performed.
+// batching the link's sessions by class through AdmitClass must give
+// the verdict of the sequential Admit calls the generator performed
+// (the controller's sums are exact, so the two cannot legitimately
+// differ, however close to a budget) and identical assignments.
 // Procedures 1 and 2 only — procedure 3 has no class structure to
 // batch.
 func checkFastpath(sc *Case, rep *SeedReport) {
@@ -347,7 +302,7 @@ func checkFastpath(sc *Case, rep *SeedReport) {
 		return // invalid class table is the generator's bug, reported elsewhere
 	}
 	for i := range sc.Servers {
-		key, capacity := sc.Servers[i].Name, sc.Servers[i].Capacity
+		key := sc.Servers[i].Name
 		flows := perLink[key]
 		if len(flows) == 0 {
 			continue
@@ -376,17 +331,15 @@ func checkFastpath(sc *Case, rep *SeedReport) {
 			}
 			got, ok := fast.AdmitClass(nil, batch, j, opts)
 			if !ok {
-				if seqOK && !nearRuleBoundary(flows, classes, capacity) {
+				if seqOK {
 					rep.add(Violation{Check: "fastpath-divergence", Discipline: "admission", Port: key,
 						Detail: fmt.Sprintf("batch of %d class-%d sessions declined, sequential admits all", len(batch), j)})
 				}
 				return
 			}
 			if !seqOK {
-				if !nearRuleBoundary(flows, classes, capacity) {
-					rep.add(Violation{Check: "fastpath-divergence", Discipline: "admission", Port: key,
-						Detail: fmt.Sprintf("batch of %d class-%d sessions accepted, sequential rejects a member", len(batch), j)})
-				}
+				rep.add(Violation{Check: "fastpath-divergence", Discipline: "admission", Port: key,
+					Detail: fmt.Sprintf("batch of %d class-%d sessions accepted, sequential rejects a member", len(batch), j)})
 				return
 			}
 			for i, a := range got {

@@ -201,6 +201,10 @@ type (
 	Hop = admission.Hop
 	// Route computes the paper's service commitments (eqs. 12-17).
 	Route = admission.Route
+	// RejectError is what a refusal by procedure 1 or 2 unwraps to with
+	// errors.As: the rule and class that ran out, and what was needed
+	// against what the class has.
+	RejectError = admission.RejectError
 )
 
 // ErrRejected is wrapped by every admission failure.

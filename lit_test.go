@@ -80,6 +80,12 @@ func TestSystemRejectsOverbooking(t *testing.T) {
 	if !errors.Is(err, lit.ErrRejected) {
 		t.Errorf("error %v does not wrap ErrRejected", err)
 	}
+	// The refusal's numbers survive the route walk: 1.1 Mbit/s asked of
+	// a 1 Mbit/s link.
+	var rej *lit.RejectError
+	if !errors.As(err, &rej) || rej.Rule != 1 || rej.Class != 1 || rej.Need != 1.1e6 || rej.Have != 1e6 {
+		t.Errorf("error %v unwraps to %+v", err, rej)
+	}
 }
 
 func TestSystemRollbackOnPartialRejection(t *testing.T) {
