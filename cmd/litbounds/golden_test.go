@@ -87,3 +87,42 @@ func TestRenderDefaultsUnchanged(t *testing.T) {
 		t.Errorf("calculus section printed without -calculus:\n%s", out)
 	}
 }
+
+// TestValidateFlags: the flag values that used to panic (-hops 0) or
+// print Inf/NaN bounds with exit 0 are refused with a message naming
+// the flag, and validation leaves a good configuration's output alone.
+func TestValidateFlags(t *testing.T) {
+	cases := []struct {
+		name    string
+		mutate  func(*boundsConfig)
+		wantErr string // substring; empty for a valid configuration
+	}{
+		{"fig6", func(*boundsConfig) {}, ""},
+		{"hops 0", func(c *boundsConfig) { c.Hops = 0 }, "-hops"},
+		{"rate 0", func(c *boundsConfig) { c.Rate = 0 }, "-rate"},
+		{"capacity 0", func(c *boundsConfig) { c.Capacity = 0 }, "-capacity"},
+		{"lmin above lmax", func(c *boundsConfig) { c.LMin = 1000 }, "-lmin"},
+	}
+	for _, tc := range cases {
+		cfg := fig6Config()
+		tc.mutate(&cfg)
+		err := cfg.validate()
+		if tc.wantErr == "" {
+			if err != nil {
+				t.Errorf("%s: refused: %v", tc.name, err)
+				continue
+			}
+			want, rerr := os.ReadFile("testdata/fig6_calculus.golden")
+			if rerr != nil {
+				t.Fatal(rerr)
+			}
+			if got := render(cfg); got != string(want) {
+				t.Errorf("%s: output changed:\n%s", tc.name, got)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.wantErr) || strings.Contains(err.Error(), "\n") {
+			t.Errorf("%s: error %v, want one line naming %s", tc.name, err, tc.wantErr)
+		}
+	}
+}

@@ -25,6 +25,8 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
+	"os"
 	"strings"
 
 	lit "leaveintime"
@@ -41,8 +43,36 @@ type boundsConfig struct {
 	CrossRate, CrossB0   float64
 }
 
-// render computes and formats the bounds. Pure: same config, same
-// string.
+// validate refuses a configuration the bound formulas are not defined
+// on — they divide by rate and capacity and index the route by hop — so
+// a bad flag is one line on stderr, not a panic or an Inf/NaN "bound".
+func (cfg boundsConfig) validate() error {
+	if cfg.Hops < 1 {
+		return fmt.Errorf("-hops must be at least 1, got %d", cfg.Hops)
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+		sign string
+	}{
+		{"rate", cfg.Rate, "positive"}, {"b0", cfg.B0, "positive"},
+		{"lmax", cfg.LMax, "positive"}, {"capacity", cfg.Capacity, "positive"},
+		{"gamma", cfg.Gamma, "nonnegative"}, {"d", cfg.D, "nonnegative"},
+		{"cross-rate", cfg.CrossRate, "nonnegative"}, {"cross-b0", cfg.CrossB0, "nonnegative"},
+	} {
+		// NaN fails the first comparison too.
+		if !(f.v >= 0) || math.IsInf(f.v, 0) || (f.v == 0 && f.sign == "positive") {
+			return fmt.Errorf("-%s must be %s and finite, got %g", f.name, f.sign, f.v)
+		}
+	}
+	if !(cfg.LMin >= 0 && cfg.LMin <= cfg.LMax) {
+		return fmt.Errorf("-lmin must lie in [0, lmax = %g], got %g", cfg.LMax, cfg.LMin)
+	}
+	return nil
+}
+
+// render computes and formats the bounds of a valid configuration.
+// Pure: same config, same string.
 func render(cfg boundsConfig) string {
 	var b strings.Builder
 	if cfg.LMin == 0 {
@@ -145,5 +175,9 @@ func main() {
 	flag.Float64Var(&cfg.CrossRate, "cross-rate", 0, "calculus: aggregate cross-traffic rate per hop, bits/s")
 	flag.Float64Var(&cfg.CrossB0, "cross-b0", 0, "calculus: aggregate cross-traffic burst per hop, bits")
 	flag.Parse()
+	if err := cfg.validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "litbounds:", err)
+		os.Exit(2)
+	}
 	fmt.Print(render(cfg))
 }

@@ -3,7 +3,7 @@
 // the repository, and checks the paper's invariant battery (delay/
 // jitter/buffer bounds, loss-freedom, deadline ordering, work
 // conservation, packet conservation, pool balance, LiT ≡ VirtualClock,
-// calendar-queue divergence, telemetry agreement).
+// approximate-queue divergence, telemetry agreement).
 //
 // Usage:
 //

@@ -14,10 +14,9 @@ import (
 // against testdata/fig7_d5_s1.golden (the verbatim stdout of that
 // command: RunFig7(5, 1).Format() plus the trailing newline litsim
 // prints). The file was captured on the seed implementation — binary
-// heap event queue, map-based calendar queue — so this test proves the
-// pooled 4-ary engine and the ring calendar queue reproduce the seed's
-// event interleaving bit for bit. Regenerate only for a deliberate
-// semantic change:
+// heap event queue — so this test proves the pooled 4-ary engine
+// reproduces the seed's event interleaving bit for bit. Regenerate only
+// for a deliberate semantic change:
 //
 //	go run ./cmd/litsim -experiment fig7 -duration 5 -seed 1 > testdata/fig7_d5_s1.golden
 func TestFig7Golden(t *testing.T) {

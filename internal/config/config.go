@@ -115,7 +115,9 @@ type Server struct {
 	To       string  `json:"to,omitempty"`
 	Capacity float64 `json:"capacity"`
 	Gamma    float64 `json:"gamma"`
-	// Approximate selects the calendar-queue transmission queue.
+	// Approximate selects the approximate transmission queue of the
+	// paper's Section 4 (deadlines binned to days of lmax/capacity): an
+	// accuracy ablation, not a faster queue.
 	Approximate bool `json:"approximate,omitempty"`
 }
 

@@ -5,7 +5,6 @@ import (
 
 	"leaveintime/internal/network"
 	"leaveintime/internal/packet"
-	"leaveintime/internal/pq"
 	"leaveintime/internal/sesstab"
 )
 
@@ -43,8 +42,8 @@ type Aggregate struct {
 	// rate (for R_c maintenance) and jitter mode.
 	members sesstab.Table[aggMember]
 	classes []aggClass
-	// queues is the regulator and the transmission queue (always the
-	// exact heap — the calendar approximation is a per-port choice
+	// queues is the regulator and the transmission queue (always keyed
+	// by exact deadline — the binned approximation is a per-port choice
 	// orthogonal to aggregation), with Dequeue, NextEligible, Len and
 	// SetMetrics as for the per-session server.
 	queues
@@ -88,7 +87,7 @@ func NewAggregate(cfg AggConfig) *Aggregate {
 	return &Aggregate{
 		cfg:     cfg,
 		classes: make([]aggClass, cfg.Classes),
-		queues:  newQueues(cfg.Capacity, cfg.LMax, &pq.Heap{}),
+		queues:  newQueues(cfg.Capacity, cfg.LMax),
 	}
 }
 

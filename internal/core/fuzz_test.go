@@ -6,59 +6,56 @@ import (
 
 	"leaveintime/internal/network"
 	"leaveintime/internal/packet"
-	"leaveintime/internal/pq"
 )
 
-// FuzzCalendarQueueOrdering drives the exact heap and the calendar
-// queue with the same operation stream decoded from fuzz bytes, and
-// checks the calendar's emulation-error bound: a popped key may
-// precede a smaller queued key by at most one bin width.
+// FuzzCalendarQueueOrdering drives a server on the approximate
+// transmission queue with an operation stream decoded from fuzz bytes
+// and checks the emulation-error bound: a popped deadline may precede a
+// smaller queued one by at most one day width.
 func FuzzCalendarQueueOrdering(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 200, 9, 0, 0, 255, 17})
 	f.Add([]byte{0})
 	f.Add([]byte{255, 254, 253, 252, 10, 10, 10})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const width = 0.25
-		cq := newCalendarQueue(width, 8)
-		live := map[uint64]float64{}
-		var stamp uint64
+		l := approxServer(width)
+		live := map[int64]float64{}
+		var seq int64
 		base := 0.0
 		for i := 0; i+1 < len(data); i += 2 {
 			op, val := data[i], data[i+1]
-			if op%3 != 0 || cq.Len() == 0 {
+			if op%3 != 0 || l.Len() == 0 {
 				// Push: keys drift upward with bounded jitter like
 				// deadlines do.
 				base += float64(op%7) * 0.05
 				k := base + float64(val)/64
-				cq.Push(pq.Entry{Key: k, Stamp: stamp})
-				live[stamp] = k
-				stamp++
+				pushKey(l, k, seq)
+				live[seq] = k
+				seq++
 				continue
 			}
-			e, ok := cq.PopMin()
+			p, ok := l.Dequeue(0)
 			if !ok {
-				t.Fatal("popMin failed with nonzero len")
+				t.Fatal("Dequeue failed with nonzero Len")
 			}
-			if _, known := live[e.Stamp]; !known {
-				t.Fatal("popped unknown entry")
+			if _, known := live[p.Seq]; !known {
+				t.Fatal("popped unknown packet")
 			}
-			delete(live, e.Stamp)
-			for _, k := range live {
-				if k < e.Key-width-1e-9 {
-					t.Fatalf("emulation error exceeded: popped %v with %v still queued", e.Key, k)
-				}
+			delete(live, p.Seq)
+			if k := minKey(live); k < p.Deadline-width-1e-9 {
+				t.Fatalf("emulation error exceeded: popped %v with %v still queued", p.Deadline, k)
 			}
 		}
-		if cq.Len() != len(live) {
-			t.Fatalf("len = %d, want %d", cq.Len(), len(live))
+		if l.Len() != len(live) {
+			t.Fatalf("Len = %d, want %d", l.Len(), len(live))
 		}
 		// Drain fully; everything must come out.
 		for range live {
-			if _, ok := cq.PopMin(); !ok {
+			if _, ok := l.Dequeue(0); !ok {
 				t.Fatal("drain failed")
 			}
 		}
-		if _, ok := cq.PopMin(); ok {
+		if _, ok := l.Dequeue(0); ok {
 			t.Fatal("empty queue popped")
 		}
 	})

@@ -25,7 +25,6 @@ import (
 
 	"leaveintime/internal/network"
 	"leaveintime/internal/packet"
-	"leaveintime/internal/pq"
 	"leaveintime/internal/sesstab"
 )
 
@@ -37,11 +36,13 @@ type Config struct {
 	// LMax is the network-wide maximum packet length L_MAX in bits
 	// (also eq. 9).
 	LMax float64
-	// Approximate selects the O(1) calendar-queue approximation of the
-	// sorted transmission queue instead of an exact heap. The emulation
-	// error is bounded by the calendar bin width, LMax/Capacity: one
-	// maximum-length transmission time, the error the paper's Section 4
-	// argument allows.
+	// Approximate selects the approximate sorted transmission queue of
+	// the paper's Section 4, kept as its accuracy ablation: deadlines
+	// are binned to days of LMax/Capacity and a day is served first
+	// pushed first, so the emulation error is under one maximum-length
+	// transmission time. It is a key transform on the same heap the
+	// exact queue uses, not a faster structure (DESIGN.md, "Performance
+	// model").
 	Approximate bool
 }
 
@@ -71,18 +72,10 @@ func New(cfg Config) *LiT {
 	if cfg.Capacity <= 0 || cfg.LMax <= 0 {
 		panic("core: Config requires positive Capacity and LMax")
 	}
-	var ready pqueue
-	if cfg.Approximate {
-		ready = newCalendarQueue(cfg.LMax/cfg.Capacity, calendarBuckets)
-	} else {
-		ready = &pq.Heap{}
-	}
-	return &LiT{queues: newQueues(cfg.Capacity, cfg.LMax, ready)}
+	l := &LiT{queues: newQueues(cfg.Capacity, cfg.LMax)}
+	l.binned = cfg.Approximate
+	return l
 }
-
-// calendarBuckets is the initial ring size of a port's calendar queue;
-// the ring resizes itself with occupancy from there.
-const calendarBuckets = 256
 
 // AddSession implements network.Discipline.
 func (l *LiT) AddSession(cfg network.SessionPort) {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+
 	"leaveintime/internal/metrics"
 	"leaveintime/internal/packet"
 	"leaveintime/internal/pq"
@@ -19,8 +21,14 @@ type queues struct {
 	// sessions, keyed by eligibility time.
 	regulator pq.Heap
 	// ready holds eligible packets keyed by transmission deadline.
-	ready pqueue
-	stamp uint64
+	ready pq.Heap
+	// binned selects the approximate sorted queue of the paper's
+	// Section 4: deadlines are binned to days of L_MAX/C and a day is
+	// served first-pushed-first, so the service order deviates from
+	// exact deadline order by less than one maximum-length transmission
+	// time. It changes only the key pushReady files a packet under.
+	binned bool
+	stamp  uint64
 
 	// ma/mb, when attached, receive scheduler counters (regulator holds,
 	// deadline misses) at the port's Sched* slots; wired by
@@ -29,8 +37,8 @@ type queues struct {
 	mb metrics.Handle
 }
 
-func newQueues(capacity, lMax float64, ready pqueue) queues {
-	return queues{txMax: lMax / capacity, ready: ready}
+func newQueues(capacity, lMax float64) queues {
+	return queues{txMax: lMax / capacity}
 }
 
 // SetMetrics attaches the scheduler's telemetry counters — regulator
@@ -54,9 +62,28 @@ func (q *queues) place(p *packet.Packet, e, now float64) {
 		en.Key = e
 		q.regulator.Push(en)
 	} else {
-		en.Key = p.Deadline
-		q.ready.Push(en)
+		q.pushReady(en)
 	}
+}
+
+// pushReady files an eligible packet in the transmission queue: under
+// (deadline, arrival stamp), or when binned under (day of the deadline,
+// push order into this queue) — a packet leaving the regulator queues
+// behind those already in its day.
+func (q *queues) pushReady(en pq.Entry) {
+	en.Key = en.P.Deadline
+	if q.binned {
+		day := math.Floor(en.Key / q.txMax)
+		// A NaN or astronomically large deadline is a bug upstream, and
+		// binning it silently corrupts the service order. The in-range
+		// comparison is also false for NaN, so one guard catches both.
+		if !(day >= -(1<<62) && day <= 1<<62) {
+			panic("core: deadline is NaN or its L_MAX/C bin overflows int64")
+		}
+		q.stamp++
+		en.Key, en.Stamp = day, q.stamp
+	}
+	q.ready.Push(en)
 }
 
 // release migrates regulated packets whose eligibility time has been
@@ -67,8 +94,7 @@ func (q *queues) release(now float64) {
 		if !ok {
 			return
 		}
-		en.Key = en.P.Deadline
-		q.ready.Push(en)
+		q.pushReady(en)
 	}
 }
 
@@ -98,7 +124,7 @@ func (q *queues) Len() int { return q.ready.Len() + q.regulator.Len() }
 // service order of every other session is untouched.
 func (q *queues) purge(id int, drop func(*packet.Packet)) {
 	q.regulator.Purge(id, drop)
-	pq.Purge(q.ready, id, drop)
+	q.ready.Purge(id, drop)
 }
 
 // slack counts a deadline miss when the transmission finished after

@@ -112,25 +112,14 @@ func (b *Heap) PopDue(now float64) (Entry, bool) {
 	return b.PopMin()
 }
 
-// Purge evicts the session's packets; see the package-level Purge.
-func (b *Heap) Purge(id int, drop func(*packet.Packet)) { Purge(b, id, drop) }
-
-// Queue is a priority queue the shared purge can sweep: the Heap, or
-// core's calendar-queue approximation of it.
-type Queue interface {
-	Push(Entry)
-	PopMin() (Entry, bool)
-}
-
-// Purge is the one purge algorithm for priority queues: it drains q,
-// hands the packets of session id to drop in priority order, and
-// re-pushes the rest. Survivors keep their keys and stamps, so their
-// pop order is untouched; for a queue that is FIFO within a bucket the
-// priority-order round trip preserves that order too.
-func Purge(q Queue, id int, drop func(*packet.Packet)) {
+// Purge evicts the session's packets: it drains the heap, hands the
+// packets of session id to drop in priority order, and re-pushes the
+// rest. Survivors keep their keys and stamps, so their pop order is
+// untouched.
+func (b *Heap) Purge(id int, drop func(*packet.Packet)) {
 	var keep []Entry
 	for {
-		e, ok := q.PopMin()
+		e, ok := b.PopMin()
 		if !ok {
 			break
 		}
@@ -141,7 +130,7 @@ func Purge(q Queue, id int, drop func(*packet.Packet)) {
 		}
 	}
 	for _, e := range keep {
-		q.Push(e)
+		b.Push(e)
 	}
 }
 

@@ -59,7 +59,8 @@ type Tandem struct {
 
 // TandemOptions tune the construction of the tandem.
 type TandemOptions struct {
-	// Approximate selects the calendar-queue transmission queue.
+	// Approximate selects the approximate (binned-deadline)
+	// transmission queue.
 	Approximate bool
 	// Classes, when non-nil, guards every node with these classes under
 	// procedure Proc (1 or 2); otherwise every node runs procedure 1

@@ -218,17 +218,20 @@ func RunChaos(seed uint64, dir string) (*ChaosReport, error) {
 	return report, nil
 }
 
+// malformedProbes are request bodies every endpoint must answer with a
+// 400; FuzzServeBodies starts from them.
+var malformedProbes = []struct {
+	path string
+	body string
+}{
+	{"/v1/systems", `{garbage`},
+	{"/v1/systems", `{"name":"x","capacity":1,"lmax":1,"bogus_field":1}`},
+	{"/v1/systems", `{"name":"","capacity":-1,"lmax":0}`},
+	{"/v1/scenarios", `{"not":"a scenario"}`},
+}
+
 func (h *chaosHarness) probeMalformed() error {
-	cases := []struct {
-		path string
-		body string
-	}{
-		{"/v1/systems", `{garbage`},
-		{"/v1/systems", `{"name":"x","capacity":1,"lmax":1,"bogus_field":1}`},
-		{"/v1/systems", `{"name":"","capacity":-1,"lmax":0}`},
-		{"/v1/scenarios", `{"not":"a scenario"}`},
-	}
-	for _, c := range cases {
+	for _, c := range malformedProbes {
 		resp, err := h.post(c.path, []byte(c.body), nil)
 		if err != nil {
 			return err

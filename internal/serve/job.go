@@ -189,6 +189,14 @@ func (d *Daemon) runJob(j *job) {
 	j.event(0, "start", "")
 
 	for until := d.opts.Slice; ; until += d.opts.Slice {
+		// A slice no event falls in changes nothing a poll could see, and
+		// the watchdog only meters events: jump to the next event (or the
+		// end), so a long idle run costs its events, not its duration.
+		if next, ok := run.Sim().NextTime(); !ok {
+			until = run.Duration()
+		} else if next > until {
+			until = next
+		}
 		done := run.RunSlice(until)
 		if reason := run.Sim().Tripped(); reason != "" {
 			d.ar.AtomicInc(metrics.HServeWatchdogTrips)

@@ -31,6 +31,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -317,12 +318,19 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	json.NewEncoder(w).Encode(v) //nolint:errcheck
 }
 
-// decode reads a JSON body strictly (unknown fields are malformed —
-// the wire schema is versioned, not lax).
+// decode reads a JSON body strictly (unknown fields, and anything after
+// the one document, are malformed — the wire schema is versioned, not
+// lax).
 func (d *Daemon) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	err := dec.Decode(v)
+	if err == nil {
+		if _, terr := dec.Token(); terr != io.EOF {
+			err = errors.New("data after the JSON document")
+		}
+	}
+	if err != nil {
 		d.ar.AtomicInc(metrics.HServeMalformed)
 		httpError(w, http.StatusBadRequest, "malformed request: "+err.Error())
 		return false

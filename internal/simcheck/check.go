@@ -155,7 +155,7 @@ func CheckScenario(sc Case, opt Options) (rep *SeedReport) {
 		checkTelemetry(exact, rep)
 	}
 
-	// Calendar-queue approximation: same scenario, deadline ordering
+	// Approximate queue: same scenario, deadline ordering
 	// allowed one bin of slack, end-to-end delays within the §4 margin
 	// of the exact run.
 	approx, err := runScenario(&sc, litSpec(true), runOpts{wd: wd})
@@ -366,7 +366,7 @@ func checkEngineSanity(res *runResult, rep *SeedReport) {
 	}
 }
 
-// checkApprox verifies the §4 calendar-queue commitment: the
+// checkApprox verifies the §4 approximate-queue commitment: the
 // approximation may reorder transmissions only within a bin, so each
 // session's maximum end-to-end delay can exceed the exact heap's by at
 // most a few bin widths per hop.

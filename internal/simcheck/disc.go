@@ -30,7 +30,7 @@ const maxViolationsPerRun = 8
 //   - deadline ordering (LiT only): a dequeued packet must carry the
 //     minimum deadline among all held packets that are already
 //     eligible, within the configured tolerance (exact heap: floating-
-//     point crumbs; calendar queue: one bin width, the §4 bound);
+//     point crumbs; approximate queue: one bin width, the §4 bound);
 //   - work conservation (work-conserving disciplines only): Dequeue
 //     must yield a packet whenever the discipline holds any;
 //   - eligible-but-idle (every discipline): Dequeue returning nothing
@@ -203,7 +203,7 @@ func (c *checkedDisc) SetMetrics(a *metrics.Arena, base metrics.Handle) {
 // under.
 type discSpec struct {
 	name string
-	// litKind: 0 = not LiT, 1 = exact heap, 2 = calendar approximation.
+	// litKind: 0 = not LiT, 1 = exact keys, 2 = binned (approximate) keys.
 	litKind       int
 	deadlineCheck bool
 	// wcAlways marks disciplines that must serve whenever backlogged
@@ -221,8 +221,8 @@ func (s discSpec) workConserving(sc *Case) bool {
 }
 
 // deadlineTol is the allowed deadline-ordering slack: floating-point
-// crumbs for the exact heap, one calendar bin (the §4 approximation
-// bound) for the calendar queue.
+// crumbs for the exact queue, one bin (the §4 approximation
+// bound) for the approximate queue.
 func (s discSpec) deadlineTol(sc *Case, capacity float64) float64 {
 	if s.litKind == 2 {
 		return sc.LMax/capacity + 1e-9

@@ -4,7 +4,7 @@
 // through every discipline in the repository, and checks an invariant
 // battery against the paper's analytic machinery — per-session delay/
 // jitter/buffer bounds, packet-pool balance, deadline ordering, work
-// conservation, the LiT ≡ VirtualClock special case, the calendar-queue
+// conservation, the LiT ≡ VirtualClock special case, the approximate-queue
 // approximation bound, and metrics/trace/probe agreement. On violation
 // it shrinks the scenario to a minimal failing form and writes a
 // replayable JSON repro. See cmd/litcheck for the CLI driver.

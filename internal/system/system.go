@@ -32,8 +32,10 @@ type Config struct {
 	// its own fixed d (ConnectRequest.D).
 	Classes []admission.Class
 	Proc    int
-	// Approximate selects the O(1) calendar-queue transmission queue
-	// in every Leave-in-Time server.
+	// Approximate selects the approximate transmission queue of the
+	// paper's Section 4 in every Leave-in-Time server: deadlines binned
+	// to days of L_MAX/C, an accuracy ablation and not a faster queue
+	// (core.Config.Approximate).
 	Approximate bool
 }
 
@@ -206,7 +208,7 @@ func (s *System) AddServer(name string, capacity, gamma float64) (*Server, error
 }
 
 // AddServerQueue is AddServer with this server's transmission queue
-// chosen explicitly (approximate: the calendar queue) instead of taken
+// chosen explicitly (approximate: binned deadlines) instead of taken
 // from Config.Approximate.
 func (s *System) AddServerQueue(name string, capacity, gamma float64, approximate bool) (*Server, error) {
 	// Build the admission controller before touching the network so a

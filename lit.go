@@ -7,8 +7,10 @@
 //
 // # Layers
 //
-//   - The scheduling core: NewLeaveInTime (eqs. 6-11), with exact or
-//     approximate (calendar queue) transmission queues, plus baselines
+//   - The scheduling core: NewLeaveInTime (eqs. 6-11), with the exact
+//     transmission queue or the approximate one of the paper's
+//     Section 4 (deadlines binned to days of L_MAX/C on the same heap:
+//     an accuracy ablation, not a faster queue), plus baselines
 //     NewVirtualClock, NewFCFS, NewWFQ, NewStopAndGo, NewDelayEDD and
 //     NewJitterEDD, all satisfying the same Discipline contract.
 //   - Admission control and service commitments: NewProcedure1/2/3
