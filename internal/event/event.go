@@ -19,15 +19,26 @@
 // and is skipped. That keeps Cancel O(1) and avoids the sift-down of a
 // mid-heap removal.
 //
-// The heap itself is data-oriented: it stores 32-byte value nodes
-// (time, sched, tie, pointer) rather than *Event pointers, so every
-// comparison on the sift paths reads keys already in the node array —
-// no pointer chase into a separately-allocated Event per compare, and
-// no position write-back into the Event structs on every move (lazy
-// cancellation never needs an event's heap index). The heap is 4-ary,
-// which halves the tree depth of a binary heap; with inline keys the
-// four children of a node span at most three cache lines, where the
-// old pointer layout touched up to four random lines per level.
+// The heap holds one node per event source, not per occurrence. The
+// sources of a packet run re-arm themselves from inside their own
+// handler — a port's transmission finish schedules the next finish, a
+// traffic source its next emission, a link its next delivery — so the
+// node of the event that is firing stays at the root while its handler
+// runs (the hold) and the handler's first Schedule overwrites it in
+// place and sifts it down once. A near-future re-arm settles a level or
+// two below the root, where removing the root first would have paid a
+// full-depth sift-down of the heap's last node and then a sift-up of
+// the new one. A handler that schedules nothing has its node removed
+// when it returns; anything that reads the root in between (NextTime, a
+// nested Step) removes it first.
+//
+// Nodes are 16 bytes: the fire time inline and the Event pointer. A
+// sift comparison reads the Event (for the schedule time and tie it
+// already stores) only when two fire times are equal, and the least of
+// four children with distinct times is found without a branch (see
+// siftDown). Nodes carry no position write-back into the Event structs
+// (lazy cancellation never needs an event's heap index). The heap is
+// 4-ary, which halves the tree depth of a binary heap.
 //
 // # Ordering key
 //
@@ -46,6 +57,7 @@
 package event
 
 import (
+	"math"
 	"time"
 
 	"leaveintime/internal/metrics"
@@ -84,22 +96,30 @@ type Event struct {
 // have fired, if canceled).
 func (e *Event) Time() float64 { return e.time }
 
-// evNode is one heap slot: the ordering key inline plus the event it
-// stands for. Keys ride in the node so sift comparisons never
-// dereference the Event.
+// evNode is one heap slot: the fire time inline plus the event it
+// stands for, whose schedule time and tie are read only to order two
+// nodes that fire at the same instant. The time is held as its IEEE bit
+// pattern, which orders as an unsigned integer because no fire time is
+// negative (the clock starts at 0 and Schedule refuses the past) once
+// -0 is folded into +0 (nodeKey); integer compares are what siftDown's
+// tournament needs to stay free of branches.
 type evNode struct {
-	time  float64
-	sched float64
-	tie   uint64
-	e     *Event
+	key uint64
+	e   *Event
 }
+
+func nodeKey(t float64) uint64 { return math.Float64bits(t + 0) }
 
 // Simulator is a discrete-event simulator. The zero value is ready to
 // use and starts at time 0.
 type Simulator struct {
-	now     float64
-	seq     uint64
-	heap    []evNode // 4-ary min-heap ordered by (time, sched, tie)
+	now  float64
+	seq  uint64
+	heap []evNode // 4-ary min-heap ordered by (time, sched, tie)
+	// held marks heap[0] as the node of an event that has already fired
+	// and whose handler may still be running: the next push overwrites
+	// it, and whatever reads the root first removes it (settle).
+	held    bool
 	free    []*Event // recycled Event structs
 	pending int      // scheduled and not canceled
 	stopped bool
@@ -140,19 +160,19 @@ func (s *Simulator) Pending() int { return s.pending }
 // false when the queue is empty. Sharded execution uses it to
 // fast-forward idle synchronization windows.
 func (s *Simulator) NextTime() (float64, bool) {
-	e := s.peek()
-	if e == nil {
+	if !s.settle() {
 		return 0, false
 	}
-	return e.time, true
+	return s.heap[0].e.time, true
 }
 
 // Schedule registers fn to run at absolute time t. Scheduling in the
-// past (t < Now) panics: it would silently reorder causality. Events
-// scheduled for the same instant fire in scheduling order.
+// past (t < Now) or at NaN panics: either would silently reorder
+// causality. Events scheduled for the same instant fire in scheduling
+// order.
 func (s *Simulator) Schedule(t float64, fn Handler) *Event {
-	if t < s.now {
-		panic("event: scheduled in the past")
+	if !(t >= s.now) {
+		panic("event: scheduled in the past or at NaN")
 	}
 	return s.push(t, s.now, s.seq, fn)
 }
@@ -169,11 +189,11 @@ func (s *Simulator) Schedule(t float64, fn Handler) *Event {
 // stamped events at the same (t, sched); the engine only guarantees
 // it for its own Schedule calls.
 func (s *Simulator) ScheduleStamped(t, sched float64, tie uint64, fn Handler) *Event {
-	if t < s.now {
-		panic("event: scheduled in the past")
+	if !(t >= s.now) {
+		panic("event: scheduled in the past or at NaN")
 	}
-	if sched > t {
-		panic("event: stamped schedule time after fire time")
+	if !(sched <= t) {
+		panic("event: stamped schedule time after fire time or NaN")
 	}
 	return s.push(t, sched, tie, fn)
 }
@@ -187,7 +207,14 @@ func (s *Simulator) push(t, sched float64, tie uint64, fn Handler) *Event {
 	e.state = statePending
 	s.seq++
 	s.pending++
-	s.heapPush(e)
+	if s.held {
+		s.held = false
+		s.heap[0] = evNode{key: nodeKey(t), e: e}
+		s.siftDown(0)
+	} else {
+		s.heap = append(s.heap, evNode{key: nodeKey(t), e: e})
+		s.siftUp(len(s.heap) - 1)
+	}
 	if s.m != nil {
 		s.m.Inc(metrics.HEngineScheduled)
 		if n := len(s.heap); n > s.heapHW {
@@ -221,53 +248,80 @@ func (s *Simulator) Cancel(e *Event) {
 
 // Step fires the earliest pending event. It reports false when no
 // events remain.
-func (s *Simulator) Step() bool {
-	if s.wdTripped != "" {
+func (s *Simulator) Step() bool { return s.step(math.Inf(1)) }
+
+// step fires the earliest pending event if it is due at or before
+// limit; it is the one loop body under Step and the Run family. The
+// fired node stays at the root, held, while the handler runs.
+func (s *Simulator) step(limit float64) bool {
+	if s.wdTripped != "" || !s.settle() {
 		return false
 	}
+	e := s.heap[0].e
+	if e.time > limit {
+		return false
+	}
+	if s.wdArmed {
+		// A trip leaves the event where it is, so a caller that re-arms
+		// the watchdog resumes in the same order.
+		if s.wdTripped = s.checkWatchdog(e); s.wdTripped != "" {
+			return false
+		}
+		s.wdFired++
+	}
+	s.now = e.time
+	s.pending--
+	fn := e.fn
+	s.recycle(e)
+	s.held = true
+	if s.m != nil {
+		s.m.Inc(metrics.HEngineFired)
+	}
+	fn()
+	s.dropHeld()
+	return true
+}
+
+// dropHeld removes the held node, if no push has taken its place.
+func (s *Simulator) dropHeld() {
+	if s.held {
+		s.held = false
+		s.heapPop()
+	}
+}
+
+// settle clears dead nodes off the root — the held node of a fired
+// event, then canceled events — and reports whether a pending event is
+// left there.
+func (s *Simulator) settle() bool {
+	s.dropHeld()
 	for len(s.heap) > 0 {
-		e := s.heapPop()
-		if e.state == stateCanceled {
-			s.recycle(e)
-			continue
+		e := s.heap[0].e
+		if e.state != stateCanceled {
+			return true
 		}
-		if s.wdArmed {
-			if reason := s.checkWatchdog(e); reason != "" {
-				s.trip(reason, e)
-				return false
-			}
-			s.wdFired++
-		}
-		s.now = e.time
-		s.pending--
-		fn := e.fn
+		s.heapPop()
 		s.recycle(e)
-		if s.m != nil {
-			s.m.Inc(metrics.HEngineFired)
-		}
-		fn()
-		return true
 	}
 	return false
+}
+
+// run fires events due at or before limit until none is left, Stop is
+// called or the watchdog trips, then moves the clock forward to clamp.
+func (s *Simulator) run(limit, clamp float64) {
+	s.stopped = false
+	for !s.stopped && s.step(limit) {
+	}
+	if s.now < clamp {
+		s.now = clamp
+	}
 }
 
 // Run processes events in time order until the event queue is empty or
 // the next event is strictly later than until. The clock is left at the
 // time of the last fired event (or at until if no event fired after it,
 // clamped forward only).
-func (s *Simulator) Run(until float64) {
-	s.stopped = false
-	for !s.stopped {
-		e := s.peek()
-		if e == nil || e.time > until {
-			break
-		}
-		s.Step()
-	}
-	if s.now < until {
-		s.now = until
-	}
-}
+func (s *Simulator) Run(until float64) { s.run(until, until) }
 
 // RunBefore processes events in time order while they fire strictly
 // before until, then clamps the clock forward to until. It is the
@@ -276,40 +330,16 @@ func (s *Simulator) Run(until float64) {
 // cross-shard injections scheduled exactly at the boundary are merged
 // into the heap before any local event at that instant fires.
 func (s *Simulator) RunBefore(until float64) {
-	s.stopped = false
-	for !s.stopped {
-		e := s.peek()
-		if e == nil || e.time >= until {
-			break
-		}
-		s.Step()
-	}
-	if s.now < until {
-		s.now = until
-	}
+	s.run(math.Nextafter(until, math.Inf(-1)), until)
 }
 
-// RunAll processes events until the queue is empty.
-func (s *Simulator) RunAll() {
-	s.stopped = false
-	for !s.stopped && s.Step() {
-	}
-}
+// RunAll processes events until the queue is empty. It never moves the
+// clock except by firing.
+func (s *Simulator) RunAll() { s.run(math.Inf(1), math.Inf(-1)) }
 
 // Stop makes the current Run or RunAll return after the in-progress
 // event handler completes. It may be called from inside a handler.
 func (s *Simulator) Stop() { s.stopped = true }
-
-func (s *Simulator) peek() *Event {
-	for len(s.heap) > 0 {
-		e := s.heap[0].e
-		if e.state != stateCanceled {
-			return e
-		}
-		s.recycle(s.heapPop())
-	}
-	return nil
-}
 
 // alloc takes an Event struct from the free list, refilling it with a
 // chunk when empty so allocations amortize to zero on the hot path.
@@ -338,23 +368,22 @@ func (s *Simulator) recycle(e *Event) {
 // contract, extended so stamped cross-shard events merge at a
 // partition-independent position (see the package comment).
 func nodeLess(a, b evNode) bool {
-	if a.time != b.time {
-		return a.time < b.time
+	if a.key != b.key {
+		return a.key < b.key
 	}
+	return tieLess(a.e, b.e)
+}
+
+func tieLess(a, b *Event) bool {
 	if a.sched != b.sched {
 		return a.sched < b.sched
 	}
 	return a.tie < b.tie
 }
 
-func (s *Simulator) heapPush(e *Event) {
-	s.heap = append(s.heap, evNode{time: e.time, sched: e.sched, tie: e.tie, e: e})
-	s.siftUp(len(s.heap) - 1)
-}
-
-func (s *Simulator) heapPop() *Event {
+// heapPop removes the root.
+func (s *Simulator) heapPop() {
 	h := s.heap
-	root := h[0].e
 	last := len(h) - 1
 	n := h[last]
 	h[last] = evNode{}
@@ -363,7 +392,6 @@ func (s *Simulator) heapPop() *Event {
 		s.heap[0] = n
 		s.siftDown(0)
 	}
-	return root
 }
 
 func (s *Simulator) siftUp(i int) {
@@ -380,6 +408,14 @@ func (s *Simulator) siftUp(i int) {
 	h[i] = n
 }
 
+// siftDown settles h[i] among its descendants. A level with four
+// children of distinct fire times — the common case — is decided by a
+// tournament on the integer keys, two independent compares then one:
+// that compiles to conditional moves where a scan of the four is three
+// branches the CPU cannot predict, and those mispredictions were most
+// of what a sift cost. Any tie in time goes to the scan, which reads
+// the events. (Kept in the loop body: as a function the tournament is
+// not inlined, and the call costs a fifth of the gain.)
 func (s *Simulator) siftDown(i int) {
 	h := s.heap
 	n := len(h)
@@ -389,15 +425,27 @@ func (s *Simulator) siftDown(i int) {
 		if c >= n {
 			break
 		}
-		m := c
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		for j := c + 1; j < end; j++ {
-			if nodeLess(h[j], h[m]) {
-				m = j
+		var m int
+		if c+4 <= n {
+			ch := h[c : c+4 : c+4]
+			k0, k1, k2, k3 := ch[0].key, ch[1].key, ch[2].key, ch[3].key
+			a, ka := 0, k0
+			if k1 < k0 {
+				a, ka = 1, k1
 			}
+			b, kb := 2, k2
+			if k3 < k2 {
+				b, kb = 3, k3
+			}
+			if kb < ka {
+				a = b
+			}
+			m = c + a
+			if k0 == k1 || k2 == k3 || ka == kb {
+				m = scanMin(h, c, c+4)
+			}
+		} else {
+			m = scanMin(h, c, n)
 		}
 		if !nodeLess(h[m], x) {
 			break
@@ -406,4 +454,15 @@ func (s *Simulator) siftDown(i int) {
 		i = m
 	}
 	h[i] = x
+}
+
+// scanMin returns the index of the least node of h[c:end].
+func scanMin(h []evNode, c, end int) int {
+	m := c
+	for j := c + 1; j < end; j++ {
+		if nodeLess(h[j], h[m]) {
+			m = j
+		}
+	}
+	return m
 }

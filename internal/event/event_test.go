@@ -1,6 +1,7 @@
 package event
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -140,6 +141,68 @@ func TestSchedulePastPanics(t *testing.T) {
 		}
 	}()
 	s.Schedule(1, func() {})
+}
+
+// TestScheduleNaNPanics: a NaN fire time compares false with
+// everything, so the heap would file it anywhere and fire 0.5, 2, 1,
+// NaN with Now left at NaN; a NaN schedule stamp does the same among
+// events of one instant.
+func TestScheduleNaNPanics(t *testing.T) {
+	s := New()
+	nan := math.NaN()
+	for _, ti := range []float64{0.5, 1, 2} {
+		s.Schedule(ti, func() {})
+	}
+	mustPanic(t, "Schedule", func() { s.Schedule(nan, func() {}) })
+	mustPanic(t, "After", func() { s.After(nan, func() {}) })
+	mustPanic(t, "ScheduleStamped time", func() { s.ScheduleStamped(nan, 0, 1, func() {}) })
+	mustPanic(t, "ScheduleStamped sched", func() { s.ScheduleStamped(1, nan, 1, func() {}) })
+	if s.Pending() != 3 {
+		t.Fatalf("a refused schedule left Pending = %d, want 3", s.Pending())
+	}
+	s.RunAll()
+	if s.Now() != 2 {
+		t.Fatalf("Now = %v, want 2", s.Now())
+	}
+}
+
+// TestNegativeZeroIsZero: heap nodes order fire times by their bit
+// patterns, where -0 would sort after every positive time.
+func TestNegativeZeroIsZero(t *testing.T) {
+	s := New()
+	var got []string
+	s.Schedule(5e-324, func() { got = append(got, "tiny") })
+	s.Schedule(0, func() { got = append(got, "zero") })
+	s.Schedule(math.Copysign(0, -1), func() { got = append(got, "negzero") })
+	s.ScheduleStamped(math.Copysign(0, -1), math.Copysign(0, -1), 0, func() { got = append(got, "stamped") })
+	if next, _ := s.NextTime(); next != 0 {
+		t.Fatalf("NextTime = %v, want 0", next)
+	}
+	s.RunAll()
+	if want := "[stamped zero negzero tiny]"; fmt.Sprint(got) != want {
+		t.Fatalf("fired %v, want %s", got, want)
+	}
+}
+
+// TestPanicInHandler: a handler that panics (and whose caller recovers)
+// leaves the engine coherent — the event counts as fired, and the run
+// resumes with the next one.
+func TestPanicInHandler(t *testing.T) {
+	s := New()
+	var got []float64
+	note := func() { got = append(got, s.Now()) }
+	s.Schedule(1, func() { panic("boom") })
+	s.Schedule(2, note)
+	s.Schedule(3, note)
+	mustPanic(t, "handler", s.RunAll)
+	s.Schedule(1.5, note)
+	if next, ok := s.NextTime(); !ok || next != 1.5 || s.Pending() != 3 {
+		t.Fatalf("after the panic: next %v %v, pending %d; want 1.5 true, 3", next, ok, s.Pending())
+	}
+	s.RunAll()
+	if fmt.Sprint(got) != "[1.5 2 3]" {
+		t.Fatalf("fired at %v, want [1.5 2 3]", got)
+	}
 }
 
 func TestPending(t *testing.T) {

@@ -66,12 +66,3 @@ func (s *Simulator) checkWatchdog(e *Event) string {
 	}
 	return ""
 }
-
-// trip records the reason, re-queues the unfired event, and stops the
-// run. Re-pushing keeps (time, seq) intact, so the event order is
-// unchanged if the caller disarms the watchdog and resumes.
-func (s *Simulator) trip(reason string, e *Event) {
-	s.heapPush(e)
-	s.wdTripped = reason
-	s.stopped = true
-}

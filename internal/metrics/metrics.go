@@ -110,11 +110,20 @@ const lineSlots = 8
 // Fixed-section handles. The head pad line occupies slots 0..7; the
 // fixed sections follow, each starting on a line boundary.
 const (
-	// Engine section: discrete-event engine activity.
-	HEngineScheduled     Handle = lineSlots + iota // Schedule calls
+	// Engine section: discrete-event engine activity. Fired and Canceled
+	// count handler executions and Cancel calls and depend on the
+	// simulated history alone. Scheduled counts heap insertions and
+	// HeapHighWater the nodes resident in the heap at once, which also
+	// depend on how the engine is driven: a link keeps only its head
+	// delivery in the engine (internal/network), so the packets on a wire
+	// share one node and a delivery still behind the head when the run
+	// ends is never inserted. Both therefore read slightly lower than
+	// when every packet in flight had its own event (fig7, 5 s, seed 1,
+	// first point: scheduled 220 669 -> 220 657, high water 141 -> 126).
+	HEngineScheduled     Handle = lineSlots + iota // Schedule and ScheduleStamped calls
 	HEngineCanceled                                // Cancel calls
 	HEngineFired                                   // handler executions
-	HEngineHeapHighWater                           // max events resident in the heap
+	HEngineHeapHighWater                           // max nodes resident in the heap
 )
 
 const (
@@ -494,7 +503,10 @@ type Snapshot struct {
 	Ports     []PortSnapshot    `json:"ports"`
 }
 
-// EngineSnapshot is the engine section of a Snapshot.
+// EngineSnapshot is the engine section of a Snapshot. Fired and
+// Canceled depend on the simulated history alone; Scheduled (heap
+// insertions) and HeapHighWater (resident heap nodes) also depend on
+// how the network drives the engine (see HEngineScheduled).
 type EngineSnapshot struct {
 	Scheduled     int64 `json:"scheduled"`
 	Canceled      int64 `json:"canceled"`

@@ -47,8 +47,9 @@ func (p *Port) FailLink() {
 	}
 	now := p.net.Sim.Now()
 	// Lose everything on the wire. The flight entries stay in the FIFO
-	// (their delivery events are already scheduled); nil-marking keeps
-	// the event/entry pairing intact and deliverHead skips them.
+	// (the head's delivery event is already scheduled and each later
+	// one is armed as its predecessor fires); nil-marking keeps the
+	// event/entry pairing intact and deliverHead skips them.
 	for i := p.inflight.head; i < len(p.inflight.items); i++ {
 		pkt := p.inflight.items[i].pkt
 		if pkt == nil {

@@ -280,8 +280,9 @@ type Port struct {
 	// Closure-free event plumbing: txPkt is the packet under
 	// transmission (one at a time per port), inflight the FIFO of
 	// packets traversing the outgoing link (same propagation delay for
-	// all, so arrivals happen in departure order). The pre-bound
-	// handlers are created once in NewPort.
+	// all, so arrivals happen in departure order). Only the head of the
+	// FIFO has a delivery event in the engine; deliverHead arms the
+	// next one. The pre-bound handlers are created once in NewPort.
 	txPkt    *packet.Packet
 	inflight flightQ
 	txFn     event.Handler
@@ -327,13 +328,16 @@ type Port struct {
 }
 
 // flight is one packet traversing the outgoing link: its destination
-// (next port or sink) and arrival instant, recorded at transmission
-// finish.
+// (next port or sink), its arrival instant and the canonical ordering
+// stamp of its delivery event (see Port.tieBase), recorded at
+// transmission finish.
 type flight struct {
-	pkt  *packet.Packet
-	next *Port
-	sink Sink
-	at   float64
+	pkt   *packet.Packet
+	next  *Port
+	sink  Sink
+	at    float64
+	sched float64
+	tie   uint64
 }
 
 // flightQ is a FIFO of in-flight packets with an amortized
@@ -359,6 +363,8 @@ func (f *flightQ) push(x flight) {
 	}
 	f.items = append(f.items, x)
 }
+
+func (f *flightQ) empty() bool { return f.head == len(f.items) }
 
 func (f *flightQ) pop() (flight, bool) {
 	if f.head >= len(f.items) {
@@ -589,17 +595,31 @@ func (p *Port) finish(pkt *packet.Packet) {
 	// pre-bound handler replaces a per-packet closure. The delivery is
 	// stamped with the port's canonical (identity, transmit count) tie
 	// so same-instant arrivals downstream interleave in a partition-
-	// independent order (see tieBase).
-	p.inflight.push(flight{pkt: pkt, next: next, sink: sink, at: arrive})
-	p.net.Sim.ScheduleStamped(arrive, now, tie, p.linkFn)
+	// independent order (see tieBase). Because the stamp is explicit, a
+	// delivery's place in the firing order does not depend on when it
+	// enters the engine, so only the FIFO's head is scheduled: a packet
+	// behind it arrives no earlier and carries a later stamp.
+	f := flight{pkt: pkt, next: next, sink: sink, at: arrive, sched: now, tie: tie}
+	if p.inflight.empty() {
+		p.scheduleDelivery(f)
+	}
+	p.inflight.push(f)
 	p.maybeStart(now)
 }
 
-// deliverHead lands the oldest in-flight packet at its destination.
+func (p *Port) scheduleDelivery(f flight) {
+	p.net.Sim.ScheduleStamped(f.at, f.sched, f.tie, p.linkFn)
+}
+
+// deliverHead lands the oldest in-flight packet at its destination,
+// after arming the delivery of the one behind it.
 func (p *Port) deliverHead() {
 	f, ok := p.inflight.pop()
 	if !ok {
 		panic(fmt.Sprintf("network: port %s link delivery with empty in-flight queue", p.Name))
+	}
+	if !p.inflight.empty() {
+		p.scheduleDelivery(p.inflight.items[p.inflight.head])
 	}
 	if f.pkt == nil {
 		// Lost to a link fault or purge while in flight (fault.go
@@ -680,7 +700,9 @@ type Session struct {
 	// Emitted counts packets injected at the first node.
 	Emitted int64
 
-	net      *Network
+	net *Network
+	// slot is the session's index in net.sessions while it is registered.
+	slot     int
 	stopEmit float64
 	seq      int64
 	started  bool
@@ -746,6 +768,7 @@ func (n *Network) AddSession(id int, rate float64, jitterControl bool, route []*
 		Route:         route,
 		Source:        src,
 		net:           n,
+		slot:          len(n.sessions),
 	}
 	for i, port := range route {
 		cfg := cfgs[i]
@@ -845,15 +868,17 @@ func (n *Network) unregister(s *Session) {
 	if s.ID < len(n.sessByID) && n.sessByID[s.ID] == s {
 		n.sessByID[s.ID] = nil
 	}
-	for i, other := range n.sessions {
-		if other == s {
-			last := len(n.sessions) - 1
-			n.sessions[i] = n.sessions[last]
-			n.sessions[last] = nil
-			n.sessions = n.sessions[:last]
-			break
-		}
+	if s.slot >= len(n.sessions) || n.sessions[s.slot] != s {
+		return // already removed
 	}
+	// Swap-with-last removal: Sessions() order is part of what goldens
+	// pin, so the session moved into the gap is always the last one.
+	last := len(n.sessions) - 1
+	moved := n.sessions[last]
+	n.sessions[s.slot] = moved
+	moved.slot = s.slot
+	n.sessions[last] = nil
+	n.sessions = n.sessions[:last]
 }
 
 // InjectAt places a single packet of the given length at the session's

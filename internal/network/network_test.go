@@ -277,3 +277,50 @@ func TestAccessorsAndLimitBuffer(t *testing.T) {
 		t.Error("RemoveSession left the session registered")
 	}
 }
+
+// TestUnregisterKeepsOrder removes the first, a middle, the last and
+// the only session and checks that Sessions() keeps the swap-with-last
+// order, that every survivor knows its slot, and that removing twice
+// (RemoveSession after DropSession) is a no-op.
+func TestUnregisterKeepsOrder(t *testing.T) {
+	sim := event.New()
+	net := New(sim, 1000)
+	p := net.NewPort("a", 1000, 0, &echoDisc{})
+	var s []*Session
+	for id := 0; id < 6; id++ {
+		s = append(s, net.AddSession(id, 100, false, []*Port{p}, make([]SessionPort, 1), nil))
+	}
+	check := func(step string, want ...int) {
+		t.Helper()
+		got := net.Sessions()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d sessions, want %d", step, len(got), len(want))
+		}
+		for i, sess := range got {
+			if sess.ID != want[i] || sess.slot != i {
+				t.Fatalf("%s: slot %d holds session %d (slot field %d), want session %d",
+					step, i, sess.ID, sess.slot, want[i])
+			}
+		}
+	}
+	check("built", 0, 1, 2, 3, 4, 5)
+	net.RemoveSession(s[0])
+	check("first", 5, 1, 2, 3, 4)
+	net.RemoveSession(s[2])
+	check("middle", 5, 1, 4, 3)
+	net.RemoveSession(s[3])
+	check("last", 5, 1, 4)
+	net.RemoveSession(s[3])
+	net.RemoveSession(s[0])
+	check("again", 5, 1, 4)
+	net.DropSession(s[5])
+	net.RemoveSession(s[5])
+	check("dropped", 4, 1)
+	net.RemoveSession(s[4])
+	net.RemoveSession(s[1])
+	check("only")
+	if net.sessionByID(1) != nil {
+		t.Fatal("removed session still routed")
+	}
+	check("rebuilt", net.AddSession(7, 100, false, []*Port{p}, make([]SessionPort, 1), nil).ID)
+}
