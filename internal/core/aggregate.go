@@ -38,7 +38,7 @@ import (
 // within a class, since every member packet is charged d_c).
 type Aggregate struct {
 	cfg AggConfig
-	// members is a dense session-ID-indexed table: class index, member
+	// members is a session-ID-indexed table: class index, member
 	// rate (for R_c maintenance) and jitter mode.
 	members sesstab.Table[aggMember]
 	classes []aggClass

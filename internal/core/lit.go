@@ -50,8 +50,8 @@ type Config struct {
 // It implements network.Discipline; the queueing half (Dequeue,
 // NextEligible, Len, SetMetrics) is the embedded queues.
 type LiT struct {
-	// sessions is a dense ID-indexed table; the per-packet lookup in
-	// Enqueue is a bounds check and an indexed load, not a map probe.
+	// sessions is an ID-indexed table; the per-packet lookup in Enqueue
+	// is indexed loads, not a map probe.
 	sessions sesstab.Table[sessionState]
 	queues
 }

@@ -161,9 +161,7 @@ func (p *Port) PurgeSession(id int) {
 	if p.txPkt != nil && p.txPkt.Session == id {
 		p.txLost = causePurge
 	}
-	if id >= 0 && id < len(p.trackBuf) {
-		p.trackBuf[id] = nil
-	}
+	p.trackBuf.Delete(id)
 	if m := p.net.metrics; m != nil {
 		m.Arena().Inc(metrics.HFaultSessionsPurged)
 	}

@@ -20,6 +20,7 @@ import (
 	"leaveintime/internal/event"
 	"leaveintime/internal/metrics"
 	"leaveintime/internal/packet"
+	"leaveintime/internal/sesstab"
 	"leaveintime/internal/stats"
 	"leaveintime/internal/trace"
 	"leaveintime/internal/traffic"
@@ -134,12 +135,11 @@ type Network struct {
 
 	ports    []*Port
 	sessions []*Session
-	// sessByID maps session ID -> session, dense (IDs are small
-	// sequential integers). It replaces the per-port nextHop maps: a
-	// packet's next hop is derived from its session's route and current
-	// hop index, so forwarding is two indexed loads instead of a map
-	// probe per hop.
-	sessByID []*Session
+	// sessByID maps session ID -> session. It replaces the per-port
+	// nextHop maps: a packet's next hop is derived from its session's
+	// route and current hop index, so forwarding is a table lookup
+	// instead of a map probe per hop.
+	sessByID sesstab.Table[*Session]
 	pool     pktPool
 	metrics  *metrics.Registry
 }
@@ -303,10 +303,9 @@ type Port struct {
 	txSeq   uint64
 
 	// Buffer tracking (Figures 12-13): per-session bits currently at
-	// this node, counting the packet under transmission. Indexed by
-	// session ID (dense, nil = untracked), so the per-arrival probe
-	// lookup is a bounds check and a load.
-	trackBuf []*BufferProbe
+	// this node, counting the packet under transmission, by session ID
+	// (absent = untracked).
+	trackBuf sesstab.Table[*BufferProbe]
 
 	// HoldClamped counts eq.-9 holding times that came out negative and
 	// were clamped to zero; nonzero values indicate scheduler
@@ -405,18 +404,24 @@ type BufferProbe struct {
 // TrackBuffer enables buffer-occupancy sampling for the session at this
 // port and returns the probe.
 func (p *Port) TrackBuffer(session int) *BufferProbe {
-	for session >= len(p.trackBuf) {
-		p.trackBuf = append(p.trackBuf, nil)
-	}
 	probe := &BufferProbe{}
-	p.trackBuf[session] = probe
+	p.trackBuf.Put(session, probe)
 	return probe
 }
 
-// probeFor returns the session's buffer probe at this port, or nil.
+// probeFor returns the session's buffer probe at this port, or nil. It
+// is asked twice per packet, and most ports track nobody: that answer
+// is inlined, the lookup is not.
 func (p *Port) probeFor(session int) *BufferProbe {
-	if uint(session) < uint(len(p.trackBuf)) {
-		return p.trackBuf[session]
+	if p.trackBuf.Len() == 0 {
+		return nil
+	}
+	return p.probe(session)
+}
+
+func (p *Port) probe(session int) *BufferProbe {
+	if e := p.trackBuf.Get(session); e != nil {
+		return *e
 	}
 	return nil
 }
@@ -564,10 +569,11 @@ func (p *Port) finish(pkt *packet.Packet) {
 	// instant (not at link arrival) matters for conservative windows:
 	// finish is always inside the current window, while arrival on a
 	// cut link may fall past its end.
-	sess := p.net.sessionByID(pkt.Session)
-	if sess == nil {
+	e := p.net.sessByID.Get(pkt.Session)
+	if e == nil {
 		panic(fmt.Sprintf("network: no route out of port %s for session %d", p.Name, pkt.Session))
 	}
+	sess := *e
 	arrive := now + p.Gamma
 	p.txSeq++
 	tie := p.tieBase | p.txSeq
@@ -637,8 +643,8 @@ func (p *Port) deliverHead() {
 // sessionByID returns the session with the given ID, or nil when it is
 // not (or no longer) established.
 func (n *Network) sessionByID(id int) *Session {
-	if uint(id) < uint(len(n.sessByID)) {
-		return n.sessByID[id]
+	if e := n.sessByID.Get(id); e != nil {
+		return *e
 	}
 	return nil
 }
@@ -761,6 +767,9 @@ func (n *Network) AddSession(id int, rate float64, jitterControl bool, route []*
 	if len(cfgs) != len(route) {
 		panic("network: len(cfgs) must equal len(route)")
 	}
+	if id < 0 {
+		panic(fmt.Sprintf("network: negative session id %d", id))
+	}
 	s := &Session{
 		ID:            id,
 		Rate:          rate,
@@ -777,13 +786,7 @@ func (n *Network) AddSession(id int, rate float64, jitterControl bool, route []*
 		cfg.JitterControl = jitterControl
 		port.Disc.AddSession(cfg)
 	}
-	if id < 0 {
-		panic(fmt.Sprintf("network: negative session id %d", id))
-	}
-	for id >= len(n.sessByID) {
-		n.sessByID = append(n.sessByID, nil)
-	}
-	n.sessByID[id] = s
+	n.sessByID.Put(id, s)
 	n.sessions = append(n.sessions, s)
 	return s
 }
@@ -857,16 +860,14 @@ func (n *Network) RemoveSession(s *Session) {
 		if r, ok := port.Disc.(SessionRemover); ok {
 			r.RemoveSession(s.ID)
 		}
-		if s.ID < len(port.trackBuf) {
-			port.trackBuf[s.ID] = nil
-		}
+		port.trackBuf.Delete(s.ID)
 	}
 	n.unregister(s)
 }
 
 func (n *Network) unregister(s *Session) {
-	if s.ID < len(n.sessByID) && n.sessByID[s.ID] == s {
-		n.sessByID[s.ID] = nil
+	if n.sessionByID(s.ID) == s {
+		n.sessByID.Delete(s.ID)
 	}
 	if s.slot >= len(n.sessions) || n.sessions[s.slot] != s {
 		return // already removed

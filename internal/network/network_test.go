@@ -324,3 +324,34 @@ func TestUnregisterKeepsOrder(t *testing.T) {
 	}
 	check("rebuilt", net.AddSession(7, 100, false, []*Port{p}, make([]SessionPort, 1), nil).ID)
 }
+
+// countingDisc counts the sessions registered with it.
+type countingDisc struct {
+	echoDisc
+	added int
+}
+
+func (c *countingDisc) AddSession(SessionPort) { c.added++ }
+
+// TestRefusedIDLeavesNothing: a negative id is refused before any port
+// of the route has heard of the session.
+func TestRefusedIDLeavesNothing(t *testing.T) {
+	sim := event.New()
+	net := New(sim, 1000)
+	d1, d2 := &countingDisc{}, &countingDisc{}
+	route := []*Port{net.NewPort("a", 1000, 0, d1), net.NewPort("b", 1000, 0, d2)}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("AddSession(-1) did not panic")
+			}
+		}()
+		net.AddSession(-1, 100, false, route, make([]SessionPort, 2), nil)
+	}()
+	if d1.added != 0 || d2.added != 0 {
+		t.Errorf("refused session registered at %d and %d ports' disciplines", d1.added, d2.added)
+	}
+	if len(net.Sessions()) != 0 || net.sessionByID(-1) != nil {
+		t.Error("refused session left in the network")
+	}
+}

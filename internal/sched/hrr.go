@@ -7,6 +7,7 @@ import (
 	"leaveintime/internal/network"
 	"leaveintime/internal/packet"
 	"leaveintime/internal/pq"
+	"leaveintime/internal/sesstab"
 )
 
 // HRR is Hierarchical Round Robin (Kalmanek, Kanakia & Keshav, GlobeCom
@@ -30,7 +31,7 @@ type HRR struct {
 	LMax float64
 
 	levels   []hrrLevel
-	sessions map[int]*hrrState
+	sessions sesstab.Table[hrrState]
 	order    []int // round-robin order (registration order)
 	cursor   int
 }
@@ -53,7 +54,7 @@ func NewHRR(lMax float64, frames ...float64) *HRR {
 	if lMax <= 0 || len(frames) == 0 {
 		panic("sched: HRR needs a slot size and at least one level")
 	}
-	h := &HRR{LMax: lMax, sessions: make(map[int]*hrrState)}
+	h := &HRR{LMax: lMax}
 	prev := 0.0
 	for _, f := range frames {
 		if f <= prev {
@@ -74,7 +75,7 @@ func (h *HRR) AddSessionSlots(cfg network.SessionPort, level, slots int) {
 	if slots < 1 {
 		panic("sched: HRR needs at least one slot")
 	}
-	h.sessions[cfg.Session] = &hrrState{level: level, slots: slots}
+	h.sessions.Put(cfg.Session, hrrState{level: level, slots: slots})
 	h.order = append(h.order, cfg.Session)
 }
 
@@ -92,8 +93,8 @@ func (h *HRR) AddSession(cfg network.SessionPort) {
 
 // Enqueue implements network.Discipline.
 func (h *HRR) Enqueue(p *packet.Packet, now float64) {
-	s, ok := h.sessions[p.Session]
-	if !ok {
+	s := h.sessions.Get(p.Session)
+	if s == nil {
 		panic(fmt.Sprintf("sched: HRR packet for unregistered session %d", p.Session))
 	}
 	p.Eligible = now
@@ -103,7 +104,7 @@ func (h *HRR) Enqueue(p *packet.Packet, now float64) {
 // refresh replenishes credits at frame boundaries that have passed.
 func (h *HRR) refresh(now float64) {
 	for _, id := range h.order {
-		s := h.sessions[id]
+		s := h.sessions.Get(id)
 		frame := h.levels[s.level-1].frame
 		if now >= s.nextRef {
 			// A new frame: fresh credits, stale ones discarded.
@@ -119,7 +120,7 @@ func (h *HRR) Dequeue(now float64) (*packet.Packet, bool) {
 	n := len(h.order)
 	for i := 0; i < n; i++ {
 		id := h.order[(h.cursor+i)%n]
-		s := h.sessions[id]
+		s := h.sessions.Get(id)
 		if s.credit > 0 && s.q.Len() > 0 {
 			p, _ := s.q.Pop()
 			s.credit--
@@ -138,7 +139,7 @@ func (h *HRR) NextEligible(now float64) (float64, bool) {
 	h.refresh(now)
 	best := math.Inf(1)
 	for _, id := range h.order {
-		s := h.sessions[id]
+		s := h.sessions.Get(id)
 		if s.q.Len() == 0 {
 			continue
 		}
@@ -158,18 +159,16 @@ func (h *HRR) NextEligible(now float64) (float64, bool) {
 // Len implements network.Discipline.
 func (h *HRR) Len() int {
 	n := 0
-	for _, s := range h.sessions {
-		n += s.q.Len()
-	}
+	h.sessions.Range(func(_ int, s *hrrState) { n += s.q.Len() })
 	return n
 }
 
 // HasSession implements network.SessionChecker.
-func (h *HRR) HasSession(id int) bool { return h.sessions[id] != nil }
+func (h *HRR) HasSession(id int) bool { return h.sessions.Get(id) != nil }
 
 // RemoveSession implements network.SessionRemover.
 func (h *HRR) RemoveSession(id int) {
-	if s := h.sessions[id]; s != nil && s.q.Len() > 0 {
+	if s := h.sessions.Get(id); s != nil && s.q.Len() > 0 {
 		panic("sched: HRR.RemoveSession with queued packets")
 	}
 	h.PurgeSession(id, nil)
@@ -179,12 +178,12 @@ func (h *HRR) RemoveSession(id int) {
 // drained in order and its round-robin slot removed without disturbing
 // the cursor position of the survivors.
 func (h *HRR) PurgeSession(id int, drop func(*packet.Packet)) {
-	s := h.sessions[id]
+	s := h.sessions.Get(id)
 	if s == nil {
 		return
 	}
 	s.q.Purge(id, drop)
-	delete(h.sessions, id)
+	h.sessions.Delete(id)
 	for i, oid := range h.order {
 		if oid != id {
 			continue

@@ -8,7 +8,7 @@ import (
 )
 
 // keyed is the skeleton of a work-conserving sorted-priority
-// discipline: a dense per-session table, one pq.Heap of packets keyed
+// discipline: a per-session table, one pq.Heap of packets keyed
 // by whatever the discipline's Enqueue computes, and the arrival stamp
 // that breaks key ties. Embedding it supplies everything of
 // network.Discipline, SessionRemover, SessionChecker and SessionPurger
@@ -23,8 +23,8 @@ import (
 // except through the dropped packets themselves.
 type keyed[S any] struct {
 	noHold
-	// sessions is a dense ID-indexed table; the per-packet lookup in
-	// Enqueue is a bounds check and an indexed load, not a map probe.
+	// sessions is an ID-indexed table; the per-packet lookup in Enqueue
+	// is indexed loads, not a map probe.
 	sessions sesstab.Table[S]
 	ready    pq.Heap
 	stamp    uint64

@@ -6,6 +6,7 @@ import (
 	"leaveintime/internal/network"
 	"leaveintime/internal/packet"
 	"leaveintime/internal/pq"
+	"leaveintime/internal/sesstab"
 )
 
 // RCSP is Zhang & Ferrari's Rate-Controlled Static-Priority queueing
@@ -25,7 +26,7 @@ import (
 // sessions declare their level) ensures each level's bound holds.
 type RCSP struct {
 	levels   int
-	sessions map[int]*rcspState
+	sessions sesstab.Table[rcspState]
 	queues   []pq.FIFO
 	// held packets ordered by eligibility.
 	regulator pq.Heap
@@ -46,9 +47,8 @@ func NewRCSP(levels int) *RCSP {
 		panic("sched: RCSP needs at least one priority level")
 	}
 	return &RCSP{
-		levels:   levels,
-		sessions: make(map[int]*rcspState),
-		queues:   make([]pq.FIFO, levels),
+		levels: levels,
+		queues: make([]pq.FIFO, levels),
 	}
 }
 
@@ -60,7 +60,7 @@ func (r *RCSP) AddSessionLevel(cfg network.SessionPort, level int) {
 	if level < 1 || level > r.levels {
 		panic(fmt.Sprintf("sched: RCSP level %d out of range 1..%d", level, r.levels))
 	}
-	r.sessions[cfg.Session] = &rcspState{cfg: cfg, level: level}
+	r.sessions.Put(cfg.Session, rcspState{cfg: cfg, level: level})
 }
 
 // AddSession implements network.Discipline; sessions registered this
@@ -72,8 +72,8 @@ func (r *RCSP) AddSession(cfg network.SessionPort) {
 
 // Enqueue implements network.Discipline.
 func (r *RCSP) Enqueue(p *packet.Packet, now float64) {
-	s, ok := r.sessions[p.Session]
-	if !ok {
+	s := r.sessions.Get(p.Session)
+	if s == nil {
 		panic(fmt.Sprintf("sched: RCSP packet for unregistered session %d", p.Session))
 	}
 	// Jitter-controlling RCSP holds the packet for the slack carried
@@ -123,7 +123,7 @@ func (r *RCSP) release(now float64) {
 		if !ok {
 			return
 		}
-		r.queues[r.sessions[e.P.Session].level-1].Push(e.P)
+		r.queues[r.sessions.Get(e.P.Session).level-1].Push(e.P)
 	}
 }
 
@@ -131,7 +131,7 @@ func (r *RCSP) release(now float64) {
 // variant carries the slack to the next node's regulator like
 // Jitter-EDD; sessions opt in via JitterControl.
 func (r *RCSP) OnTransmit(p *packet.Packet, finish float64) {
-	s := r.sessions[p.Session]
+	s := r.sessions.Get(p.Session)
 	if s != nil && s.cfg.JitterControl {
 		p.Hold = p.Deadline - finish
 		if p.Hold < 0 {
@@ -152,10 +152,10 @@ func (r *RCSP) Len() int {
 }
 
 // HasSession implements network.SessionChecker.
-func (r *RCSP) HasSession(id int) bool { return r.sessions[id] != nil }
+func (r *RCSP) HasSession(id int) bool { return r.sessions.Get(id) != nil }
 
 // RemoveSession implements network.SessionRemover.
-func (r *RCSP) RemoveSession(id int) { delete(r.sessions, id) }
+func (r *RCSP) RemoveSession(id int) { r.sessions.Delete(id) }
 
 // PurgeSession implements network.SessionPurger: the rate-controller
 // regulator and every static-priority FIFO are swept.
@@ -164,5 +164,5 @@ func (r *RCSP) PurgeSession(id int, drop func(*packet.Packet)) {
 	for i := range r.queues {
 		r.queues[i].Purge(id, drop)
 	}
-	delete(r.sessions, id)
+	r.sessions.Delete(id)
 }

@@ -182,7 +182,7 @@ func TestHRRMultiLevel(t *testing.T) {
 func TestHRRAutoPlacement(t *testing.T) {
 	h := NewHRR(100, 0.5)
 	h.AddSession(network.SessionPort{Session: 1, Rate: 450})
-	s := h.sessions[1]
+	s := h.sessions.Get(1)
 	// 450 bit/s * 0.5 s / 100 bits = 2.25 -> 3 slots.
 	if s.slots != 3 || s.level != 1 {
 		t.Errorf("auto placement: level %d slots %d", s.level, s.slots)

@@ -335,3 +335,31 @@ func TestStopAndGoPanicsOnBadFrame(t *testing.T) {
 	}()
 	NewStopAndGo(0)
 }
+
+// TestWFQPurgedTagsStayStale: a purged session's GPS tags are still in
+// the backlog heap when its id is admitted again, into the same table
+// slot. They must not pass for the new tenant's tags, however the new
+// tags compare with them.
+func TestWFQPurgedTagsStayStale(t *testing.T) {
+	w := NewWFQ(1000)
+	w.AddSession(network.SessionPort{Session: 1, Rate: 100})
+	w.AddSession(network.SessionPort{Session: 2, Rate: 100})
+	for seq := int64(1); seq <= 3; seq++ {
+		w.Enqueue(pkt(1, seq, 100), 0) // tags 1, 2, 3
+	}
+	w.Enqueue(pkt(2, 1, 100), 0)
+	w.PurgeSession(1, func(*packet.Packet) {})
+	w.AddSession(network.SessionPort{Session: 1, Rate: 100})
+	w.Enqueue(pkt(1, 4, 1000), 0) // tag 10, past every old one
+	live := 0
+	for {
+		if _, ok := w.peekBacklog(); !ok {
+			break
+		}
+		live++
+		w.backlog.popMin()
+	}
+	if live != 2 {
+		t.Fatalf("%d live backlog tags, want session 2's and the re-admitted session 1's", live)
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"leaveintime/internal/network"
 	"leaveintime/internal/packet"
 	"leaveintime/internal/pq"
+	"leaveintime/internal/sesstab"
 )
 
 // WFQ is Weighted Fair Queueing (Demers, Keshav & Shenker, SIGCOMM
@@ -30,10 +31,13 @@ type WFQ struct {
 	// C is the link capacity in bits/s, needed to advance virtual time.
 	C float64
 
-	// sessions is a map of pointers, not a sesstab.Table: backlog
-	// entries hold *wfqState, which must stay put as sessions come and
-	// go.
-	sessions map[int]*wfqState
+	// sessions holds the states by value; backlog entries point into it
+	// (a slot stays put until its id is removed).
+	sessions sesstab.Table[wfqState]
+	// admitted counts AddSession calls: the epoch that tells a slot's
+	// present tenant from a purged one whose backlog tags are still
+	// queued.
+	admitted uint64
 	ready    pq.Heap
 	stamp    uint64
 
@@ -44,7 +48,7 @@ type WFQ struct {
 }
 
 type wfqState struct {
-	id     int
+	epoch  uint64 // nonzero; see WFQ.admitted
 	weight float64
 	fPrev  float64 // last assigned virtual finish tag
 	inB    bool    // GPS-backlogged
@@ -55,7 +59,7 @@ func NewWFQ(capacity float64) *WFQ {
 	if capacity <= 0 {
 		panic("sched: WFQ needs positive capacity")
 	}
-	return &WFQ{C: capacity, sessions: make(map[int]*wfqState)}
+	return &WFQ{C: capacity}
 }
 
 // AddSession implements network.Discipline; the session weight is its
@@ -64,7 +68,8 @@ func (w *WFQ) AddSession(cfg network.SessionPort) {
 	if cfg.Rate <= 0 {
 		panic(fmt.Sprintf("sched: WFQ session %d needs positive rate", cfg.Session))
 	}
-	w.sessions[cfg.Session] = &wfqState{id: cfg.Session, weight: cfg.Rate}
+	w.admitted++
+	w.sessions.Put(cfg.Session, wfqState{epoch: w.admitted, weight: cfg.Rate})
 }
 
 // Enqueue implements network.Discipline.
@@ -78,8 +83,8 @@ func (w *WFQ) Enqueue(p *packet.Packet, now float64) {
 // returns its GPS virtual start and finish tags; the finish tag is also
 // the packet's Deadline (virtual units; ordering is what matters).
 func (w *WFQ) tag(p *packet.Packet, now float64) (start, fin float64) {
-	s, ok := w.sessions[p.Session]
-	if !ok {
+	s := w.sessions.Get(p.Session)
+	if s == nil {
 		panic(fmt.Sprintf("sched: WFQ packet for unregistered session %d", p.Session))
 	}
 	w.advance(now)
@@ -93,7 +98,7 @@ func (w *WFQ) tag(p *packet.Packet, now float64) (start, fin float64) {
 		s.inB = true
 		w.weightSum += s.weight
 	}
-	w.backlog.push(tagEntry{tag: fin, s: s})
+	w.backlog.push(tagEntry{tag: fin, s: s, epoch: s.epoch})
 	p.Eligible = now
 	p.Deadline = fin
 	return start, fin
@@ -143,7 +148,7 @@ func (w *WFQ) peekBacklog() (tagEntry, bool) {
 		if !ok {
 			return tagEntry{}, false
 		}
-		if e.s.inB && e.tag <= e.s.fPrev {
+		if e.s.epoch == e.epoch && e.s.inB && e.tag <= e.s.fPrev {
 			return e, true
 		}
 		w.backlog.popMin()
@@ -164,34 +169,34 @@ func (w *WFQ) NextEligible(now float64) (float64, bool) { return 0, false }
 func (w *WFQ) Len() int { return w.ready.Len() }
 
 // HasSession implements network.SessionChecker.
-func (w *WFQ) HasSession(id int) bool { return w.sessions[id] != nil }
+func (w *WFQ) HasSession(id int) bool { return w.sessions.Get(id) != nil }
 
 // RemoveSession implements network.SessionRemover. The session must be
 // drained (not GPS-backlogged).
 func (w *WFQ) RemoveSession(id int) {
-	if s := w.sessions[id]; s != nil && s.inB {
+	if s := w.sessions.Get(id); s != nil && s.inB {
 		panic("sched: WFQ.RemoveSession while session is backlogged")
 	}
-	delete(w.sessions, id)
+	w.sessions.Delete(id)
 }
 
 // PurgeSession implements network.SessionPurger. Beyond the packet
 // queue, the session must also leave the GPS fluid system: its weight
 // comes out of the backlogged weight sum so virtual time advances at
 // the correct rate for the survivors. Its backlog tags become stale
-// and are discarded lazily by peekBacklog (inB is false, and a
-// re-admitted session gets a fresh state struct, so old tags can never
-// match it).
+// and are discarded lazily by peekBacklog: they point at a slot that is
+// zeroed until the table hands it to a later admission, whose epoch
+// differs, so old tags can never match it.
 func (w *WFQ) PurgeSession(id int, drop func(*packet.Packet)) {
 	w.ready.Purge(id, drop)
 	w.leaveGPS(id)
 }
 
 func (w *WFQ) leaveGPS(id int) {
-	if s := w.sessions[id]; s != nil && s.inB {
+	if s := w.sessions.Get(id); s != nil && s.inB {
 		w.unbacklog(s)
 	}
-	delete(w.sessions, id)
+	w.sessions.Delete(id)
 }
 
 // unbacklog takes a session out of the GPS backlog.
@@ -206,8 +211,9 @@ func (w *WFQ) unbacklog(s *wfqState) {
 // tagEntry pairs a GPS finish tag with its session for the backlog
 // heap.
 type tagEntry struct {
-	tag float64
-	s   *wfqState
+	tag   float64
+	s     *wfqState
+	epoch uint64
 }
 
 // tagHeap is a hand-rolled min-heap ordered by tag (no boxing through

@@ -1,91 +1,176 @@
-// Package sesstab provides a dense, index-addressed per-session state
-// table: the data-oriented replacement for the map[int]*state pattern
-// on the per-packet hot path.
+// Package sesstab provides an index-addressed per-session state table:
+// the data-oriented replacement for the map[int]*state pattern on the
+// per-packet hot path, with a footprint that follows the sessions
+// present and not the ids ever issued.
 //
 // Session IDs in this repository are small sequential integers (the
-// System allocates them in admission order; simcheck and the tests
-// follow the same convention), so per-session state can live in a flat
-// slice indexed by ID instead of behind a hash lookup and a pointer
-// chase. A Get is then a bounds check plus an indexed load into a
-// contiguous array — branch-predictable, prefetch-friendly, and
-// allocation-free — where the map costs a hash, a bucket walk, and a
-// cache miss on the separately-allocated state struct.
+// System allocates them in admission order and never reuses one;
+// simcheck and the tests follow the same convention), so the live ids
+// of a switch under call churn are a window that slides upwards, plus
+// the occasional long-lived call left far behind it. The table is a
+// three-level radix of fan-out 16 over the id: a directory of chunks, a
+// chunk of 16 page pointers and their occupancy words, a page of 16
+// slots. A Get is three indexed loads and a bit test — branch-
+// predictable, allocation-free, inlined into the discipline — where the
+// map costs a hash, a bucket walk, and a cache miss on the separately-
+// allocated state struct. A page is freed when its last id is deleted,
+// a chunk when its last page is, and the directory is trimmed to the
+// chunks between the smallest and the largest live id, so standing
+// state costs one slot per live id, rounded up to pages, plus eight
+// bytes per 256 ids of span; a straggler pins its page and chunk, not
+// the span above it.
 //
-// The table stores states by value. Pointers returned by Get and Put
-// are valid until the next Put (which may grow the backing array);
-// callers on the hot path look the state up once per packet and never
-// retain the pointer across insertions, matching how the disciplines
-// already used their maps.
+// The table stores states by value, in pages that never move: a pointer
+// returned by Get or Put stays valid, and keeps addressing that id's
+// state, until the id is deleted.
 package sesstab
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
-// Table is a dense per-session state table. The zero value is an empty
-// table ready for use.
+const (
+	pageBits  = 4
+	pageSize  = 1 << pageBits
+	pageMask  = pageSize - 1
+	chunkBits = 4
+	chunkSize = 1 << chunkBits
+	chunkMask = chunkSize - 1
+)
+
+// chunk covers 16 consecutive pages (256 ids). A page is the array of
+// 16 consecutive ids' states, nil when none of them is present; occ[j]
+// has bit k set when slot k of page j is. The occupancy words sit here
+// and not in the pages, so a lookup reads the word and the page pointer
+// from the chunk and touches the page only for a state that is there.
+type chunk[T any] struct {
+	occ   [chunkSize]uint16
+	pages [chunkSize]*[pageSize]T
+}
+
+// Table is a per-session state table. The zero value is an empty table
+// ready for use.
 type Table[T any] struct {
-	slots []T
-	ok    []bool
-	n     int
+	// dir[i] is the chunk numbered base+i, nil when it would hold no
+	// page. Its first and last entries are never nil.
+	dir  []*chunk[T]
+	base int
+	n    int
+	// spare is one emptied page kept for the next page needed, so a
+	// single id put and deleted across a page boundary does not allocate
+	// a page each time.
+	spare *[pageSize]T
 }
 
 // Get returns the state for id, or nil when absent. It never allocates.
 func (t *Table[T]) Get(id int) *T {
-	if uint(id) < uint(len(t.ok)) && t.ok[id] {
-		return &t.slots[id]
+	if i := id>>(pageBits+chunkBits) - t.base; uint(i) < uint(len(t.dir)) {
+		if c, j := t.dir[i], id>>pageBits&chunkMask; c != nil && c.occ[j]&(1<<(id&pageMask)) != 0 {
+			return &c.pages[j][id&pageMask]
+		}
 	}
 	return nil
 }
 
 // Put inserts (or replaces) the state for id and returns its slot.
-// IDs must be nonnegative; the table grows to cover the largest ID
-// ever inserted.
+// IDs must be nonnegative.
 func (t *Table[T]) Put(id int, v T) *T {
 	if id < 0 {
 		panic(fmt.Sprintf("sesstab: negative session id %d", id))
 	}
-	if id >= len(t.ok) {
-		t.grow(id + 1)
+	c, j := t.chunkFor(id>>(pageBits+chunkBits)), id>>pageBits&chunkMask
+	if c.pages[j] == nil {
+		if t.spare != nil {
+			c.pages[j], t.spare = t.spare, nil
+		} else {
+			c.pages[j] = new([pageSize]T)
+		}
 	}
-	if !t.ok[id] {
-		t.ok[id] = true
+	if bit := uint16(1) << (id & pageMask); c.occ[j]&bit == 0 {
+		c.occ[j] |= bit
 		t.n++
 	}
-	t.slots[id] = v
-	return &t.slots[id]
+	s := &c.pages[j][id&pageMask]
+	*s = v
+	return s
 }
 
-func (t *Table[T]) grow(n int) {
-	if n < 2*len(t.ok) {
-		n = 2 * len(t.ok)
+// chunkFor returns the chunk numbered cn, stretching the directory to
+// it and allocating the chunk when it has none.
+func (t *Table[T]) chunkFor(cn int) *chunk[T] {
+	switch {
+	case len(t.dir) == 0:
+		t.base = cn
+		t.dir = append(t.dir, nil)
+	case cn < t.base:
+		// Ids mostly arrive in increasing order, so a step down is rare
+		// enough to pay for a copy.
+		dir := make([]*chunk[T], t.base-cn+len(t.dir))
+		copy(dir[t.base-cn:], t.dir)
+		t.dir, t.base = dir, cn
+	default:
+		for cn >= t.base+len(t.dir) {
+			t.dir = append(t.dir, nil)
+		}
 	}
-	slots := make([]T, n)
-	ok := make([]bool, n)
-	copy(slots, t.slots)
-	copy(ok, t.ok)
-	t.slots, t.ok = slots, ok
+	c := t.dir[cn-t.base]
+	if c == nil {
+		c = new(chunk[T])
+		t.dir[cn-t.base] = c
+	}
+	return c
 }
 
 // Delete removes the state for id, zeroing its slot so freed state does
 // not pin memory. Deleting an absent id is a no-op.
 func (t *Table[T]) Delete(id int) {
-	if uint(id) >= uint(len(t.ok)) || !t.ok[id] {
+	s := t.Get(id)
+	if s == nil {
 		return
 	}
 	var zero T
-	t.slots[id] = zero
-	t.ok[id] = false
+	*s = zero
 	t.n--
+	i, j := id>>(pageBits+chunkBits)-t.base, id>>pageBits&chunkMask
+	c := t.dir[i]
+	if c.occ[j] &^= 1 << (id & pageMask); c.occ[j] != 0 {
+		return
+	}
+	t.spare, c.pages[j] = c.pages[j], nil
+	if c.occ != [chunkSize]uint16{} {
+		return
+	}
+	t.dir[i] = nil
+	// Trim to the live span. The dropped head of the array is reclaimed
+	// at the next append that outgrows it, which copies the span alone.
+	lo, hi := 0, len(t.dir)
+	for lo < hi && t.dir[lo] == nil {
+		lo++
+	}
+	for hi > lo && t.dir[hi-1] == nil {
+		hi--
+	}
+	t.dir, t.base = t.dir[lo:hi], t.base+lo
 }
 
 // Len returns the number of sessions present.
 func (t *Table[T]) Len() int { return t.n }
 
 // Range calls f for every present session in increasing ID order —
-// a deterministic iteration order, unlike a map's.
+// a deterministic iteration order, unlike a map's. f must not Put or
+// Delete.
 func (t *Table[T]) Range(f func(id int, v *T)) {
-	for id := range t.ok {
-		if t.ok[id] {
-			f(id, &t.slots[id])
+	for i, c := range t.dir {
+		if c == nil {
+			continue
+		}
+		for j, occ := range c.occ {
+			first := ((t.base+i)<<chunkBits | j) << pageBits
+			for ; occ != 0; occ &= occ - 1 {
+				k := bits.TrailingZeros16(occ)
+				f(first|k, &c.pages[j][k])
+			}
 		}
 	}
 }

@@ -135,9 +135,12 @@ type System struct {
 
 	servers []*Server
 	byPort  map[*network.Port]*Server
-	// path is Connect's scratch: the route as admission.Establish takes
-	// it, rebuilt per call so a Connect allocates nothing for it.
+	// path and cfgs are Connect's scratch: the route as
+	// admission.Establish takes it and the per-hop grant as
+	// Network.AddSession copies it into each discipline, rebuilt per
+	// call so a Connect allocates nothing for them.
 	path    []admission.Link
+	cfgs    []network.SessionPort
 	nextID  int
 	metrics *metrics.Registry
 }
@@ -297,13 +300,13 @@ func (s *System) Connect(req ConnectRequest) (*network.Session, *Bounds, error) 
 		return nil, nil, fmt.Errorf("lit: %w", err)
 	}
 
-	ports := make([]*network.Port, len(req.Route))
-	cfgs := make([]network.SessionPort, len(req.Route))
+	ports := make([]*network.Port, len(req.Route)) // kept: it becomes Session.Route
+	s.cfgs = s.cfgs[:0]
 	for i, srv := range req.Route {
 		ports[i] = srv.Port
-		cfgs[i] = network.SessionPort{D: b.Assignments[i].D, DMax: b.Assignments[i].DMax}
+		s.cfgs = append(s.cfgs, network.SessionPort{D: b.Assignments[i].D, DMax: b.Assignments[i].DMax})
 	}
-	sess := s.Net.AddSession(areq.Spec.ID, req.Rate, req.JitterControl, ports, cfgs, req.Source)
+	sess := s.Net.AddSession(areq.Spec.ID, req.Rate, req.JitterControl, ports, s.cfgs, req.Source)
 	return sess, b, nil
 }
 
