@@ -414,7 +414,10 @@ func (p *ClassController) TotalRate() float64 { return p.sums[len(p.sums)-1].rat
 // 2.3/2.3a.
 func affineAssignment(spec SessionSpec, rCoeff, sigma, c float64, class int, opts Options) Assignment {
 	if opts.PerPacket {
-		d := func(l float64) float64 { return l*rCoeff/(spec.Rate*c) + sigma + opts.Eps }
+		// The closure lives as long as the session: it captures four
+		// floats, not spec and opts whole.
+		den, eps := spec.Rate*c, opts.Eps
+		d := func(l float64) float64 { return l*rCoeff/den + sigma + eps }
 		return Assignment{
 			D:     d,
 			DMax:  d(spec.LMax),

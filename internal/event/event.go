@@ -1,44 +1,51 @@
 // Package event implements the deterministic discrete-event simulation
 // engine underneath every experiment in this repository.
 //
-// The engine is a single-threaded event loop over a 4-ary min-heap of
-// timestamped events. Ties in time are broken by scheduling order
-// (a monotonically increasing sequence number), which makes every run
-// bit-reproducible: the same inputs always produce the same event
+// The engine is a single-threaded event loop over a tournament (winner)
+// tree of timestamped events. Ties in time are broken by scheduling
+// order (a monotonically increasing sequence number), which makes every
+// run bit-reproducible: the same inputs always produce the same event
 // interleaving, independent of map iteration order or goroutine
 // scheduling.
 //
 // # Performance model
 //
 // The engine is allocation-free in steady state. Event structs come
-// from a per-simulator free list and return to it when they fire or
-// when their cancellation is collected, so a long run recycles a small
-// working set of structs instead of allocating one per occurrence.
-// Cancellation is lazy: Cancel only marks the event and drops its
-// handler; the struct stays in the heap until it surfaces at the root
-// and is skipped. That keeps Cancel O(1) and avoids the sift-down of a
-// mid-heap removal.
+// from a per-simulator free list and return to it when they fire or are
+// canceled, so a long run recycles a small working set of structs
+// instead of allocating one per occurrence.
 //
-// The heap holds one node per event source, not per occurrence. The
-// sources of a packet run re-arm themselves from inside their own
-// handler — a port's transmission finish schedules the next finish, a
-// traffic source its next emission, a link its next delivery — so the
-// node of the event that is firing stays at the root while its handler
-// runs (the hold) and the handler's first Schedule overwrites it in
-// place and sifts it down once. A near-future re-arm settles a level or
-// two below the root, where removing the root first would have paid a
-// full-depth sift-down of the heap's last node and then a sift-up of
-// the new one. A handler that schedules nothing has its node removed
-// when it returns; anything that reads the root in between (NextTime, a
-// nested Step) removes it first.
+// The pending events sit in slots, one per event source rather than per
+// occurrence: the sources of a packet run re-arm themselves from inside
+// their own handler — a port's transmission finish schedules the next
+// finish, a traffic source its next emission, a link its next delivery
+// — so the event that is firing keeps its slot while its handler runs
+// (the hold) and the handler's first Schedule re-arms that slot in
+// place. A fixed population of sources that each re-arm themselves is a
+// k-way merge, and the slots are ordered by the structure for one: a
+// complete binary tree whose leaves are the slots and whose every inner
+// node names the slot that wins (fires first in) its subtree, the root
+// naming the next event. Changing one slot replays the matches on its
+// path to the root: a walk of known length, log2 of the slot count, in
+// which each level compares the running winner with the other child's
+// recorded winner and selects without a branch (see replay) — where a
+// heap's sift picks among children and stops at a level the CPU cannot
+// predict. A handler that schedules nothing has its slot emptied when
+// it returns; anything that reads the root in between (NextTime, a
+// nested Step) empties it first.
 //
-// Nodes are 16 bytes: the fire time inline and the Event pointer. A
-// sift comparison reads the Event (for the schedule time and tie it
-// already stores) only when two fire times are equal, and the least of
-// four children with distinct times is found without a branch (see
-// siftDown). Nodes carry no position write-back into the Event structs
-// (lazy cancellation never needs an event's heap index). The heap is
-// 4-ary, which halves the tree depth of a binary heap.
+// The tree is three parallel arrays — the fire times as integer keys,
+// the Event pointers, the winners as 32-bit slot indices — so a replay
+// reads and writes integers only and touches an Event (for the schedule
+// time and tie it already stores) only when two fire times are equal.
+// A re-arm that fires before every other pending event, the common case
+// on a sparse run, is recognised from a bound kept on the other keys
+// and replays nothing (see Simulator.second). The arrays double when
+// every slot is taken and never shrink.
+//
+// Cancel is eager: it empties the event's slot, replays that path and
+// recycles the struct, so a canceled wake-up does not occupy the set
+// until its fire time and the slot count follows the events pending.
 //
 // # Ordering key
 //
@@ -58,6 +65,7 @@ package event
 
 import (
 	"math"
+	"math/bits"
 	"time"
 
 	"leaveintime/internal/metrics"
@@ -66,11 +74,10 @@ import (
 // Handler is the action executed when an event fires.
 type Handler func()
 
-// Event states. A pooled Event cycles pending -> (canceled ->) free.
+// Event states. A pooled Event cycles pending -> free.
 const (
-	stateFree     uint8 = iota // in the free list, or fired
-	statePending               // scheduled, will fire
-	stateCanceled              // still in the heap, skipped on pop
+	stateFree    uint8 = iota // in the free list: fired or canceled
+	statePending              // scheduled, will fire
 )
 
 // poolChunk is how many Event structs one free-list refill allocates.
@@ -79,56 +86,74 @@ const poolChunk = 64
 // Event is a scheduled occurrence in simulated time. Events are created
 // by Simulator.Schedule and may be canceled before they fire.
 //
-// Event structs are pooled: once an event has fired, the simulator may
-// reuse its struct for a later Schedule call. Canceling an event after
-// it has fired is a no-op only until its struct is reused — do not
-// retain an *Event past the firing of its handler (clear the reference
-// inside the handler, as a wake-up timer naturally does).
+// Event structs are pooled: once an event has fired or Cancel has
+// returned, the simulator may reuse its struct for a later Schedule
+// call. Canceling an event after either is a no-op only until its
+// struct is reused — do not retain an *Event past the firing of its
+// handler or its Cancel (clear the reference inside the handler, as a
+// wake-up timer naturally does, and on the line after Cancel).
 type Event struct {
 	time  float64
 	sched float64
 	tie   uint64
 	fn    Handler
 	state uint8
+	slot  int32 // index into Simulator.keys/evs while pending
 }
 
 // Time returns the simulated time at which the event fires (or would
 // have fired, if canceled).
 func (e *Event) Time() float64 { return e.time }
 
-// evNode is one heap slot: the fire time inline plus the event it
-// stands for, whose schedule time and tie are read only to order two
-// nodes that fire at the same instant. The time is held as its IEEE bit
-// pattern, which orders as an unsigned integer because no fire time is
-// negative (the clock starts at 0 and Schedule refuses the past) once
-// -0 is folded into +0 (nodeKey); integer compares are what siftDown's
-// tournament needs to stay free of branches.
-type evNode struct {
-	key uint64
-	e   *Event
-}
+// A slot's key is its event's fire time as an IEEE bit pattern, which
+// orders as an unsigned integer because no fire time is negative (the
+// clock starts at 0 and Schedule refuses the past) once -0 is folded
+// into +0; integer compares are what replay's select needs to stay free
+// of branches. An empty slot holds freeKey, which is above the bits of
+// +Inf, so an event at +Inf still orders before it.
+const freeKey = ^uint64(0)
 
 func nodeKey(t float64) uint64 { return math.Float64bits(t + 0) }
+
+// minSlots is the slot count of the first growth.
+const minSlots = 8
 
 // Simulator is a discrete-event simulator. The zero value is ready to
 // use and starts at time 0.
 type Simulator struct {
-	now  float64
-	seq  uint64
-	heap []evNode // 4-ary min-heap ordered by (time, sched, tie)
-	// held marks heap[0] as the node of an event that has already fired
-	// and whose handler may still be running: the next push overwrites
-	// it, and whatever reads the root first removes it (settle).
+	now float64
+	seq uint64
+
+	// The event set: a winner tree over event slots. keys[i] and evs[i]
+	// are slot i's fire-time key and event (freeKey and nil when empty);
+	// len(keys) is a power of two. win has twice that length: win[n] is
+	// the slot whose event fires first, by (time, sched, tie), among the
+	// leaves under node n, where node n's children are 2n and 2n+1 and
+	// leaf len(keys)+i is slot i itself. win[1] is the next event.
+	keys []uint64
+	evs  []*Event
+	win  []int32
+	idle []int32 // the empty slots, a stack
+	// second is a lower bound on the key of every slot but win[1]: a
+	// re-arm of win[1] below it is still the next event and leaves the
+	// tree as it is. A replay that its own slot wins has seen the winner
+	// of every other subtree and sets the bound exactly; any other can
+	// only have added its own key to the losers.
+	second uint64
+	// held marks win[1] as the slot of an event that has already fired
+	// and whose handler may still be running: the next push re-arms it
+	// in place, and whatever reads the root first empties it (settle).
+	// Nothing else enters the tree while it is set, so it stays win[1].
 	held    bool
 	free    []*Event // recycled Event structs
-	pending int      // scheduled and not canceled
+	pending int      // scheduled and neither fired nor canceled
 	stopped bool
 
 	// m, when non-nil, receives engine counters through the fixed
 	// HEngine* handles (one branch per schedule/cancel/fire; see
-	// internal/metrics). heapHW shadows the published heap high-water
-	// so the steady state (heap at or below a seen size) costs one
-	// integer compare instead of an arena access per schedule.
+	// internal/metrics). heapHW shadows the published slot high-water
+	// so the steady state (slots in use at or below a seen count) costs
+	// one integer compare instead of an arena access per schedule.
 	m      *metrics.Arena
 	heapHW int
 
@@ -163,7 +188,7 @@ func (s *Simulator) NextTime() (float64, bool) {
 	if !s.settle() {
 		return 0, false
 	}
-	return s.heap[0].e.time, true
+	return s.evs[s.win[1]].time, true
 }
 
 // Schedule registers fn to run at absolute time t. Scheduling in the
@@ -207,17 +232,30 @@ func (s *Simulator) push(t, sched float64, tie uint64, fn Handler) *Event {
 	e.state = statePending
 	s.seq++
 	s.pending++
-	if s.held {
+	key := nodeKey(t)
+	var slot int32
+	rearm := s.held
+	if rearm {
 		s.held = false
-		s.heap[0] = evNode{key: nodeKey(t), e: e}
-		s.siftDown(0)
+		slot = s.win[1]
 	} else {
-		s.heap = append(s.heap, evNode{key: nodeKey(t), e: e})
-		s.siftUp(len(s.heap) - 1)
+		if len(s.idle) == 0 {
+			s.grow()
+		}
+		last := len(s.idle) - 1
+		slot = s.idle[last]
+		s.idle = s.idle[:last]
+	}
+	e.slot = slot
+	s.keys[slot], s.evs[slot] = key, e
+	// A re-arm below every other key is still the next event: every
+	// match on its path stands as recorded.
+	if !rearm || key >= s.second {
+		s.replay(slot)
 	}
 	if s.m != nil {
 		s.m.Inc(metrics.HEngineScheduled)
-		if n := len(s.heap); n > s.heapHW {
+		if n := len(s.keys) - len(s.idle); n > s.heapHW {
 			s.heapHW = n
 			s.m.MaxUint(metrics.HEngineHeapHighWater, uint64(n))
 		}
@@ -230,16 +268,19 @@ func (s *Simulator) After(d float64, fn Handler) *Event {
 	return s.Schedule(s.now+d, fn)
 }
 
-// Cancel prevents e from firing. Canceling an already-fired or
-// already-canceled event is a no-op. Cancellation is lazy: the event
-// stays in the heap (its handler already released) and is discarded
-// when it reaches the root.
+// Cancel prevents e from firing and takes it out of the event set at
+// once. When Cancel returns e is dead, exactly as once it has fired:
+// its struct may be handed out by the next Schedule, so the caller
+// drops its pointer (the three callers in internal/network,
+// Port.maybeStart, Session.Start and Session.Stop, nil theirs on the
+// next line). Canceling an already-fired or already-canceled event
+// whose struct has not been reused is a no-op.
 func (s *Simulator) Cancel(e *Event) {
 	if e == nil || e.state != statePending {
 		return
 	}
-	e.state = stateCanceled
-	e.fn = nil // release the closure now, not at pop time
+	s.vacate(e.slot)
+	s.recycle(e)
 	s.pending--
 	if s.m != nil {
 		s.m.Inc(metrics.HEngineCanceled)
@@ -252,12 +293,12 @@ func (s *Simulator) Step() bool { return s.step(math.Inf(1)) }
 
 // step fires the earliest pending event if it is due at or before
 // limit; it is the one loop body under Step and the Run family. The
-// fired node stays at the root, held, while the handler runs.
+// fired event keeps its slot, held, while the handler runs.
 func (s *Simulator) step(limit float64) bool {
 	if s.wdTripped != "" || !s.settle() {
 		return false
 	}
-	e := s.heap[0].e
+	e := s.evs[s.win[1]]
 	if e.time > limit {
 		return false
 	}
@@ -282,28 +323,19 @@ func (s *Simulator) step(limit float64) bool {
 	return true
 }
 
-// dropHeld removes the held node, if no push has taken its place.
+// dropHeld empties the held slot, if no push has re-armed it.
 func (s *Simulator) dropHeld() {
 	if s.held {
 		s.held = false
-		s.heapPop()
+		s.vacate(s.win[1])
 	}
 }
 
-// settle clears dead nodes off the root — the held node of a fired
-// event, then canceled events — and reports whether a pending event is
-// left there.
+// settle empties the held slot of a fired event and reports whether a
+// pending event is left at the root.
 func (s *Simulator) settle() bool {
 	s.dropHeld()
-	for len(s.heap) > 0 {
-		e := s.heap[0].e
-		if e.state != stateCanceled {
-			return true
-		}
-		s.heapPop()
-		s.recycle(e)
-	}
-	return false
+	return s.pending > 0
 }
 
 // run fires events due at or before limit until none is left, Stop is
@@ -328,7 +360,7 @@ func (s *Simulator) Run(until float64) { s.run(until, until) }
 // conservative-window primitive of sharded execution: a shard runs
 // its local events up to (but excluding) the window boundary, so
 // cross-shard injections scheduled exactly at the boundary are merged
-// into the heap before any local event at that instant fires.
+// into the event set before any local event at that instant fires.
 func (s *Simulator) RunBefore(until float64) {
 	s.run(math.Nextafter(until, math.Inf(-1)), until)
 }
@@ -363,17 +395,10 @@ func (s *Simulator) recycle(e *Event) {
 	s.free = append(s.free, e)
 }
 
-// nodeLess orders heap nodes by (fire time, schedule time, tie):
-// earlier first, ties in scheduling order — the engine's determinism
-// contract, extended so stamped cross-shard events merge at a
-// partition-independent position (see the package comment).
-func nodeLess(a, b evNode) bool {
-	if a.key != b.key {
-		return a.key < b.key
-	}
-	return tieLess(a.e, b.e)
-}
-
+// tieLess orders two events of one fire time by (schedule time, tie):
+// scheduling order — the engine's determinism contract, extended so
+// stamped cross-shard events merge at a partition-independent position
+// (see the package comment).
 func tieLess(a, b *Event) bool {
 	if a.sched != b.sched {
 		return a.sched < b.sched
@@ -381,88 +406,87 @@ func tieLess(a, b *Event) bool {
 	return a.tie < b.tie
 }
 
-// heapPop removes the root.
-func (s *Simulator) heapPop() {
-	h := s.heap
-	last := len(h) - 1
-	n := h[last]
-	h[last] = evNode{}
-	s.heap = h[:last]
-	if last > 0 {
-		s.heap[0] = n
-		s.siftDown(0)
+// beats reports whether slot a wins a match against slot b: the earlier
+// by (fire time, schedule time, tie), an empty slot losing to
+// everything.
+func (s *Simulator) beats(a, b int32) bool {
+	ka, kb := s.keys[a], s.keys[b]
+	if ka != kb {
+		return ka < kb
 	}
+	return ka != freeKey && tieLess(s.evs[a], s.evs[b])
 }
 
-func (s *Simulator) siftUp(i int) {
-	h := s.heap
-	n := h[i]
-	for i > 0 {
-		p := (i - 1) >> 2
-		if !nodeLess(n, h[p]) {
-			break
-		}
-		h[i] = h[p]
-		i = p
-	}
-	h[i] = n
+// lessMask is all ones when a < b and zero otherwise, without a branch:
+// the borrow of a - b, negated.
+func lessMask(a, b uint64) uint64 {
+	_, borrow := bits.Sub64(a, b, 0)
+	return -borrow
 }
 
-// siftDown settles h[i] among its descendants. A level with four
-// children of distinct fire times — the common case — is decided by a
-// tournament on the integer keys, two independent compares then one:
-// that compiles to conditional moves where a scan of the four is three
-// branches the CPU cannot predict, and those mispredictions were most
-// of what a sift cost. Any tie in time goes to the scan, which reads
-// the events. (Kept in the loop body: as a function the tournament is
-// not inlined, and the call costs a fifth of the gain.)
-func (s *Simulator) siftDown(i int) {
-	h := s.heap
-	n := len(h)
-	x := h[i]
-	for {
-		c := i<<2 + 1
-		if c >= n {
-			break
-		}
-		var m int
-		if c+4 <= n {
-			ch := h[c : c+4 : c+4]
-			k0, k1, k2, k3 := ch[0].key, ch[1].key, ch[2].key, ch[3].key
-			a, ka := 0, k0
-			if k1 < k0 {
-				a, ka = 1, k1
-			}
-			b, kb := 2, k2
-			if k3 < k2 {
-				b, kb = 3, k3
-			}
-			if kb < ka {
-				a = b
-			}
-			m = c + a
-			if k0 == k1 || k2 == k3 || ka == kb {
-				m = scanMin(h, c, c+4)
+// replay re-runs the matches on the path from slot to the root after
+// slot's key or event changed. At each node the winner so far meets the
+// recorded winner of the other child; for distinct fire times the
+// select is arithmetic (lessMask picks key and slot) because the
+// outcome of a match is close to a coin flip, a mispredicted jump costs
+// more than the whole level, and the compiler emits a jump for the
+// plain `if ck < wk { w, wk = c, ck }`. Equal fire times alone branch,
+// to read the events.
+func (s *Simulator) replay(slot int32) {
+	keys, win := s.keys, s.win
+	w, wk := slot, keys[slot]
+	least := freeKey // of the other children's winners
+	for n := len(win)>>1 + int(slot); n > 1; n >>= 1 {
+		c := win[n^1]
+		ck := keys[c]
+		if ck == wk {
+			if s.beats(c, w) {
+				w = c
 			}
 		} else {
-			m = scanMin(h, c, n)
+			m := lessMask(ck, wk)
+			wk ^= (wk ^ ck) & m
+			w ^= (w ^ c) & int32(m)
 		}
-		if !nodeLess(h[m], x) {
-			break
-		}
-		h[i] = h[m]
-		i = m
+		least ^= (least ^ ck) & lessMask(ck, least)
+		win[n>>1] = w
 	}
-	h[i] = x
+	if w == slot {
+		s.second = least
+	} else if k := keys[slot]; k < s.second {
+		s.second = k
+	}
 }
 
-// scanMin returns the index of the least node of h[c:end].
-func scanMin(h []evNode, c, end int) int {
-	m := c
-	for j := c + 1; j < end; j++ {
-		if nodeLess(h[j], h[m]) {
-			m = j
+// vacate empties slot and replays its path.
+func (s *Simulator) vacate(slot int32) {
+	s.keys[slot], s.evs[slot] = freeKey, nil
+	s.idle = append(s.idle, slot)
+	s.replay(slot)
+}
+
+// grow doubles the slot arrays (from nothing to minSlots) and rebuilds
+// the tree over them; it runs only when every slot is taken. No key
+// changes, so the root's slot and second stand.
+func (s *Simulator) grow() {
+	old := len(s.keys)
+	n := max(2*old, minSlots)
+	keys, evs, win := make([]uint64, n), make([]*Event, n), make([]int32, 2*n)
+	copy(keys, s.keys)
+	copy(evs, s.evs)
+	s.keys, s.evs, s.win = keys, evs, win
+	s.idle = make([]int32, 0, n)
+	for i := n - 1; i >= old; i-- {
+		keys[i] = freeKey
+		s.idle = append(s.idle, int32(i))
+	}
+	for i := range n {
+		win[n+i] = int32(i)
+	}
+	for i := n - 1; i >= 1; i-- {
+		win[i] = win[2*i]
+		if s.beats(win[2*i+1], win[2*i]) {
+			win[i] = win[2*i+1]
 		}
 	}
-	return m
 }

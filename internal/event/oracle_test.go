@@ -34,12 +34,16 @@ type engine interface {
 	Stop()
 	SetWatchdog(w Watchdog)
 	tripped() bool
+	// verify checks the implementation's own invariants, between steps
+	// and inside handlers.
+	verify()
 }
 
 // realSim is the engine under test.
 type realSim struct {
 	*Simulator
 	evs map[int]*Event
+	t   testing.TB
 }
 
 func (r *realSim) schedule(id int, t float64, fn Handler) { r.evs[id] = r.Schedule(t, fn) }
@@ -48,6 +52,7 @@ func (r *realSim) stamped(id int, t, sched float64, tie uint64, fn Handler) {
 }
 func (r *realSim) cancel(id int) { r.Cancel(r.evs[id]) }
 func (r *realSim) tripped() bool { return r.Tripped() != "" }
+func (r *realSim) verify()       { checkTree(r.t, r.Simulator) }
 
 // refSim is the reference: no heap, no pool, no laziness.
 type refSim struct {
@@ -133,6 +138,7 @@ func (r *refSim) RunAll()                { r.run(math.Inf(1), 0) }
 func (r *refSim) Stop()                  { r.stopped = true }
 func (r *refSim) SetWatchdog(w Watchdog) { r.wd, r.fired, r.trip = w, 0, false }
 func (r *refSim) tripped() bool          { return r.trip }
+func (r *refSim) verify()                {}
 
 // scriptCap bounds the events one script may schedule, so a script
 // whose handlers keep re-arming still drains.
@@ -220,6 +226,8 @@ func (r *scriptRun) handle(id int) {
 	fmt.Fprintf(&r.log, "fire %d at %v pending=%d\n", id, r.s.Now(), r.s.Pending())
 	r.drop(id)
 	r.lastFired, r.reusable = id, false
+	r.s.verify()
+	defer r.s.verify()
 	c := r.next()
 	if c&0x04 != 0 {
 		r.s.cancel(id) // the firing event: a no-op
@@ -289,15 +297,17 @@ func runScript(s engine, b []byte) string {
 			r.cancelOne(r.next())
 		}
 		r.observe("out")
+		s.verify()
 	}
 	s.RunAll()
 	r.observe("end")
+	s.verify()
 	return r.log.String()
 }
 
 func checkScript(t *testing.T, b []byte) {
 	t.Helper()
-	got := runScript(&realSim{Simulator: New(), evs: map[int]*Event{}}, b)
+	got := runScript(&realSim{Simulator: New(), evs: map[int]*Event{}, t: t}, b)
 	want := runScript(&refSim{evs: map[int]*refEv{}}, b)
 	if got != want {
 		g, w := strings.Split(got, "\n"), strings.Split(want, "\n")

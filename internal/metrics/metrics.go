@@ -112,18 +112,24 @@ const lineSlots = 8
 const (
 	// Engine section: discrete-event engine activity. Fired and Canceled
 	// count handler executions and Cancel calls and depend on the
-	// simulated history alone. Scheduled counts heap insertions and
-	// HeapHighWater the nodes resident in the heap at once, which also
-	// depend on how the engine is driven: a link keeps only its head
-	// delivery in the engine (internal/network), so the packets on a wire
-	// share one node and a delivery still behind the head when the run
-	// ends is never inserted. Both therefore read slightly lower than
-	// when every packet in flight had its own event (fig7, 5 s, seed 1,
-	// first point: scheduled 220 669 -> 220 657, high water 141 -> 126).
+	// simulated history alone. Scheduled counts Schedule calls and
+	// HeapHighWater the event slots in use at once (the events pending,
+	// plus the one whose handler is running), which also depend on how
+	// the engine is driven: a link keeps only its head delivery in the
+	// engine (internal/network), so the packets on a wire share one slot
+	// and a delivery still behind the head when the run ends is never
+	// scheduled. Both therefore read slightly lower than when every
+	// packet in flight had its own event (fig7, 5 s, seed 1, first
+	// point: scheduled 220 669 -> 220 657, high water 141 -> 126). The
+	// high-water handle keeps the name it had when the event set was a
+	// heap whose canceled events stayed resident until their fire time
+	// (snapshots and the benchmark read it by that name); Cancel now
+	// frees the slot at once, so wherever events are canceled it reads
+	// lower than it did (fig8, 3 s, seed 2: 33 -> 17).
 	HEngineScheduled     Handle = lineSlots + iota // Schedule and ScheduleStamped calls
 	HEngineCanceled                                // Cancel calls
 	HEngineFired                                   // handler executions
-	HEngineHeapHighWater                           // max nodes resident in the heap
+	HEngineHeapHighWater                           // max event slots in use
 )
 
 const (
@@ -504,9 +510,9 @@ type Snapshot struct {
 }
 
 // EngineSnapshot is the engine section of a Snapshot. Fired and
-// Canceled depend on the simulated history alone; Scheduled (heap
-// insertions) and HeapHighWater (resident heap nodes) also depend on
-// how the network drives the engine (see HEngineScheduled).
+// Canceled depend on the simulated history alone; Scheduled (Schedule
+// calls) and HeapHighWater (event slots in use) also depend on how the
+// network drives the engine (see HEngineScheduled).
 type EngineSnapshot struct {
 	Scheduled     int64 `json:"scheduled"`
 	Canceled      int64 `json:"canceled"`
