@@ -2,14 +2,15 @@
 // generates one scenario per seed, runs it through every discipline in
 // the repository, and checks the paper's invariant battery (delay/
 // jitter/buffer bounds, loss-freedom, deadline ordering, work
-// conservation, packet conservation, pool balance, LiT ≡ VirtualClock,
-// approximate-queue divergence, telemetry agreement).
+// conservation, packet conservation, pool balance, capacity return,
+// LiT ≡ VirtualClock, approximate-queue divergence, telemetry
+// agreement).
 //
 // Usage:
 //
 //	litcheck -seeds 200                 # check seeds 1..200
 //	litcheck -seed 17 -seeds 5          # check seeds 17..21
-//	litcheck -churn -seeds 200          # chaos mode: fault/churn plans
+//	litcheck -churn -seeds 200          # + a fault/churn plan per seed
 //	litcheck -classes -seeds 200        # + aggregate-class battery
 //	litcheck -calculus -seeds 200       # + network-calculus battery
 //	litcheck -replay repro.json         # re-check a repro or any litrun document
@@ -26,18 +27,28 @@
 // in the dialect litcheck wrote before it shared the document. The exit
 // status is 1 if any seed failed, 0 otherwise.
 //
+// There is one battery. A seed's scenario runs under every discipline
+// with its fault plan injected — nothing, on a clean network — and every
+// run ends by returning its reservations through the signaling
+// exchange, so each is checked for packet conservation counted from the
+// trace, pool drain and reserved capacity back to exactly zero at every
+// controller; the reference Leave-in-Time run is also checked against
+// the analytic bounds and for trace/metrics/probe agreement.
+//
 // -churn attaches a deterministic fault plan to every seed — link and
 // node outages, source stalls, and mid-run session release and
-// re-SETUP through the signaling exchange — and switches the battery
-// to the graceful-degradation invariants (survivor bounds, fault-aware
-// conservation and telemetry, pool drain, exact capacity return).
-// Chaos repros are written unshrunk: the fault plan is part of the
-// scenario, so the repro replays the identical chaos.
+// re-SETUP through the signaling exchange. The bound checks then apply
+// to the sessions the plan leaves alone, and the four checks that need
+// an undisturbed network are skipped: the approximate queue's delay
+// margin, LiT ≡ VirtualClock, -classes and -calculus. Chaos repros are
+// written unshrunk: the fault plan is part of the scenario, so the
+// repro replays the identical chaos.
 //
-// Every churn run is bounded by a watchdog; -max-events and -max-wall
-// tune (or, for the clean battery, enable) the budgets. A tripped
-// budget or a panicking seed becomes a reported violation with a
-// replayable repro instead of a hung or crashed harness.
+// Every run is bounded by a watchdog: 100 x duration simulated seconds
+// and -max-events fired events (20 000 000 unless set), plus -max-wall
+// of wall clock when given. A tripped budget or a panicking seed
+// becomes a reported violation with a replayable repro instead of a
+// hung or crashed harness.
 //
 // -bound-scale tightens the checked analytic bounds by a factor; values
 // below 1 demand more than the theorems promise and exist to prove the
@@ -73,11 +84,12 @@
 // a single engine), -replay, -repro-dir (invariance divergences have
 // no repro path), -bound-scale (the battery checks agreement, not
 // bounds) and -classes; -replay is incompatible with -seed, -seeds,
-// -workers, -repro-dir, -bound-scale, -churn and -classes (a repro
-// file fixes its own scenario, fault plan and bound scale); -classes
-// is incompatible with -churn. -seed composes with -shards (it sets
-// the battery's first seed), and -bound-scale composes with -churn
-// (the tightening is embedded into chaos repros).
+// -workers, -repro-dir, -bound-scale, -churn, -classes and -calculus
+// (a repro file fixes its own scenario, fault plan, bound scale and
+// batteries); -classes and -calculus are incompatible with -churn.
+// -seed composes with -shards (it sets the battery's first seed), and
+// -bound-scale composes with -churn (the tightening is embedded into
+// chaos repros).
 package main
 
 import (
@@ -99,8 +111,9 @@ type flagConflict struct{ a, b, why string }
 
 // flagMatrix is the audited set of incoherent combinations. Pairs
 // absent from the table compose: -seed sets the shard battery's first
-// seed, -bound-scale tightens the churn battery's survivor bounds, and
-// the watchdog budgets apply to every battery including replay.
+// seed, -bound-scale tightens the bounds of the sessions a -churn plan
+// leaves alone, and the watchdog budgets apply to every run, replay
+// included.
 var flagMatrix = []flagConflict{
 	{"shards", "churn", "fault plans are serial-only"},
 	{"shards", "replay", "the invariance battery generates its own scenarios"},
@@ -114,7 +127,7 @@ var flagMatrix = []flagConflict{
 	{"replay", "bound-scale", "a repro embeds its own bound scale"},
 	{"replay", "churn", "a repro embeds its own fault plan"},
 	{"replay", "classes", "a repro replays the battery it was written under"},
-	{"churn", "classes", "class mode belongs to the clean battery"},
+	{"churn", "classes", "the class battery checks clean-network bounds"},
 	{"shards", "calculus", "the invariance battery runs exact Leave-in-Time only"},
 	{"replay", "calculus", "a repro replays the battery it was written under"},
 	{"churn", "calculus", "the calculus battery checks clean-network bounds"},
@@ -144,7 +157,7 @@ func main() {
 		replay     = flag.String("replay", "", "replay a repro JSON file instead of generating seeds")
 		boundScale = flag.Float64("bound-scale", 0, "tighten checked bounds by this factor (test hook; 0 = off)")
 		churn      = flag.Bool("churn", false, "attach a deterministic fault/churn plan to every seed")
-		maxEvents  = flag.Int64("max-events", 0, "watchdog: fired-event budget per run (0 = default in churn mode, unlimited otherwise)")
+		maxEvents  = flag.Int64("max-events", 0, "watchdog: fired-event budget per run (0 = 20000000)")
 		maxWall    = flag.Duration("max-wall", 0, "watchdog: wall-clock budget per run (0 = unlimited)")
 		shards     = flag.Int("shards", 1, "shard-invariance battery: compare shards=1 against this shard count (1 = serial battery)")
 		classes    = flag.Bool("classes", false, "additionally run the aggregate-class battery per seed (degraded-bound checks)")

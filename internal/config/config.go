@@ -140,7 +140,8 @@ func (sv *Server) Node() string {
 // Session describes one connection.
 type Session struct {
 	// ID is what fault plans, purges and the conformance harness name
-	// the session by; it defaults to the session's 1-based position.
+	// the session by; it defaults to the session's 1-based position and
+	// may not exceed maxSessionID.
 	ID            int      `json:"id,omitempty"`
 	Name          string   `json:"name,omitempty"`
 	Rate          float64  `json:"rate"`
@@ -260,6 +261,13 @@ func (sc *Session) Request() system.ConnectRequest {
 	}
 }
 
+// maxSessionID is the largest id a document may give a session. The
+// conformance harness hands document ids to the network as they stand,
+// and per-id state costs eight bytes per 256 ids of span (see sesstab):
+// this bound keeps such a directory under a megabyte, where an id in the
+// trillions exhausted memory.
+const maxSessionID = 1 << 24
+
 // Validate refuses every document no run could be built from, for a
 // reason that can be read off the document alone; what is left to
 // Prepare is the outcome of the admission rules. Servers and sessions
@@ -302,6 +310,9 @@ func (s *Scenario) Validate() error {
 		sess := &s.Sessions[i]
 		if sess.ID = sess.id(i); sess.ID < 0 || ids[sess.ID] {
 			return fmt.Errorf("config: session %d has a negative or duplicate id %d", i, sess.ID)
+		}
+		if sess.ID > maxSessionID {
+			return fmt.Errorf("config: session %d has id %d, above the largest a document may use, %d", i, sess.ID, maxSessionID)
 		}
 		ids[sess.ID] = true
 		if len(sess.Route) == 0 {

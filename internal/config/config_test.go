@@ -140,6 +140,10 @@ func TestParseRejectsBadDocuments(t *testing.T) {
 		"d without proc 3":    session(`"d":0.5,` + greedy),
 		"duplicate id":        `{"lmax":424,"duration":1,"servers":[{"name":"a","capacity":1000}],"sessions":[{"id":2,"rate":10,"route":["a"],` + greedy + `},{"rate":10,"route":["a"],` + greedy + `}]}`,
 		"negative id":         session(`"id":-1,` + greedy),
+		// The harness hands ids to sesstab as they stand: this one asked
+		// its directory for 125 GB.
+		"id in the trillions": session(`"id":4000000000000,` + greedy),
+		"id one too large":    session(`"id":16777217,` + greedy),
 		"limit without b0":    session(`"limit_buffers":true,` + greedy),
 		"varlen zero mean":    session(`"source":{"kind":"varlen","length":100}`),
 	}
@@ -150,6 +154,7 @@ func TestParseRejectsBadDocuments(t *testing.T) {
 	}
 	for name, fields := range map[string]string{
 		"plain":         greedy,
+		"largest id":    `"id":16777216,` + greedy,
 		"b0 one packet": `"b0":100,` + greedy,
 		"shaped":        `"source":{"kind":"poisson","mean":1,"length":100,"shape_rate":10,"shape_b0":100}`,
 	} {

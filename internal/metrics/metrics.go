@@ -267,75 +267,91 @@ func (r *Registry) NewPort(name string, capacity float64) (*Arena, Handle) {
 // NumPorts returns the number of registered ports.
 func (r *Registry) NumPorts() int { return len(r.ports) }
 
-// Engine is the read-side view of the engine section.
+// The view types below are read-side copies of the arena's sections.
+// Each counter is spelled once here, with the key it takes in the
+// telemetry document: Snapshot and the litserve stats endpoint encode
+// these types as they stand, so struct order is key order.
+
+// Engine is the read-side view of the engine section. Fired and
+// Canceled depend on the simulated history alone; Scheduled (Schedule
+// calls) and HeapHighWater (event slots in use) also depend on how the
+// network drives the engine (see HEngineScheduled).
 type Engine struct {
-	Scheduled     int64
-	Canceled      int64
-	Fired         int64
-	HeapHighWater int64
+	Scheduled     int64 `json:"scheduled"`
+	Canceled      int64 `json:"canceled"`
+	Fired         int64 `json:"fired"`
+	HeapHighWater int64 `json:"heap_high_water"`
 }
 
 // Pool is the read-side view of the packet-pool section.
 type Pool struct {
-	Taken    int64
-	Released int64
+	Taken    int64 `json:"taken"`
+	Released int64 `json:"released"`
+	// Live is Taken - Released: packets inside the network at the
+	// instant of the view.
+	Live int64 `json:"live"`
 }
 
 // Sched is the read-side view of one port discipline's scheduler
 // counters.
 type Sched struct {
-	Regulated       int64
-	EligibilityWait float64
-	DeadlineMisses  int64
+	Regulated       int64   `json:"regulated"`
+	EligibilityWait float64 `json:"eligibility_wait_s"`
+	DeadlineMisses  int64   `json:"deadline_misses"`
 }
 
 // Port is the read-side view of one port's counters plus its
 // construction metadata.
 type Port struct {
-	Name     string
-	Capacity float64
-
-	Arrivals         int64
-	ArrivedBits      float64
-	Transmissions    int64
-	TransmittedBits  float64
-	DroppedPackets   int64
-	DroppedBits      float64
-	FaultDrops       int64
-	FaultDroppedBits float64
-	SignalingDrops   int64
-	QueueHighWater   int64
-
-	Sched Sched
+	Name            string  `json:"name"`
+	Capacity        float64 `json:"capacity_bps"`
+	Arrivals        int64   `json:"arrivals"`
+	ArrivedBits     float64 `json:"arrived_bits"`
+	Transmissions   int64   `json:"transmissions"`
+	TransmittedBits float64 `json:"transmitted_bits"`
+	// Utilization is the link's busy fraction over the observation
+	// interval: TransmittedBits / (Capacity * Duration). A port
+	// transmits one packet at a time, so busy time is exactly the
+	// transmitted volume divided by the link rate. Only Snapshot, which
+	// knows the interval, fills it.
+	Utilization      float64 `json:"utilization"`
+	DroppedPackets   int64   `json:"dropped_packets"`
+	DroppedBits      float64 `json:"dropped_bits"`
+	FaultDrops       int64   `json:"fault_drops"`
+	FaultDroppedBits float64 `json:"fault_dropped_bits"`
+	SignalingDrops   int64   `json:"signaling_drops"`
+	QueueHighWater   int64   `json:"queue_high_water_pkts"`
+	Sched            Sched   `json:"sched"`
 }
 
 // ProcOutcome is the read-side view of one admission procedure's
 // decisions.
 type ProcOutcome struct {
-	Accepted int64
-	Rejected int64
+	Accepted int64 `json:"accepted"`
+	Rejected int64 `json:"rejected"`
 }
 
 // Admission aggregates decisions per admission control procedure.
 type Admission struct {
-	AC1 ProcOutcome
-	AC2 ProcOutcome
-	AC3 ProcOutcome
+	AC1 ProcOutcome `json:"ac1"`
+	AC2 ProcOutcome `json:"ac2"`
+	AC3 ProcOutcome `json:"ac3"`
 }
 
-// Faults is the read-side view of the injected-fault section.
+// Faults is the read-side view of the injected-fault section. All
+// fields are zero on fault-free runs.
 type Faults struct {
-	LinkDowns      int64
-	LinkUps        int64
-	InFlightDrops  int64
-	PurgeDrops     int64
-	SignalingDrops int64
-	SessionsPurged int64
-	Releases       int64
-	Resetups       int64
-	ResetupRejects int64
-	Stalls         int64
-	WatchdogTrips  int64
+	LinkDowns      int64 `json:"link_downs"`
+	LinkUps        int64 `json:"link_ups"`
+	InFlightDrops  int64 `json:"in_flight_drops"`
+	PurgeDrops     int64 `json:"purge_drops"`
+	SignalingDrops int64 `json:"signaling_drops"`
+	SessionsPurged int64 `json:"sessions_purged"`
+	Releases       int64 `json:"releases"`
+	Resetups       int64 `json:"resetups"`
+	ResetupRejects int64 `json:"resetup_rejects"`
+	Stalls         int64 `json:"stalls"`
+	WatchdogTrips  int64 `json:"watchdog_trips"`
 }
 
 // EngineCounters materializes the engine section.
@@ -354,7 +370,8 @@ func engineView(a *Arena) Engine {
 func (r *Registry) PoolCounters() Pool { return poolView(&r.arena) }
 
 func poolView(a *Arena) Pool {
-	return Pool{Taken: a.Int(HPoolTaken), Released: a.Int(HPoolReleased)}
+	taken, released := a.Int(HPoolTaken), a.Int(HPoolReleased)
+	return Pool{Taken: taken, Released: released, Live: taken - released}
 }
 
 // AdmissionCounters materializes the admission section.
@@ -370,24 +387,26 @@ func admissionView(a *Arena) Admission {
 	return Admission{AC1: proc(HAdmissionAC1), AC2: proc(HAdmissionAC2), AC3: proc(HAdmissionAC3)}
 }
 
-// Serve is the read-side view of the daemon section.
+// Serve is the read-side view of the daemon section, rendered by the
+// litserve stats endpoint (it is not part of Snapshot: the simulation
+// telemetry schema predates the daemon and stays pinned).
 type Serve struct {
-	Requests        int64
-	Malformed       int64
-	Duplicates      int64
-	Shed            int64
-	Setups          int64
-	SetupRejects    int64
-	Releases        int64
-	Adopts          int64
-	ScenarioQueued  int64
-	ScenarioDone    int64
-	ScenarioFailed  int64
-	Panics          int64
-	WatchdogTrips   int64
-	DeadlineExpired int64
-	Checkpoints     int64
-	Restores        int64
+	Requests        int64 `json:"requests"`
+	Malformed       int64 `json:"malformed"`
+	Duplicates      int64 `json:"duplicates"`
+	Shed            int64 `json:"shed"`
+	Setups          int64 `json:"setups"`
+	SetupRejects    int64 `json:"setup_rejects"`
+	Releases        int64 `json:"releases"`
+	Adopts          int64 `json:"adopts"`
+	ScenarioQueued  int64 `json:"scenario_queued"`
+	ScenarioDone    int64 `json:"scenario_done"`
+	ScenarioFailed  int64 `json:"scenario_failed"`
+	Panics          int64 `json:"panics"`
+	WatchdogTrips   int64 `json:"watchdog_trips"`
+	DeadlineExpired int64 `json:"deadline_expired"`
+	Checkpoints     int64 `json:"checkpoints"`
+	Restores        int64 `json:"restores"`
 }
 
 // ServeCounters materializes the daemon section with atomic loads, so
@@ -412,34 +431,6 @@ func (r *Registry) ServeCounters() Serve {
 		Checkpoints:     a.AtomicInt(HServeCheckpoints),
 		Restores:        a.AtomicInt(HServeRestores),
 	}
-}
-
-// ServeSnapshot is the JSON-facing daemon section, rendered by the
-// litserve stats endpoint (it is not part of Snapshot: the simulation
-// telemetry schema predates the daemon and stays pinned).
-type ServeSnapshot struct {
-	Requests        int64 `json:"requests"`
-	Malformed       int64 `json:"malformed"`
-	Duplicates      int64 `json:"duplicates"`
-	Shed            int64 `json:"shed"`
-	Setups          int64 `json:"setups"`
-	SetupRejects    int64 `json:"setup_rejects"`
-	Releases        int64 `json:"releases"`
-	Adopts          int64 `json:"adopts"`
-	ScenarioQueued  int64 `json:"scenario_queued"`
-	ScenarioDone    int64 `json:"scenario_done"`
-	ScenarioFailed  int64 `json:"scenario_failed"`
-	Panics          int64 `json:"panics"`
-	WatchdogTrips   int64 `json:"watchdog_trips"`
-	DeadlineExpired int64 `json:"deadline_expired"`
-	Checkpoints     int64 `json:"checkpoints"`
-	Restores        int64 `json:"restores"`
-}
-
-// ServeSnapshotNow renders the daemon section (atomic loads, safe
-// while serving).
-func (r *Registry) ServeSnapshotNow() ServeSnapshot {
-	return ServeSnapshot(r.ServeCounters())
 }
 
 // FaultCounters materializes the faults section.
@@ -501,90 +492,12 @@ type Snapshot struct {
 	// instant the snapshot was taken, for runs starting at 0).
 	Duration float64 `json:"duration_s"`
 
-	Engine EngineSnapshot `json:"engine"`
-	Pool   PoolSnapshot   `json:"pool"`
+	Engine Engine `json:"engine"`
+	Pool   Pool   `json:"pool"`
 
-	Admission AdmissionSnapshot `json:"admission"`
-	Faults    FaultsSnapshot    `json:"faults"`
-	Ports     []PortSnapshot    `json:"ports"`
-}
-
-// EngineSnapshot is the engine section of a Snapshot. Fired and
-// Canceled depend on the simulated history alone; Scheduled (Schedule
-// calls) and HeapHighWater (event slots in use) also depend on how the
-// network drives the engine (see HEngineScheduled).
-type EngineSnapshot struct {
-	Scheduled     int64 `json:"scheduled"`
-	Canceled      int64 `json:"canceled"`
-	Fired         int64 `json:"fired"`
-	HeapHighWater int64 `json:"heap_high_water"`
-}
-
-// PoolSnapshot is the packet-pool section of a Snapshot.
-type PoolSnapshot struct {
-	Taken    int64 `json:"taken"`
-	Released int64 `json:"released"`
-	// Live is Taken - Released: packets inside the network at the
-	// snapshot instant.
-	Live int64 `json:"live"`
-}
-
-// ProcSnapshot is one admission procedure's decision counts.
-type ProcSnapshot struct {
-	Accepted int64 `json:"accepted"`
-	Rejected int64 `json:"rejected"`
-}
-
-// AdmissionSnapshot is the admission section of a Snapshot.
-type AdmissionSnapshot struct {
-	AC1 ProcSnapshot `json:"ac1"`
-	AC2 ProcSnapshot `json:"ac2"`
-	AC3 ProcSnapshot `json:"ac3"`
-}
-
-// FaultsSnapshot is the injected-fault section of a Snapshot. All
-// fields are zero on fault-free runs.
-type FaultsSnapshot struct {
-	LinkDowns      int64 `json:"link_downs"`
-	LinkUps        int64 `json:"link_ups"`
-	InFlightDrops  int64 `json:"in_flight_drops"`
-	PurgeDrops     int64 `json:"purge_drops"`
-	SignalingDrops int64 `json:"signaling_drops"`
-	SessionsPurged int64 `json:"sessions_purged"`
-	Releases       int64 `json:"releases"`
-	Resetups       int64 `json:"resetups"`
-	ResetupRejects int64 `json:"resetup_rejects"`
-	Stalls         int64 `json:"stalls"`
-	WatchdogTrips  int64 `json:"watchdog_trips"`
-}
-
-// SchedSnapshot is one port discipline's scheduler counters.
-type SchedSnapshot struct {
-	Regulated       int64   `json:"regulated"`
-	EligibilityWait float64 `json:"eligibility_wait_s"`
-	DeadlineMisses  int64   `json:"deadline_misses"`
-}
-
-// PortSnapshot is one port's section of a Snapshot.
-type PortSnapshot struct {
-	Name            string  `json:"name"`
-	Capacity        float64 `json:"capacity_bps"`
-	Arrivals        int64   `json:"arrivals"`
-	ArrivedBits     float64 `json:"arrived_bits"`
-	Transmissions   int64   `json:"transmissions"`
-	TransmittedBits float64 `json:"transmitted_bits"`
-	// Utilization is the link's busy fraction over the observation
-	// interval: TransmittedBits / (Capacity * Duration). A port
-	// transmits one packet at a time, so busy time is exactly the
-	// transmitted volume divided by the link rate.
-	Utilization      float64       `json:"utilization"`
-	DroppedPackets   int64         `json:"dropped_packets"`
-	DroppedBits      float64       `json:"dropped_bits"`
-	FaultDrops       int64         `json:"fault_drops"`
-	FaultDroppedBits float64       `json:"fault_dropped_bits"`
-	SignalingDrops   int64         `json:"signaling_drops"`
-	QueueHighWater   int64         `json:"queue_high_water_pkts"`
-	Sched            SchedSnapshot `json:"sched"`
+	Admission Admission `json:"admission"`
+	Faults    Faults    `json:"faults"`
+	Ports     []Port    `json:"ports"`
 }
 
 // Snapshot derives the JSON-facing view of the registry at simulated
@@ -593,51 +506,21 @@ type PortSnapshot struct {
 // consistent instant and the hot loop's counters are never stalled or
 // re-read mid-derivation.
 func (r *Registry) Snapshot(now float64) *Snapshot {
-	copied := Arena{slots: append([]uint64(nil), r.arena.slots...)}
-	a := &copied
-	adm := admissionView(a)
+	a := &Arena{slots: append([]uint64(nil), r.arena.slots...)}
 	s := &Snapshot{
-		Duration: now,
-		Engine:   EngineSnapshot(engineView(a)),
-		Admission: AdmissionSnapshot{
-			AC1: ProcSnapshot(adm.AC1),
-			AC2: ProcSnapshot(adm.AC2),
-			AC3: ProcSnapshot(adm.AC3),
-		},
-		Faults: FaultsSnapshot(faultsView(a)),
-		Ports:  make([]PortSnapshot, len(r.ports)),
-	}
-	pool := poolView(a)
-	s.Pool = PoolSnapshot{
-		Taken:    pool.Taken,
-		Released: pool.Released,
-		Live:     pool.Taken - pool.Released,
+		Duration:  now,
+		Engine:    engineView(a),
+		Pool:      poolView(a),
+		Admission: admissionView(a),
+		Faults:    faultsView(a),
+		Ports:     make([]Port, len(r.ports)),
 	}
 	for i := range r.ports {
 		p := portView(a, &r.ports[i])
-		ps := PortSnapshot{
-			Name:             p.Name,
-			Capacity:         p.Capacity,
-			Arrivals:         p.Arrivals,
-			ArrivedBits:      p.ArrivedBits,
-			Transmissions:    p.Transmissions,
-			TransmittedBits:  p.TransmittedBits,
-			DroppedPackets:   p.DroppedPackets,
-			DroppedBits:      p.DroppedBits,
-			FaultDrops:       p.FaultDrops,
-			FaultDroppedBits: p.FaultDroppedBits,
-			SignalingDrops:   p.SignalingDrops,
-			QueueHighWater:   p.QueueHighWater,
-			Sched: SchedSnapshot{
-				Regulated:       p.Sched.Regulated,
-				EligibilityWait: p.Sched.EligibilityWait,
-				DeadlineMisses:  p.Sched.DeadlineMisses,
-			},
-		}
 		if now > 0 && p.Capacity > 0 {
-			ps.Utilization = p.TransmittedBits / (p.Capacity * now)
+			p.Utilization = p.TransmittedBits / (p.Capacity * now)
 		}
-		s.Ports[i] = ps
+		s.Ports[i] = p
 	}
 	return s
 }

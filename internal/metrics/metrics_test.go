@@ -37,10 +37,10 @@ func TestSnapshotDerivedFields(t *testing.T) {
 	if s.Pool.Live != 3 {
 		t.Errorf("Pool.Live = %d, want 3", s.Pool.Live)
 	}
-	if s.Engine != (EngineSnapshot{Scheduled: 10, Canceled: 2, Fired: 8, HeapHighWater: 5}) {
+	if s.Engine != (Engine{Scheduled: 10, Canceled: 2, Fired: 8, HeapHighWater: 5}) {
 		t.Errorf("Engine = %+v", s.Engine)
 	}
-	if s.Admission.AC1 != (ProcSnapshot{Accepted: 3, Rejected: 1}) {
+	if s.Admission.AC1 != (ProcOutcome{Accepted: 3, Rejected: 1}) {
 		t.Errorf("AC1 = %+v", s.Admission.AC1)
 	}
 	if len(s.Ports) != 2 {

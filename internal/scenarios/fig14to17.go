@@ -101,6 +101,7 @@ func runFig14Point(res *Fig14Result, pi int, aOff, duration float64, seed uint64
 			Entrance: 1, Exit: 5, Rate: VoiceRate,
 			JitterCtrl: fc.ctrl, Class: fc.class,
 			Src: NewOnOff(aOff, r.Split()),
+			B0:  CellBits, // ON-OFF at its reserved rate: D_ref_max = L/r
 		}
 		s, b := t.Establish(def)
 		if i < 4 {
@@ -108,15 +109,9 @@ func runFig14Point(res *Fig14Result, pi int, aOff, duration float64, seed uint64
 			// Bounds are sweep-independent; the first point fills them.
 			if pi == 0 {
 				cs := res.Sessions[i]
-				rt := b.Route
-				dRef := CellBits / VoiceRate
 				cs.DPerNode = b.Assignments[0].DMax
-				cs.DelayBound = rt.DelayBound(dRef)
-				if fc.ctrl {
-					cs.JitterBound = rt.JitterBoundControl(dRef, CellBits)
-				} else {
-					cs.JitterBound = rt.JitterBoundNoControl(dRef, CellBits)
-				}
+				cs.DelayBound = b.DelayBound
+				cs.JitterBound = b.JitterBound
 			}
 		}
 	}

@@ -69,22 +69,20 @@ func runFig7Point(aOff, duration float64, seed uint64, reg *metrics.Registry) Fi
 	var bounds Fig7Row
 	for _, mr := range MixRoutes {
 		for i := 0; i < mr.Count; i++ {
-			def := SessionDef{
+			// The ON-OFF source never exceeds its reserved rate, so it
+			// conforms to a token bucket (r, one packet):
+			// D_ref_max = L/r = T.
+			s, b := t.Establish(SessionDef{
 				Entrance: mr.Entrance,
 				Exit:     mr.Exit,
 				Rate:     VoiceRate,
 				Src:      NewOnOff(aOff, r.Split()),
-			}
-			s, b := t.Establish(def)
+				B0:       CellBits,
+			})
 			if measured == nil && mr.Entrance == 1 && mr.Exit == 5 {
 				measured = s
-				rt := b.Route
-				// The ON-OFF source never exceeds its reserved rate, so
-				// it conforms to a token bucket (r, one packet):
-				// D_ref_max = L/r = T.
-				dRef := CellBits / VoiceRate
-				bounds.DelayBound = rt.DelayBound(dRef)
-				bounds.JitterBound = rt.JitterBoundNoControl(dRef, CellBits)
+				bounds.DelayBound = b.DelayBound
+				bounds.JitterBound = b.JitterBound
 			}
 		}
 	}

@@ -86,7 +86,9 @@ func RunFig8Observed(duration float64, seed uint64, reg *metrics.Registry) *Fig8
 	}
 	r := rng.New(seed)
 
-	defNo := SessionDef{Entrance: 1, Exit: 5, Rate: VoiceRate, Src: NewOnOff(Fig8OnOffAOff, r.Split())}
+	// The ON-OFF sources conform to a token bucket (r, one packet):
+	// D_ref_max = L/r = 13.25 ms.
+	defNo := SessionDef{Entrance: 1, Exit: 5, Rate: VoiceRate, Src: NewOnOff(Fig8OnOffAOff, r.Split()), B0: CellBits}
 	noCtrl, bNo := t.Establish(defNo)
 	defYes := defNo
 	defYes.JitterCtrl = true
@@ -121,27 +123,23 @@ func RunFig8Observed(duration float64, seed uint64, reg *metrics.Registry) *Fig8
 	}
 	t.Sim.Run(duration)
 
-	dRef := CellBits / VoiceRate // D_ref_max = L/r = 13.25 ms
-	rtNo := bNo.Route
-	rtYes := bYes.Route
-
 	return &Fig8Result{
 		Duration:          duration,
 		NoCtrl:            summarize(noCtrl),
 		Ctrl:              summarize(ctrl),
 		HistNoCtrl:        noCtrl.Hist,
 		HistCtrl:          ctrl.Hist,
-		DelayBound:        rtNo.DelayBound(dRef),
-		JitterBoundNoCtrl: rtNo.JitterBoundNoControl(dRef, CellBits),
-		JitterBoundCtrl:   rtYes.JitterBoundControl(dRef, CellBits),
+		DelayBound:        bNo.DelayBound,
+		JitterBoundNoCtrl: bNo.JitterBound,
+		JitterBoundCtrl:   bYes.JitterBound,
 		BufNoCtrlN1:       &probeNoN1.Dist,
 		BufNoCtrlN5:       &probeNoN5.Dist,
 		BufCtrlN1:         &probeCtN1.Dist,
 		BufCtrlN5:         &probeCtN5.Dist,
-		BufBoundNoCtrlN1:  rtNo.BufferBoundNoControl(VoiceRate, dRef, CellBits, 1) / CellBits,
-		BufBoundNoCtrlN5:  rtNo.BufferBoundNoControl(VoiceRate, dRef, CellBits, 5) / CellBits,
-		BufBoundCtrlN1:    rtYes.BufferBoundControl(VoiceRate, dRef, CellBits, 1) / CellBits,
-		BufBoundCtrlN5:    rtYes.BufferBoundControl(VoiceRate, dRef, CellBits, 5) / CellBits,
+		BufBoundNoCtrlN1:  bNo.BufferBoundBits[0] / CellBits,
+		BufBoundNoCtrlN5:  bNo.BufferBoundBits[4] / CellBits,
+		BufBoundCtrlN1:    bYes.BufferBoundBits[0] / CellBits,
+		BufBoundCtrlN5:    bYes.BufferBoundBits[4] / CellBits,
 	}
 }
 

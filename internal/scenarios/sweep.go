@@ -6,37 +6,17 @@ import (
 	"sync/atomic"
 )
 
-// sweepSerial forces sweep points to run sequentially on the calling
-// goroutine. Results are deterministic either way (every point owns its
-// simulator and random streams); the serial mode exists so tests can
-// prove that — see TestSweepDeterminism — and to simplify profiling.
-var sweepSerial bool
-
-// SetSerialSweeps toggles serial sweep execution and returns the
-// previous setting. It is not safe to call concurrently with a running
-// sweep.
-func SetSerialSweeps(v bool) bool {
-	old := sweepSerial
-	sweepSerial = v
-	return old
-}
-
 // forEachPoint runs f(i) for i in [0, n) on a worker pool of at most
-// GOMAXPROCS goroutines (unless serial mode is set). Sweep points are
-// CPU-bound simulations, so spawning one goroutine per point — as a
-// naive fan-out would — oversubscribes the scheduler on large sweeps
-// without finishing any sooner; the pool bounds peak memory (each
-// point owns a simulator, a packet pool and its result buffers) while
-// keeping every core busy. Workers pull indices from a shared atomic
-// counter, so point i always writes slot i and results are independent
-// of which worker ran it.
+// GOMAXPROCS goroutines. Sweep points are CPU-bound simulations, so
+// spawning one goroutine per point — as a naive fan-out would —
+// oversubscribes the scheduler on large sweeps without finishing any
+// sooner; the pool bounds peak memory (each point owns a simulator, a
+// packet pool and its result buffers) while keeping every core busy.
+// Workers pull indices from a shared atomic counter, so point i always
+// writes slot i and results are independent of which worker ran it
+// (every point owns its simulator and random streams; see
+// TestSweepDeterminism).
 func forEachPoint(n int, f func(i int)) {
-	if sweepSerial {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
 	workers := runtime.GOMAXPROCS(0)
 	if workers > n {
 		workers = n

@@ -109,11 +109,14 @@ type SessionDef struct {
 	Src   traffic.Source
 	// LMax/LMin default to CellBits when zero.
 	LMax, LMin float64
+	// B0 declares the source's token bucket (Rate, B0 bits); Establish
+	// then returns the delay, jitter and buffer bounds filled in.
+	B0 float64
 }
 
 // Establish admits and wires the session, returning the network session
-// and its service commitments: the per-node assignments and the
-// admission.Route the figures read their bounds off.
+// and its service commitments: the per-node assignments and, for a
+// session that declares B0, the bounds the figures print.
 func (t *Tandem) Establish(def SessionDef) (*network.Session, *system.Bounds) {
 	if def.Entrance < 1 || def.Exit > NumNodes || def.Entrance > def.Exit {
 		panic(fmt.Sprintf("scenarios: bad route %d-%d", def.Entrance, def.Exit))
@@ -126,6 +129,7 @@ func (t *Tandem) Establish(def SessionDef) (*network.Session, *system.Bounds) {
 		Class:         def.Class,
 		LMax:          def.LMax,
 		LMin:          def.LMin,
+		B0:            def.B0,
 	})
 	if err != nil {
 		panic(fmt.Sprintf("scenarios: %v", err))

@@ -566,13 +566,13 @@ func (d *Daemon) handleAdopt(w http.ResponseWriter, r *http.Request) {
 
 // StatsSnapshot is the daemon's JSON status document.
 type StatsSnapshot struct {
-	UptimeS   float64               `json:"uptime_s"`
-	Systems   int                   `json:"systems"`
-	QueueLen  int                   `json:"queue_len"`
-	QueueCap  int                   `json:"queue_cap"`
-	Accepting bool                  `json:"accepting"`
-	Jobs      map[string]int        `json:"jobs"`
-	Serve     metrics.ServeSnapshot `json:"serve"`
+	UptimeS   float64        `json:"uptime_s"`
+	Systems   int            `json:"systems"`
+	QueueLen  int            `json:"queue_len"`
+	QueueCap  int            `json:"queue_cap"`
+	Accepting bool           `json:"accepting"`
+	Jobs      map[string]int `json:"jobs"`
+	Serve     metrics.Serve  `json:"serve"`
 }
 
 func (d *Daemon) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -591,7 +591,7 @@ func (d *Daemon) handleStats(w http.ResponseWriter, r *http.Request) {
 		QueueCap:  d.opts.QueueDepth,
 		Accepting: d.accepting,
 		Jobs:      states,
-		Serve:     d.reg.ServeSnapshotNow(),
+		Serve:     d.reg.ServeCounters(),
 	}
 	d.jmu.Unlock()
 	writeJSON(w, http.StatusOK, snap)

@@ -20,6 +20,13 @@
 // bytes per 256 ids of span; a straggler pins its page and chunk, not
 // the span above it.
 //
+// The span term is a precondition on callers: the directory is a slice
+// with one entry per 256 ids between the smallest and the largest live
+// id, so two live ids a trillion apart ask for gigabytes. Ids must come
+// from an allocator that issues them in sequence (System.Connect) or be
+// bounded where they enter the program (config.Validate refuses a
+// document id above 1<<24, half a megabyte of directory).
+//
 // The table stores states by value, in pages that never move: a pointer
 // returned by Get or Put stays valid, and keeps addressing that id's
 // state, until the id is deleted.

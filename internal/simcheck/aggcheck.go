@@ -180,18 +180,13 @@ func aggBounds(sc *Case, cls map[int]int) (map[int][2]float64, error) {
 // sessions) is recorded on the report.
 func checkAggregate(sc *Case, exact *runResult, scale float64, wd event.Watchdog, rep *SeedReport) {
 	spec := aggSpec(sc)
-	res, err := runScenario(sc, spec, runOpts{wd: wd})
-	if err != nil {
-		rep.add(Violation{Check: "build", Discipline: spec.name, Detail: err.Error()})
-		return
-	}
-	rep.Violations = append(rep.Violations, res.Violations...)
-	rep.summarize(res)
-	if res.Tripped != "" {
+	res := rep.runUnder(sc, spec, runOpts{wd: wd})
+	if res == nil || res.Tripped != "" {
 		return
 	}
 	checkDrain(res, rep)
-	if exact != nil && exact.Tripped == "" {
+	checkCapacity(res, sc, rep)
+	if exact.Tripped == "" {
 		checkEmitted(exact, res, rep)
 	}
 

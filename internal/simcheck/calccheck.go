@@ -231,14 +231,8 @@ func checkCalculus(sc *Case, scale float64, wd event.Watchdog, rep *SeedReport) 
 		return
 	}
 
-	res, err := runScenario(sc, calcFCFSSpec(), runOpts{probes: true, wd: wd})
-	if err != nil {
-		rep.add(Violation{Check: "build", Discipline: "fcfs-calc", Detail: err.Error()})
-		return
-	}
-	rep.Violations = append(rep.Violations, res.Violations...)
-	rep.summarize(res)
-	if res.Tripped != "" {
+	res := rep.runUnder(sc, calcFCFSSpec(), runOpts{probes: true, wd: wd})
+	if res == nil || res.Tripped != "" {
 		return
 	}
 	for _, sr := range res.Sessions {
@@ -461,7 +455,7 @@ func CalculusTightness(margin float64) *TightnessResult {
 			out.Err = an.reason
 			return out
 		}
-		res, err := runScenario(&sc, calcFCFSSpec(), runOpts{})
+		res, err := runScenario(&sc, calcFCFSSpec(), runOpts{wd: Options{}.watchdog(&sc)})
 		if err != nil {
 			out.Err = err.Error()
 			return out

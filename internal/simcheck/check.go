@@ -17,52 +17,42 @@ type Options struct {
 	BoundScale float64
 
 	// Churn makes CheckSeed generate scenarios with a deterministic
-	// fault plan (GenerateChurn); the battery then checks graceful
-	// degradation instead of clean-network bounds.
+	// fault plan (GenerateChurn): bounds are then checked on the sessions
+	// the plan leaves alone, and the checks that need an undisturbed
+	// network are skipped (see CheckScenario).
 	Churn bool
 
 	// ClassMode adds the aggregate-class battery to clean scenarios:
 	// the scenario re-run with core.Aggregate (one regulator per EF/AF
 	// class instead of per session) and checked against the degraded
-	// aggregation bounds. Ignored for churn scenarios — the chaos
-	// battery and the class battery compose multiplicatively and are
-	// exercised separately.
+	// aggregation bounds. Ignored under a fault plan — the fault plans
+	// and the class battery compose multiplicatively and are exercised
+	// separately.
 	ClassMode bool
 
 	// Calculus adds the network-calculus battery to clean scenarios:
 	// flows propagated as piecewise-linear arrival curves, their FIFO
 	// delay and per-flow backlog bounds checked against an FCFS run,
 	// plus the batch-admission fast path differentially checked against
-	// sequential admission (see calccheck.go). Ignored for churn
-	// scenarios.
+	// sequential admission (see calccheck.go). Ignored under a fault
+	// plan.
 	Calculus bool
 
 	// MaxEvents caps fired events per run (the deterministic watchdog
-	// budget). 0 means unlimited in the clean battery and a generous
-	// default in the churn battery, which always runs under a watchdog.
+	// budget); 0 means 20 000 000, a generous multiple of what a healthy
+	// run needs.
 	MaxEvents int64
 	// MaxWall is a per-run wall-clock budget, a machine-dependent last
 	// resort for genuinely hung runs; 0 = unlimited.
 	MaxWall time.Duration
 }
 
-// watchdog derives the clean battery's per-run budgets from the
-// options (zero when no budget was asked for — runs unbounded).
-func (o Options) watchdog() event.Watchdog {
-	return event.Watchdog{MaxEvents: o.MaxEvents, MaxWall: o.MaxWall}
-}
-
-// churnWatchdog sizes the chaos battery's per-run budgets: chaos runs
-// always get deterministic event and sim-time ceilings (generous
-// multiples of what a healthy run needs), so a scheduling bug that
-// livelocks the event loop becomes a reported, replayable "watchdog"
-// violation with partial telemetry instead of a hung process.
-func churnWatchdog(sc *Case, opt Options) event.Watchdog {
-	wd := event.Watchdog{
-		MaxEvents: opt.MaxEvents,
-		MaxSim:    100 * sc.Duration,
-		MaxWall:   opt.MaxWall,
-	}
+// watchdog sizes a run's budgets: every run gets deterministic event
+// and sim-time ceilings, so a scheduling bug that livelocks the event
+// loop becomes a reported, replayable "watchdog" violation with partial
+// telemetry instead of a hung process.
+func (o Options) watchdog(sc *Case) event.Watchdog {
+	wd := event.Watchdog{MaxEvents: o.MaxEvents, MaxSim: 100 * sc.Duration, MaxWall: o.MaxWall}
 	if wd.MaxEvents == 0 {
 		wd.MaxEvents = 20_000_000
 	}
@@ -91,6 +81,9 @@ func (opt Options) fold(sc *Case) {
 	if opt.BoundScale > 0 {
 		sc.Check.BoundScale = opt.BoundScale
 	}
+	if opt.ClassMode {
+		sc.Check.Classes = true
+	}
 	if opt.Calculus {
 		sc.Check.Calculus = true
 	}
@@ -110,14 +103,19 @@ func newReport(sc *Case) *SeedReport {
 	}
 }
 
-// CheckScenario runs the scenario through every discipline and checks
-// the invariant battery — the clean one, or the graceful-degradation
-// one when the scenario carries a fault plan. Bound checks apply to the
-// sessions that declare b0, the rest of the battery to all. The report
-// is a pure function of the case and options: same input,
-// byte-identical Format output. A panic anywhere in the battery is
-// recovered into a "panic" violation, so a crashing seed still yields a
-// report (and a replayable repro) instead of taking the harness down.
+// CheckScenario runs the scenario through every discipline, under its
+// fault plan if it carries one, and checks the invariant battery. Bound
+// checks apply to the sessions that declare b0 and that the plan leaves
+// alone (all of them on a clean network), the rest of the battery to
+// all. Four checks mean something only on an undisturbed network and
+// are skipped under a plan: the approximate queue's delay margin and the
+// LiT ≡ VirtualClock differential compare two runs packet for packet,
+// which a purge or an outage desynchronises, and the class and calculus
+// batteries check bounds derived for the full admitted set on working
+// links. The report is a pure function of the case and options: same
+// input, byte-identical Format output. A panic anywhere in the battery
+// is recovered into a "panic" violation, so a crashing seed still yields
+// a report (and a replayable repro) instead of taking the harness down.
 func CheckScenario(sc Case, opt Options) (rep *SeedReport) {
 	opt.fold(&sc)
 	rep = newReport(&sc)
@@ -133,40 +131,35 @@ func CheckScenario(sc Case, opt Options) (rep *SeedReport) {
 		rep.add(Violation{Check: "invalid-scenario", Detail: err.Error()})
 		return rep
 	}
-	if !sc.Faults.Empty() {
-		checkChurnScenario(&sc, opt, rep)
-		return rep
-	}
 	scale := sc.boundScale()
-	wd := opt.watchdog()
+	wd := opt.watchdog(&sc)
+	clean := sc.Faults.Empty()
 
 	// Reference run: Leave-in-Time with the exact heap, buffer limits
 	// at the bound for half the sessions and probes everywhere.
-	exact, err := runScenario(&sc, litSpec(false), runOpts{limits: true, probes: true, wd: wd})
-	if err != nil {
-		rep.add(Violation{Check: "build", Discipline: "lit", Detail: err.Error()})
+	exact := rep.runUnder(&sc, litSpec(false), runOpts{limits: true, probes: true, wd: wd})
+	if exact == nil {
 		return rep
 	}
-	rep.Violations = append(rep.Violations, exact.Violations...)
-	rep.summarize(exact)
 	if exact.Tripped == "" {
-		checkBounds(exact, scale, rep)
+		survivors := *exact
+		survivors.Sessions = cleanSurvivors(exact, &sc)
+		checkBounds(&survivors, scale, rep)
 		checkDrain(exact, rep)
 		checkTelemetry(exact, rep)
+		checkCapacity(exact, &sc, rep)
 	}
 
-	// Approximate queue: same scenario, deadline ordering
-	// allowed one bin of slack, end-to-end delays within the §4 margin
-	// of the exact run.
-	approx, err := runScenario(&sc, litSpec(true), runOpts{wd: wd})
-	if err != nil {
-		rep.add(Violation{Check: "build", Discipline: "lit-approx", Detail: err.Error()})
-	} else {
-		rep.Violations = append(rep.Violations, approx.Violations...)
-		rep.summarize(approx)
-		if exact.Tripped == "" && approx.Tripped == "" {
-			checkDrain(approx, rep)
-			checkApprox(exact, approx, &sc, rep)
+	// Approximate queue: same scenario, deadline ordering allowed one
+	// bin of slack, end-to-end delays within the §4 margin of the exact
+	// run.
+	if approx := rep.runUnder(&sc, litSpec(true), runOpts{wd: wd}); approx != nil && approx.Tripped == "" {
+		checkDrain(approx, rep)
+		checkCapacity(approx, &sc, rep)
+		if exact.Tripped == "" {
+			if clean {
+				checkApprox(exact, approx, &sc, rep)
+			}
 			checkEmitted(exact, approx, rep)
 		}
 	}
@@ -175,7 +168,7 @@ func CheckScenario(sc Case, opt Options) (rep *SeedReport) {
 	// control — LiT and VirtualClock must produce bit-identical
 	// per-packet delays. Both sides run bare (no buffer limits) so the
 	// comparison is over the full packet stream.
-	if sc.Check.Special {
+	if clean && sc.Check.Special {
 		litBare, err1 := runScenario(&sc, litSpec(false), runOpts{collectDelays: true, wd: wd})
 		vcRun, err2 := runScenario(&sc, vcSpec(), runOpts{collectDelays: true, wd: wd})
 		if err1 != nil || err2 != nil {
@@ -188,28 +181,22 @@ func CheckScenario(sc Case, opt Options) (rep *SeedReport) {
 
 	// Class mode: the aggregate-class discipline with degraded bound
 	// checks (see aggcheck.go).
-	if opt.ClassMode {
+	if clean && sc.Check.Classes {
 		checkAggregate(&sc, exact, scale, wd, rep)
 	}
 
 	// Network-calculus battery: curve-propagated FIFO bounds against an
 	// FCFS run, plus the admission fast-path differential check.
-	if sc.Check.Calculus {
+	if clean && sc.Check.Calculus {
 		checkCalculus(&sc, scale, wd, rep)
 	}
 
 	// Every baseline discipline: generic invariants only (drain,
-	// conservation, identical emission).
+	// conservation, capacity return, identical emission).
 	for _, spec := range baselineSpecs(&sc) {
-		res, err := runScenario(&sc, spec, runOpts{wd: wd})
-		if err != nil {
-			rep.add(Violation{Check: "build", Discipline: spec.name, Detail: err.Error()})
-			continue
-		}
-		rep.Violations = append(rep.Violations, res.Violations...)
-		rep.summarize(res)
-		if res.Tripped == "" {
+		if res := rep.runUnder(&sc, spec, runOpts{wd: wd}); res != nil && res.Tripped == "" {
 			checkDrain(res, rep)
+			checkCapacity(res, &sc, rep)
 			if exact.Tripped == "" {
 				checkEmitted(exact, res, rep)
 			}
@@ -218,50 +205,18 @@ func CheckScenario(sc Case, opt Options) (rep *SeedReport) {
 	return rep
 }
 
-// checkChurnScenario is the graceful-degradation battery, run when the
-// scenario carries a fault plan. The reference Leave-in-Time run keeps
-// probes and buffer limits and is checked for survivor bounds, fault-
-// aware conservation and telemetry, and exact capacity return; every
-// other discipline must still conserve packets, drain its pool and
-// return its capacity under the identical chaos.
-func checkChurnScenario(sc *Case, opt Options, rep *SeedReport) {
-	scale := sc.boundScale()
-	wd := churnWatchdog(sc, opt)
-
-	exact, err := runChurn(sc, litSpec(false), runOpts{limits: true, probes: true, wd: wd})
+// runUnder runs the scenario under one discipline and books the run on
+// the report: its online violations and its summary row, or a "build"
+// violation and a nil result when the network could not be built.
+func (r *SeedReport) runUnder(sc *Case, spec discSpec, opts runOpts) *runResult {
+	res, err := runScenario(sc, spec, opts)
 	if err != nil {
-		rep.add(Violation{Check: "build", Discipline: "lit", Detail: err.Error()})
-		return
+		r.add(Violation{Check: "build", Discipline: spec.name, Detail: err.Error()})
+		return nil
 	}
-	rep.Violations = append(rep.Violations, exact.Violations...)
-	rep.summarize(exact)
-	if exact.Tripped == "" {
-		survivors := *exact
-		survivors.Sessions = cleanSurvivors(exact, sc)
-		checkBounds(&survivors, scale, rep)
-		checkChurnDrain(exact, rep)
-		checkChurnTelemetry(exact, rep)
-		checkCapacity(exact, sc, rep)
-	}
-
-	specs := append([]discSpec{litSpec(true)}, baselineSpecs(sc)...)
-	for _, spec := range specs {
-		res, err := runChurn(sc, spec, runOpts{wd: wd})
-		if err != nil {
-			rep.add(Violation{Check: "build", Discipline: spec.name, Detail: err.Error()})
-			continue
-		}
-		rep.Violations = append(rep.Violations, res.Violations...)
-		rep.summarize(res)
-		if res.Tripped != "" {
-			continue
-		}
-		checkChurnDrain(res, rep)
-		checkCapacity(res, sc, rep)
-		if exact.Tripped == "" {
-			checkEmitted(exact, res, rep)
-		}
-	}
+	r.Violations = append(r.Violations, res.Violations...)
+	r.summarize(res)
+	return res
 }
 
 // checkBounds verifies the paper's service commitments on the
@@ -300,16 +255,17 @@ func checkBounds(res *runResult, scale float64, rep *SeedReport) {
 	}
 }
 
-// checkDrain verifies per-session packet conservation and pool balance
-// after the network has fully drained: every emitted packet was either
-// delivered or dropped at a buffer limit, and the pool got every
-// packet back.
+// checkDrain is packet conservation, fault losses included: per session,
+// packets emitted across every incarnation equal deliveries plus every
+// traced packet loss (buffer-limit, fault and purge drops), and the pool
+// got every packet back once the network drained.
 func checkDrain(res *runResult, rep *SeedReport) {
 	for _, sr := range res.Sessions {
-		if sr.Delivered+sr.Dropped != sr.Emitted {
+		drops := res.Counts.SessDrops[sr.Def.ID]
+		if sr.Delivered+drops != sr.Emitted {
 			rep.add(Violation{Check: "conservation", Discipline: res.Name, Session: sr.Def.ID,
-				Detail: fmt.Sprintf("emitted %d != delivered %d + dropped %d",
-					sr.Emitted, sr.Delivered, sr.Dropped)})
+				Detail: fmt.Sprintf("emitted %d != delivered %d + dropped %d (buffer+fault+purge)",
+					sr.Emitted, sr.Delivered, drops)})
 		}
 	}
 	if res.Pool.Live != 0 || res.Pool.Released > res.Pool.Taken {
@@ -319,9 +275,25 @@ func checkDrain(res *runResult, rep *SeedReport) {
 	}
 }
 
-// checkTelemetry demands triple agreement per port: the metrics
-// registry, the trace event stream and the buffer probes must tell the
-// same story. It also sanity-checks the engine counters.
+// checkCapacity demands that after the final teardown pass every
+// link's admission controller is back to exactly zero reserved rate:
+// released capacity is really released, with no residue from churn,
+// lost signaling messages, or the retry paths.
+func checkCapacity(res *runResult, sc *Case, rep *SeedReport) {
+	for i := range sc.Servers {
+		key := sc.Servers[i].Name
+		if rate := res.Adm[key].TotalRate(); rate != 0 {
+			rep.add(Violation{Check: "capacity-leak", Discipline: res.Name, Port: key,
+				Detail: fmt.Sprintf("%.9g bits/s still reserved after final teardown", rate)})
+		}
+	}
+}
+
+// checkTelemetry demands triple agreement per port: the trace stream,
+// the metrics registry and the buffer probes must tell the same story
+// with drops partitioned by cause — buffer-limit drops (also counted by
+// the probes), fault/purge packet losses, and lost signaling messages.
+// It also sanity-checks the engine counters.
 func checkTelemetry(res *runResult, rep *SeedReport) {
 	probeDrops := make(map[string]int64)
 	for _, sr := range res.Sessions {
@@ -338,17 +310,26 @@ func checkTelemetry(res *runResult, rep *SeedReport) {
 			rep.add(Violation{Check: "telemetry-agreement", Discipline: res.Name, Port: pm.Name,
 				Detail: fmt.Sprintf("trace counted %d transmissions, metrics %d", got, pm.Transmissions)})
 		}
-		if got := res.Counts.Drops[pm.Name]; got != pm.DroppedPackets || pm.DroppedPackets != probeDrops[pm.Name] {
+		bufDrops := res.Counts.Drops[pm.Name] - res.Counts.FaultDrops[pm.Name] - res.Counts.SigDrops[pm.Name]
+		if bufDrops != pm.DroppedPackets || pm.DroppedPackets != probeDrops[pm.Name] {
 			rep.add(Violation{Check: "telemetry-agreement", Discipline: res.Name, Port: pm.Name,
-				Detail: fmt.Sprintf("drops disagree: trace %d, metrics %d, probes %d",
-					got, pm.DroppedPackets, probeDrops[pm.Name])})
+				Detail: fmt.Sprintf("buffer drops disagree: trace %d, metrics %d, probes %d",
+					bufDrops, pm.DroppedPackets, probeDrops[pm.Name])})
+		}
+		if got := res.Counts.FaultDrops[pm.Name]; got != pm.FaultDrops {
+			rep.add(Violation{Check: "telemetry-agreement", Discipline: res.Name, Port: pm.Name,
+				Detail: fmt.Sprintf("fault drops disagree: trace %d, metrics %d", got, pm.FaultDrops)})
+		}
+		if got := res.Counts.SigDrops[pm.Name]; got != pm.SignalingDrops {
+			rep.add(Violation{Check: "telemetry-agreement", Discipline: res.Name, Port: pm.Name,
+				Detail: fmt.Sprintf("signaling drops disagree: trace %d, metrics %d", got, pm.SignalingDrops)})
 		}
 	}
 	checkEngineSanity(res, rep)
 }
 
 // checkEngineSanity cross-checks the event-engine counters against the
-// run's activity (shared by the clean and churn telemetry checks).
+// run's activity.
 func checkEngineSanity(res *runResult, rep *SeedReport) {
 	var emitted int64
 	for _, sr := range res.Sessions {

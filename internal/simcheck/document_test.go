@@ -174,3 +174,21 @@ func TestReplayAnyDocument(t *testing.T) {
 		t.Errorf("bound checks under tightening hit sessions %v, want 1, 2, 3 only", hit)
 	}
 }
+
+// TestReplayRefusesAnIDPastTheTable: the harness hands document ids to
+// the network as they stand, and per-id tables pay for the span of the
+// ids they hold, so a document with an id in the trillions must be
+// refused as invalid before any network is built — it once ended the
+// process with the runtime's out-of-memory exit, which no recover sees.
+func TestReplayRefusesAnIDPastTheTable(t *testing.T) {
+	sc, err := LoadCase("../../examples/scenario.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.Sessions[1].ID = 4000000000000
+	rep := CheckScenario(sc, Options{})
+	if len(rep.Violations) != 1 || rep.Violations[0].Check != "invalid-scenario" ||
+		!strings.Contains(rep.Violations[0].Detail, "session 1 has id 4000000000000") {
+		t.Fatalf("report:\n%s", rep.Format())
+	}
+}

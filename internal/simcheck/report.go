@@ -11,8 +11,8 @@ type Violation struct {
 	// buffer-bound, loss-free, deadline-inversion, work-conservation,
 	// eligible-idle, pool-balance, conservation, emit-divergence,
 	// vc-equivalence, approx-divergence, telemetry-agreement,
-	// engine-sanity, admission-replay; under a fault plan additionally
-	// capacity-leak, watchdog and panic.
+	// engine-sanity, admission-replay, capacity-leak; and, for a run or
+	// a battery that did not finish, watchdog and panic.
 	Check      string `json:"check"`
 	Discipline string `json:"discipline"`
 	Session    int    `json:"session,omitempty"`
@@ -36,8 +36,7 @@ type SeedReport struct {
 	Sessions int    `json:"sessions"`
 	Proc     int    `json:"proc"`
 	Special  bool   `json:"special,omitempty"`
-	// Churn marks a run under a fault plan (the graceful-degradation
-	// battery).
+	// Churn marks a scenario that carries a fault plan.
 	Churn       bool          `json:"churn,omitempty"`
 	Duration    float64       `json:"duration_s"`
 	Disciplines []DiscSummary `json:"disciplines"`

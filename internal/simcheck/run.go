@@ -6,10 +6,12 @@ import (
 	"leaveintime/internal/admission"
 	"leaveintime/internal/config"
 	"leaveintime/internal/event"
+	"leaveintime/internal/faults"
 	"leaveintime/internal/metrics"
 	"leaveintime/internal/network"
 	"leaveintime/internal/packet"
 	"leaveintime/internal/rng"
+	"leaveintime/internal/signaling"
 	"leaveintime/internal/traffic"
 )
 
@@ -54,8 +56,8 @@ type runResult struct {
 	Reg        *metrics.Registry
 	Counts     *traceCounts
 	Violations []Violation
-	// Adm holds the run's admission controllers, kept so the churn
-	// battery can demand TotalRate() == 0 after the final teardown.
+	// Adm holds the run's admission controllers, kept so the battery can
+	// demand TotalRate() == 0 after the final teardown.
 	Adm map[string]admission.Controller
 	// Tripped is the watchdog's trip reason; non-empty means the run was
 	// cut short and only partial telemetry is meaningful.
@@ -66,8 +68,8 @@ type runOpts struct {
 	limits        bool // cap buffers at the bound for LimitBuffers sessions
 	probes        bool // track per-hop occupancy
 	collectDelays bool
-	// wd, when non-zero, arms the run's watchdog budgets; a tripped run
-	// reports a "watchdog" violation and skips drain-dependent checks.
+	// wd arms the run's watchdog budgets; a tripped run reports a
+	// "watchdog" violation and skips drain-dependent checks.
 	wd event.Watchdog
 }
 
@@ -84,7 +86,7 @@ type traceCounts struct {
 	// FaultDrops and SigDrops are per-port partitions of Drops;
 	// SessDrops counts per-session packet losses (buffer, fault and
 	// purge causes — signaling losses excluded), the per-session drop
-	// term of the churn conservation check.
+	// term of the conservation check.
 	FaultDrops map[string]int64
 	SigDrops   map[string]int64
 	SessDrops  map[int]int64
@@ -122,25 +124,45 @@ func (t *traceCounts) Trace(e traceEvent) {
 	}
 }
 
-// run is what the clean and the churn runner share: the simulator with
-// its watchdog armed, the instrumented network of one raw port per
-// server under one discipline (each port's scheduler wrapped in the
-// checking decorator), the admission controllers, the scenario's random
-// stream for sources that bring no seed of their own, and the result
-// both fill in.
-type run struct {
-	sc     *Case
-	spec   discSpec
-	opts   runOpts
-	sim    *event.Simulator
-	net    *network.Network
-	ports  map[string]*network.Port
-	adm    map[string]admission.Controller
-	stream *rng.Rand
-	res    *runResult
+// sess is one scenario session across the run: the result being filled
+// in, the current network incarnation (nil while released) and the
+// session's signaler. Emitted and Delivered sum the incarnations already
+// torn down; the live one's are added when the run is collected.
+type sess struct {
+	sessResult
+	hops   []*config.Server
+	ports  []*network.Port
+	sig    *signaling.Signaler
+	live   *network.Session
+	probes []*network.BufferProbe
 }
 
-func newRun(sc *Case, spec discSpec, opts runOpts) (*run, error) {
+// run is one discipline's run over the scenario: the simulator with its
+// watchdog armed, the instrumented network of one raw port per server
+// (each port's scheduler wrapped in the checking decorator), the
+// admission controllers, the scenario's random stream for sources that
+// bring no seed of their own, and the result being filled in. It
+// implements faults.Actions (see churn.go).
+type run struct {
+	sc       *Case
+	spec     discSpec
+	opts     runOpts
+	sim      *event.Simulator
+	net      *network.Network
+	ports    map[string]*network.Port
+	adm      map[string]admission.Controller
+	stream   *rng.Rand
+	res      *runResult
+	sessions []*sess // establishment order
+}
+
+// runScenario builds the scenario's network under one discipline,
+// injects the fault plan (nothing, on a clean network), runs to full
+// drain and returns every reservation through the signaling layer.
+// Per-session counters sum over a churned session's incarnations.
+// Violations detected online (by the checking decorator) are collected
+// in the result; bound and cross-run checks happen in the battery.
+func runScenario(sc *Case, spec discSpec, opts runOpts) (*runResult, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
@@ -149,9 +171,7 @@ func newRun(sc *Case, spec discSpec, opts runOpts) (*run, error) {
 		return nil, err
 	}
 	sim := event.New()
-	if opts.wd != (event.Watchdog{}) {
-		sim.SetWatchdog(opts.wd)
-	}
+	sim.SetWatchdog(opts.wd)
 	net := network.New(sim, sc.LMax)
 	net.SetPoolDebug(true)
 	reg := metrics.NewRegistry()
@@ -160,81 +180,61 @@ func newRun(sc *Case, spec discSpec, opts runOpts) (*run, error) {
 	net.Tracer = counts
 
 	res := &runResult{Name: spec.name, Reg: reg, Counts: counts, Adm: adm}
-	ports := make(map[string]*network.Port, len(sc.Servers))
+	r := &run{sc: sc, spec: spec, opts: opts, sim: sim, net: net, adm: adm, stream: rng.New(sc.Seed), res: res,
+		ports: make(map[string]*network.Port, len(sc.Servers))}
 	for i := range sc.Servers {
 		sv := &sc.Servers[i]
-		ports[sv.Name] = net.NewPort(sv.Name, sv.Capacity, sv.Gamma, spec.checked(sc, sv, &res.Violations))
+		r.ports[sv.Name] = net.NewPort(sv.Name, sv.Capacity, sv.Gamma, spec.checked(sc, sv, &res.Violations))
 	}
-	return &run{sc: sc, spec: spec, opts: opts, sim: sim, net: net, ports: ports, adm: adm,
-		stream: rng.New(sc.Seed), res: res}, nil
-}
-
-// finishTrip reports whether the watchdog cut the run short, recording
-// the trip as a violation and in the fault telemetry.
-func (r *run) finishTrip() bool {
-	reason := r.sim.Tripped()
-	if reason == "" {
-		return false
-	}
-	r.res.Tripped = reason
-	r.res.Reg.Arena().Inc(metrics.HFaultWatchdogTrips)
-	r.res.Violations = append(r.res.Violations, Violation{
-		Check: "watchdog", Discipline: r.spec.name, Detail: reason,
-	})
-	return true
-}
-
-// runScenario builds the scenario's network under one discipline and
-// runs it to full drain. Violations detected online (by the checking
-// decorator) are collected in the result; bound and cross-run checks
-// happen in the battery.
-func runScenario(sc *Case, spec discSpec, opts runOpts) (*runResult, error) {
-	r, err := newRun(sc, spec, opts)
-	if err != nil {
-		return nil, err
-	}
-	type built struct {
-		sess   *network.Session
-		sr     *sessResult
-		probes []*network.BufferProbe
-	}
-	var builds []built
 	for i := range sc.Sessions {
-		if sr, sess, probes, ok := r.establish(&sc.Sessions[i]); ok {
-			builds = append(builds, built{sess: sess, sr: sr, probes: probes})
-		}
+		r.establish(&sc.Sessions[i])
 	}
 
-	for _, b := range builds {
-		b.sess.Start(0, sc.Duration)
+	faults.Inject(sim, r, sc.Faults)
+	for _, s := range r.sessions {
+		s.live.Start(0, sc.Duration)
 	}
 	// Emission stops at Duration; everything still queued, regulated or
 	// framed then drains, so RunAll terminates with an empty network.
-	r.sim.RunAll()
-	r.finishTrip()
+	sim.RunAll()
+	if sim.Tripped() == "" {
+		// Final teardown pass: every reservation still held — the
+		// survivors', the re-established churners', and any remnant
+		// stranded by a lost signaling message — goes back through the
+		// normal RELEASE walk, so the capacity-zero check exercises the
+		// same release path mid-run teardowns use. All fault windows
+		// have closed by now, so no RELEASE can be lost again.
+		for _, s := range r.sessions {
+			if s.sig.Established(s.Def.ID) {
+				_ = s.sig.Teardown(s.Def.ID, nil) // established, so it cannot fail
+			}
+		}
+		sim.RunAll()
+	}
+	if reason := sim.Tripped(); reason != "" {
+		res.Tripped = reason
+		reg.Arena().Inc(metrics.HFaultWatchdogTrips)
+		res.Violations = append(res.Violations, Violation{Check: "watchdog", Discipline: spec.name, Detail: reason})
+	}
 
-	for _, b := range builds {
-		b.sr.Emitted = b.sess.Emitted
-		b.sr.Delivered = b.sess.Delivered
-		b.sr.collect(b.sess, b.probes)
-		r.res.Sessions = append(r.res.Sessions, *b.sr)
+	for _, s := range r.sessions {
+		if s.live != nil {
+			s.Emitted += s.live.Emitted
+			s.Delivered += s.live.Delivered
+			if s.live.Delays.Count() > 0 {
+				s.MaxDelay = s.live.Delays.Max()
+				s.Jitter = s.live.Delays.Jitter()
+			}
+		}
+		for i, pr := range s.probes {
+			s.Probes[i].MaxBits = pr.MaxBits
+			s.Probes[i].Dropped = pr.DroppedPackets
+			s.Dropped += pr.DroppedPackets
+		}
+		res.Sessions = append(res.Sessions, s.sessResult)
 	}
-	r.res.Pool = r.net.PoolStats()
-	return r.res, nil
-}
-
-// collect reads the delay statistics of the session's (last)
-// incarnation and the per-hop buffer observations into the result.
-func (sr *sessResult) collect(sess *network.Session, probes []*network.BufferProbe) {
-	if sess != nil && sess.Delays.Count() > 0 {
-		sr.MaxDelay = sess.Delays.Max()
-		sr.Jitter = sess.Delays.Jitter()
-	}
-	for i, pr := range probes {
-		sr.Probes[i].MaxBits = pr.MaxBits
-		sr.Probes[i].Dropped = pr.DroppedPackets
-		sr.Dropped += pr.DroppedPackets
-	}
+	res.Pool = net.PoolStats()
+	return res, nil
 }
 
 // admitted is a session's route after the admission replay: the servers
@@ -304,56 +304,54 @@ func (r *run) source(def *config.Session) traffic.Source {
 
 // establish admits the session at every hop (replaying what the
 // generator verified), derives its analytic bounds from the resulting
-// assignments, and wires it into the network. A failed replay is
-// recorded as a violation and reported as ok == false.
-func (r *run) establish(def *config.Session) (sr *sessResult, sess *network.Session, probes []*network.BufferProbe, ok bool) {
+// assignments, wires it into the network and gives it a signaler that
+// holds the reservation just made. A failed replay is recorded as a
+// violation and the session left out of the run.
+func (r *run) establish(def *config.Session) {
 	ad, err := replayAdmission(r.sc, r.adm, def)
 	if err != nil {
 		r.res.Violations = append(r.res.Violations, Violation{
 			Check: "admission-replay", Discipline: r.spec.name,
 			Session: def.ID, Detail: err.Error(),
 		})
-		return nil, nil, nil, false
+		return
 	}
 
-	sr = &sessResult{
-		Def:        def,
-		Hops:       len(ad.hops),
-		MinLinkCap: ad.minCap,
-		DelayBound: ad.bounds.DelayBound,
-		JitterBnd:  ad.bounds.JitterBound,
+	s := &sess{
+		sessResult: sessResult{
+			Def:        def,
+			Hops:       len(ad.hops),
+			MinLinkCap: ad.minCap,
+			DelayBound: ad.bounds.DelayBound,
+			JitterBnd:  ad.bounds.JitterBound,
+		},
+		hops:  ad.hops,
+		ports: make([]*network.Port, len(def.Route)),
 	}
-
-	ports := r.route(def)
-	sess = r.net.AddSession(def.ID, def.Rate, def.JitterControl, ports, ad.cfgs, r.source(def))
+	for i, name := range def.Route {
+		s.ports[i] = r.ports[name]
+	}
+	s.live = r.net.AddSession(def.ID, def.Rate, def.JitterControl, s.ports, ad.cfgs, r.source(def))
 	if r.opts.probes {
 		for n, bound := range ad.bounds.BufferBoundBits {
 			limited := r.opts.limits && def.LimitBuffers
 			var pr *network.BufferProbe
 			if limited {
-				pr = ports[n].LimitBuffer(def.ID, bound)
+				pr = s.ports[n].LimitBuffer(def.ID, bound)
 			} else {
-				pr = ports[n].TrackBuffer(def.ID)
+				pr = s.ports[n].TrackBuffer(def.ID)
 			}
-			probes = append(probes, pr)
-			sr.Probes = append(sr.Probes, probeResult{
-				Port: ports[n].Name, Bound: bound, Limited: limited,
+			s.probes = append(s.probes, pr)
+			s.Probes = append(s.Probes, probeResult{
+				Port: s.ports[n].Name, Bound: bound, Limited: limited,
 			})
 		}
 	}
 	if r.opts.collectDelays {
-		sess.OnDeliver = func(p *packet.Packet, delay float64) {
-			sr.Delays = append(sr.Delays, seqDelay{Seq: p.Seq, Delay: delay})
+		s.live.OnDeliver = func(p *packet.Packet, delay float64) {
+			s.Delays = append(s.Delays, seqDelay{Seq: p.Seq, Delay: delay})
 		}
 	}
-	return sr, sess, probes, true
-}
-
-// route returns the ports of the session's route.
-func (r *run) route(def *config.Session) []*network.Port {
-	ports := make([]*network.Port, len(def.Route))
-	for i, name := range def.Route {
-		ports[i] = r.ports[name]
-	}
-	return ports
+	s.sig = r.newSignaler(s)
+	r.sessions = append(r.sessions, s)
 }

@@ -3,7 +3,8 @@
 // admitted session set, traffic mix), runs the same arrival sequence
 // through every discipline in the repository, and checks an invariant
 // battery against the paper's analytic machinery — per-session delay/
-// jitter/buffer bounds, packet-pool balance, deadline ordering, work
+// jitter/buffer bounds, packet conservation, packet-pool balance,
+// reserved capacity returned whole, deadline ordering, work
 // conservation, the LiT ≡ VirtualClock special case, the approximate-queue
 // approximation bound, and metrics/trace/probe agreement. On violation
 // it shrinks the scenario to a minimal failing form and writes a
@@ -42,9 +43,11 @@ type Check struct {
 	// -bound-scale flag.
 	BoundScale float64 `json:"bound_scale,omitempty"`
 
-	// Calculus switches on the network-calculus battery (see
-	// calccheck.go). Set from Options.Calculus at check time and written
-	// into repros so they replay the battery without extra flags.
+	// Classes and Calculus switch on the aggregate-class battery (see
+	// aggcheck.go) and the network-calculus battery (see calccheck.go).
+	// Set from Options.ClassMode and Options.Calculus at check time and
+	// written into repros so they replay the battery without extra flags.
+	Classes  bool `json:"classes,omitempty"`
 	Calculus bool `json:"calculus,omitempty"`
 }
 
@@ -54,9 +57,8 @@ type Check struct {
 // removing an admitted session never invalidates the remaining ones
 // (the procedures' tests are monotone in the session set), any subset
 // is again a valid scenario — the property the shrinker relies on. A
-// fault plan in the document switches the battery to the churn/fault
-// mode: graceful-degradation invariants instead of the clean-network
-// bound checks (see CheckScenario).
+// fault plan in the document is injected into every run and narrows the
+// bound checks to the sessions it leaves alone (see CheckScenario).
 type Case struct {
 	*config.Scenario
 	Check Check `json:"check"`

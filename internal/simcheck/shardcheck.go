@@ -26,8 +26,8 @@ type shardRun struct {
 // runShardedScenario runs the scenario under exact Leave-in-Time on
 // the conservative-parallel runtime with the given shard count. It is
 // the sharded counterpart of runScenario, trimmed to what the
-// invariance battery compares (no buffer probes or limits — those are
-// serial-battery concerns).
+// invariance battery compares (no buffer probes or limits, no fault
+// plan and no RELEASE pass — those are serial-battery concerns).
 func runShardedScenario(sc *Case, shards int, opt Options) (*shardRun, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
@@ -66,7 +66,7 @@ func runShardedScenario(sc *Case, shards int, opt Options) (*shardRun, error) {
 		Metrics:   true,
 		PoolDebug: true,
 		Tracer:    func(i int) trace.Tracer { recs[i] = &trace.Recorder{}; return recs[i] },
-		Watchdog:  opt.watchdog(),
+		Watchdog:  opt.watchdog(sc),
 	})
 	if err != nil {
 		return nil, err
@@ -168,8 +168,8 @@ func sortViolations(vs []Violation) {
 // differing item. The report is deterministic in (seed, shards).
 //
 // Fault plans are out of scope (Options.Churn is rejected): injected
-// faults address one engine and one network, and the churn battery
-// stays a serial-path concern.
+// faults address one engine and one network, and fault plans stay a
+// serial-path concern.
 func CheckShardInvariance(seed uint64, shards int, opt Options) *SeedReport {
 	sc := Generate(seed)
 	rep := newReport(&sc)

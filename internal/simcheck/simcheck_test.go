@@ -90,10 +90,24 @@ func TestReportDeterministic(t *testing.T) {
 // TestInjectedViolationShrinksAndReplays: tightening the checked bounds
 // past the theorems (the BoundScale hook) must fail, the shrinker must
 // reduce the scenario without losing the original violation, and the
-// written repro must reproduce the failure when replayed from disk.
+// written repro must reproduce the failure when replayed from disk —
+// the class battery's share of it included, when the failure was found
+// under class mode.
 func TestInjectedViolationShrinksAndReplays(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opt  Options
+		want string // a check the replay must still report
+	}{
+		{"bounds", Options{BoundScale: 0.01}, "delay-bound"},
+		{"classes", Options{BoundScale: 0.01, ClassMode: true}, "agg-delay-bound"},
+	} {
+		t.Run(tc.name, func(t *testing.T) { injectShrinkReplay(t, tc.opt, tc.want) })
+	}
+}
+
+func injectShrinkReplay(t *testing.T, opt Options, want string) {
 	const seed = 1
-	opt := Options{BoundScale: 0.01}
 	full := Generate(seed)
 	rep := CheckScenario(full, opt)
 	if rep.OK() {
@@ -128,7 +142,8 @@ func TestInjectedViolationShrinksAndReplays(t *testing.T) {
 	}
 
 	// Round-trip through JSON: the repro must carry the injected
-	// tightening and fail again with no extra options.
+	// tightening and the battery it failed under, and fail again with
+	// no extra options.
 	path := filepath.Join(t.TempDir(), "repro.json")
 	if err := WriteRepro(path, shrunk); err != nil {
 		t.Fatal(err)
@@ -143,6 +158,13 @@ func TestInjectedViolationShrinksAndReplays(t *testing.T) {
 	if replayed.Format() != srep.Format() {
 		t.Errorf("replay differs from the shrink's report:\n--- shrink ---\n%s--- replay ---\n%s",
 			srep.Format(), replayed.Format())
+	}
+	found := false
+	for _, v := range replayed.Violations {
+		found = found || v.Check == want
+	}
+	if !found {
+		t.Errorf("replay reports no %s:\n%s", want, replayed.Format())
 	}
 }
 
