@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"leaveintime/internal/metrics"
 )
@@ -566,7 +567,7 @@ func subsetTest(c float64, specs []SessionSpec, ds []float64) bool {
 		diff := gray ^ prev
 		prev = gray
 		// Exactly one bit flips between consecutive Gray codes.
-		i := trailingZeros(diff)
+		i := bits.TrailingZeros64(diff)
 		if gray&diff != 0 {
 			sumL += specs[i].LMax
 			sumR += specs[i].Rate
@@ -584,15 +585,6 @@ func subsetTest(c float64, specs []SessionSpec, ds []float64) bool {
 		}
 	}
 	return true
-}
-
-func trailingZeros(x uint64) int {
-	n := 0
-	for x&1 == 0 {
-		x >>= 1
-		n++
-	}
-	return n
 }
 
 // errDuplicate refuses a second admission of a live id. It does not wrap

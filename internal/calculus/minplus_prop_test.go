@@ -314,9 +314,9 @@ func TestFlowBacklogProperties(t *testing.T) {
 	}
 }
 
-// TestWsAllocationFree pins the fast-path property the litbench gate
-// relies on: once warmed, curve operations through a Ws allocate
-// nothing.
+// TestWsAllocationFree pins the fast-path property the convolve row of
+// TestAllocationBudgets (repo root) relies on: once warmed, curve
+// operations through a Ws allocate nothing.
 func TestWsAllocationFree(t *testing.T) {
 	f := Min(MustCurve(0, Piece{0, 96}), TokenBucket(16, 424))
 	g := TokenBucket(24, 848)

@@ -51,9 +51,9 @@
 // the others split the scenario's in session order.
 //
 // A repro written by cmd/litcheck is a document with one more object,
-// "check", holding the four keys only the harness reads (kind, special,
-// bound_scale, calculus); Parse ignores it as it ignores any unknown
-// key. litcheck -replay accepts any document Parse accepts, and also a
+// "check", holding the five keys only the harness reads (kind, special,
+// bound_scale, classes, calculus); Parse ignores it as it ignores any
+// unknown key. litcheck -replay accepts any document Parse accepts, and also a
 // plan that releases a session and sets it up again, which is valid
 // (Validate) but which only the harness's signaling path can run
 // (Runnable).

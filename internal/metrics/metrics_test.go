@@ -131,8 +131,8 @@ var sink int64
 // TestCounterUpdatesAllocationFree pins the package's core contract:
 // an instrumented site — nil-checked arena pointer, indexed slot adds —
 // never allocates, whether the registry is attached or not. (The
-// end-to-end version of this check is the litbench allocation gate,
-// which runs the figure benchmarks with metrics enabled.)
+// end-to-end version of this check is TestAllocationBudgets at the repo
+// root, which runs the figure bodies with metrics enabled.)
 func TestCounterUpdatesAllocationFree(t *testing.T) {
 	r := NewRegistry()
 	a, base := r.NewPort("node1", 1536e3)

@@ -218,8 +218,14 @@ func RunChaos(seed uint64, dir string) (*ChaosReport, error) {
 	return report, nil
 }
 
+// malformedSystem is the one-class system the SETUP and Adopt bodies of
+// malformedProbes are posted to.
+const malformedSystem = `{"name":"malformed","capacity":1536000,"lmax":424}`
+
 // malformedProbes are request bodies every endpoint must answer with a
-// 400; FuzzServeBodies starts from them.
+// 400; FuzzServeBodies starts from them. The last four are a caller's
+// bug in a SETUP, not a capacity refusal (409): a packet larger than
+// the system's L_MAX, lmin above lmax, a class the system does not have.
 var malformedProbes = []struct {
 	path string
 	body string
@@ -228,9 +234,21 @@ var malformedProbes = []struct {
 	{"/v1/systems", `{"name":"x","capacity":1,"lmax":1,"bogus_field":1}`},
 	{"/v1/systems", `{"name":"","capacity":-1,"lmax":0}`},
 	{"/v1/scenarios", `{"not":"a scenario"}`},
+	{"/v1/systems/malformed/setup", `{"id":1,"rate":32000,"lmax":4240}`},
+	{"/v1/systems/malformed/adopt", `{"id":1,"rate":32000,"lmax":4240}`},
+	{"/v1/systems/malformed/setup", `{"id":1,"rate":32000,"lmax":424,"lmin":425}`},
+	{"/v1/systems/malformed/setup", `{"id":1,"rate":32000,"lmax":424,"class":2}`},
 }
 
 func (h *chaosHarness) probeMalformed() error {
+	resp, err := h.post("/v1/systems", []byte(malformedSystem), nil)
+	if err != nil {
+		return err
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		return fmt.Errorf("create system: got %d, want 201", resp.StatusCode)
+	}
 	for _, c := range malformedProbes {
 		resp, err := h.post(c.path, []byte(c.body), nil)
 		if err != nil {
@@ -242,7 +260,7 @@ func (h *chaosHarness) probeMalformed() error {
 		}
 	}
 	// A malformed deadline header is rejected before the handler runs.
-	resp, err := h.post("/v1/systems", []byte(`{"name":"y","capacity":1,"lmax":1}`),
+	resp, err = h.post("/v1/systems", []byte(`{"name":"y","capacity":1,"lmax":1}`),
 		map[string]string{"X-Request-Deadline": "not-a-number"})
 	if err != nil {
 		return err

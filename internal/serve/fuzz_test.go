@@ -112,6 +112,9 @@ func FuzzServeBodies(f *testing.F) {
 			if err := json.Unmarshal(body, &req); err != nil {
 				t.Fatalf("%s accepted a body that does not decode: %v", verb, err)
 			}
+			if req.LMax > sys.lmax || req.LMin > req.LMax {
+				t.Fatalf("%s accepted lmin %g, lmax %g on a system of lmax %g", verb, req.LMin, req.LMax, sys.lmax)
+			}
 			rel, _ := json.Marshal(ReleaseRequest{ID: req.ID})
 			if code := post("/v1/systems/s/release", rel).Code; code != http.StatusOK {
 				t.Fatalf("release of the session %s established: status %d", verb, code)

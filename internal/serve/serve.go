@@ -440,7 +440,13 @@ func (d *Daemon) lookupSystem(w http.ResponseWriter, r *http.Request) *system {
 	return sys
 }
 
-func (req *SetupRequest) spec() (admission.SessionSpec, int, admission.Options, error) {
+// declaration turns a SETUP or Adopt body into the admission request,
+// refusing what is wrong with it whatever else is established: a
+// nonpositive id, what the controller's Check refuses (lmin above lmax,
+// a class outside 1..P, a negative eps), and an lmax above the system's
+// — eq. 9/12 and the curve gate's FCFSServer take L_MAX network-wide,
+// so a larger packet would make every bound already handed out wrong.
+func (sys *system) declaration(req *SetupRequest) (admission.SessionSpec, int, admission.Options, error) {
 	lMin := req.LMin
 	if lMin == 0 {
 		lMin = req.LMax
@@ -450,10 +456,17 @@ func (req *SetupRequest) spec() (admission.SessionSpec, int, admission.Options, 
 		class = 1
 	}
 	spec := admission.SessionSpec{ID: req.ID, Rate: req.Rate, LMax: req.LMax, LMin: lMin}
-	if req.ID <= 0 || req.Rate <= 0 || req.LMax <= 0 || req.Eps < 0 {
-		return spec, 0, admission.Options{}, fmt.Errorf("setup needs a positive id, rate and lmax, nonnegative eps")
+	opts := admission.Options{Eps: req.Eps, PerPacket: true}
+	if req.ID <= 0 {
+		return spec, 0, opts, errors.New("setup needs a positive id")
 	}
-	return spec, class, admission.Options{Eps: req.Eps, PerPacket: true}, nil
+	if err := sys.ctrl.Check(spec, class, opts); err != nil {
+		return spec, 0, opts, err
+	}
+	if spec.LMax > sys.lmax {
+		return spec, 0, opts, fmt.Errorf("session lmax %g exceeds the system's lmax %g", spec.LMax, sys.lmax)
+	}
+	return spec, class, opts, nil
 }
 
 // handleSetup is the admission fast path: one AdmitClass batch of one
@@ -468,7 +481,7 @@ func (d *Daemon) handleSetup(w http.ResponseWriter, r *http.Request) {
 	if !d.decode(w, r, &req) {
 		return
 	}
-	spec, class, opts, err := req.spec()
+	spec, class, opts, err := sys.declaration(&req)
 	if err != nil {
 		d.ar.AtomicInc(metrics.HServeMalformed)
 		httpError(w, http.StatusBadRequest, err.Error())
@@ -533,7 +546,7 @@ func (d *Daemon) handleAdopt(w http.ResponseWriter, r *http.Request) {
 	if !d.decode(w, r, &req) {
 		return
 	}
-	spec, class, opts, err := req.spec()
+	spec, class, opts, err := sys.declaration(&req)
 	if err != nil {
 		d.ar.AtomicInc(metrics.HServeMalformed)
 		httpError(w, http.StatusBadRequest, err.Error())

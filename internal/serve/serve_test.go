@@ -112,6 +112,59 @@ func TestSystemWireLifecycle(t *testing.T) {
 	}
 }
 
+// TestSetupDeclarationChecked: a SETUP or Adopt whose declaration is
+// wrong whatever else is established is the caller's bug (400, counted
+// malformed), and only a rule refusal is a 409 counted as a reject. The
+// system's L_MAX is part of that check: eq. 9/12 and the curve gate take
+// it network-wide, so a session may not declare a larger packet.
+func TestSetupDeclarationChecked(t *testing.T) {
+	h := startTestDaemon(t, Options{Workers: 1})
+	resp, err := h.post("/v1/systems", []byte(malformedSystem), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	cases := []struct {
+		verb, body string
+		want       int
+	}{
+		{"setup", `{"id":1,"rate":32000,"lmax":4240}`, http.StatusBadRequest},
+		{"adopt", `{"id":1,"rate":32000,"lmax":4240}`, http.StatusBadRequest},
+		{"setup", `{"id":1,"rate":32000,"lmax":424.5}`, http.StatusBadRequest},
+		{"setup", `{"id":1,"rate":32000,"lmax":424,"lmin":425}`, http.StatusBadRequest},
+		{"adopt", `{"id":1,"rate":32000,"lmax":424,"lmin":-1}`, http.StatusBadRequest},
+		{"setup", `{"id":1,"rate":32000,"lmax":424,"class":2}`, http.StatusBadRequest},
+		{"adopt", `{"id":1,"rate":32000,"lmax":424,"class":-1}`, http.StatusBadRequest},
+		{"setup", `{"id":1,"rate":32000,"lmax":424,"eps":-1}`, http.StatusBadRequest},
+		{"setup", `{"id":0,"rate":32000,"lmax":424}`, http.StatusBadRequest},
+		// More than the whole link is well formed and refused by rule 1.1.
+		{"setup", `{"id":1,"rate":1536001,"lmax":424}`, http.StatusConflict},
+		{"setup", `{"id":1,"rate":32000,"lmax":424,"lmin":100,"class":1}`, http.StatusOK},
+		{"adopt", `{"id":2,"rate":32000,"lmax":100}`, http.StatusOK},
+	}
+	var malformed, rejects int64
+	for _, tc := range cases {
+		resp, err := h.post("/v1/systems/malformed/"+tc.verb, []byte(tc.body), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s %s: got %d, want %d", tc.verb, tc.body, resp.StatusCode, tc.want)
+		}
+		switch tc.want {
+		case http.StatusBadRequest:
+			malformed++
+		case http.StatusConflict:
+			rejects++
+		}
+	}
+	c := h.d.Registry().ServeCounters()
+	if c.Malformed != malformed || c.SetupRejects != rejects || c.Setups != 1 || c.Adopts != 1 {
+		t.Errorf("counters %+v, want %d malformed, %d setup rejects, 1 setup, 1 adopt", c, malformed, rejects)
+	}
+}
+
 // TestCreateSystemProcedure pins what POST /v1/systems does with proc
 // when no classes are named: an unknown procedure is refused, 0 and 1
 // get procedure 1 over the full link (d = L/r), and an explicit 2 stays

@@ -79,15 +79,17 @@ func TestChurnDocumentsValidButNotRunnable(t *testing.T) {
 	}
 }
 
-// TestOldDialectReproReplays: repros the parent commit's litcheck wrote
-// under -bound-scale 0.02 (one shrunk from a clean seed, two chaos
-// plans left whole; procedures 1 and 3, all four source models) are
-// upgraded in memory and replay to the report the parent's binary
-// printed for them, byte for byte.
+// TestOldDialectReproReplays: repros litcheck wrote under -bound-scale
+// 0.02 in the dialect it had before it shared the scenario document (one
+// shrunk from a clean seed, two chaos plans left whole; procedures 1 and
+// 3, all four source models), rewritten once as documents, replay to the
+// report that binary printed for them, byte for byte. The dialect itself
+// is no longer read: with none of a document's keys, such a file is an
+// invalid scenario.
 func TestOldDialectReproReplays(t *testing.T) {
 	files, err := filepath.Glob("testdata/old_*.json")
 	if err != nil || len(files) == 0 {
-		t.Fatalf("no old-dialect repros: %v", err)
+		t.Fatalf("no recorded repros: %v", err)
 	}
 	for _, path := range files {
 		want, err := os.ReadFile(strings.TrimSuffix(path, ".json") + ".txt")
@@ -99,22 +101,31 @@ func TestOldDialectReproReplays(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := rep.Format(); got != string(want) {
-			t.Errorf("%s:\n--- parent ---\n%s--- upgraded ---\n%s", path, want, got)
+			t.Errorf("%s:\n--- recorded ---\n%s--- replayed ---\n%s", path, want, got)
 		}
-		// What was upgraded is a document like any other.
-		sc, err := LoadCase(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sc.Validate(); err != nil {
-			t.Errorf("%s: upgraded document invalid: %v", path, err)
-		}
+	}
+
+	old := filepath.Join(t.TempDir(), "old.json")
+	if err := os.WriteFile(old, []byte(`{"seed": 1, "l_max_bits": 600, "duration_s": 0.04,
+		"topology": {"kind": "cross", "links": [{"from": "n0", "to": "n1", "capacity_bps": 1e6, "gamma_s": 5e-4}]},
+		"proc": 1, "sessions": [{"id": 1, "from": "n0", "to": "n1", "rate_bps": 85632, "class": 1,
+		"l_min_bits": 300, "l_max_bits": 533, "burst_bits": 1600, "source": {"kind": "cbr"}}],
+		"bound_scale": 0.02}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Replay(old, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "invalid-scenario: config: duration must be positive"
+	if len(rep.Violations) != 1 || rep.Violations[0].Check+": "+rep.Violations[0].Detail != want {
+		t.Errorf("old-dialect file: violations %v, want %q", rep.Violations, want)
 	}
 }
 
 // TestReproIsADocument: a written repro is accepted by config.Parse as
 // it stands (the check object is an unknown key there), and it carries
-// the four harness keys for Replay.
+// the harness keys for Replay.
 func TestReproIsADocument(t *testing.T) {
 	sc, _ := Shrink(Generate(1), Options{BoundScale: 0.02})
 	path := filepath.Join(t.TempDir(), "repro.json")
