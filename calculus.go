@@ -3,43 +3,22 @@ package lit
 import "leaveintime/internal/calculus"
 
 // Deterministic network calculus (Cruz, refs [2, 3] of the paper):
-// burstiness envelopes and worst-case FCFS bounds, the methodology
-// Section 4 contrasts with Leave-in-Time's per-session isolation. The
-// FCFS bounds depend on the burstiness of *all* flows sharing each
-// server; the Leave-in-Time bounds (Route) depend on the session alone.
+// arrival curves and worst-case FCFS bounds, the methodology Section 4
+// contrasts with Leave-in-Time's per-session isolation. The FCFS bounds
+// depend on the burstiness of *all* flows sharing each server; the
+// Leave-in-Time bounds (Route) depend on the session alone.
+//
+// A Curve is a concatenation of linear segments plus a final unbounded
+// one; token buckets — Cruz's (sigma, rho) burstiness constraint is
+// TokenBucketCurve(rho, sigma) — rate-latency service curves, peak-rate
+// caps and their min-plus combinations are all curves.
 type (
-	// Envelope is a (sigma, rho) burstiness constraint.
-	Envelope = calculus.Envelope
 	// FCFSServer computes Cruz delay/backlog bounds for an FCFS
 	// multiplexer.
 	FCFSServer = calculus.FCFSServer
-	// TandemHop is one FCFS server plus its cross traffic on a path.
+	// TandemHop is one FCFS hop of a tandem: the server, its
+	// cross-traffic arrival curve and the propagation delay.
 	TandemHop = calculus.TandemHop
-)
-
-// ErrUnstable is returned by the calculus when aggregate rate reaches
-// capacity.
-var ErrUnstable = calculus.ErrUnstable
-
-// EnvelopeFromTokenBucket converts a token bucket (r, b0) into its
-// (sigma, rho) envelope.
-func EnvelopeFromTokenBucket(r, b0 float64) Envelope { return calculus.FromTokenBucket(r, b0) }
-
-// SumEnvelopes returns the envelope of a superposition of flows.
-func SumEnvelopes(flows ...Envelope) Envelope { return calculus.Sum(flows...) }
-
-// TandemDelayBound bounds a tagged flow's end-to-end delay across FCFS
-// hops with per-hop cross traffic.
-func TandemDelayBound(flow Envelope, hops []TandemHop) (float64, error) {
-	return calculus.TandemDelayBound(flow, hops)
-}
-
-// Piecewise-linear curves: the multi-segment generalization of
-// Envelope. A Curve is a concatenation of linear segments plus a final
-// unbounded one; token buckets, rate-latency service curves, peak-rate
-// caps and their min-plus combinations are all curves. The one-segment
-// case degenerates bit-identically to the Envelope results above.
-type (
 	// Curve is a nonnegative, nondecreasing piecewise-linear function
 	// of time (zero value: the zero function).
 	Curve = calculus.Curve
@@ -48,13 +27,14 @@ type (
 	// CurvePiece declares a slope change for NewCurve: from X on, the
 	// curve grows at Slope.
 	CurvePiece = calculus.Piece
-	// CurveHop is one FCFS hop of a tandem in curve form: the server,
-	// its cross-traffic arrival curve and the propagation delay.
-	CurveHop = calculus.CurveHop
 	// CurveWs is reusable workspace making repeated curve operations
 	// allocation-free (see the calculus package's Ws methods).
 	CurveWs = calculus.Ws
 )
+
+// ErrUnstable is returned by the calculus when aggregate rate reaches
+// capacity.
+var ErrUnstable = calculus.ErrUnstable
 
 // NewCurve builds a curve from its value at 0 and slope changes at
 // strictly increasing breakpoints.
@@ -107,9 +87,8 @@ func BusyPeriodBound(alpha Curve, c float64) (float64, error) {
 	return calculus.BusyPeriodBound(alpha, c)
 }
 
-// TandemDelayBoundCurve is TandemDelayBound over piecewise-linear
-// curves: multi-segment flows and cross traffic, same hop-by-hop
-// composition.
-func TandemDelayBoundCurve(flow Curve, hops []CurveHop) (float64, error) {
-	return calculus.TandemDelayBoundCurve(flow, hops)
+// TandemDelayBound bounds a tagged flow's end-to-end delay across FCFS
+// hops with per-hop cross traffic.
+func TandemDelayBound(flow Curve, hops []TandemHop) (float64, error) {
+	return calculus.TandemDelayBound(flow, hops)
 }

@@ -131,15 +131,15 @@ func renderCalculus(b *strings.Builder, cfg boundsConfig) {
 	flow := lit.TokenBucketCurve(cfg.Rate, cfg.B0)
 	cross := lit.TokenBucketCurve(cfg.CrossRate, cfg.CrossB0)
 	srv := lit.FCFSServer{C: cfg.Capacity, LMax: cfg.LMax}
-	hops := make([]lit.CurveHop, cfg.Hops)
+	hops := make([]lit.TandemHop, cfg.Hops)
 	for i := range hops {
-		hops[i] = lit.CurveHop{Server: srv, Cross: cross, Gamma: cfg.Gamma}
+		hops[i] = lit.TandemHop{Server: srv, Cross: cross, Gamma: cfg.Gamma}
 	}
 	fmt.Fprintf(b, "network calculus (FCFS, cross traffic (%.6g, %.6g) per hop):\n",
 		cfg.CrossRate, cfg.CrossB0)
 
 	agg := lit.SumCurves(flow, cross)
-	d1, err := srv.DelayBoundCurve(agg)
+	d1, err := srv.DelayBound(agg)
 	if err != nil {
 		fmt.Fprintf(b, "  %v\n", err)
 		return
@@ -152,7 +152,7 @@ func renderCalculus(b *strings.Builder, cfg boundsConfig) {
 	if q, err := srv.FlowBacklogBound(&ws, flow, cross); err == nil {
 		fmt.Fprintf(b, "  flow backlog, one hop     %12.6g bits (%.2f packets of lmax)\n", q, q/cfg.LMax)
 	}
-	de2e, err := lit.TandemDelayBoundCurve(flow, hops)
+	de2e, err := lit.TandemDelayBound(flow, hops)
 	if err != nil {
 		fmt.Fprintf(b, "  tandem: %v\n", err)
 		return

@@ -4,45 +4,59 @@
 // jitter/buffer bounds, loss-freedom, deadline ordering, work
 // conservation, packet conservation, pool balance, capacity return,
 // LiT ≡ VirtualClock, approximate-queue divergence, telemetry
-// agreement).
+// agreement, degraded class-aggregate bounds, network-calculus bounds).
 //
 // Usage:
 //
 //	litcheck -seeds 200                 # check seeds 1..200
 //	litcheck -seed 17 -seeds 5          # check seeds 17..21
-//	litcheck -churn -seeds 200          # + a fault/churn plan per seed
-//	litcheck -classes -seeds 200        # + aggregate-class battery
-//	litcheck -calculus -seeds 200       # + network-calculus battery
 //	litcheck -replay repro.json         # re-check a repro or any litrun document
 //	litcheck -shards 4 -seeds 25        # shard-invariance battery
 //
+// There is one battery and every seed gets all of it, twice: its
+// scenario on a clean network, then the same scenario under a
+// deterministic fault plan — link and node outages, source stalls, and
+// mid-run session release and re-SETUP through the signaling exchange.
+// Each is one report line. A scenario runs under every discipline with
+// its plan injected — nothing, on a clean network — and every run ends
+// by returning its reservations through the signaling exchange, so each
+// is checked for packet conservation counted from the trace, pool drain
+// and reserved capacity back to exactly zero at every controller; the
+// reference Leave-in-Time run is also checked against the analytic
+// bounds and for trace/metrics/probe agreement.
+//
+// On a clean network the scenario also runs class-aggregated — its
+// sessions mapped onto a few classes with one regulator and one K clock
+// per class (core.Aggregate), checked against the degraded aggregate
+// bounds, the worst degradation factor printed as agg= on the report
+// line — and through the network-calculus battery: its flows propagated
+// as piecewise-linear arrival curves, the resulting FIFO delay and
+// per-flow backlog bounds checked against an FCFS run of the identical
+// arrivals (calc= on the report line), and the batch-admission fast path
+// differentially checked against sequential admission. Each passes over
+// what its preconditions exclude (see internal/simcheck). Under a fault
+// plan the bound checks apply to the sessions the plan leaves alone, and
+// the four checks that need an undisturbed network are skipped: the
+// approximate queue's delay margin, LiT ≡ VirtualClock, and those two.
+//
+// After the seeds comes the designed tightness family — N synchronized
+// CBR sessions saturating one link — whose observed worst delay must
+// come within 0.8 of the analytic bound: the calculus bounds must be not
+// just sound but tight. A tightness miss fails the run.
+//
 // Seeds run on a GOMAXPROCS worker pool; reports print in seed order
-// and each seed's report is deterministic (same seed, byte-identical
-// output). On violation the failing scenario is shrunk to a minimal
-// form and written as a replayable JSON repro under -repro-dir: the
-// scenario document, as litrun and litserve accept it, with the
-// harness's own keys in a "check" object beside it. -replay takes such
-// a repro, any scenario document (bound checks then apply to the
-// sessions that declare b0, the rest of the battery to all), or a repro
-// in the dialect litcheck wrote before it shared the document. The exit
-// status is 1 if any seed failed, 0 otherwise.
-//
-// There is one battery. A seed's scenario runs under every discipline
-// with its fault plan injected — nothing, on a clean network — and every
-// run ends by returning its reservations through the signaling
-// exchange, so each is checked for packet conservation counted from the
-// trace, pool drain and reserved capacity back to exactly zero at every
-// controller; the reference Leave-in-Time run is also checked against
-// the analytic bounds and for trace/metrics/probe agreement.
-//
-// -churn attaches a deterministic fault plan to every seed — link and
-// node outages, source stalls, and mid-run session release and
-// re-SETUP through the signaling exchange. The bound checks then apply
-// to the sessions the plan leaves alone, and the four checks that need
-// an undisturbed network are skipped: the approximate queue's delay
-// margin, LiT ≡ VirtualClock, -classes and -calculus. Chaos repros are
-// written unshrunk: the fault plan is part of the scenario, so the
-// repro replays the identical chaos.
+// and each report is deterministic (same seed, byte-identical output).
+// On violation a repro is written under -repro-dir: the scenario
+// document, as litrun and litserve accept it, with the harness's own
+// keys in a "check" object beside it. A failing clean case is shrunk to
+// a minimal form and written as litcheck_repro_<seed>.json; a failing
+// faulted case is written whole as litcheck_repro_<seed>_churn.json,
+// because the fault plan is part of the scenario and the repro must
+// replay the identical chaos. -replay takes such a repro or any scenario
+// document (bound checks then apply to the sessions that declare b0, the
+// rest of the battery to all) and runs the whole battery on it; a file
+// with none of a document's keys is reported as an invalid-scenario. The
+// exit status is 1 if any seed failed, 0 otherwise.
 //
 // Every run is bounded by a watchdog: 100 x duration simulated seconds
 // and -max-events fired events (20 000 000 unless set), plus -max-wall
@@ -52,25 +66,8 @@
 //
 // -bound-scale tightens the checked analytic bounds by a factor; values
 // below 1 demand more than the theorems promise and exist to prove the
-// harness can fail, shrink and replay (see the acceptance tests).
-//
-// -classes additionally runs every clean seed through the aggregate-
-// class battery: the scenario's sessions mapped onto a few classes
-// with one regulator and one K clock per class (core.Aggregate),
-// checked against the degraded aggregate bounds (see
-// internal/simcheck). The worst degradation factor is printed on the
-// seed's report line.
-//
-// -calculus additionally runs every clean seed through the network-
-// calculus battery: the scenario's flows propagated as piecewise-
-// linear arrival curves, the resulting FIFO delay and per-flow backlog
-// bounds checked against an FCFS run of the identical arrivals, and
-// the batch-admission fast path differentially checked against
-// sequential admission (see internal/simcheck). After the seeds it
-// runs the designed tightness family — N synchronized CBR sessions
-// saturating one link — and demands the observed worst delay approach
-// the analytic bound within -tight-margin: the bounds must be not just
-// sound but tight. A tightness miss fails the run.
+// harness can fail, shrink and replay (see the acceptance tests). The
+// tightening is embedded into the repros.
 //
 // -shards N (N >= 2) switches to the shard-invariance battery: each
 // seed's scenario runs under exact Leave-in-Time on the
@@ -80,21 +77,19 @@
 // count exits with status 2 and usage.
 //
 // Incoherent flag combinations exit with status 2 and a message naming
-// both flags. -shards is incompatible with -churn (fault plans address
-// a single engine), -replay, -repro-dir (invariance divergences have
-// no repro path), -bound-scale (the battery checks agreement, not
-// bounds) and -classes; -replay is incompatible with -seed, -seeds,
-// -workers, -repro-dir, -bound-scale, -churn, -classes and -calculus
-// (a repro file fixes its own scenario, fault plan, bound scale and
-// batteries); -classes and -calculus are incompatible with -churn.
-// -seed composes with -shards (it sets the battery's first seed), and
-// -bound-scale composes with -churn (the tightening is embedded into
-// chaos repros).
+// both flags. -shards is incompatible with -replay, -repro-dir
+// (invariance divergences have no repro path) and -bound-scale (the
+// battery checks agreement, not bounds); -replay is incompatible with
+// -seed, -seeds, -workers, -repro-dir and -bound-scale (a repro file
+// fixes its own scenario, fault plan and bound scale). -seed composes
+// with -shards (it sets the battery's first seed).
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -104,6 +99,10 @@ import (
 	"leaveintime/internal/simcheck"
 )
 
+// tightMargin is the observed/bound ratio the calculus tightness family
+// must reach.
+const tightMargin = 0.8
+
 // flagConflict is one incoherent pair of the flag matrix: setting both
 // (in an enabling state) exits with status 2. The message names both
 // flags, a first and why.
@@ -111,26 +110,16 @@ type flagConflict struct{ a, b, why string }
 
 // flagMatrix is the audited set of incoherent combinations. Pairs
 // absent from the table compose: -seed sets the shard battery's first
-// seed, -bound-scale tightens the bounds of the sessions a -churn plan
-// leaves alone, and the watchdog budgets apply to every run, replay
-// included.
+// seed, and the watchdog budgets apply to every run, replay included.
 var flagMatrix = []flagConflict{
-	{"shards", "churn", "fault plans are serial-only"},
 	{"shards", "replay", "the invariance battery generates its own scenarios"},
 	{"shards", "repro-dir", "invariance divergences have no shrink/repro path"},
 	{"shards", "bound-scale", "the invariance battery checks agreement, not bounds"},
-	{"shards", "classes", "the invariance battery runs exact Leave-in-Time only"},
 	{"replay", "seed", "a repro file fixes its own scenario"},
 	{"replay", "seeds", "a repro file fixes its own scenario"},
 	{"replay", "workers", "replay is a single run"},
 	{"replay", "repro-dir", "replay never writes repros"},
 	{"replay", "bound-scale", "a repro embeds its own bound scale"},
-	{"replay", "churn", "a repro embeds its own fault plan"},
-	{"replay", "classes", "a repro replays the battery it was written under"},
-	{"churn", "classes", "the class battery checks clean-network bounds"},
-	{"shards", "calculus", "the invariance battery runs exact Leave-in-Time only"},
-	{"replay", "calculus", "a repro replays the battery it was written under"},
-	{"churn", "calculus", "the calculus battery checks clean-network bounds"},
 }
 
 // flagConflicts returns one message per incoherent combination among
@@ -148,88 +137,119 @@ func flagConflicts(enabled map[string]bool) []string {
 	return msgs
 }
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// outcome is one checked case: its report and the repro written for it.
+type outcome struct {
+	rep   *simcheck.SeedReport
+	repro string
+}
+
+// run is the command: it parses args, writes reports to stdout and
+// diagnostics to stderr, and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("litcheck", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		seeds      = flag.Int("seeds", 100, "number of seeds to check")
-		seed0      = flag.Uint64("seed", 1, "first seed")
-		workers    = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-		reproDir   = flag.String("repro-dir", ".", "directory for shrunken repro JSON files (\"\" disables)")
-		replay     = flag.String("replay", "", "replay a repro JSON file instead of generating seeds")
-		boundScale = flag.Float64("bound-scale", 0, "tighten checked bounds by this factor (test hook; 0 = off)")
-		churn      = flag.Bool("churn", false, "attach a deterministic fault/churn plan to every seed")
-		maxEvents  = flag.Int64("max-events", 0, "watchdog: fired-event budget per run (0 = 20000000)")
-		maxWall    = flag.Duration("max-wall", 0, "watchdog: wall-clock budget per run (0 = unlimited)")
-		shards     = flag.Int("shards", 1, "shard-invariance battery: compare shards=1 against this shard count (1 = serial battery)")
-		classes    = flag.Bool("classes", false, "additionally run the aggregate-class battery per seed (degraded-bound checks)")
-		calculus   = flag.Bool("calculus", false, "additionally run the network-calculus battery per seed (curve bounds vs FCFS) and the tightness family")
-		tightMarg  = flag.Float64("tight-margin", 0.8, "calculus tightness: required observed/bound ratio (with -calculus)")
-		verbose    = flag.Bool("v", false, "print every seed's report line, not only failures")
+		seeds      = fs.Int("seeds", 100, "number of seeds to check")
+		seed0      = fs.Uint64("seed", 1, "first seed")
+		workers    = fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
+		reproDir   = fs.String("repro-dir", ".", "directory for repro JSON files (\"\" disables)")
+		replay     = fs.String("replay", "", "replay a repro JSON file instead of generating seeds")
+		boundScale = fs.Float64("bound-scale", 0, "tighten checked bounds by this factor (test hook; 0 = off)")
+		maxEvents  = fs.Int64("max-events", 0, "watchdog: fired-event budget per run (0 = 20000000)")
+		maxWall    = fs.Duration("max-wall", 0, "watchdog: wall-clock budget per run (0 = unlimited)")
+		shards     = fs.Int("shards", 1, "shard-invariance battery: compare shards=1 against this shard count (1 = serial battery)")
+		verbose    = fs.Bool("v", false, "print every report line, not only failures")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 	if *shards < 1 {
-		fmt.Fprintf(os.Stderr, "litcheck: -shards must be at least 1, got %d\n", *shards)
-		flag.Usage()
-		os.Exit(2)
+		fmt.Fprintf(stderr, "litcheck: -shards must be at least 1, got %d\n", *shards)
+		fs.Usage()
+		return 2
 	}
 
 	// The flag matrix: which flags were explicitly set with an enabling
-	// value. flag.Visit only sees flags present on the command line, so
+	// value. Visit only sees flags present on the command line, so
 	// defaults never trigger a conflict.
 	explicit := make(map[string]bool)
-	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
+	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 	enabled := map[string]bool{
 		"shards":      explicit["shards"] && *shards > 1,
-		"churn":       explicit["churn"] && *churn,
 		"replay":      explicit["replay"] && *replay != "",
-		"classes":     explicit["classes"] && *classes,
 		"seed":        explicit["seed"],
 		"seeds":       explicit["seeds"],
 		"workers":     explicit["workers"] && *workers != 0,
 		"repro-dir":   explicit["repro-dir"] && *reproDir != "",
 		"bound-scale": explicit["bound-scale"] && *boundScale > 0,
-		"calculus":    explicit["calculus"] && *calculus,
 	}
 	if msgs := flagConflicts(enabled); len(msgs) > 0 {
 		for _, m := range msgs {
-			fmt.Fprintf(os.Stderr, "litcheck: %s\n", m)
+			fmt.Fprintf(stderr, "litcheck: %s\n", m)
 		}
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return 2
 	}
 
-	opt := simcheck.Options{
-		BoundScale: *boundScale,
-		Churn:      *churn,
-		ClassMode:  *classes,
-		Calculus:   *calculus,
-		MaxEvents:  *maxEvents,
-		MaxWall:    *maxWall,
-	}
+	opt := simcheck.Options{BoundScale: *boundScale, MaxEvents: *maxEvents, MaxWall: *maxWall}
 
 	if *replay != "" {
 		rep, err := simcheck.Replay(*replay, opt)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "litcheck: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "litcheck: %v\n", err)
+			return 1
 		}
-		fmt.Print(rep.Format())
+		fmt.Fprint(stdout, rep.Format())
 		if !rep.OK() {
-			os.Exit(1)
+			return 1
 		}
-		return
+		return 0
 	}
 
 	if *seeds <= 0 {
-		fmt.Fprintln(os.Stderr, "litcheck: -seeds must be positive")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "litcheck: -seeds must be positive")
+		return 2
 	}
-	reports := make([]*simcheck.SeedReport, *seeds)
-	repros := make([]string, *seeds)
+
+	// checked books one case of a seed. A failing case becomes a repro:
+	// Shrink reduces a clean one and hands a faulted one back whole, the
+	// injected tightening folded into either, and the report printed is
+	// the one the written file replays to.
+	checked := func(rep *simcheck.SeedReport, generate func(uint64) simcheck.Case, seed uint64, suffix string) outcome {
+		if rep.OK() || *reproDir == "" {
+			return outcome{rep: rep}
+		}
+		sc, rep := simcheck.Shrink(generate(seed), opt)
+		path := filepath.Join(*reproDir, fmt.Sprintf("litcheck_repro_%d%s.json", seed, suffix))
+		if err := simcheck.WriteRepro(path, sc); err != nil {
+			fmt.Fprintf(stderr, "litcheck: %v\n", err)
+			return outcome{rep: rep}
+		}
+		return outcome{rep: rep, repro: path}
+	}
+	check := func(seed uint64) []outcome {
+		if *shards > 1 {
+			// Invariance divergences have no shrink/repro path: the
+			// reproduction command is the seed itself.
+			return []outcome{{rep: simcheck.CheckShardInvariance(seed, *shards, opt)}}
+		}
+		clean, faulted := simcheck.CheckSeed(seed, opt)
+		return []outcome{
+			checked(clean, simcheck.Generate, seed, ""),
+			checked(faulted, simcheck.GenerateChurn, seed, "_churn"),
+		}
+	}
 
 	// Worker pool in the style of the sweep runner: seeds are CPU-bound
 	// simulations, workers pull indices from a shared counter, and slot
-	// i always holds seed0+i's report so output is in seed order.
+	// i always holds seed0+i's outcomes so output is in seed order.
 	n := *seeds
+	results := make([][]outcome, n)
 	w := *workers
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
@@ -248,41 +268,7 @@ func main() {
 				if i >= n {
 					return
 				}
-				seed := *seed0 + uint64(i)
-				if *shards > 1 {
-					// Invariance divergences have no shrink/repro path:
-					// the reproduction command is the seed itself.
-					reports[i] = simcheck.CheckShardInvariance(seed, *shards, opt)
-					continue
-				}
-				rep := simcheck.CheckSeed(seed, opt)
-				if !rep.OK() && *reproDir != "" {
-					// Chaos scenarios are written as-is: shrink
-					// transformations (dropping sessions, trimming
-					// routes) would orphan the fault plan's references
-					// to the entities they remove, and the plan itself
-					// is the thing a repro must preserve.
-					sc := simcheck.Generate(seed)
-					if *churn {
-						sc = simcheck.GenerateChurn(seed)
-						// An injected tightening is part of what must
-						// replay; the shrink path embeds it the same way.
-						if opt.BoundScale > 0 {
-							sc.Check.BoundScale = opt.BoundScale
-						}
-					} else {
-						var srep *simcheck.SeedReport
-						sc, srep = simcheck.Shrink(sc, opt)
-						rep = srep
-					}
-					path := filepath.Join(*reproDir, fmt.Sprintf("litcheck_repro_%d.json", seed))
-					if err := simcheck.WriteRepro(path, sc); err != nil {
-						fmt.Fprintf(os.Stderr, "litcheck: %v\n", err)
-					} else {
-						repros[i] = path
-					}
-				}
-				reports[i] = rep
+				results[i] = check(*seed0 + uint64(i))
 			}
 		}()
 	}
@@ -290,30 +276,37 @@ func main() {
 
 	failed := 0
 	violations := 0
-	for i, rep := range reports {
-		if !rep.OK() {
-			failed++
-			violations += len(rep.Violations)
-			fmt.Print(rep.Format())
-			if repros[i] != "" {
-				fmt.Printf("  repro written to %s (replay with: litcheck -replay %s)\n",
-					repros[i], repros[i])
+	for _, outs := range results {
+		seedOK := true
+		for _, o := range outs {
+			if !o.rep.OK() {
+				seedOK = false
+				violations += len(o.rep.Violations)
+				fmt.Fprint(stdout, o.rep.Format())
+				if o.repro != "" {
+					fmt.Fprintf(stdout, "  repro written to %s (replay with: litcheck -replay %s)\n",
+						o.repro, o.repro)
+				}
+			} else if *verbose {
+				fmt.Fprint(stdout, o.rep.Format())
 			}
-		} else if *verbose {
-			fmt.Print(rep.Format())
+		}
+		if !seedOK {
+			failed++
 		}
 	}
-	fmt.Printf("litcheck: %d seeds, %d failed, %d violations\n", n, failed, violations)
+	fmt.Fprintf(stdout, "litcheck: %d seeds, %d failed, %d violations\n", n, failed, violations)
 
 	// The tightness half of the calculus acceptance: the bounds must be
 	// approached by the designed family, not merely never exceeded.
 	tightFailed := false
-	if *calculus && *shards == 1 {
-		tr := simcheck.CalculusTightness(*tightMarg)
-		fmt.Print(tr.Format())
+	if *shards == 1 {
+		tr := simcheck.CalculusTightness(tightMargin)
+		fmt.Fprint(stdout, tr.Format())
 		tightFailed = !tr.Pass()
 	}
 	if failed > 0 || tightFailed {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -24,35 +26,25 @@ func TestFlagMatrix(t *testing.T) {
 		reject [][2]string
 	}{
 		{"defaults", on(), nil},
-		{"clean battery", on("seeds", "seed", "workers"), nil},
-		{"shards with seed", on("shards", "seed", "seeds"), nil},
-		{"churn with bound-scale", on("churn", "bound-scale"), nil},
+		{"seed block", on("seeds", "seed", "workers", "repro-dir", "bound-scale"), nil},
+		{"shards with seed", on("shards", "seed", "seeds", "workers"), nil},
 		{"replay with watchdog only", on("replay"), nil},
-		{"classes clean", on("classes", "seeds", "bound-scale"), nil},
-		{"calculus clean", on("calculus", "seeds", "bound-scale"), nil},
-		{"calculus with classes", on("calculus", "classes"), nil},
 
-		{"shards with churn", on("shards", "churn"), [][2]string{{"churn", "shards"}}},
 		{"shards with replay", on("shards", "replay"), [][2]string{{"replay", "shards"}}},
 		{"shards with repro-dir", on("shards", "repro-dir"), [][2]string{{"repro-dir", "shards"}}},
 		{"shards with bound-scale", on("shards", "bound-scale"), [][2]string{{"bound-scale", "shards"}}},
-		{"shards with classes", on("shards", "classes"), [][2]string{{"classes", "shards"}}},
 		{"replay with seed", on("replay", "seed"), [][2]string{{"seed", "replay"}}},
 		{"replay with seeds", on("replay", "seeds"), [][2]string{{"seeds", "replay"}}},
 		{"replay with workers", on("replay", "workers"), [][2]string{{"workers", "replay"}}},
 		{"replay with repro-dir", on("replay", "repro-dir"), [][2]string{{"repro-dir", "replay"}}},
 		{"replay with bound-scale", on("replay", "bound-scale"), [][2]string{{"bound-scale", "replay"}}},
-		{"replay with churn", on("replay", "churn"), [][2]string{{"churn", "replay"}}},
-		{"replay with classes", on("replay", "classes"), [][2]string{{"classes", "replay"}}},
-		{"churn with classes", on("churn", "classes"), [][2]string{{"classes", "churn"}}},
-		{"shards with calculus", on("shards", "calculus"), [][2]string{{"calculus", "shards"}}},
-		{"replay with calculus", on("replay", "calculus"), [][2]string{{"calculus", "replay"}}},
-		{"churn with calculus", on("churn", "calculus"), [][2]string{{"calculus", "churn"}}},
-		{"pileup", on("shards", "churn", "replay", "classes", "calculus"), [][2]string{
-			{"churn", "shards"}, {"replay", "shards"}, {"classes", "shards"},
-			{"churn", "replay"}, {"classes", "replay"}, {"classes", "churn"},
-			{"calculus", "shards"}, {"calculus", "replay"}, {"calculus", "churn"},
+		{"pileup", on("shards", "replay", "repro-dir", "bound-scale"), [][2]string{
+			{"replay", "shards"}, {"repro-dir", "shards"}, {"bound-scale", "shards"},
+			{"repro-dir", "replay"}, {"bound-scale", "replay"},
 		}},
+	}
+	if len(flagMatrix) != 8 {
+		t.Errorf("flagMatrix has %d rows, the cases above audit 8", len(flagMatrix))
 	}
 	for _, c := range cases {
 		msgs := flagConflicts(c.enabled)
@@ -94,6 +86,118 @@ func TestFlagMatrixMessagesNameBothFlags(t *testing.T) {
 		}
 		if c.why == "" {
 			t.Errorf("%s+%s: conflict has no rationale", c.a, c.b)
+		}
+	}
+}
+
+// TestRetiredFlagsAreUnknown: the battery switches are gone, not
+// ignored — a command line from before them must fail loudly (exit 2,
+// the flag named) instead of running something else than it asked for.
+// What is left is ten flags.
+func TestRetiredFlagsAreUnknown(t *testing.T) {
+	for _, arg := range []string{"-classes", "-calculus", "-churn", "-tight-margin=0.8"} {
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{arg, "-seeds", "1", "-repro-dir", ""}, &stdout, &stderr); code != 2 {
+			t.Errorf("%s: exit %d, want 2", arg, code)
+		}
+		name, _, _ := strings.Cut(arg, "=")
+		if !strings.Contains(stderr.String(), "flag provided but not defined: "+name) || stdout.Len() != 0 {
+			t.Errorf("%s: stdout %q, stderr %q", arg, stdout.String(), stderr.String())
+		}
+	}
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-h"}, &stdout, &stderr); code != 0 {
+		t.Errorf("-h: exit %d", code)
+	}
+	if n := strings.Count(stderr.String(), "\n  -"); n != 10 {
+		t.Errorf("-h lists %d flags, want 10:\n%s", n, stderr.String())
+	}
+}
+
+// reportBlocks splits litcheck's output into its failing reports: the
+// header line with its violation lines, keyed by the repro the driver
+// says it wrote for the report ("" when it names none).
+func reportBlocks(out string) map[string]string {
+	blocks := make(map[string]string)
+	var cur strings.Builder
+	flush := func(repro string) {
+		if cur.Len() > 0 {
+			blocks[repro] += cur.String()
+		}
+		cur.Reset()
+	}
+	for _, line := range strings.SplitAfter(out, "\n") {
+		switch {
+		case strings.HasPrefix(line, "  repro written to "):
+			flush(strings.Fields(line)[3])
+		case strings.HasPrefix(line, "  ") && cur.Len() > 0:
+			cur.WriteString(line)
+		default:
+			flush("")
+			if strings.HasPrefix(line, "seed ") {
+				cur.WriteString(line)
+			}
+		}
+	}
+	flush("")
+	return blocks
+}
+
+// TestInjectedFailuresReproAndReplay drives the whole failure path
+// through the one command: bounds tightened to a tenth over seeds 1-10
+// must trip eq. 12, the degraded class bound and the curve bound on
+// clean cases and eq. 12 on a session the plan leaves alone on faulted
+// ones; a failing clean case is written shrunk, a failing faulted case
+// whole beside it, and every file replays — no flag but -replay — to
+// exactly the report printed above its name.
+func TestInjectedFailuresReproAndReplay(t *testing.T) {
+	dir := t.TempDir()
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-bound-scale", "0.1", "-seeds", "10", "-repro-dir", dir}, &stdout, &stderr); code != 1 {
+		t.Fatalf("exit %d, want 1\n%s%s", code, stdout.String(), stderr.String())
+	}
+	blocks := reportBlocks(stdout.String())
+	if unwritten := blocks[""]; unwritten != "" {
+		t.Errorf("failing reports without a repro:\n%s", unwritten)
+	}
+	var clean, faulted, shrunk int
+	hit := map[string]bool{}
+	for path, want := range blocks {
+		header, violations, _ := strings.Cut(want, "\n")
+		churn := strings.Contains(header, " churn ")
+		if churn != strings.HasSuffix(path, "_churn.json") {
+			t.Errorf("%s holds the report %q", path, header)
+		}
+		if churn {
+			faulted++
+		} else {
+			clean++
+			if strings.Contains(header, " sessions=1 ") {
+				shrunk++
+			}
+		}
+		for _, line := range strings.Split(violations, "\n") {
+			if check := strings.Fields(line); len(check) > 0 {
+				hit[fmt.Sprintf("%s churn=%v", check[0], churn)] = true
+			}
+		}
+		var got, errs bytes.Buffer
+		if code := run([]string{"-replay", path}, &got, &errs); code != 1 || got.String() != want {
+			t.Errorf("%s replays (exit %d) to\n%s%swant\n%s", path, code, got.String(), errs.String(), want)
+		}
+	}
+	if clean != 10 || faulted == 0 || shrunk == 0 {
+		t.Errorf("%d clean repros (%d shrunk to one session), %d faulted; want 10, some, some", clean, shrunk, faulted)
+	}
+	for _, want := range []string{"delay-bound churn=false", "agg-delay-bound churn=false",
+		"calc-delay-bound churn=false", "delay-bound churn=true"} {
+		if !hit[want] {
+			t.Errorf("no %s violation in\n%s", want, stdout.String())
+		}
+	}
+	for check := range hit {
+		if strings.HasSuffix(check, "churn=true") && (strings.HasPrefix(check, "agg-") || strings.HasPrefix(check, "calc-")) {
+			t.Errorf("a clean-only check ran under a fault plan: %s", check)
 		}
 	}
 }

@@ -107,7 +107,7 @@ func NewCurveGate(server calculus.FCFSServer, budget float64) *CurveGate {
 // Base + committed + batch and whether it fits the budget.
 func (g *CurveGate) Try(rate, burst float64) (float64, bool) {
 	calculus.AddInto(&g.agg, g.Base, calculus.TokenBucket(g.rate+rate, g.burst+burst))
-	d, err := g.Server.DelayBoundCurve(g.agg)
+	d, err := g.Server.DelayBound(g.agg)
 	if err != nil {
 		return 0, false
 	}

@@ -1,13 +1,14 @@
 // Package calculus implements the deterministic network calculus of
 // Cruz ("A Calculus for Network Delay", IEEE Trans. Information Theory
 // 1991, parts I and II) — references [2, 3] of the Leave-in-Time
-// paper. Session traffic is characterized by a burstiness constraint
-// (sigma, rho): at most sigma + rho*t bits in any interval of length t,
-// "in principle very similar to a token bucket filter" as the paper
-// notes. The calculus propagates these envelopes through network
-// elements and yields worst-case delay and backlog bounds for FCFS
-// multiplexers — the methodology the paper's Section 4 contrasts with
-// Leave-in-Time's per-session isolation.
+// paper. Session traffic is characterized by an arrival curve; the
+// simplest is the burstiness constraint (sigma, rho) — at most
+// sigma + rho*t bits in any interval of length t, "in principle very
+// similar to a token bucket filter" as the paper notes — which is the
+// one-segment Curve TokenBucket(rho, sigma). The calculus propagates
+// these curves through network elements and yields worst-case delay and
+// backlog bounds for FCFS multiplexers — the methodology the paper's
+// Section 4 contrasts with Leave-in-Time's per-session isolation.
 package calculus
 
 import (
@@ -15,40 +16,9 @@ import (
 	"fmt"
 )
 
-// Envelope is a (sigma, rho) burstiness constraint: A(t+u) - A(t) <=
-// Sigma + Rho*u for all t, u >= 0, where A counts bits.
-type Envelope struct {
-	Sigma float64 // burst allowance, bits
-	Rho   float64 // sustained rate, bits/s
-}
-
-// FromTokenBucket converts a token bucket (r, b0) into its envelope:
-// a conforming session satisfies (sigma, rho) = (b0, r).
-func FromTokenBucket(r, b0 float64) Envelope { return Envelope{Sigma: b0, Rho: r} }
-
-// Add returns the envelope of the superposition of two flows.
-func (e Envelope) Add(other Envelope) Envelope {
-	return Envelope{Sigma: e.Sigma + other.Sigma, Rho: e.Rho + other.Rho}
-}
-
-// Sum returns the envelope of the superposition of all flows.
-func Sum(flows ...Envelope) Envelope {
-	var total Envelope
-	for _, f := range flows {
-		total = total.Add(f)
-	}
-	return total
-}
-
-// Delayed returns the envelope of the flow after experiencing a delay
-// jitter of at most d seconds (Cruz part I: delaying a (sigma, rho)
-// flow by a variable delay <= d yields (sigma + rho*d, rho)).
-func (e Envelope) Delayed(d float64) Envelope {
-	return Envelope{Sigma: e.Sigma + e.Rho*d, Rho: e.Rho}
-}
-
 // FCFSServer is a work-conserving FCFS multiplexer of the given
-// capacity (bits/s) fed by the aggregate envelope of all its inputs.
+// capacity (bits/s) fed by the aggregate arrival curve of all its
+// inputs.
 type FCFSServer struct {
 	// C is the link capacity, bits/s.
 	C float64
@@ -61,63 +31,70 @@ type FCFSServer struct {
 var ErrUnstable = errors.New("calculus: aggregate rate >= capacity")
 
 // DelayBound returns the worst-case delay of any bit through the FCFS
-// server fed by the aggregate envelope: the maximum backlog drains at
-// rate C, so D <= sigma/C (+ one packet time for a non-preemptive
-// packetized server). Stability requires rho < C.
-func (s FCFSServer) DelayBound(agg Envelope) (float64, error) {
-	if agg.Rho >= s.C {
-		return 0, fmt.Errorf("%w: rho %g, C %g", ErrUnstable, agg.Rho, s.C)
+// server fed by the aggregate arrival curve: the horizontal deviation
+// of the curve against the server's constant rate, plus one
+// maximum-length packet time for a non-preemptive packetized server.
+// For the token bucket (sigma, rho) that is sigma/C + LMax/C. Stability
+// requires a final slope below C.
+func (s FCFSServer) DelayBound(agg Curve) (float64, error) {
+	if rho := agg.FinalSlope(); rho >= s.C {
+		return 0, fmt.Errorf("%w: rho %g, C %g", ErrUnstable, rho, s.C)
 	}
-	return agg.Sigma/s.C + s.LMax/s.C, nil
+	return rateHorizontalDeviation(agg, s.C) + s.LMax/s.C, nil
 }
 
-// BacklogBound returns the worst-case backlog (bits) of the FCFS server
-// fed by the aggregate envelope: B <= sigma (the burst arrives faster
-// than it drains only up to the burst allowance when rho < C).
-func (s FCFSServer) BacklogBound(agg Envelope) (float64, error) {
-	if agg.Rho >= s.C {
-		return 0, fmt.Errorf("%w: rho %g, C %g", ErrUnstable, agg.Rho, s.C)
+// BacklogBound returns the worst-case fluid backlog (bits) of the FCFS
+// server fed by the aggregate arrival curve: the vertical deviation
+// against the server's rate. For the token bucket (sigma, rho) that is
+// sigma — the burst arrives faster than it drains only up to the burst
+// allowance.
+func (s FCFSServer) BacklogBound(agg Curve) (float64, error) {
+	if rho := agg.FinalSlope(); rho >= s.C {
+		return 0, fmt.Errorf("%w: rho %g, C %g", ErrUnstable, rho, s.C)
 	}
-	return agg.Sigma, nil
+	return rateVerticalDeviation(agg, s.C)
 }
 
-// Output returns the envelope of one flow after passing through the
-// FCFS server shared with the other flows (Cruz part I, the output
-// burstiness theorem): the flow's burst grows by its rate times the
-// server delay bound.
-func (s FCFSServer) Output(flow Envelope, others ...Envelope) (Envelope, error) {
-	agg := flow
-	for _, o := range others {
-		agg = agg.Add(o)
-	}
-	d, err := s.DelayBound(agg)
+// FlowBacklogBound returns the per-flow backlog bound (in bits) for a
+// flow af sharing this FIFO server with cross traffic ax, including
+// the +LMax packetization term: an observed queue holds the packet in
+// transmission until its last bit leaves.
+func (s FCFSServer) FlowBacklogBound(w *Ws, af, ax Curve) (float64, error) {
+	fluid, err := w.FlowBacklogBound(af, ax, s.C)
 	if err != nil {
-		return Envelope{}, err
+		return 0, err
 	}
-	return flow.Delayed(d), nil
+	return fluid + s.LMax, nil
 }
 
-// Tandem computes end-to-end FCFS delay bounds for a tagged flow
-// crossing a chain of FCFS servers, each shared with per-hop cross
-// traffic. It propagates the tagged flow's output envelope hop by hop
-// (cross traffic is assumed fresh at each hop, the standard
-// feed-forward assumption) and sums per-hop delay bounds plus
-// propagation.
+// Output bounds the flow's arrivals downstream of this server when its
+// delay here is at most d (Cruz part I, the output burstiness theorem):
+// the input curve advanced by d, so a token bucket's burst grows to
+// sigma + rho*d.
+func (s FCFSServer) Output(flow Curve, d float64) Curve {
+	return flow.Delayed(d)
+}
+
+// TandemHop is one hop of a feed-forward tandem: a FIFO server, the
+// cross-traffic arrival curve joining the flow there (assumed fresh at
+// each hop, the standard feed-forward assumption), and the outgoing
+// link's propagation delay, seconds.
 type TandemHop struct {
 	Server FCFSServer
-	// Cross is the aggregate envelope of the other traffic at this hop.
-	Cross Envelope
-	// Gamma is the outgoing link's propagation delay, seconds.
-	Gamma float64
+	Cross  Curve
+	Gamma  float64
 }
 
-// TandemDelayBound bounds the tagged flow's end-to-end delay across
-// the hops.
-func TandemDelayBound(flow Envelope, hops []TandemHop) (float64, error) {
-	var total float64
+// TandemDelayBound bounds a tagged flow's end-to-end delay across the
+// hops: at each hop the flow's current curve is summed with the local
+// cross traffic, the hop's FIFO delay bound and propagation delay are
+// accrued, and the flow curve is advanced by that delay bound before
+// the next hop.
+func TandemDelayBound(flow Curve, hops []TandemHop) (float64, error) {
+	total := 0.0
 	cur := flow
 	for i, h := range hops {
-		d, err := h.Server.DelayBound(cur.Add(h.Cross))
+		d, err := h.Server.DelayBound(Add(cur, h.Cross))
 		if err != nil {
 			return 0, fmt.Errorf("hop %d: %w", i, err)
 		}

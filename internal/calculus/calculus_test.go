@@ -2,7 +2,6 @@ package calculus
 
 import (
 	"errors"
-	"math"
 	"testing"
 	"testing/quick"
 
@@ -10,69 +9,80 @@ import (
 	"leaveintime/internal/rng"
 )
 
+// sigmaRho reads a curve as Cruz's (sigma, rho) burstiness constraint;
+// ok is false when it has more than one segment and so is none.
+func sigmaRho(c Curve) (sigma, rho float64, ok bool) {
+	segs := c.Segs()
+	if len(segs) != 1 {
+		return 0, 0, false
+	}
+	return segs[0].Y, segs[0].Slope, true
+}
+
+// TestEnvelopeAlgebra: on (sigma, rho) envelopes the curve operations
+// are Cruz's closed forms — superposition adds both, a delay jitter of
+// d grows the burst to sigma + rho*d — and stay envelopes.
 func TestEnvelopeAlgebra(t *testing.T) {
-	a := Envelope{Sigma: 1000, Rho: 1e5}
-	b := Envelope{Sigma: 500, Rho: 2e5}
-	sum := a.Add(b)
-	if sum.Sigma != 1500 || sum.Rho != 3e5 {
-		t.Errorf("Add = %+v", sum)
+	a := TokenBucket(1e5, 1000)
+	b := TokenBucket(2e5, 500)
+	if sigma, rho, ok := sigmaRho(Add(a, b)); !ok || sigma != 1500 || rho != 3e5 {
+		t.Errorf("Add = (%v, %v) ok=%v", sigma, rho, ok)
 	}
-	if s := Sum(a, b, a); s.Sigma != 2500 || s.Rho != 4e5 {
-		t.Errorf("Sum = %+v", s)
+	if sigma, rho, ok := sigmaRho(SumCurves(a, b, a)); !ok || sigma != 2500 || rho != 4e5 {
+		t.Errorf("SumCurves = (%v, %v) ok=%v", sigma, rho, ok)
 	}
-	d := a.Delayed(0.01)
-	if d.Sigma != 1000+1e5*0.01 || d.Rho != 1e5 {
-		t.Errorf("Delayed = %+v", d)
+	if sigma, rho, ok := sigmaRho(a.Delayed(0.01)); !ok || sigma != 1000+1e5*0.01 || rho != 1e5 {
+		t.Errorf("Delayed = (%v, %v) ok=%v", sigma, rho, ok)
 	}
-	tb := FromTokenBucket(32e3, 424)
-	if tb.Sigma != 424 || tb.Rho != 32e3 {
-		t.Errorf("FromTokenBucket = %+v", tb)
+	if sigma, rho, ok := sigmaRho(TokenBucket(32e3, 424)); !ok || sigma != 424 || rho != 32e3 {
+		t.Errorf("TokenBucket = (%v, %v) ok=%v", sigma, rho, ok)
 	}
 }
 
 func TestFCFSBounds(t *testing.T) {
 	s := FCFSServer{C: 1e6, LMax: 1000}
-	agg := Envelope{Sigma: 5000, Rho: 0.8e6}
+	agg := TokenBucket(0.8e6, 5000)
 	d, err := s.DelayBound(agg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(d-(5000.0/1e6+1000.0/1e6)) > 1e-12 {
+	if d != 5000.0/1e6+1000.0/1e6 {
 		t.Errorf("DelayBound = %v", d)
 	}
 	b, err := s.BacklogBound(agg)
 	if err != nil || b != 5000 {
 		t.Errorf("BacklogBound = %v, %v", b, err)
 	}
-	if _, err := s.DelayBound(Envelope{Sigma: 1, Rho: 1e6}); !errors.Is(err, ErrUnstable) {
+	if _, err := s.DelayBound(TokenBucket(1e6, 1)); !errors.Is(err, ErrUnstable) {
 		t.Errorf("instability not detected: %v", err)
 	}
 }
 
 func TestOutputBurstiness(t *testing.T) {
 	s := FCFSServer{C: 1e6, LMax: 1000}
-	flow := Envelope{Sigma: 1000, Rho: 1e5}
-	cross := Envelope{Sigma: 4000, Rho: 0.7e6}
-	out, err := s.Output(flow, cross)
+	flow := TokenBucket(1e5, 1000)
+	cross := TokenBucket(0.7e6, 4000)
+	d, err := s.DelayBound(Add(flow, cross))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Rho != flow.Rho {
-		t.Errorf("output rate changed: %v", out.Rho)
+	sigma, rho, ok := sigmaRho(s.Output(flow, d))
+	if !ok || rho != 1e5 {
+		t.Errorf("output rate changed: %v (one segment: %v)", rho, ok)
 	}
-	if out.Sigma <= flow.Sigma {
-		t.Errorf("output burst did not grow: %v", out.Sigma)
+	if sigma != 1000+1e5*d || sigma <= 1000 {
+		t.Errorf("output burst %v, want sigma + rho*d = %v", sigma, 1000+1e5*d)
 	}
 }
 
 func TestTandemGrowsPerHop(t *testing.T) {
-	flow := FromTokenBucket(32e3, 424)
+	flow := TokenBucket(32e3, 424)
 	mk := func(n int) []TandemHop {
 		hops := make([]TandemHop, n)
 		for i := range hops {
 			hops[i] = TandemHop{
 				Server: FCFSServer{C: 1536e3, LMax: 424},
-				Cross:  Envelope{Sigma: 5 * 424, Rho: 1472e3},
+				Cross:  TokenBucket(1472e3, 5*424),
 				Gamma:  1e-3,
 			}
 		}
@@ -92,10 +102,10 @@ func TestTandemGrowsPerHop(t *testing.T) {
 }
 
 func TestTandemUnstable(t *testing.T) {
-	flow := FromTokenBucket(32e3, 424)
+	flow := TokenBucket(32e3, 424)
 	hops := []TandemHop{{
 		Server: FCFSServer{C: 1536e3, LMax: 424},
-		Cross:  Envelope{Sigma: 424, Rho: 1536e3},
+		Cross:  TokenBucket(1536e3, 424),
 	}}
 	if _, err := TandemDelayBound(flow, hops); !errors.Is(err, ErrUnstable) {
 		t.Errorf("instability not propagated: %v", err)
@@ -129,7 +139,7 @@ func TestBacklogBoundHoldsInSimulation(t *testing.T) {
 				maxBacklogSec = b
 			}
 		}
-		bound, err := FCFSServer{C: c, LMax: 1000}.BacklogBound(Envelope{Sigma: sigma, Rho: rho})
+		bound, err := FCFSServer{C: c, LMax: 1000}.BacklogBound(TokenBucket(rho, sigma))
 		if err != nil {
 			return false
 		}
@@ -147,13 +157,13 @@ func TestBacklogBoundHoldsInSimulation(t *testing.T) {
 // bound does not. Double the cross traffic's burst and only the FCFS
 // bound moves.
 func TestCruzVersusLeaveInTime(t *testing.T) {
-	flow := FromTokenBucket(32e3, 424)
+	flow := TokenBucket(32e3, 424)
 	mk := func(crossSigma float64) []TandemHop {
 		hops := make([]TandemHop, 5)
 		for i := range hops {
 			hops[i] = TandemHop{
 				Server: FCFSServer{C: 1536e3, LMax: 424},
-				Cross:  Envelope{Sigma: crossSigma, Rho: 1200e3},
+				Cross:  TokenBucket(1200e3, crossSigma),
 				Gamma:  1e-3,
 			}
 		}

@@ -8,10 +8,11 @@ import (
 // Curve is a continuous, nondecreasing, piecewise-linear function on
 // [0, ∞) — the representation behind both arrival curves (concave,
 // e.g. token buckets and their minima with peak-rate caps) and service
-// curves (convex, e.g. rate-latency). A Curve generalizes the
-// single-segment (sigma, rho) Envelope: the one-segment curve
-// {Y=sigma, Slope=rho} reproduces every Envelope result bit for bit
-// (see the FCFSServer curve methods).
+// curves (convex, e.g. rate-latency). The one-segment curve
+// {Y=sigma, Slope=rho} is Cruz's (sigma, rho) burstiness constraint,
+// and on it every operation reduces to the closed form in a single
+// float operation (sigma + rho*d, sigma/C, ...): the package's tests
+// hold them to those bit for bit.
 //
 // Representation invariants, maintained by the constructors:
 //
@@ -107,7 +108,7 @@ func MustCurve(y0 float64, pieces ...Piece) Curve {
 }
 
 // TokenBucket returns the arrival curve of a token bucket (r, b0):
-// b0 + r*t, the curve form of Envelope{Sigma: b0, Rho: r}.
+// b0 + r*t, the burstiness constraint (sigma, rho) = (b0, r).
 func TokenBucket(r, b0 float64) Curve {
 	return Curve{segs: []Seg{{X: 0, Y: b0, Slope: r}}}
 }
@@ -120,20 +121,6 @@ func RateLatency(rate, latency float64) Curve {
 		return Curve{segs: []Seg{{X: 0, Y: 0, Slope: rate}}}
 	}
 	return Curve{segs: []Seg{{X: 0, Y: 0, Slope: 0}, {X: latency, Y: 0, Slope: rate}}}
-}
-
-// Curve converts the single-segment envelope to its curve form.
-func (e Envelope) Curve() Curve { return TokenBucket(e.Rho, e.Sigma) }
-
-// Envelope converts a one-segment curve back to (sigma, rho) form; ok
-// is false when the curve has more than one segment and no exact
-// envelope exists.
-func (c Curve) Envelope() (Envelope, bool) {
-	v := c.view()
-	if len(v) != 1 {
-		return Envelope{}, false
-	}
-	return Envelope{Sigma: v[0].Y, Rho: v[0].Slope}, true
 }
 
 // Segs returns a copy of the curve's segments (for inspection and
@@ -209,9 +196,8 @@ func (c Curve) lastSeg() Seg {
 }
 
 // Delayed returns the curve of the flow after experiencing a delay
-// jitter of at most d seconds: t -> Eval(t+d), the curve
-// generalization of Envelope.Delayed (for one segment: sigma + rho*d,
-// bit-identical).
+// jitter of at most d seconds: t -> Eval(t+d) (Cruz part I; for one
+// segment: sigma + rho*d).
 func (c Curve) Delayed(d float64) Curve {
 	var out Curve
 	out.setDelayed(c, d)
@@ -233,8 +219,7 @@ func (dst *Curve) setDelayed(c Curve, d float64) {
 }
 
 // Add returns the pointwise sum of the two curves — the arrival curve
-// of superposed flows. One-segment inputs reproduce Envelope.Add bit
-// for bit.
+// of superposed flows (for one segment each: sigmas and rhos add).
 func Add(f, g Curve) Curve {
 	var out Curve
 	out.setAdd(f, g)

@@ -331,43 +331,40 @@ func TestFlowBacklogBoundJumpCandidate(t *testing.T) {
 
 func TestUnstableBoundaryRhoToC(t *testing.T) {
 	srv := FCFSServer{C: 100, LMax: 10}
-	// Exactly at capacity: rejected, mirroring the Envelope path.
-	if _, err := srv.DelayBoundCurve(TokenBucket(100, 50)); !errors.Is(err, ErrUnstable) {
+	// Exactly at capacity: rejected.
+	if _, err := srv.DelayBound(TokenBucket(100, 50)); !errors.Is(err, ErrUnstable) {
 		t.Errorf("rho == C: want ErrUnstable, got %v", err)
 	}
-	if _, err := srv.BacklogBoundCurve(TokenBucket(100, 50)); !errors.Is(err, ErrUnstable) {
+	if _, err := srv.BacklogBound(TokenBucket(100, 50)); !errors.Is(err, ErrUnstable) {
 		t.Errorf("rho == C backlog: want ErrUnstable, got %v", err)
 	}
-	// One ulp below capacity: accepted, and equal to the Envelope
-	// result bit for bit.
+	// One ulp below capacity: accepted, and the closed form
+	// sigma/C + LMax/C bit for bit.
 	rho := math.Nextafter(100, 0)
-	d, err := srv.DelayBoundCurve(TokenBucket(rho, 50))
+	d, err := srv.DelayBound(TokenBucket(rho, 50))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := srv.DelayBound(Envelope{Sigma: 50, Rho: rho})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d != want {
-		t.Errorf("one-segment delay bound %v != envelope %v", d, want)
+	if want := 50.0/100 + 10.0/100; d != want {
+		t.Errorf("one-segment delay bound %v != sigma/C + LMax/C = %v", d, want)
 	}
 	// Multi-segment aggregate whose *final* slope is stable is fine
 	// even with a steep prefix.
 	steep := Min(MustCurve(0, Piece{0, 1000}), TokenBucket(60, 500))
-	if _, err := srv.DelayBoundCurve(steep); err != nil {
+	if _, err := srv.DelayBound(steep); err != nil {
 		t.Errorf("stable final slope must pass: %v", err)
 	}
 }
 
+// TestEnvelopeCurveRoundTrip: a (sigma, rho) envelope written as a
+// curve reads back as the same pair, and a curve with a second segment
+// is no such envelope.
 func TestEnvelopeCurveRoundTrip(t *testing.T) {
-	e := Envelope{Sigma: 12.5, Rho: 3.25}
-	c := e.Curve()
-	back, ok := c.Envelope()
-	if !ok || back != e {
-		t.Fatalf("round trip: %+v ok=%v", back, ok)
+	c := TokenBucket(3.25, 12.5)
+	if sigma, rho, ok := sigmaRho(c); !ok || sigma != 12.5 || rho != 3.25 {
+		t.Fatalf("round trip: (%v, %v) ok=%v", sigma, rho, ok)
 	}
-	if _, ok := Min(MustCurve(0, Piece{0, 9}), c).Envelope(); ok {
-		t.Fatal("multi-segment curve must not claim an exact envelope")
+	if _, _, ok := sigmaRho(Min(MustCurve(0, Piece{0, 9}), c)); ok {
+		t.Fatal("multi-segment curve must not read as a (sigma, rho) envelope")
 	}
 }

@@ -579,7 +579,7 @@ func rateVerticalDeviation(alpha Curve, C float64) (float64, error) {
 // rateHorizontalDeviation is HorizontalDeviation(alpha, C*t) for a
 // strictly stable alpha: sup over breakpoints of (alpha(x) - C*x)/C.
 // For the one-segment curve {sigma, rho} this is sigma/C computed as
-// a single division — bit-identical to the Envelope path.
+// a single division.
 func rateHorizontalDeviation(alpha Curve, C float64) float64 {
 	best := 0.0
 	for _, s := range alpha.view() {
@@ -588,78 +588,6 @@ func rateHorizontalDeviation(alpha Curve, C float64) float64 {
 		}
 	}
 	return best
-}
-
-// DelayBoundCurve is the curve generalization of
-// FCFSServer.DelayBound: the horizontal deviation of the aggregate
-// arrival curve against the server's constant rate, plus one
-// maximum-length packetization term. For a one-segment aggregate the
-// result is bit-identical to DelayBound(Envelope).
-func (s FCFSServer) DelayBoundCurve(agg Curve) (float64, error) {
-	if rho := agg.FinalSlope(); rho >= s.C {
-		return 0, fmt.Errorf("%w: rho %g, C %g", ErrUnstable, rho, s.C)
-	}
-	return rateHorizontalDeviation(agg, s.C) + s.LMax/s.C, nil
-}
-
-// BacklogBoundCurve is the curve generalization of
-// FCFSServer.BacklogBound: the vertical deviation against the
-// server's rate (fluid; bit-identical to BacklogBound for one
-// segment, which returns sigma).
-func (s FCFSServer) BacklogBoundCurve(agg Curve) (float64, error) {
-	if rho := agg.FinalSlope(); rho >= s.C {
-		return 0, fmt.Errorf("%w: rho %g, C %g", ErrUnstable, rho, s.C)
-	}
-	return rateVerticalDeviation(agg, s.C)
-}
-
-// FlowBacklogBound returns the per-flow backlog bound (in bits) for a
-// flow af sharing this FIFO server with cross traffic ax, including
-// the +LMax packetization term: an observed queue holds the packet in
-// transmission until its last bit leaves.
-func (s FCFSServer) FlowBacklogBound(w *Ws, af, ax Curve) (float64, error) {
-	fluid, err := w.FlowBacklogBound(af, ax, s.C)
-	if err != nil {
-		return 0, err
-	}
-	return fluid + s.LMax, nil
-}
-
-// OutputCurve bounds the flow's arrivals downstream of this server
-// when its delay here is at most d: the input curve advanced by d
-// (for one segment: sigma + rho*d, matching Envelope.Output /
-// Delayed).
-func (s FCFSServer) OutputCurve(flow Curve, d float64) Curve {
-	return flow.Delayed(d)
-}
-
-// CurveHop is one hop of a feed-forward tandem in curve form: a FIFO
-// server, the cross-traffic arrival curve joining the flow there, and
-// the fixed propagation delay after the hop.
-type CurveHop struct {
-	Server FCFSServer
-	Cross  Curve
-	Gamma  float64
-}
-
-// TandemDelayBoundCurve walks a tandem hop by hop exactly like
-// TandemDelayBound: at each hop the flow's current curve is summed
-// with the local cross traffic, the hop's FIFO delay bound is
-// accrued, and the flow curve is advanced by that delay before the
-// next hop. With one-segment curves everywhere the result is
-// bit-identical to TandemDelayBound.
-func TandemDelayBoundCurve(flow Curve, hops []CurveHop) (float64, error) {
-	total := 0.0
-	cur := flow
-	for i, h := range hops {
-		d, err := h.Server.DelayBoundCurve(Add(cur, h.Cross))
-		if err != nil {
-			return 0, fmt.Errorf("hop %d: %w", i, err)
-		}
-		total += d + h.Gamma
-		cur = cur.Delayed(d)
-	}
-	return total, nil
 }
 
 // sortDedup sorts xs ascending and removes duplicates and

@@ -195,8 +195,9 @@ func TestDeconvolutionResidual(t *testing.T) {
 }
 
 // TestOneSegmentBitIdentical pins the degenerate path: every curve
-// operation on one-segment inputs must reproduce the Envelope
-// arithmetic bit for bit — not approximately.
+// operation on a one-segment input must land on Cruz's closed form for
+// the (sigma, rho) envelope — sigma + rho*d, the sums, sigma/C + LMax/C,
+// sigma — bit for bit, not approximately.
 func TestOneSegmentBitIdentical(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -206,37 +207,28 @@ func TestOneSegmentBitIdentical(t *testing.T) {
 		lmax := 1 + r.Float64()*1e4
 		d := r.Float64() * 0.5
 
-		env := Envelope{Sigma: sigma, Rho: rho}
 		crv := TokenBucket(rho, sigma)
 		srv := FCFSServer{C: c, LMax: lmax}
 
 		// Delayed.
-		de := env.Delayed(d)
-		dc, ok := crv.Delayed(d).Envelope()
-		if !ok || de != dc {
-			t.Logf("seed %d: Delayed %+v != %+v", seed, dc, de)
+		if s, r, ok := sigmaRho(crv.Delayed(d)); !ok || s != sigma+rho*d || r != rho {
+			t.Logf("seed %d: Delayed (%v, %v) != (%v, %v)", seed, s, r, sigma+rho*d, rho)
 			return false
 		}
 		// Add.
-		env2 := Envelope{Sigma: r.Float64() * 1e3, Rho: r.Float64() * 1e3}
-		ae := env.Add(env2)
-		ac, ok := Add(crv, env2.Curve()).Envelope()
-		if !ok || ae != ac {
-			t.Logf("seed %d: Add %+v != %+v", seed, ac, ae)
+		sigma2, rho2 := r.Float64()*1e3, r.Float64()*1e3
+		if s, r, ok := sigmaRho(Add(crv, TokenBucket(rho2, sigma2))); !ok || s != sigma+sigma2 || r != rho+rho2 {
+			t.Logf("seed %d: Add (%v, %v) != (%v, %v)", seed, s, r, sigma+sigma2, rho+rho2)
 			return false
 		}
 		// Delay bound.
-		we, err1 := srv.DelayBound(env)
-		wc, err2 := srv.DelayBoundCurve(crv)
-		if (err1 == nil) != (err2 == nil) || we != wc {
-			t.Logf("seed %d: DelayBound %v/%v != %v/%v", seed, wc, err2, we, err1)
+		if w, err := srv.DelayBound(crv); err != nil || w != sigma/c+lmax/c {
+			t.Logf("seed %d: DelayBound %v/%v != %v", seed, w, err, sigma/c+lmax/c)
 			return false
 		}
 		// Backlog bound.
-		be, err1 := srv.BacklogBound(env)
-		bc, err2 := srv.BacklogBoundCurve(crv)
-		if (err1 == nil) != (err2 == nil) || be != bc {
-			t.Logf("seed %d: BacklogBound %v != %v", seed, bc, be)
+		if b, err := srv.BacklogBound(crv); err != nil || b != sigma {
+			t.Logf("seed %d: BacklogBound %v/%v != %v", seed, b, err, sigma)
 			return false
 		}
 		return true
@@ -246,32 +238,30 @@ func TestOneSegmentBitIdentical(t *testing.T) {
 	}
 }
 
-// TestTandemBitIdentical walks random feed-forward tandems through
-// both APIs; with one-segment curves the totals must be equal floats.
+// TestTandemBitIdentical walks random feed-forward tandems of
+// one-segment curves; the total must equal, as a float, the (sigma,
+// rho) recursion written out: hop delay (sigma + sigma_x)/C + LMax/C,
+// then sigma grows by rho times it.
 func TestTandemBitIdentical(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		flowE := Envelope{Sigma: 1 + r.Float64()*1e4, Rho: 1 + r.Float64()*1e4}
-		nh := 1 + r.Intn(5)
-		hopsE := make([]TandemHop, nh)
-		hopsC := make([]CurveHop, nh)
+		sigma, rho := 1+r.Float64()*1e4, 1+r.Float64()*1e4
+		flow := TokenBucket(rho, sigma)
+		hops := make([]TandemHop, 1+r.Intn(5))
+		want := 0.0
 		// Capacity with room for flow + cross at every hop.
-		for i := range hopsE {
-			cross := Envelope{Sigma: r.Float64() * 1e4, Rho: r.Float64() * 1e4}
-			cap := (flowE.Rho + cross.Rho) * (1.1 + r.Float64())
-			srv := FCFSServer{C: cap, LMax: 1 + r.Float64()*1e3}
+		for i := range hops {
+			crossSigma, crossRho := r.Float64()*1e4, r.Float64()*1e4
+			srv := FCFSServer{C: (rho + crossRho) * (1.1 + r.Float64()), LMax: 1 + r.Float64()*1e3}
 			gamma := r.Float64() * 1e-3
-			hopsE[i] = TandemHop{Server: srv, Cross: cross, Gamma: gamma}
-			hopsC[i] = CurveHop{Server: srv, Cross: cross.Curve(), Gamma: gamma}
+			hops[i] = TandemHop{Server: srv, Cross: TokenBucket(crossRho, crossSigma), Gamma: gamma}
+			d := (sigma+crossSigma)/srv.C + srv.LMax/srv.C
+			want += d + gamma
+			sigma += rho * d
 		}
-		de, err1 := TandemDelayBound(flowE, hopsE)
-		dc, err2 := TandemDelayBoundCurve(flowE.Curve(), hopsC)
-		if (err1 == nil) != (err2 == nil) {
-			t.Logf("seed %d: err %v vs %v", seed, err1, err2)
-			return false
-		}
-		if err1 == nil && de != dc {
-			t.Logf("seed %d: tandem %v != %v (diff %g)", seed, dc, de, dc-de)
+		got, err := TandemDelayBound(flow, hops)
+		if err != nil || got != want {
+			t.Logf("seed %d: tandem %v/%v != %v (diff %g)", seed, got, err, want, got-want)
 			return false
 		}
 		return true

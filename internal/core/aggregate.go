@@ -31,7 +31,7 @@ import (
 // burst accumulation compounds hop over hop, so the paper's per-
 // session bounds (eq. 12, ineq. 17) degrade to aggregate bounds with
 // quadratic (not linear) hop accumulation — quantified by the simcheck
-// class-mode battery (see internal/simcheck).
+// class-aggregate battery (see internal/simcheck).
 //
 // Jitter-controlled members still pass through the regulator, and
 // their eq.-9 holding time uses the class guarantee (d_max - d_i = 0

@@ -45,10 +45,14 @@ type ComparisonResult struct {
 // the tagged session and computing each discipline's own bound.
 func RunComparison(duration float64, seed uint64, aOff float64) *ComparisonResult {
 	const (
-		tagRate  = VoiceRate
-		frame    = OnSpacing // 13.25 ms: one tagged packet per frame
-		eddDelay = 2.5e-3    // per-node budget granted to cross traffic
+		tagRate = VoiceRate
+		frame   = OnSpacing // 13.25 ms: one tagged packet per frame
 	)
+	// What the two sessions at a node declare to it: the tagged session
+	// one cell per 13.25 ms and a local delay of as much, the node's
+	// cross session a quarter of its mean spacing and 2.5 ms.
+	tagPort := network.SessionPort{LocalDelay: CellBits / tagRate, XMin: OnSpacing}
+	crossPort := network.SessionPort{LocalDelay: 2.5e-3, XMin: Fig8CrossMean / 4}
 	res := &ComparisonResult{Duration: duration, AOff: aOff}
 
 	// Bounds for the tagged session. It conforms to a token bucket
@@ -63,9 +67,11 @@ func RunComparison(duration float64, seed uint64, aOff float64) *ComparisonResul
 	hrrBound := sgBound
 	// Delay-EDD's bound (sum of local delays) holds only when the
 	// Ferrari-Verma schedulability test passes; this scenario's cross
-	// budgets deliberately do not satisfy it (the test would reject
-	// them), so EDD variants get no bound here — the coupling the
-	// paper discusses in Section 4.
+	// budgets deliberately do not satisfy it (a Poisson session's peak
+	// utilisation at a quarter of its mean spacing is 3.8 on its own),
+	// so EDD variants get no bound here — the coupling the paper
+	// discusses in Section 4.
+	eddBnd, eddNote := eddBound(tagPort, crossPort)
 	// Cruz FCFS bound needs the cross traffic's envelope; Poisson has
 	// none, so FCFS gets no bound — exactly the paper's point. For
 	// WFQ/PGPS the tagged bound equals eq. 15 = the LiT bound.
@@ -90,12 +96,12 @@ func RunComparison(duration float64, seed uint64, aOff float64) *ComparisonResul
 		{"FCFS", func() network.Discipline { return sched.NewFCFS() }, false, 0, "no cross envelope"},
 		{"Stop-and-Go", func() network.Discipline { return sched.NewStopAndGo(frame) }, false, sgBound, "2HT"},
 		{"HRR", func() network.Discipline { return sched.NewHRR(CellBits, frame) }, false, hrrBound, "2HT"},
-		{"Delay-EDD", func() network.Discipline { return sched.NewDelayEDD() }, false, 0, "schedulability test fails"},
-		{"Jitter-EDD", func() network.Discipline { return sched.NewJitterEDD() }, false, 0, "schedulability test fails"},
+		{"Delay-EDD", func() network.Discipline { return sched.NewDelayEDD() }, false, eddBnd, eddNote},
+		{"Jitter-EDD", func() network.Discipline { return sched.NewJitterEDD() }, false, eddBnd, eddNote},
 		{"RCSP (2 levels)", func() network.Discipline { return newRCSPByRate() }, false, 0, "level test not run"},
 	}
 	for _, e := range entries {
-		tag := runComparisonScenario(e.mk, e.jitterCtrl, duration, seed, aOff, eddDelay)
+		tag := runComparisonScenario(e.mk, e.jitterCtrl, duration, seed, aOff, tagPort, crossPort)
 		res.Rows = append(res.Rows, ComparisonRow{
 			Name:      e.name,
 			MaxDelay:  tag.Delays.Max(),
@@ -119,7 +125,21 @@ func fig6RouteForRate(rate float64, n int) admission.Route {
 	return admission.Route{Hops: hops, LMax: CellBits}
 }
 
-func runComparisonScenario(mk func() network.Discipline, jitterCtrl bool, duration float64, seed uint64, aOff, eddDelay float64) *network.Session {
+// eddBound runs the Ferrari-Verma schedulability test on what one node
+// of the comparison carries — the tagged session and that node's cross
+// session, one cell each — and returns the tagged session's Delay-EDD
+// bound with its origin: the local delays and propagation summed over
+// the route when the set is schedulable, no bound when it is refused.
+func eddBound(tag, cross network.SessionPort) (bound float64, note string) {
+	adm := sched.NewEDDAdmission(T1Rate, CellBits)
+	if adm.Admit(1, tag.XMin, CellBits, tag.LocalDelay) != nil ||
+		adm.Admit(2, cross.XMin, CellBits, cross.LocalDelay) != nil {
+		return 0, "schedulability test fails"
+	}
+	return float64(NumNodes) * (tag.LocalDelay + PropDelay), "sum of local delays"
+}
+
+func runComparisonScenario(mk func() network.Discipline, jitterCtrl bool, duration float64, seed uint64, aOff float64, tagPort, crossPort network.SessionPort) *network.Session {
 	sim := event.New()
 	net := network.New(sim, CellBits)
 	r := rng.New(seed)
@@ -130,13 +150,12 @@ func runComparisonScenario(mk func() network.Discipline, jitterCtrl bool, durati
 	}
 	tagCfg := make([]network.SessionPort, NumNodes)
 	for i := range tagCfg {
-		tagCfg[i] = network.SessionPort{LocalDelay: CellBits / VoiceRate, XMin: OnSpacing}
+		tagCfg[i] = tagPort
 	}
 	tag := net.AddSession(1, VoiceRate, jitterCtrl, ports, tagCfg,
 		NewOnOff(aOff, r.Split()))
 	for i := range ports {
-		cfg := []network.SessionPort{{LocalDelay: eddDelay, XMin: Fig8CrossMean / 4}}
-		net.AddSession(2+i, Fig8CrossRate, false, ports[i:i+1], cfg,
+		net.AddSession(2+i, Fig8CrossRate, false, ports[i:i+1], []network.SessionPort{crossPort},
 			&traffic.Poisson{Mean: Fig8CrossMean, Length: CellBits, Rng: r.Split()})
 	}
 	for _, s := range net.Sessions() {
@@ -163,12 +182,12 @@ func (r rcspByRate) AddSession(cfg network.SessionPort) {
 // bound FCFS at if the cross traffic were token-bucket constrained
 // with the given per-hop burst (bits).
 func CruzFCFSBound(crossSigma float64) (float64, error) {
-	flow := calculus.FromTokenBucket(VoiceRate, CellBits)
+	flow := calculus.TokenBucket(VoiceRate, CellBits)
 	hops := make([]calculus.TandemHop, NumNodes)
 	for i := range hops {
 		hops[i] = calculus.TandemHop{
 			Server: calculus.FCFSServer{C: T1Rate, LMax: CellBits},
-			Cross:  calculus.Envelope{Sigma: crossSigma, Rho: Fig8CrossRate},
+			Cross:  calculus.TokenBucket(Fig8CrossRate, crossSigma),
 			Gamma:  PropDelay,
 		}
 	}

@@ -1,23 +1,15 @@
 package serve
 
 import (
-	"os"
 	"strconv"
 	"testing"
 )
 
-// TestChaosBattery runs the full live battery for a handful of seeds
-// (CI raises the count through LITSERVE_CHAOS_SEEDS). Every probe of
-// every seed must pass; a failure reports the probe name and detail.
+// TestChaosBattery runs the full live battery for two seeds (CI runs a
+// hundred through litserve -mode chaos). Every probe of every seed must
+// pass; a failure reports the probe name and detail.
 func TestChaosBattery(t *testing.T) {
 	seeds := 2
-	if s := os.Getenv("LITSERVE_CHAOS_SEEDS"); s != "" {
-		n, err := strconv.Atoi(s)
-		if err != nil || n < 1 {
-			t.Fatalf("LITSERVE_CHAOS_SEEDS=%q", s)
-		}
-		seeds = n
-	}
 	if testing.Short() {
 		seeds = 1
 	}

@@ -10,7 +10,7 @@ import (
 	"leaveintime/internal/network"
 )
 
-// Class-mode battery: the scenario re-run with core.Aggregate at every
+// Class-aggregate battery: the scenario re-run with core.Aggregate at every
 // port — many micro-sessions mapped onto a few EF/AF-style classes,
 // one regulator and one K clock per class — checked against the
 // *degraded* analytic bounds aggregation leaves standing.
@@ -79,7 +79,7 @@ func classMap(sc *Case) (map[int]int, int) {
 	return m, nc
 }
 
-// aggSpec builds the class-mode discipline spec. The aggregate is
+// aggSpec builds the class-aggregated discipline spec. The aggregate is
 // deadline-ordered over eligible packets exactly like exact LiT, so it
 // inherits the same online checks (litKind 1: deadline inversion at
 // heap tolerance, work conservation when no session uses jitter
@@ -173,7 +173,7 @@ func aggBounds(sc *Case, cls map[int]int) (map[int][2]float64, error) {
 	return out, nil
 }
 
-// checkAggregate runs the class-mode battery: the aggregate run must
+// checkAggregate runs the class-aggregate battery: the aggregate run must
 // drain cleanly, see the reference arrival sequence, pass its online
 // checks, and keep every session inside the degraded bounds. The
 // degradation factor (degraded bound / eq.-12 bound, maximized over

@@ -27,7 +27,7 @@ import (
 // instantaneous arrival of a whole packet is inside the fluid curve; a
 // document in which some session declares no b0 has no arrival curve to
 // sum at that session's links, and is skipped.
-// DelayBoundCurve and FlowBacklogBound already carry the +LMax/C and
+// DelayBound and FlowBacklogBound already carry the +LMax/C and
 // +LMax packetization terms. The battery runs only on scenarios
 // without jitter control: regulators deliberately hold packets past
 // the FIFO prediction, so no FIFO bound applies there. A link whose
@@ -162,7 +162,7 @@ func calcBounds(sc *Case, mode calcMode) (*calcAnalysis, error) {
 		if mode == calcBusy {
 			d, err = calculus.BusyPeriodBound(agg, ld.Capacity)
 		} else {
-			d, err = srv.DelayBoundCurve(agg)
+			d, err = srv.DelayBound(agg)
 		}
 		if err != nil {
 			// Saturated link (admission admits up to a float tolerance

@@ -9,12 +9,13 @@ import (
 )
 
 // TestCalculusSeedsClean: the curve-propagated bounds hold over a block
-// of generated scenarios, and the battery actually checks sessions (the
-// generator produces jitter-free, stable scenarios often enough).
+// of generated scenarios (the one after TestSeedsClean's), and the
+// battery actually checks sessions (the generator produces jitter-free,
+// stable scenarios often enough).
 func TestCalculusSeedsClean(t *testing.T) {
 	checked := 0
-	for seed := uint64(1); seed <= 12; seed++ {
-		rep := CheckSeed(seed, Options{Calculus: true})
+	for seed := uint64(13); seed <= 24; seed++ {
+		rep := CheckScenario(Generate(seed), Options{})
 		if !rep.OK() {
 			t.Fatalf("seed %d:\n%s", seed, rep.Format())
 		}
@@ -29,12 +30,12 @@ func TestCalculusSeedsClean(t *testing.T) {
 	}
 }
 
-// TestCalculusReportDeterministic: same seed, byte-identical report with
-// the calculus battery on.
+// TestCalculusReportDeterministic: same seed, byte-identical report on
+// seeds where the calculus battery stops at the fast-path check.
 func TestCalculusReportDeterministic(t *testing.T) {
 	for _, seed := range []uint64{2, 5} {
-		a := CheckSeed(seed, Options{Calculus: true}).Format()
-		b := CheckSeed(seed, Options{Calculus: true}).Format()
+		a := CheckScenario(Generate(seed), Options{}).Format()
+		b := CheckScenario(Generate(seed), Options{}).Format()
 		if a != b {
 			t.Fatalf("seed %d calculus report not deterministic:\n--- first ---\n%s--- second ---\n%s",
 				seed, a, b)
@@ -80,11 +81,11 @@ func TestCalculusTightness(t *testing.T) {
 
 // TestCalculusBoundScaleShrinksAndReplays: tightening the checked
 // bounds makes the calculus battery fail, the shrinker preserves a
-// calc-* violation, and the written repro carries both the scale and
-// the battery selection so it replays with default options.
+// calc-* violation, and the written repro carries the scale so it
+// replays with default options.
 func TestCalculusBoundScaleShrinksAndReplays(t *testing.T) {
 	sc := calcScenario(8)
-	opt := Options{Calculus: true, BoundScale: 0.5}
+	opt := Options{BoundScale: 0.5}
 	rep := CheckScenario(sc, opt)
 	found := false
 	for _, v := range rep.Violations {
@@ -100,9 +101,8 @@ func TestCalculusBoundScaleShrinksAndReplays(t *testing.T) {
 	if srep.OK() {
 		t.Fatal("shrunken scenario no longer fails")
 	}
-	if !shrunk.Check.Calculus || shrunk.Check.BoundScale != 0.5 {
-		t.Fatalf("shrink lost the battery selection: calculus=%v scale=%g",
-			shrunk.Check.Calculus, shrunk.Check.BoundScale)
+	if shrunk.Check.BoundScale != 0.5 {
+		t.Fatalf("shrink lost the injected tightening: scale=%g", shrunk.Check.BoundScale)
 	}
 	if len(shrunk.Sessions) >= len(sc.Sessions) {
 		t.Errorf("shrink kept %d of %d sessions", len(shrunk.Sessions), len(sc.Sessions))
@@ -155,7 +155,7 @@ func TestCalcBoundsSkipsCycle(t *testing.T) {
 		t.Fatalf("cyclic routes not skipped: skipped=%v reason=%q", an.skipped, an.reason)
 	}
 	// The battery itself must stay quiet (no checks, no violations).
-	rep := CheckScenario(sc, Options{Calculus: true})
+	rep := CheckScenario(sc, Options{})
 	if !rep.OK() {
 		t.Fatalf("cyclic scenario produced violations:\n%s", rep.Format())
 	}

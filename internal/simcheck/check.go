@@ -8,35 +8,14 @@ import (
 	"leaveintime/internal/event"
 )
 
-// Options tune a conformance check.
+// Options tune a conformance check. None of them selects what is
+// checked: every case gets the whole battery (see CheckScenario).
 type Options struct {
 	// BoundScale, when positive, overrides the case's Check.BoundScale —
 	// the injection hook: values below 1 tighten the checked bounds
 	// past what the theorems promise, forcing violations whose shrink
 	// and replay paths the harness's own tests exercise.
 	BoundScale float64
-
-	// Churn makes CheckSeed generate scenarios with a deterministic
-	// fault plan (GenerateChurn): bounds are then checked on the sessions
-	// the plan leaves alone, and the checks that need an undisturbed
-	// network are skipped (see CheckScenario).
-	Churn bool
-
-	// ClassMode adds the aggregate-class battery to clean scenarios:
-	// the scenario re-run with core.Aggregate (one regulator per EF/AF
-	// class instead of per session) and checked against the degraded
-	// aggregation bounds. Ignored under a fault plan — the fault plans
-	// and the class battery compose multiplicatively and are exercised
-	// separately.
-	ClassMode bool
-
-	// Calculus adds the network-calculus battery to clean scenarios:
-	// flows propagated as piecewise-linear arrival curves, their FIFO
-	// delay and per-flow backlog bounds checked against an FCFS run,
-	// plus the batch-admission fast path differentially checked against
-	// sequential admission (see calccheck.go). Ignored under a fault
-	// plan.
-	Calculus bool
 
 	// MaxEvents caps fired events per run (the deterministic watchdog
 	// budget); 0 means 20 000 000, a generous multiple of what a healthy
@@ -66,26 +45,18 @@ func (o Options) watchdog(sc *Case) event.Watchdog {
 // is exercised.
 var checkPanicHook func()
 
-// CheckSeed generates the seed's scenario and checks it.
-func CheckSeed(seed uint64, opt Options) *SeedReport {
-	if opt.Churn {
-		return CheckScenario(GenerateChurn(seed), opt)
-	}
-	return CheckScenario(Generate(seed), opt)
+// CheckSeed checks the seed once and completely: its generated case on
+// a clean network, then the same case under its generated fault plan.
+func CheckSeed(seed uint64, opt Options) (clean, faulted *SeedReport) {
+	return CheckScenario(Generate(seed), opt), CheckScenario(GenerateChurn(seed), opt)
 }
 
-// fold writes the options that select what is checked into the case's
-// check object, where a written repro keeps them: it then reproduces
-// the failure, injected tightening included, with no extra flags.
+// fold writes the injected tightening into the case's check object,
+// where a written repro keeps it: it then reproduces the failure with
+// no extra flags.
 func (opt Options) fold(sc *Case) {
 	if opt.BoundScale > 0 {
 		sc.Check.BoundScale = opt.BoundScale
-	}
-	if opt.ClassMode {
-		sc.Check.Classes = true
-	}
-	if opt.Calculus {
-		sc.Check.Calculus = true
 	}
 }
 
@@ -112,7 +83,10 @@ func newReport(sc *Case) *SeedReport {
 // LiT ≡ VirtualClock differential compare two runs packet for packet,
 // which a purge or an outage desynchronises, and the class and calculus
 // batteries check bounds derived for the full admitted set on working
-// links. The report is a pure function of the case and options: same
+// links. There is no switch for any of them: a clean case runs them all,
+// each passing over what its own preconditions exclude (jitter control,
+// a session that declares no b0, routes that order the links
+// cyclically). The report is a pure function of the case and options: same
 // input, byte-identical Format output. A panic anywhere in the battery
 // is recovered into a "panic" violation, so a crashing seed still yields
 // a report (and a replayable repro) instead of taking the harness down.
@@ -179,15 +153,13 @@ func CheckScenario(sc Case, opt Options) (rep *SeedReport) {
 		}
 	}
 
-	// Class mode: the aggregate-class discipline with degraded bound
-	// checks (see aggcheck.go).
-	if clean && sc.Check.Classes {
+	if clean {
+		// The aggregate-class discipline with degraded bound checks
+		// (see aggcheck.go).
 		checkAggregate(&sc, exact, scale, wd, rep)
-	}
-
-	// Network-calculus battery: curve-propagated FIFO bounds against an
-	// FCFS run, plus the admission fast-path differential check.
-	if clean && sc.Check.Calculus {
+		// Network-calculus battery: curve-propagated FIFO bounds
+		// against an FCFS run, plus the admission fast-path
+		// differential check (see calccheck.go).
 		checkCalculus(&sc, scale, wd, rep)
 	}
 

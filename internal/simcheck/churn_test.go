@@ -60,12 +60,12 @@ func TestGenerateChurnSharesBase(t *testing.T) {
 }
 
 // TestChurnSeedsClean: the graceful-degradation battery holds over a
-// block of chaos seeds — survivors meet bounds, capacity returns to
-// zero, conservation counts fault drops — and the reports are marked
-// as churn runs.
+// block of chaos seeds (the one after TestSeedsClean's) — survivors meet
+// bounds, capacity returns to zero, conservation counts fault drops —
+// and the reports are marked as churn runs.
 func TestChurnSeedsClean(t *testing.T) {
-	for seed := uint64(1); seed <= 8; seed++ {
-		rep := CheckSeed(seed, Options{Churn: true})
+	for seed := uint64(13); seed <= 20; seed++ {
+		rep := CheckScenario(GenerateChurn(seed), Options{})
 		if !rep.OK() {
 			t.Fatalf("seed %d:\n%s", seed, rep.Format())
 		}
@@ -81,8 +81,8 @@ func TestChurnSeedsClean(t *testing.T) {
 // TestChurnReportDeterministic: same chaos seed, byte-identical report.
 func TestChurnReportDeterministic(t *testing.T) {
 	seed := churnSeed(t, 1)
-	a := CheckSeed(seed, Options{Churn: true}).Format()
-	b := CheckSeed(seed, Options{Churn: true}).Format()
+	a := CheckScenario(GenerateChurn(seed), Options{}).Format()
+	b := CheckScenario(GenerateChurn(seed), Options{}).Format()
 	if a != b {
 		t.Fatalf("seed %d churn report not deterministic:\n--- first ---\n%s--- second ---\n%s", seed, a, b)
 	}
@@ -130,7 +130,7 @@ func TestChurnReproRoundTrip(t *testing.T) {
 // livelocked or runaway seeds.
 func TestWatchdogAbortsUnbounded(t *testing.T) {
 	seed := churnSeed(t, 1)
-	rep := CheckSeed(seed, Options{Churn: true, MaxEvents: 200})
+	rep := CheckScenario(GenerateChurn(seed), Options{MaxEvents: 200})
 	if rep.OK() {
 		t.Fatal("a 200-event budget did not trip on a full chaos run")
 	}
@@ -151,7 +151,7 @@ func TestWatchdogAbortsUnbounded(t *testing.T) {
 	}
 	// The abort itself must be deterministic: same seed, same budget,
 	// byte-identical partial report.
-	again := CheckSeed(seed, Options{Churn: true, MaxEvents: 200})
+	again := CheckScenario(GenerateChurn(seed), Options{MaxEvents: 200})
 	if rep.Format() != again.Format() {
 		t.Fatalf("tripped report not deterministic:\n--- first ---\n%s--- second ---\n%s",
 			rep.Format(), again.Format())

@@ -83,9 +83,11 @@ func TestChurnDocumentsValidButNotRunnable(t *testing.T) {
 // 0.02 in the dialect it had before it shared the scenario document (one
 // shrunk from a clean seed, two chaos plans left whole; procedures 1 and
 // 3, all four source models), rewritten once as documents, replay to the
-// report that binary printed for them, byte for byte. The dialect itself
-// is no longer read: with none of a document's keys, such a file is an
-// invalid scenario.
+// report that binary printed for them, byte for byte — the clean one's
+// recording extended, below the two lines that binary printed, by what
+// the class and calculus batteries it now always replays under add. The
+// dialect itself is no longer read: with none of a document's keys, such
+// a file is an invalid scenario.
 func TestOldDialectReproReplays(t *testing.T) {
 	files, err := filepath.Glob("testdata/old_*.json")
 	if err != nil || len(files) == 0 {

@@ -43,14 +43,14 @@ type SeedReport struct {
 	Violations  []Violation   `json:"violations,omitempty"`
 
 	// AggChecked counts sessions checked against the degraded
-	// aggregate-class bounds (class mode only), and AggDegrade is the
+	// aggregate-class bounds (clean cases only), and AggDegrade is the
 	// worst degradation factor observed: degraded aggregate delay bound
 	// over the paper's per-session eq.-12 bound.
 	AggChecked int     `json:"agg_checked,omitempty"`
 	AggDegrade float64 `json:"agg_degrade,omitempty"`
 
 	// CalcChecked counts sessions checked against the curve-propagated
-	// network-calculus bounds (calculus battery only), and CalcTight is
+	// network-calculus bounds (clean cases only), and CalcTight is
 	// how closely the simulation approached them: observed delay over
 	// analytic bound, maximized over checked sessions.
 	CalcChecked int     `json:"calc_checked,omitempty"`

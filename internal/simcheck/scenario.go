@@ -6,9 +6,12 @@
 // jitter/buffer bounds, packet conservation, packet-pool balance,
 // reserved capacity returned whole, deadline ordering, work
 // conservation, the LiT ≡ VirtualClock special case, the approximate-queue
-// approximation bound, and metrics/trace/probe agreement. On violation
-// it shrinks the scenario to a minimal failing form and writes a
-// replayable JSON repro. See cmd/litcheck for the CLI driver.
+// approximation bound, and metrics/trace/probe agreement; then the
+// scenario again with one regulator per class against the degraded
+// aggregate bounds, and under FCFS against curve-propagated calculus
+// bounds; then all of it once more under a generated fault plan. On
+// violation it shrinks the scenario to a minimal failing form and writes
+// a replayable JSON repro. See cmd/litcheck for the CLI driver.
 //
 // What it generates, shrinks, replays and checks is a config.Scenario,
 // the document litrun and litserve run. The harness builds its own
@@ -42,13 +45,6 @@ type Check struct {
 	// test hook behind the injection/shrinking tests and the litcheck
 	// -bound-scale flag.
 	BoundScale float64 `json:"bound_scale,omitempty"`
-
-	// Classes and Calculus switch on the aggregate-class battery (see
-	// aggcheck.go) and the network-calculus battery (see calccheck.go).
-	// Set from Options.ClassMode and Options.Calculus at check time and
-	// written into repros so they replay the battery without extra flags.
-	Classes  bool `json:"classes,omitempty"`
-	Calculus bool `json:"calculus,omitempty"`
 }
 
 // Case is what the harness checks and what a repro file holds: a

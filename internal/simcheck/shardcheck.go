@@ -167,9 +167,8 @@ func sortViolations(vs []Violation) {
 // Any divergence is a "shard-invariance" violation naming the first
 // differing item. The report is deterministic in (seed, shards).
 //
-// Fault plans are out of scope (Options.Churn is rejected): injected
-// faults address one engine and one network, and fault plans stay a
-// serial-path concern.
+// Fault plans are out of scope: injected faults address one engine and
+// one network, so the battery runs the seed's clean case only.
 func CheckShardInvariance(seed uint64, shards int, opt Options) *SeedReport {
 	sc := Generate(seed)
 	rep := newReport(&sc)
@@ -180,10 +179,6 @@ func CheckShardInvariance(seed uint64, shards int, opt Options) *SeedReport {
 	}()
 	if shards < 2 {
 		rep.add(Violation{Check: "shard-invariance", Detail: fmt.Sprintf("comparison needs at least 2 shards, got %d", shards)})
-		return rep
-	}
-	if opt.Churn {
-		rep.add(Violation{Check: "shard-invariance", Detail: "churn battery is serial-only"})
 		return rep
 	}
 	base, err := runShardedScenario(&sc, 1, opt)

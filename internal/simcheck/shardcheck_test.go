@@ -1,9 +1,6 @@
 package simcheck
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 // TestShardInvarianceBattery sweeps generated scenarios through the
 // sharded runtime at several shard counts, demanding byte-identical
@@ -33,16 +30,6 @@ func TestShardInvarianceDeterministic(t *testing.T) {
 	b := CheckShardInvariance(7, 4, Options{}).Format()
 	if a != b {
 		t.Fatalf("reports differ:\n%s\n%s", a, b)
-	}
-}
-
-func TestShardInvarianceRejectsChurn(t *testing.T) {
-	rep := CheckShardInvariance(1, 4, Options{Churn: true})
-	if rep.OK() {
-		t.Fatal("churn accepted under sharding")
-	}
-	if !strings.Contains(rep.Violations[0].Detail, "serial-only") {
-		t.Fatalf("unexpected violation: %+v", rep.Violations[0])
 	}
 }
 

@@ -21,12 +21,14 @@ const shrinkBudget = 150
 //  4. pruning servers no remaining route names.
 //
 // It returns the smallest failing case found, the options' injected
-// tightening and battery selection folded into its check object, and
-// its report.
+// tightening folded into its check object, and its report. A case under
+// a fault plan is returned whole: dropping a session or trimming a route
+// would orphan the plan's references to it, and the plan is the thing
+// its repro must preserve.
 func Shrink(sc Case, opt Options) (Case, *SeedReport) {
 	opt.fold(&sc)
 	orig := CheckScenario(sc, opt)
-	if orig.OK() {
+	if orig.OK() || !sc.Faults.Empty() {
 		return sc, orig
 	}
 	want := make(map[string]bool)

@@ -3,6 +3,7 @@ package simcheck
 import (
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"leaveintime/internal/config"
@@ -62,27 +63,43 @@ func TestGenerateCoverage(t *testing.T) {
 }
 
 // TestSeedsClean: the invariant battery holds over a block of seeds —
-// the paper's commitments are not violated by any generated scenario —
-// and traffic actually flows in each.
+// the paper's commitments are not violated by any generated scenario,
+// clean or under its fault plan — and traffic actually flows in each.
 func TestSeedsClean(t *testing.T) {
 	for seed := uint64(1); seed <= 12; seed++ {
-		rep := CheckSeed(seed, Options{})
-		if !rep.OK() {
-			t.Fatalf("seed %d:\n%s", seed, rep.Format())
-		}
-		if len(rep.Disciplines) == 0 || rep.Disciplines[0].Delivered == 0 {
-			t.Errorf("seed %d: no packets delivered", seed)
+		clean, faulted := CheckSeed(seed, Options{})
+		for _, rep := range []*SeedReport{clean, faulted} {
+			if !rep.OK() {
+				t.Fatalf("seed %d:\n%s", seed, rep.Format())
+			}
+			if len(rep.Disciplines) == 0 || rep.Disciplines[0].Delivered == 0 {
+				t.Errorf("seed %d: no packets delivered", seed)
+			}
 		}
 	}
 }
 
-// TestReportDeterministic: same seed, byte-identical report.
+// TestReportDeterministic: a seed's check is a clean report that carries
+// every battery that applies to the seed — the class-aggregated run
+// always (agg=), the calculus bounds unless the scenario has jitter
+// control (calc=) — and a faulted report marked churn that carries
+// neither; same seed, byte-identical pair.
 func TestReportDeterministic(t *testing.T) {
-	for _, seed := range []uint64{3, 4} {
-		a := CheckSeed(seed, Options{}).Format()
-		b := CheckSeed(seed, Options{}).Format()
-		if a != b {
-			t.Fatalf("seed %d report not deterministic:\n--- first ---\n%s--- second ---\n%s", seed, a, b)
+	for _, tc := range []struct {
+		seed uint64
+		calc bool
+	}{{1, false}, {3, true}, {4, true}} {
+		clean, faulted := CheckSeed(tc.seed, Options{})
+		a, b := clean.Format(), faulted.Format()
+		if clean.Churn || !strings.Contains(a, " agg=") || strings.Contains(a, " calc=") != tc.calc {
+			t.Errorf("seed %d clean report (calc battery applies: %v):\n%s", tc.seed, tc.calc, a)
+		}
+		if !faulted.Churn || !strings.Contains(b, ": ok churn  ") || strings.Contains(b, "agg=") || strings.Contains(b, "calc=") {
+			t.Errorf("seed %d faulted report:\n%s", tc.seed, b)
+		}
+		clean2, faulted2 := CheckSeed(tc.seed, Options{})
+		if a2, b2 := clean2.Format(), faulted2.Format(); a != a2 || b != b2 {
+			t.Fatalf("seed %d reports not deterministic:\n--- first ---\n%s%s--- second ---\n%s%s", tc.seed, a, b, a2, b2)
 		}
 	}
 }
@@ -91,23 +108,25 @@ func TestReportDeterministic(t *testing.T) {
 // past the theorems (the BoundScale hook) must fail, the shrinker must
 // reduce the scenario without losing the original violation, and the
 // written repro must reproduce the failure when replayed from disk —
-// the class battery's share of it included, when the failure was found
-// under class mode.
+// each battery's share of it included: eq. 12 on the reference run, the
+// degraded bound on the class-aggregated run, the curve bound on the
+// calculus battery's FCFS run (seed 3 is jitter-free).
 func TestInjectedViolationShrinksAndReplays(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		opt  Options
+		seed uint64
 		want string // a check the replay must still report
 	}{
-		{"bounds", Options{BoundScale: 0.01}, "delay-bound"},
-		{"classes", Options{BoundScale: 0.01, ClassMode: true}, "agg-delay-bound"},
+		{"bounds", 1, "delay-bound"},
+		{"classes", 2, "agg-delay-bound"},
+		{"calculus", 3, "calc-delay-bound"},
 	} {
-		t.Run(tc.name, func(t *testing.T) { injectShrinkReplay(t, tc.opt, tc.want) })
+		t.Run(tc.name, func(t *testing.T) { injectShrinkReplay(t, tc.seed, tc.want) })
 	}
 }
 
-func injectShrinkReplay(t *testing.T, opt Options, want string) {
-	const seed = 1
+func injectShrinkReplay(t *testing.T, seed uint64, want string) {
+	opt := Options{BoundScale: 0.01}
 	full := Generate(seed)
 	rep := CheckScenario(full, opt)
 	if rep.OK() {
@@ -142,8 +161,7 @@ func injectShrinkReplay(t *testing.T, opt Options, want string) {
 	}
 
 	// Round-trip through JSON: the repro must carry the injected
-	// tightening and the battery it failed under, and fail again with
-	// no extra options.
+	// tightening and fail again with no extra options.
 	path := filepath.Join(t.TempDir(), "repro.json")
 	if err := WriteRepro(path, shrunk); err != nil {
 		t.Fatal(err)

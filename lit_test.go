@@ -310,14 +310,14 @@ func TestFacadeRunnersShort(t *testing.T) {
 }
 
 func TestCalculusFacade(t *testing.T) {
-	flow := lit.EnvelopeFromTokenBucket(32e3, 424)
-	agg := lit.SumEnvelopes(flow, lit.Envelope{Sigma: 1000, Rho: 1e5})
-	if agg.Rho != 132e3 {
-		t.Errorf("SumEnvelopes = %+v", agg)
+	flow := lit.TokenBucketCurve(32e3, 424)
+	agg := lit.SumCurves(flow, lit.TokenBucketCurve(1e5, 1000))
+	if agg.FinalSlope() != 132e3 {
+		t.Errorf("SumCurves = %+v", agg)
 	}
 	hops := []lit.TandemHop{{
 		Server: lit.FCFSServer{C: 1536e3, LMax: 424},
-		Cross:  lit.Envelope{Sigma: 2120, Rho: 1e6},
+		Cross:  lit.TokenBucketCurve(1e6, 2120),
 		Gamma:  1e-3,
 	}}
 	if d, err := lit.TandemDelayBound(flow, hops); err != nil || d <= 0 {
