@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -11,77 +13,22 @@ import (
 	"leaveintime/internal/serve"
 )
 
-// TestFlagMatrix drives flagConflicts over the audited combinations:
-// every flag owned by another mode is rejected with a message naming
-// the flag and the mode, and every combination documented as composing
-// passes.
-func TestFlagMatrix(t *testing.T) {
-	on := func(names ...string) map[string]bool {
-		m := make(map[string]bool)
-		for _, n := range names {
-			m[n] = true
-		}
-		return m
+// TestRetiredChaosFlagsAreUnknown: litserve has one mode, and the
+// chaos battery is a test (FuzzChaosSeed in internal/serve). A command
+// line that still asks for the battery exits 2 naming the flag instead
+// of serving behind its back.
+func TestRetiredChaosFlagsAreUnknown(t *testing.T) {
+	bin := filepath.Join(t.TempDir(), "litserve")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("building litserve: %v\n%s", err, out)
 	}
-	cases := []struct {
-		name    string
-		mode    string
-		enabled map[string]bool
-		// reject lists flags that must each be named in some message;
-		// empty means the combination is accepted.
-		reject []string
-	}{
-		{"serve defaults", "serve", on(), nil},
-		{"serve full", "serve", on("addr", "workers", "queue", "checkpoint-dir", "slice"), nil},
-		{"chaos full", "chaos", on("seeds", "seed", "dir"), nil},
-
-		{"serve with seeds", "serve", on("seeds"), []string{"seeds"}},
-		{"serve with chaos dir", "serve", on("seed", "dir"), []string{"seed", "dir"}},
-		{"chaos with addr", "chaos", on("addr", "seeds"), []string{"addr"}},
-		{"chaos with checkpoint", "chaos", on("checkpoint-dir"), []string{"checkpoint-dir"}},
-		{"chaos with daemon shape", "chaos", on("workers", "queue", "slice"),
-			[]string{"workers", "queue", "slice"}},
-	}
-	for _, c := range cases {
-		msgs := flagConflicts(c.mode, c.enabled)
-		if len(c.reject) == 0 {
-			if len(msgs) != 0 {
-				t.Errorf("%s: unexpectedly rejected: %v", c.name, msgs)
-			}
-			continue
+	for _, args := range [][]string{{"-mode", "chaos"}, {"-seeds", "2"}, {"-seed", "2"}, {"-dir", "x"}} {
+		out, err := exec.Command(bin, args...).CombinedOutput()
+		if exit, ok := err.(*exec.ExitError); !ok || exit.ExitCode() != 2 {
+			t.Errorf("%v: %v, want exit 2\n%s", args, err, out)
 		}
-		if len(msgs) != len(c.reject) {
-			t.Errorf("%s: got %d messages %v, want %d", c.name, len(msgs), msgs, len(c.reject))
-		}
-		for _, f := range c.reject {
-			found := false
-			for _, m := range msgs {
-				if strings.Contains(m, "-"+f+" ") && strings.Contains(m, "-mode "+c.mode) {
-					found = true
-					break
-				}
-			}
-			if !found {
-				t.Errorf("%s: no message names -%s and -mode %s: %v", c.name, f, c.mode, msgs)
-			}
-		}
-	}
-}
-
-// TestFlagMatrixEntriesHaveRationale pins the message contract for
-// every table row.
-func TestFlagMatrixEntriesHaveRationale(t *testing.T) {
-	for _, c := range flagMatrix {
-		if !strings.HasPrefix(c.a, "mode=") {
-			t.Errorf("row %+v: first element must be a mode key", c)
-		}
-		if c.why == "" {
-			t.Errorf("%s+%s: conflict has no rationale", c.a, c.b)
-		}
-		mode := strings.TrimPrefix(c.a, "mode=")
-		msgs := flagConflicts(mode, map[string]bool{c.b: true})
-		if len(msgs) != 1 || !strings.Contains(msgs[0], "-"+c.b) {
-			t.Errorf("%s under %s: got %v", c.b, mode, msgs)
+		if !strings.Contains(string(out), "flag provided but not defined: "+args[0]) {
+			t.Errorf("%v: flag not named:\n%s", args, out)
 		}
 	}
 }

@@ -10,7 +10,9 @@
 // buffer view), fig14 (figures 14-17, procedure 2), fig14ac1 (same
 // under procedure 1), ups (the NSDI '16 universal-packet-scheduling
 // replay: baseline schedules reproduced by LSTF and by LiT from slack
-// carried in the packet header), section4, metro, all.
+// carried in the packet header), section4, comparison (Section 4 run
+// live: the CROSS tagged session under every discipline, each beside
+// its own bound), metro, all.
 //
 // metro runs the metro-scale ring-of-rings workload (208 switches by
 // default) as one serial simulation; its report reads shards=1.
@@ -59,7 +61,7 @@ func reproCommand() string {
 
 func main() {
 	var (
-		exp       = flag.String("experiment", "all", "which experiment to run (fig7, fig8, fig9, fig10, fig11, fig12, fig14, fig14ac1, perhop, establish, blocking, saturation, ups, section4, metro, all)")
+		exp       = flag.String("experiment", "all", "which experiment to run (fig7, fig8, fig9, fig10, fig11, fig12, fig14, fig14ac1, perhop, establish, blocking, saturation, ups, section4, comparison, metro, all)")
 		duration  = flag.Float64("duration", 0, "run length in simulated seconds (0 = the paper's duration)")
 		seed      = flag.Uint64("seed", 1, "random seed")
 		asPlot    = flag.Bool("plot", false, "render distribution figures as terminal charts")
@@ -268,6 +270,11 @@ func main() {
 		fmt.Print(lit.RunStopAndGoComparison(0.01, 1536e3, 5).Format())
 		pg := lit.RunPGPSComparison(32e3, 424, 424, 1536e3, 1e-3, 5)
 		fmt.Printf("Section 4: eq. (15) vs PGPS bound on the Figure 6 route: LiT %.6g s, PGPS %.6g s\n", pg.LiT, pg.PGPS)
+		fmt.Println()
+	}
+	if run("comparison") {
+		any = true
+		fmt.Print(lit.RunComparison(dur(60), *seed, 0.650).Format())
 		fmt.Println()
 	}
 	if !any {

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	lit "leaveintime"
 )
 
 // buildLitsim compiles the litsim binary once per test run and returns
@@ -248,5 +250,22 @@ func TestRetiredShardFlagsAreUnknown(t *testing.T) {
 		if !strings.Contains(string(out), "flag provided but not defined: "+name) {
 			t.Errorf("%s 2: flag not named:\n%s", name, out)
 		}
+	}
+}
+
+// TestComparisonExperiment: -experiment comparison prints the live
+// discipline comparison table exactly as the library formats it, then
+// one newline.
+func TestComparisonExperiment(t *testing.T) {
+	bin, err := buildLitsim()
+	if err != nil {
+		t.Fatalf("building litsim: %v", err)
+	}
+	out, err := exec.Command(bin, "-experiment", "comparison", "-duration", "2", "-seed", "1").Output()
+	if err != nil {
+		t.Fatalf("litsim -experiment comparison: %v", err)
+	}
+	if want := lit.RunComparison(2, 1, 0.650).Format() + "\n"; string(out) != want {
+		t.Errorf("output differs from the library table:\n got %q\nwant %q", out, want)
 	}
 }

@@ -567,9 +567,12 @@ func (d *Daemon) handleAdopt(w http.ResponseWriter, r *http.Request) {
 	// re-judge.
 	sys.gate.Commit(spec.Rate, spec.LMax)
 	sys.sessions[req.ID] = sessionEntry{rate: spec.Rate, burst: spec.LMax}
+	// The bound of the aggregate after this commitment, even past the
+	// budget (Commit leaves Delay at the last SETUP's bound).
+	delay, _ := sys.gate.Try(0, 0)
 	sys.mu.Unlock()
 	d.ar.AtomicInc(metrics.HServeAdopts)
-	writeJSON(w, http.StatusOK, SetupResponse{Accepted: true, DMax: a.DMax, DelayBound: sys.gate.Delay()})
+	writeJSON(w, http.StatusOK, SetupResponse{Accepted: true, DMax: a.DMax, DelayBound: delay})
 }
 
 // --- stats -----------------------------------------------------------

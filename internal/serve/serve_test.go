@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -10,26 +11,98 @@ import (
 	"time"
 
 	"leaveintime/internal/event"
-	"leaveintime/internal/metrics"
 )
+
+// chaosHarness is one live daemon plus the HTTP client the tests drive
+// it with.
+type chaosHarness struct {
+	d      *Daemon
+	client *http.Client
+	base   string
+}
 
 // startTestDaemon runs a daemon for the test's lifetime and drains it
 // on cleanup.
 func startTestDaemon(t *testing.T, opts Options) *chaosHarness {
 	t.Helper()
-	h, err := startHarness(opts)
+	d := New(opts)
+	if err := d.Start(); err != nil {
+		t.Fatal(err)
+	}
+	h := &chaosHarness{d: d, client: &http.Client{Timeout: 10 * time.Second}, base: "http://" + d.Addr()}
+	t.Cleanup(func() {
+		if err := h.drain(); err != nil {
+			t.Errorf("drain: %v", err)
+		}
+	})
+	return h
+}
+
+// drain drains the daemon (a second drain is a no-op) and closes the
+// client's idle connections.
+func (h *chaosHarness) drain() error {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	defer h.client.CloseIdleConnections()
+	return h.d.Drain(ctx)
+}
+
+// do sends one request with the header pairs hdr, fails the test unless
+// the answer has status want (any status when want is 0), decodes the
+// JSON answer into out when out is not nil, and returns the response
+// with its body closed.
+func (h *chaosHarness) do(t *testing.T, method, path string, body []byte, want int, out any, hdr ...string) *http.Response {
+	t.Helper()
+	req, err := http.NewRequest(method, h.base+path, bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		if err := h.d.Drain(ctx); err != nil {
-			t.Errorf("drain: %v", err)
+	req.Header.Set("Content-Type", "application/json")
+	for i := 0; i+1 < len(hdr); i += 2 {
+		req.Header.Set(hdr[i], hdr[i+1])
+	}
+	resp, err := h.client.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if want != 0 && resp.StatusCode != want {
+		t.Fatalf("%s %s %s: got %d, want %d", method, path, body, resp.StatusCode, want)
+	}
+	if out != nil {
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+			t.Fatalf("%s %s: %v", method, path, err)
 		}
-		h.client.CloseIdleConnections()
-	})
-	return h
+	}
+	return resp
+}
+
+// submit posts a scenario document, requires status want, and returns
+// the id of the job the daemon answered with.
+func (h *chaosHarness) submit(t *testing.T, doc []byte, want int, hdr ...string) string {
+	t.Helper()
+	var out struct {
+		ID string `json:"id"`
+	}
+	h.do(t, http.MethodPost, "/v1/scenarios", doc, want, &out, hdr...)
+	return out.ID
+}
+
+// waitState polls a job until it reaches want, and fails the test if it
+// reaches another terminal state or the wall deadline first.
+func (h *chaosHarness) waitState(t *testing.T, id, want string, timeout time.Duration) *JobStatus {
+	t.Helper()
+	for deadline := time.Now().Add(timeout); ; time.Sleep(2 * time.Millisecond) {
+		var st JobStatus
+		h.do(t, http.MethodGet, "/v1/scenarios/"+id, nil, 0, &st)
+		if st.State == want {
+			return &st
+		}
+		terminal := st.State == "done" || st.State == "failed" || st.State == "killed"
+		if terminal || !time.Now().Before(deadline) {
+			t.Fatalf("job %s: state %q, want %q (%+v)", id, st.State, want, st)
+		}
+	}
 }
 
 func TestOptionDefaults(t *testing.T) {
@@ -58,57 +131,61 @@ func TestOptionDefaults(t *testing.T) {
 // re-RELEASE, and Adopt.
 func TestSystemWireLifecycle(t *testing.T) {
 	h := startTestDaemon(t, Options{Workers: 1})
-
-	post := func(path, body string, want int) *http.Response {
+	post := func(path, body string, want int, out any) {
 		t.Helper()
-		resp, err := h.post(path, []byte(body), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != want {
-			t.Fatalf("%s: got %d, want %d", path, resp.StatusCode, want)
-		}
-		return resp
+		h.do(t, http.MethodPost, path, []byte(body), want, out)
 	}
 
-	post("/v1/systems", `{"name":"s1","capacity":1536000,"lmax":424,"budget_s":0.5}`, http.StatusCreated).Body.Close()
-	post("/v1/systems", `{"name":"s1","capacity":1536000,"lmax":424}`, http.StatusConflict).Body.Close()
+	post("/v1/systems", `{"name":"s1","capacity":1536000,"lmax":424,"budget_s":0.5}`, http.StatusCreated, nil)
+	post("/v1/systems", `{"name":"s1","capacity":1536000,"lmax":424}`, http.StatusConflict, nil)
 
-	resp := post("/v1/systems/s1/setup", `{"id":1,"rate":32000,"lmax":424}`, http.StatusOK)
 	var sr SetupResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	post("/v1/systems/s1/setup", `{"id":1,"rate":32000,"lmax":424}`, http.StatusOK, &sr)
 	if !sr.Accepted || sr.DMax <= 0 || sr.DelayBound <= 0 {
 		t.Fatalf("setup response: %+v", sr)
 	}
-	post("/v1/systems/s1/setup", `{"id":1,"rate":32000,"lmax":424}`, http.StatusConflict).Body.Close()
+	post("/v1/systems/s1/setup", `{"id":1,"rate":32000,"lmax":424}`, http.StatusConflict, nil)
 
 	// A session asking for more than the whole server is rejected by the
 	// fast path without committing anything.
-	resp = post("/v1/systems/s1/setup", `{"id":2,"rate":99999999,"lmax":424}`, http.StatusConflict)
 	var rej SetupResponse
-	if err := json.NewDecoder(resp.Body).Decode(&rej); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	post("/v1/systems/s1/setup", `{"id":2,"rate":99999999,"lmax":424}`, http.StatusConflict, &rej)
 	if rej.Accepted {
 		t.Fatal("oversized setup accepted")
 	}
 
-	post("/v1/systems/s1/release", `{"id":1}`, http.StatusOK).Body.Close()
-	post("/v1/systems/s1/release", `{"id":1}`, http.StatusNotFound).Body.Close()
+	post("/v1/systems/s1/release", `{"id":1}`, http.StatusOK, nil)
+	post("/v1/systems/s1/release", `{"id":1}`, http.StatusNotFound, nil)
 
 	// After the release the gate must be back to empty: an adopt of the
 	// same share succeeds and the next setup of a fresh id succeeds.
-	post("/v1/systems/s1/adopt", `{"id":7,"rate":32000,"lmax":424}`, http.StatusOK).Body.Close()
-	post("/v1/systems/s1/setup", `{"id":8,"rate":32000,"lmax":424}`, http.StatusOK).Body.Close()
-	post("/v1/systems/nope/setup", `{"id":9,"rate":1,"lmax":1}`, http.StatusNotFound).Body.Close()
+	post("/v1/systems/s1/adopt", `{"id":7,"rate":32000,"lmax":424}`, http.StatusOK, nil)
+	post("/v1/systems/s1/setup", `{"id":8,"rate":32000,"lmax":424}`, http.StatusOK, nil)
+	post("/v1/systems/nope/setup", `{"id":9,"rate":1,"lmax":1}`, http.StatusNotFound, nil)
 
 	c := h.d.Registry().ServeCounters()
 	if c.Setups != 2 || c.SetupRejects != 1 || c.Releases != 1 || c.Adopts != 1 || c.Duplicates != 2 {
 		t.Fatalf("counters: %+v", c)
+	}
+}
+
+// TestAdoptDelayBound: an Adopt answers the curve gate's bound after its
+// own commitment, bit for bit what a SETUP of the same sessions answers
+// on a twin system — not the bound of the last SETUP, and not 0 on a
+// system that has seen none.
+func TestAdoptDelayBound(t *testing.T) {
+	h := startTestDaemon(t, Options{Workers: 1})
+	for _, name := range []string{"setup", "adopt"} {
+		h.do(t, http.MethodPost, "/v1/systems",
+			[]byte(`{"name":"`+name+`","capacity":1536000,"lmax":424}`), http.StatusCreated, nil)
+	}
+	for _, body := range []string{`{"id":1,"rate":32000,"lmax":424}`, `{"id":2,"rate":64000,"lmax":200}`} {
+		var setup, adopt SetupResponse
+		h.do(t, http.MethodPost, "/v1/systems/setup/setup", []byte(body), http.StatusOK, &setup)
+		h.do(t, http.MethodPost, "/v1/systems/adopt/adopt", []byte(body), http.StatusOK, &adopt)
+		if setup.DelayBound <= 0 || adopt != setup {
+			t.Fatalf("%s: adopt answered %+v, setup %+v", body, adopt, setup)
+		}
 	}
 }
 
@@ -119,11 +196,7 @@ func TestSystemWireLifecycle(t *testing.T) {
 // it network-wide, so a session may not declare a larger packet.
 func TestSetupDeclarationChecked(t *testing.T) {
 	h := startTestDaemon(t, Options{Workers: 1})
-	resp, err := h.post("/v1/systems", []byte(malformedSystem), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	h.do(t, http.MethodPost, "/v1/systems", []byte(malformedSystem), http.StatusCreated, nil)
 	cases := []struct {
 		verb, body string
 		want       int
@@ -144,13 +217,8 @@ func TestSetupDeclarationChecked(t *testing.T) {
 	}
 	var malformed, rejects int64
 	for _, tc := range cases {
-		resp, err := h.post("/v1/systems/malformed/"+tc.verb, []byte(tc.body), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != tc.want {
-			t.Errorf("%s %s: got %d, want %d", tc.verb, tc.body, resp.StatusCode, tc.want)
+		if code := h.do(t, http.MethodPost, "/v1/systems/malformed/"+tc.verb, []byte(tc.body), 0, nil).StatusCode; code != tc.want {
+			t.Errorf("%s %s: got %d, want %d", tc.verb, tc.body, code, tc.want)
 		}
 		switch tc.want {
 		case http.StatusBadRequest:
@@ -183,26 +251,14 @@ func TestCreateSystemProcedure(t *testing.T) {
 	} {
 		name := fmt.Sprintf("p%d", tc.proc)
 		body := fmt.Sprintf(`{"name":%q,"capacity":1536000,"lmax":424,"proc":%d}`, name, tc.proc)
-		resp, err := h.post("/v1/systems", []byte(body), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != tc.want {
-			t.Fatalf("proc %d: create answered %d, want %d", tc.proc, resp.StatusCode, tc.want)
-		}
+		h.do(t, http.MethodPost, "/v1/systems", []byte(body), tc.want, nil)
 		if tc.want != http.StatusCreated {
 			continue
 		}
-		resp, err = h.post("/v1/systems/"+name+"/setup", []byte(`{"id":1,"rate":32000,"lmax":424}`), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
 		var sr SetupResponse
-		err = json.NewDecoder(resp.Body).Decode(&sr)
-		resp.Body.Close()
-		if err != nil || !sr.Accepted || sr.DMax != tc.dMax {
-			t.Fatalf("proc %d: setup %+v (err %v), want d_max %g", tc.proc, sr, err, tc.dMax)
+		h.do(t, http.MethodPost, "/v1/systems/"+name+"/setup", []byte(`{"id":1,"rate":32000,"lmax":424}`), 0, &sr)
+		if !sr.Accepted || sr.DMax != tc.dMax {
+			t.Fatalf("proc %d: setup %+v, want d_max %g", tc.proc, sr, tc.dMax)
 		}
 	}
 }
@@ -221,22 +277,10 @@ func TestWatchdogWallClockConcurrentSystems(t *testing.T) {
 		},
 		CheckpointDir: t.TempDir(),
 	})
-	heavyID, code, err := h.submit(chaosScenario(1, 1e6), nil)
-	if err != nil || code != http.StatusAccepted {
-		t.Fatalf("submit heavy: %d, %v", code, err)
-	}
-	lightID, code, err := h.submit(chaosScenario(2, 0.3), nil)
-	if err != nil || code != http.StatusAccepted {
-		t.Fatalf("submit light: %d, %v", code, err)
-	}
-	light, err := h.waitState(lightID, "done", 30*time.Second)
-	if err != nil {
-		t.Fatalf("light job: %v (%+v)", err, light)
-	}
-	heavy, err := h.waitState(heavyID, "failed", 60*time.Second)
-	if err != nil {
-		t.Fatalf("heavy job: %v (%+v)", err, heavy)
-	}
+	heavyID := h.submit(t, chaosScenario(1, 1e6), http.StatusAccepted)
+	lightID := h.submit(t, chaosScenario(2, 0.3), http.StatusAccepted)
+	h.waitState(t, lightID, "done", 30*time.Second)
+	heavy := h.waitState(t, heavyID, "failed", 60*time.Second)
 	if !strings.Contains(heavy.Error, "wall-clock") {
 		t.Fatalf("heavy job error %q does not name the wall-clock budget", heavy.Error)
 	}
@@ -248,68 +292,17 @@ func TestWatchdogWallClockConcurrentSystems(t *testing.T) {
 	}
 }
 
-// TestPoolDrainAfterWirePurge purges every session of a running
-// scenario over the wire API and asserts the packet pool fully drains:
-// each taken packet is either delivered or evicted back to the pool by
-// the purge — nothing leaks in the discipline or in flight.
-func TestPoolDrainAfterWirePurge(t *testing.T) {
-	h := startTestDaemon(t, Options{Workers: 1, Slice: 0.05})
-	id, code, err := h.submit(chaosScenario(3, 200), nil)
-	if err != nil || code != http.StatusAccepted {
-		t.Fatalf("submit: %d, %v", code, err)
-	}
-	// Purge requests are accepted while the job is pending or running
-	// and applied at the next slice boundary — no need to catch the run
-	// mid-flight.
-	for _, session := range []int{1, 2} {
-		resp, err := h.post("/v1/scenarios/"+id+"/purge",
-			[]byte(fmt.Sprintf(`{"session":%d}`, session)), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("purge session %d: %d", session, resp.StatusCode)
-		}
-	}
-	if _, err := h.waitState(id, "done", 30*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := h.client.Get(h.base + "/v1/scenarios/" + id + "/telemetry")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var snap metrics.Snapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	if snap.Pool.Taken == 0 {
-		t.Fatal("no packets taken before the purge")
-	}
-	if snap.Pool.Live != 0 || snap.Pool.Taken != snap.Pool.Released {
-		t.Fatalf("pool not drained after purging every session: taken %d, released %d, live %d",
-			snap.Pool.Taken, snap.Pool.Released, snap.Pool.Live)
-	}
-}
-
 // TestSubmitBadScenario asserts the declarative validation runs before
 // anything is queued — including what only building the document used
 // to find (a negative gamma parsed, was answered 202, and panicked in
 // the worker).
 func TestSubmitBadScenario(t *testing.T) {
 	h := startTestDaemon(t, Options{Workers: 1})
-	for name, doc := range map[string]string{
-		"no servers":     `{"duration":1,"seed":1,"servers":[],"sessions":[]}`,
-		"negative gamma": `{"lmax":424,"duration":1,"seed":1,"servers":[{"name":"a","capacity":1536000,"gamma":-0.5}],"sessions":[]}`,
+	for _, doc := range []string{
+		`{"duration":1,"seed":1,"servers":[],"sessions":[]}`,
+		`{"lmax":424,"duration":1,"seed":1,"servers":[{"name":"a","capacity":1536000,"gamma":-0.5}],"sessions":[]}`,
 	} {
-		_, code, err := h.submit([]byte(doc), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if code != http.StatusBadRequest {
-			t.Errorf("%s: answered %d, want 400", name, code)
-		}
+		h.submit(t, []byte(doc), http.StatusBadRequest)
 	}
 	if c := h.d.Registry().ServeCounters(); c.Malformed != 2 || c.ScenarioQueued != 0 {
 		t.Fatalf("counters: %+v", c)
