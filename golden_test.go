@@ -14,7 +14,7 @@ import (
 // against testdata/fig7_d5_s1.golden (the verbatim stdout of that
 // command: RunFig7(5, 1).Format() plus the trailing newline litsim
 // prints). The file was captured on the seed implementation — binary
-// heap event queue — so this test proves the pooled 4-ary engine
+// heap event queue — so this test proves the winner-tree engine
 // reproduces the seed's event interleaving bit for bit. Regenerate only
 // for a deliberate semantic change:
 //

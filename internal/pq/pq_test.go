@@ -152,6 +152,90 @@ func TestHeapPurgeKeepsSurvivorOrder(t *testing.T) {
 	}
 }
 
+// TestInOrderPushesNeverSpill: keys that arrive in order, as a
+// regulator's do, never touch the spill. 10^4 ascending pushes with ties,
+// interleaved with pops so that the queue never drains, leave the spill
+// empty and unallocated and the ring no longer than the queue's peak
+// rounded up to a power of two. One push out of order then goes to the
+// spill and still pops first.
+func TestInOrderPushesNeverSpill(t *testing.T) {
+	var h Heap
+	var pushed, popped uint64
+	for i := 0; i < 10000; i++ {
+		pushed++
+		h.Push(Entry{Key: float64(i / 3), Stamp: pushed})
+		for h.Len() > 8 {
+			e, _ := h.PopMin()
+			if popped++; e.Stamp != popped {
+				t.Fatalf("pop %d: stamp %d", popped, e.Stamp)
+			}
+		}
+	}
+	if cap(h.q.spill) != 0 {
+		t.Fatalf("in-order pushes allocated a spill of %d", cap(h.q.spill))
+	}
+	if len(h.q.ring) > 16 {
+		t.Fatalf("a queue of at most 9 holds a ring of %d", len(h.q.ring))
+	}
+	h.Push(Entry{Key: -1, Stamp: pushed + 1})
+	if len(h.q.spill) != 1 {
+		t.Fatal("an out-of-order push joined the run")
+	}
+	if e, _ := h.PopMin(); e.Stamp != pushed+1 {
+		t.Fatalf("the out-of-order entry did not pop first: stamp %d", e.Stamp)
+	}
+	for _, e := range drain(&h) {
+		if popped++; e.Stamp != popped {
+			t.Fatalf("drain: stamp %d, want %d", e.Stamp, popped)
+		}
+	}
+	if popped != pushed {
+		t.Fatalf("popped %d of %d", popped, pushed)
+	}
+}
+
+// checkHeap asserts the queue's layout: the run is sorted by (Key,
+// Stamp), the spill keeps 4-ary heap order and every spill entry is less
+// than the run's tail (so the run is empty only when the spill is),
+// every free ring slot holds the zero entry (no packet stays
+// referenced), and Len is the run plus the spill.
+func checkHeap(t *testing.T, h *Heap) {
+	t.Helper()
+	q := h.q
+	if q == nil {
+		if h.Len() != 0 {
+			t.Fatalf("unallocated queue has Len %d", h.Len())
+		}
+		return
+	}
+	if q.n > len(q.ring) || q.head < 0 || len(q.ring) > 0 && q.head >= len(q.ring) {
+		t.Fatalf("run of %d at head %d in a ring of %d", q.n, q.head, len(q.ring))
+	}
+	for i := 1; i < q.n; i++ {
+		if !less(q.ring[q.slot(i-1)], q.ring[q.slot(i)]) {
+			t.Fatalf("run out of order at %d: %+v then %+v", i, q.ring[q.slot(i-1)], q.ring[q.slot(i)])
+		}
+	}
+	for i := q.n; i < len(q.ring); i++ {
+		if e := q.ring[q.slot(i)]; e != (Entry{}) {
+			t.Fatalf("free ring slot %d holds %+v", q.slot(i), e)
+		}
+	}
+	for i := 1; i < len(q.spill); i++ {
+		if less(q.spill[i], q.spill[(i-1)/4]) {
+			t.Fatalf("spill heap order broken at %d", i)
+		}
+	}
+	for _, e := range q.spill {
+		if q.n == 0 || !less(e, q.ring[q.slot(q.n-1)]) {
+			t.Fatalf("spill entry %+v not below the run's tail (run of %d)", e, q.n)
+		}
+	}
+	if h.Len() != q.n+len(q.spill) {
+		t.Fatalf("Len %d, run %d + spill %d", h.Len(), q.n, len(q.spill))
+	}
+}
+
 // TestFIFOPurge checks the FIFO purge: queue order both of the dropped
 // packets and of the survivors is preserved, including after partial
 // pops moved the head.
@@ -188,8 +272,10 @@ func TestFIFOPurge(t *testing.T) {
 // FuzzHeapOrder drives the heap with an operation stream decoded from
 // fuzz bytes — pushes with heavily tied keys, pops, due-pops and purges
 // — against a sorted-slice model: every pop must return the model's
-// (key, stamp) minimum, and a purge must drop exactly the session's
-// entries in that order.
+// (key, stamp) minimum, a purge must drop exactly the session's entries
+// in that order, and checkHeap holds after every operation. The corpus
+// in testdata/fuzz/FuzzHeapOrder adds a regulator's pattern: ascending
+// keys with ties and rare inversions, due-pops, and a purge mid-stream.
 func FuzzHeapOrder(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 200, 9, 0, 0, 255, 17})
 	f.Add([]byte{0})
@@ -246,6 +332,7 @@ func FuzzHeapOrder(f *testing.F) {
 			if h.Len() != len(model) {
 				t.Fatalf("Len = %d, want %d", h.Len(), len(model))
 			}
+			checkHeap(t, &h)
 		}
 		for _, want := range model {
 			if e, ok := h.PopMin(); !ok || e != want {
