@@ -22,6 +22,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"leaveintime/internal/network"
 	"leaveintime/internal/packet"
@@ -56,14 +57,23 @@ type LiT struct {
 	queues
 }
 
+// sessionState keeps of a session's network.SessionPort only what
+// Enqueue and OnTransmit read, as Aggregate's aggMember does.
 type sessionState struct {
-	cfg     network.SessionPort
-	kPrev   float64 // K_{i-1}
-	started bool
+	rate  float64
+	d     func(length float64) float64
+	dMax  float64 // declared d_max; 0 when the procedure gave none
+	kPrev float64 // K_{i-1}
 	// seenDMax is the running maximum of d_i for sessions that did not
 	// declare DMax at admission; it keeps the eq.-9 term d_max - d_i
 	// nonnegative for any packet mix.
 	seenDMax float64
+	// lastLen and lastD remember d at the last length seen (D is a pure
+	// function of the length). lastLen starts as NaN, which equals no
+	// length, so the first packet always computes d.
+	lastLen, lastD float64
+	jitter         bool
+	started        bool
 }
 
 // New returns a Leave-in-Time server for a port with the given
@@ -82,7 +92,8 @@ func (l *LiT) AddSession(cfg network.SessionPort) {
 	if cfg.Rate <= 0 {
 		panic(fmt.Sprintf("core: session %d has nonpositive rate", cfg.Session))
 	}
-	l.sessions.Put(cfg.Session, sessionState{cfg: cfg})
+	l.sessions.Put(cfg.Session, sessionState{rate: cfg.Rate, d: cfg.D, dMax: cfg.DMax,
+		lastLen: math.NaN(), jitter: cfg.JitterControl})
 }
 
 // Enqueue implements network.Discipline: it stamps the packet with its
@@ -97,7 +108,7 @@ func (l *LiT) Enqueue(p *packet.Packet, now float64) {
 	// node; it is zero at the first node and for sessions without
 	// jitter control.
 	e := now
-	if s.cfg.JitterControl {
+	if s.jitter {
 		e += p.Hold
 	}
 
@@ -116,8 +127,8 @@ func (l *LiT) Enqueue(p *packet.Packet, now float64) {
 	p.Eligible = e
 	p.Deadline = base + d
 	p.Delay = d
-	p.DelayMax = s.dMax()
-	s.kPrev = base + p.Length/s.cfg.Rate
+	p.DelayMax = s.maxDelay()
+	s.kPrev = base + p.Length/s.rate
 
 	l.place(p, e, now)
 }
@@ -134,7 +145,7 @@ func (l *LiT) Enqueue(p *packet.Packet, now float64) {
 func (l *LiT) OnTransmit(p *packet.Packet, finish float64) {
 	a := l.slack(p, finish)
 	s := l.sessions.Get(p.Session)
-	if s == nil || !s.cfg.JitterControl {
+	if s == nil || !s.jitter {
 		p.Hold = 0
 		return
 	}
@@ -159,19 +170,24 @@ func (l *LiT) PurgeSession(id int, drop func(*packet.Packet)) {
 }
 
 func (s *sessionState) delay(length float64) float64 {
-	if s.cfg.D != nil {
-		return s.cfg.D(length)
+	if length != s.lastLen {
+		s.lastLen = length
+		if s.d != nil {
+			s.lastD = s.d(length)
+		} else {
+			// VirtualClock special case: d = L/r (AC procedure 1, one class).
+			s.lastD = length / s.rate
+		}
 	}
-	// VirtualClock special case: d = L/r (AC procedure 1, one class).
-	return length / s.cfg.Rate
+	return s.lastD
 }
 
-// dMax returns d^n_max,s: the declared DMax when the admission
+// maxDelay returns d^n_max,s: the declared DMax when the admission
 // procedure provided one, otherwise the running maximum of observed
 // d_i values (exact for fixed-length sources).
-func (s *sessionState) dMax() float64 {
-	if s.cfg.DMax > s.seenDMax {
-		return s.cfg.DMax
+func (s *sessionState) maxDelay() float64 {
+	if s.dMax > s.seenDMax {
+		return s.dMax
 	}
 	return s.seenDMax
 }

@@ -69,6 +69,39 @@ func TestCustomDRecursion(t *testing.T) {
 	}
 }
 
+// TestLiTDelayMemo: Enqueue remembers d at the last length it saw.
+// Over lengths that repeat, change and repeat again, every packet's
+// Delay must equal D(Length) bit for bit, and D must be called exactly
+// once per change of length (the first packet counts as one). The
+// VirtualClock session, with no D, must get L/r for every packet.
+func TestLiTDelayMemo(t *testing.T) {
+	d := func(l float64) float64 { return l*0.7/(120e3*1536e3) + 0.0125 }
+	calls := 0
+	l := New(Config{Capacity: 1536e3, LMax: 424})
+	l.AddSession(network.SessionPort{Session: 1, Rate: 120e3,
+		D: func(length float64) float64 { calls++; return d(length) }, DMax: d(424)})
+	l.AddSession(network.SessionPort{Session: 2, Rate: 96e3})
+	lengths := []float64{0, 424, 424, 100, 100, 100, 424, 424, 53, 100, 100, 0}
+	changes := 0
+	for i, length := range lengths {
+		if i == 0 || length != lengths[i-1] {
+			changes++
+		}
+		p, q := mkpkt(1, int64(i+1), length), mkpkt(2, int64(i+1), length)
+		l.Enqueue(p, float64(i))
+		l.Enqueue(q, float64(i))
+		if math.Float64bits(p.Delay) != math.Float64bits(d(length)) {
+			t.Errorf("packet %d (L=%v): Delay %v, want D(L) = %v", i+1, length, p.Delay, d(length))
+		}
+		if math.Float64bits(q.Delay) != math.Float64bits(length/96e3) {
+			t.Errorf("packet %d (L=%v): VirtualClock Delay %v, want L/r = %v", i+1, length, q.Delay, length/96e3)
+		}
+		if calls != changes {
+			t.Fatalf("after packet %d: D called %d times for %d changes of length", i+1, calls, changes)
+		}
+	}
+}
+
 func TestServiceOrderByDeadline(t *testing.T) {
 	l := newTestLiT()
 	l.AddSession(network.SessionPort{Session: 1, Rate: 100})

@@ -50,13 +50,12 @@ func (p *Port) FailLink() {
 	// (the head's delivery event is already scheduled and each later
 	// one is armed as its predecessor fires); nil-marking keeps the
 	// event/entry pairing intact and deliverHead skips them.
-	for i := p.inflight.head; i < len(p.inflight.items); i++ {
-		pkt := p.inflight.items[i].pkt
-		if pkt == nil {
-			continue
+	for i := 0; i < p.inflight.n; i++ {
+		if f := p.inflight.at(i); f.pkt != nil {
+			pkt := f.pkt
+			f.pkt = nil
+			p.dropFault(pkt, now, causeFault)
 		}
-		p.inflight.items[i].pkt = nil
-		p.dropFault(pkt, now, causeFault)
 	}
 	if p.txPkt != nil {
 		p.txLost = causeFault
@@ -97,8 +96,10 @@ func (p *Port) dropUnregistered(pkt *packet.Packet, now float64) {
 	if m := p.net.metrics; m != nil {
 		m.Arena().Inc(metrics.HFaultPurgeDrops)
 	}
-	p.net.trace(trace.Event{Time: now, Kind: trace.Drop, Port: p.Name,
-		Session: pkt.Session, Seq: pkt.Seq, Hop: pkt.Hop, Cause: causePurged})
+	if t := p.net.Tracer; t != nil {
+		t.Trace(trace.Event{Time: now, Kind: trace.Drop, Port: p.Name,
+			Session: pkt.Session, Seq: pkt.Seq, Hop: pkt.Hop, Cause: causePurged})
+	}
 	p.net.pool.put(pkt)
 }
 
@@ -123,8 +124,10 @@ func (p *Port) dropFault(pkt *packet.Packet, now float64, cause string) {
 			m.Arena().Inc(metrics.HFaultInFlightDrops)
 		}
 	}
-	p.net.trace(trace.Event{Time: now, Kind: trace.Drop, Port: p.Name,
-		Session: pkt.Session, Seq: pkt.Seq, Hop: pkt.Hop, Cause: cause})
+	if t := p.net.Tracer; t != nil {
+		t.Trace(trace.Event{Time: now, Kind: trace.Drop, Port: p.Name,
+			Session: pkt.Session, Seq: pkt.Seq, Hop: pkt.Hop, Cause: cause})
+	}
 	p.net.pool.put(pkt)
 }
 
@@ -150,13 +153,12 @@ func (p *Port) PurgeSession(id int) {
 	// The purge evicted queued packets behind the port's back: resync
 	// the mirrored queue length (the only such path; see Port.qlen).
 	p.qlen = p.Disc.Len()
-	for i := p.inflight.head; i < len(p.inflight.items); i++ {
-		pkt := p.inflight.items[i].pkt
-		if pkt == nil || pkt.Session != id {
-			continue
+	for i := 0; i < p.inflight.n; i++ {
+		if f := p.inflight.at(i); f.pkt != nil && f.pkt.Session == id {
+			pkt := f.pkt
+			f.pkt = nil
+			p.dropFault(pkt, now, causePurge)
 		}
-		p.inflight.items[i].pkt = nil
-		p.dropFault(pkt, now, causePurge)
 	}
 	if p.txPkt != nil && p.txPkt.Session == id {
 		p.txLost = causePurge
@@ -178,8 +180,10 @@ func (p *Port) NoteSignalingLoss(kind string, session, hop int) {
 	if m := p.net.metrics; m != nil {
 		m.Arena().Inc(metrics.HFaultSignalingDrops)
 	}
-	p.net.trace(trace.Event{Time: p.net.Sim.Now(), Kind: trace.Drop, Port: p.Name,
-		Session: session, Hop: hop, Cause: kind})
+	if t := p.net.Tracer; t != nil {
+		t.Trace(trace.Event{Time: p.net.Sim.Now(), Kind: trace.Drop, Port: p.Name,
+			Session: session, Hop: hop, Cause: kind})
+	}
 }
 
 // DropSession removes a session from the network mid-run: its source

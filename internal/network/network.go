@@ -73,7 +73,9 @@ type SessionPort struct {
 	// D returns the service parameter d_{i,s} (seconds) for a packet of
 	// the given length in bits. For Leave-in-Time it comes from the
 	// admission control procedure; nil means d = L/rate (the
-	// VirtualClock special case).
+	// VirtualClock special case). D must be a pure function of the
+	// length: a discipline may call it once per change of length and
+	// reuse the answer.
 	D func(length float64) float64
 	// DMax is d_max_s at this node: the maximum of D over the session's
 	// packet lengths. Ignored when D is nil (then it is LMax/rate, but
@@ -85,12 +87,6 @@ type SessionPort struct {
 	// XMin is the minimum packet interarrival time declared to
 	// Delay-EDD/Jitter-EDD admission. Unused by Leave-in-Time.
 	XMin float64
-}
-
-// Sink receives a packet when it leaves the network at the end of its
-// route (after the last link's propagation delay).
-type Sink interface {
-	Deliver(p *packet.Packet, now float64)
 }
 
 // SessionRemover is optionally implemented by disciplines that can free
@@ -130,7 +126,9 @@ type Network struct {
 	LMax float64
 
 	// Tracer, when non-nil, receives every packet event (arrivals,
-	// transmissions, deliveries). See internal/trace.
+	// transmissions, deliveries). See internal/trace. Every trace site
+	// tests it before it builds the event, so an untraced run builds
+	// none.
 	Tracer trace.Tracer
 
 	ports    []*Port
@@ -174,12 +172,6 @@ func (p *Port) attachMetrics(reg *metrics.Registry) {
 	p.ma, p.mb = reg.NewPort(p.Name, p.C)
 	if s, ok := p.Disc.(schedMetricsSetter); ok {
 		s.SetMetrics(p.ma, p.mb)
-	}
-}
-
-func (n *Network) trace(e trace.Event) {
-	if n.Tracer != nil {
-		n.Tracer.Trace(e)
 	}
 }
 
@@ -259,16 +251,16 @@ type Port struct {
 	// Util measures the busy fraction of the link.
 	Util stats.Utilization
 
-	busy  bool
-	waker *event.Event
-
 	// Fault state (see fault.go): down marks the outgoing link failed —
 	// the port keeps accepting and queueing packets but starts no
 	// transmission until RestoreLink. txLost, when non-empty, is the
 	// drop cause ("fault" or "purge") for the packet currently under
 	// transmission: its finish event still fires but the packet is
-	// dropped there instead of forwarded.
+	// dropped there instead of forwarded. down sits beside busy, which
+	// maybeStart tests with it, so the two bools share one word.
+	busy   bool
 	down   bool
+	waker  *event.Event
 	txLost string
 
 	// check, when the discipline keeps per-session state, answers
@@ -284,7 +276,7 @@ type Port struct {
 	// FIFO has a delivery event in the engine; deliverHead arms the
 	// next one. The pre-bound handlers are created once in NewPort.
 	txPkt    *packet.Packet
-	inflight flightQ
+	inflight flightRing
 	txFn     event.Handler
 	linkFn   event.Handler
 	wakeFn   event.Handler
@@ -327,56 +319,53 @@ type Port struct {
 }
 
 // flight is one packet traversing the outgoing link: its destination
-// (next port or sink), its arrival instant and the canonical ordering
-// stamp of its delivery event (see Port.tieBase), recorded at
-// transmission finish.
+// (the next port, or the session as the exit sink) and the canonical
+// ordering stamp of its delivery event (see Port.tieBase), recorded at
+// transmission finish. The packet arrives at sched + Gamma.
 type flight struct {
 	pkt   *packet.Packet
 	next  *Port
-	sink  Sink
-	at    float64
+	sink  *Session
 	sched float64
 	tie   uint64
 }
 
-// flightQ is a FIFO of in-flight packets with an amortized
-// allocation-free ring: popped slots are zeroed and the backing array
-// is reused once drained.
-type flightQ struct {
-	items []flight
-	head  int
+// flightRing is the link lane's FIFO: a power-of-two ring that starts
+// at one slot and doubles only when every slot holds a packet on the
+// wire. Popped slots are not zeroed: packets live in the pool's slabs
+// anyway, and a stale entry pins a removed session at most until its
+// slot is reused.
+type flightRing struct {
+	buf  []flight
+	head int
+	n    int
 }
 
-func (f *flightQ) push(x flight) {
-	if f.head > 0 && len(f.items) == cap(f.items) {
-		// About to grow: slide the live entries to the front first so
-		// a long busy period reuses the array instead of appending
-		// behind an ever-advancing head. Vacated slots are zeroed so
-		// popped packets are not pinned.
-		n := copy(f.items, f.items[f.head:])
-		for i := n; i < len(f.items); i++ {
-			f.items[i] = flight{}
-		}
-		f.items = f.items[:n]
-		f.head = 0
+func (r *flightRing) push(x flight) {
+	if r.n == len(r.buf) {
+		r.grow()
 	}
-	f.items = append(f.items, x)
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = x
+	r.n++
 }
 
-func (f *flightQ) empty() bool { return f.head == len(f.items) }
+// grow doubles the ring, unwrapping it so the head lands at slot 0.
+func (r *flightRing) grow() {
+	buf := make([]flight, max(1, 2*len(r.buf)))
+	k := copy(buf, r.buf[r.head:])
+	copy(buf[k:], r.buf[:r.head])
+	r.buf, r.head = buf, 0
+}
 
-func (f *flightQ) pop() (flight, bool) {
-	if f.head >= len(f.items) {
-		return flight{}, false
-	}
-	x := f.items[f.head]
-	f.items[f.head] = flight{}
-	f.head++
-	if f.head == len(f.items) {
-		f.items = f.items[:0]
-		f.head = 0
-	}
-	return x, true
+// at returns the i-th entry from the head, i < n.
+func (r *flightRing) at(i int) *flight { return &r.buf[(r.head+i)&(len(r.buf)-1)] }
+
+// pop removes and returns the head; the ring must not be empty.
+func (r *flightRing) pop() flight {
+	x := r.buf[r.head]
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
+	return x
 }
 
 // BufferProbe records the buffer space used by one session at one
@@ -456,8 +445,10 @@ func (p *Port) Arrive(pkt *packet.Packet, now float64) {
 			}
 			// Traced before the packet is pooled: a drop is a terminal
 			// event, visible to tracers like Deliver is.
-			p.net.trace(trace.Event{Time: now, Kind: trace.Drop, Port: p.Name,
-				Session: pkt.Session, Seq: pkt.Seq, Hop: pkt.Hop})
+			if t := p.net.Tracer; t != nil {
+				t.Trace(trace.Event{Time: now, Kind: trace.Drop, Port: p.Name,
+					Session: pkt.Session, Seq: pkt.Seq, Hop: pkt.Hop})
+			}
 			p.net.pool.put(pkt) // dropped: the port releases it
 			return
 		}
@@ -470,8 +461,10 @@ func (p *Port) Arrive(pkt *packet.Packet, now float64) {
 		// lengths it is occupancy normalized by the arriving length.
 		probe.Dist.Add(int(math.Round(probe.Bits / pkt.Length)))
 	}
-	p.net.trace(trace.Event{Time: now, Kind: trace.Arrive, Port: p.Name,
-		Session: pkt.Session, Seq: pkt.Seq, Hop: pkt.Hop})
+	if t := p.net.Tracer; t != nil {
+		t.Trace(trace.Event{Time: now, Kind: trace.Arrive, Port: p.Name,
+			Session: pkt.Session, Seq: pkt.Seq, Hop: pkt.Hop})
+	}
 	p.Disc.Enqueue(pkt, now)
 	p.qlen++
 	if p.ma != nil {
@@ -509,9 +502,11 @@ func (p *Port) maybeStart(now float64) {
 	p.qlen--
 	p.busy = true
 	p.Util.SetBusy(now, true)
-	p.net.trace(trace.Event{Time: now, Kind: trace.TransmitStart, Port: p.Name,
-		Session: pkt.Session, Seq: pkt.Seq, Hop: pkt.Hop,
-		Eligible: pkt.Eligible, Deadline: pkt.Deadline})
+	if t := p.net.Tracer; t != nil {
+		t.Trace(trace.Event{Time: now, Kind: trace.TransmitStart, Port: p.Name,
+			Session: pkt.Session, Seq: pkt.Seq, Hop: pkt.Hop,
+			Eligible: pkt.Eligible, Deadline: pkt.Deadline})
+	}
 	finish := now + pkt.Length/p.C
 	p.txPkt = pkt
 	p.net.Sim.Schedule(finish, p.txFn)
@@ -558,9 +553,11 @@ func (p *Port) finish(pkt *packet.Packet) {
 		p.ma.Inc(p.mb + metrics.PortTransmissions)
 		p.ma.AddFloat(p.mb+metrics.PortTransmittedBits, pkt.Length)
 	}
-	p.net.trace(trace.Event{Time: now, Kind: trace.TransmitEnd, Port: p.Name,
-		Session: pkt.Session, Seq: pkt.Seq, Hop: pkt.Hop,
-		Eligible: pkt.Eligible, Deadline: pkt.Deadline})
+	if t := p.net.Tracer; t != nil {
+		t.Trace(trace.Event{Time: now, Kind: trace.TransmitEnd, Port: p.Name,
+			Session: pkt.Session, Seq: pkt.Seq, Hop: pkt.Hop,
+			Eligible: pkt.Eligible, Deadline: pkt.Deadline})
+	}
 
 	// The downstream hop is derived from the session's route and the
 	// packet's hop index: the next port when one remains, otherwise the
@@ -574,11 +571,10 @@ func (p *Port) finish(pkt *packet.Packet) {
 		panic(fmt.Sprintf("network: no route out of port %s for session %d", p.Name, pkt.Session))
 	}
 	sess := *e
-	arrive := now + p.Gamma
 	p.txSeq++
 	tie := p.tieBase | p.txSeq
 	var next *Port
-	var sink Sink
+	var sink *Session
 	if lh := pkt.Hop + 1 - sess.HopOffset; lh < len(sess.Route) {
 		next = sess.Route[lh]
 		pkt.Hop++
@@ -589,7 +585,7 @@ func (p *Port) finish(pkt *packet.Packet) {
 			Sched: now, Tie: tie,
 		}
 		p.net.pool.put(pkt)
-		sess.Forward(h, now, arrive)
+		sess.Forward(h, now, now+p.Gamma)
 		p.maybeStart(now)
 		return
 	} else {
@@ -605,27 +601,29 @@ func (p *Port) finish(pkt *packet.Packet) {
 	// delivery's place in the firing order does not depend on when it
 	// enters the engine, so only the FIFO's head is scheduled: a packet
 	// behind it arrives no earlier and carries a later stamp.
-	f := flight{pkt: pkt, next: next, sink: sink, at: arrive, sched: now, tie: tie}
-	if p.inflight.empty() {
-		p.scheduleDelivery(f)
+	if p.inflight.n == 0 {
+		p.arm(now, tie)
 	}
-	p.inflight.push(f)
+	p.inflight.push(flight{pkt: pkt, next: next, sink: sink, sched: now, tie: tie})
 	p.maybeStart(now)
 }
 
-func (p *Port) scheduleDelivery(f flight) {
-	p.net.Sim.ScheduleStamped(f.at, f.sched, f.tie, p.linkFn)
+// arm schedules the delivery of the link lane's head, stamped (sched,
+// tie), at its arrival instant sched + Gamma.
+func (p *Port) arm(sched float64, tie uint64) {
+	p.net.Sim.ScheduleStamped(sched+p.Gamma, sched, tie, p.linkFn)
 }
 
 // deliverHead lands the oldest in-flight packet at its destination,
 // after arming the delivery of the one behind it.
 func (p *Port) deliverHead() {
-	f, ok := p.inflight.pop()
-	if !ok {
+	if p.inflight.n == 0 {
 		panic(fmt.Sprintf("network: port %s link delivery with empty in-flight queue", p.Name))
 	}
-	if !p.inflight.empty() {
-		p.scheduleDelivery(p.inflight.items[p.inflight.head])
+	f := p.inflight.pop()
+	if p.inflight.n > 0 {
+		h := p.inflight.at(0)
+		p.arm(h.sched, h.tie)
 	}
 	if f.pkt == nil {
 		// Lost to a link fault or purge while in flight (fault.go
@@ -633,10 +631,10 @@ func (p *Port) deliverHead() {
 		// still fires to keep the event/FIFO pairing exact.
 		return
 	}
-	if f.next != nil {
-		f.next.Arrive(f.pkt, f.at)
-	} else if f.sink != nil {
-		f.sink.Deliver(f.pkt, f.at)
+	if at := f.sched + p.Gamma; f.next != nil {
+		f.next.Arrive(f.pkt, at)
+	} else {
+		f.sink.Deliver(f.pkt, at)
 	}
 }
 
@@ -736,13 +734,15 @@ func (s *Session) MeasureHistogram(binWidth float64, nbins int) *stats.Histogram
 	return s.Hist
 }
 
-// Deliver implements Sink for the session's own exit point. It is the
+// Deliver lands a packet at the session's exit point. It is the
 // normal release point of the packet lifecycle: after the statistics
 // and the OnDeliver hook have observed the packet, it returns to the
 // network's pool (hooks must not retain the pointer).
 func (s *Session) Deliver(p *packet.Packet, now float64) {
-	s.net.trace(trace.Event{Time: now, Kind: trace.Deliver,
-		Session: p.Session, Seq: p.Seq, Hop: p.Hop})
+	if t := s.net.Tracer; t != nil {
+		t.Trace(trace.Event{Time: now, Kind: trace.Deliver,
+			Session: p.Session, Seq: p.Seq, Hop: p.Hop})
+	}
 	d := now - p.SourceTime
 	s.Delays.Add(d)
 	if s.Hist != nil {

@@ -132,22 +132,22 @@ func TestPoolDebugRejectsForeignPacket(t *testing.T) {
 	net.pool.put(&packet.Packet{Session: 9, Seq: 1})
 }
 
-// TestFlightQReusesArray: a long busy period — the queue never fully
-// drains — must reuse the backing array via compaction instead of
-// appending behind an ever-advancing head.
+// TestFlightQReusesArray: a long busy period — the link lane never
+// fully drains — must wrap around its ring instead of growing behind an
+// ever-advancing head.
 func TestFlightQReusesArray(t *testing.T) {
-	var q flightQ
+	var q flightRing
 	pkts := [3]packet.Packet{}
 	for i := 0; i < 10000; i++ {
 		q.push(flight{pkt: &pkts[i%3]})
-		if i >= 2 { // keep 3 entries live so the queue never drains
-			if _, ok := q.pop(); !ok {
-				t.Fatal("pop failed")
+		if i >= 2 { // keep 3 entries live so the lane never drains
+			if got := q.pop(); got.pkt != &pkts[(i-2)%3] {
+				t.Fatalf("pop %d out of order", i)
 			}
 		}
 	}
-	if c := cap(q.items); c > 64 {
-		t.Fatalf("flightQ grew to cap %d with only 3 live entries", c)
+	if c := len(q.buf); c != 4 {
+		t.Fatalf("ring grew to %d slots with only 3 live entries, want 4", c)
 	}
 }
 
