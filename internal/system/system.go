@@ -10,6 +10,7 @@ package system
 
 import (
 	"fmt"
+	"math"
 
 	"leaveintime/internal/admission"
 	"leaveintime/internal/core"
@@ -77,14 +78,15 @@ func (c Config) validate() error {
 	return nil
 }
 
-// controller validates a server's link parameters and builds its
+// controller validates a server's link parameters (capacity positive
+// and finite, propagation delay nonnegative and finite) and builds its
 // admission controller.
 func (c Config) controller(name string, capacity, gamma float64) (admission.Controller, error) {
-	if capacity <= 0 {
-		return nil, fmt.Errorf("lit: server %s: capacity must be positive, got %g", name, capacity)
+	if !(capacity > 0) || math.IsInf(capacity, 1) {
+		return nil, fmt.Errorf("lit: server %s: capacity must be positive and finite, got %g", name, capacity)
 	}
-	if gamma < 0 {
-		return nil, fmt.Errorf("lit: server %s: propagation delay must be nonnegative, got %g", name, gamma)
+	if !(gamma >= 0) || math.IsInf(gamma, 1) {
+		return nil, fmt.Errorf("lit: server %s: propagation delay must be nonnegative and finite, got %g", name, gamma)
 	}
 	ctrl, err := admission.New(c.Proc, capacity, c.Classes)
 	if err != nil {

@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"math"
 	"testing"
 
 	"leaveintime/internal/core"
@@ -117,6 +118,14 @@ func TestValidation(t *testing.T) {
 		{"self loop", func(g *Graph) error { _, err := g.AddLink("a", "a", 1, 0); return err }},
 		{"zero capacity", func(g *Graph) error { _, err := g.AddLink("a", "b", 0, 0); return err }},
 		{"negative capacity", func(g *Graph) error { _, err := g.AddLink("a", "b", -1, 0); return err }},
+		{"NaN capacity", func(g *Graph) error { _, err := g.AddLink("a", "b", math.NaN(), 0); return err }},
+		{"infinite capacity", func(g *Graph) error { _, err := g.AddLink("a", "b", math.Inf(1), 0); return err }},
+		// A negative delay would be a negative routing weight, which
+		// Dijkstra does not handle.
+		{"negative gamma", func(g *Graph) error { _, err := g.AddLink("a", "b", 1, -1); return err }},
+		{"NaN gamma", func(g *Graph) error { _, err := g.AddLink("a", "b", 1, math.NaN()); return err }},
+		{"infinite gamma", func(g *Graph) error { _, err := g.AddLink("a", "b", 1, math.Inf(1)); return err }},
+		{"duplex NaN gamma", func(g *Graph) error { _, _, err := g.AddDuplex("a", "b", 1, math.NaN()); return err }},
 		{"empty node", func(g *Graph) error { return g.AddNode("") }},
 		{"duplex empty endpoint", func(g *Graph) error { _, _, err := g.AddDuplex("", "b", 1, 0); return err }},
 		{"duplex self loop", func(g *Graph) error { _, _, err := g.AddDuplex("a", "a", 1, 0); return err }},

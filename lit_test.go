@@ -148,6 +148,19 @@ func TestSystemConstructionErrors(t *testing.T) {
 	if _, err := sys.AddServer("bad", 1e6, -1); err == nil {
 		t.Error("negative propagation delay accepted")
 	}
+	// Non-finite parameters: a NaN delay once passed and panicked the
+	// run in the event engine.
+	for _, p := range []struct{ capacity, gamma float64 }{
+		{math.NaN(), 1e-3}, {math.Inf(1), 1e-3}, {1e6, math.NaN()}, {1e6, math.Inf(1)},
+	} {
+		if _, err := sys.AddServer("bad", p.capacity, p.gamma); err == nil {
+			t.Errorf("capacity %g, propagation delay %g accepted", p.capacity, p.gamma)
+		}
+		cfg := lit.SystemConfig{LMax: 400}
+		if err := cfg.Check("bad", p.capacity, p.gamma); err == nil {
+			t.Errorf("Check passed capacity %g, propagation delay %g", p.capacity, p.gamma)
+		}
+	}
 	if len(sys.Servers()) != 0 {
 		t.Errorf("rejected servers left state behind: %d servers", len(sys.Servers()))
 	}
