@@ -1,9 +1,12 @@
 package admission
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
+
+	"leaveintime/internal/rng"
 )
 
 // fig6Route builds the paper's five-hop route with d_max = L/r for a
@@ -144,5 +147,58 @@ func TestBoundMonotonicityProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestEstablishBoundsMatchRoute: every number Establish returns must be,
+// to the bit, what the Route method computes alone, on routes of 1 to
+// 16 hops with mixed capacities, propagation delays and procedures, with
+// and without jitter control. A faster Establish (beta read once, the
+// no-control buffer bounds off one running delta sum) must pass it.
+func TestEstablishBoundsMatchRoute(t *testing.T) {
+	r := rng.New(30)
+	same := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	for trial := 0; trial < 400; trial++ {
+		path := make([]Link, 1+r.Intn(16))
+		for i := range path {
+			c := []float64{1.536e6, 2.048e6, 44.736e6, 155.52e6}[r.Intn(4)]
+			ctrl, err := New(1+r.Intn(2), c, []Class{{RFrac: 0.25, Sigma: 1e-3}, {RFrac: 1, Sigma: 4e-3}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			path[i] = Link{Name: fmt.Sprint("n", i), Ctrl: ctrl, C: c, Gamma: 5e-3 * r.Float64()}
+		}
+		lMax := 424 * float64(1+r.Intn(3))
+		req := Request{
+			Spec:          SessionSpec{ID: 1, Rate: 32e3 * float64(1+r.Intn(8)), LMax: lMax, LMin: lMax / float64(1+r.Intn(4))},
+			Class:         1 + r.Intn(2),
+			Opts:          Options{PerPacket: r.Intn(2) == 0, Eps: 1e-4 * float64(r.Intn(3))},
+			JitterControl: trial%2 == 1,
+			B0:            lMax * float64(1+r.Intn(4)),
+		}
+		b, err := Establish(path, 3*424, req)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		rt, rate, lMin := b.Route, req.Spec.Rate, req.Spec.LMin
+		jitter, buffer := rt.JitterBoundNoControl, rt.BufferBoundNoControl
+		if req.JitterControl {
+			jitter, buffer = rt.JitterBoundControl, rt.BufferBoundControl
+		}
+		where := fmt.Sprintf("trial %d (%d hops, jitter control %v)", trial, len(path), req.JitterControl)
+		if !same(b.Beta, rt.Beta()) || !same(b.DelayBound, rt.DelayBound(b.DRefMax)) {
+			t.Fatalf("%s: beta %b, delay bound %b; Route reads %b, %b", where, b.Beta, b.DelayBound, rt.Beta(), rt.DelayBound(b.DRefMax))
+		}
+		if want := jitter(b.DRefMax, lMin); !same(b.JitterBound, want) {
+			t.Fatalf("%s: jitter bound %b, Route reads %b", where, b.JitterBound, want)
+		}
+		if len(b.BufferBoundBits) != len(path) {
+			t.Fatalf("%s: %d buffer bounds", where, len(b.BufferBoundBits))
+		}
+		for n, q := range b.BufferBoundBits {
+			if want := buffer(rate, b.DRefMax, lMin, n+1); !same(q, want) {
+				t.Fatalf("%s: buffer bound at node %d %b, Route reads %b", where, n+1, q, want)
+			}
+		}
 	}
 }

@@ -157,6 +157,42 @@ func TestControllerInterface(t *testing.T) {
 	}
 }
 
+// TestCheckRefusesNonFinite: an eps (procedures 1 and 2) or a d
+// (procedure 3) that is NaN or infinite is a malformed request. Check,
+// Admit and AdmitClass refuse it alike, booking nothing, where it once
+// got a grant whose d, and every bound read off it, was not a number.
+func TestCheckRefusesNonFinite(t *testing.T) {
+	spec := SessionSpec{ID: 1, Rate: 32e3, LMax: 424, LMin: 424}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		proc int
+		opts Options
+	}{
+		{1, Options{Eps: nan}}, {1, Options{Eps: inf, PerPacket: true}},
+		{2, Options{Eps: nan, PerPacket: true}}, {2, Options{Eps: inf}},
+		{3, Options{D: nan}}, {3, Options{D: inf}},
+	} {
+		ctrl, err := New(tc.proc, 1536e3, []Class{{RFrac: 1, Sigma: 0.01}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ctrl.Check(spec, 1, tc.opts); err == nil {
+			t.Errorf("procedure %d: Check passed %+v", tc.proc, tc.opts)
+		}
+		if a, err := ctrl.Admit(spec, 1, tc.opts); err == nil || errors.Is(err, ErrRejected) {
+			t.Errorf("procedure %d, %+v: Admit granted d_max %g (err %v), want a plain error", tc.proc, tc.opts, a.DMax, err)
+		}
+		if cc, ok := ctrl.(*ClassController); ok {
+			if _, ok := cc.AdmitClass(nil, []SessionSpec{spec}, 1, tc.opts); ok {
+				t.Errorf("procedure %d: AdmitClass accepted %+v", tc.proc, tc.opts)
+			}
+		}
+		if got := ctrl.TotalRate(); got != 0 {
+			t.Errorf("procedure %d, %+v: %g b/s booked", tc.proc, tc.opts, got)
+		}
+	}
+}
+
 // TestNewDefault pins the one place the "no classes" default lives: a
 // nil class list means procedure 1 with one class R = C (d = L/r)
 // whatever valid procedure was asked for, an unknown procedure is

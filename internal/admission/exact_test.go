@@ -546,7 +546,9 @@ func TestAdmitAllocsDoNotGrowWithStandingCalls(t *testing.T) {
 // and class, the Need a refusal reports and TotalRate must agree, to
 // the bit, after every step. Ids come from a space of sixteen, so
 // duplicates and removals of unknown ids are common; one step in five
-// sizes its session to land within a few ulps of a class's budget.
+// sizes its session to land within a few ulps of a class's budget. Each
+// step also draws eps and the d rule, and every grant must be the one
+// affineAssignment builds afresh (checkGrant): the class memo's oracle.
 func admitScript(t *testing.T, data []byte) {
 	if len(data) == 0 {
 		return
@@ -564,6 +566,7 @@ func admitScript(t *testing.T, data []byte) {
 		op, a, b, d := data[0], data[1], data[2], data[3]
 		data = data[4:]
 		id, j := int(a%16), 1+int(b%3)
+		opts := Options{PerPacket: a&0x10 != 0, Eps: []float64{0, math.Copysign(0, -1), 1e-3, 0.1 / 3}[(a>>5)%4]}
 		l := []float64{424, 1000, 12000, 424*3 + 0.5}[(b>>2)%4]
 		spec := SessionSpec{ID: id, LMax: l, LMin: l / 2,
 			Rate: c * float64(1+d%12) / []float64{10, 30, 7, 64}[(d>>4)%4]}
@@ -582,8 +585,12 @@ func admitScript(t *testing.T, data []byte) {
 				batch[k].Rate = spec.Rate / float64(k+2)
 			}
 			rej, dup := ref.admit(batch, j)
-			if _, ok := ctl.AdmitClass(nil, batch, j, Options{}); ok != (!dup && rej.Rule == 0) {
+			grants, ok := ctl.AdmitClass(nil, batch, j, opts)
+			if ok != (!dup && rej.Rule == 0) {
 				t.Fatalf("%s: batch of %d accepted = %v; reference: duplicate %v, refusal %+v", where, n, ok, dup, rej)
+			}
+			for k, g := range grants {
+				checkGrant(t, where, ctl, batch[k], j, opts, g)
 			}
 		default:
 			// Ops 3 and 4 aim at class m's rate or sigma budget: what is
@@ -600,7 +607,10 @@ func admitScript(t *testing.T, data []byte) {
 				continue
 			}
 			rej, dup := ref.admit([]SessionSpec{spec}, j)
-			_, err := ctl.Admit(spec, j, Options{})
+			grant, err := ctl.Admit(spec, j, opts)
+			if err == nil {
+				checkGrant(t, where, ctl, spec, j, opts, grant)
+			}
 			var got *RejectError
 			switch {
 			case dup:
@@ -618,6 +628,32 @@ func admitScript(t *testing.T, data []byte) {
 		if got, want := ctl.TotalRate(), ref.totalRate(); got != want || ctl.live.n != len(ref.members) {
 			t.Fatalf("%s: TotalRate %b over %d ids, reference %b over %d", where, got, ctl.live.n, want, len(ref.members))
 		}
+	}
+}
+
+// checkGrant fails unless got is, to the bit, the grant affineAssignment
+// builds afresh for the request: d at both ends of the length envelope
+// and between them, DMax, DMin and the class.
+func checkGrant(t *testing.T, where string, ctl *ClassController, spec SessionSpec, j int, opts Options, got Assignment) {
+	t.Helper()
+	var lo Class // R_0 = sigma_0 = 0
+	if j > 1 {
+		lo = ctl.Classes[j-2]
+	}
+	r, sigma := ctl.Classes[j-1].R, lo.Sigma
+	if ctl.proc == 2 {
+		r, sigma = lo.R, ctl.Classes[j-1].Sigma
+	}
+	want := affineAssignment(spec, r, sigma, ctl.C, j, opts)
+	same := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	for _, l := range []float64{spec.LMin, spec.LMin + (spec.LMax-spec.LMin)/3, spec.LMax} {
+		if !same(got.D(l), want.D(l)) {
+			t.Fatalf("%s: session %d (%+v) granted d(%g) = %b, afresh %b", where, spec.ID, opts, l, got.D(l), want.D(l))
+		}
+	}
+	if !same(got.DMax, want.DMax) || !same(got.DMin, want.DMin) || got.Class != want.Class {
+		t.Fatalf("%s: session %d (%+v) granted DMax %b DMin %b class %d, afresh %b %b %d",
+			where, spec.ID, opts, got.DMax, got.DMin, got.Class, want.DMax, want.DMin, want.Class)
 	}
 }
 

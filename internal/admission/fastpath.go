@@ -30,7 +30,7 @@ import (
 // the gate refused, a declaration is malformed, or an id is already live
 // or appears twice in the batch.
 func (p *ClassController) AdmitClass(gate *CurveGate, batch []SessionSpec, j int, opts Options) ([]Assignment, bool) {
-	if len(batch) == 0 || j < 1 || j > len(p.Classes) || opts.Eps < 0 {
+	if len(batch) == 0 || p.checkClass(j, opts) != nil {
 		return nil, false
 	}
 	booked := 0

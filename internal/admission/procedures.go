@@ -200,7 +200,8 @@ type ClassController struct {
 
 	proc int // 1 or 2
 	sums []classSums
-	live index // what each live session booked, by id
+	last []grant // last[m-1] is the d(L) most recently granted in class m
+	live index   // what each live session booked, by id
 	ma   *metrics.Arena
 	mb   metrics.Handle
 }
@@ -208,6 +209,23 @@ type ClassController struct {
 // classSums are the left sides of rules x.1 and x.2 at one class m:
 // reserved rate and L_MAX/C summed over classes 1..m.
 type classSums struct{ rate, sigma exactSum }
+
+// grant is a class's memo of one d(L): the request values d depends on
+// besides the class constants, and the function built from them. A
+// session of the same key shares the function, which captures only
+// floats that never change.
+type grant struct {
+	key grantKey
+	d   func(float64) float64
+}
+
+// grantKey holds LMax only under rule 1.3a/2.3a, where d is fixed at
+// d(LMax); under the per-packet rule LMax is an argument of d, not a
+// constant of it.
+type grantKey struct {
+	rate, eps, lMax float64
+	perPacket       bool
+}
 
 // Procedure1 and Procedure2 name the class-based controller after the
 // procedure it was constructed for.
@@ -269,7 +287,8 @@ func newClassController(proc int, c float64, classes []Class) (*ClassController,
 	if classes[len(classes)-1].R != c {
 		return nil, errors.New("admission: R_P must equal the link capacity C")
 	}
-	return &ClassController{C: c, Classes: classes, proc: proc, sums: make([]classSums, len(classes))}, nil
+	return &ClassController{C: c, Classes: classes, proc: proc,
+		sums: make([]classSums, len(classes)), last: make([]grant, len(classes))}, nil
 }
 
 // Options tune an admission request.
@@ -287,16 +306,21 @@ type Options struct {
 }
 
 // Check implements Controller: a malformed declaration, a class outside
-// 1..P, a negative eps.
+// 1..P, an eps that is negative or not finite.
 func (p *ClassController) Check(spec SessionSpec, class int, opts Options) error {
 	if err := spec.validate(); err != nil {
 		return err
 	}
+	return p.checkClass(class, opts)
+}
+
+// checkClass is the part of Check that AdmitClass runs once per batch.
+func (p *ClassController) checkClass(class int, opts Options) error {
 	if class < 1 || class > len(p.Classes) {
 		return fmt.Errorf("admission: class %d out of range 1..%d", class, len(p.Classes))
 	}
-	if opts.Eps < 0 {
-		return errors.New("admission: eps must be nonnegative")
+	if !(opts.Eps >= 0) || math.IsInf(opts.Eps, 1) {
+		return errors.New("admission: eps must be nonnegative and finite")
 	}
 	return nil
 }
@@ -379,8 +403,20 @@ func (p *ClassController) rules(j int) (RejectError, bool) {
 }
 
 // assignment applies rule 1.3 (R_j, sigma_{j-1}) or rule 2.3
-// (R_{j-1}, sigma_j).
+// (R_{j-1}, sigma_j). A request with the key of class j's last grant
+// gets that grant's d and reads DMax and DMin off it: the same function
+// of the same four floats as a fresh one, so the same bits. The memo
+// holds one key per class, so a run of mixed rates builds every grant
+// afresh and never holds more memory.
 func (p *ClassController) assignment(spec SessionSpec, j int, opts Options) Assignment {
+	key := grantKey{rate: spec.Rate, eps: opts.Eps, perPacket: opts.PerPacket}
+	if !opts.PerPacket {
+		key.lMax = spec.LMax
+	}
+	g := &p.last[j-1]
+	if g.d != nil && g.key == key {
+		return Assignment{D: g.d, DMax: g.d(spec.LMax), DMin: g.d(spec.LMin), Class: j}
+	}
 	rIdx, sigmaIdx := j, j-1
 	if p.proc == 2 {
 		rIdx, sigmaIdx = j-1, j
@@ -392,7 +428,11 @@ func (p *ClassController) assignment(spec SessionSpec, j int, opts Options) Assi
 	if sigmaIdx > 0 {
 		sigma = p.Classes[sigmaIdx-1].Sigma
 	}
-	return affineAssignment(spec, r, sigma, p.C, j, opts)
+	a := affineAssignment(spec, r, sigma, p.C, j, opts)
+	// Field by field: `*g = grant{key, a.D}` compiles to a
+	// write-barrier move that made every miss measurably slower.
+	g.key, g.d = key, a.D
+	return a
 }
 
 // Remove implements Controller.
@@ -415,8 +455,8 @@ func (p *ClassController) TotalRate() float64 { return p.sums[len(p.sums)-1].rat
 // 2.3/2.3a.
 func affineAssignment(spec SessionSpec, rCoeff, sigma, c float64, class int, opts Options) Assignment {
 	if opts.PerPacket {
-		// The closure lives as long as the session: it captures four
-		// floats, not spec and opts whole.
+		// The closure lives as long as the sessions granted it: it
+		// captures four floats, not spec and opts whole.
 		den, eps := spec.Rate*c, opts.Eps
 		d := func(l float64) float64 { return l*rCoeff/den + sigma + eps }
 		return Assignment{
@@ -489,8 +529,8 @@ func (p *Procedure3) Check(spec SessionSpec, _ int, opts Options) error {
 	if err := spec.validate(); err != nil {
 		return err
 	}
-	if opts.D <= 0 {
-		return errors.New("admission: d must be positive")
+	if !(opts.D > 0) || math.IsInf(opts.D, 1) {
+		return errors.New("admission: d must be positive and finite")
 	}
 	return nil
 }

@@ -340,11 +340,6 @@ func (s *Scenario) Validate() error {
 			return fmt.Errorf("config: session %d sends %g-bit packets outside its declared lmin..lmax %g..%g",
 				i, sess.Source.Length, req.LMin, req.LMax)
 		}
-		// A bucket shallower than one packet passes nothing: b0/r (eq. 14)
-		// would not bound D_ref.
-		if sess.B0 < 0 || (sess.B0 > 0 && sess.B0 < req.LMax) {
-			return fmt.Errorf("config: session %d declares b0 %g below its lmax %g", i, sess.B0, req.LMax)
-		}
 		if sess.LimitBuffers && sess.B0 == 0 {
 			return fmt.Errorf("config: session %d limits its buffers to a bound that needs b0", i)
 		}

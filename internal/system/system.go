@@ -113,6 +113,11 @@ func (c Config) resolve(req ConnectRequest) (admission.Request, error) {
 	if lMax > c.LMax {
 		return admission.Request{}, fmt.Errorf("lit: session LMax %g exceeds network LMax %g", lMax, c.LMax)
 	}
+	// A bucket shallower than one packet passes nothing: b0/r (eq. 14)
+	// would not bound D_ref.
+	if !(req.B0 >= 0) || math.IsInf(req.B0, 1) || (req.B0 > 0 && req.B0 < lMax) {
+		return admission.Request{}, fmt.Errorf("lit: b0 %g is neither 0 nor a finite depth of at least the session's LMax %g", req.B0, lMax)
+	}
 	class := req.Class
 	if class == 0 {
 		class = 1
@@ -269,8 +274,9 @@ type ConnectRequest struct {
 	// procedures 1 and 2 ignore it.
 	D float64
 	// B0 optionally declares that the source conforms to a token
-	// bucket (Rate, B0 bits); when set, Bounds.DelayBound and related
-	// fields are computed with D_ref_max = B0/Rate (eq. 14).
+	// bucket (Rate, B0 bits), at least one LMax deep; when set,
+	// Bounds.DelayBound and related fields are computed with
+	// D_ref_max = B0/Rate (eq. 14).
 	B0 float64
 }
 

@@ -174,6 +174,37 @@ func TestSystemConstructionErrors(t *testing.T) {
 	if _, err := sys2.AddServer("X", 100e6, 0); err == nil {
 		t.Error("class hierarchy with R_P != C accepted")
 	}
+	// Declarations no bound can be read off: each was once connected,
+	// with a NaN or infinite delay bound, or zero bounds for a negative
+	// b0, or bounds from a bucket no packet passes.
+	for _, c := range []struct {
+		name string
+		proc int
+		req  lit.ConnectRequest
+	}{
+		{"eps NaN", 1, lit.ConnectRequest{Eps: math.NaN()}},
+		{"eps +Inf", 2, lit.ConnectRequest{Eps: math.Inf(1)}},
+		{"d NaN", 3, lit.ConnectRequest{D: math.NaN()}},
+		{"d +Inf", 3, lit.ConnectRequest{D: math.Inf(1)}},
+		{"b0 -1", 1, lit.ConnectRequest{B0: -1}},
+		{"b0 NaN", 1, lit.ConnectRequest{B0: math.NaN()}},
+		{"b0 +Inf", 1, lit.ConnectRequest{B0: math.Inf(1)}},
+		{"b0 below lmax", 1, lit.ConnectRequest{B0: 100}},
+	} {
+		cfg := lit.SystemConfig{LMax: 424, Proc: c.proc}
+		if c.proc == 2 {
+			cfg.Classes = []lit.Class{{RFrac: 1, Sigma: 0.01}}
+		}
+		c.req.Rate = 32e3
+		if err := cfg.Check("X", 1536e3, 1e-3, c.req); err == nil {
+			t.Errorf("%s: Check passed", c.name)
+		}
+		sys := mustSystem(t, cfg)
+		c.req.Route = []*lit.Server{mustServer(t, sys, "X", 1536e3, 1e-3)}
+		if _, b, err := sys.Connect(c.req); err == nil {
+			t.Errorf("%s: connected, d_max %g, delay bound %g", c.name, b.Assignments[0].DMax, b.DelayBound)
+		}
+	}
 }
 
 func TestSystemWithClasses(t *testing.T) {
