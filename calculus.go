@@ -22,8 +22,6 @@ type (
 	// Curve is a nonnegative, nondecreasing piecewise-linear function
 	// of time (zero value: the zero function).
 	Curve = calculus.Curve
-	// CurveSeg is one segment of a Curve as returned by Curve.Segs.
-	CurveSeg = calculus.Seg
 	// CurvePiece declares a slope change for NewCurve: from X on, the
 	// curve grows at Slope.
 	CurvePiece = calculus.Piece
@@ -50,14 +48,8 @@ func MustCurve(y0 float64, pieces ...CurvePiece) Curve {
 // TokenBucketCurve is the arrival curve b0 + r*t.
 func TokenBucketCurve(r, b0 float64) Curve { return calculus.TokenBucket(r, b0) }
 
-// RateLatencyCurve is the service curve rate * max(0, t - latency).
-func RateLatencyCurve(rate, latency float64) Curve { return calculus.RateLatency(rate, latency) }
-
 // SumCurves adds curves pointwise (flow aggregation).
 func SumCurves(curves ...Curve) Curve { return calculus.SumCurves(curves...) }
-
-// MinCurves takes the pointwise minimum (e.g. peak-rate capping).
-func MinCurves(f, g Curve) Curve { return calculus.Min(f, g) }
 
 // Convolve is min-plus convolution: (f ⊗ g)(t) = inf over s of
 // f(s) + g(t-s), the composition of service curves.

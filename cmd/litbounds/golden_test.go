@@ -99,9 +99,10 @@ func TestValidateFlags(t *testing.T) {
 	}{
 		{"fig6", func(*boundsConfig) {}, ""},
 		{"hops 0", func(c *boundsConfig) { c.Hops = 0 }, "-hops"},
-		{"rate 0", func(c *boundsConfig) { c.Rate = 0 }, "-rate"},
-		{"capacity 0", func(c *boundsConfig) { c.Capacity = 0 }, "-capacity"},
-		{"lmin above lmax", func(c *boundsConfig) { c.LMin = 1000 }, "-lmin"},
+		{"rate 0", func(c *boundsConfig) { c.Rate = 0 }, "rate must be positive"},
+		{"capacity 0", func(c *boundsConfig) { c.Capacity = 0 }, "capacity must be positive"},
+		{"lmin above lmax", func(c *boundsConfig) { c.LMin = 1000 }, "LMin <= LMax"},
+		{"b0 below lmax", func(c *boundsConfig) { c.B0 = 100 }, "b0 100"},
 	}
 	for _, tc := range cases {
 		cfg := fig6Config()

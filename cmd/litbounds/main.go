@@ -46,6 +46,9 @@ type boundsConfig struct {
 // validate refuses a configuration the bound formulas are not defined
 // on — they divide by rate and capacity and index the route by hop — so
 // a bad flag is one line on stderr, not a panic or an Inf/NaN "bound".
+// The session and its hops are held to the rule System.Connect applies,
+// so litbounds prints bounds only for a declaration the library admits
+// to the network.
 func (cfg boundsConfig) validate() error {
 	if cfg.Hops < 1 {
 		return fmt.Errorf("-hops must be at least 1, got %d", cfg.Hops)
@@ -55,9 +58,7 @@ func (cfg boundsConfig) validate() error {
 		v    float64
 		sign string
 	}{
-		{"rate", cfg.Rate, "positive"}, {"b0", cfg.B0, "positive"},
-		{"lmax", cfg.LMax, "positive"}, {"capacity", cfg.Capacity, "positive"},
-		{"gamma", cfg.Gamma, "nonnegative"}, {"d", cfg.D, "nonnegative"},
+		{"b0", cfg.B0, "positive"}, {"d", cfg.D, "nonnegative"},
 		{"cross-rate", cfg.CrossRate, "nonnegative"}, {"cross-b0", cfg.CrossB0, "nonnegative"},
 	} {
 		// NaN fails the first comparison too.
@@ -65,10 +66,8 @@ func (cfg boundsConfig) validate() error {
 			return fmt.Errorf("-%s must be %s and finite, got %g", f.name, f.sign, f.v)
 		}
 	}
-	if !(cfg.LMin >= 0 && cfg.LMin <= cfg.LMax) {
-		return fmt.Errorf("-lmin must lie in [0, lmax = %g], got %g", cfg.LMax, cfg.LMin)
-	}
-	return nil
+	return lit.SystemConfig{LMax: cfg.LMax}.Check("hop", cfg.Capacity, cfg.Gamma,
+		lit.ConnectRequest{Rate: cfg.Rate, B0: cfg.B0, LMax: cfg.LMax, LMin: cfg.LMin})
 }
 
 // render computes and formats the bounds of a valid configuration.

@@ -40,6 +40,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"runtime/debug"
@@ -95,6 +96,11 @@ func main() {
 			fmt.Fprintf(os.Stderr, "-telemetry supports fig7, fig8, fig12 and fig13, not %q\n", *exp)
 			os.Exit(2)
 		}
+	}
+	// Zero means the paper's duration; NaN and +Inf would run forever.
+	if d := *duration; !(d >= 0) || math.IsInf(d, 1) {
+		fmt.Fprintf(os.Stderr, "-duration must be nonnegative and finite, got %g\n", d)
+		os.Exit(2)
 	}
 
 	if *cpuProf != "" {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"os"
 	"os/exec"
@@ -9,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	lit "leaveintime"
 )
@@ -229,6 +231,37 @@ func TestUnknownExperiment(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "-experiment") || !strings.Contains(string(out), "Usage") {
 		t.Errorf("missing usage text:\n%s", out)
+	}
+}
+
+// TestDurationRefused: a negative or non-finite -duration exits 2 with
+// one line naming the flag, where it used to run the paper's length
+// (-1, NaN) or never return (Inf). Each run has a deadline, so a binary
+// that runs anyway fails the test instead of hanging it.
+func TestDurationRefused(t *testing.T) {
+	bin, err := buildLitsim()
+	if err != nil {
+		t.Fatalf("building litsim: %v", err)
+	}
+	for _, args := range [][]string{
+		{"-experiment", "fig7", "-duration", "-1"},
+		{"-experiment", "fig7", "-duration", "NaN"},
+		{"-experiment", "metro", "-duration", "Inf"},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		var stdout, stderr bytes.Buffer
+		cmd := exec.CommandContext(ctx, bin, args...)
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		timedOut := ctx.Err() != nil
+		cancel()
+		if exit, ok := err.(*exec.ExitError); !ok || exit.ExitCode() != 2 || timedOut {
+			t.Errorf("%v: %v, want exit 2", args, err)
+			continue
+		}
+		if msg := stderr.String(); strings.Count(msg, "\n") != 1 || !strings.Contains(msg, "-duration") || stdout.Len() != 0 {
+			t.Errorf("%v: stderr %q, stdout %q; want one line naming -duration and no output", args, msg, stdout.String())
+		}
 	}
 }
 

@@ -108,12 +108,13 @@ func ExampleRoute() {
 func ExampleTokenBucket() {
 	tb := lit.NewTokenBucket(32e3, 424)
 	fmt.Printf("D_ref_max = %.2f ms\n", tb.DRefMax()*1e3)
-	fmt.Println(tb.Offer(0, 424)) // full bucket covers one packet
-	fmt.Println(tb.Offer(0, 424)) // empty now
-	fmt.Println(tb.Offer(1, 424)) // a second's refill more than covers it
+	fmt.Printf("hold %.2f ms\n", tb.ConformanceDelay(0, 424)*1e3) // full bucket covers one packet
+	tb.Take(0, 424)
+	fmt.Printf("hold %.2f ms\n", tb.ConformanceDelay(0, 424)*1e3) // empty now: wait for 424 bits
+	fmt.Printf("hold %.2f ms\n", tb.ConformanceDelay(1, 424)*1e3) // a second's refill more than covers it
 	// Output:
 	// D_ref_max = 13.25 ms
-	// true
-	// false
-	// true
+	// hold 0.00 ms
+	// hold 13.25 ms
+	// hold 0.00 ms
 }

@@ -276,15 +276,14 @@ func TestProcedure3RateCap(t *testing.T) {
 
 func TestProcedure3SessionCap(t *testing.T) {
 	p, _ := NewProcedure3(1e9)
-	p.MaxSessions = 3
 	spec := SessionSpec{Rate: 1, LMax: 10, LMin: 10}
-	for i := 1; i <= 3; i++ {
+	for i := 1; i <= procedure3MaxSessions; i++ {
 		spec.ID = i
 		if _, err := p.Admit(spec, 0, Options{D: 1}); err != nil {
 			t.Fatalf("session %d: %v", i, err)
 		}
 	}
-	spec.ID = 4
+	spec.ID = procedure3MaxSessions + 1
 	if _, err := p.Admit(spec, 0, Options{D: 1}); err == nil {
 		t.Fatal("cap not enforced")
 	}

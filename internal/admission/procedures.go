@@ -483,20 +483,20 @@ func affineAssignment(spec SessionSpec, rCoeff, sigma, c float64, class int, opt
 //	C >= (sum_A LMax_s) * (sum_A r_s) / (sum_A r_s * d_s).
 //
 // The test is exponential in the number of sessions (2^n - 1 subsets);
-// MaxSessions caps n. The procedure may strand bandwidth: unlike
+// procedure3MaxSessions caps n. The procedure may strand bandwidth: unlike
 // procedures 1 and 2, nothing guarantees the full link capacity can be
 // committed.
 type Procedure3 struct {
 	C float64
-	// MaxSessions caps the exponential subset test; Admit returns an
-	// error beyond it. The default (when 0) is 20 sessions (~1M
-	// subsets).
-	MaxSessions int
 
 	specs []SessionSpec
 	ds    []float64
 	ma    *metrics.Arena
 }
+
+// procedure3MaxSessions caps the exponential subset test at about 1M
+// subsets; Admit returns an error beyond it.
+const procedure3MaxSessions = 20
 
 // SetMetrics implements Controller.
 func (p *Procedure3) SetMetrics(a *metrics.Arena) { p.ma = a }
@@ -544,13 +544,8 @@ func (p *Procedure3) admit(spec SessionSpec, d float64) (Assignment, error) {
 			return Assignment{}, errDuplicate(spec.ID)
 		}
 	}
-	maxN := p.MaxSessions
-	if maxN == 0 {
-		maxN = 20
-	}
-	n := len(p.specs) + 1
-	if n > maxN {
-		return Assignment{}, fmt.Errorf("admission: procedure 3 subset test capped at %d sessions", maxN)
+	if len(p.specs) >= procedure3MaxSessions {
+		return Assignment{}, fmt.Errorf("admission: procedure 3 subset test capped at %d sessions", procedure3MaxSessions)
 	}
 	// Common test (inequality 18).
 	var rateSum float64

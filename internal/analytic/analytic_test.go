@@ -28,16 +28,11 @@ func TestRefServerRecursion(t *testing.T) {
 			t.Errorf("packet %d: delay = %v, want %v", i+1, d, c.want-c.t)
 		}
 	}
-	if b := rs.Backlog(6); math.Abs(b-1) > 1e-12 {
-		t.Errorf("Backlog(6) = %v, want 1", b)
-	}
-	if b := rs.Backlog(100); b != 0 {
-		t.Errorf("Backlog after drain = %v", b)
-	}
-	rs.Reset()
+	// W_0 = t_1: a fresh server starts its first packet on arrival.
+	rs = NewRefServer(100)
 	fin, _ := rs.Arrive(10, 100)
 	if fin != 11 {
-		t.Errorf("after Reset: finish = %v, want 11", fin)
+		t.Errorf("fresh server: finish = %v, want 11", fin)
 	}
 }
 
@@ -87,11 +82,6 @@ func TestMD1Basics(t *testing.T) {
 		if s := q.WaitCDF(x) + q.WaitTail(x); math.Abs(s-1) > 1e-9 {
 			t.Errorf("CDF+Tail at %v = %v", x, s)
 		}
-	}
-	// Pollaczek-Khinchine mean.
-	want := 0.7 / (2 * 0.3)
-	if got := q.MeanWait(); math.Abs(got-want) > 1e-12 {
-		t.Errorf("MeanWait = %v, want %v", got, want)
 	}
 }
 
@@ -147,7 +137,7 @@ func TestMD1AgainstSimulation(t *testing.T) {
 				}
 			}
 		}
-		if got, want := meanSum/n, q.MeanWait(); math.Abs(got-want)/want > 0.03 {
+		if got, want := meanSum/n, MG1MeanWait(q.Lambda, service, service*service); math.Abs(got-want)/want > 0.03 {
 			t.Errorf("rho=%v: simulated mean wait %v, analytic %v", rho, got, want)
 		}
 		for j, th := range thresholds {
@@ -182,27 +172,38 @@ func TestBigExp(t *testing.T) {
 	}
 }
 
+// offer reports whether a packet of the given length conforms at time
+// t and, if it does, debits the bucket: a conformance checker built
+// from the shaper's two calls.
+func offer(tb *TokenBucket, t, length float64) bool {
+	if tb.ConformanceDelay(t, length) > 0 {
+		return false
+	}
+	tb.Take(t, length)
+	return true
+}
+
 func TestTokenBucketConformance(t *testing.T) {
 	tb := NewTokenBucket(100, 300) // 100 bits/s, 300-bit bucket
-	if !tb.Offer(0, 300) {
+	if !offer(tb, 0, 300) {
 		t.Fatal("full bucket rejected a bucket-sized packet")
 	}
-	if tb.Offer(0, 1) {
+	if offer(tb, 0, 1) {
 		t.Fatal("empty bucket accepted a packet")
 	}
 	// After 1 s, 100 bits accumulated.
-	if !tb.Offer(1, 100) {
+	if !offer(tb, 1, 100) {
 		t.Fatal("refilled bucket rejected conforming packet")
 	}
-	if tb.Offer(1, 1) {
+	if offer(tb, 1, 1) {
 		t.Fatal("bucket accepted beyond refill")
 	}
 }
 
 func TestTokenBucketClampAtDepth(t *testing.T) {
 	tb := NewTokenBucket(100, 300)
-	if got := tb.Tokens(1000); got != 300 {
-		t.Errorf("bucket exceeded depth: %v", got)
+	if tb.refill(1000); tb.tokens != 300 {
+		t.Errorf("bucket exceeded depth: %v", tb.tokens)
 	}
 }
 
@@ -226,13 +227,13 @@ func TestTokenBucketDRefMax(t *testing.T) {
 
 func TestTokenBucketTimeBackwardsPanics(t *testing.T) {
 	tb := NewTokenBucket(1, 1)
-	tb.Offer(5, 1)
+	tb.Take(5, 1)
 	defer func() {
 		if recover() == nil {
 			t.Error("time going backwards did not panic")
 		}
 	}()
-	tb.Offer(4, 1)
+	tb.Take(4, 1)
 }
 
 // TestTokenBucketShapedStreamConforms is the key property: a stream
@@ -255,7 +256,7 @@ func TestTokenBucketShapedStreamConforms(t *testing.T) {
 			tEmit += shaper.ConformanceDelay(tEmit, l)
 			shaper.Take(tEmit, l)
 			out = tEmit
-			if !checker.Offer(tEmit, l) {
+			if !offer(checker, tEmit, l) {
 				return false
 			}
 		}
@@ -269,8 +270,9 @@ func TestTokenBucketShapedStreamConforms(t *testing.T) {
 func TestMG1MeanWait(t *testing.T) {
 	// Deterministic service reduces to M/D/1.
 	md1 := MD1{Lambda: 0.7, Service: 1}
-	if got := MG1MeanWait(0.7, 1, 1); math.Abs(got-md1.MeanWait()) > 1e-12 {
-		t.Errorf("MG1 vs MD1: %v vs %v", got, md1.MeanWait())
+	want1 := md1.Rho() * md1.Service / (2 * (1 - md1.Rho()))
+	if got := MG1MeanWait(0.7, 1, 1); math.Abs(got-want1) > 1e-12 {
+		t.Errorf("MG1 vs MD1: %v vs %v", got, want1)
 	}
 	// Exponential service (M/M/1): E[S^2] = 2 E[S]^2 -> W = rho/(mu-lambda).
 	lambda, mu := 0.5, 1.0

@@ -49,8 +49,8 @@ func ErlangC(n int, a float64) float64 {
 //
 //	E[W] = lambda * E[S^2] / (2 (1 - rho)),  rho = lambda E[S].
 //
-// With E[S^2] = E[S]^2 (deterministic service) it reduces to
-// MD1.MeanWait; it generalizes the reference-server analysis to
+// With E[S^2] = E[S]^2 (deterministic service) it reduces to the
+// M/D/1 mean wait rho E[S] / (2 (1 - rho)); it generalizes the reference-server analysis to
 // variable packet lengths.
 func MG1MeanWait(lambda, meanS, meanS2 float64) float64 {
 	rho := lambda * meanS

@@ -113,16 +113,6 @@ func (q MD1) SojournTail(t float64) float64 {
 	return q.WaitTail(t - q.Service)
 }
 
-// MeanWait returns E[W] from the Pollaczek-Khinchine formula,
-// rho*D / (2(1-rho)) for deterministic service.
-func (q MD1) MeanWait() float64 {
-	rho := q.Rho()
-	if rho >= 1 {
-		panic("analytic: MD1.MeanWait requires rho < 1")
-	}
-	return rho * q.Service / (2 * (1 - rho))
-}
-
 // bigExp returns e^u for a float64 u >= 0 (test hook; the series uses
 // bigExpBig so exponent arguments keep extended precision end to end).
 func bigExp(u float64, prec uint) *big.Float {

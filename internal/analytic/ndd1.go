@@ -92,13 +92,6 @@ func (q NDD1) QueueTail(x int) float64 {
 	return tail
 }
 
-// WaitTailSlots returns P(W > w slots) for the virtual waiting time a
-// hypothetical extra cell would see arriving at a random slot after
-// the periodic arrivals: the time to drain the queue, which is Q slots.
-// It is the natural bound on the interference the Figure 11 cross
-// traffic imposes on a tagged session at one hop.
-func (q NDD1) WaitTailSlots(w int) float64 { return q.QueueTail(w) }
-
 func powInt(b float64, e int) float64 {
 	r := 1.0
 	for i := 0; i < e; i++ {

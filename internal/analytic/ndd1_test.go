@@ -31,9 +31,6 @@ func TestNDD1Edges(t *testing.T) {
 	if q.QueueTail(100) != 0 {
 		t.Error("large x")
 	}
-	if q.WaitTailSlots(2) != q.QueueTail(2) {
-		t.Error("WaitTailSlots alias")
-	}
 }
 
 func TestNDD1Monotone(t *testing.T) {

@@ -44,18 +44,3 @@ func (rs *RefServer) Arrive(t, length float64) (finish, delay float64) {
 	rs.prev = finish
 	return finish, finish - t
 }
-
-// Reset returns the server to its initial (never-served) state.
-func (rs *RefServer) Reset() {
-	rs.prev = 0
-	rs.first = true
-}
-
-// Backlog returns the unfinished work, in seconds of service, present
-// in the reference server at time t (0 if the server has drained).
-func (rs *RefServer) Backlog(t float64) float64 {
-	if rs.first || rs.prev <= t {
-		return 0
-	}
-	return rs.prev - t
-}

@@ -26,23 +26,6 @@ func NewTokenBucket(r, b0 float64) *TokenBucket {
 	return &TokenBucket{R: r, B0: b0, tokens: b0}
 }
 
-// Offer presents a packet of the given length (bits) generated at time
-// t (seconds, nondecreasing across calls). It reports whether the
-// packet conforms and, if it does, debits the bucket. A nonconforming
-// packet leaves the bucket unchanged, so Offer can also be used as a
-// pure conformance test stream.
-func (tb *TokenBucket) Offer(t, length float64) bool {
-	tb.refill(t)
-	if length > tb.tokens+tb.slack(length) {
-		return false
-	}
-	tb.tokens -= length
-	if tb.tokens < 0 {
-		tb.tokens = 0
-	}
-	return true
-}
-
 // slack is the tolerance for conformance comparisons: a shaper that
 // waits exactly ConformanceDelay refills the bucket through a
 // divide-then-multiply round trip, so a few ulps of slack are required
@@ -64,21 +47,14 @@ func (tb *TokenBucket) ConformanceDelay(t, length float64) float64 {
 }
 
 // Take debits the bucket for a packet at time t regardless of
-// conformance (the bucket may go negative conceptually; it is clamped
-// at zero after an Offer-checked stream, so Take is intended to follow
-// a successful ConformanceDelay wait).
+// conformance (the level is clamped at zero, so Take is intended to
+// follow a successful ConformanceDelay wait).
 func (tb *TokenBucket) Take(t, length float64) {
 	tb.refill(t)
 	tb.tokens -= length
 	if tb.tokens < 0 {
 		tb.tokens = 0
 	}
-}
-
-// Tokens returns the bucket level at time t.
-func (tb *TokenBucket) Tokens(t float64) float64 {
-	tb.refill(t)
-	return tb.tokens
 }
 
 // DRefMax returns the paper's eq. (14) bound b0/r on the delay of a

@@ -43,18 +43,6 @@ func (s FCFSServer) DelayBound(agg Curve) (float64, error) {
 	return rateHorizontalDeviation(agg, s.C) + s.LMax/s.C, nil
 }
 
-// BacklogBound returns the worst-case fluid backlog (bits) of the FCFS
-// server fed by the aggregate arrival curve: the vertical deviation
-// against the server's rate. For the token bucket (sigma, rho) that is
-// sigma — the burst arrives faster than it drains only up to the burst
-// allowance.
-func (s FCFSServer) BacklogBound(agg Curve) (float64, error) {
-	if rho := agg.FinalSlope(); rho >= s.C {
-		return 0, fmt.Errorf("%w: rho %g, C %g", ErrUnstable, rho, s.C)
-	}
-	return rateVerticalDeviation(agg, s.C)
-}
-
 // FlowBacklogBound returns the per-flow backlog bound (in bits) for a
 // flow af sharing this FIFO server with cross traffic ax, including
 // the +LMax packetization term: an observed queue holds the packet in

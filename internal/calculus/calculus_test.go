@@ -12,7 +12,7 @@ import (
 // sigmaRho reads a curve as Cruz's (sigma, rho) burstiness constraint;
 // ok is false when it has more than one segment and so is none.
 func sigmaRho(c Curve) (sigma, rho float64, ok bool) {
-	segs := c.Segs()
+	segs := c.view()
 	if len(segs) != 1 {
 		return 0, 0, false
 	}
@@ -49,9 +49,9 @@ func TestFCFSBounds(t *testing.T) {
 	if d != 5000.0/1e6+1000.0/1e6 {
 		t.Errorf("DelayBound = %v", d)
 	}
-	b, err := s.BacklogBound(agg)
+	b, err := rateVerticalDeviation(agg, s.C)
 	if err != nil || b != 5000 {
-		t.Errorf("BacklogBound = %v, %v", b, err)
+		t.Errorf("backlog bound = %v, %v", b, err)
 	}
 	if _, err := s.DelayBound(TokenBucket(1e6, 1)); !errors.Is(err, ErrUnstable) {
 		t.Errorf("instability not detected: %v", err)
@@ -134,12 +134,12 @@ func TestBacklogBoundHoldsInSimulation(t *testing.T) {
 			tEmit := clock + shaper.ConformanceDelay(clock, l)
 			shaper.Take(tEmit, l)
 			clock = tEmit
-			server.Arrive(tEmit, l)
-			if b := server.Backlog(tEmit); b > maxBacklogSec {
+			// The unfinished work just after this arrival is its delay.
+			if _, b := server.Arrive(tEmit, l); b > maxBacklogSec {
 				maxBacklogSec = b
 			}
 		}
-		bound, err := FCFSServer{C: c, LMax: 1000}.BacklogBound(TokenBucket(rho, sigma))
+		bound, err := rateVerticalDeviation(TokenBucket(rho, sigma), c)
 		if err != nil {
 			return false
 		}

@@ -123,17 +123,6 @@ func RateLatency(rate, latency float64) Curve {
 	return Curve{segs: []Seg{{X: 0, Y: 0, Slope: 0}, {X: latency, Y: 0, Slope: rate}}}
 }
 
-// Segs returns a copy of the curve's segments (for inspection and
-// tests; the curve itself is immutable through its public API).
-func (c Curve) Segs() []Seg {
-	out := make([]Seg, len(c.view()))
-	copy(out, c.view())
-	return out
-}
-
-// NumSegs returns the number of linear pieces (1 for the zero curve).
-func (c Curve) NumSegs() int { return len(c.view()) }
-
 // IsZero reports whether the curve is identically zero.
 func (c Curve) IsZero() bool {
 	for _, s := range c.view() {
@@ -349,17 +338,4 @@ func appendSeg(segs *[]Seg, s Seg) {
 		}
 	}
 	*segs = append(*segs, s)
-}
-
-// IsConcave reports whether the curve's slopes are nonincreasing —
-// the shape class of arrival curves, closed under Add, Min, Delayed
-// and Convolve.
-func (c Curve) IsConcave() bool {
-	v := c.view()
-	for i := 1; i < len(v); i++ {
-		if v[i].Slope > v[i-1].Slope {
-			return false
-		}
-	}
-	return true
 }

@@ -45,8 +45,8 @@ func TestZeroCurve(t *testing.T) {
 	if !z.IsZero() {
 		t.Fatal("zero value not IsZero")
 	}
-	if z.NumSegs() != 1 {
-		t.Fatalf("zero curve NumSegs = %d, want 1", z.NumSegs())
+	if len(z.view()) != 1 {
+		t.Fatalf("zero curve segments = %d, want 1", len(z.view()))
 	}
 	for _, x := range []float64{-1, 0, 0.5, 100} {
 		if v := z.Eval(x); v != 0 {
@@ -66,8 +66,8 @@ func TestEqualSlopeSegmentsMerge(t *testing.T) {
 	// Three pieces, the middle one a slope repeat: must collapse to
 	// two segments with identical evaluations.
 	c := MustCurve(0, Piece{0, 5}, Piece{1, 5}, Piece{2, 3})
-	if got := c.NumSegs(); got != 2 {
-		t.Fatalf("NumSegs = %d, want 2 (equal-slope neighbors must merge)", got)
+	if got := len(c.view()); got != 2 {
+		t.Fatalf("segments = %d, want 2 (equal-slope neighbors must merge)", got)
 	}
 	// Hand-computed: 5t on [0,2], then 10 + 3(t-2).
 	for _, p := range []struct{ x, want float64 }{{0, 0}, {1, 5}, {2, 10}, {4, 16}} {
@@ -77,8 +77,8 @@ func TestEqualSlopeSegmentsMerge(t *testing.T) {
 	}
 	// A flat repeat merges too.
 	f := MustCurve(3, Piece{0, 0}, Piece{5, 0})
-	if f.NumSegs() != 1 {
-		t.Fatalf("flat repeat NumSegs = %d, want 1", f.NumSegs())
+	if len(f.view()) != 1 {
+		t.Fatalf("flat repeat segments = %d, want 1", len(f.view()))
 	}
 }
 
@@ -86,8 +86,8 @@ func TestSinglePointAndFlat(t *testing.T) {
 	// A constant curve ("single point" degenerate: one breakpoint, no
 	// growth).
 	c := MustCurve(7)
-	if c.NumSegs() != 1 || c.FinalSlope() != 0 {
-		t.Fatalf("constant curve: segs=%d slope=%g", c.NumSegs(), c.FinalSlope())
+	if len(c.view()) != 1 || c.FinalSlope() != 0 {
+		t.Fatalf("constant curve: segs=%d slope=%g", len(c.view()), c.FinalSlope())
 	}
 	if c.Eval(0) != 7 || c.Eval(1e9) != 7 {
 		t.Fatal("constant curve evaluation")
@@ -119,15 +119,15 @@ func TestMinPeakCap(t *testing.T) {
 	f := TokenBucket(1, 10)
 	g := MustCurve(0, Piece{0, 5})
 	m := Min(f, g)
-	if m.NumSegs() != 2 {
-		t.Fatalf("NumSegs = %d, want 2, segs %+v", m.NumSegs(), m.Segs())
+	if len(m.view()) != 2 {
+		t.Fatalf("segments = %d, want 2, segs %+v", len(m.view()), m.view())
 	}
 	for _, p := range []struct{ x, want float64 }{{0, 0}, {1, 5}, {2.5, 12.5}, {3, 13}, {10, 20}} {
 		if v := m.Eval(p.x); !almost(v, p.want) {
 			t.Errorf("Eval(%g) = %g, want %g", p.x, v, p.want)
 		}
 	}
-	if !m.IsConcave() {
+	if v := m.view(); v[1].Slope > v[0].Slope {
 		t.Error("min of concave curves must stay concave")
 	}
 }
@@ -149,8 +149,8 @@ func TestDelayedMultiSegment(t *testing.T) {
 	// first active segment is the tail: value 4+12+1 = 17 at 0.
 	c := MustCurve(4, Piece{0, 6}, Piece{2, 1})
 	d := c.Delayed(3)
-	if d.NumSegs() != 1 {
-		t.Fatalf("NumSegs = %d, want 1", d.NumSegs())
+	if len(d.view()) != 1 {
+		t.Fatalf("segments = %d, want 1", len(d.view()))
 	}
 	if v := d.Eval(0); v != 17 {
 		t.Errorf("Delayed(3).Eval(0) = %g, want 17", v)
@@ -173,8 +173,8 @@ func TestConvolveHandComputed(t *testing.T) {
 				t.Errorf("Eval(%g) = %g, want %g", p.x, v, p.want)
 			}
 		}
-		if c.NumSegs() != 1 {
-			t.Errorf("NumSegs = %d, want 1: %+v", c.NumSegs(), c.Segs())
+		if len(c.view()) != 1 {
+			t.Errorf("segments = %d, want 1: %+v", len(c.view()), c.view())
 		}
 	})
 	t.Run("rate latencies", func(t *testing.T) {
@@ -334,9 +334,6 @@ func TestUnstableBoundaryRhoToC(t *testing.T) {
 	// Exactly at capacity: rejected.
 	if _, err := srv.DelayBound(TokenBucket(100, 50)); !errors.Is(err, ErrUnstable) {
 		t.Errorf("rho == C: want ErrUnstable, got %v", err)
-	}
-	if _, err := srv.BacklogBound(TokenBucket(100, 50)); !errors.Is(err, ErrUnstable) {
-		t.Errorf("rho == C backlog: want ErrUnstable, got %v", err)
 	}
 	// One ulp below capacity: accepted, and the closed form
 	// sigma/C + LMax/C bit for bit.

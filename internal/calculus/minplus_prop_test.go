@@ -75,7 +75,7 @@ func samplePoints(curves ...Curve) []float64 {
 	var xs []float64
 	maxX := 0.0
 	for _, c := range curves {
-		for _, s := range c.Segs() {
+		for _, s := range c.view() {
 			xs = append(xs, s.X)
 			if s.X > maxX {
 				maxX = s.X
@@ -140,7 +140,7 @@ func TestConcaveClosedUnderConvolution(t *testing.T) {
 		c := Convolve(a, b)
 		// Slopes must be nonincreasing (tiny tolerance: interior
 		// slopes come from exact values but divided by widths).
-		segs := c.Segs()
+		segs := c.view()
 		for i := 1; i < len(segs); i++ {
 			if segs[i].Slope > segs[i-1].Slope+propEps {
 				t.Logf("seed %d: slopes %g -> %g at seg %d: %+v", seed, segs[i-1].Slope, segs[i].Slope, i, segs)
@@ -227,8 +227,8 @@ func TestOneSegmentBitIdentical(t *testing.T) {
 			return false
 		}
 		// Backlog bound.
-		if b, err := srv.BacklogBound(crv); err != nil || b != sigma {
-			t.Logf("seed %d: BacklogBound %v/%v != %v", seed, b, err, sigma)
+		if b, err := rateVerticalDeviation(crv, srv.C); err != nil || b != sigma {
+			t.Logf("seed %d: backlog bound %v/%v != %v", seed, b, err, sigma)
 			return false
 		}
 		return true

@@ -177,10 +177,6 @@ func New() *Simulator { return &Simulator{} }
 // Now returns the current simulated time in seconds.
 func (s *Simulator) Now() float64 { return s.now }
 
-// Pending returns the number of scheduled (non-canceled) events. It is
-// a live counter, O(1).
-func (s *Simulator) Pending() int { return s.pending }
-
 // NextTime returns the fire time of the earliest pending event, or
 // false when the queue is empty. Sharded execution uses it to
 // fast-forward idle synchronization windows.

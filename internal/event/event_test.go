@@ -157,8 +157,8 @@ func TestScheduleNaNPanics(t *testing.T) {
 	mustPanic(t, "After", func() { s.After(nan, func() {}) })
 	mustPanic(t, "ScheduleStamped time", func() { s.ScheduleStamped(nan, 0, 1, func() {}) })
 	mustPanic(t, "ScheduleStamped sched", func() { s.ScheduleStamped(1, nan, 1, func() {}) })
-	if s.Pending() != 3 {
-		t.Fatalf("a refused schedule left Pending = %d, want 3", s.Pending())
+	if s.pending != 3 {
+		t.Fatalf("a refused schedule left pending = %d, want 3", s.pending)
 	}
 	s.RunAll()
 	if s.Now() != 2 {
@@ -196,8 +196,8 @@ func TestPanicInHandler(t *testing.T) {
 	s.Schedule(3, note)
 	mustPanic(t, "handler", s.RunAll)
 	s.Schedule(1.5, note)
-	if next, ok := s.NextTime(); !ok || next != 1.5 || s.Pending() != 3 {
-		t.Fatalf("after the panic: next %v %v, pending %d; want 1.5 true, 3", next, ok, s.Pending())
+	if next, ok := s.NextTime(); !ok || next != 1.5 || s.pending != 3 {
+		t.Fatalf("after the panic: next %v %v, pending %d; want 1.5 true, 3", next, ok, s.pending)
 	}
 	s.RunAll()
 	if fmt.Sprint(got) != "[1.5 2 3]" {
@@ -209,12 +209,12 @@ func TestPending(t *testing.T) {
 	s := New()
 	e := s.Schedule(1, func() {})
 	s.Schedule(2, func() {})
-	if s.Pending() != 2 {
-		t.Fatalf("Pending = %d, want 2", s.Pending())
+	if s.pending != 2 {
+		t.Fatalf("pending = %d, want 2", s.pending)
 	}
 	s.Cancel(e)
-	if s.Pending() != 1 {
-		t.Fatalf("Pending after cancel = %d, want 1", s.Pending())
+	if s.pending != 1 {
+		t.Fatalf("pending after cancel = %d, want 1", s.pending)
 	}
 }
 

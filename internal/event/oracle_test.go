@@ -15,14 +15,14 @@ import (
 // run from outside (Step, Run, RunBefore, RunAll, watchdog trips and
 // re-arms) and from inside handlers (zero, one or several schedules,
 // local and stamped, many at one instant, some at Now; cancels of
-// pending, firing and just-canceled events; NextTime, Pending, Stop, a
+// pending, firing and just-canceled events; NextTime, the pending count, Stop, a
 // nested Step), and every fire and every observation is logged.
 
 // engine is what a script needs of a simulator; events are named by
 // the script's own ids so both implementations log the same thing.
 type engine interface {
 	Now() float64
-	Pending() int
+	pendingCount() int
 	NextTime() (float64, bool)
 	schedule(id int, t float64, fn Handler)
 	stamped(id int, t, sched float64, tie uint64, fn Handler)
@@ -50,9 +50,10 @@ func (r *realSim) schedule(id int, t float64, fn Handler) { r.evs[id] = r.Schedu
 func (r *realSim) stamped(id int, t, sched float64, tie uint64, fn Handler) {
 	r.evs[id] = r.ScheduleStamped(t, sched, tie, fn)
 }
-func (r *realSim) cancel(id int) { r.Cancel(r.evs[id]) }
-func (r *realSim) tripped() bool { return r.Tripped() != "" }
-func (r *realSim) verify()       { checkTree(r.t, r.Simulator) }
+func (r *realSim) cancel(id int)     { r.Cancel(r.evs[id]) }
+func (r *realSim) tripped() bool     { return r.Tripped() != "" }
+func (r *realSim) pendingCount() int { return r.pending }
+func (r *realSim) verify()           { checkTree(r.t, r.Simulator) }
 
 // refSim is the reference: no heap, no pool, no laziness.
 type refSim struct {
@@ -71,8 +72,8 @@ type refEv struct {
 	fn          Handler
 }
 
-func (r *refSim) Now() float64 { return r.now }
-func (r *refSim) Pending() int { return len(r.evs) }
+func (r *refSim) Now() float64      { return r.now }
+func (r *refSim) pendingCount() int { return len(r.evs) }
 
 func (r *refSim) min() (int, *refEv) {
 	var best *refEv
@@ -173,7 +174,7 @@ func (r *scriptRun) next() byte {
 
 func (r *scriptRun) observe(tag string) {
 	t, ok := r.s.NextTime()
-	fmt.Fprintf(&r.log, "%s now=%v pending=%d next=%v,%v\n", tag, r.s.Now(), r.s.Pending(), t, ok)
+	fmt.Fprintf(&r.log, "%s now=%v pending=%d next=%v,%v\n", tag, r.s.Now(), r.s.pendingCount(), t, ok)
 }
 
 func (r *scriptRun) drop(id int) {
@@ -223,7 +224,7 @@ func (r *scriptRun) cancelOne(c byte) {
 }
 
 func (r *scriptRun) handle(id int) {
-	fmt.Fprintf(&r.log, "fire %d at %v pending=%d\n", id, r.s.Now(), r.s.Pending())
+	fmt.Fprintf(&r.log, "fire %d at %v pending=%d\n", id, r.s.Now(), r.s.pendingCount())
 	r.drop(id)
 	r.lastFired, r.reusable = id, false
 	r.s.verify()
@@ -326,8 +327,8 @@ func checkScript(t *testing.T, b []byte) {
 }
 
 // TestEngineOrderOracle plays random scripts; the fired sequence must
-// be the reference's sort by (time, sched, tie) and every Now, Pending
-// and NextTime reading must match it, inside handlers and out.
+// be the reference's sort by (time, sched, tie) and every Now, pending
+// count and NextTime reading must match it, inside handlers and out.
 func TestEngineOrderOracle(t *testing.T) {
 	r := rng.New(18)
 	for i := 0; i < 400; i++ {

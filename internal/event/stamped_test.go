@@ -83,8 +83,8 @@ func TestRunBefore(t *testing.T) {
 	if s.Now() != 2 {
 		t.Fatalf("clock %v, want clamped to 2", s.Now())
 	}
-	if s.Pending() != 1 {
-		t.Fatalf("pending %d, want 1 (boundary event intact)", s.Pending())
+	if s.pending != 1 {
+		t.Fatalf("pending %d, want 1 (boundary event intact)", s.pending)
 	}
 
 	// An injection at the boundary instant is merged into the heap

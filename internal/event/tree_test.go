@@ -72,8 +72,8 @@ func TestScheduleAtInfinity(t *testing.T) {
 		s.After(math.Inf(1), func() { got = append(got, "inf-late") })
 	})
 	s.Run(2)
-	if s.Pending() != 4 {
-		t.Fatalf("Pending = %d, want 4", s.Pending())
+	if s.pending != 4 {
+		t.Fatalf("pending = %d, want 4", s.pending)
 	}
 	if next, ok := s.NextTime(); !ok || next != math.MaxFloat64 {
 		t.Fatalf("NextTime = %v %v, want MaxFloat64 true", next, ok)
@@ -82,8 +82,8 @@ func TestScheduleAtInfinity(t *testing.T) {
 	if want := "[one max inf inf-stamped inf-late]"; fmt.Sprint(got) != want {
 		t.Fatalf("fired %v, want %s", got, want)
 	}
-	if !math.IsInf(s.Now(), 1) || s.Pending() != 0 || s.Step() {
-		t.Fatalf("after the run: Now %v, Pending %d", s.Now(), s.Pending())
+	if !math.IsInf(s.Now(), 1) || s.pending != 0 || s.Step() {
+		t.Fatalf("after the run: Now %v, pending %d", s.Now(), s.pending)
 	}
 }
 

@@ -69,9 +69,6 @@ func (a *Arena) AddFloat(h Handle, v float64) {
 	a.slots[h] = math.Float64bits(math.Float64frombits(a.slots[h]) + v)
 }
 
-// Uint reads an integer counter.
-func (a *Arena) Uint(h Handle) uint64 { return a.slots[h] }
-
 // Int reads an integer counter as int64.
 func (a *Arena) Int(h Handle) int64 { return int64(a.slots[h]) }
 
@@ -85,19 +82,6 @@ func (a *Arena) Float(h Handle) float64 { return math.Float64frombits(a.slots[h]
 
 // AtomicInc atomically adds one to an integer counter.
 func (a *Arena) AtomicInc(h Handle) { atomic.AddUint64(&a.slots[h], 1) }
-
-// AtomicAdd atomically adds v to an integer counter.
-func (a *Arena) AtomicAdd(h Handle, v uint64) { atomic.AddUint64(&a.slots[h], v) }
-
-// AtomicMaxUint atomically raises an integer high-water mark to v.
-func (a *Arena) AtomicMaxUint(h Handle, v uint64) {
-	for {
-		old := atomic.LoadUint64(&a.slots[h])
-		if v <= old || atomic.CompareAndSwapUint64(&a.slots[h], old, v) {
-			return
-		}
-	}
-}
 
 // AtomicInt atomically reads an integer counter as int64.
 func (a *Arena) AtomicInt(h Handle) int64 { return int64(atomic.LoadUint64(&a.slots[h])) }
@@ -263,9 +247,6 @@ func (r *Registry) NewPort(name string, capacity float64) (*Arena, Handle) {
 	r.ports = append(r.ports, portInfo{name: name, capacity: capacity, base: base})
 	return &r.arena, base
 }
-
-// NumPorts returns the number of registered ports.
-func (r *Registry) NumPorts() int { return len(r.ports) }
 
 // The view types below are read-side copies of the arena's sections.
 // Each counter is spelled once here, with the key it takes in the

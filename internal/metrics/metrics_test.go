@@ -139,7 +139,7 @@ func TestCounterUpdatesAllocationFree(t *testing.T) {
 	site := func(a *Arena, base Handle) {
 		if a != nil {
 			a.Inc(HEngineScheduled)
-			a.MaxUint(HEngineHeapHighWater, a.Uint(HEngineScheduled))
+			a.MaxUint(HEngineHeapHighWater, a.slots[HEngineScheduled])
 			a.Inc(base + PortArrivals)
 			a.AddFloat(base+PortArrivedBits, 424)
 			a.Inc(base + SchedRegulated)
@@ -164,7 +164,7 @@ func TestFloatCounters(t *testing.T) {
 	if got := a.Float(1); got != 0.35 {
 		t.Errorf("Float = %v, want 0.35", got)
 	}
-	if got := a.Uint(2); got != 0 {
+	if got := a.slots[2]; got != 0 {
 		t.Errorf("untouched slot = %d", got)
 	}
 }

@@ -227,6 +227,3 @@ func (s *Session) SetStalled(on bool) {
 	}
 	s.stalled = on
 }
-
-// Stalled reports whether the session's source is currently stalled.
-func (s *Session) Stalled() bool { return s.stalled }

@@ -112,7 +112,7 @@ type SessionChecker interface {
 // Network is a simulated packet-switching network.
 //
 // Packet lifecycle: every packet lives in the network's pool. A session
-// takes one at emission (Session.send, via the source or InjectAt),
+// takes one at emission (Session.send, from the source),
 // the packet flows through ports and disciplines by pointer, and it is
 // released exactly once — by the sink on delivery or by the port that
 // drops it at a buffer limit. Code observing packets (OnDeliver hooks,
@@ -658,8 +658,7 @@ type Session struct {
 	// the route.
 	JitterControl bool
 
-	// Source generates the packet stream. nil sessions inject packets
-	// only via InjectAt (used in tests).
+	// Source generates the packet stream; a nil source emits nothing.
 	Source traffic.Source
 
 	// Delays accumulates end-to-end packet delays: from arrival at the
@@ -831,8 +830,7 @@ func (s *Session) scheduleEmit(t, length float64) {
 
 // send is the single entry point of the packet lifecycle: it takes a
 // packet from the network's pool, stamps the per-session header fields,
-// and lands it at the first node of the route. Both source emission and
-// InjectAt go through it.
+// and lands it at the first node of the route.
 func (s *Session) send(t, length float64) {
 	s.seq++
 	s.Emitted++
@@ -881,11 +879,6 @@ func (n *Network) unregister(s *Session) {
 	n.sessions[last] = nil
 	n.sessions = n.sessions[:last]
 }
-
-// InjectAt places a single packet of the given length at the session's
-// first node at time t (must be the current simulation time). It is
-// used by tests to drive hand-built arrival patterns.
-func (s *Session) InjectAt(t, length float64) { s.send(t, length) }
 
 // Handoff is the complete cross-shard state of a packet leaving one
 // network segment for the next: everything a downstream shard needs

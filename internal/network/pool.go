@@ -19,7 +19,7 @@ const slabBits = 8
 // are an indexed load instead of a hash probe.
 //
 // Ownership is explicit: a packet is taken exactly once per lifetime
-// (Session.send, i.e. a source emission or InjectAt), flows through
+// (Session.send, i.e. a source emission), flows through
 // ports and disciplines by pointer, and is released exactly once — at
 // the sink when it leaves the network, or at the port that drops it on
 // a buffer overflow. Between release and the next take the slot sits on

@@ -8,6 +8,7 @@ import (
 	"leaveintime/internal/event"
 	"leaveintime/internal/network"
 	"leaveintime/internal/packet"
+	"leaveintime/internal/traffic"
 )
 
 // TestZeroValue: the zero Packet is a valid "no history" packet — no
@@ -98,7 +99,10 @@ func TestLengthBitsAccounting(t *testing.T) {
 	sim := event.New()
 	net := network.New(sim, 1000)
 	port := net.NewPort("n0", capacity, gamma, core.New(core.Config{Capacity: capacity, LMax: 1000}))
-	sess := net.AddSession(1, 1000, false, []*network.Port{port}, []network.SessionPort{{}}, nil)
+	// Two emissions far enough apart that the link idles in between:
+	// each packet's delivery time is emission + L/C + gamma exactly.
+	src := &traffic.Trace{Gaps: []float64{0.1, 0.4}, Lengths: []float64{424, 1000}}
+	sess := net.AddSession(1, 1000, false, []*network.Port{port}, []network.SessionPort{{}}, src)
 
 	type arrival struct {
 		at     float64
@@ -108,12 +112,7 @@ func TestLengthBitsAccounting(t *testing.T) {
 	sess.OnDeliver = func(p *packet.Packet, delay float64) {
 		got = append(got, arrival{at: p.SourceTime + delay, length: p.Length})
 	}
-	// Two injections far enough apart that the link idles in between:
-	// each packet's delivery time is inject + L/C + gamma exactly.
-	// InjectAt requires the current simulation time, so inject from
-	// scheduled events.
-	sim.Schedule(0.1, func() { sess.InjectAt(0.1, 424) })
-	sim.Schedule(0.5, func() { sess.InjectAt(0.5, 1000) })
+	sess.Start(0, 1)
 	sim.RunAll()
 
 	want := []arrival{

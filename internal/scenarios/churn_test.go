@@ -112,11 +112,11 @@ func TestRemoveSessionDropsLivePackets(t *testing.T) {
 		make([]network.SessionPort, 1), nil)
 	// Remove while idle is fine.
 	net.RemoveSession(s)
-	// A new packet for the removed session is dropped at the port.
+	// A packet its source emits after the removal is dropped at the port.
 	s2 := net.AddSession(2, VoiceRate, false, []*network.Port{port},
-		make([]network.SessionPort, 1), nil)
+		make([]network.SessionPort, 1), &traffic.Trace{Gaps: []float64{1e-3}, Lengths: []float64{CellBits}})
+	s2.Start(0, 1)
 	net.RemoveSession(s2)
-	s2.InjectAt(sim.Now(), CellBits)
 	sim.RunAll()
 	var drops int
 	for _, e := range rec.Events {

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"leaveintime/internal/admission"
-	"leaveintime/internal/calculus"
 	"leaveintime/internal/core"
 	"leaveintime/internal/event"
 	"leaveintime/internal/network"
@@ -176,22 +175,6 @@ func (r rcspByRate) AddSession(cfg network.SessionPort) {
 		level = 1
 	}
 	r.AddSessionLevel(cfg, level)
-}
-
-// CruzFCFSBound computes, for contrast, what the Cruz calculus would
-// bound FCFS at if the cross traffic were token-bucket constrained
-// with the given per-hop burst (bits).
-func CruzFCFSBound(crossSigma float64) (float64, error) {
-	flow := calculus.TokenBucket(VoiceRate, CellBits)
-	hops := make([]calculus.TandemHop, NumNodes)
-	for i := range hops {
-		hops[i] = calculus.TandemHop{
-			Server: calculus.FCFSServer{C: T1Rate, LMax: CellBits},
-			Cross:  calculus.TokenBucket(Fig8CrossRate, crossSigma),
-			Gamma:  PropDelay,
-		}
-	}
-	return calculus.TandemDelayBound(flow, hops)
 }
 
 // Format renders the comparison table.

@@ -63,17 +63,3 @@ func TestEDDNoteFollowsVerdict(t *testing.T) {
 		}
 	}
 }
-
-func TestCruzFCFSBoundGrowsWithBurst(t *testing.T) {
-	small, err := CruzFCFSBound(10 * CellBits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	big, err := CruzFCFSBound(100 * CellBits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if big <= small {
-		t.Errorf("Cruz bound insensitive to cross burst: %v vs %v", small, big)
-	}
-}

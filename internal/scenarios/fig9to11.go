@@ -163,18 +163,6 @@ func (t *refTap) Next() (float64, float64) {
 	return gap, l
 }
 
-// TailAt returns the measured P(delay > d) by scanning the CCDF.
-func (r *DistResult) TailAt(d float64) float64 {
-	p := 1.0
-	for _, pt := range r.Measured {
-		if pt.X > d {
-			return p
-		}
-		p = pt.P
-	}
-	return p
-}
-
 // Format renders the three curves in aligned columns (delay in ms,
 // probabilities suitable for a log-scale plot).
 func (r *DistResult) Format() string {

@@ -22,10 +22,6 @@ type MetroOptions struct {
 	// Rings and RingSize size the topology (topo.DefaultMetro); zero
 	// picks 16 rings of 12 access switches — 208 switches.
 	Rings, RingSize int
-	// LocalPerRing and CrossPerRing are sessions per ring: local ones
-	// run hub -> farthest access switch, cross ones run from an access
-	// switch over the backbone into the next ring. Zero picks 2 + 2.
-	LocalPerRing, CrossPerRing int
 	// Duration is the emission window in simulated seconds.
 	Duration float64
 	// Seed drives the ON-OFF sources.
@@ -38,18 +34,20 @@ type MetroOptions struct {
 	Metrics bool
 }
 
+// Sessions per ring: local ones run hub -> farthest access switch,
+// cross ones run from an access switch over the backbone into the next
+// rings.
+const (
+	metroLocalPerRing = 2
+	metroCrossPerRing = 2
+)
+
 func (o *MetroOptions) defaults() {
 	if o.Rings == 0 {
 		o.Rings = 16
 	}
 	if o.RingSize == 0 {
 		o.RingSize = 12
-	}
-	if o.LocalPerRing == 0 {
-		o.LocalPerRing = 2
-	}
-	if o.CrossPerRing == 0 {
-		o.CrossPerRing = 2
 	}
 	if o.Duration == 0 {
 		o.Duration = 10
@@ -102,12 +100,12 @@ func PlanMetro(opt MetroOptions) (*MetroPlan, error) {
 		return nil
 	}
 	for i := 0; i < opt.Rings; i++ {
-		for s := 0; s < opt.LocalPerRing; s++ {
+		for s := 0; s < metroLocalPerRing; s++ {
 			if err := addRoute(topo.MetroHub(i), topo.MetroNode(i, opt.RingSize-1)); err != nil {
 				return nil, err
 			}
 		}
-		for s := 0; s < opt.CrossPerRing; s++ {
+		for s := 0; s < metroCrossPerRing; s++ {
 			// Spread cross-metro traffic: hop 1+s rings ahead, entering
 			// and leaving through access switches so every route climbs
 			// onto the backbone and back down.

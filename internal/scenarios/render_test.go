@@ -27,12 +27,12 @@ func TestFig11Runs(t *testing.T) {
 		// rho = service/mean = (424/32000)/0.04 = 0.33125
 		t.Errorf("rho = %v", res.Rho)
 	}
-	// TailAt is monotone nonincreasing.
+	// The measured tail is monotone nonincreasing.
 	prev := 1.0
 	for _, d := range []float64{0, 0.01, 0.05, 0.2} {
-		v := res.TailAt(d)
+		v := tailAt(res, d)
 		if v > prev+1e-12 {
-			t.Errorf("TailAt not monotone at %v: %v > %v", d, v, prev)
+			t.Errorf("tail not monotone at %v: %v > %v", d, v, prev)
 		}
 		prev = v
 	}

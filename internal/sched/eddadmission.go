@@ -101,14 +101,3 @@ func (a *EDDAdmission) Remove(id int) bool {
 	delete(a.sessions, id)
 	return true
 }
-
-// MinLocalDelay returns the smallest local delay bound a new session
-// with the given lMax could currently be granted (what rule 2 requires
-// of it, ignoring its effect on the others).
-func (a *EDDAdmission) MinLocalDelay(lMax float64) float64 {
-	total := lMax
-	for _, s := range a.sessions {
-		total += s.lMax
-	}
-	return total/a.C + a.LMaxNet/a.C
-}

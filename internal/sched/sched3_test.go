@@ -156,14 +156,20 @@ func TestEDDAdmissionBurstRule(t *testing.T) {
 	}
 }
 
+// TestEDDAdmissionMinLocalDelay: condition 2 grants a new session no
+// local delay below every admitted packet plus its own plus one
+// non-preemption packet, and grants exactly that.
 func TestEDDAdmissionMinLocalDelay(t *testing.T) {
 	a := NewEDDAdmission(1e6, 1000)
 	if err := a.Admit(1, 10e-3, 1000, 5e-3); err != nil {
 		t.Fatal(err)
 	}
-	want := (1000.0 + 1000 + 1000) / 1e6
-	if got := a.MinLocalDelay(1000); math.Abs(got-want) > 1e-12 {
-		t.Errorf("MinLocalDelay = %v, want %v", got, want)
+	least := (1000.0+1000)/1e6 + 1000.0/1e6
+	if err := a.Admit(2, 10e-3, 1000, math.Nextafter(least, 0)); !errors.Is(err, ErrNotSchedulable) {
+		t.Errorf("d one ulp below %v: got %v, want ErrNotSchedulable", least, err)
+	}
+	if err := a.Admit(2, 10e-3, 1000, least); err != nil {
+		t.Errorf("d = %v refused: %v", least, err)
 	}
 }
 

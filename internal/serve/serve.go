@@ -34,6 +34,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"strconv"
@@ -271,23 +272,20 @@ func (d *Daemon) wrap(h http.HandlerFunc) http.HandlerFunc {
 		r.Body = http.MaxBytesReader(w, r.Body, d.opts.MaxBody)
 		timeout := d.opts.RequestTimeout
 		if raw := r.Header.Get("X-Request-Deadline"); raw != "" {
-			if unix, err := strconv.ParseFloat(raw, 64); err == nil {
-				sec := time.Duration((unix - float64(time.Now().UnixNano())/1e9) * float64(time.Second))
-				// Clamp: a deadline in the past (skewed-behind clock)
-				// gets a minimal grace window rather than instant
-				// expiry; a far-future one (skewed-ahead) is capped at
-				// the server's own timeout.
-				if sec < 50*time.Millisecond {
-					sec = 50 * time.Millisecond
-				}
-				if sec > d.opts.RequestTimeout {
-					sec = d.opts.RequestTimeout
-				}
-				timeout = sec
-			} else {
+			unix, err := strconv.ParseFloat(raw, 64)
+			if err != nil || math.IsNaN(unix) {
 				d.ar.AtomicInc(metrics.HServeMalformed)
 				httpError(w, http.StatusBadRequest, "malformed X-Request-Deadline")
 				return
+			}
+			// Clamp in seconds, before the conversion to a Duration
+			// can overflow: a deadline in the past (skewed-behind
+			// clock) gets a minimal grace window rather than instant
+			// expiry; a far-future one (skewed-ahead, or milliseconds
+			// sent for seconds) is capped at the server's own timeout.
+			left := math.Max(unix-float64(time.Now().UnixNano())/1e9, 0.05)
+			if left < d.opts.RequestTimeout.Seconds() {
+				timeout = time.Duration(left * float64(time.Second))
 			}
 		}
 		ctx, cancel := context.WithTimeout(r.Context(), timeout)

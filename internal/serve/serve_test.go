@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -122,6 +124,57 @@ func TestOptionDefaults(t *testing.T) {
 	o.defaults()
 	if o.LowWater >= o.HighWater {
 		t.Fatalf("depth-1 watermarks: high %d, low %d", o.HighWater, o.LowWater)
+	}
+}
+
+// TestRequestDeadlineClamp: wrap clamps a client's X-Request-Deadline
+// into [now+50 ms, now+RequestTimeout] before it becomes a Duration, so
+// a deadline too far ahead to fit one is capped rather than read as
+// already expired, and NaN is malformed.
+func TestRequestDeadlineClamp(t *testing.T) {
+	const rt = 2 * time.Second
+	d := New(Options{RequestTimeout: rt})
+	unix := func(at time.Time) string {
+		return strconv.FormatFloat(float64(at.UnixNano())/1e9, 'f', -1, 64)
+	}
+	now := time.Now()
+	cases := []struct {
+		name, header string
+		want         time.Duration // the handler's deadline, from the request
+		code         int
+	}{
+		{"now+1s", unix(now.Add(time.Second)), time.Second, http.StatusOK},
+		{"now-1h", unix(now.Add(-time.Hour)), 50 * time.Millisecond, http.StatusOK},
+		{"unix milliseconds", "1.76e12", rt, http.StatusOK},
+		{"+Inf", "+Inf", rt, http.StatusOK},
+		{"-Inf", "-Inf", 50 * time.Millisecond, http.StatusOK},
+		{"NaN", "NaN", 0, http.StatusBadRequest},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var deadline time.Time
+			h := d.wrap(func(w http.ResponseWriter, r *http.Request) {
+				deadline, _ = r.Context().Deadline()
+			})
+			req := httptest.NewRequest(http.MethodGet, "/", nil)
+			req.Header.Set("X-Request-Deadline", c.header)
+			rec := httptest.NewRecorder()
+			h(rec, req)
+			after := time.Now()
+			if rec.Code != c.code {
+				t.Fatalf("status %d, want %d: %s", rec.Code, c.code, rec.Body)
+			}
+			if c.code != http.StatusOK {
+				if !deadline.IsZero() {
+					t.Errorf("handler ran on a malformed deadline")
+				}
+				return
+			}
+			const slack = 10 * time.Millisecond
+			if lo, hi := now.Add(c.want-slack), after.Add(c.want+slack); deadline.Before(lo) || deadline.After(hi) {
+				t.Errorf("deadline %v after the request, want %v", deadline.Sub(now), c.want)
+			}
+		})
 	}
 }
 

@@ -180,8 +180,7 @@ type SessionPlan struct {
 	// (len(Cfgs) == len(Links)), as admission produced it.
 	Links []*topo.Link
 	Cfgs  []network.SessionPort
-	// Source feeds the first segment; nil sessions inject only via
-	// the first segment's InjectAt.
+	// Source feeds the first segment; a nil Source emits nothing.
 	Source traffic.Source
 }
 

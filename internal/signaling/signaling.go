@@ -413,8 +413,3 @@ func (s *Signaler) Established(id int) bool {
 	_, ok := s.established[id]
 	return ok
 }
-
-// EstablishedNodes returns the node indexes currently holding
-// reservations for the session (nil when none). The caller must not
-// mutate the returned slice.
-func (s *Signaler) EstablishedNodes(id int) []int { return s.established[id] }

@@ -467,7 +467,7 @@ func TestReleaseLostThenRetried(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim.RunAll()
-	if nodes := sig.EstablishedNodes(1); len(nodes) != 2 || nodes[0] != 1 || nodes[1] != 2 {
+	if nodes := sig.established[1]; len(nodes) != 2 || nodes[0] != 1 || nodes[1] != 2 {
 		t.Fatalf("suffix after lost RELEASE = %v, want [1 2]", nodes)
 	}
 	downPort = -1

@@ -1,22 +1,18 @@
 // Package stats provides the measurement primitives used by the
 // Leave-in-Time experiments: streaming min/max/jitter trackers,
-// fixed-bin histograms with quantile and CCDF extraction, time-weighted
+// fixed-bin histograms with tail and CCDF extraction, time-weighted
 // utilization counters, and buffer-occupancy trackers that reproduce
 // the sampling convention of the paper's Figures 12-13.
 package stats
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
+import "fmt"
 
 // Tracker accumulates streaming summary statistics of a scalar series.
 // The zero value is ready to use.
 type Tracker struct {
-	n          int64
-	sum, sumSq float64
-	min, max   float64
+	n        int64
+	sum      float64
+	min, max float64
 }
 
 // Add records one observation.
@@ -33,7 +29,6 @@ func (t *Tracker) Add(x float64) {
 	}
 	t.n++
 	t.sum += x
-	t.sumSq += x * x
 }
 
 // Count returns the number of observations.
@@ -62,26 +57,9 @@ func (t *Tracker) Jitter() float64 {
 	return t.max - t.min
 }
 
-// Variance returns the population variance (0 if fewer than 2 samples).
-func (t *Tracker) Variance() float64 {
-	if t.n < 2 {
-		return 0
-	}
-	m := t.Mean()
-	v := t.sumSq/float64(t.n) - m*m
-	if v < 0 {
-		return 0 // numerical noise
-	}
-	return v
-}
-
-// StdDev returns the population standard deviation.
-func (t *Tracker) StdDev() float64 { return math.Sqrt(t.Variance()) }
-
 // Histogram is a fixed-bin-width histogram over [0, BinWidth*len(bins)).
 // Values beyond the last bin are counted in an overflow bucket but
-// still contribute to the exact Tracker, so Max and quantile queries
-// near 1 remain meaningful.
+// still contribute to the exact Tracker, so Max stays exact.
 type Histogram struct {
 	BinWidth float64
 	bins     []int64
@@ -121,31 +99,6 @@ func (h *Histogram) BinCount(i int) int64 { return h.bins[i] }
 
 // NumBins returns the number of regular bins.
 func (h *Histogram) NumBins() int { return len(h.bins) }
-
-// Overflow returns the number of observations beyond the last bin.
-func (h *Histogram) Overflow() int64 { return h.overflow }
-
-// Quantile returns an upper bound for the q-quantile (0 <= q <= 1)
-// using bin upper edges. For q beyond the histogram range it returns
-// the exact maximum.
-func (h *Histogram) Quantile(q float64) float64 {
-	n := h.Count()
-	if n == 0 {
-		return 0
-	}
-	target := int64(math.Ceil(q * float64(n)))
-	if target < 1 {
-		target = 1
-	}
-	var cum int64
-	for i, c := range h.bins {
-		cum += c
-		if cum >= target {
-			return float64(i+1) * h.BinWidth
-		}
-	}
-	return h.Tracker.Max()
-}
 
 // CCDF returns the empirical complementary CDF P(X > x) evaluated at
 // the bin upper edges: point i is (x=(i+1)*w, P(X > x)). Useful for
@@ -301,25 +254,6 @@ func (d *Discrete) CDF(k int) float64 {
 	return float64(cum) / float64(d.n)
 }
 
-// Quantile returns the smallest k with CDF(k) >= q.
-func (d *Discrete) Quantile(q float64) int {
-	if d.n == 0 {
-		return 0
-	}
-	target := int64(math.Ceil(q * float64(d.n)))
-	if target < 1 {
-		target = 1
-	}
-	var cum int64
-	for k, c := range d.counts {
-		cum += c
-		if cum >= target {
-			return k
-		}
-	}
-	return d.max
-}
-
 // Series is a labeled (x, y) series for text output of figures.
 type Series struct {
 	Name   string
@@ -328,11 +262,6 @@ type Series struct {
 
 // Point is one (x, y) sample.
 type Point struct{ X, Y float64 }
-
-// Sort orders the series by ascending X.
-func (s *Series) Sort() {
-	sort.Slice(s.Points, func(i, j int) bool { return s.Points[i].X < s.Points[j].X })
-}
 
 // Format renders the series as aligned text rows, one "x y" per line,
 // suitable for diffing against paper figures.

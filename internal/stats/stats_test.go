@@ -27,41 +27,6 @@ func TestTracker(t *testing.T) {
 	if tr.Jitter() != 4 {
 		t.Errorf("Jitter = %v, want 4", tr.Jitter())
 	}
-	if tr.StdDev() <= 0 {
-		t.Errorf("StdDev = %v", tr.StdDev())
-	}
-}
-
-func TestTrackerVarianceMatchesDefinition(t *testing.T) {
-	f := func(vals []float64) bool {
-		var tr Tracker
-		clean := vals[:0]
-		for _, v := range vals {
-			if math.IsNaN(v) || math.IsInf(v, 0) || math.Abs(v) > 1e6 {
-				continue
-			}
-			clean = append(clean, v)
-			tr.Add(v)
-		}
-		if len(clean) < 2 {
-			return true
-		}
-		var mean float64
-		for _, v := range clean {
-			mean += v
-		}
-		mean /= float64(len(clean))
-		var want float64
-		for _, v := range clean {
-			want += (v - mean) * (v - mean)
-		}
-		want /= float64(len(clean))
-		scale := math.Max(1, want)
-		return math.Abs(tr.Variance()-want)/scale < 1e-6
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
 }
 
 func TestHistogramBasics(t *testing.T) {
@@ -75,30 +40,14 @@ func TestHistogramBasics(t *testing.T) {
 	if h.BinCount(0) != 1 || h.BinCount(1) != 2 || h.BinCount(9) != 1 {
 		t.Errorf("bins wrong: %v %v %v", h.BinCount(0), h.BinCount(1), h.BinCount(9))
 	}
-	if h.Overflow() != 1 {
-		t.Errorf("Overflow = %d", h.Overflow())
+	if h.overflow != 1 {
+		t.Errorf("overflow = %d", h.overflow)
 	}
 	if h.Tracker.Max() != 25 {
 		t.Errorf("exact max lost: %v", h.Tracker.Max())
 	}
 	if h.Add(-0.1); h.BinCount(0) != 2 {
 		t.Error("negative value not clamped into bin 0")
-	}
-}
-
-func TestHistogramQuantile(t *testing.T) {
-	h := NewHistogram(1, 100)
-	for i := 1; i <= 100; i++ {
-		h.Add(float64(i) - 0.5)
-	}
-	if q := h.Quantile(0.5); math.Abs(q-50) > 1 {
-		t.Errorf("median = %v, want ~50", q)
-	}
-	if q := h.Quantile(1); q < 99 {
-		t.Errorf("q1 = %v", q)
-	}
-	if q := h.Quantile(0); q > 1 {
-		t.Errorf("q0 = %v", q)
 	}
 }
 
@@ -152,12 +101,6 @@ func TestDiscrete(t *testing.T) {
 	if c := d.CDF(2); math.Abs(c-0.8) > 1e-12 {
 		t.Errorf("CDF(2) = %v", c)
 	}
-	if q := d.Quantile(0.8); q != 2 {
-		t.Errorf("Quantile(0.8) = %d, want 2", q)
-	}
-	if q := d.Quantile(1); q != 5 {
-		t.Errorf("Quantile(1) = %d, want 5", q)
-	}
 }
 
 func TestDiscretePanicsNegative(t *testing.T) {
@@ -193,13 +136,10 @@ func TestUtilization(t *testing.T) {
 }
 
 func TestSeriesFormatSort(t *testing.T) {
+	// Format keeps the points in the order given; it does not sort.
 	s := Series{Name: "x", Points: []Point{{2, 20}, {1, 10}}}
-	s.Sort()
-	if s.Points[0].X != 1 {
-		t.Error("Sort did not order by X")
-	}
 	out := s.Format()
-	if !strings.Contains(out, "# x") || !strings.Contains(out, "10") {
+	if !strings.HasPrefix(out, "# x\n") || strings.Index(out, "20") > strings.Index(out, "10") {
 		t.Errorf("Format output %q", out)
 	}
 }

@@ -252,8 +252,8 @@ type ConnectRequest struct {
 	// Route is the ordered list of servers the session traverses
 	// (required, non-empty).
 	Route []*Server
-	// Source generates the session's packets; nil sessions are driven
-	// manually with Session.InjectAt.
+	// Source generates the session's packets; a nil Source emits none
+	// (a traffic.Trace replays a hand-built schedule).
 	Source traffic.Source
 	// JitterControl assigns the session a delay regulator at every
 	// node.

@@ -21,8 +21,8 @@ type Graph struct {
 	nodes map[string]bool
 	links []*Link
 	// index is RouteLinks' view of the graph, built by the first route
-	// and dropped by AddNode and AddLink: a graph that is built and run
-	// but never routed (MetroPlan.Run's) never pays for it.
+	// and dropped by AddLink: a graph that is built and run but never
+	// routed (MetroPlan.Run's) never pays for it.
 	index atomic.Pointer[routeIndex]
 }
 
@@ -91,18 +91,6 @@ type Link struct {
 // New returns an empty graph.
 func New() *Graph {
 	return &Graph{nodes: make(map[string]bool)}
-}
-
-// AddNode declares a node. Nodes referenced by AddLink are declared
-// implicitly; explicit declaration documents intent. An empty name is
-// reported as an error and leaves the graph unchanged.
-func (g *Graph) AddNode(name string) error {
-	if name == "" {
-		return fmt.Errorf("topo: empty node name")
-	}
-	g.nodes[name] = true
-	g.index.Store(nil)
-	return nil
 }
 
 // AddLink adds a directed link and returns it. Weight 0 defaults to

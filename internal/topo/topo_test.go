@@ -54,7 +54,7 @@ func TestTieBreakDeterministic(t *testing.T) {
 func TestNoPath(t *testing.T) {
 	g := New()
 	g.AddLink("a", "b", 1e6, 1e-3)
-	g.AddNode("z")
+	g.AddLink("z", "b", 1e6, 1e-3)
 	if _, err := g.RouteLinks("a", "z"); err == nil {
 		t.Error("missing path not reported")
 	}
@@ -126,7 +126,6 @@ func TestValidation(t *testing.T) {
 		{"NaN gamma", func(g *Graph) error { _, err := g.AddLink("a", "b", 1, math.NaN()); return err }},
 		{"infinite gamma", func(g *Graph) error { _, err := g.AddLink("a", "b", 1, math.Inf(1)); return err }},
 		{"duplex NaN gamma", func(g *Graph) error { _, _, err := g.AddDuplex("a", "b", 1, math.NaN()); return err }},
-		{"empty node", func(g *Graph) error { return g.AddNode("") }},
 		{"duplex empty endpoint", func(g *Graph) error { _, _, err := g.AddDuplex("", "b", 1, 0); return err }},
 		{"duplex self loop", func(g *Graph) error { _, _, err := g.AddDuplex("a", "a", 1, 0); return err }},
 	}

@@ -103,17 +103,6 @@ func (r *Recorder) Trace(e Event) {
 	r.Events = append(r.Events, e)
 }
 
-// Filter returns the recorded events of one session, in order.
-func (r *Recorder) Filter(session int) []Event {
-	var out []Event
-	for _, e := range r.Events {
-		if e.Session == session {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // CanonicalSort orders events by the simulated history they describe
 // rather than by recording order: (Time, Session, Seq, Hop, Kind,
 // Port, Cause). Kind order within one (time, session, seq, hop) tuple

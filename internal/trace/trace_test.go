@@ -13,8 +13,9 @@ func TestRecorderCapAndFilter(t *testing.T) {
 	if len(r.Events) != 2 || r.Dropped != 1 {
 		t.Fatalf("cap not enforced: %d events, %d dropped", len(r.Events), r.Dropped)
 	}
-	if got := r.Filter(1); len(got) != 1 || got[0].Session != 1 {
-		t.Fatalf("Filter = %v", got)
+	// The cap keeps the first events and drops the later ones.
+	if r.Events[0].Session != 1 || r.Events[1].Session != 2 {
+		t.Fatalf("kept %v, want the first two events", r.Events)
 	}
 }
 

@@ -300,7 +300,7 @@ func NewShaped(src Source, rate, b0 float64) *Shaped { return traffic.NewShaped(
 type (
 	// Tracker accumulates streaming min/max/mean/jitter.
 	Tracker = stats.Tracker
-	// Histogram is a fixed-bin histogram with CCDF/quantile queries.
+	// Histogram is a fixed-bin histogram with CCDF and tail queries.
 	Histogram = stats.Histogram
 	// Discrete is a distribution over small integers (buffer packets).
 	Discrete = stats.Discrete
@@ -308,12 +308,7 @@ type (
 	CCDFPoint = stats.CCDFPoint
 	// Utilization measures a link's busy fraction.
 	Utilization = stats.Utilization
-	// P2Quantile is a constant-space streaming quantile estimator.
-	P2Quantile = stats.P2Quantile
 )
-
-// NewP2Quantile returns a streaming estimator for the p-quantile.
-func NewP2Quantile(p float64) *P2Quantile { return stats.NewP2Quantile(p) }
 
 // NewHistogram returns a histogram with nbins bins of width binWidth.
 func NewHistogram(binWidth float64, nbins int) *Histogram {

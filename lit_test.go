@@ -393,7 +393,7 @@ func TestDisciplineConstructors(t *testing.T) {
 	if err := edd.Admit(1, 1e-2, 424, 1e-2); err != nil {
 		t.Errorf("EDDAdmission: %v", err)
 	}
-	if lit.NewP2Quantile(0.5) == nil || lit.ErlangB(10, 5) <= 0 {
+	if lit.ErlangB(10, 5) <= 0 {
 		t.Error("misc constructors")
 	}
 	l := lit.SolveLindleyMD1(0.5, 1, 10, 0.05)
