@@ -22,28 +22,14 @@ type (
 	// Curve is a nonnegative, nondecreasing piecewise-linear function
 	// of time (zero value: the zero function).
 	Curve = calculus.Curve
-	// CurvePiece declares a slope change for NewCurve: from X on, the
-	// curve grows at Slope.
-	CurvePiece = calculus.Piece
 	// CurveWs is reusable workspace making repeated curve operations
 	// allocation-free (see the calculus package's Ws methods).
 	CurveWs = calculus.Ws
 )
 
-// ErrUnstable is returned by the calculus when aggregate rate reaches
-// capacity.
+// ErrUnstable is wrapped by the error BusyPeriodBound and
+// TandemDelayBound return when the aggregate rate reaches capacity.
 var ErrUnstable = calculus.ErrUnstable
-
-// NewCurve builds a curve from its value at 0 and slope changes at
-// strictly increasing breakpoints.
-func NewCurve(y0 float64, pieces ...CurvePiece) (Curve, error) {
-	return calculus.NewCurve(y0, pieces...)
-}
-
-// MustCurve is NewCurve, panicking on invalid input.
-func MustCurve(y0 float64, pieces ...CurvePiece) Curve {
-	return calculus.MustCurve(y0, pieces...)
-}
 
 // TokenBucketCurve is the arrival curve b0 + r*t.
 func TokenBucketCurve(r, b0 float64) Curve { return calculus.TokenBucket(r, b0) }
@@ -51,36 +37,17 @@ func TokenBucketCurve(r, b0 float64) Curve { return calculus.TokenBucket(r, b0) 
 // SumCurves adds curves pointwise (flow aggregation).
 func SumCurves(curves ...Curve) Curve { return calculus.SumCurves(curves...) }
 
-// Convolve is min-plus convolution: (f ⊗ g)(t) = inf over s of
-// f(s) + g(t-s), the composition of service curves.
-func Convolve(f, g Curve) Curve { return calculus.Convolve(f, g) }
-
-// Deconvolve is min-plus deconvolution: (f ⊘ g)(t) = sup over u of
-// f(t+u) - g(u), the output arrival curve of f through g. ErrUnstable
-// when f outgrows g.
-func Deconvolve(f, g Curve) (Curve, error) { return calculus.Deconvolve(f, g) }
-
-// VerticalDeviation is the backlog bound sup(alpha - beta); ErrUnstable
-// when alpha outgrows beta.
-func VerticalDeviation(alpha, beta Curve) (float64, error) {
-	return calculus.VerticalDeviation(alpha, beta)
-}
-
-// HorizontalDeviation is the delay bound: the maximum horizontal gap
-// from alpha to beta.
-func HorizontalDeviation(alpha, beta Curve) (float64, error) {
-	return calculus.HorizontalDeviation(alpha, beta)
-}
-
 // BusyPeriodBound is sup{t : alpha(t) >= C*t}, the longest busy period
 // of a rate-C server — a delay bound for any work-conserving
-// discipline, not just FCFS.
+// discipline, not just FCFS. ErrUnstable when the busy period is
+// unbounded.
 func BusyPeriodBound(alpha Curve, c float64) (float64, error) {
 	return calculus.BusyPeriodBound(alpha, c)
 }
 
 // TandemDelayBound bounds a tagged flow's end-to-end delay across FCFS
-// hops with per-hop cross traffic.
+// hops with per-hop cross traffic. ErrUnstable when a hop's aggregate
+// rate reaches its capacity.
 func TandemDelayBound(flow Curve, hops []TandemHop) (float64, error) {
 	return calculus.TandemDelayBound(flow, hops)
 }

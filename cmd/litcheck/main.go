@@ -63,10 +63,12 @@
 // becomes a reported violation with a replayable repro instead of a
 // hung or crashed harness.
 //
-// -bound-scale tightens the checked analytic bounds by a factor; values
-// below 1 demand more than the theorems promise and exist to prove the
-// harness can fail, shrink and replay (see the acceptance tests). The
-// tightening is embedded into the repros.
+// -bound-scale tightens the checked analytic bounds by a factor in
+// (0, 1]; values below 1 demand more than the theorems promise and exist
+// to prove the harness can fail, shrink and replay (see the acceptance
+// tests). The tightening is embedded into the repros. A factor that
+// would loosen the checks (above 1, negative or NaN) and a negative
+// -max-events, -max-wall or -workers exit with status 2.
 //
 // Incoherent flag combinations exit with status 2 and a message naming
 // both flags: -replay is incompatible with -seed, -seeds, -workers,
@@ -152,6 +154,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 0
 		}
 		return 2
+	}
+
+	// A value that would loosen a check or lift the watchdog is refused:
+	// -bound-scale only tightens (NaN fails both comparisons), and a
+	// negative budget would disable the ceiling it sets.
+	for _, bad := range []struct {
+		refused bool
+		msg     string
+	}{
+		{!(*boundScale >= 0 && *boundScale <= 1), "-bound-scale must lie in [0, 1] (0 = off): it only tightens the checked bounds"},
+		{*maxEvents < 0, "-max-events must not be negative"},
+		{*maxWall < 0, "-max-wall must not be negative"},
+		{*workers < 0, "-workers must not be negative"},
+	} {
+		if bad.refused {
+			fmt.Fprintf(stderr, "litcheck: %s\n", bad.msg)
+			return 2
+		}
 	}
 
 	// The flag matrix: which flags were explicitly set with an enabling

@@ -2,7 +2,10 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -106,6 +109,51 @@ func TestRetiredFlagsAreUnknown(t *testing.T) {
 	}
 	if n := strings.Count(stderr.String(), "\n  -"); n != 9 {
 		t.Errorf("-h lists %d flags, want 9:\n%s", n, stderr.String())
+	}
+}
+
+// TestLooseningValuesRefused: a value that would loosen a check or lift
+// the watchdog exits before any seed runs. -bound-scale takes 0 or a
+// factor in (0, 1], the budgets and the pool size no negative value, and
+// a repro's own bound_scale must lie in [0, 1].
+func TestLooseningValuesRefused(t *testing.T) {
+	doc, err := os.ReadFile("../../examples/scenario.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var loose map[string]any
+	if err := json.Unmarshal(doc, &loose); err != nil {
+		t.Fatal(err)
+	}
+	loose["check"] = map[string]any{"bound_scale": 5}
+	repro := filepath.Join(t.TempDir(), "loose.json")
+	if data, err := json.Marshal(loose); err != nil || os.WriteFile(repro, data, 0o644) != nil {
+		t.Fatal("cannot write the loose repro")
+	}
+	for _, c := range []struct {
+		args []string
+		code int
+		want string
+	}{
+		{[]string{"-bound-scale", "5"}, 2, "-bound-scale"},
+		{[]string{"-bound-scale", "1.5"}, 2, "-bound-scale"},
+		{[]string{"-bound-scale", "-0.5"}, 2, "-bound-scale"},
+		{[]string{"-bound-scale", "NaN"}, 2, "-bound-scale"},
+		{[]string{"-max-events", "-1"}, 2, "-max-events"},
+		{[]string{"-max-wall", "-1s"}, 2, "-max-wall"},
+		{[]string{"-workers", "-1"}, 2, "-workers"},
+		{[]string{"-replay", repro}, 1, "bound_scale 5 is outside [0, 1]"},
+	} {
+		args := c.args
+		if c.args[0] != "-replay" {
+			args = append(args, "-seeds", "1", "-repro-dir", "")
+		}
+		var stdout, stderr bytes.Buffer
+		code := run(args, &stdout, &stderr)
+		if code != c.code || stdout.Len() != 0 || !strings.Contains(stderr.String(), c.want) {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit %d naming %s",
+				c.args, code, stdout.String(), stderr.String(), c.code, c.want)
+		}
 	}
 }
 

@@ -5,6 +5,9 @@
 //	litserve [-addr 127.0.0.1:8080] [-workers N] [-queue N]
 //	         [-checkpoint-dir DIR] [-slice 0.25]
 //
+// A NaN, infinite or negative -slice and a negative -workers or -queue
+// exit with status 2.
+//
 // It hosts the daemon until SIGTERM/SIGINT, then drains gracefully:
 // in-flight scenario jobs stop at their next slice boundary and are
 // checkpointed to -checkpoint-dir; a restarted daemon restores and
@@ -20,6 +23,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"syscall"
@@ -37,6 +41,21 @@ func main() {
 		slice         = flag.Float64("slice", 0, "simulated seconds per worker control poll (0 = default)")
 	)
 	flag.Parse()
+	// A NaN or infinite slice would run a job to its end with no poll
+	// for kill, purge or drain; a negative value is no setting at all.
+	for _, bad := range []struct {
+		refused bool
+		msg     string
+	}{
+		{!(*slice >= 0) || math.IsInf(*slice, 1), "-slice must be a finite, nonnegative number of seconds"},
+		{*workers < 0, "-workers must not be negative"},
+		{*queue < 0, "-queue must not be negative"},
+	} {
+		if bad.refused {
+			fmt.Fprintf(os.Stderr, "litserve: %s\n", bad.msg)
+			os.Exit(2)
+		}
+	}
 	runServe(serve.Options{
 		Addr:          *addr,
 		Workers:       *workers,

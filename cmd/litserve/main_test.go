@@ -18,10 +18,7 @@ import (
 // line that still asks for the battery exits 2 naming the flag instead
 // of serving behind its back.
 func TestRetiredChaosFlagsAreUnknown(t *testing.T) {
-	bin := filepath.Join(t.TempDir(), "litserve")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("building litserve: %v\n%s", err, out)
-	}
+	bin := buildLitserve(t)
 	for _, args := range [][]string{{"-mode", "chaos"}, {"-seeds", "2"}, {"-seed", "2"}, {"-dir", "x"}} {
 		out, err := exec.Command(bin, args...).CombinedOutput()
 		if exit, ok := err.(*exec.ExitError); !ok || exit.ExitCode() != 2 {
@@ -31,6 +28,37 @@ func TestRetiredChaosFlagsAreUnknown(t *testing.T) {
 			t.Errorf("%v: flag not named:\n%s", args, out)
 		}
 	}
+}
+
+// TestRefusedSettings: a -slice that would run a job past its duration
+// with no control poll (NaN, +Inf) or is negative, and a negative
+// -workers or -queue, exit 2 before the daemon starts. A command that
+// would serve instead is killed after a few seconds and fails the row.
+func TestRefusedSettings(t *testing.T) {
+	bin := buildLitserve(t)
+	for _, args := range [][]string{
+		{"-slice", "NaN"}, {"-slice", "+Inf"}, {"-slice", "-1"},
+		{"-workers", "-1"}, {"-queue", "-1"},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		out, err := exec.CommandContext(ctx, bin, append(args, "-addr", "127.0.0.1:0")...).CombinedOutput()
+		cancel()
+		if exit, ok := err.(*exec.ExitError); !ok || exit.ExitCode() != 2 {
+			t.Errorf("%v: %v, want exit 2\n%s", args, err, out)
+		}
+		if !strings.Contains(string(out), args[0]) {
+			t.Errorf("%v: flag not named:\n%s", args, out)
+		}
+	}
+}
+
+// buildLitserve builds the command into a test directory.
+func buildLitserve(t *testing.T) string {
+	bin := filepath.Join(t.TempDir(), "litserve")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("building litserve: %v\n%s", err, out)
+	}
+	return bin
 }
 
 // The daemon stats schema, re-declared field by field. The test

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	lit "leaveintime"
+	"leaveintime/internal/analytic"
 )
 
 // Build a two-hop network, reserve a token-bucket session, and read the
@@ -49,20 +50,6 @@ func ExampleMD1() {
 	// P(D > 10ms) = 0.0027
 }
 
-// The reference server of eq. (1): every Leave-in-Time guarantee is a
-// function of the session's delays in this dedicated fixed-rate server.
-func ExampleRefServer() {
-	rs := lit.NewRefServer(32e3) // 32 kbit/s
-	for _, arrival := range []float64{0, 0.001, 0.1} {
-		finish, delay := rs.Arrive(arrival, 424)
-		fmt.Printf("t=%.3f finish=%.5f delay=%.5f\n", arrival, finish, delay)
-	}
-	// Output:
-	// t=0.000 finish=0.01325 delay=0.01325
-	// t=0.001 finish=0.02650 delay=0.02550
-	// t=0.100 finish=0.11325 delay=0.01325
-}
-
 // Admission control procedure 2 decouples class-1 delay from L/r: a
 // low-rate session can still receive a small d (the paper's Section 2
 // example).
@@ -103,17 +90,15 @@ func ExampleRoute() {
 	// jitter bound (control) = 13.25 ms
 }
 
-// Token buckets characterize conforming traffic; eq. (14) turns the
-// bucket into a reference-server delay bound.
+// Token buckets characterize conforming traffic: a shaper holds each
+// packet until the bucket covers it.
 func ExampleTokenBucket() {
-	tb := lit.NewTokenBucket(32e3, 424)
-	fmt.Printf("D_ref_max = %.2f ms\n", tb.DRefMax()*1e3)
+	tb := analytic.NewTokenBucket(32e3, 424)
 	fmt.Printf("hold %.2f ms\n", tb.ConformanceDelay(0, 424)*1e3) // full bucket covers one packet
 	tb.Take(0, 424)
 	fmt.Printf("hold %.2f ms\n", tb.ConformanceDelay(0, 424)*1e3) // empty now: wait for 424 bits
 	fmt.Printf("hold %.2f ms\n", tb.ConformanceDelay(1, 424)*1e3) // a second's refill more than covers it
 	// Output:
-	// D_ref_max = 13.25 ms
 	// hold 0.00 ms
 	// hold 13.25 ms
 	// hold 0.00 ms

@@ -7,18 +7,6 @@ import "leaveintime/internal/scenarios"
 // runner is deterministic in (duration, seed) and its result's Format
 // method prints the series the corresponding paper figure plots.
 
-// Paper-wide experiment constants (Section 3 / Figure 6).
-const (
-	// T1Rate is the 1536 kbit/s capacity of every Figure 6 link.
-	T1Rate = scenarios.T1Rate
-	// PropDelay is the 1 ms link propagation delay.
-	PropDelay = scenarios.PropDelay
-	// CellBits is the 424-bit ATM cell used by every source.
-	CellBits = scenarios.CellBits
-	// VoiceRate is the 32 kbit/s reserved rate of voice-like sessions.
-	VoiceRate = scenarios.VoiceRate
-)
-
 // Fig7AOffValues are the seven mean OFF durations (seconds) swept by
 // RunFig7; RunFig7Observed's registries slice is indexed the same way.
 var Fig7AOffValues = scenarios.AOffValues
@@ -60,13 +48,9 @@ func RunFig7Observed(duration float64, seed uint64, registries []*MetricsRegistr
 	return scenarios.RunFig7Observed(duration, seed, registries)
 }
 
-// RunFig8 reproduces Figures 8, 12 and 13 (the paper runs 600 s).
-func RunFig8(duration float64, seed uint64) *Fig8Result {
-	return scenarios.RunFig8(duration, seed)
-}
-
-// RunFig8Observed is RunFig8 with telemetry counted into reg when it is
-// non-nil. The figure output is identical either way.
+// RunFig8Observed reproduces Figures 8, 12 and 13 (the paper runs
+// 600 s), with telemetry counted into reg when it is non-nil. The
+// figure output is identical either way.
 func RunFig8Observed(duration float64, seed uint64, reg *MetricsRegistry) *Fig8Result {
 	return scenarios.RunFig8Observed(duration, seed, reg)
 }

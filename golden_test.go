@@ -35,15 +35,15 @@ func TestFig7Golden(t *testing.T) {
 //	litsim -experiment fig8 -duration 5 -seed 1
 //
 // against testdata/fig8_d5_s1.golden (the verbatim stdout of that
-// command: RunFig8(5, 1).Format() followed by FormatBuffers() and the
-// trailing newline litsim prints). The file was captured before the
-// pooled packet lifecycle landed — per-packet heap allocation, one
-// closure per transmission/arrival/emission — so this test proves the
-// packet pool, the pre-bound port and source handlers, and the
-// hand-rolled scheduler heaps reproduce the original event
-// interleaving bit for bit. The CROSS topology exercises multi-hop
-// routes, jitter control, Poisson cross traffic, and buffer probes —
-// paths the fig7 golden does not cover. Regenerate only for a
+// command: RunFig8Observed(5, 1, nil).Format() followed by
+// FormatBuffers() and the trailing newline litsim prints). The file
+// was captured before the pooled packet lifecycle landed — per-packet
+// heap allocation, one closure per transmission/arrival/emission — so
+// this test proves the packet pool, the pre-bound port and source
+// handlers, and the hand-rolled scheduler heaps reproduce the original
+// event interleaving bit for bit. The CROSS topology exercises
+// multi-hop routes, jitter control, Poisson cross traffic, and buffer
+// probes — paths the fig7 golden does not cover. Regenerate only for a
 // deliberate semantic change:
 //
 //	go run ./cmd/litsim -experiment fig8 -duration 5 -seed 1 > testdata/fig8_d5_s1.golden
@@ -52,7 +52,7 @@ func TestFig8Golden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := lit.RunFig8(5, 1)
+	res := lit.RunFig8Observed(5, 1, nil)
 	got := res.Format() + res.FormatBuffers() + "\n"
 	if got != string(want) {
 		t.Fatalf("fig8 output diverged from golden file\n--- got ---\n%s--- want ---\n%s", got, want)
@@ -65,11 +65,12 @@ func TestFig8Golden(t *testing.T) {
 //
 // against testdata/fig12_d5_s1.golden: the buffer-space distribution
 // view (Figures 12-13) of the same CROSS run the fig8 golden pins —
-// litsim prints RunFig8(5, 1).FormatBuffers() plus a newline for the
-// fig12 experiment. The buffer view walks the per-node probe
-// distributions (occupancy sampling, the buffer bounds, jitter-control
-// versus no-control provisioning), none of which the fig8 delay view
-// exercises. Regenerate only for a deliberate semantic change:
+// litsim prints RunFig8Observed(5, 1, nil).FormatBuffers() plus a
+// newline for the fig12 experiment. The buffer view walks the
+// per-node probe distributions (occupancy sampling, the buffer bounds,
+// jitter-control versus no-control provisioning), none of which the
+// fig8 delay view exercises. Regenerate only for a deliberate
+// semantic change:
 //
 //	go run ./cmd/litsim -experiment fig12 -duration 5 -seed 1 > testdata/fig12_d5_s1.golden
 func TestFig12Golden(t *testing.T) {
@@ -77,7 +78,7 @@ func TestFig12Golden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := lit.RunFig8(5, 1).FormatBuffers() + "\n"
+	got := lit.RunFig8Observed(5, 1, nil).FormatBuffers() + "\n"
 	if got != string(want) {
 		t.Fatalf("fig12 output diverged from golden file\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
@@ -99,7 +100,7 @@ func TestFig13Golden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := lit.RunFig8(3, 2).FormatBuffers() + "\n"
+	got := lit.RunFig8Observed(3, 2, nil).FormatBuffers() + "\n"
 	if got != string(want) {
 		t.Fatalf("fig13 output diverged from golden file\n--- got ---\n%s--- want ---\n%s", got, want)
 	}

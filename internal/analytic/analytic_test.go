@@ -67,47 +67,38 @@ func TestMD1Basics(t *testing.T) {
 	if rho := q.Rho(); math.Abs(rho-0.7) > 1e-12 {
 		t.Errorf("Rho = %v", rho)
 	}
-	// P(W = 0) = 1 - rho.
-	if got := q.WaitCDF(0); math.Abs(got-0.3) > 1e-12 {
-		t.Errorf("WaitCDF(0) = %v, want 0.3", got)
-	}
-	if got := q.WaitCDF(-1); got != 0 {
-		t.Errorf("WaitCDF(-1) = %v", got)
+	// P(W > 0) = rho.
+	if got := q.WaitTail(0); math.Abs(got-0.7) > 1e-12 {
+		t.Errorf("WaitTail(0) = %v, want 0.7", got)
 	}
 	if got := q.WaitTail(-1); got != 1 {
 		t.Errorf("WaitTail(-1) = %v", got)
-	}
-	// CDF + Tail = 1.
-	for _, x := range []float64{0, 0.5, 1, 2.5, 7, 20} {
-		if s := q.WaitCDF(x) + q.WaitTail(x); math.Abs(s-1) > 1e-9 {
-			t.Errorf("CDF+Tail at %v = %v", x, s)
-		}
 	}
 }
 
 func TestMD1Monotone(t *testing.T) {
 	for _, rho := range []float64{0.1, 0.33, 0.7, 0.95} {
 		q := MD1{Lambda: rho, Service: 1}
-		prev := -1.0
+		prev := 2.0
 		for x := 0.0; x < 30; x += 0.25 {
-			v := q.WaitCDF(x)
-			if v < prev-1e-9 {
-				t.Fatalf("rho=%v: CDF decreased at %v: %v < %v", rho, x, v, prev)
+			v := q.WaitTail(x)
+			if v > prev+1e-9 {
+				t.Fatalf("rho=%v: tail increased at %v: %v > %v", rho, x, v, prev)
 			}
 			if v < 0 || v > 1 {
-				t.Fatalf("rho=%v: CDF out of range at %v: %v", rho, x, v)
+				t.Fatalf("rho=%v: tail out of range at %v: %v", rho, x, v)
 			}
 			prev = v
 		}
 		// The tail decays like e^{-theta*t}; at rho = 0.95 theta is
 		// only ~0.1, so a few percent of mass legitimately remains at
 		// t = 30.
-		floor := 0.999
+		ceiling := 0.001
 		if rho > 0.9 {
-			floor = 0.9
+			ceiling = 0.1
 		}
-		if prev < floor {
-			t.Errorf("rho=%v: CDF at 30 service times only %v", rho, prev)
+		if prev > ceiling {
+			t.Errorf("rho=%v: tail at 30 service times still %v", rho, prev)
 		}
 	}
 }
@@ -137,7 +128,8 @@ func TestMD1AgainstSimulation(t *testing.T) {
 				}
 			}
 		}
-		if got, want := meanSum/n, MG1MeanWait(q.Lambda, service, service*service); math.Abs(got-want)/want > 0.03 {
+		// The M/D/1 mean wait, rho D / (2 (1 - rho)).
+		if got, want := meanSum/n, rho*service/(2*(1-rho)); math.Abs(got-want)/want > 0.03 {
 			t.Errorf("rho=%v: simulated mean wait %v, analytic %v", rho, got, want)
 		}
 		for j, th := range thresholds {
@@ -159,7 +151,7 @@ func TestMD1PanicsAtSaturation(t *testing.T) {
 			t.Error("rho >= 1 did not panic")
 		}
 	}()
-	MD1{Lambda: 1, Service: 1}.WaitCDF(1)
+	MD1{Lambda: 1, Service: 1}.WaitTail(1)
 }
 
 func TestBigExp(t *testing.T) {
@@ -218,13 +210,6 @@ func TestTokenBucketConformanceDelay(t *testing.T) {
 	}
 }
 
-func TestTokenBucketDRefMax(t *testing.T) {
-	tb := NewTokenBucket(32e3, 424)
-	if got := tb.DRefMax(); math.Abs(got-0.01325) > 1e-12 {
-		t.Errorf("DRefMax = %v, want 13.25 ms", got)
-	}
-}
-
 func TestTokenBucketTimeBackwardsPanics(t *testing.T) {
 	tb := NewTokenBucket(1, 1)
 	tb.Take(5, 1)
@@ -267,20 +252,10 @@ func TestTokenBucketShapedStreamConforms(t *testing.T) {
 	}
 }
 
+// TestMG1MeanWait: with variable packet lengths the reference server is
+// an M/G/1 queue, and its simulated mean wait matches the
+// Pollaczek-Khinchine formula lambda E[S^2] / (2 (1 - rho)).
 func TestMG1MeanWait(t *testing.T) {
-	// Deterministic service reduces to M/D/1.
-	md1 := MD1{Lambda: 0.7, Service: 1}
-	want1 := md1.Rho() * md1.Service / (2 * (1 - md1.Rho()))
-	if got := MG1MeanWait(0.7, 1, 1); math.Abs(got-want1) > 1e-12 {
-		t.Errorf("MG1 vs MD1: %v vs %v", got, want1)
-	}
-	// Exponential service (M/M/1): E[S^2] = 2 E[S]^2 -> W = rho/(mu-lambda).
-	lambda, mu := 0.5, 1.0
-	want := lambda / (mu * (mu - lambda))
-	if got := MG1MeanWait(lambda, 1/mu, 2/(mu*mu)); math.Abs(got-want) > 1e-12 {
-		t.Errorf("M/M/1 wait = %v, want %v", got, want)
-	}
-	// Simulation check with uniform packet lengths through RefServer.
 	r := rng.New(5)
 	rs := NewRefServer(1000)
 	const n = 400000
@@ -297,17 +272,8 @@ func TestMG1MeanWait(t *testing.T) {
 		sumW += d - s
 	}
 	got := sumW / n
-	want2 := MG1MeanWait(lam, sumS/n, sumS2/n)
-	if math.Abs(got-want2)/want2 > 0.05 {
-		t.Errorf("simulated M/G/1 wait %v, P-K %v", got, want2)
+	want := lam * (sumS2 / n) / (2 * (1 - lam*sumS/n))
+	if math.Abs(got-want)/want > 0.05 {
+		t.Errorf("simulated M/G/1 wait %v, P-K %v", got, want)
 	}
-}
-
-func TestMG1MeanWaitPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("rho >= 1 did not panic")
-		}
-	}()
-	MG1MeanWait(2, 1, 1)
 }

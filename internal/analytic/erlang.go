@@ -30,35 +30,3 @@ func ErlangB(n int, a float64) float64 {
 	}
 	return b
 }
-
-// ErlangC returns the Erlang-C probability of queueing for n servers
-// offered a Erlangs (a < n), derived from Erlang B:
-//
-//	C(n, a) = n*B / (n - a*(1-B)).
-func ErlangC(n int, a float64) float64 {
-	if a >= float64(n) {
-		panic("analytic: ErlangC requires a < n")
-	}
-	b := ErlangB(n, a)
-	return float64(n) * b / (float64(n) - a*(1-b))
-}
-
-// MG1MeanWait returns the Pollaczek-Khinchine mean waiting time of an
-// M/G/1 queue with arrival rate lambda and service moments E[S],
-// E[S^2]:
-//
-//	E[W] = lambda * E[S^2] / (2 (1 - rho)),  rho = lambda E[S].
-//
-// With E[S^2] = E[S]^2 (deterministic service) it reduces to the
-// M/D/1 mean wait rho E[S] / (2 (1 - rho)); it generalizes the reference-server analysis to
-// variable packet lengths.
-func MG1MeanWait(lambda, meanS, meanS2 float64) float64 {
-	rho := lambda * meanS
-	if rho >= 1 {
-		panic("analytic: MG1MeanWait requires rho < 1")
-	}
-	if meanS2 < meanS*meanS {
-		panic("analytic: E[S^2] cannot be below E[S]^2")
-	}
-	return lambda * meanS2 / (2 * (1 - rho))
-}

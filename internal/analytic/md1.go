@@ -22,29 +22,16 @@ type MD1 struct {
 // Rho returns the utilization Lambda*Service.
 func (q MD1) Rho() float64 { return q.Lambda * q.Service }
 
-// WaitCDF returns P(W <= t) for the stationary waiting time W,
-// computed with the classical Crommelin/Takács series
+// WaitTail returns P(W > t) for the stationary waiting time W, one
+// minus the classical Crommelin/Takács series
 //
 //	P(W <= t) = (1-rho) * sum_{k=0}^{floor(t/D)} [lambda(kD-t)]^k / k! * e^{-lambda(kD-t)}.
 //
 // The series alternates in sign and suffers catastrophic cancellation
 // for t several service times deep — even the exponent arguments must
-// carry extended precision — so the whole evaluation runs in 300-bit
-// arithmetic. It panics if rho >= 1 (no stationary regime).
-func (q MD1) WaitCDF(t float64) float64 {
-	v, _ := q.waitSeries(t).Float64()
-	// Clamp numerical residue into [0, 1].
-	if v < 0 {
-		return 0
-	}
-	if v > 1 {
-		return 1
-	}
-	return v
-}
-
-// WaitTail returns P(W > t) = 1 - WaitCDF(t), with the subtraction done
-// in extended precision so deep tails keep relative accuracy.
+// carry extended precision — so the whole evaluation, the subtraction
+// included, runs in 300-bit arithmetic and deep tails keep relative
+// accuracy. It panics if rho >= 1 (no stationary regime).
 func (q MD1) WaitTail(t float64) float64 {
 	one := new(big.Float).SetPrec(md1Prec).SetInt64(1)
 	one.Sub(one, q.waitSeries(t))

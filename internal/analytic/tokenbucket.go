@@ -57,10 +57,6 @@ func (tb *TokenBucket) Take(t, length float64) {
 	}
 }
 
-// DRefMax returns the paper's eq. (14) bound b0/r on the delay of a
-// conforming session in its reference server of rate R.
-func (tb *TokenBucket) DRefMax() float64 { return tb.B0 / tb.R }
-
 func (tb *TokenBucket) refill(t float64) {
 	if !tb.inited {
 		tb.last = t

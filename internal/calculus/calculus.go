@@ -55,14 +55,6 @@ func (s FCFSServer) FlowBacklogBound(w *Ws, af, ax Curve) (float64, error) {
 	return fluid + s.LMax, nil
 }
 
-// Output bounds the flow's arrivals downstream of this server when its
-// delay here is at most d (Cruz part I, the output burstiness theorem):
-// the input curve advanced by d, so a token bucket's burst grows to
-// sigma + rho*d.
-func (s FCFSServer) Output(flow Curve, d float64) Curve {
-	return flow.Delayed(d)
-}
-
 // TandemHop is one hop of a feed-forward tandem: a FIFO server, the
 // cross-traffic arrival curve joining the flow there (assumed fresh at
 // each hop, the standard feed-forward assumption), and the outgoing

@@ -66,7 +66,7 @@ func TestOutputBurstiness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sigma, rho, ok := sigmaRho(s.Output(flow, d))
+	sigma, rho, ok := sigmaRho(flow.Delayed(d))
 	if !ok || rho != 1e5 {
 		t.Errorf("output rate changed: %v (one segment: %v)", rho, ok)
 	}

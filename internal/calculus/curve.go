@@ -123,16 +123,6 @@ func RateLatency(rate, latency float64) Curve {
 	return Curve{segs: []Seg{{X: 0, Y: 0, Slope: 0}, {X: latency, Y: 0, Slope: rate}}}
 }
 
-// IsZero reports whether the curve is identically zero.
-func (c Curve) IsZero() bool {
-	for _, s := range c.view() {
-		if s.Y != 0 || s.Slope != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Eval returns the curve's value at t. Negative t evaluates to 0 (no
 // arrivals before time zero), t = 0 to the initial value (the burst).
 func (c Curve) Eval(t float64) float64 {

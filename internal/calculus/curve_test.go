@@ -42,9 +42,6 @@ func TestNewCurveValidation(t *testing.T) {
 
 func TestZeroCurve(t *testing.T) {
 	var z Curve
-	if !z.IsZero() {
-		t.Fatal("zero value not IsZero")
-	}
 	if len(z.view()) != 1 {
 		t.Fatalf("zero curve segments = %d, want 1", len(z.view()))
 	}
@@ -195,24 +192,6 @@ func TestConvolveHandComputed(t *testing.T) {
 			}
 		}
 	})
-}
-
-func TestDeconvolveHandComputed(t *testing.T) {
-	// TB(2,6) ⊘ RL(4,1) = TB(2, 6+2·1): the classical sigma + rho·T
-	// output burstiness.
-	c, err := Deconvolve(TokenBucket(2, 6), RateLatency(4, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range []struct{ x, want float64 }{{0, 8}, {2, 12}} {
-		if v := c.Eval(p.x); !almost(v, p.want) {
-			t.Errorf("Eval(%g) = %g, want %g", p.x, v, p.want)
-		}
-	}
-	// Unstable pair: arrival outgrows service.
-	if _, err := Deconvolve(TokenBucket(5, 1), RateLatency(4, 0)); !errors.Is(err, ErrUnstable) {
-		t.Errorf("want ErrUnstable, got %v", err)
-	}
 }
 
 func TestDeviationsHandComputed(t *testing.T) {

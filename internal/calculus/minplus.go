@@ -7,7 +7,7 @@ import (
 )
 
 // This file implements the min-plus algebra over piecewise-linear
-// curves — convolution, deconvolution, the horizontal/vertical
+// curves — convolution, the horizontal/vertical
 // deviations — and the bounds built from them: the FIFO aggregate
 // delay bound, the work-conserving busy-period bound, and the minimal
 // per-flow backlog bound at an aggregate FIFO server (Wildberger et
@@ -152,116 +152,6 @@ func ConvolveAt(f, g Curve, t float64) float64 {
 		}
 		if v := f.Eval(t-s.X) + s.Y; v < best {
 			best = v
-		}
-	}
-	return best
-}
-
-// Deconvolve returns the min-plus deconvolution (f ⊘ g)(t) =
-// sup_{u>=0} f(t+u) - g(u) — the output arrival curve of a flow
-// constrained by f through a server offering service curve g. Returns
-// ErrUnstable when f outgrows g (the supremum is infinite).
-func Deconvolve(f, g Curve) (Curve, error) {
-	var w Ws
-	var out Curve
-	if err := w.Deconvolve(&out, f, g); err != nil {
-		return Curve{}, err
-	}
-	return out, nil
-}
-
-// Deconvolve computes dst = f ⊘ g. dst must not alias f or g.
-func (w *Ws) Deconvolve(dst *Curve, f, g Curve) error {
-	sf, sg := f.FinalSlope(), g.FinalSlope()
-	if sf > sg {
-		return fmt.Errorf("%w: arrival slope %g exceeds service slope %g", ErrUnstable, sf, sg)
-	}
-	fs, gs := f.view(), g.view()
-	// Kinks of f⊘g lie at differences of kinks (xf - xg >= 0), plus
-	// branch crossings between adjacent difference-grid points.
-	w.xs = w.xs[:0]
-	w.xs = append(w.xs, 0)
-	for _, a := range fs {
-		for _, b := range gs {
-			if d := a.X - b.X; d > 0 {
-				w.xs = append(w.xs, d)
-			}
-		}
-	}
-	sortDedup(&w.xs)
-	base := len(w.xs)
-	for k := 0; k+1 < base; k++ {
-		w.deconvCrossings(w.xs[k], w.xs[k+1], f, g)
-	}
-	// Tail interval: see Convolve.
-	w.deconvCrossings(w.xs[base-1], math.Inf(1), f, g)
-	if len(w.xs) > base {
-		sortDedup(&w.xs)
-	}
-	w.vals = w.vals[:0]
-	for _, t := range w.xs {
-		w.vals = append(w.vals, DeconvolveAt(f, g, t))
-	}
-	buildFromPoints(dst, w.xs, w.vals, sf)
-	return nil
-}
-
-// deconvCrossings appends crossings, inside (a,b), of the
-// deconvolution branches v_j(t) = f(t+j) - g(j) (j a kink of g) and
-// u_k(t) = f(k) - g(k-t) (k a kink of f, valid for t <= k).
-func (w *Ws) deconvCrossings(a, b float64, f, g Curve) {
-	fs, gs := f.view(), g.view()
-	total := len(gs) + len(fs)
-	// Sample slopes at an interior point for the same one-ulp reason
-	// as branchCrossings.
-	mid := a + 1
-	if !math.IsInf(b, 1) {
-		mid = a + (b-a)/2
-	}
-	val := func(i int) (v, s float64, ok bool) {
-		if i < len(gs) {
-			j := gs[i].X
-			return f.Eval(a+j) - gs[i].Y, f.SlopeAt(mid + j), true
-		}
-		k := fs[i-len(gs)].X
-		if k < a {
-			return 0, 0, false
-		}
-		// This branch runs backwards along g (value f(k) - g(k-t), so
-		// its slope in t is +g's slope at k-t); sample inside (a,b).
-		return fs[i-len(gs)].Y - g.Eval(k-a), g.SlopeAt(k - mid), true
-	}
-	for i := 0; i < total; i++ {
-		vi, si, oki := val(i)
-		if !oki {
-			continue
-		}
-		for j := 0; j < i; j++ {
-			vj, sj, okj := val(j)
-			if !okj {
-				continue
-			}
-			if x := lineCross(a, vi, si, vj, sj); x > a && x < b {
-				w.xs = append(w.xs, x)
-			}
-		}
-	}
-}
-
-// DeconvolveAt returns the exact value of (f ⊘ g)(t): the supremum
-// over u, attained at a kink of g or at a kink of f minus t.
-func DeconvolveAt(f, g Curve, t float64) float64 {
-	best := math.Inf(-1)
-	for _, s := range g.view() {
-		if v := f.Eval(t+s.X) - s.Y; v > best {
-			best = v
-		}
-	}
-	for _, s := range f.view() {
-		if u := s.X - t; u >= 0 {
-			if v := s.Y - g.Eval(u); v > best {
-				best = v
-			}
 		}
 	}
 	return best
@@ -632,7 +522,7 @@ func buildFromPoints(dst *Curve, xs, vals []float64, finalSlope float64) {
 		appendSeg(&dst.segs, Seg{X: xs[i], Y: vals[i], Slope: slope})
 	}
 	if dst.segs[0].X != 0 {
-		// Samples always include 0 for convolution/deconvolution, but
+		// Samples always include 0 for convolution, but
 		// keep the invariant defensively.
 		dst.segs = append([]Seg{{X: 0, Y: dst.segs[0].Y, Slope: 0}}, dst.segs...)
 	}

@@ -163,37 +163,6 @@ func TestConcaveClosedUnderConvolution(t *testing.T) {
 	}
 }
 
-func TestDeconvolutionResidual(t *testing.T) {
-	// f ⊘ g is the smallest curve whose convolution with g dominates
-	// f: check (f ⊘ g) ⊗ g >= f everywhere.
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		a, b := randConcave(r), randConvex(r)
-		if a.FinalSlope() > b.FinalSlope() {
-			return true // unstable pair, nothing to check
-		}
-		dec, err := Deconvolve(a, b)
-		if err != nil {
-			t.Logf("seed %d: unexpected %v", seed, err)
-			return false
-		}
-		back := Convolve(dec, b)
-		for _, x := range samplePoints(a, back) {
-			if x < 0 {
-				continue
-			}
-			if back.Eval(x) < a.Eval(x)-propEps*math.Max(1, a.Eval(x)) {
-				t.Logf("seed %d: ((f⊘g)⊗g)(%g)=%g < f(%g)=%g", seed, x, back.Eval(x), x, a.Eval(x))
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestOneSegmentBitIdentical pins the degenerate path: every curve
 // operation on a one-segment input must land on Cruz's closed form for
 // the (sigma, rho) envelope — sigma + rho*d, the sums, sigma/C + LMax/C,

@@ -112,7 +112,7 @@ func viaSystem(t *testing.T, n int, aOff, duration float64, seed uint64, jitter 
 		}
 		route = append(route, srv)
 	}
-	out := &built{portCount: len(sys.Net.Ports())}
+	out := &built{portCount: len(sys.Servers())}
 	r := lit.NewRand(seed)
 	for s := 0; s < n; s++ {
 		_, b, err := sys.Connect(lit.ConnectRequest{
@@ -207,7 +207,7 @@ func viaDocument(t *testing.T, n int, aOff, duration float64, seed uint64, jitte
 	run.Start()
 	run.RunSlice(duration)
 	res := run.Finish()
-	out := &built{portCount: len(run.sys.Net.Ports())}
+	out := &built{portCount: len(run.sys.Servers())}
 	for i, tr := range run.all {
 		out.bounds = append(out.bounds, tr.bounds)
 		out.delayBound = append(out.delayBound, res.Sessions[i].DelayBound)

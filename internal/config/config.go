@@ -416,13 +416,8 @@ type Result struct {
 	Sessions []SessionResult `json:"sessions"`
 }
 
-// Run executes the scenario and reports per-session measurements
-// against their bounds.
-func (s *Scenario) Run() (*Result, error) {
-	return s.RunWithMetrics(nil)
-}
-
-// RunWithMetrics is Run with telemetry: when reg is non-nil the engine,
+// RunWithMetrics executes the scenario and reports per-session
+// measurements against their bounds. When reg is non-nil the engine,
 // packet pool, every port and scheduler, and the per-server admission
 // controllers count into it. Snapshot it with reg.Snapshot(s.Duration)
 // after the run. Results are identical with and without a registry.
@@ -448,7 +443,7 @@ type tracked struct {
 // time has passed. A caller advances it in slices (RunSlice) and may
 // purge sessions between slices — the service daemon's control path.
 // Slicing never changes event order, so a fault-free Run driven in
-// slices produces results byte-identical to Scenario.Run.
+// slices produces results byte-identical to RunWithMetrics.
 type Run struct {
 	sc      *Scenario
 	sys     *system.System

@@ -29,7 +29,7 @@ func TestParseAndRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Run()
+	res, err := s.RunWithMetrics(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestParseWithClasses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Run()
+	res, err := s.RunWithMetrics(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestAlphaAtTheLengthSent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Run()
+	res, err := s.RunWithMetrics(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestRunRejectsOverbooking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Run(); err == nil || !strings.Contains(err.Error(), "rejected") {
+	if _, err := s.RunWithMetrics(nil); err == nil || !strings.Contains(err.Error(), "rejected") {
 		t.Errorf("overbooking not rejected: %v", err)
 	}
 }
@@ -230,7 +230,7 @@ func TestShapedSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Run()
+	res, err := s.RunWithMetrics(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@ func mustParse(t *testing.T, doc string) *Scenario {
 
 func mustRun(t *testing.T, doc string) *Result {
 	t.Helper()
-	res, err := mustParse(t, doc).Run()
+	res, err := mustParse(t, doc).RunWithMetrics(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

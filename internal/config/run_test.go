@@ -16,7 +16,7 @@ func TestSlicedRunMatchesOneShot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oneShot, err := s.Run()
+	oneShot, err := s.RunWithMetrics(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestFaultPlanFromJSON(t *testing.T) {
 	  "stalls": [{"session": 2, "from": 4, "to": 5}],
 	  "churn":  [{"session": 1, "release": 6}]
 	}`)
-	res, err := s.Run()
+	res, err := s.RunWithMetrics(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestFaultPlanFromJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := clean.Run()
+	full, err := clean.RunWithMetrics(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestFaultPlanFromJSON(t *testing.T) {
 // perturb the run (the fault-free-identity contract).
 func TestEmptyFaultPlanIsByteIdentical(t *testing.T) {
 	s := faultScenario(t, `{}`)
-	withPlan, err := s.Run()
+	withPlan, err := s.RunWithMetrics(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestEmptyFaultPlanIsByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	without, err := clean.Run()
+	without, err := clean.RunWithMetrics(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -101,10 +101,6 @@ type Event struct {
 	slot  int32 // index into Simulator.keys/evs while pending
 }
 
-// Time returns the simulated time at which the event fires (or would
-// have fired, if canceled).
-func (e *Event) Time() float64 { return e.time }
-
 // A slot's key is its event's fire time as an IEEE bit pattern, which
 // orders as an unsigned integer because no fire time is negative (the
 // clock starts at 0 and Schedule refuses the past) once -0 is folded
@@ -147,7 +143,6 @@ type Simulator struct {
 	held    bool
 	free    []*Event // recycled Event structs
 	pending int      // scheduled and neither fired nor canceled
-	stopped bool
 
 	// m, when non-nil, receives engine counters through the fixed
 	// HEngine* handles (one branch per schedule/cancel/fire; see
@@ -334,11 +329,10 @@ func (s *Simulator) settle() bool {
 	return s.pending > 0
 }
 
-// run fires events due at or before limit until none is left, Stop is
-// called or the watchdog trips, then moves the clock forward to clamp.
+// run fires events due at or before limit until none is left or the
+// watchdog trips, then moves the clock forward to clamp.
 func (s *Simulator) run(limit, clamp float64) {
-	s.stopped = false
-	for !s.stopped && s.step(limit) {
+	for s.step(limit) {
 	}
 	if s.now < clamp {
 		s.now = clamp
@@ -364,10 +358,6 @@ func (s *Simulator) RunBefore(until float64) {
 // RunAll processes events until the queue is empty. It never moves the
 // clock except by firing.
 func (s *Simulator) RunAll() { s.run(math.Inf(1), math.Inf(-1)) }
-
-// Stop makes the current Run or RunAll return after the in-progress
-// event handler completes. It may be called from inside a handler.
-func (s *Simulator) Stop() { s.stopped = true }
 
 // alloc takes an Event struct from the free list, refilling it with a
 // chunk when empty so allocations amortize to zero on the hot path.

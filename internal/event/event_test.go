@@ -98,27 +98,6 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
-func TestStopInsideHandler(t *testing.T) {
-	s := New()
-	count := 0
-	for i := 1; i <= 5; i++ {
-		s.Schedule(float64(i), func() {
-			count++
-			if count == 2 {
-				s.Stop()
-			}
-		})
-	}
-	s.RunAll()
-	if count != 2 {
-		t.Fatalf("Stop did not halt the loop: %d events fired", count)
-	}
-	s.RunAll()
-	if count != 5 {
-		t.Fatalf("resume after Stop fired %d total, want 5", count)
-	}
-}
-
 func TestScheduleInsideHandler(t *testing.T) {
 	s := New()
 	var got []float64
@@ -272,10 +251,7 @@ func TestRunOnEmptyQueue(t *testing.T) {
 func TestEventTime(t *testing.T) {
 	s := New()
 	e := s.Schedule(1.5, func() {})
-	if e.Time() != 1.5 {
-		t.Errorf("Time = %v", e.Time())
-	}
-	if math.IsNaN(e.Time()) {
-		t.Error("NaN time")
+	if e.time != 1.5 {
+		t.Errorf("time = %v", e.time)
 	}
 }

@@ -15,7 +15,7 @@ import (
 // run from outside (Step, Run, RunBefore, RunAll, watchdog trips and
 // re-arms) and from inside handlers (zero, one or several schedules,
 // local and stamped, many at one instant, some at Now; cancels of
-// pending, firing and just-canceled events; NextTime, the pending count, Stop, a
+// pending, firing and just-canceled events; NextTime, the pending count, a
 // nested Step), and every fire and every observation is logged.
 
 // engine is what a script needs of a simulator; events are named by
@@ -31,7 +31,6 @@ type engine interface {
 	Run(until float64)
 	RunBefore(until float64)
 	RunAll()
-	Stop()
 	SetWatchdog(w Watchdog)
 	tripped() bool
 	// verify checks the implementation's own invariants, between steps
@@ -57,13 +56,12 @@ func (r *realSim) verify()           { checkTree(r.t, r.Simulator) }
 
 // refSim is the reference: no heap, no pool, no laziness.
 type refSim struct {
-	now     float64
-	seq     uint64
-	evs     map[int]*refEv
-	stopped bool
-	wd      Watchdog
-	fired   int64
-	trip    bool
+	now   float64
+	seq   uint64
+	evs   map[int]*refEv
+	wd    Watchdog
+	fired int64
+	trip  bool
 }
 
 type refEv struct {
@@ -122,8 +120,7 @@ func (r *refSim) step(limit float64) bool {
 
 func (r *refSim) Step() bool { return r.step(math.Inf(1)) }
 func (r *refSim) run(limit, clamp float64) {
-	r.stopped = false
-	for !r.stopped && r.step(limit) {
+	for r.step(limit) {
 	}
 	if r.now < clamp {
 		r.now = clamp
@@ -136,7 +133,6 @@ func (r *refSim) RunBefore(until float64) {
 	r.run(until-0.125, until)
 }
 func (r *refSim) RunAll()                { r.run(math.Inf(1), 0) }
-func (r *refSim) Stop()                  { r.stopped = true }
 func (r *refSim) SetWatchdog(w Watchdog) { r.wd, r.fired, r.trip = w, 0, false }
 func (r *refSim) tripped() bool          { return r.trip }
 func (r *refSim) verify()                {}
@@ -232,9 +228,6 @@ func (r *scriptRun) handle(id int) {
 	c := r.next()
 	if c&0x04 != 0 {
 		r.s.cancel(id) // the firing event: a no-op
-	}
-	if c&0x18 == 0x18 {
-		r.s.Stop()
 	}
 	for n := int(c & 3); n > 0; n-- {
 		switch a := r.next(); a & 7 {

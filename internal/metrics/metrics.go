@@ -32,7 +32,7 @@
 // view (utilization, pool live count) from the copy, so taking a
 // snapshot never stalls or tears the hot loop's counters. cmd/litsim
 // and cmd/litrun write it via their -telemetry flag, and lit.System
-// exposes it through System.Metrics().
+// returns it from System.EnableMetrics.
 package metrics
 
 import (

@@ -4,3 +4,6 @@ package network
 // first node at time t (must be the current simulation time), so that a
 // test can drive a hand-built arrival pattern.
 func (s *Session) InjectAt(t, length float64) { s.send(t, length) }
+
+// Ports returns all ports in creation order.
+func (n *Network) Ports() []*Port { return n.ports }

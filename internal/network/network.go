@@ -165,9 +165,6 @@ func (n *Network) EnableMetrics(reg *metrics.Registry) {
 	}
 }
 
-// Metrics returns the registry attached with EnableMetrics, or nil.
-func (n *Network) Metrics() *metrics.Registry { return n.metrics }
-
 func (p *Port) attachMetrics(reg *metrics.Registry) {
 	p.ma, p.mb = reg.NewPort(p.Name, p.C)
 	if s, ok := p.Disc.(schedMetricsSetter); ok {
@@ -220,9 +217,6 @@ func (n *Network) NewPort(name string, capacity, gamma float64, disc Discipline)
 	n.ports = append(n.ports, p)
 	return p
 }
-
-// Ports returns all ports in creation order.
-func (n *Network) Ports() []*Port { return n.ports }
 
 // SetTieBase pins the port identity used in the canonical ordering
 // stamp of its link-delivery events. The default (creation order

@@ -64,15 +64,3 @@ func TestErlangBValues(t *testing.T) {
 		t.Error("zero load must block nothing")
 	}
 }
-
-func TestErlangC(t *testing.T) {
-	// Erlang C >= Erlang B always; spot value C(10, 5) ~ 0.036.
-	b := analytic.ErlangB(10, 5)
-	c := analytic.ErlangC(10, 5)
-	if c < b {
-		t.Errorf("ErlangC %v < ErlangB %v", c, b)
-	}
-	if math.Abs(c-0.0361) > 2e-3 {
-		t.Errorf("ErlangC(10,5) = %v", c)
-	}
-}

@@ -68,17 +68,13 @@ type Fig8Result struct {
 	BufBoundCtrlN5           float64
 }
 
-// RunFig8 reproduces Figures 8, 12 and 13: the CROSS configuration with
-// two five-hop ON-OFF sessions (a_OFF = 650 ms), one with and one
-// without delay jitter control, and one 1472 kbit/s Poisson session of
-// cross traffic per one-hop route. The paper runs 600 s.
-func RunFig8(duration float64, seed uint64) *Fig8Result {
-	return RunFig8Observed(duration, seed, nil)
-}
-
-// RunFig8Observed is RunFig8 with telemetry: when reg is non-nil every
-// layer of the run counts into it (see Tandem.Instrument). The figure
-// output is bit-identical with and without instrumentation.
+// RunFig8Observed reproduces Figures 8, 12 and 13: the CROSS
+// configuration with two five-hop ON-OFF sessions (a_OFF = 650 ms), one
+// with and one without delay jitter control, and one 1472 kbit/s
+// Poisson session of cross traffic per one-hop route. The paper runs
+// 600 s. When reg is non-nil every layer of the run counts into it (see
+// Tandem.Instrument); the figure output is bit-identical with and
+// without instrumentation.
 func RunFig8Observed(duration float64, seed uint64, reg *metrics.Registry) *Fig8Result {
 	t := NewTandem(TandemOptions{})
 	if reg != nil {

@@ -39,7 +39,7 @@ func TestFig11Runs(t *testing.T) {
 }
 
 func TestFig8PlotAndJSON(t *testing.T) {
-	res := RunFig8(2, 3)
+	res := RunFig8Observed(2, 3, nil)
 	plotted := res.Plot()
 	if !strings.Contains(plotted, "jitter control") {
 		t.Errorf("Plot output:\n%s", plotted)

@@ -21,7 +21,7 @@ func tailAt(r *DistResult, d float64) float64 {
 // must produce: 66.25 ms jitter bound without control, 13.25 ms with,
 // and the 72.63 ms end-to-end delay bound.
 func TestFig8Bounds(t *testing.T) {
-	res := RunFig8(5, 1) // short run; bounds are run-independent
+	res := RunFig8Observed(5, 1, nil) // short run; bounds are run-independent
 	if got := res.JitterBoundNoCtrl; math.Abs(got-0.06625) > 1e-9 {
 		t.Errorf("jitter bound without control = %v, want 66.25ms", got)
 	}

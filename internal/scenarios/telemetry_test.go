@@ -14,7 +14,7 @@ func TestFig8ObservedInvariance(t *testing.T) {
 		duration = 2.0
 		seed     = 1
 	)
-	bare := RunFig8(duration, seed)
+	bare := RunFig8Observed(duration, seed, nil)
 	reg := metrics.NewRegistry()
 	observed := RunFig8Observed(duration, seed, reg)
 

@@ -92,12 +92,3 @@ func (a *EDDAdmission) Admit(id int, xMin, lMax, d float64) error {
 	a.sessions[id] = cand
 	return nil
 }
-
-// Remove releases a session's reservation.
-func (a *EDDAdmission) Remove(id int) bool {
-	if _, ok := a.sessions[id]; !ok {
-		return false
-	}
-	delete(a.sessions, id)
-	return true
-}

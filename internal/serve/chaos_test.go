@@ -115,7 +115,7 @@ func libraryResult(t *testing.T, doc []byte) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sc.Run()
+	res, err := sc.RunWithMetrics(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +351,7 @@ func probeDrainRestart(t *testing.T, seed uint64) {
 	for id, doc := range map[string][]byte{idA: docA, idB: docB} {
 		sameAsLibrary(t, h2.waitState(t, id, "done", 60*time.Second), doc)
 	}
-	if n := h2.d.Registry().ServeCounters().Restores; n != 2 {
+	if n := h2.d.reg.ServeCounters().Restores; n != 2 {
 		t.Fatalf("restores = %d, want 2", n)
 	}
 }
@@ -384,7 +384,7 @@ func probeWatchdog(t *testing.T, seed uint64) {
 	}
 	// The repro must be replayable through the library verbatim.
 	libraryResult(t, repro.Scenario)
-	if h.d.Registry().ServeCounters().WatchdogTrips == 0 {
+	if h.d.reg.ServeCounters().WatchdogTrips == 0 {
 		t.Fatal("watchdog trip not counted")
 	}
 }

@@ -66,7 +66,8 @@ type Options struct {
 	// ceiling for client-supplied deadlines.
 	RequestTimeout time.Duration
 	// Slice is how many simulated seconds a worker advances a run
-	// between control polls (default 0.25).
+	// between control polls (default 0.25, also for a NaN or infinite
+	// value, which would leave no poll before the run ends).
 	Slice float64
 	// Watchdog bounds every scenario run; zero fields are defaulted to
 	// MaxEvents 50e6 and MaxWall 30s so a poisoned scenario cannot
@@ -108,7 +109,7 @@ func (o *Options) defaults() {
 	if o.RequestTimeout <= 0 {
 		o.RequestTimeout = 5 * time.Second
 	}
-	if o.Slice <= 0 {
+	if !(o.Slice > 0) || math.IsInf(o.Slice, 1) {
 		o.Slice = 0.25
 	}
 	if o.Watchdog.MaxEvents == 0 {
@@ -239,9 +240,6 @@ func (d *Daemon) Drain(ctx context.Context) error {
 	}
 	return err
 }
-
-// Registry exposes the daemon's counter registry (serve section).
-func (d *Daemon) Registry() *metrics.Registry { return d.reg }
 
 // --- HTTP plumbing ---------------------------------------------------
 

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -119,6 +120,14 @@ func TestOptionDefaults(t *testing.T) {
 	if o.Watchdog.MaxEvents == 0 || o.Watchdog.MaxWall == 0 {
 		t.Fatalf("watchdog not defaulted: %+v", o.Watchdog)
 	}
+	// A slice that would leave no control poll before the run ends is
+	// unset, not obeyed.
+	for _, slice := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+		o = Options{Slice: slice}
+		if o.defaults(); o.Slice != 0.25 {
+			t.Errorf("Slice %v defaulted to %v, want 0.25", slice, o.Slice)
+		}
+	}
 	// A degenerate depth still yields a usable band.
 	o = Options{QueueDepth: 1, HighWater: 1}
 	o.defaults()
@@ -216,7 +225,7 @@ func TestSystemWireLifecycle(t *testing.T) {
 	post("/v1/systems/s1/setup", `{"id":8,"rate":32000,"lmax":424}`, http.StatusOK, nil)
 	post("/v1/systems/nope/setup", `{"id":9,"rate":1,"lmax":1}`, http.StatusNotFound, nil)
 
-	c := h.d.Registry().ServeCounters()
+	c := h.d.reg.ServeCounters()
 	if c.Setups != 2 || c.SetupRejects != 1 || c.Releases != 1 || c.Adopts != 1 || c.Duplicates != 2 {
 		t.Fatalf("counters: %+v", c)
 	}
@@ -280,7 +289,7 @@ func TestSetupDeclarationChecked(t *testing.T) {
 			rejects++
 		}
 	}
-	c := h.d.Registry().ServeCounters()
+	c := h.d.reg.ServeCounters()
 	if c.Malformed != malformed || c.SetupRejects != rejects || c.Setups != 1 || c.Adopts != 1 {
 		t.Errorf("counters %+v, want %d malformed, %d setup rejects, 1 setup, 1 adopt", c, malformed, rejects)
 	}
@@ -340,7 +349,7 @@ func TestWatchdogWallClockConcurrentSystems(t *testing.T) {
 	if heavy.Repro == "" {
 		t.Fatal("tripped job has no repro")
 	}
-	if c := h.d.Registry().ServeCounters(); c.WatchdogTrips != 1 || c.ScenarioDone != 1 || c.ScenarioFailed != 1 {
+	if c := h.d.reg.ServeCounters(); c.WatchdogTrips != 1 || c.ScenarioDone != 1 || c.ScenarioFailed != 1 {
 		t.Fatalf("counters: %+v", c)
 	}
 }
@@ -357,7 +366,7 @@ func TestSubmitBadScenario(t *testing.T) {
 	} {
 		h.submit(t, []byte(doc), http.StatusBadRequest)
 	}
-	if c := h.d.Registry().ServeCounters(); c.Malformed != 2 || c.ScenarioQueued != 0 {
+	if c := h.d.reg.ServeCounters(); c.Malformed != 2 || c.ScenarioQueued != 0 {
 		t.Fatalf("counters: %+v", c)
 	}
 }

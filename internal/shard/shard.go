@@ -246,9 +246,6 @@ func (rt *Runtime) AddSession(plan SessionPlan) (*SessionView, error) {
 	return v, nil
 }
 
-// Sessions returns every established session view, in creation order.
-func (rt *Runtime) Sessions() []*SessionView { return rt.sessions }
-
 // Crossed returns the number of cross-shard packet handoffs performed
 // so far (the adjustment MergedRegistry applies to the pool counters).
 func (rt *Runtime) Crossed() int64 { return rt.crossed }

@@ -162,7 +162,7 @@ func runSharded(t *testing.T, cfg topo.MetroConfig, dur float64, shards, workers
 		}
 	}
 	trace.CanonicalSort(res.events)
-	for _, v := range rt.Sessions() {
+	for _, v := range rt.sessions {
 		res.delivered = append(res.delivered, v.Last().Delivered)
 		res.emitted = append(res.emitted, v.First().Emitted)
 		d := &v.Last().Delays

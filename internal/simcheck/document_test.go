@@ -31,7 +31,7 @@ func TestGeneratedDocumentsRunDeclaratively(t *testing.T) {
 			t.Fatalf("seed %d: generated document refused: %v", seed, err)
 		}
 		procs[doc.Proc] = true
-		res, err := doc.Run()
+		res, err := doc.RunWithMetrics(nil)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -45,11 +45,16 @@ func LoadCase(path string) (Case, error) {
 	return sc, nil
 }
 
-// Replay loads a repro and re-checks it, returning the report.
+// Replay loads a repro and re-checks it, returning the report. A repro
+// whose bound_scale lies outside [0, 1] is refused: a scale can only
+// tighten the checked bounds.
 func Replay(path string, opt Options) (*SeedReport, error) {
 	sc, err := LoadCase(path)
 	if err != nil {
 		return nil, err
+	}
+	if bs := sc.Check.BoundScale; !(bs >= 0 && bs <= 1) {
+		return nil, fmt.Errorf("simcheck: %s: bound_scale %g is outside [0, 1]", path, bs)
 	}
 	return CheckScenario(sc, opt), nil
 }

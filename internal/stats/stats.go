@@ -5,8 +5,6 @@
 // the sampling convention of the paper's Figures 12-13.
 package stats
 
-import "fmt"
-
 // Tracker accumulates streaming summary statistics of a scalar series.
 // The zero value is ready to use.
 type Tracker struct {
@@ -228,19 +226,8 @@ func (d *Discrete) Add(k int) {
 	}
 }
 
-// Count returns the total number of observations.
-func (d *Discrete) Count() int64 { return d.n }
-
 // Max returns the largest observed value.
 func (d *Discrete) Max() int { return d.max }
-
-// P returns the empirical probability of value k.
-func (d *Discrete) P(k int) float64 {
-	if d.n == 0 || k < 0 || k >= len(d.counts) {
-		return 0
-	}
-	return float64(d.counts[k]) / float64(d.n)
-}
 
 // CDF returns the empirical P(X <= k).
 func (d *Discrete) CDF(k int) float64 {
@@ -254,21 +241,5 @@ func (d *Discrete) CDF(k int) float64 {
 	return float64(cum) / float64(d.n)
 }
 
-// Series is a labeled (x, y) series for text output of figures.
-type Series struct {
-	Name   string
-	Points []Point
-}
-
 // Point is one (x, y) sample.
 type Point struct{ X, Y float64 }
-
-// Format renders the series as aligned text rows, one "x y" per line,
-// suitable for diffing against paper figures.
-func (s *Series) Format() string {
-	out := fmt.Sprintf("# %s\n", s.Name)
-	for _, p := range s.Points {
-		out += fmt.Sprintf("%12.6g %12.6g\n", p.X, p.Y)
-	}
-	return out
-}

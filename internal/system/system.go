@@ -195,17 +195,13 @@ func (s *System) AttachMetrics(reg *metrics.Registry) {
 
 // EnableMetrics attaches a fresh run-telemetry registry (see
 // AttachMetrics) and returns it; enabling is idempotent. Read the
-// counters after the run with Metrics().Snapshot(now).
+// counters after the run with the registry's Snapshot(now).
 func (s *System) EnableMetrics() *metrics.Registry {
 	if s.metrics == nil {
 		s.AttachMetrics(metrics.NewRegistry())
 	}
 	return s.metrics
 }
-
-// Metrics returns the attached registry, or nil when telemetry is
-// disabled.
-func (s *System) Metrics() *metrics.Registry { return s.metrics }
 
 // AddServer creates a Leave-in-Time server with an outgoing link of the
 // given capacity (bits/s) and propagation delay (seconds), guarded by

@@ -148,27 +148,10 @@ func (g *Graph) Build(net *network.Network, mk DisciplineFactory) error {
 	return nil
 }
 
-// Route returns the ports of the minimum-weight path from src to dst
-// (Dijkstra; ties broken deterministically by node name, then by link
-// insertion order; see RouteLinks). It returns an error if no path
-// exists.
-func (g *Graph) Route(src, dst string) ([]*network.Port, error) {
-	links, err := g.RouteLinks(src, dst)
-	if err != nil {
-		return nil, err
-	}
-	ports := make([]*network.Port, len(links))
-	for i, l := range links {
-		if l.Port == nil {
-			return nil, fmt.Errorf("topo: Route before Build")
-		}
-		ports[i] = l.Port
-	}
-	return ports, nil
-}
-
-// RouteLinks is Route returning the links themselves (useful before
-// Build, or for inspecting capacities along the path).
+// RouteLinks returns the links of the minimum-weight path from src to
+// dst (ties broken deterministically by node name, then by link
+// insertion order), or an error if no path exists. After Build each
+// link's Port is the port a session's route crosses.
 //
 // It is Dijkstra over node ranks. The first call after a change builds
 // the graph's routing index, in O(V log V + E); every call then costs

@@ -76,7 +76,7 @@ func TestBuildAndRunTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	route, err := g.Route("edge1", "edge2")
+	route, err := routePorts(g, "edge1", "edge2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestBuildAndRunTraffic(t *testing.T) {
 		t.Fatal("no packets over the built topology")
 	}
 	// Reverse direction is a distinct pair of ports.
-	back, err := g.Route("edge2", "edge1")
+	back, err := routePorts(g, "edge2", "edge1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,11 +100,14 @@ func TestBuildAndRunTraffic(t *testing.T) {
 	}
 }
 
+// TestRouteBeforeBuild: a route can be found before Build, and its
+// links have no port until Build makes them.
 func TestRouteBeforeBuild(t *testing.T) {
 	g := New()
 	g.AddLink("a", "b", 1e6, 1e-3)
-	if _, err := g.Route("a", "b"); err == nil {
-		t.Error("Route before Build did not error")
+	links, err := g.RouteLinks("a", "b")
+	if err != nil || len(links) != 1 || links[0].Port != nil {
+		t.Errorf("RouteLinks before Build = %v, %v; want one link without a port", links, err)
 	}
 }
 
@@ -171,4 +174,14 @@ func TestNodesAndLinksAccessors(t *testing.T) {
 	if len(g.Links()) != 2 {
 		t.Errorf("Links = %d", len(g.Links()))
 	}
+}
+
+// routePorts is the ports of the route RouteLinks finds.
+func routePorts(g *Graph, src, dst string) ([]*network.Port, error) {
+	links, err := g.RouteLinks(src, dst)
+	ports := make([]*network.Port, len(links))
+	for i, l := range links {
+		ports[i] = l.Port
+	}
+	return ports, err
 }

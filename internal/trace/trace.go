@@ -1,14 +1,12 @@
 // Package trace provides packet-level event tracing for the simulator:
-// every arrival, transmission, delivery and drop can be recorded, filtered,
-// rendered as text, or reduced to per-hop delay statistics. Tracing is
-// opt-in (a nil tracer costs one branch per event) and is used by the
-// debugging CLI flags and by tests that assert on exact event
-// sequences.
+// every arrival, transmission, delivery and drop can be recorded,
+// filtered, or reduced to per-hop delay statistics. Tracing is opt-in (a
+// nil tracer costs one branch per event) and is used by the debugging
+// CLI flags and by tests that assert on exact event sequences.
 package trace
 
 import (
 	"fmt"
-	"io"
 	"sort"
 
 	"leaveintime/internal/stats"
@@ -186,59 +184,4 @@ func (r *Recorder) PerHopDelays(session int) []PerHopDelay {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Hop < out[j].Hop })
 	return out
-}
-
-// Writer streams events as text lines ("time kind port session/seq
-// hop deadline") to an io.Writer.
-type Writer struct {
-	W io.Writer
-	// Sessions, when non-nil, filters output to the listed session IDs.
-	// A nil slice passes every session; an explicit empty slice passes
-	// none. Any ID is filterable, including 0 (Network.AddSession
-	// accepts arbitrary IDs — there is no sentinel).
-	Sessions []int
-	// Err retains the first write error (events after it are dropped).
-	Err error
-}
-
-// Trace implements Tracer.
-func (w *Writer) Trace(e Event) {
-	if w.Err != nil {
-		return
-	}
-	if w.Sessions != nil && !containsID(w.Sessions, e.Session) {
-		return
-	}
-	// Fault-free events carry no Cause, so their lines are unchanged
-	// from before Cause existed — golden trace pins stay byte-identical.
-	var err error
-	if e.Cause == "" {
-		_, err = fmt.Fprintf(w.W, "%.9f %-8s %-8s s%d/%d hop%d F=%.9f\n",
-			e.Time, e.Kind, e.Port, e.Session, e.Seq, e.Hop, e.Deadline)
-	} else {
-		_, err = fmt.Fprintf(w.W, "%.9f %-8s %-8s s%d/%d hop%d F=%.9f cause=%s\n",
-			e.Time, e.Kind, e.Port, e.Session, e.Seq, e.Hop, e.Deadline, e.Cause)
-	}
-	if err != nil {
-		w.Err = err
-	}
-}
-
-func containsID(ids []int, id int) bool {
-	for _, v := range ids {
-		if v == id {
-			return true
-		}
-	}
-	return false
-}
-
-// Multi fans one event out to several tracers.
-type Multi []Tracer
-
-// Trace implements Tracer.
-func (m Multi) Trace(e Event) {
-	for _, t := range m {
-		t.Trace(e)
-	}
 }

@@ -96,12 +96,6 @@ func (o *OnOff) burstLen() int64 {
 	return o.Rng.Geometric(mean)
 }
 
-// MeanRate returns the long-run average rate of the source in bits per
-// second: (L/T) * a_ON / (a_ON + a_OFF).
-func (o *OnOff) MeanRate() float64 {
-	return o.Length / o.T * o.MeanOn / (o.MeanOn + o.MeanOff)
-}
-
 // Greedy emits packets back to back at the given rate (each gap equals
 // the transmission time of the previous packet at that rate). It
 // models a source that keeps its reference server continuously busy

@@ -59,11 +59,9 @@ func TestOnOffDegeneratesToDeterministic(t *testing.T) {
 
 func TestOnOffMeanRate(t *testing.T) {
 	// Standard voice: aON=352ms, aOFF=650ms, 32 kbit/s in ON.
+	// The long-run rate is (L/T) a_ON / (a_ON + a_OFF).
 	o := &OnOff{T: 0.01325, Length: 424, MeanOn: 0.352, MeanOff: 0.650, Rng: rng.New(3)}
-	want := o.MeanRate()
-	if math.Abs(want-32e3*0.352/1.002) > 1 {
-		t.Fatalf("MeanRate = %v", want)
-	}
+	want := 424 / 0.01325 * 0.352 / 1.002
 	var clock, bits float64
 	for i := 0; i < 500000; i++ {
 		gap, l := o.Next()

@@ -7,21 +7,24 @@
 //
 // # Layers
 //
+// The package names what the repository's commands, examples and
+// benchmark call, and the types those names hand their callers; the
+// rest lives in the internal packages.
+//
 //   - The scheduling core: NewLeaveInTime (eqs. 6-11), with the exact
 //     transmission queue or the approximate one of the paper's
 //     Section 4 (deadlines binned to days of L_MAX/C on the same heap:
-//     an accuracy ablation, not a faster queue), plus baselines
-//     NewVirtualClock, NewFCFS, NewWFQ, NewStopAndGo, NewDelayEDD and
-//     NewJitterEDD, all satisfying the same Discipline contract.
-//   - Admission control and service commitments: NewProcedure1/2/3
+//     an accuracy ablation, not a faster queue), behind the Discipline
+//     contract every baseline of internal/sched satisfies too.
+//   - Admission control and service commitments: NewProcedure1/2
 //     (delay classes and delay shifting) and Route (the eq. 12-17
 //     bound calculators).
 //   - The network substrate: NewSimulator, NewNetwork, ports, sessions
-//     and traffic sources (OnOff, Poisson, Deterministic, Shaped...).
+//     and traffic sources (OnOff, Poisson, Greedy, Video, Shaped).
 //   - A high-level System builder for assembling networks with
 //     admission control in a few lines (see examples/quickstart).
 //   - Experiment runners reproducing the paper's Figures 7-17 and the
-//     Section 4 comparisons (RunFig7 ... RunSection4StopAndGo).
+//     Section 4 comparisons (RunFig7Observed ... RunStopAndGoComparison).
 //
 // # Quick start
 //
@@ -49,7 +52,6 @@ import (
 	"leaveintime/internal/network"
 	"leaveintime/internal/packet"
 	"leaveintime/internal/rng"
-	"leaveintime/internal/sched"
 	"leaveintime/internal/stats"
 	"leaveintime/internal/traffic"
 )
@@ -112,72 +114,6 @@ type (
 // NewLeaveInTime returns a Leave-in-Time server for one port.
 func NewLeaveInTime(cfg LeaveInTimeConfig) *LeaveInTime { return core.New(cfg) }
 
-// Baseline disciplines (Section 4 comparisons).
-type (
-	// FCFS is first-come-first-served.
-	FCFS = sched.FCFS
-	// VirtualClock is L. Zhang's VirtualClock (eq. 2); identical to
-	// Leave-in-Time under AC procedure 1 with one class and no jitter
-	// control.
-	VirtualClock = sched.VirtualClock
-	// WFQ is Weighted Fair Queueing / PGPS with exact GPS virtual time.
-	WFQ = sched.WFQ
-	// WF2Q is worst-case fair WFQ (Bennett & Zhang 1996).
-	WF2Q = sched.WF2Q
-	// EDDAdmission is the Ferrari-Verma schedulability test guarding
-	// Delay-EDD/Jitter-EDD servers.
-	EDDAdmission = sched.EDDAdmission
-	// StopAndGo is Golestani's framing discipline.
-	StopAndGo = sched.StopAndGo
-	// DelayEDD is Ferrari & Verma's earliest-due-date discipline.
-	DelayEDD = sched.DelayEDD
-	// JitterEDD is Delay-EDD with per-hop delay regulators.
-	JitterEDD = sched.JitterEDD
-	// RCSP is Zhang & Ferrari's Rate-Controlled Static-Priority
-	// queueing.
-	RCSP = sched.RCSP
-	// HRR is Kalmanek, Kanakia & Keshav's Hierarchical Round Robin.
-	HRR = sched.HRR
-	// SCFQ is Golestani's Self-Clocked Fair Queueing.
-	SCFQ = sched.SCFQ
-)
-
-// NewFCFS returns an empty FCFS queue.
-func NewFCFS() *FCFS { return sched.NewFCFS() }
-
-// NewVirtualClock returns an empty VirtualClock server.
-func NewVirtualClock() *VirtualClock { return sched.NewVirtualClock() }
-
-// NewWFQ returns a WFQ server for a link of the given capacity (bits/s).
-func NewWFQ(capacity float64) *WFQ { return sched.NewWFQ(capacity) }
-
-// NewWF2Q returns a WF2Q server for a link of the given capacity.
-func NewWF2Q(capacity float64) *WF2Q { return sched.NewWF2Q(capacity) }
-
-// NewEDDAdmission returns a Delay-EDD schedulability controller for a
-// link of capacity c and network maximum packet lMaxNet bits.
-func NewEDDAdmission(c, lMaxNet float64) *EDDAdmission { return sched.NewEDDAdmission(c, lMaxNet) }
-
-// NewStopAndGo returns a Stop-and-Go server with frame length t seconds.
-func NewStopAndGo(t float64) *StopAndGo { return sched.NewStopAndGo(t) }
-
-// NewDelayEDD returns an empty Delay-EDD server.
-func NewDelayEDD() *DelayEDD { return sched.NewDelayEDD() }
-
-// NewJitterEDD returns an empty Jitter-EDD server.
-func NewJitterEDD() *JitterEDD { return sched.NewJitterEDD() }
-
-// NewRCSP returns an RCSP server with the given number of static
-// priority levels (level 1 served first).
-func NewRCSP(levels int) *RCSP { return sched.NewRCSP(levels) }
-
-// NewHRR returns a Hierarchical Round Robin server with slot size lMax
-// bits and one frame time per level, fastest first.
-func NewHRR(lMax float64, frames ...float64) *HRR { return sched.NewHRR(lMax, frames...) }
-
-// NewSCFQ returns an empty Self-Clocked Fair Queueing server.
-func NewSCFQ() *SCFQ { return sched.NewSCFQ() }
-
 // Admission control and service commitments.
 type (
 	// SessionSpec is a session's declaration at establishment time.
@@ -196,9 +132,6 @@ type (
 	// Procedure2 implements admission control procedure 2 (on the same
 	// class-based controller as procedure 1).
 	Procedure2 = admission.Procedure2
-	// Procedure3 implements admission control procedure 3 (ineq. 19);
-	// a session's fixed d travels in AdmitOptions.D.
-	Procedure3 = admission.Procedure3
 	// Hop is one node of a Route from the session's point of view.
 	Hop = admission.Hop
 	// Route computes the paper's service commitments (eqs. 12-17).
@@ -223,53 +156,14 @@ func NewProcedure2(c float64, classes []Class) (*Procedure2, error) {
 	return admission.NewProcedure2(c, classes)
 }
 
-// NewProcedure3 returns an admission-procedure-3 controller.
-func NewProcedure3(c float64) (*Procedure3, error) { return admission.NewProcedure3(c) }
-
 // Analytic machinery.
 type (
 	// MD1 is the M/D/1 queue used for the analytical bounds of
 	// Figures 9-11.
 	MD1 = analytic.MD1
-	// RefServer is the fixed-rate reference server recursion (eq. 1).
-	RefServer = analytic.RefServer
 	// TokenBucket is the (r, b0) filter of Section 2.
 	TokenBucket = analytic.TokenBucket
-	// NDD1 is the exact slotted N*D/D/1 queue (the Figure 11 cross
-	// traffic superposition).
-	NDD1 = analytic.NDD1
-	// LindleyMD1 is the grid-based M/D/1 solver cross-validating MD1.
-	LindleyMD1 = analytic.LindleyMD1
 )
-
-// ErlangB returns the Erlang-B blocking probability for n circuits
-// offered a Erlangs — the connection-level behavior of Leave-in-Time
-// admission on a single link of n equal-rate circuits.
-func ErlangB(n int, a float64) float64 { return analytic.ErlangB(n, a) }
-
-// ErlangC returns the Erlang-C queueing probability for n servers
-// offered a Erlangs.
-func ErlangC(n int, a float64) float64 { return analytic.ErlangC(n, a) }
-
-// MG1MeanWait returns the Pollaczek-Khinchine mean waiting time for an
-// M/G/1 queue (generalizes the reference-server analysis to variable
-// packet lengths).
-func MG1MeanWait(lambda, meanS, meanS2 float64) float64 {
-	return analytic.MG1MeanWait(lambda, meanS, meanS2)
-}
-
-// SolveLindleyMD1 iterates the Lindley recursion to the stationary
-// M/D/1 waiting-time distribution on a grid; an independent numerical
-// method cross-checking MD1's series.
-func SolveLindleyMD1(lambda, service, xMax, step float64) *LindleyMD1 {
-	return analytic.SolveLindleyMD1(lambda, service, xMax, step)
-}
-
-// NewRefServer returns a reference server of the given rate (bits/s).
-func NewRefServer(rate float64) *RefServer { return analytic.NewRefServer(rate) }
-
-// NewTokenBucket returns a full (r, b0) bucket.
-func NewTokenBucket(r, b0 float64) *TokenBucket { return analytic.NewTokenBucket(r, b0) }
 
 // Traffic sources.
 type (
@@ -279,16 +173,10 @@ type (
 	OnOff = traffic.OnOff
 	// Poisson emits packets with exponential interarrivals.
 	Poisson = traffic.Poisson
-	// Deterministic emits packets at a fixed interval.
-	Deterministic = traffic.Deterministic
 	// Greedy keeps the reference server continuously busy.
 	Greedy = traffic.Greedy
-	// Trace replays an explicit schedule.
-	Trace = traffic.Trace
 	// Shaped wraps a source with a token-bucket shaper.
 	Shaped = traffic.Shaped
-	// VariableLength rewrites packet lengths of a wrapped source.
-	VariableLength = traffic.VariableLength
 	// Video is an MPEG-like frame-structured source (I/P/B pattern).
 	Video = traffic.Video
 )
@@ -309,8 +197,3 @@ type (
 	// Utilization measures a link's busy fraction.
 	Utilization = stats.Utilization
 )
-
-// NewHistogram returns a histogram with nbins bins of width binWidth.
-func NewHistogram(binWidth float64, nbins int) *Histogram {
-	return stats.NewHistogram(binWidth, nbins)
-}

@@ -7,6 +7,10 @@ import (
 	"testing"
 
 	lit "leaveintime"
+	"leaveintime/internal/analytic"
+	"leaveintime/internal/sched"
+	"leaveintime/internal/trace"
+	"leaveintime/internal/traffic"
 )
 
 func mustSystem(t *testing.T, cfg lit.SystemConfig) *lit.System {
@@ -261,13 +265,13 @@ func TestStopAndGoComparison(t *testing.T) {
 
 func TestMD1Exported(t *testing.T) {
 	q := lit.MD1{Lambda: 0.7, Service: 1}
-	if math.Abs(q.WaitCDF(0)-0.3) > 1e-12 {
-		t.Errorf("WaitCDF(0) = %v", q.WaitCDF(0))
+	if math.Abs(q.WaitTail(0)-0.7) > 1e-12 {
+		t.Errorf("WaitTail(0) = %v", q.WaitTail(0))
 	}
 }
 
 func TestRefServerExported(t *testing.T) {
-	rs := lit.NewRefServer(100)
+	rs := analytic.NewRefServer(100)
 	fin, d := rs.Arrive(0, 100)
 	if fin != 1 || d != 1 {
 		t.Errorf("Arrive = (%v, %v)", fin, d)
@@ -276,12 +280,12 @@ func TestRefServerExported(t *testing.T) {
 
 func TestTracingEndToEnd(t *testing.T) {
 	sys, route := newTwoHopSystem(t)
-	rec := &lit.TraceRecorder{}
+	rec := &trace.Recorder{}
 	sys.Net.Tracer = rec
 	sess, _, err := sys.Connect(lit.ConnectRequest{
 		Rate:   1e5,
 		Route:  route,
-		Source: &lit.Deterministic{Interval: 0.05, Length: 1000},
+		Source: &traffic.Deterministic{Interval: 0.05, Length: 1000},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -306,7 +310,7 @@ func TestTracingEndToEnd(t *testing.T) {
 	// A delivery event exists for every delivered packet.
 	var delivers int
 	for _, e := range rec.Events {
-		if e.Kind == lit.TraceDeliver {
+		if e.Kind == trace.Deliver {
 			delivers++
 		}
 	}
@@ -372,16 +376,16 @@ func TestCalculusFacade(t *testing.T) {
 func TestDisciplineConstructors(t *testing.T) {
 	cfg := lit.SessionPort{Session: 1, Rate: 1e5, LocalDelay: 1e-3, XMin: 1e-3}
 	for name, d := range map[string]lit.Discipline{
-		"fcfs": lit.NewFCFS(),
-		"vc":   lit.NewVirtualClock(),
-		"wfq":  lit.NewWFQ(1e6),
-		"wf2q": lit.NewWF2Q(1e6),
-		"sng":  lit.NewStopAndGo(1e-3),
-		"dedd": lit.NewDelayEDD(),
-		"jedd": lit.NewJitterEDD(),
-		"rcsp": lit.NewRCSP(2),
-		"hrr":  lit.NewHRR(424, 1e-2),
-		"scfq": lit.NewSCFQ(),
+		"fcfs": sched.NewFCFS(),
+		"vc":   sched.NewVirtualClock(),
+		"wfq":  sched.NewWFQ(1e6),
+		"wf2q": sched.NewWF2Q(1e6),
+		"sng":  sched.NewStopAndGo(1e-3),
+		"dedd": sched.NewDelayEDD(),
+		"jedd": sched.NewJitterEDD(),
+		"rcsp": sched.NewRCSP(2),
+		"hrr":  sched.NewHRR(424, 1e-2),
+		"scfq": sched.NewSCFQ(),
 		"lit":  lit.NewLeaveInTime(lit.LeaveInTimeConfig{Capacity: 1e6, LMax: 424}),
 	} {
 		d.AddSession(cfg)
@@ -389,16 +393,9 @@ func TestDisciplineConstructors(t *testing.T) {
 			t.Errorf("%s: fresh discipline nonempty", name)
 		}
 	}
-	edd := lit.NewEDDAdmission(1e6, 424)
+	edd := sched.NewEDDAdmission(1e6, 424)
 	if err := edd.Admit(1, 1e-2, 424, 1e-2); err != nil {
 		t.Errorf("EDDAdmission: %v", err)
-	}
-	if lit.ErlangB(10, 5) <= 0 {
-		t.Error("misc constructors")
-	}
-	l := lit.SolveLindleyMD1(0.5, 1, 10, 0.05)
-	if v := l.WaitCDF(1); v <= 0 || v > 1 {
-		t.Errorf("LindleyMD1 facade: %v", v)
 	}
 }
 
@@ -406,7 +403,7 @@ func TestExperimentRunnersShort(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment smoke runs skipped in -short")
 	}
-	res := lit.RunFig8(2, 5)
+	res := lit.RunFig8Observed(2, 5, nil)
 	if res.NoCtrl.Packets == 0 {
 		t.Error("Fig8 produced no packets")
 	}

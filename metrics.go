@@ -9,9 +9,9 @@ import "leaveintime/internal/metrics"
 // packet path and no change to event ordering:
 //
 //	sys, _ := lit.NewSystem(lit.SystemConfig{LMax: 424})
-//	sys.EnableMetrics()
+//	reg := sys.EnableMetrics()
 //	... build and run ...
-//	snap := sys.Metrics().Snapshot(sys.Sim.Now())
+//	snap := reg.Snapshot(sys.Sim.Now())
 //	data, _ := json.MarshalIndent(snap, "", "  ")
 //
 // cmd/litsim and cmd/litrun expose the same snapshot through their

@@ -5,14 +5,17 @@ import (
 	"testing"
 
 	lit "leaveintime"
+	"leaveintime/internal/analytic"
+	"leaveintime/internal/stats"
+	"leaveintime/internal/traffic"
 )
 
 // referenceDistribution feeds n packets of src through a reference
 // server of the given rate (eq. 1) and returns the histogram of the
 // reference delays D_ref: the empirical ingredient of ineq. (16).
 func referenceDistribution(src lit.Source, rate float64, n int, binWidth float64, nbins int) *lit.Histogram {
-	rs := lit.NewRefServer(rate)
-	h := lit.NewHistogram(binWidth, nbins)
+	rs := analytic.NewRefServer(rate)
+	h := stats.NewHistogram(binWidth, nbins)
 	clock := 0.0
 	for i := 0; i < n; i++ {
 		gap, length := src.Next()
@@ -44,7 +47,7 @@ func TestReferenceDistributionMatchesMD1(t *testing.T) {
 }
 
 func TestBoundedTailShifts(t *testing.T) {
-	src := &lit.Deterministic{Interval: 0.01325, Length: 424}
+	src := &traffic.Deterministic{Interval: 0.01325, Length: 424}
 	h := referenceDistribution(src, 32e3, 1000, 1e-3, 100)
 	hops := []lit.Hop{{C: 1536e3, Gamma: 1e-3, DMax: 424.0 / 32e3}}
 	route := lit.Route{Hops: hops, LMax: 424}

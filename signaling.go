@@ -5,7 +5,7 @@ import "leaveintime/internal/signaling"
 // Connection signaling: SETUP/ACCEPT/REJECT/RELEASE exchanges played
 // out in simulated time over a path of admission-guarded nodes, as the
 // paper's connection-oriented substrate requires; a node's Admit field
-// takes any Controller (NewProcedure1/2/3) directly. Use it when
+// takes any Controller (NewProcedure1/2) directly. Use it when
 // establishment latency and the race behavior of concurrent setups
 // matter; System.Connect is the zero-latency equivalent.
 type (

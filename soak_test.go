@@ -18,7 +18,7 @@ func TestPaperLengthRuns(t *testing.T) {
 		t.Skip("set LIT_PAPER_RUNS=1 for full paper-length validation")
 	}
 	// Figure 8 at 600 s: the paper's jitter numbers within 15%.
-	res := lit.RunFig8(600, 1)
+	res := lit.RunFig8Observed(600, 1, nil)
 	if j := res.NoCtrl.Jitter; j < 0.85*0.0597 || j >= res.JitterBoundNoCtrl {
 		t.Errorf("no-ctrl jitter %v out of band (paper 59.7 ms, bound 66.25 ms)", j)
 	}

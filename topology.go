@@ -14,7 +14,7 @@ import "leaveintime/internal/topo"
 //	err := g.Build(net, func(l *lit.Link) lit.Discipline {
 //		return lit.NewLeaveInTime(lit.LeaveInTimeConfig{Capacity: l.Capacity, LMax: lMax})
 //	})
-//	route, err := g.Route("sea", "nyc")
+//	links, err := g.RouteLinks("sea", "nyc")
 type (
 	// Graph is a directed topology under construction.
 	Graph = topo.Graph

@@ -17,25 +17,6 @@ type (
 	TraceEvent = trace.Event
 	// TraceKind classifies a TraceEvent.
 	TraceKind = trace.Kind
-	// TraceRecorder retains events in memory with an optional cap and
-	// reduces them to per-hop delay statistics.
-	TraceRecorder = trace.Recorder
-	// TraceWriter streams events as text lines, optionally filtered to
-	// an explicit session set (any ID, including 0).
-	TraceWriter = trace.Writer
-	// TraceMulti fans events out to several tracers.
-	TraceMulti = trace.Multi
 	// PerHopDelay summarizes one hop's delay contribution.
 	PerHopDelay = trace.PerHopDelay
-)
-
-// The trace event kinds.
-const (
-	TraceArrive        = trace.Arrive
-	TraceTransmitStart = trace.TransmitStart
-	TraceTransmitEnd   = trace.TransmitEnd
-	TraceDeliver       = trace.Deliver
-	// TraceDrop marks a packet discarded at a port's buffer limit — the
-	// terminal event of a lost packet (no Deliver follows).
-	TraceDrop = trace.Drop
 )
