@@ -29,6 +29,7 @@ import (
 	"leaveintime/internal/calculus"
 	"leaveintime/internal/core"
 	"leaveintime/internal/event"
+	"leaveintime/internal/metrics"
 	"leaveintime/internal/network"
 	"leaveintime/internal/rng"
 	"leaveintime/internal/scenarios"
@@ -69,11 +70,11 @@ func fig07(tb testing.TB) func(uint64) {
 // wiring-time allocations, a fixed count per iteration).
 func fig07Metrics(tb testing.TB) func(uint64) {
 	return func(seed uint64) {
-		regs := make([]*lit.MetricsRegistry, len(lit.Fig7AOffValues))
+		regs := make([]*metrics.Registry, len(scenarios.AOffValues))
 		for j := range regs {
-			regs[j] = lit.NewMetricsRegistry()
+			regs[j] = metrics.NewRegistry()
 		}
-		res := lit.RunFig7Observed(benchDuration, seed, regs)
+		res := scenarios.RunFig7Observed(benchDuration, seed, regs)
 		if len(res.Rows) != 7 || regs[0].EngineCounters().Fired == 0 {
 			tb.Fatal("bad sweep")
 		}
@@ -83,7 +84,7 @@ func fig07Metrics(tb testing.TB) func(uint64) {
 // fig08 runs the Figure 8/12/13 CROSS experiment.
 func fig08(tb testing.TB) func(uint64) {
 	return func(seed uint64) {
-		if res := lit.RunFig8Observed(benchDuration, seed, nil); res.NoCtrl.Packets == 0 {
+		if res := scenarios.RunFig8Observed(benchDuration, seed, nil); res.NoCtrl.Packets == 0 {
 			tb.Fatal("no packets")
 		}
 	}
@@ -93,8 +94,8 @@ func fig08(tb testing.TB) func(uint64) {
 // fig07Metrics.
 func fig08Metrics(tb testing.TB) func(uint64) {
 	return func(seed uint64) {
-		reg := lit.NewMetricsRegistry()
-		res := lit.RunFig8Observed(benchDuration, seed, reg)
+		reg := metrics.NewRegistry()
+		res := scenarios.RunFig8Observed(benchDuration, seed, reg)
 		if res.NoCtrl.Packets == 0 || reg.EngineCounters().Fired == 0 {
 			tb.Fatal("no packets")
 		}
@@ -227,7 +228,7 @@ func churn(rates int) body {
 // header path (LSTF due times, regulator holds) end to end.
 func upsReplay(tb testing.TB) func(uint64) {
 	return func(seed uint64) {
-		if res := lit.RunUPS(2, seed); len(res.Rows) != 8 || res.Packets == 0 {
+		if res := scenarios.RunUPS(2, seed); len(res.Rows) != 8 || res.Packets == 0 {
 			tb.Fatal("bad replay")
 		}
 	}
@@ -453,7 +454,7 @@ func BenchmarkFig08Metrics(b *testing.B) { loop(b, fig08Metrics) }
 
 func BenchmarkFig09(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := lit.RunFig9(benchDuration, uint64(i+1))
+		res := scenarios.RunFig9(benchDuration, uint64(i+1))
 		if res.Summary.Packets == 0 {
 			b.Fatal("no packets")
 		}
@@ -462,7 +463,7 @@ func BenchmarkFig09(b *testing.B) {
 
 func BenchmarkFig10(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := lit.RunFig10(benchDuration, uint64(i+1))
+		res := scenarios.RunFig10(benchDuration, uint64(i+1))
 		if res.Summary.Packets == 0 {
 			b.Fatal("no packets")
 		}
@@ -471,7 +472,7 @@ func BenchmarkFig10(b *testing.B) {
 
 func BenchmarkFig11(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := lit.RunFig11(benchDuration, uint64(i+1))
+		res := scenarios.RunFig11(benchDuration, uint64(i+1))
 		if res.Summary.Packets == 0 {
 			b.Fatal("no packets")
 		}
@@ -482,7 +483,7 @@ func BenchmarkFig11(b *testing.B) {
 // (Figures 12-13 come from the same experiment).
 func BenchmarkFig12_13(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := lit.RunFig8Observed(benchDuration, uint64(i+1), nil)
+		res := scenarios.RunFig8Observed(benchDuration, uint64(i+1), nil)
 		if res.BufNoCtrlN5.CDF(res.BufNoCtrlN5.Max()) == 0 || res.BufCtrlN1.CDF(res.BufCtrlN1.Max()) == 0 {
 			b.Fatal("no buffer samples")
 		}
@@ -492,7 +493,7 @@ func BenchmarkFig12_13(b *testing.B) {
 // BenchmarkFig14_17 runs the Figures 14-17 class sweep (short points).
 func BenchmarkFig14_17(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := lit.RunFig14to17(2, uint64(i+1), 2)
+		res := scenarios.RunFig14to17(2, uint64(i+1), 2)
 		for _, cs := range res.Sessions {
 			if len(cs.Rows) != 7 {
 				b.Fatal("bad sweep")
@@ -505,8 +506,8 @@ func BenchmarkFig14_17(b *testing.B) {
 // comparison the paper's Section 3 text describes.
 func BenchmarkAC1vsAC2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		ac1 := lit.RunFig14to17(1, uint64(i+1), 1)
-		ac2 := lit.RunFig14to17(1, uint64(i+1), 2)
+		ac1 := scenarios.RunFig14to17(1, uint64(i+1), 1)
+		ac2 := scenarios.RunFig14to17(1, uint64(i+1), 2)
 		// AC2 must grant class 1 a lower per-node d than AC1.
 		if ac2.Sessions[0].DPerNode >= ac1.Sessions[0].DPerNode {
 			b.Fatal("AC2 did not lower class-1 delay")
@@ -517,11 +518,11 @@ func BenchmarkAC1vsAC2(b *testing.B) {
 // BenchmarkSection4 evaluates the analytic Section 4 comparisons.
 func BenchmarkSection4(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		c := lit.RunStopAndGoComparison(0.01, 1536e3, 5)
+		c := scenarios.RunSection4StopAndGo(0.01, 1536e3, 5)
 		if c.PerLinkLiT >= c.PerLinkSG[0] {
 			b.Fatal("unexpected comparison outcome")
 		}
-		pg := lit.RunPGPSComparison(32e3, 424, 424, 1536e3, 1e-3, 5)
+		pg := scenarios.RunSection4PGPS(32e3, 424, 424, 1536e3, 1e-3, 5)
 		if diff := pg.LiT - pg.PGPS; diff > 1e-12 || diff < -1e-12 {
 			b.Fatal("eq. 15 / PGPS mismatch")
 		}
@@ -627,7 +628,7 @@ func runOnePort(b *testing.B, disc lit.Discipline) int64 {
 // Poisson call arrivals, admission, live traffic, and full teardown.
 func BenchmarkCallBlocking(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := lit.RunCallBlocking(60, uint64(i+1), 40, 2)
+		res := scenarios.RunCallBlocking(60, uint64(i+1), 40, 2)
 		if res.Arrivals == 0 {
 			b.Fatal("no calls")
 		}
@@ -637,7 +638,7 @@ func BenchmarkCallBlocking(b *testing.B) {
 // BenchmarkSaturation measures the saturation demonstration.
 func BenchmarkSaturation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := lit.RunSaturation(benchDuration, uint64(i+1), 8, 5)
+		res := scenarios.RunSaturation(benchDuration, uint64(i+1), 8, 5)
 		if res.Saturated.Max() <= res.Admissible.Max() {
 			b.Fatal("saturation not demonstrated")
 		}
@@ -647,7 +648,7 @@ func BenchmarkSaturation(b *testing.B) {
 // BenchmarkPerHop measures the traced per-hop decomposition run.
 func BenchmarkPerHop(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := lit.RunPerHop(benchDuration, uint64(i+1))
+		res := scenarios.RunPerHop(benchDuration, uint64(i+1))
 		if len(res.Ctrl) != 5 {
 			b.Fatal("bad decomposition")
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -12,7 +13,7 @@ import (
 	"testing"
 	"time"
 
-	lit "leaveintime"
+	"leaveintime/internal/scenarios"
 )
 
 // buildLitsim compiles the litsim binary once per test run and returns
@@ -298,7 +299,132 @@ func TestComparisonExperiment(t *testing.T) {
 	if err != nil {
 		t.Fatalf("litsim -experiment comparison: %v", err)
 	}
-	if want := lit.RunComparison(2, 1, 0.650).Format() + "\n"; string(out) != want {
+	if want := scenarios.RunComparison(2, 1, 0.650).Format() + "\n"; string(out) != want {
 		t.Errorf("output differs from the library table:\n got %q\nwant %q", out, want)
+	}
+}
+
+// run runs the binary with a deadline, so a binary that runs what it
+// should refuse fails the test instead of hanging it.
+func run(t *testing.T, args ...string) (stdout, stderr string, code int) {
+	t.Helper()
+	bin, err := buildLitsim()
+	if err != nil {
+		t.Fatalf("building litsim: %v", err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	var out, errOut bytes.Buffer
+	cmd := exec.CommandContext(ctx, bin, args...)
+	cmd.Stdout, cmd.Stderr = &out, &errOut
+	err = cmd.Run()
+	if exit, ok := err.(*exec.ExitError); ok && ctx.Err() == nil {
+		code = exit.ExitCode()
+	} else if err != nil {
+		t.Fatalf("litsim %v: %v", args, err)
+	}
+	return out.String(), errOut.String(), code
+}
+
+// TestViewRefused: -json or -plot on an experiment that has no such
+// view exits 2 with one line naming the flag and the experiment, as
+// -telemetry does, where it used to print the text (and, for "all",
+// text tables between JSON documents). -json and -plot together exit 2
+// too. Figures 12-13 have no chart: -plot used to print Figure 8's.
+func TestViewRefused(t *testing.T) {
+	for _, c := range []struct {
+		name string // the experiment the message names
+		args []string
+	}{
+		{"all", []string{"-json"}},
+		{"all", []string{"-plot"}},
+		{"all", []string{"-experiment", "all", "-json"}},
+		{"fig7", []string{"-experiment", "fig7", "-json"}},
+		{"fig14", []string{"-experiment", "fig14", "-plot"}},
+		{"fig12", []string{"-experiment", "fig12", "-plot"}},
+		{"fig13", []string{"-experiment", "fig13", "-plot"}},
+		{"", []string{"-experiment", "fig9", "-json", "-plot"}},
+	} {
+		stdout, stderr, code := run(t, append(c.args, "-duration", "0.5")...)
+		if code != 2 || stdout != "" || strings.Count(stderr, "\n") != 1 {
+			t.Errorf("%v: exit %d, %d bytes on stdout, stderr %q; want exit 2, one line on stderr, no output", c.args, code, len(stdout), stderr)
+		} else if c.name != "" && !strings.Contains(stderr, fmt.Sprintf("not %q", c.name)) {
+			t.Errorf("%v: %q does not name %q", c.args, stderr, c.name)
+		}
+	}
+}
+
+// TestBufferJSON: the fig12 JSON view carries the four Figures 12-13
+// distributions, P(<=k) for each k that FormatBuffers prints.
+func TestBufferJSON(t *testing.T) {
+	stdout, stderr, code := run(t, "-experiment", "fig12", "-json", "-duration", "2", "-seed", "3")
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr)
+	}
+	var view struct {
+		CDF map[string][]float64 `json:"buffer_cdf"`
+	}
+	if err := json.Unmarshal([]byte(stdout), &view); err != nil {
+		t.Fatal(err)
+	}
+	text := scenarios.RunFig8Observed(2, 3, nil).FormatBuffers()
+	lines := strings.Split(strings.TrimSpace(text), "\n")[1:]
+	for i, key := range []string{"noctl_node1", "noctl_node5", "ctl_node1", "ctl_node5"} {
+		var got strings.Builder
+		for k, p := range view.CDF[key] {
+			fmt.Fprintf(&got, " %d:%.4f", k, p)
+		}
+		_, want, _ := strings.Cut(lines[i], "P(<=k):")
+		if len(view.CDF[key]) == 0 || got.String() != want {
+			t.Errorf("%s: JSON%s, FormatBuffers%s", key, got.String(), want)
+		}
+	}
+}
+
+// TestAllRunsTheTable: "all" prints each row's own output in table
+// order, and every name and alias the table holds selects a run.
+func TestAllRunsTheTable(t *testing.T) {
+	args := []string{"-duration", "1", "-seed", "2"}
+	var want strings.Builder
+	for _, e := range scenarios.Experiments {
+		for _, name := range append([]string{e.Name}, e.Aliases...) {
+			stdout, stderr, code := run(t, append([]string{"-experiment", name}, args...)...)
+			if code != 0 || stdout == "" {
+				t.Errorf("-experiment %s: exit %d, %d bytes out: %s", name, code, len(stdout), stderr)
+			}
+			if name == e.Name {
+				want.WriteString(stdout)
+			}
+		}
+	}
+	if got, _, _ := run(t, append([]string{"-experiment", "all"}, args...)...); got != want.String() {
+		t.Errorf("all differs from the rows run one by one:\n got %d bytes\nwant %d bytes", len(got), want.Len())
+	}
+}
+
+// TestDocListsExperiments: the package comment lists the table's rows,
+// each with its names, the paper's duration and the flags it offers.
+func TestDocListsExperiments(t *testing.T) {
+	src, err := os.ReadFile("main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var list strings.Builder
+	for _, e := range scenarios.Experiments {
+		var notes []string
+		if e.Paper > 0 {
+			notes = append(notes, fmt.Sprintf("%g s", e.Paper))
+		}
+		if len(e.Offers) > 0 {
+			notes = append(notes, "-"+strings.Join(e.Offers, " -"))
+		}
+		line := strings.Join(append([]string{e.Name}, e.Aliases...), ", ")
+		if len(notes) > 0 {
+			line += " (" + strings.Join(notes, "; ") + ")"
+		}
+		fmt.Fprintf(&list, "//\t%s\n//\t\t%s\n", line, e.Doc)
+	}
+	if !strings.Contains(string(src), "//\n"+list.String()+"//\n") {
+		t.Errorf("main.go's experiment list is not the table's; it should read:\n%s", list.String())
 	}
 }

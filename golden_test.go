@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	lit "leaveintime"
+	"leaveintime/internal/scenarios"
 )
 
 // TestFig7Golden pins the exact output of
@@ -52,7 +53,7 @@ func TestFig8Golden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := lit.RunFig8Observed(5, 1, nil)
+	res := scenarios.RunFig8Observed(5, 1, nil)
 	got := res.Format() + res.FormatBuffers() + "\n"
 	if got != string(want) {
 		t.Fatalf("fig8 output diverged from golden file\n--- got ---\n%s--- want ---\n%s", got, want)
@@ -78,7 +79,7 @@ func TestFig12Golden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := lit.RunFig8Observed(5, 1, nil).FormatBuffers() + "\n"
+	got := scenarios.RunFig8Observed(5, 1, nil).FormatBuffers() + "\n"
 	if got != string(want) {
 		t.Fatalf("fig12 output diverged from golden file\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
@@ -100,7 +101,7 @@ func TestFig13Golden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := lit.RunFig8Observed(3, 2, nil).FormatBuffers() + "\n"
+	got := scenarios.RunFig8Observed(3, 2, nil).FormatBuffers() + "\n"
 	if got != string(want) {
 		t.Fatalf("fig13 output diverged from golden file\n--- got ---\n%s--- want ---\n%s", got, want)
 	}

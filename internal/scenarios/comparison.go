@@ -6,7 +6,6 @@ import (
 
 	"leaveintime/internal/admission"
 	"leaveintime/internal/core"
-	"leaveintime/internal/event"
 	"leaveintime/internal/network"
 	"leaveintime/internal/rng"
 	"leaveintime/internal/sched"
@@ -139,14 +138,8 @@ func eddBound(tag, cross network.SessionPort) (bound float64, note string) {
 }
 
 func runComparisonScenario(mk func() network.Discipline, jitterCtrl bool, duration float64, seed uint64, aOff float64, tagPort, crossPort network.SessionPort) *network.Session {
-	sim := event.New()
-	net := network.New(sim, CellBits)
+	net, ports := rawTandem(mk)
 	r := rng.New(seed)
-
-	ports := make([]*network.Port, NumNodes)
-	for i := range ports {
-		ports[i] = net.NewPort(fmt.Sprintf("node%d", i+1), T1Rate, PropDelay, mk())
-	}
 	tagCfg := make([]network.SessionPort, NumNodes)
 	for i := range tagCfg {
 		tagCfg[i] = tagPort
@@ -160,7 +153,7 @@ func runComparisonScenario(mk func() network.Discipline, jitterCtrl bool, durati
 	for _, s := range net.Sessions() {
 		s.Start(0, duration)
 	}
-	sim.Run(duration)
+	net.Sim.Run(duration)
 	return tag
 }
 

@@ -169,8 +169,8 @@ func (r *Fig8Result) FormatBuffers() string {
 	fmt.Fprintf(&b, "Figures 12-13: buffer space distributions (packets), %.0f s run\n", r.Duration)
 	writeBuf := func(name string, d *stats.Discrete, bound float64) {
 		fmt.Fprintf(&b, "  %-28s max %2d  bound %6.2f  P(<=k):", name, d.Max(), bound)
-		for k := 0; k <= d.Max() && k < fig12BufferCap; k++ {
-			fmt.Fprintf(&b, " %d:%.4f", k, d.CDF(k))
+		for k, p := range bufferCDF(d) {
+			fmt.Fprintf(&b, " %d:%.4f", k, p)
 		}
 		fmt.Fprintln(&b)
 	}
@@ -179,4 +179,14 @@ func (r *Fig8Result) FormatBuffers() string {
 	writeBuf("jitter ctrl, node 1", r.BufCtrlN1, r.BufBoundCtrlN1)
 	writeBuf("jitter ctrl, node 5", r.BufCtrlN5, r.BufBoundCtrlN5)
 	return b.String()
+}
+
+// bufferCDF is P(occupancy <= k) for k from 0 to the largest occupancy
+// seen, cut at fig12BufferCap: what Figures 12-13 plot.
+func bufferCDF(d *stats.Discrete) []float64 {
+	var cdf []float64
+	for k := 0; k <= d.Max() && k < fig12BufferCap; k++ {
+		cdf = append(cdf, d.CDF(k))
+	}
+	return cdf
 }

@@ -102,6 +102,12 @@ func jsonView(result any) any {
 				"ctl_node1":   r.BufBoundCtrlN1,
 				"ctl_node5":   r.BufBoundCtrlN5,
 			},
+			"buffer_cdf": map[string][]float64{
+				"noctl_node1": bufferCDF(r.BufNoCtrlN1),
+				"noctl_node5": bufferCDF(r.BufNoCtrlN5),
+				"ctl_node1":   bufferCDF(r.BufCtrlN1),
+				"ctl_node5":   bufferCDF(r.BufCtrlN5),
+			},
 		}
 	case *DistResult:
 		return map[string]any{

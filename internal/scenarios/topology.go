@@ -3,7 +3,8 @@
 // the MIX and CROSS traffic configurations, and one runner per figure
 // (7 through 17) plus the Section 4 analytic comparisons. Each runner
 // returns a result value whose Format method prints the same series the
-// paper plots.
+// paper plots. Experiments is the table cmd/litsim runs: one row per
+// experiment, with its default duration and the views it prints.
 package scenarios
 
 import (
@@ -87,6 +88,19 @@ func NewTandem(opt TandemOptions) *Tandem {
 		t.Ports = append(t.Ports, srv.Port)
 	}
 	return t
+}
+
+// rawTandem builds Figure 6's five T1 ports on a bare network, each
+// serving with a discipline mk makes. The comparison and the UPS replay
+// put baseline disciplines on the tandem with hand-set SessionPorts and
+// run no admission, so they take raw ports instead of a System.
+func rawTandem(mk func() network.Discipline) (*network.Network, []*network.Port) {
+	net := network.New(event.New(), CellBits)
+	ports := make([]*network.Port, NumNodes)
+	for i := range ports {
+		ports[i] = net.NewPort(fmt.Sprintf("node%d", i+1), T1Rate, PropDelay, mk())
+	}
+	return net, ports
 }
 
 // Instrument attaches a telemetry registry to the tandem: the event

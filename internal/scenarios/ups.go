@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"leaveintime/internal/core"
-	"leaveintime/internal/event"
 	"leaveintime/internal/network"
 	"leaveintime/internal/rng"
 	"leaveintime/internal/sched"
@@ -111,14 +110,8 @@ func (s *upsSchedule) Trace(e trace.Event) {
 func upsRun(duration float64, seed uint64, mk func() network.Discipline, cfg network.SessionPort,
 	jitterCtrl bool, slack func(sess int, def upsDef) func(seq int64, t float64) float64) *upsSchedule {
 
-	sim := event.New()
-	net := network.New(sim, CellBits)
+	net, ports := rawTandem(mk)
 	r := rng.New(seed)
-
-	ports := make([]*network.Port, NumNodes)
-	for i := range ports {
-		ports[i] = net.NewPort(fmt.Sprintf("node%d", i+1), T1Rate, PropDelay, mk())
-	}
 
 	defs := upsDefs()
 	rec := &upsSchedule{deliver: make([][]float64, len(defs))}
@@ -137,7 +130,7 @@ func upsRun(duration float64, seed uint64, mk func() network.Discipline, cfg net
 		}
 		s.Start(0, duration)
 	}
-	sim.RunAll()
+	net.Sim.RunAll()
 	return rec
 }
 

@@ -23,8 +23,9 @@
 //     and traffic sources (OnOff, Poisson, Greedy, Video, Shaped).
 //   - A high-level System builder for assembling networks with
 //     admission control in a few lines (see examples/quickstart).
-//   - Experiment runners reproducing the paper's Figures 7-17 and the
-//     Section 4 comparisons (RunFig7Observed ... RunStopAndGoComparison).
+//   - RunFig7, the Figure 7 sweep the benchmark times. The paper's
+//     Figures 7-17 and Section 4 comparisons all run from one table,
+//     internal/scenarios.Experiments, which cmd/litsim loops over.
 //
 // # Quick start
 //

@@ -8,6 +8,7 @@ import (
 
 	lit "leaveintime"
 	"leaveintime/internal/analytic"
+	"leaveintime/internal/scenarios"
 	"leaveintime/internal/sched"
 	"leaveintime/internal/trace"
 	"leaveintime/internal/traffic"
@@ -233,7 +234,7 @@ func TestSystemWithClasses(t *testing.T) {
 func TestPGPSEquality(t *testing.T) {
 	// eq. (15): LiT with AC1/one-class equals the PGPS bound, exactly.
 	for _, n := range []int{1, 2, 5, 9} {
-		got := lit.RunPGPSComparison(32e3, 3*424, 424, 1536e3, 1e-3, n)
+		got := scenarios.RunSection4PGPS(32e3, 3*424, 424, 1536e3, 1e-3, n)
 		if math.Abs(got.LiT-got.PGPS) > 1e-15 {
 			t.Errorf("n=%d: LiT bound %v != PGPS bound %v", n, got.LiT, got.PGPS)
 		}
@@ -243,7 +244,7 @@ func TestPGPSEquality(t *testing.T) {
 func TestStopAndGoComparison(t *testing.T) {
 	// The Section 4 worked example: rate 0.1C, d = 0.1T. Per-link
 	// increase: LiT L_MAX/C + 0.1T vs Stop-and-Go's [T, 2T).
-	c := lit.RunStopAndGoComparison(0.01, 1536e3, 5)
+	c := scenarios.RunSection4StopAndGo(0.01, 1536e3, 5)
 	wantPerLink := 0.01*0.01*1536e3/1536e3 + 0.1*0.01 // 0.0001 + 0.001
 	if math.Abs(c.PerLinkLiT-wantPerLink) > 1e-12 {
 		t.Errorf("per-link LiT = %v, want %v", c.PerLinkLiT, wantPerLink)
@@ -328,31 +329,31 @@ func TestFacadeRunnersShort(t *testing.T) {
 	if rows := lit.RunFig7(1, 5).Rows; len(rows) != 7 {
 		t.Errorf("RunFig7 rows = %d", len(rows))
 	}
-	if r := lit.RunFig10(1, 5); r.Summary.Packets == 0 {
+	if r := scenarios.RunFig10(1, 5); r.Summary.Packets == 0 {
 		t.Error("RunFig10 empty")
 	}
-	if r := lit.RunFig11(1, 5); r.Summary.Packets == 0 {
+	if r := scenarios.RunFig11(1, 5); r.Summary.Packets == 0 {
 		t.Error("RunFig11 empty")
 	}
-	if r := lit.RunFig14to17(1, 5, 2); r.Sessions[0].DPerNode == 0 {
+	if r := scenarios.RunFig14to17(1, 5, 2); r.Sessions[0].DPerNode == 0 {
 		t.Error("RunFig14to17 missing d")
 	}
-	if r := lit.RunPerHop(2, 5); len(r.Ctrl) != 5 {
+	if r := scenarios.RunPerHop(2, 5); len(r.Ctrl) != 5 {
 		t.Error("RunPerHop hops")
 	}
-	if r := lit.RunCallBlocking(20, 5, 30, 1); r.Arrivals == 0 {
+	if r := scenarios.RunCallBlocking(20, 5, 30, 1); r.Arrivals == 0 {
 		t.Error("RunCallBlocking empty")
 	}
-	if r := lit.RunEstablishment(5, 1e-3); r.Accepted != 116 {
+	if r := scenarios.RunEstablishment(5, 1e-3); r.Accepted != 116 {
 		t.Errorf("RunEstablishment accepted %d", r.Accepted)
 	}
-	if r := lit.RunSaturation(3, 5, 4, 5); r.Saturated.Max() <= r.Admissible.Max() {
+	if r := scenarios.RunSaturation(3, 5, 4, 5); r.Saturated.Max() <= r.Admissible.Max() {
 		t.Error("RunSaturation shape")
 	}
-	if r := lit.RunComparison(2, 5, 0.65); len(r.Rows) != 12 {
+	if r := scenarios.RunComparison(2, 5, 0.65); len(r.Rows) != 12 {
 		t.Errorf("RunComparison rows = %d", len(r.Rows))
 	}
-	if data, err := lit.ResultJSON(lit.RunFig10(1, 5)); err != nil || len(data) == 0 {
+	if data, err := scenarios.JSON(scenarios.RunFig10(1, 5)); err != nil || len(data) == 0 {
 		t.Errorf("ResultJSON: %v", err)
 	}
 }
@@ -403,7 +404,7 @@ func TestExperimentRunnersShort(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment smoke runs skipped in -short")
 	}
-	res := lit.RunFig8Observed(2, 5, nil)
+	res := scenarios.RunFig8Observed(2, 5, nil)
 	if res.NoCtrl.Packets == 0 {
 		t.Error("Fig8 produced no packets")
 	}
@@ -413,7 +414,7 @@ func TestExperimentRunnersShort(t *testing.T) {
 	if !strings.Contains(res.FormatBuffers(), "node 5") {
 		t.Error("Fig8 FormatBuffers output")
 	}
-	d := lit.RunFig9(2, 5)
+	d := scenarios.RunFig9(2, 5)
 	if d.Summary.Packets == 0 || len(d.Analytic) == 0 || len(d.SimRef) == 0 {
 		t.Error("Fig9 incomplete result")
 	}

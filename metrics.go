@@ -34,8 +34,3 @@ type (
 	// admission control procedure.
 	AdmissionMetrics = metrics.Admission
 )
-
-// NewMetricsRegistry returns an empty registry, for wiring a bare
-// Network via Network.EnableMetrics (System.EnableMetrics does this
-// internally).
-func NewMetricsRegistry() *MetricsRegistry { return metrics.NewRegistry() }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	lit "leaveintime"
+	"leaveintime/internal/scenarios"
 )
 
 // TestPaperLengthRuns validates the headline figures at the paper's own
@@ -18,7 +19,7 @@ func TestPaperLengthRuns(t *testing.T) {
 		t.Skip("set LIT_PAPER_RUNS=1 for full paper-length validation")
 	}
 	// Figure 8 at 600 s: the paper's jitter numbers within 15%.
-	res := lit.RunFig8Observed(600, 1, nil)
+	res := scenarios.RunFig8Observed(600, 1, nil)
 	if j := res.NoCtrl.Jitter; j < 0.85*0.0597 || j >= res.JitterBoundNoCtrl {
 		t.Errorf("no-ctrl jitter %v out of band (paper 59.7 ms, bound 66.25 ms)", j)
 	}
@@ -40,7 +41,7 @@ func TestPaperLengthRuns(t *testing.T) {
 	}
 	// Figure 9 at 600 s: analytic bound crosses 1e-4 near the paper's
 	// 26 ms and dominates the measurement.
-	f9 := lit.RunFig9(600, 1)
+	f9 := scenarios.RunFig9(600, 1)
 	cross := 0.0
 	for _, p := range f9.Analytic {
 		if p.Y <= 1e-4 {

@@ -2,13 +2,16 @@ package lit
 
 import "leaveintime/internal/trace"
 
-// Packet-level tracing. Attach a tracer to Network.Tracer (or
-// System.Net.Tracer) before running:
+// Packet-level tracing. Attach any Tracer to Network.Tracer (or
+// System.Net.Tracer) before running; it sees every packet event as the
+// simulation makes it:
 //
-//	rec := &lit.TraceRecorder{}
-//	sys.Net.Tracer = rec
+//	type counter map[lit.TraceKind]int
+//	func (c counter) Trace(e lit.TraceEvent) { c[e.Kind]++ }
+//
+//	seen := counter{}
+//	sys.Net.Tracer = seen
 //	sys.Run(60)
-//	for _, hop := range rec.PerHopDelays(sessID) { ... }
 type (
 	// Tracer consumes packet events inline with the simulation.
 	Tracer = trace.Tracer
@@ -17,6 +20,4 @@ type (
 	TraceEvent = trace.Event
 	// TraceKind classifies a TraceEvent.
 	TraceKind = trace.Kind
-	// PerHopDelay summarizes one hop's delay contribution.
-	PerHopDelay = trace.PerHopDelay
 )
