@@ -7,7 +7,8 @@ import "fmt"
 // the d_{i,s} grants, and read the service commitments (eq. 12,
 // ineq. 17, the Section 3.3 buffer bounds) off them. Every entry point
 // that establishes a connection — the System builder, the declarative
-// runner, the conformance harness — lowers onto Establish.
+// runner, the conformance harness — lowers onto Establish, or onto its
+// admission half Reserve when it already holds the call's commitments.
 
 // Link is one server of a route as establishment sees it: the
 // controller guarding it and the link constants that enter eq. 13.
@@ -36,7 +37,9 @@ type Request struct {
 // Bounds carries the service commitments computed for an established
 // connection: the paper's eqs. 12-17, evaluated from the session's
 // declaration alone (the isolation property — no other session enters
-// these numbers).
+// these numbers). Calls of one declaration over one route are owed the
+// same Bounds, so one may be shared among them (system.Connect does):
+// it is read-only.
 type Bounds struct {
 	// Route is the bound calculator itself, for custom queries.
 	Route Route
@@ -71,17 +74,12 @@ func Establish(path []Link, lMaxNet float64, req Request) (*Bounds, error) {
 		return nil, fmt.Errorf("admission: empty route")
 	}
 	assigns := make([]Assignment, len(path))
+	if err := Reserve(path, req, assigns); err != nil {
+		return nil, err
+	}
 	hops := make([]Hop, len(path))
 	for i, l := range path {
-		a, err := l.Ctrl.Admit(req.Spec, req.Class, req.Opts)
-		if err != nil {
-			for _, back := range path[:i] {
-				back.Ctrl.Remove(req.Spec.ID)
-			}
-			return nil, fmt.Errorf("admission failed at %s: %w", l.Name, err)
-		}
-		assigns[i] = a
-		hops[i] = Hop{C: l.C, Gamma: l.Gamma, DMax: a.DMax}
+		hops[i] = Hop{C: l.C, Gamma: l.Gamma, DMax: assigns[i].DMax}
 	}
 	route := Route{Hops: hops, LMax: lMaxNet, Alpha: assigns[len(assigns)-1].Alpha(req.Spec)}
 	b := &Bounds{
@@ -108,4 +106,24 @@ func Establish(path []Link, lMaxNet float64, req Request) (*Bounds, error) {
 		}
 	}
 	return b, nil
+}
+
+// Reserve is Establish's admission half: it runs the admission test at
+// every server of the path, in order, and writes each grant to assigns
+// (nil discards them). On a refusal the reservations made so far are
+// released, so no state is left behind at any server.
+func Reserve(path []Link, req Request, assigns []Assignment) error {
+	for i, l := range path {
+		a, err := l.Ctrl.Admit(req.Spec, req.Class, req.Opts)
+		if err != nil {
+			for _, back := range path[:i] {
+				back.Ctrl.Remove(req.Spec.ID)
+			}
+			return fmt.Errorf("admission failed at %s: %w", l.Name, err)
+		}
+		if assigns != nil {
+			assigns[i] = a
+		}
+	}
+	return nil
 }

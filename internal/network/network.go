@@ -644,8 +644,11 @@ func (n *Network) sessionByID(id int) *Session {
 // Session is an established connection: a source, a route of ports, and
 // end-to-end measurement state.
 type Session struct {
-	ID    int
-	Rate  float64 // reserved rate r_s, bits/s
+	ID   int
+	Rate float64 // reserved rate r_s, bits/s
+	// Route is the session's ports in order. Sessions may share one
+	// list (system.Connect gives calls of one request over one route
+	// the same list), so it is read-only.
 	Route []*Port
 
 	// JitterControl selects delay-jitter-control mode at every node of
@@ -846,8 +849,12 @@ func (s *Session) send(t, length float64) {
 // packet of a removed session arriving at a port is dropped with cause
 // "purged" when the discipline tracks registration, and a packet
 // finishing a hop with no route panics). Call it a grace period after
-// the source's stop time.
+// the source's stop time. A session of another network is left alone,
+// and so is that network.
 func (n *Network) RemoveSession(s *Session) {
+	if s.net != n {
+		return
+	}
 	for _, port := range s.Route {
 		if r, ok := port.Disc.(SessionRemover); ok {
 			r.RemoveSession(s.ID)

@@ -146,10 +146,40 @@ type System struct {
 	// admission.Establish takes it and the per-hop grant as
 	// Network.AddSession copies it into each discipline, rebuilt per
 	// call so a Connect allocates nothing for them.
-	path    []admission.Link
-	cfgs    []network.SessionPort
+	path []admission.Link
+	cfgs []network.SessionPort
+	// last[m-1] is class m's memo of its last established call; a class
+	// out of range shares the nearest class's (its key differs).
+	last    []call
 	nextID  int
 	metrics *metrics.Registry
+}
+
+// call is a class's memo of one established call: the resolved request
+// (Spec.ID zero), its route's ports, and the commitments read off its
+// grants. By the isolation property those commitments are a function
+// of the request and the route's servers alone, so a call with the same
+// request over the same ports is owed the same Bounds: it shares them,
+// and shares the port list as its Session.Route. The memo holds one
+// call per class, so a run of mixed requests establishes every call
+// afresh and never holds more memory.
+type call struct {
+	req   admission.Request
+	ports []*network.Port
+	b     *Bounds
+}
+
+// same reports whether a request over route is the memo's call.
+func (c *call) same(req admission.Request, route []*Server) bool {
+	if c.b == nil || c.req != req || len(c.ports) != len(route) {
+		return false
+	}
+	for i, srv := range route {
+		if srv.Port != c.ports[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // Server is one Leave-in-Time server (a node's outgoing link) together
@@ -176,6 +206,7 @@ func New(cfg Config) (*System, error) {
 		Net:    network.New(sim, cfg.LMax),
 		cfg:    cfg,
 		byPort: make(map[*network.Port]*Server),
+		last:   make([]call, max(len(cfg.Classes), 1)),
 	}, nil
 }
 
@@ -277,41 +308,60 @@ type ConnectRequest struct {
 }
 
 // Bounds carries the service commitments computed for an established
-// connection.
+// connection. Connect may return one Bounds to many calls: it is
+// read-only.
 type Bounds = admission.Bounds
 
 // Connect establishes a connection: it runs the admission tests at
 // every server on the route and, if all pass, wires the session and
 // returns its service commitments. On rejection no state is left
-// behind at any server.
+// behind at any server. A route naming a server this system did not
+// build (or nil) is refused before any test runs. Calls with the same
+// request over the same route may share one Bounds and one
+// Session.Route; neither may be modified.
 func (s *System) Connect(req ConnectRequest) (*network.Session, *Bounds, error) {
 	if len(req.Route) == 0 {
 		return nil, nil, fmt.Errorf("lit: empty route")
+	}
+	s.path = s.path[:0]
+	for i, srv := range req.Route {
+		if srv == nil || s.byPort[srv.Port] != srv {
+			return nil, nil, fmt.Errorf("lit: route hop %d is not a server of this system", i)
+		}
+		s.path = append(s.path, admission.Link{Name: srv.Port.Name, Ctrl: srv.ctrl, C: srv.Capacity, Gamma: srv.Gamma})
 	}
 	areq, err := s.cfg.resolve(req)
 	if err != nil {
 		return nil, nil, err
 	}
+	memo := &s.last[min(max(areq.Class, 1), len(s.last))-1]
+	key := areq
 	s.nextID++
 	areq.Spec.ID = s.nextID
 
-	s.path = s.path[:0]
-	for _, srv := range req.Route {
-		s.path = append(s.path, admission.Link{Name: srv.Port.Name, Ctrl: srv.ctrl, C: srv.Capacity, Gamma: srv.Gamma})
+	if memo.same(key, req.Route) {
+		if err := admission.Reserve(s.path, areq, nil); err != nil {
+			return nil, nil, fmt.Errorf("lit: %w", err)
+		}
+	} else {
+		b, err := admission.Establish(s.path, s.cfg.LMax, areq)
+		if err != nil {
+			return nil, nil, fmt.Errorf("lit: %w", err)
+		}
+		ports := make([]*network.Port, len(req.Route)) // kept: it becomes Session.Route
+		for i, srv := range req.Route {
+			ports[i] = srv.Port
+		}
+		// Field by field, as ClassController.assignment stores its
+		// grant: a whole-struct store is a write-barrier move.
+		memo.req, memo.ports, memo.b = key, ports, b
 	}
-	b, err := admission.Establish(s.path, s.cfg.LMax, areq)
-	if err != nil {
-		return nil, nil, fmt.Errorf("lit: %w", err)
-	}
-
-	ports := make([]*network.Port, len(req.Route)) // kept: it becomes Session.Route
 	s.cfgs = s.cfgs[:0]
-	for i, srv := range req.Route {
-		ports[i] = srv.Port
-		s.cfgs = append(s.cfgs, network.SessionPort{D: b.Assignments[i].D, DMax: b.Assignments[i].DMax})
+	for _, a := range memo.b.Assignments {
+		s.cfgs = append(s.cfgs, network.SessionPort{D: a.D, DMax: a.DMax})
 	}
-	sess := s.Net.AddSession(areq.Spec.ID, req.Rate, req.JitterControl, ports, s.cfgs, req.Source)
-	return sess, b, nil
+	sess := s.Net.AddSession(areq.Spec.ID, req.Rate, req.JitterControl, memo.ports, s.cfgs, req.Source)
+	return sess, memo.b, nil
 }
 
 // Teardown releases a session's reservations at every server of its

@@ -21,7 +21,8 @@ type (
 	// Bounds carries the service commitments computed for an
 	// established connection: the paper's eqs. 12-17, evaluated from
 	// the session's declaration alone (the isolation property — no
-	// other session enters these numbers).
+	// other session enters these numbers). Calls of one declaration
+	// over one route may share one Bounds: it is read-only.
 	Bounds = system.Bounds
 )
 
