@@ -6,6 +6,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"leaveintime/internal/rng"
 )
@@ -89,48 +90,121 @@ func TestExactSumRoundsOnce(t *testing.T) {
 	}
 }
 
-// TestIndexAgainstMap drives the id index through churn — ids that
-// never repeat, as a controller sees them, and clustered ids that make
-// long probe runs — and checks every lookup against a Go map.
-func TestIndexAgainstMap(t *testing.T) {
-	for seed := uint64(1); seed <= 20; seed++ {
-		r := rng.New(seed)
-		var x index
-		want := map[int]booking{}
-		var ids []int
-		next := 0
-		for op := 0; op < 4000; op++ {
-			if len(ids) == 0 || r.Intn(5) < 3 && len(ids) < 200 {
-				next += 1 + r.Intn(3)*int(seed%3)*1024
-				b := booking{id: next, class: 1 + r.Intn(3), rate: r.Float64()}
-				if x.find(b.id) >= 0 {
-					t.Fatalf("seed %d: found id %d before it was inserted", seed, b.id)
-				}
-				x.insert(b)
-				want[b.id] = b
-				ids = append(ids, b.id)
-			} else {
-				k := r.Intn(len(ids))
-				i := x.find(ids[k])
-				if i < 0 {
-					t.Fatalf("seed %d op %d: live id %d not found", seed, op, ids[k])
-				}
-				x.remove(i)
-				delete(want, ids[k])
-				ids = append(ids[:k], ids[k+1:]...)
+// TestControllerIDPatterns drives a controller through churn in the id
+// patterns its table meets — ids that never repeat, as System.Connect
+// issues them; ids clustered at a stride of 1 024, so the live set spans
+// many pages and chunks; and one straggler admitted first and kept live
+// far below the window — and checks after every step that the verdict,
+// TotalRate, the live count and every live booking agree with the
+// reference, and that a second admission of a live id is refused.
+func TestControllerIDPatterns(t *testing.T) {
+	const c = 1e6
+	for _, pat := range []struct {
+		name      string
+		stride    int
+		straggler bool
+	}{{"never repeat", 0, false}, {"stride 1024", 1024, false}, {"straggler", 0, true}} {
+		for seed := uint64(1); seed <= 8; seed++ {
+			r := rng.New(seed)
+			ctl, err := newClassController(1+int(seed%2), c, fastClasses(c))
+			if err != nil {
+				t.Fatal(err)
 			}
-			if x.n != len(want) {
-				t.Fatalf("seed %d op %d: %d entries, want %d", seed, op, x.n, len(want))
+			ref := &refController{c: c, classes: ctl.Classes, proc: ctl.proc}
+			spec := func(id int) SessionSpec {
+				l := 424 + float64(r.Intn(3))*300
+				return SessionSpec{ID: id, Rate: c * (0.0005 + 0.002*r.Float64()), LMax: l, LMin: l}
 			}
-			for id, b := range want {
-				if i := x.find(id); i < 0 || x.slots[i] != b {
-					t.Fatalf("seed %d op %d: id %d lost or changed after the last operation", seed, op, id)
+			var ids []int
+			next := 0
+			if pat.straggler {
+				s := spec(0)
+				if _, err := ctl.Admit(s, 3, Options{}); err != nil {
+					t.Fatal(err)
 				}
+				ref.admit([]SessionSpec{s}, 3)
+				next = 1 << 16 // the window starts 256 chunks above it
+			}
+			for op := 0; op < 3000; op++ {
+				where := fmt.Sprintf("%s seed %d op %d", pat.name, seed, op)
+				if len(ids) == 0 || r.Intn(5) < 3 && len(ids) < 200 {
+					next += 1 + r.Intn(3)*pat.stride
+					s, j := spec(next), 1+r.Intn(3)
+					rej, _ := ref.admit([]SessionSpec{s}, j)
+					_, err := ctl.Admit(s, j, Options{})
+					if (err == nil) != (rej.Rule == 0) {
+						t.Fatalf("%s: id %d admitted = %v, reference refuses with %+v", where, s.ID, err == nil, rej)
+					}
+					if err == nil {
+						ids = append(ids, s.ID)
+						if _, err := ctl.Admit(s, j, Options{}); err == nil || errors.Is(err, ErrRejected) {
+							t.Fatalf("%s: second admission of live id %d got %v", where, s.ID, err)
+						}
+					}
+				} else {
+					k := r.Intn(len(ids))
+					if got, want := ctl.Remove(ids[k]), ref.remove(ids[k]); !got || !want {
+						t.Fatalf("%s: Remove(%d) = %v, reference %v", where, ids[k], got, want)
+					}
+					ids = append(ids[:k], ids[k+1:]...)
+				}
+				if got, want := ctl.TotalRate(), ref.totalRate(); got != want || ctl.live.Len() != len(ref.members) {
+					t.Fatalf("%s: TotalRate %b over %d ids, reference %b over %d", where, got, ctl.live.Len(), want, len(ref.members))
+				}
+				for _, m := range ref.members {
+					if b := ctl.live.Get(m.id); b == nil || *b != (booking{class: m.class, rate: m.rate, sigma: m.sigma}) {
+						t.Fatalf("%s: id %d booked %v, reference %+v", where, m.id, b, m)
+					}
+				}
+			}
+			for _, id := range ids {
+				ctl.Remove(id)
+			}
+			if pat.straggler && !ctl.Remove(0) {
+				t.Fatalf("%s seed %d: the straggler was lost", pat.name, seed)
+			}
+			if ctl.TotalRate() != 0 || ctl.live.Len() != 0 {
+				t.Fatalf("%s seed %d: %b b/s over %d ids left once every call was removed", pat.name, seed, ctl.TotalRate(), ctl.live.Len())
 			}
 		}
-		if len(x.slots) > 512 {
-			t.Errorf("seed %d: %d slots for at most 200 live ids: removed ids are holding space", seed, len(x.slots))
-		}
+	}
+}
+
+// TestNegativeIDRefused: a negative id is a malformed declaration —
+// Check, Admit and AdmitClass return an error and book nothing — not a
+// panic in the id table.
+func TestNegativeIDRefused(t *testing.T) {
+	const c = 1e6
+	ctl, err := NewClassController(1, c, fastClasses(c))
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := SessionSpec{ID: 1, Rate: 0.01 * c, LMax: 424, LMin: 424}
+	if _, err := ctl.Admit(good, 1, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	bad := good
+	bad.ID = -1
+	if err := ctl.Check(bad, 1, Options{}); err == nil {
+		t.Error("Check accepted id -1")
+	}
+	if _, err := ctl.Admit(bad, 1, Options{}); err == nil || errors.Is(err, ErrRejected) {
+		t.Errorf("Admit of id -1 got %v, want a plain error", err)
+	}
+	batch := []SessionSpec{{ID: 2, Rate: good.Rate, LMax: 424, LMin: 424}, bad}
+	if _, ok := ctl.AdmitClass(nil, batch, 1, Options{}); ok {
+		t.Error("AdmitClass accepted a batch holding id -1")
+	}
+	if ctl.TotalRate() != good.Rate || ctl.live.Len() != 1 || ctl.Remove(2) {
+		t.Fatalf("refusals left %g b/s over %d ids, want id 1's %g alone", ctl.TotalRate(), ctl.live.Len(), good.Rate)
+	}
+}
+
+// TestBookingSize pins the bytes every live session costs at every
+// controller on its route.
+func TestBookingSize(t *testing.T) {
+	if got := unsafe.Sizeof(booking{}); got != 24 {
+		t.Errorf("booking is %d B, want 24: a new field is a deliberate per-call cost at every hop; record it in DESIGN.md (\"What a call's set-up shares\")", got)
 	}
 }
 
@@ -368,8 +442,8 @@ func TestBatchIsSequentialAtTheLastBit(t *testing.T) {
 			if tc.fits && read(p) != e.limit {
 				t.Fatalf("%s, %s: class %d holds %b, want the limit %b", e.name, tc.name, e.class, read(p), e.limit)
 			}
-			if !tc.fits && (p.TotalRate() != before || p.live.n != len(standing)) {
-				t.Fatalf("%s, %s: the declined batch left %b b/s, %d ids booked", e.name, tc.name, p.TotalRate(), p.live.n)
+			if !tc.fits && (p.TotalRate() != before || p.live.Len() != len(standing)) {
+				t.Fatalf("%s, %s: the declined batch left %b b/s, %d ids booked", e.name, tc.name, p.TotalRate(), p.live.Len())
 			}
 			for shuffle := uint64(1); shuffle <= 20; shuffle++ {
 				p := preload()
@@ -625,8 +699,8 @@ func admitScript(t *testing.T, data []byte) {
 				t.Fatalf("%s: %v; the reference admits", where, err)
 			}
 		}
-		if got, want := ctl.TotalRate(), ref.totalRate(); got != want || ctl.live.n != len(ref.members) {
-			t.Fatalf("%s: TotalRate %b over %d ids, reference %b over %d", where, got, ctl.live.n, want, len(ref.members))
+		if got, want := ctl.TotalRate(), ref.totalRate(); got != want || ctl.live.Len() != len(ref.members) {
+			t.Fatalf("%s: TotalRate %b over %d ids, reference %b over %d", where, got, ctl.live.Len(), want, len(ref.members))
 		}
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"math/bits"
 
 	"leaveintime/internal/metrics"
+	"leaveintime/internal/sesstab"
 )
 
 // SessionSpec is what a session declares at connection establishment
@@ -31,8 +32,12 @@ type SessionSpec struct {
 }
 
 // validate also keeps NaN and infinities out: a controller's running
-// sums are exact only over finite terms.
+// sums are exact only over finite terms. A negative id is refused here,
+// not left for the id table to panic on.
 func (s SessionSpec) validate() error {
+	if s.ID < 0 {
+		return fmt.Errorf("admission: session %d: id must be nonnegative", s.ID)
+	}
 	if !(s.Rate > 0) || math.IsInf(s.Rate, 1) {
 		return fmt.Errorf("admission: session %d: rate must be positive", s.ID)
 	}
@@ -194,16 +199,30 @@ func NewClassController(proc int, capacity float64, classes []Class) (*ClassCont
 // removing and batch-admitting cost O(P) whatever the number of standing
 // sessions, and a total does not depend on the order sessions came and
 // went in.
+//
+// The bookings are kept in an id table (internal/sesstab), so session
+// ids follow its precondition: nonnegative (Check refuses a negative
+// one), and issued in sequence or bounded where they enter the program,
+// since the table spans the ids from the smallest live one to the
+// largest.
 type ClassController struct {
 	C       float64
 	Classes []Class
 
 	proc int // 1 or 2
 	sums []classSums
-	last []grant // last[m-1] is the d(L) most recently granted in class m
-	live index   // what each live session booked, by id
+	last []grant                // last[m-1] is the d(L) most recently granted in class m
+	live sesstab.Table[booking] // what each live session booked, by id
 	ma   *metrics.Arena
 	mb   metrics.Handle
+}
+
+// booking is what one live session added to the sums of its class and
+// of every class above it. sigma is L_MAX/C as rounded when it was
+// booked, so that Remove takes back the very floats Admit put in.
+type booking struct {
+	class       int // 1-based
+	rate, sigma float64
 }
 
 // classSums are the left sides of rules x.1 and x.2 at one class m:
@@ -358,16 +377,15 @@ func (p *ClassController) admit(spec SessionSpec, j int, opts Options) error {
 	return nil
 }
 
-// book enters the session into class j: the index, and the sums of
+// book enters the session into class j: the id table, and the sums of
 // classes j..P. It reports false, changing nothing, if the id is live.
 // Admit and AdmitClass book their candidate first and read the rules off
 // the totals the controller then holds; Remove is the unbooking.
 func (p *ClassController) book(spec SessionSpec, j int) bool {
-	if p.live.find(spec.ID) >= 0 {
+	if p.live.Get(spec.ID) != nil {
 		return false
 	}
-	b := booking{id: spec.ID, class: j, rate: spec.Rate, sigma: spec.LMax / p.C}
-	p.live.insert(b)
+	b := p.live.Put(spec.ID, booking{class: j, rate: spec.Rate, sigma: spec.LMax / p.C})
 	p.add(j, b.rate, b.sigma)
 	return true
 }
@@ -437,13 +455,12 @@ func (p *ClassController) assignment(spec SessionSpec, j int, opts Options) Assi
 
 // Remove implements Controller.
 func (p *ClassController) Remove(id int) bool {
-	i := p.live.find(id)
-	if i < 0 {
+	b := p.live.Get(id)
+	if b == nil {
 		return false
 	}
-	b := p.live.slots[i]
-	p.live.remove(i)
 	p.add(b.class, -b.rate, -b.sigma)
+	p.live.Delete(id)
 	return true
 }
 

@@ -13,7 +13,13 @@ type refController struct {
 	c       float64
 	classes []Class
 	proc    int
-	members []booking
+	members []refMember
+}
+
+// refMember is one live session as the reference books it.
+type refMember struct {
+	id, class   int
+	rate, sigma float64
 }
 
 // bigSum is the correctly rounded sum of the terms: 2200 bits hold any
@@ -70,7 +76,7 @@ func (r *refController) admit(batch []SessionSpec, j int) (rej RejectError, dup 
 			r.members = r.members[:standing]
 			return RejectError{}, true
 		}
-		r.members = append(r.members, booking{id: spec.ID, class: j, rate: spec.Rate, sigma: spec.LMax / r.c})
+		r.members = append(r.members, refMember{id: spec.ID, class: j, rate: spec.Rate, sigma: spec.LMax / r.c})
 	}
 	P := len(r.classes)
 	for m := j; m <= P; m++ {

@@ -62,10 +62,9 @@ type LiT struct {
 type sessionState struct {
 	rate  float64
 	d     func(length float64) float64
-	dMax  float64 // declared d_max; 0 when the procedure gave none
 	kPrev float64 // K_{i-1}
-	// seenDMax is the running maximum of d_i for sessions that did not
-	// declare DMax at admission; it keeps the eq.-9 term d_max - d_i
+	// seenDMax is d^n_max,s: the larger of the declared DMax and the
+	// running maximum of d_i from 0. It keeps the eq.-9 term d_max - d_i
 	// nonnegative for any packet mix.
 	seenDMax float64
 	// lastLen and lastD remember d at the last length seen (D is a pure
@@ -92,8 +91,11 @@ func (l *LiT) AddSession(cfg network.SessionPort) {
 	if cfg.Rate <= 0 {
 		panic(fmt.Sprintf("core: session %d has nonpositive rate", cfg.Session))
 	}
-	l.sessions.Put(cfg.Session, sessionState{rate: cfg.Rate, d: cfg.D, dMax: cfg.DMax,
-		lastLen: math.NaN(), jitter: cfg.JitterControl})
+	s := sessionState{rate: cfg.Rate, d: cfg.D, lastLen: math.NaN(), jitter: cfg.JitterControl}
+	if cfg.DMax > 0 { // 0 (none declared), below 0 or NaN leaves the maximum at 0
+		s.seenDMax = cfg.DMax
+	}
+	l.sessions.Put(cfg.Session, s)
 }
 
 // Enqueue implements network.Discipline: it stamps the packet with its
@@ -127,7 +129,7 @@ func (l *LiT) Enqueue(p *packet.Packet, now float64) {
 	p.Eligible = e
 	p.Deadline = base + d
 	p.Delay = d
-	p.DelayMax = s.maxDelay()
+	p.DelayMax = s.seenDMax
 	s.kPrev = base + p.Length/s.rate
 
 	l.place(p, e, now)
@@ -180,14 +182,4 @@ func (s *sessionState) delay(length float64) float64 {
 		}
 	}
 	return s.lastD
-}
-
-// maxDelay returns d^n_max,s: the declared DMax when the admission
-// procedure provided one, otherwise the running maximum of observed
-// d_i values (exact for fixed-length sources).
-func (s *sessionState) maxDelay() float64 {
-	if s.dMax > s.seenDMax {
-		return s.dMax
-	}
-	return s.seenDMax
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"leaveintime/internal/network"
 	"leaveintime/internal/packet"
@@ -253,20 +254,39 @@ func TestVirtualClockSpecialCase(t *testing.T) {
 	}
 }
 
-// TestDMaxTracksObservedMax: without a declared DMax, d_max follows the
-// running maximum of observed d values.
+// TestDMaxTracksObservedMax: d_max is the declared DMax raised to the
+// running maximum of observed d values, a running maximum that starts at
+// 0 and ignores a NaN declaration.
 func TestDMaxTracksObservedMax(t *testing.T) {
-	l := newTestLiT()
-	l.AddSession(network.SessionPort{Session: 1, Rate: 100})
-	p1 := mkpkt(1, 1, 50) // d = 0.5
-	l.Enqueue(p1, 0)
-	if p1.DelayMax != 0.5 {
-		t.Errorf("DelayMax after small packet = %v", p1.DelayMax)
+	for _, tc := range []struct {
+		name string
+		dMax float64
+		d    func(float64) float64
+		want []float64 // DelayMax after packets of 50 and then 100 bits
+	}{
+		{"none declared", 0, nil, []float64{0.5, 1}},
+		{"declared above every d", 2, nil, []float64{2, 2}},
+		{"declared between", 0.7, nil, []float64{0.7, 1}},
+		{"NaN declared", math.NaN(), nil, []float64{0.5, 1}},
+		{"negative declared, negative d", -2, func(float64) float64 { return -1 }, []float64{0, 0}},
+	} {
+		l := newTestLiT()
+		l.AddSession(network.SessionPort{Session: 1, Rate: 100, D: tc.d, DMax: tc.dMax})
+		for i, length := range []float64{50, 100} {
+			p := mkpkt(1, int64(i+1), length)
+			l.Enqueue(p, float64(10*i))
+			if math.Float64bits(p.DelayMax) != math.Float64bits(tc.want[i]) {
+				t.Errorf("%s: DelayMax after packet %d = %v, want %v", tc.name, i+1, p.DelayMax, tc.want[i])
+			}
+		}
 	}
-	p2 := mkpkt(1, 2, 100) // d = 1
-	l.Enqueue(p2, 10)
-	if p2.DelayMax != 1 {
-		t.Errorf("DelayMax after large packet = %v", p2.DelayMax)
+}
+
+// TestSessionStateSize pins the bytes every LiT session costs at every
+// hop of its route (a 16-slot id-table page is 16 of them).
+func TestSessionStateSize(t *testing.T) {
+	if got := unsafe.Sizeof(sessionState{}); got != 56 {
+		t.Errorf("sessionState is %d B, want 56: a new field is a deliberate per-call cost at every hop; record it in DESIGN.md (\"What a call's set-up shares\")", got)
 	}
 }
 

@@ -755,7 +755,9 @@ func (s *Session) Deliver(p *packet.Packet, now float64) {
 // the session at each port of the route (len(cfgs) == len(route)); it
 // is what the admission control procedure produced per node. The
 // session is registered with every discipline on the route but emits
-// nothing until Start is called.
+// nothing until Start is called. The id keys per-session tables
+// (internal/sesstab), so it must be nonnegative and issued in sequence
+// or bounded where it enters the program.
 func (n *Network) AddSession(id int, rate float64, jitterControl bool, route []*Port, cfgs []SessionPort, src traffic.Source) *Session {
 	if len(route) == 0 {
 		panic("network: empty route")

@@ -156,8 +156,12 @@ type Daemon struct {
 
 // system is one hosted admission system: a single Leave-in-Time server
 // guarded by the rule-based procedure plus the network-calculus curve
-// gate, and the book of live sessions (needed to release the gate's
-// share on RELEASE).
+// gate, and the book of live sessions by the client's id (needed to
+// release the gate's share on RELEASE).
+//
+// The controller's id table spans its live ids, so it is not handed the
+// client's id, which may be anything up to 2^63: each session is booked
+// there under its key, the next number of the system's own sequence.
 type system struct {
 	mu       sync.Mutex
 	name     string
@@ -166,9 +170,13 @@ type system struct {
 	ctrl     *admission.ClassController
 	gate     *admission.CurveGate
 	sessions map[int]sessionEntry
+	next     int
 }
 
-type sessionEntry struct{ rate, burst float64 }
+type sessionEntry struct {
+	key         int
+	rate, burst float64
+}
 
 // New builds a daemon (not yet listening).
 func New(opts Options) *Daemon {
@@ -487,6 +495,8 @@ func (d *Daemon) handleSetup(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusConflict, "session already established")
 		return
 	}
+	sys.next++
+	spec.ID = sys.next // the controller's key (see system)
 	assigns, ok := sys.ctrl.AdmitClass(sys.gate, []admission.SessionSpec{spec}, class, opts)
 	if !ok {
 		sys.mu.Unlock()
@@ -494,7 +504,7 @@ func (d *Daemon) handleSetup(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusConflict, SetupResponse{Accepted: false})
 		return
 	}
-	sys.sessions[req.ID] = sessionEntry{rate: spec.Rate, burst: spec.LMax}
+	sys.sessions[req.ID] = sessionEntry{key: spec.ID, rate: spec.Rate, burst: spec.LMax}
 	delay := sys.gate.Delay()
 	sys.mu.Unlock()
 	d.ar.AtomicInc(metrics.HServeSetups)
@@ -518,7 +528,7 @@ func (d *Daemon) handleRelease(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	delete(sys.sessions, req.ID)
-	sys.ctrl.Remove(req.ID)
+	sys.ctrl.Remove(entry.key)
 	sys.gate.Release(entry.rate, entry.burst)
 	sys.mu.Unlock()
 	d.ar.AtomicInc(metrics.HServeReleases)
@@ -552,6 +562,8 @@ func (d *Daemon) handleAdopt(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusConflict, "session already established")
 		return
 	}
+	sys.next++
+	spec.ID = sys.next // the controller's key (see system)
 	a, err := sys.ctrl.Admit(spec, class, opts)
 	if err != nil {
 		sys.mu.Unlock()
@@ -562,7 +574,7 @@ func (d *Daemon) handleAdopt(w http.ResponseWriter, r *http.Request) {
 	// Commit the gate unconditionally: adoption records, it does not
 	// re-judge.
 	sys.gate.Commit(spec.Rate, spec.LMax)
-	sys.sessions[req.ID] = sessionEntry{rate: spec.Rate, burst: spec.LMax}
+	sys.sessions[req.ID] = sessionEntry{key: spec.ID, rate: spec.Rate, burst: spec.LMax}
 	// The bound of the aggregate after this commitment, even past the
 	// budget (Commit leaves Delay at the last SETUP's bound).
 	delay, _ := sys.gate.Try(0, 0)

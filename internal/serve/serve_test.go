@@ -231,6 +231,44 @@ func TestSystemWireLifecycle(t *testing.T) {
 	}
 }
 
+// TestClientIDsFarApart: a system books its sessions at the controller
+// under its own sequence, not the client's ids, so SETUPs of ids 1 and
+// 1<<62 stand side by side (booked by those ids, the controller's id
+// table would span 2^54 directory entries), release to an empty
+// controller and count in /v1/stats. A refused declaration still names
+// the client's id.
+func TestClientIDsFarApart(t *testing.T) {
+	h := startTestDaemon(t, Options{Workers: 1})
+	h.do(t, http.MethodPost, "/v1/systems", []byte(`{"name":"s","capacity":1536000,"lmax":424}`), http.StatusCreated, nil)
+	const far = "4611686018427387904" // 1<<62
+	var bad errorBody
+	h.do(t, http.MethodPost, "/v1/systems/s/setup", []byte(`{"id":`+far+`,"rate":32000,"lmax":424,"lmin":425}`), http.StatusBadRequest, &bad)
+	if !strings.Contains(bad.Error, "session "+far) {
+		t.Errorf("refusal %q does not name the client's id", bad.Error)
+	}
+	for _, verb := range []string{"setup", "adopt"} {
+		for _, id := range []string{"1", far} {
+			h.do(t, http.MethodPost, "/v1/systems/s/"+verb, []byte(`{"id":`+id+`,"rate":32000,"lmax":424}`), http.StatusOK, nil)
+		}
+		for _, id := range []string{far, "1"} {
+			h.do(t, http.MethodPost, "/v1/systems/s/release", []byte(`{"id":`+id+`}`), http.StatusOK, nil)
+		}
+	}
+	var st StatsSnapshot
+	h.do(t, http.MethodGet, "/v1/stats", nil, http.StatusOK, &st)
+	if c := st.Serve; c.Setups != 2 || c.Adopts != 2 || c.Releases != 4 || c.SetupRejects != 0 || c.Malformed != 1 {
+		t.Errorf("stats: %+v", c)
+	}
+	h.d.mu.Lock()
+	sys := h.d.systems["s"]
+	h.d.mu.Unlock()
+	sys.mu.Lock()
+	defer sys.mu.Unlock()
+	if r := sys.ctrl.TotalRate(); r != 0 || len(sys.sessions) != 0 {
+		t.Errorf("released system holds %g b/s over %d sessions", r, len(sys.sessions))
+	}
+}
+
 // TestAdoptDelayBound: an Adopt answers the curve gate's bound after its
 // own commitment, bit for bit what a SETUP of the same sessions answers
 // on a twin system — not the bound of the last SETUP, and not 0 on a

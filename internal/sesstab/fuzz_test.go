@@ -25,6 +25,10 @@ func FuzzTable(f *testing.F) {
 	f.Add([]byte{0, 192, 0, 193, 0, 255, 6, 0, 4, 192, 4, 255, 4, 193, 6, 0, 0, 9})
 	// One id put and deleted across a page boundary (the spare).
 	f.Add([]byte{0, 15, 0, 16, 4, 16, 0, 16, 4, 16, 0, 16, 4, 15, 4, 16, 5, 0})
+	// One outlier put and deleted in a chunk of its own (the spare
+	// chunk), then a window that slides over a chunk boundary.
+	f.Add([]byte{0, 1, 0, 192, 4, 192, 0, 193, 6, 0, 4, 193, 0, 192, 3, 192, 4, 192, 6, 0,
+		7, 255, 0, 3, 7, 255, 0, 3, 6, 0})
 	// Steps down: an id in the chunk below a window that has moved up,
 	// then an "outlier" far below a window that has jumped past it.
 	f.Add([]byte{7, 31, 7, 31, 7, 31, 7, 31, 7, 31, 7, 31, 7, 31, 7, 31, 0, 0, 0, 138, 6, 0,

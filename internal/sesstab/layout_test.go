@@ -6,9 +6,9 @@ import "testing"
 // beyond a map's behaviour. A pointer handed out for an id keeps
 // addressing that id's state until the id is deleted, whatever is put
 // or deleted meanwhile; the table holds no more pages than live ids
-// plus the one spare, and no chunk without a page; and the directory
-// spans exactly the chunks from the smallest live id's to the
-// largest's.
+// plus the one spare, no chunk without a page, and a spare chunk with
+// none; and the directory spans exactly the chunks from the smallest
+// live id's to the largest's.
 type layout struct {
 	tb   *Table[fuzzVal]
 	held map[int]*fuzzVal
@@ -68,8 +68,13 @@ func (l *layout) check(t *testing.T, ref map[int]fuzzVal) {
 		}
 		pages += live
 	}
-	if tb.spare != nil {
-		pages++
+	if sp := tb.spare; sp != nil {
+		if sp.page != nil {
+			pages++
+		}
+		if c := sp.chunk; c != nil && (c.occ != [chunkSize]uint16{} || c.pages != [chunkSize]*[pageSize]fuzzVal{}) {
+			t.Fatal("the spare chunk holds a page or an occupancy bit")
+		}
 	}
 	if pages > len(ref)+1 {
 		t.Fatalf("%d pages held for %d live ids", pages, len(ref))

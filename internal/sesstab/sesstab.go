@@ -1,7 +1,9 @@
 // Package sesstab provides an index-addressed per-session state table:
 // the data-oriented replacement for the map[int]*state pattern on the
 // per-packet hot path, with a footprint that follows the sessions
-// present and not the ids ever issued.
+// present and not the ids ever issued. The disciplines, the network's
+// id routing and the admission controllers' bookings all keep their
+// per-session state in one.
 //
 // Session IDs in this repository are small sequential integers (the
 // System allocates them in admission order and never reuses one;
@@ -14,18 +16,19 @@
 // predictable, allocation-free, inlined into the discipline — where the
 // map costs a hash, a bucket walk, and a cache miss on the separately-
 // allocated state struct. A page is freed when its last id is deleted,
-// a chunk when its last page is, and the directory is trimmed to the
-// chunks between the smallest and the largest live id, so standing
-// state costs one slot per live id, rounded up to pages, plus eight
-// bytes per 256 ids of span; a straggler pins its page and chunk, not
-// the span above it.
+// a chunk when its last page is (one of each is kept spare), and the
+// directory is trimmed to the chunks between the smallest and the
+// largest live id, so standing state costs one slot per live id,
+// rounded up to pages, plus eight bytes per 256 ids of span; a
+// straggler pins its page and chunk, not the span above it.
 //
 // The span term is a precondition on callers: the directory is a slice
 // with one entry per 256 ids between the smallest and the largest live
 // id, so two live ids a trillion apart ask for gigabytes. Ids must come
-// from an allocator that issues them in sequence (System.Connect) or be
-// bounded where they enter the program (config.Validate refuses a
-// document id above 1<<24, half a megabyte of directory).
+// from an allocator that issues them in sequence (System.Connect; the
+// daemon books each client's session under its own per-system
+// sequence) or be bounded where they enter the program (config.Validate
+// refuses a document id above 1<<24, half a megabyte of directory).
 //
 // The table stores states by value, in pages that never move: a pointer
 // returned by Get or Put stays valid, and keeps addressing that id's
@@ -64,10 +67,19 @@ type Table[T any] struct {
 	dir  []*chunk[T]
 	base int
 	n    int
-	// spare is one emptied page kept for the next page needed, so a
-	// single id put and deleted across a page boundary does not allocate
-	// a page each time.
-	spare *[pageSize]T
+	// spare is made by the first Delete that empties a page, so a table
+	// that is only ever filled does not pay for it.
+	spare *spares[T]
+}
+
+// spares keeps one emptied page and one emptied chunk for the next ones
+// needed, so a single id put and deleted across a page or a chunk
+// boundary, or a window of ids sliding past one, does not allocate each
+// time. They sit behind one pointer to keep Table, which disciplines and
+// ports embed, at its size.
+type spares[T any] struct {
+	page  *[pageSize]T
+	chunk *chunk[T]
 }
 
 // Get returns the state for id, or nil when absent. It never allocates.
@@ -88,8 +100,8 @@ func (t *Table[T]) Put(id int, v T) *T {
 	}
 	c, j := t.chunkFor(id>>(pageBits+chunkBits)), id>>pageBits&chunkMask
 	if c.pages[j] == nil {
-		if t.spare != nil {
-			c.pages[j], t.spare = t.spare, nil
+		if sp := t.spare; sp != nil && sp.page != nil {
+			c.pages[j], sp.page = sp.page, nil
 		} else {
 			c.pages[j] = new([pageSize]T)
 		}
@@ -123,7 +135,11 @@ func (t *Table[T]) chunkFor(cn int) *chunk[T] {
 	}
 	c := t.dir[cn-t.base]
 	if c == nil {
-		c = new(chunk[T])
+		if sp := t.spare; sp != nil && sp.chunk != nil {
+			c, sp.chunk = sp.chunk, nil
+		} else {
+			c = new(chunk[T])
+		}
 		t.dir[cn-t.base] = c
 	}
 	return c
@@ -144,11 +160,14 @@ func (t *Table[T]) Delete(id int) {
 	if c.occ[j] &^= 1 << (id & pageMask); c.occ[j] != 0 {
 		return
 	}
-	t.spare, c.pages[j] = c.pages[j], nil
+	if t.spare == nil {
+		t.spare = new(spares[T])
+	}
+	t.spare.page, c.pages[j] = c.pages[j], nil
 	if c.occ != [chunkSize]uint16{} {
 		return
 	}
-	t.dir[i] = nil
+	t.spare.chunk, t.dir[i] = c, nil // every page of c is nil now
 	// Trim to the live span. The dropped head of the array is reclaimed
 	// at the next append that outgrows it, which copies the span alone.
 	lo, hi := 0, len(t.dir)

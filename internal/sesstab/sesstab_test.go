@@ -133,3 +133,38 @@ func TestGetAllocationFree(t *testing.T) {
 }
 
 var benchSink float64
+
+// TestBoundaryChurnReuses: an id put and deleted alone in its page and
+// chunk, as the next call beside a full window of standing calls is,
+// allocates nothing once warm, and a window sliding across 16 chunk
+// boundaries runs on the chunks it started with plus the spare.
+func TestBoundaryChurnReuses(t *testing.T) {
+	var tb Table[state]
+	for id := 0; id < 256; id++ {
+		tb.Put(id, state{})
+	}
+	id := 256
+	if n := testing.AllocsPerRun(1000, func() {
+		tb.Put(id, state{})
+		tb.Delete(id)
+		id++
+	}); n != 0 {
+		t.Errorf("a lone id beside a full chunk allocates %v per put and delete", n)
+	}
+	var win Table[state]
+	const live = 300 // two or three chunks
+	for id := 0; id < live; id++ {
+		win.Put(id, state{})
+	}
+	seen := map[*chunk[state]]bool{}
+	for next := live; next < live+16*256; next++ {
+		win.Put(next, state{})
+		win.Delete(next - live)
+		for _, c := range win.dir {
+			seen[c] = true
+		}
+	}
+	if len(seen) > 4 {
+		t.Errorf("a window of %d ids used %d chunks crossing 16 chunk boundaries, want at most 4", live, len(seen))
+	}
+}

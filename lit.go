@@ -128,10 +128,12 @@ type (
 	// Controller is what guards one server, whichever procedure runs
 	// behind it: Admit, Remove, TotalRate.
 	Controller = admission.Controller
-	// Procedure1 implements admission control procedure 1.
+	// Procedure1 implements admission control procedure 1. Session ids
+	// must be nonnegative and issued in sequence or bounded: the
+	// controller keeps its bookings in a table that spans the live ids.
 	Procedure1 = admission.Procedure1
 	// Procedure2 implements admission control procedure 2 (on the same
-	// class-based controller as procedure 1).
+	// class-based controller as procedure 1, with the same ids).
 	Procedure2 = admission.Procedure2
 	// Hop is one node of a Route from the session's point of view.
 	Hop = admission.Hop
