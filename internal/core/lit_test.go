@@ -290,6 +290,15 @@ func TestSessionStateSize(t *testing.T) {
 	}
 }
 
+// TestPacketSize pins the header every packet carries through every hop
+// and every slot of the network's packet pool holds (a 64-packet slab is
+// 64 of them).
+func TestPacketSize(t *testing.T) {
+	if got := unsafe.Sizeof(packet.Packet{}); got != 88 {
+		t.Errorf("packet.Packet is %d B, want 88: a new field is a deliberate cost on every packet in flight; record it in DESIGN.md (\"Slab packet pool and ownership\")", got)
+	}
+}
+
 func TestConfigValidation(t *testing.T) {
 	defer func() {
 		if recover() == nil {

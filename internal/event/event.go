@@ -10,10 +10,10 @@
 //
 // # Performance model
 //
-// The engine is allocation-free in steady state. Event structs come
-// from a per-simulator free list and return to it when they fire or are
-// canceled, so a long run recycles a small working set of structs
-// instead of allocating one per occurrence.
+// The engine is allocation-free in steady state: an event is stored in
+// the slot it occupies in the event set, not in a struct of its own, and
+// the caller holds a value handle (Event) to it. A long run reuses a
+// small working set of slots instead of allocating one per occurrence.
 //
 // The pending events sit in slots, one per event source rather than per
 // occurrence: the sources of a packet run re-arm themselves from inside
@@ -35,17 +35,22 @@
 // nested Step) empties it first.
 //
 // The tree is three parallel arrays — the fire times as integer keys,
-// the Event pointers, the winners as 32-bit slot indices — so a replay
-// reads and writes integers only and touches an Event (for the schedule
-// time and tie it already stores) only when two fire times are equal.
+// the rest of each slot's event (schedule time, tie, handler and the
+// slot's generation), the winners as 32-bit slot indices — so a replay
+// reads and writes integers only and reads the schedule times and ties
+// only when two fire times are equal.
 // A re-arm that fires before every other pending event, the common case
 // on a sparse run, is recognised from a bound kept on the other keys
 // and replays nothing (see Simulator.second). The arrays double when
 // every slot is taken and never shrink.
 //
-// Cancel is eager: it empties the event's slot, replays that path and
-// recycles the struct, so a canceled wake-up does not occupy the set
-// until its fire time and the slot count follows the events pending.
+// Cancel is eager: it empties the event's slot and replays that path, so
+// a canceled wake-up does not occupy the set until its fire time and the
+// slot count follows the events pending. A slot's generation moves on
+// each time an event leaves it, fired or canceled; a handle names a slot
+// and the generation its event was scheduled in, so a handle to an event
+// that is gone no longer matches, and Cancel of it is a no-op even once
+// a later event holds the slot.
 //
 // # Ordering key
 //
@@ -74,31 +79,27 @@ import (
 // Handler is the action executed when an event fires.
 type Handler func()
 
-// Event states. A pooled Event cycles pending -> free.
-const (
-	stateFree    uint8 = iota // in the free list: fired or canceled
-	statePending              // scheduled, will fire
-)
-
-// poolChunk is how many Event structs one free-list refill allocates.
-const poolChunk = 64
-
-// Event is a scheduled occurrence in simulated time. Events are created
-// by Simulator.Schedule and may be canceled before they fire.
-//
-// Event structs are pooled: once an event has fired or Cancel has
-// returned, the simulator may reuse its struct for a later Schedule
-// call. Canceling an event after either is a no-op only until its
-// struct is reused — do not retain an *Event past the firing of its
-// handler or its Cancel (clear the reference inside the handler, as a
-// wake-up timer naturally does, and on the line after Cancel).
+// Event is a handle to a scheduled occurrence in simulated time,
+// returned by Schedule, ScheduleStamped and After for Cancel. It is a
+// comparable value, and the zero Event names no event. A handle may be
+// kept past its event: once the event has fired or been canceled, Cancel
+// of the handle is a no-op, also after a later event took its slot. (A
+// slot's generation is 32 bits, so that holds until the slot has been
+// reused 2^31 times.)
 type Event struct {
-	time  float64
+	slot int32  // the event's slot
+	gen  uint32 // the slot's generation when the event was scheduled
+}
+
+// slotEv is what a slot holds beside its key: the rest of its event's
+// ordering key, its handler, and the slot's generation. The generation
+// starts at 1 and steps by 2 each time an event fires or is canceled
+// out of the slot, so it is odd and never the zero Event's 0.
+type slotEv struct {
 	sched float64
 	tie   uint64
 	fn    Handler
-	state uint8
-	slot  int32 // index into Simulator.keys/evs while pending
+	gen   uint32
 }
 
 // A slot's key is its event's fire time as an IEEE bit pattern, which
@@ -121,13 +122,14 @@ type Simulator struct {
 	seq uint64
 
 	// The event set: a winner tree over event slots. keys[i] and evs[i]
-	// are slot i's fire-time key and event (freeKey and nil when empty);
-	// len(keys) is a power of two. win has twice that length: win[n] is
-	// the slot whose event fires first, by (time, sched, tie), among the
-	// leaves under node n, where node n's children are 2n and 2n+1 and
-	// leaf len(keys)+i is slot i itself. win[1] is the next event.
+	// are slot i's fire-time key and the rest of its event (freeKey and
+	// a nil handler when empty); len(keys) is a power of two. win has
+	// twice that length: win[n] is the slot whose event fires first, by
+	// (time, sched, tie), among the leaves under node n, where node n's
+	// children are 2n and 2n+1 and leaf len(keys)+i is slot i itself.
+	// win[1] is the next event.
 	keys []uint64
-	evs  []*Event
+	evs  []slotEv
 	win  []int32
 	idle []int32 // the empty slots, a stack
 	// second is a lower bound on the key of every slot but win[1]: a
@@ -141,8 +143,7 @@ type Simulator struct {
 	// in place, and whatever reads the root first empties it (settle).
 	// Nothing else enters the tree while it is set, so it stays win[1].
 	held    bool
-	free    []*Event // recycled Event structs
-	pending int      // scheduled and neither fired nor canceled
+	pending int // scheduled and neither fired nor canceled
 
 	// m, when non-nil, receives engine counters through the fixed
 	// HEngine* handles (one branch per schedule/cancel/fire; see
@@ -179,14 +180,14 @@ func (s *Simulator) NextTime() (float64, bool) {
 	if !s.settle() {
 		return 0, false
 	}
-	return s.evs[s.win[1]].time, true
+	return math.Float64frombits(s.keys[s.win[1]]), true
 }
 
 // Schedule registers fn to run at absolute time t. Scheduling in the
 // past (t < Now) or at NaN panics: either would silently reorder
 // causality. Events scheduled for the same instant fire in scheduling
 // order.
-func (s *Simulator) Schedule(t float64, fn Handler) *Event {
+func (s *Simulator) Schedule(t float64, fn Handler) Event {
 	if !(t >= s.now) {
 		panic("event: scheduled in the past or at NaN")
 	}
@@ -204,7 +205,7 @@ func (s *Simulator) Schedule(t float64, fn Handler) *Event {
 // simulated history. Callers must guarantee tie uniqueness among
 // stamped events at the same (t, sched); the engine only guarantees
 // it for its own Schedule calls.
-func (s *Simulator) ScheduleStamped(t, sched float64, tie uint64, fn Handler) *Event {
+func (s *Simulator) ScheduleStamped(t, sched float64, tie uint64, fn Handler) Event {
 	if !(t >= s.now) {
 		panic("event: scheduled in the past or at NaN")
 	}
@@ -214,13 +215,7 @@ func (s *Simulator) ScheduleStamped(t, sched float64, tie uint64, fn Handler) *E
 	return s.push(t, sched, tie, fn)
 }
 
-func (s *Simulator) push(t, sched float64, tie uint64, fn Handler) *Event {
-	e := s.alloc()
-	e.time = t
-	e.sched = sched
-	e.tie = tie
-	e.fn = fn
-	e.state = statePending
+func (s *Simulator) push(t, sched float64, tie uint64, fn Handler) Event {
 	s.seq++
 	s.pending++
 	key := nodeKey(t)
@@ -237,8 +232,9 @@ func (s *Simulator) push(t, sched float64, tie uint64, fn Handler) *Event {
 		slot = s.idle[last]
 		s.idle = s.idle[:last]
 	}
-	e.slot = slot
-	s.keys[slot], s.evs[slot] = key, e
+	ev := &s.evs[slot]
+	ev.sched, ev.tie, ev.fn = sched, tie, fn
+	s.keys[slot] = key
 	// A re-arm below every other key is still the next event: every
 	// match on its path stands as recorded.
 	if !rearm || key >= s.second {
@@ -251,27 +247,28 @@ func (s *Simulator) push(t, sched float64, tie uint64, fn Handler) *Event {
 			s.m.MaxUint(metrics.HEngineHeapHighWater, uint64(n))
 		}
 	}
-	return e
+	return Event{slot: slot, gen: ev.gen}
 }
 
 // After registers fn to run d seconds from now.
-func (s *Simulator) After(d float64, fn Handler) *Event {
+func (s *Simulator) After(d float64, fn Handler) Event {
 	return s.Schedule(s.now+d, fn)
 }
 
 // Cancel prevents e from firing and takes it out of the event set at
-// once. When Cancel returns e is dead, exactly as once it has fired:
-// its struct may be handed out by the next Schedule, so the caller
-// drops its pointer (the three callers in internal/network,
-// Port.maybeStart, Session.Start and Session.Stop, nil theirs on the
-// next line). Canceling an already-fired or already-canceled event
-// whose struct has not been reused is a no-op.
-func (s *Simulator) Cancel(e *Event) {
-	if e == nil || e.state != statePending {
-		return
+// once. Canceling the zero Event, or an event that has already fired or
+// been canceled, is a no-op, whatever event now holds its slot.
+func (s *Simulator) Cancel(e Event) {
+	// The test is inlined: the port's wake-up and the session's emitter
+	// cancel their last handle whether or not it is still pending.
+	if uint(e.slot) < uint(len(s.evs)) && s.evs[e.slot].gen == e.gen {
+		s.cancel(e.slot)
 	}
-	s.vacate(e.slot)
-	s.recycle(e)
+}
+
+func (s *Simulator) cancel(slot int32) {
+	s.evs[slot].gen += 2
+	s.vacate(slot)
 	s.pending--
 	if s.m != nil {
 		s.m.Inc(metrics.HEngineCanceled)
@@ -284,27 +281,30 @@ func (s *Simulator) Step() bool { return s.step(math.Inf(1)) }
 
 // step fires the earliest pending event if it is due at or before
 // limit; it is the one loop body under Step and the Run family. The
-// fired event keeps its slot, held, while the handler runs.
+// fired event keeps its slot, held, while the handler runs. The clock
+// is read back from the key, so an event scheduled at -0 fires at +0.
 func (s *Simulator) step(limit float64) bool {
 	if s.wdTripped != "" || !s.settle() {
 		return false
 	}
-	e := s.evs[s.win[1]]
-	if e.time > limit {
+	slot := s.win[1]
+	t := math.Float64frombits(s.keys[slot])
+	if t > limit {
 		return false
 	}
 	if s.wdArmed {
 		// A trip leaves the event where it is, so a caller that re-arms
 		// the watchdog resumes in the same order.
-		if s.wdTripped = s.checkWatchdog(e); s.wdTripped != "" {
+		if s.wdTripped = s.checkWatchdog(t); s.wdTripped != "" {
 			return false
 		}
 		s.wdFired++
 	}
-	s.now = e.time
+	s.now = t
 	s.pending--
-	fn := e.fn
-	s.recycle(e)
+	ev := &s.evs[slot]
+	ev.gen += 2
+	fn := ev.fn
 	s.held = true
 	if s.m != nil {
 		s.m.Inc(metrics.HEngineFired)
@@ -359,33 +359,11 @@ func (s *Simulator) RunBefore(until float64) {
 // clock except by firing.
 func (s *Simulator) RunAll() { s.run(math.Inf(1), math.Inf(-1)) }
 
-// alloc takes an Event struct from the free list, refilling it with a
-// chunk when empty so allocations amortize to zero on the hot path.
-func (s *Simulator) alloc() *Event {
-	if n := len(s.free); n > 0 {
-		e := s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
-		return e
-	}
-	chunk := make([]Event, poolChunk)
-	for i := poolChunk - 1; i > 0; i-- {
-		s.free = append(s.free, &chunk[i])
-	}
-	return &chunk[0]
-}
-
-func (s *Simulator) recycle(e *Event) {
-	e.fn = nil
-	e.state = stateFree
-	s.free = append(s.free, e)
-}
-
 // tieLess orders two events of one fire time by (schedule time, tie):
 // scheduling order — the engine's determinism contract, extended so
 // stamped cross-shard events merge at a partition-independent position
 // (see the package comment).
-func tieLess(a, b *Event) bool {
+func tieLess(a, b *slotEv) bool {
 	if a.sched != b.sched {
 		return a.sched < b.sched
 	}
@@ -400,7 +378,7 @@ func (s *Simulator) beats(a, b int32) bool {
 	if ka != kb {
 		return ka < kb
 	}
-	return ka != freeKey && tieLess(s.evs[a], s.evs[b])
+	return ka != freeKey && tieLess(&s.evs[a], &s.evs[b])
 }
 
 // lessMask is all ones when a < b and zero otherwise, without a branch:
@@ -446,7 +424,7 @@ func (s *Simulator) replay(slot int32) {
 
 // vacate empties slot and replays its path.
 func (s *Simulator) vacate(slot int32) {
-	s.keys[slot], s.evs[slot] = freeKey, nil
+	s.keys[slot], s.evs[slot].fn = freeKey, nil
 	s.idle = append(s.idle, slot)
 	s.replay(slot)
 }
@@ -457,13 +435,13 @@ func (s *Simulator) vacate(slot int32) {
 func (s *Simulator) grow() {
 	old := len(s.keys)
 	n := max(2*old, minSlots)
-	keys, evs, win := make([]uint64, n), make([]*Event, n), make([]int32, 2*n)
+	keys, evs, win := make([]uint64, n), make([]slotEv, n), make([]int32, 2*n)
 	copy(keys, s.keys)
 	copy(evs, s.evs)
 	s.keys, s.evs, s.win = keys, evs, win
 	s.idle = make([]int32, 0, n)
 	for i := n - 1; i >= old; i-- {
-		keys[i] = freeKey
+		keys[i], evs[i].gen = freeKey, 1
 		s.idle = append(s.idle, int32(i))
 	}
 	for i := range n {

@@ -55,12 +55,48 @@ func TestCancel(t *testing.T) {
 	e2 := s.Schedule(2, func() {})
 	s.RunAll()
 	s.Cancel(e2)
+	s.Cancel(Event{}) // names no event
+}
+
+// TestCancelStaleHandle: a handle outlives its event. Canceling an
+// event that has fired, or has been canceled, must not cancel the later
+// event that took its slot — inside the firing handler, which re-arms
+// the slot in place, as well as after it.
+func TestCancelStaleHandle(t *testing.T) {
+	s := New()
+	var got []string
+	e1 := s.Schedule(1, func() { got = append(got, "e1") })
+	s.RunAll()
+	e2 := s.Schedule(2, func() { got = append(got, "e2") })
+	if e2.slot != e1.slot {
+		t.Fatalf("e2 took slot %d, not e1's %d", e2.slot, e1.slot)
+	}
+	s.Cancel(e1)
+
+	e3 := s.Schedule(3, func() { got = append(got, "e3") })
+	s.Cancel(e3)
+	e4 := s.Schedule(3, func() { got = append(got, "e4") })
+	s.Cancel(e3)
+
+	var e5 Event
+	e5 = s.Schedule(4, func() {
+		got = append(got, "e5")
+		s.After(1, func() { got = append(got, "e6") }) // re-arms e5's slot
+		s.Cancel(e5)
+	})
+	s.RunAll()
+	if e4 == e3 {
+		t.Fatalf("e4 reused e3's slot under e3's handle %+v", e3)
+	}
+	if want := "[e1 e2 e4 e5 e6]"; fmt.Sprint(got) != want {
+		t.Fatalf("fired %v, want %s", got, want)
+	}
 }
 
 func TestCancelMiddleOfHeap(t *testing.T) {
 	s := New()
 	var got []int
-	events := make([]*Event, 0, 10)
+	events := make([]Event, 0, 10)
 	for i := 0; i < 10; i++ {
 		i := i
 		events = append(events, s.Schedule(float64(i), func() { got = append(got, i) }))
@@ -152,7 +188,12 @@ func TestNegativeZeroIsZero(t *testing.T) {
 	var got []string
 	s.Schedule(5e-324, func() { got = append(got, "tiny") })
 	s.Schedule(0, func() { got = append(got, "zero") })
-	s.Schedule(math.Copysign(0, -1), func() { got = append(got, "negzero") })
+	s.Schedule(math.Copysign(0, -1), func() {
+		got = append(got, "negzero")
+		if math.Signbit(s.Now()) {
+			t.Error("Now is -0 inside an event scheduled at -0, want +0")
+		}
+	})
 	s.ScheduleStamped(math.Copysign(0, -1), math.Copysign(0, -1), 0, func() { got = append(got, "stamped") })
 	if next, _ := s.NextTime(); next != 0 {
 		t.Fatalf("NextTime = %v, want 0", next)
@@ -250,8 +291,8 @@ func TestRunOnEmptyQueue(t *testing.T) {
 
 func TestEventTime(t *testing.T) {
 	s := New()
-	e := s.Schedule(1.5, func() {})
-	if e.time != 1.5 {
-		t.Errorf("time = %v", e.time)
+	s.Schedule(1.5, func() {})
+	if next, ok := s.NextTime(); !ok || next != 1.5 {
+		t.Errorf("time = %v %v", next, ok)
 	}
 }

@@ -15,7 +15,8 @@ import (
 // run from outside (Step, Run, RunBefore, RunAll, watchdog trips and
 // re-arms) and from inside handlers (zero, one or several schedules,
 // local and stamped, many at one instant, some at Now; cancels of
-// pending, firing and just-canceled events; NextTime, the pending count, a
+// pending, firing and just-canceled events, and of any event seen to
+// fire, whatever now holds its slot; NextTime, the pending count, a
 // nested Step), and every fire and every observation is logged.
 
 // engine is what a script needs of a simulator; events are named by
@@ -41,7 +42,7 @@ type engine interface {
 // realSim is the engine under test.
 type realSim struct {
 	*Simulator
-	evs map[int]*Event
+	evs map[int]Event
 	t   testing.TB
 }
 
@@ -54,7 +55,7 @@ func (r *realSim) tripped() bool     { return r.Tripped() != "" }
 func (r *realSim) pendingCount() int { return r.pending }
 func (r *realSim) verify()           { checkTree(r.t, r.Simulator) }
 
-// refSim is the reference: no heap, no pool, no laziness.
+// refSim is the reference: no tree, no slot reuse, no laziness.
 type refSim struct {
 	now   float64
 	seq   uint64
@@ -150,13 +151,10 @@ type scriptRun struct {
 	b       []byte
 	log     strings.Builder
 	pending []int // ids the script has scheduled and neither seen fire nor canceled
+	fired   []int // ids the script has seen fire
 	nextID  int
 	stamps  uint64
 	depth   int
-	// lastFired may be canceled (a no-op) only while its pooled struct
-	// cannot have been handed out again: until the next schedule.
-	lastFired int
-	reusable  bool
 }
 
 func (r *scriptRun) next() byte {
@@ -190,7 +188,6 @@ func (r *scriptRun) arm(c byte) {
 	id := r.nextID
 	r.nextID++
 	r.pending = append(r.pending, id)
-	r.reusable = true
 	d := deltas[c>>1&7]
 	t := r.s.Now() + d
 	fn := func() { r.handle(id) }
@@ -222,7 +219,7 @@ func (r *scriptRun) cancelOne(c byte) {
 func (r *scriptRun) handle(id int) {
 	fmt.Fprintf(&r.log, "fire %d at %v pending=%d\n", id, r.s.Now(), r.s.pendingCount())
 	r.drop(id)
-	r.lastFired, r.reusable = id, false
+	r.fired = append(r.fired, id)
 	r.s.verify()
 	defer r.s.verify()
 	c := r.next()
@@ -252,7 +249,7 @@ func (r *scriptRun) handle(id int) {
 
 // runScript plays b against s and returns the log.
 func runScript(s engine, b []byte) string {
-	r := &scriptRun{s: s, b: b, lastFired: -1}
+	r := &scriptRun{s: s, b: b}
 	for n := 1 + int(r.next()&31); n > 0; n-- {
 		r.arm(r.next())
 	}
@@ -262,8 +259,9 @@ func runScript(s engine, b []byte) string {
 		switch c & 7 {
 		case 0:
 			fmt.Fprintf(&r.log, "step %v\n", s.Step())
-			if r.lastFired >= 0 && !r.reusable {
-				s.cancel(r.lastFired) // already fired: a no-op
+			if len(r.fired) > 0 {
+				// Already fired, its slot perhaps reused: a no-op.
+				s.cancel(r.fired[int(c>>3)%len(r.fired)])
 			}
 		case 1:
 			s.Run(until)
@@ -301,7 +299,7 @@ func runScript(s engine, b []byte) string {
 
 func checkScript(t *testing.T, b []byte) {
 	t.Helper()
-	got := runScript(&realSim{Simulator: New(), evs: map[int]*Event{}, t: t}, b)
+	got := runScript(&realSim{Simulator: New(), evs: map[int]Event{}, t: t}, b)
 	want := runScript(&refSim{evs: map[int]*refEv{}}, b)
 	if got != want {
 		g, w := strings.Split(got, "\n"), strings.Split(want, "\n")

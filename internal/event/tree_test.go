@@ -49,7 +49,7 @@ func TestTreeGrowsUnderLoad(t *testing.T) {
 		return string(log)
 	}
 	sim := New()
-	got := play(&realSim{Simulator: sim, evs: map[int]*Event{}, t: t})
+	got := play(&realSim{Simulator: sim, evs: map[int]Event{}, t: t})
 	if want := play(&refSim{evs: map[int]*refEv{}}); got != want {
 		t.Fatalf("fired order differs from the reference's:\n got %.300s\nwant %.300s", got, want)
 	}
@@ -111,9 +111,10 @@ func TestCanceledEventsHoldNoSlot(t *testing.T) {
 
 // checkTree asserts the event set's structure: every inner node names
 // the winner of its two children, the idle list is exactly the empty
-// slots, a used slot and its event agree, the used slots are the
-// pending events plus the held one, and second bounds every key but
-// the root's.
+// slots, an empty slot keeps no handler, every generation is odd (so no
+// slot matches the zero Event), the used slots are the pending
+// events plus the held one, and second bounds every key but the
+// root's.
 func checkTree(t testing.TB, s *Simulator) {
 	t.Helper()
 	n := len(s.keys)
@@ -133,22 +134,18 @@ func checkTree(t testing.TB, s *Simulator) {
 	}
 	used := 0
 	for i := int32(0); int(i) < n; i++ {
-		k, e := s.keys[i], s.evs[i]
+		k, e := s.keys[i], &s.evs[i]
 		if s.win[n+int(i)] != i {
 			t.Fatalf("leaf %d names slot %d", i, s.win[n+int(i)])
 		}
 		if i != root && k < s.second {
 			t.Fatalf("second = %#x is above slot %d's key %#x (root is slot %d)", s.second, i, k, root)
 		}
-		if (k == freeKey) != (e == nil) || (e == nil) != idle[i] {
-			t.Fatalf("slot %d: key %#x, event %v, idle %v", i, k, e, idle[i])
+		if (k == freeKey) != idle[i] || idle[i] && e.fn != nil || e.gen&1 == 0 {
+			t.Fatalf("slot %d: key %#x, handler set %v, idle %v, generation %d", i, k, e.fn != nil, idle[i], e.gen)
 		}
-		if e == nil {
-			continue
-		}
-		used++
-		if held := s.held && i == root; k != nodeKey(e.time) || (e.state == statePending) == held || !held && e.slot != i {
-			t.Fatalf("slot %d (held %v): key %#x, event %+v", i, held, k, *e)
+		if !idle[i] {
+			used++
 		}
 	}
 	want := s.pending

@@ -46,14 +46,14 @@ func (s *Simulator) SetWatchdog(w Watchdog) {
 // while set the simulator fires no further events.
 func (s *Simulator) Tripped() string { return s.wdTripped }
 
-// checkWatchdog decides whether e may fire; a non-empty return is the
-// trip reason.
-func (s *Simulator) checkWatchdog(e *Event) string {
+// checkWatchdog decides whether the event due at t may fire; a
+// non-empty return is the trip reason.
+func (s *Simulator) checkWatchdog(t float64) string {
 	if s.wd.MaxEvents > 0 && s.wdFired >= s.wd.MaxEvents {
 		return fmt.Sprintf("event budget exhausted: %d events fired", s.wdFired)
 	}
-	if s.wd.MaxSim > 0 && e.time > s.wd.MaxSim {
-		return fmt.Sprintf("sim-time budget exceeded: next event at t=%.9f > %.9f", e.time, s.wd.MaxSim)
+	if s.wd.MaxSim > 0 && t > s.wd.MaxSim {
+		return fmt.Sprintf("sim-time budget exceeded: next event at t=%.9f > %.9f", t, s.wd.MaxSim)
 	}
 	if s.wd.MaxWall > 0 {
 		if s.wdStart.IsZero() {

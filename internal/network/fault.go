@@ -163,7 +163,9 @@ func (p *Port) PurgeSession(id int) {
 	if p.txPkt != nil && p.txPkt.Session == id {
 		p.txLost = causePurge
 	}
-	p.trackBuf.Delete(id)
+	if p.trackBuf != nil {
+		p.trackBuf.Delete(id)
+	}
 	if m := p.net.metrics; m != nil {
 		m.Arena().Inc(metrics.HFaultSessionsPurged)
 	}
@@ -207,10 +209,7 @@ func (n *Network) DropSession(s *Session) {
 // stopped session can be restarted with Start.
 func (s *Session) Stop() {
 	s.stopEmit = 0
-	if s.emitEv != nil {
-		s.net.Sim.Cancel(s.emitEv)
-		s.emitEv = nil
-	}
+	s.net.Sim.Cancel(s.emitEv)
 }
 
 // SetStalled pauses (true) or resumes (false) the session's source

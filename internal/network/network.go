@@ -34,8 +34,8 @@ type Discipline interface {
 	// session arrives.
 	AddSession(cfg SessionPort)
 
-	// Enqueue hands an arriving packet to the discipline at time now.
-	// The packet's NodeArrive field is already set.
+	// Enqueue hands an arriving packet to the discipline at time now,
+	// the packet's arrival instant at this node.
 	Enqueue(p *packet.Packet, now float64)
 
 	// Dequeue returns the packet to transmit at time now, if any queued
@@ -207,10 +207,7 @@ func (n *Network) NewPort(name string, capacity, gamma float64, disc Discipline)
 	// these closures instead of allocating a fresh one per occurrence.
 	p.txFn = p.txDone
 	p.linkFn = p.deliverHead
-	p.wakeFn = func() {
-		p.waker = nil
-		p.maybeStart(p.net.Sim.Now())
-	}
+	p.wakeFn = func() { p.maybeStart(p.net.Sim.Now()) }
 	if n.metrics != nil {
 		p.attachMetrics(n.metrics)
 	}
@@ -254,7 +251,7 @@ type Port struct {
 	// maybeStart tests with it, so the two bools share one word.
 	busy   bool
 	down   bool
-	waker  *event.Event
+	waker  event.Event
 	txLost string
 
 	// check, when the discipline keeps per-session state, answers
@@ -290,8 +287,9 @@ type Port struct {
 
 	// Buffer tracking (Figures 12-13): per-session bits currently at
 	// this node, counting the packet under transmission, by session ID
-	// (absent = untracked).
-	trackBuf sesstab.Table[*BufferProbe]
+	// (absent = untracked). Made by the first TrackBuffer, so a port
+	// that tracks nobody pays one nil pointer.
+	trackBuf *sesstab.Table[*BufferProbe]
 
 	// HoldClamped counts eq.-9 holding times that came out negative and
 	// were clamped to zero; nonzero values indicate scheduler
@@ -388,6 +386,9 @@ type BufferProbe struct {
 // port and returns the probe.
 func (p *Port) TrackBuffer(session int) *BufferProbe {
 	probe := &BufferProbe{}
+	if p.trackBuf == nil {
+		p.trackBuf = new(sesstab.Table[*BufferProbe])
+	}
 	p.trackBuf.Put(session, probe)
 	return probe
 }
@@ -396,7 +397,7 @@ func (p *Port) TrackBuffer(session int) *BufferProbe {
 // is asked twice per packet, and most ports track nobody: that answer
 // is inlined, the lookup is not.
 func (p *Port) probeFor(session int) *BufferProbe {
-	if p.trackBuf.Len() == 0 {
+	if p.trackBuf == nil || p.trackBuf.Len() == 0 {
 		return nil
 	}
 	return p.probe(session)
@@ -421,7 +422,6 @@ func (p *Port) LimitBuffer(session int, bits float64) *BufferProbe {
 // Arrive delivers a packet to this port at time now (the instant its
 // last bit arrives, per the paper's convention).
 func (p *Port) Arrive(pkt *packet.Packet, now float64) {
-	pkt.NodeArrive = now
 	if p.check != nil && !p.check.HasSession(pkt.Session) {
 		// Registration race: the session was purged from this node while
 		// the packet was still in flight toward it. Terminal drop, before
@@ -479,10 +479,7 @@ func (p *Port) maybeStart(now float64) {
 	if p.busy || p.down {
 		return
 	}
-	if p.waker != nil {
-		p.net.Sim.Cancel(p.waker)
-		p.waker = nil
-	}
+	p.net.Sim.Cancel(p.waker)
 	pkt, ok := p.Disc.Dequeue(now)
 	if !ok {
 		if t, held := p.Disc.NextEligible(now); held {
@@ -712,11 +709,9 @@ type Session struct {
 	// itself from inside the event (created once in Start), with the
 	// pending packet's length parked in nextLen — at most one emission
 	// event is outstanding per session, retained in emitEv so Stop can
-	// cancel it. emitEv is cleared at the top of the handler, before
-	// any re-schedule, because the event struct is pooled: a stale
-	// pointer could alias an unrelated recycled event.
+	// cancel it (a no-op once it has fired).
 	emitFn  event.Handler
-	emitEv  *event.Event
+	emitEv  event.Event
 	nextLen float64
 }
 
@@ -797,16 +792,12 @@ func (s *Session) Start(t0, stopEmit float64) {
 		return
 	}
 	s.stopEmit = stopEmit
-	if s.emitEv != nil {
-		// Re-Start with an emission still pending (a churned session
-		// re-established before its old event fired): cancel it — the
-		// new schedule below replaces it.
-		s.net.Sim.Cancel(s.emitEv)
-		s.emitEv = nil
-	}
+	// Re-Start with an emission still pending (a churned session
+	// re-established before its old event fired): cancel it — the new
+	// schedule below replaces it.
+	s.net.Sim.Cancel(s.emitEv)
 	if s.emitFn == nil {
 		s.emitFn = func() {
-			s.emitEv = nil
 			t := s.net.Sim.Now() // == the scheduled emission instant
 			if !s.stalled {
 				s.send(t, s.nextLen)
@@ -861,7 +852,9 @@ func (n *Network) RemoveSession(s *Session) {
 		if r, ok := port.Disc.(SessionRemover); ok {
 			r.RemoveSession(s.ID)
 		}
-		port.trackBuf.Delete(s.ID)
+		if port.trackBuf != nil {
+			port.trackBuf.Delete(s.ID)
+		}
 	}
 	n.unregister(s)
 }
@@ -886,7 +879,7 @@ func (n *Network) unregister(s *Session) {
 // Handoff is the complete cross-shard state of a packet leaving one
 // network segment for the next: everything a downstream shard needs
 // to reconstruct the packet in its own pool. Per-node scheduling
-// fields (Eligible, Deadline, NodeArrive, ...) are deliberately
+// fields (Eligible, Deadline, Delay, ...) are deliberately
 // absent — they are recomputed at every node, exactly as they would
 // be after a serial link traversal.
 type Handoff struct {

@@ -8,10 +8,18 @@ import (
 )
 
 // slabBits sizes the pool's slabs: 1<<slabBits Packet structs per slab.
-const slabBits = 8
+// 64 keep what a run allocates close to the packets it has in flight (a
+// voice tandem op takes two or three), and a slab's liveness bits fill
+// one bitset word.
+const slabBits = 6
+
+// A slab fills at least one word of pktPool.live, so every slab owns
+// whole words: a smaller slabBits makes this constant negative, which
+// does not compile.
+const _ uint = 1<<slabBits - 64
 
 // pktPool is the per-Network packet arena. Packets live in fixed slabs
-// of 256 structs — contiguous, never moved, never individually freed —
+// of 64 structs — contiguous, never moved, never individually freed —
 // and are addressed by index: Packet.PoolIndex is slab number in the
 // high bits, slot within the slab in the low slabBits. The free list
 // holds indices, not pointers, and debug-mode liveness is one bit per

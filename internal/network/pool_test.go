@@ -1,6 +1,7 @@
 package network
 
 import (
+	"math/bits"
 	"strings"
 	"testing"
 
@@ -167,4 +168,114 @@ func TestFlightFIFOOrder(t *testing.T) {
 	if len(seqs) != 3 || seqs[0] != 1 || seqs[1] != 2 || seqs[2] != 3 {
 		t.Fatalf("delivery order %v, want [1 2 3]", seqs)
 	}
+}
+
+// TestPoolSlabs: k live packets take ⌈k/64⌉ slabs and one liveness word
+// per slab, and across three slabs every packet's PoolIndex names its
+// own struct and its liveness bit. Releasing them all and taking k
+// again reuses the slabs.
+func TestPoolSlabs(t *testing.T) {
+	for _, k := range []int{1, 63, 64, 65, 128, 129, 150} {
+		pp := pktPool{debug: true}
+		live := make([]*packet.Packet, k)
+		for round := 0; round < 2; round++ {
+			for i := range live {
+				live[i] = pp.get()
+			}
+			if want := (k + 63) / 64; len(pp.slabs) != want || len(pp.live) != want {
+				t.Fatalf("k=%d round %d: %d slabs and %d liveness words, want %d of each", k, round, len(pp.slabs), len(pp.live), want)
+			}
+			seen := map[int32]bool{}
+			for _, p := range live {
+				idx := p.PoolIndex
+				if seen[idx] || pp.at(idx) != p || pp.live[idx>>6]&(1<<(uint(idx)&63)) == 0 {
+					t.Fatalf("k=%d: packet at index %d: seen %v, named struct %v, live bit %v", k, idx, seen[idx], pp.at(idx) == p, pp.live[idx>>6]&(1<<(uint(idx)&63)) != 0)
+				}
+				seen[idx] = true
+			}
+			for _, p := range live {
+				pp.put(p)
+			}
+			for i, w := range pp.live {
+				if w != 0 {
+					t.Fatalf("k=%d: liveness word %d is %#x with every packet released", k, i, w)
+				}
+			}
+		}
+	}
+}
+
+// FuzzPool plays take/release scripts in debug mode against a reference
+// set of live packets. Each byte is one op: its top bit takes a packet,
+// otherwise it releases the live packet its low bits pick, and every
+// eighth release also releases a packet a second time, which must
+// panic. After every op the counters, the liveness bits and the slab
+// count must agree with the reference: no slot is live twice, a packet
+// comes back zeroed, and the pool holds no more slabs than its peak
+// needs.
+func FuzzPool(f *testing.F) {
+	three := make([]byte, 0, 300)
+	for i := 0; i < 150; i++ {
+		three = append(three, 0x80)
+	}
+	for i := 0; i < 150; i++ {
+		three = append(three, byte(i*37%128))
+	}
+	f.Add(three)
+	f.Add([]byte{0x80, 0x80, 0, 0x80, 7, 0x80, 0x80, 1, 0})
+	f.Fuzz(func(t *testing.T, script []byte) {
+		pp := pktPool{debug: true}
+		var live []*packet.Packet
+		peak := 0
+		for i, c := range script {
+			if c&0x80 != 0 {
+				p := pp.get()
+				if *p != (packet.Packet{PoolIndex: p.PoolIndex}) {
+					t.Fatalf("op %d: took a packet that is not zeroed: %+v", i, *p)
+				}
+				p.Seq = int64(i) + 1
+				live = append(live, p)
+				peak = max(peak, len(live))
+			} else if len(live) > 0 {
+				j := int(c) % len(live)
+				p := live[j]
+				if p.Seq == 0 {
+					t.Fatalf("op %d: a live packet was zeroed while held", i)
+				}
+				live = append(live[:j], live[j+1:]...)
+				pp.put(p)
+				if c%8 == 7 {
+					mustPanicRelease(t, &pp, p)
+				}
+			}
+			if n := pp.taken - pp.released; n != int64(len(live)) {
+				t.Fatalf("op %d: pool counts %d live, reference %d", i, n, len(live))
+			}
+			ones := 0
+			for _, w := range pp.live {
+				ones += bits.OnesCount64(w)
+			}
+			if ones != len(live) || len(pp.free)+len(live) != len(pp.slabs)*64 {
+				t.Fatalf("op %d: %d liveness bits and %d free slots for %d live packets in %d slabs", i, ones, len(pp.free), len(live), len(pp.slabs))
+			}
+			for _, p := range live {
+				if pp.at(p.PoolIndex) != p || pp.live[p.PoolIndex>>6]&(1<<(uint(p.PoolIndex)&63)) == 0 {
+					t.Fatalf("op %d: live packet %d lost its slot or liveness bit", i, p.PoolIndex)
+				}
+			}
+			if want := (peak + 63) / 64; len(pp.slabs) != want {
+				t.Fatalf("op %d: %d slabs for a peak of %d live packets, want %d", i, len(pp.slabs), peak, want)
+			}
+		}
+	})
+}
+
+func mustPanicRelease(t *testing.T, pp *pktPool, p *packet.Packet) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("second release of packet %d did not panic", p.PoolIndex)
+		}
+	}()
+	pp.put(p)
 }

@@ -53,10 +53,6 @@ type Packet struct {
 	// occupies along its route.
 	Hop int
 
-	// NodeArrive is the arrival time t^n of the packet at the current
-	// node, set by the port on reception.
-	NodeArrive float64
-
 	// Eligible is the eligibility time E^n assigned at the current
 	// node (eqs. 6-7).
 	Eligible float64

@@ -181,7 +181,7 @@ func (p *MetroPlan) Run() (*MetroResult, error) {
 	links := g.Links()
 	res := &MetroResult{
 		Shards: opt.Shards,
-		Nodes:  len(g.Nodes()), Links: len(links), Sessions: len(p.routes),
+		Nodes:  g.NodeCount(), Links: len(links), Sessions: len(p.routes),
 		CutLinks: rt.Part.CutLinks, Lookahead: rt.Part.Lookahead,
 	}
 	r := rng.New(opt.Seed)

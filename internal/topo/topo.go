@@ -221,6 +221,9 @@ func (g *Graph) RouteLinks(src, dst string) ([]*Link, error) {
 // Links returns all links in insertion order.
 func (g *Graph) Links() []*Link { return g.links }
 
+// NodeCount returns the number of nodes.
+func (g *Graph) NodeCount() int { return len(g.nodes) }
+
 // Nodes returns the node names, sorted.
 func (g *Graph) Nodes() []string {
 	var names []string

@@ -168,8 +168,8 @@ func TestBuildTwiceErrors(t *testing.T) {
 func TestNodesAndLinksAccessors(t *testing.T) {
 	g := New()
 	g.AddDuplex("b", "a", 1e6, 1e-3)
-	if n := g.Nodes(); len(n) != 2 || n[0] != "a" {
-		t.Errorf("Nodes = %v", n)
+	if n := g.Nodes(); len(n) != 2 || n[0] != "a" || g.NodeCount() != 2 {
+		t.Errorf("Nodes = %v, NodeCount = %d", n, g.NodeCount())
 	}
 	if len(g.Links()) != 2 {
 		t.Errorf("Links = %d", len(g.Links()))

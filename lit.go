@@ -62,7 +62,9 @@ type (
 	// Simulator is the deterministic discrete-event engine driving a
 	// network.
 	Simulator = event.Simulator
-	// Event is a cancelable scheduled occurrence.
+	// Event is a value handle to a scheduled occurrence, for
+	// Simulator.Cancel. It may outlive its event: canceling one that
+	// has fired or been canceled is a no-op.
 	Event = event.Event
 )
 
