@@ -46,16 +46,19 @@
 // Seeds run on a GOMAXPROCS worker pool; reports print in seed order
 // and each report is deterministic (same seed, byte-identical output).
 // On violation a repro is written under -repro-dir: the scenario
-// document, as litrun and litserve accept it, with the harness's own
-// keys in a "check" object beside it. A failing clean case is shrunk to
-// a minimal form and written as litcheck_repro_<seed>.json; a failing
-// faulted case is written whole as litcheck_repro_<seed>_churn.json,
-// because the fault plan is part of the scenario and the repro must
-// replay the identical chaos. -replay takes such a repro or any scenario
-// document (bound checks then apply to the sessions that declare b0, the
-// rest of the battery to all) and runs the whole battery on it; a file
-// with none of a document's keys is reported as an invalid-scenario. The
-// exit status is 1 if any seed failed, 0 otherwise.
+// document with the harness's own keys in a "check" object beside it. A
+// clean repro runs under litrun and litserve too; a churn repro that
+// sets a session up again replays only here, under -replay, because
+// their runner releases but cannot re-SETUP (ROADMAP item 13). A
+// failing clean case is shrunk to a minimal form and written as
+// litcheck_repro_<seed>.json; a failing faulted case is written whole
+// as litcheck_repro_<seed>_churn.json, because the fault plan is part
+// of the scenario and the repro must replay the identical chaos.
+// -replay takes such a repro or any scenario document (bound checks then
+// apply to the sessions that declare b0, the rest of the battery to all)
+// and runs the whole battery on it; a file with none of a document's
+// keys is reported as an invalid-scenario. The exit status is 1 if any
+// seed failed, 0 otherwise.
 //
 // Every run is bounded by a watchdog: 100 x duration simulated seconds
 // and -max-events fired events (20 000 000 unless set), plus -max-wall

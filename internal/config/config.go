@@ -635,8 +635,9 @@ func (sess *Session) BuildSource(r *rng.Rand) (traffic.Source, error) {
 	var src traffic.Source
 	switch sc.Kind {
 	case "onoff":
-		if sc.T <= 0 || sc.MeanOn <= 0 {
-			return nil, fmt.Errorf("onoff source needs positive t and mean_on")
+		// mean_off = 0 is the paper's fixed-rate source (a_OFF = 0).
+		if sc.T <= 0 || sc.MeanOn <= 0 || sc.MeanOff < 0 {
+			return nil, fmt.Errorf("onoff source needs positive t and mean_on and a nonnegative mean_off")
 		}
 		src = &traffic.OnOff{T: sc.T, Length: sc.Length, MeanOn: sc.MeanOn,
 			MeanOff: sc.MeanOff, Rng: sc.stream(r, 0)}

@@ -109,6 +109,7 @@ func TestParseRejectsBadDocuments(t *testing.T) {
 		"negative class":     session(`"class":-1,` + greedy),
 		"negative eps":       session(`"eps":-1,` + greedy),
 		"onoff without t":    session(`"source":{"kind":"onoff","mean_on":1,"length":100}`),
+		"negative mean_off":  session(`"source":{"kind":"onoff","t":0.1,"mean_on":1,"mean_off":-1,"length":100}`),
 		"poisson zero mean":  session(`"source":{"kind":"poisson","length":100}`),
 		"greedy zero rate":   session(`"source":{"kind":"greedy","length":100}`),
 		// A zero-length greedy source has a zero gap and never advances

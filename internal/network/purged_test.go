@@ -21,47 +21,29 @@ import (
 // track registration used to panic inside Enqueue when the straggler
 // arrived; the port now refuses the packet up front and traces a
 // terminal Drop with cause "purged". Disciplines that keep no
-// registration state (FCFS, Stop-and-Go) accept and deliver the
-// straggler — the port must not impose stricter semantics than the
-// discipline has.
+// registration state (no SessionChecker: FCFS, Stop-and-Go) accept and
+// deliver the straggler — the port must not impose stricter semantics
+// than the discipline has. The cases are every row of sched.Table and
+// the class aggregate.
 func TestInFlightTeardownNoPanic(t *testing.T) {
-	cases := []struct {
-		name string
-		mk   func() network.Discipline
-		// delivered: the discipline tracks no registration, so the
-		// straggler completes instead of dropping.
-		delivered bool
-	}{
-		{"lit", func() network.Discipline {
-			return core.New(core.Config{Capacity: 1536e3, LMax: 424})
-		}, false},
-		{"aggregate", func() network.Discipline {
-			return core.NewAggregate(core.AggConfig{Capacity: 1536e3, LMax: 424,
+	cases := append(sched.Table[:len(sched.Table):len(sched.Table)], sched.Row{Name: "aggregate",
+		New: func(capacity, lMax, _ float64) network.Discipline {
+			return core.NewAggregate(core.AggConfig{Capacity: capacity, LMax: lMax,
 				Classes: 1, ClassOf: func(int) int { return 0 }})
-		}, false},
-		{"virtualclock", func() network.Discipline { return sched.NewVirtualClock() }, false},
-		{"wfq", func() network.Discipline { return sched.NewWFQ(1536e3) }, false},
-		{"wf2q", func() network.Discipline { return sched.NewWF2Q(1536e3) }, false},
-		{"scfq", func() network.Discipline { return sched.NewSCFQ() }, false},
-		{"delayedd", func() network.Discipline { return sched.NewDelayEDD() }, false},
-		{"jitteredd", func() network.Discipline { return sched.NewJitterEDD() }, false},
-		{"hrr", func() network.Discipline { return sched.NewHRR(424, 0.01) }, false},
-		{"rcsp", func() network.Discipline { return sched.NewRCSP(2) }, false},
-		{"lstf", func() network.Discipline { return sched.NewLSTF() }, false},
-		{"srpt", func() network.Discipline { return sched.NewSRPT() }, false},
-		{"fcfs", func() network.Discipline { return sched.NewFCFS() }, true},
-		{"stopandgo", func() network.Discipline { return sched.NewStopAndGo(0.01) }, true},
-	}
+		}})
 	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
+		t.Run(c.Name, func(t *testing.T) {
 			sim := event.New()
 			net := network.New(sim, 424)
 			rec := &trace.Recorder{}
 			net.Tracer = rec
 			// 10 ms of wire between the ports: plenty of room to tear
 			// the session down mid-flight.
-			p1 := net.NewPort("a", 1536e3, 10e-3, c.mk())
-			p2 := net.NewPort("b", 1536e3, 0, c.mk())
+			p1 := net.NewPort("a", 1536e3, 10e-3, c.New(1536e3, 424, 0.01))
+			p2 := net.NewPort("b", 1536e3, 0, c.New(1536e3, 424, 0.01))
+			// A discipline without SessionChecker tracks no registration,
+			// so the straggler completes instead of dropping.
+			_, checks := p2.Disc.(network.SessionChecker)
 			cfg := network.SessionPort{Rate: 32e3, LocalDelay: 1e-3, XMin: 1e-3, DMax: 1e-3}
 			s := net.AddSession(1, 32e3, false, []*network.Port{p1, p2},
 				[]network.SessionPort{cfg, cfg}, nil)
@@ -74,7 +56,7 @@ func TestInFlightTeardownNoPanic(t *testing.T) {
 				// discipline implements it, and the queue is empty (the
 				// packet is on the wire), so it is pure deregistration.
 				p2.Disc.(network.SessionPurger).PurgeSession(1, func(*packet.Packet) {
-					t.Errorf("%s: purge found a queued packet", c.name)
+					t.Errorf("%s: purge found a queued packet", c.Name)
 				})
 			})
 			sim.RunAll()
@@ -94,16 +76,16 @@ func TestInFlightTeardownNoPanic(t *testing.T) {
 					delivers++
 				}
 			}
-			if c.delivered {
+			if !checks {
 				if delivers != 1 || drops != 0 {
-					t.Fatalf("%s: delivered %d dropped %d, want the straggler delivered", c.name, delivers, drops)
+					t.Fatalf("%s: delivered %d dropped %d, want the straggler delivered", c.Name, delivers, drops)
 				}
 			} else {
 				if drops != 1 || delivers != 0 {
-					t.Fatalf("%s: delivered %d dropped %d, want one purged drop", c.name, delivers, drops)
+					t.Fatalf("%s: delivered %d dropped %d, want one purged drop", c.Name, delivers, drops)
 				}
 				if s.Delivered != 0 {
-					t.Fatalf("%s: session counted %d deliveries", c.name, s.Delivered)
+					t.Fatalf("%s: session counted %d deliveries", c.Name, s.Delivered)
 				}
 			}
 			// Either way the port is healthy: a fresh registration
@@ -113,7 +95,7 @@ func TestInFlightTeardownNoPanic(t *testing.T) {
 			sim.Schedule(sim.Now()+1e-3, func() { s.InjectAt(sim.Now(), 424) })
 			sim.RunAll()
 			if s.Delivered == 0 {
-				t.Fatalf("%s: no delivery after re-registration", c.name)
+				t.Fatalf("%s: no delivery after re-registration", c.Name)
 			}
 		})
 	}

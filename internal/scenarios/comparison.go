@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"leaveintime/internal/admission"
-	"leaveintime/internal/core"
 	"leaveintime/internal/network"
 	"leaveintime/internal/rng"
 	"leaveintime/internal/sched"
@@ -44,7 +43,7 @@ type ComparisonResult struct {
 func RunComparison(duration float64, seed uint64, aOff float64) *ComparisonResult {
 	const (
 		tagRate = VoiceRate
-		frame   = OnSpacing // 13.25 ms: one tagged packet per frame
+		frame   = OnSpacing // t1Disc's frame, 13.25 ms: one tagged packet per frame
 	)
 	// What the two sessions at a node declare to it: the tagged session
 	// one cell per 13.25 ms and a local delay of as much, the node's
@@ -81,22 +80,18 @@ func RunComparison(duration float64, seed uint64, aOff float64) *ComparisonResul
 		note       string
 	}
 	entries := []entry{
-		{"Leave-in-Time", func() network.Discipline {
-			return core.New(core.Config{Capacity: T1Rate, LMax: CellBits})
-		}, false, litBound, "eq. 12"},
-		{"Leave-in-Time+jitterctl", func() network.Discipline {
-			return core.New(core.Config{Capacity: T1Rate, LMax: CellBits})
-		}, true, litBound, "eq. 12"},
-		{"VirtualClock", func() network.Discipline { return sched.NewVirtualClock() }, false, litBound, "eq. 12 (special case)"},
-		{"WFQ (PGPS)", func() network.Discipline { return sched.NewWFQ(T1Rate) }, false, litBound, "PGPS = eq. 15"},
-		{"WF2Q", func() network.Discipline { return sched.NewWF2Q(T1Rate) }, false, litBound, "PGPS = eq. 15"},
-		{"SCFQ", func() network.Discipline { return sched.NewSCFQ() }, false, 0, ""},
-		{"FCFS", func() network.Discipline { return sched.NewFCFS() }, false, 0, "no cross envelope"},
-		{"Stop-and-Go", func() network.Discipline { return sched.NewStopAndGo(frame) }, false, sgBound, "2HT"},
-		{"HRR", func() network.Discipline { return sched.NewHRR(CellBits, frame) }, false, hrrBound, "2HT"},
-		{"Delay-EDD", func() network.Discipline { return sched.NewDelayEDD() }, false, eddBnd, eddNote},
-		{"Jitter-EDD", func() network.Discipline { return sched.NewJitterEDD() }, false, eddBnd, eddNote},
-		{"RCSP (2 levels)", func() network.Discipline { return newRCSPByRate() }, false, 0, "level test not run"},
+		{"Leave-in-Time", t1Disc("lit"), false, litBound, "eq. 12"},
+		{"Leave-in-Time+jitterctl", t1Disc("lit"), true, litBound, "eq. 12"},
+		{"VirtualClock", t1Disc("virtualclock"), false, litBound, "eq. 12 (special case)"},
+		{"WFQ (PGPS)", t1Disc("wfq"), false, litBound, "PGPS = eq. 15"},
+		{"WF2Q", t1Disc("wf2q"), false, litBound, "PGPS = eq. 15"},
+		{"SCFQ", t1Disc("scfq"), false, 0, ""},
+		{"FCFS", t1Disc("fcfs"), false, 0, "no cross envelope"},
+		{"Stop-and-Go", t1Disc("stopandgo"), false, sgBound, "2HT"},
+		{"HRR", t1Disc("hrr"), false, hrrBound, "2HT"},
+		{"Delay-EDD", t1Disc("delayedd"), false, eddBnd, eddNote},
+		{"Jitter-EDD", t1Disc("jitteredd"), false, eddBnd, eddNote},
+		{"RCSP (2 levels)", newRCSPByRate, false, 0, "level test not run"},
 	}
 	for _, e := range entries {
 		tag := runComparisonScenario(e.mk, e.jitterCtrl, duration, seed, aOff, tagPort, crossPort)
@@ -157,8 +152,8 @@ func runComparisonScenario(mk func() network.Discipline, jitterCtrl bool, durati
 	return tag
 }
 
-// newRCSPByRate is RCSP with voice-like sessions at level 1.
-func newRCSPByRate() network.Discipline { return rcspByRate{sched.NewRCSP(2)} }
+// newRCSPByRate is the table's RCSP with voice-like sessions at level 1.
+func newRCSPByRate() network.Discipline { return rcspByRate{t1Disc("rcsp")().(*sched.RCSP)} }
 
 type rcspByRate struct{ *sched.RCSP }
 

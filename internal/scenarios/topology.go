@@ -15,6 +15,7 @@ import (
 	"leaveintime/internal/metrics"
 	"leaveintime/internal/network"
 	"leaveintime/internal/rng"
+	"leaveintime/internal/sched"
 	"leaveintime/internal/system"
 	"leaveintime/internal/traffic"
 )
@@ -101,6 +102,14 @@ func rawTandem(mk func() network.Discipline) (*network.Network, []*network.Port)
 		ports[i] = net.NewPort(fmt.Sprintf("node%d", i+1), T1Rate, PropDelay, mk())
 	}
 	return net, ports
+}
+
+// t1Disc makes the named sched.Table discipline for a Figure 6 port: a
+// T1 link, one cell as L_MAX and, for the framing disciplines, a frame
+// of one voice packet spacing (13.25 ms).
+func t1Disc(name string) func() network.Discipline {
+	row := sched.Lookup(name)
+	return func() network.Discipline { return row.New(T1Rate, CellBits, OnSpacing) }
 }
 
 // Instrument attaches a telemetry registry to the tandem: the event

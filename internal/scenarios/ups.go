@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"strings"
 
-	"leaveintime/internal/core"
 	"leaveintime/internal/network"
 	"leaveintime/internal/rng"
-	"leaveintime/internal/sched"
 	"leaveintime/internal/trace"
 )
 
@@ -172,22 +170,20 @@ type UPSResult struct {
 // conserving), measuring how closely each reproduces the recording.
 func RunUPS(duration float64, seed uint64) *UPSResult {
 	recorded := []struct {
-		name string
-		mk   func() network.Discipline
+		name string // the sched.Table row
 		cfg  network.SessionPort
 	}{
-		{"fcfs", func() network.Discipline { return sched.NewFCFS() }, network.SessionPort{}},
-		{"virtualclock", func() network.Discipline { return sched.NewVirtualClock() }, network.SessionPort{}},
-		{"wfq", func() network.Discipline { return sched.NewWFQ(T1Rate) }, network.SessionPort{}},
-		{"delayedd", func() network.Discipline { return sched.NewDelayEDD() },
-			network.SessionPort{LocalDelay: CellBits / VoiceRate, XMin: OnSpacing}},
+		{"fcfs", network.SessionPort{}},
+		{"virtualclock", network.SessionPort{}},
+		{"wfq", network.SessionPort{}},
+		{"delayedd", network.SessionPort{LocalDelay: CellBits / VoiceRate, XMin: OnSpacing}},
 	}
 
 	defs := upsDefs()
 	res := &UPSResult{Duration: duration, Seed: seed, Sessions: len(defs)}
 
 	for _, rx := range recorded {
-		sched0 := upsRun(duration, seed, rx.mk, rx.cfg, false, nil)
+		sched0 := upsRun(duration, seed, t1Disc(rx.name), rx.cfg, false, nil)
 		res.Packets = sched0.count
 
 		// Replayer 1: LSTF with initial slack = recorded delivery −
@@ -203,9 +199,7 @@ func RunUPS(duration float64, seed uint64) *UPSResult {
 				return at[seq-1] - t - props
 			}
 		}
-		lstfRun := upsRun(duration, seed,
-			func() network.Discipline { return sched.NewLSTF() },
-			network.SessionPort{D: zeroD}, false, lstfSlack)
+		lstfRun := upsRun(duration, seed, t1Disc("lstf"), network.SessionPort{D: zeroD}, false, lstfSlack)
 		res.Rows = append(res.Rows, upsCompare(rx.name, "lstf", sched0, lstfRun))
 
 		// Replayer 2: jitter-controlled LiT with d = 0. The regulator
@@ -223,9 +217,7 @@ func RunUPS(duration float64, seed uint64) *UPSResult {
 				return at[seq-1] - t - wire
 			}
 		}
-		litRun := upsRun(duration, seed,
-			func() network.Discipline { return core.New(core.Config{Capacity: T1Rate, LMax: CellBits}) },
-			network.SessionPort{D: zeroD}, true, litSlack)
+		litRun := upsRun(duration, seed, t1Disc("lit"), network.SessionPort{D: zeroD}, true, litSlack)
 		res.Rows = append(res.Rows, upsCompare(rx.name, "lit", sched0, litRun))
 	}
 	return res

@@ -2,6 +2,8 @@ package sched
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"testing"
 
 	"leaveintime/internal/core"
@@ -9,42 +11,29 @@ import (
 	"leaveintime/internal/packet"
 )
 
-// disciplines is every discipline of the repository: the 12 baselines
-// of this package and the three Leave-in-Time servers of core.
-var disciplines = []struct {
-	name string
-	mk   func() network.Discipline
-	// stateless disciplines keep no per-session state and accept any
-	// packet: no SessionChecker, no SessionRemover.
-	stateless bool
-	// twoStage disciplines hold packets in a regulator in front of the
-	// transmission queue; a purge sweeps the stages one after the other,
-	// so its drops are in priority order per stage, not overall.
-	twoStage bool
-}{
-	{name: "fcfs", mk: func() network.Discipline { return NewFCFS() }, stateless: true},
-	{name: "virtualclock", mk: func() network.Discipline { return NewVirtualClock() }},
-	{name: "wfq", mk: func() network.Discipline { return NewWFQ(1536e3) }},
-	{name: "wf2q", mk: func() network.Discipline { return NewWF2Q(1536e3) }},
-	{name: "scfq", mk: func() network.Discipline { return NewSCFQ() }},
-	{name: "delayedd", mk: func() network.Discipline { return NewDelayEDD() }},
-	{name: "jitteredd", mk: func() network.Discipline { return NewJitterEDD() }, twoStage: true},
-	{name: "stopandgo", mk: func() network.Discipline { return NewStopAndGo(0.01) }, stateless: true, twoStage: true},
-	{name: "hrr", mk: func() network.Discipline { return NewHRR(424, 0.01) }},
-	{name: "rcsp", mk: func() network.Discipline { return NewRCSP(2) }, twoStage: true},
-	{name: "lstf", mk: func() network.Discipline { return NewLSTF() }},
-	{name: "srpt", mk: func() network.Discipline { return NewSRPT() }},
-	{name: "lit", mk: func() network.Discipline {
-		return core.New(core.Config{Capacity: 1536e3, LMax: 424})
-	}, twoStage: true},
-	{name: "lit-approx", mk: func() network.Discipline {
-		return core.New(core.Config{Capacity: 1536e3, LMax: 424, Approximate: true})
-	}, twoStage: true},
-	{name: "aggregate", mk: func() network.Discipline {
-		return core.NewAggregate(core.AggConfig{Capacity: 1536e3, LMax: 424, Classes: 2,
+// disciplines is every row of Table, then the class aggregate as the
+// conformance battery builds it: LiT's row with the aggregate's
+// constructor. The table has no aggregate row, since the aggregate
+// needs a case's class map.
+func disciplines() []Row {
+	agg := Lookup("lit")
+	agg.Name = "aggregate"
+	agg.New = func(capacity, lMax, _ float64) network.Discipline {
+		return core.NewAggregate(core.AggConfig{Capacity: capacity, LMax: lMax, Classes: 2,
 			ClassOf: func(id int) int { return id % 2 }})
-	}, twoStage: true},
+	}
+	return append(Table[:len(Table):len(Table)], agg)
 }
+
+// twoStage disciplines hold packets in a regulator in front of the
+// transmission queue; a purge sweeps the stages one after the other, so
+// its drops are in priority order per stage, not overall.
+var twoStage = map[string]bool{"jitteredd": true, "stopandgo": true, "rcsp": true,
+	"lit": true, "lit-approx": true, "aggregate": true}
+
+// contractDisc builds the row's discipline for a T1 port of 424-bit
+// cells with 10 ms frames.
+func contractDisc(r Row) network.Discipline { return r.New(1536e3, 424, 0.01) }
 
 func contractPort(id int) network.SessionPort {
 	return network.SessionPort{Session: id, Rate: 32e3, LocalDelay: 1e-3, XMin: 1e-3, DMax: 1e-3, JitterControl: true}
@@ -95,13 +84,15 @@ func contractRun(t *testing.T, d network.Discipline, purge bool) (served, droppe
 // every discipline: (a) a purge is unobservable to the other sessions,
 // hands over exactly the purged session's queued packets in priority
 // order, and Len accounts for them; (b) a session can be registered,
-// removed and registered again; (c) only disciplines with per-session
-// state implement SessionChecker.
+// removed and registered again; (c) a discipline implements
+// SessionChecker exactly when it implements SessionRemover, and one that
+// implements neither keeps no per-session state: it takes and serves a
+// packet of a session never registered.
 func TestDisciplineContract(t *testing.T) {
-	for _, d := range disciplines {
-		t.Run(d.name, func(t *testing.T) {
-			clean, _ := contractRun(t, d.mk(), false)
-			disc := d.mk()
+	for _, d := range disciplines() {
+		t.Run(d.Name, func(t *testing.T) {
+			clean, _ := contractRun(t, contractDisc(d), false)
+			disc := contractDisc(d)
 			served, dropped := contractRun(t, disc, true)
 
 			var others, purged []string
@@ -118,7 +109,7 @@ func TestDisciplineContract(t *testing.T) {
 			if len(purged) == 0 || len(dropped) != len(purged) {
 				t.Fatalf("dropped %v, want the %d packets %v", dropped, len(purged), purged)
 			}
-			if d.twoStage {
+			if twoStage[d.Name] {
 				want := map[string]bool{}
 				for _, s := range purged {
 					want[s] = true
@@ -135,10 +126,15 @@ func TestDisciplineContract(t *testing.T) {
 
 			checker, checks := disc.(network.SessionChecker)
 			remover, removes := disc.(network.SessionRemover)
-			if checks == d.stateless || removes == d.stateless {
-				t.Fatalf("SessionChecker %v, SessionRemover %v for stateless = %v", checks, removes, d.stateless)
+			if checks != removes {
+				t.Fatalf("SessionChecker %v but SessionRemover %v", checks, removes)
 			}
-			if checks {
+			if !checks {
+				disc.Enqueue(pkt(7, 1, 424), 5e2)
+				if p, ok := disc.Dequeue(6e2); !ok || p.Session != 7 {
+					t.Errorf("no SessionChecker, yet a packet of an unregistered session is not served: %v %v", p, ok)
+				}
+			} else {
 				if checker.HasSession(2) || !checker.HasSession(1) {
 					t.Error("HasSession wrong after purging session 2")
 				}
@@ -160,4 +156,103 @@ func TestDisciplineContract(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestDeclaredProperties holds every row to the properties it declares,
+// with and without jitter control: a work-conserving row never comes
+// back empty from Dequeue while it holds a packet, a row that is not
+// does idle in this run, and a deadline-ordered row serves no packet
+// over an eligible one whose deadline is earlier by more than its slack.
+func TestDeclaredProperties(t *testing.T) {
+	for _, d := range disciplines() {
+		t.Run(d.Name, func(t *testing.T) {
+			for _, jitter := range []bool{false, true} {
+				idled, inverted := propertyRun(t, d, jitter)
+				switch wc := d.WorkConserving(jitter); {
+				case wc && idled != "":
+					t.Errorf("jitter control %v: declared work-conserving, but %s", jitter, idled)
+				case !wc && idled == "":
+					t.Errorf("jitter control %v: never idled with a packet held; the row should say it conserves work", jitter)
+				}
+				if inverted != "" {
+					t.Errorf("jitter control %v: declared deadline-ordered, but %s", jitter, inverted)
+				}
+			}
+		})
+	}
+}
+
+// propertyRun serves three sessions' packets through the row's
+// discipline as a port of capacity C would: whenever the link is free
+// and the discipline holds a packet it asks for one, and when it gets
+// none it waits for the next arrival or eligibility instant. The
+// sessions differ in rate, local delay and spacing, so deadline order is
+// not arrival order; from the fourth packet on each carries 2 ms of
+// upstream slack. It reports the first Dequeue that came back empty with
+// packets held and, for a deadline-ordered row, the first packet served
+// over an eligible one with an earlier deadline beyond the row's slack.
+func propertyRun(t *testing.T, r Row, jitter bool) (idled, inverted string) {
+	t.Helper()
+	const c, lMax = 1536e3, 424.0
+	d := r.New(c, lMax, 0.01)
+	slack, ordered := r.DeadlineOrdered(c, lMax)
+	for id := 1; id <= 3; id++ {
+		f := float64(int(1) << (2 * (id - 1))) // 1, 4, 16
+		d.AddSession(network.SessionPort{Session: id, Rate: 32e3 * f, JitterControl: jitter,
+			LocalDelay: 16e-3 / f, XMin: 1e-3 / f, DMax: lMax / (32e3 * f)})
+	}
+	type arrival struct {
+		p  *packet.Packet
+		at float64
+	}
+	var arrivals []arrival
+	for i := int64(1); i <= 8; i++ {
+		for id := 1; id <= 3; id++ {
+			p := pkt(id, i, lMax-40*float64((int(i)+id)%3))
+			if i > 3 {
+				p.Hold = 2e-3
+			}
+			arrivals = append(arrivals, arrival{p, float64(i)*1e-4 + float64(4-id)*2e-5})
+		}
+	}
+	var held []*packet.Packet
+	now := 0.0
+	for steps := 0; len(arrivals) > 0 || d.Len() > 0; steps++ {
+		if steps > 1000 {
+			t.Fatalf("no progress at t=%.6f with %d held", now, d.Len())
+		}
+		for len(arrivals) > 0 && arrivals[0].at <= now {
+			d.Enqueue(arrivals[0].p, arrivals[0].at)
+			held, arrivals = append(held, arrivals[0].p), arrivals[1:]
+		}
+		if d.Len() > 0 {
+			if p, ok := d.Dequeue(now); ok {
+				held = slices.DeleteFunc(held, func(q *packet.Packet) bool { return q == p })
+				for _, q := range held {
+					if ordered && inverted == "" && q.Eligible <= now-1e-9 && q.Deadline < p.Deadline-slack-1e-9 {
+						inverted = fmt.Sprintf("at t=%.6f it served %d/%d (F=%.6f) over %d/%d (F=%.6f)",
+							now, p.Session, p.Seq, p.Deadline, q.Session, q.Seq, q.Deadline)
+					}
+				}
+				now += p.Length / c
+				d.OnTransmit(p, now)
+				continue
+			}
+			if idled == "" {
+				idled = fmt.Sprintf("Dequeue came back empty at t=%.6f with %d held", now, d.Len())
+			}
+		}
+		wake := math.Inf(1)
+		if len(arrivals) > 0 {
+			wake = arrivals[0].at
+		}
+		if e, ok := d.NextEligible(now); ok && e < wake {
+			wake = e
+		}
+		if wake <= now {
+			t.Fatalf("stalled at t=%.6f: nothing served, next instant %.6f", now, wake)
+		}
+		now = wake
+	}
+	return idled, inverted
 }

@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"sort"
 
-	"leaveintime/internal/config"
 	"leaveintime/internal/core"
 	"leaveintime/internal/event"
 	"leaveintime/internal/network"
+	"leaveintime/internal/sched"
 )
 
 // Class-aggregate battery: the scenario re-run with core.Aggregate at every
@@ -79,22 +79,22 @@ func classMap(sc *Case) (map[int]int, int) {
 	return m, nc
 }
 
-// aggSpec builds the class-aggregated discipline spec. The aggregate is
-// deadline-ordered over eligible packets exactly like exact LiT, so it
-// inherits the same online checks (litKind 1: deadline inversion at
-// heap tolerance, work conservation when no session uses jitter
-// control).
-func aggSpec(sc *Case) discSpec {
+// aggRow is the class-aggregated server as a discipline row. The
+// aggregate is deadline-ordered over eligible packets exactly like exact
+// LiT, so it inherits LiT's row and with it the same online checks:
+// deadline inversion at heap tolerance, work conservation when no
+// session uses jitter control.
+func aggRow(sc *Case) sched.Row {
 	cls, nc := classMap(sc)
-	return discSpec{
-		name: "lit-agg", litKind: 1, deadlineCheck: true,
-		mk: func(sc *Case, sv *config.Server) network.Discipline {
-			return core.NewAggregate(core.AggConfig{
-				Capacity: sv.Capacity, LMax: sc.LMax,
-				Classes: nc, ClassOf: func(id int) int { return cls[id] },
-			})
-		},
+	row := sched.Lookup("lit")
+	row.Name = "lit-agg"
+	row.New = func(capacity, lMax, _ float64) network.Discipline {
+		return core.NewAggregate(core.AggConfig{
+			Capacity: capacity, LMax: lMax,
+			Classes: nc, ClassOf: func(id int) int { return cls[id] },
+		})
 	}
+	return row
 }
 
 // aggHop is one hop of a session's route as the degraded bound sees
@@ -179,8 +179,8 @@ func aggBounds(sc *Case, cls map[int]int) (map[int][2]float64, error) {
 // degradation factor (degraded bound / eq.-12 bound, maximized over
 // sessions) is recorded on the report.
 func checkAggregate(sc *Case, exact *runResult, scale float64, wd event.Watchdog, rep *SeedReport) {
-	spec := aggSpec(sc)
-	res := rep.runUnder(sc, spec, runOpts{wd: wd})
+	row := aggRow(sc)
+	res := rep.runUnder(sc, row, runOpts{wd: wd})
 	if res == nil || res.Tripped != "" {
 		return
 	}
@@ -196,7 +196,7 @@ func checkAggregate(sc *Case, exact *runResult, scale float64, wd event.Watchdog
 	cls, _ := classMap(sc)
 	bounds, err := aggBounds(sc, cls)
 	if err != nil {
-		rep.add(Violation{Check: "admission-replay", Discipline: spec.name, Detail: err.Error()})
+		rep.add(Violation{Check: "admission-replay", Discipline: row.Name, Detail: err.Error()})
 		return
 	}
 	for _, sr := range res.Sessions {
@@ -205,12 +205,12 @@ func checkAggregate(sc *Case, exact *runResult, scale float64, wd event.Watchdog
 		}
 		b := bounds[sr.Def.ID]
 		if bound := b[0] * scale; sr.MaxDelay >= bound {
-			rep.add(Violation{Check: "agg-delay-bound", Discipline: spec.name, Session: sr.Def.ID,
+			rep.add(Violation{Check: "agg-delay-bound", Discipline: row.Name, Session: sr.Def.ID,
 				Detail: fmt.Sprintf("max delay %.9f >= degraded bound %.9f (%d hops, class %d)",
 					sr.MaxDelay, bound, sr.Hops, cls[sr.Def.ID])})
 		}
 		if bound := b[1] * scale; sr.Jitter >= bound {
-			rep.add(Violation{Check: "agg-jitter-bound", Discipline: spec.name, Session: sr.Def.ID,
+			rep.add(Violation{Check: "agg-jitter-bound", Discipline: row.Name, Session: sr.Def.ID,
 				Detail: fmt.Sprintf("jitter %.9f >= degraded bound %.9f", sr.Jitter, bound)})
 		}
 		rep.AggChecked++

@@ -8,6 +8,7 @@ import (
 	"leaveintime/internal/calculus"
 	"leaveintime/internal/config"
 	"leaveintime/internal/event"
+	"leaveintime/internal/sched"
 )
 
 // Network-calculus battery: the piecewise-linear curve machinery
@@ -201,13 +202,13 @@ func calcBounds(sc *Case, mode calcMode) (*calcAnalysis, error) {
 	return an, nil
 }
 
-// calcFCFSSpec is the battery's reference run: plain FCFS under a
+// calcFCFSRow is the battery's reference run: plain FCFS under a
 // distinct name so its summary row and any online violations are
 // attributable to this battery.
-func calcFCFSSpec() discSpec {
-	spec := fcfsSpec()
-	spec.name = "fcfs-calc"
-	return spec
+func calcFCFSRow() sched.Row {
+	row := sched.Lookup("fcfs")
+	row.Name = "fcfs-calc"
+	return row
 }
 
 // checkCalculus runs the network-calculus battery: the differential
@@ -231,7 +232,7 @@ func checkCalculus(sc *Case, scale float64, wd event.Watchdog, rep *SeedReport) 
 		return
 	}
 
-	res := rep.runUnder(sc, calcFCFSSpec(), runOpts{probes: true, wd: wd})
+	res := rep.runUnder(sc, calcFCFSRow(), runOpts{probes: true, wd: wd})
 	if res == nil || res.Tripped != "" {
 		return
 	}
@@ -455,7 +456,7 @@ func CalculusTightness(margin float64) *TightnessResult {
 			out.Err = an.reason
 			return out
 		}
-		res, err := runScenario(&sc, calcFCFSSpec(), runOpts{wd: Options{}.watchdog(&sc)})
+		res, err := runScenario(&sc, calcFCFSRow(), runOpts{wd: Options{}.watchdog(&sc)})
 		if err != nil {
 			out.Err = err.Error()
 			return out

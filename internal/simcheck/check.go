@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"leaveintime/internal/event"
+	"leaveintime/internal/sched"
 )
 
 // Options tune a conformance check. None of them selects what is
@@ -111,7 +112,7 @@ func CheckScenario(sc Case, opt Options) (rep *SeedReport) {
 
 	// Reference run: Leave-in-Time with the exact heap, buffer limits
 	// at the bound for half the sessions and probes everywhere.
-	exact := rep.runUnder(&sc, litSpec(false), runOpts{limits: true, probes: true, wd: wd})
+	exact := rep.runUnder(&sc, sched.Lookup("lit"), runOpts{limits: true, probes: true, wd: wd})
 	if exact == nil {
 		return rep
 	}
@@ -127,7 +128,7 @@ func CheckScenario(sc Case, opt Options) (rep *SeedReport) {
 	// Approximate queue: same scenario, deadline ordering allowed one
 	// bin of slack, end-to-end delays within the §4 margin of the exact
 	// run.
-	if approx := rep.runUnder(&sc, litSpec(true), runOpts{wd: wd}); approx != nil && approx.Tripped == "" {
+	if approx := rep.runUnder(&sc, sched.Lookup("lit-approx"), runOpts{wd: wd}); approx != nil && approx.Tripped == "" {
 		checkDrain(approx, rep)
 		checkCapacity(approx, &sc, rep)
 		if exact.Tripped == "" {
@@ -143,8 +144,8 @@ func CheckScenario(sc Case, opt Options) (rep *SeedReport) {
 	// per-packet delays. Both sides run bare (no buffer limits) so the
 	// comparison is over the full packet stream.
 	if clean && sc.Check.Special {
-		litBare, err1 := runScenario(&sc, litSpec(false), runOpts{collectDelays: true, wd: wd})
-		vcRun, err2 := runScenario(&sc, vcSpec(), runOpts{collectDelays: true, wd: wd})
+		litBare, err1 := runScenario(&sc, sched.Lookup("lit"), runOpts{collectDelays: true, wd: wd})
+		vcRun, err2 := runScenario(&sc, sched.Lookup("virtualclock"), runOpts{collectDelays: true, wd: wd})
 		if err1 != nil || err2 != nil {
 			rep.add(Violation{Check: "build", Discipline: "vc-diff",
 				Detail: fmt.Sprintf("lit: %v, vc: %v", err1, err2)})
@@ -165,8 +166,11 @@ func CheckScenario(sc Case, opt Options) (rep *SeedReport) {
 
 	// Every baseline discipline: generic invariants only (drain,
 	// conservation, capacity return, identical emission).
-	for _, spec := range baselineSpecs(&sc) {
-		if res := rep.runUnder(&sc, spec, runOpts{wd: wd}); res != nil && res.Tripped == "" {
+	for _, row := range sched.Table {
+		if row.Name == "lit" || row.Name == "lit-approx" {
+			continue // the reference and approximate runs above
+		}
+		if res := rep.runUnder(&sc, row, runOpts{wd: wd}); res != nil && res.Tripped == "" {
 			checkDrain(res, rep)
 			checkCapacity(res, &sc, rep)
 			if exact.Tripped == "" {
@@ -180,10 +184,10 @@ func CheckScenario(sc Case, opt Options) (rep *SeedReport) {
 // runUnder runs the scenario under one discipline and books the run on
 // the report: its online violations and its summary row, or a "build"
 // violation and a nil result when the network could not be built.
-func (r *SeedReport) runUnder(sc *Case, spec discSpec, opts runOpts) *runResult {
-	res, err := runScenario(sc, spec, opts)
+func (r *SeedReport) runUnder(sc *Case, row sched.Row, opts runOpts) *runResult {
+	res, err := runScenario(sc, row, opts)
 	if err != nil {
-		r.add(Violation{Check: "build", Discipline: spec.name, Detail: err.Error()})
+		r.add(Violation{Check: "build", Discipline: row.Name, Detail: err.Error()})
 		return nil
 	}
 	r.Violations = append(r.Violations, res.Violations...)

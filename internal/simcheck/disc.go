@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"leaveintime/internal/config"
-	"leaveintime/internal/core"
 	"leaveintime/internal/metrics"
 	"leaveintime/internal/network"
 	"leaveintime/internal/packet"
@@ -27,12 +26,14 @@ const maxViolationsPerRun = 8
 
 // checkedDisc wraps a discipline with online invariant checks:
 //
-//   - deadline ordering (LiT only): a dequeued packet must carry the
-//     minimum deadline among all held packets that are already
-//     eligible, within the configured tolerance (exact heap: floating-
-//     point crumbs; approximate queue: one bin width, the §4 bound);
-//   - work conservation (work-conserving disciplines only): Dequeue
-//     must yield a packet whenever the discipline holds any;
+//   - deadline ordering (the rows sched.Table marks deadline-ordered):
+//     a dequeued packet must carry the minimum deadline among all held
+//     packets that are already eligible, within the configured
+//     tolerance (exact heap: floating-point crumbs; approximate queue:
+//     one bin width, the §4 bound);
+//   - work conservation (the rows it marks work-conserving, given the
+//     case's jitter control): Dequeue must yield a packet whenever the
+//     discipline holds any;
 //   - eligible-but-idle (every discipline): Dequeue returning nothing
 //     while NextEligible reports an instant already in the past is a
 //     wake-up bug that would stall the port.
@@ -199,130 +200,20 @@ func (c *checkedDisc) SetMetrics(a *metrics.Arena, base metrics.Handle) {
 	}
 }
 
-// discSpec describes one discipline the battery runs the scenario
-// under.
-type discSpec struct {
-	name string
-	// litKind: 0 = not LiT, 1 = exact keys, 2 = binned (approximate) keys.
-	litKind       int
-	deadlineCheck bool
-	// wcAlways marks disciplines that must serve whenever backlogged
-	// regardless of the scenario; LiT additionally is work-conserving
-	// when no session uses jitter control.
-	wcAlways bool
-	mk       func(sc *Case, sv *config.Server) network.Discipline
-}
-
-func (s discSpec) workConserving(sc *Case) bool {
-	if s.wcAlways {
-		return true
-	}
-	return s.litKind != 0 && !sc.hasJitter()
-}
-
-// deadlineTol is the allowed deadline-ordering slack: floating-point
-// crumbs for the exact queue, one bin (the §4 approximation
-// bound) for the approximate queue.
-func (s discSpec) deadlineTol(sc *Case, capacity float64) float64 {
-	if s.litKind == 2 {
-		return sc.LMax/capacity + 1e-9
-	}
-	return 1e-9
-}
-
-// checked builds the discipline for one server's port under the
-// checking decorator, reporting into out.
-func (s discSpec) checked(sc *Case, sv *config.Server, out *[]Violation) *checkedDisc {
+// checked builds the row's discipline for one server's port under the
+// checking decorator, reporting into out. The framing disciplines' frame
+// is one maximum-length packet at the slowest session's reserved rate, so
+// every session earns at least one slot per frame. The deadline-order
+// tolerance is the row's slack plus floating-point crumbs.
+func checked(sc *Case, row sched.Row, sv *config.Server, out *[]Violation) *checkedDisc {
+	slack, ordered := row.DeadlineOrdered(sv.Capacity, sc.LMax)
 	return &checkedDisc{
-		inner:         s.mk(sc, sv),
-		disc:          s.name,
+		inner:         row.New(sv.Capacity, sc.LMax, sc.LMax/sc.minRate()),
+		disc:          row.Name,
 		port:          sv.Name,
-		wc:            s.workConserving(sc),
-		deadlineCheck: s.deadlineCheck,
-		tol:           s.deadlineTol(sc, sv.Capacity),
+		wc:            row.WorkConserving(sc.hasJitter()),
+		deadlineCheck: ordered,
+		tol:           slack + 1e-9,
 		out:           out,
-	}
-}
-
-// litSpec returns the Leave-in-Time spec, exact or approximate.
-func litSpec(approximate bool) discSpec {
-	name := "lit"
-	kind := 1
-	if approximate {
-		name = "lit-approx"
-		kind = 2
-	}
-	return discSpec{
-		name: name, litKind: kind, deadlineCheck: true,
-		mk: func(sc *Case, sv *config.Server) network.Discipline {
-			return core.New(core.Config{
-				Capacity: sv.Capacity, LMax: sc.LMax, Approximate: approximate,
-			})
-		},
-	}
-}
-
-// vcSpec returns the VirtualClock spec (also used standalone for the
-// LiT ≡ VirtualClock differential check).
-func vcSpec() discSpec {
-	return discSpec{name: "virtualclock", wcAlways: true,
-		mk: func(sc *Case, sv *config.Server) network.Discipline {
-			return sched.NewVirtualClock()
-		}}
-}
-
-// fcfsSpec returns the FCFS spec — a baseline, and (renamed) the
-// reference run of the network-calculus battery, whose analytic FIFO
-// bounds are exactly what FCFS promises.
-func fcfsSpec() discSpec {
-	return discSpec{name: "fcfs", wcAlways: true,
-		mk: func(sc *Case, sv *config.Server) network.Discipline {
-			return sched.NewFCFS()
-		}}
-}
-
-// baselineSpecs returns every non-LiT discipline in the repository,
-// configured for the scenario. The framing disciplines' frame time is
-// one maximum-length packet at the slowest session's reserved rate, so
-// every session earns at least one slot per frame.
-func baselineSpecs(sc *Case) []discSpec {
-	frame := sc.LMax / sc.minRate()
-	return []discSpec{
-		vcSpec(),
-		{name: "wfq", wcAlways: true, mk: func(sc *Case, sv *config.Server) network.Discipline {
-			return sched.NewWFQ(sv.Capacity)
-		}},
-		{name: "wf2q", wcAlways: true, mk: func(sc *Case, sv *config.Server) network.Discipline {
-			return sched.NewWF2Q(sv.Capacity)
-		}},
-		{name: "scfq", wcAlways: true, mk: func(sc *Case, sv *config.Server) network.Discipline {
-			return sched.NewSCFQ()
-		}},
-		fcfsSpec(),
-		{name: "delayedd", wcAlways: true, mk: func(sc *Case, sv *config.Server) network.Discipline {
-			return sched.NewDelayEDD()
-		}},
-		{name: "jitteredd", mk: func(sc *Case, sv *config.Server) network.Discipline {
-			return sched.NewJitterEDD()
-		}},
-		{name: "stopandgo", mk: func(sc *Case, sv *config.Server) network.Discipline {
-			return sched.NewStopAndGo(frame)
-		}},
-		{name: "hrr", mk: func(sc *Case, sv *config.Server) network.Discipline {
-			return sched.NewHRR(sc.LMax, frame)
-		}},
-		{name: "rcsp", mk: func(sc *Case, sv *config.Server) network.Discipline {
-			return sched.NewRCSP(2)
-		}},
-		// LSTF pops the minimum due time among held packets (all of which
-		// are eligible — it keeps no regulators), so it earns the same
-		// deadline-inversion check as exact LiT.
-		{name: "lstf", wcAlways: true, deadlineCheck: true,
-			mk: func(sc *Case, sv *config.Server) network.Discipline {
-				return sched.NewLSTF()
-			}},
-		{name: "srpt", wcAlways: true, mk: func(sc *Case, sv *config.Server) network.Discipline {
-			return sched.NewSRPT()
-		}},
 	}
 }

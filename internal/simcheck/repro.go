@@ -11,8 +11,11 @@ import (
 )
 
 // WriteRepro serializes the case as an indented, replayable JSON repro:
-// the scenario document, which litrun and litserve accept as it stands,
-// with the check object beside it. The bound scale is part of the check
+// the scenario document with the check object beside it. A clean repro
+// runs under litrun and litserve as well; a churn repro whose plan sets
+// a session up again replays only under litcheck -replay, because the
+// declarative runner releases but cannot re-SETUP (Scenario.Runnable;
+// ROADMAP item 13). The bound scale is part of the check
 // object, so a repro produced under an injected tightening reproduces
 // the same injected failure.
 func WriteRepro(path string, sc Case) error {

@@ -11,6 +11,7 @@ import (
 	"leaveintime/internal/network"
 	"leaveintime/internal/packet"
 	"leaveintime/internal/rng"
+	"leaveintime/internal/sched"
 	"leaveintime/internal/signaling"
 	"leaveintime/internal/traffic"
 )
@@ -145,7 +146,7 @@ type sess struct {
 // implements faults.Actions (see churn.go).
 type run struct {
 	sc       *Case
-	spec     discSpec
+	row      sched.Row
 	opts     runOpts
 	sim      *event.Simulator
 	net      *network.Network
@@ -162,7 +163,7 @@ type run struct {
 // Per-session counters sum over a churned session's incarnations.
 // Violations detected online (by the checking decorator) are collected
 // in the result; bound and cross-run checks happen in the battery.
-func runScenario(sc *Case, spec discSpec, opts runOpts) (*runResult, error) {
+func runScenario(sc *Case, row sched.Row, opts runOpts) (*runResult, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
@@ -179,12 +180,12 @@ func runScenario(sc *Case, spec discSpec, opts runOpts) (*runResult, error) {
 	counts := newTraceCounts()
 	net.Tracer = counts
 
-	res := &runResult{Name: spec.name, Reg: reg, Counts: counts, Adm: adm}
-	r := &run{sc: sc, spec: spec, opts: opts, sim: sim, net: net, adm: adm, stream: rng.New(sc.Seed), res: res,
+	res := &runResult{Name: row.Name, Reg: reg, Counts: counts, Adm: adm}
+	r := &run{sc: sc, row: row, opts: opts, sim: sim, net: net, adm: adm, stream: rng.New(sc.Seed), res: res,
 		ports: make(map[string]*network.Port, len(sc.Servers))}
 	for i := range sc.Servers {
 		sv := &sc.Servers[i]
-		r.ports[sv.Name] = net.NewPort(sv.Name, sv.Capacity, sv.Gamma, spec.checked(sc, sv, &res.Violations))
+		r.ports[sv.Name] = net.NewPort(sv.Name, sv.Capacity, sv.Gamma, checked(sc, row, sv, &res.Violations))
 	}
 	for i := range sc.Sessions {
 		r.establish(&sc.Sessions[i])
@@ -214,7 +215,7 @@ func runScenario(sc *Case, spec discSpec, opts runOpts) (*runResult, error) {
 	if reason := sim.Tripped(); reason != "" {
 		res.Tripped = reason
 		reg.Arena().Inc(metrics.HFaultWatchdogTrips)
-		res.Violations = append(res.Violations, Violation{Check: "watchdog", Discipline: spec.name, Detail: reason})
+		res.Violations = append(res.Violations, Violation{Check: "watchdog", Discipline: row.Name, Detail: reason})
 	}
 
 	for _, s := range r.sessions {
@@ -311,7 +312,7 @@ func (r *run) establish(def *config.Session) {
 	ad, err := replayAdmission(r.sc, r.adm, def)
 	if err != nil {
 		r.res.Violations = append(r.res.Violations, Violation{
-			Check: "admission-replay", Discipline: r.spec.name,
+			Check: "admission-replay", Discipline: r.row.Name,
 			Session: def.ID, Detail: err.Error(),
 		})
 		return

@@ -6,19 +6,8 @@ import (
 
 	"leaveintime/internal/config"
 	"leaveintime/internal/faults"
+	"leaveintime/internal/sched"
 )
-
-// specNamed picks one of the battery's disciplines by its report name.
-func specNamed(t *testing.T, sc *Case, name string) discSpec {
-	t.Helper()
-	for _, spec := range append([]discSpec{litSpec(false), litSpec(true)}, baselineSpecs(sc)...) {
-		if spec.name == name {
-			return spec
-		}
-	}
-	t.Fatalf("no discipline named %q", name)
-	return discSpec{}
-}
 
 // TestCleanRunReturnsCapacity: a run on a clean network ends with the
 // RELEASE walk too — every controller is back to exactly zero reserved
@@ -27,7 +16,7 @@ func TestCleanRunReturnsCapacity(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
 		sc := Generate(seed)
 		for _, name := range []string{"lit", "lit-approx", "virtualclock", "stopandgo", "rcsp"} {
-			res, err := runScenario(&sc, specNamed(t, &sc, name), runOpts{wd: Options{}.watchdog(&sc)})
+			res, err := runScenario(&sc, sched.Lookup(name), runOpts{wd: Options{}.watchdog(&sc)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -59,11 +48,11 @@ func TestCleanRunIsAFaultlessChurnRun(t *testing.T) {
 		}
 		for _, name := range []string{"lit", "lit-approx", "hrr"} {
 			opts := runOpts{wd: Options{}.watchdog(&bare)}
-			a, err := runScenario(&bare, specNamed(t, &bare, name), opts)
+			a, err := runScenario(&bare, sched.Lookup(name), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := runScenario(&planned, specNamed(t, &planned, name), opts)
+			b, err := runScenario(&planned, sched.Lookup(name), opts)
 			if err != nil {
 				t.Fatal(err)
 			}

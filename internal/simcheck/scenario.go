@@ -1,17 +1,18 @@
 // Package simcheck is the randomized scenario conformance harness: it
 // generates random-but-valid scenario documents from a seed (topology,
 // admitted session set, traffic mix), runs the same arrival sequence
-// through every discipline in the repository, and checks an invariant
-// battery against the paper's analytic machinery — per-session delay/
-// jitter/buffer bounds, packet conservation, packet-pool balance,
-// reserved capacity returned whole, deadline ordering, work
-// conservation, the LiT ≡ VirtualClock special case, the approximate-queue
-// approximation bound, and metrics/trace/probe agreement; then the
-// scenario again with one regulator per class against the degraded
-// aggregate bounds, and under FCFS against curve-propagated calculus
-// bounds; then all of it once more under a generated fault plan. On
-// violation it shrinks the scenario to a minimal failing form and writes
-// a replayable JSON repro. See cmd/litcheck for the CLI driver.
+// through every discipline in the repository (sched.Table), and checks
+// an invariant battery against the paper's analytic machinery —
+// per-session delay/jitter/buffer bounds, packet conservation,
+// packet-pool balance, reserved capacity returned whole, deadline
+// ordering, work conservation, the LiT ≡ VirtualClock special case, the
+// approximate-queue approximation bound, and metrics/trace/probe
+// agreement; then the scenario again with one regulator per class
+// against the degraded aggregate bounds, and under FCFS against
+// curve-propagated calculus bounds; then all of it once more under a
+// generated fault plan. On violation it shrinks the scenario to a
+// minimal failing form and writes a replayable JSON repro. See
+// cmd/litcheck for the CLI driver.
 //
 // What it generates, shrinks, replays and checks is a config.Scenario,
 // the document litrun and litserve run. The harness builds its own

@@ -374,21 +374,17 @@ func TestCalculusFacade(t *testing.T) {
 	}
 }
 
+// TestDisciplineConstructors builds every row of the discipline table,
+// and Leave-in-Time through the root constructor, for one session.
 func TestDisciplineConstructors(t *testing.T) {
 	cfg := lit.SessionPort{Session: 1, Rate: 1e5, LocalDelay: 1e-3, XMin: 1e-3}
-	for name, d := range map[string]lit.Discipline{
-		"fcfs": sched.NewFCFS(),
-		"vc":   sched.NewVirtualClock(),
-		"wfq":  sched.NewWFQ(1e6),
-		"wf2q": sched.NewWF2Q(1e6),
-		"sng":  sched.NewStopAndGo(1e-3),
-		"dedd": sched.NewDelayEDD(),
-		"jedd": sched.NewJitterEDD(),
-		"rcsp": sched.NewRCSP(2),
-		"hrr":  sched.NewHRR(424, 1e-2),
-		"scfq": sched.NewSCFQ(),
-		"lit":  lit.NewLeaveInTime(lit.LeaveInTimeConfig{Capacity: 1e6, LMax: 424}),
-	} {
+	ds := map[string]lit.Discipline{
+		"root lit": lit.NewLeaveInTime(lit.LeaveInTimeConfig{Capacity: 1e6, LMax: 424}),
+	}
+	for _, row := range sched.Table {
+		ds[row.Name] = row.New(1e6, 424, 1e-2)
+	}
+	for name, d := range ds {
 		d.AddSession(cfg)
 		if d.Len() != 0 {
 			t.Errorf("%s: fresh discipline nonempty", name)
