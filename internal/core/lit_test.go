@@ -299,6 +299,16 @@ func TestPacketSize(t *testing.T) {
 	}
 }
 
+// TestSessionSize pins the one object a call without a source allocates
+// (network.AddSession): what every session reads stays inline, and the
+// emission state and the rarely set hooks sit behind pointers, so the
+// struct fits Go's 128-byte size class.
+func TestSessionSize(t *testing.T) {
+	if got := unsafe.Sizeof(network.Session{}); got > 128 {
+		t.Errorf("network.Session is %d B, want at most 128: a new inline field moves every call to the next size class; put it behind the emitter or hooks pointer, or record the cost in DESIGN.md (\"What a standing call keeps\")", got)
+	}
+}
+
 func TestConfigValidation(t *testing.T) {
 	defer func() {
 		if recover() == nil {

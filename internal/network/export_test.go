@@ -3,7 +3,10 @@ package network
 // InjectAt places a single packet of the given length at the session's
 // first node at time t (must be the current simulation time), so that a
 // test can drive a hand-built arrival pattern.
-func (s *Session) InjectAt(t, length float64) { s.send(t, length) }
+func (s *Session) InjectAt(t, length float64) {
+	s.emitState()
+	s.send(t, length)
+}
 
 // Ports returns all ports in creation order.
 func (n *Network) Ports() []*Port { return n.ports }

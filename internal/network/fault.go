@@ -208,8 +208,10 @@ func (n *Network) DropSession(s *Session) {
 // Already-emitted packets are unaffected. Stop is idempotent; a
 // stopped session can be restarted with Start.
 func (s *Session) Stop() {
-	s.stopEmit = 0
-	s.net.Sim.Cancel(s.emitEv)
+	if e := s.em; e != nil {
+		e.stopEmit = 0
+		s.net.Sim.Cancel(e.ev)
+	}
 }
 
 // SetStalled pauses (true) or resumes (false) the session's source

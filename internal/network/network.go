@@ -569,14 +569,14 @@ func (p *Port) finish(pkt *packet.Packet) {
 	if lh := pkt.Hop + 1 - sess.HopOffset; lh < len(sess.Route) {
 		next = sess.Route[lh]
 		pkt.Hop++
-	} else if sess.Forward != nil {
-		h := Handoff{
+	} else if h := sess.hooks; h != nil && h.forward != nil {
+		ho := Handoff{
 			Session: pkt.Session, Seq: pkt.Seq, Hop: pkt.Hop + 1,
 			Length: pkt.Length, SourceTime: pkt.SourceTime, Hold: pkt.Hold,
 			Sched: now, Tie: tie,
 		}
 		p.net.pool.put(pkt)
-		sess.Forward(h, now, now+p.Gamma)
+		h.forward(ho, now, now+p.Gamma)
 		p.maybeStart(now)
 		return
 	} else {
@@ -639,7 +639,10 @@ func (n *Network) sessionByID(id int) *Session {
 }
 
 // Session is an established connection: a source, a route of ports, and
-// end-to-end measurement state.
+// end-to-end measurement state. It keeps inline what every session
+// reads; a source's emission state and the rarely set hooks sit behind
+// pointers that a sourceless, hookless call never fills, so such a call
+// allocates one 128-byte object (DESIGN "What a standing call keeps").
 type Session struct {
 	ID   int
 	Rate float64 // reserved rate r_s, bits/s
@@ -648,34 +651,15 @@ type Session struct {
 	// the same list), so it is read-only.
 	Route []*Port
 
-	// JitterControl selects delay-jitter-control mode at every node of
-	// the route.
-	JitterControl bool
-
-	// Source generates the packet stream; a nil source emits nothing.
-	Source traffic.Source
-
 	// Delays accumulates end-to-end packet delays: from arrival at the
 	// first node to arrival at the exit point (finish at last node plus
 	// its propagation delay), matching eq. (12)'s accounting.
 	Delays stats.Tracker
 
-	// Hist optionally buckets end-to-end delays; set with
-	// MeasureHistogram before starting.
-	Hist *stats.Histogram
-
-	// OnDeliver, if non-nil, observes every delivered packet.
-	OnDeliver func(p *packet.Packet, delay float64)
-
-	// InitialSlack, if non-nil, stamps the packet's carried holding
-	// time (packet.Hold) at emission: the packet enters the first node
-	// exactly as if an upstream regulator had handed it that much
-	// slack. Packets normally emit with zero Hold; the hook exists for
-	// replay harnesses — the UPS experiment (internal/scenarios) uses
-	// it to seed LSTF with per-packet slack derived from another
-	// discipline's recorded schedule. Called once per emission with the
-	// packet's sequence number and emission instant.
-	InitialSlack func(seq int64, t float64) float64
+	// Delivered counts packets that completed the route.
+	Delivered int64
+	// Emitted counts packets injected at the first node.
+	Emitted int64
 
 	// HopOffset is the global hop index of Route[0]. It is zero for a
 	// whole session and nonzero for a downstream segment of a session
@@ -684,45 +668,111 @@ type Session struct {
 	// run merge byte-identically with a serial run's.
 	HopOffset int
 
-	// Forward, when non-nil, marks this session as a non-final segment
-	// of a sharded route: a packet finishing the segment's last hop is
-	// handed to Forward (at its transmission-finish instant, with its
-	// link arrival instant precomputed) instead of being delivered.
-	// The packet itself is released to this network's pool before the
-	// call — the Handoff value is the complete cross-shard state.
-	Forward func(h Handoff, finish, arrive float64)
-
-	// Delivered counts packets that completed the route.
-	Delivered int64
-	// Emitted counts packets injected at the first node.
-	Emitted int64
-
 	net *Network
+	// em is the source's emission state, nil until a source (or an
+	// InitialSlack hook) is attached.
+	em *emitter
+	// hooks holds the delay histogram and the deliver and forward hooks,
+	// nil until one is set.
+	hooks *sessionHooks
 	// slot is the session's index in net.sessions while it is registered.
-	slot     int
+	slot int32
+
+	// JitterControl selects delay-jitter-control mode at every node of
+	// the route.
+	JitterControl bool
+	started       bool
+	stalled       bool
+}
+
+// emitter is the emission state of a session with a source.
+// Closure-free emission: one persistent handler (fn, the session's emit
+// bound once in Start) re-schedules itself from inside the event, with
+// the pending packet's length parked in nextLen — at most one emission
+// event is outstanding per session, retained in ev so Stop can cancel
+// it (a no-op once it has fired).
+type emitter struct {
+	// src generates the packet stream; a nil source emits nothing.
+	src      traffic.Source
+	fn       event.Handler
+	ev       event.Event
 	stopEmit float64
 	seq      int64
-	started  bool
-	stalled  bool
+	nextLen  float64
+	// initialSlack, if non-nil, stamps the packet's carried holding
+	// time at emission (see SetInitialSlack).
+	initialSlack func(seq int64, t float64) float64
+}
 
-	// Closure-free emission: one persistent handler re-schedules
-	// itself from inside the event (created once in Start), with the
-	// pending packet's length parked in nextLen — at most one emission
-	// event is outstanding per session, retained in emitEv so Stop can
-	// cancel it (a no-op once it has fired).
-	emitFn  event.Handler
-	emitEv  event.Event
-	nextLen float64
+// sessionHooks are the observers few sessions set.
+type sessionHooks struct {
+	// hist optionally buckets end-to-end delays (MeasureHistogram).
+	hist *stats.Histogram
+	// onDeliver, if non-nil, observes every delivered packet.
+	onDeliver func(p *packet.Packet, delay float64)
+	// forward, when non-nil, marks a non-final shard segment (see
+	// SetForward).
+	forward func(h Handoff, finish, arrive float64)
+}
+
+// emitState returns the session's emission state, making it on first
+// use.
+func (s *Session) emitState() *emitter {
+	if s.em == nil {
+		s.em = &emitter{}
+	}
+	return s.em
+}
+
+// hookState returns the session's hooks, making them on first use.
+func (s *Session) hookState() *sessionHooks {
+	if s.hooks == nil {
+		s.hooks = &sessionHooks{}
+	}
+	return s.hooks
+}
+
+// SetSource attaches the packet stream the session emits from its next
+// Start. It lets a caller admit the session first and draw the source's
+// random stream only once the call is accepted.
+func (s *Session) SetSource(src traffic.Source) { s.emitState().src = src }
+
+// SetInitialSlack sets a hook that stamps the packet's carried holding
+// time (packet.Hold) at emission: the packet enters the first node
+// exactly as if an upstream regulator had handed it that much slack.
+// Packets normally emit with zero Hold; the hook exists for replay
+// harnesses — the UPS experiment (internal/scenarios) uses it to seed
+// LSTF with per-packet slack derived from another discipline's recorded
+// schedule. It is called once per emission with the packet's sequence
+// number and emission instant.
+func (s *Session) SetInitialSlack(fn func(seq int64, t float64) float64) {
+	s.emitState().initialSlack = fn
+}
+
+// SetOnDeliver sets a hook that observes every delivered packet.
+func (s *Session) SetOnDeliver(fn func(p *packet.Packet, delay float64)) {
+	s.hookState().onDeliver = fn
+}
+
+// SetForward marks this session as a non-final segment of a sharded
+// route: a packet finishing the segment's last hop is handed to fn (at
+// its transmission-finish instant, with its link arrival instant
+// precomputed) instead of being delivered. The packet itself is
+// released to this network's pool before the call — the Handoff value
+// is the complete cross-shard state.
+func (s *Session) SetForward(fn func(h Handoff, finish, arrive float64)) {
+	s.hookState().forward = fn
 }
 
 // Started reports whether Start has been called.
 func (s *Session) Started() bool { return s.started }
 
 // MeasureHistogram attaches an end-to-end delay histogram with the
-// given bin width (seconds) and bin count.
+// given bin width (seconds) and bin count, and returns it.
 func (s *Session) MeasureHistogram(binWidth float64, nbins int) *stats.Histogram {
-	s.Hist = stats.NewHistogram(binWidth, nbins)
-	return s.Hist
+	h := stats.NewHistogram(binWidth, nbins)
+	s.hookState().hist = h
+	return h
 }
 
 // Deliver lands a packet at the session's exit point. It is the
@@ -736,12 +786,13 @@ func (s *Session) Deliver(p *packet.Packet, now float64) {
 	}
 	d := now - p.SourceTime
 	s.Delays.Add(d)
-	if s.Hist != nil {
-		s.Hist.Add(d)
+	h := s.hooks
+	if h != nil && h.hist != nil {
+		h.hist.Add(d)
 	}
 	s.Delivered++
-	if s.OnDeliver != nil {
-		s.OnDeliver(p, d)
+	if h != nil && h.onDeliver != nil {
+		h.onDeliver(p, d)
 	}
 	s.net.pool.put(p)
 }
@@ -768,9 +819,11 @@ func (n *Network) AddSession(id int, rate float64, jitterControl bool, route []*
 		Rate:          rate,
 		JitterControl: jitterControl,
 		Route:         route,
-		Source:        src,
 		net:           n,
-		slot:          len(n.sessions),
+		slot:          int32(len(n.sessions)),
+	}
+	if src != nil {
+		s.SetSource(src)
 	}
 	for i, port := range route {
 		cfg := cfgs[i]
@@ -788,50 +841,58 @@ func (n *Network) AddSession(id int, rate float64, jitterControl bool, route []*
 // stops emitting after stopEmit (already-queued packets still drain).
 func (s *Session) Start(t0, stopEmit float64) {
 	s.started = true
-	if s.Source == nil {
+	e := s.em
+	if e == nil || e.src == nil {
 		return
 	}
-	s.stopEmit = stopEmit
+	e.stopEmit = stopEmit
 	// Re-Start with an emission still pending (a churned session
 	// re-established before its old event fired): cancel it — the new
 	// schedule below replaces it.
-	s.net.Sim.Cancel(s.emitEv)
-	if s.emitFn == nil {
-		s.emitFn = func() {
-			t := s.net.Sim.Now() // == the scheduled emission instant
-			if !s.stalled {
-				s.send(t, s.nextLen)
-			}
-			gap, l := s.Source.Next()
-			s.scheduleEmit(t+gap, l)
-		}
+	s.net.Sim.Cancel(e.ev)
+	if e.fn == nil {
+		e.fn = s.emit
 	}
-	gap, length := s.Source.Next()
+	gap, length := e.src.Next()
 	s.scheduleEmit(t0+gap, length)
 }
 
+// emit is the emission event's handler: it sends the pending packet and
+// schedules the next emission.
+func (s *Session) emit() {
+	e := s.em
+	t := s.net.Sim.Now() // == the scheduled emission instant
+	if !s.stalled {
+		s.send(t, e.nextLen)
+	}
+	gap, l := e.src.Next()
+	s.scheduleEmit(t+gap, l)
+}
+
 func (s *Session) scheduleEmit(t, length float64) {
-	if t > s.stopEmit {
+	e := s.em
+	if t > e.stopEmit {
 		return
 	}
-	s.nextLen = length
-	s.emitEv = s.net.Sim.Schedule(t, s.emitFn)
+	e.nextLen = length
+	e.ev = s.net.Sim.Schedule(t, e.fn)
 }
 
 // send is the single entry point of the packet lifecycle: it takes a
 // packet from the network's pool, stamps the per-session header fields,
 // and lands it at the first node of the route.
 func (s *Session) send(t, length float64) {
-	s.seq++
+	e := s.em
+	e.seq++
 	s.Emitted++
 	p := s.net.pool.get()
 	p.Session = s.ID
-	p.Seq = s.seq
+	p.Seq = e.seq
 	p.Length = length
 	p.SourceTime = t
 	p.Hop = s.HopOffset
-	if s.InitialSlack != nil {
-		p.Hold = s.InitialSlack(p.Seq, t)
+	if e.initialSlack != nil {
+		p.Hold = e.initialSlack(p.Seq, t)
 	}
 	s.Route[0].Arrive(p, t)
 }
@@ -863,7 +924,7 @@ func (n *Network) unregister(s *Session) {
 	if n.sessionByID(s.ID) == s {
 		n.sessByID.Delete(s.ID)
 	}
-	if s.slot >= len(n.sessions) || n.sessions[s.slot] != s {
+	if int(s.slot) >= len(n.sessions) || n.sessions[s.slot] != s {
 		return // already removed
 	}
 	// Swap-with-last removal: Sessions() order is part of what goldens

@@ -191,7 +191,7 @@ func TestOnDeliverHookAndHistogram(t *testing.T) {
 	s := net.AddSession(1, 100, false, []*Port{p1}, make([]SessionPort, 1), nil)
 	hist := s.MeasureHistogram(0.01, 100)
 	var hookDelay float64
-	s.OnDeliver = func(p *packet.Packet, d float64) { hookDelay = d }
+	s.SetOnDeliver(func(p *packet.Packet, d float64) { hookDelay = d })
 	s.InjectAt(0, 100)
 	sim.Run(10)
 	if hookDelay != 0.1 {
@@ -297,7 +297,7 @@ func TestUnregisterKeepsOrder(t *testing.T) {
 			t.Fatalf("%s: %d sessions, want %d", step, len(got), len(want))
 		}
 		for i, sess := range got {
-			if sess.ID != want[i] || sess.slot != i {
+			if sess.ID != want[i] || int(sess.slot) != i {
 				t.Fatalf("%s: slot %d holds session %d (slot field %d), want session %d",
 					step, i, sess.ID, sess.slot, want[i])
 			}

@@ -73,7 +73,7 @@ func TestPoolRecyclesPackets(t *testing.T) {
 	s := net.AddSession(1, 100, false, []*Port{p1}, make([]SessionPort, 1), nil)
 
 	var first *packet.Packet
-	s.OnDeliver = func(p *packet.Packet, _ float64) {
+	s.SetOnDeliver(func(p *packet.Packet, _ float64) {
 		if first == nil {
 			first = p
 		} else if p != first {
@@ -81,7 +81,7 @@ func TestPoolRecyclesPackets(t *testing.T) {
 		} else if p.Hold != 0 || p.Hop != 0 || p.Eligible != 0 {
 			t.Errorf("recycled packet not zeroed: %+v", *p)
 		}
-	}
+	})
 	s.InjectAt(0, 100)
 	sim.RunAll()
 	s.InjectAt(sim.Now(), 100)
@@ -101,7 +101,7 @@ func TestPoolDoubleReleasePanics(t *testing.T) {
 	s := net.AddSession(1, 100, false, []*Port{p1}, make([]SessionPort, 1), nil)
 
 	var delivered *packet.Packet
-	s.OnDeliver = func(p *packet.Packet, _ float64) { delivered = p }
+	s.SetOnDeliver(func(p *packet.Packet, _ float64) { delivered = p })
 	s.InjectAt(0, 100)
 	sim.RunAll()
 	if delivered == nil {
@@ -160,7 +160,7 @@ func TestFlightFIFOOrder(t *testing.T) {
 	p1 := net.NewPort("a", 1000, 0.05, &echoDisc{}) // gamma >> L/C: 3 packets overlap in flight
 	s := net.AddSession(1, 100, false, []*Port{p1}, make([]SessionPort, 1), nil)
 	var seqs []int64
-	s.OnDeliver = func(p *packet.Packet, _ float64) { seqs = append(seqs, p.Seq) }
+	s.SetOnDeliver(func(p *packet.Packet, _ float64) { seqs = append(seqs, p.Seq) })
 	s.InjectAt(0, 10)
 	s.InjectAt(0, 10)
 	s.InjectAt(0, 10)

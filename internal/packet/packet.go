@@ -45,7 +45,7 @@ type Packet struct {
 	// More generally it is the header's per-packet slack carrier: LSTF
 	// reads it as remaining slack and writes back the residue on
 	// transmission, and the UPS replay experiment seeds it at emission
-	// via Session.InitialSlack — the same field serving priority
+	// via Session.SetInitialSlack — the same field serving priority
 	// (LSTF) and holding (the LiT regulator) replay semantics.
 	Hold float64
 

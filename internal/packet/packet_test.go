@@ -109,9 +109,9 @@ func TestLengthBitsAccounting(t *testing.T) {
 		length float64
 	}
 	var got []arrival
-	sess.OnDeliver = func(p *packet.Packet, delay float64) {
+	sess.SetOnDeliver(func(p *packet.Packet, delay float64) {
 		got = append(got, arrival{at: p.SourceTime + delay, length: p.Length})
-	}
+	})
 	sess.Start(0, 1)
 	sim.RunAll()
 

@@ -89,7 +89,7 @@ func RunCallBlocking(duration float64, seed uint64, offered, hold float64) *Call
 		}
 		// Only a carried call draws a source stream, so the source is
 		// attached after admission.
-		s.Source = &traffic.OnOff{T: OnSpacing, Length: CellBits, MeanOn: OnMean, MeanOff: 0.650, Rng: r.Split()}
+		s.SetSource(&traffic.OnOff{T: OnSpacing, Length: CellBits, MeanOn: OnMean, MeanOff: 0.650, Rng: r.Split()})
 		end := now + r.Exp(hold)
 		s.Start(now, end)
 		sim.Schedule(end+grace, func() {

@@ -100,8 +100,8 @@ func RunFig8Observed(duration float64, seed uint64, reg *metrics.Registry) *Fig8
 		})
 	}
 
-	noCtrl.MeasureHistogram(fig8HistBin, fig8HistNBins)
-	ctrl.MeasureHistogram(fig8HistBin, fig8HistNBins)
+	histNo := noCtrl.MeasureHistogram(fig8HistBin, fig8HistNBins)
+	histCtrl := ctrl.MeasureHistogram(fig8HistBin, fig8HistNBins)
 
 	probeNoN1 := t.Ports[0].TrackBuffer(noCtrl.ID)
 	probeNoN5 := t.Ports[4].TrackBuffer(noCtrl.ID)
@@ -123,8 +123,8 @@ func RunFig8Observed(duration float64, seed uint64, reg *metrics.Registry) *Fig8
 		Duration:          duration,
 		NoCtrl:            summarize(noCtrl),
 		Ctrl:              summarize(ctrl),
-		HistNoCtrl:        noCtrl.Hist,
-		HistCtrl:          ctrl.Hist,
+		HistNoCtrl:        histNo,
+		HistCtrl:          histCtrl,
 		DelayBound:        bNo.DelayBound,
 		JitterBoundNoCtrl: bNo.JitterBound,
 		JitterBoundCtrl:   bYes.JitterBound,

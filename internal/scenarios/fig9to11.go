@@ -90,7 +90,7 @@ func runDist(mean, rate float64, cross crossKind, duration float64, seed uint64)
 	}
 	def := SessionDef{Entrance: 1, Exit: 5, Rate: rate, Src: tap}
 	sess, b := t.Establish(def)
-	sess.MeasureHistogram(distHistBin, distHistNBins)
+	hist := sess.MeasureHistogram(distHistBin, distHistNBins)
 
 	sess.Start(0, duration)
 	for _, cr := range CrossRoutes {
@@ -130,7 +130,7 @@ func runDist(mean, rate float64, cross crossKind, duration float64, seed uint64)
 		Rho:      md1.Rho(),
 		Beta:     rt.Beta(),
 		Alpha:    rt.Alpha,
-		Measured: sess.Hist.CCDF(),
+		Measured: hist.CCDF(),
 		Summary:  summarize(sess),
 	}
 	// Analytic bound curve on the measured support plus headroom.

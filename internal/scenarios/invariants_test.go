@@ -196,7 +196,7 @@ func TestLiTEqualsVirtualClock(t *testing.T) {
 		cfgs := make([]network.SessionPort, 5)
 		tagged := net.AddSession(1, VoiceRate, false, ports, cfgs,
 			NewOnOff(0.1, r.Split()))
-		tagged.OnDeliver = func(_ *packetAlias, d float64) { delays = append(delays, d) }
+		tagged.SetOnDeliver(func(_ *packetAlias, d float64) { delays = append(delays, d) })
 		for i := range ports {
 			cfg := []network.SessionPort{{}}
 			net.AddSession(2+i, T1Rate-VoiceRate, false, ports[i:i+1], cfg,

@@ -124,7 +124,7 @@ func upsRun(duration float64, seed uint64, mk func() network.Discipline, cfg net
 		s := net.AddSession(i+1, VoiceRate, jitterCtrl, route, cfgs,
 			NewOnOff(upsAOff, r.Split()))
 		if slack != nil {
-			s.InitialSlack = slack(i+1, def)
+			s.SetInitialSlack(slack(i+1, def))
 		}
 		s.Start(0, duration)
 	}

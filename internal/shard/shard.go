@@ -13,7 +13,8 @@
 // network.Session in its shard (same ID, Session.HopOffset preserving
 // global hop numbers), the first segment holds the source, the last
 // one the delivery statistics, and every non-final segment forwards
-// finished packets through Session.Forward into the runtime's outbox.
+// finished packets through its Session.SetForward hook into the
+// runtime's outbox.
 //
 // # Synchronization
 //
@@ -194,7 +195,7 @@ type SessionView struct {
 // First returns the emitting segment (source, Emitted counter).
 func (v *SessionView) First() *network.Session { return v.Segments[0] }
 
-// Last returns the delivering segment (Delivered, Delays, Hist,
+// Last returns the delivering segment (Delivered, Delays, histogram,
 // OnDeliver).
 func (v *SessionView) Last() *network.Session { return v.Segments[len(v.Segments)-1] }
 
@@ -235,9 +236,9 @@ func (rt *Runtime) AddSession(plan SessionPlan) (*SessionView, error) {
 		if end < len(plan.Links) {
 			next := plan.Links[end]
 			dst, tp, from := rt.Part.Assign[next.From], next.Port, s
-			seg.Forward = func(h network.Handoff, finish, arrive float64) {
+			seg.SetForward(func(h network.Handoff, finish, arrive float64) {
 				rt.outbox[from] = append(rt.outbox[from], crossing{h: h, arrive: arrive, dst: dst, port: tp})
-			}
+			})
 		}
 		v.Segments = append(v.Segments, seg)
 		start = end

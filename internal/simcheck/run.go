@@ -349,9 +349,9 @@ func (r *run) establish(def *config.Session) {
 		}
 	}
 	if r.opts.collectDelays {
-		s.live.OnDeliver = func(p *packet.Packet, delay float64) {
+		s.live.SetOnDeliver(func(p *packet.Packet, delay float64) {
 			s.Delays = append(s.Delays, seqDelay{Seq: p.Seq, Delay: delay})
-		}
+		})
 	}
 	s.sig = r.newSignaler(s)
 	r.sessions = append(r.sessions, s)

@@ -386,12 +386,17 @@ func (s *System) Disconnect(sess *network.Session) {
 	s.Net.RemoveSession(sess)
 }
 
-// Run starts every session with a source at time 0, lets sources emit
-// until the given duration, and processes events up to that time.
+// Run starts every session not yet started at the current simulated
+// time, with duration as its sources' stop time, and processes events
+// up to that time. duration is an absolute horizon, not a length:
+// Run(10) then Run(20) runs the clock from 0 to 20, and a session
+// connected between the two calls starts emitting at 10 (a session
+// started by the first call keeps its stop time of 10).
 func (s *System) Run(duration float64) {
+	now := s.Sim.Now()
 	for _, sess := range s.Net.Sessions() {
 		if !sess.Started() {
-			sess.Start(0, duration)
+			sess.Start(now, duration)
 		}
 	}
 	s.Sim.Run(duration)
