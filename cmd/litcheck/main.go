@@ -17,9 +17,10 @@
 // deterministic fault plan — link and node outages, source stalls, and
 // mid-run session release and re-SETUP through the signaling exchange.
 // Each is one report line. A scenario runs under every discipline with
-// its plan injected — nothing, on a clean network — and every run ends
-// by returning its reservations through the signaling exchange, so each
-// is checked for packet conservation counted from the trace, pool drain
+// its plan injected — nothing, on a clean network — on the network
+// litrun and litserve build, and every run ends by returning its
+// reservations, through the signaling exchange where the plan churns,
+// so each is checked for packet conservation counted from the trace, pool drain
 // and reserved capacity back to exactly zero at every controller; the
 // reference Leave-in-Time run is also checked against the analytic
 // bounds and for trace/metrics/probe agreement.
@@ -46,11 +47,9 @@
 // Seeds run on a GOMAXPROCS worker pool; reports print in seed order
 // and each report is deterministic (same seed, byte-identical output).
 // On violation a repro is written under -repro-dir: the scenario
-// document with the harness's own keys in a "check" object beside it. A
-// clean repro runs under litrun and litserve too; a churn repro that
-// sets a session up again replays only here, under -replay, because
-// their runner releases but cannot re-SETUP (ROADMAP item 13). A
-// failing clean case is shrunk to a minimal form and written as
+// document with the harness's own keys in a "check" object beside it,
+// which runs under litrun and litserve too, a churn repro that sets a
+// session up again included. A failing clean case is shrunk to a minimal form and written as
 // litcheck_repro_<seed>.json; a failing faulted case is written whole
 // as litcheck_repro_<seed>_churn.json, because the fault plan is part
 // of the scenario and the repro must replay the identical chaos.

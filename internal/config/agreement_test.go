@@ -209,10 +209,10 @@ func viaDocument(t *testing.T, n int, aOff, duration float64, seed uint64, jitte
 	res := run.Finish()
 	out := &built{portCount: len(run.sys.Servers())}
 	for i, tr := range run.all {
-		out.bounds = append(out.bounds, tr.bounds)
+		out.bounds = append(out.bounds, tr.Bounds)
 		out.delayBound = append(out.delayBound, res.Sessions[i].DelayBound)
 		out.jitterBound = append(out.jitterBound, res.Sessions[i].JitterBound)
-		out.bufferBound = append(out.bufferBound, tr.bounds.BufferBoundBits)
+		out.bufferBound = append(out.bufferBound, tr.Bounds.BufferBoundBits)
 	}
 	out.observe(run.sys.Net.Sessions())
 	return out

@@ -53,14 +53,16 @@
 // A repro written by cmd/litcheck is a document with one more object,
 // "check", holding the three keys only the harness reads (kind, special,
 // bound_scale); Parse ignores it as it ignores any unknown key.
-// litcheck -replay accepts any document Parse accepts, and also a
-// plan that releases a session and sets it up again, which is valid
-// (Validate) but which only the harness's signaling path can run
-// (Runnable).
+// litcheck -replay accepts any document Parse accepts.
 //
 // A document is built on a system.System: Validate refuses whatever the
 // System's own validation refuses, so the only thing Prepare can still
-// refuse is a session the admission rules reject.
+// refuse is a session the admission rules reject. Run is the one
+// runner: litrun and litserve run a document on it, and litcheck checks
+// the same network under each discipline of its battery, with its
+// checks layered on between Prepare and Start. A plan with a churn
+// cycle gives every session a signaling path, which its releases and
+// re-SETUPs walk hop by hop.
 package config
 
 import (
@@ -73,6 +75,8 @@ import (
 	"leaveintime/internal/metrics"
 	"leaveintime/internal/network"
 	"leaveintime/internal/rng"
+	"leaveintime/internal/sched"
+	"leaveintime/internal/signaling"
 	"leaveintime/internal/system"
 	"leaveintime/internal/topo"
 	"leaveintime/internal/traffic"
@@ -89,12 +93,10 @@ type Scenario struct {
 	Seed     uint64    `json:"seed"`
 
 	// Faults, when present, is a deterministic chaos plan injected into
-	// the run: link/node outage windows, source stalls, and mid-run
-	// session releases. Session references are session ids, port
-	// references server names, node references a server's from (its own
-	// name when it declares no link). A churn cycle with a resetup is a
-	// valid document that the declarative runner refuses (Runnable): it
-	// has no signaling path to re-establish through.
+	// the run: link/node outage windows, source stalls, and churn, a
+	// session's mid-run release and optional re-SETUP. Session references
+	// are session ids, port references server names, node references a
+	// server's from (its own name when it declares no link).
 	Faults *faults.Plan `json:"faults,omitempty"`
 }
 
@@ -156,7 +158,8 @@ type Session struct {
 	D  float64 `json:"d,omitempty"`
 	B0 float64 `json:"b0,omitempty"`
 	// LimitBuffers caps the session's buffer at every hop at the
-	// Section 3.3 bound b0 determines: the loss-free provisioning.
+	// Section 3.3 bound b0 determines: the loss-free provisioning. A
+	// session a churn cycle sets up again comes back uncapped.
 	LimitBuffers bool   `json:"limit_buffers,omitempty"`
 	Source       Source `json:"source"`
 }
@@ -183,17 +186,13 @@ type Source struct {
 	ShapeB0   float64 `json:"shape_b0,omitempty"`
 }
 
-// Parse decodes a scenario document and checks that it is valid and
-// that the declarative runner can run it.
+// Parse decodes a scenario document and checks that it is valid.
 func Parse(data []byte) (*Scenario, error) {
 	var s Scenario
 	if err := json.Unmarshal(data, &s); err != nil {
 		return nil, fmt.Errorf("config: %w", err)
 	}
 	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	if err := s.Runnable(); err != nil {
 		return nil, err
 	}
 	return &s, nil
@@ -261,11 +260,11 @@ func (sc *Session) Request() system.ConnectRequest {
 	}
 }
 
-// maxSessionID is the largest id a document may give a session. The
-// conformance harness hands document ids to the network as they stand,
-// and per-id state costs eight bytes per 256 ids of span (see sesstab):
-// this bound keeps such a directory under a megabyte, where an id in the
-// trillions exhausted memory.
+// maxSessionID is the largest id a document may give a session. A run
+// numbers its network sessions 1, 2, … whatever their ids; the bound
+// dates from when the harness handed ids to the network as they stood,
+// where an id in the trillions exhausted memory, and keeps every tool
+// refusing what it refused then.
 const maxSessionID = 1 << 24
 
 // Validate refuses every document no run could be built from, for a
@@ -382,20 +381,6 @@ func (s *Scenario) Validate() error {
 	return nil
 }
 
-// Runnable is the one rule the declarative runner adds to Validate: it
-// releases sessions mid-run but cannot set one up again.
-func (s *Scenario) Runnable() error {
-	if s.Faults == nil {
-		return nil
-	}
-	for i, c := range s.Faults.Churn {
-		if c.Resetup != 0 {
-			return fmt.Errorf("config: churn cycle %d schedules a resetup; the declarative runner supports release-only churn", i)
-		}
-	}
-	return nil
-}
-
 // SessionResult is the per-session outcome of a run.
 type SessionResult struct {
 	Name      string  `json:"name"`
@@ -431,10 +416,22 @@ func (s *Scenario) RunWithMetrics(reg *metrics.Registry) (*Result, error) {
 	return run.Finish(), nil
 }
 
-type tracked struct {
-	cfg    *Session
-	sess   *network.Session
-	bounds *system.Bounds
+// Conn is one session of the document as a run holds it. Prepare
+// connects the sessions in document order, so the document's i-th
+// session is network session i+1, and a session set up again keeps its
+// id.
+type Conn struct {
+	Def *Session
+	// Sess is the session's latest incarnation in the network; Emitted
+	// and Delivered count what the incarnations before it emitted and
+	// delivered.
+	Sess               *network.Session
+	Emitted, Delivered int64
+	Bounds             *system.Bounds
+
+	// sig is the session's signaling path, made for a plan with a churn
+	// cycle; nil otherwise.
+	sig    *signaling.Signaler
 	purged bool
 }
 
@@ -447,18 +444,27 @@ type tracked struct {
 type Run struct {
 	sc      *Scenario
 	sys     *system.System
+	reg     *metrics.Registry
+	stream  *rng.Rand // the scenario's; a source set up again draws from it
 	servers map[string]*system.Server
-	all     []tracked
-	byID    map[int]*tracked
+	all     []Conn
+	byID    map[int]*Conn
 	started bool
 }
 
-// Prepare builds the scenario without running it. When reg is non-nil
-// the run counts telemetry into it exactly as RunWithMetrics does.
+// Prepare builds the scenario without running it, with the document's
+// Leave-in-Time queue, exact or approximate, at every server. When reg
+// is non-nil the run counts telemetry into it exactly as RunWithMetrics
+// does.
 func (s *Scenario) Prepare(reg *metrics.Registry) (*Run, error) {
-	if err := s.Runnable(); err != nil {
-		return nil, err
-	}
+	return s.PrepareRow(reg, sched.Row{})
+}
+
+// PrepareRow is Prepare with every server's discipline built by row
+// instead. A zero row is the document's Leave-in-Time queue. A framing
+// discipline's frame is one maximum-length packet at the slowest
+// session's rate, so that every session earns a slot in every frame.
+func (s *Scenario) PrepareRow(reg *metrics.Registry, row sched.Row) (*Run, error) {
 	sys, err := system.New(s.systemConfig())
 	if err != nil {
 		return nil, fmt.Errorf("config: %w", err)
@@ -466,27 +472,36 @@ func (s *Scenario) Prepare(reg *metrics.Registry) (*Run, error) {
 	if reg != nil {
 		sys.AttachMetrics(reg)
 	}
-	r := rng.New(s.Seed)
-
+	frame := s.LMax / s.minRate()
 	servers := map[string]*system.Server{}
 	for i := range s.Servers {
 		sv := &s.Servers[i]
-		srv, err := sys.AddServerQueue(sv.key(), sv.Capacity, sv.Gamma, sv.Approximate)
+		disc := row
+		if disc.New == nil {
+			disc = sched.Lookup("lit")
+			if sv.Approximate {
+				disc = sched.Lookup("lit-approx")
+			}
+		}
+		srv, err := sys.AddServerQueue(sv.key(), sv.Capacity, sv.Gamma, func(capacity, lMax float64) network.Discipline {
+			return disc.New(capacity, lMax, frame)
+		})
 		if err != nil {
 			return nil, fmt.Errorf("config: %w", err)
 		}
 		servers[sv.key()] = srv
 	}
 
-	run := &Run{sc: s, sys: sys, servers: servers,
-		all: make([]tracked, len(s.Sessions)), byID: make(map[int]*tracked, len(s.Sessions))}
+	run := &Run{sc: s, sys: sys, reg: reg, stream: rng.New(s.Seed), servers: servers,
+		all: make([]Conn, len(s.Sessions)), byID: make(map[int]*Conn, len(s.Sessions))}
+	churn := s.Faults != nil && len(s.Faults.Churn) > 0
 	for i := range s.Sessions {
 		sc := &s.Sessions[i]
 		req := sc.Request()
 		for _, hopName := range sc.Route {
 			req.Route = append(req.Route, servers[hopName])
 		}
-		if req.Source, err = sc.BuildSource(r); err != nil {
+		if req.Source, err = sc.BuildSource(run.stream); err != nil {
 			return nil, fmt.Errorf("config: session %q: %w", sc.Name, err)
 		}
 		sess, b, err := sys.Connect(req)
@@ -498,13 +513,53 @@ func (s *Scenario) Prepare(reg *metrics.Registry) (*Run, error) {
 				sess.Route[n].LimitBuffer(sess.ID, bound)
 			}
 		}
-		run.all[i] = tracked{cfg: sc, sess: sess, bounds: b}
-		run.byID[sc.id(i)] = &run.all[i]
+		c := &run.all[i]
+		*c = Conn{Def: sc, Sess: sess, Bounds: b}
+		if churn {
+			c.sig = run.signaler(req.Route, sess.ID)
+		}
+		run.byID[sc.id(i)] = c
 	}
 	if !s.Faults.Empty() {
 		faults.Inject(sys.Sim, (*runActions)(run), s.Faults)
 	}
 	return run, nil
+}
+
+// minRate is the smallest session rate, 0 when there is none.
+func (s *Scenario) minRate() float64 {
+	least := 0.0
+	for i := range s.Sessions {
+		if r := s.Sessions[i].Rate; least == 0 || r < least {
+			least = r
+		}
+	}
+	return least
+}
+
+// signaler builds a session's signaling path over its route: one node
+// per hop with the hop's admission controller behind it, the hop's link
+// deciding whether a message is lost. It adopts the reservation Connect
+// made, so a release walks the path hop by hop.
+func (r *Run) signaler(route []*system.Server, id int) *signaling.Signaler {
+	path := make([]*signaling.Node, len(route))
+	nodes := make([]int, len(route))
+	for i, srv := range route {
+		path[i] = &signaling.Node{Name: srv.Port.Name, Admit: srv.Admission(), Gamma: srv.Gamma}
+		nodes[i] = i
+	}
+	sig := signaling.New(r.sys.Sim, path)
+	sig.LinkDown = func(i int) bool { return route[i].Port.LinkDown() }
+	sig.OnLost = func(kind string, node, _ int) { route[node].Port.NoteSignalingLoss(kind, id, node) }
+	// A refused re-SETUP backs off and retries, deterministically: a
+	// refusal under churn is usually another session's RELEASE that has
+	// not reached every node yet.
+	d := r.sc.Duration
+	sig.Retry = &signaling.Retry{Max: 3, Base: 0.01 * d, Cap: 0.05 * d}
+	if err := sig.Adopt(id, nodes); err != nil {
+		panic(err) // a fresh signaler holds nothing
+	}
+	return sig
 }
 
 // id is the session's id with its default, the 1-based position.
@@ -519,6 +574,13 @@ func (sc *Session) id(i int) int {
 // the first slice.
 func (r *Run) Sim() *event.Simulator { return r.sys.Sim }
 
+// System exposes the network the run built, for layers set between
+// Prepare and Start: a tracer, probes, pool debugging.
+func (r *Run) System() *system.System { return r.sys }
+
+// Conns returns the run's sessions in document order.
+func (r *Run) Conns() []Conn { return r.all }
+
 // Duration returns the scenario's configured run length.
 func (r *Run) Duration() float64 { return r.sc.Duration }
 
@@ -531,8 +593,8 @@ func (r *Run) Start() {
 		return
 	}
 	r.started = true
-	for _, tr := range r.all {
-		tr.sess.Start(0, r.sc.Duration)
+	for _, c := range r.all {
+		c.Sess.Start(0, r.sc.Duration)
 	}
 }
 
@@ -553,18 +615,54 @@ func (r *Run) RunSlice(until float64) (done bool) {
 // Delivered-so-far statistics are retained for Finish. It reports
 // whether the session was still registered.
 func (r *Run) PurgeSession(id int) bool {
-	tr := r.byID[id]
-	if tr == nil || tr.purged {
+	c := r.byID[id]
+	if c == nil || c.purged {
 		return false
 	}
-	tr.purged = true
-	r.sys.Net.DropSession(tr.sess)
-	r.sys.Teardown(tr.sess)
+	r.release(c)
 	return true
 }
 
-// runActions adapts Run to the fault injector. Resetups are refused by
-// Runnable, so ResetupSession is unreachable.
+// release takes the session out of the network and returns its
+// reservation: through a RELEASE walking its signaling path when it has
+// one, which a link fault can stop short, at once otherwise.
+func (r *Run) release(c *Conn) {
+	c.purged = true
+	r.sys.Net.DropSession(c.Sess)
+	if c.sig != nil {
+		_ = c.sig.Teardown(c.Sess.ID, nil) // in the network, so established: it cannot fail
+	} else {
+		r.sys.Teardown(c.Sess)
+	}
+}
+
+// Release returns every reservation the run still holds, each through
+// the path that made it; a signaling path's RELEASE takes simulated
+// time to walk, so run the engine after it. It is the end of a drained
+// run, after which every server's admission controller is empty.
+func (r *Run) Release() {
+	for i := range r.all {
+		c := &r.all[i]
+		switch {
+		case c.sig != nil:
+			if c.sig.Established(c.Sess.ID) {
+				_ = c.sig.Teardown(c.Sess.ID, nil)
+			}
+		case !c.purged:
+			c.purged = true
+			r.sys.Teardown(c.Sess)
+		}
+	}
+}
+
+// count adds one to a fault counter when the run has a registry.
+func (r *Run) count(h metrics.Handle) {
+	if r.reg != nil {
+		r.reg.Arena().Inc(h)
+	}
+}
+
+// runActions adapts Run to the fault injector.
 type runActions Run
 
 func (a *runActions) LinkDown(port string) { a.servers[port].Port.FailLink() }
@@ -583,34 +681,97 @@ func (a *runActions) eachAt(node string, do func(port string)) {
 	}
 }
 
-func (a *runActions) StallSession(id int, on bool) { a.byID[id].sess.SetStalled(on) }
+// StallSession silences a session in the network; a released one has
+// no source to stall.
+func (a *runActions) StallSession(id int, on bool) {
+	if c := a.byID[id]; !c.purged {
+		c.Sess.SetStalled(on)
+	}
+}
 
-func (a *runActions) ReleaseSession(id int) { (*Run)(a).PurgeSession(id) }
+// ReleaseSession is a churn cycle's release: the session leaves the
+// network at once, and its RELEASE walks the route. A RELEASE lost to a
+// link fault leaves the nodes it did not reach reserved, for the
+// re-SETUP or Release to reclaim.
+func (a *runActions) ReleaseSession(id int) {
+	r := (*Run)(a)
+	r.count(metrics.HFaultReleases)
+	if c := r.byID[id]; !c.purged {
+		r.release(c)
+	} else {
+		_ = c.sig.Teardown(c.Sess.ID, nil)
+	}
+}
 
-func (a *runActions) ResetupSession(id int) {
-	panic("config: resetup refused by Runnable")
+// ResetupSession is a churn cycle's return: a fresh SETUP through
+// admission control at every hop.
+func (a *runActions) ResetupSession(id int) { (*Run)(a).resetup(a.byID[id]) }
+
+func (r *Run) resetup(c *Conn) {
+	id := c.Sess.ID
+	if c.sig.Established(id) {
+		// The RELEASE was lost mid-walk and part of the route still
+		// holds the old reservation: retry it, and SETUP once it is
+		// through. The retry is paced so that a RELEASE that keeps dying
+		// on a link still down advances simulated time; each attempt
+		// frees at least one node, so the route's length bounds them.
+		_ = c.sig.Teardown(id, func() {
+			r.sys.Sim.After(0.005*r.sc.Duration, func() { r.resetup(c) })
+		})
+		return
+	}
+	req, err := r.sys.Request(c.Def.Request())
+	if err != nil {
+		panic(err) // Connect took the same request
+	}
+	req.Spec.ID = id
+	c.sig.Establish(signaling.Request{Spec: req.Spec, Class: req.Class, Opts: req.Opts}, func(res signaling.Result) {
+		if !res.Accepted {
+			// Refused after the retries, or a message was lost: the
+			// session stays out, and a reservation a lost ACCEPT or
+			// REJECT stranded waits for Release.
+			r.count(metrics.HFaultResetupRejects)
+			return
+		}
+		r.count(metrics.HFaultResetups)
+		cfgs := make([]network.SessionPort, len(res.Assignments))
+		for i, g := range res.Assignments {
+			cfgs[i] = network.SessionPort{D: g.D, DMax: g.DMax}
+		}
+		src, err := c.Def.BuildSource(r.stream)
+		if err != nil {
+			panic(err) // Prepare built it once already
+		}
+		c.Emitted += c.Sess.Emitted
+		c.Delivered += c.Sess.Delivered
+		c.Sess = r.sys.Net.AddSession(id, c.Def.Rate, c.Def.JitterControl, c.Sess.Route, cfgs, src)
+		c.purged = false
+		c.Sess.Start(r.sys.Sim.Now(), r.sc.Duration)
+	})
 }
 
 // Finish computes the per-session results at the current instant. An
-// unnamed session is reported as s<id>.
+// unnamed session is reported as s<id>. A session set up again reports
+// its deliveries summed over its incarnations, and its delays from the
+// latest.
 func (r *Run) Finish() *Result {
 	s := r.sc
 	res := &Result{Duration: s.Duration}
-	for i, tr := range r.all {
+	for i, c := range r.all {
 		sr := SessionResult{
-			Name:       tr.cfg.Name,
-			Delivered:  tr.sess.Delivered,
-			MaxDelay:   tr.sess.Delays.Max(),
-			MeanDelay:  tr.sess.Delays.Mean(),
-			Jitter:     tr.sess.Delays.Jitter(),
+			Name:       c.Def.Name,
+			Delivered:  c.Delivered + c.Sess.Delivered,
+			MaxDelay:   c.Sess.Delays.Max(),
+			MeanDelay:  c.Sess.Delays.Mean(),
+			Jitter:     c.Sess.Delays.Jitter(),
 			BoundHolds: true,
 		}
 		if sr.Name == "" {
-			sr.Name = fmt.Sprintf("s%d", tr.cfg.id(i))
+			sr.Name = fmt.Sprintf("s%d", c.Def.id(i))
 		}
-		if tr.cfg.B0 > 0 {
-			sr.DelayBound = tr.bounds.DelayBound
-			sr.JitterBound = tr.bounds.JitterBound
+		if c.Def.B0 > 0 {
+			sr.DelayBound = c.Bounds.DelayBound
+			sr.JitterBound = c.Bounds.JitterBound
 			sr.BoundHolds = sr.MaxDelay < sr.DelayBound
 		}
 		res.Sessions = append(res.Sessions, sr)

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"leaveintime/internal/metrics"
 )
 
 // TestSlicedRunMatchesOneShot: advancing a Prepared run in many small
@@ -65,7 +67,7 @@ func TestPurgeSessionMidRun(t *testing.T) {
 	if run.PurgeSession(0) || run.PurgeSession(99) {
 		t.Error("out-of-range purge reported success")
 	}
-	atPurge := run.all[0].sess.Delivered
+	atPurge := run.all[0].Sess.Delivered
 	if atPurge == 0 {
 		t.Fatal("nothing delivered before the purge; test is vacuous")
 	}
@@ -147,7 +149,6 @@ func TestFaultPlanValidation(t *testing.T) {
 		"unknown node":    `{"nodes": [{"node": "zzz", "down": 1, "up": 2}]}`,
 		"unknown session": `{"stalls": [{"session": 9, "from": 1, "to": 2}]}`,
 		"churn unknown":   `{"churn": [{"session": 0, "release": 1}]}`,
-		"resetup":         `{"churn": [{"session": 1, "release": 1, "resetup": 2}]}`,
 		"inverted window": `{"links": [{"port": "n1", "down": 3, "up": 2}]}`,
 	}
 	for name, plan := range cases {
@@ -155,5 +156,38 @@ func TestFaultPlanValidation(t *testing.T) {
 		if _, err := Parse([]byte(doc)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
+	}
+	// A churn cycle that sets its session up again is a plan like any
+	// other: the session comes back through a SETUP at every hop.
+	s := faultScenario(t, `{"churn": [{"session": 1, "release": 1, "resetup": 2}]}`)
+	reg := metrics.NewRegistry()
+	res, err := s.RunWithMetrics(reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f := reg.Snapshot(s.Duration).Faults; f.Releases != 1 || f.Resetups != 1 || f.ResetupRejects != 0 {
+		t.Errorf("fault counters %+v, want one release and one re-SETUP", f)
+	}
+	if res.Sessions[0].Delivered == 0 {
+		t.Error("the churned session delivered nothing")
+	}
+}
+
+// TestFaultTelemetryCountsThePlan: fault.releases counts the plan's
+// releases, and a stall window that opens after its session's release
+// begins nothing.
+func TestFaultTelemetryCountsThePlan(t *testing.T) {
+	s := mustParse(t, `{"lmax": 424, "duration": 2, "seed": 1,
+	  "servers": [{"name": "t1", "capacity": 1536000, "gamma": 0.001}],
+	  "sessions": [
+	    {"rate": 32000, "route": ["t1"], "source": {"kind": "deterministic", "interval": 0.01325, "length": 424}},
+	    {"rate": 32000, "route": ["t1"], "source": {"kind": "deterministic", "interval": 0.01325, "length": 424}}],
+	  "faults": {"churn": [{"session": 1, "release": 0.5}], "stalls": [{"session": 1, "from": 1, "to": 1.5}]}}`)
+	reg := metrics.NewRegistry()
+	if _, err := s.RunWithMetrics(reg); err != nil {
+		t.Fatal(err)
+	}
+	if f := reg.Snapshot(s.Duration).Faults; f.Releases != 1 || f.Stalls != 0 {
+		t.Errorf("fault.releases = %d, fault.stalls = %d; want 1 and 0", f.Releases, f.Stalls)
 	}
 }

@@ -147,7 +147,7 @@ const (
 	HFaultPurgeDrops                                 // packets discarded by mid-run teardown
 	HFaultSignalingDrops                             // signaling messages lost to link faults
 	HFaultSessionsPurged                             // mid-run session removals (per node visit)
-	HFaultReleases                                   // churn: signaled teardowns initiated
+	HFaultReleases                                   // churn: releases the fault plan made
 	HFaultResetups                                   // churn: re-establishments accepted
 	HFaultResetupRejects                             // churn: re-establishments rejected or lost
 	HFaultStalls                                     // source stall windows begun

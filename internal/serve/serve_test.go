@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -407,4 +408,17 @@ func TestSubmitBadScenario(t *testing.T) {
 	if c := h.d.reg.ServeCounters(); c.Malformed != 2 || c.ScenarioQueued != 0 {
 		t.Fatalf("counters: %+v", c)
 	}
+}
+
+// TestChurnReproRuns: a repro whose fault plan releases sessions and
+// sets them up again is a document the daemon runs like any other, to
+// the library's result.
+func TestChurnReproRuns(t *testing.T) {
+	doc, err := os.ReadFile("../simcheck/testdata/old_churn_seed2.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := startTestDaemon(t, Options{Workers: 1})
+	id := h.submit(t, doc, http.StatusAccepted)
+	sameAsLibrary(t, h.waitState(t, id, "done", 30*time.Second), doc)
 }

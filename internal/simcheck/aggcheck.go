@@ -91,7 +91,7 @@ func aggRow(sc *Case) sched.Row {
 	row.New = func(capacity, lMax, _ float64) network.Discipline {
 		return core.NewAggregate(core.AggConfig{
 			Capacity: capacity, LMax: lMax,
-			Classes: nc, ClassOf: func(id int) int { return cls[id] },
+			Classes: nc, ClassOf: func(id int) int { return cls[sc.docID(id)] },
 		})
 	}
 	return row
@@ -143,7 +143,7 @@ func aggBounds(sc *Case, cls map[int]int) (map[int][2]float64, error) {
 			}
 			lc.rate += def.Rate
 			lc.bur += def.B0
-			if d := ad.cfgs[i].DMax; d > lc.dMax {
+			if d := ad.bounds.Assignments[i].DMax; d > lc.dMax {
 				lc.dMax = d
 			}
 		}
@@ -185,7 +185,7 @@ func checkAggregate(sc *Case, exact *runResult, scale float64, wd event.Watchdog
 		return
 	}
 	checkDrain(res, rep)
-	checkCapacity(res, sc, rep)
+	checkCapacity(res, rep)
 	if exact.Tripped == "" {
 		checkEmitted(exact, res, rep)
 	}

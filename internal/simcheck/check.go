@@ -122,7 +122,7 @@ func CheckScenario(sc Case, opt Options) (rep *SeedReport) {
 		checkBounds(&survivors, scale, rep)
 		checkDrain(exact, rep)
 		checkTelemetry(exact, rep)
-		checkCapacity(exact, &sc, rep)
+		checkCapacity(exact, rep)
 	}
 
 	// Approximate queue: same scenario, deadline ordering allowed one
@@ -130,7 +130,7 @@ func CheckScenario(sc Case, opt Options) (rep *SeedReport) {
 	// run.
 	if approx := rep.runUnder(&sc, sched.Lookup("lit-approx"), runOpts{wd: wd}); approx != nil && approx.Tripped == "" {
 		checkDrain(approx, rep)
-		checkCapacity(approx, &sc, rep)
+		checkCapacity(approx, rep)
 		if exact.Tripped == "" {
 			if clean {
 				checkApprox(exact, approx, &sc, rep)
@@ -172,7 +172,7 @@ func CheckScenario(sc Case, opt Options) (rep *SeedReport) {
 		}
 		if res := rep.runUnder(&sc, row, runOpts{wd: wd}); res != nil && res.Tripped == "" {
 			checkDrain(res, rep)
-			checkCapacity(res, &sc, rep)
+			checkCapacity(res, rep)
 			if exact.Tripped == "" {
 				checkEmitted(exact, res, rep)
 			}
@@ -182,12 +182,12 @@ func CheckScenario(sc Case, opt Options) (rep *SeedReport) {
 }
 
 // runUnder runs the scenario under one discipline and books the run on
-// the report: its online violations and its summary row, or a "build"
-// violation and a nil result when the network could not be built.
+// the report: its online violations and its summary row, or the
+// refusal and a nil result when the network could not be built.
 func (r *SeedReport) runUnder(sc *Case, row sched.Row, opts runOpts) *runResult {
 	res, err := runScenario(sc, row, opts)
 	if err != nil {
-		r.add(Violation{Check: "build", Discipline: row.Name, Detail: err.Error()})
+		r.add(refusal(sc, row, err))
 		return nil
 	}
 	r.Violations = append(r.Violations, res.Violations...)
@@ -255,11 +255,10 @@ func checkDrain(res *runResult, rep *SeedReport) {
 // link's admission controller is back to exactly zero reserved rate:
 // released capacity is really released, with no residue from churn,
 // lost signaling messages, or the retry paths.
-func checkCapacity(res *runResult, sc *Case, rep *SeedReport) {
-	for i := range sc.Servers {
-		key := sc.Servers[i].Name
-		if rate := res.Adm[key].TotalRate(); rate != 0 {
-			rep.add(Violation{Check: "capacity-leak", Discipline: res.Name, Port: key,
+func checkCapacity(res *runResult, rep *SeedReport) {
+	for _, srv := range res.Servers {
+		if rate := srv.Admission().TotalRate(); rate != 0 {
+			rep.add(Violation{Check: "capacity-leak", Discipline: res.Name, Port: srv.Port.Name,
 				Detail: fmt.Sprintf("%.9g bits/s still reserved after final teardown", rate)})
 		}
 	}

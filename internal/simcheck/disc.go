@@ -3,7 +3,6 @@ package simcheck
 import (
 	"fmt"
 
-	"leaveintime/internal/config"
 	"leaveintime/internal/metrics"
 	"leaveintime/internal/network"
 	"leaveintime/internal/packet"
@@ -42,8 +41,10 @@ const maxViolationsPerRun = 8
 // scheduler counters.
 type checkedDisc struct {
 	inner         network.Discipline
+	sc            *Case
+	capacity      float64
 	disc          string
-	port          string
+	port          string // set once the run's ports are built
 	wc            bool
 	deadlineCheck bool
 	tol           float64
@@ -63,13 +64,29 @@ func (c *checkedDisc) violate(check string, session int, detail string) {
 	if len(*c.out) >= maxViolationsPerRun {
 		return
 	}
+	if session != 0 {
+		session = c.sc.docID(session)
+	}
 	*c.out = append(*c.out, Violation{
 		Check: check, Discipline: c.disc, Session: session, Port: c.port, Detail: detail,
 	})
 }
 
-// AddSession implements network.Discipline.
-func (c *checkedDisc) AddSession(cfg network.SessionPort) { c.inner.AddSession(cfg) }
+// AddSession implements network.Discipline. It gives the EDD
+// baselines their per-node budget, generous enough that their (not
+// re-run) schedulability test would not be the binding constraint, and
+// in the paper's exactness corner (procedure 1, one class, eps = 0)
+// spells d = L/r as a nil D: the bit-exact VirtualClock special case
+// (the grant's closure would round L*C/(r*C) differently from L/r).
+func (c *checkedDisc) AddSession(cfg network.SessionPort) {
+	req := c.sc.Sessions[cfg.Session-1].Request()
+	cfg.LocalDelay = req.LMax/req.Rate + float64(len(c.sc.Sessions)+2)*c.sc.LMax/c.capacity
+	cfg.XMin = req.LMin / req.Rate
+	if c.sc.Check.Special {
+		cfg.D = nil
+	}
+	c.inner.AddSession(cfg)
+}
 
 // Enqueue implements network.Discipline.
 func (c *checkedDisc) Enqueue(p *packet.Packet, now float64) {
@@ -129,7 +146,7 @@ func (c *checkedDisc) Dequeue(now float64) (*packet.Packet, bool) {
 		if found {
 			c.violate("deadline-inversion", st.session, fmt.Sprintf(
 				"t=%.9f: sent seq %d (F=%.9f) over session %d seq %d (F=%.9f, E=%.9f), tol=%.3g",
-				now, st.seq, st.deadline, worst.session, worst.seq,
+				now, st.seq, st.deadline, c.sc.docID(worst.session), worst.seq,
 				worst.deadline, worst.eligible, c.tol))
 		}
 	}
@@ -200,20 +217,23 @@ func (c *checkedDisc) SetMetrics(a *metrics.Arena, base metrics.Handle) {
 	}
 }
 
-// checked builds the row's discipline for one server's port under the
-// checking decorator, reporting into out. The framing disciplines' frame
-// is one maximum-length packet at the slowest session's reserved rate, so
-// every session earns at least one slot per frame. The deadline-order
-// tolerance is the row's slack plus floating-point crumbs.
-func checked(sc *Case, row sched.Row, sv *config.Server, out *[]Violation) *checkedDisc {
-	slack, ordered := row.DeadlineOrdered(sv.Capacity, sc.LMax)
-	return &checkedDisc{
-		inner:         row.New(sv.Capacity, sc.LMax, sc.LMax/sc.minRate()),
-		disc:          row.Name,
-		port:          sv.Name,
-		wc:            row.WorkConserving(sc.hasJitter()),
-		deadlineCheck: ordered,
-		tol:           slack + 1e-9,
-		out:           out,
+// checkedRow is the row with its discipline built under the checking
+// decorator, reporting into out. The deadline-order tolerance is the
+// row's slack plus floating-point crumbs.
+func checkedRow(sc *Case, row sched.Row, out *[]Violation) sched.Row {
+	checked := row
+	checked.New = func(capacity, lMax, frame float64) network.Discipline {
+		slack, ordered := row.DeadlineOrdered(capacity, lMax)
+		return &checkedDisc{
+			inner:         row.New(capacity, lMax, frame),
+			sc:            sc,
+			capacity:      capacity,
+			disc:          row.Name,
+			wc:            row.WorkConserving(sc.hasJitter()),
+			deadlineCheck: ordered,
+			tol:           slack + 1e-9,
+			out:           out,
+		}
 	}
+	return checked
 }

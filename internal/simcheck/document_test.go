@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"leaveintime/internal/config"
+	"leaveintime/internal/metrics"
 )
 
 // TestGeneratedDocumentsRunDeclaratively: what the generator emits is a
@@ -46,36 +47,33 @@ func TestGeneratedDocumentsRunDeclaratively(t *testing.T) {
 	}
 }
 
-// TestChurnDocumentsValidButNotRunnable: a release-and-resetup plan is a
-// valid document that the declarative runner refuses by its one rule.
-func TestChurnDocumentsValidButNotRunnable(t *testing.T) {
-	resetups := 0
-	for seed := uint64(1); seed <= 200; seed++ {
-		sc := GenerateChurn(seed)
-		if err := sc.Validate(); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		wantRefused := false
-		for _, c := range sc.Faults.Churn {
-			wantRefused = wantRefused || c.Resetup != 0
-		}
-		data, err := json.Marshal(sc)
+// TestChurnDocumentsRun: every generated fault plan, re-SETUPs
+// included, is a document the runner litrun and litserve use accepts
+// and runs, and the plans that set a session up again count their
+// re-SETUPs in the run's telemetry.
+func TestChurnDocumentsRun(t *testing.T) {
+	seeds := uint64(200)
+	if testing.Short() {
+		seeds = 40
+	}
+	var resetups int64
+	for seed := uint64(1); seed <= seeds; seed++ {
+		data, err := json.Marshal(GenerateChurn(seed))
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = config.Parse(data)
-		switch {
-		case wantRefused && (err == nil || err.Error() != sc.Runnable().Error()):
-			t.Errorf("seed %d: Parse = %v, want the resetup rule's refusal", seed, err)
-		case !wantRefused && err != nil:
-			t.Errorf("seed %d: release-only plan refused: %v", seed, err)
+		doc, err := config.Parse(data)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if wantRefused {
-			resetups++
+		reg := metrics.NewRegistry()
+		if _, err := doc.RunWithMetrics(reg); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
+		resetups += reg.Snapshot(doc.Duration).Faults.Resetups
 	}
 	if resetups == 0 {
-		t.Error("no plan in 200 seeds schedules a resetup")
+		t.Error("no re-SETUP in any generated plan")
 	}
 }
 
@@ -188,11 +186,11 @@ func TestReplayAnyDocument(t *testing.T) {
 	}
 }
 
-// TestReplayRefusesAnIDPastTheTable: the harness hands document ids to
-// the network as they stand, and per-id tables pay for the span of the
-// ids they hold, so a document with an id in the trillions must be
-// refused as invalid before any network is built — it once ended the
-// process with the runtime's out-of-memory exit, which no recover sees.
+// TestReplayRefusesAnIDPastTheTable: a document with an id in the
+// trillions is refused as invalid before any network is built. It once
+// ended the process with the runtime's out-of-memory exit, which no
+// recover sees, when the harness handed document ids to the network as
+// they stood.
 func TestReplayRefusesAnIDPastTheTable(t *testing.T) {
 	sc, err := LoadCase("../../examples/scenario.json")
 	if err != nil {
@@ -203,5 +201,27 @@ func TestReplayRefusesAnIDPastTheTable(t *testing.T) {
 	if len(rep.Violations) != 1 || rep.Violations[0].Check != "invalid-scenario" ||
 		!strings.Contains(rep.Violations[0].Detail, "session 1 has id 4000000000000") {
 		t.Fatalf("report:\n%s", rep.Format())
+	}
+}
+
+// TestReplayNamesRefusedSession: a document whose sessions the
+// admission rules do not all admit is reported as an admission-replay
+// violation that names the session refused.
+func TestReplayNamesRefusedSession(t *testing.T) {
+	sc, err := LoadCase("../../examples/scenario.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	extra := sc.Sessions[1]
+	extra.ID, extra.Name, extra.Route = 9, "late", []string{"sw1"} // sw1 is fully booked
+	sc.Sessions = append(sc.Sessions, extra)
+	rep := CheckScenario(sc, Options{})
+	if len(rep.Violations) == 0 {
+		t.Fatalf("an overbooked link was admitted:\n%s", rep.Format())
+	}
+	for _, v := range rep.Violations {
+		if v.Check != "admission-replay" || v.Session != 9 {
+			t.Errorf("violation %+v, want admission-replay naming session 9", v)
+		}
 	}
 }

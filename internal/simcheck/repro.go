@@ -11,13 +11,10 @@ import (
 )
 
 // WriteRepro serializes the case as an indented, replayable JSON repro:
-// the scenario document with the check object beside it. A clean repro
-// runs under litrun and litserve as well; a churn repro whose plan sets
-// a session up again replays only under litcheck -replay, because the
-// declarative runner releases but cannot re-SETUP (Scenario.Runnable;
-// ROADMAP item 13). The bound scale is part of the check
-// object, so a repro produced under an injected tightening reproduces
-// the same injected failure.
+// the scenario document with the check object beside it, which runs
+// under litrun and litserve as well, fault plan and all. The bound
+// scale is part of the check object, so a repro produced under an
+// injected tightening reproduces the same injected failure.
 func WriteRepro(path string, sc Case) error {
 	var data bytes.Buffer
 	enc := json.NewEncoder(&data)

@@ -6,14 +6,11 @@ import (
 	"leaveintime/internal/admission"
 	"leaveintime/internal/config"
 	"leaveintime/internal/event"
-	"leaveintime/internal/faults"
 	"leaveintime/internal/metrics"
 	"leaveintime/internal/network"
 	"leaveintime/internal/packet"
-	"leaveintime/internal/rng"
 	"leaveintime/internal/sched"
-	"leaveintime/internal/signaling"
-	"leaveintime/internal/traffic"
+	"leaveintime/internal/system"
 )
 
 // seqDelay is one delivered packet's end-to-end delay, for the
@@ -57,9 +54,9 @@ type runResult struct {
 	Reg        *metrics.Registry
 	Counts     *traceCounts
 	Violations []Violation
-	// Adm holds the run's admission controllers, kept so the battery can
-	// demand TotalRate() == 0 after the final teardown.
-	Adm map[string]admission.Controller
+	// Servers are the run's servers, kept so the battery can demand that
+	// every admission controller is empty after the final teardown.
+	Servers []*system.Server
 	// Tripped is the watchdog's trip reason; non-empty means the run was
 	// cut short and only partial telemetry is meaningful.
 	Tripped string
@@ -81,20 +78,22 @@ type runOpts struct {
 // arrival of a purged session's packet), and any other cause is a
 // lost signaling message (which carries no packet).
 type traceCounts struct {
+	sc        *Case
 	Arrivals  map[string]int64
 	Transmits map[string]int64
 	Drops     map[string]int64 // every Drop event, any cause
 	// FaultDrops and SigDrops are per-port partitions of Drops;
 	// SessDrops counts per-session packet losses (buffer, fault and
-	// purge causes — signaling losses excluded), the per-session drop
-	// term of the conservation check.
+	// purge causes — signaling losses excluded) by document id, the
+	// per-session drop term of the conservation check.
 	FaultDrops map[string]int64
 	SigDrops   map[string]int64
 	SessDrops  map[int]int64
 }
 
-func newTraceCounts() *traceCounts {
+func newTraceCounts(sc *Case) *traceCounts {
 	return &traceCounts{
+		sc:         sc,
 		Arrivals:   make(map[string]int64),
 		Transmits:  make(map[string]int64),
 		Drops:      make(map[string]int64),
@@ -115,9 +114,9 @@ func (t *traceCounts) Trace(e traceEvent) {
 		t.Drops[e.Port]++
 		switch e.Cause {
 		case "":
-			t.SessDrops[e.Session]++
+			t.SessDrops[t.sc.docID(e.Session)]++
 		case "fault", "purge", "purged":
-			t.SessDrops[e.Session]++
+			t.SessDrops[t.sc.docID(e.Session)]++
 			t.FaultDrops[e.Port]++
 		default:
 			t.SigDrops[e.Port]++
@@ -125,234 +124,188 @@ func (t *traceCounts) Trace(e traceEvent) {
 	}
 }
 
-// sess is one scenario session across the run: the result being filled
-// in, the current network incarnation (nil while released) and the
-// session's signaler. Emitted and Delivered sum the incarnations already
-// torn down; the live one's are added when the run is collected.
-type sess struct {
-	sessResult
-	hops   []*config.Server
-	ports  []*network.Port
-	sig    *signaling.Signaler
-	live   *network.Session
-	probes []*network.BufferProbe
-}
-
-// run is one discipline's run over the scenario: the simulator with its
-// watchdog armed, the instrumented network of one raw port per server
-// (each port's scheduler wrapped in the checking decorator), the
-// admission controllers, the scenario's random stream for sources that
-// bring no seed of their own, and the result being filled in. It
-// implements faults.Actions (see churn.go).
-type run struct {
-	sc       *Case
-	row      sched.Row
-	opts     runOpts
-	sim      *event.Simulator
-	net      *network.Network
-	ports    map[string]*network.Port
-	adm      map[string]admission.Controller
-	stream   *rng.Rand
-	res      *runResult
-	sessions []*sess // establishment order
-}
-
-// runScenario builds the scenario's network under one discipline,
-// injects the fault plan (nothing, on a clean network), runs to full
-// drain and returns every reservation through the signaling layer.
-// Per-session counters sum over a churned session's incarnations.
-// Violations detected online (by the checking decorator) are collected
-// in the result; bound and cross-run checks happen in the battery.
+// runScenario runs the case under one discipline on the runner litrun
+// and litserve use (config.Run), with the harness's layers over it: the
+// row's discipline under the checking decorator, the pool in debug
+// mode, the trace counts, the probes and the watchdog. Emission stops
+// at Duration and the network drains; then every reservation still
+// held goes back (Run.Release), so the capacity-zero check sees the
+// path mid-run releases take. Per-session counters sum over a churned
+// session's incarnations. Violations detected online (by the checking
+// decorator) are collected in the result; bound and cross-run checks
+// happen in the battery.
 func runScenario(sc *Case, row sched.Row, opts runOpts) (*runResult, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	adm, err := sc.Controllers()
+	doc := sc.Scenario
+	if !opts.limits {
+		doc = uncapped(doc)
+	}
+	res := &runResult{Name: row.Name, Reg: metrics.NewRegistry(), Counts: newTraceCounts(sc)}
+	run, err := doc.PrepareRow(res.Reg, checkedRow(sc, row, &res.Violations))
 	if err != nil {
 		return nil, err
 	}
-	sim := event.New()
-	sim.SetWatchdog(opts.wd)
-	net := network.New(sim, sc.LMax)
-	net.SetPoolDebug(true)
-	reg := metrics.NewRegistry()
-	net.EnableMetrics(reg)
-	counts := newTraceCounts()
-	net.Tracer = counts
-
-	res := &runResult{Name: row.Name, Reg: reg, Counts: counts, Adm: adm}
-	r := &run{sc: sc, row: row, opts: opts, sim: sim, net: net, adm: adm, stream: rng.New(sc.Seed), res: res,
-		ports: make(map[string]*network.Port, len(sc.Servers))}
-	for i := range sc.Servers {
-		sv := &sc.Servers[i]
-		r.ports[sv.Name] = net.NewPort(sv.Name, sv.Capacity, sv.Gamma, checked(sc, row, sv, &res.Violations))
+	sys := run.System()
+	sys.Sim.SetWatchdog(opts.wd)
+	sys.Net.SetPoolDebug(true)
+	sys.Net.Tracer = res.Counts
+	res.Servers = sys.Servers()
+	for _, srv := range res.Servers {
+		srv.Port.Disc.(*checkedDisc).port = srv.Port.Name
 	}
-	for i := range sc.Sessions {
-		r.establish(&sc.Sessions[i])
-	}
-
-	faults.Inject(sim, r, sc.Faults)
-	for _, s := range r.sessions {
-		s.live.Start(0, sc.Duration)
-	}
-	// Emission stops at Duration; everything still queued, regulated or
-	// framed then drains, so RunAll terminates with an empty network.
-	sim.RunAll()
-	if sim.Tripped() == "" {
-		// Final teardown pass: every reservation still held — the
-		// survivors', the re-established churners', and any remnant
-		// stranded by a lost signaling message — goes back through the
-		// normal RELEASE walk, so the capacity-zero check exercises the
-		// same release path mid-run teardowns use. All fault windows
-		// have closed by now, so no RELEASE can be lost again.
-		for _, s := range r.sessions {
-			if s.sig.Established(s.Def.ID) {
-				_ = s.sig.Teardown(s.Def.ID, nil) // established, so it cannot fail
+	conns := run.Conns()
+	res.Sessions = make([]sessResult, len(conns))
+	probes := make([][]*network.BufferProbe, len(conns))
+	for i := range conns {
+		c, s := &conns[i], &res.Sessions[i]
+		*s = sessResult{Def: c.Def, Hops: len(c.Sess.Route), MinLinkCap: math.Inf(1),
+			DelayBound: c.Bounds.DelayBound, JitterBnd: c.Bounds.JitterBound}
+		for _, port := range c.Sess.Route {
+			s.MinLinkCap = min(s.MinLinkCap, port.C)
+		}
+		for n, bound := range c.Bounds.BufferBoundBits { // none without b0
+			if opts.probes {
+				port, limited := c.Sess.Route[n], c.Def.LimitBuffers
+				pr := port.TrackBuffer(c.Sess.ID)
+				if limited {
+					pr.Limit = bound
+				}
+				probes[i] = append(probes[i], pr)
+				s.Probes = append(s.Probes, probeResult{Port: port.Name, Bound: bound, Limited: limited})
 			}
 		}
-		sim.RunAll()
+		if opts.collectDelays {
+			c.Sess.SetOnDeliver(func(p *packet.Packet, delay float64) {
+				s.Delays = append(s.Delays, seqDelay{Seq: p.Seq, Delay: delay})
+			})
+		}
 	}
-	if reason := sim.Tripped(); reason != "" {
+
+	run.Start()
+	run.RunSlice(sc.Duration)
+	run.Sim().RunAll()
+	if run.Sim().Tripped() == "" {
+		// All fault windows have closed by now, so no RELEASE can be
+		// lost again.
+		run.Release()
+		run.Sim().RunAll()
+	}
+	if reason := run.Sim().Tripped(); reason != "" {
 		res.Tripped = reason
-		reg.Arena().Inc(metrics.HFaultWatchdogTrips)
+		res.Reg.Arena().Inc(metrics.HFaultWatchdogTrips)
 		res.Violations = append(res.Violations, Violation{Check: "watchdog", Discipline: row.Name, Detail: reason})
 	}
 
-	for _, s := range r.sessions {
-		if s.live != nil {
-			s.Emitted += s.live.Emitted
-			s.Delivered += s.live.Delivered
-			if s.live.Delays.Count() > 0 {
-				s.MaxDelay = s.live.Delays.Max()
-				s.Jitter = s.live.Delays.Jitter()
-			}
+	for i := range conns {
+		c, s := &conns[i], &res.Sessions[i]
+		s.Emitted = c.Emitted + c.Sess.Emitted
+		s.Delivered = c.Delivered + c.Sess.Delivered
+		if c.Sess.Delays.Count() > 0 {
+			s.MaxDelay = c.Sess.Delays.Max()
+			s.Jitter = c.Sess.Delays.Jitter()
 		}
-		for i, pr := range s.probes {
-			s.Probes[i].MaxBits = pr.MaxBits
-			s.Probes[i].Dropped = pr.DroppedPackets
+		for n, pr := range probes[i] {
+			s.Probes[n].MaxBits = pr.MaxBits
+			s.Probes[n].Dropped = pr.DroppedPackets
 			s.Dropped += pr.DroppedPackets
 		}
-		res.Sessions = append(res.Sessions, s.sessResult)
 	}
-	res.Pool = net.PoolStats()
+	res.Pool = sys.Net.PoolStats()
 	return res, nil
 }
 
+// uncapped is the document with no session's buffers capped.
+func uncapped(doc *config.Scenario) *config.Scenario {
+	out := *doc
+	out.Sessions = append([]config.Session(nil), doc.Sessions...)
+	for i := range out.Sessions {
+		out.Sessions[i].LimitBuffers = false
+	}
+	return &out
+}
+
+// refusal reports why the case's network could not be built. Prepare
+// stops at the first session the admission rules refuse, so replaying
+// admission in document order names it; any other error is reported as
+// it stands.
+func refusal(sc *Case, row sched.Row, err error) Violation {
+	if adm, aerr := sc.Controllers(); aerr == nil {
+		for i := range sc.Sessions {
+			def := &sc.Sessions[i]
+			if _, rerr := establish(sc, adm, def, sc.hops(def)); rerr != nil {
+				return Violation{Check: "admission-replay", Discipline: row.Name, Session: def.ID, Detail: rerr.Error()}
+			}
+		}
+	}
+	return Violation{Check: "build", Discipline: row.Name, Detail: err.Error()}
+}
+
 // admitted is a session's route after the admission replay: the servers
-// it traverses and everything the assignments determined.
+// it traverses and the grants and bounds admission determined.
 type admitted struct {
 	hops   []*config.Server
-	cfgs   []network.SessionPort
-	minCap float64
 	bounds *admission.Bounds
 }
 
 // replayAdmission replays admission at every hop of the session's route
-// (re-verifying what the generator admitted), producing the per-node
-// session-port configurations and the analytic bounds. It is the
-// discipline-independent half of establish, shared with the
-// class-aggregate and calculus batteries.
+// (re-verifying what the generator admitted), producing the grants and
+// the analytic bounds the class-aggregate and calculus batteries
+// derive theirs from.
 func replayAdmission(sc *Case, adm map[string]admission.Controller, def *config.Session) (*admitted, error) {
 	hops := sc.hops(def)
 	b, err := establish(sc, adm, def, hops)
 	if err != nil {
 		return nil, err
 	}
-	out := &admitted{hops: hops, minCap: math.Inf(1), bounds: b}
-	for _, sv := range hops {
-		out.minCap = min(out.minCap, sv.Capacity)
-	}
-	out.cfgs = sessionPorts(sc, def, out.hops, b.Assignments)
-	return out, nil
+	return &admitted{hops: hops, bounds: b}, nil
 }
 
-// sessionPorts turns the per-hop grants into the session-port
-// configurations the network takes.
-func sessionPorts(sc *Case, def *config.Session, hops []*config.Server, grants []admission.Assignment) []network.SessionPort {
-	req := def.Request()
-	cfgs := make([]network.SessionPort, len(hops))
-	for i, sv := range hops {
-		d := grants[i].D
-		if sc.Check.Special {
-			// The exactness corner: procedure 1 with one class and
-			// eps = 0 assigns d = L/r, which SessionPort spells as a
-			// nil D — the bit-exact VirtualClock special case (the
-			// closure would round L*C/(r*C) differently from L/r).
-			d = nil
-		}
-		cfgs[i] = network.SessionPort{
-			D:    d,
-			DMax: grants[i].DMax,
-			// Per-node budget for the EDD baselines: generous enough
-			// that their (not re-run) schedulability test would not be
-			// the binding constraint.
-			LocalDelay: req.LMax/req.Rate + float64(len(sc.Sessions)+2)*sc.LMax/sv.Capacity,
-			XMin:       req.LMin / req.Rate,
-		}
+// faultedPorts returns the ports whose outgoing link the plan takes
+// down at any point (directly or through a node outage).
+func faultedPorts(sc *Case) map[string]bool {
+	out := make(map[string]bool)
+	if sc.Faults == nil {
+		return out
 	}
-	return cfgs
-}
-
-// source builds the session's traffic source; a source without a seed
-// of its own draws the run's next stream, in establishment order.
-func (r *run) source(def *config.Session) traffic.Source {
-	src, err := def.BuildSource(r.stream)
-	if err != nil {
-		panic(err) // Validate built it once already
+	for _, l := range sc.Faults.Links {
+		out[l.Port] = true
 	}
-	return src
-}
-
-// establish admits the session at every hop (replaying what the
-// generator verified), derives its analytic bounds from the resulting
-// assignments, wires it into the network and gives it a signaler that
-// holds the reservation just made. A failed replay is recorded as a
-// violation and the session left out of the run.
-func (r *run) establish(def *config.Session) {
-	ad, err := replayAdmission(r.sc, r.adm, def)
-	if err != nil {
-		r.res.Violations = append(r.res.Violations, Violation{
-			Check: "admission-replay", Discipline: r.row.Name,
-			Session: def.ID, Detail: err.Error(),
-		})
-		return
-	}
-
-	s := &sess{
-		sessResult: sessResult{
-			Def:        def,
-			Hops:       len(ad.hops),
-			MinLinkCap: ad.minCap,
-			DelayBound: ad.bounds.DelayBound,
-			JitterBnd:  ad.bounds.JitterBound,
-		},
-		hops:  ad.hops,
-		ports: make([]*network.Port, len(def.Route)),
-	}
-	for i, name := range def.Route {
-		s.ports[i] = r.ports[name]
-	}
-	s.live = r.net.AddSession(def.ID, def.Rate, def.JitterControl, s.ports, ad.cfgs, r.source(def))
-	if r.opts.probes {
-		for n, bound := range ad.bounds.BufferBoundBits {
-			limited := r.opts.limits && def.LimitBuffers
-			var pr *network.BufferProbe
-			if limited {
-				pr = s.ports[n].LimitBuffer(def.ID, bound)
-			} else {
-				pr = s.ports[n].TrackBuffer(def.ID)
+	for _, n := range sc.Faults.Nodes {
+		for i := range sc.Servers {
+			if sv := &sc.Servers[i]; sv.Node() == n.Node {
+				out[sv.Name] = true
 			}
-			s.probes = append(s.probes, pr)
-			s.Probes = append(s.Probes, probeResult{
-				Port: s.ports[n].Name, Bound: bound, Limited: limited,
-			})
 		}
 	}
-	if r.opts.collectDelays {
-		s.live.SetOnDeliver(func(p *packet.Packet, delay float64) {
-			s.Delays = append(s.Delays, seqDelay{Seq: p.Seq, Delay: delay})
-		})
+	return out
+}
+
+// cleanSurvivors filters the run's sessions down to the ones whose
+// service commitments must have survived the chaos: never churned, and
+// routed only over ports the plan never took down. A stalled source
+// does not exempt a session — its reservation was held throughout, so
+// its bounds must keep holding (isolation under silence). Churn and
+// faults elsewhere in the network must not be observable here: that is
+// the graceful-degradation guarantee under test.
+func cleanSurvivors(res *runResult, sc *Case) []sessResult {
+	bad := faultedPorts(sc)
+	var out []sessResult
+	for _, sr := range res.Sessions {
+		if sc.Faults.Churned(sr.Def.ID) {
+			continue
+		}
+		touched := false
+		for _, pr := range sr.Probes {
+			if bad[pr.Port] {
+				touched = true
+				break
+			}
+		}
+		if !touched {
+			out = append(out, sr)
+		}
 	}
-	s.sig = r.newSignaler(s)
-	r.sessions = append(r.sessions, s)
+	return out
 }

@@ -9,9 +9,9 @@ import (
 	"leaveintime/internal/sched"
 )
 
-// TestCleanRunReturnsCapacity: a run on a clean network ends with the
-// RELEASE walk too — every controller is back to exactly zero reserved
-// rate and the pool holds every packet again.
+// TestCleanRunReturnsCapacity: a run on a clean network ends with its
+// reservations released too — every controller is back to exactly zero
+// reserved rate and the pool holds every packet again.
 func TestCleanRunReturnsCapacity(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
 		sc := Generate(seed)
@@ -23,9 +23,9 @@ func TestCleanRunReturnsCapacity(t *testing.T) {
 			if len(res.Violations) != 0 || res.Tripped != "" {
 				t.Fatalf("seed %d %s: %v (tripped %q)", seed, name, res.Violations, res.Tripped)
 			}
-			for port, ctrl := range res.Adm {
-				if rate := ctrl.TotalRate(); rate != 0 {
-					t.Errorf("seed %d %s: %g bits/s still reserved at %s", seed, name, rate, port)
+			for _, srv := range res.Servers {
+				if rate := srv.Admission().TotalRate(); rate != 0 {
+					t.Errorf("seed %d %s: %g bits/s still reserved at %s", seed, name, rate, srv.Port.Name)
 				}
 			}
 			if res.Pool.Live != 0 || res.Pool.Taken == 0 {

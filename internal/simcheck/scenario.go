@@ -15,11 +15,12 @@
 // cmd/litcheck for the CLI driver.
 //
 // What it generates, shrinks, replays and checks is a config.Scenario,
-// the document litrun and litserve run. The harness builds its own
-// network from it — raw ports under the checking decorator, one
-// admission controller per server, joined at admission.Establish — so
-// that every discipline is run against a reference that does not pass
-// through the System builder under test.
+// the document litrun and litserve run, and it runs the document on
+// their runner, config.Run, with its checks layered on: each discipline
+// under the checking decorator, the trace counts, the probes and the
+// watchdog. What the network is checked against is the paper — the
+// analytic bounds, the other disciplines, and the reference model of
+// the schedule in the package's tests.
 package simcheck
 
 import (
@@ -101,17 +102,9 @@ func (c *Case) allDeclareB0() bool {
 	return true
 }
 
-// minRate returns the smallest session rate (0 when empty), used to
-// size the framing disciplines' frame time.
-func (c *Case) minRate() float64 {
-	min := 0.0
-	for i := range c.Sessions {
-		if r := c.Sessions[i].Rate; min == 0 || r < min {
-			min = r
-		}
-	}
-	return min
-}
+// docID is the document id of the run's network session id: the runner
+// connects the document's sessions in order, numbering them from 1.
+func (c *Case) docID(netID int) int { return c.Sessions[netID-1].ID }
 
 // server returns the named server; Validate has checked every name a
 // route or a fault plan uses.

@@ -241,22 +241,24 @@ func (s *System) EnableMetrics() *metrics.Registry {
 // hierarchy are invalid for that capacity (the procedures require
 // R_P = C and positive sigma terms).
 func (s *System) AddServer(name string, capacity, gamma float64) (*Server, error) {
-	return s.AddServerQueue(name, capacity, gamma, s.cfg.Approximate)
+	return s.AddServerQueue(name, capacity, gamma, func(c, lMax float64) network.Discipline {
+		return core.New(core.Config{Capacity: c, LMax: lMax, Approximate: s.cfg.Approximate})
+	})
 }
 
-// AddServerQueue is AddServer with this server's transmission queue
-// chosen explicitly (approximate: binned deadlines) instead of taken
-// from Config.Approximate.
-func (s *System) AddServerQueue(name string, capacity, gamma float64, approximate bool) (*Server, error) {
+// AddServerQueue is AddServer with the server's discipline built by
+// disc, from the link capacity and the system's L_MAX, in place of the
+// configured Leave-in-Time queue. disc runs only once the link has
+// passed the checks AddServer makes.
+func (s *System) AddServerQueue(name string, capacity, gamma float64, disc func(capacity, lMax float64) network.Discipline) (*Server, error) {
 	// Build the admission controller before touching the network so a
 	// rejected configuration leaves no port behind.
 	ctrl, err := s.cfg.controller(name, capacity, gamma)
 	if err != nil {
 		return nil, err
 	}
-	disc := core.New(core.Config{Capacity: capacity, LMax: s.cfg.LMax, Approximate: approximate})
 	srv := &Server{
-		Port:     s.Net.NewPort(name, capacity, gamma, disc),
+		Port:     s.Net.NewPort(name, capacity, gamma, disc(capacity, s.cfg.LMax)),
 		Capacity: capacity,
 		Gamma:    gamma,
 		ctrl:     ctrl,
@@ -271,6 +273,14 @@ func (s *System) AddServerQueue(name string, capacity, gamma float64, approximat
 
 // Servers returns the servers in creation order.
 func (s *System) Servers() []*Server { return s.servers }
+
+// Admission returns the server's admission controller, for a signaling
+// path that admits and releases calls there hop by hop.
+func (srv *Server) Admission() admission.Controller { return srv.ctrl }
+
+// Request is the admission request Connect makes of every server of the
+// route for req: its defaults applied and its declaration checked.
+func (s *System) Request(req ConnectRequest) (admission.Request, error) { return s.cfg.resolve(req) }
 
 // ConnectRequest describes a connection to establish.
 type ConnectRequest struct {
