@@ -207,22 +207,6 @@ func (s *Scenario) systemConfig() system.Config {
 	return cfg
 }
 
-// Controllers returns a fresh admission controller per server, keyed by
-// server name: what a System built from the document installs.
-func (s *Scenario) Controllers() (map[string]admission.Controller, error) {
-	cfg := s.systemConfig()
-	set := make(map[string]admission.Controller, len(s.Servers))
-	for i := range s.Servers {
-		sv := &s.Servers[i]
-		ctrl, err := admission.New(cfg.Proc, sv.Capacity, cfg.Classes)
-		if err != nil {
-			return nil, fmt.Errorf("config: server %s: %w", sv.key(), err)
-		}
-		set[sv.key()] = ctrl
-	}
-	return set, nil
-}
-
 // Graph returns the servers as a topology, link i being server i. Every
 // server must name its link (from, to).
 func (s *Scenario) Graph() (*topo.Graph, error) {
@@ -422,17 +406,19 @@ func (s *Scenario) RunWithMetrics(reg *metrics.Registry) (*Result, error) {
 // id.
 type Conn struct {
 	Def *Session
-	// Sess is the session's latest incarnation in the network; Emitted
-	// and Delivered count what the incarnations before it emitted and
+	// Sess is the session's latest incarnation in the network. It
+	// carries on the counters and delay statistics of the incarnations
+	// before it, so it counts every packet the session emitted and
 	// delivered.
-	Sess               *network.Session
-	Emitted, Delivered int64
-	Bounds             *system.Bounds
+	Sess   *network.Session
+	Bounds *system.Bounds
 
 	// sig is the session's signaling path, made for a plan with a churn
 	// cycle; nil otherwise.
-	sig    *signaling.Signaler
-	purged bool
+	sig *signaling.Signaler
+	// purged marks a session out of the network; final, one a client
+	// purged, which is never set up again.
+	purged, final bool
 }
 
 // Run is a prepared, steppable execution of a scenario: the network is
@@ -612,11 +598,17 @@ func (r *Run) RunSlice(until float64) (done bool) {
 // PurgeSession drops the session of that id (by default its 1-based
 // position in the scenario) mid-run: its source stops, queued packets
 // are purged at every hop, and its reservation is released.
-// Delivered-so-far statistics are retained for Finish. It reports
-// whether the session was still registered.
+// Delivered-so-far statistics are retained for Finish. The purge is
+// final: the session's churn cycle does not set it up again, even when
+// the cycle has already released it. It reports whether the session
+// was still registered.
 func (r *Run) PurgeSession(id int) bool {
 	c := r.byID[id]
-	if c == nil || c.purged {
+	if c == nil {
+		return false
+	}
+	c.final = true
+	if c.purged {
 		return false
 	}
 	r.release(c)
@@ -704,10 +696,13 @@ func (a *runActions) ReleaseSession(id int) {
 }
 
 // ResetupSession is a churn cycle's return: a fresh SETUP through
-// admission control at every hop.
+// admission control at every hop, unless a client purged the session.
 func (a *runActions) ResetupSession(id int) { (*Run)(a).resetup(a.byID[id]) }
 
 func (r *Run) resetup(c *Conn) {
+	if c.final {
+		return
+	}
 	id := c.Sess.ID
 	if c.sig.Established(id) {
 		// The RELEASE was lost mid-walk and part of the route still
@@ -742,9 +737,9 @@ func (r *Run) resetup(c *Conn) {
 		if err != nil {
 			panic(err) // Prepare built it once already
 		}
-		c.Emitted += c.Sess.Emitted
-		c.Delivered += c.Sess.Delivered
-		c.Sess = r.sys.Net.AddSession(id, c.Def.Rate, c.Def.JitterControl, c.Sess.Route, cfgs, src)
+		old := c.Sess
+		c.Sess = r.sys.Net.AddSession(id, c.Def.Rate, c.Def.JitterControl, old.Route, cfgs, src)
+		c.Sess.Delays, c.Sess.Emitted, c.Sess.Delivered = old.Delays, old.Emitted, old.Delivered
 		c.purged = false
 		c.Sess.Start(r.sys.Sim.Now(), r.sc.Duration)
 	})
@@ -752,15 +747,15 @@ func (r *Run) resetup(c *Conn) {
 
 // Finish computes the per-session results at the current instant. An
 // unnamed session is reported as s<id>. A session set up again reports
-// its deliveries summed over its incarnations, and its delays from the
-// latest.
+// its deliveries and delays over all its incarnations, so bound_holds
+// judges every packet counted.
 func (r *Run) Finish() *Result {
 	s := r.sc
 	res := &Result{Duration: s.Duration}
 	for i, c := range r.all {
 		sr := SessionResult{
 			Name:       c.Def.Name,
-			Delivered:  c.Delivered + c.Sess.Delivered,
+			Delivered:  c.Sess.Delivered,
 			MaxDelay:   c.Sess.Delays.Max(),
 			MeanDelay:  c.Sess.Delays.Mean(),
 			Jitter:     c.Sess.Delays.Jitter(),

@@ -191,3 +191,61 @@ func TestFaultTelemetryCountsThePlan(t *testing.T) {
 		t.Errorf("fault.releases = %d, fault.stalls = %d; want 1 and 0", f.Releases, f.Stalls)
 	}
 }
+
+// churnDoc is an ON-OFF voice session and a Poisson session on one T1
+// link; the voice session is released at 0.5 s and set up again at 1 s.
+const churnDoc = `{"lmax": 424, "duration": 2, "seed": 1,
+  "servers": [{"name": "t1", "capacity": 1536000, "gamma": 0.001}],
+  "sessions": [
+    {"rate": 32000, "route": ["t1"], "source": {"kind": "onoff", "t": 0.01325, "length": 424, "mean_on": 0.05, "mean_off": 0.05, "seed": 3}},
+    {"rate": 64000, "route": ["t1"], "source": {"kind": "poisson", "mean": 0.004, "length": 424}}],
+  "faults": {"churn": [{"session": 1, "release": 0.5, "resetup": 1}]}}`
+
+// TestResetupKeepsEarlierDelays: a session set up again reports the
+// delays of every packet it delivered, its first incarnation's
+// included, so bound_holds judges every packet counted.
+func TestResetupKeepsEarlierDelays(t *testing.T) {
+	s := mustParse(t, churnDoc)
+	run, err := s.Prepare(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := run.Conns()[0].Sess
+	run.Start()
+	run.RunSlice(s.Duration)
+	res, c := run.Finish().Sessions[0], run.Conns()[0]
+	if c.Sess == first || first.Delivered == 0 || c.Sess.Delivered == first.Delivered {
+		t.Fatalf("session 1 was not set up again with packets on both sides (first %d, total %d)", first.Delivered, c.Sess.Delivered)
+	}
+	if n := c.Sess.Delays.Count(); n != res.Delivered {
+		t.Errorf("delays over %d packets, %d delivered", n, res.Delivered)
+	}
+	if res.MaxDelay < first.Delays.Max() || res.Jitter < first.Delays.Jitter() {
+		t.Errorf("max delay %g, jitter %g below the first incarnation's %g, %g",
+			res.MaxDelay, res.Jitter, first.Delays.Max(), first.Delays.Jitter())
+	}
+}
+
+// TestPurgeIsFinal: a session a client purged stays out; the churn
+// cycle that would set it up again neither does nor counts it.
+func TestPurgeIsFinal(t *testing.T) {
+	for _, at := range []float64{0.25, 0.75} { // before and after the plan's release
+		s := mustParse(t, churnDoc)
+		reg := metrics.NewRegistry()
+		run, err := s.Prepare(reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run.Start()
+		run.RunSlice(at)
+		run.PurgeSession(1)
+		atPurge := run.Conns()[0].Sess.Delivered
+		run.RunSlice(s.Duration)
+		if got := run.Finish().Sessions[0].Delivered; got != atPurge {
+			t.Errorf("purge at %gs: %d delivered at the purge, %d at the end", at, atPurge, got)
+		}
+		if f := reg.Snapshot(s.Duration).Faults; f.Resetups != 0 || f.ResetupRejects != 0 {
+			t.Errorf("purge at %gs: fault.resetups = %d, resetup_rejects = %d; want 0 and 0", at, f.Resetups, f.ResetupRejects)
+		}
+	}
+}

@@ -9,7 +9,30 @@ import (
 
 	"leaveintime/internal/network"
 	"leaveintime/internal/rng"
+	"leaveintime/internal/sched"
+	"leaveintime/internal/system"
 )
+
+// approxTandem is the Figure 6 tandem with sched's lit-approx row, the
+// approximate transmission queue, at every node.
+func approxTandem() *Tandem {
+	sys, err := system.New(system.Config{LMax: CellBits})
+	if err != nil {
+		panic(err)
+	}
+	row := sched.Lookup("lit-approx")
+	t := &Tandem{Sim: sys.Sim, Net: sys.Net, sys: sys}
+	for n := 1; n <= NumNodes; n++ {
+		srv, err := sys.AddServerQueue(fmt.Sprintf("node%d", n), T1Rate, PropDelay, func(capacity, lMax float64) network.Discipline {
+			return row.New(capacity, lMax, OnSpacing)
+		})
+		if err != nil {
+			panic(err)
+		}
+		t.Ports = append(t.Ports, srv.Port)
+	}
+	return t
+}
 
 // approxDigest runs the MIX tandem on approximate transmission queues
 // with every third session jitter-controlled (so both push sites — the
@@ -20,7 +43,7 @@ import (
 // five ports.
 func approxDigest(seed uint64, aOff float64, drop bool) string {
 	const duration = 2.0
-	t := NewTandem(TandemOptions{Approximate: true})
+	t := approxTandem()
 	r := rng.New(seed)
 	var sessions []*network.Session
 	for _, mr := range MixRoutes {

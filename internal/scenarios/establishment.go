@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"leaveintime/internal/admission"
-	"leaveintime/internal/event"
 	"leaveintime/internal/rng"
 	"leaveintime/internal/signaling"
 	"leaveintime/internal/stats"
@@ -32,20 +31,18 @@ type EstablishmentResult struct {
 // RunEstablishment signals the MIX configuration into the Figure 6
 // network. processing is the per-node admission processing time.
 func RunEstablishment(seed uint64, processing float64) *EstablishmentResult {
-	sim := event.New()
+	t := NewTandem(TandemOptions{})
+	sim := t.Sim
 	r := rng.New(seed)
 
-	// One admission controller per node, shared by every signaler.
+	// The tandem's admission controllers, one per node, shared by every
+	// signaler.
 	nodes := make([]*signaling.Node, NumNodes)
-	for i := range nodes {
-		ac, err := admission.New(1, T1Rate, nil)
-		if err != nil {
-			panic(err)
-		}
+	for i, srv := range t.sys.Servers() {
 		nodes[i] = &signaling.Node{
-			Name:       fmt.Sprintf("node%d", i+1),
-			Admit:      ac,
-			Gamma:      PropDelay,
+			Name:       srv.Port.Name,
+			Admit:      srv.Admission(),
+			Gamma:      srv.Gamma,
 			Processing: processing,
 		}
 	}

@@ -53,7 +53,10 @@ func TestScenarioPoolBalance(t *testing.T) {
 				name += "-calendar"
 			}
 			t.Run(name, func(t *testing.T) {
-				tn := NewTandem(TandemOptions{Approximate: approx})
+				tn := NewTandem(TandemOptions{})
+				if approx {
+					tn = approxTandem()
+				}
 				tn.Net.SetPoolDebug(true)
 				tc.build(tn, rng.New(1))
 				const stop = 2.0

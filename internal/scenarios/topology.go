@@ -61,9 +61,6 @@ type Tandem struct {
 
 // TandemOptions tune the construction of the tandem.
 type TandemOptions struct {
-	// Approximate selects the approximate (binned-deadline)
-	// transmission queue.
-	Approximate bool
 	// Classes, when non-nil, guards every node with these classes under
 	// procedure Proc (1 or 2); otherwise every node runs procedure 1
 	// with one class, the VirtualClock special case d = L/r.
@@ -74,9 +71,7 @@ type TandemOptions struct {
 // NewTandem builds the Figure 6 network with a Leave-in-Time server on
 // every link.
 func NewTandem(opt TandemOptions) *Tandem {
-	sys, err := system.New(system.Config{
-		LMax: CellBits, Classes: opt.Classes, Proc: opt.Proc, Approximate: opt.Approximate,
-	})
+	sys, err := system.New(system.Config{LMax: CellBits, Classes: opt.Classes, Proc: opt.Proc})
 	if err != nil {
 		panic(err)
 	}

@@ -97,40 +97,20 @@ func aggRow(sc *Case) sched.Row {
 	return row
 }
 
-// aggHop is one hop of a session's route as the degraded bound sees
-// it: the class aggregate at that link.
-type aggHop struct {
-	rate float64 // R_c at this link
-	bur  float64 // B_c at this link
-	dc   float64 // d_c at this link
-	cap  float64 // link capacity
-	gam  float64 // propagation delay
-}
-
-// aggBounds replays admission for every session and composes the
-// degraded per-session delay/jitter bounds over the class aggregates.
-// The result maps session ID → (delay bound, jitter bound).
-func aggBounds(sc *Case, cls map[int]int) (map[int][2]float64, error) {
-	adm, err := sc.Controllers()
-	if err != nil {
-		return nil, err
-	}
+// aggBounds composes the degraded per-session delay/jitter bounds over
+// the class aggregates, from the grants each session was connected with
+// in the exact run. The result maps session ID → (delay bound, jitter
+// bound).
+func aggBounds(sc *Case, cls map[int]int, exact *runResult) map[int][2]float64 {
 	// Per link key and class: the aggregate rate, burst and d_c.
 	type linkClass struct {
 		rate, bur, dMax float64
 	}
 	aggs := make(map[string]map[int]*linkClass)
-	routes := make(map[int]*admitted, len(sc.Sessions))
-	for i := range sc.Sessions {
-		def := &sc.Sessions[i]
-		ad, err := replayAdmission(sc, adm, def)
-		if err != nil {
-			return nil, fmt.Errorf("session %d: %w", def.ID, err)
-		}
-		routes[def.ID] = ad
+	for _, sr := range exact.Sessions {
+		def := sr.Def
 		c := cls[def.ID]
-		for i, l := range ad.hops {
-			key := l.Name
+		for i, key := range def.Route {
 			byClass := aggs[key]
 			if byClass == nil {
 				byClass = make(map[int]*linkClass)
@@ -143,34 +123,26 @@ func aggBounds(sc *Case, cls map[int]int) (map[int][2]float64, error) {
 			}
 			lc.rate += def.Rate
 			lc.bur += def.B0
-			if d := ad.bounds.Assignments[i].DMax; d > lc.dMax {
+			if d := sr.Bounds.Assignments[i].DMax; d > lc.dMax {
 				lc.dMax = d
 			}
 		}
 	}
 
-	out := make(map[int][2]float64, len(sc.Sessions))
-	for _, def := range sc.Sessions {
-		ad := routes[def.ID]
-		c := cls[def.ID]
-		var hops []aggHop
-		for _, l := range ad.hops {
-			lc := aggs[l.Name][c]
-			hops = append(hops, aggHop{
-				rate: lc.rate, bur: lc.bur, dc: lc.dMax,
-				cap: l.Capacity, gam: l.Gamma,
-			})
-		}
+	out := make(map[int][2]float64, len(exact.Sessions))
+	for _, sr := range exact.Sessions {
+		def := sr.Def
 		var bound, acc, props float64
-		for _, h := range hops {
-			hop := h.bur/h.rate + h.dc + sc.LMax/h.cap
-			bound += acc + hop + h.gam
+		for _, l := range sc.hops(def) {
+			lc := aggs[l.Name][cls[def.ID]]
+			hop := lc.bur/lc.rate + lc.dMax + sc.LMax/l.Capacity
+			bound += acc + hop + l.Gamma
 			acc += hop
-			props += h.gam
+			props += l.Gamma
 		}
 		out[def.ID] = [2]float64{bound, bound - props}
 	}
-	return out, nil
+	return out
 }
 
 // checkAggregate runs the class-aggregate battery: the aggregate run must
@@ -194,11 +166,7 @@ func checkAggregate(sc *Case, exact *runResult, scale float64, wd event.Watchdog
 		return // a class's burst is the sum of its members' b0
 	}
 	cls, _ := classMap(sc)
-	bounds, err := aggBounds(sc, cls)
-	if err != nil {
-		rep.add(Violation{Check: "admission-replay", Discipline: row.Name, Detail: err.Error()})
-		return
-	}
+	bounds := aggBounds(sc, cls, exact)
 	for _, sr := range res.Sessions {
 		if sr.Delivered == 0 {
 			continue
@@ -214,8 +182,8 @@ func checkAggregate(sc *Case, exact *runResult, scale float64, wd event.Watchdog
 				Detail: fmt.Sprintf("jitter %.9f >= degraded bound %.9f", sr.Jitter, bound)})
 		}
 		rep.AggChecked++
-		if sr.DelayBound > 0 {
-			if f := b[0] / sr.DelayBound; f > rep.AggDegrade {
+		if sr.Bounds.DelayBound > 0 {
+			if f := b[0] / sr.Bounds.DelayBound; f > rep.AggDegrade {
 				rep.AggDegrade = f
 			}
 		}

@@ -71,7 +71,7 @@ type calcAnalysis struct {
 // linkTopoOrder orders the topology's links so that every link a
 // session traverses appears after all of the session's upstream
 // links. Reports ok=false when the routes induce a cycle.
-func linkTopoOrder(sc *Case, routes []*admitted) ([]string, bool) {
+func linkTopoOrder(sc *Case, routes [][]*config.Server) ([]string, bool) {
 	indeg := make(map[string]int, len(sc.Servers))
 	keys := make([]string, 0, len(sc.Servers))
 	for i := range sc.Servers {
@@ -79,9 +79,9 @@ func linkTopoOrder(sc *Case, routes []*admitted) ([]string, bool) {
 		keys = append(keys, sc.Servers[i].Name)
 	}
 	succ := make(map[string][]string)
-	for _, ad := range routes {
-		for i := 0; i+1 < len(ad.hops); i++ {
-			a, b := ad.hops[i].Name, ad.hops[i+1].Name
+	for _, hops := range routes {
+		for i := 0; i+1 < len(hops); i++ {
+			a, b := hops[i].Name, hops[i+1].Name
 			succ[a] = append(succ[a], b)
 			indeg[b]++
 		}
@@ -107,28 +107,20 @@ func linkTopoOrder(sc *Case, routes []*admitted) ([]string, bool) {
 	return order, len(order) == len(keys)
 }
 
-// calcBounds replays admission, orders the links, and propagates every
-// session's arrival curve along its route, composing per-session delay
-// bounds and (in FIFO mode) per-hop flow backlog bounds.
-func calcBounds(sc *Case, mode calcMode) (*calcAnalysis, error) {
+// calcBounds orders the links and propagates every session's arrival
+// curve along its route, composing per-session delay bounds and (in
+// FIFO mode) per-hop flow backlog bounds.
+func calcBounds(sc *Case, mode calcMode) *calcAnalysis {
 	if !sc.allDeclareB0() {
-		return &calcAnalysis{skipped: true, reason: "a session declares no b0"}, nil
+		return &calcAnalysis{skipped: true, reason: "a session declares no b0"}
 	}
-	adm, err := sc.Controllers()
-	if err != nil {
-		return nil, err
-	}
-	routes := make([]*admitted, len(sc.Sessions))
+	routes := make([][]*config.Server, len(sc.Sessions))
 	for i := range sc.Sessions {
-		ad, err := replayAdmission(sc, adm, &sc.Sessions[i])
-		if err != nil {
-			return nil, fmt.Errorf("session %d: %w", sc.Sessions[i].ID, err)
-		}
-		routes[i] = ad
+		routes[i] = sc.hops(&sc.Sessions[i])
 	}
 	order, ok := linkTopoOrder(sc, routes)
 	if !ok {
-		return &calcAnalysis{skipped: true, reason: "routes order the links cyclically"}, nil
+		return &calcAnalysis{skipped: true, reason: "routes order the links cyclically"}
 	}
 
 	an := &calcAnalysis{
@@ -139,13 +131,13 @@ func calcBounds(sc *Case, mode calcMode) (*calcAnalysis, error) {
 	hop := make([]int, len(sc.Sessions))
 	for i, def := range sc.Sessions {
 		cur[i] = calculus.TokenBucket(def.Rate, def.B0)
-		an.backlog[def.ID] = make([]float64, len(routes[i].hops))
+		an.backlog[def.ID] = make([]float64, len(routes[i]))
 	}
 	var ws calculus.Ws
 	for _, key := range order {
 		var idx []int
 		for i := range sc.Sessions {
-			if hop[i] < len(routes[i].hops) && routes[i].hops[hop[i]].Name == key {
+			if hop[i] < len(routes[i]) && routes[i][hop[i]].Name == key {
 				idx = append(idx, i)
 			}
 		}
@@ -170,7 +162,7 @@ func calcBounds(sc *Case, mode calcMode) (*calcAnalysis, error) {
 			// of C): no finite bound exists, and every downstream
 			// aggregate would be missing this hop's contribution.
 			return &calcAnalysis{skipped: true,
-				reason: fmt.Sprintf("link %s: %v", key, err)}, nil
+				reason: fmt.Sprintf("link %s: %v", key, err)}
 		}
 		if mode == calcFIFO {
 			for _, i := range idx {
@@ -183,7 +175,7 @@ func calcBounds(sc *Case, mode calcMode) (*calcAnalysis, error) {
 				b, err := srv.FlowBacklogBound(&ws, cur[i], ax)
 				if err != nil {
 					return &calcAnalysis{skipped: true,
-						reason: fmt.Sprintf("link %s: %v", key, err)}, nil
+						reason: fmt.Sprintf("link %s: %v", key, err)}
 				}
 				an.backlog[sc.Sessions[i].ID][hop[i]] = b
 			}
@@ -199,7 +191,7 @@ func calcBounds(sc *Case, mode calcMode) (*calcAnalysis, error) {
 			hop[i]++
 		}
 	}
-	return an, nil
+	return an
 }
 
 // calcFCFSRow is the battery's reference run: plain FCFS under a
@@ -223,11 +215,7 @@ func checkCalculus(sc *Case, scale float64, wd event.Watchdog, rep *SeedReport) 
 	if sc.hasJitter() {
 		return
 	}
-	an, err := calcBounds(sc, calcFIFO)
-	if err != nil {
-		rep.add(Violation{Check: "admission-replay", Discipline: "fcfs-calc", Detail: err.Error()})
-		return
-	}
+	an := calcBounds(sc, calcFIFO)
 	if an.skipped {
 		return
 	}
@@ -274,35 +262,42 @@ type fpFlow struct {
 
 // checkFastpath is the differential admission check: at every link,
 // batching the link's sessions by class through AdmitClass must give
-// the verdict of the sequential Admit calls the generator performed
-// (the controller's sums are exact, so the two cannot legitimately
-// differ, however close to a budget) and identical assignments.
-// Procedures 1 and 2 only — procedure 3 has no class structure to
-// batch.
+// the verdict of the sequential Admit calls the runner performed (the
+// controller's sums are exact, so the two cannot legitimately differ,
+// however close to a budget) and identical assignments. Both sides
+// take fresh controllers from the system the runner builds for the
+// case and the requests it makes of them. Procedures 1 and 2 only —
+// procedure 3 has no class structure to batch.
 func checkFastpath(sc *Case, rep *SeedReport) {
 	if sc.Proc == 3 {
 		return
 	}
+	fastRun, err := build(sc, nil)
+	if err != nil {
+		panic(err) // the runner has built the case, sessions and all
+	}
+	seqRun, _ := build(sc, nil)
 	opts := admission.Options{PerPacket: true}
 	perLink := make(map[string][]fpFlow)
 	for i := range sc.Sessions {
-		req := admissionRequest(&sc.Sessions[i])
-		for _, key := range sc.Sessions[i].Route {
+		def := &sc.Sessions[i]
+		req, err := fastRun.System().Request(def.Request())
+		if err != nil {
+			panic(err) // Connect took the same request
+		}
+		req.Spec.ID = def.ID
+		for _, key := range def.Route {
 			perLink[key] = append(perLink[key], fpFlow{spec: req.Spec, class: req.Class})
 		}
 	}
-	fastSet, err1 := sc.Controllers()
-	seqSet, err2 := sc.Controllers()
-	if err1 != nil || err2 != nil {
-		return // invalid class table is the generator's bug, reported elsewhere
-	}
+	fastSet, seqSet := fastRun.System().Servers(), seqRun.System().Servers()
 	for i := range sc.Servers {
 		key := sc.Servers[i].Name
 		flows := perLink[key]
 		if len(flows) == 0 {
 			continue
 		}
-		fast, seq := fastSet[key].(*admission.ClassController), seqSet[key]
+		fast, seq := fastSet[i].Admission().(*admission.ClassController), seqSet[i].Admission()
 		classes := fast.Classes
 		seqAss := make(map[int]admission.Assignment, len(flows))
 		seqOK := true
@@ -361,8 +356,8 @@ func checkAggCalc(sc *Case, res *runResult, scale float64, rep *SeedReport) {
 	if sc.hasJitter() {
 		return
 	}
-	an, err := calcBounds(sc, calcBusy)
-	if err != nil || an.skipped {
+	an := calcBounds(sc, calcBusy)
+	if an.skipped {
 		return
 	}
 	for _, sr := range res.Sessions {
@@ -447,11 +442,7 @@ func CalculusTightness(margin float64) *TightnessResult {
 			out.Err = err.Error()
 			return out
 		}
-		an, err := calcBounds(&sc, calcFIFO)
-		if err != nil {
-			out.Err = err.Error()
-			return out
-		}
+		an := calcBounds(&sc, calcFIFO)
 		if an.skipped {
 			out.Err = an.reason
 			return out

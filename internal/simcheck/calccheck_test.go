@@ -147,10 +147,7 @@ func TestCalcBoundsSkipsCycle(t *testing.T) {
 	if err := sc.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	an, err := calcBounds(&sc, calcFIFO)
-	if err != nil {
-		t.Fatal(err)
-	}
+	an := calcBounds(&sc, calcFIFO)
 	if !an.skipped || !strings.Contains(an.reason, "cyclic") {
 		t.Fatalf("cyclic routes not skipped: skipped=%v reason=%q", an.skipped, an.reason)
 	}
@@ -170,10 +167,7 @@ func TestCalcBoundsSkipsCycle(t *testing.T) {
 // directly from the one-flow leftover-service bound.
 func TestCalcBoundsHandComputed(t *testing.T) {
 	sc := calcScenario(4)
-	an, err := calcBounds(&sc, calcFIFO)
-	if err != nil {
-		t.Fatal(err)
-	}
+	an := calcBounds(&sc, calcFIFO)
 	if an.skipped {
 		t.Fatalf("designed scenario skipped: %s", an.reason)
 	}
@@ -196,10 +190,7 @@ func TestCalcBoundsHandComputed(t *testing.T) {
 	}
 	// Busy-period mode bounds the same scenario more loosely (or
 	// equally): B* = sigma/(C - rho) >= sigma/C.
-	busy, err := calcBounds(&sc, calcBusy)
-	if err != nil {
-		t.Fatal(err)
-	}
+	busy := calcBounds(&sc, calcBusy)
 	if busy.skipped {
 		t.Fatalf("busy mode skipped: %s", busy.reason)
 	}

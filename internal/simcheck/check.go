@@ -204,12 +204,12 @@ func checkBounds(res *runResult, scale float64, rep *SeedReport) {
 	for _, sr := range res.Sessions {
 		id := sr.Def.ID
 		if sr.Delivered > 0 && sr.Def.B0 > 0 {
-			if bound := sr.DelayBound * scale; sr.MaxDelay >= bound {
+			if bound := sr.Bounds.DelayBound * scale; sr.MaxDelay >= bound {
 				rep.add(Violation{Check: "delay-bound", Discipline: res.Name, Session: id,
 					Detail: fmt.Sprintf("max delay %.9f >= bound %.9f (%d hops)",
 						sr.MaxDelay, bound, sr.Hops)})
 			}
-			if bound := sr.JitterBnd * scale; sr.Jitter >= bound {
+			if bound := sr.Bounds.JitterBound * scale; sr.Jitter >= bound {
 				rep.add(Violation{Check: "jitter-bound", Discipline: res.Name, Session: id,
 					Detail: fmt.Sprintf("jitter %.9f >= bound %.9f", sr.Jitter, bound)})
 			}

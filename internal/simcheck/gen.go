@@ -3,14 +3,13 @@ package simcheck
 import (
 	"fmt"
 
-	"leaveintime/internal/admission"
 	"leaveintime/internal/config"
 	"leaveintime/internal/faults"
 	"leaveintime/internal/rng"
 )
 
 // Generate derives a random-but-valid scenario from a seed. Candidate
-// sessions are pushed through the real admission controllers; rejected
+// sessions are pushed through the runner's admission control; rejected
 // candidates are skipped (the rejection itself exercises the
 // procedures), so every session in the result was genuinely admitted.
 // The function is a pure function of the seed: the same seed always
@@ -144,19 +143,14 @@ func genAdmissionConfig(sc *Case, r *rng.Rand) {
 	}
 }
 
-// genSessions proposes candidate sessions and keeps the ones the real
-// admission controllers accept, each with its route written out.
-// Controllers are per server; a session must be admitted at every hop
-// of its route or it is skipped (Establish rolls the partial
-// acceptances back).
+// genSessions proposes candidate sessions and keeps the ones the
+// runner admits after those already kept, each with its route written
+// out: a session must be admitted at every hop of its route or it is
+// skipped.
 func genSessions(sc *Case, r *rng.Rand) {
 	g, err := sc.Graph()
 	if err != nil {
 		panic(err) // the generator's own links
-	}
-	adm, err := sc.Controllers()
-	if err != nil {
-		panic(err)
 	}
 	candidates := 3 + r.Intn(8)
 	id := 0
@@ -175,7 +169,7 @@ func genSessions(sc *Case, r *rng.Rand) {
 		}
 		def.Rate = (0.04 + 0.2*r.Float64()) * minCap
 		genSource(sc, &def, r)
-		if _, err := establish(sc, adm, &def, sc.hops(&def)); err == nil {
+		if admits(sc, def) {
 			id++ // now def.ID
 			def.LimitBuffers = id%2 == 0
 			sc.Sessions = append(sc.Sessions, def)
@@ -200,9 +194,17 @@ func genSessions(sc *Case, r *rng.Rand) {
 	} else {
 		def.Class = 1
 	}
-	if _, err := establish(sc, adm, &def, sc.hops(&def)); err == nil {
+	if admits(sc, def) {
 		sc.Sessions = append(sc.Sessions, def)
 	}
+}
+
+// admits reports whether the runner builds the document with def added
+// after its sessions.
+func admits(sc *Case, def config.Session) bool {
+	n := len(sc.Sessions)
+	_, err := build(sc, append(sc.Sessions[:n:n], def))
+	return err == nil
 }
 
 // genCandidate draws a candidate's endpoints and shape-independent
@@ -309,15 +311,4 @@ func genDuration(sc *Case, r *rng.Rand) {
 		d = 3
 	}
 	sc.Duration = d
-}
-
-// establish admits def at every server of its route, hops (all or
-// nothing), against the controllers and returns the grants with the
-// analytic bounds they determine.
-func establish(sc *Case, adm map[string]admission.Controller, def *config.Session, hops []*config.Server) (*admission.Bounds, error) {
-	path := make([]admission.Link, len(hops))
-	for i, sv := range hops {
-		path[i] = admission.Link{Name: sv.Name, Ctrl: adm[sv.Name], C: sv.Capacity, Gamma: sv.Gamma}
-	}
-	return admission.Establish(path, sc.LMax, admissionRequest(def))
 }

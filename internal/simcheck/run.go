@@ -3,7 +3,6 @@ package simcheck
 import (
 	"math"
 
-	"leaveintime/internal/admission"
 	"leaveintime/internal/config"
 	"leaveintime/internal/event"
 	"leaveintime/internal/metrics"
@@ -32,15 +31,17 @@ type probeResult struct {
 // sessResult is everything the battery checks about one session in one
 // run.
 type sessResult struct {
-	Def        *config.Session
-	Hops       int
-	Emitted    int64
-	Delivered  int64
-	Dropped    int64 // buffer-limit drops along the route
-	MaxDelay   float64
-	Jitter     float64
-	DelayBound float64 // eq. 12 with D_ref_max = b0/rate; 0 when no b0 is declared
-	JitterBnd  float64 // ineq. 17 or its no-control form
+	Def       *config.Session
+	Hops      int
+	Emitted   int64
+	Delivered int64
+	Dropped   int64 // buffer-limit drops along the route
+	MaxDelay  float64
+	Jitter    float64
+	// Bounds are the commitments Connect returned with the session's
+	// grants: eq. 12 with D_ref_max = b0/rate (0 when no b0 is
+	// declared), ineq. 17 or its no-control form, and the per-hop d.
+	Bounds     *system.Bounds
 	MinLinkCap float64
 	Probes     []probeResult
 	Delays     []seqDelay // filled only when opts.collectDelays
@@ -160,8 +161,7 @@ func runScenario(sc *Case, row sched.Row, opts runOpts) (*runResult, error) {
 	probes := make([][]*network.BufferProbe, len(conns))
 	for i := range conns {
 		c, s := &conns[i], &res.Sessions[i]
-		*s = sessResult{Def: c.Def, Hops: len(c.Sess.Route), MinLinkCap: math.Inf(1),
-			DelayBound: c.Bounds.DelayBound, JitterBnd: c.Bounds.JitterBound}
+		*s = sessResult{Def: c.Def, Hops: len(c.Sess.Route), MinLinkCap: math.Inf(1), Bounds: c.Bounds}
 		for _, port := range c.Sess.Route {
 			s.MinLinkCap = min(s.MinLinkCap, port.C)
 		}
@@ -200,8 +200,7 @@ func runScenario(sc *Case, row sched.Row, opts runOpts) (*runResult, error) {
 
 	for i := range conns {
 		c, s := &conns[i], &res.Sessions[i]
-		s.Emitted = c.Emitted + c.Sess.Emitted
-		s.Delivered = c.Delivered + c.Sess.Delivered
+		s.Emitted, s.Delivered = c.Sess.Emitted, c.Sess.Delivered
 		if c.Sess.Delays.Count() > 0 {
 			s.MaxDelay = c.Sess.Delays.Max()
 			s.Jitter = c.Sess.Delays.Jitter()
@@ -227,39 +226,25 @@ func uncapped(doc *config.Scenario) *config.Scenario {
 }
 
 // refusal reports why the case's network could not be built. Prepare
-// stops at the first session the admission rules refuse, so replaying
-// admission in document order names it; any other error is reported as
-// it stands.
+// stops at the first session the admission rules refuse, so the
+// shortest prefix of the document's sessions the runner will not build
+// names it; any other error is reported as it stands.
 func refusal(sc *Case, row sched.Row, err error) Violation {
-	if adm, aerr := sc.Controllers(); aerr == nil {
-		for i := range sc.Sessions {
-			def := &sc.Sessions[i]
-			if _, rerr := establish(sc, adm, def, sc.hops(def)); rerr != nil {
-				return Violation{Check: "admission-replay", Discipline: row.Name, Session: def.ID, Detail: rerr.Error()}
-			}
+	for i := range sc.Sessions {
+		if _, perr := build(sc, sc.Sessions[:i+1]); perr != nil {
+			return Violation{Check: "admission-replay", Discipline: row.Name, Session: sc.Sessions[i].ID, Detail: perr.Error()}
 		}
 	}
 	return Violation{Check: "build", Discipline: row.Name, Detail: err.Error()}
 }
 
-// admitted is a session's route after the admission replay: the servers
-// it traverses and the grants and bounds admission determined.
-type admitted struct {
-	hops   []*config.Server
-	bounds *admission.Bounds
-}
-
-// replayAdmission replays admission at every hop of the session's route
-// (re-verifying what the generator admitted), producing the grants and
-// the analytic bounds the class-aggregate and calculus batteries
-// derive theirs from.
-func replayAdmission(sc *Case, adm map[string]admission.Controller, def *config.Session) (*admitted, error) {
-	hops := sc.hops(def)
-	b, err := establish(sc, adm, def, hops)
-	if err != nil {
-		return nil, err
-	}
-	return &admitted{hops: hops, bounds: b}, nil
+// build prepares the case's document with sessions in place of its own
+// and no fault plan: the runner's verdict on admitting them in that
+// order, and the system it builds for them.
+func build(sc *Case, sessions []config.Session) (*config.Run, error) {
+	doc := *sc.Scenario
+	doc.Sessions, doc.Faults = sessions, nil
+	return doc.Prepare(nil)
 }
 
 // faultedPorts returns the ports whose outgoing link the plan takes

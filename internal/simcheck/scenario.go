@@ -18,15 +18,18 @@
 // the document litrun and litserve run, and it runs the document on
 // their runner, config.Run, with its checks layered on: each discipline
 // under the checking decorator, the trace counts, the probes and the
-// watchdog. What the network is checked against is the paper — the
-// analytic bounds, the other disciplines, and the reference model of
-// the schedule in the package's tests.
+// watchdog. It decides no grant of its own: the generator keeps a
+// candidate session exactly when the runner builds the document with
+// it, a refused document is reported by the first session whose prefix
+// the runner refuses, the class-aggregate battery composes its bounds
+// from the grants the exact run was connected with, and the admission
+// fast-path check takes fresh controllers and requests from the system
+// the runner builds. What the network is checked against is the paper
+// — the analytic bounds, the other disciplines, and the reference model
+// of the schedule in the package's tests.
 package simcheck
 
-import (
-	"leaveintime/internal/admission"
-	"leaveintime/internal/config"
-)
+import "leaveintime/internal/config"
 
 // Check is the harness's own share of a repro file: the "check" object
 // beside the document, which config.Parse ignores.
@@ -124,17 +127,4 @@ func (c *Case) hops(def *config.Session) []*config.Server {
 		hops[i] = c.server(name)
 	}
 	return hops
-}
-
-// admissionRequest is the session's declaration as admission.Establish
-// and the signaling exchange take it.
-func admissionRequest(def *config.Session) admission.Request {
-	req := def.Request()
-	return admission.Request{
-		Spec:          admission.SessionSpec{ID: def.ID, Rate: req.Rate, LMax: req.LMax, LMin: req.LMin},
-		Class:         req.Class,
-		Opts:          admission.Options{Eps: req.Eps, PerPacket: !req.FixedD, D: req.D},
-		JitterControl: req.JitterControl,
-		B0:            req.B0,
-	}
 }

@@ -33,11 +33,6 @@ type Config struct {
 	// its own fixed d (ConnectRequest.D).
 	Classes []admission.Class
 	Proc    int
-	// Approximate selects the approximate transmission queue of the
-	// paper's Section 4 in every Leave-in-Time server: deadlines binned
-	// to days of L_MAX/C, an accuracy ablation and not a faster queue
-	// (core.Config.Approximate).
-	Approximate bool
 }
 
 // Check is the dry run of building a system of this configuration: it
@@ -242,7 +237,7 @@ func (s *System) EnableMetrics() *metrics.Registry {
 // R_P = C and positive sigma terms).
 func (s *System) AddServer(name string, capacity, gamma float64) (*Server, error) {
 	return s.AddServerQueue(name, capacity, gamma, func(c, lMax float64) network.Discipline {
-		return core.New(core.Config{Capacity: c, LMax: lMax, Approximate: s.cfg.Approximate})
+		return core.New(core.Config{Capacity: c, LMax: lMax})
 	})
 }
 
