@@ -6,6 +6,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"leaveintime/internal/config"
@@ -60,6 +61,28 @@ func TestJSONResult(t *testing.T) {
 	for _, s := range res.Sessions {
 		if s.Delivered <= 0 {
 			t.Errorf("session %s delivered %d packets", s.Name, s.Delivered)
+		}
+	}
+}
+
+// TestExemptColumn: on a fault-plan document the holds column reads
+// "exempt" for a session the plan disturbs (s2 is churned and routed
+// over a link the plan takes down, and breaks its bound) and true or
+// false for the rest.
+func TestExemptColumn(t *testing.T) {
+	out, err := exec.Command(buildLitrun(t), "../../internal/simcheck/testdata/old_churn_seed5.json").Output()
+	if err != nil {
+		t.Fatal(err)
+	}
+	holds := map[string]string{}
+	for _, line := range strings.Split(string(out), "\n") {
+		if f := strings.Fields(line); len(f) == 7 {
+			holds[f[0]] = f[6]
+		}
+	}
+	for name, want := range map[string]string{"s2": "exempt", "s4": "true"} {
+		if holds[name] != want {
+			t.Errorf("%s: holds column %q, want %q\n%s", name, holds[name], want, out)
 		}
 	}
 }

@@ -109,20 +109,27 @@ func Establish(path []Link, lMaxNet float64, req Request) (*Bounds, error) {
 }
 
 // Reserve is Establish's admission half: it runs the admission test at
-// every server of the path, in order, and writes each grant to assigns
-// (nil discards them). On a refusal the reservations made so far are
-// released, so no state is left behind at any server.
+// every server of the path, in order, and writes each grant to assigns.
+// A nil assigns is a caller that holds the grants already: a class
+// controller then books the session without building its d. On a
+// refusal the reservations made so far are released, so no state is
+// left behind at any server.
 func Reserve(path []Link, req Request, assigns []Assignment) error {
 	for i, l := range path {
-		a, err := l.Ctrl.Admit(req.Spec, req.Class, req.Opts)
+		var err error
+		if p, ok := l.Ctrl.(*ClassController); ok && assigns == nil {
+			err = p.reserve(req.Spec, req.Class, req.Opts)
+		} else {
+			var a Assignment
+			if a, err = l.Ctrl.Admit(req.Spec, req.Class, req.Opts); err == nil && assigns != nil {
+				assigns[i] = a
+			}
+		}
 		if err != nil {
 			for _, back := range path[:i] {
 				back.Ctrl.Remove(req.Spec.ID)
 			}
 			return fmt.Errorf("admission failed at %s: %w", l.Name, err)
-		}
-		if assigns != nil {
-			assigns[i] = a
 		}
 	}
 	return nil

@@ -8,8 +8,21 @@ import "math"
 // numbers, to everything added so far, so the sum depends on the set of
 // terms and not on the order they came in, and adding -x takes back
 // exactly what adding x put in. Terms must be finite.
+//
+// While every live term is one value u the sum is a run, held as
+// count·u: a class whose sessions declare one rate, or one L_MAX, adds
+// the same float each time. Adding ±u is then a count, and reading it
+// back is one multiply, which IEEE rounds correctly, so the run reads
+// the bits the expansion would. The first other term turns the run into
+// the expansion exactly (two partials, hi + lo = count·u) and the
+// expansion carries on from there.
 type exactSum struct {
-	n int
+	// u and count are the run; count is 0 outside one. A run starts only
+	// in an empty sum, from a term in [runMin, runMax] in magnitude, where
+	// count·u splits into two floats without underflow or overflow.
+	u     float64
+	count int
+	n     int
 	// head backs the partials until a fifth is needed. A sum of reserved
 	// rates or of L_MAX/C values spans few binades and rarely needs more
 	// than two; keeping them in the controller's own allocation is what
@@ -18,6 +31,12 @@ type exactSum struct {
 	spill []float64
 }
 
+// The run's range. The count of live terms stays far below 2^53, so
+// float64(count) is exact and count·u has at most 106 significant bits:
+// one rounded product and its error, neither of which leaves the normal
+// range for u in these bounds.
+const runMin, runMax = 0x1p-900, 0x1p900
+
 func (s *exactSum) partials() []float64 {
 	if s.spill != nil {
 		return s.spill[:s.n]
@@ -25,8 +44,31 @@ func (s *exactSum) partials() []float64 {
 	return s.head[:s.n]
 }
 
-// add folds x into the sum: one error-free two-sum per partial.
+// add folds x into the sum: a count in a run, otherwise one error-free
+// two-sum per partial (expand). Adding u is small enough to inline into
+// the controller's loop over classes; taking it back is expand's first
+// case.
 func (s *exactSum) add(x float64) {
+	if s.count != 0 && x == s.u {
+		s.count++
+		return
+	}
+	s.expand(x)
+}
+
+// expand is add for a term the run does not take: it starts a run in an
+// empty sum, leaves the run for the expansion, or adds to the expansion.
+func (s *exactSum) expand(x float64) {
+	if s.count != 0 {
+		if x == -s.u {
+			s.count--
+			return
+		}
+		s.leaveRun()
+	} else if a := math.Abs(x); s.n == 0 && a >= runMin && a <= runMax {
+		s.u, s.count = x, 1
+		return
+	}
 	p := s.partials()
 	i := 0
 	for _, y := range p {
@@ -51,9 +93,32 @@ func (s *exactSum) add(x float64) {
 	s.n = i
 }
 
+// leaveRun writes the run as the expansion's first partials: the
+// rounded product and what the rounding dropped, smaller first.
+func (s *exactSum) leaveRun() {
+	c := float64(s.count)
+	hi := c * s.u
+	lo := math.FMA(c, s.u, -hi)
+	s.spill, s.count, s.n = nil, 0, 0
+	if lo != 0 {
+		s.head[0] = lo
+		s.n = 1
+	}
+	s.head[s.n] = hi
+	s.n++
+}
+
 // value reads the sum back correctly rounded (to nearest, ties to
 // even): the one rounding between the terms and a rule comparison.
 func (s *exactSum) value() float64 {
+	if s.count != 0 {
+		return float64(s.count) * s.u
+	}
+	return s.round()
+}
+
+// round is value for the expansion.
+func (s *exactSum) round() float64 {
 	p := s.partials()
 	n := len(p)
 	if n == 0 {

@@ -350,16 +350,25 @@ func (p *ClassController) checkClass(class int, opts Options) error {
 // *RejectError; admitting an id that is still live is a caller's bug and
 // gets a plain error, not a capacity verdict.
 func (p *ClassController) Admit(spec SessionSpec, j int, opts Options) (Assignment, error) {
-	if err := p.admit(spec, j, opts); err != nil {
-		if p.ma != nil {
-			p.ma.Inc(p.mb + metrics.ProcRejected)
-		}
+	if err := p.reserve(spec, j, opts); err != nil {
 		return Assignment{}, err
 	}
-	if p.ma != nil {
-		p.ma.Inc(p.mb + metrics.ProcAccepted)
-	}
 	return p.assignment(spec, j, opts), nil
+}
+
+// reserve is Admit without the grant, for a caller that holds the
+// session's d already (Reserve): the tests, the booking and the
+// counters.
+func (p *ClassController) reserve(spec SessionSpec, j int, opts Options) error {
+	err := p.admit(spec, j, opts)
+	if p.ma != nil {
+		if err != nil {
+			p.ma.Inc(p.mb + metrics.ProcRejected)
+		} else {
+			p.ma.Inc(p.mb + metrics.ProcAccepted)
+		}
+	}
+	return err
 }
 
 func (p *ClassController) admit(spec SessionSpec, j int, opts Options) error {

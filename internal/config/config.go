@@ -68,6 +68,7 @@ package config
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 
 	"leaveintime/internal/admission"
 	"leaveintime/internal/event"
@@ -377,6 +378,39 @@ type SessionResult struct {
 	JitterBound float64 `json:"jitter_bound_s,omitempty"`
 	// BoundHolds reports MaxDelay < DelayBound when a bound exists.
 	BoundHolds bool `json:"bound_holds"`
+	// Exempt marks a session the fault plan disturbs (Scenario.Exempt):
+	// its bounds are not owed, whatever BoundHolds reads.
+	Exempt bool `json:"exempt,omitempty"`
+}
+
+// Exempt reports, for each session in document order, whether the
+// fault plan disturbs it: the plan churns it, or takes down a port on
+// its route, by a link fault or an outage of the node the port leaves.
+// Every other session's bounds must hold through the plan: churn and
+// faults elsewhere in the network must not be observable there. A
+// stalled source does not exempt a session, because its reservation is
+// held throughout.
+func (s *Scenario) Exempt() []bool {
+	out := make([]bool, len(s.Sessions))
+	if s.Faults.Empty() {
+		return out
+	}
+	down := make(map[string]bool)
+	for _, l := range s.Faults.Links {
+		down[l.Port] = true
+	}
+	for _, n := range s.Faults.Nodes {
+		for i := range s.Servers {
+			if sv := &s.Servers[i]; sv.Node() == n.Node {
+				down[sv.key()] = true
+			}
+		}
+	}
+	for i := range s.Sessions {
+		sess := &s.Sessions[i]
+		out[i] = s.Faults.Churned(sess.id(i)) || slices.ContainsFunc(sess.Route, func(port string) bool { return down[port] })
+	}
+	return out
 }
 
 // Result is the outcome of running a scenario.
@@ -748,10 +782,12 @@ func (r *Run) resetup(c *Conn) {
 // Finish computes the per-session results at the current instant. An
 // unnamed session is reported as s<id>. A session set up again reports
 // its deliveries and delays over all its incarnations, so bound_holds
-// judges every packet counted.
+// judges every packet counted; one the fault plan disturbs is marked
+// exempt.
 func (r *Run) Finish() *Result {
 	s := r.sc
 	res := &Result{Duration: s.Duration}
+	exempt := s.Exempt()
 	for i, c := range r.all {
 		sr := SessionResult{
 			Name:       c.Def.Name,
@@ -760,6 +796,7 @@ func (r *Run) Finish() *Result {
 			MeanDelay:  c.Sess.Delays.Mean(),
 			Jitter:     c.Sess.Delays.Jitter(),
 			BoundHolds: true,
+			Exempt:     exempt[i],
 		}
 		if sr.Name == "" {
 			sr.Name = fmt.Sprintf("s%d", c.Def.id(i))

@@ -2,6 +2,7 @@ package config
 
 import (
 	"encoding/json"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -247,5 +248,40 @@ func TestPurgeIsFinal(t *testing.T) {
 		if f := reg.Snapshot(s.Duration).Faults; f.Resetups != 0 || f.ResetupRejects != 0 {
 			t.Errorf("purge at %gs: fault.resetups = %d, resetup_rejects = %d; want 0 and 0", at, f.Resetups, f.ResetupRejects)
 		}
+	}
+}
+
+// TestFaultedSessionsAreExempt runs a fault-plan repro the harness
+// recorded: its plan churns sessions 1-3 and takes down n1->n2 (a link
+// fault and an outage of n1) and n4->n5. Session 2, alone on n1->n2,
+// exceeds its delay bound; that session, and every session churned or
+// routed over a port the plan takes down, is exempt, and every other
+// session's bound holds. Without the churn the links still exempt
+// sessions 1 and 2.
+func TestFaultedSessionsAreExempt(t *testing.T) {
+	data, err := os.ReadFile("../simcheck/testdata/old_churn_seed5.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := mustParse(t, string(data))
+	res, err := s.RunWithMetrics(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []bool{true, true, true, false, false, false}
+	for i, sr := range res.Sessions {
+		if sr.Exempt != want[i] {
+			t.Errorf("%s: exempt %v, want %v", sr.Name, sr.Exempt, want[i])
+		}
+		if !sr.Exempt && !sr.BoundHolds {
+			t.Errorf("%s: max delay %g against bound %g, and nothing exempts it", sr.Name, sr.MaxDelay, sr.DelayBound)
+		}
+	}
+	if s2 := res.Sessions[1]; s2.BoundHolds {
+		t.Errorf("s2 holds its bound (%g < %g): the document no longer shows what exempts it", s2.MaxDelay, s2.DelayBound)
+	}
+	s.Faults.Churn = nil
+	if got, want := s.Exempt(), []bool{true, true, false, false, false, false}; !reflect.DeepEqual(got, want) {
+		t.Errorf("without churn: exempt %v, want %v", got, want)
 	}
 }

@@ -309,6 +309,15 @@ func TestSessionSize(t *testing.T) {
 	}
 }
 
+// TestPortSize pins network.Port inside Go's 288-byte size class: the
+// benchmark's metro-serial workload builds one Port per link every op,
+// so a field that moves it to the next class costs that op 14 kB.
+func TestPortSize(t *testing.T) {
+	if got := unsafe.Sizeof(network.Port{}); got > 288 {
+		t.Errorf("network.Port is %d B, want at most 288: a new field moves every port to the next size class; put it behind a pointer, or record the cost in DESIGN.md (\"What a call's set-up shares\")", got)
+	}
+}
+
 func TestConfigValidation(t *testing.T) {
 	defer func() {
 		if recover() == nil {

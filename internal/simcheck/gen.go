@@ -6,6 +6,7 @@ import (
 	"leaveintime/internal/config"
 	"leaveintime/internal/faults"
 	"leaveintime/internal/rng"
+	"leaveintime/internal/system"
 )
 
 // Generate derives a random-but-valid scenario from a seed. Candidate
@@ -152,6 +153,7 @@ func genSessions(sc *Case, r *rng.Rand) {
 	if err != nil {
 		panic(err) // the generator's own links
 	}
+	admits := admitter(sc)
 	candidates := 3 + r.Intn(8)
 	id := 0
 	for c := 0; c < candidates; c++ {
@@ -169,7 +171,7 @@ func genSessions(sc *Case, r *rng.Rand) {
 		}
 		def.Rate = (0.04 + 0.2*r.Float64()) * minCap
 		genSource(sc, &def, r)
-		if admits(sc, def) {
+		if admits(def) {
 			id++ // now def.ID
 			def.LimitBuffers = id%2 == 0
 			sc.Sessions = append(sc.Sessions, def)
@@ -194,17 +196,35 @@ func genSessions(sc *Case, r *rng.Rand) {
 	} else {
 		def.Class = 1
 	}
-	if admits(sc, def) {
+	if admits(def) {
 		sc.Sessions = append(sc.Sessions, def)
 	}
 }
 
-// admits reports whether the runner builds the document with def added
-// after its sessions.
-func admits(sc *Case, def config.Session) bool {
-	n := len(sc.Sessions)
-	_, err := build(sc, append(sc.Sessions[:n:n], def))
-	return err == nil
+// admitter returns the generator's verdict on a candidate: whether the
+// runner builds the document with it added after the sessions kept so
+// far. It is a Connect on the system Prepare builds for the case before
+// any candidate, which then holds every session kept, connected in the
+// order Prepare connects them; a refusal leaves no state behind. A
+// case Prepare cannot build admits nothing.
+func admitter(sc *Case) func(def config.Session) bool {
+	run, err := build(sc, nil)
+	if err != nil {
+		return func(config.Session) bool { return false }
+	}
+	sys := run.System()
+	servers := make(map[string]*system.Server)
+	for _, srv := range sys.Servers() {
+		servers[srv.Port.Name] = srv
+	}
+	return func(def config.Session) bool {
+		req := def.Request()
+		for _, name := range def.Route {
+			req.Route = append(req.Route, servers[name])
+		}
+		_, _, err := sys.Connect(req)
+		return err == nil
+	}
 }
 
 // genCandidate draws a candidate's endpoints and shape-independent

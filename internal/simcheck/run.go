@@ -247,48 +247,17 @@ func build(sc *Case, sessions []config.Session) (*config.Run, error) {
 	return doc.Prepare(nil)
 }
 
-// faultedPorts returns the ports whose outgoing link the plan takes
-// down at any point (directly or through a node outage).
-func faultedPorts(sc *Case) map[string]bool {
-	out := make(map[string]bool)
-	if sc.Faults == nil {
-		return out
-	}
-	for _, l := range sc.Faults.Links {
-		out[l.Port] = true
-	}
-	for _, n := range sc.Faults.Nodes {
-		for i := range sc.Servers {
-			if sv := &sc.Servers[i]; sv.Node() == n.Node {
-				out[sv.Name] = true
-			}
-		}
-	}
-	return out
-}
-
 // cleanSurvivors filters the run's sessions down to the ones whose
-// service commitments must have survived the chaos: never churned, and
-// routed only over ports the plan never took down. A stalled source
-// does not exempt a session — its reservation was held throughout, so
-// its bounds must keep holding (isolation under silence). Churn and
-// faults elsewhere in the network must not be observable here: that is
-// the graceful-degradation guarantee under test.
+// service commitments must have survived the chaos: the ones the
+// document's fault plan does not exempt (config.Scenario.Exempt, the
+// rule litrun reports by). Churn and faults elsewhere in the network
+// must not be observable there: that is the graceful-degradation
+// guarantee under test.
 func cleanSurvivors(res *runResult, sc *Case) []sessResult {
-	bad := faultedPorts(sc)
+	exempt := sc.Exempt()
 	var out []sessResult
-	for _, sr := range res.Sessions {
-		if sc.Faults.Churned(sr.Def.ID) {
-			continue
-		}
-		touched := false
-		for _, pr := range sr.Probes {
-			if bad[pr.Port] {
-				touched = true
-				break
-			}
-		}
-		if !touched {
+	for i, sr := range res.Sessions {
+		if !exempt[i] {
 			out = append(out, sr)
 		}
 	}

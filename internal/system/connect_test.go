@@ -199,6 +199,49 @@ func TestConnectRefusesForeignServer(t *testing.T) {
 	}
 }
 
+// TestConnectHitRefusesForeignServer: with the class memo holding a
+// call over mine[0], mine[1], the same request over a route whose
+// second hop is nil, another system's server or a Server value no
+// system built on mine[1]'s port is refused as on an empty memo: the
+// memo matches only the servers a miss checked, not their ports.
+func TestConnectHitRefusesForeignServer(t *testing.T) {
+	sys, mine := threeServers(t, Config{LMax: 1000})
+	_, theirs := threeServers(t, Config{LMax: 1000})
+	if _, _, err := sys.Connect(ConnectRequest{Rate: 64e3, Route: mine[:2]}); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		route []*Server
+	}{
+		{"nil", []*Server{mine[0], nil}},
+		{"foreign", []*Server{mine[0], theirs[1]}},
+		{"unbuilt", []*Server{mine[0], {Port: mine[1].Port, Capacity: mine[1].Capacity}}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			func() {
+				defer func() {
+					if p := recover(); p != nil {
+						t.Errorf("Connect panicked: %v", p)
+					}
+				}()
+				if _, _, err := sys.Connect(ConnectRequest{Rate: 64e3, Route: c.route}); err == nil {
+					t.Error("Connect accepted the route")
+				}
+			}()
+			for i, srv := range append(mine, theirs...) {
+				want := 0.0
+				if i < 2 {
+					want = 64e3 // the memo's call
+				}
+				if r := srv.ctrl.TotalRate(); r != want {
+					t.Errorf("server %s holds %g b/s after the refusal, want %g", srv.Port.Name, r, want)
+				}
+			}
+		})
+	}
+}
+
 // TestDisconnectForeignSession: disconnecting a session another system
 // established leaves both systems' networks, sessions and reservations
 // as they were.

@@ -137,10 +137,11 @@ type System struct {
 
 	servers []*Server
 	byPort  map[*network.Port]*Server
-	// path and cfgs are Connect's scratch: the route as
-	// admission.Establish takes it and the per-hop grant as
-	// Network.AddSession copies it into each discipline, rebuilt per
-	// call so a Connect allocates nothing for them.
+	// path and cfgs are a missed Connect's scratch: the route as
+	// admission.Establish takes it and the per-hop grants as
+	// Network.AddSession copies them into each discipline. The class
+	// memo keeps the arrays of the call it stores and hands its old ones
+	// back, so once warm a Connect allocates nothing for them.
 	path []admission.Link
 	cfgs []network.SessionPort
 	// last[m-1] is class m's memo of its last established call; a class
@@ -151,30 +152,43 @@ type System struct {
 }
 
 // call is a class's memo of one established call: the resolved request
-// (Spec.ID zero), its route's ports, and the commitments read off its
-// grants. By the isolation property those commitments are a function
-// of the request and the route's servers alone, so a call with the same
-// request over the same ports is owed the same Bounds: it shares them,
-// and shares the port list as its Session.Route. The memo holds one
-// call per class, so a run of mixed requests establishes every call
-// afresh and never holds more memory.
+// (Spec.ID zero), its route's servers, and what establishing it built
+// from them: the route as admission walks it, the port list, the
+// commitments read off its grants and the grants as the network takes
+// them. By the isolation property those are a function of the request
+// and the route's servers alone, so a call with the same request over
+// the same servers is owed the same Bounds: it shares them and the
+// port list (as its Session.Route), and only books itself at path's
+// controllers. servers were validated when the memo was stored, so a
+// route that matches them needs no lookup. The memo holds one call per
+// class, so a run of mixed requests establishes every call afresh and
+// never holds more memory.
 type call struct {
-	req   admission.Request
-	ports []*network.Port
-	b     *Bounds
+	req     admission.Request
+	servers []*Server
+	path    []admission.Link
+	cfgs    []network.SessionPort
+	ports   []*network.Port
+	b       *Bounds
 }
 
 // same reports whether a request over route is the memo's call.
 func (c *call) same(req admission.Request, route []*Server) bool {
-	if c.b == nil || c.req != req || len(c.ports) != len(route) {
+	if c.b == nil || c.req != req || len(c.servers) != len(route) {
 		return false
 	}
 	for i, srv := range route {
-		if srv.Port != c.ports[i] {
+		if srv != c.servers[i] {
 			return false
 		}
 	}
 	return true
+}
+
+// holds reports whether route is the memo's port list itself, which
+// sessions the memo's calls share.
+func (c *call) holds(route []*network.Port) bool {
+	return len(route) > 0 && len(c.ports) == len(route) && &c.ports[0] == &route[0]
 }
 
 // Server is one Leave-in-Time server (a node's outgoing link) together
@@ -328,6 +342,16 @@ func (s *System) Connect(req ConnectRequest) (*network.Session, *Bounds, error) 
 	if len(req.Route) == 0 {
 		return nil, nil, fmt.Errorf("lit: empty route")
 	}
+	areq, rerr := s.cfg.resolve(req)
+	memo := &s.last[min(max(req.Class, 1), len(s.last))-1]
+	if rerr == nil && memo.same(areq, req.Route) {
+		s.nextID++
+		areq.Spec.ID = s.nextID
+		if err := admission.Reserve(memo.path, areq, nil); err != nil {
+			return nil, nil, fmt.Errorf("lit: %w", err)
+		}
+		return s.Net.AddSession(areq.Spec.ID, req.Rate, req.JitterControl, memo.ports, memo.cfgs, req.Source), memo.b, nil
+	}
 	s.path = s.path[:0]
 	for i, srv := range req.Route {
 		if srv == nil || s.byPort[srv.Port] != srv {
@@ -335,44 +359,47 @@ func (s *System) Connect(req ConnectRequest) (*network.Session, *Bounds, error) 
 		}
 		s.path = append(s.path, admission.Link{Name: srv.Port.Name, Ctrl: srv.ctrl, C: srv.Capacity, Gamma: srv.Gamma})
 	}
-	areq, err := s.cfg.resolve(req)
-	if err != nil {
-		return nil, nil, err
+	if rerr != nil {
+		return nil, nil, rerr
 	}
-	memo := &s.last[min(max(areq.Class, 1), len(s.last))-1]
 	key := areq
 	s.nextID++
 	areq.Spec.ID = s.nextID
-
-	if memo.same(key, req.Route) {
-		if err := admission.Reserve(s.path, areq, nil); err != nil {
-			return nil, nil, fmt.Errorf("lit: %w", err)
-		}
-	} else {
-		b, err := admission.Establish(s.path, s.cfg.LMax, areq)
-		if err != nil {
-			return nil, nil, fmt.Errorf("lit: %w", err)
-		}
-		ports := make([]*network.Port, len(req.Route)) // kept: it becomes Session.Route
-		for i, srv := range req.Route {
-			ports[i] = srv.Port
-		}
-		// Field by field, as ClassController.assignment stores its
-		// grant: a whole-struct store is a write-barrier move.
-		memo.req, memo.ports, memo.b = key, ports, b
+	b, err := admission.Establish(s.path, s.cfg.LMax, areq)
+	if err != nil {
+		return nil, nil, fmt.Errorf("lit: %w", err)
+	}
+	ports := make([]*network.Port, len(req.Route)) // kept: it becomes Session.Route
+	for i, srv := range req.Route {
+		ports[i] = srv.Port
 	}
 	s.cfgs = s.cfgs[:0]
-	for _, a := range memo.b.Assignments {
+	for _, a := range b.Assignments {
 		s.cfgs = append(s.cfgs, network.SessionPort{D: a.D, DMax: a.DMax})
 	}
-	sess := s.Net.AddSession(areq.Spec.ID, req.Rate, req.JitterControl, memo.ports, s.cfgs, req.Source)
-	return sess, memo.b, nil
+	// Field by field, as ClassController.assignment stores its grant: a
+	// whole-struct store is a write-barrier move. The memo takes the
+	// scratch arrays and gives its own back.
+	memo.servers = append(memo.servers[:0], req.Route...)
+	s.path, memo.path = memo.path[:0], s.path
+	s.cfgs, memo.cfgs = memo.cfgs[:0], s.cfgs
+	memo.req, memo.ports, memo.b = key, ports, b
+	return s.Net.AddSession(areq.Spec.ID, req.Rate, req.JitterControl, ports, memo.cfgs, req.Source), b, nil
 }
 
 // Teardown releases a session's reservations at every server of its
 // route. The session must not be started (or must have finished
-// emitting); in-flight packets still drain.
+// emitting); in-flight packets still drain. A session whose route is
+// a class memo's port list is released at the memo's controllers.
 func (s *System) Teardown(sess *network.Session) {
+	for i := range s.last {
+		if m := &s.last[i]; m.holds(sess.Route) {
+			for _, l := range m.path {
+				l.Ctrl.Remove(sess.ID)
+			}
+			return
+		}
+	}
 	for _, p := range sess.Route {
 		if srv := s.byPort[p]; srv != nil {
 			srv.ctrl.Remove(sess.ID)
