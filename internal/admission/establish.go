@@ -74,7 +74,7 @@ func Establish(path []Link, lMaxNet float64, req Request) (*Bounds, error) {
 		return nil, fmt.Errorf("admission: empty route")
 	}
 	assigns := make([]Assignment, len(path))
-	if err := Reserve(path, req, assigns); err != nil {
+	if err := Reserve(path, &req, assigns); err != nil {
 		return nil, err
 	}
 	hops := make([]Hop, len(path))
@@ -110,15 +110,18 @@ func Establish(path []Link, lMaxNet float64, req Request) (*Bounds, error) {
 
 // Reserve is Establish's admission half: it runs the admission test at
 // every server of the path, in order, and writes each grant to assigns.
-// A nil assigns is a caller that holds the grants already: a class
-// controller then books the session without building its d. On a
-// refusal the reservations made so far are released, so no state is
-// left behind at any server.
-func Reserve(path []Link, req Request, assigns []Assignment) error {
+// A nil assigns is a caller that holds the grants already: the
+// declaration is then validated once for the path, and a class
+// controller books the session without building its d. A declaration
+// that fails validation is refused at the first server, as Admit there
+// refuses it. On a refusal the reservations made so far are released,
+// so no state is left behind at any server.
+func Reserve(path []Link, req *Request, assigns []Assignment) error {
+	valid := assigns == nil && req.Spec.validate() == nil
 	for i, l := range path {
 		var err error
-		if p, ok := l.Ctrl.(*ClassController); ok && assigns == nil {
-			err = p.reserve(req.Spec, req.Class, req.Opts)
+		if p, ok := l.Ctrl.(*ClassController); ok && valid {
+			err = p.reserve(&req.Spec, req.Class, req.Opts, true)
 		} else {
 			var a Assignment
 			if a, err = l.Ctrl.Admit(req.Spec, req.Class, req.Opts); err == nil && assigns != nil {

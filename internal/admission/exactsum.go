@@ -46,8 +46,7 @@ func (s *exactSum) partials() []float64 {
 
 // add folds x into the sum: a count in a run, otherwise one error-free
 // two-sum per partial (expand). Adding u is small enough to inline into
-// the controller's loop over classes; taking it back is expand's first
-// case.
+// the controller's loop over classes.
 func (s *exactSum) add(x float64) {
 	if s.count != 0 && x == s.u {
 		s.count++
@@ -56,11 +55,27 @@ func (s *exactSum) add(x float64) {
 	s.expand(x)
 }
 
-// expand is add for a term the run does not take: it starts a run in an
-// empty sum, leaves the run for the expansion, or adds to the expansion.
+// sub takes x back out of the sum: add(-x). Taking back u, as a
+// controller's unbooking does, is a count inlined into its loop, as
+// adding u is.
+func (s *exactSum) sub(x float64) {
+	if s.count != 0 && x == s.u {
+		s.count--
+		return
+	}
+	s.expand(-x)
+}
+
+// expand is add for a term the inlined counts do not take: ±u in a run,
+// a term that starts a run in an empty sum, leaves the run for the
+// expansion, or adds to the expansion.
 func (s *exactSum) expand(x float64) {
 	if s.count != 0 {
-		if x == -s.u {
+		switch x {
+		case s.u:
+			s.count++
+			return
+		case -s.u:
 			s.count--
 			return
 		}

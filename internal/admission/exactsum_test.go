@@ -21,11 +21,11 @@ var sumPalette = []float64{
 
 // sumScript plays a script of byte operations on one exactSum: the top
 // two bits pick adding a palette value, adding its negation, or taking
-// back a live term (one that was never added, when nothing is live), and
-// the rest pick the value or the term. After every operation the sum
-// must hold the live terms' total exactly — as its run, count·u, or as
-// its partials — and read it back correctly rounded; once everything is
-// taken back it must be empty.
+// back a live term with sub (one that was never added, when nothing is
+// live), and the rest pick the value or the term. After every operation
+// the sum must hold the live terms' total exactly — as its run, count·u,
+// or as its partials — and read it back correctly rounded; once
+// everything is taken back it must be empty.
 func sumScript(t *testing.T, script []byte) {
 	var s exactSum
 	var live []float64
@@ -34,24 +34,24 @@ func sumScript(t *testing.T, script []byte) {
 		switch b >> 6 {
 		case 0, 1:
 			live = append(live, x)
+			s.add(x)
 		case 2:
 			live = append(live, -x)
-			x = -x
+			s.add(-x)
 		default:
 			if len(live) == 0 {
 				live = append(live, -x) // taken back before it came
-				x = -x
+				s.sub(x)
 				break
 			}
 			i := int(b&0x3f) % len(live)
-			x = -live[i]
+			s.sub(live[i])
 			live = append(live[:i], live[i+1:]...)
 		}
-		s.add(x)
 		checkSum(t, op, &s, live)
 	}
 	for i := len(live) - 1; i >= 0; i-- {
-		s.add(-live[i])
+		s.sub(live[i])
 	}
 	if s.n != 0 || s.count != 0 || math.Float64bits(s.value()) != 0 {
 		t.Fatalf("%d partials, count %d (%g) left after taking every term back", s.n, s.count, s.value())
@@ -104,12 +104,14 @@ func TestExactSumScripts(t *testing.T) {
 // exactSumCorpus: a run of 0.1 read at every count, left for 1/3 and
 // taken back into the expansion; a run emptied and started again with
 // the opposite sign; a run of runMax left for a term outside the range;
-// a run at runMin left for a subnormal.
+// a run at runMin left for a subnormal; a run of u that takes −u in
+// (a count down) and then takes that −u back (a count up).
 var exactSumCorpus = [][]byte{
 	{2, 2, 2, 2, 2, 3, 0xc0, 2, 2, 0xc0},
 	{0, 0, 0xc0, 0xc0, 0x80, 0x80, 0, 0xc0, 0xc1},
 	{6, 6, 6, 8, 0xc3, 6},
 	{5, 5, 11, 0x85, 0xc0},
+	{0, 0, 0x80, 0xc2, 0xc0},
 }
 
 func FuzzExactSum(f *testing.F) {

@@ -34,15 +34,16 @@ func (p *ClassController) AdmitClass(gate *CurveGate, batch []SessionSpec, j int
 		return nil, false
 	}
 	booked := 0
-	for _, spec := range batch {
-		if spec.validate() != nil || !p.book(spec, j) {
+	for i := range batch {
+		if batch[i].validate() != nil || !p.book(&batch[i], j) {
 			break
 		}
 		booked++
 	}
 	ok := booked == len(batch)
 	if ok {
-		_, ok = p.rules(j)
+		_, rule := p.rules(j)
+		ok = rule == 0
 	}
 	if ok && gate != nil {
 		ok = gate.tryCommit(gateLoad(batch))

@@ -219,7 +219,7 @@ type ClassController struct {
 
 // booking is what one live session added to the sums of its class and
 // of every class above it. sigma is L_MAX/C as rounded when it was
-// booked, so that Remove takes back the very floats Admit put in.
+// booked, so that Remove takes back the very floats book put in.
 type booking struct {
 	class       int // 1-based
 	rate, sigma float64
@@ -350,7 +350,7 @@ func (p *ClassController) checkClass(class int, opts Options) error {
 // *RejectError; admitting an id that is still live is a caller's bug and
 // gets a plain error, not a capacity verdict.
 func (p *ClassController) Admit(spec SessionSpec, j int, opts Options) (Assignment, error) {
-	if err := p.reserve(spec, j, opts); err != nil {
+	if err := p.reserve(&spec, j, opts, false); err != nil {
 		return Assignment{}, err
 	}
 	return p.assignment(spec, j, opts), nil
@@ -358,9 +358,16 @@ func (p *ClassController) Admit(spec SessionSpec, j int, opts Options) (Assignme
 
 // reserve is Admit without the grant, for a caller that holds the
 // session's d already (Reserve): the tests, the booking and the
-// counters.
-func (p *ClassController) reserve(spec SessionSpec, j int, opts Options) error {
-	err := p.admit(spec, j, opts)
+// counters. valid says the caller has validated spec already, so only
+// the class and eps are checked here.
+func (p *ClassController) reserve(spec *SessionSpec, j int, opts Options, valid bool) error {
+	var err error
+	if !valid {
+		err = spec.validate()
+	}
+	if err == nil {
+		err = p.admit(spec, j, opts)
+	}
 	if p.ma != nil {
 		if err != nil {
 			p.ma.Inc(p.mb + metrics.ProcRejected)
@@ -371,17 +378,19 @@ func (p *ClassController) reserve(spec SessionSpec, j int, opts Options) error {
 	return err
 }
 
-func (p *ClassController) admit(spec SessionSpec, j int, opts Options) error {
-	if err := p.Check(spec, j, opts); err != nil {
+// admit is reserve for a valid declaration: the class check, the
+// booking and the rules, unbooking on a refusal.
+func (p *ClassController) admit(spec *SessionSpec, j int, opts Options) error {
+	if err := p.checkClass(j, opts); err != nil {
 		return err
 	}
 	if !p.book(spec, j) {
 		return errDuplicate(spec.ID)
 	}
-	if rej, ok := p.rules(j); !ok {
+	if m, rule := p.rules(j); rule != 0 {
+		err := p.reject(m, rule) // read off the sums with the candidate booked
 		p.Remove(spec.ID)
-		e := rej // only a refusal pays for the heap copy
-		return &e
+		return err
 	}
 	return nil
 }
@@ -390,20 +399,16 @@ func (p *ClassController) admit(spec SessionSpec, j int, opts Options) error {
 // classes j..P. It reports false, changing nothing, if the id is live.
 // Admit and AdmitClass book their candidate first and read the rules off
 // the totals the controller then holds; Remove is the unbooking.
-func (p *ClassController) book(spec SessionSpec, j int) bool {
-	if p.live.Get(spec.ID) != nil {
+func (p *ClassController) book(spec *SessionSpec, j int) bool {
+	b, ok := p.live.Insert(spec.ID, booking{class: j, rate: spec.Rate, sigma: spec.LMax / p.C})
+	if !ok {
 		return false
 	}
-	b := p.live.Put(spec.ID, booking{class: j, rate: spec.Rate, sigma: spec.LMax / p.C})
-	p.add(j, b.rate, b.sigma)
-	return true
-}
-
-func (p *ClassController) add(j int, rate, sigma float64) {
 	for m := j - 1; m < len(p.sums); m++ {
-		p.sums[m].rate.add(rate)
-		p.sums[m].sigma.add(sigma)
+		p.sums[m].rate.add(b.rate)
+		p.sums[m].sigma.add(b.sigma)
 	}
+	return true
 }
 
 // rules runs the additive tests for whatever was last booked into class
@@ -412,21 +417,32 @@ func (p *ClassController) add(j int, rate, sigma float64) {
 // against sigma_m (rule x.2; procedure 1 exempts class P). The sums are
 // exact and read back with one monotone rounding, so a set of sessions
 // passes as a batch if and only if it passes one session at a time, in
-// any order. It returns the first test that fails.
-func (p *ClassController) rules(j int) (RejectError, bool) {
+// any order. It returns the class and the rule of the first test that
+// fails, rule 0 when all pass.
+func (p *ClassController) rules(j int) (m, rule int) {
 	P := len(p.Classes)
-	for m := j; m <= P; m++ {
-		cl, sum := p.Classes[m-1], &p.sums[m-1]
-		if need := sum.rate.value(); need > cl.R+rateTol(cl.R) {
-			return RejectError{Proc: p.proc, Rule: 1, Class: m, Need: need, Have: cl.R}, false
+	for m = j; m <= P; m++ {
+		cl, sum := &p.Classes[m-1], &p.sums[m-1]
+		if sum.rate.value() > cl.R+rateTol(cl.R) {
+			return m, 1
 		}
-		if m < P || p.proc == 2 {
-			if need := sum.sigma.value(); need > cl.Sigma+1e-12 {
-				return RejectError{Proc: p.proc, Rule: 2, Class: m, Need: need, Have: cl.Sigma}, false
-			}
+		if (m < P || p.proc == 2) && sum.sigma.value() > cl.Sigma+1e-12 {
+			return m, 2
 		}
 	}
-	return RejectError{}, true
+	return 0, 0
+}
+
+// reject is the refusal of rule x.rule at class m, read off the sums
+// while the candidate is still booked.
+func (p *ClassController) reject(m, rule int) *RejectError {
+	e := &RejectError{Proc: p.proc, Rule: rule, Class: m}
+	if cl, sum := p.Classes[m-1], &p.sums[m-1]; rule == 1 {
+		e.Need, e.Have = sum.rate.value(), cl.R
+	} else {
+		e.Need, e.Have = sum.sigma.value(), cl.Sigma
+	}
+	return e
 }
 
 // assignment applies rule 1.3 (R_j, sigma_{j-1}) or rule 2.3
@@ -464,12 +480,14 @@ func (p *ClassController) assignment(spec SessionSpec, j int, opts Options) Assi
 
 // Remove implements Controller.
 func (p *ClassController) Remove(id int) bool {
-	b := p.live.Get(id)
-	if b == nil {
+	b, ok := p.live.Take(id)
+	if !ok {
 		return false
 	}
-	p.add(b.class, -b.rate, -b.sigma)
-	p.live.Delete(id)
+	for m := b.class - 1; m < len(p.sums); m++ {
+		p.sums[m].rate.sub(b.rate)
+		p.sums[m].sigma.sub(b.sigma)
+	}
 	return true
 }
 

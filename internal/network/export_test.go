@@ -10,3 +10,12 @@ func (s *Session) InjectAt(t, length float64) {
 
 // Ports returns all ports in creation order.
 func (n *Network) Ports() []*Port { return n.ports }
+
+// sessionByID returns the session with the given ID, or nil when it is
+// not (or no longer) established.
+func (n *Network) sessionByID(id int) *Session {
+	if e := n.sessByID.Get(id); e != nil {
+		return *e
+	}
+	return nil
+}

@@ -629,15 +629,6 @@ func (p *Port) deliverHead() {
 	}
 }
 
-// sessionByID returns the session with the given ID, or nil when it is
-// not (or no longer) established.
-func (n *Network) sessionByID(id int) *Session {
-	if e := n.sessByID.Get(id); e != nil {
-		return *e
-	}
-	return nil
-}
-
 // Session is an established connection: a source, a route of ports, and
 // end-to-end measurement state. It keeps inline what every session
 // reads; a source's emission state and the rarely set hooks sit behind
@@ -803,7 +794,9 @@ func (s *Session) Deliver(p *packet.Packet, now float64) {
 // session is registered with every discipline on the route but emits
 // nothing until Start is called. The id keys per-session tables
 // (internal/sesstab), so it must be nonnegative and issued in sequence
-// or bounded where it enters the program.
+// or bounded where it enters the program; an id that is still
+// established panics, as a negative one does. An id is free again once
+// its session is removed or dropped.
 func (n *Network) AddSession(id int, rate float64, jitterControl bool, route []*Port, cfgs []SessionPort, src traffic.Source) *Session {
 	if len(route) == 0 {
 		panic("network: empty route")
@@ -822,6 +815,9 @@ func (n *Network) AddSession(id int, rate float64, jitterControl bool, route []*
 		net:           n,
 		slot:          int32(len(n.sessions)),
 	}
+	if _, ok := n.sessByID.Insert(id, s); !ok {
+		panic(fmt.Sprintf("network: session id %d is already established", id))
+	}
 	if src != nil {
 		s.SetSource(src)
 	}
@@ -832,7 +828,6 @@ func (n *Network) AddSession(id int, rate float64, jitterControl bool, route []*
 		cfg.JitterControl = jitterControl
 		port.Disc.AddSession(cfg)
 	}
-	n.sessByID.Put(id, s)
 	n.sessions = append(n.sessions, s)
 	return s
 }
@@ -920,13 +915,14 @@ func (n *Network) RemoveSession(s *Session) {
 	n.unregister(s)
 }
 
+// unregister takes s out of the id table and the session list. A listed
+// session is the one its id maps to (AddSession refuses a live id), so
+// the list decides and the table is walked once.
 func (n *Network) unregister(s *Session) {
-	if n.sessionByID(s.ID) == s {
-		n.sessByID.Delete(s.ID)
-	}
 	if int(s.slot) >= len(n.sessions) || n.sessions[s.slot] != s {
 		return // already removed
 	}
+	n.sessByID.Delete(s.ID)
 	// Swap-with-last removal: Sessions() order is part of what goldens
 	// pin, so the session moved into the gap is always the last one.
 	last := len(n.sessions) - 1

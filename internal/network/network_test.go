@@ -1,7 +1,9 @@
 package network
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"leaveintime/internal/event"
@@ -353,5 +355,40 @@ func TestRefusedIDLeavesNothing(t *testing.T) {
 	}
 	if len(net.Sessions()) != 0 || net.sessionByID(-1) != nil {
 		t.Error("refused session left in the network")
+	}
+}
+
+// TestDuplicateIDRefused: AddSession of an id that is still established
+// panics at the call, naming the id, before any port hears of the second
+// session, and leaves the first session routed and listed alone. Once
+// the first is removed or dropped, the id may be added again, as a
+// document's re-SETUP does.
+func TestDuplicateIDRefused(t *testing.T) {
+	sim := event.New()
+	net := New(sim, 1000)
+	d := &countingDisc{}
+	route := []*Port{net.NewPort("a", 1000, 0, d)}
+	add := func() *Session { return net.AddSession(3, 100, false, route, make([]SessionPort, 1), nil) }
+	first := add()
+	func() {
+		defer func() {
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "session id 3 ") {
+				t.Errorf("second AddSession(3) recovered %v, want a panic naming id 3", r)
+			}
+		}()
+		add()
+	}()
+	if d.added != 1 {
+		t.Errorf("refused session registered at the port's discipline: %d sessions added", d.added)
+	}
+	if got := net.Sessions(); len(got) != 1 || got[0] != first || net.sessionByID(3) != first {
+		t.Fatalf("after the refusal: Sessions() = %v, id 3 routes to %p, want only %p", got, net.sessionByID(3), first)
+	}
+	net.RemoveSession(first)
+	second := add()
+	net.DropSession(second)
+	third := add()
+	if got := net.Sessions(); len(got) != 1 || got[0] != third || net.sessionByID(3) != third {
+		t.Fatalf("re-added after RemoveSession and DropSession: Sessions() = %v, id 3 routes to %p, want only %p", got, net.sessionByID(3), third)
 	}
 }

@@ -88,3 +88,52 @@ func BenchmarkGet(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkInsertTake is an admission controller's bookings under
+// call-churn: 4 096 calls standing, the oldest released (Take) and a
+// new one booked (Insert) each step, so the live ids are a window that
+// slides upwards across pages and chunks. two-walk is the same churn as
+// a Get before each Put and each Delete, the pattern Insert and Take
+// replace.
+func BenchmarkInsertTake(b *testing.B) {
+	const live = 4096
+	type booking struct {
+		class       int
+		rate, sigma float64
+	}
+	b.Run("one-walk", func(b *testing.B) {
+		var tb Table[booking]
+		for id := 0; id < live; id++ {
+			tb.Insert(id, booking{rate: 1})
+		}
+		var s float64
+		b.ResetTimer()
+		for id := live; id < live+b.N; id++ {
+			v, _ := tb.Take(id - live)
+			s += v.rate
+			if _, ok := tb.Insert(id, booking{rate: 1}); !ok {
+				b.Fatal("a fresh id was refused")
+			}
+		}
+		benchSink = s
+	})
+	b.Run("two-walk", func(b *testing.B) {
+		var tb Table[booking]
+		for id := 0; id < live; id++ {
+			tb.Put(id, booking{rate: 1})
+		}
+		var s float64
+		b.ResetTimer()
+		for id := live; id < live+b.N; id++ {
+			if v := tb.Get(id - live); v != nil {
+				s += v.rate
+				tb.Delete(id - live)
+			}
+			if tb.Get(id) != nil {
+				b.Fatal("a fresh id was present")
+			}
+			tb.Put(id, booking{rate: 1})
+		}
+		benchSink = s
+	})
+}

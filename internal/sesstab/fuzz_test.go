@@ -10,8 +10,8 @@ type fuzzVal struct {
 	k      float64
 }
 
-// FuzzTable plays byte scripts of Put/Get/Delete/Len/Range against a
-// map[int]fuzzVal reference. Ids come from the shapes a switch sees: a
+// FuzzTable plays byte scripts of Put/Insert/Get/Delete/Take/Len/Range
+// against a map[int]fuzzVal reference. Ids come from the shapes a switch sees: a
 // window that slides or jumps upwards (retiring the ids it leaves
 // behind, one in sixteen staying on as a long-lived straggler), ids
 // behind the window (where the stragglers are), and far outliers. The
@@ -42,6 +42,15 @@ func FuzzTable(f *testing.F) {
 	}
 	creep = append(creep, 6, 0, 7, 255, 0, 1, 3, 128, 6, 0, 4, 128, 6, 0)
 	f.Add(creep)
+	// Insert on a live id keeps its state and reports false; Insert
+	// after a Delete or a Take goes in.
+	f.Add([]byte{0, 3, 8, 3, 3, 3, 8, 4, 8, 4, 4, 3, 8, 3, 9, 4, 8, 4, 6, 0})
+	// Take of absent ids: one never put, one taken already, one in a
+	// page the directory lacks, and one far outside it.
+	f.Add([]byte{9, 7, 0, 7, 9, 7, 9, 7, 9, 40, 9, 192, 3, 7, 6, 0})
+	// Take empties a page and then a chunk (an outlier alone in its
+	// own), and the next Inserts take the spares.
+	f.Add([]byte{8, 1, 8, 192, 9, 192, 6, 0, 8, 193, 3, 193, 9, 193, 8, 194, 9, 1, 6, 0, 8, 17, 9, 17, 8, 18, 6, 0})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 1024 {
 			script = script[:1024]
@@ -64,7 +73,7 @@ func FuzzTable(f *testing.F) {
 			return window + int(a&127)
 		}
 		for i := 0; i+1 < len(script); i += 2 {
-			op, a := script[i]%8, script[i+1]
+			op, a := script[i]%10, script[i+1]
 			id := pick(a)
 			switch op {
 			case 0, 1, 2:
@@ -87,6 +96,30 @@ func FuzzTable(f *testing.F) {
 				}
 			case 4, 5:
 				tb.Delete(id)
+				delete(ref, id)
+				lay.deleted(id)
+			case 8:
+				serial++
+				v := fuzzVal{serial: serial, k: float64(id)}
+				p, ok := tb.Insert(id, v)
+				want, live := ref[id]
+				if ok == live {
+					t.Fatalf("step %d: Insert(%d) = %v with the id present=%v", i/2, id, ok, live)
+				}
+				if !live {
+					want = v
+				}
+				if *p != want {
+					t.Fatalf("step %d: Insert(%d) returned a slot holding %+v, want %+v", i/2, id, *p, want)
+				}
+				ref[id] = want
+				lay.put(t, id, p)
+			case 9:
+				v, ok := tb.Take(id)
+				want, live := ref[id]
+				if ok != live || v != want {
+					t.Fatalf("step %d: Take(%d) = %+v, %v; reference %+v present=%v", i/2, id, v, ok, want, live)
+				}
 				delete(ref, id)
 				lay.deleted(id)
 			case 6:

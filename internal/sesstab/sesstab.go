@@ -30,9 +30,14 @@
 // sequence) or be bounded where they enter the program (config.Validate
 // refuses a document id above 1<<24, half a megabyte of directory).
 //
+// Get, Put and Delete are the map's operations; Insert (put unless
+// present) and Take (get and delete) do in one walk what a Get before a
+// Put or a Delete would do in two, which is what booking a call and
+// releasing it are.
+//
 // The table stores states by value, in pages that never move: a pointer
-// returned by Get or Put stays valid, and keeps addressing that id's
-// state, until the id is deleted.
+// returned by Get, Put or Insert stays valid, and keeps addressing that
+// id's state, until the id is deleted.
 package sesstab
 
 import (
@@ -95,10 +100,40 @@ func (t *Table[T]) Get(id int) *T {
 // Put inserts (or replaces) the state for id and returns its slot.
 // IDs must be nonnegative.
 func (t *Table[T]) Put(id int, v T) *T {
+	s, _ := t.place(id)
+	*s = v
+	return s
+}
+
+// Insert puts v for id unless id is present, in one walk: it returns
+// id's slot and whether v went in. A present id keeps its state. IDs
+// must be nonnegative.
+func (t *Table[T]) Insert(id int, v T) (*T, bool) {
+	s, fresh := t.place(id)
+	if fresh {
+		*s = v
+	}
+	return s, fresh
+}
+
+// place returns id's slot, marking it present; fresh reports that it
+// was absent, its slot zero. A chunk the directory holds is reached
+// directly, chunkFor only stretches the directory or fills a gap.
+func (t *Table[T]) place(id int) (s *T, fresh bool) {
 	if id < 0 {
 		panic(fmt.Sprintf("sesstab: negative session id %d", id))
 	}
-	c, j := t.chunkFor(id>>(pageBits+chunkBits)), id>>pageBits&chunkMask
+	cn := id >> (pageBits + chunkBits)
+	var c *chunk[T]
+	if i := cn - t.base; uint(i) < uint(len(t.dir)) && t.dir[i] != nil {
+		c = t.dir[i]
+	} else {
+		c = t.chunkFor(cn)
+	}
+	j, bit := id>>pageBits&chunkMask, uint16(1)<<(id&pageMask)
+	if c.occ[j]&bit != 0 {
+		return &c.pages[j][id&pageMask], false
+	}
 	if c.pages[j] == nil {
 		if sp := t.spare; sp != nil && sp.page != nil {
 			c.pages[j], sp.page = sp.page, nil
@@ -106,13 +141,9 @@ func (t *Table[T]) Put(id int, v T) *T {
 			c.pages[j] = new([pageSize]T)
 		}
 	}
-	if bit := uint16(1) << (id & pageMask); c.occ[j]&bit == 0 {
-		c.occ[j] |= bit
-		t.n++
-	}
-	s := &c.pages[j][id&pageMask]
-	*s = v
-	return s
+	c.occ[j] |= bit
+	t.n++
+	return &c.pages[j][id&pageMask], true
 }
 
 // chunkFor returns the chunk numbered cn, stretching the directory to
@@ -148,10 +179,24 @@ func (t *Table[T]) chunkFor(cn int) *chunk[T] {
 // Delete removes the state for id, zeroing its slot so freed state does
 // not pin memory. Deleting an absent id is a no-op.
 func (t *Table[T]) Delete(id int) {
-	s := t.Get(id)
-	if s == nil {
-		return
+	if s := t.Get(id); s != nil {
+		t.remove(id, s)
 	}
+}
+
+// Take removes the state for id and returns it, in one walk; ok is
+// false, and v zero, when id is absent.
+func (t *Table[T]) Take(id int) (v T, ok bool) {
+	if s := t.Get(id); s != nil {
+		v = *s
+		t.remove(id, s)
+		return v, true
+	}
+	return v, false
+}
+
+// remove is Delete's and Take's tail: s is present id's slot.
+func (t *Table[T]) remove(id int, s *T) {
 	var zero T
 	*s = zero
 	t.n--
@@ -184,8 +229,8 @@ func (t *Table[T]) Delete(id int) {
 func (t *Table[T]) Len() int { return t.n }
 
 // Range calls f for every present session in increasing ID order —
-// a deterministic iteration order, unlike a map's. f must not Put or
-// Delete.
+// a deterministic iteration order, unlike a map's. f must not Put,
+// Insert, Delete or Take.
 func (t *Table[T]) Range(f func(id int, v *T)) {
 	for i, c := range t.dir {
 		if c == nil {

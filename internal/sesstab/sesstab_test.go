@@ -134,10 +134,11 @@ func TestGetAllocationFree(t *testing.T) {
 
 var benchSink float64
 
-// TestBoundaryChurnReuses: an id put and deleted alone in its page and
-// chunk, as the next call beside a full window of standing calls is,
-// allocates nothing once warm, and a window sliding across 16 chunk
-// boundaries runs on the chunks it started with plus the spare.
+// TestBoundaryChurnReuses: an id put and deleted (or inserted and
+// taken) alone in its page and chunk, as the next call beside a full
+// window of standing calls is, allocates nothing once warm, and a window
+// sliding across 16 chunk boundaries runs on the chunks it started with
+// plus the spare.
 func TestBoundaryChurnReuses(t *testing.T) {
 	var tb Table[state]
 	for id := 0; id < 256; id++ {
@@ -151,6 +152,13 @@ func TestBoundaryChurnReuses(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("a lone id beside a full chunk allocates %v per put and delete", n)
 	}
+	if n := testing.AllocsPerRun(1000, func() {
+		tb.Insert(id, state{})
+		tb.Take(id)
+		id++
+	}); n != 0 {
+		t.Errorf("a lone id beside a full chunk allocates %v per insert and take", n)
+	}
 	var win Table[state]
 	const live = 300 // two or three chunks
 	for id := 0; id < live; id++ {
@@ -158,8 +166,13 @@ func TestBoundaryChurnReuses(t *testing.T) {
 	}
 	seen := map[*chunk[state]]bool{}
 	for next := live; next < live+16*256; next++ {
-		win.Put(next, state{})
-		win.Delete(next - live)
+		if next%2 == 0 {
+			win.Put(next, state{})
+			win.Delete(next - live)
+		} else {
+			win.Insert(next, state{})
+			win.Take(next - live)
+		}
 		for _, c := range win.dir {
 			seen[c] = true
 		}

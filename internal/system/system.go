@@ -49,7 +49,7 @@ func (c Config) Check(name string, capacity, gamma float64, reqs ...ConnectReque
 		return err
 	}
 	for _, req := range reqs {
-		r, err := c.resolve(req)
+		r, err := c.resolve(&req)
 		if err != nil {
 			return err
 		}
@@ -93,7 +93,7 @@ func (c Config) controller(name string, capacity, gamma float64) (admission.Cont
 // resolve applies the request's defaults and checks it against the
 // network: the part of Connect's validation that precedes the
 // per-server admission tests.
-func (c Config) resolve(req ConnectRequest) (admission.Request, error) {
+func (c *Config) resolve(req *ConnectRequest) (admission.Request, error) {
 	if req.Rate <= 0 {
 		return admission.Request{}, fmt.Errorf("lit: rate must be positive")
 	}
@@ -173,8 +173,8 @@ type call struct {
 }
 
 // same reports whether a request over route is the memo's call.
-func (c *call) same(req admission.Request, route []*Server) bool {
-	if c.b == nil || c.req != req || len(c.servers) != len(route) {
+func (c *call) same(req *admission.Request, route []*Server) bool {
+	if c.b == nil || c.req != *req || len(c.servers) != len(route) {
 		return false
 	}
 	for i, srv := range route {
@@ -289,7 +289,7 @@ func (srv *Server) Admission() admission.Controller { return srv.ctrl }
 
 // Request is the admission request Connect makes of every server of the
 // route for req: its defaults applied and its declaration checked.
-func (s *System) Request(req ConnectRequest) (admission.Request, error) { return s.cfg.resolve(req) }
+func (s *System) Request(req ConnectRequest) (admission.Request, error) { return s.cfg.resolve(&req) }
 
 // ConnectRequest describes a connection to establish.
 type ConnectRequest struct {
@@ -342,12 +342,12 @@ func (s *System) Connect(req ConnectRequest) (*network.Session, *Bounds, error) 
 	if len(req.Route) == 0 {
 		return nil, nil, fmt.Errorf("lit: empty route")
 	}
-	areq, rerr := s.cfg.resolve(req)
+	areq, rerr := s.cfg.resolve(&req)
 	memo := &s.last[min(max(req.Class, 1), len(s.last))-1]
-	if rerr == nil && memo.same(areq, req.Route) {
+	if rerr == nil && memo.same(&areq, req.Route) {
 		s.nextID++
 		areq.Spec.ID = s.nextID
-		if err := admission.Reserve(memo.path, areq, nil); err != nil {
+		if err := admission.Reserve(memo.path, &areq, nil); err != nil {
 			return nil, nil, fmt.Errorf("lit: %w", err)
 		}
 		return s.Net.AddSession(areq.Spec.ID, req.Rate, req.JitterControl, memo.ports, memo.cfgs, req.Source), memo.b, nil
