@@ -121,7 +121,7 @@ func Reserve(path []Link, req *Request, assigns []Assignment) error {
 	for i, l := range path {
 		var err error
 		if p, ok := l.Ctrl.(*ClassController); ok && valid {
-			err = p.reserve(&req.Spec, req.Class, req.Opts, true)
+			err = p.admit(nil, []SessionSpec{req.Spec}, req.Class, req.Opts, true)
 		} else {
 			var a Assignment
 			if a, err = l.Ctrl.Admit(req.Spec, req.Class, req.Opts); err == nil && assigns != nil {

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"leaveintime/internal/calculus"
 	"leaveintime/internal/rng"
 )
 
@@ -535,6 +536,60 @@ func TestDuplicateSessionID(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestRefusalWritesNoSum: in the daemon's shape — 45 voice calls in
+// the one class of a T1 controller behind a curve gate — a T1-rate
+// candidate refused by Admit, by AdmitClass and by Reserve's memo hit
+// leaves every class sum the run it was (45 terms of one rate, no
+// partials), the id table at 45 and the gate as it stood. The rules
+// read the totals plus the candidate; a refusal never writes a sum.
+func TestRefusalWritesNoSum(t *testing.T) {
+	const t1, voice, cell = 1536e3, 32e3, 424.0
+	ctl, err := NewClassController(0, t1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := NewCurveGate(calculus.FCFSServer{C: t1, LMax: cell}, 0)
+	for id := 1; id <= 45; id++ {
+		if _, ok := ctl.AdmitClass(gate, []SessionSpec{{ID: id, Rate: voice, LMax: cell, LMin: cell}}, 1, Options{}); !ok {
+			t.Fatalf("voice call %d refused", id)
+		}
+	}
+	rate, burst, delay := gate.rate, gate.burst, gate.lastDelay
+	big := SessionSpec{ID: 100, Rate: t1, LMax: cell, LMin: cell}
+	unchanged := func(how string) {
+		t.Helper()
+		for m, sum := range ctl.sums {
+			for _, s := range []*exactSum{&sum.rate, &sum.sigma} {
+				if s.count != 45 || s.n != 0 {
+					t.Fatalf("after the refusal by %s, class %d's sum holds a run of %d and %d partials, want a run of 45",
+						how, m+1, s.count, s.n)
+				}
+			}
+		}
+		if n := ctl.live.Len(); n != 45 {
+			t.Fatalf("after the refusal by %s, %d ids live, want 45", how, n)
+		}
+		if gate.rate != rate || gate.burst != burst || gate.lastDelay != delay {
+			t.Fatalf("after the refusal by %s, the gate holds (%g, %g, %g), want (%g, %g, %g)",
+				how, gate.rate, gate.burst, gate.lastDelay, rate, burst, delay)
+		}
+	}
+	var rej *RejectError
+	if _, err := ctl.Admit(big, 1, Options{}); !errors.As(err, &rej) || rej.Need != 45*voice+t1 {
+		t.Fatalf("Admit of a T1-rate call: %v (%+v), want a rule 1 refusal needing %g", err, rej, 45*voice+t1)
+	}
+	unchanged("Admit")
+	if _, ok := ctl.AdmitClass(gate, []SessionSpec{big}, 1, Options{}); ok {
+		t.Fatal("AdmitClass accepted a T1-rate call")
+	}
+	unchanged("AdmitClass")
+	req := Request{Spec: big, Class: 1}
+	if err := Reserve([]Link{{Name: "t1", Ctrl: ctl, C: t1}}, &req, nil); !errors.Is(err, ErrRejected) {
+		t.Fatalf("Reserve of a T1-rate call: %v, want a refusal", err)
+	}
+	unchanged("Reserve")
 }
 
 // TestRejectErrorCarriesItsNumbers: a rule refusal is a *RejectError

@@ -19,14 +19,18 @@ import "math"
 type exactSum struct {
 	// u and count are the run; count is 0 outside one. A run starts only
 	// in an empty sum, from a term in [runMin, runMax] in magnitude, where
-	// count·u splits into two floats without underflow or overflow.
+	// count·u splits into two floats without underflow or overflow. u is
+	// NaN while the sum holds partials, so whenever u is a number the sum
+	// is exactly count·u (0·u once a run has emptied, 0·0 in a new sum),
+	// and two sums whose u compare equal add up to one multiply (plus).
 	u     float64
 	count int
 	n     int
-	// head backs the partials until a fifth is needed. A sum of reserved
-	// rates or of L_MAX/C values spans few binades and rarely needs more
-	// than two; keeping them in the controller's own allocation is what
-	// keeps a small set-up as cheap as appending to a slice was.
+	// head backs the partials until another term comes with all four in
+	// use. A sum of reserved rates or of L_MAX/C values spans few binades
+	// and rarely needs more than two; keeping them in the controller's
+	// own allocation is what keeps a small set-up as cheap as appending
+	// to a slice was.
 	head  [4]float64
 	spill []float64
 }
@@ -56,14 +60,24 @@ func (s *exactSum) add(x float64) {
 }
 
 // sub takes x back out of the sum: add(-x). Taking back u, as a
-// controller's unbooking does, is a count inlined into its loop, as
-// adding u is.
+// controller's Remove does, is a count inlined into its loop, as adding
+// u is.
 func (s *exactSum) sub(x float64) {
 	if s.count != 0 && x == s.u {
 		s.count--
 		return
 	}
 	s.expand(-x)
+}
+
+// one makes the empty sum s the sum of the one term x (finite, nonzero)
+// without expand's call: a run, or one partial outside the run's range.
+func (s *exactSum) one(x float64) {
+	if a := math.Abs(x); a >= runMin && a <= runMax {
+		s.u, s.count = x, 1
+	} else {
+		s.u, s.head[0], s.n = math.NaN(), x, 1
+	}
 }
 
 // expand is add for a term the inlined counts do not take: ±u in a run,
@@ -79,12 +93,29 @@ func (s *exactSum) expand(x float64) {
 			s.count--
 			return
 		}
-		s.leaveRun()
+		// Leave the run: it becomes the expansion's first partials.
+		s.n = len(s.appendTerms(s.head[:0]))
+		s.spill, s.count = nil, 0
 	} else if a := math.Abs(x); s.n == 0 && a >= runMin && a <= runMax {
 		s.u, s.count = x, 1
 		return
 	}
+	s.u = math.NaN()
+	// In place while the backing array has room for one more partial;
+	// past it the partials move to a new array, which from then on is
+	// the spill. (Storing grow's result instead would tell the compiler
+	// the sum may point into itself and move every sum to the heap.)
 	p := s.partials()
+	if len(p) == cap(p) {
+		s.spill = append(make([]float64, 0, 2*len(p)), p...)
+		p = s.spill
+	}
+	s.n = len(grow(p, x))
+}
+
+// grow adds x to the expansion p, one error-free two-sum per partial,
+// and returns the result in p's backing array while it has room.
+func grow(p []float64, x float64) []float64 {
 	i := 0
 	for _, y := range p {
 		if math.Abs(x) < math.Abs(y) {
@@ -98,29 +129,24 @@ func (s *exactSum) expand(x float64) {
 		x = hi
 	}
 	if x != 0 {
-		// In place while the backing array has room; past it the partials
-		// move to a new array, which from then on is the spill.
-		if q := append(p[:i], x); i == cap(p) {
-			s.spill = q
-		}
-		i++
+		return append(p[:i], x)
 	}
-	s.n = i
+	return p[:i]
 }
 
-// leaveRun writes the run as the expansion's first partials: the
-// rounded product and what the rounding dropped, smaller first.
-func (s *exactSum) leaveRun() {
+// appendTerms appends the sum as an expansion to p: a run as the
+// rounded product and what the rounding dropped, smaller first, or the
+// partials.
+func (s *exactSum) appendTerms(p []float64) []float64 {
+	if s.count == 0 {
+		return append(p, s.partials()...)
+	}
 	c := float64(s.count)
 	hi := c * s.u
-	lo := math.FMA(c, s.u, -hi)
-	s.spill, s.count, s.n = nil, 0, 0
-	if lo != 0 {
-		s.head[0] = lo
-		s.n = 1
+	if lo := math.FMA(c, s.u, -hi); lo != 0 {
+		p = append(p, lo)
 	}
-	s.head[s.n] = hi
-	s.n++
+	return append(p, hi)
 }
 
 // value reads the sum back correctly rounded (to nearest, ties to
@@ -129,12 +155,34 @@ func (s *exactSum) value() float64 {
 	if s.count != 0 {
 		return float64(s.count) * s.u
 	}
-	return s.round()
+	return round(s.partials())
 }
 
-// round is value for the expansion.
-func (s *exactSum) round() float64 {
-	p := s.partials()
+// plus reads s + t back correctly rounded, the value s would read with
+// t's terms added, and writes neither: the rules compare what a class
+// would hold with the candidate without booking it. Two runs of one u
+// are one multiply, inlined into the rules; otherwise merge.
+func (s *exactSum) plus(t *exactSum) float64 {
+	if s.u == t.u {
+		return float64(s.count+t.count) * s.u
+	}
+	return s.merge(t)
+}
+
+// merge is plus for sums that are not runs of one u: both are written
+// as expansions into arrays on the stack, the first grows by the
+// second's partials, and the result is rounded once.
+func (s *exactSum) merge(t *exactSum) float64 {
+	var sb, tb [8]float64
+	p := s.appendTerms(sb[:0])
+	for _, x := range t.appendTerms(tb[:0]) {
+		p = grow(p, x)
+	}
+	return round(p)
+}
+
+// round reads the expansion p back correctly rounded.
+func round(p []float64) float64 {
 	n := len(p)
 	if n == 0 {
 		return 0

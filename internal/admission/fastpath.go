@@ -1,19 +1,18 @@
 package admission
 
-import (
-	"leaveintime/internal/calculus"
-	"leaveintime/internal/metrics"
-)
+import "leaveintime/internal/calculus"
 
 // This file is batch admission: a whole batch of sessions destined for
-// one delay class is accepted or declined as one. It is the same
-// arithmetic as Admit — book the candidates into the controller's exact
-// running sums, read the rules off the totals, unbook on a refusal — so
-// it costs O(batch * classes), and because the totals are the exact sums
-// of whatever is booked, a batch is accepted exactly when admitting its
-// members one at a time, in any order, accepts them all. On a decline
-// nothing is committed; per-session Admit gives partial acceptance and
-// the *RejectError that says which rule and class ran out.
+// one delay class is accepted or declined as one. It is the decision
+// Admit makes, for more than one member: the rules compare the
+// controller's exact running sums plus the batch's exact totals with
+// each class's budget, and only an accepted batch is added to the sums.
+// So it costs O(batch * classes), and because every side of a rule is
+// an exact total read with one rounding, a batch is accepted exactly
+// when admitting its members one at a time, in any order, accepts them
+// all. On a decline nothing is committed; per-session Admit gives
+// partial acceptance and the *RejectError that says which rule and
+// class ran out.
 //
 // A CurveGate can be layered on top: it tracks the aggregate
 // token-bucket arrival curve of everything committed at the port and
@@ -22,44 +21,22 @@ import (
 // the rule-based procedures do not see. All gate operations are
 // allocation-free after warm-up.
 
-// AdmitClass admits the whole batch into class j by one rule evaluation
-// (and the optional curve gate). On success every session is committed
-// and the assignments are returned in batch order — identical, member
-// for member, to what sequential Admit calls would have produced. On
-// failure (ok = false) the controller and gate are untouched: a rule or
-// the gate refused, a declaration is malformed, or an id is already live
-// or appears twice in the batch.
+// AdmitClass admits the whole batch into class j by the controller's
+// one admission decision, with the optional curve gate after the rules.
+// On success every session is committed and the assignments are
+// returned in batch order — identical, member for member, to what
+// sequential Admit calls would have produced. On failure (ok = false)
+// the controller and gate are untouched: a rule or the gate refused, a
+// declaration is malformed, the batch is empty, or an id is already
+// live or appears twice in the batch. Like Admit, it counts one
+// ProcRejected per refusal and one ProcAccepted per member admitted.
 func (p *ClassController) AdmitClass(gate *CurveGate, batch []SessionSpec, j int, opts Options) ([]Assignment, bool) {
-	if len(batch) == 0 || p.checkClass(j, opts) != nil {
-		return nil, false
-	}
-	booked := 0
-	for i := range batch {
-		if batch[i].validate() != nil || !p.book(&batch[i], j) {
-			break
-		}
-		booked++
-	}
-	ok := booked == len(batch)
-	if ok {
-		_, rule := p.rules(j)
-		ok = rule == 0
-	}
-	if ok && gate != nil {
-		ok = gate.tryCommit(gateLoad(batch))
-	}
-	if !ok {
-		for _, spec := range batch[:booked] {
-			p.Remove(spec.ID)
-		}
+	if p.admit(gate, batch, j, opts, false) != nil {
 		return nil, false
 	}
 	out := make([]Assignment, len(batch))
 	for i, spec := range batch {
 		out[i] = p.assignment(spec, j, opts)
-		if p.ma != nil {
-			p.ma.Inc(p.mb + metrics.ProcAccepted)
-		}
 	}
 	return out, true
 }
@@ -119,16 +96,6 @@ func (g *CurveGate) Try(rate, burst float64) (float64, bool) {
 	}
 	g.lastDelay = d
 	return d, true
-}
-
-// tryCommit is Try followed by Commit on success.
-func (g *CurveGate) tryCommit(rate, burst float64) bool {
-	if _, ok := g.Try(rate, burst); !ok {
-		return false
-	}
-	g.rate += rate
-	g.burst += burst
-	return true
 }
 
 // Commit folds a batch previously accepted by Try into the committed

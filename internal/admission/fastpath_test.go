@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"leaveintime/internal/calculus"
+	"leaveintime/internal/metrics"
 )
 
 func fastClasses(c float64) []Class {
@@ -99,12 +100,23 @@ func TestAdmitClassMatchesSequential(t *testing.T) {
 
 // TestAdmitClassDecline: overloading batches must be declined with the
 // controller state untouched, and the per-session fallback must then
-// behave exactly as if the batch attempt never happened.
+// behave exactly as if the batch attempt never happened. Every refusal,
+// of a batch or of one Admit, counts one rejection, and an admitted
+// batch counts each member it admits.
 func TestAdmitClassDecline(t *testing.T) {
 	const c = 1.536e6
 	p, err := NewProcedure1(c, fastClasses(c))
 	if err != nil {
 		t.Fatal(err)
+	}
+	reg := metrics.NewRegistry()
+	p.SetMetrics(reg.Arena())
+	counted := func(step string, accepted, rejected int64) {
+		t.Helper()
+		want := metrics.ProcOutcome{Accepted: accepted, Rejected: rejected}
+		if got := reg.AdmissionCounters().AC1; got != want {
+			t.Fatalf("%s: counters %+v, want %+v", step, got, want)
+		}
 	}
 	// Class 1 holds 0.3*C: three sessions at 0.2*C cannot batch in.
 	batch := []SessionSpec{
@@ -118,6 +130,7 @@ func TestAdmitClassDecline(t *testing.T) {
 	if p.TotalRate() != 0 {
 		t.Fatalf("decline leaked state: total rate %g", p.TotalRate())
 	}
+	counted("declined batch", 0, 1)
 	// Fallback admits the prefix that fits.
 	okCount := 0
 	for _, spec := range batch {
@@ -128,6 +141,7 @@ func TestAdmitClassDecline(t *testing.T) {
 	if okCount != 1 {
 		t.Fatalf("fallback admitted %d of 3, want 1 (0.2C each into a 0.3C class)", okCount)
 	}
+	counted("fallback", 1, 3)
 	// Empty batches and bad classes decline without panicking.
 	if _, ok := p.AdmitClass(nil, nil, 1, Options{}); ok {
 		t.Fatal("empty batch accepted")
@@ -135,6 +149,11 @@ func TestAdmitClassDecline(t *testing.T) {
 	if _, ok := p.AdmitClass(nil, batch[:1], 9, Options{}); ok {
 		t.Fatal("out-of-range class accepted")
 	}
+	counted("empty batch and bad class", 1, 5)
+	if _, ok := p.AdmitClass(nil, batch[1:], 3, Options{}); !ok {
+		t.Fatal("two 0.2C sessions refused by class 3")
+	}
+	counted("admitted batch", 3, 5)
 }
 
 // TestCurveGateBudget: the gate declines a batch whose analytic FIFO

@@ -92,7 +92,7 @@ var ErrRejected = errors.New("admission rejected")
 // it: the rule that failed (1 is the cumulative rate test x.1, 2 the
 // cumulative L_MAX/C test x.2), the class m it failed at, and the two
 // sides of the failed inequality. Need is what classes 1..m would hold
-// with the candidate booked (bits/s, or seconds of L_MAX/C), correctly
+// with the candidate added (bits/s, or seconds of L_MAX/C), correctly
 // rounded from the exact sum; Have is the class's budget R_m or sigma_m.
 // It wraps ErrRejected.
 type RejectError struct {
@@ -219,7 +219,7 @@ type ClassController struct {
 
 // booking is what one live session added to the sums of its class and
 // of every class above it. sigma is L_MAX/C as rounded when it was
-// booked, so that Remove takes back the very floats book put in.
+// admitted, so that Remove takes back the very floats admit put in.
 type booking struct {
 	class       int // 1-based
 	rate, sigma float64
@@ -333,7 +333,7 @@ func (p *ClassController) Check(spec SessionSpec, class int, opts Options) error
 	return p.checkClass(class, opts)
 }
 
-// checkClass is the part of Check that AdmitClass runs once per batch.
+// checkClass is the part of Check that admit runs once per batch.
 func (p *ClassController) checkClass(class int, opts Options) error {
 	if class < 1 || class > len(p.Classes) {
 		return fmt.Errorf("admission: class %d out of range 1..%d", class, len(p.Classes))
@@ -350,99 +350,106 @@ func (p *ClassController) checkClass(class int, opts Options) error {
 // *RejectError; admitting an id that is still live is a caller's bug and
 // gets a plain error, not a capacity verdict.
 func (p *ClassController) Admit(spec SessionSpec, j int, opts Options) (Assignment, error) {
-	if err := p.reserve(&spec, j, opts, false); err != nil {
+	if err := p.admit(nil, []SessionSpec{spec}, j, opts, false); err != nil {
 		return Assignment{}, err
 	}
 	return p.assignment(spec, j, opts), nil
 }
 
-// reserve is Admit without the grant, for a caller that holds the
-// session's d already (Reserve): the tests, the booking and the
-// counters. valid says the caller has validated spec already, so only
-// the class and eps are checked here.
-func (p *ClassController) reserve(spec *SessionSpec, j int, opts Options, valid bool) error {
-	var err error
-	if !valid {
-		err = spec.validate()
+// admit is the controller's one admission decision, for a batch of
+// sessions into class j: Admit is a batch of one, Reserve's memo hit a
+// batch of one whose declaration it has validated (valid), AdmitClass a
+// batch with an optional curve gate. It checks the class and validates
+// the members (unless valid), then enters each in the id table: a live
+// id, or one repeated in the batch, refuses before any rule runs. It
+// runs the rules on the class totals plus the batch's, then the gate,
+// and only on acceptance adds the members to the sums. A refusal has
+// written no sum. It counts one ProcRejected per refusal and one
+// ProcAccepted per member admitted.
+func (p *ClassController) admit(gate *CurveGate, batch []SessionSpec, j int, opts Options, valid bool) error {
+	if err := p.checkClass(j, opts); err != nil {
+		return p.refuse(err, nil)
 	}
-	if err == nil {
-		err = p.admit(spec, j, opts)
+	if len(batch) == 0 {
+		return p.refuse(errors.New("admission: empty batch"), nil)
 	}
-	if p.ma != nil {
-		if err != nil {
-			p.ma.Inc(p.mb + metrics.ProcRejected)
-		} else {
-			p.ma.Inc(p.mb + metrics.ProcAccepted)
+	for i := 0; i < len(batch) && !valid; i++ {
+		if err := batch[i].validate(); err != nil {
+			return p.refuse(err, nil)
 		}
 	}
-	return err
-}
-
-// admit is reserve for a valid declaration: the class check, the
-// booking and the rules, unbooking on a refusal.
-func (p *ClassController) admit(spec *SessionSpec, j int, opts Options) error {
-	if err := p.checkClass(j, opts); err != nil {
-		return err
+	var cand classSums
+	for i := range batch {
+		b, ok := p.live.Insert(batch[i].ID, booking{class: j, rate: batch[i].Rate, sigma: batch[i].LMax / p.C})
+		if !ok {
+			return p.refuse(errDuplicate(batch[i].ID), batch[:i])
+		}
+		if i == 0 {
+			cand.rate.one(b.rate)
+			cand.sigma.one(b.sigma)
+		} else {
+			cand.rate.add(b.rate)
+			cand.sigma.add(b.sigma)
+		}
 	}
-	if !p.book(spec, j) {
-		return errDuplicate(spec.ID)
+	if e := p.rules(j, &cand); e != nil {
+		return p.refuse(e, batch)
 	}
-	if m, rule := p.rules(j); rule != 0 {
-		err := p.reject(m, rule) // read off the sums with the candidate booked
-		p.Remove(spec.ID)
-		return err
+	if gate != nil {
+		if _, ok := gate.Try(gateLoad(batch)); !ok {
+			return p.refuse(ErrRejected, batch)
+		}
+		gate.Commit(gateLoad(batch))
+	}
+	for i := range batch {
+		rate, sigma := batch[i].Rate, batch[i].LMax/p.C
+		for m := j - 1; m < len(p.sums); m++ {
+			p.sums[m].rate.add(rate)
+			p.sums[m].sigma.add(sigma)
+		}
+	}
+	if p.ma != nil {
+		p.ma.AddUint(p.mb+metrics.ProcAccepted, uint64(len(batch)))
 	}
 	return nil
 }
 
-// book enters the session into class j: the id table, and the sums of
-// classes j..P. It reports false, changing nothing, if the id is live.
-// Admit and AdmitClass book their candidate first and read the rules off
-// the totals the controller then holds; Remove is the unbooking.
-func (p *ClassController) book(spec *SessionSpec, j int) bool {
-	b, ok := p.live.Insert(spec.ID, booking{class: j, rate: spec.Rate, sigma: spec.LMax / p.C})
-	if !ok {
-		return false
+// refuse takes the members admit entered back out of the id table,
+// which is all it has written for them, counts the refusal and returns
+// it.
+func (p *ClassController) refuse(err error, entered []SessionSpec) error {
+	for i := range entered {
+		p.live.Delete(entered[i].ID)
 	}
-	for m := j - 1; m < len(p.sums); m++ {
-		p.sums[m].rate.add(b.rate)
-		p.sums[m].sigma.add(b.sigma)
+	if p.ma != nil {
+		p.ma.Inc(p.mb + metrics.ProcRejected)
 	}
-	return true
+	return err
 }
 
-// rules runs the additive tests for whatever was last booked into class
-// j, one session or a batch: for each class m from j up, the cumulative
-// rate through m against R_m (rule x.1), then the cumulative L_MAX/C
-// against sigma_m (rule x.2; procedure 1 exempts class P). The sums are
-// exact and read back with one monotone rounding, so a set of sessions
+// rules runs the additive tests of a candidate for class j, one session
+// or a batch, whose rates and L_MAX/C values add up to cand: for each
+// class m from j up, the rate committed to classes 1..m plus the
+// candidate's against R_m (rule x.1), then the same for L_MAX/C against
+// sigma_m (rule x.2; procedure 1 exempts class P). Each side is the
+// exact total read with one monotone rounding, so a set of sessions
 // passes as a batch if and only if it passes one session at a time, in
-// any order. It returns the class and the rule of the first test that
-// fails, rule 0 when all pass.
-func (p *ClassController) rules(j int) (m, rule int) {
+// any order. It returns the refusal of the first test that fails, with
+// the value it compared as Need, or nil.
+func (p *ClassController) rules(j int, cand *classSums) *RejectError {
 	P := len(p.Classes)
-	for m = j; m <= P; m++ {
+	for m := j; m <= P; m++ {
 		cl, sum := &p.Classes[m-1], &p.sums[m-1]
-		if sum.rate.value() > cl.R+rateTol(cl.R) {
-			return m, 1
+		if need := sum.rate.plus(&cand.rate); need > cl.R+rateTol(cl.R) {
+			return &RejectError{Proc: p.proc, Rule: 1, Class: m, Need: need, Have: cl.R}
 		}
-		if (m < P || p.proc == 2) && sum.sigma.value() > cl.Sigma+1e-12 {
-			return m, 2
+		if m < P || p.proc == 2 {
+			if need := sum.sigma.plus(&cand.sigma); need > cl.Sigma+1e-12 {
+				return &RejectError{Proc: p.proc, Rule: 2, Class: m, Need: need, Have: cl.Sigma}
+			}
 		}
 	}
-	return 0, 0
-}
-
-// reject is the refusal of rule x.rule at class m, read off the sums
-// while the candidate is still booked.
-func (p *ClassController) reject(m, rule int) *RejectError {
-	e := &RejectError{Proc: p.proc, Rule: rule, Class: m}
-	if cl, sum := p.Classes[m-1], &p.sums[m-1]; rule == 1 {
-		e.Need, e.Have = sum.rate.value(), cl.R
-	} else {
-		e.Need, e.Have = sum.sigma.value(), cl.Sigma
-	}
-	return e
+	return nil
 }
 
 // assignment applies rule 1.3 (R_j, sigma_{j-1}) or rule 2.3

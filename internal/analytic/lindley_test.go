@@ -132,6 +132,13 @@ func SolveLindleyMD1(lambda, service, xMax, step float64) *LindleyMD1 {
 	for i := 1; i < n; i++ {
 		w[i] = (float64(i) - 0.5) * step
 	}
+	// The sweep's two exponentials depend on the grid alone, so they are
+	// taken once: e^{-lambda w_i} and e^{lambda y_i}, y_i = ih - D.
+	expW, expY := make([]float64, n), make([]float64, n)
+	for i := range expW {
+		expW[i] = math.Exp(-lambda * w[i])
+		expY[i] = math.Exp(lambda * (float64(i)*step - service))
+	}
 	next := make([]float64, n)
 	for iter := 0; iter < 20000; iter++ {
 		dG[0] = g[0]
@@ -144,7 +151,7 @@ func SolveLindleyMD1(lambda, service, xMax, step float64) *LindleyMD1 {
 		}
 		sufE[n] = 0
 		for i := n - 1; i >= 0; i-- {
-			sufE[i] = sufE[i+1] + math.Exp(-lambda*w[i])*dG[i]
+			sufE[i] = sufE[i+1] + expW[i]*dG[i]
 		}
 		var maxDiff float64
 		for i := 0; i < n; i++ {
@@ -153,14 +160,14 @@ func SolveLindleyMD1(lambda, service, xMax, step float64) *LindleyMD1 {
 			if y < 0 {
 				// All mass is above y: every bin weighted
 				// e^{-lambda (w_i - y)}.
-				v = math.Exp(lambda*y) * sufE[0]
+				v = expY[i] * sufE[0]
 			} else {
 				// Bins with midpoint <= y count fully; the rest decay.
 				j := int(y/step+0.5) + 1 // first bin with w_i > y
 				if j > n {
 					j = n
 				}
-				v = pre[j] + math.Exp(lambda*y)*sufE[j]
+				v = pre[j] + expY[i]*sufE[j]
 			}
 			if v > 1 {
 				v = 1

@@ -194,8 +194,12 @@ func (p *Port) NoteSignalingLoss(kind string, session, hop int) {
 // not require the session to be drained — queued and in-flight packets
 // are discarded as traced "purge" drops. Admission-level reservations
 // are the caller's concern (release them through the signaling layer
-// or the admission controllers directly).
+// or the admission controllers directly). As with RemoveSession, a
+// handle that is not listed is left alone, and so is every port.
 func (n *Network) DropSession(s *Session) {
+	if !n.listed(s) {
+		return
+	}
 	s.Stop()
 	for _, port := range s.Route {
 		port.PurgeSession(s.ID)

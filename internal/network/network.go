@@ -898,10 +898,11 @@ func (s *Session) send(t, length float64) {
 // packet of a removed session arriving at a port is dropped with cause
 // "purged" when the discipline tracks registration, and a packet
 // finishing a hop with no route panics). Call it a grace period after
-// the source's stop time. A session of another network is left alone,
-// and so is that network.
+// the source's stop time. A handle that is not listed — removed
+// already, its id perhaps added again since, or a session of another
+// network — is left alone, and so is every port.
 func (n *Network) RemoveSession(s *Session) {
-	if s.net != n {
+	if !n.listed(s) {
 		return
 	}
 	for _, port := range s.Route {
@@ -915,13 +916,16 @@ func (n *Network) RemoveSession(s *Session) {
 	n.unregister(s)
 }
 
-// unregister takes s out of the id table and the session list. A listed
+// listed reports whether s is one of n's established sessions. A listed
 // session is the one its id maps to (AddSession refuses a live id), so
-// the list decides and the table is walked once.
+// the list decides and the id table is not walked.
+func (n *Network) listed(s *Session) bool {
+	return s.net == n && int(s.slot) < len(n.sessions) && n.sessions[s.slot] == s
+}
+
+// unregister takes a listed session out of the id table and the session
+// list.
 func (n *Network) unregister(s *Session) {
-	if int(s.slot) >= len(n.sessions) || n.sessions[s.slot] != s {
-		return // already removed
-	}
 	n.sessByID.Delete(s.ID)
 	// Swap-with-last removal: Sessions() order is part of what goldens
 	// pin, so the session moved into the gap is always the last one.

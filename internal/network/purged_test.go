@@ -100,3 +100,45 @@ func TestInFlightTeardownNoPanic(t *testing.T) {
 		})
 	}
 }
+
+// TestStaleHandleIsNoOp: a handle whose session was removed, and whose
+// id was then added again, is no longer listed, so RemoveSession and
+// DropSession on it leave every port alone. The live session keeps its
+// Leave-in-Time state, its place in Sessions() and its packets. It lives
+// here, not beside the in-package network tests, because it drives
+// core.LiT, which imports network.
+func TestStaleHandleIsNoOp(t *testing.T) {
+	sim := event.New()
+	net := network.New(sim, 424)
+	net.SetPoolDebug(true)
+	lit := core.New(core.Config{Capacity: 1536e3, LMax: 424})
+	port := net.NewPort("a", 1536e3, 1e-3, lit)
+	cfg := []network.SessionPort{{Rate: 32e3, LocalDelay: 1e-3, XMin: 1e-3, DMax: 1e-3}}
+	add := func() *network.Session { return net.AddSession(3, 32e3, false, []*network.Port{port}, cfg, nil) }
+	stale := add()
+	net.RemoveSession(stale)
+	live := add()
+	net.RemoveSession(stale)
+	net.DropSession(stale)
+	if !lit.HasSession(3) {
+		t.Fatal("the stale handle's removal took session 3's state out of the LiT port")
+	}
+	if got := net.Sessions(); len(got) != 1 || got[0] != live {
+		t.Fatalf("Sessions() = %v, want only the live session %p", got, live)
+	}
+	sim.Schedule(0, func() { live.InjectAt(sim.Now(), 424) })
+	sim.RunAll()
+	if live.Delivered != 1 {
+		t.Fatalf("live session delivered %d of 1 packet", live.Delivered)
+	}
+	if st := net.PoolStats(); st.Live != 0 || st.Taken != 1 {
+		t.Fatalf("pool after the run: %+v, want one packet taken and released", st)
+	}
+	// Another network's handle is left alone too.
+	other := network.New(event.New(), 424)
+	other.RemoveSession(live)
+	other.DropSession(live)
+	if !lit.HasSession(3) || len(net.Sessions()) != 1 {
+		t.Fatal("another network's RemoveSession or DropSession reached the live session")
+	}
+}
