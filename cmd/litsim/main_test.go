@@ -428,3 +428,41 @@ func TestDocListsExperiments(t *testing.T) {
 		t.Errorf("main.go's experiment list is not the table's; it should read:\n%s", list.String())
 	}
 }
+
+// TestExperimentsGolden: every experiment's text, and the fig7 and fig8
+// telemetry files, are byte-identical to outputs recorded before the
+// figure runners moved onto scenario documents. The `all` run pins each
+// row of the table; the two telemetry files pin the internal counters
+// the text does not print.
+func TestExperimentsGolden(t *testing.T) {
+	stdout, stderr, code := run(t, "-experiment", "all", "-duration", "3", "-seed", "2")
+	if code != 0 {
+		t.Fatalf("-experiment all: exit %d: %s", code, stderr)
+	}
+	compareGolden(t, "all_d3_s2.golden", []byte(stdout))
+	for _, c := range []struct{ experiment, duration, golden string }{
+		{"fig7", "1", "fig7_d1_s1_telemetry.golden"},
+		{"fig8", "2", "fig8_d2_s1_telemetry.golden"},
+	} {
+		file := filepath.Join(t.TempDir(), "telemetry.json")
+		if _, stderr, code := run(t, "-experiment", c.experiment, "-duration", c.duration, "-seed", "1", "-telemetry", file); code != 0 {
+			t.Fatalf("-experiment %s: exit %d: %s", c.experiment, code, stderr)
+		}
+		got, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		compareGolden(t, c.golden, got)
+	}
+}
+
+func compareGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	want, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("output differs from testdata/%s (%d bytes, want %d)", name, len(got), len(want))
+	}
+}
