@@ -1,4 +1,4 @@
-package config
+package config_test
 
 import (
 	"encoding/json"
@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	lit "leaveintime"
+	"leaveintime/internal/config"
 	"leaveintime/internal/scenarios"
 	"leaveintime/internal/system"
 )
@@ -33,25 +34,24 @@ func (b *built) observe(sessions []*lit.Session) {
 
 // TestEntryPointsAgree is the first rung of the equivalence lattice:
 // the Figure 6 tandem with 48 ON-OFF voice sessions (a_OFF = 6.5 ms) on
-// the five-hop route, built through lit.System, through the figure
-// scenarios' Tandem, and as a declarative document, must come out as
-// one network — bit-identical delay, jitter and per-hop buffer bounds,
-// and after 5 simulated seconds bit-identical per-session emitted,
-// delivered and maximum delay. All three lower onto the same System; a
-// difference means an entry point derives something on its own again.
+// the five-hop route, built through lit.System and as a declarative
+// document, must come out as one network — bit-identical delay, jitter
+// and per-hop buffer bounds, and after 5 simulated seconds
+// bit-identical per-session emitted, delivered and maximum delay. Both
+// lower onto the same System; a difference means an entry point derives
+// something on its own again. The figure runners build documents too,
+// and cmd/litsim's goldens pin their outputs.
 func TestEntryPointsAgree(t *testing.T) {
 	const (
 		sessions = 48
 		aOff     = 0.0065
 		duration = 5.0
 		seed     = 7
-		dRef     = scenarios.CellBits / scenarios.VoiceRate
 	)
 	for _, jitter := range []bool{false, true} {
 		t.Run(fmt.Sprintf("jitter=%v", jitter), func(t *testing.T) {
 			views := map[string]*built{
 				"lit.System": viaSystem(t, sessions, aOff, duration, seed, jitter),
-				"Tandem":     viaTandem(sessions, aOff, duration, seed, jitter, dRef),
 				"document":   viaDocument(t, sessions, aOff, duration, seed, jitter),
 			}
 			ref := views["lit.System"]
@@ -137,58 +137,21 @@ func (b *built) record(bd *system.Bounds) {
 	b.bufferBound = append(b.bufferBound, bd.BufferBoundBits)
 }
 
-// viaTandem reads the bounds the way the figure runners do: off the
-// Route that Establish returns, with D_ref_max supplied by the figure.
-func viaTandem(n int, aOff, duration float64, seed uint64, jitter bool, dRef float64) *built {
-	tn := scenarios.NewTandem(scenarios.TandemOptions{})
-	out := &built{portCount: len(tn.Ports)}
-	r := lit.NewRand(seed)
-	for s := 0; s < n; s++ {
-		_, b := tn.Establish(scenarios.SessionDef{
-			Entrance: 1, Exit: scenarios.NumNodes, Rate: scenarios.VoiceRate,
-			JitterCtrl: jitter, Src: scenarios.NewOnOff(aOff, r.Split()),
-		})
-		rt := b.Route
-		out.bounds = append(out.bounds, b)
-		out.delayBound = append(out.delayBound, rt.DelayBound(dRef))
-		var buf []float64
-		for hop := 1; hop <= scenarios.NumNodes; hop++ {
-			if jitter {
-				buf = append(buf, rt.BufferBoundControl(scenarios.VoiceRate, dRef, scenarios.CellBits, hop))
-			} else {
-				buf = append(buf, rt.BufferBoundNoControl(scenarios.VoiceRate, dRef, scenarios.CellBits, hop))
-			}
-		}
-		out.bufferBound = append(out.bufferBound, buf)
-		if jitter {
-			out.jitterBound = append(out.jitterBound, rt.JitterBoundControl(dRef, scenarios.CellBits))
-		} else {
-			out.jitterBound = append(out.jitterBound, rt.JitterBoundNoControl(dRef, scenarios.CellBits))
-		}
-	}
-	for _, s := range tn.Net.Sessions() {
-		s.Start(0, duration)
-	}
-	tn.Sim.Run(duration)
-	out.observe(tn.Net.Sessions())
-	return out
-}
-
 // viaDocument goes through JSON and Parse, as litrun and litserve do.
 // The delay and jitter bounds are the ones the Result reports.
 func viaDocument(t *testing.T, n int, aOff, duration float64, seed uint64, jitter bool) *built {
-	doc := Scenario{LMax: scenarios.CellBits, Duration: duration, Seed: seed}
+	doc := config.Scenario{LMax: scenarios.CellBits, Duration: duration, Seed: seed}
 	var route []string
 	for h := 1; h <= scenarios.NumNodes; h++ {
 		name := fmt.Sprintf("node%d", h)
 		route = append(route, name)
-		doc.Servers = append(doc.Servers, Server{Name: name, Capacity: scenarios.T1Rate, Gamma: scenarios.PropDelay})
+		doc.Servers = append(doc.Servers, config.Server{Name: name, Capacity: scenarios.T1Rate, Gamma: scenarios.PropDelay})
 	}
 	for s := 1; s <= n; s++ {
-		doc.Sessions = append(doc.Sessions, Session{
+		doc.Sessions = append(doc.Sessions, config.Session{
 			Name: fmt.Sprintf("v%d", s), Rate: scenarios.VoiceRate, Route: route,
 			JitterControl: jitter, B0: scenarios.CellBits,
-			Source: Source{Kind: "onoff", T: scenarios.OnSpacing, Length: scenarios.CellBits,
+			Source: config.Source{Kind: "onoff", T: scenarios.OnSpacing, Length: scenarios.CellBits,
 				MeanOn: scenarios.OnMean, MeanOff: aOff},
 		})
 	}
@@ -196,7 +159,7 @@ func viaDocument(t *testing.T, n int, aOff, duration float64, seed uint64, jitte
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, err := Parse(data)
+	sc, err := config.Parse(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,13 +170,13 @@ func viaDocument(t *testing.T, n int, aOff, duration float64, seed uint64, jitte
 	run.Start()
 	run.RunSlice(duration)
 	res := run.Finish()
-	out := &built{portCount: len(run.sys.Servers())}
-	for i, tr := range run.all {
+	out := &built{portCount: len(run.System().Servers())}
+	for i, tr := range run.Conns() {
 		out.bounds = append(out.bounds, tr.Bounds)
 		out.delayBound = append(out.delayBound, res.Sessions[i].DelayBound)
 		out.jitterBound = append(out.jitterBound, res.Sessions[i].JitterBound)
 		out.bufferBound = append(out.bufferBound, tr.Bounds.BufferBoundBits)
 	}
-	out.observe(run.sys.Net.Sessions())
+	out.observe(run.System().Net.Sessions())
 	return out
 }

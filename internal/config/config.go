@@ -1,9 +1,11 @@
 // Package config is the scenario document: servers, delay classes,
 // sessions with traffic sources and token-bucket declarations, a
 // duration, a seed and an optional fault plan, as JSON. It is the one
-// scenario type in the module: cmd/litrun and cmd/litserve run it, and
+// scenario type in the module: cmd/litrun and cmd/litserve run it,
 // cmd/litcheck generates it from a seed, shrinks it and writes it out
-// as a repro, so a failure found by one tool is a file for the others.
+// as a repro, so a failure found by one tool is a file for the others,
+// and the paper's figures (internal/scenarios) are documents built in
+// Go.
 //
 // Schema (all rates bits/s, times seconds, lengths bits):
 //
@@ -518,6 +520,7 @@ func (s *Scenario) PrepareRow(reg *metrics.Registry, row sched.Row) (*Run, error
 	for i := range s.Sessions {
 		sc := &s.Sessions[i]
 		req := sc.Request()
+		req.Route = make([]*system.Server, 0, len(sc.Route))
 		for _, hopName := range sc.Route {
 			req.Route = append(req.Route, servers[hopName])
 		}

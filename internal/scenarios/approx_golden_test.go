@@ -7,31 +7,16 @@ import (
 	"math"
 	"testing"
 
-	"leaveintime/internal/network"
-	"leaveintime/internal/rng"
-	"leaveintime/internal/sched"
-	"leaveintime/internal/system"
+	"leaveintime/internal/config"
 )
 
-// approxTandem is the Figure 6 tandem with sched's lit-approx row, the
-// approximate transmission queue, at every node.
-func approxTandem() *Tandem {
-	sys, err := system.New(system.Config{LMax: CellBits})
-	if err != nil {
-		panic(err)
+// approximate marks every server of a document for the approximate
+// transmission queue, sched's lit-approx row.
+func approximate(sc *config.Scenario) *config.Scenario {
+	for i := range sc.Servers {
+		sc.Servers[i].Approximate = true
 	}
-	row := sched.Lookup("lit-approx")
-	t := &Tandem{Sim: sys.Sim, Net: sys.Net, sys: sys}
-	for n := 1; n <= NumNodes; n++ {
-		srv, err := sys.AddServerQueue(fmt.Sprintf("node%d", n), T1Rate, PropDelay, func(capacity, lMax float64) network.Discipline {
-			return row.New(capacity, lMax, OnSpacing)
-		})
-		if err != nil {
-			panic(err)
-		}
-		t.Ports = append(t.Ports, srv.Port)
-	}
-	return t
+	return sc
 }
 
 // approxDigest runs the MIX tandem on approximate transmission queues
@@ -39,36 +24,25 @@ func approxTandem() *Tandem {
 // direct one and the regulator release — carry traffic) and folds every
 // session's delivered count and delay statistics, bit for bit, into one
 // hash. With drop set, the fourth session (five-hop, jitter-controlled)
-// is torn down mid-run, purging regulator and transmission queue at
-// five ports.
+// is purged mid-run, purging regulator and transmission queue at five
+// ports.
 func approxDigest(seed uint64, aOff float64, drop bool) string {
 	const duration = 2.0
-	t := approxTandem()
-	r := rng.New(seed)
-	var sessions []*network.Session
-	for _, mr := range MixRoutes {
-		for i := 0; i < mr.Count; i++ {
-			s, _ := t.Establish(SessionDef{
-				Entrance:   mr.Entrance,
-				Exit:       mr.Exit,
-				Rate:       VoiceRate,
-				JitterCtrl: len(sessions)%3 == 0,
-				Src:        NewOnOff(aOff, r.Split()),
-			})
-			sessions = append(sessions, s)
-		}
+	sc := approximate(mixDoc(aOff, duration, seed))
+	for i := range sc.Sessions {
+		sc.Sessions[i].JitterControl = i%3 == 0
 	}
-	for _, s := range sessions {
-		s.Start(0, duration)
-	}
+	run := prepare(sc, nil)
+	run.Start()
 	if drop {
-		t.Sim.Run(duration / 2)
-		t.Net.DropSession(sessions[3])
+		run.RunSlice(duration / 2)
+		run.PurgeSession(4)
 	}
-	t.Sim.Run(duration)
+	run.RunSlice(duration)
 
 	h := fnv.New64a()
-	for _, s := range sessions {
+	for _, c := range run.Conns() {
+		s := c.Sess
 		for _, v := range []uint64{
 			uint64(s.Delivered),
 			math.Float64bits(s.Delays.Max()),

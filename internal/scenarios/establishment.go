@@ -8,6 +8,7 @@ import (
 	"leaveintime/internal/rng"
 	"leaveintime/internal/signaling"
 	"leaveintime/internal/stats"
+	"leaveintime/internal/system"
 )
 
 // EstablishmentResult measures connection-establishment latency for the
@@ -31,14 +32,23 @@ type EstablishmentResult struct {
 // RunEstablishment signals the MIX configuration into the Figure 6
 // network. processing is the per-node admission processing time.
 func RunEstablishment(seed uint64, processing float64) *EstablishmentResult {
-	t := NewTandem(TandemOptions{})
-	sim := t.Sim
+	// The tandem's servers are built on a System of their own: the run
+	// needs their admission controllers and no session.
+	sys, err := system.New(system.Config{LMax: CellBits})
+	if err != nil {
+		panic(err)
+	}
+	sim := sys.Sim
 	r := rng.New(seed)
 
 	// The tandem's admission controllers, one per node, shared by every
 	// signaler.
 	nodes := make([]*signaling.Node, NumNodes)
-	for i, srv := range t.sys.Servers() {
+	for i := range nodes {
+		srv, err := sys.AddServer(fmt.Sprintf("node%d", i+1), T1Rate, PropDelay)
+		if err != nil {
+			panic(err)
+		}
 		nodes[i] = &signaling.Node{
 			Name:       srv.Port.Name,
 			Admit:      srv.Admission(),

@@ -4,15 +4,13 @@ import (
 	"fmt"
 	"strings"
 
-	"leaveintime/internal/admission"
-	"leaveintime/internal/network"
-	"leaveintime/internal/rng"
+	"leaveintime/internal/config"
 )
 
 // Figures 14-17 parameters: admission control procedure 2 with two
 // classes. Class 1 sessions get d = sigma_1 = 2.77 ms (rule 2.3 with
 // R_0 = 0); class 2 sessions get d = L*R_1/(r*C) + sigma_2 = 18.8 ms.
-var Fig14Classes = []admission.Class{
+var Fig14Classes = []config.Class{
 	{R: 640e3, Sigma: 2.77e-3},
 	{R: T1Rate, Sigma: 13.25e-3},
 }
@@ -57,92 +55,71 @@ type Fig14Result struct {
 // results are deterministic in (duration, seed).
 func RunFig14to17(duration float64, seed uint64, proc int) *Fig14Result {
 	res := &Fig14Result{Duration: duration, Proc: proc}
-	for i, cfg := range classSessionConfigs {
-		res.Sessions[i] = &ClassSession{Class: cfg.class, JitterCtrl: cfg.ctrl}
-		res.Sessions[i].Rows = make([]ClassRow, len(AOffValues))
+	for i := range res.Sessions {
+		fc := fig14FiveHop[i]
+		res.Sessions[i] = &ClassSession{Class: fc.class, JitterCtrl: fc.ctrl, Rows: make([]ClassRow, len(AOffValues))}
 	}
-	// Bounds and d values are sweep-independent: fill them once from a
-	// zero-length run's establishment phase (point index 0 does it
-	// below on first write).
 	forEachPoint(len(AOffValues), func(pi int) {
 		runFig14Point(res, pi, AOffValues[pi], duration, seed, proc)
 	})
 	return res
 }
 
-var classSessionConfigs = [4]struct {
+// fig14FiveHop places the ten a-j (five-hop) sessions in classes. The
+// first four are the measured ones: class 1 without and with jitter
+// control, then class 2 without and with. Three more class-1 sessions
+// complete the five-hop class-1 quota of five; the last three are
+// class 2.
+var fig14FiveHop = []struct {
 	class int
 	ctrl  bool
 }{
 	{1, false}, {1, true}, {2, false}, {2, true},
+	{1, false}, {1, false}, {1, false},
+	{2, false}, {2, false}, {2, false},
+}
+
+// fig14Doc is the MIX configuration under admission procedure proc
+// with the two classes of Fig14Classes: the a-j sessions placed by
+// fig14FiveHop; of the rest, the first five four-hop sessions on route
+// a-i are class 1 and everything else is class 2.
+func fig14Doc(aOff, duration float64, seed uint64, proc int) *config.Scenario {
+	sc := mixDoc(aOff, duration, seed)
+	sc.Proc, sc.Classes = proc, Fig14Classes
+	aI := 0
+	for i := range sc.Sessions {
+		s := &sc.Sessions[i]
+		switch {
+		case i < len(fig14FiveHop):
+			s.Class, s.JitterControl = fig14FiveHop[i].class, fig14FiveHop[i].ctrl
+		case len(s.Route) == 4 && s.Route[0] == "node1" && aI < 5:
+			s.Class = 1
+			aI++
+		default:
+			s.Class = 2
+		}
+	}
+	return sc
 }
 
 func runFig14Point(res *Fig14Result, pi int, aOff, duration float64, seed uint64, proc int) {
-	t := NewTandem(TandemOptions{Classes: Fig14Classes, Proc: proc})
-	r := rng.New(seed)
+	run := prepare(fig14Doc(aOff, duration, seed, proc), nil)
+	run.Start()
+	run.RunSlice(duration)
 
-	var measured [4]*network.Session
-
-	// The ten a-j (five-hop) sessions: the first four are the measured
-	// ones — class 1 without and with jitter control, then class 2
-	// without and with. The fifth-hop class-1 quota (5 sessions) is
-	// completed by one more unmeasured class-1 session; the remaining
-	// five a-j sessions are class 2.
-	fiveHopClasses := []struct {
-		class int
-		ctrl  bool
-	}{
-		{1, false}, {1, true}, {2, false}, {2, true},
-		{1, false}, {1, false}, {1, false},
-		{2, false}, {2, false}, {2, false},
-	}
-	for i, fc := range fiveHopClasses {
-		def := SessionDef{
-			Entrance: 1, Exit: 5, Rate: VoiceRate,
-			JitterCtrl: fc.ctrl, Class: fc.class,
-			Src: NewOnOff(aOff, r.Split()),
-			B0:  CellBits, // ON-OFF at its reserved rate: D_ref_max = L/r
+	for i, c := range run.Conns()[:len(res.Sessions)] {
+		cs := res.Sessions[i]
+		// Bounds are sweep-independent; the first point fills them.
+		if pi == 0 {
+			cs.DPerNode = c.Bounds.Assignments[0].DMax
+			cs.DelayBound = c.Bounds.DelayBound
+			cs.JitterBound = c.Bounds.JitterBound
 		}
-		s, b := t.Establish(def)
-		if i < 4 {
-			measured[i] = s
-			// Bounds are sweep-independent; the first point fills them.
-			if pi == 0 {
-				cs := res.Sessions[i]
-				cs.DPerNode = b.Assignments[0].DMax
-				cs.DelayBound = b.DelayBound
-				cs.JitterBound = b.JitterBound
-			}
-		}
-	}
-	// The rest of the MIX configuration. The five class-1 four-hop
-	// sessions are on route a-i; everything else is class 2.
-	for _, mr := range MixRoutes {
-		if mr.Entrance == 1 && mr.Exit == 5 {
-			continue // already placed above
-		}
-		for i := 0; i < mr.Count; i++ {
-			class := 2
-			if mr.Entrance == 1 && mr.Exit == 4 && i < 5 {
-				class = 1 // five four-hop sessions in class 1
-			}
-			t.Establish(SessionDef{
-				Entrance: mr.Entrance, Exit: mr.Exit, Rate: VoiceRate,
-				Class: class, Src: NewOnOff(aOff, r.Split()),
-			})
-		}
-	}
-	for _, s := range t.Net.Sessions() {
-		s.Start(0, duration)
-	}
-	t.Sim.Run(duration)
-
-	for i, s := range measured {
-		res.Sessions[i].Rows[pi] = ClassRow{
+		cs.Rows[pi] = ClassRow{
 			AOff:     aOff,
-			MaxDelay: s.Delays.Max(),
-			Jitter:   s.Delays.Jitter(),
-			Packets:  s.Delays.Count(),
+			MaxDelay: c.Sess.Delays.Max(),
+			Jitter:   c.Sess.Delays.Jitter(),
+			Packets:  c.Sess.Delays.Count(),
 		}
 	}
 }

@@ -5,8 +5,6 @@ import (
 	"strings"
 
 	"leaveintime/internal/metrics"
-	"leaveintime/internal/network"
-	"leaveintime/internal/rng"
 )
 
 // Fig7Row is one point of Figure 7: the maximum delay and delay jitter
@@ -59,46 +57,24 @@ func RunFig7Observed(duration float64, seed uint64, registries []*metrics.Regist
 }
 
 func runFig7Point(aOff, duration float64, seed uint64, reg *metrics.Registry) Fig7Row {
-	t := NewTandem(TandemOptions{})
-	if reg != nil {
-		t.Instrument(reg)
-	}
-	r := rng.New(seed)
+	run := prepare(mixDoc(aOff, duration, seed), reg)
+	util := &run.System().Servers()[0].Port.Util
+	util.Start(0)
+	run.Start()
+	run.RunSlice(duration)
 
-	var measured *network.Session
-	var bounds Fig7Row
-	for _, mr := range MixRoutes {
-		for i := 0; i < mr.Count; i++ {
-			// The ON-OFF source never exceeds its reserved rate, so it
-			// conforms to a token bucket (r, one packet):
-			// D_ref_max = L/r = T.
-			s, b := t.Establish(SessionDef{
-				Entrance: mr.Entrance,
-				Exit:     mr.Exit,
-				Rate:     VoiceRate,
-				Src:      NewOnOff(aOff, r.Split()),
-				B0:       CellBits,
-			})
-			if measured == nil && mr.Entrance == 1 && mr.Exit == 5 {
-				measured = s
-				bounds.DelayBound = b.DelayBound
-				bounds.JitterBound = b.JitterBound
-			}
-		}
+	// The measured session is the first a-j session.
+	measured := run.Conns()[0]
+	return Fig7Row{
+		AOff:        aOff,
+		Utilization: util.Value(run.Now()),
+		MaxDelay:    measured.Sess.Delays.Max(),
+		Jitter:      measured.Sess.Delays.Jitter(),
+		MeanDelay:   measured.Sess.Delays.Mean(),
+		Packets:     measured.Sess.Delays.Count(),
+		DelayBound:  measured.Bounds.DelayBound,
+		JitterBound: measured.Bounds.JitterBound,
 	}
-	for _, s := range t.Net.Sessions() {
-		s.Start(0, duration)
-	}
-	t.Ports[0].Util.Start(0)
-	t.Sim.Run(duration)
-
-	bounds.AOff = aOff
-	bounds.Utilization = t.Ports[0].Util.Value(t.Sim.Now())
-	bounds.MaxDelay = measured.Delays.Max()
-	bounds.Jitter = measured.Delays.Jitter()
-	bounds.MeanDelay = measured.Delays.Mean()
-	bounds.Packets = measured.Delays.Count()
-	return bounds
 }
 
 // Format renders the sweep as an aligned text table.

@@ -6,9 +6,7 @@ import (
 
 	"leaveintime/internal/metrics"
 	"leaveintime/internal/network"
-	"leaveintime/internal/rng"
 	"leaveintime/internal/stats"
-	"leaveintime/internal/traffic"
 )
 
 // Fig8Poisson are the parameters of the Poisson cross traffic in
@@ -69,44 +67,23 @@ type Fig8Result struct {
 }
 
 // RunFig8Observed reproduces Figures 8, 12 and 13: the CROSS
-// configuration with two five-hop ON-OFF sessions (a_OFF = 650 ms), one
-// with and one without delay jitter control, and one 1472 kbit/s
-// Poisson session of cross traffic per one-hop route. The paper runs
-// 600 s. When reg is non-nil every layer of the run counts into it (see
-// Tandem.Instrument); the figure output is bit-identical with and
-// without instrumentation.
+// configuration (crossDoc) with two five-hop ON-OFF sessions, one with
+// and one without delay jitter control, and Poisson cross traffic on
+// every one-hop route. The paper runs 600 s. When reg is non-nil every
+// layer of the run counts into it; the figure output is bit-identical
+// with and without instrumentation.
 func RunFig8Observed(duration float64, seed uint64, reg *metrics.Registry) *Fig8Result {
-	t := NewTandem(TandemOptions{})
-	if reg != nil {
-		t.Instrument(reg)
-	}
-	r := rng.New(seed)
+	run := prepare(crossDoc(duration, seed), reg)
+	no, ctrl := run.Conns()[0], run.Conns()[1]
+	histNo := no.Sess.MeasureHistogram(fig8HistBin, fig8HistNBins)
+	histCtrl := ctrl.Sess.MeasureHistogram(fig8HistBin, fig8HistNBins)
 
-	// The ON-OFF sources conform to a token bucket (r, one packet):
-	// D_ref_max = L/r = 13.25 ms.
-	defNo := SessionDef{Entrance: 1, Exit: 5, Rate: VoiceRate, Src: NewOnOff(Fig8OnOffAOff, r.Split()), B0: CellBits}
-	noCtrl, bNo := t.Establish(defNo)
-	defYes := defNo
-	defYes.JitterCtrl = true
-	defYes.Src = NewOnOff(Fig8OnOffAOff, r.Split())
-	ctrl, bYes := t.Establish(defYes)
-
-	for _, cr := range CrossRoutes {
-		t.Establish(SessionDef{
-			Entrance: cr.Entrance,
-			Exit:     cr.Exit,
-			Rate:     Fig8CrossRate,
-			Src:      &traffic.Poisson{Mean: Fig8CrossMean, Length: CellBits, Rng: r.Split()},
-		})
-	}
-
-	histNo := noCtrl.MeasureHistogram(fig8HistBin, fig8HistNBins)
-	histCtrl := ctrl.MeasureHistogram(fig8HistBin, fig8HistNBins)
-
-	probeNoN1 := t.Ports[0].TrackBuffer(noCtrl.ID)
-	probeNoN5 := t.Ports[4].TrackBuffer(noCtrl.ID)
-	probeCtN1 := t.Ports[0].TrackBuffer(ctrl.ID)
-	probeCtN5 := t.Ports[4].TrackBuffer(ctrl.ID)
+	servers := run.System().Servers()
+	first, last := servers[0].Port, servers[NumNodes-1].Port
+	probeNoN1 := first.TrackBuffer(no.Sess.ID)
+	probeNoN5 := last.TrackBuffer(no.Sess.ID)
+	probeCtN1 := first.TrackBuffer(ctrl.Sess.ID)
+	probeCtN5 := last.TrackBuffer(ctrl.Sess.ID)
 	// The occupancy support is known from the figure's rendering cap
 	// (fig12BufferCap packets): preallocate the distributions so the
 	// per-arrival sampling path never grows a slice mid-run.
@@ -114,15 +91,14 @@ func RunFig8Observed(duration float64, seed uint64, reg *metrics.Registry) *Fig8
 		probe.Dist.Reserve(fig12BufferCap)
 	}
 
-	for _, s := range t.Net.Sessions() {
-		s.Start(0, duration)
-	}
-	t.Sim.Run(duration)
+	run.Start()
+	run.RunSlice(duration)
 
+	bNo, bYes := no.Bounds, ctrl.Bounds
 	return &Fig8Result{
 		Duration:          duration,
-		NoCtrl:            summarize(noCtrl),
-		Ctrl:              summarize(ctrl),
+		NoCtrl:            summarize(no.Sess),
+		Ctrl:              summarize(ctrl.Sess),
 		HistNoCtrl:        histNo,
 		HistCtrl:          histCtrl,
 		DelayBound:        bNo.DelayBound,

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"leaveintime/internal/analytic"
+	"leaveintime/internal/config"
 	"leaveintime/internal/rng"
 	"leaveintime/internal/stats"
 	"leaveintime/internal/traffic"
@@ -75,51 +76,57 @@ func RunFig11(duration float64, seed uint64) *DistResult {
 	return runDist(Fig10SessionMean, Fig10SessionRate, crossDeterministic47, duration, seed)
 }
 
+// distDoc is the document of Figures 9-11: a five-hop Poisson session
+// of mean interarrival mean at the reserved rate, then the cross
+// traffic on every one-hop route.
+func distDoc(mean, rate float64, cross crossKind, duration float64, seed uint64) *config.Scenario {
+	sc := fig6(duration, seed)
+	addSession(sc, 1, NumNodes, rate, poisson(mean))
+	for _, cr := range CrossRoutes {
+		switch cross {
+		case crossPoisson1136:
+			addSession(sc, cr.Entrance, cr.Exit, Fig9CrossRate, poisson(Fig9CrossMean))
+		case crossPoisson1472:
+			addSession(sc, cr.Entrance, cr.Exit, Fig8CrossRate, poisson(Fig8CrossMean))
+		case crossDeterministic47:
+			for range Fig11DetPerHop {
+				addSession(sc, cr.Entrance, cr.Exit, VoiceRate,
+					config.Source{Kind: "deterministic", Interval: DetInterval, Length: CellBits})
+			}
+		}
+	}
+	return sc
+}
+
 func runDist(mean, rate float64, cross crossKind, duration float64, seed uint64) *DistResult {
-	t := NewTandem(TandemOptions{})
-	r := rng.New(seed)
+	run := prepare(distDoc(mean, rate, cross, duration, seed), nil)
 
 	// The measured session's source is tapped: the same packet stream
 	// is fed to a simulated reference server of the reserved rate,
 	// producing the empirical D_ref distribution for the "simulated
-	// upper bound" curve.
+	// upper bound" curve. r is the document's stream drawn again: its
+	// first split is the measured session's, and the splits after it
+	// give Figure 11's deterministic sessions their phases.
+	r := rng.New(seed)
 	tap := &refTap{
 		src:  &traffic.Poisson{Mean: mean, Length: CellBits, Rng: r.Split()},
 		ref:  analytic.NewRefServer(rate),
 		hist: stats.NewHistogram(distHistBin, distHistNBins),
 	}
-	def := SessionDef{Entrance: 1, Exit: 5, Rate: rate, Src: tap}
-	sess, b := t.Establish(def)
+	measured := run.Conns()[0]
+	sess, b := measured.Sess, measured.Bounds
+	sess.SetSource(tap)
 	hist := sess.MeasureHistogram(distHistBin, distHistNBins)
-
-	sess.Start(0, duration)
-	for _, cr := range CrossRoutes {
-		switch cross {
-		case crossPoisson1136:
-			s, _ := t.Establish(SessionDef{
-				Entrance: cr.Entrance, Exit: cr.Exit, Rate: Fig9CrossRate,
-				Src: &traffic.Poisson{Mean: Fig9CrossMean, Length: CellBits, Rng: r.Split()},
-			})
-			s.Start(0, duration)
-		case crossPoisson1472:
-			s, _ := t.Establish(SessionDef{
-				Entrance: cr.Entrance, Exit: cr.Exit, Rate: Fig8CrossRate,
-				Src: &traffic.Poisson{Mean: Fig8CrossMean, Length: CellBits, Rng: r.Split()},
-			})
-			s.Start(0, duration)
-		case crossDeterministic47:
-			for i := 0; i < Fig11DetPerHop; i++ {
-				s, _ := t.Establish(SessionDef{
-					Entrance: cr.Entrance, Exit: cr.Exit, Rate: VoiceRate,
-					Src: &traffic.Deterministic{Interval: DetInterval, Length: CellBits},
-				})
-				// Random phase so the 47 deterministic streams do not
-				// arrive in lockstep.
-				s.Start(r.Split().Float64()*DetInterval, duration)
-			}
+	for i, c := range run.Conns() {
+		at := 0.0
+		if i > 0 && cross == crossDeterministic47 {
+			// Random phase so the 47 deterministic streams do not
+			// arrive in lockstep.
+			at = r.Split().Float64() * DetInterval
 		}
+		c.Sess.Start(at, duration)
 	}
-	t.Sim.Run(duration)
+	run.RunSlice(duration)
 
 	rt := b.Route
 	shift := rt.Beta() + rt.Alpha

@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"leaveintime/internal/rng"
 	"leaveintime/internal/trace"
-	"leaveintime/internal/traffic"
 )
 
 // PerHopResult decomposes the Figure 8 scenario's end-to-end delay hop
@@ -26,33 +24,16 @@ type PerHopResult struct {
 // RunPerHop runs the Figure 8 CROSS scenario with tracing enabled and
 // reduces the trace to per-hop delay statistics.
 func RunPerHop(duration float64, seed uint64) *PerHopResult {
-	t := NewTandem(TandemOptions{})
-	r := rng.New(seed)
-
-	defNo := SessionDef{Entrance: 1, Exit: 5, Rate: VoiceRate, Src: NewOnOff(Fig8OnOffAOff, r.Split())}
-	noCtrl, _ := t.Establish(defNo)
-	defYes := defNo
-	defYes.JitterCtrl = true
-	defYes.Src = NewOnOff(Fig8OnOffAOff, r.Split())
-	ctrl, _ := t.Establish(defYes)
-	for _, cr := range CrossRoutes {
-		t.Establish(SessionDef{
-			Entrance: cr.Entrance, Exit: cr.Exit, Rate: Fig8CrossRate,
-			Src: &traffic.Poisson{Mean: Fig8CrossMean, Length: CellBits, Rng: r.Split()},
-		})
-	}
-
+	run := prepare(crossDoc(duration, seed), nil)
 	rec := &trace.Recorder{}
-	t.Net.Tracer = rec
-	for _, s := range t.Net.Sessions() {
-		s.Start(0, duration)
-	}
-	t.Sim.Run(duration)
+	run.System().Net.Tracer = rec
+	run.Start()
+	run.RunSlice(duration)
 
 	return &PerHopResult{
 		Duration: duration,
-		NoCtrl:   rec.PerHopDelays(noCtrl.ID),
-		Ctrl:     rec.PerHopDelays(ctrl.ID),
+		NoCtrl:   rec.PerHopDelays(run.Conns()[0].Sess.ID),
+		Ctrl:     rec.PerHopDelays(run.Conns()[1].Sess.ID),
 	}
 }
 

@@ -36,12 +36,12 @@ func TestRunPerHop(t *testing.T) {
 // topologies — two sessions entering the same port but departing to
 // different next hops.
 func TestBranchingRoutes(t *testing.T) {
-	tandem := NewTandem(TandemOptions{})
-	// The tandem helper only builds contiguous routes, so wire the
-	// branch directly on the network: both sessions share port 1, then
-	// A continues to port 2 and B jumps to port 3.
-	net := tandem.Net
-	pA, pB, pC := tandem.Ports[0], tandem.Ports[1], tandem.Ports[2]
+	// A document route of link-less servers may skip a server, but
+	// wire the branch directly on Leave-in-Time ports to see the port
+	// substrate alone: both sessions share port 1, then A continues to
+	// port 2 and B jumps to port 3.
+	net, ports := rawTandem(t1Disc("lit"))
+	pA, pB, pC := ports[0], ports[1], ports[2]
 	src := func() *traffic.Deterministic {
 		return &traffic.Deterministic{Interval: DetInterval, Length: CellBits}
 	}
@@ -51,7 +51,7 @@ func TestBranchingRoutes(t *testing.T) {
 		[]*network.Port{pA, pC}, make([]network.SessionPort, 2), src())
 	sA.Start(0, 1)
 	sB.Start(0.001, 1)
-	tandem.Sim.Run(5)
+	net.Sim.Run(5)
 	if sA.Delivered == 0 || sB.Delivered == 0 {
 		t.Fatalf("branch delivery: %d / %d", sA.Delivered, sB.Delivered)
 	}

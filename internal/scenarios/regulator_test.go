@@ -4,9 +4,7 @@ import (
 	"math"
 	"testing"
 
-	"leaveintime/internal/rng"
 	"leaveintime/internal/trace"
-	"leaveintime/internal/traffic"
 )
 
 // TestRegulatorReconstructsPattern verifies the eq. 9 mechanism at the
@@ -17,23 +15,17 @@ import (
 // node n introduced, reconstructing the deadline pattern one constant
 // later. This is the theorem behind ineq. 17's hop-independence.
 func TestRegulatorReconstructsPattern(t *testing.T) {
-	tandem := NewTandem(TandemOptions{})
-	r := rng.New(21)
-
-	def := SessionDef{Entrance: 1, Exit: 5, Rate: VoiceRate, JitterCtrl: true,
-		Src: NewOnOff(0.1, r.Split())}
-	sess, _ := tandem.Establish(def)
+	sc := fig6(10, 21)
+	addSession(sc, 1, NumNodes, VoiceRate, onOff(0.1)).JitterControl = true
 	for _, cr := range CrossRoutes {
-		s, _ := tandem.Establish(SessionDef{
-			Entrance: cr.Entrance, Exit: cr.Exit, Rate: Fig8CrossRate,
-			Src: &traffic.Poisson{Mean: Fig8CrossMean, Length: CellBits, Rng: r.Split()},
-		})
-		s.Start(0, 10)
+		addSession(sc, cr.Entrance, cr.Exit, Fig8CrossRate, poisson(Fig8CrossMean))
 	}
+	run := prepare(sc, nil)
 	rec := &trace.Recorder{}
-	tandem.Net.Tracer = rec
-	sess.Start(0, 10)
-	tandem.Sim.Run(12)
+	run.System().Net.Tracer = rec
+	run.Start()
+	run.Sim().Run(12) // past the sources' stop, to drain
+	sess := run.Conns()[0].Sess
 
 	if sess.Delivered < 100 {
 		t.Fatalf("only %d packets", sess.Delivered)

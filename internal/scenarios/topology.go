@@ -10,13 +10,12 @@ package scenarios
 import (
 	"fmt"
 
-	"leaveintime/internal/admission"
+	"leaveintime/internal/config"
 	"leaveintime/internal/event"
 	"leaveintime/internal/metrics"
 	"leaveintime/internal/network"
 	"leaveintime/internal/rng"
 	"leaveintime/internal/sched"
-	"leaveintime/internal/system"
 	"leaveintime/internal/traffic"
 )
 
@@ -48,42 +47,49 @@ const (
 // 14-17 (seconds), from near-deterministic to standard voice.
 var AOffValues = []float64{0.0065, 0.0185, 0.0391, 0.0880, 0.1509, 0.2880, 0.650}
 
-// Tandem is the instantiated Figure 6 network: five Leave-in-Time
-// servers in tandem on one System. Ports[n] is the outgoing link of
-// server node n+1.
-type Tandem struct {
-	Sim   *event.Simulator
-	Net   *network.Network
-	Ports []*network.Port
-
-	sys *system.System
+// fig6 is the Figure 6 network as a scenario document: servers node1 to
+// node5, each a T1 link with a 1 ms propagation delay, and one cell as
+// L_MAX. It has no sessions yet; addSession appends them.
+func fig6(duration float64, seed uint64) *config.Scenario {
+	sc := &config.Scenario{LMax: CellBits, Duration: duration, Seed: seed}
+	for n := 1; n <= NumNodes; n++ {
+		sc.Servers = append(sc.Servers, config.Server{Name: fmt.Sprintf("node%d", n), Capacity: T1Rate, Gamma: PropDelay})
+	}
+	return sc
 }
 
-// TandemOptions tune the construction of the tandem.
-type TandemOptions struct {
-	// Classes, when non-nil, guards every node with these classes under
-	// procedure Proc (1 or 2); otherwise every node runs procedure 1
-	// with one class, the VirtualClock special case d = L/r.
-	Classes []admission.Class
-	Proc    int
+// addSession appends a session through servers entrance..exit, 1-based
+// (route a-j is (1, 5), route c-h is (3, 3)), and returns it for the
+// caller to finish before the next append.
+func addSession(sc *config.Scenario, entrance, exit int, rate float64, src config.Source) *config.Session {
+	route := make([]string, 0, exit-entrance+1)
+	for _, sv := range sc.Servers[entrance-1 : exit] {
+		route = append(route, sv.Name)
+	}
+	sc.Sessions = append(sc.Sessions, config.Session{Rate: rate, Route: route, Source: src})
+	return &sc.Sessions[len(sc.Sessions)-1]
 }
 
-// NewTandem builds the Figure 6 network with a Leave-in-Time server on
-// every link.
-func NewTandem(opt TandemOptions) *Tandem {
-	sys, err := system.New(system.Config{LMax: CellBits, Classes: opt.Classes, Proc: opt.Proc})
+// onOff is the paper's ON-OFF source with mean OFF period aOff.
+func onOff(aOff float64) config.Source {
+	return config.Source{Kind: "onoff", T: OnSpacing, Length: CellBits, MeanOn: OnMean, MeanOff: aOff}
+}
+
+// poisson is a Poisson source of one-cell packets with mean
+// interarrival mean.
+func poisson(mean float64) config.Source {
+	return config.Source{Kind: "poisson", Mean: mean, Length: CellBits}
+}
+
+// prepare builds a figure's document. The documents are fixed by the
+// paper and TestFigureDocumentsParse holds each to Parse's checks, so a
+// refusal is a bug.
+func prepare(sc *config.Scenario, reg *metrics.Registry) *config.Run {
+	run, err := sc.Prepare(reg)
 	if err != nil {
 		panic(err)
 	}
-	t := &Tandem{Sim: sys.Sim, Net: sys.Net, sys: sys}
-	for n := 1; n <= NumNodes; n++ {
-		srv, err := sys.AddServer(fmt.Sprintf("node%d", n), T1Rate, PropDelay)
-		if err != nil {
-			panic(err)
-		}
-		t.Ports = append(t.Ports, srv.Port)
-	}
-	return t
+	return run
 }
 
 // rawTandem builds Figure 6's five T1 ports on a bare network, each
@@ -105,54 +111,6 @@ func rawTandem(mk func() network.Discipline) (*network.Network, []*network.Port)
 func t1Disc(name string) func() network.Discipline {
 	row := sched.Lookup(name)
 	return func() network.Discipline { return row.New(T1Rate, CellBits, OnSpacing) }
-}
-
-// Instrument attaches a telemetry registry to the tandem: the event
-// engine, the packet pool, every port and scheduler, and the per-node
-// admission controllers. Instrumented runs are bit-identical to bare
-// ones (counters never perturb event ordering); concurrent sweep
-// points must each use their own registry.
-func (t *Tandem) Instrument(reg *metrics.Registry) { t.sys.AttachMetrics(reg) }
-
-// SessionDef describes one session to establish on the tandem.
-type SessionDef struct {
-	// Entrance and Exit are 1-based node numbers: the session traverses
-	// servers Entrance..Exit. Route a-j is (1, 5); route c-h is (3, 3).
-	Entrance, Exit int
-	Rate           float64
-	JitterCtrl     bool
-	// Class is the delay class for tandems built with admission
-	// classes; ignored (treated as the single class) otherwise.
-	Class int
-	Src   traffic.Source
-	// LMax/LMin default to CellBits when zero.
-	LMax, LMin float64
-	// B0 declares the source's token bucket (Rate, B0 bits); Establish
-	// then returns the delay, jitter and buffer bounds filled in.
-	B0 float64
-}
-
-// Establish admits and wires the session, returning the network session
-// and its service commitments: the per-node assignments and, for a
-// session that declares B0, the bounds the figures print.
-func (t *Tandem) Establish(def SessionDef) (*network.Session, *system.Bounds) {
-	if def.Entrance < 1 || def.Exit > NumNodes || def.Entrance > def.Exit {
-		panic(fmt.Sprintf("scenarios: bad route %d-%d", def.Entrance, def.Exit))
-	}
-	s, b, err := t.sys.Connect(system.ConnectRequest{
-		Rate:          def.Rate,
-		Route:         t.sys.Servers()[def.Entrance-1 : def.Exit],
-		Source:        def.Src,
-		JitterControl: def.JitterCtrl,
-		Class:         def.Class,
-		LMax:          def.LMax,
-		LMin:          def.LMin,
-		B0:            def.B0,
-	})
-	if err != nil {
-		panic(fmt.Sprintf("scenarios: %v", err))
-	}
-	return s, b
 }
 
 // NewOnOff builds a paper ON-OFF source with the given mean OFF time
@@ -195,9 +153,41 @@ var MixRoutes = []MixDef{
 	{2, 5, 6},  // b-j
 }
 
+// mixDoc is the MIX configuration on the Figure 6 tandem, as Figures 7
+// and 14-17 run it: the sessions of MixRoutes in order, so the ten
+// five-hop a-j sessions come first, each a 32 kbit/s ON-OFF source of
+// mean OFF period aOff. An ON-OFF source never exceeds its reserved
+// rate, so every session declares the token bucket (r, one packet):
+// D_ref_max = L/r = T.
+func mixDoc(aOff, duration float64, seed uint64) *config.Scenario {
+	sc := fig6(duration, seed)
+	for _, mr := range MixRoutes {
+		for range mr.Count {
+			addSession(sc, mr.Entrance, mr.Exit, VoiceRate, onOff(aOff)).B0 = CellBits
+		}
+	}
+	return sc
+}
+
 // CrossRoutes lists the one-hop routes of the CROSS configuration
 // (a-f, b-g, c-h, d-i, e-j); the five-hop route a-j carries the
 // measured sessions.
 var CrossRoutes = []MixDef{
 	{1, 1, 1}, {2, 2, 1}, {3, 3, 1}, {4, 4, 1}, {5, 5, 1},
+}
+
+// crossDoc is the CROSS configuration of Figures 8, 12 and 13 on the
+// Figure 6 tandem: two five-hop ON-OFF sessions (a_OFF = 650 ms)
+// declaring (r, one packet), the first without and the second with
+// delay jitter control, then one 1472 kbit/s Poisson session of cross
+// traffic per one-hop route.
+func crossDoc(duration float64, seed uint64) *config.Scenario {
+	sc := fig6(duration, seed)
+	addSession(sc, 1, NumNodes, VoiceRate, onOff(Fig8OnOffAOff)).B0 = CellBits
+	ctrl := addSession(sc, 1, NumNodes, VoiceRate, onOff(Fig8OnOffAOff))
+	ctrl.B0, ctrl.JitterControl = CellBits, true
+	for _, cr := range CrossRoutes {
+		addSession(sc, cr.Entrance, cr.Exit, Fig8CrossRate, poisson(Fig8CrossMean))
+	}
+	return sc
 }

@@ -1,11 +1,12 @@
 package scenarios
 
 import (
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
 
-	"leaveintime/internal/rng"
+	"leaveintime/internal/config"
 )
 
 // TestMixBooksEveryLinkExactly: the MIX configuration must commit every
@@ -46,22 +47,16 @@ func TestMixBooksEveryLinkExactly(t *testing.T) {
 // TestMixAdmitted: every MIX session passes admission (exactly fills
 // each link) and a 49th 32 kbit/s session on any link is refused.
 func TestMixAdmitted(t *testing.T) {
-	tandem := NewTandem(TandemOptions{})
-	r := rng.New(1)
-	for _, mr := range MixRoutes {
-		for i := 0; i < mr.Count; i++ {
-			tandem.Establish(SessionDef{
-				Entrance: mr.Entrance, Exit: mr.Exit,
-				Rate: VoiceRate, Src: NewOnOff(0.65, r.Split()),
-			})
+	if _, err := mixDoc(0.65, 1, 1).Prepare(nil); err != nil {
+		t.Fatalf("MIX refused: %v", err)
+	}
+	for n := 1; n <= NumNodes; n++ {
+		sc := mixDoc(0.65, 1, 1)
+		addSession(sc, n, n, VoiceRate, onOff(0.65))
+		if _, err := sc.Prepare(nil); err == nil {
+			t.Errorf("over-full link %d accepted a 49th session", n)
 		}
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("over-full link accepted a 49th session")
-		}
-	}()
-	tandem.Establish(SessionDef{Entrance: 1, Exit: 1, Rate: VoiceRate, Src: NewOnOff(0.65, r.Split())})
 }
 
 // TestUtilizationMatchesDutyCycle: the Figure 7 utilization sweep's
@@ -118,22 +113,21 @@ func TestFig14FormatAndD(t *testing.T) {
 	}
 }
 
+// TestEstablishValidatesRoute: a route whose exit precedes its entrance
+// is empty, and the document refuses it.
 func TestEstablishValidatesRoute(t *testing.T) {
-	tandem := NewTandem(TandemOptions{})
-	defer func() {
-		if recover() == nil {
-			t.Error("bad route accepted")
-		}
-	}()
-	tandem.Establish(SessionDef{Entrance: 3, Exit: 2, Rate: VoiceRate})
+	sc := fig6(1, 1)
+	addSession(sc, 3, 2, VoiceRate, onOff(0.65))
+	if err := sc.Validate(); err == nil {
+		t.Error("bad route accepted")
+	}
 }
 
 // TestRouteBounds: the returned Route mirrors the session's assignments.
 func TestRouteBounds(t *testing.T) {
-	tandem := NewTandem(TandemOptions{})
-	def := SessionDef{Entrance: 1, Exit: 5, Rate: VoiceRate, Src: &noopSource{}}
-	_, b := tandem.Establish(def)
-	rt := b.Route
+	sc := fig6(1, 1)
+	addSession(sc, 1, NumNodes, VoiceRate, onOff(0.65))
+	rt := prepare(sc, nil).Conns()[0].Bounds.Route
 	if len(rt.Hops) != 5 {
 		t.Fatalf("hops = %d", len(rt.Hops))
 	}
@@ -145,6 +139,31 @@ func TestRouteBounds(t *testing.T) {
 	}
 }
 
-type noopSource struct{}
-
-func (noopSource) Next() (float64, float64) { return 1e18, 1 }
+// TestFigureDocumentsParse: every figure's network is a document litrun
+// could run. Each one, written as JSON, passes Parse's checks and every
+// session passes admission, so the runners may skip the checks.
+func TestFigureDocumentsParse(t *testing.T) {
+	docs := map[string]*config.Scenario{
+		"fig7":     mixDoc(AOffValues[0], 300, 1),
+		"fig8":     crossDoc(600, 1),
+		"fig9":     distDoc(Fig9SessionMean, Fig9SessionRate, crossPoisson1136, 600, 1),
+		"fig10":    distDoc(Fig10SessionMean, Fig10SessionRate, crossPoisson1472, 600, 1),
+		"fig11":    distDoc(Fig10SessionMean, Fig10SessionRate, crossDeterministic47, 600, 1),
+		"fig14":    fig14Doc(AOffValues[0], 300, 1, 2),
+		"fig14ac1": fig14Doc(AOffValues[0], 300, 1, 1),
+	}
+	for name, sc := range docs {
+		data, err := json.Marshal(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parsed, err := config.Parse(data)
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
+		}
+		if _, err := parsed.Prepare(nil); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+}

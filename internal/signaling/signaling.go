@@ -27,7 +27,6 @@ import (
 
 	"leaveintime/internal/admission"
 	"leaveintime/internal/event"
-	"leaveintime/internal/rng"
 )
 
 // Node is one switching node on a signaling path.
@@ -70,19 +69,11 @@ type Result struct {
 }
 
 // Retry configures automatic re-SETUP after an admission rejection:
-// attempt k (0-based) is re-sent after a backoff whose ceiling is
-// min(Base*2^k, Cap) seconds. Without Jitter the delay is exactly the
-// ceiling — a pure function of the attempt number, so retried
-// establishments are as deterministic as single-shot ones. With Jitter
-// the delay is drawn uniformly from [0, ceiling) ("full jitter"), which
-// decorrelates many sessions rejected at the same instant: instead of
-// the whole herd re-SETUPping in lockstep at Base, 2*Base, ... —
-// re-colliding every round — the retries spread over the window.
-// The draw is seed-pure: it depends only on Seed, the session ID and
-// the attempt number, never on shared generator state, so a replay of
-// the same sessions produces the same schedule regardless of event
-// interleaving. Signaling losses are not retried — the source has no
-// timeout model; the harness decides what a lost message means.
+// attempt k (0-based) is re-sent after min(Base*2^k, Cap) seconds, a
+// pure function of the attempt number, so retried establishments are
+// as deterministic as single-shot ones. Signaling losses are not
+// retried — the source has no timeout model; the harness decides what a
+// lost message means.
 type Retry struct {
 	// Max is the number of retries after the first attempt.
 	Max int
@@ -90,18 +81,12 @@ type Retry struct {
 	Base float64
 	// Cap bounds the backoff delay; 0 means uncapped.
 	Cap float64
-
-	// Jitter enables full jitter: attempt k waits Uniform[0, ceiling)
-	// instead of the deterministic ceiling.
-	Jitter bool
-	// Seed keys the jitter stream (used only when Jitter is set).
-	// Distinct seeds give independent schedules.
-	Seed uint64
 }
 
-// ceiling is the deterministic capped-exponential envelope of attempt
-// k, clamped so huge attempt numbers cannot overflow the shift.
-func (r *Retry) ceiling(attempt int) float64 {
+// backoff returns the delay before re-sending attempt number `attempt`
+// (0-based: the delay after the first rejection), clamped so huge
+// attempt numbers cannot overflow the shift.
+func (r *Retry) backoff(attempt int) float64 {
 	if attempt > 62 {
 		attempt = 62
 	}
@@ -110,21 +95,6 @@ func (r *Retry) ceiling(attempt int) float64 {
 		d = r.Cap
 	}
 	return d
-}
-
-// backoff returns the delay before re-sending session id's attempt
-// number `attempt` (0-based: the delay after the first rejection).
-func (r *Retry) backoff(id, attempt int) float64 {
-	d := r.ceiling(attempt)
-	if !r.Jitter {
-		return d
-	}
-	// One throwaway generator per (seed, id, attempt): SplitMix64's
-	// output function scrambles related seeds, so structured inputs
-	// (consecutive ids, consecutive attempts) still yield independent
-	// uniform draws, and no state is shared across sessions.
-	g := rng.New(r.Seed ^ uint64(uint32(id))<<32 ^ uint64(uint32(attempt)))
-	return g.Float64() * d
 }
 
 // Signaler establishes and tears down connections over a path of
@@ -237,7 +207,7 @@ func (s *Signaler) attempt(req Request, st *setupState, attempt int, start float
 					}
 					s.releaseUpTo(id, i)
 					if s.Retry != nil && attempt < s.Retry.Max && !st.canceled {
-						s.Sim.After(s.Retry.backoff(id, attempt), func() {
+						s.Sim.After(s.Retry.backoff(attempt), func() {
 							if st.canceled {
 								finish(Result{Accepted: false, Err: ErrCanceled, RejectedAt: -1})
 								return

@@ -244,136 +244,16 @@ func TestRetryGivesUpAfterMax(t *testing.T) {
 func TestBackoffSchedule(t *testing.T) {
 	r := Retry{Base: 1e-3, Cap: 10e-3}
 	for k, want := range []float64{1e-3, 2e-3, 4e-3, 8e-3, 10e-3, 10e-3} {
-		if got := r.backoff(1, k); got != want {
+		if got := r.backoff(k); got != want {
 			t.Errorf("backoff(%d) = %v, want %v", k, got, want)
 		}
 	}
 	uncapped := Retry{Base: 1e-3}
-	if got := r.backoff(1, 500); got != 10e-3 {
+	if got := r.backoff(500); got != 10e-3 {
 		t.Errorf("backoff(500) = %v, want the cap", got)
 	}
-	if got := uncapped.backoff(1, 500); math.IsInf(got, 0) || got <= 0 {
+	if got := uncapped.backoff(500); math.IsInf(got, 0) || got <= 0 {
 		t.Errorf("uncapped backoff(500) = %v, want a finite positive clamp", got)
-	}
-}
-
-// TestBackoffFullJitter: jittered delays stay inside [0, ceiling), are
-// seed-pure (replaying the same (seed, id, attempt) gives the same
-// delay, a different seed a different schedule), and are roughly
-// uniform over the window rather than piled at the ceiling.
-func TestBackoffFullJitter(t *testing.T) {
-	r := Retry{Base: 1e-3, Cap: 10e-3, Jitter: true, Seed: 42}
-	var sum float64
-	n := 0
-	for id := 0; id < 200; id++ {
-		for k := 0; k < 6; k++ {
-			d := r.backoff(id, k)
-			if d < 0 || d >= r.ceiling(k) {
-				t.Fatalf("backoff(id=%d, k=%d) = %v outside [0, %v)", id, k, d, r.ceiling(k))
-			}
-			if d != r.backoff(id, k) {
-				t.Fatalf("backoff(id=%d, k=%d) not reproducible", id, k)
-			}
-			if k == 5 {
-				sum += d
-				n++
-			}
-		}
-	}
-	// Full jitter over [0, Cap): the mean of 200 capped draws must sit
-	// near Cap/2 (the fixed seed makes this deterministic, not flaky).
-	if mean := sum / float64(n); mean < 0.3*r.Cap || mean > 0.7*r.Cap {
-		t.Errorf("mean capped jitter = %v, want near %v", sum/float64(n), r.Cap/2)
-	}
-	other := Retry{Base: 1e-3, Cap: 10e-3, Jitter: true, Seed: 43}
-	same := 0
-	for id := 0; id < 100; id++ {
-		if other.backoff(id, 3) == r.backoff(id, 3) {
-			same++
-		}
-	}
-	if same > 0 {
-		t.Errorf("%d/100 delays identical across different seeds", same)
-	}
-}
-
-// TestJitterBreaksThunderingHerd is the anti-herd convergence property:
-// a herd of sessions all rejected at t=0 retries in lockstep without
-// jitter (every inter-retry gap identical — guaranteed re-collision)
-// but spreads over the backoff window with jitter, and the spread does
-// not collapse on later attempts (the windows grow, so the schedule
-// keeps decorrelating instead of re-synchronizing).
-func TestJitterBreaksThunderingHerd(t *testing.T) {
-	const herd = 128
-	plain := Retry{Base: 1e-3, Cap: 64e-3}
-	jit := Retry{Base: 1e-3, Cap: 64e-3, Jitter: true, Seed: 7}
-	for k := 0; k < 5; k++ {
-		distinct := map[float64]bool{}
-		for id := 0; id < herd; id++ {
-			if d := plain.backoff(id, k); d != plain.ceiling(k) {
-				t.Fatalf("plain backoff(id=%d, k=%d) = %v, want lockstep %v", id, k, d, plain.ceiling(k))
-			}
-			distinct[jit.backoff(id, k)] = true
-		}
-		// 128 uniform float64 draws collide with probability ~0; any
-		// meaningful clustering would show up as far fewer buckets.
-		if len(distinct) < herd*9/10 {
-			t.Errorf("attempt %d: only %d/%d distinct jittered delays", k, len(distinct), herd)
-		}
-		// No pair of retriers closer than 1/(10*herd) of the window on
-		// average would indicate clumping; check max occupancy of a
-		// herd-sized histogram instead: with uniform spreading no bucket
-		// should hold more than a small multiple of the mean.
-		buckets := make([]int, 16)
-		for id := 0; id < herd; id++ {
-			b := int(jit.backoff(id, k) / jit.ceiling(k) * 16)
-			if b > 15 {
-				b = 15
-			}
-			buckets[b]++
-		}
-		for b, c := range buckets {
-			if c > herd/2 {
-				t.Errorf("attempt %d: bucket %d holds %d/%d retriers — herd did not spread", k, b, c, herd)
-			}
-		}
-	}
-}
-
-// TestRetryConvergesWithJitter: the end-to-end retry scenario still
-// converges when the schedule is jittered — determinism of the overall
-// simulation is preserved because the jitter is seed-pure.
-func TestRetryConvergesWithJitter(t *testing.T) {
-	run := func() (Result, Result) {
-		sim := event.New()
-		path := newPath(t, sim, 5, 45e6)
-		sig := New(sim, path)
-		sig.Retry = &Retry{Max: 10, Base: 10e-3, Cap: 80e-3, Jitter: true, Seed: 11}
-		var bg Result
-		sig.Establish(Request{Spec: spec(1, 30e6), Class: 1}, func(r Result) { bg = r })
-		sim.RunAll()
-		if !bg.Accepted {
-			t.Fatalf("background reservation rejected: %v", bg.Err)
-		}
-		var r2, r3 Result
-		sig.Establish(Request{Spec: spec(2, 10e6), Class: 1}, func(r Result) { r2 = r })
-		sig.Establish(Request{Spec: spec(3, 10e6), Class: 1}, func(r Result) { r3 = r })
-		sim.After(0.1, func() {
-			if err := sig.Teardown(1, nil); err != nil {
-				t.Errorf("teardown: %v", err)
-			}
-		})
-		sim.RunAll()
-		return r2, r3
-	}
-	a2, a3 := run()
-	if !a2.Accepted || !a3.Accepted {
-		t.Fatalf("jittered retry did not converge: r2=%+v r3=%+v", a2, a3)
-	}
-	b2, b3 := run()
-	if a2.Attempts != b2.Attempts || a3.Attempts != b3.Attempts ||
-		a2.SetupLatency != b2.SetupLatency || a3.SetupLatency != b3.SetupLatency {
-		t.Errorf("jittered run not reproducible: %+v/%+v vs %+v/%+v", a2, a3, b2, b3)
 	}
 }
 
