@@ -272,6 +272,7 @@ func (s *Scenario) Validate() error {
 	}
 	cfg := s.systemConfig()
 	servers := map[string]*Server{}
+	checkers := map[string]system.Checker{}
 	nodes := map[string]bool{}
 	for i := range s.Servers {
 		sv := &s.Servers[i]
@@ -286,9 +287,11 @@ func (s *Scenario) Validate() error {
 		}
 		servers[sv.Name] = sv
 		nodes[sv.Node()] = true
-		if err := cfg.Check(sv.Name, sv.Capacity, sv.Gamma); err != nil {
+		k, err := cfg.Checker(sv.Name, sv.Capacity, sv.Gamma)
+		if err != nil {
 			return fmt.Errorf("config: %w", err)
 		}
+		checkers[sv.Name] = k
 	}
 	ids := map[int]bool{}
 	dry := rng.New(0) // BuildSource below only checks parameters
@@ -334,8 +337,7 @@ func (s *Scenario) Validate() error {
 		}
 		// The class table is the same at every server, so the first hop
 		// stands for the route.
-		first := servers[sess.Route[0]]
-		if err := cfg.Check(first.Name, first.Capacity, first.Gamma, req); err != nil {
+		if err := checkers[sess.Route[0]].Check(req); err != nil {
 			return fmt.Errorf("config: session %d: %w", i, err)
 		}
 	}

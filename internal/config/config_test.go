@@ -239,3 +239,39 @@ func TestShapedSource(t *testing.T) {
 		t.Errorf("shaped session broke its bound: %+v", res.Sessions[0])
 	}
 }
+
+// TestValidateChecksOneControllerPerServer: Validate checks every
+// session's request against one admission controller per server, built
+// once, so a session added to a one-server document costs Validate
+// fewer allocations than a controller does.
+func TestValidateChecksOneControllerPerServer(t *testing.T) {
+	classes := []Class{{R: 512000, Sigma: 5e-3}, {R: 1024000, Sigma: 10e-3}, {R: 1536000, Sigma: 15e-3}}
+	doc := func(sessions int) *Scenario {
+		s := &Scenario{LMax: 424, Duration: 1, Proc: 2, Classes: classes,
+			Servers: []Server{{Name: "n1", Capacity: 1536000, Gamma: 1e-3}}}
+		for i := 0; i < sessions; i++ {
+			s.Sessions = append(s.Sessions, Session{Rate: 16000, Route: []string{"n1"}, Class: 1 + i%3,
+				Source: Source{Kind: "deterministic", Interval: 0.0265, Length: 424}})
+		}
+		return s
+	}
+	validate := func(s *Scenario) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if err := s.Validate(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	const few, many = 16, 64
+	perSession := (validate(doc(many)) - validate(doc(few))) / (many - few)
+	cfg := doc(0).systemConfig()
+	controller := testing.AllocsPerRun(5, func() {
+		if err := cfg.Check("n1", 1536000, 1e-3); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("Validate: %.2f allocations per added session; one controller: %.0f", perSession, controller)
+	if perSession >= controller {
+		t.Errorf("each added session costs Validate %.2f allocations, a controller's %.0f or more", perSession, controller)
+	}
+}

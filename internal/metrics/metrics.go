@@ -173,7 +173,7 @@ const (
 	HServeScenarioFailed                              // scenario jobs failed (panic or watchdog)
 	HServePanics                                      // worker panics recovered
 	HServeWatchdogTrips                               // worker watchdog aborts
-	HServeDeadlineExpired                             // requests abandoned at their deadline
+	HServeDeadlineExpired                             // requests answered past their deadline, or after the client went
 	HServeCheckpoints                                 // checkpoint files written
 	HServeRestores                                    // jobs restored from a checkpoint
 )

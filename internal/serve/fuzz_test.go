@@ -44,7 +44,7 @@ func FuzzServeBodies(f *testing.F) {
 			RequestTimeout: timeout,
 			Watchdog:       event.Watchdog{MaxEvents: 20e3, MaxWall: timeout},
 		})
-		routes := d.routes()
+		routes := d.Handler()
 		// bounded runs fn on its own goroutine, so a handler or a worker
 		// that never returns is a failure, not a hung fuzzer.
 		bounded := func(what string, fn func()) {

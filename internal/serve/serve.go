@@ -6,11 +6,15 @@
 //
 // Robustness is the design center, not an afterthought:
 //
-//   - Every handler runs under a context deadline. Clients may send an
-//     X-Request-Deadline header (unix seconds, their clock); the daemon
-//     clamps it into a sane window, so clock-skewed clients degrade to
-//     the default timeout instead of to an instantly-expired or
-//     never-expiring request.
+//   - Every request has a deadline, measured and counted: a handler
+//     that returns past it, or whose client has gone, is counted in
+//     deadline_expired. No handler waits on anything but its own
+//     connection, so none is abandoned; the http.Server's read and
+//     write timeouts bound slow clients. Clients
+//     may send an X-Request-Deadline header (unix seconds, their clock);
+//     the daemon clamps it into a sane window, so clock-skewed clients
+//     degrade to the default timeout instead of to an instantly-expired
+//     or never-expiring request.
 //   - Admission requests route through the PR-9 network-calculus fast
 //     path (admission.AdmitClass + CurveGate): one O(classes+segments)
 //     curve evaluation per call, so under overload the daemon sheds
@@ -208,7 +212,7 @@ func (d *Daemon) Start() error {
 	d.listener = ln
 	d.started = time.Now()
 	d.srv = &http.Server{
-		Handler: d.routes(),
+		Handler: d.Handler(),
 		// Slow and stalled clients are bounded at every phase: header
 		// read, body read, and response write.
 		ReadHeaderTimeout: d.opts.RequestTimeout,
@@ -251,7 +255,9 @@ func (d *Daemon) Drain(ctx context.Context) error {
 
 // --- HTTP plumbing ---------------------------------------------------
 
-func (d *Daemon) routes() http.Handler {
+// Handler is the daemon's wire API, every route in its envelope (wrap);
+// Start serves it.
+func (d *Daemon) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/healthz", d.wrap(d.handleHealthz))
 	mux.HandleFunc("GET /v1/stats", d.wrap(d.handleStats))
@@ -269,52 +275,69 @@ func (d *Daemon) routes() http.Handler {
 }
 
 // wrap applies the per-request robustness envelope: a counted request,
-// a bounded body, and a context deadline derived from the client's
-// X-Request-Deadline clamped into [now+ε, now+RequestTimeout] so clock
-// skew cannot produce an already-expired or unbounded request.
+// a bounded body, and a deadline derived from the client's
+// X-Request-Deadline, counted in deadline_expired when the handler
+// returns past it or the client has gone. No handler waits on anything
+// but its own connection, so there is nothing to abandon and the
+// deadline is measured, not enforced: the http.Server's read and write
+// timeouts are what bound a slow client.
 func (d *Daemon) wrap(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		d.ar.AtomicInc(metrics.HServeRequests)
 		r.Body = http.MaxBytesReader(w, r.Body, d.opts.MaxBody)
-		timeout := d.opts.RequestTimeout
-		if raw := r.Header.Get("X-Request-Deadline"); raw != "" {
-			unix, err := strconv.ParseFloat(raw, 64)
-			if err != nil || math.IsNaN(unix) {
-				d.ar.AtomicInc(metrics.HServeMalformed)
-				httpError(w, http.StatusBadRequest, "malformed X-Request-Deadline")
-				return
-			}
-			// Clamp in seconds, before the conversion to a Duration
-			// can overflow: a deadline in the past (skewed-behind
-			// clock) gets a minimal grace window rather than instant
-			// expiry; a far-future one (skewed-ahead, or milliseconds
-			// sent for seconds) is capped at the server's own timeout.
-			left := math.Max(unix-float64(time.Now().UnixNano())/1e9, 0.05)
-			if left < d.opts.RequestTimeout.Seconds() {
-				timeout = time.Duration(left * float64(time.Second))
-			}
+		deadline, ok := d.deadline(r)
+		if !ok {
+			d.ar.AtomicInc(metrics.HServeMalformed)
+			httpError(w, http.StatusBadRequest, "malformed X-Request-Deadline")
+			return
 		}
-		ctx, cancel := context.WithTimeout(r.Context(), timeout)
-		defer cancel()
-		h(w, r.WithContext(ctx))
-		if ctx.Err() != nil {
+		h(w, r)
+		if time.Now().After(deadline) || r.Context().Err() != nil {
 			d.ar.AtomicInc(metrics.HServeDeadlineExpired)
 		}
 	}
+}
+
+// deadline is the request's deadline: now plus RequestTimeout, or the
+// client's X-Request-Deadline clamped into [now+50 ms, now+RequestTimeout]
+// so that clock skew cannot make a request already expired or unbounded.
+// It reports false for a header that is not a number.
+func (d *Daemon) deadline(r *http.Request) (time.Time, bool) {
+	now := time.Now()
+	timeout := d.opts.RequestTimeout
+	if raw := r.Header.Get("X-Request-Deadline"); raw != "" {
+		unix, err := strconv.ParseFloat(raw, 64)
+		if err != nil || math.IsNaN(unix) {
+			return time.Time{}, false
+		}
+		// Clamp in seconds, before the conversion to a Duration can
+		// overflow: a deadline in the past (skewed-behind clock) gets a
+		// minimal grace window rather than instant expiry; a far-future
+		// one (skewed-ahead, or milliseconds sent for seconds) is capped
+		// at the server's own timeout.
+		left := math.Max(unix-float64(now.UnixNano())/1e9, 0.05)
+		if left < d.opts.RequestTimeout.Seconds() {
+			timeout = time.Duration(left * float64(time.Second))
+		}
+	}
+	return now.Add(timeout), true
 }
 
 type errorBody struct {
 	Error string `json:"error"`
 }
 
+// jsonContentType is every response's Content-Type value. Responses
+// share it, where Header().Set would allocate a slice for each; net/http
+// copies the header before writing it and never writes into the slice.
+var jsonContentType = []string{"application/json"}
+
 func httpError(w http.ResponseWriter, code int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(errorBody{Error: msg}) //nolint:errcheck
+	writeJSON(w, code, errorBody{Error: msg})
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(v) //nolint:errcheck
 }
@@ -383,7 +406,9 @@ type ReleaseRequest struct {
 // --- system handlers -------------------------------------------------
 
 func (d *Daemon) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	writeJSON(w, http.StatusOK, struct {
+		Status string `json:"status"`
+	}{"ok"})
 }
 
 func (d *Daemon) handleCreateSystem(w http.ResponseWriter, r *http.Request) {
@@ -428,7 +453,9 @@ func (d *Daemon) handleCreateSystem(w http.ResponseWriter, r *http.Request) {
 	}
 	d.systems[req.Name] = sys
 	d.mu.Unlock()
-	writeJSON(w, http.StatusCreated, map[string]string{"name": req.Name})
+	writeJSON(w, http.StatusCreated, struct {
+		Name string `json:"name"`
+	}{req.Name})
 }
 
 func (d *Daemon) lookupSystem(w http.ResponseWriter, r *http.Request) *system {
@@ -532,7 +559,9 @@ func (d *Daemon) handleRelease(w http.ResponseWriter, r *http.Request) {
 	sys.gate.Release(entry.rate, entry.burst)
 	sys.mu.Unlock()
 	d.ar.AtomicInc(metrics.HServeReleases)
-	writeJSON(w, http.StatusOK, map[string]bool{"released": true})
+	writeJSON(w, http.StatusOK, struct {
+		Released bool `json:"released"`
+	}{true})
 }
 
 // handleAdopt registers a session established out of band (typically

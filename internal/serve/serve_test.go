@@ -140,7 +140,8 @@ func TestOptionDefaults(t *testing.T) {
 // TestRequestDeadlineClamp: wrap clamps a client's X-Request-Deadline
 // into [now+50 ms, now+RequestTimeout] before it becomes a Duration, so
 // a deadline too far ahead to fit one is capped rather than read as
-// already expired, and NaN is malformed.
+// already expired, and NaN is malformed: a 400, and the handler does not
+// run.
 func TestRequestDeadlineClamp(t *testing.T) {
 	const rt = 2 * time.Second
 	d := New(Options{RequestTimeout: rt})
@@ -150,7 +151,7 @@ func TestRequestDeadlineClamp(t *testing.T) {
 	now := time.Now()
 	cases := []struct {
 		name, header string
-		want         time.Duration // the handler's deadline, from the request
+		want         time.Duration // the request's deadline, after now
 		code         int
 	}{
 		{"now+1s", unix(now.Add(time.Second)), time.Second, http.StatusOK},
@@ -162,27 +163,65 @@ func TestRequestDeadlineClamp(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			var deadline time.Time
-			h := d.wrap(func(w http.ResponseWriter, r *http.Request) {
-				deadline, _ = r.Context().Deadline()
-			})
 			req := httptest.NewRequest(http.MethodGet, "/", nil)
 			req.Header.Set("X-Request-Deadline", c.header)
+			ran := false
 			rec := httptest.NewRecorder()
-			h(rec, req)
-			after := time.Now()
+			d.wrap(func(http.ResponseWriter, *http.Request) { ran = true })(rec, req)
 			if rec.Code != c.code {
 				t.Fatalf("status %d, want %d: %s", rec.Code, c.code, rec.Body)
 			}
+			deadline, ok := d.deadline(req)
+			after := time.Now()
 			if c.code != http.StatusOK {
-				if !deadline.IsZero() {
-					t.Errorf("handler ran on a malformed deadline")
+				if ok || ran {
+					t.Errorf("malformed deadline accepted (%v) or its handler ran (%v)", ok, ran)
 				}
 				return
 			}
 			const slack = 10 * time.Millisecond
 			if lo, hi := now.Add(c.want-slack), after.Add(c.want+slack); deadline.Before(lo) || deadline.After(hi) {
 				t.Errorf("deadline %v after the request, want %v", deadline.Sub(now), c.want)
+			}
+		})
+	}
+}
+
+// TestDeadlineExpiredCounted: deadline_expired counts a request once
+// when its handler returns past the clamped deadline or its client has
+// gone, and not when the handler returns in time or the deadline header
+// is malformed (a 400 before the handler).
+func TestDeadlineExpiredCounted(t *testing.T) {
+	d := New(Options{})
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	past := strconv.FormatFloat(float64(time.Now().Add(-time.Hour).UnixNano())/1e9, 'f', -1, 64)
+	for _, c := range []struct {
+		name, header string
+		ctx          context.Context
+		work         time.Duration
+		code         int
+		counted      int64
+	}{
+		{"outlives a 50 ms clamp", past, context.Background(), 80 * time.Millisecond, http.StatusOK, 1},
+		{"in time", "", context.Background(), 0, http.StatusOK, 0},
+		{"in time under the clamp", past, context.Background(), 0, http.StatusOK, 0},
+		{"malformed", "NaN", context.Background(), 0, http.StatusBadRequest, 0},
+		{"client gone", "", canceled, 0, http.StatusOK, 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			before := d.reg.ServeCounters().DeadlineExpired
+			req := httptest.NewRequest(http.MethodGet, "/", nil).WithContext(c.ctx)
+			if c.header != "" {
+				req.Header.Set("X-Request-Deadline", c.header)
+			}
+			rec := httptest.NewRecorder()
+			d.wrap(func(http.ResponseWriter, *http.Request) { time.Sleep(c.work) })(rec, req)
+			if rec.Code != c.code {
+				t.Fatalf("status %d, want %d: %s", rec.Code, c.code, rec.Body)
+			}
+			if got := d.reg.ServeCounters().DeadlineExpired - before; got != c.counted {
+				t.Errorf("deadline_expired grew by %d, want %d", got, c.counted)
 			}
 		})
 	}

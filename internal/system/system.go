@@ -41,23 +41,48 @@ type Config struct {
 // each request routed over that link whatever else is established —
 // everything but an empty route and the outcome of the admission rules.
 func (c Config) Check(name string, capacity, gamma float64, reqs ...ConnectRequest) error {
-	if err := c.validate(); err != nil {
-		return err
-	}
-	ctrl, err := c.controller(name, capacity, gamma)
+	k, err := c.Checker(name, capacity, gamma)
 	if err != nil {
 		return err
 	}
 	for _, req := range reqs {
-		r, err := c.resolve(&req)
-		if err != nil {
-			return err
-		}
-		if err := ctrl.Check(r.Spec, r.Class, r.Opts); err != nil {
+		if err := k.Check(req); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// A Checker is Check for one link, built once: it holds the link's
+// admission controller, so the requests of many sessions over the link
+// are checked without building one each.
+type Checker struct {
+	cfg  Config
+	ctrl admission.Controller
+}
+
+// Checker reports what New refuses about the configuration and
+// AddServer about a link of the given capacity and propagation delay,
+// and returns the link's Checker.
+func (c Config) Checker(name string, capacity, gamma float64) (Checker, error) {
+	if err := c.validate(); err != nil {
+		return Checker{}, err
+	}
+	ctrl, err := c.controller(name, capacity, gamma)
+	if err != nil {
+		return Checker{}, err
+	}
+	return Checker{cfg: c, ctrl: ctrl}, nil
+}
+
+// Check reports what Connect refuses about a request routed over the
+// link whatever else is established.
+func (k Checker) Check(req ConnectRequest) error {
+	r, err := k.cfg.resolve(&req)
+	if err != nil {
+		return err
+	}
+	return k.ctrl.Check(r.Spec, r.Class, r.Opts)
 }
 
 // validate reports a nonpositive LMax or an unknown procedure.
