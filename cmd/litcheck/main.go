@@ -23,7 +23,12 @@
 // so each is checked for packet conservation counted from the trace, pool drain
 // and reserved capacity back to exactly zero at every controller; the
 // reference Leave-in-Time run is also checked against the analytic
-// bounds and for trace/metrics/probe agreement.
+// bounds and for trace/metrics/probe agreement. On a clean network each
+// baseline's sessions are held to the delay bound its sched.Table row
+// promises them, and WFQ and WF2Q to a fluid GPS server fed the same
+// arrivals; -v ends with the "baseline bounds" block, a line per
+// discipline: sessions checked, the worst observed/bound ratio, and the
+// sessions the row owes no bound, counted by reason.
 //
 // On a clean network the scenario also runs class-aggregated — its
 // sessions mapped onto a few classes with one regulator and one K clock
@@ -272,9 +277,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	failed := 0
 	violations := 0
+	var ledger simcheck.BoundLedger
 	for _, outs := range results {
 		seedOK := true
 		for _, o := range outs {
+			ledger.Add(o.rep)
 			if !o.rep.OK() {
 				seedOK = false
 				violations += len(o.rep.Violations)
@@ -297,6 +304,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// approached by the designed family, not merely never exceeded.
 	tr := simcheck.CalculusTightness(tightMargin)
 	fmt.Fprint(stdout, tr.Format())
+	if *verbose {
+		fmt.Fprint(stdout, ledger.Format())
+	}
 	if failed > 0 || !tr.Pass() {
 		return 1
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"leaveintime/internal/admission"
 	"leaveintime/internal/network"
 	"leaveintime/internal/rng"
 	"leaveintime/internal/sched"
@@ -39,97 +38,63 @@ type ComparisonResult struct {
 // RunComparison runs the paper's CROSS scenario (five-hop 32 kbit/s
 // ON-OFF session against 1472 kbit/s Poisson cross traffic per hop)
 // under each discipline with identical traffic (same seeds), measuring
-// the tagged session and computing each discipline's own bound.
+// the tagged session beside the bound its sched.Table row promises it.
 func RunComparison(duration float64, seed uint64, aOff float64) *ComparisonResult {
-	const (
-		tagRate = VoiceRate
-		frame   = OnSpacing // t1Disc's frame, 13.25 ms: one tagged packet per frame
-	)
+	const frame = OnSpacing // t1Disc's frame, 13.25 ms: one tagged packet per frame
 	// What the two sessions at a node declare to it: the tagged session
 	// one cell per 13.25 ms and a local delay of as much, the node's
-	// cross session a quarter of its mean spacing and 2.5 ms.
-	tagPort := network.SessionPort{LocalDelay: CellBits / tagRate, XMin: OnSpacing}
-	crossPort := network.SessionPort{LocalDelay: 2.5e-3, XMin: Fig8CrossMean / 4}
+	// cross session a quarter of its mean spacing and 2.5 ms. The cross
+	// budgets fail the EDD rows' schedulability test on purpose (a
+	// Poisson session's peak utilisation at a quarter of its mean
+	// spacing is 3.8 on its own): the coupling the paper's Section 4
+	// discusses.
+	tagPort := network.SessionPort{Session: 1, Rate: VoiceRate, LocalDelay: CellBits / VoiceRate, XMin: OnSpacing}
+	crossPort := network.SessionPort{Rate: Fig8CrossRate, LocalDelay: 2.5e-3, XMin: Fig8CrossMean / 4}
 	res := &ComparisonResult{Duration: duration, AOff: aOff}
 
-	// Bounds for the tagged session. It conforms to a token bucket
-	// (r, one cell), so D_ref_max = L/r = 13.25 ms.
-	dRef := CellBits / tagRate
-	litRoute := fig6RouteForRate(tagRate, NumNodes)
-	litBound := litRoute.DelayBound(dRef)
-	// Stop-and-Go: alpha*H*T + T with alpha in [1,2): worst case
-	// 2*H*T (+ propagation, excluded consistently below for all).
-	sgBound := 2*float64(NumNodes)*frame + float64(NumNodes)*PropDelay
-	// HRR offers Stop-and-Go's bound.
-	hrrBound := sgBound
-	// Delay-EDD's bound (sum of local delays) holds only when the
-	// Ferrari-Verma schedulability test passes; this scenario's cross
-	// budgets deliberately do not satisfy it (a Poisson session's peak
-	// utilisation at a quarter of its mean spacing is 3.8 on its own),
-	// so EDD variants get no bound here — the coupling the paper
-	// discusses in Section 4.
-	eddBnd, eddNote := eddBound(tagPort, crossPort)
-	// Cruz FCFS bound needs the cross traffic's envelope; Poisson has
-	// none, so FCFS gets no bound — exactly the paper's point. For
-	// WFQ/PGPS the tagged bound equals eq. 15 = the LiT bound.
-	type entry struct {
-		name       string
-		mk         func() network.Discipline
+	// The tagged session conforms to a token bucket of one cell at its
+	// rate; each hop carries it and that hop's cross session.
+	tag := sched.Flow{Session: 1, Rate: VoiceRate, B0: CellBits, LMin: CellBits, LMax: CellBits}
+	route := make([]sched.Hop, NumNodes)
+	for i := range route {
+		cross := crossPort
+		cross.Session = 2 + i
+		route[i] = sched.Hop{C: T1Rate, Gamma: PropDelay, Ports: []network.SessionPort{tagPort, cross}}
+	}
+	for _, e := range []struct {
+		label, row string
 		jitterCtrl bool
-		bound      float64
-		note       string
-	}
-	entries := []entry{
-		{"Leave-in-Time", t1Disc("lit"), false, litBound, "eq. 12"},
-		{"Leave-in-Time+jitterctl", t1Disc("lit"), true, litBound, "eq. 12"},
-		{"VirtualClock", t1Disc("virtualclock"), false, litBound, "eq. 12 (special case)"},
-		{"WFQ (PGPS)", t1Disc("wfq"), false, litBound, "PGPS = eq. 15"},
-		{"WF2Q", t1Disc("wf2q"), false, litBound, "PGPS = eq. 15"},
-		{"SCFQ", t1Disc("scfq"), false, 0, ""},
-		{"FCFS", t1Disc("fcfs"), false, 0, "no cross envelope"},
-		{"Stop-and-Go", t1Disc("stopandgo"), false, sgBound, "2HT"},
-		{"HRR", t1Disc("hrr"), false, hrrBound, "2HT"},
-		{"Delay-EDD", t1Disc("delayedd"), false, eddBnd, eddNote},
-		{"Jitter-EDD", t1Disc("jitteredd"), false, eddBnd, eddNote},
-		{"RCSP (2 levels)", newRCSPByRate, false, 0, "level test not run"},
-	}
-	for _, e := range entries {
-		tag := runComparisonScenario(e.mk, e.jitterCtrl, duration, seed, aOff, tagPort, crossPort)
+	}{
+		{"Leave-in-Time", "lit", false},
+		{"Leave-in-Time+jitterctl", "lit", true},
+		{"VirtualClock", "virtualclock", false},
+		{"WFQ (PGPS)", "wfq", false},
+		{"WF2Q", "wf2q", false},
+		{"SCFQ", "scfq", false},
+		{"FCFS", "fcfs", false},
+		{"Stop-and-Go", "stopandgo", false},
+		{"HRR", "hrr", false},
+		{"Delay-EDD", "delayedd", false},
+		{"Jitter-EDD", "jitteredd", false},
+		{"RCSP (2 levels)", "rcsp", false},
+	} {
+		mk := t1Disc(e.row)
+		if e.row == "rcsp" {
+			mk = newRCSPByRate
+		}
+		s := runComparisonScenario(mk, e.jitterCtrl, duration, seed, aOff, tagPort, crossPort)
+		p := sched.Lookup(e.row).Bound(tag, route, CellBits, frame)
 		res.Rows = append(res.Rows, ComparisonRow{
-			Name:      e.name,
-			MaxDelay:  tag.Delays.Max(),
-			MeanDelay: tag.Delays.Mean(),
-			Jitter:    tag.Delays.Jitter(),
-			Packets:   tag.Delays.Count(),
-			Bound:     e.bound,
-			BoundNote: e.note,
+			Name:      e.label,
+			MaxDelay:  s.Delays.Max(),
+			MeanDelay: s.Delays.Mean(),
+			Jitter:    s.Delays.Jitter(),
+			Packets:   s.Delays.Count(),
+			Bound:     p.Bound,
+			BoundNote: p.Origin,
 		})
 	}
 	return res
-}
-
-// fig6RouteForRate builds the eq. 12 route for a session of the given
-// rate over n Figure 6 hops with d = L/r.
-func fig6RouteForRate(rate float64, n int) admission.Route {
-	hops := make([]admission.Hop, n)
-	for i := range hops {
-		hops[i] = admission.Hop{C: T1Rate, Gamma: PropDelay, DMax: CellBits / rate}
-	}
-	return admission.Route{Hops: hops, LMax: CellBits}
-}
-
-// eddBound runs the Ferrari-Verma schedulability test on what one node
-// of the comparison carries — the tagged session and that node's cross
-// session, one cell each — and returns the tagged session's Delay-EDD
-// bound with its origin: the local delays and propagation summed over
-// the route when the set is schedulable, no bound when it is refused.
-func eddBound(tag, cross network.SessionPort) (bound float64, note string) {
-	adm := sched.NewEDDAdmission(T1Rate, CellBits)
-	if adm.Admit(1, tag.XMin, CellBits, tag.LocalDelay) != nil ||
-		adm.Admit(2, cross.XMin, CellBits, cross.LocalDelay) != nil {
-		return 0, "schedulability test fails"
-	}
-	return float64(NumNodes) * (tag.LocalDelay + PropDelay), "sum of local delays"
 }
 
 func runComparisonScenario(mk func() network.Discipline, jitterCtrl bool, duration float64, seed uint64, aOff float64, tagPort, crossPort network.SessionPort) *network.Session {

@@ -3,8 +3,6 @@ package scenarios
 import (
 	"strings"
 	"testing"
-
-	"leaveintime/internal/network"
 )
 
 func TestRunComparison(t *testing.T) {
@@ -37,29 +35,5 @@ func TestRunComparison(t *testing.T) {
 	}
 	if !strings.Contains(res.Format(), "bound origin") {
 		t.Error("Format output")
-	}
-}
-
-// TestEDDNoteFollowsVerdict: the Delay-EDD rows state what the
-// Ferrari-Verma test found, not a fixed string. The comparison's cross
-// budget (a quarter of the Poisson mean spacing) is refused and gets no
-// bound; the same sessions declaring the mean spacing itself are
-// schedulable and get the local delays plus propagation summed over
-// the five hops.
-func TestEDDNoteFollowsVerdict(t *testing.T) {
-	tag := network.SessionPort{LocalDelay: CellBits / VoiceRate, XMin: OnSpacing}
-	cross := network.SessionPort{LocalDelay: 2.5e-3, XMin: Fig8CrossMean / 4}
-	if b, note := eddBound(tag, cross); b != 0 || note != "schedulability test fails" {
-		t.Errorf("refused budgets: bound %v, note %q", b, note)
-	}
-	cross.XMin = Fig8CrossMean
-	want := float64(NumNodes) * (tag.LocalDelay + PropDelay)
-	if b, note := eddBound(tag, cross); b != want || note != "sum of local delays" {
-		t.Errorf("schedulable budgets: bound %v, note %q, want %v", b, note, want)
-	}
-	for _, row := range RunComparison(2, 1, 0.65).Rows {
-		if strings.HasSuffix(row.Name, "-EDD") && (row.Bound != 0 || row.BoundNote != "schedulability test fails") {
-			t.Errorf("%s: bound %v, note %q", row.Name, row.Bound, row.BoundNote)
-		}
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"strings"
 
 	"leaveintime/internal/admission"
+	"leaveintime/internal/network"
+	"leaveintime/internal/sched"
 )
 
 // Section4StopAndGo evaluates the paper's Section 4 worked comparison
@@ -13,7 +15,8 @@ import (
 // rate 0.1*C) and both schemes allocate bandwidth 0.1*C.
 //
 //   - Stop-and-Go's end-to-end delay is alpha*H*T (+-T) with
-//     alpha in [1, 2); the per-link increase is alpha*T.
+//     alpha in [1, 2); the per-link increase is alpha*T. The 2HT end is
+//     the stopandgo row's bound (sched.Table).
 //   - Leave-in-Time (AC 1, one class, d = L/r = 0.1*T) has bound
 //     D_ref_max + beta = T + beta; the per-link increase is
 //     L_MAX/C + 0.1*T.
@@ -47,12 +50,13 @@ func RunSection4StopAndGo(t, c float64, n int) Section4StopAndGo {
 	}
 	route := admission.Route{Hops: hops, LMax: lPkt, Alpha: 0}
 	dRef := t // D_ref_max = b0/r = 0.1CT / 0.1C
+	sg := sched.Lookup("stopandgo").Bound(section4Flow(rate, rate*t, lPkt), section4Route(n, c, 0, rate), lPkt, t)
 	return Section4StopAndGo{
 		T: t, C: c, N: n, LMax: lPkt,
 		DRef:       dRef,
 		LiT:        route.DelayBound(dRef),
 		SGLow:      float64(n) * t,
-		SGHigh:     2 * float64(n) * t,
+		SGHigh:     sg.Bound,
 		PerLinkLiT: lPkt/c + d,
 		PerLinkSG:  [2]float64{t, 2 * t},
 		JitterLiT:  route.JitterBoundControl(dRef, lPkt),
@@ -71,26 +75,23 @@ func (s Section4StopAndGo) Format() string {
 	return b.String()
 }
 
-// PGPSBound computes Parekh & Gallager's PGPS end-to-end delay bound
-// for a token-bucket (rate, b0) session of maximum packet length lMax
-// across n hops of capacity c (propagation excluded):
-//
-//	D <= b0/r + (N-1)*LMax/r + sum_n L_MAX/C_n.
-//
-// The paper's eq. (15) shows Leave-in-Time under admission control
-// procedure 1 with one class attains exactly this bound; a unit test
-// checks the two formulas coincide on the Figure 6 route.
-func PGPSBound(rate, b0, lMaxSession, lMaxNet float64, hops []admission.Hop) float64 {
-	d := b0 / rate
-	d += float64(len(hops)-1) * lMaxSession / rate
-	for _, h := range hops {
-		d += lMaxNet/h.C + h.Gamma
-	}
-	return d
+// section4Flow is the one session of the Section 4 examples.
+func section4Flow(rate, b0, lPkt float64) sched.Flow {
+	return sched.Flow{Session: 1, Rate: rate, B0: b0, LMin: lPkt, LMax: lPkt}
 }
 
-// Section4PGPS checks eq. (15) against the PGPS bound on an n-hop route
-// with the given link capacity.
+// section4Route is n hops of capacity c and propagation gamma, each
+// carrying the session alone.
+func section4Route(n int, c, gamma, rate float64) []sched.Hop {
+	route := make([]sched.Hop, n)
+	for i := range route {
+		route[i] = sched.Hop{C: c, Gamma: gamma, Ports: []network.SessionPort{{Session: 1, Rate: rate}}}
+	}
+	return route
+}
+
+// Section4PGPS checks eq. (15) against the PGPS bound (the wfq row of
+// sched.Table) on an n-hop route with the given link capacity.
 type Section4PGPS struct {
 	LiT, PGPS float64
 }
@@ -104,8 +105,9 @@ func RunSection4PGPS(rate, b0, lPkt, c, gamma float64, n int) Section4PGPS {
 		hops[i] = admission.Hop{C: c, Gamma: gamma, DMax: lPkt / rate}
 	}
 	route := admission.Route{Hops: hops, LMax: lPkt, Alpha: 0}
+	pgps := sched.Lookup("wfq").Bound(section4Flow(rate, b0, lPkt), section4Route(n, c, gamma, rate), lPkt, 0)
 	return Section4PGPS{
 		LiT:  route.DelayBoundTokenBucket(rate, b0),
-		PGPS: PGPSBound(rate, b0, lPkt, lPkt, hops),
+		PGPS: pgps.Bound,
 	}
 }

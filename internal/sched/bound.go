@@ -1,0 +1,190 @@
+package sched
+
+import (
+	"math"
+
+	"leaveintime/internal/admission"
+	"leaveintime/internal/network"
+)
+
+// Flow is the session a row's Bound is asked about: its network id, its
+// reserved rate r (bits/s), its token-bucket depth b0 and its packet
+// lengths (bits).
+type Flow struct {
+	Session    int
+	Rate, B0   float64
+	LMin, LMax float64
+}
+
+// Hop is one hop of the flow's route as a bound reads it: the link's
+// capacity C (bits/s) and propagation Gamma (s), and every session the
+// hop's discipline was given, the flow's own among them.
+type Hop struct {
+	C, Gamma float64
+	Ports    []network.SessionPort
+}
+
+// Promise is what a row promises one flow: an end-to-end delay bound
+// (s, propagation included) and its origin, or a zero Bound and the
+// reason none is owed.
+type Promise struct {
+	Bound  float64
+	Origin string
+}
+
+// bound is the type of Row.Bound: the flow, its route, the network's
+// L_MAX and the framing disciplines' frame.
+type bound = func(f Flow, route []Hop, lMax, frame float64) Promise
+
+// none is the Bound of a row that promises no delay.
+func none(reason string) bound {
+	return func(Flow, []Hop, float64, float64) Promise { return Promise{Origin: reason} }
+}
+
+// owed is a bound behind the preconditions every bound of the table
+// shares: each starts from the flow's token bucket, and each assumes no
+// hop reserves more than its link carries. The sum is allowed rounding
+// crumbs, since the admission rules compare exact sums.
+func owed(b bound) bound {
+	return func(f Flow, route []Hop, lMax, frame float64) Promise {
+		if f.B0 <= 0 {
+			return Promise{Origin: "no token bucket"}
+		}
+		for _, h := range route {
+			var sum float64
+			for _, p := range h.Ports {
+				sum += p.Rate
+			}
+			if sum > h.C*(1+1e-12) {
+				return Promise{Origin: "rates exceed capacity"}
+			}
+		}
+		return b(f, route, lMax, frame)
+	}
+}
+
+// own is the flow's port at the hop.
+func own(h Hop, id int) network.SessionPort {
+	for _, p := range h.Ports {
+		if p.Session == id {
+			return p
+		}
+	}
+	panic("sched: flow not registered at its hop")
+}
+
+// eq12 is the paper's eq. 12, computed by admission.Route: d at each hop
+// is the port's DMax with alpha from its D at the final hop, or L/r when
+// the port has no D or the row ignores it (VirtualClock's stamp is
+// d = L/r whatever the port carries).
+func eq12(portD bool, origin string) bound {
+	return owed(func(f Flow, route []Hop, lMax, _ float64) Promise {
+		r := admission.Route{Hops: make([]admission.Hop, len(route)), LMax: lMax}
+		for i, h := range route {
+			d := f.LMax / f.Rate
+			if p := own(h, f.Session); portD && p.D != nil {
+				d = p.DMax
+				if i == len(route)-1 {
+					r.Alpha = math.Max(p.D(f.LMin)-f.LMin/f.Rate, p.D(f.LMax)-f.LMax/f.Rate)
+				}
+			}
+			r.Hops[i] = admission.Hop{C: h.C, Gamma: h.Gamma, DMax: d}
+		}
+		return Promise{Bound: r.DelayBound(f.B0 / f.Rate), Origin: origin}
+	})
+}
+
+// pgpsBound is Parekh and Gallager's bound for a rate-proportional
+// PGPS session over its route:
+//
+//	D <= b0/r + (N-1)*L/r + sum_n (L_MAX/C_n + Gamma_n).
+//
+// It is derived apart from eq. 12: the paper's eq. 15 shows the two
+// equal at d = L/r, and TestPGPSEquality compares them.
+func pgpsBound(f Flow, route []Hop, lMax float64) float64 {
+	d := f.B0 / f.Rate
+	d += float64(len(route)-1) * f.LMax / f.Rate
+	for _, h := range route {
+		d += lMax/h.C + h.Gamma
+	}
+	return d
+}
+
+var pgps = owed(func(f Flow, route []Hop, lMax, _ float64) Promise {
+	return Promise{Bound: pgpsBound(f, route, lMax), Origin: "PGPS = eq. 15"}
+})
+
+// scfq is PGPS plus one maximum packet of every other session at every
+// hop: SCFQ's self-clocked virtual time lets each of them in ahead once.
+var scfq = owed(func(f Flow, route []Hop, lMax, _ float64) Promise {
+	d := pgpsBound(f, route, lMax)
+	for _, h := range route {
+		d += float64(len(h.Ports)-1) * lMax / h.C
+	}
+	return Promise{Bound: d, Origin: "PGPS + (N-1)L_MAX/C"}
+})
+
+// framed is the framing disciplines' 2HT plus propagation: a packet
+// waits out the rest of its arrival frame and leaves within the next,
+// at each of H hops, provided fits accepts the flow at every hop.
+func framed(fits func(f Flow, h Hop, lMax, frame float64) string) bound {
+	return owed(func(f Flow, route []Hop, lMax, frame float64) Promise {
+		d := 2 * float64(len(route)) * frame
+		for _, h := range route {
+			if why := fits(f, h, lMax, frame); why != "" {
+				return Promise{Origin: why}
+			}
+			d += h.Gamma
+		}
+		return Promise{Bound: d, Origin: "2HT"}
+	})
+}
+
+// stopAndGoFits: Stop-and-Go's frame carries r*T of the flow, so the
+// flow's bucket must not hold more than one frame's share.
+func stopAndGoFits(f Flow, _ Hop, _, frame float64) string {
+	if f.B0 > f.Rate*frame {
+		return "not (r, T)-smooth"
+	}
+	return ""
+}
+
+// hrrFits: HRR grants a session whole packets, ceil(r*T/L_MAX) slots a
+// frame (HRR.AddSession), so the flow's burst and its packets per frame
+// must fit its slots, and every session's slots must fit the frame.
+func hrrFits(f Flow, h Hop, lMax, frame float64) string {
+	slots := func(rate float64) float64 { return max(1, math.Ceil(rate*frame/lMax)) }
+	room := slots(f.Rate) * f.LMin
+	if f.B0 > room || f.Rate*frame > room {
+		return "packets overrun its slots"
+	}
+	var need float64
+	for _, p := range h.Ports {
+		need += slots(p.Rate) * lMax
+	}
+	if need > h.C*frame {
+		return "frame overbooked"
+	}
+	return ""
+}
+
+// edd is the EDD rows' sum of local delays and propagation. It holds
+// when the flow's source spaces its packets (a bucket of one packet) and
+// the row's own schedulability test accepts every hop's sessions, each
+// taken at L_MAX since a port does not carry a session's packet length.
+var edd = owed(func(f Flow, route []Hop, lMax, _ float64) Promise {
+	if f.B0 > f.LMin {
+		return Promise{Origin: "bursts beyond one packet"}
+	}
+	var d float64
+	for _, h := range route {
+		adm := NewEDDAdmission(h.C, lMax)
+		for _, p := range h.Ports {
+			if adm.Admit(p.Session, p.XMin, lMax, p.LocalDelay) != nil {
+				return Promise{Origin: "schedulability test fails"}
+			}
+		}
+		d += own(h, f.Session).LocalDelay + h.Gamma
+	}
+	return Promise{Bound: d, Origin: "sum of local delays"}
+})

@@ -1,0 +1,112 @@
+package sched
+
+import (
+	"math"
+	"testing"
+
+	"leaveintime/internal/network"
+)
+
+// fig6Route is the Section 4 comparison's tagged session on the Figure 6
+// tandem: five T1 hops with 1 ms of propagation, each carrying the
+// 32 kbit/s voice session (one 424-bit cell per 13.25 ms) and that hop's
+// 1472 kbit/s cross session, the latter declaring crossXMin to the EDD
+// rows.
+func fig6Route(crossXMin float64) (Flow, []Hop) {
+	const (
+		c, gamma, cell, voice = 1536e3, 1e-3, 424, 32e3
+		spacing               = 0.01325
+	)
+	tag := network.SessionPort{Session: 1, Rate: voice, LocalDelay: cell / voice, XMin: spacing}
+	route := make([]Hop, 5)
+	for i := range route {
+		cross := network.SessionPort{Session: 2 + i, Rate: 1472e3, LocalDelay: 2.5e-3, XMin: crossXMin}
+		route[i] = Hop{C: c, Gamma: gamma, Ports: []network.SessionPort{tag, cross}}
+	}
+	return Flow{Session: 1, Rate: voice, B0: cell, LMin: cell, LMax: cell}, route
+}
+
+// TestTableBounds: every row states what it promises, and on the Fig. 6
+// tagged route the promises are the paper's Section 4 numbers. Eq. 12 at
+// d = L/r is PGPS (eq. 15); SCFQ pays one cell per other session a hop;
+// the framing rows pay 2HT; the EDD rows' verdict follows their
+// schedulability test, refused at the comparison's cross budget (a
+// quarter of the Poisson mean spacing) and accepted at the mean spacing.
+func TestTableBounds(t *testing.T) {
+	const crossMean, lMax, frame = 0.28804e-3, 424, 0.01325
+	tag, route := fig6Route(crossMean / 4)
+	got := map[string]Promise{}
+	for _, row := range Table {
+		if row.Bound == nil {
+			t.Fatalf("%s states no Bound", row.Name)
+		}
+		got[row.Name] = row.Bound(tag, route, lMax, frame)
+	}
+
+	lit := got["lit"].Bound
+	if math.Abs(lit-72.63e-3) > 0.005e-3 {
+		t.Errorf("lit: %.9f s, want 72.63 ms", lit)
+	}
+	for _, name := range []string{"virtualclock", "wfq", "wf2q"} {
+		if b := got[name].Bound; math.Abs(b-lit) > 1e-15 {
+			t.Errorf("%s: %.17g s, lit %.17g s", name, b, lit)
+		}
+	}
+	if b, want := got["scfq"].Bound, got["wfq"].Bound+5*lMax/1536e3; math.Abs(b-want) > 1e-15 {
+		t.Errorf("scfq: %.17g s, want %.17g s", b, want)
+	}
+	for _, name := range []string{"stopandgo", "hrr"} {
+		if p := got[name]; math.Abs(p.Bound-137.5e-3) > 1e-12 || p.Origin != "2HT" {
+			t.Errorf("%s: %+v, want 137.50 ms from 2HT", name, p)
+		}
+	}
+
+	tagEDD, schedulable := fig6Route(crossMean)
+	want := 5 * (lMax/32e3 + 1e-3)
+	for _, name := range []string{"delayedd", "jitteredd"} {
+		if p := got[name]; p.Bound != 0 || p.Origin != "schedulability test fails" {
+			t.Errorf("%s at the comparison's budgets: %+v", name, p)
+		}
+		p := Lookup(name).Bound(tagEDD, schedulable, lMax, frame)
+		if math.Abs(p.Bound-want) > 1e-15 || p.Origin != "sum of local delays" {
+			t.Errorf("%s at the mean spacing: %+v, want %.17g s", name, p, want)
+		}
+	}
+
+	for _, name := range []string{"lit-approx", "fcfs", "rcsp", "lstf", "srpt"} {
+		if p := got[name]; p.Bound != 0 || p.Origin == "" {
+			t.Errorf("%s: %+v, want no bound and its reason", name, p)
+		}
+	}
+}
+
+// TestBoundPreconditions: a bound is owed only behind its row's
+// preconditions, and each refusal names the one that failed.
+func TestBoundPreconditions(t *testing.T) {
+	const lMax, frame = 424, 0.01325
+	tag, route := fig6Route(0.28804e-3)
+	for _, tc := range []struct {
+		row, why string
+		edit     func(f *Flow, route []Hop)
+	}{
+		{"wfq", "no token bucket", func(f *Flow, _ []Hop) { f.B0 = 0 }},
+		{"delayedd", "no token bucket", func(f *Flow, _ []Hop) { f.B0 = 0 }},
+		{"virtualclock", "rates exceed capacity", func(_ *Flow, route []Hop) { route[2].C = 1e6 }},
+		{"stopandgo", "not (r, T)-smooth", func(f *Flow, _ []Hop) { f.B0 = 2 * lMax }},
+		{"hrr", "packets overrun its slots", func(f *Flow, _ []Hop) { f.LMin = lMax / 2 }},
+		{"hrr", "frame overbooked", func(_ *Flow, route []Hop) {
+			// 44 slots for 43.75 cells, and one for the voice session.
+			cross := route[4].Ports[1]
+			cross.Rate = 1400e3
+			route[4] = Hop{C: 1435e3, Gamma: route[4].Gamma, Ports: []network.SessionPort{route[4].Ports[0], cross}}
+		}},
+		{"jitteredd", "bursts beyond one packet", func(f *Flow, _ []Hop) { f.B0 = 2 * lMax }},
+	} {
+		f, r := tag, make([]Hop, len(route))
+		copy(r, route)
+		tc.edit(&f, r)
+		if p := Lookup(tc.row).Bound(f, r, lMax, frame); p.Bound != 0 || p.Origin != tc.why {
+			t.Errorf("%s: %+v, want no bound: %s", tc.row, p, tc.why)
+		}
+	}
+}

@@ -8,9 +8,9 @@ import (
 )
 
 // Row is one discipline of the repository: the name reports print, a
-// constructor, and the two properties its Go type cannot show. What the
-// type does show is not declared here: a discipline keeps per-session
-// state exactly when it implements network.SessionChecker.
+// constructor, and the three properties its Go type cannot show. What
+// the type does show is not declared here: a discipline keeps
+// per-session state exactly when it implements network.SessionChecker.
 type Row struct {
 	Name string
 	// New builds the discipline for one port of the given capacity
@@ -20,6 +20,10 @@ type Row struct {
 	New        func(capacity, lMax, frame float64) network.Discipline
 	Conserving Conserving
 	Order      Order
+	// Bound is what the discipline promises a session: its end-to-end
+	// delay bound over a route of ports built by New, or the reason it
+	// owes none (see DESIGN "What each discipline promises").
+	Bound func(f Flow, route []Hop, lMax, frame float64) Promise
 }
 
 // Conserving says when a discipline is work-conserving: when Dequeue
@@ -57,37 +61,38 @@ const (
 // Table is every discipline of the repository, Leave-in-Time first: the
 // order the conformance battery runs and reports them in.
 var Table = []Row{
-	{Name: "lit", Conserving: ConservesUnlessJitter, Order: ByDeadline,
+	{Name: "lit", Conserving: ConservesUnlessJitter, Order: ByDeadline, Bound: eq12(true, "eq. 12"),
 		New: func(capacity, lMax, _ float64) network.Discipline {
 			return core.New(core.Config{Capacity: capacity, LMax: lMax})
 		}},
 	{Name: "lit-approx", Conserving: ConservesUnlessJitter, Order: ByDay,
+		Bound: none("held to the exact queue instead"),
 		New: func(capacity, lMax, _ float64) network.Discipline {
 			return core.New(core.Config{Capacity: capacity, LMax: lMax, Approximate: true})
 		}},
-	{Name: "virtualclock", Conserving: Conserves, Order: ByDeadline,
+	{Name: "virtualclock", Conserving: Conserves, Order: ByDeadline, Bound: eq12(false, "eq. 12 (special case)"),
 		New: func(_, _, _ float64) network.Discipline { return NewVirtualClock() }},
-	{Name: "wfq", Conserving: Conserves,
+	{Name: "wfq", Conserving: Conserves, Bound: pgps,
 		New: func(capacity, _, _ float64) network.Discipline { return NewWFQ(capacity) }},
-	{Name: "wf2q", Conserving: Conserves,
+	{Name: "wf2q", Conserving: Conserves, Bound: pgps,
 		New: func(capacity, _, _ float64) network.Discipline { return NewWF2Q(capacity) }},
-	{Name: "scfq", Conserving: Conserves,
+	{Name: "scfq", Conserving: Conserves, Bound: scfq,
 		New: func(_, _, _ float64) network.Discipline { return NewSCFQ() }},
-	{Name: "fcfs", Conserving: Conserves,
+	{Name: "fcfs", Conserving: Conserves, Bound: none("no cross envelope"),
 		New: func(_, _, _ float64) network.Discipline { return NewFCFS() }},
-	{Name: "delayedd", Conserving: Conserves, Order: ByDeadline,
+	{Name: "delayedd", Conserving: Conserves, Order: ByDeadline, Bound: edd,
 		New: func(_, _, _ float64) network.Discipline { return NewDelayEDD() }},
-	{Name: "jitteredd", Conserving: Idles,
+	{Name: "jitteredd", Conserving: Idles, Bound: edd,
 		New: func(_, _, _ float64) network.Discipline { return NewJitterEDD() }},
-	{Name: "stopandgo", Conserving: Idles,
+	{Name: "stopandgo", Conserving: Idles, Bound: framed(stopAndGoFits),
 		New: func(_, _, frame float64) network.Discipline { return NewStopAndGo(frame) }},
-	{Name: "hrr", Conserving: Idles,
+	{Name: "hrr", Conserving: Idles, Bound: framed(hrrFits),
 		New: func(_, lMax, frame float64) network.Discipline { return NewHRR(lMax, frame) }},
-	{Name: "rcsp", Conserving: Idles,
+	{Name: "rcsp", Conserving: Idles, Bound: none("level test not run"),
 		New: func(_, _, _ float64) network.Discipline { return NewRCSP(2) }},
-	{Name: "lstf", Conserving: Conserves, Order: ByDeadline,
+	{Name: "lstf", Conserving: Conserves, Order: ByDeadline, Bound: none("slack test not run"),
 		New: func(_, _, _ float64) network.Discipline { return NewLSTF() }},
-	{Name: "srpt", Conserving: Conserves,
+	{Name: "srpt", Conserving: Conserves, Bound: none("no rate guarantee"),
 		New: func(_, _, _ float64) network.Discipline { return NewSRPT() }},
 }
 

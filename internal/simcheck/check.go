@@ -164,21 +164,55 @@ func CheckScenario(sc Case, opt Options) (rep *SeedReport) {
 		checkCalculus(&sc, scale, wd, rep)
 	}
 
-	// Every baseline discipline: generic invariants only (drain,
-	// conservation, capacity return, identical emission).
+	// Every baseline discipline: drain, conservation, capacity return,
+	// identical emission and, on a clean network, each session against
+	// the bound its row promises and a GPS emulation against GPS.
 	for _, row := range sched.Table {
 		if row.Name == "lit" || row.Name == "lit-approx" {
 			continue // the reference and approximate runs above
 		}
-		if res := rep.runUnder(&sc, row, runOpts{wd: wd}); res != nil && res.Tripped == "" {
+		gps := clean && gpsRows[row.Name]
+		if res := rep.runUnder(&sc, row, runOpts{wd: wd, gps: gps}); res != nil && res.Tripped == "" {
 			checkDrain(res, rep)
 			checkCapacity(res, rep)
 			if exact.Tripped == "" {
 				checkEmitted(exact, res, rep)
 			}
+			if clean {
+				checkRowBound(res, row, scale, rep)
+			}
+			if gps {
+				checkGPS(res, &sc, rep)
+			}
 		}
 	}
 	return rep
+}
+
+// checkRowBound is checkBounds' delay leg for a baseline run: each
+// session's maximum delay against the bound its row promises it
+// (sched.Row.Bound), from the ports the run's discipline was given. A
+// session the row owes no bound is counted under the row's reason.
+func checkRowBound(res *runResult, row sched.Row, scale float64, rep *SeedReport) {
+	t := boundTally{discipline: row.Name, excluded: map[string]int{}}
+	for _, sr := range res.Sessions {
+		p := row.Bound(sr.Flow, sr.Route, res.LMax, res.Frame)
+		switch {
+		case p.Bound == 0:
+			t.excluded[p.Origin]++
+		case sr.Delivered == 0:
+			t.excluded["nothing delivered"]++
+		default:
+			t.checked++
+			t.worst = max(t.worst, sr.MaxDelay/p.Bound)
+			if bound := p.Bound * scale; sr.MaxDelay >= bound {
+				rep.add(Violation{Check: "delay-bound", Discipline: res.Name, Session: sr.Def.ID,
+					Detail: fmt.Sprintf("max delay %.9f >= bound %.9f (%s, %d hops)",
+						sr.MaxDelay, bound, p.Origin, sr.Hops)})
+			}
+		}
+	}
+	rep.bounds = append(rep.bounds, t)
 }
 
 // runUnder runs the scenario under one discipline and books the run on

@@ -49,6 +49,13 @@ type checkedDisc struct {
 	deadlineCheck bool
 	tol           float64
 	out           *[]Violation
+	// lMax, frame and ports are what the row's discipline was built and
+	// given: the inputs of the row's Bound.
+	lMax, frame float64
+	ports       []network.SessionPort
+	// gps, when set, records the port's packets for the GPS reference
+	// (checkGPS).
+	gps *gpsLog
 
 	held map[*packet.Packet]heldStamp
 }
@@ -73,10 +80,10 @@ func (c *checkedDisc) violate(check string, session int, detail string) {
 }
 
 // AddSession implements network.Discipline. It gives the EDD
-// baselines their per-node budget, generous enough that their (not
-// re-run) schedulability test would not be the binding constraint, and
-// in the paper's exactness corner (procedure 1, one class, eps = 0)
-// spells d = L/r as a nil D: the bit-exact VirtualClock special case
+// baselines their per-node budget, the one place it is written: the EDD
+// rows' Bound runs their schedulability test over the ports recorded
+// here. In the paper's exactness corner (procedure 1, one class, eps = 0)
+// it spells d = L/r as a nil D: the bit-exact VirtualClock special case
 // (the grant's closure would round L*C/(r*C) differently from L/r).
 func (c *checkedDisc) AddSession(cfg network.SessionPort) {
 	req := c.sc.Sessions[cfg.Session-1].Request()
@@ -85,12 +92,19 @@ func (c *checkedDisc) AddSession(cfg network.SessionPort) {
 	if c.sc.Check.Special {
 		cfg.D = nil
 	}
+	c.ports = append(c.ports, cfg)
+	if c.gps != nil {
+		c.gps.weight[cfg.Session] = cfg.Rate
+	}
 	c.inner.AddSession(cfg)
 }
 
 // Enqueue implements network.Discipline.
 func (c *checkedDisc) Enqueue(p *packet.Packet, now float64) {
 	c.inner.Enqueue(p, now)
+	if c.gps != nil {
+		c.gps.arrive(p, now)
+	}
 	if c.deadlineCheck {
 		if c.held == nil {
 			c.held = make(map[*packet.Packet]heldStamp)
@@ -201,7 +215,12 @@ func (c *checkedDisc) HasSession(id int) bool {
 }
 
 // OnTransmit implements network.Discipline.
-func (c *checkedDisc) OnTransmit(p *packet.Packet, finish float64) { c.inner.OnTransmit(p, finish) }
+func (c *checkedDisc) OnTransmit(p *packet.Packet, finish float64) {
+	c.inner.OnTransmit(p, finish)
+	if c.gps != nil {
+		c.gps.leave(p, finish)
+	}
+}
 
 // Len implements network.Discipline.
 func (c *checkedDisc) Len() int { return c.inner.Len() }
@@ -218,13 +237,14 @@ func (c *checkedDisc) SetMetrics(a *metrics.Arena, base metrics.Handle) {
 }
 
 // checkedRow is the row with its discipline built under the checking
-// decorator, reporting into out. The deadline-order tolerance is the
-// row's slack plus floating-point crumbs.
-func checkedRow(sc *Case, row sched.Row, out *[]Violation) sched.Row {
+// decorator, reporting into out and, when gps is set, recording each
+// port's packets for the GPS reference. The deadline-order tolerance is
+// the row's slack plus floating-point crumbs.
+func checkedRow(sc *Case, row sched.Row, out *[]Violation, gps bool) sched.Row {
 	checked := row
 	checked.New = func(capacity, lMax, frame float64) network.Discipline {
 		slack, ordered := row.DeadlineOrdered(capacity, lMax)
-		return &checkedDisc{
+		c := &checkedDisc{
 			inner:         row.New(capacity, lMax, frame),
 			sc:            sc,
 			capacity:      capacity,
@@ -233,7 +253,13 @@ func checkedRow(sc *Case, row sched.Row, out *[]Violation) sched.Row {
 			deadlineCheck: ordered,
 			tol:           slack + 1e-9,
 			out:           out,
+			lMax:          lMax,
+			frame:         frame,
 		}
+		if gps {
+			c.gps = newGPSLog()
+		}
+		return c
 	}
 	return checked
 }

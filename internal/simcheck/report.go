@@ -2,6 +2,7 @@ package simcheck
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -11,8 +12,9 @@ type Violation struct {
 	// buffer-bound, loss-free, deadline-inversion, work-conservation,
 	// eligible-idle, pool-balance, conservation, emit-divergence,
 	// vc-equivalence, approx-divergence, telemetry-agreement,
-	// engine-sanity, admission-replay, capacity-leak; and, for a run or
-	// a battery that did not finish, watchdog and panic.
+	// engine-sanity, admission-replay, capacity-leak, gps-lag, gps-tag;
+	// and, for a run or a battery that did not finish, watchdog and
+	// panic.
 	Check      string `json:"check"`
 	Discipline string `json:"discipline"`
 	Session    int    `json:"session,omitempty"`
@@ -55,6 +57,65 @@ type SeedReport struct {
 	// analytic bound, maximized over checked sessions.
 	CalcChecked int     `json:"calc_checked,omitempty"`
 	CalcTight   float64 `json:"calc_tight,omitempty"`
+
+	// bounds holds one tally per baseline discipline of a clean case:
+	// its sessions held to their row's bound (checkRowBound).
+	bounds []boundTally
+}
+
+// boundTally is one discipline's share of the baseline bound checks:
+// the sessions held to its row's bound, the worst observed maximum
+// delay over that bound, and the sessions it owes none, by reason.
+type boundTally struct {
+	discipline string
+	checked    int
+	worst      float64
+	excluded   map[string]int
+}
+
+// BoundLedger sums the tallies of many reports, a discipline at a time
+// in the order they first appear.
+type BoundLedger []boundTally
+
+// Add sums the report's tallies into the ledger.
+func (l *BoundLedger) Add(r *SeedReport) {
+	for _, t := range r.bounds {
+		i := slices.IndexFunc(*l, func(s boundTally) bool { return s.discipline == t.discipline })
+		if i < 0 {
+			*l = append(*l, boundTally{discipline: t.discipline, excluded: map[string]int{}})
+			i = len(*l) - 1
+		}
+		s := &(*l)[i]
+		s.checked += t.checked
+		s.worst = max(s.worst, t.worst)
+		for why, n := range t.excluded {
+			s.excluded[why] += n
+		}
+	}
+}
+
+// Format renders the ledger: one line per discipline, its exclusions
+// in reason order.
+func (l BoundLedger) Format() string {
+	var b strings.Builder
+	b.WriteString("baseline bounds (clean runs: sessions checked, worst max delay/bound, sessions excluded by reason):\n")
+	for _, t := range l {
+		worst := "-"
+		if t.checked > 0 {
+			worst = fmt.Sprintf("%.3f", t.worst)
+		}
+		fmt.Fprintf(&b, "  %-12s checked %5d  worst %5s", t.discipline, t.checked, worst)
+		reasons := make([]string, 0, len(t.excluded))
+		for why := range t.excluded {
+			reasons = append(reasons, why)
+		}
+		slices.Sort(reasons)
+		for _, why := range reasons {
+			fmt.Fprintf(&b, "  %s %d", why, t.excluded[why])
+		}
+		b.WriteString("\n")
+	}
+	return b.String()
 }
 
 // OK reports whether every invariant held.

@@ -43,8 +43,13 @@ type sessResult struct {
 	// declared), ineq. 17 or its no-control form, and the per-hop d.
 	Bounds     *system.Bounds
 	MinLinkCap float64
-	Probes     []probeResult
-	Delays     []seqDelay // filled only when opts.collectDelays
+	// Flow and Route are what the run's row reads its Bound from: the
+	// session's bucket and lengths, and each hop's link and the ports
+	// its discipline was given.
+	Flow   sched.Flow
+	Route  []sched.Hop
+	Probes []probeResult
+	Delays []seqDelay // filled only when opts.collectDelays
 }
 
 // runResult is one discipline's complete run over the scenario.
@@ -61,12 +66,15 @@ type runResult struct {
 	// Tripped is the watchdog's trip reason; non-empty means the run was
 	// cut short and only partial telemetry is meaningful.
 	Tripped string
+	// LMax and Frame are what every port's discipline was built with.
+	LMax, Frame float64
 }
 
 type runOpts struct {
 	limits        bool // cap buffers at the bound for LimitBuffers sessions
 	probes        bool // track per-hop occupancy
 	collectDelays bool
+	gps           bool // record each port's packets for checkGPS
 	// wd arms the run's watchdog budgets; a tripped run reports a
 	// "watchdog" violation and skips drain-dependent checks.
 	wd event.Watchdog
@@ -144,7 +152,7 @@ func runScenario(sc *Case, row sched.Row, opts runOpts) (*runResult, error) {
 		doc = uncapped(doc)
 	}
 	res := &runResult{Name: row.Name, Reg: metrics.NewRegistry(), Counts: newTraceCounts(sc)}
-	run, err := doc.PrepareRow(res.Reg, checkedRow(sc, row, &res.Violations))
+	run, err := doc.PrepareRow(res.Reg, checkedRow(sc, row, &res.Violations, opts.gps))
 	if err != nil {
 		return nil, err
 	}
@@ -154,16 +162,21 @@ func runScenario(sc *Case, row sched.Row, opts runOpts) (*runResult, error) {
 	sys.Net.Tracer = res.Counts
 	res.Servers = sys.Servers()
 	for _, srv := range res.Servers {
-		srv.Port.Disc.(*checkedDisc).port = srv.Port.Name
+		disc := srv.Port.Disc.(*checkedDisc)
+		disc.port = srv.Port.Name
+		res.LMax, res.Frame = disc.lMax, disc.frame
 	}
 	conns := run.Conns()
 	res.Sessions = make([]sessResult, len(conns))
 	probes := make([][]*network.BufferProbe, len(conns))
 	for i := range conns {
 		c, s := &conns[i], &res.Sessions[i]
-		*s = sessResult{Def: c.Def, Hops: len(c.Sess.Route), MinLinkCap: math.Inf(1), Bounds: c.Bounds}
+		req := c.Def.Request()
+		*s = sessResult{Def: c.Def, Hops: len(c.Sess.Route), MinLinkCap: math.Inf(1), Bounds: c.Bounds,
+			Flow: sched.Flow{Session: c.Sess.ID, Rate: req.Rate, B0: req.B0, LMin: req.LMin, LMax: req.LMax}}
 		for _, port := range c.Sess.Route {
 			s.MinLinkCap = min(s.MinLinkCap, port.C)
+			s.Route = append(s.Route, sched.Hop{C: port.C, Gamma: port.Gamma, Ports: port.Disc.(*checkedDisc).ports})
 		}
 		for n, bound := range c.Bounds.BufferBoundBits { // none without b0
 			if opts.probes {

@@ -7,7 +7,9 @@
 // packet-pool balance, reserved capacity returned whole, deadline
 // ordering, work conservation, the LiT ≡ VirtualClock special case, the
 // approximate-queue approximation bound, and metrics/trace/probe
-// agreement; then the scenario again with one regulator per class
+// agreement; each baseline against the delay bound its sched.Table row
+// promises, and the fair queues against a fluid GPS reference; then the
+// scenario again with one regulator per class
 // against the degraded aggregate bounds, and under FCFS against
 // curve-propagated calculus bounds; then all of it once more under a
 // generated fault plan. On violation it shrinks the scenario to a

@@ -10,8 +10,10 @@ import (
 const shrinkBudget = 150
 
 // Shrink reduces a failing scenario to a smaller one that still fails
-// at least one of the *original* violation checks (so the shrinker
-// cannot wander off to a different bug). It greedily tries, in rounds
+// at least one of the *original* violations, the same check by the same
+// discipline (so the shrinker cannot wander off to a different bug, nor
+// to another discipline's share of the same check). It greedily tries,
+// in rounds
 // until a fixed point or the budget runs out:
 //
 //  1. dropping sessions (highest ID first — later sessions depend on
@@ -31,16 +33,17 @@ func Shrink(sc Case, opt Options) (Case, *SeedReport) {
 	if orig.OK() || !sc.Faults.Empty() {
 		return sc, orig
 	}
-	want := make(map[string]bool)
+	type key struct{ check, discipline string }
+	want := make(map[key]bool)
 	for _, v := range orig.Violations {
-		want[v.Check] = true
+		want[key{v.Check, v.Discipline}] = true
 	}
 	budget := shrinkBudget
 	fails := func(s Case) (*SeedReport, bool) {
 		budget--
 		rep := CheckScenario(s, opt)
 		for _, v := range rep.Violations {
-			if want[v.Check] {
+			if want[key{v.Check, v.Discipline}] {
 				return rep, true
 			}
 		}

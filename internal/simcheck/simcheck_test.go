@@ -132,9 +132,9 @@ func injectShrinkReplay(t *testing.T, seed uint64, want string) {
 	if rep.OK() {
 		t.Fatal("bounds scaled to 1% still hold; the injection hook is dead")
 	}
-	origChecks := map[string]bool{}
+	origChecks := map[[2]string]bool{}
 	for _, v := range rep.Violations {
-		origChecks[v.Check] = true
+		origChecks[[2]string{v.Check, v.Discipline}] = true
 	}
 
 	shrunk, srep := Shrink(full, opt)
@@ -152,7 +152,7 @@ func injectShrinkReplay(t *testing.T, seed uint64, want string) {
 	}
 	preserved := false
 	for _, v := range srep.Violations {
-		if origChecks[v.Check] {
+		if origChecks[[2]string{v.Check, v.Discipline}] {
 			preserved = true
 		}
 	}
@@ -183,6 +183,45 @@ func injectShrinkReplay(t *testing.T, seed uint64, want string) {
 	}
 	if !found {
 		t.Errorf("replay reports no %s:\n%s", want, replayed.Format())
+	}
+}
+
+// TestBaselineBoundShrinksAndReplays: the baselines are held to their
+// rows' bounds, so tightening those past what the rows promise fails a
+// clean seed on the baselines alone (seed 26 at 0.6: WFQ's PGPS bound and
+// Stop-and-Go's 2HT, while every LiT bound holds). The shrink keys on
+// the check and the discipline together, so what it keeps is a
+// baseline's failure, and the repro replays to the shrink's report.
+func TestBaselineBoundShrinksAndReplays(t *testing.T) {
+	opt := Options{BoundScale: 0.6}
+	baseline := func(rep *SeedReport) (wfq bool) {
+		for _, v := range rep.Violations {
+			if v.Check != "delay-bound" || v.Discipline == "lit" {
+				t.Errorf("not a baseline's bound: %+v", v)
+			}
+			wfq = wfq || v.Discipline == "wfq"
+		}
+		return wfq
+	}
+	if rep := CheckScenario(Generate(26), opt); !baseline(rep) {
+		t.Fatalf("no wfq delay-bound at scale 0.6:\n%s", rep.Format())
+	}
+	shrunk, srep := Shrink(Generate(26), opt)
+	if srep.OK() {
+		t.Fatal("shrunk case no longer fails")
+	}
+	baseline(srep)
+	path := filepath.Join(t.TempDir(), "repro.json")
+	if err := WriteRepro(path, shrunk); err != nil {
+		t.Fatal(err)
+	}
+	replayed, err := Replay(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if replayed.Format() != srep.Format() {
+		t.Errorf("replay differs from the shrink's report:\n--- shrink ---\n%s--- replay ---\n%s",
+			srep.Format(), replayed.Format())
 	}
 }
 
