@@ -77,16 +77,12 @@ func render(cfg boundsConfig) string {
 	if cfg.LMin == 0 {
 		cfg.LMin = cfg.LMax
 	}
-	dMax := cfg.D
-	alpha := 0.0
+	dMax, alpha := cfg.D, 0.0
 	if dMax == 0 {
 		dMax = cfg.LMax / cfg.Rate
 	} else {
 		// With a fixed d, alpha = d - Lmin/r maximized over lengths.
-		alpha = dMax - cfg.LMin/cfg.Rate
-		if a2 := dMax - cfg.LMax/cfg.Rate; a2 > alpha {
-			alpha = a2
-		}
+		alpha = max(dMax-cfg.LMin/cfg.Rate, dMax-cfg.LMax/cfg.Rate)
 	}
 	hopList := make([]lit.Hop, cfg.Hops)
 	for i := range hopList {
@@ -94,28 +90,21 @@ func render(cfg boundsConfig) string {
 	}
 	route := lit.Route{Hops: hopList, LMax: cfg.LMax, Alpha: alpha}
 	dRef := cfg.B0 / cfg.Rate
+	delay, jitter, buffer := route.Commitments(cfg.Rate, cfg.B0, cfg.LMin, cfg.JitterCtrl)
 
 	fmt.Fprintf(&b, "session: rate %.6g bit/s, token bucket (%.6g, %.6g), %d hops of %.6g bit/s\n",
 		cfg.Rate, cfg.Rate, cfg.B0, cfg.Hops, cfg.Capacity)
 	fmt.Fprintf(&b, "  D_ref_max (eq. 14)        %12.6g s\n", dRef)
 	fmt.Fprintf(&b, "  beta (eq. 13)             %12.6g s\n", route.Beta())
 	fmt.Fprintf(&b, "  alpha                     %12.6g s\n", alpha)
-	fmt.Fprintf(&b, "  end-to-end delay (eq. 12) %12.6g s\n", route.DelayBound(dRef))
+	fmt.Fprintf(&b, "  end-to-end delay (eq. 12) %12.6g s\n", delay)
 	if cfg.JitterCtrl {
-		fmt.Fprintf(&b, "  jitter bound (eq. 17)     %12.6g s (with jitter control)\n",
-			route.JitterBoundControl(dRef, cfg.LMin))
+		fmt.Fprintf(&b, "  jitter bound (eq. 17)     %12.6g s (with jitter control)\n", jitter)
 	} else {
-		fmt.Fprintf(&b, "  jitter bound              %12.6g s (no jitter control)\n",
-			route.JitterBoundNoControl(dRef, cfg.LMin))
+		fmt.Fprintf(&b, "  jitter bound              %12.6g s (no jitter control)\n", jitter)
 	}
-	for n := 1; n <= cfg.Hops; n++ {
-		var q float64
-		if cfg.JitterCtrl {
-			q = route.BufferBoundControl(cfg.Rate, dRef, cfg.LMin, n)
-		} else {
-			q = route.BufferBoundNoControl(cfg.Rate, dRef, cfg.LMin, n)
-		}
-		fmt.Fprintf(&b, "  buffer bound, node %d      %12.6g bits (%.2f packets of lmax)\n", n, q, q/cfg.LMax)
+	for n, q := range buffer {
+		fmt.Fprintf(&b, "  buffer bound, node %d      %12.6g bits (%.2f packets of lmax)\n", n+1, q, q/cfg.LMax)
 	}
 	if cfg.Calculus {
 		renderCalculus(&b, cfg)

@@ -82,7 +82,7 @@ func ExampleRoute() {
 	}
 	route := lit.Route{Hops: hops, LMax: 424}
 	fmt.Printf("beta = %.2f ms\n", route.Beta()*1e3)
-	fmt.Printf("delay bound = %.2f ms\n", route.DelayBoundTokenBucket(32e3, 424)*1e3)
+	fmt.Printf("delay bound = %.2f ms\n", route.DelayBound(424/32e3)*1e3)
 	fmt.Printf("jitter bound (control) = %.2f ms\n", route.JitterBoundControl(0.01325, 424)*1e3)
 	// Output:
 	// beta = 59.38 ms

@@ -50,12 +50,25 @@ func (r Route) DelayBound(dRefMax float64) float64 {
 	return dRefMax + r.Beta() + r.Alpha
 }
 
-// DelayBoundTokenBucket computes eq. (15): the delay bound for a
-// session conforming to a token bucket (rate, b0) served at its
-// reserved rate, b0/rate + beta + alpha. For admission control
-// procedure 1 with one class and d = L/r this equals the PGPS bound.
-func (r Route) DelayBoundTokenBucket(rate, b0 float64) float64 {
-	return b0/rate + r.Beta() + r.Alpha
+// Commitments computes the three service commitments of a session
+// conforming to a token bucket (rate, b0), whose D_ref_max is b0/rate
+// (eq. 14): the eq. 12 delay bound, the jitter bound of its mode
+// (ineq. 17 under jitter control, its no-control counterpart
+// otherwise) and the buffer bound at each node in route order, in
+// bits. It is the one place a bound is chosen by jitter mode. With
+// d = L/r under procedure 1 and one class the delay bound is eq. 15,
+// the PGPS bound.
+func (r Route) Commitments(rate, b0, lMin float64, jitterControl bool) (delay, jitter float64, buffer []float64) {
+	dRef := b0 / rate
+	jitterBound, bufferBound := r.JitterBoundNoControl, r.BufferBoundNoControl
+	if jitterControl {
+		jitterBound, bufferBound = r.JitterBoundControl, r.BufferBoundControl
+	}
+	buffer = make([]float64, len(r.Hops))
+	for n := range buffer {
+		buffer[n] = bufferBound(rate, dRef, lMin, n+1)
+	}
+	return r.DelayBound(dRef), jitterBound(dRef, lMin), buffer
 }
 
 // DeltaMax computes Delta^{1,N}_max = sum of per-node jitter

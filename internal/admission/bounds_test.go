@@ -34,8 +34,30 @@ func TestDelayBoundFig6(t *testing.T) {
 	if math.Abs(got-0.0726302083333) > 1e-9 {
 		t.Errorf("delay bound = %v", got)
 	}
-	if tb := r.DelayBoundTokenBucket(32e3, 424); math.Abs(tb-got) > 1e-12 {
+	if tb := r.DelayBound(424 / 32e3); math.Abs(tb-got) > 1e-12 {
 		t.Errorf("token bucket form differs: %v vs %v", tb, got)
+	}
+}
+
+// TestCommitmentsPickByMode: Commitments is eq. 12 and, by the session's
+// mode, ineq. 17 or its no-control form and the matching buffer bounds,
+// each to the bit.
+func TestCommitmentsPickByMode(t *testing.T) {
+	r := fig6Route()
+	for _, ctl := range []bool{false, true} {
+		delay, jitter, buffer := r.Commitments(32e3, 424, 424, ctl)
+		wantJitter, wantBuffer := r.JitterBoundNoControl, r.BufferBoundNoControl
+		if ctl {
+			wantJitter, wantBuffer = r.JitterBoundControl, r.BufferBoundControl
+		}
+		if delay != r.DelayBound(424/32e3) || jitter != wantJitter(424/32e3, 424) || len(buffer) != len(r.Hops) {
+			t.Fatalf("control %v: delay %v jitter %v, %d buffer bounds", ctl, delay, jitter, len(buffer))
+		}
+		for n, q := range buffer {
+			if want := wantBuffer(32e3, 424/32e3, 424, n+1); q != want {
+				t.Errorf("control %v: node %d buffer %v, want %v", ctl, n+1, q, want)
+			}
+		}
 	}
 }
 

@@ -89,21 +89,8 @@ func Establish(path []Link, lMaxNet float64, req Request) (*Bounds, error) {
 		Assignments: assigns,
 	}
 	if req.B0 > 0 {
-		rate, lMin := req.Spec.Rate, req.Spec.LMin
-		b.DRefMax = req.B0 / rate
-		b.DelayBound = route.DelayBound(b.DRefMax)
-		b.BufferBoundBits = make([]float64, len(hops))
-		if req.JitterControl {
-			b.JitterBound = route.JitterBoundControl(b.DRefMax, lMin)
-			for n := range hops {
-				b.BufferBoundBits[n] = route.BufferBoundControl(rate, b.DRefMax, lMin, n+1)
-			}
-		} else {
-			b.JitterBound = route.JitterBoundNoControl(b.DRefMax, lMin)
-			for n := range hops {
-				b.BufferBoundBits[n] = route.BufferBoundNoControl(rate, b.DRefMax, lMin, n+1)
-			}
-		}
+		b.DRefMax = req.B0 / req.Spec.Rate
+		b.DelayBound, b.JitterBound, b.BufferBoundBits = route.Commitments(req.Spec.Rate, req.B0, req.Spec.LMin, req.JitterControl)
 	}
 	return b, nil
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"leaveintime/internal/admission"
 	"leaveintime/internal/network"
 	"leaveintime/internal/sched"
 )
@@ -16,10 +15,13 @@ import (
 //
 //   - Stop-and-Go's end-to-end delay is alpha*H*T (+-T) with
 //     alpha in [1, 2); the per-link increase is alpha*T. The 2HT end is
-//     the stopandgo row's bound (sched.Table).
+//     the stopandgo row's bound (sched.Table). Its jitter bound is
+//     Golestani's 2T, the paper's figure; the row promises (H+1)T,
+//     since its frames are aligned network-wide.
 //   - Leave-in-Time (AC 1, one class, d = L/r = 0.1*T) has bound
 //     D_ref_max + beta = T + beta; the per-link increase is
-//     L_MAX/C + 0.1*T.
+//     L_MAX/C + 0.1*T. The bound and the ineq. 17 jitter bound are the
+//     lit row's promise.
 type Section4StopAndGo struct {
 	T, C   float64
 	N      int
@@ -33,7 +35,7 @@ type Section4StopAndGo struct {
 	PerLinkLiT float64
 	PerLinkSG  [2]float64
 	// JitterLiT is the Leave-in-Time jitter bound (ineq. 17) for the
-	// jitter-controlled session; JitterSG is Stop-and-Go's 2T.
+	// jitter-controlled session; JitterSG is Golestani's 2T.
 	JitterLiT float64
 	JitterSG  float64
 }
@@ -43,23 +45,18 @@ type Section4StopAndGo struct {
 func RunSection4StopAndGo(t, c float64, n int) Section4StopAndGo {
 	lPkt := 0.01 * t * c
 	rate := 0.1 * c
-	d := lPkt / rate // 0.1*T
-	hops := make([]admission.Hop, n)
-	for i := range hops {
-		hops[i] = admission.Hop{C: c, Gamma: 0, DMax: d}
-	}
-	route := admission.Route{Hops: hops, LMax: lPkt, Alpha: 0}
-	dRef := t // D_ref_max = b0/r = 0.1CT / 0.1C
-	sg := sched.Lookup("stopandgo").Bound(section4Flow(rate, rate*t, lPkt), section4Route(n, c, 0, rate), lPkt, t)
+	f, route := section4Flow(rate, rate*t, lPkt), section4Route(n, c, 0, rate)
+	lit := sched.Lookup("lit").Bound(f, route, lPkt, t)
+	sg := sched.Lookup("stopandgo").Bound(f, route, lPkt, t)
 	return Section4StopAndGo{
 		T: t, C: c, N: n, LMax: lPkt,
-		DRef:       dRef,
-		LiT:        route.DelayBound(dRef),
+		DRef:       t, // D_ref_max = b0/r = 0.1CT / 0.1C
+		LiT:        lit.Bound,
 		SGLow:      float64(n) * t,
 		SGHigh:     sg.Bound,
-		PerLinkLiT: lPkt/c + d,
+		PerLinkLiT: lPkt/c + lPkt/rate,
 		PerLinkSG:  [2]float64{t, 2 * t},
-		JitterLiT:  route.JitterBoundControl(dRef, lPkt),
+		JitterLiT:  lit.Jitter,
 		JitterSG:   2 * t,
 	}
 }
@@ -81,17 +78,18 @@ func section4Flow(rate, b0, lPkt float64) sched.Flow {
 }
 
 // section4Route is n hops of capacity c and propagation gamma, each
-// carrying the session alone.
+// carrying the session alone, at d = L/r (no D) under jitter control.
 func section4Route(n int, c, gamma, rate float64) []sched.Hop {
 	route := make([]sched.Hop, n)
 	for i := range route {
-		route[i] = sched.Hop{C: c, Gamma: gamma, Ports: []network.SessionPort{{Session: 1, Rate: rate}}}
+		route[i] = sched.Hop{C: c, Gamma: gamma, Ports: []network.SessionPort{{Session: 1, Rate: rate, JitterControl: true}}}
 	}
 	return route
 }
 
-// Section4PGPS checks eq. (15) against the PGPS bound (the wfq row of
-// sched.Table) on an n-hop route with the given link capacity.
+// Section4PGPS checks eq. (15), the lit row's bound at d = L/r,
+// against the PGPS bound (the wfq row of sched.Table) on an n-hop route
+// with the given link capacity.
 type Section4PGPS struct {
 	LiT, PGPS float64
 }
@@ -100,14 +98,9 @@ type Section4PGPS struct {
 // fixed packet length lPkt over n hops of capacity c with propagation
 // gamma.
 func RunSection4PGPS(rate, b0, lPkt, c, gamma float64, n int) Section4PGPS {
-	hops := make([]admission.Hop, n)
-	for i := range hops {
-		hops[i] = admission.Hop{C: c, Gamma: gamma, DMax: lPkt / rate}
-	}
-	route := admission.Route{Hops: hops, LMax: lPkt, Alpha: 0}
-	pgps := sched.Lookup("wfq").Bound(section4Flow(rate, b0, lPkt), section4Route(n, c, gamma, rate), lPkt, 0)
+	f, route := section4Flow(rate, b0, lPkt), section4Route(n, c, gamma, rate)
 	return Section4PGPS{
-		LiT:  route.DelayBoundTokenBucket(rate, b0),
-		PGPS: pgps.Bound,
+		LiT:  sched.Lookup("lit").Bound(f, route, lPkt, 0).Bound,
+		PGPS: sched.Lookup("wfq").Bound(f, route, lPkt, 0).Bound,
 	}
 }

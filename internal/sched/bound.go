@@ -25,10 +25,14 @@ type Hop struct {
 }
 
 // Promise is what a row promises one flow: an end-to-end delay bound
-// (s, propagation included) and its origin, or a zero Bound and the
-// reason none is owed.
+// (s, propagation included), a delay jitter bound (s) and a buffer
+// bound at each hop of the route (bits), with the promise's origin; or
+// a zero Bound and the reason none is owed. A zero Jitter or a nil
+// Buffer is a bound the row's source does not state.
 type Promise struct {
 	Bound  float64
+	Jitter float64
+	Buffer []float64
 	Origin string
 }
 
@@ -63,26 +67,30 @@ func owed(b bound) bound {
 	}
 }
 
-// own is the flow's port at the hop.
-func own(h Hop, id int) network.SessionPort {
+// Own is the port of the flow with network id session at the hop.
+func (h Hop) Own(session int) network.SessionPort {
 	for _, p := range h.Ports {
-		if p.Session == id {
+		if p.Session == session {
 			return p
 		}
 	}
 	panic("sched: flow not registered at its hop")
 }
 
-// eq12 is the paper's eq. 12, computed by admission.Route: d at each hop
-// is the port's DMax with alpha from its D at the final hop, or L/r when
-// the port has no D or the row ignores it (VirtualClock's stamp is
-// d = L/r whatever the port carries).
-func eq12(portD bool, origin string) bound {
+// eq12 is the paper's Section 2 commitments (eq. 12, ineq. 17 and its
+// no-control form, the Section 3.3 buffer bounds), computed by
+// admission.Route.Commitments. For Leave-in-Time (fromPorts) d at each
+// hop is the port's DMax with alpha from its D at the final hop, or L/r
+// when the port has no D, and the jitter and buffer bounds are those of
+// the mode the final hop's port runs. VirtualClock's stamp is d = L/r
+// whatever the port carries, and it has no regulator: its promise is
+// the delay and the no-control jitter at d = L/r.
+func eq12(fromPorts bool, origin string) bound {
 	return owed(func(f Flow, route []Hop, lMax, _ float64) Promise {
 		r := admission.Route{Hops: make([]admission.Hop, len(route)), LMax: lMax}
 		for i, h := range route {
-			d := f.LMax / f.Rate
-			if p := own(h, f.Session); portD && p.D != nil {
+			d, p := f.LMax/f.Rate, h.Own(f.Session)
+			if fromPorts && p.D != nil {
 				d = p.DMax
 				if i == len(route)-1 {
 					r.Alpha = math.Max(p.D(f.LMin)-f.LMin/f.Rate, p.D(f.LMax)-f.LMax/f.Rate)
@@ -90,7 +98,13 @@ func eq12(portD bool, origin string) bound {
 			}
 			r.Hops[i] = admission.Hop{C: h.C, Gamma: h.Gamma, DMax: d}
 		}
-		return Promise{Bound: r.DelayBound(f.B0 / f.Rate), Origin: origin}
+		jitterControl := fromPorts && route[len(route)-1].Own(f.Session).JitterControl
+		p := Promise{Origin: origin}
+		p.Bound, p.Jitter, p.Buffer = r.Commitments(f.Rate, f.B0, f.LMin, jitterControl)
+		if !fromPorts {
+			p.Buffer = nil
+		}
+		return p
 	})
 }
 
@@ -127,7 +141,16 @@ var scfq = owed(func(f Flow, route []Hop, lMax, _ float64) Promise {
 // framed is the framing disciplines' 2HT plus propagation: a packet
 // waits out the rest of its arrival frame and leaves within the next,
 // at each of H hops, provided fits accepts the flow at every hop.
-func framed(fits func(f Flow, h Hop, lMax, frame float64) string) bound {
+//
+// With jitter, the row also promises a jitter bound of (H+1)T, on the
+// footing 2HT stands on: each packet leaves in the frame it becomes
+// eligible in. Golestani maps each arriving frame onto one departing
+// frame, so a packet's delay varies only with where it entered its
+// first frame and left its last: 2T. This code's frames are aligned
+// network-wide, so the packets one frame sends can arrive over a frame
+// boundary downstream and leave a frame apart: each hop after the first
+// can add one frame. On one hop it is Golestani's 2T.
+func framed(fits func(f Flow, h Hop, lMax, frame float64) string, jitter bool) bound {
 	return owed(func(f Flow, route []Hop, lMax, frame float64) Promise {
 		d := 2 * float64(len(route)) * frame
 		for _, h := range route {
@@ -136,7 +159,11 @@ func framed(fits func(f Flow, h Hop, lMax, frame float64) string) bound {
 			}
 			d += h.Gamma
 		}
-		return Promise{Bound: d, Origin: "2HT"}
+		p := Promise{Bound: d, Origin: "2HT"}
+		if jitter {
+			p.Jitter = float64(len(route)+1) * frame
+		}
+		return p
 	})
 }
 
@@ -172,19 +199,27 @@ func hrrFits(f Flow, h Hop, lMax, frame float64) string {
 // when the flow's source spaces its packets (a bucket of one packet) and
 // the row's own schedulability test accepts every hop's sessions, each
 // taken at L_MAX since a port does not carry a session's packet length.
-var edd = owed(func(f Flow, route []Hop, lMax, _ float64) Promise {
-	if f.B0 > f.LMin {
-		return Promise{Origin: "bursts beyond one packet"}
-	}
-	var d float64
-	for _, h := range route {
-		adm := NewEDDAdmission(h.C, lMax)
-		for _, p := range h.Ports {
-			if adm.Admit(p.Session, p.XMin, lMax, p.LocalDelay) != nil {
-				return Promise{Origin: "schedulability test fails"}
-			}
+// With jitter, the row's final regulator holds each packet to its
+// expected arrival, so it leaves within the final hop's local delay of
+// it: Jitter-EDD's jitter bound.
+func edd(jitter bool) bound {
+	return owed(func(f Flow, route []Hop, lMax, _ float64) Promise {
+		if f.B0 > f.LMin {
+			return Promise{Origin: "bursts beyond one packet"}
 		}
-		d += own(h, f.Session).LocalDelay + h.Gamma
-	}
-	return Promise{Bound: d, Origin: "sum of local delays"}
-})
+		p := Promise{Origin: "sum of local delays"}
+		for _, h := range route {
+			adm := NewEDDAdmission(h.C, lMax)
+			for _, q := range h.Ports {
+				if adm.Admit(q.Session, q.XMin, lMax, q.LocalDelay) != nil {
+					return Promise{Origin: "schedulability test fails"}
+				}
+			}
+			p.Bound += h.Own(f.Session).LocalDelay + h.Gamma
+		}
+		if jitter {
+			p.Jitter = route[len(route)-1].Own(f.Session).LocalDelay
+		}
+		return p
+	})
+}

@@ -2,8 +2,10 @@ package sched
 
 import (
 	"math"
+	"slices"
 	"testing"
 
+	"leaveintime/internal/admission"
 	"leaveintime/internal/network"
 )
 
@@ -32,6 +34,8 @@ func fig6Route(crossXMin float64) (Flow, []Hop) {
 // the framing rows pay 2HT; the EDD rows' verdict follows their
 // schedulability test, refused at the comparison's cross budget (a
 // quarter of the Poisson mean spacing) and accepted at the mean spacing.
+// Only lit states buffer bounds, and only lit, VirtualClock, Stop-and-Go
+// and Jitter-EDD state a jitter bound.
 func TestTableBounds(t *testing.T) {
 	const crossMean, lMax, frame = 0.28804e-3, 424, 0.01325
 	tag, route := fig6Route(crossMean / 4)
@@ -78,6 +82,47 @@ func TestTableBounds(t *testing.T) {
 			t.Errorf("%s: %+v, want no bound and its reason", name, p)
 		}
 	}
+
+	// The jitter and buffer promises. The tagged session's ports carry no
+	// D, so eq. 12's route is d = L/r at every hop.
+	hops := make([]admission.Hop, len(route))
+	for i, h := range route {
+		hops[i] = admission.Hop{C: h.C, Gamma: h.Gamma, DMax: tag.LMax / tag.Rate}
+	}
+	eq12 := admission.Route{Hops: hops, LMax: lMax}
+	for _, ctl := range []bool{false, true} {
+		moded := make([]Hop, len(route))
+		for i, h := range route {
+			ports := slices.Clone(h.Ports)
+			ports[0].JitterControl = ctl
+			moded[i] = Hop{C: h.C, Gamma: h.Gamma, Ports: ports}
+		}
+		p := Lookup("lit").Bound(tag, moded, lMax, frame)
+		delay, jitter, buffer := eq12.Commitments(tag.Rate, tag.B0, tag.LMin, ctl)
+		if p.Bound != delay || p.Jitter != jitter || !slices.Equal(p.Buffer, buffer) {
+			t.Errorf("lit, jitter control %v: %+v, want %v %v %v", ctl, p, delay, jitter, buffer)
+		}
+	}
+	if _, jitter, _ := eq12.Commitments(tag.Rate, tag.B0, tag.LMin, false); got["virtualclock"].Jitter != jitter {
+		t.Errorf("virtualclock jitter %.17g s, want the no-control form at d = L/r, %.17g s",
+			got["virtualclock"].Jitter, jitter)
+	}
+	// Six frames over five hops: Golestani's 2T, and a frame for each
+	// hop after the first at which aligned frames can split.
+	if j := got["stopandgo"].Jitter; math.Abs(j-79.5e-3) > 1e-15 {
+		t.Errorf("stopandgo jitter %.17g s, want 79.5 ms", j)
+	}
+	if p := Lookup("jitteredd").Bound(tagEDD, schedulable, lMax, frame); p.Jitter != schedulable[4].Ports[0].LocalDelay {
+		t.Errorf("jitteredd jitter %.17g s, want the last hop's local delay", p.Jitter)
+	}
+	for name, p := range got {
+		if name != "lit" && p.Buffer != nil {
+			t.Errorf("%s states a buffer bound: %v", name, p.Buffer)
+		}
+		if p.Jitter != 0 && !slices.Contains([]string{"lit", "virtualclock", "stopandgo", "jitteredd"}, name) {
+			t.Errorf("%s states a jitter bound: %v", name, p.Jitter)
+		}
+	}
 }
 
 // TestBoundPreconditions: a bound is owed only behind its row's
@@ -101,11 +146,13 @@ func TestBoundPreconditions(t *testing.T) {
 			route[4] = Hop{C: 1435e3, Gamma: route[4].Gamma, Ports: []network.SessionPort{route[4].Ports[0], cross}}
 		}},
 		{"jitteredd", "bursts beyond one packet", func(f *Flow, _ []Hop) { f.B0 = 2 * lMax }},
+		{"lit", "no token bucket", func(f *Flow, _ []Hop) { f.B0 = 0 }},
+		{"lit", "rates exceed capacity", func(_ *Flow, route []Hop) { route[0].C = 1e6 }},
 	} {
 		f, r := tag, make([]Hop, len(route))
 		copy(r, route)
 		tc.edit(&f, r)
-		if p := Lookup(tc.row).Bound(f, r, lMax, frame); p.Bound != 0 || p.Origin != tc.why {
+		if p := Lookup(tc.row).Bound(f, r, lMax, frame); p.Bound != 0 || p.Jitter != 0 || p.Buffer != nil || p.Origin != tc.why {
 			t.Errorf("%s: %+v, want no bound: %s", tc.row, p, tc.why)
 		}
 	}

@@ -20,9 +20,9 @@ type Row struct {
 	New        func(capacity, lMax, frame float64) network.Discipline
 	Conserving Conserving
 	Order      Order
-	// Bound is what the discipline promises a session: its end-to-end
-	// delay bound over a route of ports built by New, or the reason it
-	// owes none (see DESIGN "What each discipline promises").
+	// Bound is what the discipline promises a session over a route of
+	// ports built by New: its delay, jitter and buffer bounds, or the
+	// reason it owes none (see DESIGN "What each discipline promises").
 	Bound func(f Flow, route []Hop, lMax, frame float64) Promise
 }
 
@@ -80,13 +80,13 @@ var Table = []Row{
 		New: func(_, _, _ float64) network.Discipline { return NewSCFQ() }},
 	{Name: "fcfs", Conserving: Conserves, Bound: none("no cross envelope"),
 		New: func(_, _, _ float64) network.Discipline { return NewFCFS() }},
-	{Name: "delayedd", Conserving: Conserves, Order: ByDeadline, Bound: edd,
+	{Name: "delayedd", Conserving: Conserves, Order: ByDeadline, Bound: edd(false),
 		New: func(_, _, _ float64) network.Discipline { return NewDelayEDD() }},
-	{Name: "jitteredd", Conserving: Idles, Bound: edd,
+	{Name: "jitteredd", Conserving: Idles, Bound: edd(true),
 		New: func(_, _, _ float64) network.Discipline { return NewJitterEDD() }},
-	{Name: "stopandgo", Conserving: Idles, Bound: framed(stopAndGoFits),
+	{Name: "stopandgo", Conserving: Idles, Bound: framed(stopAndGoFits, true),
 		New: func(_, _, frame float64) network.Discipline { return NewStopAndGo(frame) }},
-	{Name: "hrr", Conserving: Idles, Bound: framed(hrrFits),
+	{Name: "hrr", Conserving: Idles, Bound: framed(hrrFits, false),
 		New: func(_, lMax, frame float64) network.Discipline { return NewHRR(lMax, frame) }},
 	{Name: "rcsp", Conserving: Idles, Bound: none("level test not run"),
 		New: func(_, _, _ float64) network.Discipline { return NewRCSP(2) }},

@@ -62,13 +62,7 @@ func classMap(sc *Case) (map[int]int, int) {
 		}
 	}
 	sort.Float64s(ds)
-	nc := len(ds)
-	if nc > 3 {
-		nc = 3
-	}
-	if nc == 0 {
-		nc = 1
-	}
+	nc := max(min(len(ds), 3), 1)
 	rank := make(map[float64]int, len(ds))
 	for i, d := range ds {
 		rank[d] = i * nc / len(ds)
@@ -98,34 +92,28 @@ func aggRow(sc *Case) sched.Row {
 }
 
 // aggBounds composes the degraded per-session delay/jitter bounds over
-// the class aggregates, from the grants each session was connected with
+// the class aggregates, from the d_max each session's ports were given
 // in the exact run. The result maps session ID → (delay bound, jitter
 // bound).
 func aggBounds(sc *Case, cls map[int]int, exact *runResult) map[int][2]float64 {
 	// Per link key and class: the aggregate rate, burst and d_c.
 	type linkClass struct {
-		rate, bur, dMax float64
+		key   string
+		class int
 	}
-	aggs := make(map[string]map[int]*linkClass)
+	type agg struct{ rate, bur, dMax float64 }
+	aggs := make(map[linkClass]*agg)
 	for _, sr := range exact.Sessions {
 		def := sr.Def
-		c := cls[def.ID]
 		for i, key := range def.Route {
-			byClass := aggs[key]
-			if byClass == nil {
-				byClass = make(map[int]*linkClass)
-				aggs[key] = byClass
-			}
-			lc := byClass[c]
+			lc := aggs[linkClass{key, cls[def.ID]}]
 			if lc == nil {
-				lc = &linkClass{}
-				byClass[c] = lc
+				lc = &agg{}
+				aggs[linkClass{key, cls[def.ID]}] = lc
 			}
 			lc.rate += def.Rate
 			lc.bur += def.B0
-			if d := sr.Bounds.Assignments[i].DMax; d > lc.dMax {
-				lc.dMax = d
-			}
+			lc.dMax = max(lc.dMax, sr.Route[i].Own(sr.Flow.Session).DMax)
 		}
 	}
 
@@ -134,7 +122,7 @@ func aggBounds(sc *Case, cls map[int]int, exact *runResult) map[int][2]float64 {
 		def := sr.Def
 		var bound, acc, props float64
 		for _, l := range sc.hops(def) {
-			lc := aggs[l.Name][cls[def.ID]]
+			lc := aggs[linkClass{l.Name, cls[def.ID]}]
 			hop := lc.bur/lc.rate + lc.dMax + sc.LMax/l.Capacity
 			bound += acc + hop + l.Gamma
 			acc += hop
@@ -182,10 +170,8 @@ func checkAggregate(sc *Case, exact *runResult, scale float64, wd event.Watchdog
 				Detail: fmt.Sprintf("jitter %.9f >= degraded bound %.9f", sr.Jitter, bound)})
 		}
 		rep.AggChecked++
-		if sr.Bounds.DelayBound > 0 {
-			if f := b[0] / sr.Bounds.DelayBound; f > rep.AggDegrade {
-				rep.AggDegrade = f
-			}
+		if sr.Promise.Bound > 0 {
+			rep.AggDegrade = max(rep.AggDegrade, b[0]/sr.Promise.Bound)
 		}
 	}
 

@@ -111,15 +111,20 @@ func CheckScenario(sc Case, opt Options) (rep *SeedReport) {
 	clean := sc.Faults.Empty()
 
 	// Reference run: Leave-in-Time with the exact heap, buffer limits
-	// at the bound for half the sessions and probes everywhere.
+	// at the bound for half the sessions and probes everywhere. Every
+	// session the plan leaves alone is held to the lit row's promise,
+	// faulted or not; the ledger books clean runs only, LiT's line last.
 	exact := rep.runUnder(&sc, sched.Lookup("lit"), runOpts{limits: true, probes: true, wd: wd})
 	if exact == nil {
 		return rep
 	}
+	var litTally []boundTally
 	if exact.Tripped == "" {
 		survivors := *exact
 		survivors.Sessions = cleanSurvivors(exact, &sc)
-		checkBounds(&survivors, scale, rep)
+		if t := checkRowBound(&survivors, scale, rep); clean {
+			litTally = append(litTally, t)
+		}
 		checkDrain(exact, rep)
 		checkTelemetry(exact, rep)
 		checkCapacity(exact, rep)
@@ -179,40 +184,15 @@ func CheckScenario(sc Case, opt Options) (rep *SeedReport) {
 				checkEmitted(exact, res, rep)
 			}
 			if clean {
-				checkRowBound(res, row, scale, rep)
+				rep.bounds = append(rep.bounds, checkRowBound(res, scale, rep))
 			}
 			if gps {
 				checkGPS(res, &sc, rep)
 			}
 		}
 	}
+	rep.bounds = append(rep.bounds, litTally...)
 	return rep
-}
-
-// checkRowBound is checkBounds' delay leg for a baseline run: each
-// session's maximum delay against the bound its row promises it
-// (sched.Row.Bound), from the ports the run's discipline was given. A
-// session the row owes no bound is counted under the row's reason.
-func checkRowBound(res *runResult, row sched.Row, scale float64, rep *SeedReport) {
-	t := boundTally{discipline: row.Name, excluded: map[string]int{}}
-	for _, sr := range res.Sessions {
-		p := row.Bound(sr.Flow, sr.Route, res.LMax, res.Frame)
-		switch {
-		case p.Bound == 0:
-			t.excluded[p.Origin]++
-		case sr.Delivered == 0:
-			t.excluded["nothing delivered"]++
-		default:
-			t.checked++
-			t.worst = max(t.worst, sr.MaxDelay/p.Bound)
-			if bound := p.Bound * scale; sr.MaxDelay >= bound {
-				rep.add(Violation{Check: "delay-bound", Discipline: res.Name, Session: sr.Def.ID,
-					Detail: fmt.Sprintf("max delay %.9f >= bound %.9f (%s, %d hops)",
-						sr.MaxDelay, bound, p.Origin, sr.Hops)})
-			}
-		}
-	}
-	rep.bounds = append(rep.bounds, t)
 }
 
 // runUnder runs the scenario under one discipline and books the run on
@@ -229,26 +209,44 @@ func (r *SeedReport) runUnder(sc *Case, row sched.Row, opts runOpts) *runResult 
 	return res
 }
 
-// checkBounds verifies the paper's service commitments on the
-// reference run: end-to-end delay (eq. 12), delay jitter (ineq. 17 and
-// its no-control form), buffer occupancy against the buffer bounds, and
-// loss-freedom for sessions whose buffers were capped at the bound. A
-// session that declares no b0 has no D_ref_max and so none of these.
-func checkBounds(res *runResult, scale float64, rep *SeedReport) {
+// checkRowBound holds each session of the run to what the run's row
+// promises it (sessResult.Promise): its maximum delay to the delay
+// bound and its jitter to the jitter bound, each scaled by the case's
+// bound scale, and, where the run probed its buffers, its occupancy to
+// the buffer bound at each hop, or no drop where the buffer was capped
+// at that bound. A session the row owes no bound is counted under the
+// row's reason, one that delivered nothing under "nothing delivered".
+// The tally is returned for the caller to book.
+func checkRowBound(res *runResult, scale float64, rep *SeedReport) boundTally {
+	t := boundTally{discipline: res.Name, excluded: map[string]int{}}
 	for _, sr := range res.Sessions {
-		id := sr.Def.ID
-		if sr.Delivered > 0 && sr.Def.B0 > 0 {
-			if bound := sr.Bounds.DelayBound * scale; sr.MaxDelay >= bound {
+		p, id := sr.Promise, sr.Def.ID
+		switch {
+		case p.Bound == 0:
+			t.excluded[p.Origin]++
+		case sr.Delivered == 0:
+			t.excluded["nothing delivered"]++
+		default:
+			t.checked++
+			t.worst = max(t.worst, sr.MaxDelay/p.Bound)
+			if bound := p.Bound * scale; sr.MaxDelay >= bound {
 				rep.add(Violation{Check: "delay-bound", Discipline: res.Name, Session: id,
-					Detail: fmt.Sprintf("max delay %.9f >= bound %.9f (%d hops)",
-						sr.MaxDelay, bound, sr.Hops)})
+					Detail: fmt.Sprintf("max delay %.9f >= bound %.9f (%s, %d hops)",
+						sr.MaxDelay, bound, p.Origin, sr.Hops)})
 			}
-			if bound := sr.Bounds.JitterBound * scale; sr.Jitter >= bound {
-				rep.add(Violation{Check: "jitter-bound", Discipline: res.Name, Session: id,
-					Detail: fmt.Sprintf("jitter %.9f >= bound %.9f", sr.Jitter, bound)})
+			if p.Jitter > 0 {
+				t.jitterChecked++
+				t.jitterWorst = max(t.jitterWorst, sr.Jitter/p.Jitter)
+				if bound := p.Jitter * scale; sr.Jitter >= bound {
+					rep.add(Violation{Check: "jitter-bound", Discipline: res.Name, Session: id,
+						Detail: fmt.Sprintf("jitter %.9f >= bound %.9f", sr.Jitter, bound)})
+				}
 			}
 		}
 		for _, pr := range sr.Probes {
+			if pr.Bound == 0 {
+				continue // the row states no buffer bound
+			}
 			if pr.Limited {
 				if pr.Dropped > 0 {
 					rep.add(Violation{Check: "loss-free", Discipline: res.Name, Session: id,
@@ -263,6 +261,7 @@ func checkBounds(res *runResult, scale float64, rep *SeedReport) {
 			}
 		}
 	}
+	return t
 }
 
 // checkDrain is packet conservation, fault losses included: per session,

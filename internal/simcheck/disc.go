@@ -2,6 +2,7 @@ package simcheck
 
 import (
 	"fmt"
+	"slices"
 
 	"leaveintime/internal/metrics"
 	"leaveintime/internal/network"
@@ -50,7 +51,9 @@ type checkedDisc struct {
 	tol           float64
 	out           *[]Violation
 	// lMax, frame and ports are what the row's discipline was built and
-	// given: the inputs of the row's Bound.
+	// given, a port for each session it holds: the inputs of the row's
+	// Bound. ports is never written in place, so a slice taken from it
+	// keeps the ports of its moment.
 	lMax, frame float64
 	ports       []network.SessionPort
 	// gps, when set, records the port's packets for the GPS reference
@@ -183,9 +186,15 @@ func (c *checkedDisc) NextEligible(now float64) (float64, bool) { return c.inner
 // RemoveSession implements network.SessionRemover when the wrapped
 // discipline does (ports type-assert on this decorator).
 func (c *checkedDisc) RemoveSession(id int) {
+	c.forget(id)
 	if r, ok := c.inner.(network.SessionRemover); ok {
 		r.RemoveSession(id)
 	}
+}
+
+// forget drops the session's port, into a new array (see ports).
+func (c *checkedDisc) forget(id int) {
+	c.ports = slices.DeleteFunc(slices.Clone(c.ports), func(p network.SessionPort) bool { return p.Session == id })
 }
 
 // PurgeSession implements network.SessionPurger. Purged packets must
@@ -194,6 +203,7 @@ func (c *checkedDisc) RemoveSession(id int) {
 // fabricate a deadline inversion.
 func (c *checkedDisc) PurgeSession(id int, drop func(*packet.Packet)) {
 	if sp, ok := c.inner.(network.SessionPurger); ok {
+		c.forget(id)
 		sp.PurgeSession(id, func(p *packet.Packet) {
 			delete(c.held, p)
 			drop(p)

@@ -58,19 +58,24 @@ type SeedReport struct {
 	CalcChecked int     `json:"calc_checked,omitempty"`
 	CalcTight   float64 `json:"calc_tight,omitempty"`
 
-	// bounds holds one tally per baseline discipline of a clean case:
-	// its sessions held to their row's bound (checkRowBound).
+	// bounds holds one tally per discipline of a clean case, the
+	// baselines first and LiT last: its sessions held to their row's
+	// promise (checkRowBound).
 	bounds []boundTally
 }
 
-// boundTally is one discipline's share of the baseline bound checks:
-// the sessions held to its row's bound, the worst observed maximum
-// delay over that bound, and the sessions it owes none, by reason.
+// boundTally is one discipline's share of the bound checks: the
+// sessions held to its row's delay bound and the worst observed maximum
+// delay over that bound, the sessions it owes none, by reason, and the
+// sessions of those checked that it also owes a jitter bound, with the
+// worst observed jitter over it.
 type boundTally struct {
-	discipline string
-	checked    int
-	worst      float64
-	excluded   map[string]int
+	discipline    string
+	checked       int
+	worst         float64
+	excluded      map[string]int
+	jitterChecked int
+	jitterWorst   float64
 }
 
 // BoundLedger sums the tallies of many reports, a discipline at a time
@@ -88,14 +93,19 @@ func (l *BoundLedger) Add(r *SeedReport) {
 		s := &(*l)[i]
 		s.checked += t.checked
 		s.worst = max(s.worst, t.worst)
+		s.jitterChecked += t.jitterChecked
+		s.jitterWorst = max(s.jitterWorst, t.jitterWorst)
 		for why, n := range t.excluded {
 			s.excluded[why] += n
 		}
 	}
 }
 
-// Format renders the ledger: one line per discipline, its exclusions
-// in reason order.
+// Format renders the ledger: one line per discipline for the delay
+// bounds, its exclusions in reason order, then one line per discipline
+// that promised a jitter bound. A session owed no jitter bound is owed
+// no delay bound either, or its row states none, so the jitter lines
+// list no exclusions.
 func (l BoundLedger) Format() string {
 	var b strings.Builder
 	b.WriteString("baseline bounds (clean runs: sessions checked, worst max delay/bound, sessions excluded by reason):\n")
@@ -114,6 +124,12 @@ func (l BoundLedger) Format() string {
 			fmt.Fprintf(&b, "  %s %d", why, t.excluded[why])
 		}
 		b.WriteString("\n")
+	}
+	b.WriteString("jitter bounds (clean runs: sessions checked, worst jitter/bound):\n")
+	for _, t := range l {
+		if t.jitterChecked > 0 {
+			fmt.Fprintf(&b, "  %-12s checked %5d  worst %5.3f\n", t.discipline, t.jitterChecked, t.jitterWorst)
+		}
 	}
 	return b.String()
 }

@@ -24,7 +24,7 @@ type probeResult struct {
 	Port    string
 	MaxBits float64
 	Dropped int64
-	Bound   float64 // the paper's buffer bound at this hop, bits
+	Bound   float64 // the row's buffer bound at this hop, bits; 0 if none
 	Limited bool    // true when the buffer was capped at Bound
 }
 
@@ -38,18 +38,16 @@ type sessResult struct {
 	Dropped   int64 // buffer-limit drops along the route
 	MaxDelay  float64
 	Jitter    float64
-	// Bounds are the commitments Connect returned with the session's
-	// grants: eq. 12 with D_ref_max = b0/rate (0 when no b0 is
-	// declared), ineq. 17 or its no-control form, and the per-hop d.
-	Bounds     *system.Bounds
+	// Promise is what the run's row promises the session (its Bound),
+	// read from Flow, the session's bucket and lengths, and Route, each
+	// hop's link and the ports its discipline was given when the run
+	// started.
+	Promise    sched.Promise
+	Flow       sched.Flow
+	Route      []sched.Hop
 	MinLinkCap float64
-	// Flow and Route are what the run's row reads its Bound from: the
-	// session's bucket and lengths, and each hop's link and the ports
-	// its discipline was given.
-	Flow   sched.Flow
-	Route  []sched.Hop
-	Probes []probeResult
-	Delays []seqDelay // filled only when opts.collectDelays
+	Probes     []probeResult
+	Delays     []seqDelay // filled only when opts.collectDelays
 }
 
 // runResult is one discipline's complete run over the scenario.
@@ -172,21 +170,24 @@ func runScenario(sc *Case, row sched.Row, opts runOpts) (*runResult, error) {
 	for i := range conns {
 		c, s := &conns[i], &res.Sessions[i]
 		req := c.Def.Request()
-		*s = sessResult{Def: c.Def, Hops: len(c.Sess.Route), MinLinkCap: math.Inf(1), Bounds: c.Bounds,
+		*s = sessResult{Def: c.Def, Hops: len(c.Sess.Route), MinLinkCap: math.Inf(1),
 			Flow: sched.Flow{Session: c.Sess.ID, Rate: req.Rate, B0: req.B0, LMin: req.LMin, LMax: req.LMax}}
 		for _, port := range c.Sess.Route {
 			s.MinLinkCap = min(s.MinLinkCap, port.C)
 			s.Route = append(s.Route, sched.Hop{C: port.C, Gamma: port.Gamma, Ports: port.Disc.(*checkedDisc).ports})
 		}
-		for n, bound := range c.Bounds.BufferBoundBits { // none without b0
-			if opts.probes {
-				port, limited := c.Sess.Route[n], c.Def.LimitBuffers
-				pr := port.TrackBuffer(c.Sess.ID)
-				if limited {
-					pr.Limit = bound
+		s.Promise = row.Bound(s.Flow, s.Route, res.LMax, res.Frame)
+		if opts.probes {
+			for n, port := range c.Sess.Route {
+				pr, probe := port.TrackBuffer(c.Sess.ID), probeResult{Port: port.Name}
+				if n < len(s.Promise.Buffer) {
+					probe.Bound, probe.Limited = s.Promise.Buffer[n], c.Def.LimitBuffers
+					if probe.Limited {
+						pr.Limit = probe.Bound
+					}
 				}
 				probes[i] = append(probes[i], pr)
-				s.Probes = append(s.Probes, probeResult{Port: port.Name, Bound: bound, Limited: limited})
+				s.Probes = append(s.Probes, probe)
 			}
 		}
 		if opts.collectDelays {

@@ -2,10 +2,14 @@ package simcheck
 
 import (
 	"math"
+	"slices"
 	"testing"
 
+	"leaveintime/internal/admission"
 	"leaveintime/internal/config"
 	"leaveintime/internal/faults"
+	"leaveintime/internal/network"
+	"leaveintime/internal/packet"
 	"leaveintime/internal/sched"
 )
 
@@ -90,5 +94,79 @@ func TestCleanLivelockTripsWatchdog(t *testing.T) {
 		if len(rep.Violations) != len(rep.Disciplines) {
 			t.Errorf("%d watchdog violations over %d runs:\n%s", len(rep.Violations), len(rep.Disciplines), rep.Format())
 		}
+	}
+}
+
+// TestResetupLeavesOnePort: a session removed or purged at a port and
+// set up there again sits at it once, with its second grant, so a row's
+// promise reads each session once; ports taken before the removal keep
+// what they held.
+func TestResetupLeavesOnePort(t *testing.T) {
+	sc := Generate(1)
+	rate := sc.Sessions[0].Rate
+	for _, purge := range []bool{false, true} {
+		var out []Violation
+		c := checkedRow(&sc, sched.Lookup("lit"), &out, false).New(1e9, sc.LMax, 0).(*checkedDisc)
+		c.AddSession(network.SessionPort{Session: 1, Rate: rate, DMax: 1})
+		before := c.ports
+		if purge {
+			c.PurgeSession(1, func(*packet.Packet) {})
+		} else {
+			c.RemoveSession(1)
+		}
+		c.AddSession(network.SessionPort{Session: 1, Rate: rate, DMax: 2})
+		if len(c.ports) != 1 || c.ports[0].DMax != 2 {
+			t.Errorf("purge %v: ports %+v, want the second grant alone", purge, c.ports)
+		}
+		if len(before) != 1 || before[0].DMax != 1 {
+			t.Errorf("purge %v: ports taken before the removal now read %+v", purge, before)
+		}
+	}
+}
+
+// TestLiTPromiseIsConnBounds: the lit row's promise, read from the ports
+// the battery's LiT run was given, is what Connect returned with the
+// grants, bit for bit, on clean seeds 1-20. In the exactness corner the
+// ports run d = L/r (a nil D), and the promise is eq. 12 on that route.
+func TestLiTPromiseIsConnBounds(t *testing.T) {
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	var checked, corner int
+	for seed := uint64(1); seed <= 20; seed++ {
+		sc := Generate(seed)
+		res, err := runScenario(&sc, sched.Lookup("lit"), runOpts{wd: Options{}.watchdog(&sc)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		run, err := build(&sc, sc.Sessions)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, c := range run.Conns() {
+			p, b, req := res.Sessions[i].Promise, c.Bounds, c.Def.Request()
+			if req.B0 == 0 {
+				if p.Bound != 0 || p.Origin != "no token bucket" {
+					t.Errorf("seed %d s%d: %+v without a bucket", seed, c.Def.ID, p)
+				}
+				continue
+			}
+			delay, jitter, buffer := b.DelayBound, b.JitterBound, b.BufferBoundBits
+			if sc.Check.Special {
+				hops := make([]admission.Hop, len(b.Route.Hops))
+				for n, h := range b.Route.Hops {
+					hops[n] = admission.Hop{C: h.C, Gamma: h.Gamma, DMax: req.LMax / req.Rate}
+				}
+				r := admission.Route{Hops: hops, LMax: b.Route.LMax}
+				delay, jitter, buffer = r.Commitments(req.Rate, req.B0, req.LMin, req.JitterControl)
+				corner++
+			}
+			if !same(p.Bound, delay) || !same(p.Jitter, jitter) || !slices.EqualFunc(p.Buffer, buffer, same) {
+				t.Errorf("seed %d s%d (corner %v): promise %+v, want %v %v %v",
+					seed, c.Def.ID, sc.Check.Special, p, delay, jitter, buffer)
+			}
+			checked++
+		}
+	}
+	if checked == 0 || corner == 0 || corner == checked {
+		t.Fatalf("checked %d sessions, %d in the exactness corner", checked, corner)
 	}
 }

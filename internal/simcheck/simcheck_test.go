@@ -187,16 +187,17 @@ func injectShrinkReplay(t *testing.T, seed uint64, want string) {
 }
 
 // TestBaselineBoundShrinksAndReplays: the baselines are held to their
-// rows' bounds, so tightening those past what the rows promise fails a
+// rows' promises, so tightening those past what the rows promise fails a
 // clean seed on the baselines alone (seed 26 at 0.6: WFQ's PGPS bound and
-// Stop-and-Go's 2HT, while every LiT bound holds). The shrink keys on
-// the check and the discipline together, so what it keeps is a
-// baseline's failure, and the repro replays to the shrink's report.
+// Stop-and-Go's 2HT, while every LiT bound holds; a baseline's jitter
+// bound may fail too). The shrink keys on the check and the discipline
+// together, so what it keeps is a baseline's failure, and the repro
+// replays to the shrink's report.
 func TestBaselineBoundShrinksAndReplays(t *testing.T) {
 	opt := Options{BoundScale: 0.6}
 	baseline := func(rep *SeedReport) (wfq bool) {
 		for _, v := range rep.Violations {
-			if v.Check != "delay-bound" || v.Discipline == "lit" {
+			if v.Check != "delay-bound" && v.Check != "jitter-bound" || v.Discipline == "lit" {
 				t.Errorf("not a baseline's bound: %+v", v)
 			}
 			wfq = wfq || v.Discipline == "wfq"
