@@ -540,10 +540,11 @@ func TestDuplicateSessionID(t *testing.T) {
 
 // TestRefusalWritesNoSum: in the daemon's shape — 45 voice calls in
 // the one class of a T1 controller behind a curve gate — a T1-rate
-// candidate refused by Admit, by AdmitClass and by Reserve's memo hit
-// leaves every class sum the run it was (45 terms of one rate, no
-// partials), the id table at 45 and the gate as it stood. The rules
-// read the totals plus the candidate; a refusal never writes a sum.
+// candidate refused by Admit, by AdmitGated and AdmitClass with the
+// gate, and by Reserve's memo hit leaves every class sum the run it was
+// (45 terms of one rate, no partials), the id table at 45 and the gate
+// as it stood. The rules read the totals plus the candidate; a refusal
+// never writes a sum.
 func TestRefusalWritesNoSum(t *testing.T) {
 	const t1, voice, cell = 1536e3, 32e3, 424.0
 	ctl, err := NewClassController(0, t1, nil)
@@ -581,6 +582,10 @@ func TestRefusalWritesNoSum(t *testing.T) {
 		t.Fatalf("Admit of a T1-rate call: %v (%+v), want a rule 1 refusal needing %g", err, rej, 45*voice+t1)
 	}
 	unchanged("Admit")
+	if _, err := ctl.AdmitGated(gate, big, 1, Options{}); !errors.As(err, &rej) || rej.Need != 45*voice+t1 {
+		t.Fatalf("AdmitGated of a T1-rate call: %v (%+v), want a rule 1 refusal needing %g", err, rej, 45*voice+t1)
+	}
+	unchanged("AdmitGated")
 	if _, ok := ctl.AdmitClass(gate, []SessionSpec{big}, 1, Options{}); ok {
 		t.Fatal("AdmitClass accepted a T1-rate call")
 	}

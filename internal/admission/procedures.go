@@ -350,7 +350,14 @@ func (p *ClassController) checkClass(class int, opts Options) error {
 // *RejectError; admitting an id that is still live is a caller's bug and
 // gets a plain error, not a capacity verdict.
 func (p *ClassController) Admit(spec SessionSpec, j int, opts Options) (Assignment, error) {
-	if err := p.admit(nil, []SessionSpec{spec}, j, opts, false); err != nil {
+	return p.AdmitGated(nil, spec, j, opts)
+}
+
+// AdmitGated is Admit with the curve gate, when not nil, judging after
+// the rules, as AdmitClass judges a batch: a batch of one whose
+// Assignment comes back by value. A refusal by the gate is ErrRejected.
+func (p *ClassController) AdmitGated(gate *CurveGate, spec SessionSpec, j int, opts Options) (Assignment, error) {
+	if err := p.admit(gate, []SessionSpec{spec}, j, opts, false); err != nil {
 		return Assignment{}, err
 	}
 	return p.assignment(spec, j, opts), nil

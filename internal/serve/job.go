@@ -536,7 +536,7 @@ func (d *Daemon) handleJobPurge(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Session int `json:"session"`
 	}
-	if !d.decode(w, r, &req) {
+	if !decode(d, w, r, &req) {
 		return
 	}
 	switch j.state() {

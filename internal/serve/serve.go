@@ -15,10 +15,11 @@
 //     the daemon clamps it into a sane window, so clock-skewed clients
 //     degrade to the default timeout instead of to an instantly-expired
 //     or never-expiring request.
-//   - Admission requests route through the PR-9 network-calculus fast
-//     path (admission.AdmitClass + CurveGate): one O(classes+segments)
-//     curve evaluation per call, so under overload the daemon sheds
-//     load by rejecting cheaply instead of queueing expensively.
+//   - Admission requests route through the network-calculus fast path
+//     (ClassController.AdmitGated with a CurveGate): one
+//     O(classes+segments) curve evaluation per call, so under overload
+//     the daemon sheds load by rejecting cheaply instead of queueing
+//     expensively.
 //   - Scenario work sits in a bounded queue with watermark
 //     backpressure: past the high watermark submissions get 429 plus a
 //     Retry-After hint that backs off exponentially (capped) with the
@@ -342,26 +343,6 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	json.NewEncoder(w).Encode(v) //nolint:errcheck
 }
 
-// decode reads a JSON body strictly (unknown fields, and anything after
-// the one document, are malformed — the wire schema is versioned, not
-// lax).
-func (d *Daemon) decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	err := dec.Decode(v)
-	if err == nil {
-		if _, terr := dec.Token(); terr != io.EOF {
-			err = errors.New("data after the JSON document")
-		}
-	}
-	if err != nil {
-		d.ar.AtomicInc(metrics.HServeMalformed)
-		httpError(w, http.StatusBadRequest, "malformed request: "+err.Error())
-		return false
-	}
-	return true
-}
-
 // --- wire types ------------------------------------------------------
 
 // CreateSystemRequest declares one hosted admission system.
@@ -413,7 +394,7 @@ func (d *Daemon) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (d *Daemon) handleCreateSystem(w http.ResponseWriter, r *http.Request) {
 	var req CreateSystemRequest
-	if !d.decode(w, r, &req) {
+	if !decode(d, w, r, &req) {
 		return
 	}
 	if req.Name == "" || req.Capacity <= 0 || req.LMax <= 0 {
@@ -497,8 +478,8 @@ func (sys *system) declaration(req *SetupRequest) (admission.SessionSpec, int, a
 	return spec, class, opts, nil
 }
 
-// handleSetup is the admission fast path: one AdmitClass batch of one
-// through the rule test plus the curve gate. Rejection costs one
+// handleSetup is the admission fast path: one AdmitGated call, a batch
+// of one through the rule test plus the curve gate. Rejection costs one
 // O(classes+segments) evaluation — cheap shedding under overload.
 func (d *Daemon) handleSetup(w http.ResponseWriter, r *http.Request) {
 	sys := d.lookupSystem(w, r)
@@ -506,7 +487,7 @@ func (d *Daemon) handleSetup(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SetupRequest
-	if !d.decode(w, r, &req) {
+	if !decode(d, w, r, &req) {
 		return
 	}
 	spec, class, opts, err := sys.declaration(&req)
@@ -524,8 +505,8 @@ func (d *Daemon) handleSetup(w http.ResponseWriter, r *http.Request) {
 	}
 	sys.next++
 	spec.ID = sys.next // the controller's key (see system)
-	assigns, ok := sys.ctrl.AdmitClass(sys.gate, []admission.SessionSpec{spec}, class, opts)
-	if !ok {
+	a, err := sys.ctrl.AdmitGated(sys.gate, spec, class, opts)
+	if err != nil {
 		sys.mu.Unlock()
 		d.ar.AtomicInc(metrics.HServeSetupRejects)
 		writeJSON(w, http.StatusConflict, SetupResponse{Accepted: false})
@@ -535,7 +516,7 @@ func (d *Daemon) handleSetup(w http.ResponseWriter, r *http.Request) {
 	delay := sys.gate.Delay()
 	sys.mu.Unlock()
 	d.ar.AtomicInc(metrics.HServeSetups)
-	writeJSON(w, http.StatusOK, SetupResponse{Accepted: true, DMax: assigns[0].DMax, DelayBound: delay})
+	writeJSON(w, http.StatusOK, SetupResponse{Accepted: true, DMax: a.DMax, DelayBound: delay})
 }
 
 func (d *Daemon) handleRelease(w http.ResponseWriter, r *http.Request) {
@@ -544,7 +525,7 @@ func (d *Daemon) handleRelease(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req ReleaseRequest
-	if !d.decode(w, r, &req) {
+	if !decode(d, w, r, &req) {
 		return
 	}
 	sys.mu.Lock()
@@ -575,7 +556,7 @@ func (d *Daemon) handleAdopt(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SetupRequest
-	if !d.decode(w, r, &req) {
+	if !decode(d, w, r, &req) {
 		return
 	}
 	spec, class, opts, err := sys.declaration(&req)
