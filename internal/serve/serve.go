@@ -196,6 +196,7 @@ func New(opts Options) *Daemon {
 		queue:     make(chan *job, opts.QueueDepth),
 		accepting: true,
 		stop:      make(chan struct{}),
+		started:   time.Now(),
 	}
 	return d
 }
@@ -413,6 +414,7 @@ func (d *Daemon) handleCreateSystem(w http.ResponseWriter, r *http.Request) {
 	}
 	ctrl, err := admission.NewClassController(req.Proc, req.Capacity, classes)
 	if err != nil {
+		d.ar.AtomicInc(metrics.HServeMalformed)
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}

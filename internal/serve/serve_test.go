@@ -376,7 +376,8 @@ func TestSetupDeclarationChecked(t *testing.T) {
 // TestCreateSystemProcedure pins what POST /v1/systems does with proc
 // when no classes are named: an unknown procedure is refused, 0 and 1
 // get procedure 1 over the full link (d = L/r), and an explicit 2 stays
-// procedure 2 over that one class (d = sigma_1 = 1 s).
+// procedure 2 over that one class (d = sigma_1 = 1 s). A refused
+// procedure is a 400 counted malformed, as every other 400 is.
 func TestCreateSystemProcedure(t *testing.T) {
 	h := startTestDaemon(t, Options{Workers: 1})
 	for _, tc := range []struct {
@@ -400,6 +401,25 @@ func TestCreateSystemProcedure(t *testing.T) {
 		if !sr.Accepted || sr.DMax != tc.dMax {
 			t.Fatalf("proc %d: setup %+v, want d_max %g", tc.proc, sr, tc.dMax)
 		}
+	}
+	if c := h.d.reg.ServeCounters(); c.Malformed != 2 {
+		t.Errorf("%d requests counted malformed, want the 2 refused procedures", c.Malformed)
+	}
+}
+
+// TestUptimeWithoutStart: a daemon served through Handler() alone, as
+// a caller embedding it in its own server does, reports its uptime from
+// New, not from the zero time.
+func TestUptimeWithoutStart(t *testing.T) {
+	h := New(Options{}).Handler()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
+	var snap StatsSnapshot
+	if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil || rec.Code != http.StatusOK {
+		t.Fatalf("GET /v1/stats: %d %s (%v)", rec.Code, rec.Body, err)
+	}
+	if !(snap.UptimeS >= 0 && snap.UptimeS < 60) {
+		t.Errorf("uptime_s %v without Start, want the seconds since New", snap.UptimeS)
 	}
 }
 
