@@ -4,7 +4,8 @@
 // jitter/buffer bounds, loss-freedom, deadline ordering, work
 // conservation, packet conservation, pool balance, capacity return,
 // LiT ≡ VirtualClock, approximate-queue divergence, telemetry
-// agreement, degraded class-aggregate bounds, network-calculus bounds).
+// agreement, degraded class-aggregate bounds, network-calculus bounds
+// for FCFS).
 //
 // Usage:
 //
@@ -26,23 +27,25 @@
 // bounds and for trace/metrics/probe agreement. On a clean network each
 // baseline's sessions are held to the delay bound its sched.Table row
 // promises them, and WFQ and WF2Q to a fluid GPS server fed the same
-// arrivals; -v ends with the "baseline bounds" block, a line per
-// discipline: sessions checked, the worst observed/bound ratio, and the
-// sessions the row owes no bound, counted by reason.
+// arrivals. FCFS's promise is the whole network's: its flows propagated
+// as piecewise-linear arrival curves through every link, the resulting
+// FIFO delay and per-flow backlog bounds. -v ends with the "baseline
+// bounds" block, a line per discipline: sessions checked, the worst
+// observed/bound ratio, and the sessions the row owes no bound, counted
+// by reason.
 //
 // On a clean network the scenario also runs class-aggregated — its
 // sessions mapped onto a few classes with one regulator and one K clock
-// per class (core.Aggregate), checked against the degraded aggregate
-// bounds, the worst degradation factor printed as agg= on the report
-// line — and through the network-calculus battery: its flows propagated
-// as piecewise-linear arrival curves, the resulting FIFO delay and
-// per-flow backlog bounds checked against an FCFS run of the identical
-// arrivals (calc= on the report line), and the batch-admission fast path
-// differentially checked against sequential admission. Each passes over
-// what its preconditions exclude (see internal/simcheck). Under a fault
-// plan the bound checks apply to the sessions the plan leaves alone, and
-// the four checks that need an undisturbed network are skipped: the
-// approximate queue's delay margin, LiT ≡ VirtualClock, and those two.
+// per class (core.Aggregate), held to the degraded aggregate bounds (or
+// the busy-period bound where smaller), the worst degradation factor
+// printed as agg= on the report line and its sessions as the ledger's
+// lit-agg line — and the batch-admission fast path is differentially
+// checked against sequential admission. A session a promise's
+// preconditions exclude is counted by reason (see internal/simcheck).
+// Under a fault plan the bound checks apply to the sessions the plan
+// leaves alone, and the checks that need an undisturbed network are
+// skipped: the approximate queue's delay margin, LiT ≡ VirtualClock,
+// the baselines' bounds, the class-aggregated run and the fast path.
 //
 // After the seeds comes the designed tightness family — N synchronized
 // CBR sessions saturating one link — whose observed worst delay must

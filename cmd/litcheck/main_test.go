@@ -188,8 +188,8 @@ func reportBlocks(out string) map[string]string {
 
 // TestInjectedFailuresReproAndReplay drives the whole failure path
 // through the one command: bounds tightened to a tenth over seeds 1-10
-// must trip eq. 12, the degraded class bound and the curve bound on
-// clean cases and eq. 12 on a session the plan leaves alone on faulted
+// must trip LiT's, the class aggregate's and FCFS's delay promises on
+// clean cases and LiT's on a session the plan leaves alone on faulted
 // ones; a failing clean case is written shrunk, a failing faulted case
 // whole beside it, and every file replays — no flag but -replay — to
 // exactly the report printed above its name.
@@ -220,8 +220,9 @@ func TestInjectedFailuresReproAndReplay(t *testing.T) {
 			}
 		}
 		for _, line := range strings.Split(violations, "\n") {
-			if check := strings.Fields(line); len(check) > 0 {
-				hit[fmt.Sprintf("%s churn=%v", check[0], churn)] = true
+			if f := strings.Fields(line); len(f) > 1 {
+				disc, _, _ := strings.Cut(f[1], "@")
+				hit[fmt.Sprintf("%s %s churn=%v", f[0], disc, churn)] = true
 			}
 		}
 		var got, errs bytes.Buffer
@@ -232,15 +233,18 @@ func TestInjectedFailuresReproAndReplay(t *testing.T) {
 	if clean != 10 || faulted == 0 || shrunk == 0 {
 		t.Errorf("%d clean repros (%d shrunk to one session), %d faulted; want 10, some, some", clean, shrunk, faulted)
 	}
-	for _, want := range []string{"delay-bound churn=false", "agg-delay-bound churn=false",
-		"calc-delay-bound churn=false", "delay-bound churn=true"} {
+	for _, want := range []string{"delay-bound lit churn=false", "delay-bound lit-agg churn=false",
+		"delay-bound fcfs churn=false", "delay-bound lit churn=true"} {
 		if !hit[want] {
 			t.Errorf("no %s violation in\n%s", want, stdout.String())
 		}
 	}
-	for check := range hit {
-		if strings.HasSuffix(check, "churn=true") && (strings.HasPrefix(check, "agg-") || strings.HasPrefix(check, "calc-")) {
-			t.Errorf("a clean-only check ran under a fault plan: %s", check)
+	// Under a fault plan only LiT's survivors are held to a bound, and
+	// the class-aggregated run does not run at all.
+	for hit := range hit {
+		f := strings.Fields(hit)
+		if f[2] == "churn=true" && (f[1] == "lit-agg" || strings.HasSuffix(f[0], "-bound") && f[1] != "lit") {
+			t.Errorf("a clean-only check ran under a fault plan: %s", hit)
 		}
 	}
 }

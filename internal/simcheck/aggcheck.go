@@ -1,7 +1,6 @@
 package simcheck
 
 import (
-	"fmt"
 	"sort"
 
 	"leaveintime/internal/core"
@@ -37,7 +36,10 @@ import (
 // as the degradation factor, is the measured price of O(classes)
 // interior state. The jitter bound degrades to the same expression
 // minus the propagation floor (ineq. 17's structure with the
-// aggregate delay spread in place of the per-session one).
+// aggregate delay spread in place of the per-session one). Without
+// jitter control the aggregate is work-conserving, so the busy-period
+// composition (calccheck.go) bounds its delay too, and the promise's
+// delay bound is the smaller of the two.
 //
 // Class mapping: procedures 1 and 2 reuse the scenario's declared
 // delay classes (sessions[].class); procedure 3 sessions — per-session
@@ -77,8 +79,9 @@ func classMap(sc *Case) (map[int]int, int) {
 // aggregate is deadline-ordered over eligible packets exactly like exact
 // LiT, so it inherits LiT's row and with it the same online checks:
 // deadline inversion at heap tolerance, work conservation when no
-// session uses jitter control.
-func aggRow(sc *Case) sched.Row {
+// session uses jitter control. Its promise is the harness's
+// (aggPromises), in the case's session order.
+func aggRow(sc *Case, ps []sched.Promise) sched.Row {
 	cls, nc := classMap(sc)
 	row := sched.Lookup("lit")
 	row.Name = "lit-agg"
@@ -88,15 +91,28 @@ func aggRow(sc *Case) sched.Row {
 			Classes: nc, ClassOf: func(id int) int { return cls[sc.docID(id)] },
 		})
 	}
+	row.Bound = promised(ps)
 	return row
 }
 
-// aggBounds composes the degraded per-session delay/jitter bounds over
-// the class aggregates, from the d_max each session's ports were given
-// in the exact run. The result maps session ID → (delay bound, jitter
-// bound).
-func aggBounds(sc *Case, cls map[int]int, exact *runResult) map[int][2]float64 {
+// aggPromises composes each session's promise over the class
+// aggregates, in the case's session order, from the d_max each
+// session's ports were given in the exact run: the degraded delay and
+// jitter bounds, the delay bound the busy-period composition's where
+// that is smaller (it bounds a work-conserving aggregate, so only
+// without jitter control). degrade is each session's degraded delay
+// bound over the exact run's eq. 12. A class's burst is the sum of its
+// members' b0, so without every b0 no session is promised anything.
+func aggPromises(sc *Case, exact *runResult) (ps []sched.Promise, degrade []float64) {
+	ps, degrade = make([]sched.Promise, len(sc.Sessions)), make([]float64, len(sc.Sessions))
+	if !sc.allDeclareB0() {
+		for i := range ps {
+			ps[i].Origin = "no token bucket"
+		}
+		return ps, degrade
+	}
 	// Per link key and class: the aggregate rate, burst and d_c.
+	cls, _ := classMap(sc)
 	type linkClass struct {
 		key   string
 		class int
@@ -117,9 +133,12 @@ func aggBounds(sc *Case, cls map[int]int, exact *runResult) map[int][2]float64 {
 		}
 	}
 
-	out := make(map[int][2]float64, len(exact.Sessions))
+	var busy []sched.Promise
+	if !sc.hasJitter() {
+		busy = calcBounds(sc, calcBusy)
+	}
 	for _, sr := range exact.Sessions {
-		def := sr.Def
+		def, i := sr.Def, sr.Flow.Session-1
 		var bound, acc, props float64
 		for _, l := range sc.hops(def) {
 			lc := aggs[linkClass{l.Name, cls[def.ID]}]
@@ -128,55 +147,40 @@ func aggBounds(sc *Case, cls map[int]int, exact *runResult) map[int][2]float64 {
 			acc += hop
 			props += l.Gamma
 		}
-		out[def.ID] = [2]float64{bound, bound - props}
+		ps[i] = sched.Promise{Bound: bound, Jitter: bound - props, Origin: "degraded composition"}
+		if busy != nil && busy[i].Bound > 0 && busy[i].Bound < bound {
+			ps[i].Bound, ps[i].Origin = busy[i].Bound, busy[i].Origin
+		}
+		if sr.Promise.Bound > 0 {
+			degrade[i] = bound / sr.Promise.Bound
+		}
 	}
-	return out
+	return ps, degrade
 }
 
 // checkAggregate runs the class-aggregate battery: the aggregate run must
 // drain cleanly, see the reference arrival sequence, pass its online
-// checks, and keep every session inside the degraded bounds. The
-// degradation factor (degraded bound / eq.-12 bound, maximized over
-// sessions) is recorded on the report.
-func checkAggregate(sc *Case, exact *runResult, scale float64, wd event.Watchdog, rep *SeedReport) {
-	row := aggRow(sc)
-	res := rep.runUnder(sc, row, runOpts{wd: wd})
+// checks, and keep every session inside its promise. The sessions
+// checked and the worst degradation factor over them are recorded on
+// the report; the tally is returned for the ledger, with ok false when
+// the run did not finish.
+func checkAggregate(sc *Case, exact *runResult, scale float64, wd event.Watchdog, rep *SeedReport) (t boundTally, ok bool) {
+	ps, degrade := aggPromises(sc, exact)
+	res := rep.runUnder(sc, aggRow(sc, ps), runOpts{wd: wd})
 	if res == nil || res.Tripped != "" {
-		return
+		return t, false
 	}
 	checkDrain(res, rep)
 	checkCapacity(res, rep)
 	if exact.Tripped == "" {
 		checkEmitted(exact, res, rep)
 	}
-
-	if !sc.allDeclareB0() {
-		return // a class's burst is the sum of its members' b0
-	}
-	cls, _ := classMap(sc)
-	bounds := aggBounds(sc, cls, exact)
+	t = checkRowBound(res, scale, rep)
+	rep.AggChecked = t.checked
 	for _, sr := range res.Sessions {
-		if sr.Delivered == 0 {
-			continue
-		}
-		b := bounds[sr.Def.ID]
-		if bound := b[0] * scale; sr.MaxDelay >= bound {
-			rep.add(Violation{Check: "agg-delay-bound", Discipline: row.Name, Session: sr.Def.ID,
-				Detail: fmt.Sprintf("max delay %.9f >= degraded bound %.9f (%d hops, class %d)",
-					sr.MaxDelay, bound, sr.Hops, cls[sr.Def.ID])})
-		}
-		if bound := b[1] * scale; sr.Jitter >= bound {
-			rep.add(Violation{Check: "agg-jitter-bound", Discipline: row.Name, Session: sr.Def.ID,
-				Detail: fmt.Sprintf("jitter %.9f >= degraded bound %.9f", sr.Jitter, bound)})
-		}
-		rep.AggChecked++
-		if sr.Promise.Bound > 0 {
-			rep.AggDegrade = max(rep.AggDegrade, b[0]/sr.Promise.Bound)
+		if sr.Delivered > 0 {
+			rep.AggDegrade = max(rep.AggDegrade, degrade[sr.Flow.Session-1])
 		}
 	}
-
-	// Curve-side cross-check: the busy-period composition bounds any
-	// work-conserving discipline, the deadline-ordered aggregate
-	// included (see calccheck.go).
-	checkAggCalc(sc, res, scale, rep)
+	return t, true
 }

@@ -7,19 +7,19 @@ import (
 	"leaveintime/internal/admission"
 	"leaveintime/internal/calculus"
 	"leaveintime/internal/config"
-	"leaveintime/internal/event"
 	"leaveintime/internal/sched"
 )
 
-// Network-calculus battery: the piecewise-linear curve machinery
-// (internal/calculus) cross-validated against the simulator. The
-// scenario's admitted flows are propagated hop by hop as arrival
-// curves — token bucket (rate, burst) at the source, delayed by each
-// hop's aggregate FIFO delay bound and peak-capped by the upstream
-// wire — and the resulting per-session end-to-end delay bounds and
-// per-hop per-flow backlog bounds are checked against an FCFS run of
-// the identical arrival sequence: the simulation must never exceed
-// the analytics. The peak caps make the flows genuinely multi-segment
+// Network-calculus promises: the piecewise-linear curve machinery
+// (internal/calculus) composes the bounds only the whole network can
+// make. The scenario's admitted flows are propagated hop by hop as
+// arrival curves — token bucket (rate, burst) at the source, delayed by
+// each hop's aggregate delay bound and peak-capped by the upstream
+// wire — and the result is each session's promise: the end-to-end
+// delay bound and, for an FCFS server, the per-hop per-flow backlog
+// bound. The FCFS baseline run is held to it (fcfsRow), the
+// class-aggregated run to its busy-period form (aggPromises), both by
+// checkRowBound. The peak caps make the flows genuinely multi-segment
 // from hop 2 on, so the battery exercises the full curve arithmetic,
 // not just its token-bucket degenerate case.
 //
@@ -27,17 +27,15 @@ import (
 // token bucket by construction with b0 >= lmax (Validate), so the
 // instantaneous arrival of a whole packet is inside the fluid curve; a
 // document in which some session declares no b0 has no arrival curve to
-// sum at that session's links, and is skipped.
+// sum at that session's links, and no session is promised anything.
 // DelayBound and FlowBacklogBound already carry the +LMax/C and
-// +LMax packetization terms. The battery runs only on scenarios
-// without jitter control: regulators deliberately hold packets past
-// the FIFO prediction, so no FIFO bound applies there. A link whose
-// aggregate rate reaches capacity (possible at the admission rules'
-// float tolerance) has no finite FIFO delay bound; the battery then
-// skips the scenario rather than check downstream hops against
-// contaminated curves. Routes that order the links cyclically (no hop
-// order in which every upstream curve is known first) are likewise
-// skipped.
+// +LMax packetization terms. FCFS has no regulator, so the FIFO bounds
+// hold with jitter control on as well. A link whose aggregate rate
+// reaches capacity (possible at the admission rules' float tolerance)
+// has no finite bound, and downstream hops would be checked against
+// contaminated curves; routes that order the links cyclically have no
+// hop order in which every upstream curve is known first. Either way no
+// session is promised anything.
 
 // calcMode selects the per-hop delay bound used for curve propagation.
 type calcMode int
@@ -49,24 +47,10 @@ const (
 	// calcBusy uses the busy-period length sup{t : alpha(t) >= Ct}:
 	// valid for ANY work-conserving discipline — every packet is served
 	// within the busy period containing its arrival — so it bounds the
-	// deadline-ordered class aggregate too.
+	// deadline-ordered class aggregate too when no session uses jitter
+	// control.
 	calcBusy
 )
-
-// calcAnalysis is the outcome of propagating the scenario's flows
-// through the curve machinery.
-type calcAnalysis struct {
-	// delay maps session ID -> end-to-end analytic delay bound
-	// (per-hop bounds plus propagation delays).
-	delay map[int]float64
-	// backlog maps session ID -> per-hop flow backlog bound, bits, in
-	// route order (FIFO mode only).
-	backlog map[int][]float64
-	// skipped marks a scenario the analysis cannot soundly bound:
-	// cyclic link order or a saturated link.
-	skipped bool
-	reason  string
-}
 
 // linkTopoOrder orders the topology's links so that every link a
 // session traverses appears after all of the session's upstream
@@ -108,11 +92,21 @@ func linkTopoOrder(sc *Case, routes [][]*config.Server) ([]string, bool) {
 }
 
 // calcBounds orders the links and propagates every session's arrival
-// curve along its route, composing per-session delay bounds and (in
-// FIFO mode) per-hop flow backlog bounds.
-func calcBounds(sc *Case, mode calcMode) *calcAnalysis {
+// curve along its route: each session's promise, in the case's session
+// order, is Σ(d + Γ) over its hops and, in FIFO mode, the per-hop flow
+// backlog bounds. A case the analysis cannot soundly bound promises
+// every session nothing, for one of three reasons: no token bucket,
+// cyclic link order or a saturated link.
+func calcBounds(sc *Case, mode calcMode) []sched.Promise {
+	ps := make([]sched.Promise, len(sc.Sessions))
+	unbounded := func(reason string) []sched.Promise {
+		for i := range ps {
+			ps[i] = sched.Promise{Origin: reason}
+		}
+		return ps
+	}
 	if !sc.allDeclareB0() {
-		return &calcAnalysis{skipped: true, reason: "a session declares no b0"}
+		return unbounded("no token bucket")
 	}
 	routes := make([][]*config.Server, len(sc.Sessions))
 	for i := range sc.Sessions {
@@ -120,18 +114,17 @@ func calcBounds(sc *Case, mode calcMode) *calcAnalysis {
 	}
 	order, ok := linkTopoOrder(sc, routes)
 	if !ok {
-		return &calcAnalysis{skipped: true, reason: "routes order the links cyclically"}
+		return unbounded("cyclic link order")
 	}
 
-	an := &calcAnalysis{
-		delay:   make(map[int]float64, len(sc.Sessions)),
-		backlog: make(map[int][]float64, len(sc.Sessions)),
-	}
 	cur := make([]calculus.Curve, len(sc.Sessions))
 	hop := make([]int, len(sc.Sessions))
 	for i, def := range sc.Sessions {
 		cur[i] = calculus.TokenBucket(def.Rate, def.B0)
-		an.backlog[def.ID] = make([]float64, len(routes[i]))
+		ps[i] = sched.Promise{Origin: "busy period"}
+		if mode == calcFIFO {
+			ps[i] = sched.Promise{Origin: "curve propagation", Buffer: make([]float64, len(routes[i]))}
+		}
 	}
 	var ws calculus.Ws
 	for _, key := range order {
@@ -161,8 +154,7 @@ func calcBounds(sc *Case, mode calcMode) *calcAnalysis {
 			// Saturated link (admission admits up to a float tolerance
 			// of C): no finite bound exists, and every downstream
 			// aggregate would be missing this hop's contribution.
-			return &calcAnalysis{skipped: true,
-				reason: fmt.Sprintf("link %s: %v", key, err)}
+			return unbounded("saturated link")
 		}
 		if mode == calcFIFO {
 			for _, i := range idx {
@@ -172,17 +164,14 @@ func calcBounds(sc *Case, mode calcMode) *calcAnalysis {
 						ax = calculus.Add(ax, cur[j])
 					}
 				}
-				b, err := srv.FlowBacklogBound(&ws, cur[i], ax)
-				if err != nil {
-					return &calcAnalysis{skipped: true,
-						reason: fmt.Sprintf("link %s: %v", key, err)}
+				if ps[i].Buffer[hop[i]], err = srv.FlowBacklogBound(&ws, cur[i], ax); err != nil {
+					return unbounded("saturated link")
 				}
-				an.backlog[sc.Sessions[i].ID][hop[i]] = b
 			}
 		}
 		for _, i := range idx {
 			def := &sc.Sessions[i]
-			an.delay[def.ID] += d + ld.Gamma
+			ps[i].Bound += d + ld.Gamma
 			// Output envelope: the input delayed by the hop bound,
 			// capped by the wire — downstream, the flow cannot arrive
 			// faster than one packet plus the upstream link rate.
@@ -191,66 +180,24 @@ func calcBounds(sc *Case, mode calcMode) *calcAnalysis {
 			hop[i]++
 		}
 	}
-	return an
+	return ps
 }
 
-// calcFCFSRow is the battery's reference run: plain FCFS under a
-// distinct name so its summary row and any online violations are
-// attributable to this battery.
-func calcFCFSRow() sched.Row {
+// promised is a row's Bound that answers from promises the harness
+// composed for the whole case, in its session order (a session's
+// network id is its place there plus one).
+func promised(ps []sched.Promise) func(sched.Flow, []sched.Hop, float64, float64) sched.Promise {
+	return func(f sched.Flow, _ []sched.Hop, _, _ float64) sched.Promise { return ps[f.Session-1] }
+}
+
+// fcfsRow is FCFS with the promise only the whole network can make:
+// sched's row sees one route and owes none ("no cross envelope"), the
+// curves propagated through every link bound each session's delay and
+// its backlog at each hop.
+func fcfsRow(sc *Case) sched.Row {
 	row := sched.Lookup("fcfs")
-	row.Name = "fcfs-calc"
+	row.Bound = promised(calcBounds(sc, calcFIFO))
 	return row
-}
-
-// checkCalculus runs the network-calculus battery: the differential
-// admission fast-path check, then (for jitter-free scenarios) the
-// curve-propagated delay and backlog bounds against an FCFS run with
-// occupancy probes. CalcChecked counts bound-checked sessions and
-// CalcTight records how closely the simulation approached the delay
-// bounds (observed/bound, maximized over sessions) — the per-seed
-// tightness telemetry.
-func checkCalculus(sc *Case, scale float64, wd event.Watchdog, rep *SeedReport) {
-	checkFastpath(sc, rep)
-	if sc.hasJitter() {
-		return
-	}
-	an := calcBounds(sc, calcFIFO)
-	if an.skipped {
-		return
-	}
-
-	res := rep.runUnder(sc, calcFCFSRow(), runOpts{probes: true, wd: wd})
-	if res == nil || res.Tripped != "" {
-		return
-	}
-	for _, sr := range res.Sessions {
-		if sr.Delivered == 0 {
-			continue
-		}
-		id := sr.Def.ID
-		if bound := an.delay[id] * scale; sr.MaxDelay >= bound {
-			rep.add(Violation{Check: "calc-delay-bound", Discipline: res.Name, Session: id,
-				Detail: fmt.Sprintf("max delay %.9f >= curve bound %.9f (%d hops)",
-					sr.MaxDelay, bound, sr.Hops)})
-		} else if bound > 0 {
-			if r := sr.MaxDelay / bound; r > rep.CalcTight {
-				rep.CalcTight = r
-			}
-		}
-		for i, pr := range sr.Probes {
-			bb := an.backlog[id]
-			if i >= len(bb) {
-				break
-			}
-			if bound := bb[i] * scale; pr.MaxBits >= bound {
-				rep.add(Violation{Check: "calc-backlog-bound", Discipline: res.Name, Session: id,
-					Port: pr.Port, Detail: fmt.Sprintf("occupancy %.0f bits >= curve bound %.0f",
-						pr.MaxBits, bound)})
-			}
-		}
-		rep.CalcChecked++
-	}
 }
 
 // fpFlow is one session's admission spec at a link, as seen by the
@@ -347,32 +294,6 @@ func checkFastpath(sc *Case, rep *SeedReport) {
 	}
 }
 
-// checkAggCalc is the curve-side check of the class-aggregated run:
-// the busy-period composition bounds any work-conserving discipline,
-// so the deadline-ordered aggregate must respect it too. Skipped under
-// jitter control (the aggregate is then not work-conserving) and on
-// scenarios the analysis cannot soundly bound.
-func checkAggCalc(sc *Case, res *runResult, scale float64, rep *SeedReport) {
-	if sc.hasJitter() {
-		return
-	}
-	an := calcBounds(sc, calcBusy)
-	if an.skipped {
-		return
-	}
-	for _, sr := range res.Sessions {
-		if sr.Delivered == 0 {
-			continue
-		}
-		id := sr.Def.ID
-		if bound := an.delay[id] * scale; sr.MaxDelay >= bound {
-			rep.add(Violation{Check: "agg-calc-bound", Discipline: res.Name, Session: id,
-				Detail: fmt.Sprintf("max delay %.9f >= busy-period curve bound %.9f (%d hops)",
-					sr.MaxDelay, bound, sr.Hops)})
-		}
-	}
-}
-
 // TightnessFamily is one configuration of the designed tightness
 // scenario: N synchronized CBR sessions sharing one FCFS link.
 type TightnessFamily struct {
@@ -438,16 +359,7 @@ func CalculusTightness(margin float64) *TightnessResult {
 	)
 	for _, n := range []int{4, 8, 16} {
 		sc := tightnessCase(n, cap, lpkt)
-		if err := sc.Validate(); err != nil {
-			out.Err = err.Error()
-			return out
-		}
-		an := calcBounds(&sc, calcFIFO)
-		if an.skipped {
-			out.Err = an.reason
-			return out
-		}
-		res, err := runScenario(&sc, calcFCFSRow(), runOpts{wd: Options{}.watchdog(&sc)})
+		res, err := runScenario(&sc, fcfsRow(&sc), runOpts{wd: Options{}.watchdog(&sc)})
 		if err != nil {
 			out.Err = err.Error()
 			return out
@@ -456,23 +368,23 @@ func CalculusTightness(margin float64) *TightnessResult {
 			out.Err = "watchdog: " + res.Tripped
 			return out
 		}
+		var rep SeedReport
+		t := checkRowBound(res, 1, &rep)
+		if t.checked != n {
+			out.Err = fmt.Sprintf("N=%d: %d sessions checked, excluded %v", n, t.checked, t.excluded)
+			return out
+		}
+		if !rep.OK() {
+			out.Err = fmt.Sprintf("N=%d: %s", n, rep.Violations[0].Detail)
+		}
 		var worst float64
 		for _, sr := range res.Sessions {
-			if sr.MaxDelay > worst {
-				worst = sr.MaxDelay
-			}
+			worst = max(worst, sr.MaxDelay)
 		}
 		// All sessions share the one link and class, so every bound is
-		// the same; take session 1's.
-		bound := an.delay[1]
-		fam := TightnessFamily{Sessions: n, Observed: worst, Bound: bound}
-		if bound > 0 {
-			fam.Ratio = worst / bound
-		}
-		if worst >= bound {
-			out.Err = fmt.Sprintf("N=%d: observed %.9f exceeds bound %.9f", n, worst, bound)
-		}
-		out.Families = append(out.Families, fam)
+		// the same: the worst ratio is the worst delay over session 1's.
+		out.Families = append(out.Families, TightnessFamily{Sessions: n, Observed: worst,
+			Bound: res.Sessions[0].Promise.Bound, Ratio: t.worst})
 	}
 	return out
 }

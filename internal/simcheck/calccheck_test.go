@@ -2,16 +2,28 @@ package simcheck
 
 import (
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"leaveintime/internal/config"
+	"leaveintime/internal/sched"
 )
+
+// tally is the report's ledger line for the discipline.
+func tally(t *testing.T, rep *SeedReport, disc string) boundTally {
+	t.Helper()
+	for _, b := range rep.bounds {
+		if b.discipline == disc {
+			return b
+		}
+	}
+	t.Fatalf("seed %d: no %s tally in the ledger", rep.Seed, disc)
+	return boundTally{}
+}
 
 // TestCalculusSeedsClean: the curve-propagated bounds hold over a block
 // of generated scenarios (the one after TestSeedsClean's), and the
-// battery actually checks sessions (the generator produces jitter-free,
-// stable scenarios often enough).
+// baseline loop's FCFS run actually checks sessions against them, none
+// of them past its bound.
 func TestCalculusSeedsClean(t *testing.T) {
 	checked := 0
 	for seed := uint64(13); seed <= 24; seed++ {
@@ -19,14 +31,38 @@ func TestCalculusSeedsClean(t *testing.T) {
 		if !rep.OK() {
 			t.Fatalf("seed %d:\n%s", seed, rep.Format())
 		}
-		checked += rep.CalcChecked
-		if rep.CalcChecked > 0 && (rep.CalcTight <= 0 || rep.CalcTight >= 1) {
+		fcfs := tally(t, rep, "fcfs")
+		checked += fcfs.checked
+		if fcfs.checked > 0 && (fcfs.worst <= 0 || fcfs.worst >= 1) {
 			t.Errorf("seed %d: tightness ratio %.3f outside (0,1) with clean bounds",
-				seed, rep.CalcTight)
+				seed, fcfs.worst)
 		}
 	}
 	if checked == 0 {
 		t.Error("no session was bound-checked in 12 seeds; the battery is dead")
+	}
+}
+
+// TestFCFSHeldUnderJitterControl: FCFS has no regulator, so jitter
+// control leaves its FIFO promise standing: on every clean seed the
+// fcfs run holds each session that delivered to it, jitter-controlled
+// seeds included.
+func TestFCFSHeldUnderJitterControl(t *testing.T) {
+	jittered := 0
+	for seed := uint64(1); seed <= 20; seed++ {
+		sc := Generate(seed)
+		rep := CheckScenario(sc, Options{})
+		fcfs := tally(t, rep, "fcfs")
+		if fcfs.checked+fcfs.excluded["nothing delivered"] != len(sc.Sessions) || fcfs.checked == 0 {
+			t.Errorf("seed %d (jitter control %v): fcfs checked %d of %d sessions, excluded %v",
+				seed, sc.hasJitter(), fcfs.checked, len(sc.Sessions), fcfs.excluded)
+		}
+		if sc.hasJitter() {
+			jittered++
+		}
+	}
+	if jittered == 0 {
+		t.Error("no jitter-controlled case in seeds 1-20")
 	}
 }
 
@@ -80,21 +116,21 @@ func TestCalculusTightness(t *testing.T) {
 }
 
 // TestCalculusBoundScaleShrinksAndReplays: tightening the checked
-// bounds makes the calculus battery fail, the shrinker preserves a
-// calc-* violation, and the written repro carries the scale so it
-// replays with default options.
+// bounds makes the FCFS run fail its curve-propagated promise, the
+// shrinker preserves a failure, and the written repro carries the scale
+// so it replays with default options.
 func TestCalculusBoundScaleShrinksAndReplays(t *testing.T) {
 	sc := calcScenario(8)
 	opt := Options{BoundScale: 0.5}
 	rep := CheckScenario(sc, opt)
 	found := false
 	for _, v := range rep.Violations {
-		if v.Check == "calc-delay-bound" || v.Check == "calc-backlog-bound" {
+		if v.Discipline == "fcfs" && (v.Check == "delay-bound" || v.Check == "buffer-bound") {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("bound scale 0.5 produced no calc violation:\n%s", rep.Format())
+		t.Fatalf("bound scale 0.5 produced no fcfs bound violation:\n%s", rep.Format())
 	}
 
 	shrunk, srep := Shrink(sc, opt)
@@ -126,7 +162,8 @@ func TestCalculusBoundScaleShrinksAndReplays(t *testing.T) {
 }
 
 // TestCalcBoundsSkipsCycle: routes that order the links cyclically have
-// no sound propagation order; the analysis must skip, not bound.
+// no sound propagation order; the analysis must promise nothing, and say
+// why.
 func TestCalcBoundsSkipsCycle(t *testing.T) {
 	const capBps = 1.536e6
 	sc := Case{Scenario: &config.Scenario{
@@ -147,17 +184,19 @@ func TestCalcBoundsSkipsCycle(t *testing.T) {
 	if err := sc.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	an := calcBounds(&sc, calcFIFO)
-	if !an.skipped || !strings.Contains(an.reason, "cyclic") {
-		t.Fatalf("cyclic routes not skipped: skipped=%v reason=%q", an.skipped, an.reason)
+	for i, p := range calcBounds(&sc, calcFIFO) {
+		if p.Bound != 0 || p.Origin != "cyclic link order" {
+			t.Fatalf("session %d of cyclic routes promised %+v", i+1, p)
+		}
 	}
-	// The battery itself must stay quiet (no checks, no violations).
+	// The battery counts every session under the reason, and stays
+	// quiet.
 	rep := CheckScenario(sc, Options{})
 	if !rep.OK() {
 		t.Fatalf("cyclic scenario produced violations:\n%s", rep.Format())
 	}
-	if rep.CalcChecked != 0 {
-		t.Errorf("cyclic scenario claims %d checked sessions", rep.CalcChecked)
+	if fcfs := tally(t, rep, "fcfs"); fcfs.checked != 0 || fcfs.excluded["cyclic link order"] != 3 {
+		t.Errorf("cyclic scenario's fcfs tally: checked %d, excluded %v", fcfs.checked, fcfs.excluded)
 	}
 }
 
@@ -167,35 +206,78 @@ func TestCalcBoundsSkipsCycle(t *testing.T) {
 // directly from the one-flow leftover-service bound.
 func TestCalcBoundsHandComputed(t *testing.T) {
 	sc := calcScenario(4)
-	an := calcBounds(&sc, calcFIFO)
-	if an.skipped {
-		t.Fatalf("designed scenario skipped: %s", an.reason)
-	}
+	fifo := calcBounds(&sc, calcFIFO)
 	const capBps, lpkt = 1.536e6, 424.0
 	wantDelay := 4*lpkt/capBps + lpkt/capBps
-	for id := 1; id <= 4; id++ {
-		if got := an.delay[id]; !closeTo(got, wantDelay, 1e-12) {
-			t.Errorf("session %d delay bound %.12g, want %.12g", id, got, wantDelay)
+	for i, p := range fifo {
+		if !closeTo(p.Bound, wantDelay, 1e-12) {
+			t.Errorf("session %d delay bound %.12g, want %.12g", i+1, p.Bound, wantDelay)
 		}
-		if len(an.backlog[id]) != 1 {
-			t.Fatalf("session %d: want 1 hop of backlog bounds, got %d", id, len(an.backlog[id]))
+		if len(p.Buffer) != 1 {
+			t.Fatalf("session %d: want 1 hop of backlog bounds, got %d", i+1, len(p.Buffer))
 		}
 		// Per-flow backlog can never exceed the flow's own arrivals in
 		// the shared busy period and never be below its burst plus the
 		// packetization term.
-		b := an.backlog[id][0]
-		if b < lpkt || b > 4*lpkt+lpkt {
-			t.Errorf("session %d backlog bound %.1f bits outside [%g, %g]", id, b, lpkt, 5*lpkt)
+		if b := p.Buffer[0]; b < lpkt || b > 4*lpkt+lpkt {
+			t.Errorf("session %d backlog bound %.1f bits outside [%g, %g]", i+1, b, lpkt, 5*lpkt)
 		}
 	}
 	// Busy-period mode bounds the same scenario more loosely (or
 	// equally): B* = sigma/(C - rho) >= sigma/C.
 	busy := calcBounds(&sc, calcBusy)
-	if busy.skipped {
-		t.Fatalf("busy mode skipped: %s", busy.reason)
+	if busy[0].Bound == 0 {
+		t.Fatalf("busy mode promised nothing: %s", busy[0].Origin)
 	}
-	if busy.delay[1] < an.delay[1]-lpkt/capBps {
-		t.Errorf("busy-period bound %.9f below fluid FIFO bound %.9f", busy.delay[1], an.delay[1])
+	if busy[0].Bound < fifo[0].Bound-lpkt/capBps {
+		t.Errorf("busy-period bound %.9f below fluid FIFO bound %.9f", busy[0].Bound, fifo[0].Bound)
+	}
+}
+
+// TestAggregatePromise: the class aggregate's delay promise is the
+// degraded composition, or the busy-period composition where that is
+// smaller and no session uses jitter control, to the bit; its jitter
+// promise is the degraded one either way; and its tally reaches the
+// ledger after LiT's.
+func TestAggregatePromise(t *testing.T) {
+	for _, jitter := range []bool{false, true} {
+		sc := calcScenario(4)
+		for i := range sc.Sessions {
+			sc.Sessions[i].JitterControl = jitter
+		}
+		exact, err := runScenario(&sc, sched.Lookup("lit"), runOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// One link, one class, no propagation: the degraded bound is
+		// one hop of the class's burst over its rate, its largest d_max
+		// and a packet time.
+		var rate, bur, dMax float64
+		for _, sr := range exact.Sessions {
+			rate += sr.Def.Rate
+			bur += sr.Def.B0
+			dMax = max(dMax, sr.Route[0].Own(sr.Flow.Session).DMax)
+		}
+		degraded := bur/rate + dMax + sc.LMax/sc.Servers[0].Capacity
+		want := degraded
+		if !jitter {
+			want = min(degraded, calcBounds(&sc, calcBusy)[0].Bound)
+		}
+		ps, _ := aggPromises(&sc, exact)
+		for i, p := range ps {
+			if p.Bound != want || p.Jitter != degraded {
+				t.Errorf("jitter control %v: session %d promised %+v, want delay %.12g jitter %.12g",
+					jitter, i+1, p, want, degraded)
+			}
+		}
+		rep := CheckScenario(sc, Options{})
+		if n := len(rep.bounds); n < 2 || rep.bounds[n-2].discipline != "lit" || rep.bounds[n-1].discipline != "lit-agg" {
+			t.Fatalf("jitter control %v: ledger does not end with lit, lit-agg:\n%+v", jitter, rep.bounds)
+		}
+		if agg := rep.bounds[len(rep.bounds)-1]; agg.checked != len(sc.Sessions) || agg.jitterChecked != len(sc.Sessions) {
+			t.Errorf("jitter control %v: lit-agg checked %d delays and %d jitters of %d sessions",
+				jitter, agg.checked, agg.jitterChecked, len(sc.Sessions))
+		}
 	}
 }
 

@@ -79,15 +79,17 @@ func newReport(sc *Case) *SeedReport {
 // fault plan if it carries one, and checks the invariant battery. Bound
 // checks apply to the sessions that declare b0 and that the plan leaves
 // alone (all of them on a clean network), the rest of the battery to
-// all. Four checks mean something only on an undisturbed network and
+// all. Five checks mean something only on an undisturbed network and
 // are skipped under a plan: the approximate queue's delay margin and the
 // LiT ≡ VirtualClock differential compare two runs packet for packet,
-// which a purge or an outage desynchronises, and the class and calculus
-// batteries check bounds derived for the full admitted set on working
-// links. There is no switch for any of them: a clean case runs them all,
-// each passing over what its own preconditions exclude (jitter control,
-// a session that declares no b0, routes that order the links
-// cyclically). The report is a pure function of the case and options: same
+// which a purge or an outage desynchronises; the baselines' bounds and
+// the class-aggregated run hold promises derived for the full admitted
+// set on working links (FCFS's and the aggregate's composed over the
+// whole network); the fast-path check re-admits the full set. There is
+// no switch for any of them: a clean case runs them all, and a session a
+// promise's preconditions exclude (no b0, routes that order the links
+// cyclically, a saturated link) is counted in the ledger by reason. The
+// report is a pure function of the case and options: same
 // input, byte-identical Format output. A panic anywhere in the battery
 // is recovered into a "panic" violation, so a crashing seed still yields
 // a report (and a replayable repro) instead of taking the harness down.
@@ -113,7 +115,8 @@ func CheckScenario(sc Case, opt Options) (rep *SeedReport) {
 	// Reference run: Leave-in-Time with the exact heap, buffer limits
 	// at the bound for half the sessions and probes everywhere. Every
 	// session the plan leaves alone is held to the lit row's promise,
-	// faulted or not; the ledger books clean runs only, LiT's line last.
+	// faulted or not; the ledger books clean runs only, LiT's line and
+	// its aggregate's after the baselines'.
 	exact := rep.runUnder(&sc, sched.Lookup("lit"), runOpts{limits: true, probes: true, wd: wd})
 	if exact == nil {
 		return rep
@@ -160,24 +163,28 @@ func CheckScenario(sc Case, opt Options) (rep *SeedReport) {
 	}
 
 	if clean {
-		// The aggregate-class discipline with degraded bound checks
-		// (see aggcheck.go).
-		checkAggregate(&sc, exact, scale, wd, rep)
-		// Network-calculus battery: curve-propagated FIFO bounds
-		// against an FCFS run, plus the admission fast-path
-		// differential check (see calccheck.go).
-		checkCalculus(&sc, scale, wd, rep)
+		// The aggregate-class discipline held to its promise (see
+		// aggcheck.go), and the admission fast-path differential
+		// check (see calccheck.go).
+		if t, ok := checkAggregate(&sc, exact, scale, wd, rep); ok {
+			litTally = append(litTally, t)
+		}
+		checkFastpath(&sc, rep)
 	}
 
 	// Every baseline discipline: drain, conservation, capacity return,
 	// identical emission and, on a clean network, each session against
-	// the bound its row promises and a GPS emulation against GPS.
+	// the bound its row promises and a GPS emulation against GPS. FCFS's
+	// promise is the whole network's (fcfsRow), its buffers probed.
 	for _, row := range sched.Table {
 		if row.Name == "lit" || row.Name == "lit-approx" {
 			continue // the reference and approximate runs above
 		}
-		gps := clean && gpsRows[row.Name]
-		if res := rep.runUnder(&sc, row, runOpts{wd: wd, gps: gps}); res != nil && res.Tripped == "" {
+		opts := runOpts{wd: wd, gps: clean && gpsRows[row.Name]}
+		if clean && row.Name == "fcfs" {
+			row, opts.probes = fcfsRow(&sc), true
+		}
+		if res := rep.runUnder(&sc, row, opts); res != nil && res.Tripped == "" {
 			checkDrain(res, rep)
 			checkCapacity(res, rep)
 			if exact.Tripped == "" {
@@ -186,7 +193,7 @@ func CheckScenario(sc Case, opt Options) (rep *SeedReport) {
 			if clean {
 				rep.bounds = append(rep.bounds, checkRowBound(res, scale, rep))
 			}
-			if gps {
+			if opts.gps {
 				checkGPS(res, &sc, rep)
 			}
 		}

@@ -83,8 +83,8 @@ func TestChurnDocumentsRun(t *testing.T) {
 // 3, all four source models), rewritten once as documents, replay to the
 // report that binary printed for them, byte for byte — the clean one's
 // recording extended, below the two lines that binary printed, by what
-// the class and calculus batteries and the baselines' own bounds it now
-// always replays under add. The
+// the class-aggregated run and the baselines' own promises, FCFS's
+// among them, it now always replays under add. The
 // dialect itself is no longer read: with none of a document's keys, such
 // a file is an invalid scenario.
 func TestOldDialectReproReplays(t *testing.T) {

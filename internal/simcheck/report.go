@@ -12,9 +12,10 @@ type Violation struct {
 	// buffer-bound, loss-free, deadline-inversion, work-conservation,
 	// eligible-idle, pool-balance, conservation, emit-divergence,
 	// vc-equivalence, approx-divergence, telemetry-agreement,
-	// engine-sanity, admission-replay, capacity-leak, gps-lag, gps-tag;
-	// and, for a run or a battery that did not finish, watchdog and
-	// panic.
+	// engine-sanity, admission-replay, capacity-leak, gps-lag, gps-tag,
+	// fastpath-divergence; for a run or a battery that did not finish,
+	// watchdog and panic; for a case that could not be run, build and
+	// invalid-scenario.
 	Check      string `json:"check"`
 	Discipline string `json:"discipline"`
 	Session    int    `json:"session,omitempty"`
@@ -44,23 +45,16 @@ type SeedReport struct {
 	Disciplines []DiscSummary `json:"disciplines"`
 	Violations  []Violation   `json:"violations,omitempty"`
 
-	// AggChecked counts sessions checked against the degraded
-	// aggregate-class bounds (clean cases only), and AggDegrade is the
-	// worst degradation factor observed: degraded aggregate delay bound
-	// over the paper's per-session eq.-12 bound.
+	// AggChecked counts sessions checked against the class aggregate's
+	// promise (clean cases only), and AggDegrade is the worst
+	// degradation factor over them: degraded aggregate delay bound over
+	// the paper's per-session eq.-12 bound.
 	AggChecked int     `json:"agg_checked,omitempty"`
 	AggDegrade float64 `json:"agg_degrade,omitempty"`
 
-	// CalcChecked counts sessions checked against the curve-propagated
-	// network-calculus bounds (clean cases only), and CalcTight is
-	// how closely the simulation approached them: observed delay over
-	// analytic bound, maximized over checked sessions.
-	CalcChecked int     `json:"calc_checked,omitempty"`
-	CalcTight   float64 `json:"calc_tight,omitempty"`
-
 	// bounds holds one tally per discipline of a clean case, the
-	// baselines first and LiT last: its sessions held to their row's
-	// promise (checkRowBound).
+	// baselines first, then LiT and its class aggregate: its sessions
+	// held to their row's promise (checkRowBound).
 	bounds []boundTally
 }
 
@@ -169,9 +163,6 @@ func (r *SeedReport) Format() string {
 	agg := ""
 	if r.AggChecked > 0 {
 		agg = fmt.Sprintf(" agg=%d/x%.2f", r.AggChecked, r.AggDegrade)
-	}
-	if r.CalcChecked > 0 {
-		agg += fmt.Sprintf(" calc=%d/%.2f", r.CalcChecked, r.CalcTight)
 	}
 	fmt.Fprintf(&b, "seed %d: %s%s  %s links=%d sessions=%d proc=%d dur=%.3gs pkts=%d disciplines=%d%s\n",
 		r.Seed, status, mode, r.Topology, r.Links, r.Sessions, r.Proc, r.Duration, pkts, len(r.Disciplines), agg)

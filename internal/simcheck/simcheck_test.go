@@ -79,27 +79,29 @@ func TestSeedsClean(t *testing.T) {
 	}
 }
 
-// TestReportDeterministic: a seed's check is a clean report that carries
-// every battery that applies to the seed — the class-aggregated run
-// always (agg=), the calculus bounds unless the scenario has jitter
-// control (calc=) — and a faulted report marked churn that carries
-// neither; same seed, byte-identical pair.
+// TestReportDeterministic: a seed's check is a clean report that books
+// every battery — the class-aggregated run (agg=) and the ledger, whose
+// fcfs and lit-agg lines hold every session to a promise, jitter control
+// or not (seed 1 has it) — and a faulted report marked churn that
+// carries neither; same seed, byte-identical pair.
 func TestReportDeterministic(t *testing.T) {
-	for _, tc := range []struct {
-		seed uint64
-		calc bool
-	}{{1, false}, {3, true}, {4, true}} {
-		clean, faulted := CheckSeed(tc.seed, Options{})
+	for _, seed := range []uint64{1, 3, 4} {
+		clean, faulted := CheckSeed(seed, Options{})
 		a, b := clean.Format(), faulted.Format()
-		if clean.Churn || !strings.Contains(a, " agg=") || strings.Contains(a, " calc=") != tc.calc {
-			t.Errorf("seed %d clean report (calc battery applies: %v):\n%s", tc.seed, tc.calc, a)
+		if clean.Churn || !strings.Contains(a, " agg=") {
+			t.Errorf("seed %d clean report:\n%s", seed, a)
 		}
-		if !faulted.Churn || !strings.Contains(b, ": ok churn  ") || strings.Contains(b, "agg=") || strings.Contains(b, "calc=") {
-			t.Errorf("seed %d faulted report:\n%s", tc.seed, b)
+		for _, disc := range []string{"fcfs", "lit-agg"} {
+			if n := tally(t, clean, disc).checked; n != clean.Sessions {
+				t.Errorf("seed %d: %s checked %d of %d sessions", seed, disc, n, clean.Sessions)
+			}
 		}
-		clean2, faulted2 := CheckSeed(tc.seed, Options{})
+		if !faulted.Churn || !strings.Contains(b, ": ok churn  ") || strings.Contains(b, "agg=") || len(faulted.bounds) != 0 {
+			t.Errorf("seed %d faulted report:\n%s", seed, b)
+		}
+		clean2, faulted2 := CheckSeed(seed, Options{})
 		if a2, b2 := clean2.Format(), faulted2.Format(); a != a2 || b != b2 {
-			t.Fatalf("seed %d reports not deterministic:\n--- first ---\n%s%s--- second ---\n%s%s", tc.seed, a, b, a2, b2)
+			t.Fatalf("seed %d reports not deterministic:\n--- first ---\n%s%s--- second ---\n%s%s", seed, a, b, a2, b2)
 		}
 	}
 }
@@ -109,23 +111,23 @@ func TestReportDeterministic(t *testing.T) {
 // reduce the scenario without losing the original violation, and the
 // written repro must reproduce the failure when replayed from disk —
 // each battery's share of it included: eq. 12 on the reference run, the
-// degraded bound on the class-aggregated run, the curve bound on the
-// calculus battery's FCFS run (seed 3 is jitter-free).
+// aggregate's promise on the class-aggregated run, the curve-propagated
+// promise on the FCFS run.
 func TestInjectedViolationShrinksAndReplays(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		seed uint64
-		want string // a check the replay must still report
+		want [2]string // a check, and the discipline, the replay must still report
 	}{
-		{"bounds", 1, "delay-bound"},
-		{"classes", 2, "agg-delay-bound"},
-		{"calculus", 3, "calc-delay-bound"},
+		{"bounds", 1, [2]string{"delay-bound", "lit"}},
+		{"classes", 2, [2]string{"delay-bound", "lit-agg"}},
+		{"calculus", 3, [2]string{"delay-bound", "fcfs"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) { injectShrinkReplay(t, tc.seed, tc.want) })
 	}
 }
 
-func injectShrinkReplay(t *testing.T, seed uint64, want string) {
+func injectShrinkReplay(t *testing.T, seed uint64, want [2]string) {
 	opt := Options{BoundScale: 0.01}
 	full := Generate(seed)
 	rep := CheckScenario(full, opt)
@@ -179,17 +181,18 @@ func injectShrinkReplay(t *testing.T, seed uint64, want string) {
 	}
 	found := false
 	for _, v := range replayed.Violations {
-		found = found || v.Check == want
+		found = found || [2]string{v.Check, v.Discipline} == want
 	}
 	if !found {
-		t.Errorf("replay reports no %s:\n%s", want, replayed.Format())
+		t.Errorf("replay reports no %s by %s:\n%s", want[0], want[1], replayed.Format())
 	}
 }
 
 // TestBaselineBoundShrinksAndReplays: the baselines are held to their
 // rows' promises, so tightening those past what the rows promise fails a
 // clean seed on the baselines alone (seed 26 at 0.6: WFQ's PGPS bound and
-// Stop-and-Go's 2HT, while every LiT bound holds; a baseline's jitter
+// Stop-and-Go's 2HT, while every LiT bound, its class aggregate's
+// included, holds; a baseline's jitter
 // bound may fail too). The shrink keys on the check and the discipline
 // together, so what it keeps is a baseline's failure, and the repro
 // replays to the shrink's report.
@@ -197,7 +200,7 @@ func TestBaselineBoundShrinksAndReplays(t *testing.T) {
 	opt := Options{BoundScale: 0.6}
 	baseline := func(rep *SeedReport) (wfq bool) {
 		for _, v := range rep.Violations {
-			if v.Check != "delay-bound" && v.Check != "jitter-bound" || v.Discipline == "lit" {
+			if v.Check != "delay-bound" && v.Check != "jitter-bound" || v.Discipline == "lit" || v.Discipline == "lit-agg" {
 				t.Errorf("not a baseline's bound: %+v", v)
 			}
 			wfq = wfq || v.Discipline == "wfq"
