@@ -152,11 +152,7 @@ func TestControllerIDPatterns(t *testing.T) {
 				if got, want := ctl.TotalRate(), ref.totalRate(); got != want || ctl.live.Len() != len(ref.members) {
 					t.Fatalf("%s: TotalRate %b over %d ids, reference %b over %d", where, got, ctl.live.Len(), want, len(ref.members))
 				}
-				for _, m := range ref.members {
-					if b := ctl.live.Get(m.id); b == nil || *b != (booking{class: m.class, rate: m.rate, sigma: m.sigma}) {
-						t.Fatalf("%s: id %d booked %v, reference %+v", where, m.id, b, m)
-					}
-				}
+				checkBookings(t, where, ctl, ref)
 			}
 			for _, id := range ids {
 				ctl.Remove(id)
@@ -202,10 +198,15 @@ func TestNegativeIDRefused(t *testing.T) {
 }
 
 // TestBookingSize pins the bytes every live session costs at every
-// controller on its route.
+// controller on its route, a 4-byte index, and the interned entry that
+// every session of one class, rate and L_MAX shares.
 func TestBookingSize(t *testing.T) {
-	if got := unsafe.Sizeof(booking{}); got != 24 {
-		t.Errorf("booking is %d B, want 24: a new field is a deliberate per-call cost at every hop; record it in DESIGN.md (\"What a call's set-up shares\")", got)
+	var p ClassController
+	if got := unsafe.Sizeof(*p.live.Get(0)); got != 4 {
+		t.Errorf("a booking's slot is %d B, want 4: a wider slot is a deliberate per-call cost at every hop; record it in DESIGN.md (\"What a standing call keeps\")", got)
+	}
+	if got := unsafe.Sizeof(*p.books.At(0)); got != 40 {
+		t.Errorf("an interned booking is %d B, want 40: one per distinct (class, rate, L_MAX) live at a hop; record a change in DESIGN.md (\"What a standing call keeps\")", got)
 	}
 }
 
@@ -542,9 +543,10 @@ func TestDuplicateSessionID(t *testing.T) {
 // the one class of a T1 controller behind a curve gate — a T1-rate
 // candidate refused by Admit, by AdmitGated and AdmitClass with the
 // gate, and by Reserve's memo hit leaves every class sum the run it was
-// (45 terms of one rate, no partials), the id table at 45 and the gate
-// as it stood. The rules read the totals plus the candidate; a refusal
-// never writes a sum.
+// (45 terms of one rate, no partials), the id table at 45, one interned
+// booking held (the voice calls', freed once they are removed) and the
+// gate as it stood. The rules read the totals plus the candidate; a
+// refusal never writes a sum.
 func TestRefusalWritesNoSum(t *testing.T) {
 	const t1, voice, cell = 1536e3, 32e3, 424.0
 	ctl, err := NewClassController(0, t1, nil)
@@ -572,6 +574,9 @@ func TestRefusalWritesNoSum(t *testing.T) {
 		if n := ctl.live.Len(); n != 45 {
 			t.Fatalf("after the refusal by %s, %d ids live, want 45", how, n)
 		}
+		if n, _, _, err := ctl.books.Census(); n != 1 || err != nil {
+			t.Fatalf("after the refusal by %s, %d entries held (%v), want the voice calls' one", how, n, err)
+		}
 		if gate.rate != rate || gate.burst != burst || gate.lastDelay != delay {
 			t.Fatalf("after the refusal by %s, the gate holds (%g, %g, %g), want (%g, %g, %g)",
 				how, gate.rate, gate.burst, gate.lastDelay, rate, burst, delay)
@@ -595,6 +600,12 @@ func TestRefusalWritesNoSum(t *testing.T) {
 		t.Fatalf("Reserve of a T1-rate call: %v, want a refusal", err)
 	}
 	unchanged("Reserve")
+	for id := 1; id <= 45; id++ {
+		ctl.Remove(id)
+	}
+	if n, _, _, _ := ctl.books.Census(); n != 0 {
+		t.Fatalf("%d entries held once every voice call was removed: a refusal left a count on theirs", n)
+	}
 }
 
 // TestRejectErrorCarriesItsNumbers: a rule refusal is a *RejectError
@@ -762,6 +773,29 @@ func admitScript(t *testing.T, data []byte) {
 		if got, want := ctl.TotalRate(), ref.totalRate(); got != want || ctl.live.Len() != len(ref.members) {
 			t.Fatalf("%s: TotalRate %b over %d ids, reference %b over %d", where, got, ctl.live.Len(), want, len(ref.members))
 		}
+		checkBookings(t, where, ctl, ref)
+	}
+}
+
+// checkBookings fails unless ctl's interned bookings are the reference's
+// live declarations: one live entry per distinct (class, rate, L_MAX/C),
+// each id holding its own, the table's links whole.
+func checkBookings(t *testing.T, where string, ctl *ClassController, ref *refController) {
+	t.Helper()
+	live, _, _, err := ctl.books.Census()
+	if err != nil {
+		t.Fatalf("%s: %v", where, err)
+	}
+	distinct := map[booking]bool{}
+	for _, m := range ref.members {
+		want := bookingOf(m.class, m.rate, m.sigma)
+		if b, ok := ctl.booked(m.id); !ok || b != want {
+			t.Fatalf("%s: id %d booked %+v, reference %+v", where, m.id, b, m)
+		}
+		distinct[want] = true
+	}
+	if live != len(distinct) {
+		t.Fatalf("%s: %d live entries for %d live declarations", where, live, len(distinct))
 	}
 }
 

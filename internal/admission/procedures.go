@@ -17,6 +17,7 @@ import (
 	"math"
 	"math/bits"
 
+	"leaveintime/internal/intern"
 	"leaveintime/internal/metrics"
 	"leaveintime/internal/sesstab"
 )
@@ -204,25 +205,29 @@ func NewClassController(proc int, capacity float64, classes []Class) (*ClassCont
 // ids follow its precondition: nonnegative (Check refuses a negative
 // one), and issued in sequence or bounded where they enter the program,
 // since the table spans the ids from the smallest live one to the
-// largest.
+// largest. A booking is the 4-byte index of an interned entry: every
+// call of one class, rate and L_MAX books the same floats.
 type ClassController struct {
 	C       float64
 	Classes []Class
 
 	proc int // 1 or 2
 	sums []classSums
-	last []grant                // last[m-1] is the d(L) most recently granted in class m
-	live sesstab.Table[booking] // what each live session booked, by id
-	ma   *metrics.Arena
-	mb   metrics.Handle
+	last []grant // last[m-1] is class m's memo
+	// live is each live session's entry in books, by id.
+	live  sesstab.Table[uint32]
+	books intern.Table[booking, struct{}]
+	ma    *metrics.Arena
+	mb    metrics.Handle
 }
 
 // booking is what one live session added to the sums of its class and
-// of every class above it. sigma is L_MAX/C as rounded when it was
-// admitted, so that Remove takes back the very floats admit put in.
+// of every class above it, by the floats' bits. sigma is L_MAX/C as
+// rounded when it was admitted, so that Remove takes back the very
+// floats admit put in.
 type booking struct {
+	rate, sigma uint64
 	class       int // 1-based
-	rate, sigma float64
 }
 
 // classSums are the left sides of rules x.1 and x.2 at one class m:
@@ -232,10 +237,12 @@ type classSums struct{ rate, sigma exactSum }
 // grant is a class's memo of one d(L): the request values d depends on
 // besides the class constants, and the function built from them. A
 // session of the same key shares the function, which captures only
-// floats that never change.
+// floats that never change. book is the entry most recently booked in
+// the class.
 type grant struct {
-	key grantKey
-	d   func(float64) float64
+	key  grantKey
+	d    func(float64) float64
+	book uint32
 }
 
 // grantKey holds LMax only under rule 1.3a/2.3a, where d is fixed at
@@ -387,16 +394,18 @@ func (p *ClassController) admit(gate *CurveGate, batch []SessionSpec, j int, opt
 	}
 	var cand classSums
 	for i := range batch {
-		b, ok := p.live.Insert(batch[i].ID, booking{class: j, rate: batch[i].Rate, sigma: batch[i].LMax / p.C})
+		s, ok := p.live.Insert(batch[i].ID, 0)
 		if !ok {
 			return p.refuse(errDuplicate(batch[i].ID), batch[:i])
 		}
+		rate, sigma := batch[i].Rate, batch[i].LMax/p.C
+		*s = p.book(booking{rate: math.Float64bits(rate), sigma: math.Float64bits(sigma), class: j})
 		if i == 0 {
-			cand.rate.one(b.rate)
-			cand.sigma.one(b.sigma)
+			cand.rate.one(rate)
+			cand.sigma.one(sigma)
 		} else {
-			cand.rate.add(b.rate)
-			cand.sigma.add(b.sigma)
+			cand.rate.add(rate)
+			cand.sigma.add(sigma)
 		}
 	}
 	if e := p.rules(j, &cand); e != nil {
@@ -421,12 +430,24 @@ func (p *ClassController) admit(gate *CurveGate, batch []SessionSpec, j int, opt
 	return nil
 }
 
-// refuse takes the members admit entered back out of the id table,
-// which is all it has written for them, counts the refusal and returns
-// it.
+// book returns b's entry, counting one more session holding it. The
+// class's last entry is reused without hashing while it holds b.
+func (p *ClassController) book(b booking) uint32 {
+	m := &p.last[b.class-1].book
+	if !p.books.Reuse(*m, b) {
+		*m, _ = p.books.Intern(b, b.rate^bits.RotateLeft64(b.sigma, 32)^uint64(b.class))
+	}
+	return *m
+}
+
+// refuse takes the members admit entered back out of the id table and
+// releases their entries, which is all it has written for them, counts
+// the refusal and returns it.
 func (p *ClassController) refuse(err error, entered []SessionSpec) error {
 	for i := range entered {
-		p.live.Delete(entered[i].ID)
+		if b, ok := p.live.Take(entered[i].ID); ok {
+			p.books.Release(b)
+		}
 	}
 	if p.ma != nil {
 		p.ma.Inc(p.mb + metrics.ProcRejected)
@@ -494,14 +515,17 @@ func (p *ClassController) assignment(spec SessionSpec, j int, opts Options) Assi
 
 // Remove implements Controller.
 func (p *ClassController) Remove(id int) bool {
-	b, ok := p.live.Take(id)
+	i, ok := p.live.Take(id)
 	if !ok {
 		return false
 	}
+	b := p.books.At(i).Key
+	rate, sigma := math.Float64frombits(b.rate), math.Float64frombits(b.sigma)
 	for m := b.class - 1; m < len(p.sums); m++ {
-		p.sums[m].rate.sub(b.rate)
-		p.sums[m].sigma.sub(b.sigma)
+		p.sums[m].rate.sub(rate)
+		p.sums[m].sigma.sub(sigma)
 	}
+	p.books.Release(i)
 	return true
 }
 

@@ -1,8 +1,24 @@
 package admission
 
 import (
+	"math"
 	"math/big"
 )
+
+// bookingOf is the entry key a session of the class, rate and L_MAX/C
+// books.
+func bookingOf(class int, rate, sigma float64) booking {
+	return booking{rate: math.Float64bits(rate), sigma: math.Float64bits(sigma), class: class}
+}
+
+// booked returns the entry key id holds at p, ok false when id is not
+// booked.
+func (p *ClassController) booked(id int) (booking, bool) {
+	if i := p.live.Get(id); i != nil {
+		return p.books.At(*i).Key, true
+	}
+	return booking{}, false
+}
 
 // refController is the arithmetic ClassController replaced, kept as the
 // tests' reference: it holds the member list and re-derives cumRate and

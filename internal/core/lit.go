@@ -89,13 +89,13 @@ func (l *LiT) AddSession(cfg network.SessionPort) {
 	if cfg.Rate <= 0 {
 		panic(fmt.Sprintf("core: session %d has nonpositive rate", cfg.Session))
 	}
-	i := l.decls.intern(cfg.D, cfg.Rate)
+	i := internDecl(&l.decls, cfg.D, cfg.Rate)
 	// The fields are stored into the slot one by one: building the
 	// state and copying it in reads back narrow stack stores as one wide
 	// load, which stalls on store forwarding.
 	s, fresh := l.sessions.Insert(cfg.Session, sessionState{})
 	if !fresh {
-		l.decls.release(s.decl)
+		l.decls.Release(s.decl)
 		*s = sessionState{}
 	}
 	s.decl, s.jitter = i, cfg.JitterControl
@@ -128,7 +128,7 @@ func (l *LiT) Enqueue(p *packet.Packet, now float64) {
 	if s.kPrev > base {
 		base = s.kPrev
 	}
-	dl := &l.decls.entries[s.decl]
+	dl := &l.decls.At(s.decl).Val
 	d := dl.delay(p.Length)
 	if d > s.seenDMax {
 		s.seenDMax = d
@@ -169,7 +169,7 @@ func (l *LiT) RemoveSession(id int) {
 	// Get and Delete, not Take: Take's copy of the state stalls the
 	// same way AddSession's would.
 	if s := l.sessions.Get(id); s != nil {
-		l.decls.release(s.decl)
+		l.decls.Release(s.decl)
 		l.sessions.Delete(id)
 	}
 }

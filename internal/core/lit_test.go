@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 	"unsafe"
 
+	"leaveintime/internal/intern"
 	"leaveintime/internal/network"
 	"leaveintime/internal/packet"
 	"leaveintime/internal/rng"
@@ -355,12 +356,13 @@ func TestPacketSize(t *testing.T) {
 }
 
 // TestSessionSize pins the one object a call without a source allocates
-// (network.AddSession): what every session reads stays inline, and the
-// emission state and the rarely set hooks sit behind pointers, so the
-// struct fits Go's 128-byte size class.
+// (network.AddSession): what every session reads stays inline, the
+// emission state and the rarely set hooks (a shard segment's hop offset
+// among them) sit behind pointers, and the network is the first port's,
+// so the struct fits Go's 112-byte size class.
 func TestSessionSize(t *testing.T) {
-	if got := unsafe.Sizeof(network.Session{}); got > 128 {
-		t.Errorf("network.Session is %d B, want at most 128: a new inline field moves every call to the next size class; put it behind the emitter or hooks pointer, or record the cost in DESIGN.md (\"What a standing call keeps\")", got)
+	if got := unsafe.Sizeof(network.Session{}); got > 112 {
+		t.Errorf("network.Session is %d B, want at most 112: a new inline field moves every call to the 128-byte size class; put it behind the emitter or hooks pointer, or record the cost in DESIGN.md (\"What a standing call keeps\")", got)
 	}
 }
 
@@ -392,31 +394,22 @@ func TestAddSessionValidation(t *testing.T) {
 	l.AddSession(network.SessionPort{Session: 1, Rate: 0})
 }
 
-// liveEntries counts the entries some session of l holds.
-func liveEntries(l *LiT) (n int) {
-	for _, e := range l.decls.entries {
-		if e.refs > 0 {
-			n++
-		}
+// liveEntries counts the entries some session of l holds, after
+// checking the table's links.
+func liveEntries(t *testing.T, l *LiT) int {
+	t.Helper()
+	live, _, _, err := l.decls.Census()
+	if err != nil {
+		t.Fatal(err)
 	}
-	return n
-}
-
-// chainedEntries counts the entries l's hash chains reach.
-func chainedEntries(l *LiT) (n int) {
-	for _, j := range l.decls.buckets {
-		for ; j != 0; j = l.decls.entries[j-1].next {
-			n++
-		}
-	}
-	return n
+	return live
 }
 
 // TestDeclarationTable checks the port's table of interned (rate, d)
 // entries: sharing, separation, release, and a footprint that follows
 // the live entries under churn where every call brings a fresh closure.
 func TestDeclarationTable(t *testing.T) {
-	entryOf := func(l *LiT, id int) *decl { return &l.decls.entries[l.sessions.Get(id).decl] }
+	entryOf := func(l *LiT, id int) *intern.Entry[declKey, decl] { return l.decls.At(l.sessions.Get(id).decl) }
 	// Every other call brings a fresh closure; the rest share the
 	// closure of a random live session.
 	for _, window := range []int{8, 40} {
@@ -454,17 +447,17 @@ func TestDeclarationTable(t *testing.T) {
 				l.AddSession(network.SessionPort{Session: i, Rate: 100, D: ds[c]})
 				closure[i], holders[c] = c, holders[c]+1
 				live = append(live, i)
-				if got := liveEntries(l); got != len(holders) {
-					t.Fatalf("cycle %d: %d live entries for %d live closures", i, got, len(holders))
-				} else if got > peak {
-					peak = got
+				held, made, buckets, err := l.decls.Census()
+				if err != nil {
+					t.Fatalf("cycle %d: %v", i, err)
 				}
-				if len(l.decls.entries) != peak || len(l.decls.buckets) < peak || len(l.decls.buckets) > max(2*peak, 4) {
+				if held != len(holders) {
+					t.Fatalf("cycle %d: %d live entries for %d live closures", i, held, len(holders))
+				}
+				peak = max(peak, held)
+				if made != peak || buckets > max(2*peak, 4) {
 					t.Fatalf("cycle %d: %d entries and %d buckets, %d live entries at the peak: the table grew past its peak",
-						i, len(l.decls.entries), len(l.decls.buckets), peak)
-				}
-				if chained := chainedEntries(l); chained != len(holders) {
-					t.Fatalf("cycle %d: %d entries chained for %d live closures", i, chained, len(holders))
+						i, made, buckets, peak)
 				}
 				for _, id := range live {
 					p := mkpkt(id, int64(i), 50)
@@ -489,8 +482,17 @@ func TestDeclarationTable(t *testing.T) {
 		}
 		l.AddSession(network.SessionPort{Session: 4, Rate: 100})
 		l.AddSession(network.SessionPort{Session: 5, Rate: 100})
-		if liveEntries(l) != 2 || entryOf(l, 1) != entryOf(l, 3) || entryOf(l, 4) != entryOf(l, 5) || entryOf(l, 1).refs != 3 {
-			t.Errorf("%d live entries, want 2: one for d, one for L/r, each shared", liveEntries(l))
+		if liveEntries(t, l) != 2 || entryOf(l, 1) != entryOf(l, 3) || entryOf(l, 4) != entryOf(l, 5) {
+			t.Errorf("%d live entries, want 2: one for d, one for L/r, each shared", liveEntries(t, l))
+		}
+		l.RemoveSession(1)
+		l.RemoveSession(2)
+		if liveEntries(t, l) != 2 {
+			t.Errorf("d's entry went with two of its three holders: %d live entries, want 2", liveEntries(t, l))
+		}
+		l.RemoveSession(3)
+		if liveEntries(t, l) != 1 {
+			t.Errorf("d's entry outlived its three holders: %d live entries, want 1", liveEntries(t, l))
 		}
 	})
 	t.Run("another rate gets its own entry", func(t *testing.T) {
@@ -498,8 +500,8 @@ func TestDeclarationTable(t *testing.T) {
 		d := func(length float64) float64 { return length / 50 }
 		l.AddSession(network.SessionPort{Session: 1, Rate: 100, D: d})
 		l.AddSession(network.SessionPort{Session: 2, Rate: 200, D: d})
-		if liveEntries(l) != 2 || entryOf(l, 1) == entryOf(l, 2) {
-			t.Fatalf("%d live entries for one closure at two rates, want 2", liveEntries(l))
+		if liveEntries(t, l) != 2 || entryOf(l, 1) == entryOf(l, 2) {
+			t.Fatalf("%d live entries for one closure at two rates, want 2", liveEntries(t, l))
 		}
 		var p *packet.Packet
 		for seq := int64(1); seq <= 3; seq++ {
@@ -517,17 +519,16 @@ func TestDeclarationTable(t *testing.T) {
 		l.AddSession(network.SessionPort{Session: 1, Rate: 100, D: d1})
 		old := l.sessions.Get(1).decl
 		l.AddSession(network.SessionPort{Session: 1, Rate: 100, D: d2})
-		if liveEntries(l) != 1 || l.decls.entries[old].refs != 0 {
-			t.Errorf("after a Put over id 1: %d live entries, the old one held %d times; want 1 and 0",
-				liveEntries(l), l.decls.entries[old].refs)
+		if liveEntries(t, l) != 1 || l.decls.At(old).Val.d != nil {
+			t.Errorf("after a Put over id 1: %d live entries, the old one still held; want 1", liveEntries(t, l))
 		}
 		l.AddSession(network.SessionPort{Session: 1, Rate: 100, D: d2}) // the same declaration again
-		if e := entryOf(l, 1); liveEntries(l) != 1 || e.refs != 1 {
-			t.Errorf("after a Put of the same declaration: %d live entries held %d times; want 1 and 1", liveEntries(l), e.refs)
+		if liveEntries(t, l) != 1 {
+			t.Errorf("after a Put of the same declaration: %d live entries; want 1", liveEntries(t, l))
 		}
 		l.PurgeSession(1, func(*packet.Packet) {})
-		if liveEntries(l) != 0 {
-			t.Errorf("after PurgeSession of the only session: %d live entries, want 0", liveEntries(l))
+		if liveEntries(t, l) != 0 {
+			t.Errorf("after PurgeSession of the only session: %d live entries, want 0", liveEntries(t, l))
 		}
 	})
 	t.Run("a released entry drops its d", func(t *testing.T) {
@@ -541,18 +542,17 @@ func TestDeclarationTable(t *testing.T) {
 		if l.HasSession(2) || !l.HasSession(1) || !l.HasSession(3) {
 			t.Error("RemoveSession(2) changed which sessions the port has")
 		}
-		if liveEntries(l) != 2 || l.decls.entries[i].d != nil {
-			t.Errorf("%d live entries after one release; a released entry must drop its d, which keeps the closure alive", liveEntries(l))
+		if liveEntries(t, l) != 2 || l.decls.At(i).Val.d != nil {
+			t.Errorf("%d live entries after one release; a released entry must drop its d, which keeps the closure alive", liveEntries(t, l))
 		}
-		// A freed entry of d = L/r has the nil d an L/r key has: its
-		// count, not its key, keeps a lookup from finding it, so the
-		// next fresh declaration does not take the entry from under it.
+		// A freed entry of d = L/r is off its chain, so the next fresh
+		// declaration does not take the entry from under it.
 		l.AddSession(network.SessionPort{Session: 4, Rate: 100})
 		l.RemoveSession(4)
 		l.AddSession(network.SessionPort{Session: 5, Rate: 100})
 		l.AddSession(network.SessionPort{Session: 6, Rate: 100, D: func(float64) float64 { return 6 }})
-		if liveEntries(l) != 4 || entryOf(l, 5) == entryOf(l, 6) {
-			t.Errorf("an L/r session after a freed L/r entry, then a fresh closure: %d live entries, want 4, each session its own", liveEntries(l))
+		if liveEntries(t, l) != 4 || entryOf(l, 5) == entryOf(l, 6) {
+			t.Errorf("an L/r session after a freed L/r entry, then a fresh closure: %d live entries, want 4, each session its own", liveEntries(t, l))
 		}
 	})
 }

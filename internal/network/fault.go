@@ -214,7 +214,7 @@ func (n *Network) DropSession(s *Session) {
 func (s *Session) Stop() {
 	if e := s.em; e != nil {
 		e.stopEmit = 0
-		s.net.Sim.Cancel(e.ev)
+		s.net().Sim.Cancel(e.ev)
 	}
 }
 
@@ -226,7 +226,7 @@ func (s *Session) Stop() {
 // session's packet timing.
 func (s *Session) SetStalled(on bool) {
 	if on && !s.stalled {
-		if m := s.net.metrics; m != nil {
+		if m := s.net().metrics; m != nil {
 			m.Arena().Inc(metrics.HFaultStalls)
 		}
 	}

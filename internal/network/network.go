@@ -566,10 +566,14 @@ func (p *Port) finish(pkt *packet.Packet) {
 	tie := p.tieBase | p.txSeq
 	var next *Port
 	var sink *Session
-	if lh := pkt.Hop + 1 - sess.HopOffset; lh < len(sess.Route) {
+	lh, h := pkt.Hop+1, sess.hooks
+	if h != nil {
+		lh -= h.hopOffset
+	}
+	if lh < len(sess.Route) {
 		next = sess.Route[lh]
 		pkt.Hop++
-	} else if h := sess.hooks; h != nil && h.forward != nil {
+	} else if h != nil && h.forward != nil {
 		ho := Handoff{
 			Session: pkt.Session, Seq: pkt.Seq, Hop: pkt.Hop + 1,
 			Length: pkt.Length, SourceTime: pkt.SourceTime, Hold: pkt.Hold,
@@ -625,15 +629,17 @@ func (p *Port) deliverHead() {
 	if at := f.sched + p.Gamma; f.next != nil {
 		f.next.Arrive(f.pkt, at)
 	} else {
-		f.sink.Deliver(f.pkt, at)
+		f.sink.deliver(p.net, f.pkt, at)
 	}
 }
 
 // Session is an established connection: a source, a route of ports, and
 // end-to-end measurement state. It keeps inline what every session
-// reads; a source's emission state and the rarely set hooks sit behind
-// pointers that a sourceless, hookless call never fills, so such a call
-// allocates one 128-byte object (DESIGN "What a standing call keeps").
+// reads; a source's emission state and the rarely set hooks (a shard
+// segment's hop offset among them) sit behind pointers that a
+// sourceless, hookless call never fills, so such a call allocates one
+// 112-byte object (DESIGN "What a standing call keeps"). Its network is
+// its first port's.
 type Session struct {
 	ID   int
 	Rate float64 // reserved rate r_s, bits/s
@@ -652,21 +658,14 @@ type Session struct {
 	// Emitted counts packets injected at the first node.
 	Emitted int64
 
-	// HopOffset is the global hop index of Route[0]. It is zero for a
-	// whole session and nonzero for a downstream segment of a session
-	// whose route was split across network shards (internal/shard):
-	// packets keep their global hop numbers, so traces from a sharded
-	// run merge byte-identically with a serial run's.
-	HopOffset int
-
-	net *Network
 	// em is the source's emission state, nil until a source (or an
 	// InitialSlack hook) is attached.
 	em *emitter
-	// hooks holds the delay histogram and the deliver and forward hooks,
-	// nil until one is set.
+	// hooks holds the delay histogram, the deliver and forward hooks and
+	// a shard segment's hop offset, nil until one is set.
 	hooks *sessionHooks
-	// slot is the session's index in net.sessions while it is registered.
+	// slot is the session's index in its network's sessions while it is
+	// registered.
 	slot int32
 
 	// JitterControl selects delay-jitter-control mode at every node of
@@ -704,6 +703,8 @@ type sessionHooks struct {
 	// forward, when non-nil, marks a non-final shard segment (see
 	// SetForward).
 	forward func(h Handoff, finish, arrive float64)
+	// hopOffset is the global hop index of Route[0] (SetHopOffset).
+	hopOffset int
 }
 
 // emitState returns the session's emission state, making it on first
@@ -755,6 +756,16 @@ func (s *Session) SetForward(fn func(h Handoff, finish, arrive float64)) {
 	s.hookState().forward = fn
 }
 
+// SetHopOffset sets the global hop index of Route[0]. It is zero for a
+// whole session and nonzero for a downstream segment of a session whose
+// route was split across network shards (internal/shard): packets keep
+// their global hop numbers, so traces from a sharded run merge
+// byte-identically with a serial run's.
+func (s *Session) SetHopOffset(off int) { s.hookState().hopOffset = off }
+
+// net is the network the session is established in.
+func (s *Session) net() *Network { return s.Route[0].net }
+
 // Started reports whether Start has been called.
 func (s *Session) Started() bool { return s.started }
 
@@ -766,12 +777,13 @@ func (s *Session) MeasureHistogram(binWidth float64, nbins int) *stats.Histogram
 	return h
 }
 
-// Deliver lands a packet at the session's exit point. It is the
-// normal release point of the packet lifecycle: after the statistics
-// and the OnDeliver hook have observed the packet, it returns to the
-// network's pool (hooks must not retain the pointer).
-func (s *Session) Deliver(p *packet.Packet, now float64) {
-	if t := s.net.Tracer; t != nil {
+// deliver lands a packet at the session's exit point; n is the
+// session's network. It is the normal release point of the packet
+// lifecycle: after the statistics and the OnDeliver hook have observed
+// the packet, it returns to the network's pool (hooks must not retain
+// the pointer).
+func (s *Session) deliver(n *Network, p *packet.Packet, now float64) {
+	if t := n.Tracer; t != nil {
 		t.Trace(trace.Event{Time: now, Kind: trace.Deliver,
 			Session: p.Session, Seq: p.Seq, Hop: p.Hop})
 	}
@@ -785,7 +797,7 @@ func (s *Session) Deliver(p *packet.Packet, now float64) {
 	if h != nil && h.onDeliver != nil {
 		h.onDeliver(p, d)
 	}
-	s.net.pool.put(p)
+	n.pool.put(p)
 }
 
 // AddSession creates a session over the given route. cfgs configures
@@ -812,7 +824,6 @@ func (n *Network) AddSession(id int, rate float64, jitterControl bool, route []*
 		Rate:          rate,
 		JitterControl: jitterControl,
 		Route:         route,
-		net:           n,
 		slot:          int32(len(n.sessions)),
 	}
 	if _, ok := n.sessByID.Insert(id, s); !ok {
@@ -844,33 +855,37 @@ func (s *Session) Start(t0, stopEmit float64) {
 	// Re-Start with an emission still pending (a churned session
 	// re-established before its old event fired): cancel it — the new
 	// schedule below replaces it.
-	s.net.Sim.Cancel(e.ev)
+	n := s.net()
+	n.Sim.Cancel(e.ev)
 	if e.fn == nil {
 		e.fn = s.emit
 	}
 	gap, length := e.src.Next()
-	s.scheduleEmit(t0+gap, length)
+	s.scheduleEmit(n, t0+gap, length)
 }
 
 // emit is the emission event's handler: it sends the pending packet and
 // schedules the next emission.
 func (s *Session) emit() {
 	e := s.em
-	t := s.net.Sim.Now() // == the scheduled emission instant
+	n := s.net()
+	t := n.Sim.Now() // == the scheduled emission instant
 	if !s.stalled {
 		s.send(t, e.nextLen)
 	}
 	gap, l := e.src.Next()
-	s.scheduleEmit(t+gap, l)
+	s.scheduleEmit(n, t+gap, l)
 }
 
-func (s *Session) scheduleEmit(t, length float64) {
+// scheduleEmit schedules the emission of a packet of the given length
+// at t on n, the session's network, unless the source has stopped.
+func (s *Session) scheduleEmit(n *Network, t, length float64) {
 	e := s.em
 	if t > e.stopEmit {
 		return
 	}
 	e.nextLen = length
-	e.ev = s.net.Sim.Schedule(t, e.fn)
+	e.ev = n.Sim.Schedule(t, e.fn)
 }
 
 // send is the single entry point of the packet lifecycle: it takes a
@@ -880,16 +895,19 @@ func (s *Session) send(t, length float64) {
 	e := s.em
 	e.seq++
 	s.Emitted++
-	p := s.net.pool.get()
+	first := s.Route[0]
+	p := first.net.pool.get()
 	p.Session = s.ID
 	p.Seq = e.seq
 	p.Length = length
 	p.SourceTime = t
-	p.Hop = s.HopOffset
+	if h := s.hooks; h != nil {
+		p.Hop = h.hopOffset
+	}
 	if e.initialSlack != nil {
 		p.Hold = e.initialSlack(p.Seq, t)
 	}
-	s.Route[0].Arrive(p, t)
+	first.Arrive(p, t)
 }
 
 // RemoveSession tears down a session's routing and scheduling state at
@@ -918,9 +936,10 @@ func (n *Network) RemoveSession(s *Session) {
 
 // listed reports whether s is one of n's established sessions. A listed
 // session is the one its id maps to (AddSession refuses a live id), so
-// the list decides and the id table is not walked.
+// the list decides and the id table is not walked; another network's
+// session is in its own list, not in n's.
 func (n *Network) listed(s *Session) bool {
-	return s.net == n && int(s.slot) < len(n.sessions) && n.sessions[s.slot] == s
+	return int(s.slot) < len(n.sessions) && n.sessions[s.slot] == s
 }
 
 // unregister takes a listed session out of the id table and the session

@@ -10,7 +10,7 @@
 // shards share no mutable state. A port lives in the shard of its
 // transmitting node. A session whose route crosses shards is split
 // into contiguous per-shard segments: each segment is an ordinary
-// network.Session in its shard (same ID, Session.HopOffset preserving
+// network.Session in its shard (same ID, Session.SetHopOffset preserving
 // global hop numbers), the first segment holds the source, the last
 // one the delivery statistics, and every non-final segment forwards
 // finished packets through its Session.SetForward hook into the
@@ -232,7 +232,9 @@ func (rt *Runtime) AddSession(plan SessionPlan) (*SessionView, error) {
 			src = plan.Source
 		}
 		seg := rt.Shards[s].Net.AddSession(plan.ID, plan.Rate, plan.JitterControl, ports, plan.Cfgs[start:end], src)
-		seg.HopOffset = start
+		if start > 0 {
+			seg.SetHopOffset(start) // a first segment keeps its hooks unset
+		}
 		if end < len(plan.Links) {
 			next := plan.Links[end]
 			dst, tp, from := rt.Part.Assign[next.From], next.Port, s

@@ -190,12 +190,12 @@ func injectShrinkReplay(t *testing.T, seed uint64, want [2]string) {
 
 // TestBaselineBoundShrinksAndReplays: the baselines are held to their
 // rows' promises, so tightening those past what the rows promise fails a
-// clean seed on the baselines alone (seed 26 at 0.6: WFQ's PGPS bound and
-// Stop-and-Go's 2HT, while every LiT bound, its class aggregate's
-// included, holds; a baseline's jitter
-// bound may fail too). The shrink keys on the check and the discipline
-// together, so what it keeps is a baseline's failure, and the repro
-// replays to the shrink's report.
+// clean seed on the baselines alone (seed 26 at 0.6: six delay-bound
+// violations, three sessions each by WFQ and WF2Q against the PGPS
+// bound, while every LiT bound, its class aggregate's included, holds;
+// a baseline's jitter bound may fail too). The shrink keys on the check
+// and the discipline together, so what it keeps is a baseline's
+// failure, and the repro replays to the shrink's report.
 func TestBaselineBoundShrinksAndReplays(t *testing.T) {
 	opt := Options{BoundScale: 0.6}
 	baseline := func(rep *SeedReport) (wfq bool) {

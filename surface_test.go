@@ -33,6 +33,7 @@ var surfaceKept = map[string]string{
 	"leaveintime/internal/calculus.HorizontalDeviation": "eq. 12 is derived through it in the calculus (ROADMAP item 5)",
 	"leaveintime.ErrUnstable":                           "the documented error contract of BusyPeriodBound and TandemDelayBound: what errors.Is compares against",
 	"leaveintime/internal/traffic.Trace":                "the scripted source the network, packet and scenarios tests drive; a _test.go file cannot be shared across packages",
+	"leaveintime/internal/intern.Table.Census":          "the core and admission tests check their interned tables' links and live entries through it; a _test.go file cannot be shared across packages",
 }
 
 // surfaceInterfaces are the interfaces outside the module whose methods
