@@ -5,7 +5,7 @@
 // conservation, packet conservation, pool balance, capacity return,
 // LiT ≡ VirtualClock, approximate-queue divergence, telemetry
 // agreement, degraded class-aggregate bounds, network-calculus bounds
-// for FCFS).
+// for FCFS, LSTF's replay of the Leave-in-Time run).
 //
 // Usage:
 //
@@ -29,10 +29,14 @@
 // promises them, and WFQ and WF2Q to a fluid GPS server fed the same
 // arrivals. FCFS's promise is the whole network's: its flows propagated
 // as piecewise-linear arrival curves through every link, the resulting
-// FIFO delay and per-flow backlog bounds. -v ends with the "baseline
-// bounds" block, a line per discipline: sessions checked, the worst
-// observed/bound ratio, and the sessions the row owes no bound, counted
-// by reason.
+// FIFO delay and per-flow backlog bounds. LSTF replays the reference
+// run: each packet carries its recorded delay less its route's
+// propagation as slack, and when no recorded packet waited at more than
+// two ports (Universal Packet Scheduling's premise) each replayed delay
+// must stay below the recorded one plus one L_MAX/C per hop. -v ends
+// with the "baseline bounds" block, a line per discipline: sessions
+// checked, the worst observed/bound ratio, and the sessions the row
+// owes no bound, counted by reason.
 //
 // On a clean network the scenario also runs class-aggregated — its
 // sessions mapped onto a few classes with one regulator and one K clock
@@ -45,7 +49,8 @@
 // Under a fault plan the bound checks apply to the sessions the plan
 // leaves alone, and the checks that need an undisturbed network are
 // skipped: the approximate queue's delay margin, LiT ≡ VirtualClock,
-// the baselines' bounds, the class-aggregated run and the fast path.
+// the baselines' bounds, LSTF's replay, the class-aggregated run and
+// the fast path.
 //
 // After the seeds comes the designed tightness family — N synchronized
 // CBR sessions saturating one link — whose observed worst delay must

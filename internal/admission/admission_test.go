@@ -284,8 +284,8 @@ func TestProcedure3SessionCap(t *testing.T) {
 		}
 	}
 	spec.ID = procedure3MaxSessions + 1
-	if _, err := p.Admit(spec, 0, Options{D: 1}); err == nil {
-		t.Fatal("cap not enforced")
+	if _, err := p.Admit(spec, 0, Options{D: 1}); !errors.Is(err, ErrRejected) {
+		t.Fatalf("cap not enforced as a rejection: %v", err)
 	}
 	if !p.Remove(2) {
 		t.Fatal("Remove")

@@ -627,7 +627,7 @@ func (p *Procedure3) admit(spec SessionSpec, d float64) (Assignment, error) {
 		}
 	}
 	if len(p.specs) >= procedure3MaxSessions {
-		return Assignment{}, fmt.Errorf("admission: procedure 3 subset test capped at %d sessions", procedure3MaxSessions)
+		return Assignment{}, fmt.Errorf("%w: procedure 3 subset test capped at %d sessions", ErrRejected, procedure3MaxSessions)
 	}
 	// Common test (inequality 18).
 	var rateSum float64

@@ -21,26 +21,27 @@ type declKey struct {
 	rate uint64
 }
 
-// decl is one interned declaration at a port: the reserved rate and
-// the d(L) of every session that reached the port holding the same
-// closure and the same rate, with d at the last length any of them
-// sent. The memo is shared exactly: d is a pure function of the length.
+// decl is one interned declaration at a port: the d(L) of every
+// session that reached the port holding the same closure and the same
+// rate, with d at the last length any of them sent. The memo is shared
+// exactly: d is a pure function of the length. The reserved rate is
+// read from the key (declKey.rate), so the entry keeps it once.
 type decl struct {
-	d    func(length float64) float64 // nil: d = L/r (VirtualClock)
-	rate float64
+	d func(length float64) float64 // nil: d = L/r (VirtualClock)
 	// lastLen starts as NaN, which equals no length, so the first
 	// packet always computes d.
 	lastLen, lastD float64
 }
 
-func (e *decl) delay(length float64) float64 {
+// delay is d at the length, for the entry's rate (bits/s).
+func (e *decl) delay(length, rate float64) float64 {
 	if length != e.lastLen {
 		e.lastLen = length
 		if e.d != nil {
 			e.lastD = e.d(length)
 		} else {
 			// VirtualClock special case: d = L/r (AC procedure 1, one class).
-			e.lastD = length / e.rate
+			e.lastD = length / rate
 		}
 	}
 	return e.lastD
@@ -55,7 +56,7 @@ func internDecl(t *decls, d func(float64) float64, rate float64) uint32 {
 	i, fresh := t.Intern(k, uint64(k.d)^k.rate)
 	if fresh {
 		e := &t.At(i).Val
-		e.d, e.rate, e.lastLen = d, rate, math.NaN()
+		e.d, e.lastLen = d, math.NaN()
 	}
 	return i
 }

@@ -22,6 +22,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"leaveintime/internal/network"
 	"leaveintime/internal/packet"
@@ -128,8 +129,9 @@ func (l *LiT) Enqueue(p *packet.Packet, now float64) {
 	if s.kPrev > base {
 		base = s.kPrev
 	}
-	dl := &l.decls.At(s.decl).Val
-	d := dl.delay(p.Length)
+	dl := l.decls.At(s.decl)
+	rate := math.Float64frombits(dl.Key.rate)
+	d := dl.Val.delay(p.Length, rate)
 	if d > s.seenDMax {
 		s.seenDMax = d
 	}
@@ -137,7 +139,7 @@ func (l *LiT) Enqueue(p *packet.Packet, now float64) {
 	p.Deadline = base + d
 	p.Delay = d
 	p.DelayMax = s.seenDMax
-	s.kPrev = base + p.Length/dl.rate
+	s.kPrev = base + p.Length/rate
 
 	l.place(p, e, now)
 }

@@ -366,6 +366,15 @@ func TestSessionSize(t *testing.T) {
 	}
 }
 
+// TestDeclarationEntrySize pins a port's interned declaration entry:
+// the key (closure address, rate bits), the closure and its length memo,
+// and the table's links. The rate is read from the key, not kept twice.
+func TestDeclarationEntrySize(t *testing.T) {
+	if got := unsafe.Sizeof(intern.Entry[declKey, decl]{}); got != 56 {
+		t.Errorf("a declaration entry is %d B, want 56: a new field is a per-port cost for every declaration; record it in DESIGN.md (\"What a call's set-up shares\")", got)
+	}
+}
+
 // TestPortSize pins network.Port inside Go's 288-byte size class: the
 // benchmark's metro-serial workload builds one Port per link every op,
 // so a field that moves it to the next class costs that op 14 kB.

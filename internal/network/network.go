@@ -733,8 +733,9 @@ func (s *Session) SetSource(src traffic.Source) { s.emitState().src = src }
 // time (packet.Hold) at emission: the packet enters the first node
 // exactly as if an upstream regulator had handed it that much slack.
 // Packets normally emit with zero Hold; the hook exists for replay
-// harnesses — the UPS experiment (internal/scenarios) uses it to seed
-// LSTF with per-packet slack derived from another discipline's recorded
+// harnesses — the UPS experiment (internal/scenarios) and the
+// conformance battery's LSTF replay (internal/simcheck) use it to seed
+// LSTF with per-packet slack derived from another run's recorded
 // schedule. It is called once per emission with the packet's sequence
 // number and emission instant.
 func (s *Session) SetInitialSlack(fn func(seq int64, t float64) float64) {

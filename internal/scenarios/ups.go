@@ -26,11 +26,11 @@ import (
 // recorded schedule. The run measures both replayers against the same
 // recordings:
 //
-//   - lstf: sessions registered with a zero per-node budget, initial
-//     slack = recorded delivery − emission − total propagation. Slack
-//     is consumed by queueing and transmission, carried by OnTransmit.
-//     Work-conserving, so it may deliver early; UPS's replay criterion
-//     is lateness, reported as the on-time fraction.
+//   - lstf: initial slack = recorded delivery − emission − total
+//     propagation, LSTF's only input. Slack is consumed by queueing
+//     and transmission, carried by OnTransmit. Work-conserving, so it
+//     may deliver early; UPS's replay criterion is lateness, reported
+//     as the on-time fraction.
 //   - lit: jitter-controlled Leave-in-Time with a zero service
 //     parameter, initial slack additionally excluding the per-hop
 //     transmission times — the regulator holds each packet until its
@@ -103,10 +103,11 @@ func (s *upsSchedule) Trace(e trace.Event) {
 }
 
 // upsRun executes the fixed population once under the given discipline.
-// cfg is the per-hop session configuration; slack, when non-nil,
-// installs the per-session initial-slack hook (the replay harness).
+// cfg is the per-hop session configuration. replay, when non-nil, is
+// the recording the run replays: each session gets the initial-slack
+// hook (the replay harness), perHop of wire time taken off at each hop.
 func upsRun(duration float64, seed uint64, mk func() network.Discipline, cfg network.SessionPort,
-	jitterCtrl bool, slack func(sess int, def upsDef) func(seq int64, t float64) float64) *upsSchedule {
+	jitterCtrl bool, replay *upsSchedule, perHop float64) *upsSchedule {
 
 	net, ports := rawTandem(mk)
 	r := rng.New(seed)
@@ -123,8 +124,8 @@ func upsRun(duration float64, seed uint64, mk func() network.Discipline, cfg net
 		}
 		s := net.AddSession(i+1, VoiceRate, jitterCtrl, route, cfgs,
 			NewOnOff(upsAOff, r.Split()))
-		if slack != nil {
-			s.SetInitialSlack(slack(i+1, def))
+		if replay != nil {
+			s.SetInitialSlack(upsSlack(replay.deliver[i], float64(def.exit-def.entrance+1)*perHop))
 		}
 		s.Start(0, duration)
 	}
@@ -132,8 +133,8 @@ func upsRun(duration float64, seed uint64, mk func() network.Discipline, cfg net
 	return rec
 }
 
-// zeroD is the zero per-node service budget of the replay harness:
-// every due time reduces to arrival + carried slack.
+// zeroD is the zero service parameter of the LiT replayer: every
+// packet's deadline reduces to its release from the regulator.
 func zeroD(float64) float64 { return 0 }
 
 // UPSRow is one (recorded discipline, replayer) comparison.
@@ -183,44 +184,35 @@ func RunUPS(duration float64, seed uint64) *UPSResult {
 	res := &UPSResult{Duration: duration, Seed: seed, Sessions: len(defs)}
 
 	for _, rx := range recorded {
-		sched0 := upsRun(duration, seed, t1Disc(rx.name), rx.cfg, false, nil)
+		sched0 := upsRun(duration, seed, t1Disc(rx.name), rx.cfg, false, nil, 0)
 		res.Packets = sched0.count
 
 		// Replayer 1: LSTF with initial slack = recorded delivery −
 		// emission − total propagation (queueing and transmission
 		// consume slack; the speed of light does not).
-		lstfSlack := func(sess int, def upsDef) func(seq int64, t float64) float64 {
-			props := float64(def.exit-def.entrance+1) * PropDelay
-			at := sched0.deliver[sess-1]
-			return func(seq int64, t float64) float64 {
-				if seq < 1 || seq > int64(len(at)) {
-					return 0
-				}
-				return at[seq-1] - t - props
-			}
-		}
-		lstfRun := upsRun(duration, seed, t1Disc("lstf"), network.SessionPort{D: zeroD}, false, lstfSlack)
+		lstfRun := upsRun(duration, seed, t1Disc("lstf"), network.SessionPort{}, false, sched0, PropDelay)
 		res.Rows = append(res.Rows, upsCompare(rx.name, "lstf", sched0, lstfRun))
 
 		// Replayer 2: jitter-controlled LiT with d = 0. The regulator
 		// holds each packet for its full slack at the first node, so
 		// the slack additionally excludes the per-hop transmission
 		// times the wire will consume downstream.
-		litSlack := func(sess int, def upsDef) func(seq int64, t float64) float64 {
-			hops := float64(def.exit - def.entrance + 1)
-			wire := hops * (PropDelay + CellBits/T1Rate)
-			at := sched0.deliver[sess-1]
-			return func(seq int64, t float64) float64 {
-				if seq < 1 || seq > int64(len(at)) {
-					return 0
-				}
-				return at[seq-1] - t - wire
-			}
-		}
-		litRun := upsRun(duration, seed, t1Disc("lit"), network.SessionPort{D: zeroD}, true, litSlack)
+		litRun := upsRun(duration, seed, t1Disc("lit"), network.SessionPort{D: zeroD}, true, sched0, PropDelay+CellBits/T1Rate)
 		res.Rows = append(res.Rows, upsCompare(rx.name, "lit", sched0, litRun))
 	}
 	return res
+}
+
+// upsSlack is a replayer's initial slack for one session: each packet's
+// recorded delivery (at) less its emission and less the route's wire
+// time.
+func upsSlack(at []float64, wire float64) func(seq int64, t float64) float64 {
+	return func(seq int64, t float64) float64 {
+		if seq < 1 || seq > int64(len(at)) {
+			return 0
+		}
+		return at[seq-1] - t - wire
+	}
 }
 
 // upsCompare reduces two schedules to one comparison row.

@@ -77,7 +77,7 @@ func TestTableBounds(t *testing.T) {
 		}
 	}
 
-	for _, name := range []string{"lit-approx", "fcfs", "rcsp", "lstf", "srpt"} {
+	for _, name := range []string{"lit-approx", "fcfs", "rcsp", "lstf"} {
 		if p := got[name]; p.Bound != 0 || p.Origin == "" {
 			t.Errorf("%s: %+v, want no bound and its reason", name, p)
 		}

@@ -7,12 +7,12 @@ import (
 )
 
 // TestLSTFSlackOrder checks the core rule: among queued packets the
-// least due time (arrival + carried slack + per-node budget) wins,
-// regardless of arrival order.
+// least due time (arrival + carried slack) wins, regardless of arrival
+// order.
 func TestLSTFSlackOrder(t *testing.T) {
 	l := NewLSTF()
-	l.AddSession(network.SessionPort{Session: 1, D: func(float64) float64 { return 0 }})
-	l.AddSession(network.SessionPort{Session: 2, D: func(float64) float64 { return 0 }})
+	l.AddSession(network.SessionPort{Session: 1})
+	l.AddSession(network.SessionPort{Session: 2})
 
 	// Session 1 arrives first but with generous slack; session 2
 	// arrives later nearly out of slack.
@@ -35,36 +35,12 @@ func TestLSTFSlackOrder(t *testing.T) {
 	}
 }
 
-// TestLSTFBudgetPriority checks the per-node budget resolution order:
-// an admission-assigned D wins over LocalDelay, LocalDelay over the
-// VirtualClock-style L/rate default.
-func TestLSTFBudgetPriority(t *testing.T) {
-	l := NewLSTF()
-	l.AddSession(network.SessionPort{Session: 1,
-		D: func(length float64) float64 { return 7e-3 }, LocalDelay: 5e-3, Rate: 32e3})
-	l.AddSession(network.SessionPort{Session: 2, LocalDelay: 5e-3, Rate: 32e3})
-	l.AddSession(network.SessionPort{Session: 3, Rate: 32e3})
-
-	wantDue := map[int]float64{
-		1: 7e-3,         // D
-		2: 5e-3,         // LocalDelay
-		3: 424.0 / 32e3, // L/rate = 13.25 ms
-	}
-	for sess, want := range wantDue {
-		p := pkt(sess, 1, 424)
-		l.Enqueue(p, 0)
-		if p.Deadline != want {
-			t.Errorf("session %d: due %v, want %v", sess, p.Deadline, want)
-		}
-	}
-}
-
 // TestLSTFCarriesResidualSlack checks OnTransmit: the slack this node
 // did not consume rides downstream in the header, and a late packet
 // carries zero rather than debt.
 func TestLSTFCarriesResidualSlack(t *testing.T) {
 	l := NewLSTF()
-	l.AddSession(network.SessionPort{Session: 1, D: func(float64) float64 { return 0 }})
+	l.AddSession(network.SessionPort{Session: 1})
 
 	p := pkt(1, 1, 424)
 	p.Hold = 10e-3
@@ -85,52 +61,10 @@ func TestLSTFCarriesResidualSlack(t *testing.T) {
 	}
 }
 
-// TestLSTFValidation pins the construction-time and hot-path panics.
+// TestLSTFValidation pins the hot-path panic.
 func TestLSTFValidation(t *testing.T) {
-	mustPanic(t, "AddSession without budget source", func() {
-		NewLSTF().AddSession(network.SessionPort{Session: 1})
-	})
 	mustPanic(t, "Enqueue for unregistered session", func() {
 		NewLSTF().Enqueue(pkt(9, 1, 424), 0)
-	})
-}
-
-// TestSRPTShortestFirst checks packet-level shortest-job-first with
-// FIFO tie-breaking, and that the header slack is cleared on exit.
-func TestSRPTShortestFirst(t *testing.T) {
-	s := NewSRPT()
-	s.AddSession(network.SessionPort{Session: 1})
-	s.AddSession(network.SessionPort{Session: 2})
-
-	s.Enqueue(pkt(1, 1, 1000), 0)
-	s.Enqueue(pkt(2, 1, 100), 1e-3)
-	s.Enqueue(pkt(1, 2, 100), 2e-3) // same length as (2,1), later arrival
-	s.Enqueue(pkt(2, 2, 500), 3e-3)
-
-	want := []struct {
-		sess int
-		seq  int64
-	}{{2, 1}, {1, 2}, {2, 2}, {1, 1}}
-	for _, w := range want {
-		p, ok := s.Dequeue(4e-3)
-		if !ok || p.Session != w.sess || p.Seq != w.seq {
-			t.Fatalf("SRPT order: got %+v, want session %d seq %d", p, w.sess, w.seq)
-		}
-	}
-
-	p := pkt(1, 3, 424)
-	p.Hold = 5e-3
-	s.Enqueue(p, 0)
-	p, _ = s.Dequeue(0)
-	s.OnTransmit(p, 1e-3)
-	if p.Hold != 0 {
-		t.Fatalf("SRPT left slack %v in the header", p.Hold)
-	}
-	if _, held := s.NextEligible(0); held {
-		t.Fatal("SRPT claims to hold packets")
-	}
-	mustPanic(t, "Enqueue for unregistered session", func() {
-		NewSRPT().Enqueue(pkt(9, 1, 424), 0)
 	})
 }
 

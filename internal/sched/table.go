@@ -90,10 +90,8 @@ var Table = []Row{
 		New: func(_, lMax, frame float64) network.Discipline { return NewHRR(lMax, frame) }},
 	{Name: "rcsp", Conserving: Idles, Bound: none("level test not run"),
 		New: func(_, _, _ float64) network.Discipline { return NewRCSP(2) }},
-	{Name: "lstf", Conserving: Conserves, Order: ByDeadline, Bound: none("slack test not run"),
+	{Name: "lstf", Conserving: Conserves, Order: ByDeadline, Bound: none("held to its replay of lit instead"),
 		New: func(_, _, _ float64) network.Discipline { return NewLSTF() }},
-	{Name: "srpt", Conserving: Conserves, Bound: none("no rate guarantee"),
-		New: func(_, _, _ float64) network.Discipline { return NewSRPT() }},
 }
 
 // Lookup returns the row of Table with the given name; it panics on a

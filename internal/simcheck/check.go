@@ -2,7 +2,7 @@ package simcheck
 
 import (
 	"fmt"
-	"sort"
+	"math"
 	"time"
 
 	"leaveintime/internal/event"
@@ -117,7 +117,7 @@ func CheckScenario(sc Case, opt Options) (rep *SeedReport) {
 	// session the plan leaves alone is held to the lit row's promise,
 	// faulted or not; the ledger books clean runs only, LiT's line and
 	// its aggregate's after the baselines'.
-	exact := rep.runUnder(&sc, sched.Lookup("lit"), runOpts{limits: true, probes: true, wd: wd})
+	exact := rep.runUnder(&sc, sched.Lookup("lit"), runOpts{limits: true, probes: true, collectDelays: clean, wd: wd})
 	if exact == nil {
 		return rep
 	}
@@ -147,21 +147,6 @@ func CheckScenario(sc Case, opt Options) (rep *SeedReport) {
 		}
 	}
 
-	// The exactness corner: procedure 1, one class, eps = 0, no jitter
-	// control — LiT and VirtualClock must produce bit-identical
-	// per-packet delays. Both sides run bare (no buffer limits) so the
-	// comparison is over the full packet stream.
-	if clean && sc.Check.Special {
-		litBare, err1 := runScenario(&sc, sched.Lookup("lit"), runOpts{collectDelays: true, wd: wd})
-		vcRun, err2 := runScenario(&sc, sched.Lookup("virtualclock"), runOpts{collectDelays: true, wd: wd})
-		if err1 != nil || err2 != nil {
-			rep.add(Violation{Check: "build", Discipline: "vc-diff",
-				Detail: fmt.Sprintf("lit: %v, vc: %v", err1, err2)})
-		} else if litBare.Tripped == "" && vcRun.Tripped == "" {
-			checkVCEquivalence(litBare, vcRun, rep)
-		}
-	}
-
 	if clean {
 		// The aggregate-class discipline held to its promise (see
 		// aggcheck.go), and the admission fast-path differential
@@ -175,14 +160,26 @@ func CheckScenario(sc Case, opt Options) (rep *SeedReport) {
 	// Every baseline discipline: drain, conservation, capacity return,
 	// identical emission and, on a clean network, each session against
 	// the bound its row promises and a GPS emulation against GPS. FCFS's
-	// promise is the whole network's (fcfsRow), its buffers probed.
+	// promise is the whole network's (fcfsRow), its buffers probed. Two
+	// runs compare with the reference run's recording: LSTF replays it
+	// and is held to it, and in the exactness corner (procedure 1, one
+	// class, eps = 0, no jitter control) VirtualClock must match LiT's
+	// per-packet delays to the bit. The reference run's buffers, capped
+	// at the bound, drop nothing on a clean network (loss-free), so the
+	// recording is the full packet stream.
+	recorded := clean && exact.Tripped == ""
 	for _, row := range sched.Table {
 		if row.Name == "lit" || row.Name == "lit-approx" {
 			continue // the reference and approximate runs above
 		}
 		opts := runOpts{wd: wd, gps: clean && gpsRows[row.Name]}
-		if clean && row.Name == "fcfs" {
+		switch {
+		case clean && row.Name == "fcfs":
 			row, opts.probes = fcfsRow(&sc), true
+		case recorded && row.Name == "lstf":
+			opts.replay, opts.collectDelays = exact, true
+		case recorded && row.Name == "virtualclock":
+			opts.collectDelays = sc.Check.Special
 		}
 		if res := rep.runUnder(&sc, row, opts); res != nil && res.Tripped == "" {
 			checkDrain(res, rep)
@@ -190,8 +187,14 @@ func CheckScenario(sc Case, opt Options) (rep *SeedReport) {
 			if exact.Tripped == "" {
 				checkEmitted(exact, res, rep)
 			}
-			if clean {
+			switch {
+			case opts.replay != nil:
+				rep.bounds = append(rep.bounds, checkReplay(exact, res, scale, rep))
+			case clean:
 				rep.bounds = append(rep.bounds, checkRowBound(res, scale, rep))
+			}
+			if row.Name == "virtualclock" && opts.collectDelays {
+				checkVCEquivalence(exact, res, rep)
 			}
 			if opts.gps {
 				checkGPS(res, &sc, rep)
@@ -239,7 +242,7 @@ func checkRowBound(res *runResult, scale float64, rep *SeedReport) boundTally {
 			if bound := p.Bound * scale; sr.MaxDelay >= bound {
 				rep.add(Violation{Check: "delay-bound", Discipline: res.Name, Session: id,
 					Detail: fmt.Sprintf("max delay %.9f >= bound %.9f (%s, %d hops)",
-						sr.MaxDelay, bound, p.Origin, sr.Hops)})
+						sr.MaxDelay, bound, p.Origin, len(sr.Route))})
 			}
 			if p.Jitter > 0 {
 				t.jitterChecked++
@@ -265,6 +268,52 @@ func checkRowBound(res *runResult, scale float64, rep *SeedReport) boundTally {
 				rep.add(Violation{Check: "buffer-bound", Discipline: res.Name, Session: id,
 					Port: pr.Port, Detail: fmt.Sprintf("occupancy %.0f bits >= bound %.0f",
 						pr.MaxBits, pr.Bound*scale)})
+			}
+		}
+	}
+	return t
+}
+
+// checkReplay holds a replay of the recorded run (runOpts.replay) to
+// Universal Packet Scheduling's promise for LSTF: when no recorded
+// packet waited at more than two ports, every packet is delivered no
+// later than recorded, give or take one transmission of the longest
+// packet per hop, which a non-preemptive port may have begun just
+// before the packet arrived (DESIGN "What each discipline promises").
+// So each replayed delay must stay below the recorded one plus the
+// route's Σ L_MAX/C_h, scaled by the case's bound scale. A case where a
+// recorded packet waited at three or more ports is held to nothing, its
+// sessions counted under that reason. The first packet of a session
+// past its bound is reported.
+func checkReplay(rec, res *runResult, scale float64, rep *SeedReport) boundTally {
+	t := boundTally{discipline: res.Name, excluded: map[string]int{}}
+	premise := rec.Counts.mostWaits <= 2
+	for i, sr := range res.Sessions {
+		switch {
+		case !premise:
+			t.excluded["a packet waited at three or more ports"]++
+			continue
+		case sr.Delivered == 0:
+			t.excluded["nothing delivered"]++
+			continue
+		}
+		t.checked++
+		var blocking float64
+		for _, h := range sr.Route {
+			blocking += res.LMax / h.C
+		}
+		// A packet missing from either run reads NaN, which every
+		// comparison below takes as false.
+		for j, d := range sr.Delays {
+			r := delayAt(rec.Sessions[i].Delays, j)
+			if ratio := d / (r + blocking); ratio > t.worst {
+				t.worst = ratio
+			}
+			if bound := (r + blocking) * scale; d >= bound {
+				rep.add(Violation{Check: "replay-delay", Discipline: res.Name, Session: sr.Def.ID,
+					Detail: fmt.Sprintf("seq %d: replayed delay %.9f >= bound %.9f (recorded %.9f + blocking %.9f, %d hops)",
+						j+1, d, bound, r, blocking, len(sr.Route))})
+				break
 			}
 		}
 	}
@@ -367,19 +416,15 @@ func checkEngineSanity(res *runResult, rep *SeedReport) {
 // session's maximum end-to-end delay can exceed the exact heap's by at
 // most a few bin widths per hop.
 func checkApprox(exact, approx *runResult, sc *Case, rep *SeedReport) {
-	byID := make(map[int]sessResult, len(exact.Sessions))
-	for _, sr := range exact.Sessions {
-		byID[sr.Def.ID] = sr
-	}
-	for _, sr := range approx.Sessions {
-		ref, ok := byID[sr.Def.ID]
-		if !ok || sr.Delivered == 0 {
+	for i, sr := range approx.Sessions {
+		if sr.Delivered == 0 {
 			continue
 		}
+		ref := exact.Sessions[i]
 		// One bin is LMax/C of the hop; five bins per hop at the
 		// slowest link is the margin the repository's fixed-point
 		// approximation test uses.
-		margin := 5 * float64(sr.Hops) * sc.LMax / sr.MinLinkCap
+		margin := 5 * float64(len(sr.Route)) * sc.LMax / sr.MinLinkCap
 		if sr.MaxDelay > ref.MaxDelay+margin {
 			rep.add(Violation{Check: "approx-divergence", Discipline: approx.Name,
 				Session: sr.Def.ID,
@@ -394,12 +439,8 @@ func checkApprox(exact, approx *runResult, sc *Case, rep *SeedReport) {
 // discipline, so per-session emission counts must match the reference
 // run exactly.
 func checkEmitted(ref, res *runResult, rep *SeedReport) {
-	byID := make(map[int]int64, len(ref.Sessions))
-	for _, sr := range ref.Sessions {
-		byID[sr.Def.ID] = sr.Emitted
-	}
-	for _, sr := range res.Sessions {
-		if want, ok := byID[sr.Def.ID]; ok && sr.Emitted != want {
+	for i, sr := range res.Sessions {
+		if want := ref.Sessions[i].Emitted; sr.Emitted != want {
 			rep.add(Violation{Check: "emit-divergence", Discipline: res.Name, Session: sr.Def.ID,
 				Detail: fmt.Sprintf("emitted %d, reference emitted %d", sr.Emitted, want)})
 		}
@@ -410,33 +451,14 @@ func checkEmitted(ref, res *runResult, rep *SeedReport) {
 // procedure 1, one class, eps = 0 and no jitter control, Leave-in-Time
 // is VirtualClock — per-packet end-to-end delays must be bit-identical.
 func checkVCEquivalence(lit, vc *runResult, rep *SeedReport) {
-	vcByID := make(map[int][]seqDelay, len(vc.Sessions))
-	for _, sr := range vc.Sessions {
-		vcByID[sr.Def.ID] = sr.Delays
-	}
-	for _, sr := range lit.Sessions {
-		other := vcByID[sr.Def.ID]
-		if len(other) != len(sr.Delays) {
-			rep.add(Violation{Check: "vc-equivalence", Discipline: "lit", Session: sr.Def.ID,
-				Detail: fmt.Sprintf("lit delivered %d packets, virtualclock %d",
-					len(sr.Delays), len(other))})
-			continue
-		}
-		// Delivery order can differ only if delays differ; sort both by
-		// sequence for a stable pairing.
-		sortBySeq(sr.Delays)
-		sortBySeq(other)
-		for i := range sr.Delays {
-			if sr.Delays[i] != other[i] {
+	for i, sr := range lit.Sessions {
+		other := vc.Sessions[i].Delays
+		for j := range max(len(sr.Delays), len(other)) {
+			if a, b := delayAt(sr.Delays, j), delayAt(other, j); math.Float64bits(a) != math.Float64bits(b) {
 				rep.add(Violation{Check: "vc-equivalence", Discipline: "lit", Session: sr.Def.ID,
-					Detail: fmt.Sprintf("seq %d: lit delay %.17g, virtualclock %.17g",
-						sr.Delays[i].Seq, sr.Delays[i].Delay, other[i].Delay)})
+					Detail: fmt.Sprintf("seq %d: lit delay %.17g, virtualclock %.17g", j+1, a, b)})
 				break
 			}
 		}
 	}
-}
-
-func sortBySeq(s []seqDelay) {
-	sort.Slice(s, func(i, j int) bool { return s[i].Seq < s[j].Seq })
 }

@@ -8,15 +8,6 @@ import (
 	"leaveintime/internal/network"
 	"leaveintime/internal/packet"
 	"leaveintime/internal/sched"
-	"leaveintime/internal/trace"
-)
-
-type traceEvent = trace.Event
-
-const (
-	traceArrive      = trace.Arrive
-	traceTransmitEnd = trace.TransmitEnd
-	traceDrop        = trace.Drop
 )
 
 // maxViolationsPerRun caps what one run reports so a systematically

@@ -13,9 +13,9 @@ type Violation struct {
 	// eligible-idle, pool-balance, conservation, emit-divergence,
 	// vc-equivalence, approx-divergence, telemetry-agreement,
 	// engine-sanity, admission-replay, capacity-leak, gps-lag, gps-tag,
-	// fastpath-divergence; for a run or a battery that did not finish,
-	// watchdog and panic; for a case that could not be run, build and
-	// invalid-scenario.
+	// fastpath-divergence, replay-delay; for a run or a battery that did
+	// not finish, watchdog and panic; for a case that could not be run,
+	// build and invalid-scenario.
 	Check      string `json:"check"`
 	Discipline string `json:"discipline"`
 	Session    int    `json:"session,omitempty"`

@@ -10,14 +10,8 @@ import (
 	"leaveintime/internal/packet"
 	"leaveintime/internal/sched"
 	"leaveintime/internal/system"
+	"leaveintime/internal/trace"
 )
-
-// seqDelay is one delivered packet's end-to-end delay, for the
-// differential LiT ≡ VirtualClock comparison.
-type seqDelay struct {
-	Seq   int64
-	Delay float64
-}
 
 // probeResult is one hop's buffer observation for one session.
 type probeResult struct {
@@ -32,7 +26,6 @@ type probeResult struct {
 // run.
 type sessResult struct {
 	Def       *config.Session
-	Hops      int
 	Emitted   int64
 	Delivered int64
 	Dropped   int64 // buffer-limit drops along the route
@@ -47,12 +40,16 @@ type sessResult struct {
 	Route      []sched.Hop
 	MinLinkCap float64
 	Probes     []probeResult
-	Delays     []seqDelay // filled only when opts.collectDelays
+	// Delays is filled only when opts.collectDelays: packet seq's
+	// end-to-end delay at seq-1, NaN for a packet not delivered.
+	Delays []float64
 }
 
 // runResult is one discipline's complete run over the scenario.
 type runResult struct {
-	Name       string
+	Name string
+	// Sessions are the document's, in its order, so the runs of a case
+	// pair their sessions by index.
 	Sessions   []sessResult
 	Pool       network.PoolStats
 	Reg        *metrics.Registry
@@ -69,10 +66,17 @@ type runResult struct {
 }
 
 type runOpts struct {
-	limits        bool // cap buffers at the bound for LimitBuffers sessions
-	probes        bool // track per-hop occupancy
+	limits bool // cap buffers at the bound for LimitBuffers sessions
+	probes bool // track per-hop occupancy
+	// collectDelays records every delivered packet's delay and, in the
+	// trace counts, the ports where it waited: the recording a replay
+	// takes its slack from.
 	collectDelays bool
-	gps           bool // record each port's packets for checkGPS
+	// replay, when set, is the recorded run whose schedule this run
+	// replays: each packet carries its recorded delay less its route's
+	// propagation as initial slack (replaySlack).
+	replay *runResult
+	gps    bool // record each port's packets for checkGPS
 	// wd arms the run's watchdog budgets; a tripped run reports a
 	// "watchdog" violation and skips drain-dependent checks.
 	wd event.Watchdog
@@ -96,6 +100,27 @@ type traceCounts struct {
 	FaultDrops map[string]int64
 	SigDrops   map[string]int64
 	SessDrops  map[int]int64
+	// waits, on a recording run, holds each packet's congestion points
+	// by network session id and sequence number, and mostWaits the
+	// largest count a packet reached.
+	waits     [][]congestion
+	mostWaits int
+}
+
+// congestion is one packet's count of congestion points so far: the
+// ports where its transmission started after its last bit arrived,
+// regulator holds included.
+type congestion struct {
+	arrived float64 // at the port it occupies
+	points  int
+}
+
+// grown returns &(*s)[i], first growing *s with fill to reach it.
+func grown[T any](s *[]T, i int64, fill T) *T {
+	for int64(len(*s)) <= i {
+		*s = append(*s, fill)
+	}
+	return &(*s)[i]
 }
 
 func newTraceCounts(sc *Case) *traceCounts {
@@ -111,13 +136,23 @@ func newTraceCounts(sc *Case) *traceCounts {
 }
 
 // Trace implements trace.Tracer.
-func (t *traceCounts) Trace(e traceEvent) {
+func (t *traceCounts) Trace(e trace.Event) {
 	switch e.Kind {
-	case traceArrive:
+	case trace.Arrive:
 		t.Arrivals[e.Port]++
-	case traceTransmitEnd:
+		if t.waits != nil {
+			grown(&t.waits[e.Session-1], e.Seq-1, congestion{}).arrived = e.Time
+		}
+	case trace.TransmitStart:
+		if t.waits != nil {
+			if c := grown(&t.waits[e.Session-1], e.Seq-1, congestion{}); e.Time > c.arrived {
+				c.points++
+				t.mostWaits = max(t.mostWaits, c.points)
+			}
+		}
+	case trace.TransmitEnd:
 		t.Transmits[e.Port]++
-	case traceDrop:
+	case trace.Drop:
 		t.Drops[e.Port]++
 		switch e.Cause {
 		case "":
@@ -150,6 +185,9 @@ func runScenario(sc *Case, row sched.Row, opts runOpts) (*runResult, error) {
 		doc = uncapped(doc)
 	}
 	res := &runResult{Name: row.Name, Reg: metrics.NewRegistry(), Counts: newTraceCounts(sc)}
+	if opts.collectDelays {
+		res.Counts.waits = make([][]congestion, len(sc.Sessions))
+	}
 	run, err := doc.PrepareRow(res.Reg, checkedRow(sc, row, &res.Violations, opts.gps))
 	if err != nil {
 		return nil, err
@@ -170,7 +208,7 @@ func runScenario(sc *Case, row sched.Row, opts runOpts) (*runResult, error) {
 	for i := range conns {
 		c, s := &conns[i], &res.Sessions[i]
 		req := c.Def.Request()
-		*s = sessResult{Def: c.Def, Hops: len(c.Sess.Route), MinLinkCap: math.Inf(1),
+		*s = sessResult{Def: c.Def, MinLinkCap: math.Inf(1),
 			Flow: sched.Flow{Session: c.Sess.ID, Rate: req.Rate, B0: req.B0, LMin: req.LMin, LMax: req.LMax}}
 		for _, port := range c.Sess.Route {
 			s.MinLinkCap = min(s.MinLinkCap, port.C)
@@ -190,9 +228,12 @@ func runScenario(sc *Case, row sched.Row, opts runOpts) (*runResult, error) {
 				s.Probes = append(s.Probes, probe)
 			}
 		}
+		if opts.replay != nil {
+			c.Sess.SetInitialSlack(replaySlack(&opts.replay.Sessions[i]))
+		}
 		if opts.collectDelays {
 			c.Sess.SetOnDeliver(func(p *packet.Packet, delay float64) {
-				s.Delays = append(s.Delays, seqDelay{Seq: p.Seq, Delay: delay})
+				*grown(&s.Delays, p.Seq-1, math.NaN()) = delay
 			})
 		}
 	}
@@ -227,6 +268,33 @@ func runScenario(sc *Case, row sched.Row, opts runOpts) (*runResult, error) {
 	}
 	res.Pool = sys.Net.PoolStats()
 	return res, nil
+}
+
+// replaySlack is the initial slack of Universal Packet Scheduling's
+// replay of a recorded session under LSTF: each packet's recorded delay
+// less its route's propagation, so that a packet leaving every port by
+// its due time is delivered no later than recorded. A packet the
+// recording lacks carries none.
+func replaySlack(rec *sessResult) func(seq int64, t float64) float64 {
+	var prop float64
+	for _, h := range rec.Route {
+		prop += h.Gamma
+	}
+	return func(seq int64, _ float64) float64 {
+		if d := delayAt(rec.Delays, int(seq-1)); !math.IsNaN(d) {
+			return d - prop
+		}
+		return 0
+	}
+}
+
+// delayAt is the recorded delay of the session's packet i+1, NaN if
+// none was recorded.
+func delayAt(delays []float64, i int) float64 {
+	if i >= len(delays) {
+		return math.NaN()
+	}
+	return delays[i]
 }
 
 // uncapped is the document with no session's buffers capped.

@@ -83,7 +83,7 @@ func TestCleanRunIsAFaultlessChurnRun(t *testing.T) {
 func TestCleanLivelockTripsWatchdog(t *testing.T) {
 	for _, seed := range []uint64{1, 3} {
 		rep := CheckScenario(Generate(seed), Options{MaxEvents: 200})
-		if rep.Churn || len(rep.Disciplines) < 15 {
+		if rep.Churn || len(rep.Disciplines) != len(sched.Table)+1 { // every row and the class aggregate
 			t.Fatalf("not the clean battery:\n%s", rep.Format())
 		}
 		for _, v := range rep.Violations {
@@ -168,5 +168,44 @@ func TestLiTPromiseIsConnBounds(t *testing.T) {
 	}
 	if checked == 0 || corner == 0 || corner == checked {
 		t.Fatalf("checked %d sessions, %d in the exactness corner", checked, corner)
+	}
+}
+
+// TestCongestionPoints pins what a recording counts as a congestion
+// point, on a hand-built two-port tandem where a packet takes 1 ms on
+// either link and a source first emits one interval after the start.
+// s1's first packet (3.5 ms) finds the first port idle and waits
+// nowhere. s2's (4 ms) waits behind it there until 4.5 ms, reaches the
+// second port at 5.5 ms while s3's second packet (5 ms) is on that
+// link, and waits again.
+func TestCongestionPoints(t *testing.T) {
+	const c, l = 1e6, 1000.0
+	sc := Case{Scenario: &config.Scenario{
+		Seed: 1, LMax: l, Duration: 0.006, Proc: 1,
+		Servers: []config.Server{{Name: "p1", Capacity: c}, {Name: "p2", Capacity: c}},
+		Classes: []config.Class{{RFrac: 1, Sigma: 1}},
+	}}
+	for i, s := range []struct {
+		route    []string
+		interval float64
+	}{{[]string{"p1"}, 3.5e-3}, {[]string{"p1", "p2"}, 4e-3}, {[]string{"p2"}, 2.5e-3}} {
+		sc.Sessions = append(sc.Sessions, config.Session{ID: i + 1, Route: s.route, Rate: l / s.interval, Class: 1,
+			LMin: l, LMax: l, B0: l, Source: config.Source{Kind: "deterministic", Interval: s.interval, Length: l}})
+	}
+	res, err := runScenario(&sc, sched.Lookup("lit"), runOpts{collectDelays: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []struct {
+		session int
+		seq     int64
+		points  int
+	}{{1, 1, 0}, {2, 1, 2}} {
+		if got := res.Counts.waits[want.session-1][want.seq-1].points; got != want.points {
+			t.Errorf("s%d seq %d waited at %d ports, want %d", want.session, want.seq, got, want.points)
+		}
+	}
+	if got := res.Counts.mostWaits; got != 2 {
+		t.Errorf("most congestion points %d, want 2", got)
 	}
 }

@@ -3,6 +3,7 @@ package simcheck
 import (
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -110,24 +111,24 @@ func TestReportDeterministic(t *testing.T) {
 // past the theorems (the BoundScale hook) must fail, the shrinker must
 // reduce the scenario without losing the original violation, and the
 // written repro must reproduce the failure when replayed from disk —
-// each battery's share of it included: eq. 12 on the reference run, the
-// aggregate's promise on the class-aggregated run, the curve-propagated
-// promise on the FCFS run.
+// each battery's share of it included: eq. 12 on the reference run and
+// LSTF's replay of it, the aggregate's promise on the class-aggregated
+// run, the curve-propagated promise on the FCFS run.
 func TestInjectedViolationShrinksAndReplays(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		seed uint64
-		want [2]string // a check, and the discipline, the replay must still report
+		want [][2]string // checks, each with its discipline, the replay must still report
 	}{
-		{"bounds", 1, [2]string{"delay-bound", "lit"}},
-		{"classes", 2, [2]string{"delay-bound", "lit-agg"}},
-		{"calculus", 3, [2]string{"delay-bound", "fcfs"}},
+		{"bounds", 1, [][2]string{{"delay-bound", "lit"}, {"replay-delay", "lstf"}}},
+		{"classes", 2, [][2]string{{"delay-bound", "lit-agg"}}},
+		{"calculus", 3, [][2]string{{"delay-bound", "fcfs"}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) { injectShrinkReplay(t, tc.seed, tc.want) })
 	}
 }
 
-func injectShrinkReplay(t *testing.T, seed uint64, want [2]string) {
+func injectShrinkReplay(t *testing.T, seed uint64, want [][2]string) {
 	opt := Options{BoundScale: 0.01}
 	full := Generate(seed)
 	rep := CheckScenario(full, opt)
@@ -179,42 +180,45 @@ func injectShrinkReplay(t *testing.T, seed uint64, want [2]string) {
 		t.Errorf("replay differs from the shrink's report:\n--- shrink ---\n%s--- replay ---\n%s",
 			srep.Format(), replayed.Format())
 	}
-	found := false
-	for _, v := range replayed.Violations {
-		found = found || [2]string{v.Check, v.Discipline} == want
-	}
-	if !found {
-		t.Errorf("replay reports no %s by %s:\n%s", want[0], want[1], replayed.Format())
+	reportsPairs(t, replayed, want...)
+}
+
+// reportsPairs fails the test unless the report holds a violation of
+// each check by its discipline.
+func reportsPairs(t *testing.T, rep *SeedReport, want ...[2]string) {
+	t.Helper()
+	for _, w := range want {
+		if !slices.ContainsFunc(rep.Violations, func(v Violation) bool { return [2]string{v.Check, v.Discipline} == w }) {
+			t.Errorf("report has no %s by %s:\n%s", w[0], w[1], rep.Format())
+		}
 	}
 }
 
 // TestBaselineBoundShrinksAndReplays: the baselines are held to their
-// rows' promises, so tightening those past what the rows promise fails a
-// clean seed on the baselines alone (seed 26 at 0.6: six delay-bound
-// violations, three sessions each by WFQ and WF2Q against the PGPS
-// bound, while every LiT bound, its class aggregate's included, holds;
-// a baseline's jitter bound may fail too). The shrink keys on the check
-// and the discipline together, so what it keeps is a baseline's
-// failure, and the repro replays to the shrink's report.
+// rows' promises and LSTF to its replay of the lit run, so tightening
+// those past what they promise fails a clean seed on the baselines alone
+// (seed 26 at 0.6: six delay-bound violations, three sessions each by
+// WFQ and WF2Q against the PGPS bound, and a replay-delay for each of
+// the seven sessions by LSTF, while every LiT bound, its class
+// aggregate's included, holds). The shrink keys on the check and the
+// discipline together, so what it keeps is a baseline's failure: LSTF's
+// replay, down to one session, which at 0.6 also fails the class
+// aggregate's busy-period bound. The repro replays to the shrink's
+// report.
 func TestBaselineBoundShrinksAndReplays(t *testing.T) {
 	opt := Options{BoundScale: 0.6}
-	baseline := func(rep *SeedReport) (wfq bool) {
-		for _, v := range rep.Violations {
-			if v.Check != "delay-bound" && v.Check != "jitter-bound" || v.Discipline == "lit" || v.Discipline == "lit-agg" {
-				t.Errorf("not a baseline's bound: %+v", v)
-			}
-			wfq = wfq || v.Discipline == "wfq"
+	rep := CheckScenario(Generate(26), opt)
+	for _, v := range rep.Violations {
+		if v.Check != "delay-bound" && v.Check != "replay-delay" || v.Discipline == "lit" || v.Discipline == "lit-agg" {
+			t.Errorf("not a baseline's bound: %+v", v)
 		}
-		return wfq
 	}
-	if rep := CheckScenario(Generate(26), opt); !baseline(rep) {
-		t.Fatalf("no wfq delay-bound at scale 0.6:\n%s", rep.Format())
-	}
+	reportsPairs(t, rep, [2]string{"delay-bound", "wfq"}, [2]string{"replay-delay", "lstf"})
 	shrunk, srep := Shrink(Generate(26), opt)
 	if srep.OK() {
 		t.Fatal("shrunk case no longer fails")
 	}
-	baseline(srep)
+	reportsPairs(t, srep, [2]string{"replay-delay", "lstf"})
 	path := filepath.Join(t.TempDir(), "repro.json")
 	if err := WriteRepro(path, shrunk); err != nil {
 		t.Fatal(err)
