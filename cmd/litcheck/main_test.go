@@ -248,3 +248,22 @@ func TestInjectedFailuresReproAndReplay(t *testing.T) {
 		}
 	}
 }
+
+// TestVerboseReplayPrintsLedger: under -v a replay ends with the case's
+// "baseline bounds" block, as a seed block does: every row's sessions
+// checked, worst ratio and exclusions for the one case. A shrunk
+// one-session repro keeps it fast; CI pins examples/scenario.json the
+// same way (testdata/scenario.golden).
+func TestVerboseReplayPrintsLedger(t *testing.T) {
+	want, err := os.ReadFile("testdata/shrunk_seed1_v.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-v", "-replay", "../../internal/simcheck/testdata/old_shrunk_seed1.json"}, &stdout, &stderr); code != 1 {
+		t.Fatalf("exit %d, want 1 (the repro fails)\n%s", code, stderr.String())
+	}
+	if got := stdout.String(); got != string(want) {
+		t.Errorf("-v -replay printed\n%swant\n%s", got, want)
+	}
+}
