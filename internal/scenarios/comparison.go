@@ -83,7 +83,7 @@ func RunComparison(duration float64, seed uint64, aOff float64) *ComparisonResul
 			mk = newRCSPByRate
 		}
 		s := runComparisonScenario(mk, e.jitterCtrl, duration, seed, aOff, tagPort, crossPort)
-		p := sched.Lookup(e.row).Bound(tag, route, CellBits, frame)
+		p := sched.Lookup(e.row).Bound([]sched.Flow{tag}, [][]sched.Hop{route}, CellBits, frame)[0]
 		res.Rows = append(res.Rows, ComparisonRow{
 			Name:      e.label,
 			MaxDelay:  s.Delays.Max(),

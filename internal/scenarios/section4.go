@@ -45,9 +45,9 @@ type Section4StopAndGo struct {
 func RunSection4StopAndGo(t, c float64, n int) Section4StopAndGo {
 	lPkt := 0.01 * t * c
 	rate := 0.1 * c
-	f, route := section4Flow(rate, rate*t, lPkt), section4Route(n, c, 0, rate)
-	lit := sched.Lookup("lit").Bound(f, route, lPkt, t)
-	sg := sched.Lookup("stopandgo").Bound(f, route, lPkt, t)
+	flows, routes := []sched.Flow{section4Flow(rate, rate*t, lPkt)}, [][]sched.Hop{section4Route(n, c, 0, rate)}
+	lit := sched.Lookup("lit").Bound(flows, routes, lPkt, t)[0]
+	sg := sched.Lookup("stopandgo").Bound(flows, routes, lPkt, t)[0]
 	return Section4StopAndGo{
 		T: t, C: c, N: n, LMax: lPkt,
 		DRef:       t, // D_ref_max = b0/r = 0.1CT / 0.1C
@@ -98,9 +98,9 @@ type Section4PGPS struct {
 // fixed packet length lPkt over n hops of capacity c with propagation
 // gamma.
 func RunSection4PGPS(rate, b0, lPkt, c, gamma float64, n int) Section4PGPS {
-	f, route := section4Flow(rate, b0, lPkt), section4Route(n, c, gamma, rate)
+	flows, routes := []sched.Flow{section4Flow(rate, b0, lPkt)}, [][]sched.Hop{section4Route(n, c, gamma, rate)}
 	return Section4PGPS{
-		LiT:  sched.Lookup("lit").Bound(f, route, lPkt, 0).Bound,
-		PGPS: sched.Lookup("wfq").Bound(f, route, lPkt, 0).Bound,
+		LiT:  sched.Lookup("lit").Bound(flows, routes, lPkt, 0)[0].Bound,
+		PGPS: sched.Lookup("wfq").Bound(flows, routes, lPkt, 0)[0].Bound,
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"leaveintime/internal/admission"
+	"leaveintime/internal/calculus"
 	"leaveintime/internal/network"
 )
 
@@ -18,11 +19,16 @@ type Flow struct {
 
 // Hop is one hop of the flow's route as a bound reads it: the link's
 // capacity C (bits/s) and propagation Gamma (s), and every session the
-// hop's discipline was given, the flow's own among them.
+// hop's discipline was given, the flow's own among them. The routes
+// through one port carry its one Ports slice, which is how a row that
+// reads more than one route (fcfs) knows the hops that are one port.
 type Hop struct {
 	C, Gamma float64
 	Ports    []network.SessionPort
 }
+
+// port is the hop's identity: its Ports array.
+func (h Hop) port() *network.SessionPort { return &h.Ports[0] }
 
 // Promise is what a row promises one flow: an end-to-end delay bound
 // (s, propagation included), a delay jitter bound (s) and a buffer
@@ -36,11 +42,27 @@ type Promise struct {
 	Origin string
 }
 
-// bound is the type of Row.Bound: the flow, its route, the network's
+// bound is a promise to one flow: the flow, its route, the network's
 // L_MAX and the framing disciplines' frame.
 type bound = func(f Flow, route []Hop, lMax, frame float64) Promise
 
-// none is the Bound of a row that promises no delay.
+// promises is the type of Row.Bound: every flow of a run with its
+// route, and one promise per flow.
+type promises = func(flows []Flow, routes [][]Hop, lMax, frame float64) []Promise
+
+// each is the Bound of a row whose promise to a flow reads that flow's
+// route alone.
+func each(b bound) promises {
+	return func(flows []Flow, routes [][]Hop, lMax, frame float64) []Promise {
+		ps := make([]Promise, len(flows))
+		for i, f := range flows {
+			ps[i] = b(f, routes[i], lMax, frame)
+		}
+		return ps
+	}
+}
+
+// none is the bound of a row that promises no delay.
 func none(reason string) bound {
 	return func(Flow, []Hop, float64, float64) Promise { return Promise{Origin: reason} }
 }
@@ -222,4 +244,152 @@ func edd(jitter bool) bound {
 		}
 		return p
 	})
+}
+
+// cruz is Cruz's FCFS promise (the paper's refs. [2, 3]), the one
+// promise that reads every flow sharing a port with the flow: each
+// flow's token bucket (rate, b0) is propagated as a
+// piecewise-linear arrival curve, hop by hop. Each port sums its flows'
+// curves, in flow order, into an aggregate and bounds its delay (FIFO,
+// or with busy the length of its busy period, which bounds any
+// work-conserving discipline); under FIFO it also bounds each flow's
+// backlog at the port from the leftover service the others leave it
+// (Wildberger, Hamscher and Schmitt). A flow leaves a port delayed by
+// the port's bound and no faster than its wire carries, one packet
+// plus the link's rate, so from the second hop on the curves have
+// several segments. A port is processed once every flow it holds has
+// reached it. A flow's promise is the sum of its ports' bounds and
+// propagation, with its backlog bounds as its per-hop buffer bounds.
+// DelayBound and FlowBacklogBound carry the packetization terms, and a
+// source's bucket holds at least one packet, so a whole packet's
+// instantaneous arrival lies inside its curve.
+//
+// Where the analysis cannot bound every port soundly it promises every
+// flow nothing, for one of four reasons: some flow has no token bucket;
+// a port holds a session that is not among the flows, whose curve is
+// unknown; the routes order the ports cyclically, so no port has all
+// its upstream curves first; or a port's aggregate rate reaches its
+// capacity (the admission rules allow rounding crumbs past it), so its
+// bound and every curve downstream of it are unbounded.
+func cruz(flows []Flow, routes [][]Hop, lMax float64, busy bool) []Promise {
+	ps := make([]Promise, len(flows))
+	unbounded := func(reason string) []Promise {
+		for i := range ps {
+			ps[i] = Promise{Origin: reason}
+		}
+		return ps
+	}
+	held := make(map[int]bool, len(flows))
+	for _, f := range flows {
+		if f.B0 <= 0 {
+			return unbounded("no token bucket")
+		}
+		held[f.Session] = true
+	}
+
+	// Each port with the flows it holds, in flow order, and where on
+	// their routes they meet it.
+	type visit struct{ flow, hop int }
+	type port struct {
+		Hop
+		visits []visit
+	}
+	var ports []port
+	index := map[*network.SessionPort]int{}
+	for i, route := range routes {
+		for n, h := range route {
+			k, ok := index[h.port()]
+			if !ok {
+				for _, p := range h.Ports {
+					if !held[p.Session] {
+						return unbounded("no cross envelope")
+					}
+				}
+				k = len(ports)
+				index[h.port()] = k
+				ports = append(ports, port{Hop: h})
+			}
+			ports[k].visits = append(ports[k].visits, visit{i, n})
+		}
+	}
+	// A port is ready when each of its flows is next to visit it; once
+	// processed it never is again.
+	next := make([]int, len(flows))
+	order := make([]int, 0, len(ports))
+	for progress := true; progress; {
+		progress = false
+		for k, pt := range ports {
+			ready := true
+			for _, v := range pt.visits {
+				ready = ready && next[v.flow] == v.hop
+			}
+			if ready {
+				for _, v := range pt.visits {
+					next[v.flow]++
+				}
+				order, progress = append(order, k), true
+			}
+		}
+	}
+	if len(order) < len(ports) {
+		return unbounded("cyclic link order")
+	}
+
+	cur := make([]calculus.Curve, len(flows))
+	for i, f := range flows {
+		cur[i] = calculus.TokenBucket(f.Rate, f.B0)
+		ps[i] = Promise{Origin: "busy period"}
+		if !busy {
+			ps[i] = Promise{Origin: "curve propagation", Buffer: make([]float64, len(routes[i]))}
+		}
+	}
+	var ws calculus.Ws
+	for _, k := range order {
+		pt := ports[k]
+		srv := calculus.FCFSServer{C: pt.C, LMax: lMax}
+		var agg calculus.Curve
+		for _, v := range pt.visits {
+			agg = calculus.Add(agg, cur[v.flow])
+		}
+		var d float64
+		var err error
+		if busy {
+			d, err = calculus.BusyPeriodBound(agg, pt.C)
+		} else {
+			d, err = srv.DelayBound(agg)
+		}
+		if err != nil {
+			return unbounded("saturated link")
+		}
+		if !busy {
+			for _, v := range pt.visits {
+				var ax calculus.Curve
+				for _, u := range pt.visits {
+					if u.flow != v.flow {
+						ax = calculus.Add(ax, cur[u.flow])
+					}
+				}
+				if ps[v.flow].Buffer[v.hop], err = srv.FlowBacklogBound(&ws, cur[v.flow], ax); err != nil {
+					return unbounded("saturated link")
+				}
+			}
+		}
+		for _, v := range pt.visits {
+			ps[v.flow].Bound += d + pt.Gamma
+			cur[v.flow] = calculus.Min(cur[v.flow].Delayed(d), calculus.TokenBucket(pt.C, flows[v.flow].LMax))
+		}
+	}
+	return ps
+}
+
+// fifo is the fcfs row's promise: cruz under FIFO.
+func fifo(flows []Flow, routes [][]Hop, lMax, _ float64) []Promise {
+	return cruz(flows, routes, lMax, false)
+}
+
+// BusyPeriod is cruz's busy-period form: each flow's delay bound under
+// any work-conserving discipline at every port, the class aggregate's
+// second promise when no session is under jitter control.
+func BusyPeriod(flows []Flow, routes [][]Hop, lMax float64) []Promise {
+	return cruz(flows, routes, lMax, true)
 }

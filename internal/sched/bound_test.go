@@ -28,6 +28,12 @@ func fig6Route(crossXMin float64) (Flow, []Hop) {
 	return Flow{Session: 1, Rate: voice, B0: cell, LMin: cell, LMax: cell}, route
 }
 
+// promise is what the row promises the flow when it is the run's only
+// flow.
+func promise(row Row, f Flow, route []Hop, lMax, frame float64) Promise {
+	return row.Bound([]Flow{f}, [][]Hop{route}, lMax, frame)[0]
+}
+
 // TestTableBounds: every row states what it promises, and on the Fig. 6
 // tagged route the promises are the paper's Section 4 numbers. Eq. 12 at
 // d = L/r is PGPS (eq. 15); SCFQ pays one cell per other session a hop;
@@ -44,7 +50,7 @@ func TestTableBounds(t *testing.T) {
 		if row.Bound == nil {
 			t.Fatalf("%s states no Bound", row.Name)
 		}
-		got[row.Name] = row.Bound(tag, route, lMax, frame)
+		got[row.Name] = promise(row, tag, route, lMax, frame)
 	}
 
 	lit := got["lit"].Bound
@@ -71,7 +77,7 @@ func TestTableBounds(t *testing.T) {
 		if p := got[name]; p.Bound != 0 || p.Origin != "schedulability test fails" {
 			t.Errorf("%s at the comparison's budgets: %+v", name, p)
 		}
-		p := Lookup(name).Bound(tagEDD, schedulable, lMax, frame)
+		p := promise(Lookup(name), tagEDD, schedulable, lMax, frame)
 		if math.Abs(p.Bound-want) > 1e-15 || p.Origin != "sum of local delays" {
 			t.Errorf("%s at the mean spacing: %+v, want %.17g s", name, p, want)
 		}
@@ -97,7 +103,7 @@ func TestTableBounds(t *testing.T) {
 			ports[0].JitterControl = ctl
 			moded[i] = Hop{C: h.C, Gamma: h.Gamma, Ports: ports}
 		}
-		p := Lookup("lit").Bound(tag, moded, lMax, frame)
+		p := promise(Lookup("lit"), tag, moded, lMax, frame)
 		delay, jitter, buffer := eq12.Commitments(tag.Rate, tag.B0, tag.LMin, ctl)
 		if p.Bound != delay || p.Jitter != jitter || !slices.Equal(p.Buffer, buffer) {
 			t.Errorf("lit, jitter control %v: %+v, want %v %v %v", ctl, p, delay, jitter, buffer)
@@ -112,7 +118,7 @@ func TestTableBounds(t *testing.T) {
 	if j := got["stopandgo"].Jitter; math.Abs(j-79.5e-3) > 1e-15 {
 		t.Errorf("stopandgo jitter %.17g s, want 79.5 ms", j)
 	}
-	if p := Lookup("jitteredd").Bound(tagEDD, schedulable, lMax, frame); p.Jitter != schedulable[4].Ports[0].LocalDelay {
+	if p := promise(Lookup("jitteredd"), tagEDD, schedulable, lMax, frame); p.Jitter != schedulable[4].Ports[0].LocalDelay {
 		t.Errorf("jitteredd jitter %.17g s, want the last hop's local delay", p.Jitter)
 	}
 	for name, p := range got {
@@ -152,8 +158,125 @@ func TestBoundPreconditions(t *testing.T) {
 		f, r := tag, make([]Hop, len(route))
 		copy(r, route)
 		tc.edit(&f, r)
-		if p := Lookup(tc.row).Bound(f, r, lMax, frame); p.Bound != 0 || p.Jitter != 0 || p.Buffer != nil || p.Origin != tc.why {
+		if p := promise(Lookup(tc.row), f, r, lMax, frame); p.Bound != 0 || p.Jitter != 0 || p.Buffer != nil || p.Origin != tc.why {
 			t.Errorf("%s: %+v, want no bound: %s", tc.row, p, tc.why)
 		}
+	}
+}
+
+// linkNet is flows over numbered links of capacity c without
+// propagation: flow i+1 takes the links paths[i] at the given rate, its
+// bucket and packets one length l. Each link's one Ports slice lists
+// the flows that take it, in flow order.
+func linkNet(c, l, rate float64, paths ...[]int) ([]Flow, [][]Hop) {
+	var ports [][]network.SessionPort
+	flows := make([]Flow, len(paths))
+	for i, path := range paths {
+		flows[i] = Flow{Session: i + 1, Rate: rate, B0: l, LMin: l, LMax: l}
+		for _, k := range path {
+			for len(ports) <= k {
+				ports = append(ports, nil)
+			}
+			ports[k] = append(ports[k], network.SessionPort{Session: i + 1, Rate: rate})
+		}
+	}
+	routes := make([][]Hop, len(paths))
+	for i, path := range paths {
+		for _, k := range path {
+			routes[i] = append(routes[i], Hop{C: c, Ports: ports[k]})
+		}
+	}
+	return flows, routes
+}
+
+// TestFCFSHandComputed pins the fcfs row's promise on one link against
+// the closed form: four flows of TB(0.2C, L) make the aggregate
+// TB(0.8C, 4L), whose FIFO delay bound is 4L/C plus one packet time
+// L/C, and each flow's backlog bound lies between its one packet and
+// the whole burst plus a packet, 5L. The busy-period form bounds the
+// same link no tighter than the fluid FIFO bound.
+func TestFCFSHandComputed(t *testing.T) {
+	const capBps, lpkt = 1.536e6, 424.0
+	one := []int{0}
+	flows, routes := linkNet(capBps, lpkt, 0.8*capBps/4, one, one, one, one)
+	fifo := Lookup("fcfs").Bound(flows, routes, lpkt, 0)
+	wantDelay := 4*lpkt/capBps + lpkt/capBps
+	for i, p := range fifo {
+		if math.Abs(p.Bound-wantDelay) > 1e-12 || p.Origin != "curve propagation" {
+			t.Errorf("flow %d: %+v, want delay %.12g from curve propagation", i+1, p, wantDelay)
+		}
+		if len(p.Buffer) != 1 {
+			t.Fatalf("flow %d: want 1 hop of backlog bounds, got %d", i+1, len(p.Buffer))
+		}
+		if b := p.Buffer[0]; b < lpkt || b > 5*lpkt {
+			t.Errorf("flow %d backlog bound %.1f bits outside [%g, %g]", i+1, b, lpkt, 5*lpkt)
+		}
+	}
+	busy := BusyPeriod(flows, routes, lpkt)
+	if busy[0].Bound == 0 || busy[0].Origin != "busy period" {
+		t.Fatalf("busy period promised %+v", busy[0])
+	}
+	if busy[0].Bound < fifo[0].Bound-lpkt/capBps {
+		t.Errorf("busy-period bound %.9f below fluid FIFO bound %.9f", busy[0].Bound, fifo[0].Bound)
+	}
+}
+
+// TestFCFSExclusions: where some port cannot be bounded soundly, the
+// fcfs row promises no flow anything and names why: a flow without a
+// token bucket; a port holding a session that is not among the flows,
+// as the Section 4 comparison's Poisson cross traffic is; routes that
+// order the links cyclically; a link whose flows reach its capacity.
+func TestFCFSExclusions(t *testing.T) {
+	const c, l = 1.536e6, 424.0
+	one := []int{0}
+	for _, tc := range []struct {
+		why string
+		net func() ([]Flow, [][]Hop)
+	}{
+		{why: "no token bucket", net: func() ([]Flow, [][]Hop) {
+			flows, routes := linkNet(c, l, 0.2*c, one, one, one)
+			flows[1].B0 = 0
+			return flows, routes
+		}},
+		{why: "no cross envelope", net: func() ([]Flow, [][]Hop) {
+			flows, routes := linkNet(c, l, 0.2*c, one, []int{0, 1}, []int{1})
+			return flows[:2], routes[:2]
+		}},
+		{why: "cyclic link order", net: func() ([]Flow, [][]Hop) {
+			return linkNet(c, l, 0.02*c, []int{0, 1}, []int{1, 2}, []int{2, 0})
+		}},
+		{why: "saturated link", net: func() ([]Flow, [][]Hop) {
+			return linkNet(c, l, 0.4*c, []int{0, 1}, []int{1}, []int{1})
+		}},
+	} {
+		flows, routes := tc.net()
+		for i, p := range Lookup("fcfs").Bound(flows, routes, l, 0) {
+			if p.Bound != 0 || p.Jitter != 0 || p.Buffer != nil || p.Origin != tc.why {
+				t.Errorf("%s: flow %d promised %+v", tc.why, i+1, p)
+			}
+		}
+	}
+}
+
+// TestFCFSFeedForwardOrder: a port is bounded once every flow it holds
+// has reached it, whatever order the flows are listed in. Flow a takes
+// link 0 then link 1, b link 1 alone and x link 0 alone; listed with
+// link 1's own flow b first, each flow is promised what the listing a,
+// b, x promises it, to the bit, and a's promise covers both links.
+func TestFCFSFeedForwardOrder(t *testing.T) {
+	const c, l = 1.536e6, 424.0
+	both, down, up := []int{0, 1}, []int{1}, []int{0}
+	flows, routes := linkNet(c, l, 0.3*c, both, down, up)
+	fwd := Lookup("fcfs").Bound(flows, routes, l, 0)
+	flows, routes = linkNet(c, l, 0.3*c, down, both, up)
+	rev := Lookup("fcfs").Bound(flows, routes, l, 0)
+	for i, j := range []int{1, 0, 2} {
+		a, b := fwd[i], rev[j]
+		if a.Bound == 0 || a.Bound != b.Bound || !slices.Equal(a.Buffer, b.Buffer) || a.Origin != b.Origin {
+			t.Errorf("flow %d: listed first-hop first %+v, downstream first %+v", i+1, a, b)
+		}
+	}
+	if len(fwd[0].Buffer) != 2 || fwd[0].Bound <= fwd[2].Bound {
+		t.Errorf("two-link flow promised %+v, one-link flow %+v", fwd[0], fwd[2])
 	}
 }

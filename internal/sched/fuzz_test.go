@@ -107,7 +107,7 @@ func FuzzPromise(f *testing.F) {
 		}
 
 		for _, row := range Table {
-			p := row.Bound(fl, route, lMax, frame)
+			p := promise(row, fl, route, lMax, frame)
 			for _, v := range append([]float64{p.Bound, p.Jitter}, p.Buffer...) {
 				if !(v >= 0) || math.IsInf(v, 0) {
 					t.Fatalf("%s: %+v is not finite and non-negative", row.Name, p)
@@ -118,7 +118,7 @@ func FuzzPromise(f *testing.F) {
 			}
 		}
 
-		p := Lookup("lit").Bound(fl, route, lMax, frame)
+		p := promise(Lookup("lit"), fl, route, lMax, frame)
 		if p.Bound == 0 {
 			return
 		}

@@ -20,10 +20,11 @@ type Row struct {
 	New        func(capacity, lMax, frame float64) network.Discipline
 	Conserving Conserving
 	Order      Order
-	// Bound is what the discipline promises a session over a route of
-	// ports built by New: its delay, jitter and buffer bounds, or the
-	// reason it owes none (see DESIGN "What each discipline promises").
-	Bound func(f Flow, route []Hop, lMax, frame float64) Promise
+	// Bound is what the discipline promises each of a run's flows over
+	// its route of ports built by New, asked once with every flow: its
+	// delay, jitter and buffer bounds, or the reason it owes none (see
+	// DESIGN "What each discipline promises").
+	Bound func(flows []Flow, routes [][]Hop, lMax, frame float64) []Promise
 }
 
 // Conserving says when a discipline is work-conserving: when Dequeue
@@ -61,36 +62,37 @@ const (
 // Table is every discipline of the repository, Leave-in-Time first: the
 // order the conformance battery runs and reports them in.
 var Table = []Row{
-	{Name: "lit", Conserving: ConservesUnlessJitter, Order: ByDeadline, Bound: eq12(true, "eq. 12"),
+	{Name: "lit", Conserving: ConservesUnlessJitter, Order: ByDeadline, Bound: each(eq12(true, "eq. 12")),
 		New: func(capacity, lMax, _ float64) network.Discipline {
 			return core.New(core.Config{Capacity: capacity, LMax: lMax})
 		}},
 	{Name: "lit-approx", Conserving: ConservesUnlessJitter, Order: ByDay,
-		Bound: none("held to the exact queue instead"),
+		Bound: each(none("held to the exact queue instead")),
 		New: func(capacity, lMax, _ float64) network.Discipline {
 			return core.New(core.Config{Capacity: capacity, LMax: lMax, Approximate: true})
 		}},
-	{Name: "virtualclock", Conserving: Conserves, Order: ByDeadline, Bound: eq12(false, "eq. 12 (special case)"),
+	{Name: "virtualclock", Conserving: Conserves, Order: ByDeadline, Bound: each(eq12(false, "eq. 12 (special case)")),
 		New: func(_, _, _ float64) network.Discipline { return NewVirtualClock() }},
-	{Name: "wfq", Conserving: Conserves, Bound: pgps,
+	{Name: "wfq", Conserving: Conserves, Bound: each(pgps),
 		New: func(capacity, _, _ float64) network.Discipline { return NewWFQ(capacity) }},
-	{Name: "wf2q", Conserving: Conserves, Bound: pgps,
+	{Name: "wf2q", Conserving: Conserves, Bound: each(pgps),
 		New: func(capacity, _, _ float64) network.Discipline { return NewWF2Q(capacity) }},
-	{Name: "scfq", Conserving: Conserves, Bound: scfq,
+	{Name: "scfq", Conserving: Conserves, Bound: each(scfq),
 		New: func(_, _, _ float64) network.Discipline { return NewSCFQ() }},
-	{Name: "fcfs", Conserving: Conserves, Bound: none("no cross envelope"),
+	{Name: "fcfs", Conserving: Conserves, Bound: fifo,
+
 		New: func(_, _, _ float64) network.Discipline { return NewFCFS() }},
-	{Name: "delayedd", Conserving: Conserves, Order: ByDeadline, Bound: edd(false),
+	{Name: "delayedd", Conserving: Conserves, Order: ByDeadline, Bound: each(edd(false)),
 		New: func(_, _, _ float64) network.Discipline { return NewDelayEDD() }},
-	{Name: "jitteredd", Conserving: Idles, Bound: edd(true),
+	{Name: "jitteredd", Conserving: Idles, Bound: each(edd(true)),
 		New: func(_, _, _ float64) network.Discipline { return NewJitterEDD() }},
-	{Name: "stopandgo", Conserving: Idles, Bound: framed(stopAndGoFits, true),
+	{Name: "stopandgo", Conserving: Idles, Bound: each(framed(stopAndGoFits, true)),
 		New: func(_, _, frame float64) network.Discipline { return NewStopAndGo(frame) }},
-	{Name: "hrr", Conserving: Idles, Bound: framed(hrrFits, false),
+	{Name: "hrr", Conserving: Idles, Bound: each(framed(hrrFits, false)),
 		New: func(_, lMax, frame float64) network.Discipline { return NewHRR(lMax, frame) }},
-	{Name: "rcsp", Conserving: Idles, Bound: none("level test not run"),
+	{Name: "rcsp", Conserving: Idles, Bound: each(none("level test not run")),
 		New: func(_, _, _ float64) network.Discipline { return NewRCSP(2) }},
-	{Name: "lstf", Conserving: Conserves, Order: ByDeadline, Bound: none("held to its replay of lit instead"),
+	{Name: "lstf", Conserving: Conserves, Order: ByDeadline, Bound: each(none("held to its replay of lit instead")),
 		New: func(_, _, _ float64) network.Discipline { return NewLSTF() }},
 }
 

@@ -38,8 +38,8 @@ import (
 // minus the propagation floor (ineq. 17's structure with the
 // aggregate delay spread in place of the per-session one). Without
 // jitter control the aggregate is work-conserving, so the busy-period
-// composition (calccheck.go) bounds its delay too, and the promise's
-// delay bound is the smaller of the two.
+// composition (sched.BusyPeriod) bounds its delay too, and the
+// promise's delay bound is the smaller of the two.
 //
 // Class mapping: procedures 1 and 2 reuse the scenario's declared
 // delay classes (sessions[].class); procedure 3 sessions — per-session
@@ -79,10 +79,19 @@ func classMap(sc *Case) (map[int]int, int) {
 // aggregate is deadline-ordered over eligible packets exactly like exact
 // LiT, so it inherits LiT's row and with it the same online checks:
 // deadline inversion at heap tolerance, work conservation when no
-// session uses jitter control. Its promise is the harness's
-// (aggPromises), in the case's session order.
-func aggRow(sc *Case, ps []sched.Promise) sched.Row {
+// session uses jitter control. Its promise is composed over the class
+// aggregates at every hop: a class's rate and burst are its members'
+// rates and b0 summed over the flows the hop holds, in their order
+// there, and its d_max the largest its members' ports were given. A
+// flow's promise is its degraded delay and jitter bounds, the delay
+// bound the busy-period composition's where that is smaller (it bounds
+// a work-conserving aggregate, so only without jitter control). Each
+// flow's degraded delay bound is also left in *degraded, the numerator
+// of its degradation factor. Without every b0 no class burst is known,
+// and no flow is promised anything.
+func aggRow(sc *Case, degraded *[]float64) sched.Row {
 	cls, nc := classMap(sc)
+	jitter := sc.hasJitter()
 	row := sched.Lookup("lit")
 	row.Name = "lit-agg"
 	row.New = func(capacity, lMax, _ float64) network.Discipline {
@@ -91,71 +100,49 @@ func aggRow(sc *Case, ps []sched.Promise) sched.Row {
 			Classes: nc, ClassOf: func(id int) int { return cls[sc.docID(id)] },
 		})
 	}
-	row.Bound = promised(ps)
-	return row
-}
-
-// aggPromises composes each session's promise over the class
-// aggregates, in the case's session order, from the d_max each
-// session's ports were given in the exact run: the degraded delay and
-// jitter bounds, the delay bound the busy-period composition's where
-// that is smaller (it bounds a work-conserving aggregate, so only
-// without jitter control). degrade is each session's degraded delay
-// bound over the exact run's eq. 12. A class's burst is the sum of its
-// members' b0, so without every b0 no session is promised anything.
-func aggPromises(sc *Case, exact *runResult) (ps []sched.Promise, degrade []float64) {
-	ps, degrade = make([]sched.Promise, len(sc.Sessions)), make([]float64, len(sc.Sessions))
-	if !sc.allDeclareB0() {
-		for i := range ps {
-			ps[i].Origin = "no token bucket"
-		}
-		return ps, degrade
-	}
-	// Per link key and class: the aggregate rate, burst and d_c.
-	cls, _ := classMap(sc)
-	type linkClass struct {
-		key   string
-		class int
-	}
-	type agg struct{ rate, bur, dMax float64 }
-	aggs := make(map[linkClass]*agg)
-	for _, sr := range exact.Sessions {
-		def := sr.Def
-		for i, key := range def.Route {
-			lc := aggs[linkClass{key, cls[def.ID]}]
-			if lc == nil {
-				lc = &agg{}
-				aggs[linkClass{key, cls[def.ID]}] = lc
+	row.Bound = func(flows []sched.Flow, routes [][]sched.Hop, lMax, _ float64) []sched.Promise {
+		ps := make([]sched.Promise, len(flows))
+		*degraded = make([]float64, len(flows))
+		byID := make(map[int]sched.Flow, len(flows))
+		for _, f := range flows {
+			if f.B0 <= 0 {
+				for i := range ps {
+					ps[i].Origin = "no token bucket"
+				}
+				return ps
 			}
-			lc.rate += def.Rate
-			lc.bur += def.B0
-			lc.dMax = max(lc.dMax, sr.Route[i].Own(sr.Flow.Session).DMax)
+			byID[f.Session] = f
 		}
+		var busy []sched.Promise
+		if !jitter {
+			busy = sched.BusyPeriod(flows, routes, lMax)
+		}
+		for i, f := range flows {
+			class := cls[sc.docID(f.Session)]
+			var bound, acc, props float64
+			for _, h := range routes[i] {
+				var rate, bur, dMax float64
+				for _, p := range h.Ports {
+					if cls[sc.docID(p.Session)] == class {
+						rate += byID[p.Session].Rate
+						bur += byID[p.Session].B0
+						dMax = max(dMax, p.DMax)
+					}
+				}
+				hop := bur/rate + dMax + lMax/h.C
+				bound += acc + hop + h.Gamma
+				acc += hop
+				props += h.Gamma
+			}
+			ps[i] = sched.Promise{Bound: bound, Jitter: bound - props, Origin: "degraded composition"}
+			(*degraded)[i] = bound
+			if busy != nil && busy[i].Bound > 0 && busy[i].Bound < bound {
+				ps[i].Bound, ps[i].Origin = busy[i].Bound, busy[i].Origin
+			}
+		}
+		return ps
 	}
-
-	var busy []sched.Promise
-	if !sc.hasJitter() {
-		busy = calcBounds(sc, calcBusy)
-	}
-	for _, sr := range exact.Sessions {
-		def, i := sr.Def, sr.Flow.Session-1
-		var bound, acc, props float64
-		for _, l := range sc.hops(def) {
-			lc := aggs[linkClass{l.Name, cls[def.ID]}]
-			hop := lc.bur/lc.rate + lc.dMax + sc.LMax/l.Capacity
-			bound += acc + hop + l.Gamma
-			acc += hop
-			props += l.Gamma
-		}
-		ps[i] = sched.Promise{Bound: bound, Jitter: bound - props, Origin: "degraded composition"}
-		if busy != nil && busy[i].Bound > 0 && busy[i].Bound < bound {
-			ps[i].Bound, ps[i].Origin = busy[i].Bound, busy[i].Origin
-		}
-		if sr.Promise.Bound > 0 {
-			degrade[i] = bound / sr.Promise.Bound
-		}
-	}
-	return ps, degrade
+	return row
 }
 
 // checkAggregate runs the class-aggregate battery: the aggregate run must
@@ -165,8 +152,8 @@ func aggPromises(sc *Case, exact *runResult) (ps []sched.Promise, degrade []floa
 // the report; the tally is returned for the ledger, with ok false when
 // the run did not finish.
 func checkAggregate(sc *Case, exact *runResult, scale float64, wd event.Watchdog, rep *SeedReport) (t boundTally, ok bool) {
-	ps, degrade := aggPromises(sc, exact)
-	res := rep.runUnder(sc, aggRow(sc, ps), runOpts{wd: wd})
+	var degraded []float64
+	res := rep.runUnder(sc, aggRow(sc, &degraded), runOpts{wd: wd})
 	if res == nil || res.Tripped != "" {
 		return t, false
 	}
@@ -177,9 +164,9 @@ func checkAggregate(sc *Case, exact *runResult, scale float64, wd event.Watchdog
 	}
 	t = checkRowBound(res, scale, rep)
 	rep.AggChecked = t.checked
-	for _, sr := range res.Sessions {
-		if sr.Delivered > 0 {
-			rep.AggDegrade = max(rep.AggDegrade, degrade[sr.Flow.Session-1])
+	for i, sr := range res.Sessions {
+		if eq12 := exact.Sessions[i].Promise.Bound; sr.Delivered > 0 && eq12 > 0 {
+			rep.AggDegrade = max(rep.AggDegrade, degraded[i]/eq12)
 		}
 	}
 	return t, true

@@ -5,200 +5,9 @@ import (
 	"strings"
 
 	"leaveintime/internal/admission"
-	"leaveintime/internal/calculus"
 	"leaveintime/internal/config"
 	"leaveintime/internal/sched"
 )
-
-// Network-calculus promises: the piecewise-linear curve machinery
-// (internal/calculus) composes the bounds only the whole network can
-// make. The scenario's admitted flows are propagated hop by hop as
-// arrival curves — token bucket (rate, burst) at the source, delayed by
-// each hop's aggregate delay bound and peak-capped by the upstream
-// wire — and the result is each session's promise: the end-to-end
-// delay bound and, for an FCFS server, the per-hop per-flow backlog
-// bound. The FCFS baseline run is held to it (fcfsRow), the
-// class-aggregated run to its busy-period form (aggPromises), both by
-// checkRowBound. The peak caps make the flows genuinely multi-segment
-// from hop 2 on, so the battery exercises the full curve arithmetic,
-// not just its token-bucket degenerate case.
-//
-// Soundness notes. Every generated source conforms to its (rate, b0)
-// token bucket by construction with b0 >= lmax (Validate), so the
-// instantaneous arrival of a whole packet is inside the fluid curve; a
-// document in which some session declares no b0 has no arrival curve to
-// sum at that session's links, and no session is promised anything.
-// DelayBound and FlowBacklogBound already carry the +LMax/C and
-// +LMax packetization terms. FCFS has no regulator, so the FIFO bounds
-// hold with jitter control on as well. A link whose aggregate rate
-// reaches capacity (possible at the admission rules' float tolerance)
-// has no finite bound, and downstream hops would be checked against
-// contaminated curves; routes that order the links cyclically have no
-// hop order in which every upstream curve is known first. Either way no
-// session is promised anything.
-
-// calcMode selects the per-hop delay bound used for curve propagation.
-type calcMode int
-
-const (
-	// calcFIFO uses the aggregate FIFO delay bound (horizontal
-	// deviation): valid for an FCFS server.
-	calcFIFO calcMode = iota
-	// calcBusy uses the busy-period length sup{t : alpha(t) >= Ct}:
-	// valid for ANY work-conserving discipline — every packet is served
-	// within the busy period containing its arrival — so it bounds the
-	// deadline-ordered class aggregate too when no session uses jitter
-	// control.
-	calcBusy
-)
-
-// linkTopoOrder orders the topology's links so that every link a
-// session traverses appears after all of the session's upstream
-// links. Reports ok=false when the routes induce a cycle.
-func linkTopoOrder(sc *Case, routes [][]*config.Server) ([]string, bool) {
-	indeg := make(map[string]int, len(sc.Servers))
-	keys := make([]string, 0, len(sc.Servers))
-	for i := range sc.Servers {
-		indeg[sc.Servers[i].Name] = 0
-		keys = append(keys, sc.Servers[i].Name)
-	}
-	succ := make(map[string][]string)
-	for _, hops := range routes {
-		for i := 0; i+1 < len(hops); i++ {
-			a, b := hops[i].Name, hops[i+1].Name
-			succ[a] = append(succ[a], b)
-			indeg[b]++
-		}
-	}
-	// Kahn's algorithm seeded in topology order, so the result is
-	// deterministic for a given scenario.
-	var order, ready []string
-	for _, k := range keys {
-		if indeg[k] == 0 {
-			ready = append(ready, k)
-		}
-	}
-	for len(ready) > 0 {
-		k := ready[0]
-		ready = ready[1:]
-		order = append(order, k)
-		for _, n := range succ[k] {
-			if indeg[n]--; indeg[n] == 0 {
-				ready = append(ready, n)
-			}
-		}
-	}
-	return order, len(order) == len(keys)
-}
-
-// calcBounds orders the links and propagates every session's arrival
-// curve along its route: each session's promise, in the case's session
-// order, is Σ(d + Γ) over its hops and, in FIFO mode, the per-hop flow
-// backlog bounds. A case the analysis cannot soundly bound promises
-// every session nothing, for one of three reasons: no token bucket,
-// cyclic link order or a saturated link.
-func calcBounds(sc *Case, mode calcMode) []sched.Promise {
-	ps := make([]sched.Promise, len(sc.Sessions))
-	unbounded := func(reason string) []sched.Promise {
-		for i := range ps {
-			ps[i] = sched.Promise{Origin: reason}
-		}
-		return ps
-	}
-	if !sc.allDeclareB0() {
-		return unbounded("no token bucket")
-	}
-	routes := make([][]*config.Server, len(sc.Sessions))
-	for i := range sc.Sessions {
-		routes[i] = sc.hops(&sc.Sessions[i])
-	}
-	order, ok := linkTopoOrder(sc, routes)
-	if !ok {
-		return unbounded("cyclic link order")
-	}
-
-	cur := make([]calculus.Curve, len(sc.Sessions))
-	hop := make([]int, len(sc.Sessions))
-	for i, def := range sc.Sessions {
-		cur[i] = calculus.TokenBucket(def.Rate, def.B0)
-		ps[i] = sched.Promise{Origin: "busy period"}
-		if mode == calcFIFO {
-			ps[i] = sched.Promise{Origin: "curve propagation", Buffer: make([]float64, len(routes[i]))}
-		}
-	}
-	var ws calculus.Ws
-	for _, key := range order {
-		var idx []int
-		for i := range sc.Sessions {
-			if hop[i] < len(routes[i]) && routes[i][hop[i]].Name == key {
-				idx = append(idx, i)
-			}
-		}
-		if len(idx) == 0 {
-			continue
-		}
-		ld := sc.server(key)
-		srv := calculus.FCFSServer{C: ld.Capacity, LMax: sc.LMax}
-		var agg calculus.Curve
-		for _, i := range idx {
-			agg = calculus.Add(agg, cur[i])
-		}
-		var d float64
-		var err error
-		if mode == calcBusy {
-			d, err = calculus.BusyPeriodBound(agg, ld.Capacity)
-		} else {
-			d, err = srv.DelayBound(agg)
-		}
-		if err != nil {
-			// Saturated link (admission admits up to a float tolerance
-			// of C): no finite bound exists, and every downstream
-			// aggregate would be missing this hop's contribution.
-			return unbounded("saturated link")
-		}
-		if mode == calcFIFO {
-			for _, i := range idx {
-				var ax calculus.Curve
-				for _, j := range idx {
-					if j != i {
-						ax = calculus.Add(ax, cur[j])
-					}
-				}
-				if ps[i].Buffer[hop[i]], err = srv.FlowBacklogBound(&ws, cur[i], ax); err != nil {
-					return unbounded("saturated link")
-				}
-			}
-		}
-		for _, i := range idx {
-			def := &sc.Sessions[i]
-			ps[i].Bound += d + ld.Gamma
-			// Output envelope: the input delayed by the hop bound,
-			// capped by the wire — downstream, the flow cannot arrive
-			// faster than one packet plus the upstream link rate.
-			cur[i] = calculus.Min(cur[i].Delayed(d),
-				calculus.TokenBucket(ld.Capacity, def.LMax))
-			hop[i]++
-		}
-	}
-	return ps
-}
-
-// promised is a row's Bound that answers from promises the harness
-// composed for the whole case, in its session order (a session's
-// network id is its place there plus one).
-func promised(ps []sched.Promise) func(sched.Flow, []sched.Hop, float64, float64) sched.Promise {
-	return func(f sched.Flow, _ []sched.Hop, _, _ float64) sched.Promise { return ps[f.Session-1] }
-}
-
-// fcfsRow is FCFS with the promise only the whole network can make:
-// sched's row sees one route and owes none ("no cross envelope"), the
-// curves propagated through every link bound each session's delay and
-// its backlog at each hop.
-func fcfsRow(sc *Case) sched.Row {
-	row := sched.Lookup("fcfs")
-	row.Bound = promised(calcBounds(sc, calcFIFO))
-	return row
-}
 
 // fpFlow is one session's admission spec at a link, as seen by the
 // fast-path differential check.
@@ -359,7 +168,7 @@ func CalculusTightness(margin float64) *TightnessResult {
 	)
 	for _, n := range []int{4, 8, 16} {
 		sc := tightnessCase(n, cap, lpkt)
-		res, err := runScenario(&sc, fcfsRow(&sc), runOpts{wd: Options{}.watchdog(&sc)})
+		res, err := runScenario(&sc, sched.Lookup("fcfs"), runOpts{wd: Options{}.watchdog(&sc)})
 		if err != nil {
 			out.Err = err.Error()
 			return out

@@ -161,10 +161,11 @@ func TestCalculusBoundScaleShrinksAndReplays(t *testing.T) {
 	}
 }
 
-// TestCalcBoundsSkipsCycle: routes that order the links cyclically have
-// no sound propagation order; the analysis must promise nothing, and say
-// why.
-func TestCalcBoundsSkipsCycle(t *testing.T) {
+// TestCyclicRoutesExcluded: routes that order the links cyclically
+// have no sound propagation order, so the fcfs row promises nothing
+// (sched's TestFCFSExclusions); the battery counts every session under
+// the reason, and stays quiet.
+func TestCyclicRoutesExcluded(t *testing.T) {
 	const capBps = 1.536e6
 	sc := Case{Scenario: &config.Scenario{
 		Seed: 1, LMax: 424, Duration: 0.05,
@@ -181,16 +182,6 @@ func TestCalcBoundsSkipsCycle(t *testing.T) {
 		def.Source = conformingSource("cbr", 0, &def, 0, 0, 0)
 		sc.Sessions = append(sc.Sessions, def)
 	}
-	if err := sc.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	for i, p := range calcBounds(&sc, calcFIFO) {
-		if p.Bound != 0 || p.Origin != "cyclic link order" {
-			t.Fatalf("session %d of cyclic routes promised %+v", i+1, p)
-		}
-	}
-	// The battery counts every session under the reason, and stays
-	// quiet.
 	rep := CheckScenario(sc, Options{})
 	if !rep.OK() {
 		t.Fatalf("cyclic scenario produced violations:\n%s", rep.Format())
@@ -200,45 +191,11 @@ func TestCalcBoundsSkipsCycle(t *testing.T) {
 	}
 }
 
-// TestCalcBoundsHandComputed pins the single-link analysis against the
-// closed form: aggregate TB(0.8C, N*L) at capacity C gives per-session
-// delay bound (N*L)/C + L/C and per-flow backlog L + L*... computed
-// directly from the one-flow leftover-service bound.
-func TestCalcBoundsHandComputed(t *testing.T) {
-	sc := calcScenario(4)
-	fifo := calcBounds(&sc, calcFIFO)
-	const capBps, lpkt = 1.536e6, 424.0
-	wantDelay := 4*lpkt/capBps + lpkt/capBps
-	for i, p := range fifo {
-		if !closeTo(p.Bound, wantDelay, 1e-12) {
-			t.Errorf("session %d delay bound %.12g, want %.12g", i+1, p.Bound, wantDelay)
-		}
-		if len(p.Buffer) != 1 {
-			t.Fatalf("session %d: want 1 hop of backlog bounds, got %d", i+1, len(p.Buffer))
-		}
-		// Per-flow backlog can never exceed the flow's own arrivals in
-		// the shared busy period and never be below its burst plus the
-		// packetization term.
-		if b := p.Buffer[0]; b < lpkt || b > 4*lpkt+lpkt {
-			t.Errorf("session %d backlog bound %.1f bits outside [%g, %g]", i+1, b, lpkt, 5*lpkt)
-		}
-	}
-	// Busy-period mode bounds the same scenario more loosely (or
-	// equally): B* = sigma/(C - rho) >= sigma/C.
-	busy := calcBounds(&sc, calcBusy)
-	if busy[0].Bound == 0 {
-		t.Fatalf("busy mode promised nothing: %s", busy[0].Origin)
-	}
-	if busy[0].Bound < fifo[0].Bound-lpkt/capBps {
-		t.Errorf("busy-period bound %.9f below fluid FIFO bound %.9f", busy[0].Bound, fifo[0].Bound)
-	}
-}
-
-// TestAggregatePromise: the class aggregate's delay promise is the
-// degraded composition, or the busy-period composition where that is
-// smaller and no session uses jitter control, to the bit; its jitter
-// promise is the degraded one either way; and its tally reaches the
-// ledger after LiT's.
+// TestAggregatePromise: the promise the class-aggregate run holds each
+// session to is the degraded composition, or the busy-period
+// composition where that is smaller and no session uses jitter control,
+// to the bit; its jitter promise is the degraded one either way; and
+// its tally reaches the ledger after LiT's.
 func TestAggregatePromise(t *testing.T) {
 	for _, jitter := range []bool{false, true} {
 		sc := calcScenario(4)
@@ -253,21 +210,28 @@ func TestAggregatePromise(t *testing.T) {
 		// one hop of the class's burst over its rate, its largest d_max
 		// and a packet time.
 		var rate, bur, dMax float64
+		var flows []sched.Flow
+		var routes [][]sched.Hop
 		for _, sr := range exact.Sessions {
 			rate += sr.Def.Rate
 			bur += sr.Def.B0
 			dMax = max(dMax, sr.Route[0].Own(sr.Flow.Session).DMax)
+			flows, routes = append(flows, sr.Flow), append(routes, sr.Route)
 		}
 		degraded := bur/rate + dMax + sc.LMax/sc.Servers[0].Capacity
 		want := degraded
 		if !jitter {
-			want = min(degraded, calcBounds(&sc, calcBusy)[0].Bound)
+			want = min(degraded, sched.BusyPeriod(flows, routes, sc.LMax)[0].Bound)
 		}
-		ps, _ := aggPromises(&sc, exact)
-		for i, p := range ps {
-			if p.Bound != want || p.Jitter != degraded {
-				t.Errorf("jitter control %v: session %d promised %+v, want delay %.12g jitter %.12g",
-					jitter, i+1, p, want, degraded)
+		var recorded []float64
+		agg, err := runScenario(&sc, aggRow(&sc, &recorded), runOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, sr := range agg.Sessions {
+			if p := sr.Promise; p.Bound != want || p.Jitter != degraded || recorded[i] != degraded {
+				t.Errorf("jitter control %v: session %d promised %+v (degraded %.12g), want delay %.12g jitter %.12g",
+					jitter, i+1, p, recorded[i], want, degraded)
 			}
 		}
 		rep := CheckScenario(sc, Options{})
@@ -293,12 +257,4 @@ func TestFastpathDivergenceQuiet(t *testing.T) {
 			t.Errorf("seed %d: %s: %s", seed, v.Check, v.Detail)
 		}
 	}
-}
-
-func closeTo(a, b, eps float64) bool {
-	d := a - b
-	if d < 0 {
-		d = -d
-	}
-	return d <= eps
 }

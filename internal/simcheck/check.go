@@ -84,8 +84,8 @@ func newReport(sc *Case) *SeedReport {
 // LiT ≡ VirtualClock differential compare two runs packet for packet,
 // which a purge or an outage desynchronises; the baselines' bounds and
 // the class-aggregated run hold promises derived for the full admitted
-// set on working links (FCFS's and the aggregate's composed over the
-// whole network); the fast-path check re-admits the full set. There is
+// set on working links (FCFS's and the aggregate's read every session
+// of the run); the fast-path check re-admits the full set. There is
 // no switch for any of them: a clean case runs them all, and a session a
 // promise's preconditions exclude (no b0, routes that order the links
 // cyclically, a saturated link) is counted in the ledger by reason. The
@@ -160,7 +160,7 @@ func CheckScenario(sc Case, opt Options) (rep *SeedReport) {
 	// Every baseline discipline: drain, conservation, capacity return,
 	// identical emission and, on a clean network, each session against
 	// the bound its row promises and a GPS emulation against GPS. FCFS's
-	// promise is the whole network's (fcfsRow), its buffers probed. Two
+	// promise states per-hop backlog bounds, so its buffers are probed. Two
 	// runs compare with the reference run's recording: LSTF replays it
 	// and is held to it, and in the exactness corner (procedure 1, one
 	// class, eps = 0, no jitter control) VirtualClock must match LiT's
@@ -175,7 +175,7 @@ func CheckScenario(sc Case, opt Options) (rep *SeedReport) {
 		opts := runOpts{wd: wd, gps: clean && gpsRows[row.Name]}
 		switch {
 		case clean && row.Name == "fcfs":
-			row, opts.probes = fcfsRow(&sc), true
+			opts.probes = true // its promise bounds each hop's backlog
 		case recorded && row.Name == "lstf":
 			opts.replay, opts.collectDelays = exact, true
 		case recorded && row.Name == "virtualclock":

@@ -31,10 +31,10 @@ type sessResult struct {
 	Dropped   int64 // buffer-limit drops along the route
 	MaxDelay  float64
 	Jitter    float64
-	// Promise is what the run's row promises the session (its Bound),
-	// read from Flow, the session's bucket and lengths, and Route, each
-	// hop's link and the ports its discipline was given when the run
-	// started.
+	// Promise is what the run's row promises the session (its Bound,
+	// asked once with every session of the run), read from Flow, the
+	// session's bucket and lengths, and Route, each hop's link and the
+	// ports its discipline was given when the run started.
 	Promise    sched.Promise
 	Flow       sched.Flow
 	Route      []sched.Hop
@@ -204,7 +204,7 @@ func runScenario(sc *Case, row sched.Row, opts runOpts) (*runResult, error) {
 	}
 	conns := run.Conns()
 	res.Sessions = make([]sessResult, len(conns))
-	probes := make([][]*network.BufferProbe, len(conns))
+	flows, routes := make([]sched.Flow, len(conns)), make([][]sched.Hop, len(conns))
 	for i := range conns {
 		c, s := &conns[i], &res.Sessions[i]
 		req := c.Def.Request()
@@ -214,7 +214,13 @@ func runScenario(sc *Case, row sched.Row, opts runOpts) (*runResult, error) {
 			s.MinLinkCap = min(s.MinLinkCap, port.C)
 			s.Route = append(s.Route, sched.Hop{C: port.C, Gamma: port.Gamma, Ports: port.Disc.(*checkedDisc).ports})
 		}
-		s.Promise = row.Bound(s.Flow, s.Route, res.LMax, res.Frame)
+		flows[i], routes[i] = s.Flow, s.Route
+	}
+	promises := row.Bound(flows, routes, res.LMax, res.Frame)
+	probes := make([][]*network.BufferProbe, len(conns))
+	for i := range conns {
+		c, s := &conns[i], &res.Sessions[i]
+		s.Promise = promises[i]
 		if opts.probes {
 			for n, port := range c.Sess.Route {
 				pr, probe := port.TrackBuffer(c.Sess.ID), probeResult{Port: port.Name}

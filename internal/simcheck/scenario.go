@@ -7,14 +7,13 @@
 // packet-pool balance, reserved capacity returned whole, deadline
 // ordering, work conservation, the LiT ≡ VirtualClock special case, the
 // approximate-queue approximation bound, and metrics/trace/probe
-// agreement; each baseline against the delay bound its sched.Table row
-// promises, and the fair queues against a fluid GPS reference; then the
-// scenario again with one regulator per class
-// against the degraded aggregate bounds, and under FCFS against
-// curve-propagated calculus bounds; then all of it once more under a
-// generated fault plan. On violation it shrinks the scenario to a
-// minimal failing form and writes a replayable JSON repro. See
-// cmd/litcheck for the CLI driver.
+// agreement; each baseline against the bounds its sched.Table row
+// promises (FCFS's from arrival curves propagated through every link),
+// and the fair queues against a fluid GPS reference; then the scenario
+// again with one regulator per class against the degraded aggregate
+// bounds; then all of it once more under a generated fault plan. On
+// violation it shrinks the scenario to a minimal failing form and
+// writes a replayable JSON repro. See cmd/litcheck for the CLI driver.
 //
 // What it generates, shrinks, replays and checks is a config.Scenario,
 // the document litrun and litserve run, and it runs the document on
@@ -24,7 +23,7 @@
 // candidate session exactly when the runner builds the document with
 // it, a refused document is reported by the first session whose prefix
 // the runner refuses, the class-aggregate battery composes its bounds
-// from the grants the exact run was connected with, and the admission
+// from the grants its own run's ports were given, and the admission
 // fast-path check takes fresh controllers and requests from the system
 // the runner builds. What the network is checked against is the paper
 // — the analytic bounds, the other disciplines, and the reference model
@@ -95,38 +94,6 @@ func (c *Case) hasJitter() bool {
 	return false
 }
 
-// allDeclareB0 reports whether every session declares its token bucket:
-// the batteries that sum arrival curves per link (calculus, aggregate
-// classes) bound nothing once one member's burst is unknown.
-func (c *Case) allDeclareB0() bool {
-	for i := range c.Sessions {
-		if c.Sessions[i].B0 == 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // docID is the document id of the run's network session id: the runner
 // connects the document's sessions in order, numbering them from 1.
 func (c *Case) docID(netID int) int { return c.Sessions[netID-1].ID }
-
-// server returns the named server; Validate has checked every name a
-// route or a fault plan uses.
-func (c *Case) server(name string) *config.Server {
-	for i := range c.Servers {
-		if c.Servers[i].Name == name {
-			return &c.Servers[i]
-		}
-	}
-	panic("simcheck: unknown server " + name)
-}
-
-// hops returns the servers of the session's route.
-func (c *Case) hops(def *config.Session) []*config.Server {
-	hops := make([]*config.Server, len(def.Route))
-	for i, name := range def.Route {
-		hops[i] = c.server(name)
-	}
-	return hops
-}
